@@ -16,7 +16,9 @@ the paper's value next to the measured one and asserts only the *shape*
 
 from __future__ import annotations
 
+import json
 import os
+import tempfile
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -42,6 +44,16 @@ SCALED_SIZES: Dict[str, Tuple[int, int]] = {
 #: regression canaries; figure-level quality assertions are relaxed, but
 #: every kernel and model path still executes end to end.
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") not in ("", "0")
+
+#: Where result JSONs land.  Full runs write next to this file — the
+#: committed ``BENCH_*.json`` numbers; smoke runs (tier-1 canaries) write
+#: to a temp dir of their own, so a test run never rewrites the tree and
+#: concurrent runs never share (or delete) each other's results.
+RESULT_DIR = (
+    tempfile.mkdtemp(prefix="repro-bench-smoke-")
+    if SMOKE
+    else os.path.dirname(os.path.abspath(__file__))
+)
 
 VOCAB = 128
 SEQ = 32
@@ -145,3 +157,12 @@ def print_header(title: str) -> None:
     print("=" * 72)
     print(title)
     print("=" * 72)
+
+
+def write_result(name: str, result: dict) -> None:
+    """Write one benchmark's result JSON under :data:`RESULT_DIR`."""
+    path = os.path.join(RESULT_DIR, name)
+    with open(path, "w") as fh:
+        json.dump(result, fh, indent=2)
+        fh.write("\n")
+    print(f"  result written to {path}")

@@ -20,7 +20,6 @@ async background writer (the step pays only ``ckpt_snapshot`` +
 Results land in ``BENCH_ckpt.json`` next to this file.
 """
 
-import json
 import os
 import tempfile
 import threading
@@ -38,6 +37,7 @@ from harness import (
     build_model,
     pile_data,
     print_header,
+    write_result,
 )
 
 STEPS = 4 if SMOKE else 12
@@ -68,7 +68,7 @@ def _train(ckpt_dir: str, async_ckpt: bool):
     trainer = Trainer(
         model, train, config=cfg, optimizer=Adam(model.parameters(), lr=3e-3)
     )
-    manager = CheckpointManager(ckpt_dir, keep_last=STEPS, fmt="sharded")
+    manager = CheckpointManager(ckpt_dir, keep_last=STEPS)
     t0 = time.perf_counter()
     with tracing() as tracer:
         history = trainer.fit(
@@ -151,6 +151,4 @@ def _run_comparison(benchmark, tmp):
         f" ({result['stall_reduction']:.0%} off the step boundary)"
     )
     print(f"  wall: sync {sync_s:.2f} s, async {async_s:.2f} s")
-    out_path = os.path.join(os.path.dirname(__file__), "BENCH_ckpt.json")
-    with open(out_path, "w") as fh:
-        json.dump(result, fh, indent=2)
+    write_result("BENCH_ckpt.json", result)

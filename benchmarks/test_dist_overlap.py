@@ -33,8 +33,6 @@ on one oversubscribed CPU:
 Results land in ``BENCH_dist.json`` next to this file.
 """
 
-import json
-import os
 import time
 
 import numpy as np
@@ -42,7 +40,7 @@ import numpy as np
 from repro.core import dMoE
 from repro.distributed import DeviceMesh, ExpertParallelDMoE, run_distributed
 
-from harness import SMOKE, print_header
+from harness import SMOKE, print_header, write_result
 
 WORLD = 2
 TOKENS = 2048 if SMOKE else 4096
@@ -161,9 +159,7 @@ def test_dist_overlap(benchmark):
         "bit_identical": True,
         "smoke": SMOKE,
     }
-    out_path = os.path.join(os.path.dirname(__file__), "BENCH_dist.json")
-    with open(out_path, "w") as fh:
-        json.dump(result, fh, indent=2)
+    write_result("BENCH_dist.json", result)
 
     # Overlap must hide the straggler's latency behind the plan build.
     # Typical measurement: ~99% of the serialized wait disappears.  The

@@ -22,8 +22,6 @@ Results land in ``BENCH_serving.json`` next to this file.
 """
 
 import gc
-import json
-import os
 import time
 
 import numpy as np
@@ -41,7 +39,7 @@ from repro.serving import (
 )
 from repro.utils.rng import seed_all
 
-from harness import SMOKE, print_header
+from harness import SMOKE, print_header, write_result
 
 VOCAB = 256
 HIDDEN = 64
@@ -234,10 +232,7 @@ def test_serving(benchmark):
             "ppl_delta": ppl_int8 - ppl_fp32,
         },
     }
-    out_path = os.path.join(os.path.dirname(__file__), "BENCH_serving.json")
-    with open(out_path, "w") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
+    write_result("BENCH_serving.json", result)
 
     # Interleaved same-process ratio — load-stable, so this gate is firm.
     assert speedup >= MIN_DECODE_SPEEDUP, (

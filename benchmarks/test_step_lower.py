@@ -20,8 +20,6 @@ file.
 """
 
 import gc
-import json
-import os
 import time
 
 from repro.autograd import lower
@@ -36,6 +34,7 @@ from harness import (
     build_model,
     pile_data,
     print_header,
+    write_result,
 )
 
 WARMUP_STEPS = 2
@@ -242,10 +241,7 @@ def test_step_lower(benchmark):
         "lower_segment_fallbacks": counts["lower_segment_fallbacks"],
         "lower_toolchain_fallbacks": counts["lower_toolchain_fallbacks"],
     }
-    out_path = os.path.join(os.path.dirname(__file__), "BENCH_lower.json")
-    with open(out_path, "w") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
+    write_result("BENCH_lower.json", result)
 
     # Lowering must be free: identical trajectories on all three paths.
     assert losses["eager"] == losses["replay"], "replay changed the math"

@@ -18,8 +18,6 @@ allocation peak must be an order of magnitude smaller.  Results land in
 """
 
 import gc
-import json
-import os
 import time
 import tracemalloc
 
@@ -35,6 +33,7 @@ from harness import (
     build_model,
     pile_data,
     print_header,
+    write_result,
 )
 
 WARMUP_STEPS = 2
@@ -118,10 +117,7 @@ def test_step_latency_and_allocations(benchmark):
         "steady_alloc_peak_bytes": fast_bytes,
         "alloc_reduction": alloc_reduction,
     }
-    out_path = os.path.join(os.path.dirname(__file__), "BENCH_step.json")
-    with open(out_path, "w") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
+    write_result("BENCH_step.json", result)
 
     # The optimization must be free: identical training trajectories.
     assert ref_losses == fast_losses, "steady-state step changed the math"

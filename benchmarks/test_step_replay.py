@@ -1,6 +1,6 @@
 """Captured step graphs: compiled replay vs the eager steady-state step.
 
-``TrainerConfig(capture=True)`` records the first micro batch into a
+``TrainerConfig(backend="replay")`` records the first micro batch into a
 :class:`repro.autograd.StepGraph` and replays the compiled op schedule
 (pre-resolved buffers, pre-bound forward/backward methods) on every
 signature-matching step, skipping module traversal and tape
@@ -16,8 +16,6 @@ next to this file.
 """
 
 import gc
-import json
-import os
 import time
 
 from repro.autograd import stats as ag_stats
@@ -32,6 +30,7 @@ from harness import (
     build_model,
     pile_data,
     print_header,
+    write_result,
 )
 
 WARMUP_STEPS = 2
@@ -65,7 +64,7 @@ REF_EAGER_SMOKE_S = 0.0406
 MIN_COMPENSATED_SPEEDUP_VS_PR3 = 1.25
 
 
-def _build_trainer(capture: bool) -> Trainer:
+def _build_trainer(backend: str) -> Trainer:
     seed_all(0)
     train, _ = pile_data()
     model = build_model("dmoe", "Small")
@@ -76,7 +75,7 @@ def _build_trainer(capture: bool) -> Trainer:
         eval_every=0,
         log_every=0,
         steady_state=True,
-        capture=capture,
+        backend=backend,
     )
     return Trainer(model, train, config=cfg, optimizer=Adam(model.parameters(), lr=3e-3))
 
@@ -84,8 +83,8 @@ def _build_trainer(capture: bool) -> Trainer:
 def _measure():
     """Interleaved comparison: warm both trainers, then alternate timed
     rounds so OS/cache noise hits both paths equally; report the min."""
-    eager = _build_trainer(False)
-    replay = _build_trainer(True)
+    eager = _build_trainer("eager")
+    replay = _build_trainer("replay")
     losses = {"eager": [], "replay": []}
     tape = {}
     step = 0
@@ -174,10 +173,7 @@ def test_step_replay(benchmark):
         "graph_replays": counts["replays"],
         "graph_fallbacks": counts["fallbacks"],
     }
-    out_path = os.path.join(os.path.dirname(__file__), "BENCH_replay.json")
-    with open(out_path, "w") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
+    write_result("BENCH_replay.json", result)
 
     # Replay must be free: identical training trajectories...
     assert losses["eager"] == losses["replay"], "replay changed the math"

@@ -16,8 +16,6 @@ layer (``docs/observability.md``) makes:
 Results land in ``BENCH_trace.json`` next to this file.
 """
 
-import json
-import os
 import time
 
 import numpy as np
@@ -35,6 +33,7 @@ from harness import (
     build_model,
     pile_data,
     print_header,
+    write_result,
 )
 
 STEPS = 4 if SMOKE else 12
@@ -137,7 +136,4 @@ def test_traced_step_breakdown(benchmark):
         "plain_wall_s": plain_s,
         "traced_wall_s": traced_s,
     }
-    out_path = os.path.join(os.path.dirname(__file__), "BENCH_trace.json")
-    with open(out_path, "w") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
+    write_result("BENCH_trace.json", result)

@@ -1,16 +1,12 @@
 """Checkpointing subsystem: validated, atomic, sharded, elastic, async.
 
-Promoted from ``repro.training.checkpoint`` (which re-exports this
-package for compatibility).  Two on-disk formats behind one API:
+One on-disk format: a sharded streaming directory — per-layer/per-expert
+``.npy`` shards written lazily through a :class:`ShardWriter`, a
+CRC-carrying sidecar ``manifest.json`` whose atomic rename *is* the
+publish, and a lazy :class:`ShardReader`
+(:mod:`repro.checkpoint.sharded`).
 
-- **v2** — one monolithic ``.npz`` (PR 2): atomic publish, CRC32 per
-  array, schema versioning (:mod:`repro.checkpoint.format_npz`).
-- **v3** — a sharded streaming directory: per-layer/per-expert ``.npy``
-  shards written lazily through a :class:`ShardWriter`, a CRC-carrying
-  sidecar ``manifest.json`` whose atomic rename *is* the publish, and a
-  lazy :class:`ShardReader` (:mod:`repro.checkpoint.sharded`).
-
-On top of the formats:
+On top of the format:
 
 - **elastic resume** (:mod:`repro.checkpoint.reshard`) — per-expert
   shards are remapped across world sizes N→M with
@@ -20,38 +16,19 @@ On top of the formats:
   snapshot at the step boundary, serialize/fsync on a worker thread
   with a bounded queue, backpressure, and failure surfacing.
 - **rotation** (:class:`CheckpointManager`) — keep-last-N plus
-  best-by-metric over either format, with fallback past corrupt or
-  torn checkpoints.
+  best-by-metric, with fallback past corrupt or torn checkpoints.
 
 See ``docs/robustness.md`` for the full format and failure-mode story.
 """
 
-from repro.checkpoint.api import (
-    is_sharded_path,
-    load_checkpoint,
-    save_checkpoint,
-    write_state,
-)
 from repro.checkpoint.async_writer import AsyncCheckpointWriter
 from repro.checkpoint.common import (
-    FORMAT_VERSION,
-    FORMAT_VERSION_NPZ,
-    FORMAT_VERSION_SHARDED,
     MANIFEST_NAME,
     CheckpointCorruptError,
     CheckpointError,
     CheckpointState,
     apply_state,
     build_state,
-    crc32,
-    fsync_dir,
-    fsync_parent_dir,
-)
-from repro.checkpoint.format_npz import (
-    load_checkpoint_npz,
-    load_npz_state,
-    save_checkpoint_npz,
-    write_npz_state,
 )
 from repro.checkpoint.manager import CheckpointManager
 from repro.checkpoint.reshard import (
@@ -65,17 +42,13 @@ from repro.checkpoint.sharded import (
     ShardWriter,
     describe_checkpoint,
     format_describe,
-    load_checkpoint_sharded,
-    load_sharded_state,
-    migrate_v2_to_v3,
-    save_checkpoint_sharded,
-    write_sharded_state,
+    load_checkpoint,
+    load_state,
+    save_checkpoint,
+    write_state,
 )
 
 __all__ = [
-    "FORMAT_VERSION",
-    "FORMAT_VERSION_NPZ",
-    "FORMAT_VERSION_SHARDED",
     "MANIFEST_NAME",
     "CheckpointError",
     "CheckpointCorruptError",
@@ -88,24 +61,12 @@ __all__ = [
     "ReshardPlan",
     "plan_reshard",
     "maybe_plan_reshard",
-    "save_checkpoint",
-    "load_checkpoint",
-    "write_state",
-    "is_sharded_path",
     "build_state",
     "apply_state",
-    "crc32",
-    "fsync_dir",
-    "fsync_parent_dir",
-    "save_checkpoint_npz",
-    "load_checkpoint_npz",
-    "write_npz_state",
-    "load_npz_state",
-    "save_checkpoint_sharded",
-    "load_checkpoint_sharded",
-    "write_sharded_state",
-    "load_sharded_state",
-    "migrate_v2_to_v3",
+    "write_state",
+    "load_state",
+    "save_checkpoint",
+    "load_checkpoint",
     "describe_checkpoint",
     "format_describe",
 ]

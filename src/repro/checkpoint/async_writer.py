@@ -11,7 +11,7 @@ serialize+fsync cost.  The async writer splits that in two:
    rewinds, even a checkpoint *restore* cannot race with the write.
 2. **Serialize + fsync (worker thread)** — :meth:`submit` enqueues the
    snapshot; a single daemon worker funnels it through the *same*
-   :func:`repro.checkpoint.api.write_state` serializer as the sync
+   :func:`repro.checkpoint.write_state` serializer as the sync
    path, so async and sync checkpoints are byte-identical.
 
 Robustness properties:
@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.checkpoint.common import CheckpointError, CheckpointState, logger
+from repro.checkpoint.sharded import write_state
 from repro.resilience import counters as resilience_counters
 
 
@@ -142,8 +143,6 @@ class AsyncCheckpointWriter:
                 self._queue.task_done()
 
     def _write(self, job: _Job) -> None:
-        from repro.checkpoint.api import write_state
-
         reg = _registry()
         t0 = time.perf_counter()
         try:

@@ -1,14 +1,13 @@
 """Shared checkpoint substrate: errors, durability helpers, state capture.
 
-Both on-disk formats (the monolithic ``.npz`` v2 and the sharded
-streaming v3) serialize the same logical object — a
-:class:`CheckpointState`: a flat ``name -> array`` mapping plus a JSON
-metadata dict.  :func:`build_state` captures one from a model/optimizer
-pair (optionally *copying* every array, which is what lets the async
-background writer serialize a step-boundary snapshot while training
-mutates the live parameters), and :func:`apply_state` restores one into
-a model/optimizer with the same validation semantics the v2 loader has
-always had: everything is checked before anything is mutated.
+The on-disk format (:mod:`repro.checkpoint.sharded`) serializes one
+logical object — a :class:`CheckpointState`: a flat ``name -> array``
+mapping plus a JSON metadata dict.  :func:`build_state` captures one
+from a model/optimizer pair (optionally *copying* every array, which is
+what lets the async background writer serialize a step-boundary snapshot
+while training mutates the live parameters), and :func:`apply_state`
+restores one into a model/optimizer: everything is checked before
+anything is mutated.
 """
 
 from __future__ import annotations
@@ -30,13 +29,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 logger = get_logger("checkpoint")
 
-#: Monolithic ``.npz`` layout (PR 2).
-FORMAT_VERSION_NPZ = 2
-#: Sharded streaming directory layout (this module's v3).
+#: Sharded streaming directory layout — the only format written or
+#: read (version 2 was a single-file archive, removed).
 FORMAT_VERSION_SHARDED = 3
-#: What :func:`repro.checkpoint.save_checkpoint` writes for ``.npz``
-#: paths; kept for backwards compatibility with callers that import it.
-FORMAT_VERSION = FORMAT_VERSION_NPZ
 
 #: Manifest file that publishes a sharded checkpoint directory.  A
 #: directory without it is torn (a write died mid-shard) and is never
@@ -57,19 +52,15 @@ def crc32(arr: np.ndarray) -> int:
     return zlib.crc32(np.ascontiguousarray(arr).tobytes()) & 0xFFFFFFFF
 
 
-# Backwards-compatible alias (the v2 module exposed it privately).
-_crc32 = crc32
-
-
 def fsync_dir(path: str) -> None:
     """fsync a directory so a just-committed rename inside it is durable.
 
     ``os.replace`` makes a write atomic, but the *rename itself* lives
     in the parent directory's pages — until those are flushed a crash
     can roll the rename back and lose an already-"published" file.
-    Shared by the v2 ``.npz`` publish, the rotation-index write, and
-    the v3 manifest publish.  Best-effort: some filesystems refuse
-    directory fsync; that degrades durability, never correctness.
+    Shared by the rotation-index write and the manifest publish.
+    Best-effort: some filesystems refuse directory fsync; that degrades
+    durability, never correctness.
     """
     try:
         dfd = os.open(path, os.O_RDONLY)
@@ -112,8 +103,8 @@ class CheckpointState:
     """One checkpoint's full content, independent of on-disk format.
 
     Attributes:
-        arrays: flat ``name -> ndarray`` map using the v2 naming scheme
-            (``model/<param>``, ``optim/m|v/<index>``, ``extra/<name>``).
+        arrays: flat ``name -> ndarray`` map (``model/<param>``,
+            ``optim/m|v/<index>``, ``extra/<name>``).
         meta: JSON-serializable metadata (``step``, ``extra``, ``adam``,
             optionally ``mesh``).
         expert_axes: array names that hold stacked per-expert state,
@@ -223,9 +214,9 @@ def apply_state(
 ) -> Dict[str, Any]:
     """Restore a validated :class:`CheckpointState` into model/optimizer.
 
-    Mirrors the v2 loader's contract: all structural validation (shape,
-    parameter count) happens before any in-place mutation; returns the
-    metadata dict with ``extra_arrays`` attached.
+    All structural validation (shape, parameter count) happens before
+    any in-place mutation; returns the metadata dict with
+    ``extra_arrays`` attached.
     """
     from repro.training.optim import Adam
 

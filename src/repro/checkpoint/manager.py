@@ -1,15 +1,10 @@
 """Rotating checkpoint directory: keep-last-N plus best-by-metric.
 
-Format-aware since v3: a manager created with ``fmt="sharded"`` names
-checkpoints as directories (``ckpt-00000040/``) instead of ``.npz``
-files, and every manager — whatever it writes — *recognizes both* when
-rebuilding its index from a directory listing, so a run can migrate
-formats mid-flight and ``load_latest`` still sees the full history.
-
+Checkpoints are sharded directories named ``<prefix>-<step:08d>/``.
 ``load_latest`` falls back past anything broken, whichever way it is
-broken: a truncated ``.npz``, a torn shard directory (no manifest), or
-— new in v3 — a checkpoint whose manifest is intact but whose
-referenced shard is missing or fails its CRC.
+broken: a torn shard directory (no manifest), or a checkpoint whose
+manifest is intact but whose referenced shard is missing or fails its
+CRC.
 """
 
 from __future__ import annotations
@@ -21,33 +16,27 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.checkpoint.api import load_checkpoint, save_checkpoint
 from repro.checkpoint.common import (
-    MANIFEST_NAME,
     CheckpointCorruptError,
     CheckpointError,
     fsync_parent_dir,
     logger,
 )
+from repro.checkpoint.sharded import load_checkpoint, save_checkpoint
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.nn.module import Module
     from repro.training.optim import Optimizer
 
-#: Recognized checkpoint formats and their manager path shapes.
-FORMATS = ("npz", "sharded")
-
 
 class CheckpointManager:
-    """Rotation over ``<prefix>-<step:08d>[.npz]`` checkpoints.
+    """Rotation over ``<prefix>-<step:08d>/`` checkpoint directories.
 
-    ``fmt="npz"`` (default, the PR 2 behavior) writes monolithic files;
-    ``fmt="sharded"`` writes v3 directories.  The best checkpoint (by a
-    lower-is-better metric) is copied to ``<prefix>-best[.npz]`` so
-    pruning never discards it.  ``index.json`` (written atomically,
-    rename fsynced) records rotation state and is rebuilt from the
-    directory listing — accepting both formats — when absent.
+    The best checkpoint (by a lower-is-better metric) is copied to
+    ``<prefix>-best/`` so pruning never discards it.  ``index.json``
+    (written atomically, rename fsynced) records rotation state and is
+    rebuilt from the directory listing when absent.
     """
 
     def __init__(
@@ -56,17 +45,13 @@ class CheckpointManager:
         keep_last: int = 3,
         keep_best: bool = True,
         prefix: str = "ckpt",
-        fmt: str = "npz",
     ) -> None:
         if keep_last < 1:
             raise ValueError("keep_last must be >= 1")
-        if fmt not in FORMATS:
-            raise ValueError(f"fmt must be one of {FORMATS}, got {fmt!r}")
         self.directory = directory
         self.keep_last = keep_last
         self.keep_best = keep_best
         self.prefix = prefix
-        self.fmt = fmt
         os.makedirs(directory, exist_ok=True)
         self._steps: List[int] = []
         self._best: Optional[Dict[str, Any]] = None
@@ -74,26 +59,12 @@ class CheckpointManager:
 
     # ------------------------------------------------------------------
     def path_for(self, step: int) -> str:
-        """On-disk path for ``step`` under this manager's write format."""
-        suffix = ".npz" if self.fmt == "npz" else ""
-        return os.path.join(
-            self.directory, f"{self.prefix}-{step:08d}{suffix}"
-        )
-
-    def existing_path_for(self, step: int) -> Optional[str]:
-        """Whichever format's path exists on disk for ``step``."""
-        for suffix in ("", ".npz") if self.fmt == "sharded" else (".npz", ""):
-            path = os.path.join(
-                self.directory, f"{self.prefix}-{step:08d}{suffix}"
-            )
-            if os.path.exists(path):
-                return path
-        return None
+        """On-disk checkpoint directory for ``step``."""
+        return os.path.join(self.directory, f"{self.prefix}-{step:08d}")
 
     @property
     def best_path(self) -> str:
-        suffix = ".npz" if self.fmt == "npz" else ""
-        return os.path.join(self.directory, f"{self.prefix}-best{suffix}")
+        return os.path.join(self.directory, f"{self.prefix}-best")
 
     @property
     def _index_path(self) -> str:
@@ -115,10 +86,6 @@ class CheckpointManager:
                 if not name.startswith(head):
                     continue
                 stem = name[len(head):]
-                if stem.endswith(".npz"):
-                    stem = stem[: -len(".npz")]
-                # Sharded checkpoints are bare directories; accept both
-                # formats so a mixed-history run rebuilds completely.
                 if stem.isdigit():
                     self._steps.append(int(stem))
         self._steps = sorted(set(self._steps))
@@ -130,25 +97,9 @@ class CheckpointManager:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self._index_path)
-        # Durability fix (shared helper with both publish paths): make
-        # the index rename itself crash-safe.
+        # Make the index rename itself crash-safe (shared helper with
+        # the manifest publish).
         fsync_parent_dir(self._index_path)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _remove(path: str) -> None:
-        if os.path.isdir(path):
-            shutil.rmtree(path, ignore_errors=True)
-        elif os.path.exists(path):
-            os.remove(path)
-
-    @staticmethod
-    def _copy(src: str, dst: str) -> None:
-        CheckpointManager._remove(dst)
-        if os.path.isdir(src):
-            shutil.copytree(src, dst)
-        else:
-            shutil.copy2(src, dst)
 
     # ------------------------------------------------------------------
     def save(
@@ -189,14 +140,12 @@ class CheckpointManager:
             and metric is not None
             and (self._best is None or metric < self._best["metric"])
         ):
-            source = self.existing_path_for(step) or self.path_for(step)
-            self._copy(source, self.best_path)
+            shutil.rmtree(self.best_path, ignore_errors=True)
+            shutil.copytree(self.path_for(step), self.best_path)
             self._best = {"step": int(step), "metric": float(metric)}
         while len(self._steps) > self.keep_last:
             victim = self._steps.pop(0)
-            victim_path = self.existing_path_for(victim)
-            if victim_path is not None:
-                self._remove(victim_path)
+            shutil.rmtree(self.path_for(victim), ignore_errors=True)
         self._write_index()
 
     # ------------------------------------------------------------------
@@ -212,8 +161,7 @@ class CheckpointManager:
     def latest_path(self) -> Optional[str]:
         if not self._steps:
             return None
-        step = self._steps[-1]
-        return self.existing_path_for(step) or self.path_for(step)
+        return self.path_for(self._steps[-1])
 
     def load_latest(
         self,
@@ -224,13 +172,13 @@ class CheckpointManager:
         """Restore the newest *valid* checkpoint.
 
         Anything broken is skipped (with a warning) in favour of the
-        next-newest — a truncated ``.npz``, a torn shard directory, or a
-        manifest whose referenced shard is missing or corrupt.  That is
-        the reason rotation keeps more than one.
+        next-newest — a torn shard directory, or a manifest whose
+        referenced shard is missing or corrupt.  That is the reason
+        rotation keeps more than one.
         """
         errors = []
         for step in reversed(self._steps):
-            path = self.existing_path_for(step) or self.path_for(step)
+            path = self.path_for(step)
             try:
                 return load_checkpoint(path, model, optimizer, mesh=mesh)
             except (CheckpointCorruptError, FileNotFoundError) as exc:

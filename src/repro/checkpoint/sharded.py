@@ -1,6 +1,7 @@
-"""Sharded streaming checkpoint format (``format_version=3``).
+"""Sharded streaming checkpoint format (``format_version=3``) — the
+only format this package writes or reads.
 
-A v3 checkpoint is a *directory*:
+A checkpoint is a *directory*:
 
 .. code-block:: text
 
@@ -12,8 +13,7 @@ A v3 checkpoint is a *directory*:
         manifest.json             sidecar index — the publish atom
 
 Tensors stream through a :class:`ShardWriter` one at a time, so saving
-never needs the whole model in a second in-memory copy (the property
-that unlocks models too large for the monolithic v2 ``.npz``).  Stacked
+never needs the whole model in a second in-memory copy.  Stacked
 per-expert state (expert weights and their Adam moments) is split into
 one shard per expert, each annotated with the expert index and the
 owning rank under the save-time :class:`repro.distributed.DeviceMesh` —
@@ -25,8 +25,8 @@ Durability contract:
 - every shard file is flushed and fsynced before the manifest refers to
   it, and carries a CRC32 in the manifest;
 - the manifest itself is written to a temp name, fsynced, ``os.replace``d
-  into place, and the parent directory fsynced (shared helper with the
-  v2 path) — *the manifest rename is the publish*;
+  into place, and the parent directory fsynced — *the manifest rename
+  is the publish*;
 - a directory without a manifest is a torn write (the process died
   mid-shard, or a fault-injected write was killed): it is never
   loadable and :meth:`CheckpointManager.load_latest` skips it;
@@ -107,8 +107,8 @@ class ShardWriter:
         self.entries: List[Dict[str, Any]] = []
         self._finalized = False
         if os.path.isdir(path):
-            # Overwrite semantics match v2 os.replace: the previous
-            # checkpoint at this path is superseded.
+            # Overwrite semantics: the previous checkpoint at this
+            # path is superseded.
             shutil.rmtree(path)
         elif os.path.exists(path):
             os.remove(path)
@@ -204,11 +204,18 @@ class ShardWriter:
 def read_manifest(path: str) -> Dict[str, Any]:
     """Parse and schema-check a checkpoint directory's manifest.
 
-    Raises :class:`FileNotFoundError` when ``path`` does not exist and
-    :class:`CheckpointCorruptError` for a torn directory (no manifest)
-    or an unreadable/over-versioned manifest.
+    Raises :class:`FileNotFoundError` when ``path`` does not exist,
+    :class:`CheckpointError` when it is a file (the removed single-file
+    format), and :class:`CheckpointCorruptError` for a torn directory
+    (no manifest) or an unreadable/over-versioned manifest.
     """
     if not os.path.isdir(path):
+        if os.path.exists(path):
+            raise CheckpointError(
+                f"{path!r} is a file, not a checkpoint directory — the "
+                f"single-file .npz format (v2) has been removed; "
+                f"checkpoints are sharded directories"
+            )
         raise FileNotFoundError(path)
     mpath = os.path.join(path, MANIFEST_NAME)
     if not os.path.exists(mpath):
@@ -341,13 +348,13 @@ class ShardReader:
 # ---------------------------------------------------------------------------
 # Whole-checkpoint save / load on CheckpointState
 # ---------------------------------------------------------------------------
-def write_sharded_state(
+def write_state(
     path: str,
     state: CheckpointState,
     fault_hook: Optional[FaultHook] = None,
     mesh: Optional[Any] = None,
 ) -> str:
-    """Serialize a :class:`CheckpointState` as a sharded v3 directory.
+    """Serialize a :class:`CheckpointState` as a checkpoint directory.
 
     The single serializer behind both the synchronous save and the async
     background writer — which is what makes their outputs byte-identical.
@@ -378,7 +385,7 @@ def write_sharded_state(
         raise
 
 
-def save_checkpoint_sharded(
+def save_checkpoint(
     path: str,
     model: Module,
     optimizer: Optional[Optimizer] = None,
@@ -388,7 +395,7 @@ def save_checkpoint_sharded(
     mesh: Optional[Any] = None,
     fault_hook: Optional[FaultHook] = None,
 ) -> str:
-    """Write a sharded v3 checkpoint directory for a model/optimizer."""
+    """Write a checkpoint directory for a model/optimizer."""
     state = build_state(
         model,
         optimizer,
@@ -397,14 +404,14 @@ def save_checkpoint_sharded(
         extra_arrays=extra_arrays,
         mesh=mesh,
     )
-    return write_sharded_state(path, state, fault_hook=fault_hook, mesh=mesh)
+    return write_state(path, state, fault_hook=fault_hook, mesh=mesh)
 
 
-def load_sharded_state(path: str) -> CheckpointState:
-    """Read and fully validate a sharded checkpoint into memory.
+def load_state(path: str) -> CheckpointState:
+    """Read and fully validate a checkpoint into memory (model-free).
 
     Every shard's CRC is checked here, before the caller mutates any
-    model/optimizer state — the v2 "validate first" discipline.
+    model/optimizer state.
     """
     reader = ShardReader(path)
     arrays = reader.load_all()
@@ -419,22 +426,32 @@ def load_sharded_state(path: str) -> CheckpointState:
     return CheckpointState(arrays=arrays, meta=meta, expert_axes=expert_axes)
 
 
-def load_checkpoint_sharded(
+def load_checkpoint(
     path: str,
     model: Module,
     optimizer: Optional[Optimizer] = None,
     mesh: Optional[Any] = None,
 ) -> Dict[str, Any]:
-    """Restore a sharded checkpoint; reshard-aware when ``mesh`` differs.
+    """Restore a checkpoint; reshard-aware when ``mesh`` differs.
 
-    When ``mesh`` is given and its world size differs from the
-    checkpoint's, the reshard planner recomputes expert ownership with
+    Every shard is CRC-validated before any state is mutated.  When
+    ``mesh`` is given and its world size differs from the checkpoint's,
+    the reshard planner recomputes expert ownership with
     ``DeviceMesh.owner_of_expert`` and the load proceeds per-expert —
     numerically exact (in this in-process simulation, bit-exact) in both
     directions.  Returns the metadata dict; under a reshard it gains a
     ``"reshard"`` summary.
+
+    Raises:
+        CheckpointCorruptError: torn directory, missing/damaged shard,
+            checksum mismatch, or unknown schema version.
+        CheckpointError: ``path`` is a file (the removed single-file
+            format).
+        FileNotFoundError: nothing at ``path``.
+        KeyError / ValueError: architecture mismatches (parameter names,
+            Adam moment counts/shapes).
     """
-    state = load_sharded_state(path)
+    state = load_state(path)
     reshard_info = None
     saved_mesh = state.meta.get("mesh")
     if mesh is not None and saved_mesh is not None:
@@ -456,29 +473,10 @@ def load_checkpoint_sharded(
 
 
 # ---------------------------------------------------------------------------
-# v2 -> v3 migration
-# ---------------------------------------------------------------------------
-def migrate_v2_to_v3(src: str, dst: str) -> str:
-    """Convert a monolithic v2 ``.npz`` checkpoint into a sharded v3
-    directory, model-free.
-
-    Arrays keep their v2 names (one shard per tensor; expert structure
-    is a property of the saving model, which a raw file migration does
-    not know).  The manifest records ``migrated_from: 2``.
-    """
-    from repro.checkpoint.format_npz import load_npz_state
-
-    state = load_npz_state(src)
-    meta = dict(state.meta)
-    meta["migrated_from"] = 2
-    return write_sharded_state(dst, CheckpointState(state.arrays, meta))
-
-
-# ---------------------------------------------------------------------------
 # Inspection (CLI `ckpt inspect`)
 # ---------------------------------------------------------------------------
 def describe_checkpoint(path: str, verify: bool = False) -> Dict[str, Any]:
-    """Structured description of a checkpoint (either format).
+    """Structured description of a checkpoint.
 
     Returns ``{"path", "format_version", "step", "mesh", "num_tensors",
     "num_shards", "total_bytes", "shards": [...]}`` where each shard row
@@ -486,58 +484,32 @@ def describe_checkpoint(path: str, verify: bool = False) -> Dict[str, Any]:
     shards).  ``verify=True`` re-reads every shard and recomputes its
     CRC (raises :class:`CheckpointCorruptError` on damage).
     """
-    if os.path.isdir(path):
-        reader = ShardReader(path)
-        rows = []
-        for entry in reader.manifest["shards"]:
-            row = {
-                "name": entry["key"],
-                "file": entry["file"],
-                "shape": tuple(entry["shape"]),
-                "dtype": entry["dtype"],
-                "bytes": int(entry.get("nbytes", 0)),
-                "crc32": int(entry["crc32"]),
-            }
-            if "part" in entry:
-                row["expert"] = int(entry["part"]["index"])
-                if "rank" in entry["part"]:
-                    row["rank"] = int(entry["part"]["rank"])
-            rows.append(row)
-            if verify:
-                reader._read_shard(entry)
-        meta = reader.meta
-        return {
-            "path": path,
-            "format_version": FORMAT_VERSION_SHARDED,
-            "step": meta.get("step"),
-            "mesh": meta.get("mesh"),
-            "extra": meta.get("extra", {}),
-            "num_tensors": len(reader.keys()),
-            "num_shards": len(rows),
-            "total_bytes": sum(r["bytes"] for r in rows),
-            "shards": rows,
+    reader = ShardReader(path)
+    rows = []
+    for entry in reader.manifest["shards"]:
+        row = {
+            "name": entry["key"],
+            "file": entry["file"],
+            "shape": tuple(entry["shape"]),
+            "dtype": entry["dtype"],
+            "bytes": int(entry.get("nbytes", 0)),
+            "crc32": int(entry["crc32"]),
         }
-    from repro.checkpoint.format_npz import load_npz_state
-
-    state = load_npz_state(path)  # full CRC validation included
-    rows = [
-        {
-            "name": name,
-            "file": os.path.basename(path),
-            "shape": arr.shape,
-            "dtype": str(arr.dtype),
-            "bytes": int(arr.nbytes),
-            "crc32": crc32(arr),
-        }
-        for name, arr in state.arrays.items()
-    ]
+        if "part" in entry:
+            row["expert"] = int(entry["part"]["index"])
+            if "rank" in entry["part"]:
+                row["rank"] = int(entry["part"]["rank"])
+        rows.append(row)
+        if verify:
+            reader._read_shard(entry)
+    meta = reader.meta
     return {
         "path": path,
-        "format_version": 2,
-        "step": state.meta.get("step"),
-        "mesh": state.meta.get("mesh"),
-        "extra": state.meta.get("extra", {}),
-        "num_tensors": len(rows),
+        "format_version": FORMAT_VERSION_SHARDED,
+        "step": meta.get("step"),
+        "mesh": meta.get("mesh"),
+        "extra": meta.get("extra", {}),
+        "num_tensors": len(reader.keys()),
         "num_shards": len(rows),
         "total_bytes": sum(r["bytes"] for r in rows),
         "shards": rows,

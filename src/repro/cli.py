@@ -4,7 +4,7 @@ Train any of the paper's configurations (scaled down by default) on the
 synthetic Pile, with checkpointing, resume, and optional tracing:
 
     python -m repro.cli --model XS --system dmoe --scale 0.0625 --steps 200
-    python -m repro.cli --resume runs/dmoe-xs.npz --steps 100
+    python -m repro.cli --resume runs/dmoe-xs --steps 100
     python -m repro.cli --steps 20 --trace runs/trace.json
 
 Systems follow §6: ``dense``, ``dmoe`` (MegaBlocks), ``tutel-dmoe``
@@ -19,11 +19,10 @@ prints the per-phase step breakdown; the file itself loads in
 ``chrome://tracing`` or https://ui.perfetto.dev (see
 ``docs/observability.md``).
 
-The ``ckpt`` subcommand inspects and migrates checkpoints of either
-format (monolithic v2 ``.npz`` or sharded v3 directory):
+Checkpoints are sharded directories (one CRC'd shard per tensor / per
+expert plus a ``manifest.json``); the ``ckpt`` subcommand inspects one:
 
     python -m repro.cli ckpt inspect runs/ckpt-00000040 --verify
-    python -m repro.cli ckpt migrate runs/old.npz runs/old-sharded
 
 ``inspect`` prints step / mesh (world size) metadata and the per-shard
 table (name, shape, dtype, size, CRC32); ``--verify`` re-reads every
@@ -32,7 +31,7 @@ shard and recomputes checksums.  See ``docs/robustness.md``.
 The ``generate`` and ``serve-bench`` subcommands drive the inference
 serving stack (see ``docs/serving.md``):
 
-    python -m repro.cli generate --checkpoint runs/dmoe-xs.npz \
+    python -m repro.cli generate --checkpoint runs/dmoe-xs \
         --prompt 5,1,0 --max-new-tokens 64 --gen-top-k 20
     python -m repro.cli serve-bench --requests 32 --max-batch 4 --int8
 
@@ -71,14 +70,8 @@ from repro.observability import (
     tracing,
     validate_chrome_trace,
 )
-from repro.training import (
-    Adam,
-    Trainer,
-    TrainerConfig,
-    WarmupCosineLR,
-    load_checkpoint,
-    save_checkpoint,
-)
+from repro.checkpoint import CheckpointManager, load_checkpoint, save_checkpoint
+from repro.training import Adam, Trainer, TrainerConfig, WarmupCosineLR
 from repro.utils.logging import get_logger
 from repro.utils.rng import seed_all
 
@@ -105,22 +98,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tokens", type=int, default=300_000,
                    help="synthetic-Pile tokens to generate")
     p.add_argument("--amp", action="store_true", help="use the GradScaler")
-    p.add_argument("--capture", action="store_true",
-                   help="capture the step graph once and replay the compiled "
-                        "op schedule on signature-matching steps")
-    p.add_argument("--backend", default=None,
+    p.add_argument("--backend", default="eager",
                    choices=["eager", "replay", "cc"],
-                   help="step execution backend: eager, replay (captured "
-                        "step graphs), or cc (captured graphs lowered to "
-                        "generated C; falls back to replay without a C "
-                        "toolchain). Overrides --capture.")
-    p.add_argument("--checkpoint", default=None, help="path to save when done")
-    p.add_argument("--resume", default=None, help="checkpoint to restore first")
+                   help="step execution backend: eager, replay (capture the "
+                        "step graph once and replay the compiled op schedule "
+                        "on signature-matching steps), or cc (captured "
+                        "graphs lowered to generated C; falls back to replay "
+                        "without a C toolchain)")
+    p.add_argument("--checkpoint", default=None, metavar="DIR",
+                   help="sharded checkpoint directory to write when done")
+    p.add_argument("--resume", default=None, metavar="DIR",
+                   help="sharded checkpoint directory to restore first")
     p.add_argument("--ckpt-dir", default=None, metavar="DIR",
                    help="rotating checkpoint directory (CheckpointManager)")
-    p.add_argument("--ckpt-format", default="npz", choices=["npz", "sharded"],
-                   help="rotating checkpoint format: monolithic v2 .npz or "
-                        "sharded v3 directories")
     p.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
                    help="write a rotating checkpoint every N steps "
                         "(requires --ckpt-dir)")
@@ -178,53 +168,40 @@ def trace_main(argv=None) -> int:
 def build_ckpt_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro.cli ckpt",
-        description="Inspect or migrate checkpoints (v2 .npz / v3 sharded).",
+        description="Inspect sharded checkpoint directories.",
     )
     sub = p.add_subparsers(dest="action", required=True)
     insp = sub.add_parser("inspect", help="print checkpoint metadata + shards")
-    insp.add_argument("path", help="checkpoint path (.npz file or directory)")
+    insp.add_argument("path", help="checkpoint directory")
     insp.add_argument("--verify", action="store_true",
                       help="re-read every shard and recompute its CRC32")
     insp.add_argument("--limit", type=int, default=0,
                       help="show at most N shard rows (0 = all)")
     insp.add_argument("--json", action="store_true",
                       help="emit the description as JSON instead of a table")
-    mig = sub.add_parser(
-        "migrate", help="convert a v2 .npz into a sharded v3 directory"
-    )
-    mig.add_argument("src", help="source .npz checkpoint")
-    mig.add_argument("dst", help="destination directory to create")
     return p
 
 
 def ckpt_main(argv=None) -> int:
-    """``python -m repro.cli ckpt inspect|migrate ...``."""
+    """``python -m repro.cli ckpt inspect ...``."""
     from repro.checkpoint import (
         CheckpointError,
         describe_checkpoint,
         format_describe,
-        migrate_v2_to_v3,
     )
 
     args = build_ckpt_parser().parse_args(argv)
     try:
-        if args.action == "inspect":
-            info = describe_checkpoint(args.path, verify=args.verify)
-            if args.json:
-                print(json.dumps(info, indent=2, default=str))
-            else:
-                print(format_describe(info, limit=args.limit))
-                if args.verify:
-                    print(f"verify: OK ({info['num_shards']} shards)")
-        else:
-            out = migrate_v2_to_v3(args.src, args.dst)
-            print(f"migrated {args.src} -> {out}")
-    except FileNotFoundError as exc:
+        info = describe_checkpoint(args.path, verify=args.verify)
+    except (FileNotFoundError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.json:
+        print(json.dumps(info, indent=2, default=str))
+    else:
+        print(format_describe(info, limit=args.limit))
+        if args.verify:
+            print(f"verify: OK ({info['num_shards']} shards)")
     return 0
 
 
@@ -238,7 +215,7 @@ def _add_serving_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--vocab-size", type=int, default=512)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--checkpoint", default=None,
-                   help="checkpoint to load (v2 .npz or v3 sharded dir); "
+                   help="sharded checkpoint directory to load; "
                         "flags must match the architecture it was trained "
                         "with. Omitted = randomly initialized weights.")
     p.add_argument("--int8", action="store_true",
@@ -256,9 +233,7 @@ def _build_serving_model(args):
         rng=args.seed,
     )
     if args.checkpoint:
-        from repro.checkpoint import load_checkpoint as load_ckpt
-
-        meta = load_ckpt(args.checkpoint, model)
+        meta = load_checkpoint(args.checkpoint, model)
         logger.info(
             "loaded %s (step %s)", args.checkpoint, meta.get("step", "?")
         )
@@ -599,7 +574,6 @@ def main(argv=None) -> int:
         eval_every=args.eval_every or max(args.steps // 5, 1),
         log_every=max(args.steps // 10, 1),
         use_grad_scaler=args.amp,
-        capture=args.capture,
         backend=args.backend,
         async_checkpoint=args.async_checkpoint,
         dp_world=args.dp_world,
@@ -607,9 +581,7 @@ def main(argv=None) -> int:
     )
     manager = None
     if args.ckpt_dir:
-        from repro.checkpoint import CheckpointManager
-
-        manager = CheckpointManager(args.ckpt_dir, fmt=args.ckpt_format)
+        manager = CheckpointManager(args.ckpt_dir)
     trainer = Trainer(
         model, train, val, tcfg,
         optimizer=optimizer,
@@ -652,7 +624,7 @@ def main(argv=None) -> int:
     final = history.final_val_loss()
     logger.info("done: final val loss %.4f", final if final is not None else float("nan"))
 
-    if args.capture or tcfg.capture:
+    if args.backend != "eager":
         reg = registry()
         logger.info(
             "step graph: %d captures, %d replays, %d fallbacks",

@@ -16,14 +16,6 @@ from repro.training.metrics import (
 )
 from repro.training.trainer import RoutingStats, Trainer, TrainerConfig
 from repro.training.amp import GradScaler, MasterWeights, half_tensor, to_half
-from repro.training.checkpoint import (
-    AsyncCheckpointWriter,
-    CheckpointCorruptError,
-    CheckpointError,
-    CheckpointManager,
-    load_checkpoint,
-    save_checkpoint,
-)
 from repro.training.eval import bits_per_token, evaluate_lm, perplexity
 
 __all__ = [
@@ -47,12 +39,6 @@ __all__ = [
     "MasterWeights",
     "to_half",
     "half_tensor",
-    "save_checkpoint",
-    "load_checkpoint",
-    "CheckpointManager",
-    "CheckpointError",
-    "CheckpointCorruptError",
-    "AsyncCheckpointWriter",
     "evaluate_lm",
     "perplexity",
     "bits_per_token",

@@ -91,9 +91,12 @@ class TrainerConfig:
         guardrails: numeric-guardrail thresholds; ``None`` disables the
             sentinels / spike detector / rewind path entirely.
         dp_world: when > 1, averaged gradients round-trip through the
-            simulated data-parallel ``all_reduce`` each step (use a
-            power of two so the reduction is bit-exact), exposing the
-            step to injected collective faults and comm accounting.
+            simulated data-parallel ``all_reduce`` each step, exposing
+            the step to injected collective faults and comm accounting.
+            Must be a power of two: every rank holds the same gradient
+            here, and only then is scaling by ``1/world`` and summing
+            ``world`` copies exact in floating point — any other world
+            would silently perturb the trajectory, so it is rejected.
         dist_backend: transport for the data-parallel all-reduce —
             ``"sim"`` (default) keeps the in-process reference
             collective; ``"mp"`` round-trips every shard through
@@ -112,24 +115,23 @@ class TrainerConfig:
             bias/activation/dropout/residual chains into single tape
             nodes (see ``docs/performance.md``).  Training trajectories
             are bit-identical with the flag on or off.
-        capture: enable captured step graphs — the first micro batch is
-            executed eagerly under a :class:`repro.autograd.graph
-            .CaptureSession` and every signature-matching micro batch
-            after it replays the compiled schedule with no module
-            traversal or tape construction (``tape_nodes`` stays 0 on
-            replayed steps).  Signature changes, guarded host
-            divergences, guardrail skips/rewinds, and checkpoint
-            restores fall back to eager and recapture transparently.
-            Bit-identical to eager (see ``docs/performance.md``).
-        backend: step execution backend — ``"eager"`` (sets
-            ``capture=False``), ``"replay"`` (``capture=True``), or
-            ``"cc"`` (``capture=True`` plus native-code lowering: each
-            captured graph is compiled to C via ``repro.autograd.lower``
-            and the fused Adam/clip kernels are installed; see
-            ``docs/codegen.md``).  ``None`` leaves ``capture`` alone.
-            Every backend is bit-identical; a missing C toolchain (or
-            ``REPRO_NO_CC=1``) degrades ``"cc"`` to ``"replay"`` with a
-            single warning.
+        backend: step execution backend, the only selector of how a
+            micro batch runs.  ``"eager"`` (default) traverses the
+            modules and builds the tape every time.  ``"replay"``
+            captures step graphs — the first micro batch is executed
+            eagerly under a :class:`repro.autograd.graph.CaptureSession`
+            and every signature-matching micro batch after it replays
+            the compiled schedule with no module traversal or tape
+            construction (``tape_nodes`` stays 0 on replayed steps);
+            signature changes, guarded host divergences, guardrail
+            skips/rewinds, and checkpoint restores fall back to eager
+            and recapture transparently (see ``docs/performance.md``).
+            ``"cc"`` is replay plus native-code lowering: each captured
+            graph is compiled to C via ``repro.autograd.lower`` and the
+            fused Adam/clip kernels are installed (see
+            ``docs/codegen.md``).  Every backend is bit-identical; a
+            missing C toolchain (or ``REPRO_NO_CC=1``) degrades
+            ``"cc"`` to ``"replay"`` with a single warning.
         async_checkpoint: write periodic checkpoints through the
             background :class:`repro.checkpoint.AsyncCheckpointWriter`:
             the step boundary pays only a snapshot memcpy, and the
@@ -151,8 +153,7 @@ class TrainerConfig:
     dp_world: int = 0
     dist_backend: str = "sim"
     steady_state: bool = False
-    capture: bool = False
-    backend: Optional[str] = None
+    backend: str = "eager"
     async_checkpoint: bool = False
     ckpt_queue_size: int = 2
 
@@ -162,23 +163,23 @@ class TrainerConfig:
                 f"global_batch={self.global_batch} must be divisible by "
                 f"micro_batch={self.micro_batch}"
             )
-        if self.dp_world < 0:
-            raise ValueError(f"dp_world must be >= 0, got {self.dp_world}")
+        if self.dp_world < 0 or self.dp_world & (self.dp_world - 1):
+            raise ValueError(
+                f"dp_world must be 0 or a power of two, got {self.dp_world}: "
+                "the replicated-gradient all-reduce is exact only for "
+                "power-of-two worlds; any other would silently perturb "
+                "the training trajectory"
+            )
         if self.dist_backend not in ("sim", "mp"):
             raise ValueError(
                 f"unknown dist_backend {self.dist_backend!r}: "
                 "expected 'sim' or 'mp'"
             )
-        if self.backend is not None:
-            if self.backend == "eager":
-                self.capture = False
-            elif self.backend in ("replay", "cc"):
-                self.capture = True
-            else:
-                raise ValueError(
-                    f"unknown backend {self.backend!r}: "
-                    "expected 'eager', 'replay', or 'cc'"
-                )
+        if self.backend not in ("eager", "replay", "cc"):
+            raise ValueError(
+                f"unknown backend {self.backend!r}: "
+                "expected 'eager', 'replay', or 'cc'"
+            )
 
     @property
     def accumulation_steps(self) -> int:
@@ -193,7 +194,7 @@ class Trainer:
         model: TransformerLM,
         train_data: LMDataset,
         val_data: Optional[LMDataset] = None,
-        config: TrainerConfig = TrainerConfig(),
+        config: Optional[TrainerConfig] = None,
         optimizer: Optional[Optimizer] = None,
         schedule: Optional[LRSchedule] = None,
         rng: RngLike = None,
@@ -203,6 +204,8 @@ class Trainer:
         self.model = model
         self.train_data = train_data
         self.val_data = val_data
+        if config is None:
+            config = TrainerConfig()
         self.config = config
         self.optimizer = optimizer or Adam(model.parameters(), lr=6e-4)
         self.schedule = schedule or ConstantLR(self.optimizer.lr)
@@ -228,8 +231,8 @@ class Trainer:
         self.ckpt_writer: Optional[AsyncCheckpointWriter] = None
         self._snapshot = None
         self._good_since_snapshot = 0
-        #: Compiled step graph (capture mode), or None before the first
-        #: capture / after an invalidation.
+        #: Compiled step graph (replay/cc backends), or None before the
+        #: first capture / after an invalidation.
         self.step_graph: Optional[StepGraph] = None
         #: Wall-clock seconds of the most recent train_step (always
         #: measured) and its per-phase breakdown (tracer-only).
@@ -322,8 +325,9 @@ class Trainer:
 
     # ------------------------------------------------------------------
     def _sync_gradients(self) -> None:
-        """Data-parallel gradient all-reduce (identity for a
-        power-of-two world, but exercises the real collective).
+        """Data-parallel gradient all-reduce: an exact identity, since
+        ``dp_world`` is a power of two, that exercises the real
+        collective.
 
         ``dist_backend="sim"`` runs the in-process reference;
         ``"mp"`` ships every shard through the persistent forked echo
@@ -559,7 +563,7 @@ class Trainer:
         for acc_i in range(cfg.accumulation_steps):
             with span("data"):
                 batch = self._next_batch(cfg.micro_batch)
-            if cfg.capture:
+            if cfg.backend != "eager":
                 # Slot 0 (first micro batch: leaf-grad buffers are
                 # acquired) and slot 1 (accumulation micro batches:
                 # grads accumulate in place) have different static
@@ -705,9 +709,8 @@ class Trainer:
         ``step`` is the number of completed optimizer steps (the resumed
         run starts there).  Captures the trainer's and the process-global
         RNG streams, the epoch shuffle order/position, and grad-scaler
-        state, so :meth:`fit(resume=...)` is bit-exact.  The format is
-        chosen by the path: ``.npz`` writes monolithic v2, anything else
-        a sharded v3 directory.
+        state, so :meth:`fit(resume=...)` is bit-exact.  ``path`` is
+        the sharded checkpoint directory to create.
         """
         state = self._build_save_state(step=step, val_loss=val_loss, extra=extra)
         write_state(path, state, fault_hook=self._ckpt_fault_hook())

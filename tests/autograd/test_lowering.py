@@ -541,8 +541,8 @@ class TestGraphAttach:
     def test_attach_is_bit_identical_to_replay(self):
         from tests.integration.test_step_graph import _trainer
 
-        plain = _trainer(True, steady=True)
-        lowered = _trainer(True, steady=True)
+        plain = _trainer("replay", steady=True)
+        lowered = _trainer("replay", steady=True)
         l0 = [plain.train_step(0), lowered.train_step(0)]
         assert l0[0] == l0[1]
         plan = lower.attach(lowered.step_graph)

@@ -21,6 +21,7 @@ from repro.checkpoint import (
     CheckpointManager,
     CheckpointState,
     build_state,
+    load_state,
     write_state,
 )
 from repro.nn import Linear, Sequential
@@ -67,15 +68,6 @@ class TestByteIdentity:
         for name in a:
             assert a[name] == b[name], f"{name} differs between sync and async"
 
-    def test_async_equals_sync_npz(self, tmp_path):
-        state = _state()
-        sync_path = str(tmp_path / "sync.npz")
-        async_path = str(tmp_path / "async.npz")
-        write_state(sync_path, state)
-        with AsyncCheckpointWriter() as w:
-            w.submit(async_path, state)
-        assert open(sync_path, "rb").read() == open(async_path, "rb").read()
-
 
 class TestWorkerThread:
     def test_write_happens_off_caller_thread(self, tmp_path):
@@ -98,9 +90,7 @@ class TestWorkerThread:
             w.submit(path, state)
             for p in model.parameters():  # "training continues"
                 p.data += 100.0
-        from repro.checkpoint import load_sharded_state
-
-        loaded = load_sharded_state(path)
+        loaded = load_state(path)
         for key, arr in expected.items():
             np.testing.assert_array_equal(loaded.arrays[key], arr)
 
@@ -157,7 +147,7 @@ class TestFailureSurfacing:
         assert not os.path.exists(os.path.join(path, "manifest.json"))
 
     def test_manager_not_registered_on_failure(self, tmp_path):
-        mgr = CheckpointManager(str(tmp_path / "run"), fmt="sharded")
+        mgr = CheckpointManager(str(tmp_path / "run"))
 
         def bomb(key):
             raise RuntimeError("boom")
@@ -168,7 +158,7 @@ class TestFailureSurfacing:
         assert mgr.steps == []
 
     def test_manager_registered_on_success(self, tmp_path):
-        mgr = CheckpointManager(str(tmp_path / "run"), fmt="sharded")
+        mgr = CheckpointManager(str(tmp_path / "run"))
         with AsyncCheckpointWriter() as w:
             w.submit(mgr.path_for(4), _state(), step=4, metric=1.0, manager=mgr)
             w.drain()

@@ -1,9 +1,9 @@
-"""CheckpointManager over mixed formats and broken checkpoints.
+"""CheckpointManager over checkpoint directories, healthy and broken.
 
-The rotation index must survive a format migration mid-run (``.npz``
-files and sharded directories side by side) and ``load_latest`` must
-fall back past every flavor of damage: torn directory, corrupt shard,
-valid-manifest-missing-shard, truncated ``.npz``.
+Rotation and best-tracking move whole directories, the index rebuilds
+from a listing (ignoring anything that is not a checkpoint directory
+name), and ``load_latest`` must fall back past every flavor of damage:
+torn directory, corrupt shard, valid-manifest-missing-shard.
 """
 
 import json
@@ -29,21 +29,21 @@ def _model(rng=0):
 
 
 class TestMixedFormatIndex:
-    def test_rebuild_recognizes_both_formats(self, tmp_path):
+    def test_rebuild_ignores_stray_files(self, tmp_path):
+        """A leftover file of the removed single-file format (or any
+        other non-checkpoint name) never enters the rebuilt index."""
         d = str(tmp_path / "run")
-        m = _model()
-        mgr = CheckpointManager(d, keep_last=5, fmt="npz")
-        mgr.save(m, step=1)
-        mgr2 = CheckpointManager(d, keep_last=5, fmt="sharded")
-        mgr2.save(m, step=2)
+        mgr = CheckpointManager(d, keep_last=5)
+        mgr.save(_model(), step=2)
+        np.savez(os.path.join(d, "ckpt-00000001.npz"), w=np.zeros(3))
         os.remove(os.path.join(d, "index.json"))
         rebuilt = CheckpointManager(d, keep_last=5)
-        assert rebuilt.steps == [1, 2]
+        assert rebuilt.steps == [2]
         assert rebuilt.latest_path().endswith("ckpt-00000002")
 
     def test_rotation_removes_directories(self, tmp_path):
         d = str(tmp_path / "run")
-        mgr = CheckpointManager(d, keep_last=2, keep_best=False, fmt="sharded")
+        mgr = CheckpointManager(d, keep_last=2, keep_best=False)
         m = _model()
         for step in (1, 2, 3):
             mgr.save(m, step=step)
@@ -53,7 +53,7 @@ class TestMixedFormatIndex:
 
     def test_best_checkpoint_copies_directory(self, tmp_path):
         d = str(tmp_path / "run")
-        mgr = CheckpointManager(d, keep_last=1, fmt="sharded")
+        mgr = CheckpointManager(d, keep_last=1)
         m = _model()
         mgr.save(m, step=1, metric=2.0)
         mgr.save(m, step=2, metric=1.0)  # better; step 1 pruned
@@ -67,7 +67,7 @@ class TestMixedFormatIndex:
 class TestLoadLatestFallback:
     def _mgr_with_three(self, tmp_path):
         d = str(tmp_path / "run")
-        mgr = CheckpointManager(d, keep_last=5, keep_best=False, fmt="sharded")
+        mgr = CheckpointManager(d, keep_last=5, keep_best=False)
         models = {}
         for step in (1, 2, 3):
             m = _model(rng=step * 10)
@@ -115,21 +115,6 @@ class TestLoadLatestFallback:
             os.remove(os.path.join(d, f"ckpt-{step:08d}", MANIFEST_NAME))
         with pytest.raises(CheckpointError, match="tried 3"):
             mgr.load_latest(_model(rng=99))
-
-    def test_mixed_format_fallback(self, tmp_path):
-        """A corrupt sharded checkpoint falls back to an older .npz."""
-        d = str(tmp_path / "run")
-        mgr = CheckpointManager(d, keep_last=5, keep_best=False, fmt="npz")
-        m1 = _model(rng=7)
-        mgr.save(m1, step=1)
-        mgr.fmt = "sharded"
-        mgr.save(_model(rng=8), step=2)
-        os.remove(os.path.join(d, "ckpt-00000002", MANIFEST_NAME))
-        m = _model(rng=99)
-        meta = mgr.load_latest(m)
-        assert meta["step"] == 1
-        for p1, p2 in zip(m1.parameters(), m.parameters()):
-            np.testing.assert_array_equal(p1.data, p2.data)
 
     def test_index_rewrite_survives_missing_index(self, tmp_path):
         d, mgr, _ = self._mgr_with_three(tmp_path)

@@ -5,7 +5,7 @@ publish": shard files are fsynced before the manifest names them, so a
 directory without a manifest is by definition a torn write and a
 manifest entry whose shard is missing/damaged makes the checkpoint
 corrupt.  These tests pin each clause of that contract, plus the lazy
-reader, the expert sharding layout, and the v2 → v3 migration path.
+reader, the expert sharding layout, and the inspection helpers.
 """
 
 import json
@@ -17,17 +17,15 @@ import pytest
 from repro.checkpoint import (
     MANIFEST_NAME,
     CheckpointCorruptError,
+    CheckpointError,
     CheckpointState,
     ShardReader,
     ShardWriter,
     describe_checkpoint,
-    is_sharded_path,
+    format_describe,
     load_checkpoint,
-    load_sharded_state,
-    migrate_v2_to_v3,
+    load_state,
     save_checkpoint,
-    write_npz_state,
-    write_sharded_state,
     write_state,
 )
 from repro.distributed import DeviceMesh
@@ -61,7 +59,7 @@ class TestShardWriterReader:
     def test_roundtrip(self, tmp_path):
         state = _state()
         path = str(tmp_path / "ckpt")
-        write_sharded_state(path, state)
+        write_state(path, state)
         reader = ShardReader(path)
         assert sorted(reader.keys()) == sorted(state.arrays)
         for key, arr in state.arrays.items():
@@ -71,7 +69,7 @@ class TestShardWriterReader:
     def test_expert_tensor_is_one_shard_per_expert(self, tmp_path):
         mesh = DeviceMesh(world=4, expert_parallel=4)
         path = str(tmp_path / "ckpt")
-        write_sharded_state(path, _state(mesh=mesh), mesh=mesh)
+        write_state(path, _state(mesh=mesh), mesh=mesh)
         reader = ShardReader(path)
         entries = reader.entries("model/experts.w1")
         assert len(entries) == 4
@@ -99,7 +97,7 @@ class TestShardWriterReader:
 
     def test_lazy_read_touches_only_requested_shards(self, tmp_path):
         path = str(tmp_path / "ckpt")
-        write_sharded_state(path, _state())
+        write_state(path, _state())
         reader = ShardReader(path)
         # Damage a shard the read below never asks for.
         victim = reader.entries("model/experts.w1")[0]["file"]
@@ -141,7 +139,7 @@ class TestTornAndCorrupt:
 
     def test_bit_flipped_shard_fails_crc(self, tmp_path):
         path = str(tmp_path / "ckpt")
-        write_sharded_state(path, _state())
+        write_state(path, _state())
         reader = ShardReader(path)
         victim = reader.entries("model/w")[0]["file"]
         with open(os.path.join(path, victim), "r+b") as fh:
@@ -154,15 +152,15 @@ class TestTornAndCorrupt:
 
     def test_deleted_shard_is_corrupt(self, tmp_path):
         path = str(tmp_path / "ckpt")
-        write_sharded_state(path, _state())
+        write_state(path, _state())
         victim = ShardReader(path).entries("extra/order")[0]["file"]
         os.remove(os.path.join(path, victim))
         with pytest.raises(CheckpointCorruptError, match="missing"):
-            load_sharded_state(path)
+            load_state(path)
 
     def test_truncated_manifest_is_corrupt(self, tmp_path):
         path = str(tmp_path / "ckpt")
-        write_sharded_state(path, _state())
+        write_state(path, _state())
         mpath = os.path.join(path, MANIFEST_NAME)
         blob = open(mpath, "rb").read()
         with open(mpath, "wb") as fh:
@@ -172,7 +170,7 @@ class TestTornAndCorrupt:
 
     def test_wrong_format_version_is_corrupt(self, tmp_path):
         path = str(tmp_path / "ckpt")
-        write_sharded_state(path, _state())
+        write_state(path, _state())
         mpath = os.path.join(path, MANIFEST_NAME)
         manifest = json.load(open(mpath))
         manifest["format_version"] = 99
@@ -198,9 +196,25 @@ class TestTornAndCorrupt:
 
 
 class TestDispatchAndMigration:
-    def test_path_dispatch(self):
-        assert not is_sharded_path("x/ckpt.npz")
-        assert is_sharded_path("x/ckpt-00000010")
+    def test_path_dispatch(self, tmp_path):
+        """What a load does is decided by what is at the path: a
+        directory loads, nothing is ``FileNotFoundError``, and a file —
+        a leftover of the removed single-file format — is refused by
+        name (not with a bare ``NotADirectoryError``) before any state
+        is touched."""
+        m = _model()
+        before = [p.data.copy() for p in m.parameters()]
+        with pytest.raises(FileNotFoundError):
+            load_checkpoint(str(tmp_path / "nope"), m)
+        stray = str(tmp_path / "old.npz")
+        np.savez(stray, w=np.zeros(3))
+        with pytest.raises(CheckpointError, match=r"\.npz format .* removed"):
+            load_checkpoint(stray, m)
+        for p, b in zip(m.parameters(), before):
+            np.testing.assert_array_equal(p.data, b)
+        path = str(tmp_path / "ckpt")
+        save_checkpoint(path, _model(), step=4)
+        assert load_checkpoint(path, m)["step"] == 4
 
     def test_save_load_full_model_roundtrip(self, tmp_path):
         m = _model()
@@ -222,41 +236,30 @@ class TestDispatchAndMigration:
             np.testing.assert_array_equal(a, b)
         assert opt2.t == opt.t
 
-    def test_migrate_v2_to_v3_is_bit_identical(self, tmp_path):
-        state = _state()
-        src = str(tmp_path / "old.npz")
-        write_npz_state(src, state)
-        dst = str(tmp_path / "new-sharded")
-        migrate_v2_to_v3(src, dst)
-        migrated = load_sharded_state(dst)
-        assert migrated.meta["migrated_from"] == 2
-        assert sorted(migrated.arrays) == sorted(state.arrays)
-        for key, arr in state.arrays.items():
-            np.testing.assert_array_equal(migrated.arrays[key], arr)
-        # And the migrated checkpoint loads through the public API.
-        m = _model()
-        path2 = str(tmp_path / "m2")
-        save_checkpoint(path2, m, step=5)
-        assert load_checkpoint(path2, _model())["step"] == 5
-
     def test_describe_both_formats(self, tmp_path):
+        """Both inspection outputs: the structured description and the
+        human-readable table ``ckpt inspect`` prints."""
         state = _state(mesh=DeviceMesh(world=4, expert_parallel=4))
-        npz = str(tmp_path / "a.npz")
-        shard = str(tmp_path / "a-dir")
-        write_npz_state(npz, state)
-        write_sharded_state(shard, state)
-        d2, d3 = describe_checkpoint(npz), describe_checkpoint(shard, verify=True)
-        assert d2["format_version"] == 2 and d3["format_version"] == 3
-        assert d2["step"] == d3["step"] == 7
-        assert d3["mesh"] == {"world": 4, "expert_parallel": 4}
-        assert d3["num_tensors"] == 3
+        path = str(tmp_path / "a-dir")
+        write_state(path, state)
+        info = describe_checkpoint(path, verify=True)
+        assert info["format_version"] == 3
+        assert info["step"] == 7
+        assert info["mesh"] == {"world": 4, "expert_parallel": 4}
+        assert info["num_tensors"] == 3
         # 2 whole tensors + 4 expert shards.
-        assert d3["num_shards"] == 6
-        assert d2["total_bytes"] == d3["total_bytes"]
+        assert info["num_shards"] == 6
+        assert info["total_bytes"] == state.nbytes()
+        table = format_describe(info, limit=3).splitlines()
+        assert "format_version=3 step=7" in table[0]
+        assert table[1] == "mesh: world=4 expert_parallel=4"
+        assert table[2].startswith("3 tensors in 6 shards")
+        assert len(table) == 3 + 3 + 1 and table[-1].endswith("3 more shards")
+        assert any("expert=0 rank=0" in row for row in table)
 
     def test_describe_verify_catches_damage(self, tmp_path):
         path = str(tmp_path / "ckpt")
-        write_sharded_state(path, _state())
+        write_state(path, _state())
         victim = ShardReader(path).manifest["shards"][0]["file"]
         with open(os.path.join(path, victim), "r+b") as fh:
             fh.seek(-2, os.SEEK_END)
@@ -267,9 +270,9 @@ class TestDispatchAndMigration:
 
     def test_overwrite_replaces_previous_checkpoint(self, tmp_path):
         path = str(tmp_path / "ckpt")
-        write_sharded_state(path, _state(rng_seed=0))
+        write_state(path, _state(rng_seed=0))
         first = ShardReader(path)["model/w"].copy()
-        write_sharded_state(path, _state(rng_seed=1))
+        write_state(path, _state(rng_seed=1))
         second = ShardReader(path)["model/w"]
         assert not np.array_equal(first, second)
         # No stale shards accumulate across overwrites.

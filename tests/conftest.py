@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -42,3 +44,12 @@ def random_topology(
     """A random block mask topology (may be empty)."""
     mask = rng.random((block_rows, block_cols)) < density
     return Topology.from_block_mask(mask, block_size)
+
+
+def shard_file(ckpt_dir: str, index: int = 0) -> str:
+    """Path of the ``index``-th shard file a checkpoint's manifest names
+    (for tests that damage a checkpoint on disk)."""
+    from repro.checkpoint import ShardReader
+
+    entry = ShardReader(ckpt_dir).manifest["shards"][index]
+    return os.path.join(ckpt_dir, entry["file"])

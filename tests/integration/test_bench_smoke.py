@@ -9,10 +9,16 @@ unnoticed until someone runs the sweep.  These tests import the
 benchmark modules with ``REPRO_BENCH_SMOKE=1`` (the same switch as
 ``pytest --smoke`` in the benchmarks suite) and execute each test
 function with a stub ``benchmark`` fixture that just calls through.
+
+Smoke results land in ``harness.RESULT_DIR`` (a per-process temp dir);
+the tracked ``benchmarks/BENCH_*.json`` are full-run numbers and must
+come out of this module byte-identical.
 """
 
+import glob
 import importlib
 import os
+import shutil
 import sys
 
 import pytest
@@ -30,9 +36,23 @@ class _PassthroughBenchmark:
         return fn(*args, **(kwargs or {}))
 
 
+def _tracked_results():
+    return {
+        path: open(path, "rb").read()
+        for path in sorted(glob.glob(os.path.join(BENCH_DIR, "BENCH_*.json")))
+    }
+
+
+def _smoke_result(bench, name):
+    """Path a smoke run writes result ``name`` to."""
+    return os.path.join(bench("harness").RESULT_DIR, name)
+
+
 @pytest.fixture(scope="module")
 def bench(request):
     """Import benchmark modules in smoke mode, restoring state afterwards."""
+    tracked = _tracked_results()
+    assert tracked, "no committed BENCH_*.json found"
     os.environ["REPRO_BENCH_SMOKE"] = "1"
     sys.path.insert(0, BENCH_DIR)
     # Benchmark modules must see the smoke flag at import time; drop any
@@ -57,7 +77,12 @@ def bench(request):
     def load(name):
         return importlib.import_module(name)
 
+    # A fresh per-process temp dir: no earlier or concurrent run's
+    # results can satisfy (or be deleted under) this run's assertions.
+    result_dir = load("harness").RESULT_DIR
+    assert os.listdir(result_dir) == []
     yield load
+    shutil.rmtree(result_dir, ignore_errors=True)
     sys.path.remove(BENCH_DIR)
     os.environ.pop("REPRO_BENCH_SMOKE", None)
     for m in [
@@ -75,6 +100,9 @@ def bench(request):
         )
     ]:
         del sys.modules[m]
+    assert _tracked_results() == tracked, (
+        "a smoke run rewrote a tracked benchmarks/BENCH_*.json"
+    )
 
 
 def test_fig9_modeled_relative_throughput_smoke(bench):
@@ -119,8 +147,7 @@ def test_step_replay_smoke(bench):
     mod = bench("test_step_replay")
     assert mod.SMOKE
     mod.test_step_replay(_PassthroughBenchmark())
-    out = os.path.join(BENCH_DIR, "BENCH_replay.json")
-    assert os.path.exists(out)
+    assert os.path.exists(_smoke_result(bench, "BENCH_replay.json"))
 
 
 def test_step_lower_smoke(bench):
@@ -132,8 +159,7 @@ def test_step_lower_smoke(bench):
     mod = bench("test_step_lower")
     assert mod.SMOKE
     mod.test_step_lower(_PassthroughBenchmark())
-    out = os.path.join(BENCH_DIR, "BENCH_lower.json")
-    assert os.path.exists(out)
+    assert os.path.exists(_smoke_result(bench, "BENCH_lower.json"))
 
 
 def test_ckpt_stream_smoke(bench):
@@ -144,8 +170,7 @@ def test_ckpt_stream_smoke(bench):
     mod = bench("test_ckpt_stream")
     assert mod.SMOKE
     mod.test_ckpt_stream(_PassthroughBenchmark())
-    out = os.path.join(BENCH_DIR, "BENCH_ckpt.json")
-    assert os.path.exists(out)
+    assert os.path.exists(_smoke_result(bench, "BENCH_ckpt.json"))
 
 
 def test_serving_smoke(bench):
@@ -157,8 +182,7 @@ def test_serving_smoke(bench):
     mod = bench("test_serving")
     assert mod.SMOKE
     mod.test_serving(_PassthroughBenchmark())
-    out = os.path.join(BENCH_DIR, "BENCH_serving.json")
-    assert os.path.exists(out)
+    assert os.path.exists(_smoke_result(bench, "BENCH_serving.json"))
 
 
 def test_dist_overlap_smoke(bench):
@@ -169,8 +193,7 @@ def test_dist_overlap_smoke(bench):
     mod = bench("test_dist_overlap")
     assert mod.SMOKE
     mod.test_dist_overlap(_PassthroughBenchmark())
-    out = os.path.join(BENCH_DIR, "BENCH_dist.json")
-    assert os.path.exists(out)
+    assert os.path.exists(_smoke_result(bench, "BENCH_dist.json"))
 
 
 def test_step_trace_smoke(bench):
@@ -181,5 +204,4 @@ def test_step_trace_smoke(bench):
     mod = bench("test_step_trace")
     assert mod.SMOKE
     mod.test_traced_step_breakdown(_PassthroughBenchmark())
-    out = os.path.join(BENCH_DIR, "BENCH_trace.json")
-    assert os.path.exists(out)
+    assert os.path.exists(_smoke_result(bench, "BENCH_trace.json"))

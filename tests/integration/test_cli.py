@@ -58,7 +58,7 @@ class TestMain:
         ) == 0
 
     def test_checkpoint_and_resume(self, tmp_path):
-        ckpt = str(tmp_path / "run.npz")
+        ckpt = str(tmp_path / "run")
         assert main(["--system", "dmoe", "--checkpoint", ckpt] + self.COMMON) == 0
         assert os.path.exists(ckpt)
         assert main(["--system", "dmoe", "--resume", ckpt] + self.COMMON) == 0

@@ -23,7 +23,6 @@ from repro.checkpoint import (
     CheckpointManager,
     MANIFEST_NAME,
     load_checkpoint,
-    save_checkpoint,
 )
 from repro.data import LMDataset, PileConfig, SyntheticPile
 from repro.distributed import DeviceMesh
@@ -142,15 +141,11 @@ class TestAsyncCheckpointing:
     def test_async_checkpoints_byte_identical_to_sync(self, tmp_path):
         mesh = DeviceMesh(4, 4)
         sync_t = _trainer(4, mesh=mesh)
-        sync_mgr = CheckpointManager(
-            str(tmp_path / "sync"), keep_last=5, fmt="sharded"
-        )
+        sync_mgr = CheckpointManager(str(tmp_path / "sync"), keep_last=5)
         sync_t.fit(checkpoint_manager=sync_mgr, checkpoint_every=2)
 
         async_t = _trainer(4, mesh=mesh, async_ckpt=True)
-        async_mgr = CheckpointManager(
-            str(tmp_path / "async"), keep_last=5, fmt="sharded"
-        )
+        async_mgr = CheckpointManager(str(tmp_path / "async"), keep_last=5)
         async_t.fit(checkpoint_manager=async_mgr, checkpoint_every=2)
 
         # Identical training on both sides...
@@ -177,7 +172,7 @@ class TestAsyncCheckpointing:
 
         part = _trainer(6, mesh=DeviceMesh(4, 4), async_ckpt=True)
         part.config.max_steps = 4
-        mgr = CheckpointManager(str(tmp_path / "run"), fmt="sharded")
+        mgr = CheckpointManager(str(tmp_path / "run"))
         part.fit(checkpoint_manager=mgr, checkpoint_every=2)
 
         resumed = _trainer(6, mesh=DeviceMesh(4, 4))
@@ -197,7 +192,7 @@ class TestTornWriteChaos:
         schedule = FaultSchedule([FaultEvent(TORN_WRITE, step=3)])
         injector = FaultInjector(schedule)
         t = _trainer(4, mesh=DeviceMesh(4, 4), fault_injector=injector)
-        mgr = CheckpointManager(str(tmp_path / "run"), fmt="sharded")
+        mgr = CheckpointManager(str(tmp_path / "run"))
         with pytest.raises(CheckpointWriteFault):
             t.fit(checkpoint_manager=mgr, checkpoint_every=2)
 
@@ -216,7 +211,7 @@ class TestTornWriteChaos:
         # directory listing picks the torn dir up again, load_latest
         # falls back past it to step 2.
         os.remove(os.path.join(str(tmp_path / "run"), "index.json"))
-        mgr2 = CheckpointManager(str(tmp_path / "run"), fmt="sharded")
+        mgr2 = CheckpointManager(str(tmp_path / "run"))
         assert mgr2.steps == [2, 4]
         meta = mgr2.load_latest(fresh.model, fresh.optimizer)
         assert meta["step"] == 2
@@ -229,7 +224,7 @@ class TestTornWriteChaos:
         injector = FaultInjector(schedule)
         t = _trainer(4, mesh=DeviceMesh(4, 4), async_ckpt=True,
                      fault_injector=injector)
-        mgr = CheckpointManager(str(tmp_path / "run"), fmt="sharded")
+        mgr = CheckpointManager(str(tmp_path / "run"))
         hist = t.fit(checkpoint_manager=mgr, checkpoint_every=2)
         assert len(hist.records) > 0, "training must complete"
 
@@ -292,16 +287,10 @@ class TestCliInspect:
         assert cli.main(["ckpt", "inspect", path]) == 1
         assert "torn" in capsys.readouterr().err
 
-    def test_ckpt_migrate_smoke(self, tmp_path, capsys):
+    def test_ckpt_inspect_rejects_stray_file(self, tmp_path, capsys):
         from repro import cli
 
-        t = _trainer(2, mesh=DeviceMesh(4, 4))
-        src = str(tmp_path / "old.npz")
-        save_checkpoint(src, t.model, t.optimizer, step=2)
-        dst = str(tmp_path / "new-dir")
-        assert cli.main(["ckpt", "migrate", src, dst]) == 0
-        fresh = _trainer(2, mesh=DeviceMesh(4, 4))
-        meta = load_checkpoint(dst, fresh.model, fresh.optimizer)
-        assert meta["step"] == 2
-        for p1, p2 in zip(t.model.parameters(), fresh.model.parameters()):
-            np.testing.assert_array_equal(p1.data, p2.data)
+        stray = str(tmp_path / "old.npz")
+        np.savez(stray, w=np.zeros(3))
+        assert cli.main(["ckpt", "inspect", stray]) == 1
+        assert "removed" in capsys.readouterr().err

@@ -1,28 +1,32 @@
 """Failure injection: corrupted inputs fail loudly, not silently."""
 
+import os
+
 import numpy as np
 import pytest
 
+from repro.checkpoint import load_checkpoint, save_checkpoint
 from repro.nn import Linear, Sequential
-from repro.training import Adam, load_checkpoint, save_checkpoint
+from repro.training import Adam
+from tests.conftest import shard_file
 
 
 class TestCheckpointFailures:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_checkpoint(str(tmp_path / "nope.npz"), Sequential(Linear(2, 2, rng=0)))
+            load_checkpoint(str(tmp_path / "nope"), Sequential(Linear(2, 2, rng=0)))
 
     def test_truncated_file_raises(self, tmp_path):
-        path = tmp_path / "broken.npz"
+        path = str(tmp_path / "broken")
         m = Sequential(Linear(2, 2, rng=0))
-        save_checkpoint(str(path), m)
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
+        save_checkpoint(path, m)
+        victim = shard_file(path)
+        os.truncate(victim, os.path.getsize(victim) // 2)
         with pytest.raises(Exception):
-            load_checkpoint(str(path), Sequential(Linear(2, 2, rng=0)))
+            load_checkpoint(path, Sequential(Linear(2, 2, rng=0)))
 
     def test_wrong_architecture_raises(self, tmp_path):
-        path = str(tmp_path / "a.npz")
+        path = str(tmp_path / "a")
         save_checkpoint(path, Sequential(Linear(2, 2, rng=0)))
         with pytest.raises((KeyError, ValueError)):
             load_checkpoint(path, Sequential(Linear(3, 3, rng=0)))

@@ -82,11 +82,11 @@ class TestSparseAttentionWithDMoE:
 
 class TestCheckpointWithMoE:
     def test_dmoe_checkpoint_roundtrip(self, tmp_path):
-        from repro.training import load_checkpoint, save_checkpoint
+        from repro.checkpoint import load_checkpoint, save_checkpoint
 
         seed_all(0)
         a = dMoE(16, 32, 4, block_size=8, rng=0)
-        path = str(tmp_path / "dmoe.npz")
+        path = str(tmp_path / "dmoe")
         save_checkpoint(path, a, step=1)
         b = dMoE(16, 32, 4, block_size=8, rng=99)
         load_checkpoint(path, b)

@@ -52,14 +52,12 @@ needs_cc = pytest.mark.skipif(
 @pytest.mark.parametrize("steady", [False, True], ids=["eager-alloc", "steady"])
 class TestLoweredBitIdentity:
     def test_matches_eager_run(self, steady, use_scaler):
-        eager = _trainer(False, steady=steady, use_scaler=use_scaler)
+        eager = _trainer("eager", steady=steady, use_scaler=use_scaler)
         ref = _fingerprint(eager, eager.train())
 
         reg = registry()
         before = reg.counter("lower_segment_fallbacks").value
-        lowered = _trainer(
-            True, steady=steady, use_scaler=use_scaler, backend="cc"
-        )
+        lowered = _trainer("cc", steady=steady, use_scaler=use_scaler)
         got = _fingerprint(lowered, lowered.train())
 
         _assert_same(ref, got)
@@ -82,13 +80,12 @@ class TestLoweredResilience:
             )
             guard = GuardrailConfig(max_consecutive_bad=2, snapshot_every=1)
             tr = _trainer(
-                backend == "cc",
+                backend,
                 steady=True,
                 injector=FaultInjector(schedule),
                 guardrails=guard,
                 max_steps=6,
                 eval_every=3,
-                backend=backend,
             )
             with inject_faults(tr.fault_injector):
                 hist = tr.train()
@@ -111,11 +108,7 @@ class TestLoweredResilience:
 
         def make(backend):
             return _trainer(
-                backend == "cc",
-                dropout_p=0.0,
-                max_steps=total,
-                eval_every=0,
-                backend=backend,
+                backend, dropout_p=0.0, max_steps=total, eval_every=0
             )
 
         eager = make("eager")
@@ -127,7 +120,7 @@ class TestLoweredResilience:
         first.config.max_steps = n
         first.train()
         assert first.step_graph is not None
-        path = str(tmp_path / "mid.npz")
+        path = str(tmp_path / "mid")
         first.save(path, step=n)
 
         resumed = make("cc")
@@ -150,13 +143,13 @@ class TestNoToolchain:
         monkeypatch.setenv("REPRO_NO_CC", "1")
         toolchain._reset_for_tests()
 
-        replay = _trainer(True, steady=True)
+        replay = _trainer("replay", steady=True)
         ref = _fingerprint(replay, replay.train())
 
         reg = registry()
         before = reg.counter("lower_toolchain_fallbacks").value
         with caplog.at_level("WARNING", logger="repro.autograd.lower.toolchain"):
-            lowered = _trainer(True, steady=True, backend="cc")
+            lowered = _trainer("cc", steady=True)
             got = _fingerprint(lowered, lowered.train())
 
         _assert_same(ref, got)
@@ -178,11 +171,11 @@ class TestNoToolchain:
         monkeypatch.setenv("REPRO_NO_CC", "1")
         toolchain._reset_for_tests()
 
-        replay = _trainer(True, steady=True)
+        replay = _trainer("replay", steady=True)
         ref = _fingerprint(replay, replay.train())
 
         with caplog.at_level("WARNING", logger="repro.autograd.lower.toolchain"):
-            lowered = _trainer(True, steady=True, backend="cc")
+            lowered = _trainer("cc", steady=True)
             got = _fingerprint(lowered, lowered.train())
 
         _assert_same(ref, got)

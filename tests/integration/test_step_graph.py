@@ -1,6 +1,6 @@
 """Captured step graphs: compiled replay must be invisible to training.
 
-``TrainerConfig(capture=True)`` records the first micro batch of each
+``TrainerConfig(backend="replay")`` records the first micro batch of each
 signature into a :class:`repro.autograd.StepGraph` and replays the
 compiled op schedule on every matching step.  Replay is a pure dispatch
 optimization, so every test here asserts **bit-identity** against the
@@ -35,7 +35,7 @@ STEPS = 4
 
 
 def _trainer(
-    capture,
+    backend,
     steady=False,
     use_scaler=False,
     injector=None,
@@ -43,7 +43,6 @@ def _trainer(
     dropout_p=0.1,
     max_steps=STEPS,
     eval_every=2,
-    backend=None,
 ):
     from repro.core import dMoE
 
@@ -62,7 +61,6 @@ def _trainer(
         guardrails=guardrails,
         steady_state=steady,
         use_grad_scaler=use_scaler,
-        capture=capture,
         backend=backend,
     )
     return Trainer(
@@ -106,11 +104,11 @@ def _assert_same(ref, got):
 @pytest.mark.parametrize("steady", [False, True], ids=["eager-alloc", "steady"])
 class TestReplayBitIdentity:
     def test_matches_eager_run(self, steady, use_scaler):
-        eager = _trainer(False, steady=steady, use_scaler=use_scaler)
+        eager = _trainer("eager", steady=steady, use_scaler=use_scaler)
         ref = _fingerprint(eager, eager.train())
 
         before = _counters()
-        captured = _trainer(True, steady=steady, use_scaler=use_scaler)
+        captured = _trainer("replay", steady=steady, use_scaler=use_scaler)
         got = _fingerprint(captured, captured.train())
         after = _counters()
 
@@ -125,7 +123,7 @@ class TestReplayBitIdentity:
 
 class TestReplayTelemetry:
     def test_tape_nodes_zero_on_replayed_steps(self):
-        tr = _trainer(True, eval_every=0)
+        tr = _trainer("replay", eval_every=0)
         hist = tr.train()
         nodes = [r.tape_nodes for r in hist.records if r.tape_nodes is not None]
         assert len(nodes) == STEPS
@@ -133,7 +131,7 @@ class TestReplayTelemetry:
         assert all(n == 0 for n in nodes[1:])  # replays never touch it
 
     def test_replay_span_in_step_breakdown(self):
-        tr = _trainer(True, eval_every=0, max_steps=2)
+        tr = _trainer("replay", eval_every=0, max_steps=2)
         with tracing():
             tr.train_step(0)
             assert "forward" in tr.last_phase_times  # capture step is eager
@@ -144,7 +142,7 @@ class TestReplayTelemetry:
 
 class TestRecapture:
     def test_micro_batch_shape_change_falls_back_and_recaptures(self):
-        tr = _trainer(True, eval_every=0)
+        tr = _trainer("replay", eval_every=0)
         tr.train_step(0)
         first_graph = tr.step_graph
         assert first_graph is not None
@@ -161,13 +159,13 @@ class TestRecapture:
         """NaN-grad skips + snapshot rewind with replay on must converge
         to the exact same state as the eager guardrail run."""
 
-        def run(capture):
+        def run(backend):
             schedule = FaultSchedule(
                 [FaultEvent(NAN_GRAD, step=2), FaultEvent(NAN_GRAD, step=3)]
             )
             guard = GuardrailConfig(max_consecutive_bad=2, snapshot_every=1)
             tr = _trainer(
-                capture,
+                backend,
                 steady=True,
                 injector=FaultInjector(schedule),
                 guardrails=guard,
@@ -180,8 +178,8 @@ class TestRecapture:
             assert tr.guard.rewinds >= 1
             return tr, hist
 
-        eager_tr, eager_hist = run(False)
-        cap_tr, cap_hist = run(True)
+        eager_tr, eager_hist = run("eager")
+        cap_tr, cap_hist = run("replay")
         _assert_same(
             _fingerprint(eager_tr, eager_hist), _fingerprint(cap_tr, cap_hist)
         )
@@ -200,22 +198,22 @@ class TestResumeWithCapture:
         """
         n, total = 2, 4
 
-        def make(capture):
-            return _trainer(capture, dropout_p=0.0, max_steps=total, eval_every=0)
+        def make(backend):
+            return _trainer(backend, dropout_p=0.0, max_steps=total, eval_every=0)
 
-        eager = make(False)
+        eager = make("eager")
         eager.train()
-        straight = make(True)
+        straight = make("replay")
         straight.train()
 
-        first = make(True)
+        first = make("replay")
         first.config.max_steps = n
         first.train()
         assert first.step_graph is not None
-        path = str(tmp_path / "mid.npz")
+        path = str(tmp_path / "mid")
         first.save(path, step=n)
 
-        resumed = make(True)
+        resumed = make("replay")
         resumed.fit(resume=path)
 
         want = {r.step: r.loss for r in straight.history.records}
@@ -230,9 +228,9 @@ class TestResumeWithCapture:
         assert straight.rng.random() == resumed.rng.random()
 
     def test_restore_drops_the_compiled_graph(self, tmp_path):
-        tr = _trainer(True, dropout_p=0.0, max_steps=2, eval_every=0)
+        tr = _trainer("replay", dropout_p=0.0, max_steps=2, eval_every=0)
         tr.train()
-        path = str(tmp_path / "ck.npz")
+        path = str(tmp_path / "ck")
         tr.save(path, step=2)
         assert tr.step_graph is not None
         tr.restore(path)

@@ -3,15 +3,17 @@ import os
 import numpy as np
 import pytest
 
-from repro.nn import Linear, Sequential
-from repro.training import (
-    Adam,
+from repro.checkpoint import (
+    MANIFEST_NAME,
     CheckpointCorruptError,
     CheckpointError,
     CheckpointManager,
     load_checkpoint,
     save_checkpoint,
 )
+from repro.nn import Linear, Sequential
+from repro.training import Adam
+from tests.conftest import shard_file
 
 
 def _model():
@@ -21,7 +23,7 @@ def _model():
 class TestSaveLoad:
     def test_roundtrip_parameters(self, tmp_path):
         m = _model()
-        path = str(tmp_path / "ckpt.npz")
+        path = str(tmp_path / "ckpt")
         save_checkpoint(path, m, step=7)
         m2 = _model()
         for p in m2.parameters():
@@ -42,7 +44,7 @@ class TestSaveLoad:
             for p in opt.params:
                 p.grad = rng.standard_normal(p.data.shape).astype(np.float32)
             opt.step()
-        path = str(tmp_path / "ckpt.npz")
+        path = str(tmp_path / "ckpt")
         save_checkpoint(path, m, opt, step=3)
 
         m2 = _model()
@@ -76,7 +78,7 @@ class TestSaveLoad:
         m2 = _model()
         o2 = Adam(m2.parameters(), lr=1e-2)
         train(m2, o2, grads[:3])
-        path = str(tmp_path / "mid.npz")
+        path = str(tmp_path / "mid")
         save_checkpoint(path, m2, o2, step=3)
         m3 = _model()
         o3 = Adam(m3.parameters(), lr=1e-2)
@@ -88,68 +90,76 @@ class TestSaveLoad:
 
     def test_missing_adam_state_raises(self, tmp_path):
         m = _model()
-        path = str(tmp_path / "noadam.npz")
+        path = str(tmp_path / "noadam")
         save_checkpoint(path, m)
         with pytest.raises(KeyError):
             load_checkpoint(path, _model(), Adam(_model().parameters()))
 
     def test_extra_metadata(self, tmp_path):
         m = _model()
-        path = str(tmp_path / "meta.npz")
+        path = str(tmp_path / "meta")
         save_checkpoint(path, m, step=1, extra={"val_loss": 2.5})
         meta = load_checkpoint(path, _model())
         assert meta["extra"]["val_loss"] == 2.5
 
     def test_extra_arrays_roundtrip(self, tmp_path):
         m = _model()
-        path = str(tmp_path / "arrays.npz")
+        path = str(tmp_path / "arrays")
         order = np.arange(10, dtype=np.int64)[::-1].copy()
         save_checkpoint(path, m, extra_arrays={"epoch_order": order})
         meta = load_checkpoint(path, _model())
         np.testing.assert_array_equal(meta["extra_arrays"]["epoch_order"], order)
 
     def test_no_tmp_file_left_behind(self, tmp_path):
-        path = str(tmp_path / "clean.npz")
+        path = str(tmp_path / "clean")
         save_checkpoint(path, _model())
-        assert os.listdir(tmp_path) == ["clean.npz"]
+        assert os.listdir(tmp_path) == ["clean"]
+        assert sorted(os.listdir(path)) == [MANIFEST_NAME, "shards"]
+        assert not [f for f in os.listdir(os.path.join(path, "shards"))
+                    if not f.endswith(".npy")]
 
 
 class TestValidation:
     def test_truncated_checkpoint_rejected_with_clear_error(self, tmp_path):
-        """A checkpoint cut off mid-write fails as corrupt, not as a
-        cryptic zipfile exception."""
-        path = tmp_path / "trunc.npz"
-        save_checkpoint(str(path), _model(), step=2)
-        blob = path.read_bytes()
-        for frac in (0.25, 0.6, 0.95):
-            path.write_bytes(blob[: int(len(blob) * frac)])
+        """A shard cut off mid-write fails as corrupt, not as a cryptic
+        numpy exception."""
+        path = str(tmp_path / "trunc")
+        save_checkpoint(path, _model(), step=2)
+        victim = shard_file(path)
+        size = os.path.getsize(victim)
+        for frac in (0.95, 0.6, 0.25):
+            os.truncate(victim, int(size * frac))
             with pytest.raises(CheckpointCorruptError):
-                load_checkpoint(str(path), _model())
+                load_checkpoint(path, _model())
 
     def test_bitflip_caught_by_checksum(self, tmp_path):
-        path = tmp_path / "flip.npz"
-        save_checkpoint(str(path), _model(), step=2)
-        blob = bytearray(path.read_bytes())
-        # Flip one byte inside an array's payload region (stored data is
-        # uncompressed, so zip-member CRCs are the only other guard; find
-        # a spot that damages array bytes, not the JSON metadata).
-        blob[len(blob) // 3] ^= 0xFF
-        path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointCorruptError):
-            load_checkpoint(str(path), _model())
+        path = str(tmp_path / "flip")
+        save_checkpoint(path, _model(), step=2)
+        victim = shard_file(path)
+        # Flip one byte inside the array payload (past the .npy header),
+        # so the shard still parses and only the manifest CRC can tell.
+        with open(victim, "r+b") as fh:
+            fh.seek(-5, os.SEEK_END)
+            byte = fh.read(1)[0]
+            fh.seek(-5, os.SEEK_END)
+            fh.write(bytes([byte ^ 0xFF]))
+        with pytest.raises(CheckpointCorruptError, match="checksum"):
+            load_checkpoint(path, _model())
 
     def test_garbage_file_rejected(self, tmp_path):
-        path = tmp_path / "garbage.npz"
-        path.write_bytes(b"not a checkpoint at all")
+        path = str(tmp_path / "garbage")
+        save_checkpoint(path, _model())
+        with open(os.path.join(path, MANIFEST_NAME), "wb") as fh:
+            fh.write(b"not a manifest at all")
         with pytest.raises(CheckpointCorruptError):
-            load_checkpoint(str(path), _model())
+            load_checkpoint(path, _model())
 
     def test_missing_file_still_filenotfound(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_checkpoint(str(tmp_path / "nope.npz"), _model())
+            load_checkpoint(str(tmp_path / "nope"), _model())
 
     def test_optimizer_param_count_mismatch_is_clear(self, tmp_path):
-        path = str(tmp_path / "adam.npz")
+        path = str(tmp_path / "adam")
         m = _model()
         opt = Adam(m.parameters())
         save_checkpoint(path, m, opt, step=1)
@@ -159,17 +169,33 @@ class TestValidation:
         with pytest.raises(ValueError, match="parameter count mismatch"):
             load_checkpoint(path, m2, opt2)
 
+    def test_optimizer_moment_shape_mismatch_is_clear(self, tmp_path):
+        """Same moment count, different shapes: rejected before any
+        optimizer state is overwritten."""
+        path = str(tmp_path / "adam-shape")
+        m = _model()
+        opt = Adam(m.parameters())
+        save_checkpoint(path, m, opt, step=1)
+        m2 = _model()
+        opt2 = Adam(list(m2.parameters())[::-1])
+        opt2.t = 41
+        with pytest.raises(ValueError, match="shape mismatch"):
+            load_checkpoint(path, m2, opt2)
+        assert opt2.t == 41
+        assert all(not mom.any() for mom in opt2._m)
+
     def test_model_untouched_when_checksum_fails(self, tmp_path):
         """Validation happens before any state is mutated."""
-        path = tmp_path / "half.npz"
+        path = str(tmp_path / "half")
         m = _model()
-        save_checkpoint(str(path), m, step=1)
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) // 2])
+        save_checkpoint(path, m, step=1)
+        # Damage the *last* shard: every earlier one validates first.
+        victim = shard_file(path, -1)
+        os.truncate(victim, os.path.getsize(victim) // 2)
         m2 = _model()
         before = [p.data.copy() for p in m2.parameters()]
         with pytest.raises(CheckpointCorruptError):
-            load_checkpoint(str(path), m2)
+            load_checkpoint(path, m2)
         for p, b in zip(m2.parameters(), before):
             np.testing.assert_array_equal(p.data, b)
 
@@ -215,9 +241,8 @@ class TestCheckpointManager:
             p.data += 1.0
         mgr.save(marker, step=2)
         # Corrupt the newest checkpoint on disk.
-        path = mgr.path_for(2)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[: len(blob) // 2])
+        victim = shard_file(mgr.path_for(2))
+        os.truncate(victim, os.path.getsize(victim) // 2)
         m2 = _model()
         meta = mgr.load_latest(m2)
         assert meta["step"] == 1

@@ -7,22 +7,31 @@ trains a different model.  These tests assert bit-identity, not
 tolerance.
 """
 
+import os
+
 import numpy as np
 import pytest
 
+from repro.checkpoint import (
+    MANIFEST_NAME,
+    CheckpointError,
+    CheckpointManager,
+    save_checkpoint,
+)
 from repro.data import LMDataset, PileConfig, SyntheticPile
 from repro.nn import TransformerLM
-from repro.training import (
-    Adam,
-    CheckpointManager,
-    CheckpointError,
-    Trainer,
-    TrainerConfig,
-    WarmupCosineLR,
+from repro.resilience import (
+    TORN_WRITE,
+    CheckpointWriteFault,
+    FaultEvent,
+    FaultInjector,
+    FaultSchedule,
 )
+from repro.training import Adam, Trainer, TrainerConfig, WarmupCosineLR
 
 
-def _setup(max_steps, use_scaler=False, moe=False, trainer_seed=11):
+def _setup(max_steps, use_scaler=False, moe=False, trainer_seed=11,
+           fault_injector=None):
     pile = SyntheticPile(PileConfig(vocab_size=64, num_domains=3, branching=4), seed=1)
     ds = LMDataset(pile.token_stream(10_000, 32), seq_len=16)
     train, val = ds.split(0.1)
@@ -51,6 +60,7 @@ def _setup(max_steps, use_scaler=False, moe=False, trainer_seed=11):
         optimizer=Adam(model.parameters(), lr=2e-3),
         schedule=WarmupCosineLR(2e-3, total_steps=max_steps, warmup_steps=2),
         rng=trainer_seed,
+        fault_injector=fault_injector,
     )
 
 
@@ -68,7 +78,7 @@ class TestResumeEquivalence:
         first = _setup(total, use_scaler)
         first.config.max_steps = n
         first.train()
-        path = str(tmp_path / "mid.npz")
+        path = str(tmp_path / "mid")
         first.save(path, step=n)
 
         resumed = _setup(total, use_scaler)
@@ -137,7 +147,7 @@ class TestResumeEquivalence:
 
         first = make(n)
         first.train()
-        path = str(tmp_path / "mid.npz")
+        path = str(tmp_path / "mid")
         first.save(path, step=n)
 
         resumed = make(total)
@@ -157,7 +167,7 @@ class TestResumeMoE:
         first = _setup(total, moe=True)
         first.config.max_steps = n
         first.train()
-        path = str(tmp_path / "mid.npz")
+        path = str(tmp_path / "mid")
         first.save(path, step=n)
 
         resumed = _setup(total, moe=True)
@@ -181,6 +191,28 @@ class TestFitCheckpointing:
         for a, b in zip(tr.model.parameters(), resumed.model.parameters()):
             np.testing.assert_array_equal(a.data, b.data)
 
+    def test_torn_write_fires_under_default_manager(self, tmp_path):
+        """A ``TORN_WRITE`` scheduled under a default-configured manager
+        kills the step-4 write mid-shard; a restarted job's
+        ``load_latest`` falls back past the torn directory to step 2."""
+        schedule = FaultSchedule([FaultEvent(TORN_WRITE, step=3)])
+        tr = _setup(4, fault_injector=FaultInjector(schedule))
+        directory = str(tmp_path / "ckpts")
+        mgr = CheckpointManager(directory)
+        with pytest.raises(CheckpointWriteFault):
+            tr.fit(checkpoint_manager=mgr, checkpoint_every=2)
+        assert schedule.pending == 0, "the torn_write fault must have fired"
+        torn = mgr.path_for(4)
+        assert os.path.isdir(torn)
+        assert not os.path.exists(os.path.join(torn, MANIFEST_NAME))
+        assert mgr.steps == [2]
+
+        os.remove(os.path.join(directory, "index.json"))
+        restarted = CheckpointManager(directory)
+        assert restarted.steps == [2, 4]
+        fresh = _setup(4)
+        assert restarted.load_latest(fresh.model, fresh.optimizer)["step"] == 2
+
     def test_resume_from_empty_manager_raises(self, tmp_path):
         mgr = CheckpointManager(str(tmp_path / "none"))
         tr = _setup(2)
@@ -190,17 +222,15 @@ class TestFitCheckpointing:
     def test_scaler_config_mismatch_rejected(self, tmp_path):
         tr = _setup(2, use_scaler=False)
         tr.train()
-        path = str(tmp_path / "fp32.npz")
+        path = str(tmp_path / "fp32")
         tr.save(path, step=2)
         other = _setup(2, use_scaler=True)
         with pytest.raises(CheckpointError, match="grad-scaler"):
             other.fit(resume=path)
 
     def test_plain_checkpoint_cannot_resume_bit_exactly(self, tmp_path):
-        from repro.training import save_checkpoint
-
         tr = _setup(2)
-        path = str(tmp_path / "plain.npz")
+        path = str(tmp_path / "plain")
         save_checkpoint(path, tr.model, tr.optimizer, step=1)
         with pytest.raises(CheckpointError, match="trainer state"):
             tr.fit(resume=path)

@@ -31,6 +31,33 @@ class TestTrainerConfig:
     def test_accumulation_steps(self):
         assert TrainerConfig(global_batch=32, micro_batch=8).accumulation_steps == 4
 
+    @pytest.mark.parametrize("world", [3, 6, 12])
+    def test_rejects_non_power_of_two_dp_world(self, world):
+        """Summing ``world`` copies of ``g / world`` is an exact identity
+        only for power-of-two worlds; anything else would silently
+        perturb the trajectory, so the config refuses it."""
+        with pytest.raises(ValueError, match="power of two"):
+            TrainerConfig(dp_world=world)
+
+    @pytest.mark.parametrize("world", [0, 1, 2, 4, 8])
+    def test_accepts_power_of_two_dp_world(self, world):
+        assert TrainerConfig(dp_world=world).dp_world == world
+
+    def test_backend_is_the_only_step_selector(self):
+        assert TrainerConfig().backend == "eager"
+        with pytest.raises(TypeError):
+            TrainerConfig(capture=True)
+        with pytest.raises(ValueError, match="unknown backend"):
+            TrainerConfig(backend=None)
+
+    def test_default_config_is_not_shared_between_trainers(self):
+        model, train, val, _ = _tiny_setup()
+        a = Trainer(model, train, val)
+        b = Trainer(model, train, val)
+        assert a.config is not b.config
+        a.config.max_steps = 7
+        assert b.config.max_steps == TrainerConfig().max_steps
+
 
 class TestTrainer:
     def test_loss_decreases(self):
