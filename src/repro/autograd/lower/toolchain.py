@@ -7,6 +7,16 @@ graph signature load the cached ``.so`` straight from
 ``~/.cache/repro/lower/`` (override with ``REPRO_LOWER_CACHE``) without
 invoking ``cc`` at all.
 
+Other packages' translation units (the serving GEMMs) can be
+registered with :func:`prebuild`; they are compiled right after this
+process's *first* real compile instead of at their first use.  A spawned
+compiler is charged the parent's resident set at spawn time (``vfork``
+shares the address space, and ``getrusage(RUSAGE_CHILDREN)`` remembers
+the largest child), so a train-then-serve process that first asked for
+the serving kernels after training had grown it would report a higher
+peak RSS for the same work; built early, the artifact is simply there —
+in memory and on disk — when it is asked for.
+
 Toolchain state is probed once per process.  A missing or broken ``cc``
 — or ``REPRO_NO_CC=1`` — logs exactly one warning and pins the probe to
 "unavailable"; every later lowering attempt then declines instantly and
@@ -23,7 +33,7 @@ import shutil
 import subprocess
 import tempfile
 import time
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 logger = logging.getLogger(__name__)
 
@@ -46,6 +56,8 @@ CACHE_VERSION = "2"
 _probe: Optional[object] = None
 _warned = False
 _libs: Dict[str, ctypes.CDLL] = {}
+# tag -> source renderer, compiled once behind the first real compile.
+_prebuild: Dict[str, Callable[[], str]] = {}
 
 
 def _warn_once(reason: str) -> None:
@@ -105,6 +117,12 @@ def cache_dir() -> str:
     if not d:
         d = os.path.join(os.path.expanduser("~"), ".cache", "repro", "lower")
     return d
+
+
+def prebuild(tag: str, render: Callable[[], str]) -> None:
+    """Ask for ``render()`` to be compiled (as ``tag``) behind this
+    process's first real compile; see the module docstring for why."""
+    _prebuild[tag] = render
 
 
 def compile_and_load(source: str, tag: str = "graph") -> Optional[ctypes.CDLL]:
@@ -180,6 +198,9 @@ def compile_and_load(source: str, tag: str = "graph") -> Optional[ctypes.CDLL]:
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     registry().counter("lower_compile_ms").inc(max(1, int(elapsed_ms)))
     _libs[key] = lib
+    while _prebuild:
+        unit_tag, render = _prebuild.popitem()
+        compile_and_load(render(), unit_tag)
     return lib
 
 

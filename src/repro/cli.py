@@ -265,6 +265,7 @@ def generate_main(argv=None) -> int:
     import time
 
     from repro.serving.engine import InferenceEngine
+    from repro.serving.kernels import work_summary
 
     args = build_generate_parser().parse_args(argv)
     seed_all(args.seed)
@@ -315,6 +316,8 @@ def generate_main(argv=None) -> int:
         new, dt, new / dt if dt > 0 else float("inf"),
         "uncached" if args.uncached else "kv-cached",
     )
+    flops = registry().counter("serve_gemm_flops").value
+    logger.info("serving GEMMs: %s of wall", work_summary(flops, dt))
     return 0
 
 

@@ -26,8 +26,9 @@ Two semantic notes:
   sequence's logits depend on decode-batch composition — unacceptable
   for continuous batching (and bad for quality).  At inference every
   routed token-copy is computed, for every variant.
-- **Bit-stability.** All GEMMs run through the row-stable einsum
-  kernels, and top-k copies are combined in a fixed per-token
+- **Bit-stability.** All GEMMs run through the row-stable kernels of
+  :mod:`repro.serving.kernels` (each expert product is one grouped call
+  over every occupied expert, fp32 or int8), and top-k copies are combined in a fixed per-token
   expert-grouped order, so a token's output is bitwise independent of
   the other tokens in the batch — the KV-cached decode bit-identity
   rests on this.
@@ -64,9 +65,9 @@ def moe_inference_forward(layer, x: Tensor) -> Tuple[Tensor, Optional[Tensor]]:
             plan = make_padded_plan(
                 routing.expert_indices, layer.num_experts, block_size=1
             )
-            offsets = np.concatenate(
-                [[0], plan.tokens_per_expert.cumsum()]
-            )
+            # (E+1,) int64 row prefix sum: the form the grouped kernel reads.
+            offsets = np.zeros(layer.num_experts + 1, dtype=np.int64)
+            np.cumsum(plan.tokens_per_expert, out=offsets[1:])
             xg = x.data[plan.gather_indices]
         with span("experts"):
             quant = getattr(layer, "_quantized", None)

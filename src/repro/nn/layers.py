@@ -36,7 +36,7 @@ class Linear(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         if is_inference():
-            # Serving path: row-stable einsum GEMM (no tape, and bitwise
+            # Serving path: row-stable GEMM (no tape, and bitwise
             # independent of how many token rows are in the batch — the
             # KV-cached decode bit-identity guarantee rests on this).
             return Tensor(

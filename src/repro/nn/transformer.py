@@ -193,7 +193,11 @@ class TransformerLM(Module):
         inference_mode), each block writes its freshly projected K/V rows
         into the cache — positions are absolute from 0, so the targeted
         slots must be reset first — and the cache lengths are set to the
-        window length so ``forward_step`` can extend it.
+        window length so ``forward_step`` can extend it.  A prefill only
+        ever samples from the last position, so with a cache the final
+        norm and the LM head run on that position alone and ``logits`` is
+        ``(B, 1, vocab)``: row-stable kernels make it bit-identical to
+        row ``-1`` of the full-window logits at 1/S of the head FLOPs.
         """
         ids_arr = ids.data if isinstance(ids, Tensor) else np.asarray(ids)
         _, seq = ids_arr.shape
@@ -213,6 +217,8 @@ class TransformerLM(Module):
             if aux is not None:
                 aux_total = aux if aux_total is None else aux_total + aux
 
+        if cache is not None:
+            x = Tensor(np.ascontiguousarray(x.data[:, -1:, :]))
         x = self.ln_f(x)
         logits = self._head(x)
         if cache is not None:

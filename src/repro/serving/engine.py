@@ -65,7 +65,9 @@ class InferenceEngine:
 
     def prefill(self, ids, cache: KVCache, slots=None) -> np.ndarray:
         """Encode full windows into the cache; returns ``(B, vocab)`` logits
-        for the last position of each row.  Targeted slots must be reset."""
+        for the last position of each row (the only position the model
+        runs its head on when given a cache).  Targeted slots must be
+        reset."""
         ids = np.asarray(ids, dtype=np.int64)
         with inference_mode():
             out = self.model.forward(ids, cache=cache, slots=slots)

@@ -7,10 +7,13 @@ attention, and embeddings stay fp32):
     scale[f] = max_i |w[i, f]| / 127
     q[i, f]  = clip(round(w[i, f] / scale[f]), -127, 127)   (int8)
 
-Dequantization happens on the GEMM: ``y = (x @ q_f32) * scale + b``,
-with the int8 matrix cast to fp32 per expert group at matmul time, so
-no fp32 copy of the weights is ever materialized as state.  Enabled
-either via ``MoEConfig(quantize_experts="int8")`` +
+Dequantization happens on the GEMM: ``y = (x @ q) * scale + b`` through
+:func:`repro.sparse.dispatch.grouped_rows_gemm` — the same grouped entry
+the fp32 experts use.  Its native kernel reads the int8 matrix and
+converts in-register, so no fp32 copy of the weights exists at any
+point; its einsum fallback casts one expert's ``(in, out)`` matrix to
+fp32 per occupied group per call (transient, never state) and produces
+the same bits.  Enabled either via ``MoEConfig(quantize_experts="int8")`` +
 ``InferenceEngine(..., quantize_experts="int8")`` or by calling
 :func:`attach_quantized_experts` directly; only the inference dispatch
 (:mod:`repro.moe.inference`) consults the attached tables, so training
@@ -29,7 +32,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.moe.experts import ExpertWeights
-from repro.serving.kernels import stable_matmul
+from repro.sparse.dispatch import grouped_rows_gemm
 
 
 def quantize_int8(w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -75,25 +78,17 @@ class QuantizedExpertFFN:
         q2, s2 = quantize_int8(experts.w2.data)
         return cls(q1=q1, s1=s1, b1=experts.b1.data, q2=q2, s2=s2, b2=experts.b2.data)
 
-    def _apply(self, x, offsets, q, s, b):
-        out = np.empty((x.shape[0], q.shape[-1]), dtype=np.float32)
-        for ex in range(q.shape[0]):
-            lo, hi = int(offsets[ex]), int(offsets[ex + 1])
-            if lo == hi:
-                continue
-            y = stable_matmul(x[lo:hi], q[ex].astype(np.float32))
-            y *= s[ex]
-            y += b[ex]
-            out[lo:hi] = y
-        return out
-
     def apply_ffn1(self, x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """Dequantize-on-GEMM first FFN layer over expert-grouped rows."""
-        return self._apply(x, offsets, self.q1, self.s1, self.b1)
+        return grouped_rows_gemm(
+            x, offsets, self.q1, self.b1, stable=True, scale=self.s1
+        )
 
     def apply_ffn2(self, h: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """Dequantize-on-GEMM second FFN layer over expert-grouped rows."""
-        return self._apply(h, offsets, self.q2, self.s2, self.b2)
+        return grouped_rows_gemm(
+            h, offsets, self.q2, self.b2, stable=True, scale=self.s2
+        )
 
     @property
     def weight_bytes(self) -> int:

@@ -26,7 +26,10 @@ Telemetry flows through the PR 4 registry and tracer:
   ``serving/token_latency_ms`` (per generated token), and
   ``serving/step_ms`` (whole scheduler step);
 - counters ``serving/requests``, ``serving/tokens_generated``,
-  ``serving/prefill_tokens``;
+  ``serving/prefill_tokens``, and the kernels' own ``serve_gemm_calls`` /
+  ``serve_gemm_flops`` / ``serve_native_calls`` /
+  ``serve_native_fallbacks`` (printed by :meth:`latency_table` with the
+  achieved GFLOP/s);
 - gauge ``serving/active_sequences``;
 - spans ``serve/step`` / ``serve/prefill`` / ``serve/decode``.
 """
@@ -43,6 +46,7 @@ import numpy as np
 from repro.observability.metrics import registry
 from repro.observability.tracing import span
 from repro.serving.engine import InferenceEngine
+from repro.serving.kernels import work_summary
 from repro.serving.sampling import sample_tokens
 from repro.utils.rng import get_rng
 
@@ -140,6 +144,10 @@ class ContinuousBatchingScheduler:
         self.active: Dict[int, _Sequence] = {}  # slot -> sequence
         self.free_slots: List[int] = list(range(max_batch_size))[::-1]
         self.peak_concurrency = 0
+        #: Wall clock of this scheduler's working steps and the serving-GEMM
+        #: FLOPs spent inside them (their quotient is the achieved rate).
+        self.step_seconds = 0.0
+        self.step_gemm_flops = 0
         self._next_id = 0
         self._reg = registry()
 
@@ -202,6 +210,7 @@ class ContinuousBatchingScheduler:
         Returns the requests that finished during this step.
         """
         t0 = time.perf_counter()
+        flops0 = self._reg.counter("serve_gemm_flops").value
         finished: List[GenerationResult] = []
         with span("serve/step"):
             self._admit(t0)
@@ -259,9 +268,10 @@ class ContinuousBatchingScheduler:
                     logits = self.engine.decode_step(ids_t, self.cache, slots=slots)
                 for j, seq in enumerate(batch):
                     seq.logits = logits[j]
-        self._reg.histogram("serving/step_ms").observe(
-            (time.perf_counter() - t0) * 1e3
-        )
+        dt = time.perf_counter() - t0
+        self._reg.histogram("serving/step_ms").observe(dt * 1e3)
+        self.step_seconds += dt
+        self.step_gemm_flops += self._reg.counter("serve_gemm_flops").value - flops0
         return finished
 
     def _finish(self, seq: _Sequence) -> GenerationResult:
@@ -298,5 +308,11 @@ class ContinuousBatchingScheduler:
             f"tokens={counters.counter('serving/tokens_generated').value}  "
             f"prefill_tokens={counters.counter('serving/prefill_tokens').value}  "
             f"peak_concurrency={self.peak_concurrency}"
+        )
+        # The GEMM work: process totals by rung, then this scheduler's own
+        # steps as a rate.
+        rows.append(
+            "  " + work_summary(self.step_gemm_flops, self.step_seconds)
+            + " of step wall"
         )
         return "\n".join(rows)

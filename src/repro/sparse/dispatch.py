@@ -459,8 +459,10 @@ def grouped_rows_gemm(
     stacked_w: np.ndarray,
     stacked_b: Optional[np.ndarray] = None,
     stable: bool = False,
+    scale: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """One GEMM per row group: ``out[s_g:e_g] = x[s_g:e_g] @ w[g] (+ b[g])``.
+    """One GEMM per row group:
+    ``out[s_g:e_g] = x[s_g:e_g] @ w[g] (* scale[g]) (+ b[g])``.
 
     The inference-mode MoE dispatch is the degenerate grouped-GEMM case
     of this module: tokens arrive already grouped by expert (a
@@ -468,26 +470,42 @@ def grouped_rows_gemm(
     expert's product is a plain row-slice GEMM with no block topology,
     no gather copies, and no scatter-add.  ``group_offsets`` is the
     ``(num_groups + 1,)`` prefix sum of group sizes; ``stacked_w`` is
-    ``(num_groups, in, out)``.
+    ``(num_groups, in, out)``.  With ``scale`` (``(num_groups, out)``,
+    implies ``stable``) ``stacked_w`` is int8 and is dequantized on the
+    GEMM: the product runs on the integer values and each output channel
+    is scaled afterwards.
 
-    ``stable=True`` routes each group through the bitwise row-stable
-    einsum kernel of :mod:`repro.serving.kernels`, which is what lets
+    ``stable=True`` computes every group with the bitwise row-stable
+    kernels of :mod:`repro.serving.kernels`, which is what lets
     single-token decode batches reproduce full-window expert outputs
-    bit for bit regardless of per-step tokens-per-expert skew.
+    bit for bit regardless of per-step tokens-per-expert skew: all
+    groups in one native call when that family is bound and the operands
+    qualify, else the loop below over the same kernels' reference — the
+    only grouped-rows loop there is.  The loop casts an int8 group to
+    fp32 before its product (one ``(in, out)`` copy per occupied group
+    per call); the native call converts in-register instead.
     """
-    if stable:
-        from repro.serving.kernels import stable_matmul
-    num_groups = stacked_w.shape[0]
     out = np.empty(
         (x.shape[0], stacked_w.shape[-1]),
         dtype=np.result_type(x.dtype, stacked_w.dtype),
     )
+    from repro.serving.kernels import stable_grouped_into, stable_matmul
+
+    stable = stable or scale is not None
+    if stable and stable_grouped_into(
+        out, x, group_offsets, stacked_w, stacked_b, scale
+    ):
+        return out
     offs = [int(o) for o in group_offsets]
     for s, e, g in iter_group_slices(
-        zip(offs[:-1], offs[1:], range(num_groups))
+        zip(offs[:-1], offs[1:], range(stacked_w.shape[0]))
     ):
-        xg = x[s:e]
-        y = stable_matmul(xg, stacked_w[g]) if stable else xg @ stacked_w[g]
+        xg, wg = x[s:e], stacked_w[g]
+        if scale is not None:
+            y = stable_matmul(xg, wg.astype(np.float32))
+            y *= scale[g]
+        else:
+            y = stable_matmul(xg, wg) if stable else xg @ wg
         if stacked_b is not None:
             y += stacked_b[g]
         out[s:e] = y

@@ -1,8 +1,14 @@
-"""Shared model builders for the serving tests.
+"""Shared model builders and kernel-rung fixtures for the serving tests.
 
 Small models with a *small* ``max_seq_len`` so sliding-window behavior
 is exercised in a handful of decode steps (the factory-built models use
 the scaled Table-1 sequence lengths, which are too long for that).
+
+The serving GEMMs have two rungs — the generated-C family and the einsum
+reference it must equal bit for bit (:mod:`repro.serving.kernels`).
+``native_rung`` skips a test when the C family cannot bind here;
+``einsum_rung`` takes it away through the real switch (``REPRO_NO_CC=1``)
+so the test runs on the fallback exactly as a toolchain-less host would.
 """
 
 from __future__ import annotations
@@ -52,6 +58,33 @@ def make_model(system: str, top_k: int = 1, rng: int = 0) -> TransformerLM:
     )
     model.eval()
     return model
+
+
+def rebind_kernels() -> None:
+    """Forget the toolchain verdict and the kernel binding; the next
+    serving GEMM probes and binds again under the current environment."""
+    from repro.autograd.lower import toolchain
+    from repro.serving import kernels
+
+    toolchain._reset_for_tests()
+    kernels._reset_for_tests()
+
+
+@pytest.fixture
+def native_rung():
+    from repro.serving import kernels
+
+    if not (kernels._native or kernels._bind()):
+        pytest.skip("serving C kernels unavailable (no toolchain)")
+
+
+@pytest.fixture
+def einsum_rung(monkeypatch):
+    monkeypatch.setenv("REPRO_NO_CC", "1")
+    rebind_kernels()
+    yield
+    # monkeypatch restores the environment after this; binding is lazy.
+    rebind_kernels()
 
 
 @pytest.fixture

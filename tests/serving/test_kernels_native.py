@@ -1,0 +1,378 @@
+"""The generated-C serving GEMMs against their einsum reference, bit for bit.
+
+Differential: every entry point over a grid of awkward shapes and over
+hypothesis-drawn ones, special values, non-owning inputs.  Property: row
+``t`` of a batched call equals the single-row call (row-stability), the
+grouped entry equals the per-group loop, the int8 entry equals the
+``astype -> einsum -> *= -> +=`` sequence.  Failure paths: every way the
+C family can be unavailable lands on einsum with one warning, counted,
+and identical tokens.
+"""
+
+from __future__ import annotations
+
+import logging
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.autograd.lower import toolchain
+from repro.autograd.tensor import inference_mode
+from repro.observability.metrics import registry
+from repro.serving import kernels
+from repro.serving.engine import InferenceEngine
+from repro.serving.scheduler import ContinuousBatchingScheduler
+from repro.sparse.dispatch import grouped_rows_gemm
+
+from tests.serving.conftest import VOCAB, make_model, rebind_kernels
+from tests.serving.test_scheduler import _mixed_requests
+
+MS = (1, 3, 4, 5, 80)
+KS = (1, 37, 256)
+NS = (1, 2, 19, 64, 83, 1024)
+
+
+def bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same shape, same NaN positions, same bits everywhere else (signed
+    zeros distinguished; NaN payloads are outside the kernels' contract)."""
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    nan = np.isnan(a)
+    if not np.array_equal(nan, np.isnan(b)):
+        return False
+    return np.array_equal(a.view(np.uint32)[~nan], b.view(np.uint32)[~nan])
+
+
+def f32(rng, *shape) -> np.ndarray:
+    return rng.standard_normal(shape).astype(np.float32)
+
+
+def count(name: str) -> int:
+    return registry().counter(name).value
+
+
+def grouped_case(rng, sizes, k, n, int8=False):
+    """Operands of one grouped product with the given rows per group."""
+    g, t = len(sizes), int(sum(sizes))
+    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+    x, b = f32(rng, t, k), f32(rng, g, n)
+    if int8:
+        w = rng.integers(-127, 128, size=(g, k, n)).astype(np.int8)
+        scale = (rng.random((g, n)) + 0.5).astype(np.float32)
+    else:
+        w, scale = f32(rng, g, k, n), None
+    return x, offsets, w, b, scale
+
+
+def grouped_on_reference(monkeypatch, *args, **kwargs) -> np.ndarray:
+    """``grouped_rows_gemm`` through its per-group einsum loop."""
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "_native", False)
+        return grouped_rows_gemm(*args, **kwargs)
+
+
+# ----------------------------------------------------------------------
+# Differential: native vs einsum
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("m", MS)
+@pytest.mark.parametrize("k", KS)
+def test_linear_matches_einsum_on_the_grid(native_rung, m, k):
+    rng = np.random.default_rng(m * 1000 + k)
+    for n in NS:
+        x, w, b = f32(rng, m, k), f32(rng, k, n), f32(rng, n)
+        for bias in (None, b):
+            native_before = count("serve_native_calls")
+            got = kernels.stable_linear(x, w, bias)
+            took_native = count("serve_native_calls") - native_before
+            assert took_native == (1 if n > 1 else 0), (m, k, n)
+            assert bits_equal(got, kernels._linear_ref(x, w, bias)), (m, k, n)
+        assert bits_equal(kernels.stable_matmul(x, w), np.einsum("ij,jk->ik", x, w))
+
+
+@settings(derandomize=True)
+@given(
+    m=st.integers(1, 40), k=st.integers(1, 300), n=st.integers(2, 300),
+    lead=st.booleans(), seed=st.integers(0, 2**16),
+)
+def test_linear_matches_einsum_and_is_row_stable(m, k, n, lead, seed):
+    """Native = einsum on drawn shapes, and row ``t`` of the batched call
+    is the single-row call — on whichever rung is bound."""
+    rng = np.random.default_rng(seed)
+    x, w, b = f32(rng, m, k), f32(rng, k, n), f32(rng, n)
+    xin = x.reshape(m, 1, k) if lead else x
+    y = kernels.stable_linear(xin, w, b)
+    assert y.shape == xin.shape[:-1] + (n,)
+    assert bits_equal(y.reshape(m, n), kernels._linear_ref(x, w, b))
+    t = seed % m
+    assert bits_equal(kernels.stable_linear(x[t : t + 1], w, b), y.reshape(m, n)[t : t + 1])
+
+
+def test_special_values(native_rung):
+    """Signed zeros, infinities and NaNs flow through the same chain."""
+    rng = np.random.default_rng(0)
+    x, w = f32(rng, 6, 40), f32(rng, 40, 83)
+    x[0] = 0.0
+    x[1] = -0.0
+    x[2, 5] = np.inf
+    x[3, 7] = np.nan
+    x[4, :] = -np.inf
+    w[5, 3] = 0.0  # inf * 0 -> NaN in row 2, column 3 only
+    w[:, 11] = -0.0
+    for bias in (None, np.zeros(83, np.float32), f32(rng, 83)):
+        with np.errstate(invalid="ignore"):
+            want = kernels._linear_ref(x, w, bias)
+        got = kernels.stable_linear(x, w, bias)
+        assert bits_equal(got, want)
+    assert np.signbit(kernels.stable_linear(x, w)[1]).sum() == 0  # +0 + -0
+
+
+def test_non_owning_and_declined_inputs(native_rung):
+    rng = np.random.default_rng(1)
+    big, stack, b = f32(rng, 12, 48), f32(rng, 3, 48, 70), f32(rng, 70)
+    before = count("serve_native_calls")
+    # Row slices and a slice of a stack are contiguous views: native.
+    x, w = big[2:9], stack[1]
+    assert not x.flags.owndata and not w.flags.owndata
+    assert bits_equal(kernels.stable_linear(x, w, b), kernels._linear_ref(x, w, b))
+    # A read-only weight still runs natively (slower pointer path).
+    frozen = w.copy()
+    frozen.flags.writeable = False
+    assert bits_equal(kernels.stable_linear(x, frozen, b), kernels._linear_ref(x, w, b))
+    assert count("serve_native_calls") - before == 2
+    # Strided, transposed and float64 operands decline to einsum.
+    for xd, wd in (
+        (big[:, ::2], f32(rng, 24, 70)),
+        (x, np.asfortranarray(w)),
+        (x.astype(np.float64), w.astype(np.float64)),
+    ):
+        before = count("serve_native_calls")
+        got = kernels.stable_linear(xd, wd, b.astype(wd.dtype))
+        assert count("serve_native_calls") == before
+        assert np.array_equal(got, kernels._linear_ref(xd, wd, b.astype(wd.dtype)))
+    # Empty batches are einsum's business too.
+    assert kernels.stable_linear(big[:0], stack[0], b).shape == (0, 70)
+
+
+def test_every_gemm_is_counted(native_rung):
+    rng = np.random.default_rng(2)
+    x, w = f32(rng, 5, 16), f32(rng, 16, 32)
+    calls, flops, native = (
+        count("serve_gemm_calls"), count("serve_gemm_flops"), count("serve_native_calls")
+    )
+    kernels.stable_linear(x, w)                   # native
+    kernels.stable_matmul_tb(x, f32(rng, 9, 16))  # einsum by design
+    kernels.stable_linear(x, f32(rng, 16, 1))     # N == 1 declines
+    assert count("serve_gemm_calls") - calls == 3
+    assert count("serve_gemm_flops") - flops == 2 * 5 * 16 * (32 + 9 + 1)
+    assert count("serve_native_calls") - native == 1
+    assert count("serve_native_fallbacks") == 0 or kernels._native
+
+
+# ----------------------------------------------------------------------
+# The grouped entry (fp32 and int8)
+# ----------------------------------------------------------------------
+GROUPINGS = {
+    "empty-groups": [0, 3, 0, 0, 9, 1, 0],
+    "one-row-each": [1, 1, 1, 1],
+    "all-to-one": [0, 0, 17, 0],
+    "nothing-routed-last": [5, 12, 0],
+}
+
+
+@pytest.mark.parametrize("int8", [False, True], ids=["fp32", "int8"])
+@pytest.mark.parametrize("sizes", GROUPINGS.values(), ids=GROUPINGS.keys())
+def test_grouped_entry_equals_the_per_group_loop(native_rung, monkeypatch, sizes, int8):
+    rng = np.random.default_rng(sum(sizes))
+    for k, n in ((24, 70), (64, 128), (5, 3)):
+        x, offs, w, b, scale = grouped_case(rng, sizes, k, n, int8)
+        calls, native = count("serve_gemm_calls"), count("serve_native_calls")
+        got = grouped_rows_gemm(x, offs, w, b, stable=True, scale=scale)
+        # One native call for the whole product, however many groups.
+        assert count("serve_gemm_calls") - calls == 1
+        assert count("serve_native_calls") - native == 1
+        want = grouped_on_reference(
+            monkeypatch, x, offs, w, b, stable=True, scale=scale
+        )
+        assert bits_equal(got, want)
+        # ... and without a bias (fp32 only: int8 tables always carry one).
+        if not int8:
+            assert bits_equal(
+                grouped_rows_gemm(x, offs, w, None, stable=True),
+                grouped_on_reference(monkeypatch, x, offs, w, None, stable=True),
+            )
+
+
+@settings(derandomize=True)
+@given(
+    sizes=st.lists(st.integers(0, 12), min_size=1, max_size=8).filter(sum),
+    k=st.integers(1, 96), n=st.integers(2, 200), int8=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_grouped_entry_matches_einsum_per_group(sizes, k, n, int8, seed):
+    """Drawn group sizes: each group is its own row-stable product."""
+    rng = np.random.default_rng(seed)
+    x, offs, w, b, scale = grouped_case(rng, sizes, k, n, int8)
+    got = grouped_rows_gemm(x, offs, w, b, stable=True, scale=scale)
+    for g, size in enumerate(sizes):
+        lo, hi = int(offs[g]), int(offs[g + 1])
+        if size:
+            y = np.einsum("ij,jk->ik", x[lo:hi], w[g].astype(np.float32))
+            if scale is not None:
+                y *= scale[g]
+            y += b[g]
+            assert bits_equal(got[lo:hi], y)
+
+
+def test_int8_entry_equals_the_astype_sequence(native_rung):
+    """``astype -> einsum -> *= scale -> += bias``, without the copy."""
+    rng = np.random.default_rng(3)
+    for rows in (1, 4, 21):  # streamed rows, tiled rows with a ragged tail
+        x, offs, q, b, s = grouped_case(rng, [rows], 96, 130, int8=True)
+        y = np.einsum("ij,jk->ik", x, q[0].astype(np.float32))
+        y *= s[0]
+        y += b[0]
+        out = np.empty((rows, 130), np.float32)
+        assert kernels.stable_grouped_into(out, x, offs, q, b, s)
+        assert bits_equal(out, y)
+
+
+def test_grouped_entry_declines_what_it_cannot_prove(native_rung, monkeypatch):
+    rng = np.random.default_rng(4)
+    x, offs, w, b, _ = grouped_case(rng, [2, 3], 8, 16)
+    out = np.full((5, 16), 7.0, np.float32)
+    bad = offs.copy()
+    bad[-1] = 9  # a group reaching past x's rows
+    assert not kernels.stable_grouped_into(out, x, bad, w, b)
+    assert (out == 7.0).all()  # untouched
+    assert not kernels.stable_grouped_into(out, x, offs[:-1], w, b)  # wrong length
+    assert not kernels.stable_grouped_into(out, x, offs, w.astype(np.float64), b)
+    assert not kernels.stable_grouped_into(out, x[:, ::-1], offs, w, b)
+    # int32 / list offsets are converted, not declined.
+    assert kernels.stable_grouped_into(out, x, offs.astype(np.int32), w, b)
+    assert bits_equal(out, grouped_on_reference(monkeypatch, x, list(offs), w, b, stable=True))
+
+
+# ----------------------------------------------------------------------
+# Prefill runs the head on the last position only
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("system", ["dense", "dmoe"])
+def test_prefill_head_runs_on_the_last_position_only(system, prompts):
+    model = make_model(system)
+    engine = InferenceEngine(model)
+    with inference_mode():
+        full = model.forward(prompts).logits.data  # (B, S, vocab)
+    before = count("serve_gemm_flops")
+    with inference_mode():
+        model.forward(prompts)
+    full_flops = count("serve_gemm_flops") - before
+    cache = engine.new_cache(prompts.shape[0])
+    before = count("serve_gemm_flops")
+    last = engine.prefill(prompts, cache)
+    prefill_flops = count("serve_gemm_flops") - before
+    cache.release()
+    assert np.array_equal(last, full[:, -1, :])
+    batch, seq = prompts.shape
+    head_flops = 2 * batch * model.hidden_size * VOCAB
+    assert full_flops - prefill_flops == (seq - 1) * head_flops
+
+
+# ----------------------------------------------------------------------
+# Built behind the process's first compile, not at first use
+# ----------------------------------------------------------------------
+def test_serving_unit_registers_for_prebuild_at_import():
+    """Fresh interpreter: importing the kernels compiles nothing, and
+    leaves the unit registered with the toolchain."""
+    code = (
+        "from repro.autograd.lower import toolchain\n"
+        "import repro.nn\n"
+        "assert list(toolchain._prebuild) == ['serve'], toolchain._prebuild\n"
+        "assert not toolchain._libs and toolchain._probe is None\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120, env=env)
+
+
+def test_serving_unit_is_built_behind_the_first_compile(native_rung, monkeypatch, tmp_path):
+    monkeypatch.setenv("REPRO_LOWER_CACHE", str(tmp_path))
+    rebind_kernels()
+    toolchain.prebuild("serve", lambda: kernels.C_SOURCE)
+    try:
+        lib = toolchain.compile_and_load("int repro_probe(void) { return 7; }\n", tag="probe")
+        assert lib is not None and lib.repro_probe() == 7
+        assert list(tmp_path.glob("serve-*.so")), "serving unit not prebuilt"
+        compiled = count("lower_compile_ms")
+        assert kernels._bind()  # served from memory: no second compile
+        assert count("lower_compile_ms") == compiled
+    finally:
+        monkeypatch.undo()
+        rebind_kernels()
+
+
+# ----------------------------------------------------------------------
+# Failure paths: every way to lose the C family lands on einsum
+# ----------------------------------------------------------------------
+def _serve(model):
+    """An 8-request scheduled stream plus one prefill's logits."""
+    engine = InferenceEngine(model)
+    sched = ContinuousBatchingScheduler(engine, max_batch_size=3)
+    tokens = [r.tokens for r in sched.run(_mixed_requests(8, seed=9))]
+    sched.close()
+    cache = engine.new_cache(1)
+    logits = engine.prefill(np.arange(7)[None, :] % VOCAB, cache)
+    cache.release()
+    return tokens, logits
+
+
+def _no_cc(monkeypatch):
+    monkeypatch.setenv("REPRO_NO_CC", "1")
+
+
+def _missing_cc(monkeypatch):
+    monkeypatch.setenv("CC", "no-such-compiler-on-this-path")
+
+
+def _compile_failure(monkeypatch):
+    monkeypatch.setattr(kernels, "C_SOURCE", kernels.C_SOURCE + "\n#error broken\n")
+
+
+def _self_check_mismatch(monkeypatch):
+    monkeypatch.setattr(kernels, "_self_check", lambda *fns: False)
+
+
+@pytest.mark.parametrize(
+    "breakage", [_no_cc, _missing_cc, _compile_failure, _self_check_mismatch],
+    ids=lambda f: f.__name__.strip("_"),
+)
+@pytest.mark.parametrize("system", ["dmoe"])
+def test_losing_the_c_family_lands_on_einsum(
+    native_rung, monkeypatch, tmp_path, caplog, system, breakage
+):
+    model = make_model(system)
+    want_tokens, want_logits = _serve(model)  # on the native rung
+    assert kernels._native
+
+    monkeypatch.setenv("REPRO_LOWER_CACHE", str(tmp_path))
+    breakage(monkeypatch)
+    rebind_kernels()
+    native_before = count("serve_native_calls")
+    fallbacks_before = count("serve_native_fallbacks")
+    try:
+        with caplog.at_level(logging.WARNING):
+            got_tokens, got_logits = _serve(model)
+        assert kernels._native is False
+        warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert len(warnings) == 1, [r.getMessage() for r in warnings]
+        assert count("serve_native_calls") == native_before
+        assert count("serve_native_fallbacks") > fallbacks_before
+        assert np.array_equal(got_logits, want_logits)
+        assert len(got_tokens) == len(want_tokens) == 8
+        for got, want in zip(got_tokens, want_tokens):
+            assert np.array_equal(got, want)
+    finally:
+        monkeypatch.undo()
+        rebind_kernels()

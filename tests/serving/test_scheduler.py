@@ -193,3 +193,26 @@ def test_metrics_populated():
     for r in results:
         assert r.ttft_s >= 0.0
         assert r.total_s >= r.ttft_s
+
+
+def test_gemm_work_is_counted_and_printed():
+    """Every step's serving-GEMM FLOPs land in the registry and on the
+    scheduler; the table prints them by rung with the achieved rate."""
+    reg = registry()
+    flops_before = reg.counter("serve_gemm_flops").value
+    calls_before = reg.counter("serve_gemm_calls").value
+    engine = InferenceEngine(make_model("dmoe"))
+    sched = ContinuousBatchingScheduler(engine, max_batch_size=2)
+    sched.run(_mixed_requests(3, seed=21))
+    table = sched.latency_table()
+    sched.close()
+
+    spent = reg.counter("serve_gemm_flops").value - flops_before
+    assert spent > 0 and sched.step_gemm_flops == spent
+    assert sched.step_seconds > 0
+    calls = reg.counter("serve_gemm_calls").value - calls_before
+    native = reg.counter("serve_native_calls").value
+    fallbacks = reg.counter("serve_native_fallbacks").value
+    assert calls > 0 and (native > 0 or fallbacks > 0)
+    for field in ("gemm_calls=", "native=", "fallbacks=", "GFLOP/s of step wall"):
+        assert field in table
