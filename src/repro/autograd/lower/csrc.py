@@ -303,14 +303,24 @@ void repro_gelu_bwd_f32(const float *restrict g, const float *restrict a,
     }
 }
 
+/* Structural-zero rows.  The block-sparse bias/GELU kernels below take
+   ``rl``: the number of live rows inside each nonzero block (the
+   ``LiveLayout.block_rows`` of repro.sparse.dispatch; ``bs`` everywhere
+   for a topology that does not know its live rows).  They compute rows
+   [0, rl[n]) of block n and store +0.0f into rows [rl[n], bs) of every
+   buffer they write — the same rows, and the same zeros, as the NumPy
+   ops in repro.sparse.autograd_ops. */
+
 /* _SparseBiasGelu backward with the per-block column sum of
    ``_segment_reduce_bias_grad`` fused into the same pass: colsum[n,j] =
-   sum_i out[n,i,j], accumulated sequentially over i exactly as NumPy
-   reduces a middle axis (valid for bs > 1; callers guard). */
+   sum_{i < rl[n]} out[n,i,j], accumulated sequentially over i exactly as
+   NumPy reduces a middle axis (valid for bs > 1; callers guard); a block
+   with no live row sums to +0.0f. */
 void repro_gelu_bwd_colsum_f32(const float *restrict g,
                                const float *restrict a,
                                const float *restrict t, float *restrict out,
                                float *restrict colsum,
+                               const i64 *restrict rl,
                                i64 nnz, i64 bs, double k_, double c_)
 {
     const float K = (float)k_;
@@ -321,7 +331,10 @@ void repro_gelu_bwd_colsum_f32(const float *restrict g,
         const float *tb = t + n * bs * bs;
         float *ob = out + n * bs * bs;
         float *cs = colsum + n * bs;
-        for (i64 i = 0; i < bs; i++) {
+        i64 rows = rl[n];
+        if (rows == 0)
+            memset(cs, 0, (size_t)bs * sizeof(float));
+        for (i64 i = 0; i < rows; i++) {
             for (i64 j = 0; j < bs; j++) {
                 float ai = ab[i * bs + j], ti = tb[i * bs + j];
                 float d = ai * ai;
@@ -342,6 +355,7 @@ void repro_gelu_bwd_colsum_f32(const float *restrict g,
                 else cs[j] += o;
             }
         }
+        memset(ob + rows * bs, 0, (size_t)((bs - rows) * bs) * sizeof(float));
     }
 }
 
@@ -350,10 +364,12 @@ void repro_gelu_bwd_colsum_f32(const float *restrict g,
    plus the pre-tanh polynomial of ``_gelu_fwd``.  ``a`` is the saved
    activation input; ``inner`` receives C*(a + 0.044715*a^3) and is
    tanh'd in place by NumPy between the two stages (np.tanh is the one
-   transcendental that must stay NumPy for bit-identity). */
+   transcendental that must stay NumPy for bit-identity; the pad rows
+   hold +0.0 and stay +0.0 through it). */
 void repro_sbgelu_fwd1_f32(const float *restrict values,
                            const float *restrict bias,
-                           const i64 *restrict colidx, float *restrict a,
+                           const i64 *restrict colidx,
+                           const i64 *restrict rl, float *restrict a,
                            float *restrict inner,
                            i64 nnz, i64 bs, double k044_, double c_)
 {
@@ -364,7 +380,8 @@ void repro_sbgelu_fwd1_f32(const float *restrict values,
         const float *brow = bias + colidx[n] * bs;
         float *ab = a + n * bs * bs;
         float *ib = inner + n * bs * bs;
-        for (i64 i = 0; i < bs; i++) {
+        i64 rows = rl[n];
+        for (i64 i = 0; i < rows; i++) {
             for (i64 j = 0; j < bs; j++) {
                 float av = vb[i * bs + j] + brow[j];
                 ab[i * bs + j] = av;
@@ -375,18 +392,29 @@ void repro_sbgelu_fwd1_f32(const float *restrict values,
                 ib[i * bs + j] = C * tmp;
             }
         }
+        size_t pad = (size_t)((bs - rows) * bs) * sizeof(float);
+        memset(ab + rows * bs, 0, pad);
+        memset(ib + rows * bs, 0, pad);
     }
 }
 
-/* GELU forward, stage 2 (post-tanh): out = (0.5*a) * (1 + t). */
+/* _SparseBiasGelu forward, stage 2 (post-tanh): out = (0.5*a) * (1 + t)
+   over the live rows of each block. */
 void repro_gelu_posttanh_f32(const float *restrict a,
                              const float *restrict t, float *restrict out,
-                             i64 n)
+                             const i64 *restrict rl, i64 nnz, i64 bs)
 {
-    for (i64 i = 0; i < n; i++) {
-        float w = 1.0f + t[i];
-        float v = 0.5f * a[i];
-        out[i] = v * w;
+    for (i64 n = 0; n < nnz; n++) {
+        const float *ab = a + n * bs * bs;
+        const float *tb = t + n * bs * bs;
+        float *ob = out + n * bs * bs;
+        i64 live = rl[n] * bs;
+        for (i64 i = 0; i < live; i++) {
+            float w = 1.0f + tb[i];
+            float v = 0.5f * ab[i];
+            ob[i] = v * w;
+        }
+        memset(ob + live, 0, (size_t)(bs * bs - live) * sizeof(float));
     }
 }
 
@@ -723,48 +751,69 @@ i64 repro_allfinite_f32(const float *restrict x, i64 n)
 /* of the effective matrix offsets *within* stored rows (and vice      */
 /* versa for columns) — the pointer arithmetic mirrors the zero-copy   */
 /* NumPy views of repro.sparse.dispatch exactly.                       */
+/*                                                                     */
+/* lt is the (G, 2) int64 live table [live rows, GEMM rows] of the     */
+/* topology's LiveLayout: each group's GEMM runs over its live rows    */
+/* only (M = GEMM rows where the group's rows are an output extent —   */
+/* the one-row rule is applied by dispatch.gemm_rows, not here —, K =  */
+/* live rows where they are contracted), only those rows are staged or */
+/* unshuffled, and the pad rows [live, row_count*bs) of the output are */
+/* stored as +0.0f.  Same sgemm arguments, same zeros, as the NumPy    */
+/* executors.                                                          */
 /* ------------------------------------------------------------------ */
 
-/* Copy one group's blocks from the BCSR value array into the dense
- * stage rectangle (r*bs, c*bs): the _group_values reshape/swapaxes. */
+/* Copy the first ``rows`` rows of one group from the BCSR value array
+ * into the dense stage rectangle (rows, c*bs): the _group_values
+ * reshape/swapaxes. */
 static void repro_group_gather(const float *restrict values,
                                float *restrict stage,
-                               i64 r, i64 c, i64 v0, i64 bs)
+                               i64 rows, i64 c, i64 v0, i64 bs)
 {
     i64 ng = c * bs;
-    for (i64 br = 0; br < r; br++)
+    for (i64 br = 0; br * bs < rows; br++) {
+        i64 here = rows - br * bs < bs ? rows - br * bs : bs;
         for (i64 bc = 0; bc < c; bc++) {
             const float *vb = values + (v0 + br * c + bc) * bs * bs;
             float *sb = stage + br * bs * ng + bc * bs;
-            for (i64 ii = 0; ii < bs; ii++)
+            for (i64 ii = 0; ii < here; ii++)
                 memcpy(sb + ii * ng, vb + ii * bs,
                        (size_t)bs * sizeof(float));
         }
+    }
 }
 
 /* SDD: values of (A_eff @ B_eff) at each group rectangle; the product
- * lands in stage and is scattered block-by-block into values. */
+ * of the live rows lands in stage and is scattered block-by-block into
+ * values, pad rows as zeros. */
 void repro_grouped_sdd_f32(const float *restrict a, i64 ald, i64 atrans,
                            const float *restrict b, i64 bld, i64 btrans,
                            float *restrict values, const i64 *restrict gt,
+                           const i64 *restrict lt,
                            i64 G, i64 k, i64 bs, float *restrict stage)
 {
     for (i64 g = 0; g < G; g++) {
         i64 r0 = gt[g * 5], r = gt[g * 5 + 1];
         i64 c0 = gt[g * 5 + 2], c = gt[g * 5 + 3], v0 = gt[g * 5 + 4];
-        i64 mg = r * bs, ng = c * bs;
+        i64 lv = lt[g * 2], m = lt[g * 2 + 1];
+        i64 ng = c * bs;
         const float *ap = atrans ? a + r0 * bs : a + r0 * bs * ald;
         const float *bp = btrans ? b + c0 * bs * bld : b + c0 * bs;
-        repro_sgemm(101, atrans ? 112 : 111, btrans ? 112 : 111,
-                    mg, ng, k, 1.0f, ap, ald, bp, bld, 0.0f, stage, ng);
-        for (i64 br = 0; br < r; br++)
+        if (m > 0)
+            repro_sgemm(101, atrans ? 112 : 111, btrans ? 112 : 111,
+                        m, ng, k, 1.0f, ap, ald, bp, bld, 0.0f, stage, ng);
+        for (i64 br = 0; br < r; br++) {
+            i64 here = lv - br * bs;
+            here = here < 0 ? 0 : here > bs ? bs : here;
             for (i64 bc = 0; bc < c; bc++) {
                 float *vb = values + (v0 + br * c + bc) * bs * bs;
                 const float *sb = stage + br * bs * ng + bc * bs;
-                for (i64 ii = 0; ii < bs; ii++)
+                for (i64 ii = 0; ii < here; ii++)
                     memcpy(vb + ii * bs, sb + ii * ng,
                            (size_t)bs * sizeof(float));
+                memset(vb + here * bs, 0,
+                       (size_t)((bs - here) * bs) * sizeof(float));
             }
+        }
     }
 }
 
@@ -772,22 +821,34 @@ void repro_grouped_sdd_f32(const float *restrict a, i64 ald, i64 atrans,
 void repro_grouped_dsd_f32(const float *restrict values,
                            const float *restrict b, i64 bld, i64 btrans,
                            float *restrict out, i64 n,
-                           const i64 *restrict gt, i64 G, i64 strans,
+                           const i64 *restrict gt, const i64 *restrict lt,
+                           i64 G, i64 strans,
                            i64 bs, float *restrict stage)
 {
     for (i64 g = 0; g < G; g++) {
         i64 r0 = gt[g * 5], r = gt[g * 5 + 1];
         i64 c0 = gt[g * 5 + 2], c = gt[g * 5 + 3], v0 = gt[g * 5 + 4];
-        i64 mg = r * bs, ng = c * bs;
-        repro_group_gather(values, stage, r, c, v0, bs);
+        i64 lv = lt[g * 2], m = lt[g * 2 + 1];
+        i64 ng = c * bs;
         if (strans) {
-            const float *bp = btrans ? b + r0 * bs : b + r0 * bs * bld;
-            repro_sgemm(101, 112, btrans ? 112 : 111, ng, n, mg, 1.0f,
-                        stage, ng, bp, bld, 0.0f, out + c0 * bs * n, n);
+            float *op = out + c0 * bs * n;
+            if (lv > 0) {
+                const float *bp = btrans ? b + r0 * bs : b + r0 * bs * bld;
+                repro_group_gather(values, stage, lv, c, v0, bs);
+                repro_sgemm(101, 112, btrans ? 112 : 111, ng, n, lv, 1.0f,
+                            stage, ng, bp, bld, 0.0f, op, n);
+            } else {
+                memset(op, 0, (size_t)(ng * n) * sizeof(float));
+            }
         } else {
-            const float *bp = btrans ? b + c0 * bs : b + c0 * bs * bld;
-            repro_sgemm(101, 111, btrans ? 112 : 111, mg, n, ng, 1.0f,
-                        stage, ng, bp, bld, 0.0f, out + r0 * bs * n, n);
+            float *op = out + r0 * bs * n;
+            if (m > 0) {
+                const float *bp = btrans ? b + c0 * bs : b + c0 * bs * bld;
+                repro_group_gather(values, stage, m, c, v0, bs);
+                repro_sgemm(101, 111, btrans ? 112 : 111, m, n, ng, 1.0f,
+                            stage, ng, bp, bld, 0.0f, op, n);
+            }
+            memset(op + lv * n, 0, (size_t)((r * bs - lv) * n) * sizeof(float));
         }
     }
 }
@@ -797,22 +858,38 @@ void repro_grouped_dsd_f32(const float *restrict values,
 void repro_grouped_dds_f32(const float *restrict a, i64 ald, i64 atrans,
                            const float *restrict values,
                            float *restrict out, i64 mo, i64 nout,
-                           const i64 *restrict gt, i64 G, i64 strans,
+                           const i64 *restrict gt, const i64 *restrict lt,
+                           i64 G, i64 strans,
                            i64 bs, float *restrict stage)
 {
     for (i64 g = 0; g < G; g++) {
         i64 r0 = gt[g * 5], r = gt[g * 5 + 1];
         i64 c0 = gt[g * 5 + 2], c = gt[g * 5 + 3], v0 = gt[g * 5 + 4];
-        i64 mg = r * bs, ng = c * bs;
-        repro_group_gather(values, stage, r, c, v0, bs);
+        i64 lv = lt[g * 2], m = lt[g * 2 + 1];
+        i64 ng = c * bs;
         if (strans) {
-            const float *ap = atrans ? a + c0 * bs * ald : a + c0 * bs;
-            repro_sgemm(101, atrans ? 112 : 111, 112, mo, mg, ng, 1.0f,
-                        ap, ald, stage, ng, 0.0f, out + r0 * bs, nout);
+            float *op = out + r0 * bs;
+            if (m > 0) {
+                const float *ap = atrans ? a + c0 * bs * ald : a + c0 * bs;
+                repro_group_gather(values, stage, m, c, v0, bs);
+                repro_sgemm(101, atrans ? 112 : 111, 112, mo, m, ng, 1.0f,
+                            ap, ald, stage, ng, 0.0f, op, nout);
+            }
+            if (lv < r * bs)
+                for (i64 i = 0; i < mo; i++)
+                    memset(op + i * nout + lv, 0,
+                           (size_t)(r * bs - lv) * sizeof(float));
         } else {
-            const float *ap = atrans ? a + r0 * bs * ald : a + r0 * bs;
-            repro_sgemm(101, atrans ? 112 : 111, 111, mo, ng, mg, 1.0f,
-                        ap, ald, stage, ng, 0.0f, out + c0 * bs, nout);
+            float *op = out + c0 * bs;
+            if (lv > 0) {
+                const float *ap = atrans ? a + r0 * bs * ald : a + r0 * bs;
+                repro_group_gather(values, stage, lv, c, v0, bs);
+                repro_sgemm(101, atrans ? 112 : 111, 111, mo, ng, lv, 1.0f,
+                            ap, ald, stage, ng, 0.0f, op, nout);
+            } else {
+                for (i64 i = 0; i < mo; i++)
+                    memset(op + i * nout, 0, (size_t)ng * sizeof(float));
+            }
         }
     }
 }

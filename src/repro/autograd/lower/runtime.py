@@ -67,9 +67,9 @@ _KERNEL_SIGS = {
     "repro_clip_sumsq_f32": [_PTR, _PTR, _c_i64],
     "repro_scale_multi_f32": [_PTR, _PTR, _c_i64, _c_double],
     "repro_gelu_bwd_f32": [_PTR] * 4 + [_c_i64] + [_c_double] * 2,
-    "repro_gelu_bwd_colsum_f32": [_PTR] * 5 + [_c_i64] * 2 + [_c_double] * 2,
-    "repro_sbgelu_fwd1_f32": [_PTR] * 5 + [_c_i64] * 2 + [_c_double] * 2,
-    "repro_gelu_posttanh_f32": [_PTR] * 3 + [_c_i64],
+    "repro_gelu_bwd_colsum_f32": [_PTR] * 6 + [_c_i64] * 2 + [_c_double] * 2,
+    "repro_sbgelu_fwd1_f32": [_PTR] * 6 + [_c_i64] * 2 + [_c_double] * 2,
+    "repro_gelu_posttanh_f32": [_PTR] * 4 + [_c_i64] * 2,
     "repro_attn_fwd1_f32": [_PTR] * 3 + [_c_i64] * 2 + [_c_double],
     "repro_attn_fwd2_f32": [_PTR, _c_i64, _c_i64],
     "repro_attn_bwd_f32": [_PTR] * 4 + [_c_i64] * 2 + [_c_double],
@@ -83,15 +83,15 @@ _KERNEL_SIGS = {
     "repro_lbfrac_f32": [_PTR, _PTR, _c_i64, _c_i64, _PTR],
     "repro_allfinite_f32": [_PTR, _c_i64],
     "repro_grouped_sdd_f32": (
-        [_PTR, _c_i64, _c_i64, _PTR, _c_i64, _c_i64, _PTR, _PTR]
+        [_PTR, _c_i64, _c_i64, _PTR, _c_i64, _c_i64, _PTR, _PTR, _PTR]
         + [_c_i64] * 3 + [_PTR]
     ),
     "repro_grouped_dsd_f32": (
-        [_PTR, _PTR, _c_i64, _c_i64, _PTR, _c_i64, _PTR]
+        [_PTR, _PTR, _c_i64, _c_i64, _PTR, _c_i64, _PTR, _PTR]
         + [_c_i64] * 3 + [_PTR]
     ),
     "repro_grouped_dds_f32": (
-        [_PTR, _c_i64, _c_i64, _PTR, _PTR, _c_i64, _c_i64, _PTR]
+        [_PTR, _c_i64, _c_i64, _PTR, _PTR, _c_i64, _c_i64, _PTR, _PTR]
         + [_c_i64] * 3 + [_PTR]
     ),
     "repro_segsum_tr_f32": [_PTR] * 5 + [_c_i64] * 2,
@@ -192,24 +192,20 @@ def _check(a, desc) -> bool:
     )
 
 
-_TR_SEG_ATTR = "_lower_tr_segments"
-
-
 def _tr_segments(topo, nonempty, starts):
     """Flat int64 ``(transpose_block_offsets, nonempty_rows, extended
-    starts)`` triple for :c:func:`repro_segsum_tr_f32`, memoized on the
-    (frozen) topology like the dispatch plan.  ``starts`` gains one
+    starts)`` triple for :c:func:`repro_segsum_tr_f32`, memoized in the
+    topology's memo like the dispatch plan.  ``starts`` gains one
     trailing entry — the total block count — so segment ``t`` always
     spans ``[starts[t], starts[t+1])``."""
-    cached = getattr(topo, _TR_SEG_ATTR, None)
+    cached = topo.memo.get("lower_tr_segments")
     if cached is None:
         tbo = np.ascontiguousarray(topo.transpose_block_offsets, _I64)
         ne = np.ascontiguousarray(nonempty, _I64)
         st = np.empty(len(starts) + 1, _I64)
         st[:-1] = starts
         st[-1] = topo.nnz_blocks
-        cached = (tbo, ne, st)
-        object.__setattr__(topo, _TR_SEG_ATTR, cached)
+        cached = topo.memo["lower_tr_segments"] = (tbo, ne, st)
     return cached
 
 
@@ -724,6 +720,8 @@ class LoweredPlan:
             return run_scatter
 
         if unit.kind == "sbgelu":
+            from repro.sparse.dispatch import live_layout
+
             res_v = _resolver(graph, rec.specs[0])
             res_b = _resolver(graph, rec.specs[1])
             res_t = _resolver(graph, rec.specs[2])
@@ -755,13 +753,18 @@ class LoweredPlan:
                     return
                 nnz = v.shape[0]
                 colidx = np.ascontiguousarray(topo.column_indices, _I64)
+                layout = live_layout(topo)
+                rl = layout.block_rows
                 a = arena.empty(v.shape, _F4)
                 t = arena.empty(v.shape, _F4)
                 cfn1(v.ctypes.data, bias.ctypes.data, colidx.ctypes.data,
-                     a.ctypes.data, t.ctypes.data, nnz, bs, K044, C)
+                     rl.ctypes.data, a.ctypes.data, t.ctypes.data, nnz, bs,
+                     K044, C)
+                # pad rows of t hold +0.0 and tanh(+0.0) = +0.0
                 np.tanh(t, out=t)
                 out = arena.empty(v.shape, _F4)
-                cfn2(a.ctypes.data, t.ctypes.data, out.ctypes.data, v.size)
+                cfn2(a.ctypes.data, t.ctypes.data, out.ctypes.data,
+                     rl.ctypes.data, nnz, bs)
                 ctx = Context()
                 ctx.saved = (a, t, topo)
                 values[i] = (ctx, out)
@@ -987,6 +990,7 @@ class LoweredPlan:
                     fallback(values, inputs)
                     return
                 gt = _D.group_table(topo)
+                lt = _D.live_layout(topo).table
                 k = x.shape[1]
                 vals = arena.empty((topo.nnz_blocks, bs, bs), _F4)
                 stage = arena.out_buf((dplan.max_group_blocks * bs * bs,), _F4)
@@ -996,10 +1000,10 @@ class LoweredPlan:
                     else np.empty(dplan.max_group_blocks * bs * bs, _F4)
                 )
                 cfn(x.ctypes.data, k, 0, w.ctypes.data, w.shape[1], 0,
-                    vals.ctypes.data, gt.ctypes.data, gt.shape[0], k, bs,
-                    sbuf.ctypes.data)
+                    vals.ctypes.data, gt.ctypes.data, lt.ctypes.data,
+                    gt.shape[0], k, bs, sbuf.ctypes.data)
                 arena.release(stage)
-                _SS.record_op("sdd", _SS.PATH_GROUPED, 2 * topo.nnz * k)
+                _SS.record_product("sdd", _SS.PATH_GROUPED, topo, k)
                 ctx = Context()
                 ctx.saved = (x, w, topo)
                 values[i] = (ctx, vals)
@@ -1043,6 +1047,7 @@ class LoweredPlan:
                     fallback(values, inputs)
                     return
                 gt = _D.group_table(topo)
+                lt = _D.live_layout(topo).table
                 n = w.shape[1]
                 full = dplan.rows_covered_blocks * bs == rows_s
                 out = (
@@ -1057,9 +1062,10 @@ class LoweredPlan:
                     else np.empty(dplan.max_group_blocks * bs * bs, _F4)
                 )
                 cfn(v.ctypes.data, w.ctypes.data, n, 0, out.ctypes.data, n,
-                    gt.ctypes.data, gt.shape[0], 0, bs, sbuf.ctypes.data)
+                    gt.ctypes.data, lt.ctypes.data, gt.shape[0], 0, bs,
+                    sbuf.ctypes.data)
                 arena.release(stage)
-                _SS.record_op("dsd", _SS.PATH_GROUPED, 2 * topo.nnz * n)
+                _SS.record_product("dsd", _SS.PATH_GROUPED, topo, n)
                 ctx = Context()
                 ctx.saved = (v, w, topo)
                 values[i] = (ctx, out)
@@ -1390,6 +1396,7 @@ class LoweredPlan:
 
             if kind == "sbgelu":
                 from repro.sparse.autograd_ops import _SparseBiasGelu
+                from repro.sparse.dispatch import live_layout
                 from repro.sparse.ops import segment_meta
 
                 orig_s = _SparseBiasGelu.backward
@@ -1416,10 +1423,12 @@ class LoweredPlan:
                     ):
                         return orig_s(ctx, grad)
                     nnz = grad.shape[0]
+                    rl = live_layout(topo).block_rows
                     g = arena.empty(grad.shape, _F4)
                     colsum = arena.empty((nnz, bs), _F4)
                     ccol(grad.ctypes.data, a.ctypes.data, t.ctypes.data,
-                         g.ctypes.data, colsum.ctypes.data, nnz, bs, K, C)
+                         g.ctypes.data, colsum.ctypes.data, rl.ctypes.data,
+                         nnz, bs, K, C)
                     # The tail of _segment_reduce_bias_grad with the
                     # per-block column sums already computed: the
                     # transpose-order ``np.add.reduceat`` as a native
@@ -1635,7 +1644,7 @@ class LoweredPlan:
             cdsd = lib.repro_grouped_dsd_f32
             cdds = lib.repro_grouped_dds_f32
             grouped = _SS.PATH_GROUPED
-            rec_op = _SS.record_op
+            rec_op = _SS.record_product
 
             def _stage_for(dplan, bs):
                 size = dplan.max_group_blocks * bs * bs
@@ -1672,6 +1681,7 @@ class LoweredPlan:
                     ):
                         return orig(ctx, grad)
                     gt = _D.group_table(topo)
+                    lt = _D.live_layout(topo).table
                     G = gt.shape[0]
                     k = x.shape[1]
                     stage, sbuf = _stage_for(dplan, bs)
@@ -1683,9 +1693,9 @@ class LoweredPlan:
                         else arena.zeros((rows_s, k), _F4)
                     )
                     cdsd(grad.ctypes.data, w.ctypes.data, w.shape[1], 1,
-                         dx.ctypes.data, k, gt.ctypes.data, G, 0, bs,
-                         sbuf.ctypes.data)
-                    rec_op("dsd", grouped, 2 * topo.nnz * k)
+                         dx.ctypes.data, k, gt.ctypes.data, lt.ctypes.data,
+                         G, 0, bs, sbuf.ctypes.data)
+                    rec_op("dsd", grouped, topo, k)
                     # DD^TS: dW = X^T @ dH into group column bands.
                     full = (
                         dplan.cols_disjoint
@@ -1697,10 +1707,10 @@ class LoweredPlan:
                         else arena.zeros((k, cols_s), _F4)
                     )
                     cdds(x.ctypes.data, k, 1, grad.ctypes.data,
-                         dw.ctypes.data, k, cols_s, gt.ctypes.data, G, 0, bs,
-                         sbuf.ctypes.data)
+                         dw.ctypes.data, k, cols_s, gt.ctypes.data,
+                         lt.ctypes.data, G, 0, bs, sbuf.ctypes.data)
                     arena.release(stage)
-                    rec_op("dds", grouped, 2 * topo.nnz * k)
+                    rec_op("dds", grouped, topo, k)
                     return dx, dw
 
                 return sdd_bwd
@@ -1733,15 +1743,16 @@ class LoweredPlan:
                 ):
                     return orig(ctx, grad)
                 gt = _D.group_table(topo)
+                lt = _D.live_layout(topo).table
                 G = gt.shape[0]
                 n = grad.shape[1]
                 stage, sbuf = _stage_for(dplan, bs)
                 # SDD^T: dH = dY @ W^T sampled at H's topology.
                 dh = arena.empty((topo.nnz_blocks, bs, bs), _F4)
                 csdd(grad.ctypes.data, n, 0, w.ctypes.data, w.shape[1], 1,
-                     dh.ctypes.data, gt.ctypes.data, G, n, bs,
-                     sbuf.ctypes.data)
-                rec_op("sdd", grouped, 2 * topo.nnz * n)
+                     dh.ctypes.data, gt.ctypes.data, lt.ctypes.data, G, n,
+                     bs, sbuf.ctypes.data)
+                rec_op("sdd", grouped, topo, n)
                 # DS^TD: dW = H^T @ dY into group column-range rows.
                 full = (
                     dplan.cols_disjoint
@@ -1753,10 +1764,10 @@ class LoweredPlan:
                     else arena.zeros((cols_s, n), _F4)
                 )
                 cdsd(h_values.ctypes.data, grad.ctypes.data, n, 0,
-                     dw.ctypes.data, n, gt.ctypes.data, G, 1, bs,
-                     sbuf.ctypes.data)
+                     dw.ctypes.data, n, gt.ctypes.data, lt.ctypes.data, G, 1,
+                     bs, sbuf.ctypes.data)
                 arena.release(stage)
-                rec_op("ds^td", grouped, 2 * topo.nnz * n)
+                rec_op("ds^td", grouped, topo, n)
                 return dh, dw
 
             return dsd_bwd

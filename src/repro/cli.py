@@ -71,6 +71,7 @@ from repro.observability import (
     validate_chrome_trace,
 )
 from repro.checkpoint import CheckpointManager, load_checkpoint, save_checkpoint
+from repro.sparse import stats as sparse_stats
 from repro.training import Adam, Trainer, TrainerConfig, WarmupCosineLR
 from repro.utils.logging import get_logger
 from repro.utils.rng import seed_all
@@ -645,6 +646,14 @@ def main(argv=None) -> int:
             reg.counter("lower_cache_hits").value,
             reg.counter("lower_segment_fallbacks").value,
             reg.counter("lower_toolchain_fallbacks").value,
+        )
+
+    live, padded = sparse_stats.rows_total()
+    if padded:
+        logger.info(
+            "sparse kernels: multiplied %d of %d padded rows "
+            "(%.1f%% padding skipped)",
+            live, padded, 100.0 * (1 - sparse_stats.live_row_fraction()),
         )
 
     if trainer.routing_stats:

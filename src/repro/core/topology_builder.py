@@ -10,10 +10,16 @@ backward passes.
 Topologies are memoized in a small LRU cache keyed by the block-group
 layout (``blocks_per_expert`` x column widths x block size).  Routing
 distributions repeat constantly during training — identical
-``tokens_per_expert`` vectors yield byte-identical metadata — so steady
-state skips metadata construction (and the dispatch-plan analysis, which
-is warmed here) entirely.  Hit rates are reported through
+block-count vectors yield byte-identical metadata — so steady state
+skips metadata construction (and the dispatch-plan analysis, which is
+warmed here) entirely.  Hit rates are reported through
 :mod:`repro.sparse.stats`.
+
+What ``make_topology`` returns is a per-call *view* of the cached entry
+that also carries the plan's tokens per non-empty expert as
+``Topology.live_rows``: the kernels skip the block-rounding padding
+(:mod:`repro.sparse.dispatch`, "Structural-zero rows") while the cache
+stays keyed on block counts, which is all the metadata depends on.
 """
 
 from __future__ import annotations
@@ -74,9 +80,10 @@ def cached_block_diagonal_topology(
     stats.record_cache("misses")
     with span("topology_build"):
         topo = Topology.block_diagonal(rows_per, cols_per, block_size)
-        # Warm the grouped-GEMM dispatch plan while we are paying the
-        # construction cost anyway; every later kernel call reads it cached.
-        dispatch.analyze(topo)
+        # Warm the grouped-GEMM dispatch plan and group table while we
+        # are paying the construction cost anyway; every later kernel
+        # call reads them from the memo.
+        dispatch.group_table(topo)
     _cache[key] = topo
     if len(_cache) > TOPOLOGY_CACHE_SIZE:
         _cache.popitem(last=False)
@@ -84,22 +91,34 @@ def cached_block_diagonal_topology(
     return topo
 
 
-def make_topology(plan: PaddedPlan, ffn_hidden_size: int) -> Topology:
+def make_topology(
+    plan: PaddedPlan,
+    ffn_hidden_size: Union[int, Sequence[int], np.ndarray],
+) -> Topology:
     """Block-diagonal topology for the hidden activations of a dMoE layer.
 
-    The sparse matrix has shape ``(total_padded_tokens,
-    num_experts * ffn_hidden_size)``; the nonzero region of expert ``e`` is
-    its padded token rows crossed with its ffn column slice.
+    The sparse matrix has shape ``(total_padded_tokens, sum of expert ffn
+    widths)``; the nonzero region of expert ``e`` is its padded token
+    rows crossed with its ffn column slice.  ``ffn_hidden_size`` is one
+    width for all experts or one per expert (variable-sized experts).
+
+    The result knows the live rows of each group (``plan``'s tokens per
+    non-empty expert), so the kernels multiply no padding.
     """
     bs = plan.block_size
-    if ffn_hidden_size % bs:
+    if np.ndim(ffn_hidden_size) == 0:
+        cols, ragged = divmod(int(ffn_hidden_size), bs)
+    else:
+        cols, ragged = np.divmod(np.asarray(ffn_hidden_size, dtype=np.int64), bs)
+        ragged = ragged.any()
+    if ragged:
         raise ValueError(
             f"ffn_hidden_size={ffn_hidden_size} must be a multiple of the "
             f"block size {bs} (paper §5.2 pads tokens, not features)"
         )
-    return cached_block_diagonal_topology(
-        plan.blocks_per_expert, ffn_hidden_size // bs, bs
-    )
+    topo = cached_block_diagonal_topology(plan.blocks_per_expert, cols, bs)
+    counts = plan.tokens_per_expert
+    return dispatch.with_live_rows(topo, counts[counts > 0])
 
 
 def expert_of_padded_row(plan: PaddedPlan) -> np.ndarray:

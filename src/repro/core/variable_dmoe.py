@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.autograd import ACTIVATIONS, getitem
 from repro.autograd.tensor import Tensor
-from repro.core.topology_builder import cached_block_diagonal_topology
+from repro.core.topology_builder import make_topology
 from repro.moe.permute import (
     PaddedPlan,
     make_padded_plan,
@@ -127,12 +127,6 @@ class VariableSizedDMoE(Module):
         self.last_topology: Optional[Topology] = None
         self.last_routing: Optional[RoutingResult] = None
 
-    def _make_topology(self, plan: PaddedPlan) -> Topology:
-        cols_per_group = self.experts.ffn_hidden_sizes // self.block_size
-        return cached_block_diagonal_topology(
-            plan.blocks_per_expert, cols_per_group, self.block_size
-        )
-
     def forward(self, x: Tensor) -> Tuple[Tensor, Optional[Tensor]]:
         orig_shape = x.shape
         if x.ndim == 3:
@@ -142,7 +136,7 @@ class VariableSizedDMoE(Module):
         plan = make_padded_plan(
             routing.expert_indices, self.num_experts, self.block_size
         )
-        topology = self._make_topology(plan)
+        topology = make_topology(plan, self.experts.ffn_hidden_sizes)
         self.last_plan = plan
         self.last_topology = topology
         self.last_routing = routing

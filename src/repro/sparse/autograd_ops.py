@@ -15,10 +15,11 @@ import numpy as np
 
 from repro.autograd import arena, stats
 from repro.autograd.function import Function
-from repro.autograd.ops_fused import _chainable, _gelu_bwd, _gelu_fwd
+from repro.autograd.ops_fused import _gelu_bwd, _gelu_fwd
 from repro.autograd.tensor import Tensor, as_tensor
+from repro.sparse.dispatch import live_layout
 from repro.sparse.matrix import BlockSparseMatrix
-from repro.sparse.ops import dds, dsd, sdd, segment_meta
+from repro.sparse.ops import add_bias_live, dds, dsd, sdd, segment_meta
 from repro.sparse.topology import Topology
 
 
@@ -70,14 +71,16 @@ def dsd_mm(h_values: Tensor, w: Tensor, topology: Topology) -> Tensor:
 
 
 class _SparseBiasAdd(Function):
-    """Add per-column bias to sparse values (layer-1 bias inside experts)."""
+    """Add per-column bias to sparse values (layer-1 bias inside experts).
+
+    Structural-zero rows (``topology.live_rows``) receive no bias: they
+    come out as ``+0.0`` and contribute nothing to the bias gradient."""
 
     @staticmethod
     def forward(ctx, values, bias, topology):
-        bs = topology.block_size
-        per_block = bias.reshape(topology.block_cols, bs)[topology.column_indices]
         ctx.save_for_backward(topology)
-        return values + per_block[:, None, :]
+        out = np.empty(values.shape, np.result_type(values.dtype, bias.dtype))
+        return add_bias_live(values, bias, topology, out)
 
     @staticmethod
     def backward(ctx, grad):
@@ -88,16 +91,25 @@ class _SparseBiasAdd(Function):
 def _segment_reduce_bias_grad(grad: np.ndarray, topology: Topology) -> np.ndarray:
     """Per-column bias gradient from sparse value grads.
 
-    Walks the per-block sums in transpose (column-sorted) order so the
-    per-column accumulation is a segment reduction, not a scatter-add.
+    Sums each block's live rows, then walks the per-block sums in
+    transpose (column-sorted) order so the per-column accumulation is a
+    segment reduction, not a scatter-add.
     """
     bs = topology.block_size
-    gbias_blocks = grad.sum(axis=1)  # (nnz, bs): sum over block rows
+    layout = live_layout(topology)
+    # (nnz, bs): sum over the live rows of each block.
+    gbias_blocks = arena.empty((topology.nnz_blocks, bs), grad.dtype)
+    for lo, hi, rows in layout.live_regions:
+        np.sum(grad[lo:hi, :rows], axis=1, out=gbias_blocks[lo:hi])
+    for lo, hi, rows in layout.pad_regions:
+        if rows == 0:
+            gbias_blocks[lo:hi] = 0
     gbias = arena.zeros((topology.block_cols, bs), grad.dtype)
     nonempty, starts = segment_meta(topology, transpose=True)
     if len(nonempty):
         sorted_blocks = gbias_blocks[topology.transpose_block_offsets]
         gbias[nonempty] = np.add.reduceat(sorted_blocks, starts, axis=0)
+    arena.release(gbias_blocks)
     return gbias.reshape(-1)
 
 
@@ -109,18 +121,15 @@ def sparse_bias_add(values: Tensor, bias: Tensor, topology: Topology) -> Tensor:
 class _SparseBiasGelu(Function):
     """Fused ``gelu(sparse_bias_add(values, bias))`` — one tape node for
     the expert first-layer bias + activation, bit-identical to the
-    composition of ``_SparseBiasAdd`` and ``ops_nn._GELU``."""
+    composition of ``_SparseBiasAdd`` and ``ops_nn._GELU``.  Pad rows of
+    every buffer it produces are ``+0.0``: the bias add writes them, the
+    GELU chain keeps them (``gelu(+0.0)`` and ``tanh(+0.0)`` are
+    ``+0.0``), and the backward zeroes them in the value gradient."""
 
     @staticmethod
     def forward(ctx, values, bias, topology):
-        bs = topology.block_size
-        per_block = bias.reshape(topology.block_cols, bs)[topology.column_indices]
-        pb = per_block[:, None, :]
-        if _chainable(values, per_block):
-            a = arena.empty(values.shape, values.dtype)
-            np.add(values, pb, out=a)
-        else:
-            a = values + pb
+        a = arena.empty(values.shape, np.result_type(values.dtype, bias.dtype))
+        add_bias_live(values, bias, topology, a)
         t, out = _gelu_fwd(a)
         ctx.save_for_backward(a, t, topology)
         return out
@@ -129,6 +138,7 @@ class _SparseBiasGelu(Function):
     def backward(ctx, grad):
         a, t, topology = ctx.saved
         g = _gelu_bwd(grad, a, t)
+        live_layout(topology).zero_pad_rows(g)
         return g, _segment_reduce_bias_grad(g, topology)
 
 

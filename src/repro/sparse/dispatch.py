@@ -36,10 +36,38 @@ The dispatch decision is ``auto`` by default (grouped when valid and the
 groups are coarse enough to beat the batched per-block path); tests and
 benchmarks can force either path via :func:`set_mode` /
 :func:`dispatch_mode`.
+
+Structural-zero rows
+--------------------
+A dMoE group is padded to a multiple of the block size because a GPU
+tile is a whole block; ``sgemm`` takes any row count.  When the topology
+knows how many rows of each group hold data (``Topology.live_rows``,
+attached by :func:`with_live_rows` — ``make_topology`` does it from the
+``PaddedPlan``), the grouped executors issue each group's GEMM over its
+live rows only — M, or K for the two weight-gradient products — stage
+and unshuffle only those rows, and write exact ``+0.0`` into the pad
+rows of their output.  The padded *layout* (shapes, value order, the
+per-block view) is untouched: this skips rows, it is not a second
+representation.  A topology without ``live_rows`` runs every row, as
+before.  :class:`LiveLayout` holds every form of the counts the NumPy
+executors, the sparse bias/GELU ops and the generated-C kernels read.
+
+The one-row rule.  NumPy routes a matmul whose row or column extent is 1
+through ``sgemv``, which rounds differently from ``cblas_sgemm`` at the
+same extent — and the generated-C kernels always call ``sgemm``.  So a
+group with exactly one live row runs with that extent set to 2: the
+second row is the group's first pad row, which always exists when
+``block_size >= 2`` (the native runners decline smaller blocks), and
+whatever the GEMM leaves there is overwritten by the pad-row zero-fill.
+The weight-gradient products contract over the live rows (K = live),
+where extent 1 is bit-stable, so they take the count as it is.
+:func:`gemm_rows` is the only statement of this rule; the C kernels
+receive its result in the live table.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -60,7 +88,7 @@ _MODE = "auto"
 #: per-block path wins.
 MIN_BLOCKS_PER_GROUP = 4
 
-_PLAN_ATTR = "_dispatch_plan"
+_PLAN_KEY = "dispatch_plan"
 
 
 def set_mode(mode: str) -> None:
@@ -165,9 +193,7 @@ class DispatchPlan:
         ``(row_lo, row_hi, col_lo, col_hi, row_count, col_count,
         val_start)`` with the block ranges scaled by the block size.
 
-        This is the bounds form :func:`iter_group_slices` consumes, so
-        the training executors and the serving ``grouped_rows_gemm``
-        drive the same iteration primitive."""
+        The grouped executors iterate this beside ``LiveLayout.rows``."""
         cached = self.__dict__.get("_element_groups")
         if cached is None or cached[0] != bs:
             cached = (
@@ -242,19 +268,17 @@ def _build_plan(topo: Topology) -> DispatchPlan | None:
 def analyze(topo: Topology) -> DispatchPlan | None:
     """The (cached) dispatch plan of ``topo``, or ``None`` if it has no
     rectangular group structure."""
-    cached = topo.__dict__.get(_PLAN_ATTR, _UNSET)
+    cached = topo.memo.get(_PLAN_KEY, _UNSET)
     if cached is _UNSET:
-        cached = _build_plan(topo)
-        # Topology is a frozen dataclass; the plan is derived metadata,
-        # so stashing it on the instance keeps the cache lifetime tied
-        # to the topology itself.
-        object.__setattr__(topo, _PLAN_ATTR, cached)
+        # Derived metadata lives in the topology's memo, so its lifetime
+        # is the topology's and live-row views share it.
+        cached = topo.memo[_PLAN_KEY] = _build_plan(topo)
     return cached
 
 
 _UNSET = object()
 
-_GROUP_TABLE_ATTR = "_dispatch_group_table"
+_GROUP_TABLE_KEY = "dispatch_group_table"
 
 
 def group_table(topo: Topology) -> Optional[np.ndarray]:
@@ -264,15 +288,15 @@ def group_table(topo: Topology) -> Optional[np.ndarray]:
 
     This is the flat form the generated-C grouped-GEMM kernels iterate
     (:mod:`repro.autograd.lower.csrc`); like the plan itself it is
-    derived metadata, cached on the topology so the per-step native
+    derived metadata, memoized on the topology so the per-step native
     dispatch never rebuilds it.  ``None`` when the topology has no
     rectangular group structure."""
     plan = analyze(topo)
     if plan is None:
         return None
-    table = topo.__dict__.get(_GROUP_TABLE_ATTR, _UNSET)
-    if table is _UNSET:
-        table = np.ascontiguousarray(
+    table = topo.memo.get(_GROUP_TABLE_KEY)
+    if table is None:
+        table = topo.memo[_GROUP_TABLE_KEY] = np.ascontiguousarray(
             np.stack(
                 [
                     plan.row_start,
@@ -284,26 +308,130 @@ def group_table(topo: Topology) -> Optional[np.ndarray]:
                 axis=1,
             ).astype(np.int64)
         )
-        object.__setattr__(topo, _GROUP_TABLE_ATTR, table)
     return table
 
 
-def iter_group_slices(groups):
-    """The one shared group-slice iterator: yield every *non-empty*
-    group tuple from ``groups``, an iterable of ``(start, end,
-    payload...)`` slices.
+# ----------------------------------------------------------------------
+# Structural-zero rows (see the module docstring)
+# ----------------------------------------------------------------------
+def gemm_rows(live: int, padded: int) -> int:
+    """Row (or column) extent a group's GEMM runs with — the one-row
+    rule of the module docstring."""
+    return min(2, padded) if live == 1 else live
 
-    Empty groups (``start >= end``) are skipped — an expert that
-    received no tokens contributes no GEMM.  Both the serving-path
-    :func:`grouped_rows_gemm` (token prefix-sum offsets, where empty
-    experts are routine) and the training grouped executors
-    (:meth:`DispatchPlan.element_groups`, whose groups are non-empty by
-    construction) iterate through here, so the skip rule lives in
-    exactly one place."""
-    for item in groups:
-        if item[0] >= item[1]:
-            continue
-        yield item
+
+class LiveLayout:
+    """The live-row counts of one topology, in every form a kernel reads.
+
+    Built once per topology *view* by :func:`live_layout`; a topology
+    without ``live_rows`` gets the all-rows-live layout, so every
+    consumer has a single code path.
+    """
+
+    def __init__(self, topo: Topology, plan: Optional[DispatchPlan]) -> None:
+        bs = topo.block_size
+        self.block_size = bs
+        self.nnz_blocks = topo.nnz_blocks
+        self._groups = plan.groups if plan is not None else ()
+        padded = [g[1] * bs for g in self._groups]
+        live = topo.live_rows
+        if live is None:
+            counts = padded
+        else:
+            counts = np.asarray(live).tolist()
+            if len(counts) != len(padded) or any(
+                not 0 <= lv <= p for lv, p in zip(counts, padded)
+            ):
+                raise ValueError(
+                    f"live_rows {counts} do not fit the topology's row "
+                    f"groups (padded rows {padded})"
+                )
+        #: False when every row is live (nothing to skip or zero).
+        self.has_padding = counts != padded
+        #: Per group ``(live rows, GEMM rows)`` as plain ints.
+        self.rows = tuple((lv, gemm_rows(lv, p)) for lv, p in zip(counts, padded))
+        #: Rows that hold data / rows of the padded layout, over all groups.
+        self.rows_live = sum(counts)
+        self.rows_padded = sum(padded)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """``rows`` as the C-contiguous ``(num_groups, 2)`` int64 table
+        the generated-C grouped kernels walk beside the group table."""
+        return np.array(self.rows, dtype=np.int64).reshape(-1, 2)
+
+    @cached_property
+    def _regions(self):
+        bs = self.block_size
+        if not self.has_padding:
+            return ((0, self.nnz_blocks, bs),), ()
+        live, pad = [], []
+        for (_, r, _, c, v0), (lv, _) in zip(self._groups, self.rows):
+            full, rem = divmod(lv, bs)
+            if full:
+                live.append((v0, v0 + full * c, bs))
+            if rem:
+                edge = (v0 + full * c, v0 + (full + 1) * c, rem)
+                live.append(edge)
+                pad.append(edge)
+                full += 1
+            if full < r:
+                pad.append((v0 + full * c, v0 + r * c, 0))
+        return tuple(live), tuple(pad)
+
+    @property
+    def live_regions(self) -> tuple:
+        """``(lo, hi, rows)`` triples covering exactly the live rows of a
+        ``(nnz_blocks, bs, bs)`` value array: ``arr[lo:hi, :rows]``."""
+        return self._regions[0]
+
+    @property
+    def pad_regions(self) -> tuple:
+        """``(lo, hi, rows)`` triples covering exactly the pad rows:
+        ``arr[lo:hi, rows:]``."""
+        return self._regions[1]
+
+    @cached_property
+    def block_rows(self) -> np.ndarray:
+        """``(nnz_blocks,)`` int64 live rows inside each nonzero block —
+        the per-block form the generated-C bias/GELU kernels loop over."""
+        rows = np.full(self.nnz_blocks, self.block_size, dtype=np.int64)
+        for lo, hi, n in self.pad_regions:
+            rows[lo:hi] = n
+        return rows
+
+    def zero_pad_rows(self, *arrays: np.ndarray) -> None:
+        """Write ``+0.0`` into the pad rows of value-shaped ``arrays``."""
+        for lo, hi, n in self.pad_regions:
+            for arr in arrays:
+                arr[lo:hi, n:] = 0
+
+
+_LAYOUT_KEY = "live_layout"
+
+
+def live_layout(topo: Topology) -> LiveLayout:
+    """The (cached) :class:`LiveLayout` of ``topo``: shared through the
+    memo when the topology has no ``live_rows``, per view otherwise."""
+    store = topo.memo if topo.live_rows is None else topo.__dict__
+    layout = store.get(_LAYOUT_KEY)
+    if layout is None:
+        layout = store[_LAYOUT_KEY] = LiveLayout(topo, analyze(topo))
+    return layout
+
+
+def with_live_rows(topo: Topology, live_rows) -> Topology:
+    """A shallow view of ``topo`` that knows how many rows of each dense
+    row group hold data (one count per group, in row order).
+
+    The view shares the index arrays and the memoized dispatch metadata
+    with ``topo`` — only the counts are per view — so attaching a fresh
+    vector every step costs no topology work.  Raises ``ValueError``
+    when the counts do not fit the groups.
+    """
+    view = dataclasses.replace(topo, live_rows=np.asarray(live_rows, np.int64))
+    live_layout(view)
+    return view
 
 
 def use_grouped(plan: DispatchPlan | None, needs_disjoint_cols: bool) -> bool:
@@ -322,7 +450,11 @@ def use_grouped(plan: DispatchPlan | None, needs_disjoint_cols: bool) -> bool:
 # ----------------------------------------------------------------------
 # Grouped executors.  All take effective (logical) operands as views —
 # callers resolve trans_a/trans_b by passing ``a.T`` / ``b.T`` — so the
-# only copies are the per-group block-layout shuffles.
+# only copies are the per-group block-layout shuffles.  Each group's
+# GEMM runs over its live rows (``LiveLayout.rows``); the generated-C
+# kernels of ``repro.autograd.lower.csrc`` issue the same
+# ``(transA, transB, M, N, K, ld*)`` sgemm per group, which is what
+# keeps eager = replay = cc bitwise.
 # ----------------------------------------------------------------------
 def _stage_buf(plan: DispatchPlan, bs: int, dtype) -> Optional[np.ndarray]:
     """One flat arena buffer sized for the largest group of ``plan``.
@@ -334,17 +466,26 @@ def _stage_buf(plan: DispatchPlan, bs: int, dtype) -> Optional[np.ndarray]:
 
 
 def _group_values(
-    values: np.ndarray, v0: int, r: int, c: int, stage: Optional[np.ndarray]
+    values: np.ndarray,
+    v0: int,
+    c: int,
+    rows: int,
+    stage: Optional[np.ndarray],
 ) -> np.ndarray:
-    """Dense ``(r*bs, c*bs)`` matrix of one group (one contiguous copy),
-    staged into ``stage`` when the arena provided one."""
+    """The first ``rows`` rows of one group as a dense ``(rows, c*bs)``
+    matrix (one copy of those rows only), staged into ``stage`` when the
+    arena provided one."""
     bs = values.shape[-1]
-    blocks = values[v0 : v0 + r * c].reshape(r, c, bs, bs).swapaxes(1, 2)
+    br = -(-rows // bs)
+    blocks = values[v0 : v0 + br * c].reshape(br, c, bs, bs).swapaxes(1, 2)
     if stage is None:
-        return blocks.reshape(r * bs, c * bs)
-    buf = stage[: r * bs * c * bs].reshape(r * bs, c * bs)
-    np.copyto(buf.reshape(r, bs, c, bs), blocks)
-    return buf
+        return blocks.reshape(br * bs, c * bs)[:rows]
+    buf = stage[: br * bs * c * bs].reshape(br, bs, c, bs)
+    full, rem = divmod(rows, bs)
+    np.copyto(buf[:full], blocks[:full])
+    if rem:
+        np.copyto(buf[full, :rem], blocks[full, :rem])
+    return buf.reshape(br * bs, c * bs)[:rows]
 
 
 def grouped_sdd(
@@ -358,22 +499,31 @@ def grouped_sdd(
     over contiguous row/column slices, written straight into the BCSR
     value layout."""
     bs = topo.block_size
-    # Every nonzero block belongs to exactly one group, so each value
-    # slice is written exactly once — no zero-init needed.
+    layout = live_layout(topo)
+    # Every nonzero block belongs to exactly one group and each group
+    # writes its live rows from the product and its pad rows as zeros,
+    # so every element is assigned exactly once — no zero-init needed.
     values = arena.empty((topo.nnz_blocks, bs, bs), out_dtype)
     stage = _stage_buf(plan, bs, np.result_type(a_eff, b_eff))
-    for rlo, rhi, clo, chi, r, c, v0 in iter_group_slices(
-        plan.element_groups(bs)
+    for (rlo, _, clo, chi, r, c, v0), (lv, m) in zip(
+        plan.element_groups(bs), layout.rows
     ):
-        a_g = a_eff[rlo:rhi]
+        if not m:
+            continue
+        a_g = a_eff[rlo : rlo + m]
         b_g = b_eff[:, clo:chi]
         if stage is None:
             prod = np.matmul(a_g, b_g)
         else:
-            prod = np.matmul(a_g, b_g, out=stage[: r * bs * c * bs].reshape(r * bs, c * bs))
-        values[v0 : v0 + r * c].reshape(r, c, bs, bs)[...] = prod.reshape(
-            r, bs, c, bs
-        ).swapaxes(1, 2)
+            prod = np.matmul(a_g, b_g, out=stage[: m * c * bs].reshape(m, c * bs))
+        block = values[v0 : v0 + r * c].reshape(r, c, bs, bs)
+        full, rem = divmod(lv, bs)
+        block[:full] = prod[: full * bs].reshape(full, bs, c, bs).swapaxes(1, 2)
+        if rem:
+            block[full, :, :rem] = (
+                prod[full * bs : lv].reshape(rem, c, bs).swapaxes(0, 1)
+            )
+    layout.zero_pad_rows(values)
     arena.release(stage)
     return values
 
@@ -388,6 +538,7 @@ def grouped_dsd(
 ) -> np.ndarray:
     """``(S op) @ B_eff`` with one GEMM per group, scatter-free."""
     bs = topo.block_size
+    layout = live_layout(topo)
     rows_s, cols_s = topo.shape
     m_eff = cols_s if trans_s else rows_s
     if trans_s:
@@ -395,21 +546,28 @@ def grouped_dsd(
     else:
         full = plan.rows_covered_blocks * bs == m_eff
     # Full coverage means every output row is assigned exactly once
-    # below, so the zero-fill would be pure memset overhead.
+    # below (live rows by a GEMM, pad rows by the zero-fill), so the
+    # up-front zero-fill would be pure memset overhead.
     out = (
         arena.empty((m_eff, b_eff.shape[1]), out_dtype)
         if full
         else arena.zeros((m_eff, b_eff.shape[1]), out_dtype)
     )
     stage = _stage_buf(plan, bs, values.dtype)
-    for rlo, rhi, clo, chi, r, c, v0 in iter_group_slices(
-        plan.element_groups(bs)
+    for (rlo, rhi, clo, chi, _, c, v0), (lv, m) in zip(
+        plan.element_groups(bs), layout.rows
     ):
-        s_g = _group_values(values, v0, r, c, stage)
         if trans_s:
-            np.matmul(s_g.T, b_eff[rlo:rhi], out=out[clo:chi])
+            if lv:
+                s_g = _group_values(values, v0, c, lv, stage)
+                np.matmul(s_g.T, b_eff[rlo : rlo + lv], out=out[clo:chi])
+            else:
+                out[clo:chi] = 0
         else:
-            np.matmul(s_g, b_eff[clo:chi], out=out[rlo:rhi])
+            if m:
+                s_g = _group_values(values, v0, c, m, stage)
+                np.matmul(s_g, b_eff[clo:chi], out=out[rlo : rlo + m])
+            out[rlo + lv : rhi] = 0
     arena.release(stage)
     return out
 
@@ -424,6 +582,7 @@ def grouped_dds(
 ) -> np.ndarray:
     """``A_eff @ (S op)`` with one GEMM per group, scatter-free."""
     bs = topo.block_size
+    layout = live_layout(topo)
     rows_s, cols_s = topo.shape
     n_eff = rows_s if trans_s else cols_s
     if trans_s:
@@ -438,14 +597,20 @@ def grouped_dds(
         else arena.zeros((a_eff.shape[0], n_eff), out_dtype)
     )
     stage = _stage_buf(plan, bs, values.dtype)
-    for rlo, rhi, clo, chi, r, c, v0 in iter_group_slices(
-        plan.element_groups(bs)
+    for (rlo, rhi, clo, chi, _, c, v0), (lv, m) in zip(
+        plan.element_groups(bs), layout.rows
     ):
-        s_g = _group_values(values, v0, r, c, stage)
         if trans_s:
-            np.matmul(a_eff[:, clo:chi], s_g.T, out=out[:, rlo:rhi])
+            if m:
+                s_g = _group_values(values, v0, c, m, stage)
+                np.matmul(a_eff[:, clo:chi], s_g.T, out=out[:, rlo : rlo + m])
+            out[:, rlo + lv : rhi] = 0
         else:
-            np.matmul(a_eff[:, rlo:rhi], s_g, out=out[:, clo:chi])
+            if lv:
+                s_g = _group_values(values, v0, c, lv, stage)
+                np.matmul(a_eff[:, rlo : rlo + lv], s_g, out=out[:, clo:chi])
+            else:
+                out[:, clo:chi] = 0
     arena.release(stage)
     return out
 
@@ -497,9 +662,10 @@ def grouped_rows_gemm(
     ):
         return out
     offs = [int(o) for o in group_offsets]
-    for s, e, g in iter_group_slices(
-        zip(offs[:-1], offs[1:], range(stacked_w.shape[0]))
-    ):
+    for s, e, g in zip(offs[:-1], offs[1:], range(stacked_w.shape[0])):
+        if s >= e:
+            # An expert that received no tokens contributes no GEMM.
+            continue
         xg, wg = x[s:e], stacked_w[g]
         if scale is not None:
             y = stable_matmul(xg, wg.astype(np.float32))

@@ -114,29 +114,19 @@ def _out_dtype(a: np.ndarray, b: np.ndarray, dtype) -> np.dtype:
     return np.result_type(a.dtype, b.dtype)
 
 
-_SEG_META_ATTR = "_segment_meta"
-
-
 def segment_meta(topo: Topology, transpose: bool):
     """``(nonempty_rows, reduceat_starts)`` for one segment order, memoized
-    on the topology (same lifetime trick as the dispatch plan: Topology
-    is frozen, so the derived metadata is stashed via object.__setattr__
-    and lives exactly as long as the topology — which the builder LRU
-    keeps hot across steps).  Previously recomputed on every blocked
-    kernel call even on topology-cache hits.
+    in the topology's memo like the dispatch plan, so it lives exactly
+    as long as the topology — which the builder LRU keeps hot across
+    steps.
     """
-    cached = getattr(topo, _SEG_META_ATTR, None)
-    if cached is None:
-        cached = [None, None]
-        object.__setattr__(topo, _SEG_META_ATTR, cached)
-    key = 1 if transpose else 0
-    meta = cached[key]
+    key = ("segment_meta", transpose)
+    meta = topo.memo.get(key)
     if meta is None:
         offsets = topo.transpose_row_offsets if transpose else topo.row_offsets
         nonempty = np.flatnonzero(np.diff(offsets) > 0)
         starts = offsets[nonempty].astype(np.intp)
-        meta = (nonempty, starts)
-        cached[key] = meta
+        meta = topo.memo[key] = (nonempty, starts)
     return meta
 
 
@@ -190,7 +180,6 @@ def sdd(
     if k_a != k_b:
         raise ValueError(f"inner dimensions disagree: {k_a} vs {k_b}")
     out_dtype = _out_dtype(a, b, dtype)
-    flops = 2 * topology.nnz * k_a
 
     plan = dispatch.analyze(topology)
     if dispatch.use_grouped(plan, needs_disjoint_cols=False):
@@ -198,14 +187,14 @@ def sdd(
             a_eff = a.T if trans_a else a
             b_eff = b.T if trans_b else b
             values = dispatch.grouped_sdd(a_eff, b_eff, topology, plan, out_dtype)
-        stats.record_op("sdd", stats.PATH_GROUPED, flops)
+        stats.record_product("sdd", stats.PATH_GROUPED, topology, k_a)
         return BlockSparseMatrix(topology, values)
 
     with span("sdd", _SPAN_BLOCKED):
         a_blocks = _row_block_view(a, bs, trans_a)[topology.row_indices]
         b_blocks = _col_block_view(b, bs, trans_b)[topology.column_indices]
         values = np.matmul(a_blocks, b_blocks).astype(out_dtype, copy=False)
-    stats.record_op("sdd", stats.PATH_BLOCKED, flops)
+    stats.record_product("sdd", stats.PATH_BLOCKED, topology, k_a)
     return BlockSparseMatrix(topology, values)
 
 
@@ -247,7 +236,6 @@ def dsd(
         )
     out_dtype = _out_dtype(s.values, b, dtype)
     op_name = "ds^td" if trans_s else "dsd"
-    flops = 2 * topo.nnz * n_eff
 
     plan = dispatch.analyze(topo)
     if dispatch.use_grouped(plan, needs_disjoint_cols=trans_s):
@@ -256,7 +244,7 @@ def dsd(
             out = dispatch.grouped_dsd(
                 s.values, b_eff, topo, plan, trans_s, out_dtype
             )
-        stats.record_op(op_name, stats.PATH_GROUPED, flops)
+        stats.record_product(op_name, stats.PATH_GROUPED, topo, n_eff)
         return out
 
     with span(op_name, _SPAN_BLOCKED):
@@ -272,7 +260,7 @@ def dsd(
                 stripe_ids = topo.column_indices
             prod = np.matmul(block_values, stripes[stripe_ids])
             _segment_reduce(prod, segment_meta(topo, trans_s), out)
-    stats.record_op(op_name, stats.PATH_BLOCKED, flops)
+    stats.record_product(op_name, stats.PATH_BLOCKED, topo, n_eff)
     return out.reshape(m_eff, n_eff)
 
 
@@ -311,7 +299,6 @@ def dds(
         )
     out_dtype = _out_dtype(a, s.values, dtype)
     op_name = "dds^t" if trans_s else "dds"
-    flops = 2 * topo.nnz * m_eff
 
     plan = dispatch.analyze(topo)
     if dispatch.use_grouped(plan, needs_disjoint_cols=not trans_s):
@@ -320,7 +307,7 @@ def dds(
             out = dispatch.grouped_dds(
                 a_eff, s.values, topo, plan, trans_s, out_dtype
             )
-        stats.record_op(op_name, stats.PATH_GROUPED, flops)
+        stats.record_product(op_name, stats.PATH_GROUPED, topo, m_eff)
         return out
 
     with span(op_name, _SPAN_BLOCKED):
@@ -348,7 +335,7 @@ def dds(
                 out[:, nonempty, :] = np.add.reduceat(
                     prod, starts, axis=0
                 ).transpose(1, 0, 2)
-    stats.record_op(op_name, stats.PATH_BLOCKED, flops)
+    stats.record_product(op_name, stats.PATH_BLOCKED, topo, m_eff)
     return out.reshape(m_eff, n_eff)
 
 
@@ -360,20 +347,35 @@ def map_values(s: BlockSparseMatrix, fn) -> BlockSparseMatrix:
     return BlockSparseMatrix(s.topology, fn(s.values))
 
 
+def add_bias_live(
+    values: np.ndarray, bias: np.ndarray, topo: Topology, out: np.ndarray
+) -> np.ndarray:
+    """``out = values + bias`` (bias broadcast per block column) with the
+    pad rows of ``topo`` then set to ``+0.0``.  The one NumPy
+    implementation behind :func:`add_bias_columns` and the autograd
+    ``_SparseBiasAdd`` / ``_SparseBiasGelu`` forwards."""
+    bs = topo.block_size
+    per_block = bias.reshape(topo.block_cols, bs)[topo.column_indices]
+    np.add(values, per_block[:, None, :], out=out)
+    dispatch.live_layout(topo).zero_pad_rows(out)
+    return out
+
+
 def add_bias_columns(s: BlockSparseMatrix, bias: np.ndarray) -> BlockSparseMatrix:
     """Add a per-output-column bias to the nonzero blocks.
 
     ``bias`` has one entry per column of the sparse matrix; block ``k``
-    sees the slice for its block column.  Zero blocks stay zero — the MoE
-    padding rows receive bias too, but they are sliced away by
-    ``padded_scatter`` so this matches the dense computation on real rows.
+    sees the slice for its block column.  Zero blocks stay zero, and so
+    do the structural-zero (padding) rows of a topology that knows its
+    live rows: they receive no bias and come out as ``+0.0``, which is
+    what the dense computation on real rows needs — ``padded_scatter``
+    slices them away.
     """
     topo = s.topology
-    bs = topo.block_size
     bias = np.asarray(bias)
     if bias.shape != (topo.shape[1],):
         raise ValueError(
             f"bias must have shape ({topo.shape[1]},), got {bias.shape}"
         )
-    per_block = bias.reshape(topo.block_cols, bs)[topo.column_indices]
-    return BlockSparseMatrix(topo, s.values + per_block[:, None, :])
+    out = np.empty(s.values.shape, np.result_type(s.values.dtype, bias.dtype))
+    return BlockSparseMatrix(topo, add_bias_live(s.values, bias, topo, out))

@@ -23,7 +23,7 @@ Three encodings coexist over one value array (kept in BCSR order):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -49,6 +49,20 @@ class Topology:
             listing nonzero blocks in transposed (column-major) order.
         transpose_row_offsets: row pointer of the transposed matrix,
             length ``block_cols + 1``.
+        live_rows: optional per-group count of rows that hold data, one
+            entry per dense rectangular group in row order (for a dMoE
+            topology: the tokens routed to each non-empty expert).  The
+            rows of a group beyond its count are *structural zeros* —
+            block-rounding padding — which the grouped kernels skip and
+            every sparse op leaves as ``+0.0`` in what it produces
+            (:mod:`repro.sparse.dispatch`, "Structural-zero rows").
+            ``None``: every row is live.  It
+            annotates the rows, not the pattern, so it takes no part in
+            ``==`` / ``hash``.  Attach with
+            :func:`repro.sparse.dispatch.with_live_rows`.
+        memo: metadata derived from the index arrays (dispatch plan,
+            group table, segment tables), filled lazily by the kernels.
+            Live-row views of one topology share it.
     """
 
     shape: Tuple[int, int]
@@ -58,6 +72,8 @@ class Topology:
     row_indices: np.ndarray = field(repr=False)
     transpose_block_offsets: np.ndarray = field(repr=False)
     transpose_row_offsets: np.ndarray = field(repr=False)
+    live_rows: Optional[np.ndarray] = field(default=None, repr=False)
+    memo: dict = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------
     # Constructors

@@ -309,6 +309,7 @@ class TestGemmMoeKernelFuzz:
                 continue
             tried += 1
             gt = dispatch.group_table(topo)
+            lt = dispatch.live_layout(topo).table
             G = gt.shape[0]
             M, N = topo.shape
             k = int(rng.integers(2, 10))
@@ -334,8 +335,8 @@ class TestGemmMoeKernelFuzz:
                     lib.repro_grouped_sdd_f32(
                         a.ctypes.data, a.shape[1], at,
                         b.ctypes.data, b.shape[1], bt,
-                        got.ctypes.data, gt.ctypes.data, G, k, bs,
-                        stage.ctypes.data,
+                        got.ctypes.data, gt.ctypes.data, lt.ctypes.data,
+                        G, k, bs, stage.ctypes.data,
                     )
                     np.testing.assert_array_equal(got, ref)
 
@@ -352,8 +353,8 @@ class TestGemmMoeKernelFuzz:
                     got = np.zeros((m_eff, n), np.float32)
                     lib.repro_grouped_dsd_f32(
                         vals.ctypes.data, b.ctypes.data, b.shape[1], bt,
-                        got.ctypes.data, n, gt.ctypes.data, G, st, bs,
-                        stage.ctypes.data,
+                        got.ctypes.data, n, gt.ctypes.data, lt.ctypes.data,
+                        G, st, bs, stage.ctypes.data,
                     )
                     np.testing.assert_array_equal(got, ref)
 
@@ -370,8 +371,8 @@ class TestGemmMoeKernelFuzz:
                     got = np.zeros((mo, n_eff), np.float32)
                     lib.repro_grouped_dds_f32(
                         a.ctypes.data, a.shape[1], at, vals.ctypes.data,
-                        got.ctypes.data, mo, n_eff, gt.ctypes.data, G, st,
-                        bs, stage.ctypes.data,
+                        got.ctypes.data, mo, n_eff, gt.ctypes.data,
+                        lt.ctypes.data, G, st, bs, stage.ctypes.data,
                     )
                     np.testing.assert_array_equal(got, ref)
         assert tried >= 30  # the fuzz actually exercised grouped plans
@@ -391,6 +392,7 @@ class TestGemmMoeKernelFuzz:
             )
             plan = dispatch.analyze(topo)
             gt = dispatch.group_table(topo)
+            lt = dispatch.live_layout(topo).table
             M, N = topo.shape
             x = rng.standard_normal((M, k)).astype(np.float32)
             w = rng.standard_normal((k, N)).astype(np.float32)
@@ -399,7 +401,8 @@ class TestGemmMoeKernelFuzz:
             stage = np.empty(plan.max_group_blocks * bs * bs, np.float32)
             lib.repro_grouped_sdd_f32(
                 x.ctypes.data, k, 0, w.ctypes.data, N, 0, got.ctypes.data,
-                gt.ctypes.data, gt.shape[0], k, bs, stage.ctypes.data,
+                gt.ctypes.data, lt.ctypes.data, gt.shape[0], k, bs,
+                stage.ctypes.data,
             )
             np.testing.assert_array_equal(got, ref)
 

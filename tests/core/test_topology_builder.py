@@ -9,7 +9,7 @@ from repro.core.topology_builder import (
     topology_cache_len,
 )
 from repro.moe import make_padded_plan
-from repro.sparse import stats
+from repro.sparse import dispatch, stats
 
 
 class TestMakeTopology:
@@ -48,7 +48,13 @@ class TestTopologyCache:
         plan_b = make_padded_plan(idx, 3, block_size=4)
         topo_a = make_topology(plan_a, ffn_hidden_size=8)
         topo_b = make_topology(plan_b, ffn_hidden_size=8)
-        assert topo_a is topo_b
+        # Per-call live-row views over one cached entry: the index
+        # arrays and the memoized dispatch metadata are shared.
+        assert topo_a == topo_b
+        assert topo_a.row_offsets is topo_b.row_offsets
+        assert topo_a.memo is topo_b.memo
+        assert dispatch.analyze(topo_a) is dispatch.analyze(topo_b)
+        np.testing.assert_array_equal(topo_a.live_rows, [5, 1])
         snap = stats.snapshot()["cache"]
         assert snap == {"hits": 1, "misses": 1, "evictions": 0}
         assert stats.cache_hit_rate() == 0.5
@@ -75,9 +81,7 @@ class TestTopologyCache:
     def test_cached_topology_is_valid_and_plan_warmed(self):
         topo = cached_block_diagonal_topology(np.array([2, 0, 3]), 2, 4)
         topo.validate()
-        from repro.sparse import dispatch
-
-        assert "_dispatch_plan" in topo.__dict__
+        assert {"dispatch_plan", "dispatch_group_table"} <= set(topo.memo)
         assert dispatch.analyze(topo).num_groups == 2
 
 

@@ -154,8 +154,8 @@ def test_step_lower_smoke(bench):
     """Native-lowering benchmark: generated-C execution must stay
     bit-identical to eager and replay, cover >= 90% of the replay
     records (grouped-GEMM, dense-GEMM, and router kernels included),
-    hold the load-compensated speedup floors over both the PR 5 replay
-    interpreter and PR 6's lowered path, and emit BENCH_lower.json."""
+    run faster than the interleaved replay interpreter, and emit
+    BENCH_lower.json."""
     mod = bench("test_step_lower")
     assert mod.SMOKE
     mod.test_step_lower(_PassthroughBenchmark())

@@ -14,8 +14,10 @@ warning and the fallback counter ticked.
 import numpy as np
 import pytest
 
-from repro.autograd import lower
+from repro.autograd import getitem, lower, softmax
+from repro.autograd.graph import host as graph_host
 from repro.autograd.lower import toolchain
+from repro.moe.router import Router, RoutingResult
 from repro.observability import registry
 from repro.resilience.faults import (
     NAN_GRAD,
@@ -65,6 +67,62 @@ class TestLoweredBitIdentity:
         assert lowered.step_graph._lowered is not None
         # Guards held: this workload's live shapes never left the plan.
         assert reg.counter("lower_segment_fallbacks").value == before
+
+
+class _ForcedRouter(Router):
+    """Learned scores, forced assignment: every call picks (from the
+    bits of its scores, so all rungs pick alike and replays differ from
+    the capture) one of three extreme routings of ``n`` tokens over 4
+    experts — a one-token expert beside empty ones, everything on one
+    expert, and two one-token experts."""
+
+    def __init__(self, rng):
+        super().__init__(16, 4, rng=rng)
+        self.seen = set()
+
+    def _indices(self, scores):
+        n = scores.shape[0]
+        pick = int(scores.view(np.uint32).sum()) % 3
+        self.seen.add(pick)
+        counts = ([1, 0, n - 1, 0], [0, n, 0, 0], [n - 2, 1, 0, 1])[pick]
+        return np.repeat(np.arange(4), counts)[:, None]
+
+    def forward(self, x):
+        scores = softmax(self.proj(x), axis=-1)
+        indices = graph_host(self._indices, scores.data)
+        rows = np.arange(indices.shape[0])[:, None]
+        return RoutingResult(
+            indices, getitem(scores, (rows, indices)), scores, None, None
+        )
+
+
+@needs_cc
+class TestExtremeRoutings:
+    def test_one_token_empty_and_all_to_one_experts(self):
+        """The one-row rule at work: groups of exactly one live row run
+        their GEMMs as two rows on every rung, so eager = replay = cc
+        stays bitwise and no native unit declines."""
+        reg = registry()
+        before = {
+            k: reg.counter(k).value
+            for k in ("lower_segment_fallbacks", "graph_fallbacks")
+        }
+        prints = {}
+        for backend in ("eager", "replay", "cc"):
+            routers = []
+
+            def factory(i):
+                routers.append(_ForcedRouter(rng=100 + i))
+                return routers[-1]
+
+            tr = _trainer(backend, steady=True, router_factory=factory)
+            prints[backend] = _fingerprint(tr, tr.train())
+            assert set().union(*(r.seen for r in routers)) == {0, 1, 2}
+        _assert_same(prints["eager"], prints["replay"])
+        _assert_same(prints["eager"], prints["cc"])
+        assert tr.step_graph._lowered is not None
+        for k, v in before.items():
+            assert reg.counter(k).value == v, k
 
 
 @needs_cc

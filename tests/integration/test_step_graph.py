@@ -43,13 +43,17 @@ def _trainer(
     dropout_p=0.1,
     max_steps=STEPS,
     eval_every=2,
+    router_factory=None,
 ):
     from repro.core import dMoE
 
     pile = SyntheticPile(PileConfig(vocab_size=64, num_domains=3, branching=4), seed=1)
     ds = LMDataset(pile.token_stream(6_000, 32), seq_len=16)
     train, val = ds.split(0.1)
-    ffn = lambda i: dMoE(16, 32, num_experts=4, block_size=8, rng=i)
+    ffn = lambda i: dMoE(
+        16, 32, num_experts=4, block_size=8, rng=i,
+        router=router_factory(i) if router_factory else None,
+    )
     model = TransformerLM(64, 16, 2, 2, 16, ffn_factory=ffn, dropout_p=dropout_p, rng=0)
     cfg = TrainerConfig(
         global_batch=8,
