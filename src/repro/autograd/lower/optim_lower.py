@@ -37,6 +37,14 @@ def attach_adam(opt) -> bool:
     if lib is None:
         return False
     runtime.bind(lib)
+    from repro.observability.metrics import registry
+
+    # What one step must move: p, m and v read and written, g read —
+    # seven fp32 words per element.  Against the measured optimizer
+    # phase this is the loop's achieved bytes/s (``repro.cli`` prints it).
+    registry().gauge("optim_bytes_per_step").set(
+        28 * sum(p.data.size for p in opt.params)
+    )
     cfn = lib.repro_adam_f32
     mfn = lib.repro_adam_multi_f32
     f32 = np.float32

@@ -1697,15 +1697,7 @@ class LoweredPlan:
                          G, 0, bs, sbuf.ctypes.data)
                     rec_op("dsd", grouped, topo, k)
                     # DD^TS: dW = X^T @ dH into group column bands.
-                    full = (
-                        dplan.cols_disjoint
-                        and dplan.cols_covered_blocks * bs == cols_s
-                    )
-                    dw = (
-                        arena.empty((k, cols_s), _F4)
-                        if full
-                        else arena.zeros((k, cols_s), _F4)
-                    )
+                    dw = _D.band_output(dplan, bs, (k, cols_s), _F4, 1)
                     cdds(x.ctypes.data, k, 1, grad.ctypes.data,
                          dw.ctypes.data, k, cols_s, gt.ctypes.data,
                          lt.ctypes.data, G, 0, bs, sbuf.ctypes.data)
@@ -1754,15 +1746,7 @@ class LoweredPlan:
                      bs, sbuf.ctypes.data)
                 rec_op("sdd", grouped, topo, n)
                 # DS^TD: dW = H^T @ dY into group column-range rows.
-                full = (
-                    dplan.cols_disjoint
-                    and dplan.cols_covered_blocks * bs == cols_s
-                )
-                dw = (
-                    arena.empty((cols_s, n), _F4)
-                    if full
-                    else arena.zeros((cols_s, n), _F4)
-                )
+                dw = _D.band_output(dplan, bs, (cols_s, n), _F4, 0)
                 cdsd(h_values.ctypes.data, grad.ctypes.data, n, 0,
                      dw.ctypes.data, n, gt.ctypes.data, lt.ctypes.data, G, 1,
                      bs, sbuf.ctypes.data)

@@ -2,8 +2,10 @@
 
 The lowering pass renders one translation unit per captured graph and
 hands it here.  Compilation is keyed by a content hash of the rendered
-source plus the compiler's version line, so repeat runs with the same
-graph signature load the cached ``.so`` straight from
+source plus the compiler's version line, the flags and the host CPU's
+feature list (``-march=native`` compiles for it), so repeat runs with
+the same graph signature on the same kind of host load the cached
+``.so`` straight from
 ``~/.cache/repro/lower/`` (override with ``REPRO_LOWER_CACHE``) without
 invoking ``cc`` at all.
 
@@ -29,6 +31,7 @@ import ctypes
 import hashlib
 import logging
 import os
+import platform
 import shutil
 import subprocess
 import tempfile
@@ -44,7 +47,20 @@ logger = logging.getLogger(__name__)
 #: needs ``-fassociative-math``), it only widens independent per-element
 #: lanes — the same SIMD NumPy's ufunc loops use — so the generated
 #: code stays bit-identical while running 4-16 lanes wide.
-CFLAGS = ("-O3", "-march=native", "-fPIC", "-shared", "-ffp-contract=off")
+#: ``-fno-math-errno`` changes no value: it only drops the ``errno``
+#: store C's ``sqrtf`` owes a negative argument (nothing here reads
+#: ``errno``), which is what lets a loop with a square root in it — the
+#: Adam step — compile to packed ``sqrt``/``div``; both are correctly
+#: rounded, scalar or packed.  Every other member of ``-ffast-math``
+#: changes values and stays out (``tests/autograd/test_lowering.py``).
+CFLAGS = (
+    "-O3",
+    "-march=native",
+    "-fPIC",
+    "-shared",
+    "-ffp-contract=off",
+    "-fno-math-errno",
+)
 
 #: Artifact-key epoch, bumped when the prelude's runtime ABI changes in
 #: a way the source hash alone cannot capture — e.g. the grouped-GEMM
@@ -52,7 +68,8 @@ CFLAGS = ("-O3", "-march=native", "-fPIC", "-shared", "-ffp-contract=off")
 #: stale ``.so`` from a pre-BLAS-bridge cache must never be served.
 CACHE_VERSION = "2"
 
-# None = not probed yet; False = unavailable; (cc_path, version) = usable.
+# None = not probed yet; False = unavailable;
+# (cc_path, version, host_isa) = usable.
 _probe: Optional[object] = None
 _warned = False
 _libs: Dict[str, ctypes.CDLL] = {}
@@ -68,6 +85,25 @@ def _warn_once(reason: str) -> None:
             "native lowering unavailable (%s); falling back to NumPy replay",
             reason,
         )
+
+
+def _host_isa() -> str:
+    """What ``-march=native`` compiles for on this host: the machine
+    type plus the CPU feature list.  Part of the artifact key, so a
+    cache directory shared between hosts never hands a smaller CPU an
+    artifact holding instructions it lacks.  Reads ``/proc/cpuinfo``
+    (no subprocess); ``platform.processor()`` where that has no
+    feature line."""
+    flags = ""
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith(("flags", "Features")):
+                    flags = line.partition(":")[2].strip()
+                    break
+    except OSError:
+        pass
+    return f"{platform.machine()} {flags or platform.processor()}"
 
 
 def _do_probe():
@@ -87,11 +123,12 @@ def _do_probe():
         return False, f"{name} --version exited {out.returncode}"
     banner = (out.stdout or out.stderr or "").splitlines()
     version = banner[0].strip() if banner else "unknown"
-    return (path, version), None
+    return (path, version, _host_isa()), None
 
 
-def toolchain() -> Optional[Tuple[str, str]]:
-    """``(cc_path, version_line)`` or ``None``; probes once per process."""
+def toolchain() -> Optional[Tuple[str, str, str]]:
+    """``(cc_path, version_line, host_isa)`` or ``None``; probes once
+    per process."""
     global _probe
     if _probe is None:
         result, reason = _do_probe()
@@ -128,9 +165,10 @@ def prebuild(tag: str, render: Callable[[], str]) -> None:
 def compile_and_load(source: str, tag: str = "graph") -> Optional[ctypes.CDLL]:
     """Compile ``source`` (or serve it from the cache); ``None`` on failure.
 
-    The artifact key is ``sha256(cc version || cflags || source)``: any
-    change to the rendered segments, the compiler, or the flags produces
-    a fresh ``.so``.  Both the ``.c`` and the ``.so`` are left in the
+    The artifact key is ``sha256(cc version || host ISA || cflags ||
+    source)``: any change to the rendered segments, the compiler, the
+    CPU ``-march=native`` resolves to, or the flags produces a fresh
+    ``.so``.  Both the ``.c`` and the ``.so`` are left in the
     cache directory for inspection.  A failed compile marks the whole
     toolchain broken (one warning) so subsequent graphs skip straight to
     the NumPy replay without retrying ``cc`` per capture.
@@ -138,11 +176,11 @@ def compile_and_load(source: str, tag: str = "graph") -> Optional[ctypes.CDLL]:
     tc = toolchain()
     if tc is None:
         return None
-    cc, version = tc
+    cc, version, isa = tc
     from repro.observability.metrics import registry
 
     key = hashlib.sha256(
-        "\x00".join((CACHE_VERSION, version) + CFLAGS + (source,)).encode()
+        "\x00".join((CACHE_VERSION, version, isa) + CFLAGS + (source,)).encode()
     ).hexdigest()[:24]
     lib = _libs.get(key)
     if lib is not None:

@@ -647,6 +647,16 @@ def main(argv=None) -> int:
             reg.counter("lower_segment_fallbacks").value,
             reg.counter("lower_toolchain_fallbacks").value,
         )
+        # With --trace: the native Adam step against what its bytes cost
+        # (compare with this machine's copy rate).
+        phase = reg.histogram("trainer/phase/optimizer")
+        nbytes = reg.gauge("optim_bytes_per_step").value
+        if phase.count and nbytes:
+            p50 = phase.percentile(50)
+            logger.info(
+                "optimizer: %.0f MB/step in %.1f ms = %.1f GB/s",
+                nbytes / 1e6, p50 * 1e3, nbytes / p50 / 1e9,
+            )
 
     live, padded = sparse_stats.rows_total()
     if padded:

@@ -47,7 +47,13 @@ class ExpertWeights(Module):
     # Views for the block-sparse (dropless) formulation.
     # ------------------------------------------------------------------
     def w1_flat(self):
-        """(hidden, num_experts * ffn) view of w1 for SDD."""
+        """w1 as the (hidden, num_experts * ffn) right operand of SDD.
+
+        A copy, not a view: w1 is stored expert-major ``(experts, hidden,
+        ffn)`` and the transpose puts ``hidden`` first, so the reshape
+        materialises the whole matrix on every forward (8 MB per layer
+        at 128 x 16384) and its gradient returns through the matching
+        strided accumulate.  ``b1_flat`` / ``w2_flat`` are true views."""
         return self.w1.transpose((1, 0, 2)).reshape(
             (self.hidden_size, self.num_experts * self.ffn_hidden_size)
         )

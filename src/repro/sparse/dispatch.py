@@ -134,6 +134,10 @@ class DispatchPlan:
     col_count: np.ndarray
     val_start: np.ndarray
     cols_disjoint: bool
+    #: Block-column ranges ``(lo, hi)`` that no group writes — the bands
+    #: of experts that received no tokens.  Stated only when
+    #: ``cols_disjoint`` holds (empty otherwise): see :func:`band_output`.
+    col_gaps: tuple
 
     @property
     def num_groups(self) -> int:
@@ -161,12 +165,6 @@ class DispatchPlan:
         block row of the output, the executors skip the zero-fill: each
         element is assigned exactly once."""
         return int(self.row_count.sum())
-
-    @cached_property
-    def cols_covered_blocks(self) -> int:
-        """Total block columns written by the groups.  Only meaningful
-        as a coverage test when ``cols_disjoint`` is also true."""
-        return int(self.col_count.sum())
 
     @cached_property
     def groups(self) -> tuple:
@@ -255,6 +253,14 @@ def _build_plan(topo: Topology) -> DispatchPlan | None:
     order = col_start.argsort(kind="stable")
     s, c = col_start[order], col_count[order]
     cols_disjoint = bool(np.all(s[1:] >= (s + c)[:-1])) if len(s) > 1 else True
+    col_gaps = ()
+    if cols_disjoint:
+        # Between consecutive column bands, before the first and after
+        # the last.
+        lo = np.concatenate([[0], s + c])
+        hi = np.concatenate([s, [topo.block_cols]])
+        keep = hi > lo
+        col_gaps = tuple(zip(lo[keep].tolist(), hi[keep].tolist()))
     return DispatchPlan(
         row_start=row_start,
         row_count=row_count,
@@ -262,6 +268,7 @@ def _build_plan(topo: Topology) -> DispatchPlan | None:
         col_count=col_count,
         val_start=val_start,
         cols_disjoint=cols_disjoint,
+        col_gaps=col_gaps,
     )
 
 
@@ -488,6 +495,28 @@ def _group_values(
     return buf.reshape(br * bs, c * bs)[:rows]
 
 
+def band_output(
+    plan: DispatchPlan, bs: int, shape: tuple, dtype, axis: int
+) -> np.ndarray:
+    """Output buffer of a product whose groups each write one column
+    band of S along ``axis`` (DS^TD: rows of the output; DD^TS: columns).
+
+    With disjoint bands every element a group covers is assigned exactly
+    once by its GEMM (or by the zero store of a group with no live row),
+    so only the bands *no* group writes — ``plan.col_gaps`` — need
+    ``+0.0``, not the whole weight-gradient-sized buffer.  Overlapping
+    bands keep the whole-buffer fill.  The NumPy executors below and the
+    generated-C runners of ``lower/runtime.py`` all allocate through
+    here, which is what keeps the zeros of eager and ``cc`` the same."""
+    if not plan.cols_disjoint:
+        return arena.zeros(shape, dtype)
+    out = arena.empty(shape, dtype)
+    lead = (slice(None),) * axis
+    for lo, hi in plan.col_gaps:
+        out[lead + (slice(lo * bs, hi * bs),)] = 0
+    return out
+
+
 def grouped_sdd(
     a_eff: np.ndarray,
     b_eff: np.ndarray,
@@ -540,19 +569,16 @@ def grouped_dsd(
     bs = topo.block_size
     layout = live_layout(topo)
     rows_s, cols_s = topo.shape
-    m_eff = cols_s if trans_s else rows_s
+    shape = (cols_s if trans_s else rows_s, b_eff.shape[1])
     if trans_s:
-        full = plan.cols_disjoint and plan.cols_covered_blocks * bs == m_eff
+        out = band_output(plan, bs, shape, out_dtype, 0)
+    elif plan.rows_covered_blocks * bs == rows_s:
+        # Full coverage means every output row is assigned exactly once
+        # below (live rows by a GEMM, pad rows by the zero-fill), so an
+        # up-front zero-fill would be pure memset overhead.
+        out = arena.empty(shape, out_dtype)
     else:
-        full = plan.rows_covered_blocks * bs == m_eff
-    # Full coverage means every output row is assigned exactly once
-    # below (live rows by a GEMM, pad rows by the zero-fill), so the
-    # up-front zero-fill would be pure memset overhead.
-    out = (
-        arena.empty((m_eff, b_eff.shape[1]), out_dtype)
-        if full
-        else arena.zeros((m_eff, b_eff.shape[1]), out_dtype)
-    )
+        out = arena.zeros(shape, out_dtype)
     stage = _stage_buf(plan, bs, values.dtype)
     for (rlo, rhi, clo, chi, _, c, v0), (lv, m) in zip(
         plan.element_groups(bs), layout.rows
@@ -584,18 +610,14 @@ def grouped_dds(
     bs = topo.block_size
     layout = live_layout(topo)
     rows_s, cols_s = topo.shape
-    n_eff = rows_s if trans_s else cols_s
-    if trans_s:
-        full = plan.rows_covered_blocks * bs == n_eff
+    shape = (a_eff.shape[0], rows_s if trans_s else cols_s)
+    if not trans_s:
+        out = band_output(plan, bs, shape, out_dtype, 1)
+    elif plan.rows_covered_blocks * bs == rows_s:
+        # Same full-coverage shortcut as ``grouped_dsd``.
+        out = arena.empty(shape, out_dtype)
     else:
-        full = plan.cols_disjoint and plan.cols_covered_blocks * bs == n_eff
-    # Same full-coverage shortcut as ``grouped_dsd``: the column slices
-    # written per group tile the whole output exactly once.
-    out = (
-        arena.empty((a_eff.shape[0], n_eff), out_dtype)
-        if full
-        else arena.zeros((a_eff.shape[0], n_eff), out_dtype)
-    )
+        out = arena.zeros(shape, out_dtype)
     stage = _stage_buf(plan, bs, values.dtype)
     for (rlo, rhi, clo, chi, _, c, v0), (lv, m) in zip(
         plan.element_groups(bs), layout.rows

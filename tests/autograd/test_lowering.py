@@ -9,6 +9,10 @@ arguments, graph-level attach bit-identity, the content-addressed
 compile cache, and the ``REPRO_NO_CC`` kill switch.
 """
 
+import glob
+import os
+import subprocess
+
 import numpy as np
 import pytest
 
@@ -45,6 +49,24 @@ def _lib():
 
 def _ptrs(*arrays):
     return [a.ctypes.data for a in arrays]
+
+
+def _assert_same_adam_state(a, b):
+    """Parameters and both moments, bit pattern for bit pattern (zero
+    signs, subnormals and infinities included).  NaN only has to meet
+    NaN: when two NaNs of different sign collide, which one survives is
+    the operand order of the instruction, and a compiler may commute
+    ``+`` and ``*`` (the scalar loop before the vectorised one already
+    differed from NumPy's there)."""
+
+    def bits(x):
+        return np.where(np.isnan(x), np.uint32(0x7FC00000), x.view(np.uint32))
+
+    for x, y in zip(
+        [p.data for p in a.params] + a._m + a._v,
+        [p.data for p in b.params] + b._m + b._v,
+    ):
+        np.testing.assert_array_equal(bits(x), bits(y))
 
 
 # ----------------------------------------------------------------------
@@ -139,12 +161,81 @@ class TestKernelFuzz:
                 for _ in range(3):
                     ref_opt.step()
                     cc_opt.step()
-            for a, b in zip(ref_opt.params, cc_opt.params):
-                np.testing.assert_array_equal(a.data, b.data)
-            for a, b in zip(ref_opt._m, cc_opt._m):
-                np.testing.assert_array_equal(a, b)
-            for a, b in zip(ref_opt._v, cc_opt._v):
-                np.testing.assert_array_equal(a, b)
+            _assert_same_adam_state(ref_opt, cc_opt)
+
+    @pytest.mark.parametrize("wd", [0.0, 0.01])
+    def test_adam_multi_matches_numpy_at_the_vector_edges(self, wd):
+        """The vectorised loop against both NumPy formulations where a
+        packed body can go wrong: every remainder length, unaligned
+        buffers, both unswitched bodies (``wd``), and the values a
+        ``sqrt``/``div`` lane treats specially."""
+        from repro.nn.module import Parameter
+
+        sizes = list(range(1, 71)) + [
+            2**k + d for k in range(7, 17) for d in (-1, 0, 1)
+        ]
+        specials = np.array(
+            [0.0, -0.0, 1e-40, -1e-42, 1e20, -1e20, np.inf, -np.inf, np.nan],
+            np.float32,
+        )
+
+        def odd_views(fill):
+            """One view per size, each starting at an odd element offset
+            of one backing array (so no view is vector-aligned)."""
+            starts, cursor = [], 0
+            for n in sizes:
+                starts.append(cursor | 1)
+                cursor = starts[-1] + n
+            backing = np.empty(cursor, np.float32)
+            views = [backing[s : s + n] for s, n in zip(starts, sizes)]
+            for v in views:
+                v[...] = fill(v.size)
+            return views
+
+        def sprinkle(r, x, values):
+            # Sparse enough that most lanes of a short tensor stay
+            # finite over the run: NaN and inf are absorbing.
+            hit = r.random(x.size) < 0.05
+            x[hit] = r.choice(values, int(hit.sum()))
+            return x
+
+        def build():
+            r = np.random.default_rng(13)
+            ps = [Parameter(np.zeros(1, np.float32)) for _ in sizes]
+            for p, d in zip(ps, odd_views(lambda n: r.standard_normal(n))):
+                p.data = d
+            for p, g in zip(ps, odd_views(lambda n: 0.0)):
+                p.grad = g
+            opt = Adam(ps, lr=1e-2, weight_decay=wd)
+            # Moments as a resumed run could hold them: signed zeros,
+            # subnormals, and a ``v`` one step short of overflowing.
+            opt._m = odd_views(
+                lambda n: sprinkle(r, r.standard_normal(n), specials[:4])
+            )
+            opt._v = odd_views(
+                lambda n: sprinkle(
+                    r, r.standard_normal(n) ** 2, np.float32([0.0, 1e-40, 3.4e38])
+                )
+            )
+            return opt
+
+        opts = {"reference": build(), "mirror": build(), "native": build()}
+        assert lower.attach_adam(opts["native"])
+        assert registry().gauge("optim_bytes_per_step").value == 28 * sum(sizes)
+        assert opts["mirror"]._cc_multi is None
+        feed = np.random.default_rng(17)
+        for _ in range(20):  # enough steps for bc1/bc2 to move
+            for k, n in enumerate(sizes):
+                g = sprinkle(feed, feed.standard_normal(n) * 3, specials)
+                for opt in opts.values():
+                    opt.params[k].grad[...] = g
+            with np.errstate(all="ignore"):
+                opts["reference"].step()  # arena off: the allocating path
+                with arena.use_arena():
+                    opts["mirror"].step()
+                    opts["native"].step()
+        _assert_same_adam_state(opts["reference"], opts["mirror"])
+        _assert_same_adam_state(opts["reference"], opts["native"])
 
     def test_clip_grad_norm_native_matches_numpy(self):
         from repro.nn.module import Parameter
@@ -570,6 +661,65 @@ class TestGraphAttach:
         lib2 = toolchain.compile_and_load(csrc.PRELUDE, tag="prelude")
         assert lib2 is not None
         assert reg.counter("lower_cache_hits").value == before + 2
+
+    def test_compile_cache_key_includes_host_isa(self, monkeypatch):
+        """``-march=native`` artifacts are only served to the CPU kind
+        that built them: another host sharing the cache directory gets
+        its own artifact, not a SIGILL."""
+        reg = registry()
+        source = "int repro_probe(void) { return 7; }\n"
+
+        def load_as(isa):
+            monkeypatch.setattr(toolchain, "_host_isa", lambda: isa)
+            toolchain._reset_for_tests()  # a new process on that host
+            hits = reg.counter("lower_cache_hits").value
+            ms = reg.counter("lower_compile_ms").value
+            lib = toolchain.compile_and_load(source, tag="probe")
+            assert lib is not None and lib.repro_probe() == 7
+            paths = set(glob.glob(os.path.join(toolchain.cache_dir(), "probe-*.so")))
+            return (
+                paths,
+                reg.counter("lower_cache_hits").value - hits,
+                reg.counter("lower_compile_ms").value > ms,
+            )
+
+        big, hits, compiled = load_as("x86_64 fpu sse2 avx2 avx512f")
+        assert len(big) == 1 and hits == 0 and compiled
+        both, hits, compiled = load_as("x86_64 fpu sse2")
+        assert len(both) == 2 and big < both and hits == 0 and compiled
+        again, hits, compiled = load_as("x86_64 fpu sse2 avx2 avx512f")
+        assert again == both and hits == 1 and not compiled
+
+    def test_host_isa_is_read_without_a_subprocess(self, monkeypatch):
+        if not os.path.exists("/proc/cpuinfo"):
+            pytest.skip("platform.processor() may shell out to uname here")
+
+        def no_spawn(*a, **k):
+            raise AssertionError("the ISA fingerprint spawned a process")
+
+        monkeypatch.setattr(subprocess, "run", no_spawn)
+        monkeypatch.setattr(subprocess, "Popen", no_spawn)
+        isa = toolchain._host_isa()
+        assert isa.split()[0] and isa == toolchain._host_isa()
+
+
+def test_cflags_hold_no_value_changing_flag():
+    """``-fno-math-errno`` is the one member of ``-ffast-math`` in the
+    flag set because it is the one that changes no value; contraction
+    stays off and everything that reassociates, approximates or assumes
+    away zeros, NaNs and infinities stays out."""
+    assert "-ffp-contract=off" in toolchain.CFLAGS
+    for flag in (
+        "-ffast-math",
+        "-Ofast",
+        "-funsafe-math-optimizations",
+        "-fassociative-math",
+        "-freciprocal-math",
+        "-ffinite-math-only",
+        "-fno-signed-zeros",
+        "-fno-trapping-math",
+    ):
+        assert flag not in toolchain.CFLAGS
 
 
 class TestNoToolchain:

@@ -141,9 +141,10 @@ def test_step_memory_smoke(bench):
 
 
 def test_step_replay_smoke(bench):
-    """Captured-step-graph benchmark: replay must be bit-identical,
-    tape-free on replayed steps, and faster than the interleaved eager
-    run; emits BENCH_replay.json."""
+    """Captured-step-graph benchmark: replay must be bit-identical and
+    tape-free on replayed steps, with one capture and no fallback (its
+    speedup over eager is recorded, not gated); emits
+    BENCH_replay.json."""
     mod = bench("test_step_replay")
     assert mod.SMOKE
     mod.test_step_replay(_PassthroughBenchmark())

@@ -57,6 +57,29 @@ class TestMain:
              "--dist-backend", backend] + self.COMMON
         ) == 0
 
+    def test_traced_cc_run_reports_optimizer_bandwidth(self, tmp_path, caplog):
+        """The closing summary says what the native Adam step moved and
+        how fast, once a traced run has timed the optimizer phase."""
+        import logging
+        import re
+
+        from repro.autograd import lower
+        from repro.observability import registry
+
+        if not lower.cc_available():
+            pytest.skip("no C toolchain in this environment")
+        args = ["--system", "dmoe", "--backend", "cc"] + self.COMMON
+        with caplog.at_level(logging.INFO, logger="repro.cli"):
+            assert main(args + ["--trace", str(tmp_path / "trace.json")]) == 0
+        nbytes = registry().gauge("optim_bytes_per_step").value
+        assert nbytes > 0 and nbytes % 28 == 0
+        line = [r.getMessage() for r in caplog.records if "MB/step" in r.getMessage()]
+        assert len(line) == 1
+        assert re.fullmatch(
+            rf"optimizer: {nbytes / 1e6:.0f} MB/step in [\d.]+ ms = [\d.]+ GB/s",
+            line[0],
+        )
+
     def test_checkpoint_and_resume(self, tmp_path):
         ckpt = str(tmp_path / "run")
         assert main(["--system", "dmoe", "--checkpoint", ckpt] + self.COMMON) == 0

@@ -17,6 +17,7 @@ ragged) x all transpose variants x block sizes {2, 16, 128}.
 """
 
 import dataclasses
+import types
 from unittest import mock
 
 import numpy as np
@@ -25,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.autograd import Tensor, arena, gelu, lower
+from repro.autograd.function import Context
 from repro.autograd.lower import blas, csrc, runtime, toolchain
 from repro.core import make_topology
 from repro.moe.permute import make_padded_plan
@@ -41,7 +43,7 @@ from repro.sparse import (
     sparse_bias_add,
     stats,
 )
-from repro.sparse.autograd_ops import sparse_bias_gelu
+from repro.sparse.autograd_ops import _DsdMM, _SddMM, sparse_bias_gelu
 from repro.sparse.ops import segment_meta
 from repro.sparse.reference import (
     dds_reference,
@@ -392,6 +394,172 @@ def test_native_bias_gelu_kernels_equal_numpy_ops(lib, case):
         colsum[topo.transpose_block_offsets], starts, axis=0
     )
     _assert_same_bits(gb.reshape(-1), want_gb)
+
+
+# ----------------------------------------------------------------------
+# Column bands no group writes: the experts that received no tokens
+# ----------------------------------------------------------------------
+@pytest.fixture
+def weight_grad_runners(lib):
+    """The generated-C runners of the two expert-GEMM backward ops,
+    built outside a lowered graph; a fallback to the host op raises."""
+
+    def fell_back(*_):
+        raise AssertionError("the native runner fell back to the host op")
+
+    host = types.SimpleNamespace(_lib=lib)
+    make = runtime.LoweredPlan._make_bwd_closure
+    with mock.patch.object(_SddMM, "backward", fell_back), mock.patch.object(
+        _DsdMM, "backward", fell_back
+    ):
+        return make(host, None, ("sdd", None), ()), make(host, None, ("dsd", None), ())
+
+
+def _saved(*tensors):
+    ctx = Context()
+    ctx.saved = tensors
+    return ctx
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[2, 1, 3, 1], [2, 0, 3, 1], [0, 2, 0, 0, 1, 0], [0, 0, 3, 0]],
+    ids=["none-empty", "one-empty", "several-empty", "all-but-one-empty"],
+)
+def test_uncovered_bands_get_plus_zero_without_a_whole_buffer_fill(
+    rng, weight_grad_runners, rows
+):
+    bs, k = 4, 6
+    rows = np.array(rows)
+    cols = np.array([2, 1, 1, 2, 1, 2][: len(rows)])
+    live = [r * bs - 1 for r in rows if r]
+    live[0] = 0  # a group with blocks but no token zeroes its own band
+    topo = dispatch.with_live_rows(Topology.block_diagonal(rows, cols, bs), live)
+    plan = dispatch.analyze(topo)
+    in_gap = np.zeros(topo.block_cols, bool)
+    for lo, hi in plan.col_gaps:
+        assert lo < hi and not in_gap[lo:hi].any()
+        in_gap[lo:hi] = True
+    assert plan.cols_disjoint
+    np.testing.assert_array_equal(in_gap, np.repeat(rows == 0, cols))
+    no_tokens = np.repeat(rows == 0, cols * bs)
+    edges = np.concatenate([[0], np.cumsum(cols * bs)])
+    first = np.flatnonzero(rows)[0]  # ... and the live == 0 group's band
+    no_tokens[edges[first] : edges[first + 1]] = True
+
+    # Pad rows hold NaN for the grouped paths (never read) and zeros for
+    # the per-block path (which multiplies them).
+    pad = ~np.concatenate(
+        [np.arange(r * bs) < lv for r, lv in zip(rows[rows > 0], live)]
+    )
+    m, n = topo.shape
+    x = _poisoned(rng.standard_normal((m, k)).astype(np.float32), pad, 0)
+    dy = _poisoned(rng.standard_normal((m, k)).astype(np.float32), pad, 0)
+    h = [s.values for s in _values_pair(topo, pad, rng, np.float32)]
+    dh = [s.values for s in _values_pair(topo, pad, rng, np.float32)]
+    w1 = rng.standard_normal((k, n)).astype(np.float32)
+    w2 = rng.standard_normal((n, k)).astype(np.float32)
+    sdd_bwd, dsd_bwd = weight_grad_runners
+
+    def both(run_sdd, run_dsd, i):
+        # (DD^TS dW1 with the bands along axis 1, DS^TD dW2 along axis 0)
+        return (
+            run_sdd(_saved(x[i], w1, topo), dh[i])[1],
+            run_dsd(_saved(h[i], w2, topo), dy[i])[1],
+        )
+
+    with mock.patch.object(arena, "zeros", wraps=arena.zeros) as zeros, nan_buffers():
+        with dispatch_mode("grouped"):
+            eager = both(_SddMM.backward, _DsdMM.backward, 1)
+            native = both(sdd_bwd, dsd_bwd, 1)
+    assert not any(
+        call.args[0] in ((k, n), (n, k)) for call in zeros.call_args_list
+    )
+    with dispatch_mode("blocked"):
+        blocked = both(_SddMM.backward, _DsdMM.backward, 0)
+    for axis, got, nat, blk in zip((1, 0), eager, native, blocked):
+        _assert_pad_is_plus_zero(got, no_tokens, axis)
+        _assert_same_bits(nat, got)
+        _assert_pad_is_plus_zero(blk, no_tokens, axis)
+        np.testing.assert_allclose(got, blk, rtol=1e-5, atol=1e-5)
+
+
+def test_overlapping_column_bands_keep_the_whole_buffer_fill(rng):
+    topo = banded_causal_topology(8 * 4, 4, 2 * 4)
+    plan = dispatch.analyze(topo)
+    assert plan is not None and not plan.cols_disjoint and plan.col_gaps == ()
+    with mock.patch.object(arena, "zeros", wraps=arena.zeros) as zeros, nan_buffers():
+        out = dispatch.band_output(plan, 4, (topo.shape[1], 3), F4, 0)
+        assert not out.any() and zeros.call_count == 1
+        # The products themselves take the per-block path there, which
+        # accumulates into a zero-filled output.
+        s = BlockSparseMatrix(
+            topo, rng.standard_normal((topo.nnz_blocks, 4, 4))
+        )
+        b = rng.standard_normal((topo.shape[0], 3))
+        with dispatch_mode("grouped"):
+            got = dsd(s, b, trans_s=True)
+        assert zeros.call_count == 2
+    np.testing.assert_allclose(got, dsd_reference(s, b, trans_s=True), atol=1e-12)
+
+
+def test_cc_step_with_empty_experts_fills_no_weight_gradient(tmp_path, monkeypatch):
+    """A ``skew_queue``-shaped step on the ``cc`` rung — 32 experts, a
+    wide router init, so some expert is empty in most layer-steps —
+    never ``arena.zeros`` a buffer the size of an expert weight."""
+    from repro.core import dMoE
+    from repro.data import LMDataset, PileConfig, SyntheticPile
+    from repro.moe.router import Router
+    from repro.nn import TransformerLM
+    from repro.training import Adam, Trainer, TrainerConfig
+    from repro.utils.rng import seed_all
+
+    if not (lower.cc_available() and blas.available()):
+        pytest.skip("no C toolchain / BLAS symbol in this environment")
+    monkeypatch.setenv("REPRO_LOWER_CACHE", str(tmp_path / "lower-cache"))
+    toolchain._reset_for_tests()
+    hidden, experts, ffn, block, seq, vocab = 32, 32, 32, 8, 32, 64
+
+    def moe(i):
+        router = Router(
+            hidden, experts, load_balance_coef=0.0, init_std=0.5, rng=2000 + i
+        )
+        return dMoE(hidden, ffn, experts, block_size=block, router=router, rng=1000 + i)
+
+    def trainer(backend):
+        seed_all(1)
+        model = TransformerLM(
+            vocab, hidden, num_layers=2, num_heads=2, max_seq_len=seq,
+            ffn_factory=moe, rng=5,
+        )
+        pile = SyntheticPile(PileConfig(vocab_size=vocab, num_domains=4), seed=7)
+        data = LMDataset(pile.token_stream(4000, seq, rng=1), seq_len=seq)
+        config = TrainerConfig(
+            global_batch=4, micro_batch=4, max_steps=10**9, eval_every=0,
+            log_every=0, steady_state=True, backend=backend,
+        )
+        return Trainer(
+            model, data, config=config, rng=1,
+            optimizer=Adam(model.parameters(), lr=1e-3),
+        )
+
+    weight_shapes = {(hidden, experts * ffn), (experts * ffn, hidden)}
+    cc, eager = trainer("cc"), trainer("eager")
+    try:
+        with mock.patch.object(arena, "zeros", wraps=arena.zeros) as zeros:
+            cc_losses = [cc.train_step(s) for s in range(6)]
+        filled = [c.args[0] for c in zeros.call_args_list if c.args[0] in weight_shapes]
+        moes = [m for m in cc.model.modules() if getattr(m, "last_plan", None)]
+        assert any((m.last_plan.tokens_per_expert == 0).any() for m in moes)
+        assert all(
+            dispatch.use_grouped(dispatch.analyze(m.last_topology), True) for m in moes
+        )
+        assert filled == []
+        assert cc_losses == [eager.train_step(s) for s in range(6)]
+        for a, b in zip(cc.optimizer.params, eager.optimizer.params):
+            _assert_same_bits(a.data, b.data)
+    finally:
+        toolchain._reset_for_tests()
 
 
 # ----------------------------------------------------------------------
