@@ -45,15 +45,11 @@ SCALED_SIZES: Dict[str, Tuple[int, int]] = {
 #: every kernel and model path still executes end to end.
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") not in ("", "0")
 
-#: Where result JSONs land.  Full runs write next to this file — the
-#: committed ``BENCH_*.json`` numbers; smoke runs (tier-1 canaries) write
-#: to a temp dir of their own, so a test run never rewrites the tree and
-#: concurrent runs never share (or delete) each other's results.
-RESULT_DIR = (
-    tempfile.mkdtemp(prefix="repro-bench-smoke-")
-    if SMOKE
-    else os.path.dirname(os.path.abspath(__file__))
-)
+#: Where result JSONs land: a temp dir of this process's own, in both
+#: modes, so a run never writes into the tree and concurrent runs never
+#: share (or delete) each other's results.  ``write_result`` prints the
+#: path; committed, comparable numbers live in ``bench/`` (bench/README.md).
+RESULT_DIR = tempfile.mkdtemp(prefix="repro-bench-")
 
 VOCAB = 128
 SEQ = 32

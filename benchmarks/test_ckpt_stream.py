@@ -17,7 +17,7 @@ async background writer (the step pays only ``ckpt_snapshot`` +
   boundary stall (snapshot + submit) is reported against the full
   synchronous write, per checkpoint.
 
-Results land in ``BENCH_ckpt.json`` next to this file.
+Results land in ``BENCH_ckpt.json`` under ``harness.RESULT_DIR`` (path printed).
 """
 
 import os

@@ -30,7 +30,7 @@ on one oversubscribed CPU:
   either tail (a descheduled peer can zero a serial rep; a hiccup can
   inflate an overlapped one).
 
-Results land in ``BENCH_dist.json`` next to this file.
+Results land in ``BENCH_dist.json`` under ``harness.RESULT_DIR`` (path printed).
 """
 
 import time

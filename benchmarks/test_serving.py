@@ -22,7 +22,7 @@ unchanged code.  Also measured here:
 - int8 expert-weight quantization: the weight-byte ratio and the
   perplexity delta vs fp32 on a held-out token stream.
 
-Results land in ``BENCH_serving.json`` next to this file.
+Results land in ``BENCH_serving.json`` under ``harness.RESULT_DIR`` (path printed).
 """
 
 import gc

@@ -17,7 +17,7 @@ grouped-GEMM and MoE-dispatch kernels run native), and faster than the
 NumPy replay interpreter in the same interleaved run — the one timing
 assert, a same-process ordering; step times recorded by earlier PRs are
 not gates (they describe other kernels on another day's machine).
-Results land in ``BENCH_lower.json`` next to this file.
+Results land in ``BENCH_lower.json`` under ``harness.RESULT_DIR`` (path printed).
 """
 
 import gc

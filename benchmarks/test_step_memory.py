@@ -14,7 +14,7 @@ configuration both ways and measures:
 Both runs must produce bit-identical losses (the optimization is free),
 the steady-state step must be meaningfully faster, and its per-step
 allocation peak must be an order of magnitude smaller.  Results land in
-``BENCH_step.json`` next to this file.
+``BENCH_step.json`` under ``harness.RESULT_DIR`` (path printed).
 """
 
 import gc

@@ -15,7 +15,7 @@ nodes on replayed steps), with exactly one capture and no fallback:
 those are the gates.  The interleaved speedup over eager is printed and
 recorded, not asserted — replay alone buys ~1.1x, less than the
 wall-clock spread of a shared box.  Results land in
-``BENCH_replay.json`` next to this file.
+``BENCH_replay.json`` under ``harness.RESULT_DIR`` (path printed).
 """
 
 import gc

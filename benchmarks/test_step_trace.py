@@ -13,7 +13,7 @@ layer (``docs/observability.md``) makes:
   validation (``ph``/``ts``/``dur`` on every complete event) with
   strictly nested spans, and holds at least 3 ``step`` roots.
 
-Results land in ``BENCH_trace.json`` next to this file.
+Results land in ``BENCH_trace.json`` under ``harness.RESULT_DIR`` (path printed).
 """
 
 import time

@@ -573,9 +573,18 @@ class StepGraph:
     def _forward(self, inputs) -> list:
         """Run every record in order; returns ``[(ctx, value), ...]``."""
         values: List[Optional[tuple]] = [None] * len(self.records)
+        self._run_records(range(len(self.records)), values, inputs)
+        return values
+
+    def _run_records(self, indices, values, inputs) -> None:
+        """The interpreter's record loop over ``indices`` (ascending):
+        all of them for a plain replay; the host runs and the
+        guard-miss fallbacks of a lowered plan."""
+        plan = self._plan
         resolve = self._resolve
         ndarray = np.ndarray
-        for i, (is_op, fn, kwargs, static, patches, rec) in enumerate(self._plan):
+        for i in indices:
+            is_op, fn, kwargs, static, patches, rec = plan[i]
             if patches:
                 args = static.copy()
                 for pos, tag, payload, s in patches:
@@ -608,7 +617,6 @@ class StepGraph:
                         f"{rec.expected!r} -> {res!r}"
                     )
                 values[i] = (None, res)
-        return values
 
     # -- backward --------------------------------------------------------
     def _backward(self, values) -> None:

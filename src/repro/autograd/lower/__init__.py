@@ -1,12 +1,15 @@
 """Native-code lowering of captured step graphs.
 
 ``attach(step_graph)`` turns a sealed :class:`StepGraph` into generated
-C: the segmenter partitions the record list into fused elementwise
-chains, specialized kernels, and host runs; the renderer emits one
-translation unit; the toolchain compiles it (content-addressed on-disk
-cache) and loads it via ctypes; the runtime swaps the lowered segments
-into the replay schedule with per-segment guards that fall back to the
-NumPy interpreter on any layout mismatch.
+C.  Every native unit is declared once, in the kernel table
+(:mod:`repro.autograd.lower.kernels`): the segmenter partitions the
+record list into fused elementwise chains, the records a table entry
+replaces, and host runs; the renderer emits the table's C as one
+prelude per process and each graph's fused segments as a small unit of
+its own; the toolchain compiles both (content-addressed on-disk cache)
+and loads them via ctypes; the runtime swaps the lowered units into the
+replay schedule behind guards built from the entries' operand
+contracts, which fall back to the NumPy interpreter on any mismatch.
 
 Fallback ladder: generated C → NumPy replay (PR 5) → eager capture.
 Every rung is bit-identical to the last; lowering only changes

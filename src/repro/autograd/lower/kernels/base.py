@@ -1,0 +1,449 @@
+"""What a native kernel declares, and the one checker of its contract.
+
+A :class:`Kernel` entry states, side by side, everything the lowering
+knows about one native unit: the op it replaces, its C source and the
+ctypes signatures of the symbols that source exports, the operand
+:class:`Contract`, the builders of its forward runner and backward
+closure, and a fuzz domain.  The segmenter, the runtime, the C
+renderer, ``bind``, ``lower report`` and the conformance test all read
+the table of entries (:mod:`repro.autograd.lower.kernels`); none of
+them knows a kernel by name.
+
+A contract is an ordered tuple of clauses over an operand tuple.  The
+same clause is evaluated against the capture-time layout descriptors
+(to classify a record) and against the live arrays (to guard a call):
+:class:`View` gives a descriptor the handful of ``ndarray`` attributes
+clauses read, so a clause is written once.
+
+Runner protocol.  ``forward(build)`` returns ``run(*args)`` over the
+record's resolved positional arguments: ``(saved, out)`` on success
+(``(out,)`` for a host record), ``None`` to decline — the runtime then
+counts a fallback and replays the record on the interpreter — or
+``False`` when declining is the planned path (nothing is counted).
+``backward(build)`` returns ``run(grad, *ctx.saved)``: the gradient
+tuple, or ``None`` to fall back to the op's own ``backward``.  ``run``
+is only ever called behind the guard built from the contract
+(:meth:`Contract.guard`).
+"""
+
+from __future__ import annotations
+
+import ctypes
+import dataclasses
+import re
+from typing import Callable, Optional, Tuple
+
+import numpy as np
+
+from repro.autograd import arena
+from repro.autograd.graph import _CONST, _OpRecord
+
+ndarray = np.ndarray
+F4 = np.dtype(np.float32)
+I64 = np.dtype(np.int64)
+
+#: Operand index of a record's *output* descriptor (capture-time only:
+#: the output does not exist yet when a call is guarded).
+OUT = -1
+
+#: Opens every translation unit (the prelude and each graph's segments).
+HEADER = r"""
+#include <math.h>
+#include <string.h>
+
+typedef long long i64;
+"""
+
+#: Helpers several entries' sources call; rendered right after HEADER.
+SHARED = r"""
+/* NumPy pairwise summation replica (contiguous float32). */
+static float pw32(const float *a, i64 n)
+{
+    if (n < 8) {
+        float r = 0.0f;
+        for (i64 i = 0; i < n; i++) r += a[i];
+        return r;
+    }
+    if (n <= 128) {
+        float r0 = a[0], r1 = a[1], r2 = a[2], r3 = a[3];
+        float r4 = a[4], r5 = a[5], r6 = a[6], r7 = a[7];
+        i64 i = 8;
+        for (; i < n - (n % 8); i += 8) {
+            r0 += a[i]; r1 += a[i + 1]; r2 += a[i + 2]; r3 += a[i + 3];
+            r4 += a[i + 4]; r5 += a[i + 5]; r6 += a[i + 6]; r7 += a[i + 7];
+        }
+        float r = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));
+        for (; i < n; i++) r += a[i];
+        return r;
+    }
+    i64 n2 = n / 2;
+    n2 -= n2 % 8;
+    return pw32(a, n2) + pw32(a + n2, n - n2);
+}
+
+/* Pairwise over the gathered column rows[order[s+i]*h + j]. */
+static float pw32g(const float *rows, const i64 *order, i64 s, i64 n,
+                   i64 h, i64 j)
+{
+    if (n < 8) {
+        float r = 0.0f;
+        for (i64 i = 0; i < n; i++) r += rows[order[s + i] * h + j];
+        return r;
+    }
+    if (n <= 128) {
+        float r0 = rows[order[s] * h + j], r1 = rows[order[s + 1] * h + j];
+        float r2 = rows[order[s + 2] * h + j], r3 = rows[order[s + 3] * h + j];
+        float r4 = rows[order[s + 4] * h + j], r5 = rows[order[s + 5] * h + j];
+        float r6 = rows[order[s + 6] * h + j], r7 = rows[order[s + 7] * h + j];
+        i64 i = 8;
+        for (; i < n - (n % 8); i += 8) {
+            r0 += rows[order[s + i] * h + j];
+            r1 += rows[order[s + i + 1] * h + j];
+            r2 += rows[order[s + i + 2] * h + j];
+            r3 += rows[order[s + i + 3] * h + j];
+            r4 += rows[order[s + i + 4] * h + j];
+            r5 += rows[order[s + i + 5] * h + j];
+            r6 += rows[order[s + i + 6] * h + j];
+            r7 += rows[order[s + i + 7] * h + j];
+        }
+        float r = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));
+        for (; i < n; i++) r += rows[order[s + i] * h + j];
+        return r;
+    }
+    i64 n2 = n / 2;
+    n2 -= n2 % 8;
+    return pw32g(rows, order, s, n2, h, j)
+        + pw32g(rows, order, s + n2, n - n2, h, j);
+}
+"""
+
+
+# ----------------------------------------------------------------------
+# Contracts
+# ----------------------------------------------------------------------
+def is_c_contiguous(shape, strides, itemsize) -> bool:
+    expect = itemsize
+    for dim, st in zip(reversed(shape), reversed(strides)):
+        if dim > 1 and st != expect:
+            return False
+        expect *= dim
+    return True
+
+
+class View:
+    """A capture-time ``(dtype str, shape, strides)`` descriptor behind
+    the ``ndarray`` attributes contract clauses read."""
+
+    __slots__ = ("dtype", "shape", "strides", "ndim", "size", "c_contiguous")
+
+    def __init__(self, desc):
+        self.dtype = np.dtype(desc[0])
+        self.shape, self.strides = desc[1], desc[2]
+        self.ndim = len(self.shape)
+        self.size = int(np.prod(self.shape, dtype=np.int64))
+        self.c_contiguous = is_c_contiguous(
+            self.shape, self.strides, self.dtype.itemsize
+        )
+
+    @property
+    def flags(self):
+        return self
+
+
+def matches(a, desc) -> bool:
+    """``a`` is exactly the array layout ``desc`` was captured from."""
+    return (
+        type(a) is ndarray
+        and a.dtype.str == desc[0]
+        and a.shape == desc[1]
+        and a.strides == desc[2]
+    )
+
+
+class Arr:
+    """Operand ``k`` is an array: ``dtype`` (a ``np.dtype``, or a string
+    of accepted ``dtype.kind`` letters), ``rank`` (an int or a tuple of
+    them) and C-contiguity.  Live only: ``shape`` keeps the captured
+    shape, and ``pin`` demands the captured layout itself — dtype, shape
+    and strides, identity-cached so a steady replay pays one ``is`` per
+    operand."""
+
+    def __init__(self, k, dtype=F4, rank=None, contig=True, shape=False, pin=False):
+        self.k = k
+        self.dtype = dtype
+        self.rank = (rank,) if isinstance(rank, int) else rank
+        self.contig = contig
+        self.shape = shape
+        self.pin = pin
+        self.name = f"operand {k} layout"
+        # The layout clause as source over ``a``, ``DTYPE`` and ``RANK``:
+        # compiled here for capture-time views, inlined into the flat
+        # live guard by ``Contract.guard`` — one statement, two uses.
+        tests = ["a.dtype.kind in DTYPE" if type(dtype) is str else "a.dtype is DTYPE"]
+        if rank is not None:
+            tests.append("a.ndim in RANK")
+        if contig:
+            tests.append("a.flags.c_contiguous")
+        self.source = " and ".join(tests)
+        #: The clause on a :class:`View` or an array.
+        self.holds = eval(
+            f"lambda a: {self.source}", {"DTYPE": dtype, "RANK": self.rank}
+        )
+
+    def capture(self, rec, views) -> bool:
+        if views is None:  # host record: no descriptors, checked live
+            return True
+        v = views[self.k]
+        return v is not None and self.holds(v)
+
+
+class Rel:
+    """A relation between operands' shapes: ``fn(*operands)``, on views
+    at capture and on the live arrays at run time."""
+
+    def __init__(self, name: str, fn: Callable):
+        self.name = name
+        self.fn = fn
+
+    def capture(self, rec, views) -> bool:
+        return views is None or bool(self.fn(*views[:-1]))
+
+
+class Live(Rel):
+    """A clause only live operands can answer: index ranges, anything
+    read off a topology (a host-record output with no descriptor)."""
+
+    def capture(self, rec, views) -> bool:
+        return True
+
+
+class Const:
+    """Positional argument ``k`` is frozen in the graph (and satisfies
+    ``pred``); ``optional`` admits a record that leaves it to the op's
+    keyword default.  Capture only."""
+
+    def __init__(self, k: int, pred: Optional[Callable] = None, optional=False):
+        self.k = k
+        self.pred = pred
+        self.optional = optional
+        self.name = f"argument {k} frozen"
+
+    def capture(self, rec, views) -> bool:
+        if self.k >= len(rec.specs):
+            return self.optional
+        spec = rec.specs[self.k]
+        return spec[0] == _CONST and (self.pred is None or bool(self.pred(spec[1])))
+
+
+def frozen(rec, k: int, keyword: str, default):
+    """The value of an argument a :class:`Const` clause admitted:
+    positional ``k``, else the ``keyword`` the op was called with, else
+    the op's ``default``."""
+    if k < len(rec.specs):
+        return rec.specs[k][1]
+    return (rec.kwargs or {}).get(keyword, default)
+
+
+class Capture:
+    """A classification-only predicate ``fn(rec, views)``: what the
+    capture must look like for the unit to be worth (or capable of)
+    installing, with nothing left to re-check per call."""
+
+    def __init__(self, name: str, fn: Callable):
+        self.name = name
+        self.fn = fn
+
+    def capture(self, rec, views) -> bool:
+        return views is not None and bool(self.fn(rec, views))
+
+
+def _blas_resolved(rec, views) -> bool:
+    from repro.autograd.lower import blas
+
+    return blas.available()
+
+
+#: NumPy's own ``cblas_sgemm`` is resolvable for injection — the
+#: precondition of every GEMM-backed kernel (bit-identity with
+#: ``np.matmul`` comes from calling the very same function).
+BLAS = Capture("cblas_sgemm resolved", _blas_resolved)
+
+
+class Contract:
+    """An ordered tuple of clauses; see the module docstring."""
+
+    def __init__(self, *clauses):
+        self.clauses = clauses
+
+    def admits(self, rec) -> bool:
+        """Classify: every clause holds on the record's descriptors."""
+        descs = getattr(rec, "descs", None)
+        if descs is None:
+            if type(rec) is _OpRecord:
+                return False  # graph captured without layout descriptors
+            views = None
+        else:
+            views = tuple(
+                None if d is None else View(d) for d in descs[1] + (descs[0],)
+            )
+        return all(c.capture(rec, views) for c in self.clauses)
+
+    def guard(self, run: Callable, descs=None) -> Callable:
+        """``run`` behind the live guard: ``call(*operands)`` returns
+        ``run``'s result, or ``None`` when a clause fails.  ``descs``
+        are the captured descriptors ``pin``/``shape`` clauses compare
+        with.
+
+        Several hundred guards run per step, so the clauses are
+        compiled into one flat function — each layout clause's source
+        inlined, each relation one call — instead of being interpreted
+        clause by clause on every call (``run`` itself when no clause
+        has anything to check live)."""
+        arrays = [c for c in self.clauses if type(c) is Arr and c.k != OUT]
+        # Relations among pinned layouts were settled at capture.
+        settled = bool(arrays) and all(c.pin for c in arrays)
+        env = {"ndarray": ndarray, "matches": matches, "run": run}
+        lines = []
+        for j, c in enumerate(self.clauses):
+            if c in arrays:
+                lines.append(f"a = ops[{c.k}]")
+                if c.pin:
+                    env[f"desc{j}"], env[f"seen{j}"] = descs[c.k], [None]
+                    lines += [
+                        f"if a is not seen{j}[0]:",
+                        f"    if not matches(a, desc{j}): return None",
+                        f"    seen{j}[0] = a",
+                    ]
+                    continue
+                env[f"dtype{j}"], env[f"rank{j}"] = c.dtype, c.rank
+                test = "type(a) is ndarray and " + c.source.replace(
+                    "DTYPE", f"dtype{j}"
+                ).replace("RANK", f"rank{j}")
+                if c.shape:
+                    env[f"shape{j}"] = descs[c.k][1]
+                    test += f" and a.shape == shape{j}"
+                lines.append(f"if not ({test}): return None")
+            elif type(c) is Live or (type(c) is Rel and not settled):
+                env[f"holds{j}"] = c.fn
+                lines.append(f"if not holds{j}(*ops): return None")
+        if not lines:
+            return run
+        body = "".join(f"    {line}\n" for line in lines)
+        exec(f"def call(*ops):\n{body}    return run(*ops)\n", env)
+        return env["call"]
+
+
+# ----------------------------------------------------------------------
+# Entries
+# ----------------------------------------------------------------------
+class Build:
+    """What a runner builder may read: the record it replaces (``None``
+    when a backward closure is built outside a graph), the bound prelude
+    library, the plan's grow-on-demand int64 scratch, and — backward
+    only — the gradient slots of the record's inputs (< 0: unwanted)."""
+
+    __slots__ = ("rec", "lib", "iscratch", "targets")
+
+    def __init__(self, rec, lib, iscratch, targets=()):
+        self.rec = rec
+        self.lib = lib
+        self.iscratch = iscratch
+        self.targets = targets
+
+    def const(self, k: int, keyword: str, default):
+        return frozen(self.rec, k, keyword, default)
+
+    def shape(self, k: int) -> Tuple[int, ...]:
+        """Captured shape of operand ``k`` (``OUT`` for the output)."""
+        descs = self.rec.descs
+        return (descs[0] if k == OUT else descs[1][k])[1]
+
+
+#: An exported definition: a non-``static`` function at column 0.
+_PROTOTYPE = re.compile(r"^(void|double|i64) (repro_\w+)\(([^)]*)\)", re.M)
+
+
+_SCALARS = {"i64": ctypes.c_longlong, "double": ctypes.c_double, "void": None}
+
+
+def _ctype(decl: str):
+    """ctypes type of a C parameter (or return) declaration."""
+    return ctypes.c_void_p if "*" in decl else _SCALARS[decl.split()[0]]
+
+
+@dataclasses.dataclass(eq=False)
+class Kernel:
+    """One declaration of one native unit."""
+
+    #: Unit kind of the forward runner (``lower report`` key).
+    name: str
+    #: The ``Function`` class or host callable this entry stands in for
+    #: — the reference it is compared with — or its dotted path where
+    #: importing it here would be circular.
+    replaces: object
+    _: dataclasses.KW_ONLY
+    #: C definitions.  ``symbols`` maps each function they export to its
+    #: ctypes ``(argtypes, restype)``, read off the C prototype.
+    source: str = dataclasses.field(default="", repr=False)
+    #: Operands ``(*args)`` of the replaced op's ``forward``.
+    contract: Optional[Contract] = None
+    forward: Optional[Callable] = None
+    #: When to swap the backward (over the same capture-time operands;
+    #: ``None``: when ``contract`` admits them), the live guard of the
+    #: swapped closure over ``(grad, *ctx.saved)``, and — where that
+    #: guard has ``shape=`` clauses — ``bwd_descs(rec)``, the captured
+    #: layouts of those operands.
+    bwd_contract: Optional[Contract] = None
+    bwd_guard: Optional[Contract] = None
+    bwd_descs: Optional[Callable] = None
+    backward: Optional[Callable] = None
+    #: Unit kind of the backward swap (``Analysis.bwd`` value) where it
+    #: differs from ``name``.
+    bwd_name: Optional[str] = None
+    #: ``fuzz(rng)`` draws conforming ``forward`` arguments.
+    fuzz: Optional[Callable] = None
+
+    def __post_init__(self):
+        self.bwd_contract = self.bwd_contract or self.contract
+        self.bwd_name = self.bwd_name or self.name
+        self.symbols = {
+            name: ([_ctype(p) for p in params.split(",")], _ctype(ret))
+            for ret, name, params in _PROTOTYPE.findall(self.source)
+        }
+
+    @property
+    def native(self) -> bool:
+        """Whether the unit executes generated C (a Python-closure unit
+        is lowered — off the interpreter — but not native)."""
+        return bool(self.source)
+
+
+def ids_below(ix, n) -> bool:
+    """No index reaches ``n`` (negative ids are a kernel's own business)."""
+    return ix.size == 0 or int(ix.max()) < n
+
+
+def ids_within(ix, n) -> bool:
+    return ix.size == 0 or (int(ix.min()) >= 0 and int(ix.max()) < n)
+
+
+def matmul_into(a, b) -> np.ndarray:
+    """``a @ b`` into an arena buffer when the arena has one."""
+    out = arena.matmul_buf(a, b)
+    return a @ b if out is None else np.matmul(a, b, out=out)
+
+
+def rows_width(shape) -> Tuple[int, int]:
+    """``(rows, width)`` of a last-axis kernel over ``shape``."""
+    return int(np.prod(shape[:-1], dtype=np.int64)), int(shape[-1])
+
+
+# ----------------------------------------------------------------------
+# Fuzz-domain helpers
+# ----------------------------------------------------------------------
+def f32(rng, *shape) -> np.ndarray:
+    return rng.standard_normal(shape).astype(np.float32)
+
+
+def i64(rng, shape, lo: int, hi: int) -> np.ndarray:
+    return rng.integers(lo, hi, size=shape).astype(np.int64)

@@ -1,0 +1,159 @@
+"""LayerNorm forward and backward.
+
+The C pair mirrors the steady-state ufunc sequence of ``_LayerNorm``
+op for op, including the NEP 50 scalar casts (``(float)H``, ``eps``) and
+the lead-axis sums as sequential row adds.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.autograd import arena
+from repro.autograd import ops_nn as _N
+from repro.autograd.lower.kernels.base import (
+    F4, Arr, Const, Contract, Kernel, Rel, f32, rows_width,
+)
+
+_LN_C = r"""
+/* _LayerNorm.forward steady-path replica over R rows of H columns. */
+void repro_ln_fwd_f32(const float *restrict x, const float *restrict w,
+                      const float *restrict b,
+                      float *restrict out, float *restrict xhat,
+                      float *restrict inv,
+                      i64 R, i64 H, double eps_, float *restrict sq)
+{
+    const float eps = (float)eps_;
+    for (i64 r = 0; r < R; r++) {
+        const float *xr = x + r * H;
+        float *xh = xhat + r * H;
+        float mu = pw32(xr, H) / (float)H;
+        for (i64 j = 0; j < H; j++) {
+            float dj = xr[j] - mu;
+            xh[j] = dj;
+            sq[j] = dj * dj;
+        }
+        float var = pw32(sq, H) / (float)H;
+        float iv = 1.0f / sqrtf(var + eps);
+        inv[r] = iv;
+        for (i64 j = 0; j < H; j++) {
+            float v = xh[j] * iv;
+            xh[j] = v;
+            out[r * H + j] = v * w[j] + b[j];
+        }
+    }
+}
+
+/* _LayerNorm.backward steady-path replica. */
+void repro_ln_bwd_f32(const float *restrict g, const float *restrict xhat,
+                      const float *restrict inv,
+                      const float *restrict w, float *restrict gx,
+                      float *restrict gw, float *restrict gb,
+                      i64 R, i64 H, float *restrict tmp, float *restrict pr)
+{
+    for (i64 j = 0; j < H; j++) {
+        gw[j] = g[j] * xhat[j];
+        gb[j] = g[j];
+    }
+    for (i64 r = 1; r < R; r++) {
+        const float *gr = g + r * H;
+        const float *xr = xhat + r * H;
+        for (i64 j = 0; j < H; j++) {
+            gw[j] += gr[j] * xr[j];
+            gb[j] += gr[j];
+        }
+    }
+    for (i64 r = 0; r < R; r++) {
+        const float *gr = g + r * H;
+        const float *xr = xhat + r * H;
+        float *gxr = gx + r * H;
+        for (i64 j = 0; j < H; j++) tmp[j] = gr[j] * w[j];
+        float s1 = pw32(tmp, H);
+        for (i64 j = 0; j < H; j++) pr[j] = tmp[j] * xr[j];
+        float s2 = pw32(pr, H);
+        float c = inv[r] / (float)H;
+        for (i64 j = 0; j < H; j++) {
+            float a0 = (float)H * tmp[j];
+            a0 = a0 - s1;
+            a0 = a0 - xr[j] * s2;
+            gxr[j] = c * a0;
+        }
+    }
+}
+"""
+
+
+def _ln_forward(b):
+    shape = b.shape(0)
+    R, H = rows_width(shape)
+    eps = float(b.const(3, "eps", 1e-5))
+    inv_shape = shape[:-1] + (1,)
+    cfn = b.lib.repro_ln_fwd_f32
+    sq = np.empty(H, F4)  # one row of squares; replays are single-threaded
+
+    def run(x, w, bias, *_eps):
+        out = arena.empty(shape, F4)
+        xhat = arena.empty(shape, F4)
+        inv = np.empty(inv_shape, F4)
+        cfn(
+            x.ctypes.data, w.ctypes.data, bias.ctypes.data,
+            out.ctypes.data, xhat.ctypes.data, inv.ctypes.data,
+            R, H, eps, sq.ctypes.data,
+        )
+        return (xhat, inv, w), out
+
+    return run
+
+
+def _ln_backward(b):
+    shape = b.shape(0)
+    R, H = rows_width(shape)
+    cfn = b.lib.repro_ln_bwd_f32
+    tmp, pr = np.empty(H, F4), np.empty(H, F4)
+
+    def run(g, xhat, inv, w):
+        gx = arena.empty(shape, F4)
+        gw = np.empty(H, F4)
+        gb = np.empty(H, F4)
+        cfn(
+            g.ctypes.data, xhat.ctypes.data, inv.ctypes.data,
+            w.ctypes.data, gx.ctypes.data, gw.ctypes.data,
+            gb.ctypes.data, R, H, tmp.ctypes.data, pr.ctypes.data,
+        )
+        return gx, gw, gb
+
+    return run
+
+
+def _ln_saved_descs(rec):
+    """Captured layouts of ``(grad, xhat, inv, w)``: the gradient and
+    ``xhat`` have the input's, ``inv`` one value per row."""
+    x_d, w_d = rec.descs[1][0], rec.descs[1][1]
+    inv_shape = x_d[1][:-1] + (1,)
+    return x_d, x_d, ("<f4", inv_shape, None), w_d
+
+
+KERNELS = (
+    Kernel(
+        "ln", _N._LayerNorm,
+        source=_LN_C,
+        contract=Contract(
+            Arr(0, pin=True),
+            Arr(1, rank=1, pin=True),
+            Arr(2, rank=1, pin=True),
+            Const(3, optional=True),
+            Rel("rows of a matrix", lambda x, w, b, *_: x.ndim >= 2),
+            Rel("one scale and shift per column", lambda x, w, b, *_: (
+                w.shape[0] == b.shape[0] == x.shape[-1]
+            )),
+        ),
+        forward=_ln_forward,
+        bwd_guard=Contract(
+            Arr(0, shape=True), Arr(1, shape=True),
+            Arr(2, shape=True), Arr(3, shape=True),
+        ),
+        bwd_descs=_ln_saved_descs,
+        backward=_ln_backward,
+        fuzz=lambda rng: (f32(rng, 3, 5, 16), f32(rng, 16), f32(rng, 16)),
+    ),
+)

@@ -1,16 +1,14 @@
 """Native fused Adam step.
 
 The optimizer update is the one hot loop of a training step that lives
-outside the captured graph, so it gets its own tiny lowering: the
-prelude-only translation unit (shared by every optimizer and process
-through the on-disk cache — the tag differs from graph lowerings, the
-source is just :data:`~repro.autograd.lower.csrc.PRELUDE`) exposes
-``repro_adam_f32``, a per-element fusion of the nine-ufunc in-place
-mirror in :class:`repro.training.optim.Adam`, and
-``repro_adam_multi_f32``, which walks prebuilt pointer tables so the
-whole-model update costs one ctypes crossing per step instead of one
-per parameter.  Bit-identical: every intermediate rounds to float32
-exactly where the NumPy sequence does.
+outside the captured graph, so it rides on the prelude library like the
+graph kernels do (the ``adam`` and ``clip`` entries of
+:mod:`repro.autograd.lower.kernels.optim`): ``repro_adam_f32`` is a
+per-element fusion of the nine-ufunc in-place mirror in
+:class:`repro.training.optim.Adam`, and ``repro_adam_multi_f32`` walks
+prebuilt pointer tables so the whole-model update costs one ctypes
+crossing per step instead of one per parameter.  Bit-identical: every
+intermediate rounds to float32 exactly where the NumPy sequence does.
 """
 
 from __future__ import annotations
@@ -29,14 +27,11 @@ def attach_adam(opt) -> bool:
     toolchain is unavailable or the prelude fails to compile; the
     NumPy steady-state path keeps running in that case.
     """
-    from repro.autograd.lower import csrc, runtime, toolchain
+    from repro.autograd.lower import runtime, toolchain
 
-    if not toolchain.cc_available():
-        return False
-    lib = toolchain.compile_and_load(csrc.PRELUDE, tag="prelude")
+    lib = runtime.load_prelude() if toolchain.cc_available() else None
     if lib is None:
         return False
-    runtime.bind(lib)
     from repro.observability.metrics import registry
 
     # What one step must move: p, m and v read and written, g read —

@@ -1,32 +1,27 @@
 """Partition a captured :class:`StepGraph` into lowerable segments.
 
-The segmenter walks the record list once, propagating *staticness*
-(whether a record's output layout is pinned for the life of the graph)
-and classifying every record:
+The segmenter walks the record list once and classifies every record:
 
 - **Fused segments** — maximal runs of consecutive same-dtype,
   same-output-shape elementwise records (``_Add``/``_Sub``/``_Mul``/
   ``_Div`` and mask-free ``_DropoutResidual``) rendered as one C loop
   nest.  Intermediates consumed only inside the segment are *elided*:
   they live in C registers and are never materialized.
-- **Kernel units** — records with a specialized C implementation
-  (LayerNorm forward/backward, embedding lookup, the MoE row
-  gather/scatter pair) or a specialized Python closure (reshape,
-  transpose, ``__getitem__``).
-- **Host runs** — everything else (GEMMs, softmax/GELU transcendentals,
-  routing host records, reductions) replays through the PR 5 NumPy
+- **Kernel units** — records an entry of the kernel table
+  (:mod:`repro.autograd.lower.kernels`) replaces: looked up by the
+  record's function, admitted by the entry's operand contract
+  evaluated on the capture-time layout descriptors.
+- **Host runs** — everything else replays through the NumPy
   interpreter unchanged.
 
-Staticness is decided from the capture-time argument specs: leaves,
-named inputs, and constants are static; host-record outputs (``_DYN``
-references) are dynamic and poison every consumer — except
-``_ScatterRows``, whose output shape is ``(num_rows,) + x.shape[1:]``
-with a constant ``num_rows``, re-anchoring the token-major layout after
-the dynamically-sized expert segment.
+A second pass picks the backward swaps the same way.  Layouts are baked
+optimistically from the capture — a dynamic operand's live layout is
+re-checked by the runtime guard on every replay.
 
 With ``strict=True`` an elementwise record that *would* fuse but
-references a dynamic position raises :class:`LoweringError` naming the
-record — the debugging aid for kernels that are expected to lower.
+references a dynamic position with no descriptor to bake raises
+:class:`LoweringError` naming the record — the debugging aid for
+kernels that are expected to lower.
 """
 
 from __future__ import annotations
@@ -37,9 +32,8 @@ import numpy as np
 
 from repro.autograd import ops_basic as _B
 from repro.autograd import ops_fused as _F
-from repro.autograd import ops_nn as _N
 from repro.autograd.graph import _CONST, _DYN, _REC, _TUPLE, _OpRecord
-from repro.sparse import autograd_ops as _S
+from repro.autograd.lower import kernels
 
 __all__ = ["LoweringError", "analyze", "Analysis"]
 
@@ -74,28 +68,27 @@ class PyUnit:
 
 
 class KernUnit:
-    """One record backed by a specialized kernel or closure.
+    """One record replaced by a kernel-table entry's forward runner."""
 
-    ``kind`` is one of ``ln``, ``embed``, ``gather``, ``scatter``,
-    ``getitem_dyn``, ``getitem_const``, ``reshape``, ``transpose``,
-    ``sbgelu``, ``attn``, ``linbias``, ``mm``, ``softmax``, ``sdd``,
-    ``dsd``, or — for host records — ``topk1``, ``lbfrac``,
-    ``finite``.  ``native`` marks kinds that execute generated C.
-    """
+    __slots__ = ("index", "entry")
 
-    __slots__ = ("index", "kind", "meta", "native")
-
-    def __init__(self, index: int, kind: str, meta: dict, native: bool):
+    def __init__(self, index: int, entry):
         self.index = index
-        self.kind = kind
-        self.meta = meta
-        self.native = native
+        self.entry = entry
+
+    @property
+    def kind(self) -> str:
+        return self.entry.name
+
+    @property
+    def native(self) -> bool:
+        return self.entry.native
 
 
 class FusedStep:
     """One elementwise record inside a fused segment."""
 
-    __slots__ = ("index", "op", "lhs", "rhs", "materialize", "ctx_kind")
+    __slots__ = ("index", "op", "lhs", "rhs", "materialize", "ctx_saves")
 
     def __init__(self, index, op, lhs, rhs):
         self.index = index
@@ -103,7 +96,7 @@ class FusedStep:
         self.lhs = lhs  # ("ext", k) | ("tmp", record_index) | ("lit", value)
         self.rhs = rhs
         self.materialize = True
-        self.ctx_kind = None  # "shapes2" | "arrays" | "dropres"
+        self.ctx_saves = None  # "shapes2" | "arrays" | "dropres"
 
 
 class FusedSeg:
@@ -131,10 +124,12 @@ class FusedSeg:
         self.flat = False
         #: Like ``flat`` but with last-axis broadcasting: every operand
         #: is either full-shape contiguous or a contiguous ``(..., 1)``
-        #: column (per-row scale, e.g. routing weights); ``ekinds``
-        #: holds ``"full"``/``"row"`` per ext slot.  The row count is
-        #: read at call time; the last-axis width stays baked.
+        #: column (per-row scale, e.g. routing weights).  The row count
+        #: is read at call time; the last-axis width stays baked.
         self.flat2 = False
+        #: How each ext slot relates to the live shape: ``"full"`` /
+        #: ``"row"`` under ``flat``/``flat2``, else ``"baked"`` (the
+        #: captured layout, strides and all, is compiled in).
         self.ekinds: List[str] = []
 
 
@@ -143,9 +138,7 @@ class Analysis:
 
     def __init__(self, units, bwd, lowered, native, total):
         self.units = units
-        #: record index -> ("mul"|"add2"|"dropres2"|"ln"|"embed"|"gather"|
-        #: "scatter"|"getitem"|"sbgelu"|"biasgelu"|"linbias"|"attn")
-        #: backward-swap descriptor.
+        #: record index -> (backward unit kind, its kernel-table entry).
         self.bwd = bwd
         self.lowered = lowered  # record indices with a lowered forward
         self.native = native  # subset executing generated C
@@ -155,17 +148,6 @@ class Analysis:
 # ----------------------------------------------------------------------
 # Spec helpers
 # ----------------------------------------------------------------------
-def _spec_static(s, out_static) -> bool:
-    tag = s[0]
-    if tag == _REC:
-        return out_static[s[1]]
-    if tag == _DYN:
-        return False
-    if tag == _TUPLE:
-        return all(_spec_static(e, out_static) for e in s[1])
-    return True  # _LEAF, _CONST, _INPUT
-
-
 def _spec_key(spec):
     """A hashable identity key for a spec (specs can embed ndarrays)."""
     tag = spec[0]
@@ -228,17 +210,6 @@ def _elem_strides(desc, out_shape) -> Optional[Tuple[int, ...]]:
     return tuple(out)
 
 
-def _is_c_contiguous(desc) -> bool:
-    dtype_str, shape, strides = desc
-    item = np.dtype(dtype_str).itemsize
-    expect = item
-    for dim, st in zip(reversed(shape), reversed(strides)):
-        if dim > 1 and st != expect:
-            return False
-        expect *= dim
-    return True
-
-
 def _finite_scalar(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v)
 
@@ -246,7 +217,7 @@ def _finite_scalar(v) -> bool:
 # ----------------------------------------------------------------------
 # Classification
 # ----------------------------------------------------------------------
-def _classify_elem(i, rec, out_static, strict) -> Optional[tuple]:
+def _classify_elem(i, rec, strict) -> Optional[tuple]:
     """``(op, operand_specs, operand_descs)`` when record ``i`` can join a
     fused segment, else ``None`` (raising under ``strict`` when the only
     blocker is a dynamic argument)."""
@@ -307,350 +278,6 @@ def _classify_elem(i, rec, out_static, strict) -> Optional[tuple]:
     return op, operands, descs
 
 
-def _blas_ok() -> bool:
-    """Whether NumPy's own cblas_sgemm is resolvable for injection —
-    the precondition for every GEMM-backed native kind (the generated
-    kernels call it by function pointer for bit-identity)."""
-    from repro.autograd.lower import blas
-
-    return blas.available()
-
-
-def _gemm_side(desc):
-    """``(trans, ld)`` for a 2-D GEMM right-operand descriptor, or
-    ``None``.
-
-    ``trans=0``: plain row-major storage (ld = cols).  ``trans=1``: the
-    effective matrix is F-contiguous — physically its row-major
-    transpose (ld = rows) — and is passed to cblas with a transpose
-    flag, exactly how NumPy dispatches such views.  One-wide operands
-    are excluded: NumPy routes those through sgemv, whose reduction
-    order sgemm does not replicate."""
-    if desc is None or desc[0] != "<f4" or len(desc[1]) != 2:
-        return None
-    (rows, cols), (s0, s1) = desc[1], desc[2]
-    if rows < 2 or cols < 2:
-        return None
-    if (s0, s1) == (cols * 4, 4):
-        return 0, cols
-    if (s0, s1) == (4, rows * 4):
-        return 1, rows
-    return None
-
-
-def _gemm_lead(desc):
-    """``(batch, m, k)`` for a C-contiguous 2-D/3-D f4 left operand
-    with every GEMM dimension >= 2, or ``None``.  A 3-D lead batches a
-    shared 2-D right operand, NumPy-matmul style."""
-    if desc is None or desc[0] != "<f4" or not _is_c_contiguous(desc):
-        return None
-    shape = desc[1]
-    if len(shape) == 2:
-        batch, (m, k) = 1, shape
-    elif len(shape) == 3:
-        batch, m, k = shape
-    else:
-        return None
-    if m < 2 or k < 2 or batch < 1:
-        return None
-    return batch, m, k
-
-
-_HOST_KINDS = None
-
-
-def _host_kinds():
-    # Resolved lazily: repro.moe.router transitively imports
-    # repro.autograd, which must finish importing before this module's
-    # callers run.
-    global _HOST_KINDS
-    if _HOST_KINDS is None:
-        from repro.moe import router as _R
-
-        _HOST_KINDS = {
-            _R.top_k_indices: "topk1",
-            _R._lb_fractions: "lbfrac",
-            _R._logits_finite: "finite",
-        }
-    return _HOST_KINDS
-
-
-def _classify_host(i, rec) -> Optional[KernUnit]:
-    """Native kinds for MoE routing *host records* (non-tape callables).
-
-    Host records carry no layout descriptors — they are classified by
-    function identity plus frozen scalar arguments, and the runtime
-    runner checks the live array layouts on every call (tokens-per-
-    expert wobble changes them between replays)."""
-    kind = _host_kinds().get(rec.fn)
-    if kind is None:
-        return None
-    if kind == "topk1":
-        # Only the top-1 argmax scan is implemented; k > 1 stays host.
-        k = _const_value(rec.specs[1]) if len(rec.specs) > 1 else _NO_CONST
-        if k is _NO_CONST or k != 1:
-            return None
-        return KernUnit(i, "topk1", {}, native=True)
-    if kind == "lbfrac":
-        e = _const_value(rec.specs[1]) if len(rec.specs) > 1 else _NO_CONST
-        if e is _NO_CONST or int(e) < 1:
-            return None
-        return KernUnit(i, "lbfrac", {"E": int(e)}, native=True)
-    return KernUnit(i, "finite", {}, native=True)
-
-
-def _classify_kern(i, rec, out_static) -> Optional[KernUnit]:
-    fn = rec.fn
-    descs = rec.descs
-    if descs is None:
-        return None  # graph captured without layout descriptors
-    arg_descs = descs[1]
-    out_desc = descs[0]
-
-    if fn is _N._LayerNorm:
-        if out_desc is None or out_desc[0] != "<f4" or len(out_desc[1]) < 2:
-            return None
-        x_d, w_d, b_d = arg_descs[0], arg_descs[1], arg_descs[2]
-        if x_d is None or w_d is None or b_d is None:
-            return None
-        if not (
-            x_d[0] == w_d[0] == b_d[0] == "<f4"
-            and _is_c_contiguous(x_d)
-            and _is_c_contiguous(w_d)
-            and _is_c_contiguous(b_d)
-            and len(w_d[1]) == 1
-            and len(b_d[1]) == 1
-            and w_d[1][0] == x_d[1][-1]
-            and b_d[1][0] == x_d[1][-1]
-        ):
-            return None
-        eps = (rec.kwargs or {}).get("eps", 1e-5)
-        if len(rec.specs) > 3:
-            eps = _const_value(rec.specs[3])
-            if eps is _NO_CONST:
-                return None
-        meta = {"shape": x_d[1], "H": x_d[1][-1], "eps": float(eps)}
-        return KernUnit(i, "ln", meta, native=True)
-
-    if fn is _N._Embedding:
-        w_d, ids_d = arg_descs[0], arg_descs[1]
-        if (
-            w_d is None
-            or ids_d is None
-            or w_d[0] != "<f4"
-            or len(w_d[1]) != 2
-            or not _is_c_contiguous(w_d)
-            or np.dtype(ids_d[0]).kind not in "iu"
-        ):
-            return None
-        return KernUnit(
-            i, "embed", {"H": w_d[1][1], "V": w_d[1][0]}, native=True
-        )
-
-    if fn is _N._GatherRows:
-        x_d = arg_descs[0]
-        if x_d is None or x_d[0] != "<f4" or len(x_d[1]) != 2:
-            return None
-        if not _is_c_contiguous(x_d):
-            return None
-        return KernUnit(i, "gather", {"H": x_d[1][1]}, native=True)
-
-    if fn is _N._ScatterRows:
-        x_d = arg_descs[0]
-        num_rows = _const_value(rec.specs[2])
-        if (
-            x_d is None
-            or x_d[0] != "<f4"
-            or len(x_d[1]) != 2
-            or not _is_c_contiguous(x_d)
-            or num_rows is _NO_CONST
-        ):
-            return None
-        return KernUnit(
-            i, "scatter", {"H": x_d[1][1], "num_rows": int(num_rows)}, native=True
-        )
-
-    if fn is _B._Reshape:
-        shape = _const_value(rec.specs[1])
-        if shape is _NO_CONST:
-            return None
-        return KernUnit(i, "reshape", {"shape": tuple(shape)}, native=False)
-
-    if fn is _B._Transpose:
-        axes = _const_value(rec.specs[1]) if len(rec.specs) > 1 else None
-        if axes is _NO_CONST:
-            return None
-        a_d = arg_descs[0]
-        if a_d is None:
-            return None
-        if axes is None:
-            axes = tuple(reversed(range(len(a_d[1]))))
-        inverse = tuple(int(v) for v in np.argsort(axes))
-        return KernUnit(
-            i, "transpose", {"axes": tuple(axes), "inverse": inverse}, native=False
-        )
-
-    if fn is _S._SparseBiasGelu:
-        # forward(ctx, values, bias, topology): the bias gather + add and
-        # the GELU polynomial run in C around one NumPy np.tanh pass.
-        v_d, b_d = arg_descs[0], arg_descs[1]
-        if (
-            v_d is None
-            or b_d is None
-            or v_d[0] != "<f4"
-            or b_d[0] != "<f4"
-            or len(v_d[1]) != 3
-            or v_d[1][1] != v_d[1][2]
-            or len(b_d[1]) != 1
-            or not _is_c_contiguous(b_d)
-        ):
-            return None
-        return KernUnit(i, "sbgelu", {}, native=True)
-
-    if fn is _F._AttentionCore:
-        # forward(ctx, qkv, mask, scale, num_heads, head_dim): matmuls
-        # stay NumPy; the masked-softmax chain runs in C around np.exp.
-        scale = _const_value(rec.specs[2])
-        nh = _const_value(rec.specs[3])
-        hd = _const_value(rec.specs[4])
-        q_d = arg_descs[0]
-        if (
-            scale is _NO_CONST
-            or nh is _NO_CONST
-            or hd is _NO_CONST
-            or q_d is None
-            or q_d[0] != "<f4"
-            or len(q_d[1]) != 3
-            or not _is_c_contiguous(q_d)
-        ):
-            return None
-        meta = {"scale": float(scale), "nh": int(nh), "hd": int(hd)}
-        return KernUnit(i, "attn", meta, native=True)
-
-    if fn is _B._GetItem:
-        index_spec = rec.specs[1]
-        a_d = arg_descs[0]
-        if index_spec[0] == _CONST:
-            return KernUnit(
-                i, "getitem_const", {"index": index_spec[1]}, native=False
-            )
-        # Dynamic index (router selection patterns): forward stays a
-        # Python closure; the win is the C scatter in backward, which
-        # needs a pinned 2-D float32 base.
-        if a_d is None or a_d[0] != "<f4" or len(a_d[1]) != 2:
-            return None
-        return KernUnit(i, "getitem_dyn", {"shape": a_d[1]}, native=False)
-
-    if fn is _F._LinearBias:
-        # forward(ctx, x, w, b): one sgemm (+ the elementwise bias add)
-        # per batch row through NumPy's own BLAS.
-        if not _blas_ok():
-            return None
-        lead = _gemm_lead(arg_descs[0])
-        side = _gemm_side(arg_descs[1])
-        b_d = arg_descs[2]
-        if lead is None or side is None or b_d is None:
-            return None
-        batch, m, k = lead
-        wtrans, wld = side
-        n = arg_descs[1][1][1]
-        if (
-            arg_descs[1][1][0] != k
-            or b_d[0] != "<f4"
-            or len(b_d[1]) != 1
-            or b_d[1][0] != n
-            or not _is_c_contiguous(b_d)
-            or out_desc is None
-            or out_desc[0] != "<f4"
-            or not _is_c_contiguous(out_desc)
-        ):
-            return None
-        meta = {
-            "batch": batch, "m": m, "k": k, "n": n,
-            "wtrans": wtrans, "wld": wld,
-        }
-        return KernUnit(i, "linbias", meta, native=True)
-
-    if fn is _B._MatMul:
-        if not _blas_ok():
-            return None
-        lead = _gemm_lead(arg_descs[0])
-        side = _gemm_side(arg_descs[1])
-        if lead is None or side is None:
-            return None
-        batch, m, k = lead
-        btrans, bld = side
-        n = arg_descs[1][1][1]
-        if (
-            arg_descs[1][1][0] != k
-            or out_desc is None
-            or out_desc[0] != "<f4"
-            or not _is_c_contiguous(out_desc)
-        ):
-            return None
-        meta = {
-            "batch": batch, "m": m, "k": k, "n": n,
-            "btrans": btrans, "bld": bld,
-        }
-        return KernUnit(i, "mm", meta, native=True)
-
-    if fn is _N._Softmax:
-        # Last-axis softmax: the max-subtract and sum-divide passes run
-        # in C around one NumPy np.exp (transcendentals stay NumPy).
-        x_d = arg_descs[0]
-        if (
-            x_d is None
-            or x_d[0] != "<f4"
-            or not _is_c_contiguous(x_d)
-            or len(x_d[1]) < 1
-        ):
-            return None
-        if len(rec.specs) > 1:
-            axis = _const_value(rec.specs[1])
-            if axis is _NO_CONST:
-                return None
-        else:
-            axis = (rec.kwargs or {}).get("axis", -1)
-        if axis not in (-1, len(x_d[1]) - 1):
-            return None
-        return KernUnit(
-            i, "softmax", {"shape": x_d[1], "n": x_d[1][-1]}, native=True
-        )
-
-    if fn is _S._SddMM:
-        # forward(ctx, x, w, topology): grouped BCSR sampling GEMM.  The
-        # topology is a host-record output (tokens-per-expert wobble),
-        # so nothing is baked here — the runner re-reads the live
-        # dispatch plan per call and falls back per-record when the
-        # grouped path declines.
-        if not _blas_ok():
-            return None
-        x_d, w_d = arg_descs[0], arg_descs[1]
-        if w_d is None or _gemm_lead(x_d) is None:
-            return None
-        if _gemm_side(w_d) != (0, w_d[1][1]) or len(x_d[1]) != 2:
-            return None
-        return KernUnit(i, "sdd", {}, native=True)
-
-    if fn is _S._DsdMM:
-        # forward(ctx, h_values, w, topology): grouped sparse-dense GEMM.
-        if not _blas_ok():
-            return None
-        v_d, w_d = arg_descs[0], arg_descs[1]
-        if (
-            v_d is None
-            or w_d is None
-            or v_d[0] != "<f4"
-            or len(v_d[1]) != 3
-            or v_d[1][1] != v_d[1][2]
-            or _gemm_side(w_d) != (0, w_d[1][1])
-        ):
-            return None
-        return KernUnit(i, "dsd", {}, native=True)
-
-    return None
-
-
 # ----------------------------------------------------------------------
 # Analysis driver
 # ----------------------------------------------------------------------
@@ -658,19 +285,7 @@ def analyze(graph, strict: bool = False) -> Analysis:
     records = graph.records
     n = len(records)
 
-    # Pass 1: staticness of every record's output.
-    out_static = [False] * n
-    for i, rec in enumerate(records):
-        if type(rec) is not _OpRecord:
-            continue
-        if rec.fn is _N._ScatterRows:
-            out_static[i] = _const_value(rec.specs[2]) is not _NO_CONST
-        else:
-            out_static[i] = all(
-                _spec_static(s, out_static) for s in rec.specs
-            )
-
-    # Pass 2: who references each record from *outside* a segment —
+    # Who references each record from *outside* a segment —
     # needed for register elision.  Host records and op records both
     # reference through their specs; the loss/root/seed reads count too.
     consumers: Dict[int, List[int]] = {}
@@ -679,7 +294,7 @@ def analyze(graph, strict: bool = False) -> Analysis:
             for ridx in _iter_rec_refs(s):
                 consumers.setdefault(ridx, []).append(j)
 
-    # Pass 3: classify and group.
+    # Classify and group.
     units: List[Any] = []
     bwd: Dict[int, tuple] = {}
     lowered: set = set()
@@ -703,10 +318,9 @@ def analyze(graph, strict: bool = False) -> Analysis:
             seg = None
 
     for i, rec in enumerate(records):
-        is_op = type(rec) is _OpRecord
         elem = None
-        if is_op:
-            elem = _classify_elem(i, rec, out_static, strict)
+        if type(rec) is _OpRecord:
+            elem = _classify_elem(i, rec, strict)
         if elem is not None:
             op, operands, descs = elem
             out_desc = rec.descs[0]
@@ -721,17 +335,13 @@ def analyze(graph, strict: bool = False) -> Analysis:
             _append_step(seg, i, rec, op, operands, descs)
             continue
 
-        kern = (
-            _classify_kern(i, rec, out_static)
-            if is_op
-            else _classify_host(i, rec)
-        )
-        if kern is not None:
+        entry = kernels.forward_entry(rec)
+        if entry is not None:
             flush_seg()
             flush_py()
-            units.append(kern)
+            units.append(KernUnit(i, entry))
             lowered.add(i)
-            if kern.native:
+            if entry.native:
                 native.add(i)
             continue
 
@@ -745,100 +355,10 @@ def analyze(graph, strict: bool = False) -> Analysis:
     # protocol is identical whether the forward ran eagerly, through the
     # replay interpreter, or in C.
     for i, rec in enumerate(records):
-        if type(rec) is not _OpRecord or not rec.requires_grad:
-            continue
-        fn = rec.fn
-        descs = rec.descs
-        out_desc = descs[0] if descs else None
-
-        def _same_shape_pair(a_pos, b_pos):
-            # Baked operand shapes equal to the output shape: the
-            # predictor for the same-shape fast paths (a runtime guard
-            # still re-checks against the live arrays).
-            if out_desc is None:
-                return False
-            da, db = descs[1][a_pos], descs[1][b_pos]
-            return (
-                da is not None
-                and db is not None
-                and da[1] == out_desc[1]
-                and db[1] == out_desc[1]
-            )
-
-        if fn is _B._Mul:
-            if (
-                out_desc is not None
-                and out_desc[0] == "<f4"
-                and _same_shape_pair(0, 1)
-            ):
-                size = 1
-                for d in out_desc[1]:
-                    size *= int(d)
-                # Below this the ctypes call + two pool acquisitions cost
-                # more than NumPy's whole ufunc dispatch: the swap would
-                # only ever slow down the scalar loss-combination muls.
-                if size >= 4096:
-                    bwd[i] = ("mul", {})
-        elif fn is _B._Add:
-            if _same_shape_pair(0, 1):
-                bwd[i] = ("add2", {})
-        elif fn is _F._DropoutResidual:
-            if _same_shape_pair(0, 1):
-                bwd[i] = ("dropres2", {})
-        elif fn is _N._LayerNorm:
-            u = _classify_kern(i, rec, out_static)
-            if u is not None and u.kind == "ln":
-                bwd[i] = ("ln", u.meta)
-        elif fn is _N._Embedding:
-            u = _classify_kern(i, rec, out_static)
-            if u is not None and u.kind == "embed":
-                bwd[i] = ("embed", u.meta)
-        elif fn is _N._GatherRows:
-            u = _classify_kern(i, rec, out_static)
-            if u is not None and u.kind == "gather":
-                bwd[i] = ("gather", u.meta)
-        elif fn is _N._ScatterRows:
-            u = _classify_kern(i, rec, out_static)
-            if u is not None and u.kind == "scatter":
-                bwd[i] = ("scatter", u.meta)
-        elif fn is _F._AttentionCore:
-            u = _classify_kern(i, rec, out_static)
-            if u is not None and u.kind == "attn":
-                bwd[i] = ("attn", u.meta)
-        elif fn is _F._BiasGelu or fn is _S._SparseBiasGelu:
-            # The tanh term is saved by forward, so the backward is a
-            # pure f32 elementwise chain — the single most expensive
-            # swappable closure in the dMoE replay.
-            if out_desc is not None and out_desc[0] == "<f4":
-                bwd[i] = (
-                    "sbgelu" if fn is _S._SparseBiasGelu else "biasgelu", {}
-                )
-        elif fn is _F._LinearBias:
-            b_d = descs[1][2] if descs else None
-            if (
-                out_desc is not None
-                and out_desc[0] == "<f4"
-                and len(out_desc[1]) in (2, 3)
-                and b_d is not None
-                and len(b_d[1]) == 1
-                and b_d[1][0] == out_desc[1][-1]
-            ):
-                bwd[i] = ("linbias", {})
-        elif fn is _B._GetItem:
-            bwd[i] = ("getitem", {})
-        elif fn is _S._SddMM:
-            # backward = DSD + DDS grouped products; the closure
-            # re-reads the live topology per step and falls back
-            # wholesale when the grouped path declines.
-            if _blas_ok():
-                bwd[i] = ("sdd", {})
-        elif fn is _S._DsdMM:
-            if _blas_ok():
-                bwd[i] = ("dsd", {})
-        elif fn is _N._Softmax:
-            u = _classify_kern(i, rec, out_static)
-            if u is not None and u.kind == "softmax":
-                bwd[i] = ("softmax2", u.meta)
+        if type(rec) is _OpRecord and rec.requires_grad:
+            entry = kernels.backward_entry(rec)
+            if entry is not None:
+                bwd[i] = (entry.bwd_name, entry)
 
     return Analysis(units, bwd, lowered, native, n)
 
@@ -867,11 +387,11 @@ def _append_step(seg: FusedSeg, i: int, rec, op, operands, descs) -> None:
         i, op, ref_for(operands[0], descs[0]), ref_for(operands[1], descs[1])
     )
     if rec.fn in _CTX_SAVES_ARRAYS:
-        step.ctx_kind = "arrays"
+        step.ctx_saves = "arrays"
     elif rec.fn is _F._DropoutResidual:
-        step.ctx_kind = "dropres"
+        step.ctx_saves = "dropres"
     else:
-        step.ctx_kind = "shapes2"
+        step.ctx_saves = "shapes2"
     seg.steps.append(step)
     seg.indices.append(i)
 
@@ -886,7 +406,7 @@ def _finish_segment(graph, seg: FusedSeg, consumers) -> None:
     in_seg = set(seg.indices)
     saves_arrays: Dict[int, bool] = {}
     for s in seg.steps:
-        if s.ctx_kind == "arrays":
+        if s.ctx_saves == "arrays":
             for ref in (s.lhs, s.rhs):
                 if ref[0] == "tmp":
                     saves_arrays[ref[1]] = True
@@ -906,10 +426,14 @@ def _finish_segment(graph, seg: FusedSeg, consumers) -> None:
         contig.append(acc)
         acc *= dim
     contig_t = tuple(reversed(contig))
-    seg.flat = bool(seg.ext) and all(st == contig_t for _s, _d, st in seg.ext)
+    seg.ekinds = ["baked"] * len(seg.ext)
+    if seg.ext and all(st == contig_t for _s, _d, st in seg.ext):
+        seg.flat = True
+        seg.ekinds = ["full"] * len(seg.ext)
+        return
 
     # Last-axis broadcast only → rows*H nest with a runtime row count.
-    if not seg.flat and seg.ext and len(seg.shape) >= 2:
+    if seg.ext and len(seg.shape) >= 2:
         lead: List[int] = []
         acc = 1
         for dim in reversed(seg.shape[:-1]):

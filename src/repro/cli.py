@@ -463,11 +463,13 @@ def lower_main(argv=None) -> int:
 
     fused_units = fused_records = 0
     kern_kinds: Counter = Counter()
+    kern_native = {}
     host_fns: Counter = Counter()
     for unit in analysis.units:
         kind = getattr(unit, "kind", None)
         if kind is not None:
             kern_kinds[kind] += 1
+            kern_native[kind] = unit.native
         elif hasattr(unit, "ctype"):  # FusedSeg
             fused_units += 1
             fused_records += len(unit.indices)
@@ -480,10 +482,12 @@ def lower_main(argv=None) -> int:
         "attached": plan is not None,
         "records_total": analysis.total,
         "records_lowered": len(analysis.lowered),
+        "records_native": len(analysis.native),
         "coverage": coverage,
         "fused_segments": fused_units,
         "fused_records": fused_records,
         "kernel_units": dict(sorted(kern_kinds.items())),
+        "kernel_native": dict(sorted(kern_native.items())),
         "backward_swaps": dict(
             sorted(Counter(e[0] for e in analysis.bwd.values()).items())
         ),
@@ -499,14 +503,18 @@ def lower_main(argv=None) -> int:
         f"lowering report ({args.system} {args.model}, {args.steps} steps): "
         f"plan {attached}"
     )
+    total = max(1, analysis.total)
     print(
-        f"  coverage: {report['records_lowered']}/{report['records_total']} "
-        f"replay records native ({coverage:.1%})"
+        f"  coverage: of {analysis.total} replay records, "
+        f"{report['records_lowered']} lowered (off the interpreter, "
+        f"{coverage:.1%}), {report['records_native']} native (in C, "
+        f"{report['records_native'] / total:.1%})"
     )
     print(f"  fused elementwise: {fused_units} segments, {fused_records} records")
     print("  kernel units:")
     for kind, n in sorted(kern_kinds.items()):
-        print(f"    {kind:14} {n}")
+        where = "native" if kern_native[kind] else "python closure"
+        print(f"    {kind:14} {n:4}  {where}")
     print("  backward swaps:")
     for kind, n in report["backward_swaps"].items():
         print(f"    {kind:14} {n}")

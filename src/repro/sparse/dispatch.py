@@ -294,7 +294,7 @@ def group_table(topo: Topology) -> Optional[np.ndarray]:
     in block units.
 
     This is the flat form the generated-C grouped-GEMM kernels iterate
-    (:mod:`repro.autograd.lower.csrc`); like the plan itself it is
+    (:mod:`repro.autograd.lower.kernels.grouped`); like the plan itself it is
     derived metadata, memoized on the topology so the per-step native
     dispatch never rebuilds it.  ``None`` when the topology has no
     rectangular group structure."""
@@ -459,7 +459,7 @@ def use_grouped(plan: DispatchPlan | None, needs_disjoint_cols: bool) -> bool:
 # callers resolve trans_a/trans_b by passing ``a.T`` / ``b.T`` — so the
 # only copies are the per-group block-layout shuffles.  Each group's
 # GEMM runs over its live rows (``LiveLayout.rows``); the generated-C
-# kernels of ``repro.autograd.lower.csrc`` issue the same
+# kernels of ``repro.autograd.lower.kernels.grouped`` issue the same
 # ``(transA, transB, M, N, K, ld*)`` sgemm per group, which is what
 # keeps eager = replay = cc bitwise.
 # ----------------------------------------------------------------------
@@ -506,7 +506,7 @@ def band_output(
     so only the bands *no* group writes — ``plan.col_gaps`` — need
     ``+0.0``, not the whole weight-gradient-sized buffer.  Overlapping
     bands keep the whole-buffer fill.  The NumPy executors below and the
-    generated-C runners of ``lower/runtime.py`` all allocate through
+    generated-C runners of ``lower/kernels/grouped.py`` all allocate through
     here, which is what keeps the zeros of eager and ``cc`` the same."""
     if not plan.cols_disjoint:
         return arena.zeros(shape, dtype)

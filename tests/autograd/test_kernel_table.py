@@ -1,0 +1,471 @@
+"""Conformance of the lowering's kernel table, through the table.
+
+Every entry of :mod:`repro.autograd.lower.kernels` is driven the way
+training drives it — a captured graph around one call of the op it
+replaces, analyzed, attached, replayed — on operands drawn from the
+entry's own fuzz domain:
+
+(a) conforming operands: the native unit's output, its saved
+    ``Context`` and the swapped backward's gradients equal the replaced
+    op's NumPy ``forward``/``backward`` bit for bit, and no fallback is
+    counted;
+(b) for each clause of the declared contract, operands that break it:
+    the unit declines, the outcome is still exactly NumPy's (the same
+    bits, or the same exception), and ``lower_segment_fallbacks`` moves
+    by exactly one (a backward swap falls to the op's own ``backward``,
+    counted here by wrapping it).
+
+The violating operands are derived from the contract itself — a wrong
+dtype, a strided view, an extra axis for a layout clause; the first
+shape or index mutation that makes a relation false — so a new entry is
+covered on arrival.  The registry test keeps the table, the compiled
+prelude and the docs catalog in step.
+"""
+
+import contextlib
+import os
+import re
+import shutil
+import subprocess
+
+import numpy as np
+import pytest
+
+from repro.autograd import CaptureSession, Tensor, lower
+from repro.autograd.function import Context, Function
+from repro.autograd.graph import host as graph_host
+from repro.autograd.lower import kernels, runtime, toolchain
+from repro.autograd.lower.kernels.base import OUT, Arr, Rel
+from repro.observability import registry
+from repro.sparse import dispatch
+from repro.training import Adam
+from repro.training import optim as optim_mod
+from repro.training.optim import clip_grad_norm
+
+pytestmark = pytest.mark.skipif(
+    not lower.cc_available(), reason="no C toolchain in this environment"
+)
+
+UNITS = [e for e in kernels.TABLE if e.forward or e.backward]
+RIDERS = [e for e in kernels.TABLE if not (e.forward or e.backward)]
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _one_cache_for_the_module(tmp_path_factory):
+    """One compile cache — one prelude compile — for every case here."""
+    mp = pytest.MonkeyPatch()
+    mp.setenv("REPRO_LOWER_CACHE", str(tmp_path_factory.mktemp("lower-cache")))
+    toolchain._reset_for_tests()
+    yield
+    mp.undo()
+    toolchain._reset_for_tests()
+    optim_mod._CLIP_CC = None
+
+
+def _fallbacks() -> int:
+    return registry().counter("lower_segment_fallbacks").value
+
+
+# ----------------------------------------------------------------------
+# Bit-exact comparison of anything a forward saves or a backward returns
+# ----------------------------------------------------------------------
+def _assert_same(got, want, what):
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray), what
+        assert got.dtype == want.dtype and got.shape == want.shape, what
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes(), what
+    elif isinstance(want, (tuple, list)):
+        assert len(got) == len(want), what
+        for k, (g, w) in enumerate(zip(got, want)):
+            _assert_same(g, w, f"{what}[{k}]")
+    elif want is None or isinstance(want, (np.generic, int, float)):
+        # a saved shape or axis may be a Python or a NumPy integer
+        same_kind = want is None or (
+            np.asarray(got).dtype.kind == np.asarray(want).dtype.kind
+            and np.asarray(got).itemsize == np.asarray(want).itemsize
+        )
+        assert same_kind and (got is want or got == want), what
+    else:
+        assert got is want, what  # a topology, an rng: passed through
+
+
+def _outcome(fn, *args):
+    """``("ok", value)`` or ``("raised", exception type)``."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the reference and the fallback must agree
+        return "raised", type(exc)
+
+
+def _assert_same_outcome(got, want, what):
+    assert got[0] == want[0], f"{what}: {got} vs {want}"
+    if want[0] == "raised":
+        assert got[1] is want[1], what
+    else:
+        _assert_same(got[1], want[1], what)
+
+
+# ----------------------------------------------------------------------
+# One captured, lowered call of the op an entry replaces
+# ----------------------------------------------------------------------
+def _is_input(a) -> bool:
+    return isinstance(a, np.ndarray) or hasattr(a, "block_size")
+
+
+class Lowered:
+    """``args`` captured as one call of ``entry``'s op, every array (or
+    topology) argument a named input the replay can substitute."""
+
+    def __init__(self, entry, args):
+        self.fn = fn = kernels.replaced(entry)
+        self.is_op = isinstance(fn, type) and issubclass(fn, Function)
+        sess = CaptureSession(("conformance", entry.name), self.inputs(args)).begin()
+        try:
+            if self.is_op:
+                out = fn.apply(*(
+                    Tensor(a, requires_grad=True)
+                    if isinstance(a, np.ndarray) and a.dtype.kind == "f" else a
+                    for a in args
+                ))
+            else:
+                graph_host(fn, *args)
+                out = Tensor(np.ones(3, np.float32), requires_grad=True) * 2.0
+            loss = out.sum()
+            loss.backward(retain_graph=True)
+        except BaseException:
+            sess.abort()
+            raise
+        self.graph = graph = sess.finalize(loss, loss)
+        self.index = next(i for i, r in enumerate(graph.records) if r.fn is fn)
+        # Count what reaches the op's own backward.
+        self.orig_calls = 0
+        for pos, (kind, slot, ref, orig, targets) in enumerate(graph._bwd_plan):
+            if kind == 0 and ref == self.index:
+                self.bwd_pos = pos
+                graph._bwd_plan[pos] = (
+                    kind, slot, ref, self._counting(orig), targets
+                )
+        self.analysis = lower.analyze(graph)
+        self.plan = lower.attach(graph)
+        assert self.plan is not None
+
+    def _counting(self, orig):
+        def counted(ctx, grad):
+            self.orig_calls += 1
+            return orig(ctx, grad)
+
+        return counted
+
+    @staticmethod
+    def inputs(args) -> dict:
+        named = {}
+
+        def walk(a):
+            if _is_input(a):
+                named[f"a{len(named)}"] = a
+            elif type(a) is tuple:
+                for e in a:
+                    walk(e)
+
+        for a in args:
+            walk(a)
+        return named
+
+    def forward(self, args):
+        """``(ctx, out)`` of the unit under substitute arguments."""
+        return self.plan.run_forward(self.inputs(args))[self.index]
+
+    def reference(self, args):
+        ctx = Context()
+        if self.is_op:
+            return ctx, self.fn.forward(ctx, *args)
+        return None, self.fn(*args)
+
+    def backward(self, ctx, grad):
+        return self.graph._bwd_plan[self.bwd_pos][3](ctx, grad)
+
+
+# ----------------------------------------------------------------------
+# Violations, derived from the contract
+# ----------------------------------------------------------------------
+def _wrong_dtype(clause, a):
+    """``a`` cast to the nearest dtype the layout clause rejects."""
+    nearest = {"f": [np.float64], "b": [np.uint8]}.get(a.dtype.kind, [np.int32])
+    for dtype in nearest + [np.float64]:
+        if not clause.holds(a.astype(dtype)):
+            return a.astype(dtype)
+    raise AssertionError(f"{clause.name} admits every dtype tried")
+
+
+def _strided(a):
+    """The same values behind a non-contiguous layout."""
+    wide = np.repeat(a, 2, axis=-1)[..., ::2]
+    assert a.ndim and not wide.flags.c_contiguous, "fuzz domain too small"
+    return wide
+
+
+def _other_rank(a, ranks):
+    for cand in (a[None], a.reshape(-1), a[None, None]):
+        if ranks is None or cand.ndim not in ranks:
+            return cand
+    raise AssertionError(f"no reshape of rank {a.ndim} leaves {ranks}")
+
+
+def _mutations(a):
+    """Shape and index mutations of one operand, mildest first."""
+    if type(a) is tuple and a and isinstance(a[0], np.ndarray):
+        for m in _mutations(a[0]):
+            yield (m,) + a[1:]
+    if type(a) is int:
+        yield a - 1
+    if not isinstance(a, np.ndarray):
+        return
+    for axis in range(a.ndim):
+        if a.shape[axis] > 1:
+            yield np.ascontiguousarray(a.take(range(a.shape[axis] - 1), axis))
+            yield np.ascontiguousarray(a.take([0], axis))
+    yield a.reshape(-1)
+    yield a[None]
+    for axis in range(a.ndim):
+        yield np.ascontiguousarray(a.take([], axis))
+    if a.dtype.kind in "iu" and a.size:
+        for bad in (10**6, -7):
+            m = a.copy()
+            m.flat[0] = bad
+            yield m
+
+
+#: Perturbations of the process, for clauses no operand can break.
+_ENVIRONMENTS = (lambda: dispatch.dispatch_mode("blocked"),)
+
+
+def _violations(contract, ops):
+    """``(label, operands, environment)`` per live clause of
+    ``contract`` (three per array layout: dtype, rank, contiguity)."""
+    ops = tuple(ops)
+
+    def swap(k, value):
+        return ops[:k] + (value,) + ops[k + 1:]
+
+    for c in contract.clauses:
+        if type(c) is Arr and c.k != OUT:
+            a = ops[c.k]
+            exact = c.pin or c.shape
+            yield f"{c.name}: dtype", swap(c.k, _wrong_dtype(c, a)), None
+            if c.rank is not None or exact:
+                yield f"{c.name}: rank", swap(c.k, _other_rank(a, c.rank)), None
+            if c.contig or c.pin:
+                yield f"{c.name}: contiguity", swap(c.k, _strided(a)), None
+        elif isinstance(c, Rel):
+            yield _trip(c, ops, swap)
+
+
+def _trip(clause, ops, swap):
+    def broken(cand):
+        try:
+            return not clause.fn(*cand)
+        except Exception:
+            return False  # the clause cannot even be asked: not a trip
+
+    for k, a in enumerate(ops):
+        for m in _mutations(a):
+            if broken(swap(k, m)):
+                return clause.name, swap(k, m), None
+    for env in _ENVIRONMENTS:
+        with env():
+            if broken(ops):
+                return clause.name, ops, env
+    raise AssertionError(f"nothing trips the clause {clause.name!r}")
+
+
+# ----------------------------------------------------------------------
+# (a) + (b), forward and backward, for every unit entry
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("entry", UNITS, ids=lambda e: e.name)
+def test_unit_conforms_and_every_clause_declines(entry):
+    rng = np.random.default_rng(sum(map(ord, entry.name)))
+    for draw in range(3):
+        args = entry.fuzz(rng)
+        low = Lowered(entry, args)
+        unit = next(
+            (u for u in low.analysis.units if getattr(u, "index", None) == low.index),
+            None,
+        )
+        if entry.forward:
+            assert unit is not None and unit.entry is entry, "forward not classified"
+        if entry.backward:
+            assert low.analysis.bwd[low.index] == (entry.bwd_name, entry)
+
+        # (a) conforming operands, fresh values of the captured layout
+        before = _fallbacks()
+        ctx, out = low.forward(args)
+        ref_ctx, ref_out = low.reference(args)
+        _assert_same(out, ref_out, f"{entry.name} forward")
+        if low.is_op:
+            _assert_same(ctx.saved, ref_ctx.saved, f"{entry.name} saved")
+        if entry.backward:
+            grad = rng.standard_normal(ref_out.shape).astype(ref_out.dtype)
+            _assert_same(
+                low.backward(ctx, grad),
+                low.fn.backward(ref_ctx, grad),
+                f"{entry.name} backward",
+            )
+            assert low.orig_calls == 0, "a conforming backward fell back"
+        assert _fallbacks() == before, "a conforming unit fell back"
+        if draw:
+            continue
+
+        # (b) one violation per clause
+        if entry.forward and entry.native:
+            for label, bad, env in _violations(entry.contract, args):
+                what = f"{entry.name} forward, {label}"
+                with env() if env else contextlib.nullcontext():
+                    want = _outcome(lambda: low.reference(bad)[1])
+                    before = _fallbacks()
+                    got = _outcome(lambda: low.forward(bad)[1])
+                _assert_same_outcome(got, want, what)
+                # a planned decline (blocked dispatch) is not a breach
+                assert _fallbacks() == before + (env is None), what
+        if entry.backward:
+            for label, bad, env in _violations(entry.bwd_guard, (grad, *ctx.saved)):
+                what = f"{entry.name} backward, {label}"
+                bad_ctx, ref_bad_ctx = Context(), Context()
+                bad_ctx.saved = ref_bad_ctx.saved = bad[1:]
+                with env() if env else contextlib.nullcontext():
+                    want = _outcome(low.fn.backward, ref_bad_ctx, bad[0])
+                    calls = low.orig_calls
+                    got = _outcome(low.backward, bad_ctx, bad[0])
+                _assert_same_outcome(got, want, what)
+                assert low.orig_calls == calls + 1, what
+
+
+def test_planned_blocked_dispatch_declines_uncounted():
+    """A topology the dispatch heuristic (or a forced mode) sends down
+    the blocked path is the planned eager path, not a guard breach: the
+    grouped units step aside and nothing is counted."""
+    rng = np.random.default_rng(5)
+    for entry in UNITS:
+        if not (entry.forward and kernels.replaced(entry).__name__ in ("_SddMM", "_DsdMM")):
+            continue
+        args = entry.fuzz(rng)
+        low = Lowered(entry, args)
+        before = _fallbacks()
+        with dispatch.dispatch_mode("blocked"):
+            _, out = low.forward(args)
+            _, ref = low.reference(args)
+        _assert_same(out, ref, entry.name)
+        assert _fallbacks() == before
+
+
+# ----------------------------------------------------------------------
+# Optimizer riders
+# ----------------------------------------------------------------------
+def _optimizers(tensors):
+    """Two Adams over copies of ``tensors``; the first one native."""
+    opts = [
+        Adam([Tensor(t.copy(), requires_grad=True) for t in tensors],
+             lr=1e-2, weight_decay=0.01)
+        for _ in range(2)
+    ]
+    assert lower.attach_adam(opts[0])
+    return opts
+
+
+def _drive_adam(tensors, rng):
+    native, mirror = _optimizers(tensors)
+    for _ in range(3):
+        for t, p, q in zip(tensors, native.params, mirror.params):
+            p.grad = rng.standard_normal(t.shape).astype(np.float32)
+            q.grad = p.grad.copy()
+        native.step()
+        mirror.step()
+        for p, q in zip(native.params, mirror.params):
+            _assert_same(p.data, q.data, "adam parameter")
+        _assert_same(native._m + native._v, mirror._m + mirror._v, "adam moments")
+
+
+def _drive_clip(tensors, rng):
+    native, mirror = _optimizers(tensors)
+    native_clip = optim_mod._CLIP_CC
+    for max_norm in (1e9, 1.0):  # below the norm (no scale pass) and above
+        norms = []
+        for opt, clip in ((native, native_clip), (mirror, None)):
+            for t, p in zip(tensors, opt.params):
+                p.grad = (t * 3).astype(np.float32)
+            optim_mod._CLIP_CC = clip
+            norms.append(clip_grad_norm(opt.params, max_norm))
+        assert norms[0] == norms[1]
+        for p, q in zip(native.params, mirror.params):
+            _assert_same(p.grad, q.grad, "clipped gradient")
+
+
+_RIDER_DRIVERS = {"adam": _drive_adam, "clip": _drive_clip}
+
+
+@pytest.mark.parametrize("entry", RIDERS, ids=lambda e: e.name)
+def test_rider_conforms(entry):
+    """``adam`` and ``clip`` ride on the prelude outside any graph:
+    installed by ``attach_adam``, compared with the NumPy optimizer on
+    the entry's tensors."""
+    from repro.autograd import steady_state
+
+    rng = np.random.default_rng(11)
+    try:
+        with steady_state():
+            _RIDER_DRIVERS[entry.name](entry.fuzz(rng), rng)
+    finally:
+        optim_mod._CLIP_CC = None
+
+
+# ----------------------------------------------------------------------
+# Registry
+# ----------------------------------------------------------------------
+def _catalog_rows():
+    here = os.path.dirname(os.path.abspath(__file__))
+    doc = open(os.path.join(here, "..", "..", "docs", "codegen.md")).read()
+    section = doc[doc.index("## Kernel catalog"):]
+    section = section[: section.index("\n## ", 1)]
+    return re.findall(r"^\| `\w+` \|.*$", section, re.M)
+
+
+def _catalog_row(entry) -> str:
+    """The row ``docs/codegen.md`` must hold for ``entry``."""
+    target = kernels.replaced(entry).__name__
+    units = [f"forward `{entry.name}`"] * bool(entry.forward)
+    units += [f"backward `{entry.bwd_name}`"] * bool(entry.backward)
+    symbols = ", ".join(f"`{s}`" for s in entry.symbols) or "—"
+    runs_as = "C" if entry.native else "Python closure"
+    return (
+        f"| `{entry.name}` | `{target}` | {'; '.join(units) or 'rider'} "
+        f"| {symbols} | {runs_as} |"
+    )
+
+
+def test_registry_is_consistent():
+    lib = runtime.load_prelude()
+    assert lib is not None
+    owners = {}
+    for entry in kernels.TABLE:
+        assert entry.fuzz is not None, f"{entry.name} has no fuzz domain"
+        for symbol in entry.symbols:
+            assert symbol not in owners, f"{symbol} declared twice"
+            owners[symbol] = entry.name
+            assert getattr(lib, symbol).argtypes is not None, symbol  # resolves, bound
+    # ... and nothing else is exported.
+    if shutil.which("nm"):
+        listing = subprocess.run(
+            ["nm", "-D", "--defined-only", lib._name],
+            capture_output=True, text=True, check=True,
+        ).stdout
+        exported = set(re.findall(r"\b(repro_\w+)$", listing, re.M))
+        assert exported == set(owners)
+    assert len(owners) == 32
+
+    forward = [e.name for e in kernels.TABLE if e.forward]
+    backward = [e.bwd_name for e in kernels.TABLE if e.backward]
+    assert len(forward) == len(set(forward)) == 18
+    assert len(backward) == len(set(backward)) == 15
+    names = [e.name for e in kernels.TABLE]
+    assert len(names) == len(set(names))
+    # The docs catalog is the table's own listing.
+    assert _catalog_rows() == [_catalog_row(e) for e in kernels.TABLE]

@@ -539,7 +539,7 @@ class TestGemmMoeKernelFuzz:
     def test_segsum_tr_matches_reduceat_tail(self):
         """The transpose-segment bias reduction vs the exact eager
         sequence (gather by transpose offsets + pairwise reduceat)."""
-        from repro.autograd.lower.runtime import _tr_segments
+        from repro.autograd.lower.kernels.gelu import tr_segments as _tr_segments
         from repro.sparse.ops import segment_meta
 
         lib = _lib()

@@ -28,7 +28,7 @@ def _model(rng=0):
     return Sequential(Linear(4, 8, rng=rng), Linear(8, 2, rng=rng + 1))
 
 
-class TestMixedFormatIndex:
+class TestManagerDirectories:
     def test_rebuild_ignores_stray_files(self, tmp_path):
         """A leftover file of the removed single-file format (or any
         other non-checkpoint name) never enters the rebuilt index."""

@@ -195,7 +195,7 @@ class TestTornAndCorrupt:
             np.testing.assert_array_equal(p.data, b)
 
 
-class TestDispatchAndMigration:
+class TestSaveLoadDescribe:
     def test_path_dispatch(self, tmp_path):
         """What a load does is decided by what is at the path: a
         directory loads, nothing is ``FileNotFoundError``, and a file —
@@ -236,7 +236,7 @@ class TestDispatchAndMigration:
             np.testing.assert_array_equal(a, b)
         assert opt2.t == opt.t
 
-    def test_describe_both_formats(self, tmp_path):
+    def test_describe_structured_and_table(self, tmp_path):
         """Both inspection outputs: the structured description and the
         human-readable table ``ckpt inspect`` prints."""
         state = _state(mesh=DeviceMesh(world=4, expert_parallel=4))

@@ -97,7 +97,8 @@ class TestLowerReport:
         assert main(["lower"] + self.COMMON) == 0
         out = capsys.readouterr().out
         assert "lowering report" in out
-        assert "replay records native" in out
+        assert "lowered (off the interpreter" in out and "native (in C" in out
+        assert "python closure" in out  # reshape/transpose units are not C
         assert "host remainder" in out
 
     def test_report_json_structure(self, capsys):
@@ -108,6 +109,9 @@ class TestLowerReport:
         assert report["records_total"] > 0
         assert 0.0 <= report["coverage"] <= 1.0
         assert report["records_lowered"] <= report["records_total"]
+        assert 0 < report["records_native"] <= report["records_lowered"]
+        assert report["kernel_native"].keys() == report["kernel_units"].keys()
+        assert report["kernel_native"]["ln"] and not report["kernel_native"]["reshape"]
         # The segmenter's view is toolchain-independent; the plan only
         # attaches when cc is available.
         from repro.autograd import lower

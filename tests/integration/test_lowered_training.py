@@ -11,12 +11,14 @@ path (``REPRO_NO_CC=1``) must degrade to plain replay with exactly one
 warning and the fallback counter ticked.
 """
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.autograd import getitem, lower, softmax
 from repro.autograd.graph import host as graph_host
-from repro.autograd.lower import toolchain
+from repro.autograd.lower import runtime, toolchain
 from repro.moe.router import Router, RoutingResult
 from repro.observability import registry
 from repro.resilience.faults import (
@@ -193,7 +195,89 @@ class TestLoweredResilience:
                 np.testing.assert_array_equal(a.data, b.data)
 
 
+@needs_cc
+class TestOnePreludePerProcess:
+    def test_cold_cache_compiles_the_prelude_once(self):
+        """The kernel table's C is one library per process: a cold
+        ``cc`` trainer compiles it once (for ``attach_adam`` or the
+        first ``attach``, whichever comes first), a graph's own unit
+        holds only its fused segments, and a second trainer compiles
+        and binds nothing."""
+        import glob
+        import os
+        import subprocess
+        from unittest import mock
+
+        reg = registry()
+
+        def counters():
+            return {
+                k: reg.counter(k).value
+                for k in ("lower_cache_hits", "lower_compile_ms", "graph_lowered")
+            }
+
+        with mock.patch.object(
+            toolchain.subprocess, "run", wraps=subprocess.run
+        ) as spawned:
+            first = _trainer("cc", steady=True)
+            losses = [first.train_step(s) for s in range(2)]
+            after_first = counters()
+            compiled = [
+                open(next(a for a in c.args[0] if a.endswith(".c"))).read()
+                for c in spawned.call_args_list
+                if "--version" not in c.args[0]
+            ]
+            preludes = [src for src in compiled if "repro_adam_f32(" in src]
+            graphs = [src for src in compiled if "repro_seg0(" in src]
+            assert len(preludes) == 1 and len(graphs) >= 1
+            for src in graphs:
+                assert not re.search(r"repro_\w+_(f32|i64)\(", src)
+                assert len(src) < 15_000
+            cache = toolchain.cache_dir()
+            assert len(glob.glob(os.path.join(cache, "prelude-*.so"))) == 1
+
+            spawned.reset_mock()
+            with mock.patch.object(runtime, "bind", wraps=runtime.bind) as bound:
+                second = _trainer("cc", steady=True)
+                assert [second.train_step(s) for s in range(2)] == losses
+            assert not spawned.call_args_list and not bound.call_args_list
+        after_second = counters()
+        assert after_second["graph_lowered"] > after_first["graph_lowered"]
+        assert after_second["lower_cache_hits"] > after_first["lower_cache_hits"]
+        assert after_second["lower_compile_ms"] == after_first["lower_compile_ms"]
+
+
 class TestNoToolchain:
+    def test_missing_blas_symbol_leaves_gemm_records_on_the_interpreter(
+        self, monkeypatch
+    ):
+        """No ``cblas_sgemm`` to inject: no contract admits a GEMM-backed
+        unit, those records replay through NumPy, and everything else
+        still lowers — with identical bits."""
+        from repro.autograd.lower import blas
+
+        if not lower.cc_available():
+            pytest.skip("no C toolchain in this environment")
+        replay = _trainer("replay", steady=True)
+        ref = _fingerprint(replay, replay.train())
+
+        monkeypatch.setattr(blas, "_state", None)
+        assert not blas.available()
+        reg = registry()
+        before = reg.counter("lower_segment_fallbacks").value
+        lowered = _trainer("cc", steady=True)
+        got = _fingerprint(lowered, lowered.train())
+
+        _assert_same(ref, got)
+        graph = lowered.step_graph
+        assert graph._lowered is not None
+        analysis = lower.analyze(graph, False)
+        kinds = {getattr(u, "kind", None) for u in analysis.units}
+        assert {"ln", "softmax", "sbgelu"} <= kinds
+        assert not {"linbias", "mm", "sdd", "dsd"} & kinds
+        assert not {"sdd", "dsd"} & {e[0] for e in analysis.bwd.values()}
+        assert reg.counter("lower_segment_fallbacks").value == before
+
     def test_no_cc_matches_plain_replay(self, monkeypatch, caplog):
         """REPRO_NO_CC=1: backend="cc" must complete bit-identical to
         capture-only training, warn exactly once, and count the

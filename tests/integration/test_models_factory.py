@@ -68,12 +68,33 @@ class TestBuildModel:
         assert out.logits.shape[0] == 2
         assert out.aux_loss is not None
 
-    def test_full_scale_dims_match_paper(self):
-        """scale=1 builds the paper's exact dMoE-XS (structure only)."""
-        m = build_model("XS", "dmoe", scale=1.0, rng=0)
-        assert m.hidden_size == 512
-        assert len(m.blocks) == 6
-        ffn = m.blocks[0].ffn
-        assert ffn.num_experts == 64
-        assert ffn.block_size == 128
-        assert ffn.ffn_hidden_size == 2048
+    def test_full_scale_dims_match_paper(self, monkeypatch):
+        """scale=1 asks for the paper's exact dMoE-XS.  The constructors
+        are stand-ins that record their arguments: 839.5 M parameters are
+        not drawn from the RNG to read six integers
+        (``test_paper_scale.py`` runs a real full-size layer)."""
+        import repro.models as models
+
+        built = {}
+
+        def lm(**kwargs):
+            built["lm"] = kwargs
+            built["ffn"] = kwargs["ffn_factory"](0)
+
+        def moe(hidden_size, ffn_hidden_size, num_experts, **kwargs):
+            return dict(
+                kwargs, hidden_size=hidden_size, ffn_hidden_size=ffn_hidden_size,
+                num_experts=num_experts,
+            )
+
+        monkeypatch.setattr(models, "TransformerLM", lm)
+        monkeypatch.setattr(models, "dMoE", moe)
+        build_model("XS", "dmoe", scale=1.0, rng=0)
+        assert built["lm"]["hidden_size"] == 512
+        assert built["lm"]["num_layers"] == 6
+        ffn = built["ffn"]
+        assert ffn["hidden_size"] == 512
+        assert ffn["num_experts"] == 64
+        assert ffn["block_size"] == 128
+        assert ffn["ffn_hidden_size"] == 2048
+        assert ffn["output_scale_layers"] == 6

@@ -17,7 +17,6 @@ ragged) x all transpose variants x block sizes {2, 16, 128}.
 """
 
 import dataclasses
-import types
 from unittest import mock
 
 import numpy as np
@@ -27,7 +26,8 @@ from hypothesis import strategies as st
 
 from repro.autograd import Tensor, arena, gelu, lower
 from repro.autograd.function import Context
-from repro.autograd.lower import blas, csrc, runtime, toolchain
+from repro.autograd.lower import blas, csrc, kernels, runtime, toolchain
+from repro.autograd.lower.kernels.base import Build
 from repro.core import make_topology
 from repro.moe.permute import make_padded_plan
 from repro.sparse import (
@@ -407,12 +407,12 @@ def weight_grad_runners(lib):
     def fell_back(*_):
         raise AssertionError("the native runner fell back to the host op")
 
-    host = types.SimpleNamespace(_lib=lib)
-    make = runtime.LoweredPlan._make_bwd_closure
-    with mock.patch.object(_SddMM, "backward", fell_back), mock.patch.object(
-        _DsdMM, "backward", fell_back
-    ):
-        return make(host, None, ("sdd", None), ()), make(host, None, ("dsd", None), ())
+    build = Build(None, lib, None)
+    return tuple(
+        runtime.make_backward(entry, build, fell_back)
+        for entry in kernels.TABLE
+        if entry.backward and kernels.replaced(entry) in (_SddMM, _DsdMM)
+    )
 
 
 def _saved(*tensors):
