@@ -6,9 +6,10 @@ dMoE, over real forked ranks (the ``"mp"`` backend) with real routed
 payloads: exchange the (tiny) expert-id assignments, then move the
 token payloads while the receiving rank builds its padded plan + block
 topology — host-side metadata that needs only the already-arrived ids.
-``overlap=False`` serializes exchange-then-plan; ``overlap=True`` posts
-the sends (:meth:`ProcessGroup.isend_all_to_all`), plans in flight,
-and only then waits.  Both schedules are asserted bit-equal.
+The serialized schedule exchanges, then plans; the overlapped one (the
+only one ``ExpertParallelDMoE`` runs) posts the sends
+(:meth:`ProcessGroup.isend_all_to_all`), plans in flight, and only
+then waits.  Both schedules are asserted bit-equal.
 
 Two measurement honesty notes, both consequences of running every rank
 on one oversubscribed CPU:
@@ -67,8 +68,9 @@ def _build():
 def _make_fn(ep, xs, overlap):
     def fn(group):
         x = np.asarray(xs[group.rank])
-        send_tokens, send_experts, _, _ = ep._route_and_bucket(x, group.world)
-        recv_experts = group.all_to_all(send_experts)
+        rows, cuts, local_ids, _ = ep._route_and_bucket(x)
+        send_tokens = np.split(x[rows], cuts)
+        recv_experts = group.all_to_all(np.split(local_ids, cuts))
         ids = np.concatenate(recv_experts).astype(np.int64)
         before = group.wait_s
         if group.rank == 1:

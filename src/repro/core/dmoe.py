@@ -49,6 +49,37 @@ from repro.sparse.topology import Topology
 from repro.utils.rng import RngLike
 
 
+def expert_mlp(
+    xp: Tensor,
+    w1: Tensor,
+    b1: Tensor,
+    w2: Tensor,
+    b2: Tensor,
+    topology: Topology,
+    row_expert: np.ndarray,
+    activation: str,
+) -> Tensor:
+    """Figure 6's step 4: SDD -> bias + activation -> DSD -> + b2.
+
+    The one expert MLP in ``src/``: the dMoE, the variable-width dMoE
+    and each expert-parallel rank (over its shard) all compute here.
+    Operands are flat — ``w1`` ``(hidden, sum of ffn widths)``, ``b1``
+    ``(sum of ffn widths,)``, ``w2`` ``(sum of ffn widths, hidden)`` —
+    ``b2`` is ``(experts, hidden)`` and ``row_expert`` names the expert
+    owning each padded row of ``xp``.
+    """
+    h = sdd_mm(xp, w1, topology)
+    if fusion_enabled() and activation == "gelu":
+        # Fused column-bias + GELU over the sparse values: one tape node
+        # for the bias add and the activation.
+        h = sparse_bias_gelu(h, b1, topology)
+    else:
+        h = sparse_bias_add(h, b1, topology)
+        h = ACTIVATIONS[activation](h)
+    y = dsd_mm(h, w2, topology)
+    return y + getitem(b2, row_expert)
+
+
 def _build_dispatch(mod: "dMoE", expert_indices: np.ndarray):
     """Plan + topology + padded-row expert map for one routing outcome.
 
@@ -171,16 +202,10 @@ class dMoE(Module):
             # (4) Compute the expert layers: SDD -> activation -> DSD.
             with span("experts"):
                 e = self.experts
-                h = sdd_mm(xp, e.w1_flat(), topology)
-                if fusion_enabled() and self.activation == "gelu":
-                    # Fused column-bias + GELU over the sparse values: one
-                    # tape node for steps bias-add and activation.
-                    h = sparse_bias_gelu(h, e.b1_flat(), topology)
-                else:
-                    h = sparse_bias_add(h, e.b1_flat(), topology)
-                    h = ACTIVATIONS[self.activation](h)
-                y = dsd_mm(h, e.w2_flat(), topology)
-                y = y + getitem(e.b2, row_expert)
+                y = expert_mlp(
+                    xp, e.w1_flat(), e.b1_flat(), e.w2_flat(), e.b2,
+                    topology, row_expert, self.activation,
+                )
 
             # (5) Un-permute the tokens and scale by router confidence.
             with span("unpermute"):

@@ -18,9 +18,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.autograd import ACTIVATIONS, getitem
 from repro.autograd.tensor import Tensor
-from repro.core.topology_builder import make_topology
+from repro.core.dmoe import expert_mlp
+from repro.core.topology_builder import expert_of_padded_row, make_topology
 from repro.moe.permute import (
     PaddedPlan,
     make_padded_plan,
@@ -30,7 +30,6 @@ from repro.moe.permute import (
 from repro.moe.router import Router, RoutingResult
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-from repro.sparse.autograd_ops import dsd_mm, sdd_mm, sparse_bias_add
 from repro.sparse.topology import Topology
 from repro.utils.rng import RngLike
 
@@ -142,16 +141,11 @@ class VariableSizedDMoE(Module):
         self.last_routing = routing
 
         xp = padded_gather(x, plan)
-        act = ACTIVATIONS[self.activation]
         e = self.experts
-        h = sdd_mm(xp, e.w1, topology)
-        h = sparse_bias_add(h, e.b1, topology)
-        h = act(h)
-        y = dsd_mm(h, e.w2, topology)
-        row_expert = np.repeat(
-            np.arange(self.num_experts), plan.padded_tokens_per_expert
+        y = expert_mlp(
+            xp, e.w1, e.b1, e.w2, e.b2,
+            topology, expert_of_padded_row(plan), self.activation,
         )
-        y = y + getitem(e.b2, row_expert)
         out = padded_scatter(y, plan, routing.expert_weights)
 
         if len(orig_shape) == 3:

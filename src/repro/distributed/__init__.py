@@ -28,7 +28,7 @@ from repro.distributed.expert_parallel import (
     ExpertParallelDMoE,
     ExpertParallelResult,
 )
-from repro.distributed.data_parallel import DataParallelTrainer
+from repro.distributed.data_parallel import data_parallel_step
 
 __all__ = [
     "BACKENDS",
@@ -47,5 +47,5 @@ __all__ = [
     "run_distributed",
     "ExpertParallelDMoE",
     "ExpertParallelResult",
-    "DataParallelTrainer",
+    "data_parallel_step",
 ]

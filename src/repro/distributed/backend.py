@@ -29,10 +29,20 @@ Entry point::
 from __future__ import annotations
 
 import abc
+import contextlib
+import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
+
+from repro.resilience.faults import (
+    COLLECTIVE_KINDS,
+    CORRUPT_PAYLOAD,
+    DELAY,
+    RANK_FAILURE,
+    FaultSchedule,
+)
 
 BACKENDS = ("sim", "mp")
 
@@ -89,7 +99,69 @@ class ProcessGroup(abc.ABC):
     rank: int
     world: int
     wait_s: float = 0.0
+    #: Faults delivered into this rank's collectives, the logical step
+    #: they are matched against, and what serialises access to the
+    #: schedule (rank-threads share one; forked ranks each own a copy).
+    _schedule: Optional[FaultSchedule] = None
+    _step: Optional[int] = None
+    _fault_lock: Any = contextlib.nullcontext()
 
+    # -- faults --------------------------------------------------------
+    def _maybe_fault(self, op: str, outgoing: Sequence[np.ndarray] = ()) -> list:
+        """Fire any fault armed for this rank on ``op``.
+
+        Returns ``outgoing`` — with one NaN planted when a
+        ``corrupt_payload`` fired.  An event that finds nothing to
+        corrupt (no non-empty float buffer, e.g. an exchange of integer
+        ids) stays armed for the next collective that has one.
+        """
+        outgoing = list(outgoing)
+        if self._schedule is None:
+            return outgoing
+        with self._fault_lock:
+            event = self._schedule.match(
+                COLLECTIVE_KINDS, step=self._step, op=op, rank=self.rank
+            )
+            if event is None or (event.rank is None and self.rank != 0):
+                return outgoing  # unranked events fire once, on rank 0
+            if event.kind == CORRUPT_PAYLOAD and not self._corrupt(outgoing):
+                return outgoing
+            self._schedule.consume(event)
+        if event.kind == RANK_FAILURE:
+            self._die(op)
+        elif event.kind == DELAY:
+            time.sleep(event.delay_s)
+        return outgoing
+
+    @staticmethod
+    def _corrupt(arrays: list) -> bool:
+        """Replace the first non-empty float array of ``arrays`` with a
+        copy holding one NaN (the in-process injector's convention);
+        False when there is none."""
+        for i, a in enumerate(arrays):
+            if a.size and np.issubdtype(a.dtype, np.floating):
+                arrays[i] = a = a.copy()
+                a.reshape(-1)[0] = np.nan
+                return True
+        return False
+
+    def _faulted_sends(self, send: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """An all-to-all's fault step.  Corruption only ever hits a
+        buffer bound for a peer (first in ring order), never the
+        diagonal: the NaN must cross the transport to count."""
+        send = [np.asarray(s) for s in send]
+        ring = [(self.rank + k) % self.world for k in range(1, self.world)]
+        hit = self._maybe_fault("all_to_all", [send[dst] for dst in ring])
+        for dst, arr in zip(ring, hit):
+            send[dst] = arr
+        return send
+
+    @abc.abstractmethod
+    def _die(self, op: str) -> None:
+        """This rank fails, as the transport knows failure: the rank
+        never returns from the collective it was entering."""
+
+    # -- collectives ---------------------------------------------------
     @abc.abstractmethod
     def all_reduce(self, arr: np.ndarray) -> np.ndarray:
         """Elementwise sum over ranks; every rank gets the total."""
@@ -151,6 +223,30 @@ class DistributedRunResult:
     @property
     def total_wait_s(self) -> float:
         return float(sum(self.wait_s_per_rank))
+
+
+def open_echo_group(world: int, backend: str = "sim", op_timeout_s: float = 10.0):
+    """Open the long-lived data-parallel seam of a single-process trainer.
+
+    The caller is rank 0 of ``world`` ranks that all hold its gradient:
+    ``group.all_reduce(arr, log) -> arr`` takes this rank's contribution
+    and returns the total, ``group.heal()`` repairs the group after a
+    :class:`~repro.resilience.faults.CollectiveFault` and
+    ``group.close()`` ends it.  ``"sim"`` reduces through the in-process
+    reference collective; ``"mp"`` round-trips the contribution through
+    ``world - 1`` persistent forked peers over shared memory (and adds
+    ``kill_rank``, a real SIGKILL).  Same reduction formula, same rank
+    order, same ``CommLog`` record: bit-identical.
+    """
+    if backend == "sim":
+        from repro.distributed.sim_backend import SimEchoGroup
+
+        return SimEchoGroup(world)
+    if backend == "mp":
+        from repro.distributed.mp_backend import MpEchoGroup
+
+        return MpEchoGroup(world, op_timeout_s)
+    raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
 
 
 def run_distributed(

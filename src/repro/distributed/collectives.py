@@ -148,6 +148,14 @@ def all_reduce(
     return out
 
 
+def log_all_reduce(nbytes: int, world: int, log: Optional[CommLog]) -> None:
+    """Record one ring all-reduce of an ``nbytes`` buffer into ``log``
+    — what :func:`all_reduce` charges, for callers whose reduction runs
+    over a :class:`~repro.distributed.backend.ProcessGroup` instead."""
+    if log is not None and world > 1:
+        log.log("all_reduce", world, 2.0 * (world - 1) / world * nbytes)
+
+
 def log_all_to_all(
     buffers: Sequence[Sequence[np.ndarray]], log: Optional[CommLog]
 ) -> None:

@@ -1,121 +1,50 @@
-"""Simulated data-parallel training (gradient all-reduce).
+"""Data-parallel training, from one rank's point of view.
 
 The paper's non-expert layers train data-parallel across 8 GPUs: each
 rank computes gradients on its shard of the global batch and the shards
-are averaged with an all-reduce.  This module runs that algorithm over
-simulated ranks (replicated models in one process) and is validated
-against single-process large-batch training — they must produce the same
-parameters, which pins down both the gradient-averaging semantics and
-the collective's correctness.
+are averaged with an all-reduce.  :func:`data_parallel_step` is that
+algorithm for one rank over a :class:`ProcessGroup`; run it under
+``run_distributed(..., backend="sim" | "mp")``.  Ranks that start from
+the same parameters stay bit-identical (every rank applies the same
+averaged gradient), and the trajectory matches single-process
+large-batch training up to the reduction order (tested).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
-from repro.distributed.collectives import CommLog, all_reduce
+from repro.distributed.backend import ProcessGroup
+from repro.distributed.collectives import CommLog, log_all_reduce
 from repro.nn.module import Module
-from repro.training.optim import Adam, clip_grad_norm
-from repro.utils.rng import RngLike
+from repro.training.optim import Optimizer, clip_grad_norm
 
 
-class DataParallelTrainer:
-    """Lock-step SGD/Adam over replicated model copies.
+def data_parallel_step(
+    group: ProcessGroup,
+    model: Module,
+    optimizer: Optimizer,
+    loss_fn: Callable[[Module, int], "object"],
+    grad_clip: float = 0.0,
+    comm_log: Optional[CommLog] = None,
+) -> float:
+    """One synchronized step of this rank's replica; returns its local loss.
 
-    All replicas start from the same parameters (asserted) and, because
-    gradients are all-reduced before every step, stay bit-identical; the
-    optimizer runs redundantly per rank exactly as real data parallelism
-    does.
+    ``loss_fn(model, rank)`` computes the loss Tensor on the rank's shard
+    of the batch.  Gradients are averaged (sum / world), matching a
+    mean-over-global-batch objective; one ring all-reduce per parameter
+    is charged to ``comm_log``.
     """
-
-    def __init__(
-        self,
-        replicas: Sequence[Module],
-        lr: float = 1e-3,
-        grad_clip: float = 0.0,
-        dist_backend: str = "sim",
-    ) -> None:
-        if len(replicas) < 1:
-            raise ValueError("need at least one replica")
-        if dist_backend not in ("sim", "mp"):
-            raise ValueError(
-                f"unknown dist_backend {dist_backend!r}: expected 'sim' or 'mp'"
-            )
-        self.replicas = list(replicas)
-        self.world = len(replicas)
-        ref = self.replicas[0].state_dict()
-        for r in self.replicas[1:]:
-            other = r.state_dict()
-            for k in ref:
-                if not np.array_equal(ref[k], other[k]):
-                    raise ValueError(
-                        f"replicas must start identical; {k} differs"
-                    )
-        self.optimizers = [Adam(r.parameters(), lr=lr) for r in self.replicas]
-        self.grad_clip = grad_clip
-        self.comm_log = CommLog()
-        self.dist_backend = dist_backend
-        # Persistent forked echo workers carry each rank's shard over the
-        # shared-memory transport; the reduction formula is shared with
-        # the in-process reference, so both backends are bit-identical.
-        self._echo_group = None
-        if dist_backend == "mp" and self.world > 1:
-            from repro.distributed.mp_backend import MpEchoGroup
-
-            self._echo_group = MpEchoGroup(self.world)
-
-    def step(
-        self, loss_fn: Callable[[Module, int], "object"]
-    ) -> float:
-        """One synchronized step.
-
-        ``loss_fn(replica, rank)`` computes the local loss Tensor for a
-        rank's shard of the batch.  Gradients are averaged (sum / world),
-        matching a mean-over-global-batch objective.
-        """
-        local_losses = []
-        for rank, (model, opt) in enumerate(zip(self.replicas, self.optimizers)):
-            opt.zero_grad()
-            loss = loss_fn(model, rank)
-            loss.backward()
-            local_losses.append(float(loss.data))
-
-        # All-reduce gradients parameter-by-parameter.
-        param_lists = [list(r.parameters()) for r in self.replicas]
-        for tensors in zip(*param_lists):
-            grads = [
-                t.grad if t.grad is not None else np.zeros_like(t.data)
-                for t in tensors
-            ]
-            if self._echo_group is not None:
-                summed = self._echo_group.all_reduce_shards(
-                    grads, self.comm_log
-                )
-            else:
-                summed = all_reduce(grads, self.comm_log)
-            for t, g in zip(tensors, summed):
-                t.grad = (g / self.world).astype(t.data.dtype)
-
-        for model, opt in zip(self.replicas, self.optimizers):
-            if self.grad_clip > 0:
-                clip_grad_norm(opt.params, self.grad_clip)
-            opt.step()
-        return float(np.mean(local_losses))
-
-    def close(self) -> None:
-        """Tear down the mp echo workers (no-op under "sim")."""
-        if self._echo_group is not None:
-            self._echo_group.close()
-            self._echo_group = None
-
-    def check_replicas_synchronized(self, atol: float = 0.0) -> None:
-        """Raise if any replica's parameters drifted from rank 0."""
-        ref = self.replicas[0].state_dict()
-        for rank, r in enumerate(self.replicas[1:], start=1):
-            for k, v in r.state_dict().items():
-                if not np.allclose(ref[k], v, atol=atol, rtol=0):
-                    raise AssertionError(
-                        f"rank {rank} diverged at parameter {k}"
-                    )
+    optimizer.zero_grad()
+    loss = loss_fn(model, group.rank)
+    loss.backward()
+    for p in optimizer.params:
+        grad = p.grad if p.grad is not None else np.zeros_like(p.data)
+        p.grad = (group.all_reduce(grad) / group.world).astype(p.data.dtype)
+        log_all_reduce(grad.nbytes, group.world, comm_log)
+    if grad_clip > 0:
+        clip_grad_norm(optimizer.params, grad_clip)
+    optimizer.step()
+    return float(loss.data)

@@ -1,82 +1,110 @@
-"""Simulated expert-parallel dMoE forward pass.
+"""Expert-parallel dMoE, written once from one rank's point of view.
 
 Distributed MoE training shards experts across GPUs and moves *tokens* to
 their experts through all-to-alls (Lepikhin et al., 2020; §5 of the
-paper).  This module executes that dataflow in-process over a simulated
-mesh:
+paper).  One rank of that dataflow, over a :class:`ProcessGroup`:
 
-1. every rank routes its own tokens with the (replicated) router;
-2. token copies are bucketed by destination rank and exchanged
-   (all-to-all #1);
-3. each rank runs the block-sparse expert computation for its local
-   experts over the tokens it received — the same ``make_padded_plan`` /
-   ``make_topology`` / SDD / DSD pipeline as the single-process dMoE;
-4. results return to their source ranks (all-to-all #2) and are combined
-   with the router weights.
+1. route the rank's own tokens with the layer's (replicated) router;
+2. bucket token copies by destination rank and exchange them — the
+   (tiny) expert ids first, then the tokens, posted asynchronously
+   while the rank builds its padded plan and block topology from the ids
+   (the comm/compute overlap of §5);
+3. run Figure 6's expert MLP (:func:`repro.core.dmoe.expert_mlp`, the
+   same function the single-process layer calls) over the rank's expert
+   shard and the tokens it received;
+4. return the results to their source ranks (all-to-all #2) and combine
+   them with the router weights.
 
-The result is bit-comparable to the single-process :class:`repro.core.dMoE`
-on the concatenated batch (tested), and the :class:`CommLog` captures the
-exact all-to-all volumes the cost model charges.
+With an upstream gradient the same body continues into the backward
+pass: output gradients route through two more all-to-alls (four per
+layer in total, exactly what the cost model charges), the block-sparse
+backward products run on each rank's shard, and expert weight gradients
+stay rank-local (never all-reduced, per expert parallelism).  Routing is
+treated as fixed during backward (the router projection trains through
+the single-process path).
 
-:meth:`ExpertParallelDMoE.forward_backward` additionally runs the
-distributed *backward* pass: upstream gradients route through two more
-all-to-alls (output-gradient dispatch and input-gradient return — four
-per layer in total, exactly what the cost model charges), the local
-block-sparse backward products run on each rank's shard, and expert
-weight gradients accumulate rank-locally (never all-reduced, per expert
-parallelism).  Routing is treated as fixed during backward (the router
-projection trains through the single-process path); input and expert
-gradients are verified against a fixed-routing autograd reference.
+The body runs unchanged on rank-threads (``"sim"``) and forked ranks
+(``"mp"``), bit-identically; "in process" means
+``run_distributed(..., backend="sim")``, which is all
+:meth:`ExpertParallelDMoE.forward` / :meth:`~ExpertParallelDMoE
+.forward_backward` do.  The result matches the single-process
+:class:`repro.core.dMoE` on the concatenated batch to 1e-9 (tested), and
+the :class:`CommLog` captures the exact all-to-all volumes the cost
+model charges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.dmoe import dMoE
-from repro.core.topology_builder import make_topology
-from repro.distributed.collectives import CommLog, all_to_all, log_all_to_all
+from repro.autograd import gather_rows, scatter_rows
+from repro.autograd.tensor import Tensor
+from repro.core.dmoe import dMoE, expert_mlp
+from repro.core.topology_builder import expert_of_padded_row, make_topology
+from repro.distributed.backend import ProcessGroup, run_distributed
+from repro.distributed.collectives import CommLog
 from repro.distributed.mesh import DeviceMesh
+from repro.moe.permute import make_padded_plan, padded_gather
 from repro.resilience import counters as res_counters
 from repro.resilience.faults import CollectiveFault, RetryPolicy
-from repro.moe.permute import make_padded_plan
-from repro.moe.router import top_k_indices
-from repro.sparse.matrix import BlockSparseMatrix
-from repro.sparse.ops import add_bias_columns, dsd, map_values, sdd
-
-_ACT = {
-    "gelu": lambda x: 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3))),
-    "relu": lambda x: np.maximum(x, 0.0),
-    "sigmoid": lambda x: 1.0 / (1.0 + np.exp(-x)),
-}
 
 
 @dataclass
 class ExpertParallelResult:
-    """Outputs of a simulated expert-parallel forward."""
+    """Outputs of an expert-parallel forward across the whole mesh."""
 
     outputs_per_rank: List[np.ndarray]
     tokens_received_per_rank: List[int]
     comm_log: CommLog
 
 
-def _payloads_finite(received) -> bool:
-    """True when every float array in a nested payload structure is finite."""
-    for obj in received:
-        if isinstance(obj, np.ndarray):
-            if np.issubdtype(obj.dtype, np.floating) and not np.isfinite(obj).all():
-                return False
-        elif isinstance(obj, (list, tuple)):
-            if not _payloads_finite(obj):
-                return False
-    return True
+@dataclass
+class ExpertParallelRankResult:
+    """What one rank produced — everything a caller may want from a
+    forked rank has to come back through this value.
+
+    ``comm_log`` holds this rank's true off-diagonal bytes, one record
+    per logical all-to-all.  ``input_grad`` / ``expert_grads`` (the
+    ``w1/b1/w2/b2`` gradients of the rank's *shard*) are set by the
+    backward pass only.  ``corrupt_detected`` counts non-finite payloads
+    this rank received, ``retries`` the exchanges it re-issued.
+    """
+
+    output: Optional[np.ndarray] = None
+    tokens_received: int = 0
+    comm_log: CommLog = field(default_factory=CommLog)
+    input_grad: Optional[np.ndarray] = None
+    expert_grads: Optional[Dict[str, np.ndarray]] = None
+    corrupt_detected: int = 0
+    retries: int = 0
+
+
+def _payloads_finite(received: Sequence[np.ndarray]) -> bool:
+    return all(
+        np.isfinite(a).all()
+        for a in received
+        if np.issubdtype(a.dtype, np.floating)
+    )
 
 
 class ExpertParallelDMoE:
-    """Runs a :class:`dMoE`'s forward with experts sharded over a mesh.
+    """Runs a :class:`dMoE` with its experts sharded over a mesh.
+
+    Routing is per rank: each rank calls the layer's own router on its
+    own tokens, so a *per-token* router (the learned top-k
+    :class:`~repro.moe.router.Router`, with or without weight
+    normalisation; a hash router) reproduces the single-process layer on
+    the concatenated batch.  Routers that assign across the whole batch
+    — :mod:`repro.moe.routing_alt`'s BASE, Sinkhorn and expert-choice —
+    see one rank's tokens at a time and are a different function under
+    expert parallelism by construction.  The same holds for the
+    non-finite-logits fallback, which spreads tokens round-robin over
+    *local* token indices: outputs stay finite and every copy is
+    delivered, but equality with the single-process layer is not
+    promised there.
 
     Args:
         layer: the single-process dMoE whose experts are sharded.
@@ -86,8 +114,14 @@ class ExpertParallelDMoE:
             corrupted exchange, e.g. injected by
             :class:`repro.resilience.FaultInjector`) is treated as a
             transient fault and the exchange is re-issued under the
-            policy's bounded retry/backoff.  ``None`` (default) keeps
-            the legacy unvalidated fast path.
+            policy's bounded retry/backoff.  Retrying is a *collective*
+            decision: the ranks agree through one tiny ``all_reduce``
+            whether anyone received a bad payload, and all re-issue or
+            none.  ``None`` (default) keeps the unvalidated fast path.
+            The policy's own counters are a convenience of the
+            in-process drivers only (rank-threads share the object and
+            bump it unsynchronised; a forked rank bumps a copy): read
+            :class:`ExpertParallelRankResult` for exact per-rank counts.
     """
 
     def __init__(
@@ -106,45 +140,40 @@ class ExpertParallelDMoE:
         self.local_experts = layer.num_experts // mesh.expert_parallel
         self.retry_policy = retry_policy
 
-    def _exchange(self, buffers, log: Optional[CommLog]):
-        """All-to-all with receipt validation + retry (when configured).
-
-        Comm volume is accounted once per *logical* exchange, after it
-        succeeds — transport attempts under the retry policy do not
-        re-log, so fault injection cannot double-count bytes.
-        """
-        if self.retry_policy is None:
-            return all_to_all(buffers, log)
-
-        def attempt(k: int):
-            received = all_to_all(buffers, None)
-            if not _payloads_finite(received):
-                res_counters.increment("ep_corrupt_payload_detected")
-                raise CollectiveFault("all_to_all", None, k)
-            return received
-
-        received = self.retry_policy.run(attempt, "all_to_all")
-        log_all_to_all(buffers, log)
-        return received
-
     # ------------------------------------------------------------------
-    def _route(self, x: np.ndarray):
-        """Replicated-router scores, indices, and confidence weights."""
-        logits = x @ self.layer.router.proj.weight.data
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        scores = e / e.sum(axis=-1, keepdims=True)
-        indices = top_k_indices(scores, self.layer.top_k)
-        weights = scores[np.arange(len(scores))[:, None], indices]
-        return indices, weights
+    # Stages of one rank's dataflow.
+    # ------------------------------------------------------------------
+    def _route_and_bucket(self, x: np.ndarray):
+        """Route one rank's tokens with the layer's own router and group
+        the routed copies by destination rank.
+
+        Returns ``(rows, cuts, local_ids, weights)``, one entry per
+        routed copy, grouped by destination (arrival order within a
+        group): the copy's source token row, its expert id on the
+        destination's shard and its router weight.  ``np.split(a, cuts)``
+        breaks any array in that order into one piece per destination.
+        Indices and weights are constants (fixed-routing semantics).
+        """
+        routing = self.layer.router(Tensor(x))
+        top_k = routing.expert_indices.shape[1]
+        experts = routing.expert_indices.reshape(-1)
+        dest = experts // self.local_experts
+        order = np.argsort(dest, kind="stable")
+        cuts = np.cumsum(np.bincount(dest, minlength=self.mesh.expert_parallel))
+        return (
+            order // top_k,
+            cuts[:-1],
+            (experts % self.local_experts)[order].astype(np.int64),
+            routing.expert_weights.data.reshape(-1)[order],
+        )
 
     def _build_local_plan(self, local_expert_ids: np.ndarray):
         """Padded plan + block topology for one rank's received tokens.
 
         Pure host-side metadata construction — it needs only the (tiny)
         expert-id assignments, not the token payloads, which is exactly
-        what lets :meth:`forward_rank` run it *while* the token
-        all-to-all is still in flight.
+        what lets the rank body run it *while* the token all-to-all is
+        still in flight.
         """
         plan = make_padded_plan(
             local_expert_ids[:, None], self.local_experts, self.layer.block_size
@@ -152,415 +181,183 @@ class ExpertParallelDMoE:
         topology = make_topology(plan, self.layer.ffn_hidden_size)
         return plan, topology
 
-    def _slice_expert_weights(self, rank: int):
-        """This rank's expert shard, reshaped for the grouped GEMMs."""
-        layer = self.layer
-        h, f = layer.hidden_size, layer.ffn_hidden_size
-        e0 = rank * self.local_experts
-        e1 = e0 + self.local_experts
-        w1 = (
-            layer.experts.w1.data[e0:e1]
-            .transpose(1, 0, 2)
-            .reshape(h, self.local_experts * f)
-        )
-        b1 = layer.experts.b1.data[e0:e1].reshape(-1)
-        w2 = layer.experts.w2.data[e0:e1].reshape(self.local_experts * f, h)
-        b2 = layer.experts.b2.data[e0:e1]
-        return w1, b1, w2, b2
+    def _post(self, group: ProcessGroup, send, res: ExpertParallelRankResult):
+        """Post one logical all-to-all.  Its volume — this rank's true
+        off-diagonal bytes, no mean over a world it cannot see — is
+        accounted here, once, however many transport attempts
+        :meth:`_receive` ends up making."""
+        if group.world > 1:
+            mine = float(
+                sum(s.nbytes for dst, s in enumerate(send) if dst != group.rank)
+            )
+            res.comm_log.log("all_to_all", group.world, mine, max_bytes_sent=mine)
+        return group.isend_all_to_all(send)
 
-    def _apply_local_experts(
-        self, tokens: np.ndarray, plan, topology, w1, b1, w2, b2
-    ) -> np.ndarray:
-        """Grouped block-sparse MLP over pre-built plan/topology."""
-        xp = np.zeros(
-            (plan.total_padded, self.layer.hidden_size), dtype=tokens.dtype
-        )
-        valid = plan.gather_indices >= 0
-        xp[valid] = tokens[plan.gather_indices[valid]]
+    def _receive(self, group: ProcessGroup, send, pending, res):
+        """Complete a posted all-to-all, validating receipt and
+        re-issuing it under the retry policy (when configured)."""
+        received = pending.wait()
+        if self.retry_policy is None:
+            return received
 
-        hidden = sdd(xp, w1, topology)
-        hidden = add_bias_columns(hidden, b1)
-        hidden = map_values(hidden, _ACT[self.layer.activation])
-        y = dsd(hidden, w2)
-        row_expert = np.repeat(
-            np.arange(self.local_experts), plan.padded_tokens_per_expert
-        )
-        y = y + b2[row_expert]
-        # Un-permute back to the arrival order of `tokens` (weights are
-        # applied at the source rank).
-        out = np.zeros_like(
-            tokens, shape=(len(tokens), self.layer.hidden_size)
-        )
-        out[plan.gather_indices[valid]] = y[valid]
-        return out
+        def attempt(k: int):
+            nonlocal received
+            if k:
+                res.retries += 1
+                received = group.all_to_all(send)
+            bad = not _payloads_finite(received)
+            if bad:
+                res.corrupt_detected += 1
+                res_counters.increment("ep_corrupt_payload_detected")
+            # One rank's bad payload is everyone's retry: re-issuing is
+            # itself a collective, so all ranks must take the same branch.
+            if group.all_reduce(np.array([int(bad)]))[0]:
+                raise CollectiveFault("all_to_all", None, k)
+            return received
 
-    def _local_expert_compute(
-        self, rank: int, tokens: np.ndarray, local_expert_ids: np.ndarray
-    ) -> np.ndarray:
-        """Block-sparse 2-layer MLP over this rank's expert shard."""
-        plan, topology = self._build_local_plan(local_expert_ids)
-        return self._apply_local_experts(
-            tokens, plan, topology, *self._slice_expert_weights(rank)
-        )
+        return self.retry_policy.run(attempt, "all_to_all")
+
+    def _exchange(self, group: ProcessGroup, send, res) -> List[np.ndarray]:
+        return self._receive(group, send, self._post(group, send, res), res)
 
     # ------------------------------------------------------------------
-    def forward(self, x_per_rank: Sequence[np.ndarray]) -> ExpertParallelResult:
-        """Run the distributed forward over per-rank token batches."""
-        mesh = self.mesh
-        world = mesh.expert_parallel
+    # The rank body.
+    # ------------------------------------------------------------------
+    def forward_rank(
+        self, group: ProcessGroup, x_local: np.ndarray
+    ) -> ExpertParallelRankResult:
+        """One rank's distributed forward over a live ProcessGroup."""
+        return self._rank_step(group, x_local, None)
+
+    def forward_backward_rank(
+        self, group: ProcessGroup, x_local: np.ndarray, grad_local: np.ndarray
+    ) -> ExpertParallelRankResult:
+        """One rank's distributed forward + backward (fixed routing):
+        four all-to-alls in total (token dispatch, result return,
+        output-gradient dispatch, input-gradient return)."""
+        return self._rank_step(group, x_local, grad_local)
+
+    def _rank_step(
+        self,
+        group: ProcessGroup,
+        x_local: np.ndarray,
+        grad_local: Optional[np.ndarray],
+    ) -> ExpertParallelRankResult:
+        """Forward, then backward when ``grad_local`` is given.
+
+        Everything tapes onto rank-private leaf tensors (the rank's
+        tokens, the tokens it received, views of its expert shard) —
+        ranks of the ``"sim"`` backend are threads and must share no
+        tape.  Forward-only is the same body over non-grad tensors, not
+        ``no_grad()``: that flag is process-global.
+        """
+        if group.world != self.mesh.expert_parallel:
+            raise ValueError(
+                f"group world {group.world} != mesh expert_parallel "
+                f"{self.mesh.expert_parallel}"
+            )
+        layer, local = self.layer, self.local_experts
+        h, f = layer.hidden_size, layer.ffn_hidden_size
+        train = grad_local is not None
+        res = ExpertParallelRankResult()
+
+        # (1) Route and bucket; the dispatch gather is taped.
+        x = Tensor(np.asarray(x_local), requires_grad=train)
+        rows, cuts, local_ids, weights = self._route_and_bucket(x.data)
+        sent = gather_rows(x, rows)
+
+        # (2) Expert ids first — a few hundred int64s whose arrival
+        # unlocks all the host-side planning — then the tokens, in
+        # flight while the plan and topology are built.
+        recv_ids = group.all_to_all(np.split(local_ids, cuts))
+        recv_cuts = np.cumsum([len(ids) for ids in recv_ids])[:-1]
+        send_tokens = np.split(sent.data, cuts)
+        pending = self._post(group, send_tokens, res)
+        plan, topology = self._build_local_plan(np.concatenate(recv_ids))
+        recv_tokens = self._receive(group, send_tokens, pending, res)
+
+        # (3) Figure 6's expert MLP over this rank's shard.
+        tokens = Tensor(np.concatenate(recv_tokens), requires_grad=train)
+        res.tokens_received = len(tokens)
+        shard = slice(group.rank * local, (group.rank + 1) * local)
+        e = layer.experts
+        w1, b1, w2, b2 = (
+            Tensor(p.data[shard], requires_grad=train)
+            for p in (e.w1, e.b1, e.w2, e.b2)
+        )
+        y = expert_mlp(
+            padded_gather(tokens, plan),
+            w1.transpose((1, 0, 2)).reshape((h, local * f)),
+            b1.reshape((local * f,)),
+            w2.reshape((local * f, h)),
+            b2,
+            topology,
+            expert_of_padded_row(plan),
+            layer.activation,
+        )
+        # Un-pad back to arrival order (weights apply at the source).
+        y = scatter_rows(y, plan.gather_indices, len(tokens))
+
+        # (4) Return exchange, then the weighted combine at the source.
+        back = self._exchange(group, np.split(y.data, recv_cuts), res)
+        returned = Tensor(np.concatenate(back), requires_grad=train)
+        out = scatter_rows(returned * Tensor(weights[:, None]), rows, len(x))
+        res.output = out.data
+        if not train:
+            return res
+
+        # Backward: combine -> grad all-to-all -> local experts -> grad
+        # all-to-all -> dispatch gather.  The collectives live outside
+        # the tape; gradients hop between the taped stages by hand.
+        out.backward(grad_local)
+        dy = self._exchange(group, np.split(returned.grad, cuts), res)
+        y.backward(np.concatenate(dy))
+        dx = self._exchange(group, np.split(tokens.grad, recv_cuts), res)
+        sent.backward(np.concatenate(dx))
+        res.input_grad = x.grad
+        res.expert_grads = {
+            "w1": w1.grad, "b1": b1.grad, "w2": w2.grad, "b2": b2.grad
+        }
+        return res
+
+    # ------------------------------------------------------------------
+    # In-process drivers: every rank of the mesh as a "sim" rank-thread.
+    # ------------------------------------------------------------------
+    def _run_ranks(self, x_per_rank, grad_per_rank=None):
+        world = self.mesh.expert_parallel
         if len(x_per_rank) != world:
             raise ValueError(
                 f"expected {world} per-rank inputs, got {len(x_per_rank)}"
             )
-        layer = self.layer
+        grads = grad_per_rank if grad_per_rank is not None else [None] * world
+        ranks = run_distributed(
+            lambda g: self._rank_step(g, x_per_rank[g.rank], grads[g.rank]),
+            world,
+            backend="sim",
+        ).values
+        # One record per logical exchange: mean per-rank bytes, the
+        # per-source breakdown and the straggler's volume.
         log = CommLog()
-        dtype = np.asarray(x_per_rank[0]).dtype
-
-        # (1) Local routing, then bucket token copies by destination rank.
-        send_tokens = [[None] * world for _ in range(world)]
-        send_experts = [[None] * world for _ in range(world)]
-        send_meta = [[None] * world for _ in range(world)]  # (row, slot) at src
-        weights_per_rank = []
-        for src, x in enumerate(x_per_rank):
-            x = np.asarray(x)
-            indices, weights = self._route(x)
-            weights_per_rank.append(weights)
-            dest = indices // self.local_experts
-            rows, slots = np.nonzero(np.ones_like(indices, dtype=bool))
-            for dst in range(world):
-                mask = dest[rows, slots] == dst
-                r, s = rows[mask], slots[mask]
-                send_tokens[src][dst] = x[r]
-                send_experts[src][dst] = (
-                    indices[r, s] - dst * self.local_experts
-                ).astype(np.int64)
-                send_meta[src][dst] = np.stack([r, s], axis=1)
-
-        # (2) All-to-all: tokens and their local-expert assignments.
-        recv_tokens = self._exchange(send_tokens, log)
-        recv_experts = all_to_all(send_experts, None)
-
-        # (3) Local block-sparse expert computation per rank.
-        send_back = [[None] * world for _ in range(world)]
-        tokens_received = []
-        for dst in range(world):
-            counts = [len(t) for t in recv_tokens[dst]]
-            tokens_received.append(int(sum(counts)))
-            gathered = (
-                np.concatenate(recv_tokens[dst], axis=0)
-                if sum(counts)
-                else np.zeros((0, layer.hidden_size), dtype=dtype)
+        for records in zip(*(r.comm_log.records for r in ranks)):
+            by_rank = [rec.bytes_sent_per_rank for rec in records]
+            log.log(
+                "all_to_all",
+                world,
+                float(np.mean(by_rank)),
+                bytes_by_rank=by_rank,
+                max_bytes_sent=float(max(by_rank)),
             )
-            expert_ids = (
-                np.concatenate(recv_experts[dst], axis=0).astype(np.int64)
-                if sum(counts)
-                else np.zeros((0,), dtype=np.int64)
-            )
-            out = self._local_expert_compute(dst, gathered, expert_ids)
-            offsets = np.concatenate([[0], np.cumsum(counts)])
-            for src in range(world):
-                send_back[dst][src] = out[offsets[src] : offsets[src + 1]]
-
-        # (4) Return all-to-all, then weighted combine at the source.
-        recv_back = self._exchange(send_back, log)
-        outputs = []
-        for src, x in enumerate(x_per_rank):
-            x = np.asarray(x)
-            out = np.zeros_like(x)
-            weights = weights_per_rank[src]
-            for dst in range(world):
-                meta = send_meta[src][dst]
-                if meta is None or len(meta) == 0:
-                    continue
-                rows, slots = meta[:, 0], meta[:, 1]
-                np.add.at(
-                    out, rows, recv_back[src][dst] * weights[rows, slots][:, None]
-                )
-            outputs.append(out)
-        return ExpertParallelResult(
-            outputs_per_rank=outputs,
-            tokens_received_per_rank=tokens_received,
+        result = ExpertParallelResult(
+            outputs_per_rank=[r.output for r in ranks],
+            tokens_received_per_rank=[r.tokens_received for r in ranks],
             comm_log=log,
         )
+        return result, ranks
 
-    # ------------------------------------------------------------------
-    # SPMD path: one rank's view, driven by a ProcessGroup.  The same
-    # function body runs on the "sim" (rank-threads) and "mp" (forked
-    # processes) backends and is bit-identical across them.
-    # ------------------------------------------------------------------
-    def _route_and_bucket(self, x: np.ndarray, world: int):
-        """Route one rank's tokens and bucket copies by destination."""
-        indices, weights = self._route(x)
-        dest = indices // self.local_experts
-        rows, slots = np.nonzero(np.ones_like(indices, dtype=bool))
-        send_tokens, send_experts, send_meta = [], [], []
-        for dst in range(world):
-            mask = dest[rows, slots] == dst
-            r, s = rows[mask], slots[mask]
-            send_tokens.append(x[r])
-            send_experts.append(
-                (indices[r, s] - dst * self.local_experts).astype(np.int64)
-            )
-            send_meta.append(np.stack([r, s], axis=1))
-        return send_tokens, send_experts, send_meta, weights
+    def forward(self, x_per_rank: Sequence[np.ndarray]) -> ExpertParallelResult:
+        """Run the distributed forward over per-rank token batches."""
+        return self._run_ranks(x_per_rank)[0]
 
-    @staticmethod
-    def _log_rank_a2a(log: Optional[CommLog], send, rank: int) -> None:
-        """Account one logical exchange from one rank's point of view:
-        this rank's true off-diagonal bytes (no mean over a world this
-        rank cannot see)."""
-        if log is None or len(send) <= 1:
-            return
-        mine = float(
-            sum(np.asarray(s).nbytes for d, s in enumerate(send) if d != rank)
-        )
-        log.log("all_to_all", len(send), mine, max_bytes_sent=mine)
-
-    def forward_rank(
-        self,
-        group,
-        x_local: np.ndarray,
-        comm_log: Optional[CommLog] = None,
-        overlap: bool = True,
-    ) -> np.ndarray:
-        """One rank's distributed forward over a live ProcessGroup.
-
-        With ``overlap=True`` the expensive token all-to-all is posted
-        asynchronously and the rank builds its padded plan + block
-        topology (host-side metadata that needs only the already-
-        exchanged expert ids) while payloads are in flight — the
-        comm/compute overlap of §5 of the paper.  ``overlap=False``
-        serializes exchange-then-plan; both orders compute the
-        identical grouped-GEMM batch, so outputs are bit-equal and the
-        switch is purely a performance knob (benchmarked in
-        ``BENCH_dist.json``).
-        """
-        world = group.world
-        if world != self.mesh.expert_parallel:
-            raise ValueError(
-                f"group world {world} != mesh expert_parallel "
-                f"{self.mesh.expert_parallel}"
-            )
-        rank = group.rank
-        layer = self.layer
-        x = np.asarray(x_local)
-        send_tokens, send_experts, send_meta, weights = self._route_and_bucket(
-            x, world
-        )
-
-        # Expert ids first: a few hundred int64s whose arrival unlocks
-        # all the host-side planning work.
-        recv_experts = group.all_to_all(send_experts)
-        counts = [len(e) for e in recv_experts]
-        expert_ids = (
-            np.concatenate(recv_experts).astype(np.int64)
-            if sum(counts)
-            else np.zeros((0,), dtype=np.int64)
-        )
-
-        self._log_rank_a2a(comm_log, send_tokens, rank)
-        if overlap:
-            pending = group.isend_all_to_all(send_tokens)
-            # ---- overlapped with the token exchange ----
-            plan, topology = self._build_local_plan(expert_ids)
-            w1, b1, w2, b2 = self._slice_expert_weights(rank)
-            # --------------------------------------------
-            recv_tokens = pending.wait()
-        else:
-            recv_tokens = group.all_to_all(send_tokens)
-            plan, topology = self._build_local_plan(expert_ids)
-            w1, b1, w2, b2 = self._slice_expert_weights(rank)
-
-        gathered = (
-            np.concatenate(recv_tokens, axis=0)
-            if sum(counts)
-            else np.zeros((0, layer.hidden_size), dtype=x.dtype)
-        )
-        out_local = self._apply_local_experts(
-            gathered, plan, topology, w1, b1, w2, b2
-        )
-
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        send_back = [
-            out_local[offsets[src] : offsets[src + 1]] for src in range(world)
-        ]
-        self._log_rank_a2a(comm_log, send_back, rank)
-        recv_back = group.all_to_all(send_back)
-
-        out = np.zeros_like(x)
-        for dst in range(world):
-            meta = send_meta[dst]
-            if meta is None or len(meta) == 0:
-                continue
-            rows, slots = meta[:, 0], meta[:, 1]
-            np.add.at(
-                out, rows, recv_back[dst] * weights[rows, slots][:, None]
-            )
-        return out
-
-    def forward_backward_rank(
-        self,
-        group,
-        x_local: np.ndarray,
-        grad_local: np.ndarray,
-        comm_log: Optional[CommLog] = None,
-        overlap: bool = True,
-    ):
-        """One rank's distributed forward + backward (fixed routing).
-
-        Four all-to-alls total (token dispatch, result return, output-
-        gradient dispatch, input-gradient return), exactly as the cost
-        model charges.  Tapes onto a *rank-private deep copy* of the
-        layer — under the sim backend every rank is a thread and the
-        shared parameter tape would race; under mp the fork already
-        isolates, and copying in both keeps the backends byte-for-byte
-        identical.
-
-        Returns ``(output, input_grad, expert_grads)`` where
-        ``expert_grads`` maps ``w1/b1/w2/b2`` to this rank's *local
-        shard* gradient slices.
-        """
-        import copy
-
-        from repro.autograd import ACTIVATIONS, gather_rows, getitem, scatter_rows
-        from repro.autograd.tensor import Tensor
-        from repro.sparse.autograd_ops import dsd_mm, sdd_mm, sparse_bias_add
-
-        world = group.world
-        if world != self.mesh.expert_parallel:
-            raise ValueError(
-                f"group world {world} != mesh expert_parallel "
-                f"{self.mesh.expert_parallel}"
-            )
-        rank = group.rank
-        layer = copy.deepcopy(self.layer)
-        h, f = layer.hidden_size, layer.ffn_hidden_size
-        act = ACTIVATIONS[layer.activation]
-        e = layer.experts
-        e0 = rank * self.local_experts
-        e1 = e0 + self.local_experts
-
-        # ---- forward stage A: route, per-destination gathers (taped).
-        x_leaf = Tensor(np.asarray(x_local), requires_grad=True, dtype=np.float64)
-        send_tokens, send_experts, send_meta, weights = self._route_and_bucket(
-            x_leaf.data, world
-        )
-        gathered_tensors = []
-        for dst in range(world):
-            meta = send_meta[dst]
-            g = gather_rows(x_leaf, meta[:, 0])
-            gathered_tensors.append(g)
-            send_tokens[dst] = g.data
-
-        recv_experts = group.all_to_all(send_experts)
-        counts = [len(ids) for ids in recv_experts]
-        total = sum(counts)
-        expert_ids = (
-            np.concatenate(recv_experts).astype(np.int64)
-            if total
-            else np.zeros((0,), dtype=np.int64)
-        )
-
-        self._log_rank_a2a(comm_log, send_tokens, rank)
-        if overlap:
-            pending = group.isend_all_to_all(send_tokens)
-            plan, topology = self._build_local_plan(expert_ids)
-            recv_tokens = pending.wait()
-        else:
-            recv_tokens = group.all_to_all(send_tokens)
-            plan, topology = self._build_local_plan(expert_ids)
-
-        # ---- forward stage B: local expert compute (taped).
-        gathered = (
-            np.concatenate(recv_tokens, axis=0)
-            if total
-            else np.zeros((0, h), dtype=np.float64)
-        )
-        g_leaf = Tensor(gathered, requires_grad=True, dtype=np.float64)
-        xp = gather_rows(g_leaf, plan.gather_indices)
-        w1 = e.w1[e0:e1].transpose((1, 0, 2)).reshape((h, self.local_experts * f))
-        b1 = e.b1[e0:e1].reshape((self.local_experts * f,))
-        w2 = e.w2[e0:e1].reshape((self.local_experts * f, h))
-        hid = sdd_mm(xp, w1, topology)
-        hid = sparse_bias_add(hid, b1, topology)
-        hid = act(hid)
-        yp = dsd_mm(hid, w2, topology)
-        row_expert = np.repeat(
-            np.arange(self.local_experts), plan.padded_tokens_per_expert
-        )
-        yp = yp + getitem(e.b2[e0:e1], row_expert)
-        y = scatter_rows(
-            yp,
-            np.where(plan.gather_indices >= 0, plan.gather_indices, -1),
-            total,
-        )
-
-        # ---- forward stage C: return exchange + combine (taped).
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        send_back = [
-            y.data[offsets[src] : offsets[src + 1]] for src in range(world)
-        ]
-        self._log_rank_a2a(comm_log, send_back, rank)
-        recv_back = group.all_to_all(send_back)
-
-        back_leaves = []
-        parts = []
-        for dst in range(world):
-            meta = send_meta[dst]
-            if meta is None or len(meta) == 0:
-                back_leaves.append(None)
-                continue
-            rows, slots = meta[:, 0], meta[:, 1]
-            leaf = Tensor(recv_back[dst], requires_grad=True, dtype=np.float64)
-            back_leaves.append(leaf)
-            w = weights[rows, slots][:, None]
-            parts.append(scatter_rows(leaf * Tensor(w), rows, len(x_leaf.data)))
-        out_t = parts[0]
-        for p in parts[1:]:
-            out_t = out_t + p
-
-        # ---- backward: combine -> grad a2a -> local -> grad a2a.
-        out_t.backward(np.asarray(grad_local, dtype=np.float64))
-        grad_back = [
-            back_leaves[dst].grad
-            if back_leaves[dst] is not None
-            else np.zeros((0, h))
-            for dst in range(world)
-        ]
-        self._log_rank_a2a(comm_log, grad_back, rank)
-        dy_parts = group.all_to_all(grad_back)  # y-gradients come home
-        dy = (
-            np.concatenate(dy_parts, axis=0) if total else np.zeros((0, h))
-        )
-        y.backward(dy)
-
-        g = g_leaf.grad
-        if g is None:
-            g = np.zeros((total, h))
-        grad_tokens = [
-            g[offsets[src] : offsets[src + 1]] for src in range(world)
-        ]
-        self._log_rank_a2a(comm_log, grad_tokens, rank)
-        dx_parts = group.all_to_all(grad_tokens)  # token grads to sources
-        for dst in range(world):
-            gt = gathered_tensors[dst]
-            if gt is not None and len(gt.data):
-                gt.backward(dx_parts[dst])
-        input_grad = (
-            x_leaf.grad
-            if x_leaf.grad is not None
-            else np.zeros_like(x_leaf.data)
-        )
-
-        expert_grads = {
-            "w1": (e.w1.grad[e0:e1] if e.w1.grad is not None else None),
-            "b1": (e.b1.grad[e0:e1] if e.b1.grad is not None else None),
-            "w2": (e.w2.grad[e0:e1] if e.w2.grad is not None else None),
-            "b2": (e.b2.grad[e0:e1] if e.b2.grad is not None else None),
-        }
-        return out_t.data, input_grad, expert_grads
-
-    # ------------------------------------------------------------------
     def forward_backward(
         self,
         x_per_rank: Sequence[np.ndarray],
@@ -568,189 +365,16 @@ class ExpertParallelDMoE:
     ):
         """Distributed forward + backward with fixed routing.
 
-        Per-rank local computations run through the autograd engine
-        (the same sdd_mm/dsd_mm kernels as the single-process layer);
-        the collectives live outside the tape and gradients hop across
-        ranks via two additional all-to-alls.  Expert weight gradients
-        accumulate into ``self.layer.experts`` parameters.
-
-        Returns ``(ExpertParallelResult, input_grads_per_rank)``; input
-        gradients exclude the router-score path (routing is fixed).
+        Each rank's shard gradients accumulate into ``self.layer.experts``
+        parameters.  Returns ``(ExpertParallelResult,
+        input_grads_per_rank)``; input gradients exclude the router-score
+        path (routing is fixed).
         """
-        from repro.autograd import gather_rows, scatter_rows
-        from repro.autograd.tensor import Tensor
-        from repro.core.topology_builder import make_topology
-        from repro.sparse.autograd_ops import dsd_mm, sdd_mm, sparse_bias_add
-        from repro.autograd import ACTIVATIONS
-
-        mesh = self.mesh
-        world = mesh.expert_parallel
-        layer = self.layer
-        log = CommLog()
-
-        # ---- Forward stage A: route + per-destination gathers (taped).
-        x_leaves = [
-            Tensor(np.asarray(x), requires_grad=True, dtype=np.float64)
-            for x in x_per_rank
-        ]
-        send_tokens = [[None] * world for _ in range(world)]
-        send_experts = [[None] * world for _ in range(world)]
-        send_meta = [[None] * world for _ in range(world)]
-        gathered_tensors = [[None] * world for _ in range(world)]
-        weights_per_rank = []
-        for src, x_leaf in enumerate(x_leaves):
-            indices, weights = self._route(x_leaf.data)
-            weights_per_rank.append(weights)
-            dest = indices // self.local_experts
-            rows, slots = np.nonzero(np.ones_like(indices, dtype=bool))
-            for dst in range(world):
-                mask = dest[rows, slots] == dst
-                r, s = rows[mask], slots[mask]
-                g = gather_rows(x_leaf, r)
-                gathered_tensors[src][dst] = g
-                send_tokens[src][dst] = g.data
-                send_experts[src][dst] = (
-                    indices[r, s] - dst * self.local_experts
-                ).astype(np.int64)
-                send_meta[src][dst] = np.stack([r, s], axis=1)
-
-        recv_tokens = self._exchange(send_tokens, log)
-        recv_experts = all_to_all(send_experts, None)
-
-        # ---- Forward stage B: local expert compute (taped per dst).
-        recv_leaves = []
-        y_tensors = []
-        counts_per_dst = []
-        h, f = layer.hidden_size, layer.ffn_hidden_size
-        act = ACTIVATIONS[layer.activation]
-        e = layer.experts
-        for dst in range(world):
-            counts = [len(t) for t in recv_tokens[dst]]
-            counts_per_dst.append(counts)
-            total = sum(counts)
-            gathered = (
-                np.concatenate(recv_tokens[dst], axis=0)
-                if total
-                else np.zeros((0, h), dtype=np.float64)
-            )
-            expert_ids = (
-                np.concatenate(recv_experts[dst], axis=0).astype(np.int64)
-                if total
-                else np.zeros((0,), dtype=np.int64)
-            )
-            g_leaf = Tensor(gathered, requires_grad=True, dtype=np.float64)
-            recv_leaves.append(g_leaf)
-
-            plan = make_padded_plan(
-                expert_ids[:, None], self.local_experts, layer.block_size
-            )
-            topology = make_topology(plan, f)
-            xp = gather_rows(g_leaf, plan.gather_indices)
-            e0 = dst * self.local_experts
-            e1 = e0 + self.local_experts
-            w1 = e.w1[e0:e1].transpose((1, 0, 2)).reshape(
-                (h, self.local_experts * f)
-            )
-            b1 = e.b1[e0:e1].reshape((self.local_experts * f,))
-            w2 = e.w2[e0:e1].reshape((self.local_experts * f, h))
-            hid = sdd_mm(xp, w1, topology)
-            hid = sparse_bias_add(hid, b1, topology)
-            hid = act(hid)
-            yp = dsd_mm(hid, w2, topology)
-            row_expert = np.repeat(
-                np.arange(self.local_experts), plan.padded_tokens_per_expert
-            )
-            from repro.autograd import getitem
-
-            yp = yp + getitem(e.b2[e0:e1], row_expert)
-            # Un-pad back to arrival order.
-            y = scatter_rows(
-                yp,
-                np.where(
-                    plan.gather_indices >= 0,
-                    plan.gather_indices,
-                    -1,
-                ),
-                total,
-            )
-            y_tensors.append(y)
-
-        # ---- Forward stage C: return all-to-all + combine (taped per src).
-        send_back = [[None] * world for _ in range(world)]
-        for dst in range(world):
-            offsets = np.concatenate([[0], np.cumsum(counts_per_dst[dst])])
-            for src in range(world):
-                send_back[dst][src] = y_tensors[dst].data[
-                    offsets[src] : offsets[src + 1]
-                ]
-        recv_back = self._exchange(send_back, log)
-
-        outputs = []
-        back_leaves = [[None] * world for _ in range(world)]
-        out_tensors = []
-        for src, x_leaf in enumerate(x_leaves):
-            weights = weights_per_rank[src]
-            parts = []
-            for dst in range(world):
-                meta = send_meta[src][dst]
-                if meta is None or len(meta) == 0:
-                    continue
-                rows, slots = meta[:, 0], meta[:, 1]
-                leaf = Tensor(
-                    recv_back[src][dst], requires_grad=True, dtype=np.float64
-                )
-                back_leaves[src][dst] = leaf
-                w = weights[rows, slots][:, None]
-                parts.append(scatter_rows(leaf * Tensor(w), rows, len(x_leaf.data)))
-            total_out = parts[0]
-            for p in parts[1:]:
-                total_out = total_out + p
-            out_tensors.append(total_out)
-            outputs.append(total_out.data)
-
-        # ---- Backward: per-src combine -> grad a2a -> local -> grad a2a.
-        for src, (out_t, dy) in enumerate(zip(out_tensors, grad_per_rank)):
-            out_t.backward(np.asarray(dy, dtype=np.float64))
-        grad_back = [[None] * world for _ in range(world)]  # [dst][src]
-        for dst in range(world):
-            for src in range(world):
-                leaf = back_leaves[src][dst]
-                if leaf is None:
-                    grad_back[src][dst] = np.zeros((0, h))
-                else:
-                    grad_back[src][dst] = leaf.grad
-        dy_at_dst = self._exchange(grad_back, log)  # y-gradients home to dst
-        for dst in range(world):
-            dy = (
-                np.concatenate(dy_at_dst[dst], axis=0)
-                if sum(counts_per_dst[dst])
-                else np.zeros((0, h))
-            )
-            y_tensors[dst].backward(dy)
-        grad_tokens = [[None] * world for _ in range(world)]  # [src][dst]
-        for dst in range(world):
-            offsets = np.concatenate([[0], np.cumsum(counts_per_dst[dst])])
-            g = recv_leaves[dst].grad
-            if g is None:
-                g = np.zeros((sum(counts_per_dst[dst]), h))
-            for src in range(world):
-                grad_tokens[dst][src] = g[offsets[src] : offsets[src + 1]]
-        dx_home = self._exchange(grad_tokens, log)  # token grads back to src
-        input_grads = []
-        for src, x_leaf in enumerate(x_leaves):
-            for dst in range(world):
-                gt = gathered_tensors[src][dst]
-                if gt is not None and len(gt.data):
-                    gt.backward(dx_home[src][dst])
-            input_grads.append(
-                x_leaf.grad
-                if x_leaf.grad is not None
-                else np.zeros_like(x_leaf.data)
-            )
-
-        result = ExpertParallelResult(
-            outputs_per_rank=outputs,
-            tokens_received_per_rank=[sum(c) for c in counts_per_dst],
-            comm_log=log,
-        )
-        return result, input_grads
+        result, ranks = self._run_ranks(x_per_rank, grad_per_rank)
+        local = self.local_experts
+        for name, p in self.layer.experts.named_parameters():
+            if p.grad is None:
+                p.grad = np.zeros_like(p.data)
+            for r, rank in enumerate(ranks):
+                p.grad[r * local : (r + 1) * local] += rank.expert_grads[name]
+        return result, [rank.input_grad for rank in ranks]

@@ -43,15 +43,8 @@ from repro.distributed.backend import (
     ProcessGroup,
     WorkerFailure,
 )
-from repro.resilience.faults import (
-    COLLECTIVE_KINDS,
-    CORRUPT_PAYLOAD,
-    DELAY,
-    RANK_FAILURE,
-    CollectiveFault,
-    FaultEvent,
-    FaultSchedule,
-)
+from repro.distributed.collectives import log_all_reduce
+from repro.resilience.faults import CollectiveFault, FaultEvent, FaultSchedule
 
 _POLL_GRANULARITY_S = 0.002
 
@@ -143,44 +136,12 @@ class MpProcessGroup(ProcessGroup):
             ) from None
         return shm.decode_array(header)
 
-    # -- faults --------------------------------------------------------
-    def _maybe_fault(self, op: str) -> bool:
-        """Fire any armed fault for this rank; True = corrupt sends."""
-        if self._schedule is None:
-            return False
-        event = self._schedule.match(
-            COLLECTIVE_KINDS, step=self._step, op=op, rank=self.rank
-        )
-        if event is None or (event.rank is None and self.rank != 0):
-            return False  # unranked events fire once, on rank 0
-        self._schedule.consume(event)
-        if event.kind == RANK_FAILURE:
-            os.kill(os.getpid(), signal.SIGKILL)  # a real dead rank
-        if event.kind == DELAY:
-            time.sleep(event.delay_s)
-            return False
-        return event.kind == CORRUPT_PAYLOAD
-
-    @staticmethod
-    def _corrupt(arrays: List[np.ndarray]) -> List[np.ndarray]:
-        out, planted = [], False
-        for a in arrays:
-            a = np.asarray(a)
-            if not planted and a.size and np.issubdtype(a.dtype, np.floating):
-                a = a.copy()
-                a.reshape(-1)[0] = np.nan
-                planted = True
-            out.append(a)
-        return out
+    def _die(self, op: str) -> None:
+        os.kill(os.getpid(), signal.SIGKILL)  # a real dead rank
 
     # -- collectives ---------------------------------------------------
     def isend_all_to_all(self, send: Sequence[np.ndarray]) -> PendingAllToAll:
-        send = [np.asarray(s) for s in send]
-        if self._maybe_fault("all_to_all"):
-            off_diag = [send[(self.rank + k) % self.world] for k in range(1, self.world)]
-            off_diag = self._corrupt(off_diag)
-            for k in range(1, self.world):
-                send[(self.rank + k) % self.world] = off_diag[k - 1]
+        send = self._faulted_sends(send)
         for k in range(1, self.world):
             dst = (self.rank + k) % self.world
             self._post(dst, send[dst], "all_to_all")
@@ -249,10 +210,10 @@ class MpEchoGroup:
     """``world - 1`` persistent forked peers for per-step all-reduces.
 
     Unlike :func:`run_mp` (which forks per invocation), these workers
-    live as long as the trainer: rank ``r``'s shard ships to worker
-    ``r`` over the shm transport and echoes back, and the caller
-    reduces the gathered parts with the shared rank-ordered formula —
-    bit-identical to the in-process reference ``all_reduce``.
+    live as long as the trainer: rank 0's contribution ships to every
+    worker over the shm transport and echoes back, and the parts reduce
+    with the shared rank-ordered formula — bit-identical to the
+    in-process reference ``all_reduce``.
 
     Chaos seams are real: :meth:`kill_rank` SIGKILLs a worker, the next
     exchange times out into :class:`CollectiveFault` (the trainer's
@@ -264,11 +225,16 @@ class MpEchoGroup:
         if world < 2:
             raise ValueError(f"MpEchoGroup needs world >= 2, got {world}")
         self.world = world
-        self.op_timeout_s = op_timeout_s
         self.session = shm.session_name()
         self._ctx = _fork_context()
         self._conns: List[Optional[Any]] = [None] * world  # rank 0 = local
         self._procs: List[Optional[Any]] = [None] * world
+        # Rank 0's end of the exchange: the point-to-point transport of
+        # a full group, over the duplex pipes (respawns replace entries
+        # of the shared list in place).
+        self._link = MpProcessGroup(
+            0, world, self._conns, self._conns, self.session, op_timeout_s
+        )
         for rank in range(1, world):
             self._spawn(rank)
 
@@ -313,51 +279,20 @@ class MpEchoGroup:
         shm.sweep_session(self.session)
         return healed
 
-    def _roundtrip(self, rank: int, arr: np.ndarray) -> np.ndarray:
-        conn = self._conns[rank]
-        try:
-            conn.send(shm.encode_array(arr, self.session))
-        except BrokenPipeError:
-            raise CollectiveFault(
-                "all_reduce", None, 0, detail=f"dp rank {rank} died (broken pipe)"
-            ) from None
-        deadline = time.perf_counter() + self.op_timeout_s
-        while not conn.poll(_POLL_GRANULARITY_S):
-            if time.perf_counter() > deadline:
-                raise CollectiveFault(
-                    "all_reduce",
-                    None,
-                    0,
-                    detail=f"dp rank {rank}: echo timed out after "
-                    f"{self.op_timeout_s}s (worker dead?)",
-                )
-        try:
-            header = conn.recv()
-        except EOFError:
-            raise CollectiveFault(
-                "all_reduce", None, 0, detail=f"dp rank {rank} died (pipe EOF)"
-            ) from None
-        return shm.decode_array(header)
-
-    def all_reduce_shards(
-        self, shards: Sequence[np.ndarray], log=None
-    ) -> List[np.ndarray]:
-        """Same contract as the in-process reference ``all_reduce``:
-        per-rank shards in, the summed total (per rank) out."""
-        if len(shards) != self.world:
-            raise ValueError(
-                f"expected {self.world} shards, got {len(shards)}"
-            )
-        parts: List[np.ndarray] = [np.asarray(shards[0]).copy()]
+    def all_reduce(self, arr: np.ndarray, log=None) -> np.ndarray:
+        """This rank's contribution in, the total over ``world`` ranks
+        out.  Every peer echoes the contribution back through its own
+        process and shared memory, and the parts reduce with the shared
+        rank-ordered formula — the in-process reference ``all_reduce``
+        over ``world`` identical shards, bit for bit, with the same
+        ``CommLog`` record."""
+        arr = np.asarray(arr)
+        parts = [arr]
         for rank in range(1, self.world):
-            parts.append(self._roundtrip(rank, np.asarray(shards[rank])))
-        total = ProcessGroup._reduce_sum(parts)
-        if log is not None and self.world > 1:
-            per_rank = (
-                2.0 * (self.world - 1) / self.world * np.asarray(shards[0]).nbytes
-            )
-            log.log("all_reduce", self.world, per_rank)
-        return [total.copy() for _ in range(self.world)]
+            self._link._post(rank, arr, "all_reduce")
+            parts.append(self._link._recv_from(rank, "all_reduce"))
+        log_all_reduce(arr.nbytes, self.world, log)
+        return ProcessGroup._reduce_sum(parts)
 
     def close(self) -> None:
         for rank in range(1, self.world):

@@ -12,7 +12,9 @@ backend is tested against.
 Faults passed to :func:`run_sim` are matched per rank (``FaultEvent
 .rank``): a ``rank_failure`` raises in that rank's thread and aborts
 the barrier so peers unwind promptly; ``delay`` really sleeps;
-``corrupt_payload`` plants a NaN in the matched rank's deposit.
+``corrupt_payload`` plants a NaN in a buffer the matched rank sends to a
+peer (the fault step itself is :class:`ProcessGroup`'s, shared with
+``"mp"``).
 """
 
 from __future__ import annotations
@@ -30,15 +32,7 @@ from repro.distributed.backend import (
     ProcessGroup,
     WorkerFailure,
 )
-from repro.resilience.faults import (
-    COLLECTIVE_KINDS,
-    CORRUPT_PAYLOAD,
-    DELAY,
-    RANK_FAILURE,
-    CollectiveFault,
-    FaultEvent,
-    FaultSchedule,
-)
+from repro.resilience.faults import CollectiveFault, FaultEvent, FaultSchedule
 
 
 class _Rendezvous:
@@ -78,7 +72,10 @@ class _Rendezvous:
 
 class _SimPending(PendingAllToAll):
     """Deferred all-to-all: the exchange runs at :meth:`wait`, after the
-    caller's overlapped local work — values are identical either way."""
+    caller's overlapped local work — values are identical either way.
+    :meth:`wait` returns what the collective computed, diagonal
+    included, so a payload the ``inject_faults`` hook corrupted reaches
+    its rank whichever buffer the hook picked."""
 
     def __init__(self, group: "SimProcessGroup", send: List[np.ndarray]) -> None:
         self._group = group
@@ -90,7 +87,7 @@ class _SimPending(PendingAllToAll):
         return self._self
 
     def wait(self) -> List[np.ndarray]:
-        return self._group.all_to_all(self._send, _pending_self=self._self)
+        return self._group.all_to_all(self._send)
 
 
 class SimProcessGroup(ProcessGroup):
@@ -108,47 +105,13 @@ class SimProcessGroup(ProcessGroup):
         self._rv = rendezvous
         self._schedule = schedule
         self._step = step
+        self._fault_lock = rendezvous.fault_lock
 
-    # -- faults --------------------------------------------------------
-    def _maybe_fault(self, op: str) -> bool:
-        """Fire any armed fault for this rank; True = corrupt payload."""
-        if self._schedule is None:
-            return False
-        with self._rv.fault_lock:
-            event = self._schedule.match(
-                COLLECTIVE_KINDS, step=self._step, op=op, rank=self.rank
-            )
-            if event is None or (
-                event.rank is None and self.rank != 0
-            ):  # unranked events fire once, on rank 0
-                return False
-            self._schedule.consume(event)
-        if event.kind == RANK_FAILURE:
-            self._rv.barrier.abort()  # peers unwind instead of hanging
-            raise CollectiveFault(
-                op, self._step, 0, detail=f"rank {self.rank} failed"
-            )
-        if event.kind == DELAY:
-            time.sleep(event.delay_s)
-            return False
-        return event.kind == CORRUPT_PAYLOAD
-
-    @staticmethod
-    def _corrupt(arrays: List[np.ndarray]) -> List[np.ndarray]:
-        """One NaN in the first non-empty float array (same convention
-        as the in-process injector)."""
-        out, planted = [], False
-        for a in arrays:
-            if (
-                not planted
-                and a.size
-                and np.issubdtype(a.dtype, np.floating)
-            ):
-                a = a.copy()
-                a.reshape(-1)[0] = np.nan
-                planted = True
-            out.append(a)
-        return out
+    def _die(self, op: str) -> None:
+        self._rv.barrier.abort()  # peers unwind instead of hanging
+        raise CollectiveFault(
+            op, self._step, 0, detail=f"rank {self.rank} failed"
+        )
 
     # -- collectives ---------------------------------------------------
     def all_reduce(self, arr: np.ndarray) -> np.ndarray:
@@ -168,23 +131,13 @@ class SimProcessGroup(ProcessGroup):
 
         return self._rv.exchange(self.rank, np.asarray(arr), compute, self)
 
-    def all_to_all(
-        self,
-        send: Sequence[np.ndarray],
-        _pending_self: Optional[np.ndarray] = None,
-    ) -> List[np.ndarray]:
-        send = [np.asarray(s) for s in send]
-        if self._maybe_fault("all_to_all"):
-            send = self._corrupt(send)
+    def all_to_all(self, send: Sequence[np.ndarray]) -> List[np.ndarray]:
+        send = self._faulted_sends(send)
 
         def compute(slots):
             return collectives.all_to_all(slots)
 
-        received = self._rv.exchange(self.rank, send, compute, self)
-        if _pending_self is not None:
-            received = list(received)
-            received[self.rank] = _pending_self
-        return received
+        return self._rv.exchange(self.rank, send, compute, self)
 
     def isend_all_to_all(self, send: Sequence[np.ndarray]) -> PendingAllToAll:
         return _SimPending(self, [np.asarray(s) for s in send])
@@ -200,6 +153,26 @@ class SimProcessGroup(ProcessGroup):
 
     def barrier(self) -> None:
         self.all_gather(np.zeros(1))
+
+
+class SimEchoGroup:
+    """The trainer seam in process (:func:`~repro.distributed.backend
+    .open_echo_group`): ``world`` ranks holding the same contribution,
+    reduced by the reference collective — so its tracer span and the
+    ``inject_faults`` hook (retry policy, delay, corruption, simulated
+    rank failure) see every call.  Nothing to heal or close."""
+
+    def __init__(self, world: int) -> None:
+        self.world = world
+
+    def all_reduce(self, arr: np.ndarray, log=None) -> np.ndarray:
+        return collectives.all_reduce([arr] * self.world, log)[0]
+
+    def heal(self) -> List[int]:
+        return []
+
+    def close(self) -> None:
+        pass
 
 
 def run_sim(

@@ -313,7 +313,8 @@ class RetryPolicy:
 
 def _corrupt_payloads(payloads):
     """Copy ``payloads`` (possibly nested lists of arrays) with one NaN
-    planted in the first non-empty float array found."""
+    planted in the first non-empty float array found; ``None`` when
+    there is none to plant it in."""
     planted = [False]
 
     def walk(obj):
@@ -332,7 +333,8 @@ def _corrupt_payloads(payloads):
             return [walk(o) for o in obj]
         return obj
 
-    return walk(payloads)
+    corrupted = walk(payloads)
+    return corrupted if planted[0] else None
 
 
 class FaultInjector:
@@ -364,6 +366,13 @@ class FaultInjector:
                 COLLECTIVE_KINDS, step=self.current_step, op=op
             )
             data = payloads
+            if event is not None and event.kind == CORRUPT_PAYLOAD:
+                data = _corrupt_payloads(payloads)
+                if data is None:
+                    # Nothing to corrupt (e.g. an exchange of integer
+                    # ids): the event stays armed for a payload that
+                    # has a float in it.
+                    data, event = payloads, None
             if event is not None:
                 self.schedule.consume(event)
                 counters.increment(f"injected_{event.kind}")
@@ -371,8 +380,6 @@ class FaultInjector:
                     raise CollectiveFault(op, self.current_step, k)
                 if event.kind == DELAY:
                     self.simulated_delay_s += event.delay_s
-                elif event.kind == CORRUPT_PAYLOAD:
-                    data = _corrupt_payloads(payloads)
             return compute(data)
 
         if self.policy is not None:

@@ -38,7 +38,7 @@ from repro.data.dataset import LMDataset
 from repro.moe.capacity import min_capacity_factor
 from repro.nn.transformer import TransformerLM
 from repro.resilience import guardrails as gr
-from repro.resilience.faults import CollectiveFault, FaultInjector
+from repro.resilience.faults import RANK_FAILURE, CollectiveFault, FaultInjector
 from repro.resilience.guardrails import GuardrailConfig, NumericGuard
 from repro.checkpoint import (
     AsyncCheckpointWriter,
@@ -99,10 +99,10 @@ class TrainerConfig:
             would silently perturb the trajectory, so it is rejected.
         dist_backend: transport for the data-parallel all-reduce —
             ``"sim"`` (default) keeps the in-process reference
-            collective; ``"mp"`` round-trips every shard through
-            ``dp_world - 1`` persistent forked echo workers over the
-            shared-memory transport (``repro.distributed.mp_backend
-            .MpEchoGroup``).  Both reduce with the identical
+            collective; ``"mp"`` round-trips this rank's gradient
+            through ``dp_world - 1`` persistent forked echo workers
+            over the shared-memory transport (``repro.distributed
+            .backend.open_echo_group``).  Both reduce with the identical
             rank-ordered formula, so training trajectories are
             bit-identical across backends; under ``"mp"`` the fault
             seams are *real* — a scheduled ``rank_failure`` SIGKILLs a
@@ -241,8 +241,8 @@ class Trainer:
         from repro.distributed.collectives import CommLog
 
         self.comm_log = CommLog() if config.dp_world > 1 else None
-        #: Persistent echo workers for dist_backend="mp" (created on the
-        #: first synced step, torn down by close_dist / end of _run).
+        #: The data-parallel group this process is rank 0 of (opened on
+        #: the first synced step, closed by close_dist / end of _run).
         self._echo_group = None
         if config.backend == "cc" and isinstance(self.optimizer, Adam):
             # Fused native optimizer step + grad-norm clip (bit-identical
@@ -329,35 +329,26 @@ class Trainer:
         ``dp_world`` is a power of two, that exercises the real
         collective.
 
-        ``dist_backend="sim"`` runs the in-process reference;
-        ``"mp"`` ships every shard through the persistent forked echo
-        workers — same rank-ordered reduction, so the two backends are
-        bit-identical, but kills and timeouts are real under "mp".
+        This process is rank 0 of a group whose peers hold the same
+        gradient (:func:`repro.distributed.backend.open_echo_group`):
+        ``"sim"`` reduces through the in-process reference, ``"mp"``
+        through persistent forked workers — same rank-ordered
+        reduction, so the two are bit-identical, but kills and timeouts
+        are real under ``"mp"``.
         """
-        if self.config.dist_backend == "mp":
-            self._sync_gradients_mp()
-            return
-        from repro.distributed.collectives import all_reduce
-
-        world = self.config.dp_world
-        inv = 1.0 / world
-        for p in self.optimizer.params:
-            if p.grad is None:
-                continue
-            shards = [p.grad * inv for _ in range(world)]
-            p.grad = all_reduce(shards, self.comm_log)[0]
-
-    def _sync_gradients_mp(self) -> None:
-        from repro.resilience.faults import RANK_FAILURE
-
-        world = self.config.dp_world
+        cfg = self.config
         if self._echo_group is None:
-            from repro.distributed.mp_backend import MpEchoGroup
+            from repro.distributed.backend import open_echo_group
 
-            self._echo_group = MpEchoGroup(world, op_timeout_s=5.0)
-        # A scheduled rank failure is a *real* kill here: the worker is
-        # SIGKILLed and the exchange below discovers it by timeout.
-        if self.fault_injector is not None:
+            self._echo_group = open_echo_group(
+                cfg.dp_world, cfg.dist_backend, op_timeout_s=5.0
+            )
+        group = self._echo_group
+        # Under "mp" a scheduled rank failure is a *real* kill: the
+        # worker is SIGKILLed and the exchange below discovers it by
+        # timeout.  ("sim" leaves the event to the inject_faults hook
+        # inside the reference collective.)
+        if cfg.dist_backend == "mp" and self.fault_injector is not None:
             event = self.fault_injector.schedule.match(
                 {RANK_FAILURE},
                 step=self.fault_injector.current_step,
@@ -365,24 +356,20 @@ class Trainer:
             )
             if event is not None:
                 self.fault_injector.schedule.consume(event)
-                self._echo_group.kill_rank(event.rank or 1)
-        inv = 1.0 / world
+                group.kill_rank(event.rank or 1)
+        inv = 1.0 / cfg.dp_world
         try:
             for p in self.optimizer.params:
-                if p.grad is None:
-                    continue
-                shards = [p.grad * inv for _ in range(world)]
-                p.grad = self._echo_group.all_reduce_shards(
-                    shards, self.comm_log
-                )[0]
+                if p.grad is not None:
+                    p.grad = group.all_reduce(p.grad * inv, self.comm_log)
         except CollectiveFault:
             # Respawn dead workers before the step is skipped so the
             # next step finds a healthy group (PR 2 recovery contract).
-            self._echo_group.heal()
+            group.heal()
             raise
 
     def close_dist(self) -> None:
-        """Tear down the persistent mp echo workers (if any)."""
+        """Close the data-parallel group (under "mp": its forked workers)."""
         if self._echo_group is not None:
             self._echo_group.close()
             self._echo_group = None

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from repro.distributed import shm
 from repro.sparse.topology import Topology
 from repro.utils.rng import seed_all
 
@@ -27,6 +29,32 @@ def _deterministic_seed():
     """Every test starts from the same global RNG state."""
     seed_all(1234)
     yield
+
+
+def reap_distributed_leaks() -> list:
+    """Kill live child processes and unlink this process's ``rpd{pid}_*``
+    shared-memory segments; returns a description of each one found.
+
+    "No shared memory survives a run" is a suite-wide contract:
+    ``tests/distributed/`` checks it after every test, the session check
+    below covers the mp users outside that package
+    (``tests/integration/``, ``tests/resilience/``).
+    """
+    leaks = []
+    for proc in multiprocessing.active_children():
+        leaks.append(f"live child process {proc.name} (pid {proc.pid})")
+        proc.kill()
+        proc.join(timeout=5.0)
+    for name in shm.sweep_session(f"rpd{os.getpid()}_"):
+        leaks.append(f"shared-memory segment /dev/shm/{name}")
+    return leaks
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _no_distributed_leak_survives_the_session():
+    yield
+    leaks = reap_distributed_leaks()
+    assert not leaks, f"the test session left behind: {leaks}"
 
 
 @pytest.fixture

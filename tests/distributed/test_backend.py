@@ -3,7 +3,7 @@
 The forked ``"mp"`` backend must be bit-identical to the threaded
 ``"sim"`` reference (and therefore to the in-process collectives) for
 every collective and for the full expert-parallel dMoE forward and
-backward, with overlap on or off.  Faults must be *real* under mp — a
+backward.  Faults must be *real* under mp — a
 scheduled rank failure is a SIGKILL detected by peers — and no shared
 memory may survive a run, clean or chaotic.
 """
@@ -16,6 +16,7 @@ import pytest
 from repro.autograd import Tensor
 from repro.core import dMoE
 from repro.distributed import (
+    CommLog,
     DeviceMesh,
     ExpertParallelDMoE,
     WorkerFailure,
@@ -23,6 +24,7 @@ from repro.distributed import (
     run_distributed,
 )
 from repro.distributed import shm
+from repro.distributed.backend import open_echo_group
 from repro.distributed.mp_backend import MpEchoGroup
 from repro.resilience.faults import (
     CORRUPT_PAYLOAD,
@@ -30,6 +32,10 @@ from repro.resilience.faults import (
     RANK_FAILURE,
     CollectiveFault,
     FaultEvent,
+    RetryPolicy,
+)
+from tests.distributed.test_expert_parallel_backward import (
+    _fixed_routing_reference,
 )
 
 WORLDS = [2, 4]
@@ -89,6 +95,10 @@ class TestCollectiveBitIdentity:
                 res.values[rank]["all_reduce"], ref[rank], strict=True
             )
 
+    def test_rejects_empty_world(self):
+        with pytest.raises(ValueError, match="world"):
+            run_distributed(_collective_suite, 0)
+
     def test_large_payloads_ride_shared_memory(self):
         """Above the inline threshold the segment path must carry the
         exact bytes (and leave nothing behind — checked suite-wide)."""
@@ -104,107 +114,166 @@ class TestCollectiveBitIdentity:
         assert shm.leaked_segments(res.extras["session"]) == []
 
 
-def _make_ep(world, hidden=16, ffn=32, experts=8):
+def _make_ep(world, top_k=1, experts=12, retry_policy=None):
     layer = dMoE(
-        hidden, ffn, experts, block_size=4, rng=0, load_balance_coef=0.0
+        16, 32, experts, top_k=top_k, block_size=4, rng=0,
+        load_balance_coef=0.0,
     )
     layer.eval()
     mesh = DeviceMesh(world=world, expert_parallel=world)
-    return layer, ExpertParallelDMoE(layer, mesh)
+    return layer, ExpertParallelDMoE(layer, mesh, retry_policy=retry_policy)
+
+
+#: Rows per rank, by world size.  "one_expert" zeroes the router, so
+#: every token ties onto the lowest expert ids and every shard but the
+#: first receives nothing.
+EP_BATCHES = {
+    "even": lambda world: [6] * world,
+    "uneven": lambda world: [1 + 3 * r for r in range(world)],
+    "empty_rank": lambda world: [0] + [5] * (world - 1),
+    "one_expert": lambda world: [6] * world,
+}
+
+
+def _ep_case(world, top_k, batches, seed=3):
+    layer, ep = _make_ep(world, top_k)
+    if batches == "one_expert":
+        layer.router.proj.weight.data[...] = 0.0
+    rng = np.random.default_rng(seed)
+    sizes = EP_BATCHES[batches](world)
+    xs = [rng.standard_normal((n, 16)) for n in sizes]
+    gs = [rng.standard_normal((n, 16)) for n in sizes]
+    return layer, ep, xs, gs
+
+
+def _assert_rank_results_equal(a, b):
+    """Two ExpertParallelRankResults, bit for bit."""
+    np.testing.assert_array_equal(a.output, b.output, strict=True)
+    assert a.tokens_received == b.tokens_received
+    assert a.comm_log.records == b.comm_log.records
+    assert (a.input_grad is None) == (b.input_grad is None)
+    if a.input_grad is not None:
+        np.testing.assert_array_equal(a.input_grad, b.input_grad, strict=True)
+        assert a.expert_grads.keys() == b.expert_grads.keys()
+        for k in a.expert_grads:
+            np.testing.assert_array_equal(
+                a.expert_grads[k], b.expert_grads[k], err_msg=k, strict=True
+            )
+
+
+def _ep_matrix(test):
+    """world {1..4} x top-k {1, 2} x rank batches."""
+    for name, values in (
+        ("batches", list(EP_BATCHES)),
+        ("top_k", [1, 2]),
+        ("world", [1, 2, 3, 4]),
+    ):
+        test = pytest.mark.parametrize(name, values)(test)
+    return test
 
 
 class TestExpertParallelBitIdentity:
-    @pytest.mark.parametrize("world", WORLDS)
-    @pytest.mark.parametrize("overlap", [True, False], ids=["overlap", "serial"])
-    def test_forward_rank_across_backends_and_reference(self, world, overlap):
+    """The expert-parallel conformance matrix: one rank body, two
+    transports, the in-process drivers and the layer it shards."""
+
+    @_ep_matrix
+    def test_forward_rank_across_backends_and_reference(
+        self, world, top_k, batches
+    ):
         """mp == sim == in-process forward, bitwise; and all three match
         the single-process dMoE to float tolerance."""
-        layer, ep = _make_ep(world)
-        rng = np.random.default_rng(3)
-        xs = [rng.standard_normal((6 + r, 16)) for r in range(world)]
+        layer, ep, xs, _ = _ep_case(world, top_k, batches)
 
         def fn(group):
-            return ep.forward_rank(group, xs[group.rank], overlap=overlap)
+            return ep.forward_rank(group, xs[group.rank])
 
-        sim = run_distributed(fn, world, backend="sim")
-        mp_ = run_distributed(fn, world, backend="mp")
-        ref = ep.forward(xs).outputs_per_rank
+        sim = run_distributed(fn, world, backend="sim").values
+        mp_ = run_distributed(fn, world, backend="mp").values
+        ref = ep.forward(xs)
         for r in range(world):
-            np.testing.assert_array_equal(sim.values[r], mp_.values[r], strict=True)
-            np.testing.assert_array_equal(mp_.values[r], ref[r], strict=True)
+            _assert_rank_results_equal(sim[r], mp_[r])
+            np.testing.assert_array_equal(
+                mp_[r].output, ref.outputs_per_rank[r], strict=True
+            )
+            assert mp_[r].input_grad is None
+            assert mp_[r].comm_log.counts() == (
+                {"all_to_all": 2} if world > 1 else {}
+            )
+        received = [v.tokens_received for v in mp_]
+        assert received == ref.tokens_received_per_rank
+        assert sum(received) == sum(len(x) for x in xs) * top_k
+        if batches == "one_expert":
+            assert received[1:] == [0] * (world - 1)
 
         single, _ = layer(Tensor(np.concatenate(xs), dtype=np.float64))
         np.testing.assert_allclose(
-            np.concatenate(mp_.values), single.data, atol=1e-9
+            np.concatenate([v.output for v in mp_]), single.data, atol=1e-9
         )
 
-    def test_overlap_is_purely_a_performance_knob(self):
-        """Overlapped and serialized exchanges compute identical bits on
-        the mp backend (same grouped-GEMM batch, different schedule)."""
-        _, ep = _make_ep(4)
-        rng = np.random.default_rng(5)
-        xs = [rng.standard_normal((9, 16)) for _ in range(4)]
-
-        def run(overlap):
-            fn = lambda g: ep.forward_rank(g, xs[g.rank], overlap=overlap)
-            return run_distributed(fn, 4, backend="mp")
-
-        on, off = run(True), run(False)
-        for a, b in zip(on.values, off.values):
-            np.testing.assert_array_equal(a, b, strict=True)
-
-    @pytest.mark.parametrize("world", WORLDS)
-    def test_forward_backward_rank_across_backends(self, world):
+    @_ep_matrix
+    def test_forward_backward_rank_across_backends(self, world, top_k, batches):
         """Forward output, input gradient, and the per-rank expert shard
-        gradients are bit-identical between the two backends."""
-        _, ep = _make_ep(world)
-        rng = np.random.default_rng(7)
-        xs = [rng.standard_normal((5 + r, 16)) for r in range(world)]
-        gs = [rng.standard_normal((5 + r, 16)) for r in range(world)]
+        gradients are bit-identical between the two backends, and match
+        the fixed-routing single-process reference."""
+        layer, ep, xs, gs = _ep_case(world, top_k, batches, seed=7)
 
         def fn(group):
             return ep.forward_backward_rank(
                 group, xs[group.rank], gs[group.rank]
             )
 
-        sim = run_distributed(fn, world, backend="sim")
-        mp_ = run_distributed(fn, world, backend="mp")
+        sim = run_distributed(fn, world, backend="sim").values
+        mp_ = run_distributed(fn, world, backend="mp").values
         for r in range(world):
-            s_out, s_dx, s_eg = sim.values[r]
-            m_out, m_dx, m_eg = mp_.values[r]
-            np.testing.assert_array_equal(s_out, m_out, strict=True)
-            np.testing.assert_array_equal(s_dx, m_dx, strict=True)
-            assert s_eg.keys() == m_eg.keys()
-            for k in s_eg:
-                if s_eg[k] is None:
-                    assert m_eg[k] is None, k
-                else:
-                    np.testing.assert_array_equal(
-                        s_eg[k], m_eg[k], err_msg=k, strict=True
-                    )
+            _assert_rank_results_equal(sim[r], mp_[r])
+            assert mp_[r].comm_log.counts() == (
+                {"all_to_all": 4} if world > 1 else {}
+            )
+
+        ref_out, ref_dx, ref_grads = _fixed_routing_reference(
+            layer, np.concatenate(xs), np.concatenate(gs)
+        )
+        np.testing.assert_allclose(
+            np.concatenate([v.output for v in mp_]), ref_out, atol=1e-9
+        )
+        np.testing.assert_allclose(
+            np.concatenate([v.input_grad for v in mp_]), ref_dx, atol=1e-9
+        )
+        for name, ref in ref_grads.items():
+            # Shard gradients concatenate, in rank order, to the full
+            # parameter's: expert weights are never all-reduced.
+            got = np.concatenate([v.expert_grads[name] for v in mp_])
+            np.testing.assert_allclose(got, ref, atol=1e-9, err_msg=name)
 
     def test_forward_backward_rank_matches_in_process(self):
-        """The SPMD backward agrees with the in-process forward_backward
-        oracle on outputs and input gradients."""
+        """The in-process driver is the same rank body on "sim": outputs
+        and input gradients equal the forked ranks', and the shard
+        gradients land in the layer's parameters."""
         world = 2
-        _, ep = _make_ep(world)
-        rng = np.random.default_rng(11)
-        xs = [rng.standard_normal((7, 16)) for _ in range(world)]
-        gs = [rng.standard_normal((7, 16)) for _ in range(world)]
+        layer, ep, xs, gs = _ep_case(world, 1, "even", seed=11)
 
         def fn(group):
             return ep.forward_backward_rank(
                 group, xs[group.rank], gs[group.rank]
             )
 
-        mp_ = run_distributed(fn, world, backend="mp")
+        mp_ = run_distributed(fn, world, backend="mp").values
+        layer.zero_grad()
         result, input_grads = ep.forward_backward(xs, gs)
+        assert result.comm_log.counts() == {"all_to_all": 4}
         for r in range(world):
-            out, dx, _ = mp_.values[r]
             np.testing.assert_array_equal(
-                out, result.outputs_per_rank[r], strict=True
+                mp_[r].output, result.outputs_per_rank[r], strict=True
             )
-            np.testing.assert_array_equal(dx, input_grads[r], strict=True)
+            np.testing.assert_array_equal(
+                mp_[r].input_grad, input_grads[r], strict=True
+            )
+        for name, p in layer.experts.named_parameters():
+            np.testing.assert_array_equal(
+                p.grad,
+                np.concatenate([v.expert_grads[name] for v in mp_]),
+                err_msg=name,
+            )
 
 
 class TestRealFaults:
@@ -286,17 +355,73 @@ class TestRealFaults:
         assert shm.leaked_segments(parent_prefix) == []
 
 
+class TestExpertParallelRetryOverProcesses:
+    """Receipt validation + retry on forked ranks: the NaN crosses the
+    process boundary, the ranks agree to re-issue, and everything the
+    parent learns comes back through the ranks' return values."""
+
+    def _run(self, policy, faults, backend="mp"):
+        _, ep = _make_ep(2, retry_policy=policy)
+        rng = np.random.default_rng(3)
+        xs = [rng.standard_normal((6, 16)) for _ in range(2)]
+        fn = lambda g: ep.forward_backward_rank(g, xs[g.rank], xs[g.rank])
+        return run_distributed(fn, 2, backend=backend, faults=faults).values
+
+    def _corrupt(self, **kw):
+        return [FaultEvent(CORRUPT_PAYLOAD, op="all_to_all", **kw)]
+
+    def test_corrupted_exchange_is_retried_by_every_rank(self):
+        clean = self._run(RetryPolicy(max_retries=3), None)
+        faulty = self._run(RetryPolicy(max_retries=3), self._corrupt(rank=0))
+        for c, f in zip(clean, faulty):
+            # Same bits, and the same log: volume is per logical
+            # exchange, not per transport attempt.
+            _assert_rank_results_equal(c, f)
+            assert (c.corrupt_detected, c.retries) == (0, 0)
+        # Rank 1 received rank 0's NaN; both ranks re-issued, once.
+        assert [f.corrupt_detected for f in faulty] == [0, 1]
+        assert [f.retries for f in faulty] == [1, 1]
+
+    def test_without_a_policy_the_nan_comes_through(self):
+        faulty = self._run(None, self._corrupt(rank=0))
+        assert not np.isfinite(
+            np.concatenate([f.output.reshape(-1) for f in faulty])
+        ).all()
+        assert [f.retries for f in faulty] == [0, 0]
+
+    @pytest.mark.parametrize("backend", ["sim", "mp"])
+    def test_event_with_nothing_to_corrupt_stays_armed(self, backend):
+        """The rank body exchanges int64 expert ids before any token:
+        an unranked event armed for all_to_all must not be spent on a
+        payload with no float in it."""
+        faulty = self._run(RetryPolicy(max_retries=3), self._corrupt(), backend)
+        assert sum(f.corrupt_detected for f in faulty) == 1
+        assert [f.retries for f in faulty] == [1, 1]
+
+        def ids_only(group):
+            ids = [np.arange(3) for _ in range(group.world)]
+            first = group.all_to_all(ids)
+            second = group.all_to_all([i * 0.5 for i in ids])
+            return first, second
+
+        res = run_distributed(ids_only, 2, backend=backend, faults=self._corrupt())
+        for first, _ in res.values:
+            for arr in first:
+                np.testing.assert_array_equal(arr, np.arange(3), strict=True)
+        # ...and fired on the next exchange that carried floats.
+        assert np.isnan(res.values[1][1][0]).any()
+
+
 class TestEchoGroup:
     def test_matches_in_process_all_reduce_bitwise(self):
         group = MpEchoGroup(4)
         try:
-            rng = np.random.default_rng(0)
-            shards = [rng.standard_normal((5, 3)) for _ in range(4)]
-            got = group.all_reduce_shards([s.copy() for s in shards])
-            ref = all_reduce([s.copy() for s in shards])
-            assert len(got) == 4
-            for a, b in zip(got, ref):
-                np.testing.assert_array_equal(a, b, strict=True)
+            arr = np.random.default_rng(0).standard_normal((5, 3))
+            log, ref_log = CommLog(), CommLog()
+            got = group.all_reduce(arr, log)
+            ref = all_reduce([arr] * 4, ref_log)[0]
+            np.testing.assert_array_equal(got, ref, strict=True)
+            assert log.records == ref_log.records
         finally:
             group.close()
         assert shm.leaked_segments(group.session) == []
@@ -307,21 +432,36 @@ class TestEchoGroup:
             group.kill_rank(1)
             assert group.alive == [True, False, True]
             with pytest.raises(CollectiveFault):
-                group.all_reduce_shards([np.ones(4)] * 3)
+                group.all_reduce(np.ones(4))
             assert group.heal() == [1]
             assert group.alive == [True, True, True]
-            out = group.all_reduce_shards([np.ones(4)] * 3)
-            np.testing.assert_array_equal(out[0], 3.0 * np.ones(4))
+            out = group.all_reduce(np.ones(4))
+            np.testing.assert_array_equal(out, 3.0 * np.ones(4))
         finally:
             group.close()
         assert shm.leaked_segments(group.session) == []
 
-    def test_shard_count_validated(self):
+    def test_world_and_peer_rank_validated(self):
+        with pytest.raises(ValueError):
+            MpEchoGroup(1)
         group = MpEchoGroup(2)
         try:
-            with pytest.raises(ValueError):
-                group.all_reduce_shards([np.ones(2)] * 3)
             with pytest.raises(ValueError):
                 group.kill_rank(0)
         finally:
             group.close()
+
+    def test_opened_by_backend_name(self):
+        """The trainer seam: one method, two transports, same bits."""
+        arr = np.random.default_rng(1).standard_normal((7, 2)) / 4
+        totals = {}
+        for backend in ("sim", "mp"):
+            group = open_echo_group(4, backend)
+            try:
+                totals[backend] = group.all_reduce(arr)
+                assert group.heal() == []
+            finally:
+                group.close()
+        np.testing.assert_array_equal(totals["sim"], totals["mp"], strict=True)
+        with pytest.raises(ValueError, match="backend"):
+            open_echo_group(2, "nccl")

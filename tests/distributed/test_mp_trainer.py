@@ -13,11 +13,10 @@ sizes (elastic resume, PR 7).
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, cross_entropy
 from repro.core import dMoE
 from repro.data import LMDataset, PileConfig, SyntheticPile
-from repro.distributed import DataParallelTrainer, DeviceMesh
-from repro.nn import Linear, Sequential, TransformerLM
+from repro.distributed import DeviceMesh
+from repro.nn import TransformerLM
 from repro.resilience.faults import (
     RANK_FAILURE,
     FaultEvent,
@@ -27,6 +26,7 @@ from repro.resilience.faults import (
 )
 from repro.resilience.guardrails import GuardrailConfig
 from repro.training import Adam, Trainer, TrainerConfig
+from tests.distributed.test_data_parallel import run_data_parallel
 
 
 def _trainer(dist_backend, injector=None, max_steps=4, mesh=None):
@@ -153,42 +153,19 @@ class TestTrainerBackends:
 
 
 class TestDataParallelBackends:
-    def _replicas(self, world):
-        return [
-            Sequential(Linear(6, 12, rng=0), Linear(12, 4, rng=1))
-            for _ in range(world)
-        ]
-
     def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="dist_backend"):
-            DataParallelTrainer(self._replicas(2), dist_backend="gloo")
+        with pytest.raises(ValueError, match="backend"):
+            run_data_parallel(2, "gloo")
 
     def test_mp_training_bit_identical_to_sim(self):
-        world = 2
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal((8, 6)).astype(np.float32)
-        y = rng.integers(0, 4, 8)
-
-        def loss_fn(model, rank):
-            xs, ys = x[rank * 4 : rank * 4 + 4], y[rank * 4 : rank * 4 + 4]
-            return cross_entropy(model(Tensor(xs)), ys)
-
-        losses = {}
-        params = {}
-        for backend in ("sim", "mp"):
-            dp = DataParallelTrainer(
-                self._replicas(world), lr=1e-2, dist_backend=backend
-            )
-            try:
-                losses[backend] = [dp.step(loss_fn) for _ in range(4)]
-                dp.check_replicas_synchronized()
-                params[backend] = [
-                    p.data.copy() for p in dp.replicas[0].parameters()
-                ]
-                # Both backends account the same ring-all-reduce volume.
-                assert dp.comm_log.counts()["all_reduce"] == 4 * 4
-            finally:
-                dp.close()
-        assert losses["sim"] == losses["mp"]
-        for a, b in zip(params["sim"], params["mp"]):
-            np.testing.assert_array_equal(a, b, strict=True)
+        sim = run_data_parallel(2, "sim", steps=4, n=8)
+        mp_ = run_data_parallel(2, "mp", steps=4, n=8)
+        for (s_params, s_losses, s_log), (m_params, m_losses, m_log) in zip(
+            sim, mp_
+        ):
+            assert s_losses == m_losses
+            for a, b in zip(s_params, m_params):
+                np.testing.assert_array_equal(a, b, strict=True)
+            # Both backends account the same ring-all-reduce volume.
+            assert s_log.records == m_log.records
+            assert m_log.counts()["all_reduce"] == 4 * 4

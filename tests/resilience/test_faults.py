@@ -225,6 +225,21 @@ class TestCollectiveInjection:
             for arr in row:
                 assert np.isfinite(arr).all()
 
+    def test_corrupt_payload_with_no_float_stays_armed(self):
+        """An exchange of integer ids has nothing to plant a NaN in: the
+        event must wait for a payload that does, not be spent."""
+        injector = FaultInjector(
+            FaultSchedule([FaultEvent(CORRUPT_PAYLOAD, op="all_to_all")])
+        )
+        with inject_faults(injector):
+            ids = all_to_all([[np.arange(3)] * 2] * 2)
+            assert injector.schedule.pending == 1
+            tokens = all_to_all([[np.ones(3)] * 2] * 2)
+        assert injector.schedule.pending == 0
+        assert all((a == np.arange(3)).all() for row in ids for a in row)
+        assert np.isnan(np.concatenate([a for row in tokens for a in row])).sum() == 1
+        assert counters.get("injected_corrupt_payload") == 1
+
     def test_delay_accrues_simulated_latency(self):
         injector = FaultInjector(
             FaultSchedule([FaultEvent(DELAY, op="all_reduce", delay_s=0.25)])
