@@ -17,8 +17,9 @@ backends implement it:
   recv deadlines and by the supervisor through result-pipe EOF.
 
 Both backends use the identical reduction formula
-(``np.sum(np.stack(parts_in_rank_order), axis=0)``), so for the same
-SPMD function they produce bit-identical results (tested).
+(:meth:`ProcessGroup._reduce_sum`: ``(p0 + p1) + p2 ...`` in rank
+order), so for the same SPMD function they produce bit-identical
+results (tested).
 
 Entry point::
 
@@ -188,12 +189,33 @@ class ProcessGroup(abc.ABC):
     def barrier(self) -> None:
         """Block until every rank has entered."""
 
-    # Shared reduction kernel: BOTH backends must reduce with exactly
-    # this formula so results are bit-identical across backends and
-    # with the in-process reference collectives.
+    # Shared reduction kernel: EVERY path that sums over ranks (both
+    # backends, the echo groups, the reference collectives) reduces with
+    # exactly this formula, so results are bit-identical across them.
     @staticmethod
-    def _reduce_sum(parts_in_rank_order: Sequence[np.ndarray]) -> np.ndarray:
-        return np.sum(np.stack(list(parts_in_rank_order), axis=0), axis=0)
+    def _reduce_sum(
+        parts_in_rank_order: Sequence[np.ndarray],
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """``((p0 + p1) + p2) + ...`` elementwise, into ``out`` when
+        given (which must alias no part); the result keeps the parts'
+        dtype.  That fold is the definition.  It is also what
+        ``np.sum(np.stack(parts), axis=0)`` computes — an axis-0
+        reduction of a stack accumulates rank by rank, so the two are
+        bitwise equal (tested) — with one exception: 8 or more ranks of
+        a *one-element* array stack to contiguous memory, which NumPy
+        sums pairwise.  The fold needs no ``world``-times temporary and
+        can run straight out of the ranks' windows."""
+        first, *rest = (np.asarray(p) for p in parts_in_rank_order)
+        if out is None:
+            out = np.empty_like(first)
+        if not rest:
+            np.copyto(out, first)
+            return out
+        np.add(first, rest[0], out=out)
+        for part in rest[1:]:
+            np.add(out, part, out=out)
+        return out
 
 
 @dataclass
@@ -225,18 +247,35 @@ class DistributedRunResult:
         return float(sum(self.wait_s_per_rank))
 
 
+def bucket_cuts(arrays: Sequence[np.ndarray]) -> List[int]:
+    """Element offsets of ``arrays`` laid end to end as one bucket
+    (``len(arrays) + 1`` of them).  A bucket is summed in one dtype, so
+    the arrays must share theirs."""
+    if len({a.dtype for a in arrays}) > 1:
+        raise ValueError(
+            "one all-reduce bucket holds one dtype, got "
+            f"{sorted({a.dtype.name for a in arrays})}"
+        )
+    return [0, *np.cumsum([a.size for a in arrays]).tolist()]
+
+
 def open_echo_group(world: int, backend: str = "sim", op_timeout_s: float = 10.0):
     """Open the long-lived data-parallel seam of a single-process trainer.
 
-    The caller is rank 0 of ``world`` ranks that all hold its gradient:
-    ``group.all_reduce(arr, log) -> arr`` takes this rank's contribution
-    and returns the total, ``group.heal()`` repairs the group after a
-    :class:`~repro.resilience.faults.CollectiveFault` and
-    ``group.close()`` ends it.  ``"sim"`` reduces through the in-process
-    reference collective; ``"mp"`` round-trips the contribution through
-    ``world - 1`` persistent forked peers over shared memory (and adds
-    ``kill_rank``, a real SIGKILL).  Same reduction formula, same rank
-    order, same ``CommLog`` record: bit-identical.
+    The caller is rank 0 of ``world`` ranks that all hold its gradient.
+    ``group.all_reduce(arrays, scale, log)`` is the step's one exchange:
+    ``arrays`` (one dtype) are this rank's gradients, the bucket that
+    crosses the transport is ``[a * scale for a in arrays]`` laid end to
+    end, and each array is overwritten **in place** with its slice of
+    the total over ``world`` ranks — after every peer has answered, so a
+    :class:`~repro.resilience.faults.CollectiveFault` leaves every
+    array as it was.  ``group.heal()`` repairs the group after such a
+    fault and ``group.close()`` ends it.  ``"sim"`` reduces the bucket
+    through the in-process reference collective; ``"mp"`` moves it
+    through ``world - 1`` persistent forked peers over shared-memory
+    windows mapped once (and adds ``kill_rank``, a real SIGKILL).  Same
+    reduction formula, same rank order, same single ``CommLog`` record:
+    bit-identical.
     """
     if backend == "sim":
         from repro.distributed.sim_backend import SimEchoGroup

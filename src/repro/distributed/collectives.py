@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.distributed.backend import ProcessGroup
 from repro.observability.tracing import get_tracer
 
 # ----------------------------------------------------------------------
@@ -138,7 +139,7 @@ def all_reduce(
     world = len(shards)
 
     def compute(payloads):
-        total = np.sum(np.stack(payloads, axis=0), axis=0)
+        total = ProcessGroup._reduce_sum(payloads)
         return [total.copy() for _ in range(world)]
 
     out = _execute("all_reduce", world, list(shards), compute)

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.distributed.backend import ProcessGroup
+from repro.distributed.backend import ProcessGroup, bucket_cuts
 from repro.distributed.collectives import CommLog, log_all_reduce
 from repro.nn.module import Module
 from repro.training.optim import Optimizer, clip_grad_norm
@@ -34,16 +34,25 @@ def data_parallel_step(
 
     ``loss_fn(model, rank)`` computes the loss Tensor on the rank's shard
     of the batch.  Gradients are averaged (sum / world), matching a
-    mean-over-global-batch objective; one ring all-reduce per parameter
-    is charged to ``comm_log``.
+    mean-over-global-batch objective, in one all-reduce per step: every
+    gradient (zeros where a parameter got none) laid end to end in one
+    bucket — so they must share a dtype — and each ``p.grad`` a view of
+    the averaged bucket afterwards; one ring all-reduce of the bucket is
+    charged to ``comm_log``.
     """
     optimizer.zero_grad()
     loss = loss_fn(model, group.rank)
     loss.backward()
-    for p in optimizer.params:
-        grad = p.grad if p.grad is not None else np.zeros_like(p.data)
-        p.grad = (group.all_reduce(grad) / group.world).astype(p.data.dtype)
-        log_all_reduce(grad.nbytes, group.world, comm_log)
+    grads = [
+        p.grad if p.grad is not None else np.zeros_like(p.data)
+        for p in optimizer.params
+    ]
+    cuts = bucket_cuts(grads)
+    mean = group.all_reduce(np.concatenate([g.reshape(-1) for g in grads]))
+    mean /= group.world
+    log_all_reduce(mean.nbytes, group.world, comm_log)
+    for p, g, lo, hi in zip(optimizer.params, grads, cuts, cuts[1:]):
+        p.grad = mean[lo:hi].reshape(g.shape).astype(p.data.dtype, copy=False)
     if grad_clip > 0:
         clip_grad_norm(optimizer.params, grad_clip)
     optimizer.step()

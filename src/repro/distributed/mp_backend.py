@@ -6,9 +6,11 @@ above the inline threshold travel through ``multiprocessing.shared_
 memory`` segments (:mod:`repro.distributed.shm`) so pipe buffers can
 never deadlock.  Collectives are genuinely point-to-point: an
 all-to-all is ``world - 1`` pairwise rounds (``dst = (rank + k) %
-world``), an all-reduce is an all-gather plus the shared
-``_reduce_sum`` formula — the same reduction, in the same rank order,
-as the ``"sim"`` backend, so the two are bit-identical.
+world``); an all-reduce publishes this rank's contribution in its
+lifetime-mapped window, reads the peers' windows in place and sums
+them with the shared ``_reduce_sum`` formula — the same reduction, in
+the same rank order, as the ``"sim"`` backend, so the two are
+bit-identical.
 
 The asynchronous all-to-all (:meth:`MpProcessGroup.isend_all_to_all`)
 posts all sends immediately and defers the receives to
@@ -42,6 +44,7 @@ from repro.distributed.backend import (
     PendingAllToAll,
     ProcessGroup,
     WorkerFailure,
+    bucket_cuts,
 )
 from repro.distributed.collectives import log_all_reduce
 from repro.resilience.faults import CollectiveFault, FaultEvent, FaultSchedule
@@ -101,19 +104,25 @@ class MpProcessGroup(ProcessGroup):
         self._recv = recv_conns
         self._schedule = schedule
         self._step = step
+        #: This rank's all_reduce window and its mappings of the peers'.
+        self.window = shm.Window(session, rank)
+        self.peers = shm.WindowReader()
+
+    def close(self) -> None:
+        """Unlink this rank's window, unmap the peers'."""
+        self.window.close()
+        self.peers.close()
 
     # -- point-to-point ------------------------------------------------
-    def _post(self, dst: int, arr: np.ndarray, op: str = "send") -> None:
+    def _send_header(self, dst: int, header: Any, op: str) -> None:
         try:
-            self._send[dst].send(
-                shm.encode_array(np.asarray(arr), self.session)
-            )
-        except BrokenPipeError:
+            self._send[dst].send(header)
+        except ConnectionError:
             raise CollectiveFault(
                 op, self._step, 0, detail=f"rank {dst} died (broken pipe)"
             ) from None
 
-    def _recv_from(self, src: int, op: str) -> np.ndarray:
+    def _recv_header(self, src: int, op: str) -> Any:
         conn = self._recv[src]
         t0 = time.perf_counter()
         deadline = t0 + self.op_timeout_s
@@ -129,12 +138,19 @@ class MpProcessGroup(ProcessGroup):
                 )
         self.wait_s += time.perf_counter() - t0
         try:
-            header = conn.recv()
-        except EOFError:
+            return conn.recv()
+        except (EOFError, ConnectionError):
             raise CollectiveFault(
                 op, self._step, 0, detail=f"rank {src} died (pipe EOF)"
             ) from None
-        return shm.decode_array(header)
+
+    def _post(self, dst: int, arr: np.ndarray, op: str = "send") -> None:
+        self._send_header(
+            dst, shm.encode_array(np.asarray(arr), self.session), op
+        )
+
+    def _recv_from(self, src: int, op: str) -> np.ndarray:
+        return shm.decode_array(self._recv_header(src, op))
 
     def _die(self, op: str) -> None:
         os.kill(os.getpid(), signal.SIGKILL)  # a real dead rank
@@ -164,9 +180,29 @@ class MpProcessGroup(ProcessGroup):
 
     def all_reduce(self, arr: np.ndarray) -> np.ndarray:
         self._maybe_fault("all_reduce")
-        # Rank-ordered stack + sum: byte-identical to the sim backend
-        # and the in-process reference collectives.
-        return self._reduce_sum(self.all_gather(arr))
+        arr = np.asarray(arr)
+        ring = [(self.rank + k) % self.world for k in range(1, self.world)]
+        if ring:
+            self.window.reserve(arr.nbytes)
+            self.window.view(arr.dtype, arr.shape)[...] = arr
+        for dst in ring:
+            self._send_header(dst, self.window.name, "all_reduce")
+        parts: List[Optional[np.ndarray]] = [None] * self.world
+        parts[self.rank] = arr
+        for src in reversed(ring):
+            name = self._recv_header(src, "all_reduce")
+            parts[src] = self.peers.view(src, name, arr.dtype, arr.shape)
+        # Rank-ordered sum straight out of the windows: byte-identical
+        # to the sim backend and the in-process reference collectives.
+        total = self._reduce_sum(parts)
+        del parts
+        # No rank may write its window again (the next all_reduce)
+        # before every peer has finished reading it.
+        for dst in ring:
+            self._send_header(dst, "read", "all_reduce")
+        for src in reversed(ring):
+            self._recv_header(src, "all_reduce")
+        return total
 
     def broadcast(self, arr: np.ndarray, root: int = 0) -> np.ndarray:
         self._maybe_fault("broadcast")
@@ -186,34 +222,49 @@ class MpProcessGroup(ProcessGroup):
 # Persistent echo workers: the data-parallel seam for long-lived
 # trainers.
 # ----------------------------------------------------------------------
-def _echo_worker(conn, session: str) -> None:
-    """Hold one data-parallel rank's end of the gradient exchange:
-    receive a shard, send it straight back.  The round trip moves real
-    bytes through a real process and real shared memory — so timeouts,
-    kills, and pipe failures behave like production — while leaving the
-    reduction (which needs every shard) to the caller."""
+def _echo_worker(conn, session: str, rank: int) -> None:
+    """Hold one data-parallel rank's end of the gradient exchange: read
+    every byte of rank 0's window into this rank's own and name it in
+    the reply.  The bytes move through a real process and real shared
+    memory — so timeouts, kills, and pipe failures behave like
+    production — while the reduction (which needs every shard) stays
+    with the caller.  Rank 0 does not write its window again before the
+    reply, nor read this one after the next request."""
+    window, reader = shm.Window(session, rank), shm.WindowReader()
     while True:
         try:
-            header = conn.recv()
+            request = conn.recv()
         except (EOFError, OSError):
             break
-        if header == "stop":
+        if request == "stop":
             break
+        seq, name, nbytes = request
+        window.reserve(nbytes)
+        np.copyto(
+            window.view(np.uint8, nbytes),
+            reader.view(0, name, np.uint8, nbytes),
+        )
         try:
-            conn.send(shm.encode_array(shm.decode_array(header), session))
-        except (BrokenPipeError, OSError):
+            conn.send((seq, window.name))
+        except OSError:
             break
+    reader.close()
+    window.close()
     os._exit(0)
 
 
 class MpEchoGroup:
-    """``world - 1`` persistent forked peers for per-step all-reduces.
+    """``world - 1`` persistent forked peers for the per-step all-reduce.
 
     Unlike :func:`run_mp` (which forks per invocation), these workers
-    live as long as the trainer: rank 0's contribution ships to every
-    worker over the shm transport and echoes back, and the parts reduce
-    with the shared rank-ordered formula — bit-identical to the
-    in-process reference ``all_reduce``.
+    live as long as the trainer, and so do the shared-memory windows
+    the gradient bucket moves through (:class:`~repro.distributed.shm
+    .Window`): rank 0's scaled contribution is written once into its
+    window, every worker copies it into its own, and the windows reduce
+    with the shared rank-ordered formula straight into the caller's
+    arrays — bit-identical to the in-process reference ``all_reduce``,
+    with no segment created, attached or unlinked in a steady-state
+    step.
 
     Chaos seams are real: :meth:`kill_rank` SIGKILLs a worker, the next
     exchange times out into :class:`CollectiveFault` (the trainer's
@@ -229,19 +280,23 @@ class MpEchoGroup:
         self._ctx = _fork_context()
         self._conns: List[Optional[Any]] = [None] * world  # rank 0 = local
         self._procs: List[Optional[Any]] = [None] * world
-        # Rank 0's end of the exchange: the point-to-point transport of
-        # a full group, over the duplex pipes (respawns replace entries
-        # of the shared list in place).
+        # Rank 0's end of the exchange: the point-to-point transport and
+        # the window of a full group, over the duplex pipes (respawns
+        # replace entries of the shared list in place).
         self._link = MpProcessGroup(
             0, world, self._conns, self._conns, self.session, op_timeout_s
         )
+        #: Exchanges started; a reply must name the one it answers.
+        self._seq = 0
         for rank in range(1, world):
             self._spawn(rank)
 
     def _spawn(self, rank: int) -> None:
         parent_end, child_end = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
-            target=_echo_worker, args=(child_end, self.session), daemon=True
+            target=_echo_worker,
+            args=(child_end, self.session, rank),
+            daemon=True,
         )
         proc.start()
         child_end.close()
@@ -273,26 +328,53 @@ class MpEchoGroup:
                     proc.join(timeout=1.0)
                 if self._conns[rank] is not None:
                     self._conns[rank].close()
+                # A killed worker never unlinked its window: unlink that
+                # one — the survivors' and rank 0's own are live — and
+                # forget the mapping, since the respawned rank starts its
+                # window names over.
+                self._link.peers.drop(rank)
+                shm.sweep_session(shm.window_prefix(self.session, rank))
                 self._spawn(rank)
                 healed.append(rank)
-        # A killed worker may have left an unread shard behind.
-        shm.sweep_session(self.session)
         return healed
 
-    def all_reduce(self, arr: np.ndarray, log=None) -> np.ndarray:
-        """This rank's contribution in, the total over ``world`` ranks
-        out.  Every peer echoes the contribution back through its own
-        process and shared memory, and the parts reduce with the shared
-        rank-ordered formula — the in-process reference ``all_reduce``
-        over ``world`` identical shards, bit for bit, with the same
-        ``CommLog`` record."""
-        arr = np.asarray(arr)
-        parts = [arr]
+    def all_reduce(
+        self, arrays: Sequence[np.ndarray], scale: float = 1.0, log=None
+    ) -> None:
+        """Overwrite each of ``arrays`` with its slice of the total over
+        ``world`` ranks of the bucket ``[a * scale for a in arrays]`` —
+        the in-process reference ``all_reduce`` over ``world`` identical
+        buckets, bit for bit, with the same ``CommLog`` record.
+
+        This rank's bytes are read once and written once to be scaled
+        into its window; every peer copies that window into its own;
+        the rank-ordered sum reads the windows and writes the arrays.
+        The sum starts only after every peer has answered, so a
+        :class:`CollectiveFault` leaves every array untouched."""
+        if not arrays:
+            return
+        cuts, dtype = bucket_cuts(arrays), arrays[0].dtype
+        spans = list(zip(arrays, cuts, cuts[1:]))
+        nbytes = cuts[-1] * dtype.itemsize
+        link, op = self._link, "all_reduce"
+        link.window.reserve(nbytes)
+        flats = [link.window.view(dtype, cuts[-1])]
+        for a, lo, hi in spans:
+            np.multiply(a, float(scale), out=flats[0][lo:hi].reshape(a.shape))
+        self._seq += 1
         for rank in range(1, self.world):
-            self._link._post(rank, arr, "all_reduce")
-            parts.append(self._link._recv_from(rank, "all_reduce"))
-        log_all_reduce(arr.nbytes, self.world, log)
-        return ProcessGroup._reduce_sum(parts)
+            link._send_header(rank, (self._seq, link.window.name, nbytes), op)
+            # A reply to an exchange that was abandoned on a timeout
+            # may still arrive; it answers nothing.
+            seq, name = link._recv_header(rank, op)
+            while seq != self._seq:
+                seq, name = link._recv_header(rank, op)
+            flats.append(link.peers.view(rank, name, dtype, cuts[-1]))
+        for a, lo, hi in spans:
+            ProcessGroup._reduce_sum(
+                [flat[lo:hi].reshape(a.shape) for flat in flats], out=a
+            )
+        log_all_reduce(sum(a.nbytes for a in arrays), self.world, log)
 
     def close(self) -> None:
         for rank in range(1, self.world):
@@ -311,6 +393,7 @@ class MpEchoGroup:
                     proc.kill()
                     proc.join(timeout=5.0)
                 self._procs[rank] = None
+        self._link.close()
         shm.sweep_session(self.session)
 
     def __del__(self) -> None:  # pragma: no cover - interpreter teardown
@@ -378,6 +461,7 @@ def _worker(
     except BaseException:  # noqa: BLE001 - full traceback to supervisor
         msg = ("err", rank, traceback.format_exc(), group.wait_s)
     try:
+        group.close()
         _ship_result(result_conns[rank], session, msg)
         result_conns[rank].close()
     finally:

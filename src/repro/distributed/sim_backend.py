@@ -31,6 +31,7 @@ from repro.distributed.backend import (
     PendingAllToAll,
     ProcessGroup,
     WorkerFailure,
+    bucket_cuts,
 )
 from repro.resilience.faults import CollectiveFault, FaultEvent, FaultSchedule
 
@@ -157,16 +158,27 @@ class SimProcessGroup(ProcessGroup):
 
 class SimEchoGroup:
     """The trainer seam in process (:func:`~repro.distributed.backend
-    .open_echo_group`): ``world`` ranks holding the same contribution,
-    reduced by the reference collective — so its tracer span and the
+    .open_echo_group`): ``world`` ranks holding the same bucket, reduced
+    by one call of the reference collective — so its tracer span and the
     ``inject_faults`` hook (retry policy, delay, corruption, simulated
-    rank failure) see every call.  Nothing to heal or close."""
+    rank failure) see every step's exchange.  Nothing to heal or close."""
 
     def __init__(self, world: int) -> None:
         self.world = world
 
-    def all_reduce(self, arr: np.ndarray, log=None) -> np.ndarray:
-        return collectives.all_reduce([arr] * self.world, log)[0]
+    def all_reduce(
+        self, arrays: Sequence[np.ndarray], scale: float = 1.0, log=None
+    ) -> None:
+        if not arrays:
+            return
+        cuts = bucket_cuts(arrays)
+        spans = list(zip(arrays, cuts, cuts[1:]))
+        bucket = np.empty(cuts[-1], arrays[0].dtype)
+        for a, lo, hi in spans:
+            np.multiply(a, float(scale), out=bucket[lo:hi].reshape(a.shape))
+        total = collectives.all_reduce([bucket] * self.world, log)[0]
+        for a, lo, hi in spans:
+            a[...] = total[lo:hi].reshape(a.shape)
 
     def heal(self) -> List[int]:
         return []

@@ -90,19 +90,23 @@ class TrainerConfig:
             non-finite gradients are skipped with scale backoff.
         guardrails: numeric-guardrail thresholds; ``None`` disables the
             sentinels / spike detector / rewind path entirely.
-        dp_world: when > 1, averaged gradients round-trip through the
-            simulated data-parallel ``all_reduce`` each step, exposing
-            the step to injected collective faults and comm accounting.
+        dp_world: when > 1, the step's gradients, scaled by
+            ``1 / dp_world``, go through one data-parallel ``all_reduce``
+            per step (one bucket holding every gradient, reduced back
+            into the ``p.grad`` arrays in place), exposing the step to
+            injected collective faults and comm accounting.
             Must be a power of two: every rank holds the same gradient
             here, and only then is scaling by ``1/world`` and summing
             ``world`` copies exact in floating point — any other world
             would silently perturb the trajectory, so it is rejected.
         dist_backend: transport for the data-parallel all-reduce —
             ``"sim"`` (default) keeps the in-process reference
-            collective; ``"mp"`` round-trips this rank's gradient
-            through ``dp_world - 1`` persistent forked echo workers
-            over the shared-memory transport (``repro.distributed
-            .backend.open_echo_group``).  Both reduce with the identical
+            collective; ``"mp"`` moves the bucket through
+            ``dp_world - 1`` persistent forked echo workers over
+            shared-memory windows that stay mapped for the group's
+            lifetime (``repro.distributed.backend.open_echo_group``;
+            the workers are forked at the top of the first step).
+            Both reduce with the identical
             rank-ordered formula, so training trajectories are
             bit-identical across backends; under ``"mp"`` the fault
             seams are *real* — a scheduled ``rank_failure`` SIGKILLs a
@@ -241,8 +245,8 @@ class Trainer:
         from repro.distributed.collectives import CommLog
 
         self.comm_log = CommLog() if config.dp_world > 1 else None
-        #: The data-parallel group this process is rank 0 of (opened on
-        #: the first synced step, closed by close_dist / end of _run).
+        #: The data-parallel group this process is rank 0 of (opened at
+        #: the top of the first step, closed by close_dist / end of _run).
         self._echo_group = None
         if config.backend == "cc" and isinstance(self.optimizer, Adam):
             # Fused native optimizer step + grad-norm clip (bit-identical
@@ -324,26 +328,34 @@ class Trainer:
             self.grad_scaler.load_state_dict(snap["scaler"])
 
     # ------------------------------------------------------------------
-    def _sync_gradients(self) -> None:
-        """Data-parallel gradient all-reduce: an exact identity, since
-        ``dp_world`` is a power of two, that exercises the real
-        collective.
-
-        This process is rank 0 of a group whose peers hold the same
-        gradient (:func:`repro.distributed.backend.open_echo_group`):
-        ``"sim"`` reduces through the in-process reference, ``"mp"``
-        through persistent forked workers — same rank-ordered
-        reduction, so the two are bit-identical, but kills and timeouts
-        are real under ``"mp"``.
-        """
-        cfg = self.config
+    def _dist_group(self):
+        """The data-parallel group this process is rank 0 of, opened on
+        first use (:func:`repro.distributed.backend.open_echo_group`)."""
         if self._echo_group is None:
             from repro.distributed.backend import open_echo_group
 
             self._echo_group = open_echo_group(
-                cfg.dp_world, cfg.dist_backend, op_timeout_s=5.0
+                self.config.dp_world, self.config.dist_backend, op_timeout_s=5.0
             )
-        group = self._echo_group
+        return self._echo_group
+
+    def _sync_gradients(self) -> None:
+        """Data-parallel gradient all-reduce: an exact identity, since
+        ``dp_world`` is a power of two, that exercises the real
+        collective — once per step, over one bucket of every gradient.
+
+        This process is rank 0 of a group whose peers hold the same
+        gradients: the bucket that crosses the transport is each
+        ``p.grad`` scaled by ``1 / dp_world``, and the total is written
+        back into the same ``p.grad`` arrays in place (a fault leaves
+        them all untouched).  ``"sim"`` reduces through the in-process
+        reference, ``"mp"`` through persistent forked workers and
+        shared-memory windows mapped once — same rank-ordered
+        reduction, so the two are bit-identical, but kills and timeouts
+        are real under ``"mp"``.
+        """
+        cfg = self.config
+        group = self._dist_group()
         # Under "mp" a scheduled rank failure is a *real* kill: the
         # worker is SIGKILLed and the exchange below discovers it by
         # timeout.  ("sim" leaves the event to the inject_faults hook
@@ -357,11 +369,9 @@ class Trainer:
             if event is not None:
                 self.fault_injector.schedule.consume(event)
                 group.kill_rank(event.rank or 1)
-        inv = 1.0 / cfg.dp_world
+        grads = [p.grad for p in self.optimizer.params if p.grad is not None]
         try:
-            for p in self.optimizer.params:
-                if p.grad is not None:
-                    p.grad = group.all_reduce(p.grad * inv, self.comm_log)
+            group.all_reduce(grads, 1.0 / cfg.dp_world, self.comm_log)
         except CollectiveFault:
             # Respawn dead workers before the step is skipped so the
             # next step finds a healthy group (PR 2 recovery contract).
@@ -544,6 +554,10 @@ class Trainer:
         cfg = self.config
         if self.fault_injector is not None:
             self.fault_injector.current_step = step
+        if cfg.dp_world > 1:
+            # Fork the "mp" peers before the step grows the heap: a
+            # worker's memory high-water mark starts at what it inherits.
+            self._dist_group()
         with span("zero_grad"):
             self.optimizer.zero_grad()
         total = 0.0

@@ -8,10 +8,16 @@ scheduled rank failure is a SIGKILL detected by peers — and no shared
 memory may survive a run, clean or chaotic.
 """
 
+import functools
+import operator
 import os
+import signal
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.autograd import Tensor
 from repro.core import dMoE
@@ -24,7 +30,7 @@ from repro.distributed import (
     run_distributed,
 )
 from repro.distributed import shm
-from repro.distributed.backend import open_echo_group
+from repro.distributed.backend import ProcessGroup, open_echo_group
 from repro.distributed.mp_backend import MpEchoGroup
 from repro.resilience.faults import (
     CORRUPT_PAYLOAD,
@@ -412,31 +418,174 @@ class TestExpertParallelRetryOverProcesses:
         assert np.isnan(res.values[1][1][0]).any()
 
 
+class TestReduceSum:
+    """The one reduction formula: the rank-ordered fold
+    ``((p0 + p1) + p2) + ...``, which must stay bitwise the stacked sum
+    it replaced wherever that sum was a fold."""
+
+    @settings(max_examples=200)
+    @given(
+        world=st.sampled_from([1, 2, 3, 4, 5, 8]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        shape=st.sampled_from([(), (0,), (1,), (7,), (3, 5), (2, 0, 3), (129,)]),
+        seed=st.integers(0, 2**16),
+        with_out=st.booleans(),
+    )
+    def test_bitwise_equals_the_fold_and_the_stacked_sum(
+        self, world, dtype, shape, seed, with_out
+    ):
+        rng = np.random.default_rng(seed)
+        # Magnitudes far apart, so the order of additions shows.
+        parts = [
+            (rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7)).astype(dtype)
+            for _ in range(world)
+        ]
+        out = np.full(shape, np.nan, dtype) if with_out else None
+        got = ProcessGroup._reduce_sum(parts, out=out)
+        if with_out:
+            assert got is out
+        assert all(got is not part for part in parts)  # inputs are only read
+        fold = functools.reduce(operator.add, parts)
+        np.testing.assert_array_equal(got, fold, strict=True)
+        # An axis-0 sum of the stack is that fold, except where NumPy
+        # reduces along contiguous memory: 8+ ranks of one element are
+        # summed pairwise (next test).
+        if world < 8 or got.size != 1:
+            stacked = np.sum(np.stack(parts, axis=0), axis=0)
+            np.testing.assert_array_equal(got, stacked, strict=True)
+
+    def test_where_the_stacked_sum_is_not_a_fold(self):
+        """Why the formula is the fold and not ``np.sum(np.stack())``:
+        a one-element array over 8 ranks stacks to 8 contiguous floats,
+        which NumPy adds pairwise — an order no transport summing window
+        by window could reproduce for one shape only."""
+        parts = [np.float32([v]) for v in (1e8, 1, -1e8, 1, 1, 1, 1, 1)]
+        fold = functools.reduce(operator.add, parts)
+        np.testing.assert_array_equal(
+            ProcessGroup._reduce_sum(parts), fold, strict=True
+        )
+        assert np.sum(np.stack(parts), axis=0) != fold
+
+
+def _mixed_bucket(dtype=np.float32, seed=0):
+    """A step's gradients as the trainer hands them over: a 1-element
+    bias, an odd shape, an expert-sized tensor."""
+    rng = np.random.default_rng(seed)
+    return [
+        rng.standard_normal(shape).astype(dtype)
+        for shape in [(1,), (5, 3), (8, 256, 1024)]
+    ]
+
+
 class TestEchoGroup:
     def test_matches_in_process_all_reduce_bitwise(self):
         group = MpEchoGroup(4)
         try:
             arr = np.random.default_rng(0).standard_normal((5, 3))
             log, ref_log = CommLog(), CommLog()
-            got = group.all_reduce(arr, log)
             ref = all_reduce([arr] * 4, ref_log)[0]
+            got = arr.copy()
+            group.all_reduce([got], log=log)
             np.testing.assert_array_equal(got, ref, strict=True)
             assert log.records == ref_log.records
         finally:
             group.close()
         assert shm.leaked_segments(group.session) == []
 
+    @pytest.mark.parametrize("backend", ["sim", "mp"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bucket_is_the_per_array_reference_in_place(self, backend, dtype):
+        """One exchange over a mixed list == one reference all_reduce
+        per array, written into the very arrays that went in; one
+        CommLog record carrying the summed bytes."""
+        world, scale = 4, 1.0 / 3.0  # a scale that rounds
+        arrays = _mixed_bucket(dtype)
+        ref_log, log = CommLog(), CommLog()
+        refs = [all_reduce([a * scale] * world, ref_log)[0] for a in arrays]
+        group = open_echo_group(world, backend)
+        try:
+            before = [(id(a), a.ctypes.data) for a in arrays]
+            group.all_reduce(arrays, scale, log)
+            assert [(id(a), a.ctypes.data) for a in arrays] == before
+            for got, ref in zip(arrays, refs):
+                np.testing.assert_array_equal(got, ref, strict=True)
+            assert log.counts() == {"all_reduce": 1}
+            assert log.total_bytes_per_rank() == ref_log.total_bytes_per_rank()
+            # A larger bucket grows the window; a smaller one reuses it.
+            for arrays in (
+                [np.ones(3, dtype)],
+                _mixed_bucket(dtype, 1) + _mixed_bucket(dtype, 2),
+            ):
+                refs = [all_reduce([a] * world)[0] for a in arrays]
+                group.all_reduce(arrays)
+                for got, ref in zip(arrays, refs):
+                    np.testing.assert_array_equal(got, ref, strict=True)
+            group.all_reduce([])  # a step without gradients: no exchange
+            assert log.counts() == {"all_reduce": 1}
+        finally:
+            group.close()
+
+    @pytest.mark.parametrize("backend", ["sim", "mp"])
+    def test_one_bucket_one_dtype(self, backend):
+        group = open_echo_group(2, backend)
+        try:
+            with pytest.raises(ValueError, match="one dtype"):
+                group.all_reduce([np.ones(2, np.float32), np.ones(2, np.float64)])
+        finally:
+            group.close()
+
     def test_kill_faults_then_heal_recovers(self):
         group = MpEchoGroup(3, op_timeout_s=2.0)
         try:
             group.kill_rank(1)
             assert group.alive == [True, False, True]
+            arr = np.ones(4)
             with pytest.raises(CollectiveFault):
-                group.all_reduce(np.ones(4))
+                group.all_reduce([arr])
+            np.testing.assert_array_equal(arr, np.ones(4))  # left unreduced
             assert group.heal() == [1]
             assert group.alive == [True, True, True]
-            out = group.all_reduce(np.ones(4))
-            np.testing.assert_array_equal(out, 3.0 * np.ones(4))
+            group.all_reduce([arr])
+            np.testing.assert_array_equal(arr, 3.0 * np.ones(4))
+        finally:
+            group.close()
+        assert shm.leaked_segments(group.session) == []
+
+    @pytest.mark.parametrize("when", ["before", "mid_exchange", "after"])
+    def test_heal_leaves_live_windows_alone(self, when):
+        """SIGKILL a peer before it touched its window, while it copies
+        and after it answered: the fault (if any) leaves the arrays
+        unreduced, heal() unlinks the dead rank's window only, and the
+        next exchange is right."""
+        world = 3
+        group = MpEchoGroup(world, op_timeout_s=2.0)
+        try:
+            warm = _mixed_bucket()
+            expected = [all_reduce([a] * world)[0] for a in warm]
+            if when != "before":
+                group.all_reduce([a.copy() for a in warm])
+            if when == "mid_exchange":
+                # Stop rank 1 so the request finds it alive but silent,
+                # then kill it while rank 0 is waiting on the reply.
+                os.kill(group._procs[1].pid, signal.SIGSTOP)
+                threading.Timer(0.3, group.kill_rank, args=(1,)).start()
+            else:
+                group.kill_rank(1)
+            arrays = [a.copy() for a in warm]
+            with pytest.raises(CollectiveFault):
+                group.all_reduce(arrays)
+            for got, sent in zip(arrays, warm):
+                np.testing.assert_array_equal(got, sent, strict=True)
+            live = {
+                n
+                for n in shm.leaked_segments(group.session)
+                if not n.startswith(shm.window_prefix(group.session, 1))
+            }
+            assert group.heal() == [1]
+            assert live <= set(shm.leaked_segments(group.session))
+            group.all_reduce(arrays)
+            for got, ref in zip(arrays, expected):
+                np.testing.assert_array_equal(got, ref, strict=True)
         finally:
             group.close()
         assert shm.leaked_segments(group.session) == []
@@ -458,7 +607,8 @@ class TestEchoGroup:
         for backend in ("sim", "mp"):
             group = open_echo_group(4, backend)
             try:
-                totals[backend] = group.all_reduce(arr)
+                totals[backend] = arr.copy()
+                group.all_reduce([totals[backend]])
                 assert group.heal() == []
             finally:
                 group.close()

@@ -10,12 +10,17 @@ checkpoint onto the exact same trajectory — including across world
 sizes (elastic resume, PR 7).
 """
 
+import multiprocessing
+import tracemalloc
+import types
+
 import numpy as np
 import pytest
 
+from repro.autograd.lower import toolchain
 from repro.core import dMoE
 from repro.data import LMDataset, PileConfig, SyntheticPile
-from repro.distributed import DeviceMesh
+from repro.distributed import DeviceMesh, shm
 from repro.nn import TransformerLM
 from repro.resilience.faults import (
     RANK_FAILURE,
@@ -29,14 +34,24 @@ from repro.training import Adam, Trainer, TrainerConfig
 from tests.distributed.test_data_parallel import run_data_parallel
 
 
-def _trainer(dist_backend, injector=None, max_steps=4, mesh=None):
+def _trainer(
+    dist_backend,
+    injector=None,
+    max_steps=4,
+    mesh=None,
+    dp_world=2,
+    backend="eager",
+    hidden=16,
+):
     pile = SyntheticPile(
         PileConfig(vocab_size=64, num_domains=3, branching=4), seed=1
     )
     ds = LMDataset(pile.token_stream(8_000, 32), seq_len=16)
     train, val = ds.split(0.1)
-    ffn = lambda i: dMoE(16, 32, num_experts=4, block_size=8, rng=i)
-    model = TransformerLM(64, 16, 2, 2, 16, ffn_factory=ffn, rng=0)
+    ffn = lambda i: dMoE(
+        hidden, 2 * hidden, num_experts=4, block_size=8, rng=i
+    )
+    model = TransformerLM(64, hidden, 2, 2, 16, ffn_factory=ffn, rng=0)
     cfg = TrainerConfig(
         global_batch=4,
         micro_batch=4,
@@ -44,8 +59,10 @@ def _trainer(dist_backend, injector=None, max_steps=4, mesh=None):
         eval_every=0,
         log_every=1,
         guardrails=GuardrailConfig(max_consecutive_bad=3),
-        dp_world=2,
+        dp_world=dp_world,
         dist_backend=dist_backend,
+        backend=backend,
+        steady_state=backend != "eager",
     )
     return Trainer(
         model,
@@ -152,6 +169,120 @@ class TestTrainerBackends:
             np.testing.assert_array_equal(a, b)
 
 
+@pytest.fixture
+def lower_cache(tmp_path, monkeypatch):
+    """A private compile cache for the ``backend="cc"`` runs below
+    (without a C toolchain they run as replay — same contract)."""
+    monkeypatch.setenv("REPRO_LOWER_CACHE", str(tmp_path / "lower-cache"))
+    toolchain._reset_for_tests()
+    yield
+    toolchain._reset_for_tests()
+
+
+class TestOneBucketPerStep:
+    def test_native_trajectory_same_on_every_transport(self, lower_cache):
+        """30 steps on the generated-C rung: the gradient sync changes
+        no bit — dp_world=2 over processes = in process = no sync at
+        all, and dp_world=4 in process (losses, parameters, both Adam
+        moments) — and is one CommLog record per step."""
+        steps = 30
+
+        def run(dist_backend, dp_world):
+            t = _trainer(
+                dist_backend, max_steps=steps, dp_world=dp_world, backend="cc"
+            )
+            t.train()
+            return t
+
+        ref = run("sim", 0)
+        assert ref.comm_log is None
+        nbytes = sum(p.data.nbytes for p in ref.optimizer.params)
+        for dist_backend, world in [("mp", 2), ("sim", 2), ("sim", 4)]:
+            got = run(dist_backend, world)
+            assert _losses(got.history) == _losses(ref.history)
+            _assert_params_equal(got.model, ref.model)
+            for name in ("_m", "_v"):
+                for a, b in zip(
+                    getattr(got.optimizer, name), getattr(ref.optimizer, name)
+                ):
+                    np.testing.assert_array_equal(a, b, strict=True)
+            assert got.skipped_steps == 0
+            assert got.comm_log.counts() == {"all_reduce": steps}
+            ring = 2.0 * (world - 1) / world
+            assert got.comm_log.total_bytes_per_rank() == steps * ring * nbytes
+
+    def test_peers_fork_at_the_top_of_the_first_step(self):
+        """A trainer that is never stepped spawns nothing; the first
+        step forks its peers before the forward pass grows the heap."""
+        t = _trainer("mp")
+        assert t._echo_group is None
+        assert multiprocessing.active_children() == []
+        forked_before_forward = []
+        loss = t.model.loss
+
+        def spy(*args, **kwargs):
+            forked_before_forward.append(len(multiprocessing.active_children()))
+            return loss(*args, **kwargs)
+
+        t.model.loss = spy
+        try:
+            t.train_step(0)
+        finally:
+            t.close_dist()
+        assert forked_before_forward == [1]
+
+    def test_steady_state_sync_maps_and_allocates_nothing(self, monkeypatch):
+        """The drift-free gate: over steps 3-6 the sync creates no
+        shared-memory segment, attaches none (here or in the peer: the
+        session's segment names do not change), allocates under 64 KB
+        against ~0.6 MB of gradients, and leaves every ``p.grad`` the
+        object it was."""
+        t = _trainer("mp", hidden=64)
+        opened, peaks, same_objects = [], [], []
+
+        class Counting(shm.shared_memory.SharedMemory):
+            def __init__(self, *args, **kwargs):
+                opened.append("create" if kwargs.get("create") else "attach")
+                super().__init__(*args, **kwargs)
+
+        sync = t._sync_gradients
+
+        def measured_sync():
+            before = [id(p.grad) for p in t.optimizer.params]
+            tracemalloc.start()
+            try:
+                sync()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            same_objects.append(
+                before == [id(p.grad) for p in t.optimizer.params]
+            )
+
+        try:
+            for step in range(3):
+                t.train_step(step)
+            grad_bytes = sum(p.grad.nbytes for p in t.optimizer.params)
+            assert grad_bytes > 8 * 65536
+            session = t._echo_group.session
+            names = shm.leaked_segments(session)
+            assert len(names) == 2  # one window per rank
+            monkeypatch.setattr(
+                shm, "shared_memory", types.SimpleNamespace(SharedMemory=Counting)
+            )
+            t._sync_gradients = measured_sync
+            for step in range(3, 7):
+                t.train_step(step)
+            assert shm.leaked_segments(session) == names
+        finally:
+            monkeypatch.undo()
+            t.close_dist()
+        assert opened == []
+        assert len(peaks) == 4 and max(peaks) < 65536, peaks
+        assert same_objects == [True] * 4
+        assert shm.leaked_segments(session) == []
+
+
 class TestDataParallelBackends:
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="backend"):
@@ -168,4 +299,5 @@ class TestDataParallelBackends:
                 np.testing.assert_array_equal(a, b, strict=True)
             # Both backends account the same ring-all-reduce volume.
             assert s_log.records == m_log.records
-            assert m_log.counts()["all_reduce"] == 4 * 4
+            # One bucketed all_reduce per step, four steps.
+            assert m_log.counts() == {"all_reduce": 4}
