@@ -58,6 +58,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.autograd import stats
 from repro.observability.tracing import get_tracer
 
 #: Smallest pooled buffer, in elements.  Below this, malloc beats the
@@ -104,8 +105,9 @@ class BufferArena:
         # creation (slice + reshape, the priciest part of the hot path)
         # happens once per (buffer, shape) instead of once per acquire.
         self._free: Dict[Tuple[int, int], list] = {}
-        # id(base) -> (key, base, viewcache).  Holding the base keeps its
-        # id stable while the buffer is live.
+        # id(base) -> (key, base, viewcache, serial).  Holding the base
+        # keeps its id stable while the buffer is live; serial is the
+        # pool's acquire count when it was handed out (see WalkMark).
         self._live: Dict[int, tuple] = {}
         self._free_bytes = 0
         self._live_bytes = 0
@@ -165,7 +167,7 @@ class BufferArena:
             self.misses += 1
             view = base[:n].reshape(shape)
             vc = {shape: view}
-        self._live[id(base)] = (key, base, vc)
+        self._live[id(base)] = (key, base, vc, self.hits + self.misses)
         self._live_bytes += base.nbytes
         rec = _SCRIPT_REC
         if rec is not None:
@@ -257,7 +259,7 @@ class BufferArena:
         b = 1 << (n - 1).bit_length()
         if b != n:  # not a pooled flat base we handed out; let GC take it
             return
-        self._stash(((b, base.dtype.num), base, {}))
+        self._stash(((b, base.dtype.num), base, {}, 0))
 
     def owns(self, view: np.ndarray) -> bool:
         """True if ``view`` is backed by a currently-live arena buffer."""
@@ -284,7 +286,7 @@ class BufferArena:
         self.skipped = 0
 
     def _stash(self, entry: tuple) -> None:
-        key, base, vc = entry
+        key, base, vc, _serial = entry
         if self._free_bytes + base.nbytes > self.capacity_bytes:
             self.evictions += 1
             return  # let the GC take it
@@ -495,6 +497,46 @@ def script_active() -> bool:
     return _SCRIPT is not None
 
 
+class WalkMark:
+    """Taken when a backward walk starts: which pooled buffers were
+    acquired since?
+
+    A buffer acquired during the walk cannot be reached by anything
+    recorded before it — a saved activation, a graph constant, a
+    parameter — which is what lets a leaf *adopt* such a gradient array
+    instead of copying it (``tensor._accumulate_leaf``).  Pool-served
+    buffers carry their acquire serial in the live table; script-served
+    ones are detached from it, and the entries the script has served
+    since the mark name them (the same buffers every replay, so the
+    eager walk, the recording replay and the scripted replays answer
+    alike and issue the same acquire sequence).
+    """
+
+    __slots__ = ("_serial", "_script", "_seen", "_born")
+
+    def __init__(self) -> None:
+        self._serial = _ARENA.hits + _ARENA.misses
+        self._script = _SCRIPT
+        self._seen = _SCRIPT.cursor if _SCRIPT is not None else 0
+        self._born: set = set()
+
+    def born_since(self, base: np.ndarray) -> bool:
+        """``base`` (a root array: ``base.base is None``) is a pooled
+        buffer handed out after the mark."""
+        entry = _ARENA._live.get(id(base))
+        if entry is not None:
+            return entry[3] > self._serial
+        script = self._script
+        if script is None:
+            return False
+        if script.cursor > self._seen:
+            self._born.update(
+                id(e[3]) for e in script.entries[self._seen : script.cursor]
+            )
+            self._seen = script.cursor
+        return id(base) in self._born
+
+
 # ----------------------------------------------------------------------
 # Module-level singleton + enable switch
 # ----------------------------------------------------------------------
@@ -595,23 +637,22 @@ def reshaped(a: np.ndarray, shape) -> np.ndarray:
 
     Returns a view whenever NumPy would (same object semantics); when the
     reshape needs a copy — e.g. merging heads after a transpose — the
-    C-order copy lands in a pooled buffer instead of a fresh allocation.
-    Bit-identical either way.
+    C-order copy lands in a pooled buffer instead of a fresh allocation
+    and is counted in ``stats.reshape_copy_bytes``.  Bit-identical either
+    way.
+
+    Whether a view exists is decided from shape and strides alone:
+    ``reshape(copy=False)`` (NumPy >= 2.1) raises before touching data.
+    Assigning ``view.shape`` is *not* such a probe — it performs the
+    whole copying reshape into a fresh allocation and only then raises.
     """
     if not _ENABLED:
         return a.reshape(shape)
-    if a.flags.c_contiguous:
-        # A C-contiguous array always reshapes to a view; skip the
-        # try/except below (raising + catching AttributeError costs more
-        # than the reshape itself at ~90 calls per step).
-        return a.reshape(shape)
-    v = a.view()
     try:
-        v.shape = shape
-        return v
-    except AttributeError:
+        return a.reshape(shape, copy=False)
+    except ValueError:
         pass
-    shape = tuple(shape)
+    shape = (shape,) if isinstance(shape, int) else tuple(shape)
     if -1 in shape:
         rest = 1
         for s in shape:
@@ -620,4 +661,5 @@ def reshaped(a: np.ndarray, shape) -> np.ndarray:
         shape = tuple(a.size // rest if s == -1 else s for s in shape)
     buf = _ARENA.acquire(shape, a.dtype)
     np.copyto(buf.reshape(a.shape), a)
+    stats.reshape_copy_bytes += buf.nbytes
     return buf

@@ -74,7 +74,12 @@ import numpy as np
 from repro.autograd import arena
 from repro.autograd import function as _function
 from repro.autograd.function import Context
-from repro.autograd.tensor import Tensor, _accumulate_leaf, _coerce_data
+from repro.autograd.tensor import (
+    Tensor,
+    _WalkBuffers,
+    _accumulate_leaf,
+    _coerce_data,
+)
 
 _ndarray = np.ndarray
 
@@ -624,84 +629,63 @@ class StepGraph:
 
         Slot-addressed gradient table instead of the id-keyed dict, but
         the accumulation arithmetic, the ``owned``-buffer discipline,
-        and the arena base-refcount release order are byte-for-byte the
-        eager walk's — that is what keeps replay bit-identical under
-        buffer recycling.
+        the arena release order and the leaf rule (``_WalkBuffers``,
+        ``_accumulate_leaf``) are the eager walk's own — that is what
+        keeps replay bit-identical under buffer recycling.
         """
         grads: List[Optional[np.ndarray]] = [None] * self.num_slots
         owned = bytearray(self.num_slots)
 
-        pool = arena.get_arena() if arena.is_arena_enabled() else None
-        base_refs: Dict[int, int] = {}
-
-        def _retire(a: np.ndarray) -> None:
-            b = a
-            while b.base is not None:
-                b = b.base
-            bid = id(b)
-            n = base_refs.get(bid, 0) - 1
-            if n > 0:
-                base_refs[bid] = n
-            else:
-                base_refs.pop(bid, None)
-                pool.release(a)
-
-        def _track(a: np.ndarray) -> None:
-            b = a
-            while b.base is not None:
-                b = b.base
-            bid = id(b)
-            base_refs[bid] = base_refs.get(bid, 0) + 1
-
+        walk = _WalkBuffers.begin()
         seed = np.ones_like(values[self.root_idx][1])
         grads[self.root_slot] = seed
-        if pool is not None:
-            _track(seed)
+        if walk is not None:
+            walk.track(seed)
 
         for kind, slot, ref, bwd_fn, targets in self._bwd_plan:
             g = grads[slot]
             if g is None:
                 continue
             grads[slot] = None
-            if kind == 0:
-                igs = bwd_fn(values[ref][0], g)
-                if not isinstance(igs, (tuple, list)):
-                    igs = (igs,)
-                if len(igs) != len(targets):
-                    raise RuntimeError(
-                        f"{bwd_fn.__qualname__} returned {len(igs)} grads "
-                        f"for {len(targets)} tensor inputs"
-                    )
-                for tslot, ig in zip(targets, igs):
-                    if tslot < 0 or ig is None:
-                        continue
-                    if type(ig) is not _ndarray:
-                        ig = np.asarray(ig)
-                    cur = grads[tslot]
-                    if cur is None:
-                        grads[tslot] = ig
-                        owned[tslot] = 0
-                        if pool is not None:
-                            _track(ig)
-                    elif cur.shape == ig.shape and cur.dtype == ig.dtype:
-                        if owned[tslot]:
-                            np.add(cur, ig, out=cur)
-                        else:
-                            buf = arena.empty(cur.shape, cur.dtype)
-                            np.add(cur, ig, out=buf)
-                            grads[tslot] = buf
-                            owned[tslot] = 1
-                            if pool is not None:
-                                _track(buf)
-                                _retire(cur)
+            if kind != 0:
+                _accumulate_leaf(ref, g, walk)
+                continue
+            igs = bwd_fn(values[ref][0], g)
+            if not isinstance(igs, (tuple, list)):
+                igs = (igs,)
+            if len(igs) != len(targets):
+                raise RuntimeError(
+                    f"{bwd_fn.__qualname__} returned {len(igs)} grads "
+                    f"for {len(targets)} tensor inputs"
+                )
+            for tslot, ig in zip(targets, igs):
+                if tslot < 0 or ig is None:
+                    continue
+                if type(ig) is not _ndarray:
+                    ig = np.asarray(ig)
+                cur = grads[tslot]
+                if cur is None:
+                    grads[tslot] = ig
+                    owned[tslot] = 0
+                    if walk is not None:
+                        walk.track(ig)
+                elif cur.shape == ig.shape and cur.dtype == ig.dtype:
+                    if owned[tslot]:
+                        np.add(cur, ig, out=cur)
                     else:
-                        new = cur + ig
-                        grads[tslot] = new
+                        buf = arena.empty(cur.shape, cur.dtype)
+                        np.add(cur, ig, out=buf)
+                        grads[tslot] = buf
                         owned[tslot] = 1
-                        if pool is not None:
-                            _track(new)
-                            _retire(cur)
-            else:
-                _accumulate_leaf(ref, g)
-            if pool is not None:
-                _retire(g)
+                        if walk is not None:
+                            walk.track(buf)
+                            walk.retire(cur)
+                else:
+                    new = cur + ig
+                    grads[tslot] = new
+                    owned[tslot] = 1
+                    if walk is not None:
+                        walk.track(new)
+                        walk.retire(cur)
+            if walk is not None:
+                walk.retire(g)

@@ -36,6 +36,14 @@ _SDD_C = r"""
 /* versa for columns) — the pointer arithmetic mirrors the zero-copy   */
 /* NumPy views of repro.sparse.dispatch exactly.                       */
 /*                                                                     */
+/* Banded operands (dispatch.band).  Where the groups slice a stored   */
+/* matrix by column — SDD's untransposed b, DSD's transposed b, DDS's  */
+/* out — the matrix may be a stack of (rows, ld) bands, one per        */
+/* expert, and ld is then the band width: column c lives in band       */
+/* c / ld at column c % ld (BAND_AT).  A plain 2-D matrix is the       */
+/* one-band case (c < ld).  Same sgemm arguments either way; only the  */
+/* base pointer and leading dimension differ.                          */
+/*                                                                     */
 /* lt is the (G, 2) int64 live table [live rows, GEMM rows] of the     */
 /* topology's LiveLayout: each group's GEMM runs over its live rows    */
 /* only (M = GEMM rows where the group's rows are an output extent —   */
@@ -45,6 +53,8 @@ _SDD_C = r"""
 /* stored as +0.0f.  Same sgemm arguments, same zeros, as the NumPy    */
 /* executors.                                                          */
 /* ------------------------------------------------------------------ */
+
+#define BAND_AT(p, rows, ld, c) ((p) + ((c) / (ld)) * ((rows) * (ld)) + (c) % (ld))
 
 /* Copy the first ``rows`` rows of one group from the BCSR value array
  * into the dense stage rectangle (rows, c*bs): the _group_values
@@ -81,7 +91,8 @@ void repro_grouped_sdd_f32(const float *restrict a, i64 ald, i64 atrans,
         i64 lv = lt[g * 2], m = lt[g * 2 + 1];
         i64 ng = c * bs;
         const float *ap = atrans ? a + r0 * bs : a + r0 * bs * ald;
-        const float *bp = btrans ? b + c0 * bs * bld : b + c0 * bs;
+        const float *bp = btrans ? b + c0 * bs * bld
+                                 : BAND_AT(b, k, bld, c0 * bs);
         if (m > 0)
             repro_sgemm(101, atrans ? 112 : 111, btrans ? 112 : 111,
                         m, ng, k, 1.0f, ap, ald, bp, bld, 0.0f, stage, ng);
@@ -102,7 +113,8 @@ void repro_grouped_sdd_f32(const float *restrict a, i64 ald, i64 atrans,
 }
 
 /* DDS: out = A_eff @ (S or S^T); each group fills an output column
- * band of the (mo, nout) row-major out. */
+ * band of the (mo, nout) row-major out (S untransposed: out may be
+ * banded, nout its band width). */
 void repro_grouped_dds_f32(const float *restrict a, i64 ald, i64 atrans,
                            const float *restrict values,
                            float *restrict out, i64 mo, i64 nout,
@@ -128,7 +140,7 @@ void repro_grouped_dds_f32(const float *restrict a, i64 ald, i64 atrans,
                     memset(op + i * nout + lv, 0,
                            (size_t)(r * bs - lv) * sizeof(float));
         } else {
-            float *op = out + c0 * bs;
+            float *op = BAND_AT(out, mo, nout, c0 * bs);
             if (lv > 0) {
                 const float *ap = atrans ? a + r0 * bs * ald : a + r0 * bs;
                 repro_group_gather(values, stage, lv, c, v0, bs);
@@ -170,7 +182,8 @@ void repro_grouped_dsd_f32(const float *restrict values,
         } else {
             float *op = out + r0 * bs * n;
             if (m > 0) {
-                const float *bp = btrans ? b + c0 * bs : b + c0 * bs * bld;
+                const float *bp = btrans ? BAND_AT(b, n, bld, c0 * bs)
+                                         : b + c0 * bs * bld;
                 repro_group_gather(values, stage, m, c, v0, bs);
                 repro_sgemm(101, 111, btrans ? 112 : 111, m, n, ng, 1.0f,
                             stage, ng, bp, bld, 0.0f, op, n);
@@ -213,7 +226,7 @@ def _sdd_forward(b):
         k = x.shape[1]
         vals = arena.empty((topo.nnz_blocks, bs, bs), F4)
         stage, sbuf = _stage_for(dplan, bs)
-        cfn(x.ctypes.data, k, 0, w.ctypes.data, w.shape[1], 0,
+        cfn(x.ctypes.data, k, 0, w.ctypes.data, w.shape[-1], 0,
             vals.ctypes.data, gt.ctypes.data, lt.ctypes.data,
             gt.shape[0], k, bs, sbuf.ctypes.data)
         arena.release(stage)
@@ -253,7 +266,7 @@ def _sdd_backward(b):
     def run(grad, x, w, topo):
         dplan = _D.analyze(topo)
         bs = topo.block_size
-        rows_s, cols_s = topo.shape
+        rows_s = topo.shape[0]
         gt = _D.group_table(topo)
         lt = _D.live_layout(topo).table
         G = gt.shape[0]
@@ -261,14 +274,14 @@ def _sdd_backward(b):
         stage, sbuf = _stage_for(dplan, bs)
         # DSD^T: dX = dH @ W^T over group row slices.
         dx = _rows_output(dplan, bs, (rows_s, k))
-        cdsd(grad.ctypes.data, w.ctypes.data, w.shape[1], 1,
+        cdsd(grad.ctypes.data, w.ctypes.data, w.shape[-1], 1,
              dx.ctypes.data, k, gt.ctypes.data, lt.ctypes.data,
              G, 0, bs, sbuf.ctypes.data)
         _record("dsd", _GROUPED, topo, k)
-        # DD^TS: dW = X^T @ dH into group column bands.
-        dw = _D.band_output(dplan, bs, (k, cols_s), F4, 1)
+        # DD^TS: dW = X^T @ dH into group column bands, in w's form.
+        dw = _D.band_output(dplan, bs, w.shape, F4, 1)
         cdds(x.ctypes.data, k, 1, grad.ctypes.data,
-             dw.ctypes.data, k, cols_s, gt.ctypes.data,
+             dw.ctypes.data, k, w.shape[-1], gt.ctypes.data,
              lt.ctypes.data, G, 0, bs, sbuf.ctypes.data)
         arena.release(stage)
         _record("dds", _GROUPED, topo, k)
@@ -336,7 +349,22 @@ def fuzz_topology(rng, bs=4):
 
 def _fuzz_sdd(rng):
     topo = fuzz_topology(rng)
-    return f32(rng, topo.shape[0], 6), f32(rng, 6, topo.shape[1]), topo
+    w = f32(rng, 6, topo.shape[1])
+    if rng.random() < 0.5:
+        # The same weights banded, one band per expert (dispatch.band).
+        w = np.ascontiguousarray(w.reshape(6, 3, -1).transpose(1, 0, 2))
+    return f32(rng, topo.shape[0], 6), w, topo
+
+
+def _weights_fit(x, w, topo) -> bool:
+    """``w`` — ``(K, N)`` or banded ``(G, K, N / G)`` — is the right
+    operand of ``x @ w`` sampled at ``topo``, no group across a band."""
+    k = x.shape[1]
+    return (
+        w.shape[-2] == k
+        and w.size == k * topo.shape[1]
+        and _D.bands_fit(topo, w.shape[-1])
+    )
 
 
 def _fuzz_dsd(rng):
@@ -352,26 +380,28 @@ KERNELS = (
         contract=Contract(
             BLAS,
             Arr(0, rank=2),
-            Arr(1, rank=2),
+            Arr(1, rank=(2, 3)),
             Rel("inner dimensions agree, >= 2", lambda x, w, topo: (
-                w.shape[0] == x.shape[1] >= 2
+                w.shape[-2] == x.shape[1] >= 2
             )),
             Live("the topology's shape, blocks >= 2 wide", lambda x, w, topo: (
-                topo.block_size >= 2 and (x.shape[0], w.shape[1]) == topo.shape
+                topo.block_size >= 2 and x.shape[0] == topo.shape[0]
             )),
+            Live("weights fit, every group inside one band", _weights_fit),
         ),
         forward=_sdd_forward,
         bwd_contract=Contract(BLAS),
         bwd_guard=Contract(
-            Arr(0, rank=3), Arr(1, rank=2), Arr(2, rank=2),
+            Arr(0, rank=3), Arr(1, rank=2), Arr(2, rank=(2, 3)),
             Live("grouped dispatch, both orientations",
                  lambda g, x, w, topo: _both_grouped(topo)),
             Live("the topology's blocks and shape", lambda g, x, w, topo: (
                 blocks_of(g, topo)
                 and x.shape[1] >= 2
                 and x.shape[0] == topo.shape[0]
-                and w.shape == (x.shape[1], topo.shape[1])
             )),
+            Live("weights fit, every group inside one band",
+                 lambda g, x, w, topo: _weights_fit(x, w, topo)),
         ),
         backward=_sdd_backward,
         fuzz=_fuzz_sdd,

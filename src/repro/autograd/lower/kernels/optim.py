@@ -11,11 +11,16 @@ from repro.autograd.lower.kernels.base import Kernel, f32
 
 _ADAM_C = r"""
 /* Adam step: the nine-ufunc in-place mirror from training/optim.py,
-   fused per element with float32 rounding at every intermediate. */
+   fused per element with float32 rounding at every intermediate.  The
+   gradient enters as g[i] * gs — the clip scale, formed in register:
+   the same rounded fp32 product a separate ``g *= gs`` pass stores
+   (-ffp-contract=off keeps it out of any fma), and the identity at
+   gs = 1. */
 void repro_adam_f32(float *restrict p, float *restrict m, float *restrict v,
                     const float *restrict g, i64 n,
                     double lr_, double bc1_, double bc2_,
-                    double b1_, double b2_, double eps_, double wd_)
+                    double b1_, double b2_, double eps_, double wd_,
+                    double gs_)
 {
     const float lr = (float)lr_;
     const float bc1 = (float)bc1_;
@@ -26,9 +31,10 @@ void repro_adam_f32(float *restrict p, float *restrict m, float *restrict v,
     const float OMB2 = (float)(1.0 - b2_);
     const float EPS = (float)eps_;
     const float WD = (float)wd_;
+    const float GS = (float)gs_;
     const int has_wd = wd_ != 0.0;
     for (i64 i = 0; i < n; i++) {
-        float gi = g[i];
+        float gi = g[i] * GS;
         float mi = m[i] * B1 + OMB1 * gi;
         float vi = v[i] * B2 + (OMB2 * gi) * gi;
         m[i] = mi;
@@ -46,12 +52,13 @@ void repro_adam_f32(float *restrict p, float *restrict m, float *restrict v,
 void repro_adam_multi_f32(void **ps, void **ms, void **vs, void **gs,
                           const i64 *restrict sizes, i64 k,
                           double lr_, double bc1_, double bc2_,
-                          double b1_, double b2_, double eps_, double wd_)
+                          double b1_, double b2_, double eps_, double wd_,
+                          double gs_)
 {
     for (i64 t = 0; t < k; t++) {
         repro_adam_f32((float *)ps[t], (float *)ms[t], (float *)vs[t],
                        (const float *)gs[t], sizes[t],
-                       lr_, bc1_, bc2_, b1_, b2_, eps_, wd_);
+                       lr_, bc1_, bc2_, b1_, b2_, eps_, wd_, gs_);
     }
 }
 """
@@ -112,7 +119,8 @@ double repro_clip_sumsq_f32(void **gs, const i64 *restrict sizes, i64 k)
 }
 
 /* In-place ``g *= scale`` over every gradient (scale rounds to f32
- * once, like the NEP 50 scalar cast in the ufunc loop). */
+ * once, like the NEP 50 scalar cast in the ufunc loop): the standalone
+ * clip_grad_norm's pass; a training step folds it into repro_adam_f32. */
 void repro_scale_multi_f32(void **gs, const i64 *restrict sizes, i64 k,
                            double scale_)
 {

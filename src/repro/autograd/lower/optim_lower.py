@@ -8,12 +8,16 @@ per-element fusion of the nine-ufunc in-place mirror in
 :class:`repro.training.optim.Adam`, and ``repro_adam_multi_f32`` walks
 prebuilt pointer tables so the whole-model update costs one ctypes
 crossing per step instead of one per parameter.  Bit-identical: every
-intermediate rounds to float32 exactly where the NumPy sequence does.
+intermediate rounds to float32 exactly where the NumPy sequence does —
+the clip scale included, which the loop applies to each gradient
+element as it reads it (``grad_scale``), so a clipped training step is
+two sweeps over the gradients (sum of squares, Adam), not three.
 """
 
 from __future__ import annotations
 
 import ctypes
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -44,7 +48,7 @@ def attach_adam(opt) -> bool:
     mfn = lib.repro_adam_multi_f32
     f32 = np.float32
 
-    def _cc(p, m, v, g, lr, bc1, bc2):
+    def _cc(p, m, v, g, lr, bc1, bc2, grad_scale):
         # ``weight_decay > 0`` gates the decay term in the NumPy path;
         # pass 0.0 for any non-positive setting so C agrees.
         wd = opt.weight_decay if opt.weight_decay > 0 else 0.0
@@ -52,6 +56,7 @@ def attach_adam(opt) -> bool:
             p.ctypes.data, m.ctypes.data, v.ctypes.data, g.ctypes.data,
             p.size, float(lr), float(bc1), float(bc2),
             float(opt.beta1), float(opt.beta2), float(opt.eps), float(wd),
+            float(grad_scale),
         )
 
     # Pointer tables for the whole-model call, rebuilt only when some
@@ -59,7 +64,7 @@ def attach_adam(opt) -> bool:
     # grads are accumulated in place, so rebuilds are rare).
     state = {"key": None, "argv": None}
 
-    def _cc_multi(lr, bc1, bc2):
+    def _cc_multi(lr, bc1, bc2, grad_scale):
         params = opt.params
         key = state["key"]
         n = len(params)
@@ -113,16 +118,18 @@ def attach_adam(opt) -> bool:
             sizes.ctypes.data, used,
             float(lr), float(bc1), float(bc2),
             float(opt.beta1), float(opt.beta2), float(opt.eps), float(wd),
+            float(grad_scale),
         )
         return True
 
     # Native global grad-norm clip: one C call for the fp64 sum of
-    # squares (NumPy pairwise order) and one for the in-place scale.
+    # squares (NumPy pairwise order) and — standalone clip_grad_norm
+    # only — one for the in-place scale, over one pointer table.
     csq = lib.repro_clip_sumsq_f32
     csc = lib.repro_scale_multi_f32
     clip_state = {"key": None, "argv": None}
 
-    def _clip_cc(params, max_norm):
+    def _grad_table(params):
         key = clip_state["key"]
         n = len(params)
         fresh = key is None or len(key) != n
@@ -144,19 +151,27 @@ def attach_adam(opt) -> bool:
                 sizes[k] = g.size
                 newkey.append(g)
             clip_state["key"] = newkey
-            clip_state["argv"] = (gs, sizes)
-        gs, sizes = clip_state["argv"]
-        sq = csq(ctypes.addressof(gs), sizes.ctypes.data, n)
-        norm = float(np.sqrt(sq))
-        if max_norm > 0 and norm > max_norm:
-            scale = max_norm / (norm + 1e-12)
-            csc(ctypes.addressof(gs), sizes.ctypes.data, n, float(scale))
-        return norm
+            # (the call's three arguments, then what keeps them alive)
+            clip_state["argv"] = (
+                ctypes.addressof(gs), sizes.ctypes.data, n, gs, sizes
+            )
+        return clip_state["argv"]
+
+    def _sumsq(params):
+        argv = _grad_table(params)
+        return None if argv is None else csq(*argv[:3])
+
+    def _scale(params, scale):
+        argv = _grad_table(params)
+        if argv is None:
+            return None
+        csc(*argv[:3], float(scale))
+        return True
 
     opt._cc = _cc
     opt._cc_multi = _cc_multi
 
     from repro.training import optim as _optim
 
-    _optim._CLIP_CC = _clip_cc
+    _optim._CLIP_CC = SimpleNamespace(sumsq=_sumsq, scale=_scale)
     return True

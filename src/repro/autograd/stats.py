@@ -36,6 +36,13 @@ FUSION_SAVINGS: Dict[str, int] = {
 
 tape_nodes = 0
 fused_calls: Dict[str, int] = {}
+#: Bytes moved by the two copying branches a weight-sized array can
+#: take inside a step: ``arena.reshaped`` when no view exists, and the
+#: first gradient to reach a leaf when the leaf cannot adopt the array
+#: (``tensor._accumulate_leaf``).  Incremented only there, so a step's
+#: totals repeat exactly and a test can gate on them.
+reshape_copy_bytes = 0
+leaf_copy_bytes = 0
 
 
 def record_node() -> None:
@@ -56,8 +63,10 @@ def nodes_fused() -> int:
 
 def reset() -> None:
     """Zero every counter (start of a benchmark region or training step)."""
-    global tape_nodes
+    global tape_nodes, reshape_copy_bytes, leaf_copy_bytes
     tape_nodes = 0
+    reshape_copy_bytes = 0
+    leaf_copy_bytes = 0
     fused_calls.clear()
 
 
@@ -72,6 +81,8 @@ def snapshot() -> dict:
         "tape_nodes": tape_nodes,
         "fused_calls": dict(fused_calls),
         "nodes_fused": nodes_fused(),
+        "reshape_copy_bytes": reshape_copy_bytes,
+        "leaf_copy_bytes": leaf_copy_bytes,
         "arena": copy.deepcopy(get_arena().stats()),
     }
 
@@ -82,6 +93,8 @@ def summary() -> str:
     lines = [
         f"tape nodes recorded : {snap['tape_nodes']}",
         f"tape nodes fused    : {snap['nodes_fused']}",
+        f"copied by reshape   : {snap['reshape_copy_bytes']} B",
+        f"copied into leaves  : {snap['leaf_copy_bytes']} B",
     ]
     for op in sorted(snap["fused_calls"]):
         lines.append(f"  {op:22} x{snap['fused_calls'][op]}")

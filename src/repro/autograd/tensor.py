@@ -12,30 +12,112 @@ from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.autograd import arena
+from repro.autograd import arena, stats
 from repro.autograd.function import Node
 
 _GRAD_ENABLED = True
 
 
-def _accumulate_leaf(t: "Tensor", g: np.ndarray) -> None:
-    """Accumulate ``g`` into ``t.grad`` without allocating when possible.
+class _WalkBuffers:
+    """Arena bookkeeping of one backward walk: which gradient arrays it
+    may recycle, and which a leaf may keep.
 
-    Mirrors the legacy semantics exactly: the first contribution copies
-    (casting to the leaf dtype, as ``astype(copy=True)`` did), later
-    contributions behave like ``t.grad + g`` — including the dtype
-    promotion that falls back to a fresh allocation when a higher-
-    precision gradient arrives.
+    With the arena on, interior gradients go back to the pool the moment
+    they are dead, so the walk recycles cache-hot memory (like malloc
+    does for the reference path).  One buffer can back several pending
+    gradients — backward functions return views (``_Reshape``) or the
+    very same array for several inputs (``_Add`` with equal shapes) — so
+    each stored gradient bumps a count on its *root* array and the
+    buffer is released when the last of them is consumed.
+
+    The same count says when an array is the walk's alone: held by one
+    pending gradient, and acquired from the pool during this walk
+    (:class:`repro.autograd.arena.WalkMark`), so neither a sibling
+    gradient nor anything the forward saved can alias it.  Such an array
+    is *adopted* by the leaf it reaches instead of being copied
+    (:func:`_accumulate_leaf`); it is then never released, and lives
+    until the arena's next generation like any leaf-gradient buffer.
+    """
+
+    __slots__ = ("pool", "refs", "mark")
+
+    def __init__(self) -> None:
+        self.pool = arena.get_arena()
+        self.refs: dict = {}
+        self.mark = arena.WalkMark()
+
+    @classmethod
+    def begin(cls) -> Optional["_WalkBuffers"]:
+        """The bookkeeping of a walk starting now; ``None`` with the
+        arena off (nothing to recycle, and every leaf copies)."""
+        return cls() if arena.is_arena_enabled() else None
+
+    def track(self, a: np.ndarray) -> None:
+        bid = id(_root(a))
+        self.refs[bid] = self.refs.get(bid, 0) + 1
+
+    def retire(self, a: np.ndarray) -> None:
+        bid = id(_root(a))
+        n = self.refs.get(bid, 0) - 1
+        if n > 0:
+            self.refs[bid] = n
+        else:
+            self.refs.pop(bid, None)
+            self.pool.release(a)
+
+    def adopt(self, a: np.ndarray) -> bool:
+        """Give ``a`` up to a leaf if it is the walk's alone."""
+        root = _root(a)
+        if self.refs.get(id(root)) != 1 or not self.mark.born_since(root):
+            return False
+        del self.refs[id(root)]
+        return True
+
+
+def _root(a: np.ndarray) -> np.ndarray:
+    """The array that owns ``a``'s memory (``broadcast_to`` views nest
+    one deeper than NumPy's collapsed ``.base``)."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def _accumulate_leaf(
+    t: "Tensor", g: np.ndarray, walk: Optional[_WalkBuffers] = None
+) -> None:
+    """Deliver gradient ``g`` to leaf ``t``; the one rule of the eager
+    and the replayed walk.
+
+    The first contribution becomes ``t.grad``: ``g`` itself when it
+    already is what a copy would produce (the leaf's dtype, C-contiguous,
+    writeable) and ``walk`` can prove it exclusive; a copy otherwise
+    (casting to the leaf dtype, as ``astype(copy=True)`` did — always,
+    with the arena off).  Later contributions behave like ``t.grad + g``
+    — in place when the dtypes allow, including the promotion that falls
+    back to a fresh allocation when a higher-precision gradient arrives.
+    ``g`` is retired to ``walk`` unless it was adopted.
     """
     cur = t.grad
     if cur is None:
+        if (
+            walk is not None
+            and g.dtype == t.data.dtype
+            and g.flags.c_contiguous
+            and g.flags.writeable
+            and walk.adopt(g)
+        ):
+            t.grad = g
+            return
         buf = arena.empty(g.shape, t.data.dtype)
         np.copyto(buf, g, casting="unsafe")
+        stats.leaf_copy_bytes += buf.nbytes
         t.grad = buf
     elif cur.shape == g.shape and cur.dtype == np.result_type(cur.dtype, g.dtype):
         np.add(cur, g, out=cur)
     else:
         t.grad = cur + g
+    if walk is not None:
+        walk.retire(g)
 
 
 def is_grad_enabled() -> bool:
@@ -236,85 +318,60 @@ class Tensor:
         # adding into them would corrupt sibling gradients.
         owned: set = set()
 
-        # With the arena on, interior gradients are released back to the
-        # pool the moment they become dead so the backward walk recycles
-        # cache-hot memory (like malloc does for the reference path).
-        # Because one buffer can back several pending entries (views /
-        # repeated arrays, per the `owned` comment above), each stored
-        # gradient bumps a refcount on its *base* array; a buffer is
-        # released only when the last entry referencing it is consumed.
-        pool = arena.get_arena() if arena.is_arena_enabled() else None
-        base_refs: dict = {}
-
-        def _retire(a: np.ndarray) -> None:
-            b = a
-            while b.base is not None:
-                b = b.base
-            bid = id(b)
-            n = base_refs.get(bid, 0) - 1
-            if n > 0:
-                base_refs[bid] = n
-            else:
-                base_refs.pop(bid, None)
-                pool.release(a)
-
-        def _track(a: np.ndarray) -> None:
-            b = a
-            while b.base is not None:
-                b = b.base
-            bid = id(b)
-            base_refs[bid] = base_refs.get(bid, 0) + 1
-
-        if pool is not None:
-            _track(grad)
+        walk = _WalkBuffers.begin()
+        if walk is not None:
+            walk.track(grad)
 
         for t in order:
             g = grads.pop(id(t), None)
             if g is None:
                 continue
-            if t.requires_grad and t._node is None:
-                _accumulate_leaf(t, g)
-            if t._node is not None:
-                for inp, ig in t._node.backward(g):
-                    if ig is None or not inp.requires_grad:
-                        continue
-                    ig = np.asarray(ig)
-                    key = id(inp)
-                    tensors[key] = inp
-                    cur = grads.get(key)
-                    if cur is None:
-                        grads[key] = ig
-                        if pool is not None:
-                            _track(ig)
-                    elif cur.shape == ig.shape and cur.dtype == ig.dtype:
-                        if key in owned:
-                            np.add(cur, ig, out=cur)
-                        else:
-                            buf = arena.empty(cur.shape, cur.dtype)
-                            np.add(cur, ig, out=buf)
-                            grads[key] = buf
-                            owned.add(key)
-                            if pool is not None:
-                                _track(buf)
-                                _retire(cur)
+            if t._node is None:
+                if t.requires_grad:
+                    _accumulate_leaf(t, g, walk)
+                elif walk is not None:
+                    walk.retire(g)
+                continue
+            for inp, ig in t._node.backward(g):
+                if ig is None or not inp.requires_grad:
+                    continue
+                ig = np.asarray(ig)
+                key = id(inp)
+                tensors[key] = inp
+                cur = grads.get(key)
+                if cur is None:
+                    grads[key] = ig
+                    if walk is not None:
+                        walk.track(ig)
+                elif cur.shape == ig.shape and cur.dtype == ig.dtype:
+                    if key in owned:
+                        np.add(cur, ig, out=cur)
                     else:
-                        # Mismatched shapes/dtypes: let NumPy promote.
-                        new = cur + ig
-                        grads[key] = new
+                        buf = arena.empty(cur.shape, cur.dtype)
+                        np.add(cur, ig, out=buf)
+                        grads[key] = buf
                         owned.add(key)
-                        if pool is not None:
-                            _track(new)
-                            _retire(cur)
-            if pool is not None:
-                _retire(g)
+                        if walk is not None:
+                            walk.track(buf)
+                            walk.retire(cur)
+                else:
+                    # Mismatched shapes/dtypes: let NumPy promote.
+                    new = cur + ig
+                    grads[key] = new
+                    owned.add(key)
+                    if walk is not None:
+                        walk.track(new)
+                        walk.retire(cur)
+            if walk is not None:
+                walk.retire(g)
         # Any remaining grads belong to leaves that were inputs of the last
         # processed nodes; flush them.
         for key, g in grads.items():
             t = tensors[key]
             if t.requires_grad and t._node is None:
-                _accumulate_leaf(t, g)
-            if pool is not None:
-                _retire(g)
+                _accumulate_leaf(t, g, walk)
+            elif walk is not None:
+                walk.retire(g)
 
     def _topological_order(self) -> List["Tensor"]:
         """Reverse topological order of the tape reachable from ``self``."""

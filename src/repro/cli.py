@@ -413,6 +413,7 @@ def lower_main(argv=None) -> int:
     from collections import Counter
 
     from repro.autograd import lower
+    from repro.autograd import stats as ag_stats
 
     args = build_lower_parser().parse_args(argv)
     seed_all(args.seed)
@@ -450,8 +451,10 @@ def lower_main(argv=None) -> int:
         "lower_segment_fallbacks", "lower_toolchain_fallbacks",
     )
     before = {k: reg.counter(k).value for k in counter_names}
+    copies = []  # per step: bytes the two copying branches moved
     for step in range(args.steps):
         trainer.train_step(step)
+        copies.append((ag_stats.reshape_copy_bytes, ag_stats.leaf_copy_bytes))
     counts = {k: reg.counter(k).value - before[k] for k in counter_names}
 
     graph = trainer.step_graph
@@ -492,6 +495,8 @@ def lower_main(argv=None) -> int:
             sorted(Counter(e[0] for e in analysis.bwd.values()).items())
         ),
         "host_records": dict(sorted(host_fns.items())),
+        "reshape_copy_bytes": [c[0] for c in copies],
+        "leaf_copy_bytes": [c[1] for c in copies],
         **counts,
     }
     if args.json:
@@ -521,6 +526,9 @@ def lower_main(argv=None) -> int:
     print("  host remainder:")
     for name, n in sorted(host_fns.items()):
         print(f"    {name:28} {n}")
+    print("  copies per step (bytes):  reshape without a view   leaf gradient")
+    for step, (reshape_b, leaf_b) in enumerate(copies):
+        print(f"    step {step:<4} {reshape_b:30} {leaf_b:15}")
     print(
         "  counters: "
         f"{counts['graph_lowered']} graphs lowered, "
@@ -604,7 +612,8 @@ def main(argv=None) -> int:
 
     def callback(r):
         logger.info(
-            "step %d loss %.4f%s", r.step, r.loss,
+            "step %d loss %.4f%s%s", r.step, r.loss,
+            f" gnorm {r.grad_norm:.3f}" if r.grad_norm is not None else "",
             f" val {r.val_loss:.4f}" if r.val_loss is not None else "",
         )
         if run_log is not None:

@@ -63,10 +63,14 @@ def expert_mlp(
 
     The one expert MLP in ``src/``: the dMoE, the variable-width dMoE
     and each expert-parallel rank (over its shard) all compute here.
-    Operands are flat — ``w1`` ``(hidden, sum of ffn widths)``, ``b1``
-    ``(sum of ffn widths,)``, ``w2`` ``(sum of ffn widths, hidden)`` —
-    ``b2`` is ``(experts, hidden)`` and ``row_expert`` names the expert
-    owning each padded row of ``xp``.
+    ``w1`` is read where it lives: expert-major ``(experts, hidden,
+    ffn)`` as ``ExpertWeights`` stores it (the sparse products index the
+    experts' bands themselves and return ``w1``'s gradient in the same
+    form), or flat ``(hidden, sum of ffn widths)`` when that is the
+    storage (variable-width experts).  The rest is flat — ``b1`` ``(sum
+    of ffn widths,)``, ``w2`` ``(sum of ffn widths, hidden)`` — ``b2`` is
+    ``(experts, hidden)`` and ``row_expert`` names the expert owning
+    each padded row of ``xp``.
     """
     h = sdd_mm(xp, w1, topology)
     if fusion_enabled() and activation == "gelu":
@@ -203,7 +207,7 @@ class dMoE(Module):
             with span("experts"):
                 e = self.experts
                 y = expert_mlp(
-                    xp, e.w1_flat(), e.b1_flat(), e.w2_flat(), e.b2,
+                    xp, e.w1, e.b1_flat(), e.w2_flat(), e.b2,
                     topology, row_expert, self.activation,
                 )
 

@@ -19,7 +19,7 @@ import numpy as np
 from repro.distributed.backend import ProcessGroup, bucket_cuts
 from repro.distributed.collectives import CommLog, log_all_reduce
 from repro.nn.module import Module
-from repro.training.optim import Optimizer, clip_grad_norm
+from repro.training.optim import Optimizer, clip_scale, grad_norm
 
 
 def data_parallel_step(
@@ -53,7 +53,8 @@ def data_parallel_step(
     log_all_reduce(mean.nbytes, group.world, comm_log)
     for p, g, lo, hi in zip(optimizer.params, grads, cuts, cuts[1:]):
         p.grad = mean[lo:hi].reshape(g.shape).astype(p.data.dtype, copy=False)
+    scale = 1.0
     if grad_clip > 0:
-        clip_grad_norm(optimizer.params, grad_clip)
-    optimizer.step()
+        scale = clip_scale(grad_norm(optimizer.params), grad_clip)
+    optimizer.step(grad_scale=scale)
     return float(loss.data)

@@ -287,7 +287,7 @@ class ExpertParallelDMoE:
         )
         y = expert_mlp(
             padded_gather(tokens, plan),
-            w1.transpose((1, 0, 2)).reshape((h, local * f)),
+            w1,
             b1.reshape((local * f,)),
             w2.reshape((local * f, h)),
             b2,

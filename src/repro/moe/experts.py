@@ -1,11 +1,19 @@
 """Expert weight containers shared by the MoE formulations.
 
-All experts are 2-layer MLPs of identical shape (paper §2/§3): the
-token-dropping path consumes them as stacked batched-matmul operands
-``(num_experts, hidden, ffn)``; the dropless path views the same storage
-as the concatenated block-diagonal operands ``(hidden, num_experts*ffn)``
-(Figure 6's ``w1``/``w2``), which keeps the two formulations numerically
-comparable weight-for-weight.
+All experts are 2-layer MLPs of identical shape (paper §2/§3), stored
+expert-major: ``w1`` ``(num_experts, hidden, ffn)``, ``w2``
+``(num_experts, ffn, hidden)``.  The token-dropping path consumes them
+as stacked batched-matmul operands and serving reads ``w1[e]`` /
+``w2[e]`` as contiguous matrices.  The dropless path multiplies the
+concatenated block-diagonal operands of Figure 6 — ``w1`` as ``(hidden,
+num_experts*ffn)``, ``w2`` as ``(num_experts*ffn, hidden)`` — over the
+same storage, which keeps the two formulations numerically comparable
+weight-for-weight: ``w2`` and ``b1`` in that form are plain views
+(``w2_flat`` / ``b1_flat``); ``w1`` is not (its experts sit side by
+side along the *columns*, and no reshape of expert-major storage is
+that), so the sparse products take ``w1`` itself and index each
+expert's ``(hidden, ffn)`` band in place (``repro.sparse.dispatch``,
+"Banded operands").
 """
 
 from __future__ import annotations
@@ -47,13 +55,14 @@ class ExpertWeights(Module):
     # Views for the block-sparse (dropless) formulation.
     # ------------------------------------------------------------------
     def w1_flat(self):
-        """w1 as the (hidden, num_experts * ffn) right operand of SDD.
+        """w1 materialised as Figure 6's ``(hidden, num_experts * ffn)``.
 
-        A copy, not a view: w1 is stored expert-major ``(experts, hidden,
-        ffn)`` and the transpose puts ``hidden`` first, so the reshape
-        materialises the whole matrix on every forward (8 MB per layer
-        at 128 x 16384) and its gradient returns through the matching
-        strided accumulate.  ``b1_flat`` / ``w2_flat`` are true views."""
+        A probe and test helper, off the training path: the transpose
+        puts ``hidden`` first, so the reshape copies the whole matrix
+        (8 MB per layer at 128 x 16384) and its gradient returns through
+        a strided accumulate.  The layers pass ``w1`` as stored instead;
+        this is the flat reference they are compared with.  ``b1_flat``
+        / ``w2_flat`` are true views."""
         return self.w1.transpose((1, 0, 2)).reshape(
             (self.hidden_size, self.num_experts * self.ffn_hidden_size)
         )

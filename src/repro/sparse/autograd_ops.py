@@ -24,7 +24,11 @@ from repro.sparse.topology import Topology
 
 
 class _SddMM(Function):
-    """values = blocks of (X @ W) sampled by ``topology``."""
+    """values = blocks of (X @ W) sampled by ``topology``.
+
+    ``w`` is ``(K, N)`` or banded ``(G, K, N / G)`` — expert-major
+    weights read where they live — and ``dw`` comes back in ``w``'s own
+    form, C-contiguous (``repro.sparse.dispatch``, "Banded operands")."""
 
     @staticmethod
     def forward(ctx, x, w, topology):
@@ -38,7 +42,8 @@ class _SddMM(Function):
         # DSD^T: dX = dH @ W^T
         dx = dsd(grad_sparse, w, trans_b=True)
         # DD^TS: dW = X^T @ dH
-        dw = dds(x, grad_sparse, trans_a=True)
+        bands = w.shape[0] if w.ndim == 3 else None
+        dw = dds(x, grad_sparse, trans_a=True, bands=bands)
         return dx, dw
 
 

@@ -52,6 +52,22 @@ representation.  A topology without ``live_rows`` runs every row, as
 before.  :class:`LiveLayout` holds every form of the counts the NumPy
 executors, the sparse bias/GELU ops and the generated-C kernels read.
 
+Banded operands
+---------------
+The right operand of SDD, the transposed right operand of DSD^T and the
+output of DD^TS are the three places a product touches layer-1 expert
+weights, and the groups only ever slice them by *column* range.  Such an
+operand is a row of equal-width column bands: 2-D ``(K, N)`` is the
+one-band case, 3-D ``(G, K, N / G)`` keeps each band's ``(K, N / G)``
+matrix contiguous — exactly how ``ExpertWeights.w1`` is stored, one band
+per expert.  :func:`band` is the only place a column range becomes a
+view: the band is ``lo // width`` (read off the group's column start —
+an expert without tokens has no group), the GEMM sees the same
+``(transA, transB, M, N, K)`` and only its base pointer and leading
+dimension differ from the flat form, so the bits are the flat form's.  A
+range that straddles two bands has no such view and raises; a dMoE
+cannot produce one (``ffn % block == 0``).
+
 The one-row rule.  NumPy routes a matmul whose row or column extent is 1
 through ``sgemv``, which rounds differently from ``cblas_sgemm`` at the
 same extent — and the generated-C kernels always call ``sgemm``.  So a
@@ -463,6 +479,42 @@ def use_grouped(plan: DispatchPlan | None, needs_disjoint_cols: bool) -> bool:
 # ``(transA, transB, M, N, K, ld*)`` sgemm per group, which is what
 # keeps eager = replay = cc bitwise.
 # ----------------------------------------------------------------------
+def band(x: np.ndarray, lo: int, hi: int, axis: int) -> np.ndarray:
+    """Rows (``axis`` 0) or columns (``axis`` 1) ``[lo, hi)`` of a dense
+    operand as a zero-copy 2-D view.
+
+    ``x`` is a matrix, or — a banded operand, see the module docstring —
+    a stack of equal matrices laid side by side along ``axis``: the
+    range must then sit inside one of them."""
+    if x.ndim == 3:
+        width = x.shape[1 + axis]
+        e, lo = divmod(lo, width)
+        hi -= e * width
+        if hi > width:
+            raise ValueError(
+                f"range [{e * width + lo}, {e * width + hi}) straddles "
+                f"operand bands of width {width}"
+            )
+        x = x[e]
+    return x[lo:hi] if axis == 0 else x[:, lo:hi]
+
+
+def bands_fit(topo: Topology, width: int) -> bool:
+    """Whether every group's column range sits inside one band of
+    ``width`` columns — the contract clause the generated-C kernels
+    check before indexing a banded operand (memoized per topology)."""
+    if width >= topo.shape[1]:
+        return True
+    key = ("bands_fit", width)
+    fit = topo.memo.get(key)
+    if fit is None:
+        plan, bs = analyze(topo), topo.block_size
+        fit = topo.memo[key] = plan is not None and bool(
+            np.all(plan.col_start * bs % width + plan.col_count * bs <= width)
+        )
+    return fit
+
+
 def _stage_buf(plan: DispatchPlan, bs: int, dtype) -> Optional[np.ndarray]:
     """One flat arena buffer sized for the largest group of ``plan``.
 
@@ -500,6 +552,7 @@ def band_output(
 ) -> np.ndarray:
     """Output buffer of a product whose groups each write one column
     band of S along ``axis`` (DS^TD: rows of the output; DD^TS: columns).
+    A 3-D ``shape`` asks for the banded form of :func:`band`.
 
     With disjoint bands every element a group covers is assigned exactly
     once by its GEMM (or by the zero store of a group with no live row),
@@ -511,9 +564,15 @@ def band_output(
     if not plan.cols_disjoint:
         return arena.zeros(shape, dtype)
     out = arena.empty(shape, dtype)
-    lead = (slice(None),) * axis
+    width = shape[1 + axis] if len(shape) == 3 else shape[axis]
     for lo, hi in plan.col_gaps:
-        out[lead + (slice(lo * bs, hi * bs),)] = 0
+        lo, hi = lo * bs, hi * bs
+        while lo < hi:
+            # A gap (consecutive experts without tokens) may span
+            # several operand bands; each piece is one contiguous fill.
+            cut = min(hi, (lo // width + 1) * width)
+            band(out, lo, cut, axis)[...] = 0
+            lo = cut
     return out
 
 
@@ -540,7 +599,7 @@ def grouped_sdd(
         if not m:
             continue
         a_g = a_eff[rlo : rlo + m]
-        b_g = b_eff[:, clo:chi]
+        b_g = band(b_eff, clo, chi, 1)
         if stage is None:
             prod = np.matmul(a_g, b_g)
         else:
@@ -569,7 +628,7 @@ def grouped_dsd(
     bs = topo.block_size
     layout = live_layout(topo)
     rows_s, cols_s = topo.shape
-    shape = (cols_s if trans_s else rows_s, b_eff.shape[1])
+    shape = (cols_s if trans_s else rows_s, b_eff.shape[-1])
     if trans_s:
         out = band_output(plan, bs, shape, out_dtype, 0)
     elif plan.rows_covered_blocks * bs == rows_s:
@@ -592,7 +651,7 @@ def grouped_dsd(
         else:
             if m:
                 s_g = _group_values(values, v0, c, m, stage)
-                np.matmul(s_g, b_eff[clo:chi], out=out[rlo : rlo + m])
+                np.matmul(s_g, band(b_eff, clo, chi, 0), out=out[rlo : rlo + m])
             out[rlo + lv : rhi] = 0
     arena.release(stage)
     return out
@@ -605,13 +664,18 @@ def grouped_dds(
     plan: DispatchPlan,
     trans_s: bool,
     out_dtype: np.dtype,
+    bands: Optional[int] = None,
 ) -> np.ndarray:
-    """``A_eff @ (S op)`` with one GEMM per group, scatter-free."""
+    """``A_eff @ (S op)`` with one GEMM per group, scatter-free; with
+    ``bands`` (``trans_s=False`` only) the output is the banded
+    ``(bands, M, N / bands)`` form of :func:`band`."""
     bs = topo.block_size
     layout = live_layout(topo)
     rows_s, cols_s = topo.shape
     shape = (a_eff.shape[0], rows_s if trans_s else cols_s)
     if not trans_s:
+        if bands is not None:
+            shape = (bands, shape[0], cols_s // bands)
         out = band_output(plan, bs, shape, out_dtype, 1)
     elif plan.rows_covered_blocks * bs == rows_s:
         # Same full-coverage shortcut as ``grouped_dsd``.
@@ -628,11 +692,12 @@ def grouped_dds(
                 np.matmul(a_eff[:, clo:chi], s_g.T, out=out[:, rlo : rlo + m])
             out[:, rlo + lv : rhi] = 0
         else:
+            out_g = band(out, clo, chi, 1)
             if lv:
                 s_g = _group_values(values, v0, c, lv, stage)
-                np.matmul(a_eff[:, rlo : rlo + lv], s_g, out=out[:, clo:chi])
+                np.matmul(a_eff[:, rlo : rlo + lv], s_g, out=out_g)
             else:
-                out[:, clo:chi] = 0
+                out_g[...] = 0
     arena.release(stage)
     return out
 

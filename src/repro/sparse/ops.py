@@ -31,6 +31,14 @@ Every op is served by one of two paths, chosen by
   transpose row pointers, valid because both orders keep output rows
   sorted) instead of scatter-add.
 
+The three products that touch layer-1 expert weights — SDD's right
+operand, DSD^T's (``trans_b=True``) and DD^TS's output — also take the
+weights *banded*: 3-D ``(G, K, N / G)``, one contiguous ``(K, N / G)``
+matrix per expert, which is how ``ExpertWeights.w1`` is stored (see
+"Banded operands" in :mod:`repro.sparse.dispatch`; ``dds(..., bands=G)``
+asks for that output).  Both paths index the bands in place and return
+the flat form's bits.
+
 All ops accept an explicit ``dtype``; by default the output dtype is
 ``np.result_type(a.dtype, b.dtype)`` and is enforced on every path, so a
 float32 network stays float32 end to end.
@@ -86,6 +94,10 @@ def _col_block_view(b: np.ndarray, bs: int, transposed: bool) -> np.ndarray:
         n, k = b.shape
         _check_multiple(n, bs, "rows of transposed right operand")
         return b.reshape(n // bs, bs, k).transpose(0, 2, 1)
+    if b.ndim == 3:  # banded: (G, blocks per band, K, bs), see _take
+        g, k, w = b.shape
+        _check_multiple(w, bs, "band width of right operand")
+        return b.reshape(g, k, w // bs, bs).transpose(0, 2, 1, 3)
     k, n = b.shape
     _check_multiple(n, bs, "columns of right operand")
     return b.reshape(k, n // bs, bs).transpose(1, 0, 2)
@@ -94,6 +106,10 @@ def _col_block_view(b: np.ndarray, bs: int, transposed: bool) -> np.ndarray:
 def _stripe_view(b: np.ndarray, bs: int, transposed: bool) -> np.ndarray:
     """(num_stripes, bs, N) view of ``b`` (effective shape (K, N)), where
     stripe ``i`` is rows ``i*bs:(i+1)*bs`` of the effective matrix."""
+    if transposed and b.ndim == 3:  # banded, see _take
+        g, n, w = b.shape
+        _check_multiple(w, bs, "band width of transposed operand")
+        return b.reshape(g, n, w // bs, bs).transpose(0, 2, 3, 1)
     if transposed:
         n, k = b.shape
         _check_multiple(k, bs, "columns of transposed operand")
@@ -101,6 +117,29 @@ def _stripe_view(b: np.ndarray, bs: int, transposed: bool) -> np.ndarray:
     k, n = b.shape
     _check_multiple(k, bs, "rows of operand")
     return b.reshape(k // bs, bs, n)
+
+
+def _take(view: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``view[ids]`` over the leading block axis; a banded operand's
+    view has that axis split ``(band, block within band)``."""
+    if view.ndim == 4:
+        return view[ids // view.shape[1], ids % view.shape[1]]
+    return view[ids]
+
+
+def _stored_shape(b: np.ndarray, banded_ok: bool) -> tuple:
+    """``(rows, columns)`` of a dense operand as stored: a banded
+    ``(G, K, W)`` operand is the ``(K, G * W)`` matrix of its bands side
+    by side, accepted only where the groups slice it by column."""
+    if b.ndim == 3:
+        if not banded_ok:
+            raise ValueError(
+                "a banded (3-D) operand is sliced by column: SDD takes it "
+                "untransposed, DSD with trans_b=True"
+            )
+        g, k, w = b.shape
+        return k, g * w
+    return b.shape
 
 
 def _out_dtype(a: np.ndarray, b: np.ndarray, dtype) -> np.dtype:
@@ -170,8 +209,9 @@ def sdd(
     bs = topology.block_size
     m_eff = a.shape[1] if trans_a else a.shape[0]
     k_a = a.shape[0] if trans_a else a.shape[1]
-    k_b = b.shape[1] if trans_b else b.shape[0]
-    n_eff = b.shape[0] if trans_b else b.shape[1]
+    k_b, n_eff = _stored_shape(b, banded_ok=not trans_b)
+    if trans_b:
+        k_b, n_eff = n_eff, k_b
     if (m_eff, n_eff) != topology.shape:
         raise ValueError(
             f"operand shapes {(m_eff, n_eff)} do not match topology "
@@ -192,7 +232,7 @@ def sdd(
 
     with span("sdd", _SPAN_BLOCKED):
         a_blocks = _row_block_view(a, bs, trans_a)[topology.row_indices]
-        b_blocks = _col_block_view(b, bs, trans_b)[topology.column_indices]
+        b_blocks = _take(_col_block_view(b, bs, trans_b), topology.column_indices)
         values = np.matmul(a_blocks, b_blocks).astype(out_dtype, copy=False)
     stats.record_product("sdd", stats.PATH_BLOCKED, topology, k_a)
     return BlockSparseMatrix(topology, values)
@@ -228,8 +268,9 @@ def dsd(
     bs = topo.block_size
     rows_s, cols_s = topo.shape
     m_eff, k_eff = (cols_s, rows_s) if trans_s else (rows_s, cols_s)
-    k_b = b.shape[1] if trans_b else b.shape[0]
-    n_eff = b.shape[0] if trans_b else b.shape[1]
+    k_b, n_eff = _stored_shape(b, banded_ok=trans_b)
+    if trans_b:
+        k_b, n_eff = n_eff, k_b
     if k_b != k_eff:
         raise ValueError(
             f"inner dimensions disagree: sparse gives {k_eff}, dense gives {k_b}"
@@ -240,7 +281,7 @@ def dsd(
     plan = dispatch.analyze(topo)
     if dispatch.use_grouped(plan, needs_disjoint_cols=trans_s):
         with span(op_name, _SPAN_GROUPED):
-            b_eff = b.T if trans_b else b
+            b_eff = b.swapaxes(-1, -2) if trans_b else b
             out = dispatch.grouped_dsd(
                 s.values, b_eff, topo, plan, trans_s, out_dtype
             )
@@ -258,7 +299,7 @@ def dsd(
             else:
                 block_values = s.values
                 stripe_ids = topo.column_indices
-            prod = np.matmul(block_values, stripes[stripe_ids])
+            prod = np.matmul(block_values, _take(stripes, stripe_ids))
             _segment_reduce(prod, segment_meta(topo, trans_s), out)
     stats.record_product(op_name, stats.PATH_BLOCKED, topo, n_eff)
     return out.reshape(m_eff, n_eff)
@@ -273,8 +314,10 @@ def dds(
     trans_a: bool = False,
     trans_s: bool = False,
     dtype=None,
+    bands: Optional[int] = None,
 ) -> np.ndarray:
-    """Compute ``(A op) @ (S op)`` densely.
+    """Compute ``(A op) @ (S op)`` densely; ``bands=G`` (``trans_s=False``
+    only) returns the banded ``(G, M, N / G)`` form of the result.
 
     Per-block path:
 
@@ -297,6 +340,11 @@ def dds(
         raise ValueError(
             f"inner dimensions disagree: dense gives {k_a}, sparse gives {k_eff}"
         )
+    if bands is not None and (trans_s or bands < 1 or n_eff % (bands * bs)):
+        raise ValueError(
+            f"bands={bands} needs trans_s=False and {n_eff} columns in "
+            f"whole blocks of {bs} per band"
+        )
     out_dtype = _out_dtype(a, s.values, dtype)
     op_name = "dds^t" if trans_s else "dds"
 
@@ -305,7 +353,7 @@ def dds(
         with span(op_name, _SPAN_GROUPED):
             a_eff = a.T if trans_a else a
             out = dispatch.grouped_dds(
-                a_eff, s.values, topo, plan, trans_s, out_dtype
+                a_eff, s.values, topo, plan, trans_s, out_dtype, bands
             )
         stats.record_product(op_name, stats.PATH_GROUPED, topo, m_eff)
         return out
@@ -318,7 +366,8 @@ def dds(
         else:
             stripes = a.reshape(m_eff, k_a // bs, bs).transpose(1, 0, 2)
 
-        out = arena.zeros((m_eff, n_eff // bs, bs), out_dtype)
+        per = n_eff // bs // (bands or 1)
+        out = arena.zeros((bands or 1, m_eff, per, bs), out_dtype)
         if topo.nnz_blocks:
             if trans_s:
                 block_values = np.swapaxes(s.values, -1, -2)
@@ -331,11 +380,13 @@ def dds(
             nonempty, starts = segment_meta(topo, not trans_s)
             if len(nonempty):
                 # (segments, M, bs) summed in sorted column order, assigned
-                # straight into the (M, col_block, bs) output view.
-                out[:, nonempty, :] = np.add.reduceat(
-                    prod, starts, axis=0
-                ).transpose(1, 0, 2)
+                # straight into the (band, col_block, M, bs) output view.
+                out.transpose(0, 2, 1, 3)[nonempty // per, nonempty % per] = (
+                    np.add.reduceat(prod, starts, axis=0)
+                )
     stats.record_product(op_name, stats.PATH_BLOCKED, topo, m_eff)
+    if bands is not None:
+        return out.reshape(bands, m_eff, n_eff // bands)
     return out.reshape(m_eff, n_eff)
 
 

@@ -18,6 +18,9 @@ class TrainingRecord:
     val_loss: Optional[float] = None
     aux_loss: Optional[float] = None
     lr: Optional[float] = None
+    #: Global L2 norm of the step's gradients before clipping (the
+    #: number the clip scale is derived from); None on a skipped step.
+    grad_norm: Optional[float] = None
     #: Autograd telemetry for the step that produced this record (see
     #: ``repro.autograd.stats``); None when the trainer doesn't track it.
     tape_nodes: Optional[int] = None

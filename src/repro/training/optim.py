@@ -26,49 +26,70 @@ from repro.nn.module import Parameter
 #: gradient serves every parameter every step.
 _CLIP_SCRATCH: Optional[np.ndarray] = None
 
-#: Native clip path, installed by repro.autograd.lower.attach_adam.
-#: Called with the non-None-grad parameter list and ``max_norm``;
-#: returns the pre-clipping norm, or None to decline (non-f32 or
-#: non-contiguous gradients), in which case the NumPy loop below runs.
-#: Bit-identical: C replicates the widening square and NumPy's pairwise
-#: f64 summation, so installing it never changes trajectories.
+#: Native clip passes, installed by repro.autograd.lower.attach_adam:
+#: ``sumsq(params)`` returns the fp64 sum of squares over the (all
+#: non-None) gradients and ``scale(params, s)`` multiplies them in
+#: place; either returns None to decline (non-f32 or non-contiguous
+#: gradients), in which case the NumPy loops below run.  Bit-identical:
+#: C replicates the widening square and NumPy's pairwise f64 summation,
+#: so installing it never changes trajectories.
 _CLIP_CC = None
+
+
+def grad_norm(params: Iterable[Parameter]) -> float:
+    """Global L2 norm of the gradients: one read of every ``p.grad``."""
+    global _CLIP_SCRATCH
+    params = [p for p in params if p.grad is not None]
+    if not params:
+        return 0.0
+    steady = arena.is_arena_enabled()
+    native = _CLIP_CC if steady else None
+    sq = native.sumsq(params) if native is not None else None
+    if sq is None:
+        sq = 0.0
+        for p in params:
+            # Same arithmetic as ``(grad.astype(f64) ** 2).sum()``: the
+            # ``dtype=float64`` selects the double-precision loop, so
+            # inputs are widened *before* squaring, matching the
+            # astype-then-square reference bit for bit while staging
+            # through a reused buffer.
+            if steady:
+                n = p.grad.size
+                if _CLIP_SCRATCH is None or _CLIP_SCRATCH.size < n:
+                    _CLIP_SCRATCH = np.empty(n, dtype=np.float64)
+                buf = _CLIP_SCRATCH[:n].reshape(p.grad.shape)
+            else:
+                buf = np.empty(p.grad.shape, dtype=np.float64)
+            np.multiply(p.grad, p.grad, out=buf, dtype=np.float64)
+            sq += float(buf.sum())
+    return float(np.sqrt(sq))
+
+
+def clip_scale(norm: float, max_norm: float) -> float:
+    """The factor that brings gradients of global norm ``norm`` down to
+    ``max_norm``; ``1.0`` — the identity — when they already are."""
+    if max_norm > 0 and norm > max_norm:
+        return max_norm / (norm + 1e-12)
+    return 1.0
 
 
 def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:
     """Scale gradients in place so their global L2 norm is <= ``max_norm``.
 
     Returns the pre-clipping norm (Megatron uses ``clip-grad 1.0``).
+    This is the standalone form: ``grad_norm`` + ``clip_scale`` + one
+    scaling pass over every gradient.  A training step skips that pass —
+    it hands the scale to ``optimizer.step(grad_scale=...)``, which
+    forms the same rounded products on the fly.
     """
-    global _CLIP_SCRATCH
     params = [p for p in params if p.grad is not None]
-    if not params:
-        return 0.0
-    steady = arena.is_arena_enabled()
-    if steady and _CLIP_CC is not None:
-        norm = _CLIP_CC(params, max_norm)
-        if norm is not None:
-            return norm
-    sq = 0.0
-    for p in params:
-        # Same arithmetic as ``(grad.astype(f64) ** 2).sum()``: the
-        # ``dtype=float64`` selects the double-precision loop, so inputs
-        # are widened *before* squaring, matching the astype-then-square
-        # reference bit for bit while staging through a reused buffer.
-        if steady:
-            n = p.grad.size
-            if _CLIP_SCRATCH is None or _CLIP_SCRATCH.size < n:
-                _CLIP_SCRATCH = np.empty(n, dtype=np.float64)
-            buf = _CLIP_SCRATCH[:n].reshape(p.grad.shape)
-        else:
-            buf = np.empty(p.grad.shape, dtype=np.float64)
-        np.multiply(p.grad, p.grad, out=buf, dtype=np.float64)
-        sq += float(buf.sum())
-    norm = float(np.sqrt(sq))
-    if max_norm > 0 and norm > max_norm:
-        scale = max_norm / (norm + 1e-12)
-        for p in params:
-            p.grad *= scale
+    norm = grad_norm(params)
+    scale = clip_scale(norm, max_norm)
+    if scale != 1.0:
+        native = _CLIP_CC if arena.is_arena_enabled() else None
+        if native is None or not native.scale(params, scale):
+            for p in params:
+                p.grad *= scale
     return norm
 
 
@@ -84,7 +105,14 @@ class Optimizer:
         for p in self.params:
             p.grad = None
 
-    def step(self, lr: Optional[float] = None) -> None:
+    def step(self, lr: Optional[float] = None, grad_scale: float = 1.0) -> None:
+        """Apply one update from ``p.grad * grad_scale``.
+
+        ``grad_scale`` is :func:`clip_scale`'s factor: the update is
+        bit for bit the one ``p.grad *= grad_scale; step()`` makes (the
+        product is formed in the gradient's dtype, rounded once), but
+        ``p.grad`` itself is left as it was and no separate scaling
+        pass runs."""
         raise NotImplementedError
 
     # -- fp32 scratch shared across parameters -------------------------
@@ -116,7 +144,7 @@ class SGD(Optimizer):
         self.momentum = momentum
         self._velocity = [np.zeros_like(p.data, dtype=np.float32) for p in self.params]
 
-    def step(self, lr: Optional[float] = None) -> None:
+    def step(self, lr: Optional[float] = None, grad_scale: float = 1.0) -> None:
         lr = self.lr if lr is None else lr
         # Hoisted out of the loop: the arena switch cannot change
         # mid-step, and the per-parameter global lookup shows up once
@@ -125,12 +153,13 @@ class SGD(Optimizer):
         for p, v in zip(self.params, self._velocity):
             if p.grad is None:
                 continue
+            g = p.grad if grad_scale == 1.0 else p.grad * grad_scale
             if self.momentum > 0:
                 v *= self.momentum
-                v += p.grad
+                v += g
                 update = v
             else:
-                update = p.grad
+                update = g
             if (
                 steady
                 and update.dtype == np.float32
@@ -160,9 +189,9 @@ class Adam(Optimizer):
     #: replaces the in-place ufunc mirror below bit-for-bit.
     _cc = None
     #: Whole-model native step (one C call for every parameter).  Takes
-    #: (lr, bc1, bc2) and returns True when it handled the full update;
-    #: False bails to the per-parameter loop below (e.g. a missing or
-    #: non-contiguous gradient).
+    #: (lr, bc1, bc2, grad_scale) and returns True when it handled the
+    #: full update; False bails to the per-parameter loop below (e.g. a
+    #: missing or non-contiguous gradient).
     _cc_multi = None
 
     def __init__(
@@ -182,14 +211,18 @@ class Adam(Optimizer):
         self._m = [np.zeros_like(p.data, dtype=np.float32) for p in self.params]
         self._v = [np.zeros_like(p.data, dtype=np.float32) for p in self.params]
 
-    def step(self, lr: Optional[float] = None) -> None:
+    def step(self, lr: Optional[float] = None, grad_scale: float = 1.0) -> None:
         lr = self.lr if lr is None else lr
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         # Hoisted out of the loop (see SGD.step).
         steady = arena.is_arena_enabled()
-        if steady and self._cc_multi is not None and self._cc_multi(lr, bc1, bc2):
+        if (
+            steady
+            and self._cc_multi is not None
+            and self._cc_multi(lr, bc1, bc2, grad_scale)
+        ):
             return
         for p, m, v in zip(self.params, self._m, self._v):
             if p.grad is None:
@@ -203,7 +236,8 @@ class Adam(Optimizer):
                 # every parameter when the steady-state step is off.  The
                 # in-place mirror below is bit-identical, so the arena
                 # switch only changes where the arithmetic is staged.
-                g = p.grad.astype(np.float32)
+                g = p.grad if grad_scale == 1.0 else p.grad * grad_scale
+                g = g.astype(np.float32)
                 m *= self.beta1
                 m += (1.0 - self.beta1) * g
                 v *= self.beta2
@@ -224,9 +258,13 @@ class Adam(Optimizer):
                 and m.flags.c_contiguous
                 and v.flags.c_contiguous
             ):
-                self._cc(p.data, m, v, g, lr, bc1, bc2)
+                self._cc(p.data, m, v, g, lr, bc1, bc2, grad_scale)
                 continue
             s1, s2 = self._scratch(p.data.shape)
+            if grad_scale != 1.0:
+                # s2 is free until the second-moment root below, after
+                # the last read of g.
+                g = np.multiply(g, grad_scale, out=s2)
             np.multiply(m, self.beta1, out=m)
             np.multiply(1.0 - self.beta1, g, out=s1)
             np.add(m, s1, out=m)

@@ -51,7 +51,7 @@ from repro.checkpoint import (
 )
 from repro.training.lr_schedule import ConstantLR, LRSchedule
 from repro.training.metrics import History, TrainingRecord
-from repro.training.optim import Adam, Optimizer, clip_grad_norm
+from repro.training.optim import Adam, Optimizer, clip_scale, grad_norm
 from repro.utils.logging import get_logger
 from repro.utils.rng import (
     RngLike,
@@ -242,6 +242,9 @@ class Trainer:
         #: measured) and its per-phase breakdown (tracer-only).
         self.last_step_time: Optional[float] = None
         self.last_phase_times: Optional[Dict[str, float]] = None
+        #: Pre-clip global gradient norm of the most recent train_step
+        #: (None when the step was skipped).
+        self.last_grad_norm: Optional[float] = None
         from repro.distributed.collectives import CommLog
 
         self.comm_log = CommLog() if config.dp_world > 1 else None
@@ -605,11 +608,20 @@ class Trainer:
             verdict = gr.LOSS_SPIKE
             self._drop_gradients()
 
+        self.last_grad_norm = None
         if verdict == gr.OK:
             with span("clip"):
-                clip_grad_norm(self.optimizer.params, cfg.grad_clip)
+                # One read of every gradient; the scale it yields rides
+                # into the optimizer's own sweep instead of a pass of
+                # its own, so p.grad stays unclipped (docs/training.md).
+                norm = grad_norm(self.optimizer.params)
+                scale = clip_scale(norm, cfg.grad_clip)
+            self.last_grad_norm = norm
+            reg = registry()
+            reg.gauge("training/grad_norm").set(norm)
+            reg.gauge("training/clip_scale").set(scale)
             with span("optimizer"):
-                self.optimizer.step(lr=self.schedule(step))
+                self.optimizer.step(lr=self.schedule(step), grad_scale=scale)
             if self.guard is not None:
                 self.guard.record_good(mean_loss)
                 self._good_since_snapshot += 1
@@ -794,6 +806,7 @@ class Trainer:
                     loss=loss,
                     val_loss=val,
                     lr=self.schedule(step),
+                    grad_norm=self.last_grad_norm,
                     tape_nodes=ag_stats.tape_nodes,
                     nodes_fused=ag_stats.nodes_fused(),
                     arena_hit_rate=(

@@ -219,23 +219,37 @@ class TestKernelFuzz:
             )
             return opt
 
-        opts = {"reference": build(), "mirror": build(), "native": build()}
-        assert lower.attach_adam(opts["native"])
-        assert registry().gauge("optim_bytes_per_step").value == 28 * sum(sizes)
-        assert opts["mirror"]._cc_multi is None
-        feed = np.random.default_rng(17)
-        for _ in range(20):  # enough steps for bc1/bc2 to move
-            for k, n in enumerate(sizes):
-                g = sprinkle(feed, feed.standard_normal(n) * 3, specials)
-                for opt in opts.values():
-                    opt.params[k].grad[...] = g
-            with np.errstate(all="ignore"):
-                opts["reference"].step()  # arena off: the allocating path
-                with arena.use_arena():
-                    opts["mirror"].step()
-                    opts["native"].step()
-        _assert_same_adam_state(opts["reference"], opts["mirror"])
-        _assert_same_adam_state(opts["reference"], opts["native"])
+        # The clip scale rides in as ``grad_scale``: every formulation
+        # must land on the bits of scaling the gradients in a pass of
+        # their own first (``prescaled``; at 1.0 that is the plain step).
+        for scale in (1.0, 0.37, 1e-3):
+            names = ("reference", "mirror", "native", "prescaled")
+            opts = {name: build() for name in names}
+            assert lower.attach_adam(opts["native"])
+            assert registry().gauge("optim_bytes_per_step").value == 28 * sum(sizes)
+            assert opts["mirror"]._cc_multi is None
+            feed = np.random.default_rng(17)
+            for _ in range(20):  # enough steps for bc1/bc2 to move
+                for k, n in enumerate(sizes):
+                    g = sprinkle(feed, feed.standard_normal(n) * 3, specials)
+                    for opt in opts.values():
+                        opt.params[k].grad[...] = g
+                with np.errstate(all="ignore"):
+                    # arena off: the allocating path
+                    opts["reference"].step(grad_scale=scale)
+                    with arena.use_arena():
+                        opts["mirror"].step(grad_scale=scale)
+                        opts["native"].step(grad_scale=scale)
+                        for p in opts["prescaled"].params:
+                            p.grad *= scale
+                        opts["prescaled"].step()
+                for p, q in zip(opts["native"].params, opts["reference"].params):
+                    # ... and the fold leaves p.grad as it found it.
+                    np.testing.assert_array_equal(
+                        p.grad.view(np.uint32), q.grad.view(np.uint32)
+                    )
+            for name in names[1:]:
+                _assert_same_adam_state(opts["reference"], opts[name])
 
     def test_clip_grad_norm_native_matches_numpy(self):
         from repro.nn.module import Parameter

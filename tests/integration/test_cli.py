@@ -73,6 +73,11 @@ class TestMain:
             assert main(args + ["--trace", str(tmp_path / "trace.json")]) == 0
         nbytes = registry().gauge("optim_bytes_per_step").value
         assert nbytes > 0 and nbytes % 28 == 0
+        steps = [
+            r.getMessage() for r in caplog.records
+            if re.match(r"step \d+ loss", r.getMessage())
+        ]  # the last one is the closing evaluation point, not a step
+        assert steps[:-1] and all(re.search(r" gnorm [\d.]+", s) for s in steps[:-1])
         line = [r.getMessage() for r in caplog.records if "MB/step" in r.getMessage()]
         assert len(line) == 1
         assert re.fullmatch(
@@ -100,6 +105,7 @@ class TestLowerReport:
         assert "lowered (off the interpreter" in out and "native (in C" in out
         assert "python closure" in out  # reshape/transpose units are not C
         assert "host remainder" in out
+        assert "copies per step (bytes)" in out and "    step 2 " in out
 
     def test_report_json_structure(self, capsys):
         import json
@@ -119,3 +125,8 @@ class TestLowerReport:
         assert report["attached"] == lower.cc_available()
         assert isinstance(report["kernel_units"], dict)
         assert isinstance(report["host_records"], dict)
+        # The two copying branches, per step: the w1 gather and its
+        # backward are not among the records, so what is copied repeats.
+        assert report["kernel_units"]["transpose"] == 1
+        for key in ("reshape_copy_bytes", "leaf_copy_bytes"):
+            assert len(report[key]) == 3 and len(set(report[key])) == 1

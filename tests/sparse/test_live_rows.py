@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from repro.autograd import Tensor, arena, gelu, lower
 from repro.autograd.function import Context
 from repro.autograd.lower import blas, csrc, kernels, runtime, toolchain
-from repro.autograd.lower.kernels.base import Build
+from repro.autograd.lower.kernels.base import Build, Rel
 from repro.core import make_topology
 from repro.moe.permute import make_padded_plan
 from repro.sparse import (
@@ -543,7 +543,9 @@ def test_cc_step_with_empty_experts_fills_no_weight_gradient(tmp_path, monkeypat
             optimizer=Adam(model.parameters(), lr=1e-3),
         )
 
-    weight_shapes = {(hidden, experts * ffn), (experts * ffn, hidden)}
+    weight_shapes = {
+        (hidden, experts * ffn), (experts * ffn, hidden), (experts, hidden, ffn)
+    }
     cc, eager = trainer("cc"), trainer("eager")
     try:
         with mock.patch.object(arena, "zeros", wraps=arena.zeros) as zeros:
@@ -560,6 +562,141 @@ def test_cc_step_with_empty_experts_fills_no_weight_gradient(tmp_path, monkeypat
             _assert_same_bits(a.data, b.data)
     finally:
         toolchain._reset_for_tests()
+
+
+# ----------------------------------------------------------------------
+# Banded operands: expert-major weights read where they live
+# ----------------------------------------------------------------------
+@st.composite
+def banded_cases(draw):
+    """``(topology with live rows over equal-width experts, pad-row mask,
+    experts, seed)``: ragged, one-token (the one-row rule), no-token and
+    no-block experts, down to every token on one expert."""
+    bs = draw(st.sampled_from([2, 16]))
+    experts = draw(st.integers(1, 5))
+    width = draw(st.sampled_from([1, 2, 4]))  # blocks per expert band
+    rows = [draw(st.integers(0, 3)) for _ in range(experts)]
+    if draw(st.booleans()) or not any(rows):  # all tokens to one expert
+        keep = draw(st.integers(0, experts - 1))
+        rows = [max(r, 1) if e == keep else 0 for e, r in enumerate(rows)]
+    live = [
+        draw(st.sampled_from([0, 1, r * bs, r * bs - (bs - 1), draw(st.integers(1, r * bs))]))
+        for r in rows if r
+    ]
+    topo = dispatch.with_live_rows(
+        Topology.block_diagonal(np.array(rows), np.full(experts, width), bs), live
+    )
+    pad = ~np.concatenate(
+        [np.arange(r * bs) < lv for r, lv in zip([r for r in rows if r], live)]
+    )
+    return topo, pad, experts, draw(st.integers(0, 2**31 - 1))
+
+
+def _banded(w_flat, experts):
+    """``(K, E * F)`` as the expert-major ``(E, K, F)`` it is a copy of."""
+    k, n = w_flat.shape
+    return np.ascontiguousarray(w_flat.reshape(k, experts, n // experts).transpose(1, 0, 2))
+
+
+def _w1_products(x, w, dh, topo, run_bwd=None):
+    """The three products that touch layer-1 weights — SDD, DSD^T, DD^TS
+    — through the autograd op (or a native backward runner)."""
+    ctx = Context()
+    h = _SddMM.forward(ctx, x, w, topo)
+    dx, dw = (run_bwd or _SddMM.backward)(ctx, dh)
+    return h, dx, dw
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(banded_cases())
+def test_banded_weights_give_the_flat_operands_bits(lib, case):
+    """NumPy grouped executor = generated-C runner = the same products
+    over the materialised ``(K, E * F)`` copy, bit for bit — and in
+    blocked mode too; bands no group writes are exact ``+0.0`` out of a
+    NaN-filled arena."""
+    topo, pad, experts, seed = case
+    rng = np.random.default_rng(seed)
+    m, n = topo.shape
+    k = int(rng.integers(2, 7))
+    x = _poisoned(rng.standard_normal((m, k)).astype(np.float32), pad, 0)
+    dh = [s.values for s in _values_pair(topo, pad, rng, np.float32)]
+    w_flat = rng.standard_normal((k, n)).astype(np.float32)
+    w = _banded(w_flat, experts)
+    build = Build(None, lib, None)
+    entry = next(e for e in kernels.TABLE if kernels.replaced(e) is _SddMM)
+    native_fwd = entry.contract.guard(entry.forward(build))
+
+    def fell_back(*_):
+        raise AssertionError("the native runner fell back to the host op")
+
+    native_bwd = runtime.make_backward(entry, build, fell_back)
+    written = np.zeros(n, bool)
+    for _, _, clo, chi, *_ in dispatch.analyze(topo).element_groups(topo.block_size):
+        written[clo:chi] = True
+
+    for mode, i in (("grouped", 1), ("blocked", 0)):
+        # Grouped paths never read a pad row (NaN there); the per-block
+        # path multiplies them (zeros there).
+        with dispatch_mode(mode), nan_buffers():
+            flat = _w1_products(x[i], w_flat, dh[i], topo)
+            banded = _w1_products(x[i], w, dh[i], topo)
+        assert banded[2].shape == w.shape and banded[2].flags.c_contiguous
+        for got, want in zip(banded, flat[:2] + (_banded(flat[2], experts),)):
+            _assert_same_bits(got, want)
+        _assert_pad_is_plus_zero(flat[2], ~written, 1)
+        if mode == "blocked" or not dispatch.use_grouped(dispatch.analyze(topo), True):
+            continue
+        with dispatch_mode(mode), nan_buffers():
+            for operand in (w_flat, w):
+                saved, h = native_fwd(x[i], operand, topo)
+                ctx = _saved(*saved)
+                want = flat if operand is w_flat else banded
+                for got, ref in zip((h, *native_bwd(ctx, dh[i])), want):
+                    _assert_same_bits(got, ref)
+
+
+def test_a_group_across_two_bands_is_refused(lib, rng):
+    """Three experts of 8 columns against weights cut into two bands of
+    12: the middle group straddles.  The NumPy executors raise, the
+    native contract declines on exactly that clause, and the per-block
+    path — which never slices a band — still answers."""
+    bs, k = 4, 6
+    topo = dispatch.with_live_rows(
+        Topology.block_diagonal(np.array([2, 2, 2]), np.full(3, 2), bs), [8, 5, 1]
+    )
+    x = rng.standard_normal((topo.shape[0], k)).astype(np.float32)
+    w_flat = rng.standard_normal((k, 24)).astype(np.float32)
+    dh = rng.standard_normal((topo.nnz_blocks, bs, bs)).astype(np.float32)
+    good, bad = _banded(w_flat, 3), _banded(w_flat, 2)
+    assert dispatch.bands_fit(topo, 8) and not dispatch.bands_fit(topo, 12)
+    assert dispatch.bands_fit(topo, 24)  # one band: the 2-D case
+
+    entry = next(e for e in kernels.TABLE if kernels.replaced(e) is _SddMM)
+    clauses = [c for c in entry.contract.clauses if isinstance(c, Rel)]
+    assert [c.name for c in clauses if not c.fn(x, bad, topo)] == [
+        "weights fit, every group inside one band"
+    ]
+    assert all(c.fn(x, good, topo) for c in clauses)
+    native_fwd = entry.contract.guard(entry.forward(Build(None, lib, None)))
+    assert native_fwd(x, bad, topo) is None and native_fwd(x, good, topo)
+
+    with dispatch_mode("grouped"):
+        with pytest.raises(ValueError, match="straddles"):
+            sdd(x, bad, topo)
+        s = BlockSparseMatrix(topo, dh)
+        with pytest.raises(ValueError, match="straddles"):
+            dsd(s, bad, trans_b=True)
+        with pytest.raises(ValueError, match="straddles"):
+            dds(x, s, trans_a=True, bands=2)
+    with dispatch_mode("blocked"):
+        _assert_same_bits(sdd(x, bad, topo).values, sdd(x, w_flat, topo).values)
+    for banded_where_rows_are_sliced in (
+        lambda: sdd(x, good.transpose(0, 2, 1), topo, trans_b=True),
+        lambda: dsd(s, good),
+        lambda: dds(x, s, trans_a=True, trans_s=True, bands=3),
+    ):
+        with pytest.raises(ValueError):
+            banded_where_rows_are_sliced()
 
 
 # ----------------------------------------------------------------------

@@ -126,3 +126,78 @@ class TestAdam:
             last = float(loss.data)
             first = first if first is not None else last
         assert last < first * 0.3
+
+
+class TestClipScaleFoldedIntoTheStep:
+    """``clip_grad_norm`` then ``step()`` (three sweeps over the
+    gradients) and ``grad_norm`` -> ``clip_scale`` -> ``step(grad_scale=)``
+    (two) are one update, bit for bit — and the fold leaves ``p.grad``
+    unclipped."""
+
+    @staticmethod
+    def _build(make, dtype=np.float32):
+        r = np.random.default_rng(5)
+        ps = []
+        for shape in [(700,), (31, 9), (4,), (1,)]:
+            p = Parameter(r.standard_normal(shape).astype(dtype))
+            p.grad = (r.standard_normal(shape) * 5).astype(dtype)
+            ps.append(p)
+        ps.append(Parameter(np.ones(3, dtype)))  # no gradient: skipped
+        return make(ps)
+
+    OPTIMIZERS = {
+        "adam": lambda ps: Adam(ps, lr=1e-2),
+        "adamw": lambda ps: Adam(ps, lr=1e-2, weight_decay=0.01),
+        "sgd": lambda ps: SGD(ps, lr=0.1),
+        "sgd-momentum": lambda ps: SGD(ps, lr=0.1, momentum=0.9),
+    }
+
+    @pytest.mark.parametrize("max_norm", [1e9, 1.0, 0.0], ids=["inactive", "active", "off"])
+    @pytest.mark.parametrize(
+        "name, rung",
+        [
+            (name, rung)
+            for name in OPTIMIZERS
+            for rung in ("allocating", "mirror", "native", "float64")
+            if rung != "native" or name.startswith("adam")  # the native step is Adam's
+        ],
+    )
+    def test_same_update(self, name, max_norm, rung, tmp_path, monkeypatch):
+        import contextlib
+
+        from repro.autograd import arena, lower
+        from repro.autograd.lower import toolchain
+        from repro.training import optim
+        from repro.training.optim import clip_scale, grad_norm
+
+        dtype = np.float64 if rung == "float64" else np.float32
+        make = self.OPTIMIZERS[name]
+        separate, folded = self._build(make, dtype), self._build(make, dtype)
+        if rung == "native":
+            if not lower.cc_available():
+                pytest.skip("no C toolchain in this environment")
+            monkeypatch.setenv("REPRO_LOWER_CACHE", str(tmp_path / "lower-cache"))
+            toolchain._reset_for_tests()
+            assert lower.attach_adam(separate) and lower.attach_adam(folded)
+        steady = rung in ("mirror", "native")
+        try:
+            with arena.use_arena() if steady else contextlib.nullcontext():
+                for _ in range(3):
+                    before = [None if p.grad is None else p.grad.copy() for p in folded.params]
+                    norm = clip_grad_norm(separate.params, max_norm)
+                    separate.step()
+                    assert grad_norm(folded.params) == norm
+                    scale = clip_scale(norm, max_norm)
+                    assert (scale != 1.0) == (max_norm == 1.0)
+                    folded.step(grad_scale=scale)
+                    for p, q, g in zip(separate.params, folded.params, before):
+                        assert p.data.tobytes() == q.data.tobytes()
+                        if g is not None:  # left unclipped
+                            assert q.grad.tobytes() == g.tobytes()
+                            p.grad[...] = g
+        finally:
+            optim._CLIP_CC = None
+            toolchain._reset_for_tests()
+        state = lambda o: (o._m + o._v) if isinstance(o, Adam) else o._velocity
+        for a, b in zip(state(separate), state(folded)):
+            assert a.tobytes() == b.tobytes()

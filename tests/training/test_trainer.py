@@ -122,3 +122,29 @@ class TestTrainer:
         tr = Trainer(model, train, val, cfg)
         tr.train()
         assert tr.routing_stats == []
+
+    def test_records_the_gradient_norm_the_clip_is_derived_from(self, tmp_path):
+        """The pre-clip norm the step computes anyway lands in the record,
+        two registry gauges and the JSONL run log; and because the scale
+        rides into the optimizer's sweep, ``p.grad`` is left unclipped."""
+        import json
+
+        from repro.observability import registry
+        from repro.observability.export import JsonlRunLog
+        from repro.training.optim import clip_scale, grad_norm
+
+        model, train, val, cfg = _tiny_setup(moe=True, steps=4)
+        cfg.log_every, cfg.grad_clip = 1, 0.05  # low enough to clip every step
+        tr = Trainer(model, train, val, cfg, optimizer=Adam(model.parameters(), lr=1e-3))
+        log = JsonlRunLog(str(tmp_path / "run.jsonl"))
+        hist = tr.train(callback=log.write)
+        log.close()
+        norms = [r.grad_norm for r in hist.records[:-1]]  # last: the eval point
+        assert len(norms) == 4 and all(n > cfg.grad_clip for n in norms)
+        assert hist.records[-1].grad_norm is None
+        assert tr.last_grad_norm == norms[-1] == grad_norm(tr.optimizer.params)
+        gauges = registry().snapshot()["gauges"]
+        assert gauges["training/grad_norm"] == norms[-1]
+        assert gauges["training/clip_scale"] == clip_scale(norms[-1], cfg.grad_clip) < 1
+        lines = [json.loads(line) for line in open(tmp_path / "run.jsonl")]
+        assert [line["grad_norm"] for line in lines[:4]] == norms
