@@ -86,20 +86,21 @@ from repro.autograd import lower
 
 
 @contextmanager
-def steady_state(arena: bool = True, fused: bool = True):
-    """Enable the buffer arena and fused elementwise ops for a scope.
+def steady_state():
+    """The steady step's scope: buffer arena and fused ops on; yields
+    the arena.
 
-    This is the switch the trainer flips for its zero-allocation
-    steady-state step; both features default off at import time so the
-    unfused, allocating reference path stays the baseline.
+    Both are off outside it, so the unfused, allocating reference path
+    stays the baseline the steady step is bit-compared against.
     """
-    prev_arena = set_arena_enabled(arena)
-    prev_fused = set_fusion_enabled(fused)
+    prev_arena = set_arena_enabled(True)
+    prev_fused = set_fusion_enabled(True)
     try:
-        yield
+        yield get_arena()
     finally:
         set_fusion_enabled(prev_fused)
         set_arena_enabled(prev_arena)
+
 
 __all__ = [
     "Tensor",

@@ -42,8 +42,8 @@ call site MUST fully overwrite the buffer (``out=`` ufuncs, ``fill``,
 arena on vs. off and asserts bit-identical trajectories to guard this
 invariant.
 
-The arena is **off by default**; enable with ``REPRO_ARENA=1``, with
-:func:`set_arena_enabled`, or per-block with :func:`use_arena` /
+The arena is **off by default**; enable with :func:`set_arena_enabled`,
+or per-block with :func:`use_arena` /
 :func:`repro.autograd.steady_state`.  When disabled, the helper
 functions (:func:`empty`, :func:`zeros`, :func:`binary_buf`, ...)
 degrade to plain NumPy allocations or ``None`` so hot-path call sites
@@ -53,7 +53,6 @@ need no branching of their own.
 from __future__ import annotations
 
 import contextlib
-import os
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -210,37 +209,18 @@ class BufferArena:
 
         Long-lived state — the serving KV caches — must survive
         :meth:`next_generation`, which retires every buffer in the live
-        table.  A detached acquire reuses pooled memory (popping the
-        free stacks like :meth:`acquire`) but never enters ``_live``,
-        so per-step reclaim cannot take it back.  Return it explicitly
+        table.  A detached acquire is an :meth:`acquire` (so it reuses
+        pooled memory) taken straight back out of ``_live``, so per-step
+        reclaim cannot take it back.  Return it explicitly
         with :meth:`surrender` when the owner is done.
 
         Contents are uninitialized; the caller must overwrite them.
         """
-        dt = dtype if isinstance(dtype, np.dtype) else np.dtype(dtype)
-        if type(shape) is not tuple:
-            shape = (shape,) if type(shape) is int else tuple(shape)
-        n = 1
-        for s in shape:
-            n *= s
-        n = int(n)
-        if n < MIN_BUCKET:
-            self.skipped += 1
-            return np.empty(shape, dtype=dt)
-        b = 1 << (n - 1).bit_length()
-        key = (b, dt.num)
-        stack = self._free.get(key)
-        if stack:
-            base, vc = stack.pop()
-            self._free_bytes -= base.nbytes
-            self.hits += 1
-            view = vc.get(shape)
-            if view is None:
-                view = vc[shape] = base[:n].reshape(shape)
-        else:
-            base = np.empty(b, dtype=dt)
-            self.misses += 1
-            view = base[:n].reshape(shape)
+        view = self.acquire(shape, dtype)
+        # A below-floor array is a plain malloc and never entered _live.
+        entry = self._live.pop(id(view.base), None)
+        if entry is not None:
+            self._live_bytes -= entry[1].nbytes
         return view
 
     def surrender(self, view: np.ndarray) -> None:
@@ -541,7 +521,7 @@ class WalkMark:
 # Module-level singleton + enable switch
 # ----------------------------------------------------------------------
 _ARENA = BufferArena()
-_ENABLED = os.environ.get("REPRO_ARENA", "0") not in ("", "0")
+_ENABLED = False
 
 
 def get_arena() -> BufferArena:

@@ -161,15 +161,3 @@ class Node:
 
             _Tensor = Tensor
         return [a for a in self.inputs if isinstance(a, _Tensor)]
-
-    def backward(self, grad: np.ndarray):
-        grads = self.fn.backward(self.ctx, grad)
-        if not isinstance(grads, (tuple, list)):
-            grads = (grads,)
-        tin = self.tensor_inputs()
-        if len(grads) != len(tin):
-            raise RuntimeError(
-                f"{self.fn.__name__}.backward returned {len(grads)} grads "
-                f"for {len(tin)} tensor inputs"
-            )
-        return list(zip(tin, grads))

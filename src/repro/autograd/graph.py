@@ -59,10 +59,13 @@ capture:
                                             modules, RNG generators, dtypes)
 
 The backward pass is precompiled at :meth:`CaptureSession.finalize`
-from the tape's topological order into a list of slot-addressed
-entries that mirror :meth:`Tensor.backward`'s accumulation arithmetic
-exactly — including the arena base-refcount release discipline and the
-owned-buffer in-place adds — so gradients are bit-identical too.
+from the tape's topological order into the slot-addressed entries
+:meth:`Tensor.backward` compiles for itself on every call
+(:func:`repro.autograd.tensor.walk_entries`), and replay runs them
+through the same loop (:func:`repro.autograd.tensor.run_walk`) — the
+accumulation arithmetic, the arena release discipline and the
+owned-buffer in-place adds exist once, so gradients are bit-identical
+too.
 """
 
 from __future__ import annotations
@@ -74,14 +77,7 @@ import numpy as np
 from repro.autograd import arena
 from repro.autograd import function as _function
 from repro.autograd.function import Context
-from repro.autograd.tensor import (
-    Tensor,
-    _WalkBuffers,
-    _accumulate_leaf,
-    _coerce_data,
-)
-
-_ndarray = np.ndarray
+from repro.autograd.tensor import Tensor, _coerce_data, run_walk, walk_entries
 
 __all__ = [
     "CaptureSession",
@@ -338,48 +334,18 @@ class CaptureSession:
         if root_idx is None or lm_idx is None:
             raise RuntimeError("finalize() tensors were not captured")
 
+        def record_of(t: Tensor) -> int:
+            ridx = self._tensor_ids.get(id(t))
+            if ridx is None:
+                raise RuntimeError("tape node produced outside the capture session")
+            return ridx
+
         order = root._topological_order()
-        nrec = len(self.records)
-        slot_of: Dict[int, int] = {}
-        next_slot = nrec
-
-        def slot(t: Tensor) -> int:
-            k = id(t)
-            s = slot_of.get(k)
-            if s is None:
-                s = self._tensor_ids.get(k)
-                if s is None:
-                    nonlocal next_slot
-                    s = next_slot
-                    next_slot += 1
-                slot_of[k] = s
-            return s
-
-        bwd: List[tuple] = []
-        for t in order:
-            node = t._node
-            if node is not None:
-                ridx = self._tensor_ids.get(id(t))
-                if ridx is None:
-                    raise RuntimeError(
-                        "tape node produced outside the capture session"
-                    )
-                targets = tuple(
-                    slot(inp) if inp.requires_grad else -1
-                    for inp in node.tensor_inputs()
-                )
-                bwd.append((0, slot(t), ridx, node.fn, targets))
-            elif t.requires_grad:
-                bwd.append((1, slot(t), t, None, None))
-
-        if id(root) not in slot_of:
-            raise RuntimeError("backward root is not part of the tape")
         graph = StepGraph(
-            root_slot=slot_of[id(root)],
             signature=self.signature,
             records=self.records,
-            bwd=bwd,
-            num_slots=next_slot,
+            bwd=walk_entries(order, record_of),
+            num_slots=len(order),
             root_idx=root_idx,
             lm_idx=lm_idx,
             gens=self._gens,
@@ -404,10 +370,8 @@ class StepGraph:
     __slots__ = (
         "signature",
         "records",
-        "bwd",
         "num_slots",
         "root_idx",
-        "root_slot",
         "lm_idx",
         "gens",
         "replays",
@@ -417,15 +381,11 @@ class StepGraph:
         "_lowered",
     )
 
-    def __init__(
-        self, signature, records, bwd, num_slots, root_idx, root_slot, lm_idx, gens
-    ):
+    def __init__(self, signature, records, bwd, num_slots, root_idx, lm_idx, gens):
         self.signature = signature
         self.records = records
-        self.bwd = bwd
         self.num_slots = num_slots
         self.root_idx = root_idx
-        self.root_slot = root_slot
         self.lm_idx = lm_idx
         self.gens = gens
         self.replays = 0
@@ -439,12 +399,9 @@ class StepGraph:
         #: pure-NumPy replay path.
         self._lowered = None
         self._plan = [self._compile_record(r) for r in records]
-        # Backward entries with ``Function.backward`` pre-bound (one
-        # descriptor lookup per entry per replay otherwise).
-        self._bwd_plan = [
-            (kind, slot, ref, fn.backward if kind == 0 else None, targets)
-            for kind, slot, ref, fn, targets in bwd
-        ]
+        #: The backward walk's entries (``tensor.walk_entries``; ``ref`` is
+        #: the record index).  A lowered plan swaps some for native ones.
+        self._bwd_plan = bwd
 
     @staticmethod
     def _compile_record(rec) -> tuple:
@@ -625,67 +582,7 @@ class StepGraph:
 
     # -- backward --------------------------------------------------------
     def _backward(self, values) -> None:
-        """Precompiled mirror of :meth:`Tensor.backward`.
-
-        Slot-addressed gradient table instead of the id-keyed dict, but
-        the accumulation arithmetic, the ``owned``-buffer discipline,
-        the arena release order and the leaf rule (``_WalkBuffers``,
-        ``_accumulate_leaf``) are the eager walk's own — that is what
-        keeps replay bit-identical under buffer recycling.
-        """
-        grads: List[Optional[np.ndarray]] = [None] * self.num_slots
-        owned = bytearray(self.num_slots)
-
-        walk = _WalkBuffers.begin()
+        """:func:`repro.autograd.tensor.run_walk` — :meth:`Tensor.backward`'s
+        own loop — over the entries compiled at capture, seeded with ones."""
         seed = np.ones_like(values[self.root_idx][1])
-        grads[self.root_slot] = seed
-        if walk is not None:
-            walk.track(seed)
-
-        for kind, slot, ref, bwd_fn, targets in self._bwd_plan:
-            g = grads[slot]
-            if g is None:
-                continue
-            grads[slot] = None
-            if kind != 0:
-                _accumulate_leaf(ref, g, walk)
-                continue
-            igs = bwd_fn(values[ref][0], g)
-            if not isinstance(igs, (tuple, list)):
-                igs = (igs,)
-            if len(igs) != len(targets):
-                raise RuntimeError(
-                    f"{bwd_fn.__qualname__} returned {len(igs)} grads "
-                    f"for {len(targets)} tensor inputs"
-                )
-            for tslot, ig in zip(targets, igs):
-                if tslot < 0 or ig is None:
-                    continue
-                if type(ig) is not _ndarray:
-                    ig = np.asarray(ig)
-                cur = grads[tslot]
-                if cur is None:
-                    grads[tslot] = ig
-                    owned[tslot] = 0
-                    if walk is not None:
-                        walk.track(ig)
-                elif cur.shape == ig.shape and cur.dtype == ig.dtype:
-                    if owned[tslot]:
-                        np.add(cur, ig, out=cur)
-                    else:
-                        buf = arena.empty(cur.shape, cur.dtype)
-                        np.add(cur, ig, out=buf)
-                        grads[tslot] = buf
-                        owned[tslot] = 1
-                        if walk is not None:
-                            walk.track(buf)
-                            walk.retire(cur)
-                else:
-                    new = cur + ig
-                    grads[tslot] = new
-                    owned[tslot] = 1
-                    if walk is not None:
-                        walk.track(new)
-                        walk.retire(cur)
-            if walk is not None:
-                walk.retire(g)
+        run_walk(self._bwd_plan, self.num_slots, seed, values)

@@ -15,12 +15,15 @@ _ADAM_C = r"""
    gradient enters as g[i] * gs — the clip scale, formed in register:
    the same rounded fp32 product a separate ``g *= gs`` pass stores
    (-ffp-contract=off keeps it out of any fma), and the identity at
-   gs = 1. */
-void repro_adam_f32(float *restrict p, float *restrict m, float *restrict v,
-                    const float *restrict g, i64 n,
-                    double lr_, double bc1_, double bc2_,
-                    double b1_, double b2_, double eps_, double wd_,
-                    double gs_)
+   gs = 1.  Not exported: repro_adam_multi_f32 is the entry point, and
+   noinline keeps the loop one function to disassemble
+   (docs/performance.md). */
+static __attribute__((noinline)) void
+repro_adam_f32(float *restrict p, float *restrict m, float *restrict v,
+               const float *restrict g, i64 n,
+               double lr_, double bc1_, double bc2_,
+               double b1_, double b2_, double eps_, double wd_,
+               double gs_)
 {
     const float lr = (float)lr_;
     const float bc1 = (float)bc1_;

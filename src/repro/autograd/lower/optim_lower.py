@@ -5,9 +5,10 @@ outside the captured graph, so it rides on the prelude library like the
 graph kernels do (the ``adam`` and ``clip`` entries of
 :mod:`repro.autograd.lower.kernels.optim`): ``repro_adam_f32`` is a
 per-element fusion of the nine-ufunc in-place mirror in
-:class:`repro.training.optim.Adam`, and ``repro_adam_multi_f32`` walks
-prebuilt pointer tables so the whole-model update costs one ctypes
-crossing per step instead of one per parameter.  Bit-identical: every
+:class:`repro.training.optim.Adam`, and ``repro_adam_multi_f32`` — the
+one entry point bound from Python — calls it over prebuilt pointer
+tables so the whole-model update costs one ctypes crossing per step
+instead of one per parameter.  Bit-identical: every
 intermediate rounds to float32 exactly where the NumPy sequence does —
 the clip scale included, which the loop applies to each gradient
 element as it reads it (``grad_scale``), so a clipped training step is
@@ -44,20 +45,8 @@ def attach_adam(opt) -> bool:
     registry().gauge("optim_bytes_per_step").set(
         28 * sum(p.data.size for p in opt.params)
     )
-    cfn = lib.repro_adam_f32
     mfn = lib.repro_adam_multi_f32
     f32 = np.float32
-
-    def _cc(p, m, v, g, lr, bc1, bc2, grad_scale):
-        # ``weight_decay > 0`` gates the decay term in the NumPy path;
-        # pass 0.0 for any non-positive setting so C agrees.
-        wd = opt.weight_decay if opt.weight_decay > 0 else 0.0
-        cfn(
-            p.ctypes.data, m.ctypes.data, v.ctypes.data, g.ctypes.data,
-            p.size, float(lr), float(bc1), float(bc2),
-            float(opt.beta1), float(opt.beta2), float(opt.eps), float(wd),
-            float(grad_scale),
-        )
 
     # Pointer tables for the whole-model call, rebuilt only when some
     # parameter or gradient buffer changes identity (steady-state leaf
@@ -111,6 +100,8 @@ def attach_adam(opt) -> bool:
             state["key"] = newkey
             state["argv"] = (ps, ms, vs, gs, sizes, used)
         ps, ms, vs, gs, sizes, used = state["argv"]
+        # ``weight_decay > 0`` gates the decay term in the NumPy path;
+        # pass 0.0 for any non-positive setting so C agrees.
         wd = opt.weight_decay if opt.weight_decay > 0 else 0.0
         mfn(
             ctypes.addressof(ps), ctypes.addressof(ms),
@@ -168,7 +159,6 @@ def attach_adam(opt) -> bool:
         csc(*argv[:3], float(scale))
         return True
 
-    opt._cc = _cc
     opt._cc_multi = _cc_multi
 
     from repro.training import optim as _optim

@@ -9,15 +9,14 @@ fewer Python-level tape nodes, no wasted gradient work (e.g. the full
 ``grad * scores`` product the unfused ``mul``-by-scalar backward computes
 for a constant scale), and arena-pooled temporaries.
 
-Selected via ``REPRO_FUSED=1`` / :func:`set_fusion_enabled` /
-:func:`fused_ops`; the unfused composition stays as the always-available
+Selected via :func:`set_fusion_enabled` / :func:`fused_ops` (off at
+import); the unfused composition stays as the always-available
 reference path in ``repro.nn`` / ``repro.moe`` / ``repro.core``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 from typing import Optional
 
 import numpy as np
@@ -28,7 +27,7 @@ from repro.autograd.ops_nn import _GELU_C
 from repro.autograd.tensor import Tensor, as_tensor
 from repro.utils.rng import get_rng
 
-_FUSED = os.environ.get("REPRO_FUSED", "0") not in ("", "0")
+_FUSED = False
 
 
 def fusion_enabled() -> bool:
@@ -289,6 +288,41 @@ def bias_dropout_residual(
 # ----------------------------------------------------------------------
 # Scale + causal mask + softmax (attention scores)
 # ----------------------------------------------------------------------
+def _masked_softmax_fwd(s: np.ndarray, mask: np.ndarray, scale) -> np.ndarray:
+    """``softmax(where(mask, s * scale, -1e9))`` over the last axis."""
+    if _chainable(s):
+        buf = arena.empty(s.shape, s.dtype)
+        np.multiply(s, scale, out=buf)
+        np.copyto(buf, np.float32(-1e9), where=~mask)
+        np.subtract(buf, buf.max(axis=-1, keepdims=True), out=buf)
+        np.exp(buf, out=buf)
+        return np.divide(buf, buf.sum(axis=-1, keepdims=True), out=buf)
+    scores = s * scale
+    masked = np.where(mask, scores, np.float32(-1e9))
+    shifted = masked - masked.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _masked_softmax_bwd(
+    grad: np.ndarray, out: np.ndarray, mask: np.ndarray, scale
+) -> np.ndarray:
+    """Gradient of :func:`_masked_softmax_fwd` w.r.t. ``s`` given its
+    saved output ``out``."""
+    if _chainable(grad, out):
+        buf = arena.empty(grad.shape, grad.dtype)
+        np.multiply(grad, out, out=buf)
+        dot = buf.sum(axis=-1, keepdims=True)
+        np.subtract(grad, dot, out=buf)
+        np.multiply(out, buf, out=buf)
+        np.copyto(buf, 0.0, where=~mask)
+        return np.multiply(buf, scale, out=buf)
+    dot = (grad * out).sum(axis=-1, keepdims=True)
+    gs = out * (grad - dot)
+    gs = np.where(mask, gs, 0.0)
+    return gs * scale
+
+
 class _MaskedSoftmax(Function):
     """``softmax(where(mask, scores * scale, -1e9))`` in one node.
 
@@ -299,38 +333,13 @@ class _MaskedSoftmax(Function):
 
     @staticmethod
     def forward(ctx, s, mask, scale):
-        if _chainable(s):
-            buf = arena.empty(s.shape, s.dtype)
-            np.multiply(s, scale, out=buf)
-            np.copyto(buf, np.float32(-1e9), where=~mask)
-            np.subtract(buf, buf.max(axis=-1, keepdims=True), out=buf)
-            np.exp(buf, out=buf)
-            out = np.divide(buf, buf.sum(axis=-1, keepdims=True), out=buf)
-        else:
-            scores = s * scale
-            masked = np.where(mask, scores, np.float32(-1e9))
-            shifted = masked - masked.max(axis=-1, keepdims=True)
-            e = np.exp(shifted)
-            out = e / e.sum(axis=-1, keepdims=True)
+        out = _masked_softmax_fwd(s, mask, scale)
         ctx.save_for_backward(out, mask, scale)
         return out
 
     @staticmethod
     def backward(ctx, grad):
-        out, mask, scale = ctx.saved
-        if _chainable(grad, out):
-            buf = arena.empty(grad.shape, grad.dtype)
-            np.multiply(grad, out, out=buf)
-            dot = buf.sum(axis=-1, keepdims=True)
-            np.subtract(grad, dot, out=buf)
-            np.multiply(out, buf, out=buf)
-            np.copyto(buf, 0.0, where=~mask)
-            np.multiply(buf, scale, out=buf)
-            return (buf,)
-        dot = (grad * out).sum(axis=-1, keepdims=True)
-        gs = out * (grad - dot)
-        gs = np.where(mask, gs, 0.0)
-        return (gs * scale,)
+        return (_masked_softmax_bwd(grad, *ctx.saved),)
 
 
 def masked_softmax(scores, mask, scale: float) -> Tensor:
@@ -369,9 +378,9 @@ class _AttentionCore(Function):
     Replaces ten reference nodes per attention call — reshape, transpose,
     three slice views, key transpose, two matmuls, masked softmax, and
     the head-merge reshape — with one.  Forward and backward replay the
-    exact ufunc sequence those nodes would run (same matmuls, the same
-    ``_MaskedSoftmax`` chain, the same zero-initialised slot accumulation
-    for the q/k/v gradients), so the result is bit-identical to the
+    exact ufunc sequence those nodes would run (same matmuls,
+    ``_MaskedSoftmax``'s own two kernels, the same zero-initialised slot
+    accumulation for the q/k/v gradients), so the result is bit-identical to the
     composition.  Only valid when attention dropout is inactive; callers
     gate on that.
     """
@@ -386,19 +395,7 @@ class _AttentionCore(Function):
         kt = k.transpose(0, 1, 3, 2)
         out = arena.matmul_buf(q, kt)
         scores = q @ kt if out is None else np.matmul(q, kt, out=out)
-        if _chainable(scores):
-            buf = arena.empty(scores.shape, scores.dtype)
-            np.multiply(scores, scale, out=buf)
-            np.copyto(buf, np.float32(-1e9), where=~mask)
-            np.subtract(buf, buf.max(axis=-1, keepdims=True), out=buf)
-            np.exp(buf, out=buf)
-            probs = np.divide(buf, buf.sum(axis=-1, keepdims=True), out=buf)
-        else:
-            scaled = scores * scale
-            masked = np.where(mask, scaled, np.float32(-1e9))
-            shifted = masked - masked.max(axis=-1, keepdims=True)
-            e = np.exp(shifted)
-            probs = e / e.sum(axis=-1, keepdims=True)
+        probs = _masked_softmax_fwd(scores, mask, scale)
         arena.release(scores)
         out = arena.matmul_buf(probs, v)
         ctx4 = probs @ v if out is None else np.matmul(probs, v, out=out)
@@ -428,20 +425,7 @@ class _AttentionCore(Function):
         at = probs.swapaxes(-1, -2)
         out = arena.matmul_buf(at, g_ctx)
         g_v = at @ g_ctx if out is None else np.matmul(at, g_ctx, out=out)
-        # Masked softmax backward (the ``_MaskedSoftmax`` chain verbatim).
-        if _chainable(g_probs, probs):
-            buf = arena.empty(g_probs.shape, g_probs.dtype)
-            np.multiply(g_probs, probs, out=buf)
-            dot = buf.sum(axis=-1, keepdims=True)
-            np.subtract(g_probs, dot, out=buf)
-            np.multiply(probs, buf, out=buf)
-            np.copyto(buf, 0.0, where=~mask)
-            g_scores = np.multiply(buf, scale, out=buf)
-        else:
-            dot = (g_probs * probs).sum(axis=-1, keepdims=True)
-            gs = probs * (g_probs - dot)
-            gs = np.where(mask, gs, 0.0)
-            g_scores = gs * scale
+        g_scores = _masked_softmax_bwd(g_probs, probs, mask, scale)
         arena.release(g_probs)
         # q @ k^T backward; the key-transpose perm is self-inverse.
         out = arena.matmul_buf(g_scores, k)

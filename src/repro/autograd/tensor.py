@@ -16,6 +16,7 @@ from repro.autograd import arena, stats
 from repro.autograd.function import Node
 
 _GRAD_ENABLED = True
+_ndarray = np.ndarray
 
 
 class _WalkBuffers:
@@ -118,6 +119,104 @@ def _accumulate_leaf(
         t.grad = cur + g
     if walk is not None:
         walk.retire(g)
+
+
+def walk_entries(order: List["Tensor"], ref_of: Callable[["Tensor"], int]) -> List[tuple]:
+    """Compile a reverse topological ``order`` into :func:`run_walk`'s
+    entries: one ``(kind, slot, ref, backward, targets)`` per tensor that
+    can carry a gradient.
+
+    A tensor's slot is its position in ``order``, so the root's is 0.
+    Kind 0 is a tape node: ``backward`` is its Function's, ``ref_of(t)``
+    names the entry of the walk's ``values`` table that holds the node's
+    context, and ``targets`` has the slot of each tensor input (-1 where
+    no gradient is wanted; every other input is in ``order``, because the
+    order is everything reachable from the root).  Kind 1 is a leaf that
+    requires grad, and ``ref`` is the tensor.
+    """
+    slot_of = {id(t): slot for slot, t in enumerate(order)}
+    entries: List[tuple] = []
+    for slot, t in enumerate(order):
+        node = t._node
+        if node is not None:
+            targets = tuple(
+                slot_of[id(inp)] if inp.requires_grad else -1
+                for inp in node.tensor_inputs()
+            )
+            entries.append((0, slot, ref_of(t), node.fn.backward, targets))
+        elif t.requires_grad:
+            entries.append((1, slot, t, None, None))
+    return entries
+
+
+def run_walk(entries: List[tuple], num_slots: int, seed: np.ndarray, values) -> None:
+    """The backward walk — the only one: :meth:`Tensor.backward` runs it
+    over the tape it just sorted, a replayed step graph over the entries
+    its capture compiled (some swapped for native kernels), which is what
+    keeps the two bit-identical under buffer recycling.
+
+    ``seed`` is the root's gradient (slot 0); ``values[ref][0]`` is the
+    context of the tape node whose entry carries ``ref``.
+    """
+    grads: List[Optional[np.ndarray]] = [None] * num_slots
+    # Slots whose buffer in `grads` is exclusively ours — safe to add
+    # into in place.  First contributions are *not* owned: backward
+    # functions may return views (``_Reshape``) or the very same array
+    # for several inputs (``_Add`` with equal shapes), so adding into
+    # them would corrupt sibling gradients.
+    owned = bytearray(num_slots)
+
+    walk = _WalkBuffers.begin()
+    grads[0] = seed
+    if walk is not None:
+        walk.track(seed)
+
+    for kind, slot, ref, bwd_fn, targets in entries:
+        g = grads[slot]
+        if g is None:
+            continue
+        grads[slot] = None
+        if kind != 0:
+            _accumulate_leaf(ref, g, walk)
+            continue
+        igs = bwd_fn(values[ref][0], g)
+        if not isinstance(igs, (tuple, list)):
+            igs = (igs,)
+        if len(igs) != len(targets):
+            raise RuntimeError(
+                f"{bwd_fn.__qualname__} returned {len(igs)} grads "
+                f"for {len(targets)} tensor inputs"
+            )
+        for tslot, ig in zip(targets, igs):
+            if tslot < 0 or ig is None:
+                continue
+            if type(ig) is not _ndarray:
+                ig = np.asarray(ig)
+            cur = grads[tslot]
+            if cur is None:
+                grads[tslot] = ig
+                owned[tslot] = 0
+                if walk is not None:
+                    walk.track(ig)
+            elif cur.shape == ig.shape and cur.dtype == ig.dtype:
+                buf = cur if owned[tslot] else arena.empty(cur.shape, cur.dtype)
+                np.add(cur, ig, out=buf)
+                if buf is not cur:
+                    grads[tslot] = buf
+                    owned[tslot] = 1
+                    if walk is not None:
+                        walk.track(buf)
+                        walk.retire(cur)
+            else:
+                # Mismatched shapes/dtypes: let NumPy promote.
+                new = cur + ig
+                grads[tslot] = new
+                owned[tslot] = 1
+                if walk is not None:
+                    walk.track(new)
+                    walk.retire(cur)
+        if walk is not None:
+            walk.retire(g)
 
 
 def is_grad_enabled() -> bool:
@@ -309,69 +408,15 @@ class Tensor:
             for t in order:
                 if t._node is not None:
                     t._node.consumed = True
-        grads: dict = {id(self): grad}
-        tensors: dict = {id(self): self}
-        # Keys whose buffer in `grads` is exclusively ours — safe to add
-        # into in place.  First contributions are *not* owned: backward
-        # functions may return views (``_Reshape``) or the very same
-        # array for several inputs (``_Add`` with equal shapes), so
-        # adding into them would corrupt sibling gradients.
-        owned: set = set()
+        # A tape node's context sits in ``values`` at the entry its
+        # ``ref`` names — the table a replayed walk gets from the forward.
+        values: list = []
 
-        walk = _WalkBuffers.begin()
-        if walk is not None:
-            walk.track(grad)
+        def ref_of(t: "Tensor") -> int:
+            values.append((t._node.ctx,))
+            return len(values) - 1
 
-        for t in order:
-            g = grads.pop(id(t), None)
-            if g is None:
-                continue
-            if t._node is None:
-                if t.requires_grad:
-                    _accumulate_leaf(t, g, walk)
-                elif walk is not None:
-                    walk.retire(g)
-                continue
-            for inp, ig in t._node.backward(g):
-                if ig is None or not inp.requires_grad:
-                    continue
-                ig = np.asarray(ig)
-                key = id(inp)
-                tensors[key] = inp
-                cur = grads.get(key)
-                if cur is None:
-                    grads[key] = ig
-                    if walk is not None:
-                        walk.track(ig)
-                elif cur.shape == ig.shape and cur.dtype == ig.dtype:
-                    if key in owned:
-                        np.add(cur, ig, out=cur)
-                    else:
-                        buf = arena.empty(cur.shape, cur.dtype)
-                        np.add(cur, ig, out=buf)
-                        grads[key] = buf
-                        owned.add(key)
-                        if walk is not None:
-                            walk.track(buf)
-                            walk.retire(cur)
-                else:
-                    # Mismatched shapes/dtypes: let NumPy promote.
-                    new = cur + ig
-                    grads[key] = new
-                    owned.add(key)
-                    if walk is not None:
-                        walk.track(new)
-                        walk.retire(cur)
-            if walk is not None:
-                walk.retire(g)
-        # Any remaining grads belong to leaves that were inputs of the last
-        # processed nodes; flush them.
-        for key, g in grads.items():
-            t = tensors[key]
-            if t.requires_grad and t._node is None:
-                _accumulate_leaf(t, g, walk)
-            elif walk is not None:
-                walk.retire(g)
+        run_walk(walk_entries(order, ref_of), len(order), grad, values)
 
     def _topological_order(self) -> List["Tensor"]:
         """Reverse topological order of the tape reachable from ``self``."""

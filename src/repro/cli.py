@@ -101,11 +101,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amp", action="store_true", help="use the GradScaler")
     p.add_argument("--backend", default="eager",
                    choices=["eager", "replay", "cc"],
-                   help="step execution backend: eager, replay (capture the "
-                        "step graph once and replay the compiled op schedule "
-                        "on signature-matching steps), or cc (captured "
-                        "graphs lowered to generated C; falls back to replay "
-                        "without a C toolchain)")
+                   help="step execution backend: eager (the allocating "
+                        "reference), replay (capture the step graph once and "
+                        "replay the compiled op schedule on signature-"
+                        "matching steps), or cc (captured graphs lowered to "
+                        "generated C; falls back to replay without a C "
+                        "toolchain); replay and cc run the steady step: "
+                        "buffer arena, fused ops, in-place optimizer")
     p.add_argument("--checkpoint", default=None, metavar="DIR",
                    help="sharded checkpoint directory to write when done")
     p.add_argument("--resume", default=None, metavar="DIR",
@@ -438,7 +440,6 @@ def lower_main(argv=None) -> int:
         max_steps=args.steps,
         eval_every=0,
         log_every=0,
-        steady_state=True,
         backend="cc",
     )
     trainer = Trainer(

@@ -6,7 +6,8 @@ import numpy as np
 
 
 class LRSchedule:
-    """Maps a step index to a learning rate."""
+    """Maps a step index to a learning rate — a Python ``float``, never
+    a NumPy scalar (``Optimizer.step`` says why)."""
 
     def __call__(self, step: int) -> float:
         raise NotImplementedError
@@ -14,7 +15,7 @@ class LRSchedule:
 
 class ConstantLR(LRSchedule):
     def __init__(self, lr: float) -> None:
-        self.lr = lr
+        self.lr = float(lr)
 
     def __call__(self, step: int) -> float:
         return self.lr
@@ -45,13 +46,13 @@ class WarmupCosineLR(LRSchedule):
 
     def __call__(self, step: int) -> float:
         if self.warmup_steps and step < self.warmup_steps:
-            return self.peak_lr * (step + 1) / self.warmup_steps
+            return float(self.peak_lr * (step + 1) / self.warmup_steps)
         progress = (step - self.warmup_steps) / max(
             self.total_steps - self.warmup_steps, 1
         )
         progress = min(max(progress, 0.0), 1.0)
         cos = 0.5 * (1.0 + np.cos(np.pi * progress))
-        return self.min_lr + (self.peak_lr - self.min_lr) * cos
+        return float(self.min_lr + (self.peak_lr - self.min_lr) * cos)
 
 
 class WarmupLinearLR(LRSchedule):
@@ -71,9 +72,9 @@ class WarmupLinearLR(LRSchedule):
 
     def __call__(self, step: int) -> float:
         if self.warmup_steps and step < self.warmup_steps:
-            return self.peak_lr * (step + 1) / self.warmup_steps
+            return float(self.peak_lr * (step + 1) / self.warmup_steps)
         progress = (step - self.warmup_steps) / max(
             self.total_steps - self.warmup_steps, 1
         )
         progress = min(max(progress, 0.0), 1.0)
-        return self.min_lr + (self.peak_lr - self.min_lr) * (1.0 - progress)
+        return float(self.min_lr + (self.peak_lr - self.min_lr) * (1.0 - progress))

@@ -112,7 +112,17 @@ class Optimizer:
         bit for bit the one ``p.grad *= grad_scale; step()`` makes (the
         product is formed in the gradient's dtype, rounded once), but
         ``p.grad`` itself is left as it was and no separate scaling
-        pass runs."""
+        pass runs.
+
+        ``lr`` — like every hyperparameter — is taken as a Python
+        ``float``.  Under NEP 50 a Python float is a *weak* scalar (it
+        adopts the array's float32) while ``np.float64`` is a strong one
+        (``lr * update`` is formed in float64 and rounded once more on
+        the way into the parameter), and a schedule that goes through
+        ``np.cos`` returns the latter: without the coercion the type of
+        the scalar would choose the arithmetic, and the NumPy steps
+        would part from the native one, which always receives a C
+        ``float``."""
         raise NotImplementedError
 
     # -- fp32 scratch shared across parameters -------------------------
@@ -140,12 +150,12 @@ class SGD(Optimizer):
 
     def __init__(self, params, lr: float = 0.1, momentum: float = 0.0) -> None:
         super().__init__(params)
-        self.lr = lr
-        self.momentum = momentum
+        self.lr = float(lr)
+        self.momentum = float(momentum)
         self._velocity = [np.zeros_like(p.data, dtype=np.float32) for p in self.params]
 
     def step(self, lr: Optional[float] = None, grad_scale: float = 1.0) -> None:
-        lr = self.lr if lr is None else lr
+        lr = float(self.lr if lr is None else lr)
         # Hoisted out of the loop: the arena switch cannot change
         # mid-step, and the per-parameter global lookup shows up once
         # the rest of the step is allocation-free.
@@ -185,13 +195,12 @@ class Adam(Optimizer):
         weight_decay: decoupled (AdamW-style) weight decay.
     """
 
-    #: Native fused step, installed by repro.autograd.lower.attach_adam;
-    #: replaces the in-place ufunc mirror below bit-for-bit.
-    _cc = None
-    #: Whole-model native step (one C call for every parameter).  Takes
-    #: (lr, bc1, bc2, grad_scale) and returns True when it handled the
-    #: full update; False bails to the per-parameter loop below (e.g. a
-    #: missing or non-contiguous gradient).
+    #: Whole-model native step (one C call for every parameter),
+    #: installed by repro.autograd.lower.attach_adam; replaces the
+    #: in-place ufunc mirror below bit for bit.  Takes (lr, bc1, bc2,
+    #: grad_scale) and returns True when it handled the full update;
+    #: False declines (a non-contiguous or non-fp32 gradient) and the
+    #: per-parameter loop below runs.
     _cc_multi = None
 
     def __init__(
@@ -203,16 +212,16 @@ class Adam(Optimizer):
         weight_decay: float = 0.0,
     ) -> None:
         super().__init__(params)
-        self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
+        self.lr = float(lr)
+        self.beta1, self.beta2 = (float(b) for b in betas)
+        self.eps = float(eps)
+        self.weight_decay = float(weight_decay)
         self.t = 0
         self._m = [np.zeros_like(p.data, dtype=np.float32) for p in self.params]
         self._v = [np.zeros_like(p.data, dtype=np.float32) for p in self.params]
 
     def step(self, lr: Optional[float] = None, grad_scale: float = 1.0) -> None:
-        lr = self.lr if lr is None else lr
+        lr = float(self.lr if lr is None else lr)
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
@@ -251,15 +260,6 @@ class Adam(Optimizer):
             # same left-to-right order, staged through two fp32 scratch
             # arrays (g is read-only, so the astype copy is dropped).
             g = p.grad
-            if (
-                self._cc is not None
-                and g.flags.c_contiguous
-                and p.data.flags.c_contiguous
-                and m.flags.c_contiguous
-                and v.flags.c_contiguous
-            ):
-                self._cc(p.data, m, v, g, lr, bc1, bc2, grad_scale)
-                continue
             s1, s2 = self._scratch(p.data.shape)
             if grad_scale != 1.0:
                 # s2 is free until the second-moment root below, after

@@ -22,13 +22,14 @@ On top of the recipe sits the fault-tolerance layer (``docs/robustness.md``):
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.autograd import get_arena, no_grad, steady_state
+from repro.autograd import no_grad, steady_state
 from repro.autograd import stats as ag_stats
 from repro.autograd.graph import CaptureSession, GraphInvalidated, StepGraph
 from repro.observability.metrics import registry
@@ -113,14 +114,21 @@ class TrainerConfig:
             worker, the exchange times out into the existing
             skip-step path, and the group heals (respawns) for the
             next step (see ``docs/distributed.md``).
-        steady_state: enable the zero-allocation steady-state step — the
-            buffer arena recycles every fixed-shape activation/gradient
-            array across steps and the fused elementwise ops collapse
+        steady_state: run the step under
+            :func:`repro.autograd.steady_state` — the buffer arena
+            recycles every fixed-shape activation/gradient array across
+            steps and the fused elementwise ops collapse
             bias/activation/dropout/residual chains into single tape
-            nodes (see ``docs/performance.md``).  Training trajectories
-            are bit-identical with the flag on or off.
-        backend: step execution backend, the only selector of how a
-            micro batch runs.  ``"eager"`` (default) traverses the
+            nodes (see ``docs/performance.md``).  A choice only for
+            ``backend="eager"``: off is the allocating, unfused
+            reference every other configuration must match bit for bit,
+            on is the eager steady step.  The compiled rungs are always
+            steady — ``"replay"`` and ``"cc"`` set it, whatever was
+            passed — because that is what a graph is captured from and
+            the only configuration they are measured on.
+        backend: step execution backend — with ``steady_state`` the
+            only selector of how a micro batch runs, four
+            configurations in all.  ``"eager"`` (default) traverses the
             modules and builds the tape every time.  ``"replay"``
             captures step graphs — the first micro batch is executed
             eagerly under a :class:`repro.autograd.graph.CaptureSession`
@@ -184,6 +192,8 @@ class TrainerConfig:
                 f"unknown backend {self.backend!r}: "
                 "expected 'eager', 'replay', or 'cc'"
             )
+        if self.backend != "eager":
+            self.steady_state = True
 
     @property
     def accumulation_steps(self) -> int:
@@ -251,6 +261,13 @@ class Trainer:
         #: The data-parallel group this process is rank 0 of (opened at
         #: the top of the first step, closed by close_dist / end of _run).
         self._echo_group = None
+        #: What every step and evaluation runs inside — the one read of
+        #: ``config.steady_state``.  Entering it yields the buffer arena,
+        #: or ``None`` on the reference rung.
+        self._scope = steady_state if config.steady_state else contextlib.nullcontext
+        #: Arena hit rate when the most recent train_step ended (``None``
+        #: on the reference rung).
+        self.last_arena_hit_rate: Optional[float] = None
         if config.backend == "cc" and isinstance(self.optimizer, Adam):
             # Fused native optimizer step + grad-norm clip (bit-identical
             # mirrors; no-ops without a C toolchain).
@@ -394,17 +411,11 @@ class Trainer:
     # ------------------------------------------------------------------
     def evaluate(self) -> Optional[float]:
         """Mean validation LM loss over ``eval_batches`` fixed batches."""
-        if self.config.steady_state:
-            # Eval reuses pooled buffers too; they stay live until the
-            # next train step retires the generation.
-            with steady_state():
-                return self._evaluate_impl()
-        return self._evaluate_impl()
-
-    def _evaluate_impl(self) -> Optional[float]:
         if self.val_data is None:
             return None
-        with span("eval"):
+        # Eval reuses pooled buffers too; they stay live until the next
+        # train step retires the generation.
+        with self._scope(), span("eval"):
             return self._evaluate_batches()
 
     def _evaluate_batches(self) -> Optional[float]:
@@ -427,19 +438,16 @@ class Trainer:
         """One optimizer step (with gradient accumulation and guardrails)."""
         ag_stats.reset()
         t0 = time.perf_counter()
-        with span("step", {"step": step}):
-            if self.config.steady_state:
-                with steady_state():
-                    # Everything the previous step allocated from the
-                    # arena (activations, tape intermediates, leaf
-                    # gradients) is dead once zero_grad runs below, so
-                    # retire the whole generation back to the free pool
-                    # first.
-                    with span("arena_retire"):
-                        get_arena().next_generation()
-                    loss = self._train_step_impl(step)
-            else:
-                loss = self._train_step_impl(step)
+        with span("step", {"step": step}), self._scope() as pool:
+            if pool is not None:
+                # Everything the previous step allocated from the arena
+                # (activations, tape intermediates, leaf gradients) is
+                # dead once zero_grad runs below, so retire the whole
+                # generation back to the free pool first.
+                with span("arena_retire"):
+                    pool.next_generation()
+            loss = self._train_step_impl(step)
+            self.last_arena_hit_rate = pool.hit_rate() if pool is not None else None
         self.last_step_time = time.perf_counter() - t0
         tracer = get_tracer()
         if tracer is not None:
@@ -448,8 +456,8 @@ class Trainer:
                 tracer.breakdown(root) if root is not None else None
             )
             tracer.sample("tape_nodes", ag_stats.tape_nodes)
-            if self.config.steady_state:
-                tracer.sample("arena_hit_rate", get_arena().hit_rate())
+            if self.last_arena_hit_rate is not None:
+                tracer.sample("arena_hit_rate", self.last_arena_hit_rate)
             reg = registry()
             reg.histogram("trainer/step_time").observe(self.last_step_time)
             if self.last_phase_times:
@@ -462,8 +470,10 @@ class Trainer:
     # ------------------------------------------------------------------
     # Micro-batch execution: eager, captured, or replayed.
     # ------------------------------------------------------------------
-    def _micro_batch_eager(self, batch) -> float:
-        """One forward/backward on ``batch``; returns the LM loss."""
+    def _forward_backward(self, batch, retain_graph: bool = False):
+        """One forward/backward on ``batch`` through the modules — every
+        eager micro batch, and the source of every capture.  Returns
+        ``(lm, scaled)``: the LM loss tensor and the walk's root."""
         with span("forward"):
             loss, lm, _ = self.model.loss(batch.inputs, batch.targets)
             # Scale so accumulated gradients average over micro batches.
@@ -471,16 +481,15 @@ class Trainer:
             if self.grad_scaler is not None:
                 scaled = self.grad_scaler.scale_loss(scaled)
         with span("backward"):
-            scaled.backward()
-        return float(lm.data)
+            scaled.backward(retain_graph=retain_graph)
+        return lm, scaled
 
     def _graph_signature(self, batch) -> tuple:
         """Replay validity key: anything the compiled schedule froze that
         is not re-derived per replay.  Shapes/dtypes pin the buffer and
         broadcast metadata, the loss scale pins the captured multiplier,
-        and the steady-state/training flags pin arena routing and
-        dropout presence.  The topology cache key is deliberately *not*
-        part of it: topology and permutation plans rebuild as host
+        and the training flag pins dropout presence.  The topology cache
+        key is deliberately *not* part of it: topology and permutation plans rebuild as host
         records each replay, so tokens-per-expert wobble replays fine.
         """
         return (
@@ -489,7 +498,6 @@ class Trainer:
             batch.targets.shape,
             str(batch.targets.dtype),
             float(self.grad_scaler.scale) if self.grad_scaler is not None else None,
-            self.config.steady_state,
             bool(self.model.training),
         )
 
@@ -531,15 +539,9 @@ class Trainer:
             sig, {"inputs": batch.inputs, "targets": batch.targets}
         ).begin()
         try:
-            with span("forward"):
-                loss, lm, _ = self.model.loss(batch.inputs, batch.targets)
-                scaled = loss * (1.0 / self.config.accumulation_steps)
-                if self.grad_scaler is not None:
-                    scaled = self.grad_scaler.scale_loss(scaled)
-            with span("backward"):
-                # retain_graph: finalize() compiles the backward schedule
-                # from the still-intact tape right after this walk.
-                scaled.backward(retain_graph=True)
+            # retain_graph: finalize() compiles the backward schedule
+            # from the still-intact tape right after this walk.
+            lm, scaled = self._forward_backward(batch, retain_graph=True)
         except BaseException:
             session.abort()
             raise
@@ -574,7 +576,8 @@ class Trainer:
                 # buffer plans.
                 total += self._micro_batch_captured(batch, 1 if acc_i else 0)
             else:
-                total += self._micro_batch_eager(batch)
+                lm, _ = self._forward_backward(batch)
+                total += float(lm.data)
         mean_loss = total / cfg.accumulation_steps
 
         if self.fault_injector is not None:
@@ -809,9 +812,7 @@ class Trainer:
                     grad_norm=self.last_grad_norm,
                     tape_nodes=ag_stats.tape_nodes,
                     nodes_fused=ag_stats.nodes_fused(),
-                    arena_hit_rate=(
-                        get_arena().hit_rate() if cfg.steady_state else None
-                    ),
+                    arena_hit_rate=self.last_arena_hit_rate,
                     step_time=self.last_step_time,
                     phase_times=self.last_phase_times,
                 )
