@@ -16,11 +16,8 @@ the paper's value next to the measured one and asserts only the *shape*
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -44,12 +41,6 @@ SCALED_SIZES: Dict[str, Tuple[int, int]] = {
 #: regression canaries; figure-level quality assertions are relaxed, but
 #: every kernel and model path still executes end to end.
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") not in ("", "0")
-
-#: Where result JSONs land: a temp dir of this process's own, in both
-#: modes, so a run never writes into the tree and concurrent runs never
-#: share (or delete) each other's results.  ``write_result`` prints the
-#: path; committed, comparable numbers live in ``bench/`` (bench/README.md).
-RESULT_DIR = tempfile.mkdtemp(prefix="repro-bench-")
 
 VOCAB = 128
 SEQ = 32
@@ -153,12 +144,3 @@ def print_header(title: str) -> None:
     print("=" * 72)
     print(title)
     print("=" * 72)
-
-
-def write_result(name: str, result: dict) -> None:
-    """Write one benchmark's result JSON under :data:`RESULT_DIR`."""
-    path = os.path.join(RESULT_DIR, name)
-    with open(path, "w") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
-    print(f"  result written to {path}")

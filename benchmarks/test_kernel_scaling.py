@@ -1,10 +1,11 @@
-"""Wall-clock microbenchmarks of the NumPy kernels themselves.
+"""§5.2's kernel property on this machine: cost follows occupied blocks,
+not the dense grid.
 
 Unlike the figure benchmarks (which model the A100), these time the
-library's actual kernels on this machine — the numbers downstream users
-of the NumPy implementation experience.  The structural assertions check
-that cost scales with *occupied* blocks, not with the dense grid: the
-algorithmic property the whole paper rests on.
+library's actual NumPy kernels — the numbers downstream users of this
+implementation experience.  The structural assertions check that cost
+scales with *occupied* blocks, not with the dense grid: the algorithmic
+property the paper's block-sparse kernels (§5.2) rest on.
 """
 
 import numpy as np

@@ -76,6 +76,9 @@ class MoELayer(Module):
         activation: expert nonlinearity.
     """
 
+    #: True where a plan that drops a token is a bug (the no-drop baseline).
+    never_drops = False
+
     def __init__(
         self,
         hidden_size: int,
@@ -118,7 +121,7 @@ class MoELayer(Module):
         self.last_routing: Optional[RoutingResult] = None
 
     # ------------------------------------------------------------------
-    def _capacity(self, num_tokens: int) -> int:
+    def _capacity(self, num_tokens: int, expert_indices: np.ndarray) -> int:
         return expert_capacity(
             num_tokens, self.num_experts, self.capacity_factor, self.top_k
         )
@@ -156,11 +159,15 @@ class MoELayer(Module):
         with span("moe"):
             with span("route"):
                 routing = self.router(x)
-            capacity = self._capacity(num_tokens)
+            capacity = self._capacity(num_tokens, routing.expert_indices)
             with span("permute"):
                 plan, _, _ = graph_host(
                     _dropping_plan_host, self, routing.expert_indices, capacity
                 )
+                if self.never_drops and plan.num_dropped:
+                    raise AssertionError(
+                        "dynamic capacity must never drop tokens"
+                    )
                 self.last_routing = routing
                 dispatched = dropping_gather(x, plan)
             with span("experts"):
@@ -184,41 +191,20 @@ class DynamicCapacityMoELayer(MoELayer):
     group size — the padding overhead MegaBlocks removes (paper §6.1).
     """
 
-    def __init__(self, *args, **kwargs) -> None:
-        kwargs.pop("capacity_factor", None)
-        super().__init__(*args, capacity_factor=1.0, **kwargs)
+    never_drops = True
+
+    def __init__(
+        self,
+        hidden_size: int,
+        ffn_hidden_size: int,
+        num_experts: int,
+        capacity_factor: float = 1.0,
+        **kwargs,
+    ) -> None:
+        # ``capacity_factor`` is accepted (positionally too, as MoELayer
+        # takes it) and ignored: the capacity is read off each routing.
+        super().__init__(hidden_size, ffn_hidden_size, num_experts, 1.0, **kwargs)
         self.last_dynamic_capacity: Optional[int] = None
 
-    def forward(self, x: Tensor) -> Tuple[Tensor, Optional[Tensor]]:
-        if is_inference():
-            return moe_inference_forward(self, x)
-        orig_shape = x.shape
-        if x.ndim == 3:
-            x = x.reshape((orig_shape[0] * orig_shape[1], orig_shape[2]))
-
-        with span("moe"):
-            with span("route"):
-                routing = self.router(x)
-            capacity = graph_host(
-                _dynamic_capacity, self, routing.expert_indices, guard=True
-            )
-            with span("permute"):
-                plan, _, _ = graph_host(
-                    _dropping_plan_host, self, routing.expert_indices, capacity
-                )
-                if plan.num_dropped:
-                    raise AssertionError(
-                        "dynamic capacity must never drop tokens"
-                    )
-                self.last_routing = routing
-                dispatched = dropping_gather(x, plan)
-            with span("experts"):
-                expert_out = self._compute_experts(dispatched)
-            with span("unpermute"):
-                out = dropping_scatter(
-                    expert_out, plan, routing.expert_weights
-                )
-
-        if len(orig_shape) == 3:
-            out = out.reshape(orig_shape)
-        return out, routing.aux_loss
+    def _capacity(self, num_tokens: int, expert_indices: np.ndarray) -> int:
+        return graph_host(_dynamic_capacity, self, expert_indices, guard=True)

@@ -20,8 +20,8 @@ the same bits.  Enabled either via ``MoEConfig(quantize_experts="int8")`` +
 numerics are untouched.
 
 This path trades bit-exactness for memory: quantized logits differ from
-fp32 logits by design.  The measured perplexity delta is reported by
-``benchmarks/test_serving.py`` and tabulated in ``docs/serving.md``.
+fp32 logits by design.  The perplexity delta is bounded by
+``tests/serving/test_quantize.py`` and tabulated in ``docs/serving.md``.
 """
 
 from __future__ import annotations

@@ -251,6 +251,42 @@ class TestExpertParallelBitIdentity:
             got = np.concatenate([v.expert_grads[name] for v in mp_])
             np.testing.assert_allclose(got, ref, atol=1e-9, err_msg=name)
 
+    def test_plan_built_in_flight_receives_what_exchange_then_plan_does(self):
+        """§5's dispatch written both ways over two forked ranks: the
+        schedule the rank body runs — post the token sends, build the
+        local plan from the already-arrived ids, then wait — against
+        the serialized one it replaced (exchange, then plan).  Same
+        plan, and the very tokens the peers bucketed for this rank; what
+        the overlap hides is a wall clock, that it moves no byte is held
+        here."""
+        world = 2
+        _, ep = _make_ep(world, top_k=2)
+        rng = np.random.default_rng(12)
+        xs = [rng.standard_normal((128, 16)) for _ in range(world)]
+
+        def buckets(x):
+            rows, cuts, local_ids, _ = ep._route_and_bucket(x)
+            # One piece per destination, each > shm.INLINE_THRESHOLD.
+            return np.split(x[rows], cuts), np.split(local_ids, cuts)
+
+        def fn(group):
+            send, send_ids = buckets(xs[group.rank])
+            ids = np.concatenate(group.all_to_all(send_ids))
+            pending = group.isend_all_to_all(send)
+            plan, _ = ep._build_local_plan(ids)
+            overlapped = pending.wait(), plan.gather_indices
+            tokens = group.all_to_all(send)
+            plan, _ = ep._build_local_plan(ids)
+            return overlapped, (tokens, plan.gather_indices)
+
+        sent = [buckets(x)[0] for x in xs]
+        values = run_distributed(fn, world, backend="mp").values
+        for rank, (overlapped, serial) in enumerate(values):
+            _assert_values_equal(overlapped, serial, f"rank {rank}")
+            _assert_values_equal(
+                overlapped[0], [sent[src][rank] for src in range(world)]
+            )
+
     def test_forward_backward_rank_matches_in_process(self):
         """The in-process driver is the same rank body on "sim": outputs
         and input gradients equal the forked ranks', and the shard

@@ -5,8 +5,13 @@ a small dMoE trained for N steps with ``steady_state=True`` must produce
 **bit-identical** losses and parameters to the reference run with the
 flag off.  A second test drives the guardrail rewind path (NaN-gradient
 fault, snapshot restore) with the arena enabled, since rewind touches
-pooled gradient buffers.
+pooled gradient buffers.  "Zero-allocation" itself is held as a
+``tracemalloc`` ratio on the Fig-7 Small shape — bytes, not a clock;
+``bench/`` reads the same quantity as ``autograd.step_alloc_peak_mb``.
 """
+
+import gc
+import tracemalloc
 
 import numpy as np
 
@@ -25,6 +30,33 @@ from repro.resilience.guardrails import GuardrailConfig
 from repro.training import Adam, Trainer, TrainerConfig
 
 STEPS = 6
+
+
+def fig7_small_trainer(steady, backend="eager"):
+    """The Fig-7 *Small* dMoE stand-in of ``benchmarks/harness.py``
+    (hidden 48, 3 layers, 8 experts, block 8; batch 16 in micro batches
+    of 8) on its synthetic Pile: the shape the allocation and
+    lowering-coverage floors were set on."""
+    from repro.core import dMoE
+    from repro.utils.rng import seed_all
+
+    seed_all(0)
+    pile = SyntheticPile(PileConfig(vocab_size=128, num_domains=8, branching=4), seed=7)
+    train, _ = LMDataset(pile.token_stream(12_000, 64), seq_len=32).split(0.05)
+    ffn = lambda i: dMoE(
+        48, 192, 8, block_size=8, rng=1000 + i, load_balance_coef=0.01
+    )
+    model = TransformerLM(128, 48, 3, 3, 32, ffn_factory=ffn, rng=5)
+    cfg = TrainerConfig(
+        global_batch=16,
+        micro_batch=8,
+        max_steps=10**9,
+        eval_every=0,
+        log_every=0,
+        steady_state=steady,
+        backend=backend,
+    )
+    return Trainer(model, train, config=cfg, optimizer=Adam(model.parameters(), lr=3e-3))
 
 
 def _trainer(steady, injector=None, guardrails=None, dropout_p=0.1):
@@ -122,3 +154,28 @@ class TestSteadyStateEquivalence:
             tr.train_step(step)
         assert ar.pooled_bytes == bytes_after_warmup
         assert ag_stats.tape_nodes > 0
+
+    def test_step_allocates_a_fraction_of_the_reference(self):
+        """New bytes above the step's starting watermark (pooled arena
+        memory, being reused, does not count): median of 2 post-warm-up
+        steps, reference / steady.  > 2 is the smoke gate; a full-length
+        run of this shape reads >= 10 (about 19 here)."""
+
+        def alloc_peak(steady):
+            tr = fig7_small_trainer(steady)
+            for step in range(2):
+                tr.train_step(step)
+            gc.collect()
+            peaks = []
+            tracemalloc.start()
+            try:
+                for step in range(2, 4):
+                    tracemalloc.reset_peak()
+                    start = tracemalloc.get_traced_memory()[0]
+                    tr.train_step(step)
+                    peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+            return float(np.median(peaks))
+
+        assert alloc_peak(False) / max(alloc_peak(True), 1.0) > 2.0

@@ -100,6 +100,12 @@ class TestDynamicCapacity:
             layer(x)
             assert layer.last_plan.num_dropped == 0
 
+    def test_capacity_factor_in_its_positional_slot_is_ignored(self, rng):
+        layer = DynamicCapacityMoELayer(8, 16, 4, 2.0, rng=0)
+        assert layer.capacity_factor == 1.0
+        layer(Tensor(rng.standard_normal((40, 8)).astype(np.float32)))
+        assert layer.last_plan.num_dropped == 0
+
     def test_capacity_tracks_max_load(self, rng):
         layer = DynamicCapacityMoELayer(
             hidden_size=8, ffn_hidden_size=16, num_experts=4, rng=0

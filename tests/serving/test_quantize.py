@@ -16,7 +16,7 @@ from repro.serving.quantize import (
     quantize_int8,
 )
 
-from tests.serving.conftest import VOCAB, make_model
+from tests.serving.conftest import MAX_SEQ, VOCAB, make_model
 
 
 def test_quantize_roundtrip_error_bound():
@@ -90,6 +90,33 @@ def test_int8_engine_runs_and_detach_restores_fp32(system):
     with inference_mode():
         restored = model.forward(prompts).logits.data
     assert np.array_equal(restored, ref)  # fp32 weights were never touched
+
+
+def _perplexity(model, ids) -> float:
+    """Mean next-token perplexity under the inference kernels (f64 NLL)."""
+    with inference_mode():
+        logits = model.forward(ids).logits.data
+    logits = logits[:, :-1, :].astype(np.float64)
+    logits -= logits.max(axis=-1, keepdims=True)
+    logz = np.log(np.exp(logits).sum(axis=-1))
+    tok = np.take_along_axis(logits, ids[:, 1:, None], axis=-1)[..., 0]
+    return float(np.exp(-(tok - logz).mean()))
+
+
+def test_int8_perplexity_delta_is_quantization_noise():
+    """8 held-out rows, int8 experts against fp32.  A random-init model
+    sits at perplexity ~ vocab whatever its experts compute, so a bound
+    in percent cannot fail here: round-to-nearest int8 reads 5e-6
+    relative, the same with its scales rounded to powers of two 8e-5 —
+    2e-5 tells them apart."""
+    model = make_model("dmoe")
+    ids = np.random.default_rng(3).integers(0, VOCAB, size=(8, MAX_SEQ))
+    fp32 = _perplexity(model, ids)
+    attach_quantized_experts(model)
+    int8 = _perplexity(model, ids)
+    detach_quantized_experts(model)
+    assert int8 != fp32
+    assert abs(int8 - fp32) / fp32 < 2e-5
 
 
 def test_int8_generate_end_to_end():
