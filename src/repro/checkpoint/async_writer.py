@@ -5,7 +5,7 @@ serialize+fsync cost.  The async writer splits that in two:
 
 1. **Snapshot (step boundary, caller's thread)** — the trainer captures
    a :class:`CheckpointState` with ``copy=True``: a plain memcpy of
-   params/moments/RNG/scaler into staging buffers, the same in-memory
+   params/moments/RNG state into staging buffers, the same in-memory
    snapshot discipline the PR 2 guardrail rewind uses.  From this point
    the checkpoint content is frozen — later training steps, guardrail
    rewinds, even a checkpoint *restore* cannot race with the write.

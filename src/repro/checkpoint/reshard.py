@@ -10,8 +10,8 @@ whole-file remap: no shard is ever sliced or re-encoded, so expert
 weights and their Adam moments land bit-identically regardless of the
 direction of the change (grow N→M, shrink M→N, or round-trip N→M→N).
 
-Non-expert state (dense weights, RNG streams, LR-schedule step, grad
-scaler) is replicated across ranks in this design, so elastic resume
+Non-expert state (dense weights, RNG streams, LR-schedule step) is
+replicated across ranks in this design, so elastic resume
 restores it verbatim; the trainer logs the world-size change and the
 ``ckpt/elastic_resumes`` counter records it.
 

@@ -98,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab-size", type=int, default=512)
     p.add_argument("--tokens", type=int, default=300_000,
                    help="synthetic-Pile tokens to generate")
-    p.add_argument("--amp", action="store_true", help="use the GradScaler")
     p.add_argument("--backend", default="eager",
                    choices=["eager", "replay", "cc"],
                    help="step execution backend: eager (the allocating "
@@ -594,7 +593,6 @@ def main(argv=None) -> int:
         max_steps=args.steps,
         eval_every=args.eval_every or max(args.steps // 5, 1),
         log_every=max(args.steps // 10, 1),
-        use_grad_scaler=args.amp,
         backend=args.backend,
         async_checkpoint=args.async_checkpoint,
         dp_world=args.dp_world,

@@ -87,6 +87,8 @@ def expert_mlp(
 def _build_dispatch(mod: "dMoE", expert_indices: np.ndarray):
     """Plan + topology + padded-row expert map for one routing outcome.
 
+    ``mod`` is a dMoE or a variable-width dMoE: ``ffn_hidden_size`` is
+    one width or one per expert, as :func:`make_topology` takes it.
     This is a :func:`repro.autograd.graph.host` computation: a captured
     graph re-executes it each replay, so a shifted tokens-per-expert
     distribution flows into fresh permutation indices and a fresh

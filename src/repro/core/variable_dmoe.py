@@ -18,15 +18,10 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.autograd.graph import host as graph_host
 from repro.autograd.tensor import Tensor
-from repro.core.dmoe import expert_mlp
-from repro.core.topology_builder import expert_of_padded_row, make_topology
-from repro.moe.permute import (
-    PaddedPlan,
-    make_padded_plan,
-    padded_gather,
-    padded_scatter,
-)
+from repro.core.dmoe import _build_dispatch, expert_mlp
+from repro.moe.permute import PaddedPlan, padded_gather, padded_scatter
 from repro.moe.router import Router, RoutingResult
 from repro.nn import init
 from repro.nn.module import Module, Parameter
@@ -126,25 +121,29 @@ class VariableSizedDMoE(Module):
         self.last_topology: Optional[Topology] = None
         self.last_routing: Optional[RoutingResult] = None
 
+    @property
+    def ffn_hidden_size(self) -> np.ndarray:
+        """Per-expert widths — what :func:`make_topology` takes in place
+        of dMoE's one width, so both layers share ``_build_dispatch``."""
+        return self.experts.ffn_hidden_sizes
+
     def forward(self, x: Tensor) -> Tuple[Tensor, Optional[Tensor]]:
         orig_shape = x.shape
         if x.ndim == 3:
             x = x.reshape((orig_shape[0] * orig_shape[1], orig_shape[2]))
 
         routing = self.router(x)
-        plan = make_padded_plan(
-            routing.expert_indices, self.num_experts, self.block_size
+        # A host record, as in dMoE: a captured graph rebuilds the plan
+        # and topology from each replay's routing.
+        plan, topology, row_expert = graph_host(
+            _build_dispatch, self, routing.expert_indices
         )
-        topology = make_topology(plan, self.experts.ffn_hidden_sizes)
-        self.last_plan = plan
-        self.last_topology = topology
         self.last_routing = routing
 
         xp = padded_gather(x, plan)
         e = self.experts
         y = expert_mlp(
-            xp, e.w1, e.b1, e.w2, e.b2,
-            topology, expert_of_padded_row(plan), self.activation,
+            xp, e.w1, e.b1, e.w2, e.b2, topology, row_expert, self.activation,
         )
         out = padded_scatter(y, plan, routing.expert_weights)
 

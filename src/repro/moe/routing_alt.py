@@ -28,12 +28,25 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from repro.autograd import getitem, softmax
+from repro.autograd.graph import host as graph_host
 from repro.autograd.tensor import Tensor
 from repro.moe.router import RoutingResult, load_balancing_loss
 from repro.nn.layers import Linear
 from repro.nn.module import Module
 from repro.utils.rng import RngLike
 from repro.utils.shapes import ceil_div
+
+
+def _balanced_assignment(scores: np.ndarray, num_experts: int) -> np.ndarray:
+    """BASE-layer expert ids, ``(tokens, 1)``: the Hungarian assignment
+    of tokens to per-slot columns, slot ``j`` serving expert ``j %
+    num_experts``.  A host computation, so a captured graph reassigns
+    each replay's tokens instead of replaying the captured assignment."""
+    num_tokens = scores.shape[0]
+    slots = ceil_div(num_tokens, num_experts) * num_experts
+    slot_expert = np.arange(slots) % num_experts
+    rows, cols = linear_sum_assignment(-scores[:, slot_expert])
+    return slot_expert[cols][np.argsort(rows)][:, None].astype(np.int64)
 
 
 class BaseLayerRouter(Module):
@@ -67,14 +80,7 @@ class BaseLayerRouter(Module):
         num_tokens = x.shape[0]
         logits = self.proj(x)
         scores = softmax(logits, axis=-1)
-
-        # Expand experts into per-slot columns so assignment is balanced:
-        # slot j serves expert j % num_experts.
-        slots = ceil_div(num_tokens, self.num_experts) * self.num_experts
-        slot_expert = np.arange(slots) % self.num_experts
-        affinity = scores.data[:, slot_expert]  # (tokens, slots)
-        rows, cols = linear_sum_assignment(-affinity)
-        indices = slot_expert[cols][np.argsort(rows)][:, None].astype(np.int64)
+        indices = graph_host(_balanced_assignment, scores.data, self.num_experts)
 
         token_rows = np.arange(num_tokens)[:, None]
         weights = getitem(scores, (token_rows, indices))
@@ -102,6 +108,13 @@ def sinkhorn(scores: np.ndarray, iterations: int = 8, eps: float = 1e-9) -> np.n
         plan /= plan.sum(axis=1, keepdims=True) + eps
         plan *= col_target / (plan.sum(axis=0, keepdims=True) + eps)
     return plan
+
+
+def _sinkhorn_top1(scores: np.ndarray, iterations: int) -> np.ndarray:
+    """Greedy top-1 expert ids, ``(tokens, 1)``, on the Sinkhorn plan of
+    ``scores`` — a host computation, like :func:`_balanced_assignment`."""
+    plan = sinkhorn(scores, iterations=iterations)
+    return plan.argmax(axis=1)[:, None].astype(np.int64)
 
 
 class SinkhornRouter(Module):
@@ -136,8 +149,7 @@ class SinkhornRouter(Module):
             raise ValueError(f"router expects (tokens, hidden), got {x.shape}")
         logits = self.proj(x)
         scores = softmax(logits, axis=-1)
-        plan = sinkhorn(scores.data, iterations=self.iterations)
-        indices = plan.argmax(axis=1)[:, None].astype(np.int64)
+        indices = graph_host(_sinkhorn_top1, scores.data, self.iterations)
 
         rows = np.arange(x.shape[0])[:, None]
         weights = getitem(scores, (rows, indices))

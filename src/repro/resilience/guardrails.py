@@ -4,16 +4,18 @@ The dropless guarantee of the paper says no token is silently discarded;
 this module extends the same "nothing silent" discipline to numerics.
 Three mechanisms, composed by :class:`NumericGuard` inside the trainer:
 
-1. **Sentinels** — every step's loss and gradients are checked for
-   NaN/Inf before the optimizer may apply them.
+1. **Sentinels** — every step's loss is checked for NaN/Inf before the
+   optimizer may apply the step.  (Gradients need no sweep of their
+   own: the trainer skips any step whose global gradient norm is not
+   finite, and counts it here as ``nonfinite_grad``.)
 2. **Loss-spike detector** — a rolling median over recent healthy
    losses; a step whose loss exceeds ``spike_factor`` times the median
    is treated as suspect even though it is finite (the classic
    symptom of a poisoned update or corrupted batch).
 3. **Skip-and-rewind** — bad steps skip the optimizer update; after
    ``max_consecutive_bad`` bad steps in a row the trainer restores the
-   last known-good snapshot (parameters, optimizer moments, scaler)
-   and continues on fresh data.
+   last known-good snapshot (parameters and optimizer moments) and
+   continues on fresh data.
 
 Verdicts are strings (``"ok"``, ``"nonfinite_loss"``, ...) so the
 trainer can log *why* a step was skipped and counters can assert the
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, Optional
+from typing import Deque, Dict, Optional
 
 import numpy as np
 
@@ -34,12 +36,11 @@ from repro.resilience import counters
 OK = "ok"
 NONFINITE_LOSS = "nonfinite_loss"
 NONFINITE_GRAD = "nonfinite_grad"
-GRAD_OVERFLOW = "grad_overflow"  # detected by the GradScaler
 LOSS_SPIKE = "loss_spike"
 COLLECTIVE_FAULT = "collective_fault"
 
 BAD_VERDICTS = frozenset(
-    {NONFINITE_LOSS, NONFINITE_GRAD, GRAD_OVERFLOW, LOSS_SPIKE, COLLECTIVE_FAULT}
+    {NONFINITE_LOSS, NONFINITE_GRAD, LOSS_SPIKE, COLLECTIVE_FAULT}
 )
 
 
@@ -130,12 +131,6 @@ class NumericGuard:
         if self.spike_detector.is_spike(loss):
             return LOSS_SPIKE
         return OK
-
-    @staticmethod
-    def gradients_finite(params: Iterable) -> bool:
-        return all(
-            np.isfinite(p.grad).all() for p in params if p.grad is not None
-        )
 
     # ------------------------------------------------------------------
     def record_good(self, loss: float) -> None:

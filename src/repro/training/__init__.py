@@ -15,7 +15,6 @@ from repro.training.metrics import (
     time_to_loss,
 )
 from repro.training.trainer import RoutingStats, Trainer, TrainerConfig
-from repro.training.amp import GradScaler, MasterWeights, half_tensor, to_half
 from repro.training.eval import bits_per_token, evaluate_lm, perplexity
 
 __all__ = [
@@ -35,10 +34,6 @@ __all__ = [
     "Trainer",
     "TrainerConfig",
     "RoutingStats",
-    "GradScaler",
-    "MasterWeights",
-    "to_half",
-    "half_tensor",
     "evaluate_lm",
     "perplexity",
     "bits_per_token",

@@ -8,16 +8,20 @@ drop fraction) that feed the performance model.
 
 On top of the recipe sits the fault-tolerance layer (``docs/robustness.md``):
 
-- **numeric guardrails** (:class:`repro.resilience.NumericGuard`) — every
-  step's loss and gradients pass NaN/Inf sentinels and a rolling-median
-  loss-spike detector; bad steps skip the update, and after K consecutive
-  bad steps the trainer rewinds to its last known-good in-memory snapshot;
+- **non-finite skip** — the step's one read of every gradient, the
+  global norm the clip needs, also decides the skip: a non-finite norm
+  means some gradient element is NaN or ±inf, and the update is skipped
+  (with or without guardrails) instead of poisoning Adam;
+- **numeric guardrails** (:class:`repro.resilience.NumericGuard`) — a
+  NaN/Inf loss sentinel and a rolling-median loss-spike detector; bad
+  steps skip the update, and after K consecutive bad steps the trainer
+  rewinds to its last known-good in-memory snapshot;
 - **fault injection** (:class:`repro.resilience.FaultInjector`) — seeded
   schedules corrupt gradients and fail collectives so every recovery path
   above is exercised by tests, not trusted on faith;
 - **validated resume** — :meth:`Trainer.save` / :meth:`Trainer.fit`
-  round-trip model, optimizer, grad-scaler, data-order, and RNG state
-  bit-exactly through the checksummed checkpoint format.
+  round-trip model, optimizer, data-order, and RNG state bit-exactly
+  through the checksummed checkpoint format.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from repro.checkpoint import (
     CheckpointError,
     CheckpointManager,
     CheckpointState,
+    ShardReader,
     build_state,
     load_checkpoint,
     write_state,
@@ -85,12 +90,10 @@ class TrainerConfig:
         grad_clip: global-norm clip (1.0 per Shoeybi et al., 2019).
         eval_every / eval_batches: validation cadence and size.
         log_every: training-loss logging cadence.
-        use_grad_scaler: enable simulated mixed-precision loss scaling
-            (Micikevicius et al., 2018) — the loss is scaled before
-            backward, gradients unscaled before clipping, and steps with
-            non-finite gradients are skipped with scale backoff.
         guardrails: numeric-guardrail thresholds; ``None`` disables the
-            sentinels / spike detector / rewind path entirely.
+            loss sentinel / spike detector / rewind path entirely.  A
+            step whose gradients are not finite is skipped either way:
+            its global norm, which the clip reads anyway, is not finite.
         dp_world: when > 1, the step's gradients, scaled by
             ``1 / dp_world``, go through one data-parallel ``all_reduce``
             per step (one bucket holding every gradient, reduced back
@@ -160,7 +163,6 @@ class TrainerConfig:
     eval_every: int = 20
     eval_batches: int = 4
     log_every: int = 10
-    use_grad_scaler: bool = False
     guardrails: Optional[GuardrailConfig] = None
     dp_world: int = 0
     dist_backend: str = "sim"
@@ -228,11 +230,6 @@ class Trainer:
         self.routing_stats: List[RoutingStats] = []
         self._epoch_order: Optional[np.ndarray] = None
         self._epoch_pos = 0
-        self.grad_scaler = None
-        if config.use_grad_scaler:
-            from repro.training.amp import GradScaler
-
-            self.grad_scaler = GradScaler()
         self.skipped_steps = 0
         self.guard = (
             NumericGuard(config.guardrails) if config.guardrails else None
@@ -327,8 +324,6 @@ class Trainer:
                 [m.copy() for m in self.optimizer._m],
                 [v.copy() for v in self.optimizer._v],
             )
-        if self.grad_scaler is not None:
-            snap["scaler"] = self.grad_scaler.state_dict()
         self._snapshot = snap
         self._good_since_snapshot = 0
 
@@ -344,8 +339,6 @@ class Trainer:
                 m[...] = saved
             for v, saved in zip(self.optimizer._v, vs):
                 v[...] = saved
-        if "scaler" in snap and self.grad_scaler is not None:
-            self.grad_scaler.load_state_dict(snap["scaler"])
 
     # ------------------------------------------------------------------
     def _dist_group(self):
@@ -478,8 +471,6 @@ class Trainer:
             loss, lm, _ = self.model.loss(batch.inputs, batch.targets)
             # Scale so accumulated gradients average over micro batches.
             scaled = loss * (1.0 / self.config.accumulation_steps)
-            if self.grad_scaler is not None:
-                scaled = self.grad_scaler.scale_loss(scaled)
         with span("backward"):
             scaled.backward(retain_graph=retain_graph)
         return lm, scaled
@@ -487,17 +478,16 @@ class Trainer:
     def _graph_signature(self, batch) -> tuple:
         """Replay validity key: anything the compiled schedule froze that
         is not re-derived per replay.  Shapes/dtypes pin the buffer and
-        broadcast metadata, the loss scale pins the captured multiplier,
-        and the training flag pins dropout presence.  The topology cache
-        key is deliberately *not* part of it: topology and permutation plans rebuild as host
-        records each replay, so tokens-per-expert wobble replays fine.
+        broadcast metadata, and the training flag pins dropout presence.
+        The topology cache key is deliberately *not* part of it: topology
+        and permutation plans rebuild as host records each replay, so
+        tokens-per-expert wobble replays fine.
         """
         return (
             batch.inputs.shape,
             str(batch.inputs.dtype),
             batch.targets.shape,
             str(batch.targets.dtype),
-            float(self.grad_scaler.scale) if self.grad_scaler is not None else None,
             bool(self.model.training),
         )
 
@@ -583,18 +573,9 @@ class Trainer:
         if self.fault_injector is not None:
             self.fault_injector.corrupt_gradients(step, self.optimizer.params)
 
-        with span("guard"):
-            verdict = gr.OK
-            if self.guard is not None and not np.isfinite(mean_loss):
-                verdict = gr.NONFINITE_LOSS
-            if verdict == gr.OK and self.grad_scaler is not None:
-                if not self.grad_scaler.unscale_and_check(self.optimizer.params):
-                    # Overflow: the scaler already zeroed grads and backed off.
-                    verdict = gr.GRAD_OVERFLOW
-            elif verdict == gr.OK and self.guard is not None:
-                if not self.guard.gradients_finite(self.optimizer.params):
-                    verdict = gr.NONFINITE_GRAD
-                    self._drop_gradients()
+        verdict = gr.OK
+        if self.guard is not None and not np.isfinite(mean_loss):
+            verdict = gr.NONFINITE_LOSS
         if verdict == gr.OK and cfg.dp_world > 1:
             with span("grad_sync"):
                 try:
@@ -602,23 +583,25 @@ class Trainer:
                 except CollectiveFault as exc:
                     logger.warning("step %d: unrecovered %s", step, exc)
                     verdict = gr.COLLECTIVE_FAULT
-                    self._drop_gradients()
-        if (
-            verdict == gr.OK
-            and self.guard is not None
-            and self.guard.spike_detector.is_spike(mean_loss)
-        ):
-            verdict = gr.LOSS_SPIKE
-            self._drop_gradients()
+        if verdict == gr.OK:
+            with span("clip"):
+                # One read of every gradient decides both the skip and
+                # the clip: an fp64 sum of squares of finite fp32 values
+                # cannot overflow, and NaN / ±inf propagate through it,
+                # so the norm is finite exactly when every element is.
+                # The clip scale rides into the optimizer's own sweep
+                # instead of a pass of its own (docs/training.md).
+                norm = grad_norm(self.optimizer.params)
+            if not np.isfinite(norm):
+                verdict = gr.NONFINITE_GRAD
+            elif self.guard is not None and self.guard.spike_detector.is_spike(
+                mean_loss
+            ):
+                verdict = gr.LOSS_SPIKE
 
         self.last_grad_norm = None
         if verdict == gr.OK:
-            with span("clip"):
-                # One read of every gradient; the scale it yields rides
-                # into the optimizer's own sweep instead of a pass of
-                # its own, so p.grad stays unclipped (docs/training.md).
-                norm = grad_norm(self.optimizer.params)
-                scale = clip_scale(norm, cfg.grad_clip)
+            scale = clip_scale(norm, cfg.grad_clip)
             self.last_grad_norm = norm
             reg = registry()
             reg.gauge("training/grad_norm").set(norm)
@@ -628,16 +611,23 @@ class Trainer:
             if self.guard is not None:
                 self.guard.record_good(mean_loss)
                 self._good_since_snapshot += 1
-                if self._good_since_snapshot >= self.guard.config.snapshot_every:
+                if (
+                    self.guard.config.rewind
+                    and self._good_since_snapshot >= self.guard.config.snapshot_every
+                ):
+                    # Only a rewind ever reads a snapshot.
                     with span("snapshot"):
                         self._capture_snapshot()
         else:
             self.skipped_steps += 1
+            self._drop_gradients()
             # A skipped step (and a potential rewind below) transitions
-            # optimizer/scaler state outside the captured schedule's
+            # optimizer state outside the captured schedule's
             # assumptions — drop the graph and recapture next step.
             self.invalidate_graph()
-            if self.guard is not None:
+            if self.guard is None:
+                logger.warning("step %d skipped (%s)", step, verdict)
+            else:
                 rewind_due = self.guard.record_bad(verdict)
                 logger.warning(
                     "step %d skipped (%s), bad streak %d",
@@ -688,12 +678,6 @@ class Trainer:
             "global_rng": get_global_state(),
             "epoch_pos": int(self._epoch_pos),
             "skipped_steps": int(self.skipped_steps),
-            "use_grad_scaler": self.grad_scaler is not None,
-            "scaler": (
-                self.grad_scaler.state_dict()
-                if self.grad_scaler is not None
-                else None
-            ),
             "schedule": type(self.schedule).__name__,
         }
         merged = dict(extra or {})
@@ -724,21 +708,21 @@ class Trainer:
 
         ``step`` is the number of completed optimizer steps (the resumed
         run starts there).  Captures the trainer's and the process-global
-        RNG streams, the epoch shuffle order/position, and grad-scaler
-        state, so :meth:`fit(resume=...)` is bit-exact.  ``path`` is
-        the sharded checkpoint directory to create.
+        RNG streams and the epoch shuffle order/position, so
+        :meth:`fit(resume=...)` is bit-exact.  ``path`` is the sharded
+        checkpoint directory to create.
         """
         state = self._build_save_state(step=step, val_loss=val_loss, extra=extra)
         write_state(path, state, fault_hook=self._ckpt_fault_hook())
 
     def restore(self, path: str) -> int:
-        """Restore a :meth:`save` checkpoint; returns the next step index."""
-        meta = load_checkpoint(path, self.model, self.optimizer, mesh=self.mesh)
-        if meta.get("reshard"):
-            logger.info(
-                "elastic resume from %s: %s", path, meta["reshard"]
-            )
-        state = meta["extra"].get("trainer_state")
+        """Restore a :meth:`save` checkpoint; returns the next step index.
+
+        The trainer state is read from the manifest and validated before
+        anything is loaded: a rejected checkpoint leaves the model and
+        the optimizer as they were.
+        """
+        state = ShardReader(path).meta.get("extra", {}).get("trainer_state")
         if state is None:
             raise CheckpointError(
                 f"checkpoint {path!r} holds no trainer state (written by "
@@ -750,13 +734,16 @@ class Trainer:
                 f"checkpoint RNG is {state['rng']['bit_generator']!r}, "
                 f"trainer uses {expected!r}"
             )
-        if state["use_grad_scaler"] != (self.grad_scaler is not None):
+        if state.get("use_grad_scaler"):
             raise CheckpointError(
-                "grad-scaler configuration mismatch: checkpoint "
-                f"{'has' if state['use_grad_scaler'] else 'lacks'} scaler "
-                "state but the trainer is configured "
-                f"{'with' if self.grad_scaler is not None else 'without'} "
-                "use_grad_scaler — resume would not be bit-exact"
+                f"checkpoint {path!r} was written with the fp16 loss scaler "
+                "on; the scaler has been removed, so this run cannot be "
+                "continued bit-exactly"
+            )
+        meta = load_checkpoint(path, self.model, self.optimizer, mesh=self.mesh)
+        if meta.get("reshard"):
+            logger.info(
+                "elastic resume from %s: %s", path, meta["reshard"]
             )
         # Global stream first: if self.rng *is* the global generator the
         # second assignment overwrites it with the identical state.
@@ -768,8 +755,6 @@ class Trainer:
         )
         self._epoch_pos = int(state["epoch_pos"])
         self.skipped_steps = int(state["skipped_steps"])
-        if self.grad_scaler is not None:
-            self.grad_scaler.load_state_dict(state["scaler"])
         self._snapshot = None
         self._good_since_snapshot = 0
         # Leaf slots re-read parameter arrays (in-place checkpoint loads

@@ -45,9 +45,6 @@ class TestMain:
             ["--system", "moe", "--capacity-factor", "1.5"] + self.COMMON
         ) == 0
 
-    def test_amp_flag(self):
-        assert main(["--system", "dmoe", "--amp"] + self.COMMON) == 0
-
     @pytest.mark.parametrize("backend", ["sim", "mp"])
     def test_data_parallel_run(self, backend):
         """--dp-world routes the step through the sharded data-parallel

@@ -95,20 +95,3 @@ class TestCheckpointWithMoE:
         out_b, _ = b(x)
         np.testing.assert_allclose(out_a.data, out_b.data, atol=1e-12)
 
-
-class TestAmpWithDMoE:
-    def test_dmoe_trains_under_grad_scaler(self):
-        seed_all(0)
-        train, val = _data()
-        model = TransformerLM(
-            64, 16, 1, 2, 16,
-            ffn_factory=lambda i: dMoE(16, 32, 4, block_size=8, rng=10 + i),
-            rng=0,
-        )
-        cfg = TrainerConfig(global_batch=8, micro_batch=4, max_steps=10,
-                            eval_every=0, log_every=5, use_grad_scaler=True)
-        tr = Trainer(model, train, val, cfg,
-                     optimizer=Adam(model.parameters(), lr=3e-3))
-        hist = tr.train()
-        assert tr.skipped_steps == 0
-        assert hist.records[-1].loss < hist.records[0].loss

@@ -7,7 +7,9 @@ same bits as the reference: losses, gradient norms, parameters and both
 Adam moments, under each learning-rate schedule the repo ships (the
 cosine one returns through ``np.cos``), with the clip biting and not,
 over steps that span the end of warm-up.  The type a learning rate
-arrives in must not matter either.
+arrives in must not matter either, and neither may the layer: the
+variable-width dMoE and the Sinkhorn / BASE routers, whose assignment
+or dispatch is host work, train the eager bits on the compiled rungs.
 """
 
 import json
@@ -18,9 +20,11 @@ import pytest
 from repro.autograd import lower
 from repro.autograd.lower import toolchain
 from repro.cli import main
-from repro.core import dMoE
+from repro.core import VariableSizedDMoE, dMoE
 from repro.data import LMDataset, PileConfig, SyntheticPile
+from repro.moe import BaseLayerRouter, SinkhornRouter
 from repro.nn import TransformerLM
+from repro.observability import registry
 from repro.training import Adam, Trainer, TrainerConfig, optim
 from repro.training.lr_schedule import (
     ConstantLR,
@@ -73,10 +77,26 @@ def _native_clip_only_where_attached():
     optim._CLIP_CC = None
 
 
-def _trainer(backend, steady, schedule, grad_clip, lr=LR):
+def _dmoe(i):
+    return dMoE(16, 32, num_experts=4, block_size=8, rng=i)
+
+
+#: Layers whose dispatch or routing is host work the compiled rungs must
+#: redo from every replay's live routing.
+LAYERS = {
+    "variable-dmoe": lambda i: VariableSizedDMoE(16, [8, 16, 24, 32], block_size=8, rng=i),
+    "sinkhorn": lambda i: dMoE(
+        16, 32, num_experts=4, block_size=8, rng=i, router=SinkhornRouter(16, 4, rng=20 + i)
+    ),
+    "base-layer": lambda i: dMoE(
+        16, 32, num_experts=4, block_size=8, rng=i, router=BaseLayerRouter(16, 4, rng=20 + i)
+    ),
+}
+
+
+def _trainer(backend, steady, schedule, grad_clip, lr=LR, ffn=_dmoe):
     pile = SyntheticPile(PileConfig(vocab_size=64, num_domains=3, branching=4), seed=1)
     train = LMDataset(pile.token_stream(6_000, 32), seq_len=16)
-    ffn = lambda i: dMoE(16, 32, num_experts=4, block_size=8, rng=i)
     model = TransformerLM(64, 16, 2, 2, 16, ffn_factory=ffn, dropout_p=0.1, rng=0)
     config = TrainerConfig(
         global_batch=8, micro_batch=4, max_steps=STEPS, eval_every=0,
@@ -135,6 +155,24 @@ def test_every_rung_trains_the_reference_bits(backend, steady, schedule, clip):
     if backend == "cc":
         assert trainer.step_graph._lowered is not None
         assert trainer.optimizer._cc_multi is not None
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_every_rung_trains_each_layer_alike(layer):
+    """One capture per run and no fallback: every micro batch after the
+    first is a replay, and it trains the eager bits only if the layer's
+    assignment, plan and topology were rebuilt from its own routing."""
+    make = lambda backend: _trainer(
+        backend, False, ConstantLR(LR), CLIPS["clip-active"], ffn=LAYERS[layer]
+    )
+    ref, _ = _run(make("eager"))
+    reg = registry()
+    for backend in ["replay"] + (["cc"] if lower.cc_available() else []):
+        before = {k: reg.counter(f"graph_{k}").value for k in ("captures", "replays", "fallbacks")}
+        bits, _ = _run(make(backend))
+        _assert_same_bits(bits, ref)
+        counts = {k: reg.counter(f"graph_{k}").value - v for k, v in before.items()}
+        assert counts == {"captures": 1, "replays": 2 * STEPS - 1, "fallbacks": 0}, backend
 
 
 class _Typed(LRSchedule):

@@ -195,3 +195,27 @@ class TestRouterFallback:
         assert np.isfinite(out.data).all()
         assert aux is None
         assert counters.get("router_fallback") == 1
+
+
+class TestRouterWeightNormalization:
+    def test_top2_weights_sum_to_one_when_normalized(self, rng):
+        r = Router(8, 4, top_k=2, normalize_weights=True, rng=0)
+        res = r(Tensor(rng.standard_normal((12, 8)).astype(np.float32)))
+        np.testing.assert_allclose(res.expert_weights.data.sum(axis=1), 1.0, rtol=1e-5)
+
+    def test_unnormalized_weights_are_raw_probabilities(self, rng):
+        r = Router(8, 4, top_k=2, normalize_weights=False, rng=0)
+        res = r(Tensor(rng.standard_normal((12, 8)).astype(np.float32)))
+        assert (res.expert_weights.data.sum(axis=1) < 1.0 + 1e-6).all()
+
+    def test_top1_normalization_is_noop(self, rng):
+        x = rng.standard_normal((12, 8)).astype(np.float32)
+        a = Router(8, 4, top_k=1, normalize_weights=True, rng=0)(Tensor(x.copy()))
+        b = Router(8, 4, top_k=1, normalize_weights=False, rng=0)(Tensor(x.copy()))
+        np.testing.assert_allclose(a.expert_weights.data, b.expert_weights.data)
+
+    def test_normalized_weights_still_differentiable(self, rng):
+        r = Router(8, 4, top_k=2, normalize_weights=True, rng=0, load_balance_coef=0.0)
+        res = r(Tensor(rng.standard_normal((6, 8)).astype(np.float32)))
+        res.expert_weights.sum().backward()
+        assert r.proj.weight.grad is not None

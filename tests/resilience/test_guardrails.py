@@ -3,17 +3,18 @@
 import numpy as np
 import pytest
 
+from repro.autograd import lower
 from repro.data import LMDataset, PileConfig, SyntheticPile
 from repro.nn import TransformerLM
 from repro.resilience import counters
 from repro.resilience.faults import (
+    INF_GRAD,
     NAN_GRAD,
     FaultEvent,
     FaultInjector,
     FaultSchedule,
 )
 from repro.resilience.guardrails import (
-    GRAD_OVERFLOW,
     LOSS_SPIKE,
     NONFINITE_GRAD,
     NONFINITE_LOSS,
@@ -91,7 +92,7 @@ class TestNumericGuard:
         guard = NumericGuard(GuardrailConfig(max_consecutive_bad=3))
         assert not guard.record_bad(NONFINITE_LOSS)
         assert not guard.record_bad(NONFINITE_GRAD)
-        assert guard.record_bad(GRAD_OVERFLOW)
+        assert guard.record_bad(LOSS_SPIKE)
         guard.record_rewind()
         assert guard.bad_streak == 0
         assert guard.rewinds == 1
@@ -113,7 +114,7 @@ class TestNumericGuard:
             NumericGuard().record_bad("ok")
 
 
-def _tiny_trainer(injector=None, guardrails=None, steps=8, use_scaler=False):
+def _tiny_trainer(injector=None, guardrails=None, steps=8, backend="eager"):
     pile = SyntheticPile(PileConfig(vocab_size=64, num_domains=3, branching=4), seed=1)
     ds = LMDataset(pile.token_stream(8_000, 32), seq_len=16)
     train, val = ds.split(0.1)
@@ -125,7 +126,7 @@ def _tiny_trainer(injector=None, guardrails=None, steps=8, use_scaler=False):
         eval_every=0,
         log_every=1,
         guardrails=guardrails,
-        use_grad_scaler=use_scaler,
+        backend=backend,
     )
     return Trainer(
         model,
@@ -150,15 +151,6 @@ class TestTrainerGuardrails:
         for p in tr.model.parameters():
             assert np.isfinite(p.data).all()
         assert np.isfinite(hist.records[-1].loss)
-
-    def test_injected_nan_with_scaler_counts_overflow(self):
-        injector = FaultInjector(FaultSchedule([FaultEvent(NAN_GRAD, step=1)]))
-        tr = _tiny_trainer(
-            injector, GuardrailConfig(), steps=4, use_scaler=True
-        )
-        tr.train()
-        assert tr.guard.verdict_counts[GRAD_OVERFLOW] == 1
-        assert tr.grad_scaler.num_overflows == 1
 
     def test_k_consecutive_bad_steps_trigger_rewind(self):
         events = [FaultEvent(NAN_GRAD, step=s) for s in (2, 3)]
@@ -191,10 +183,46 @@ class TestTrainerGuardrails:
             np.testing.assert_array_equal(p.data, ref)
         assert tr.optimizer.t == ref_t
 
-    def test_no_guardrails_preserves_legacy_scaler_behaviour(self):
-        injector = FaultInjector(FaultSchedule([FaultEvent(NAN_GRAD, step=1)]))
-        tr = _tiny_trainer(injector, None, steps=3, use_scaler=True)
-        tr.train()
-        assert tr.guard is None
-        assert tr.skipped_steps == 1
-        assert tr.grad_scaler.num_overflows == 1
+    def test_skip_only_guardrails_take_no_snapshot(self):
+        """With ``rewind=False`` nothing can restore a snapshot, so none
+        is taken — and the trajectory is the rewind-armed run's."""
+
+        def run(rewind):
+            injector = FaultInjector(FaultSchedule([FaultEvent(NAN_GRAD, step=2)]))
+            tr = _tiny_trainer(injector, GuardrailConfig(rewind=rewind), steps=5)
+            tr.train()
+            assert tr.skipped_steps == 1 and tr.guard.rewinds == 0
+            return tr
+
+        armed, skip_only = run(True), run(False)
+        assert armed._snapshot is not None
+        assert skip_only._snapshot is None
+        for a, b in zip(armed.optimizer.params, skip_only.optimizer.params):
+            np.testing.assert_array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("kind", [NAN_GRAD, INF_GRAD])
+@pytest.mark.parametrize(
+    "backend",
+    [
+        "eager",
+        "replay",
+        pytest.param(
+            "cc",
+            marks=pytest.mark.skipif(
+                not lower.cc_available(), reason="no C toolchain in this environment"
+            ),
+        ),
+    ],
+)
+def test_nonfinite_gradients_are_skipped_without_guardrails(backend, kind):
+    """No guard: the step's gradient norm, which the clip reads anyway,
+    is not finite, so the update is skipped instead of poisoning Adam."""
+    injector = FaultInjector(FaultSchedule([FaultEvent(kind, step=1)]))
+    tr = _tiny_trainer(injector, None, steps=3, backend=backend)
+    tr.train()
+    assert tr.guard is None
+    assert counters.get(f"injected_{kind}") == 1
+    assert tr.skipped_steps == 1
+    for a in [p.data for p in tr.optimizer.params] + tr.optimizer._m + tr.optimizer._v:
+        assert np.isfinite(a).all()

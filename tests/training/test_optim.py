@@ -201,3 +201,55 @@ class TestClipScaleFoldedIntoTheStep:
         state = lambda o: (o._m + o._v) if isinstance(o, Adam) else o._velocity
         for a, b in zip(state(separate), state(folded)):
             assert a.tobytes() == b.tobytes()
+
+
+class TestGradNormFiniteness:
+    """The trainer skips a step on a non-finite ``grad_norm`` instead of
+    sweeping the gradients for NaN/Inf, so the norm must be non-finite
+    exactly when some gradient element is NaN, +inf or -inf — on every
+    path the clip can take."""
+
+    @pytest.mark.parametrize("rung", ["allocating", "mirror", "native"])
+    def test_nonfinite_exactly_when_an_element_is(self, rung, tmp_path, monkeypatch):
+        import contextlib
+
+        from repro.autograd import arena, lower
+        from repro.autograd.lower import toolchain
+        from repro.training import optim
+        from repro.training.optim import grad_norm
+
+        monkeypatch.setattr(optim, "_CLIP_CC", None)
+        if rung == "native":
+            if not lower.cc_available():
+                pytest.skip("no C toolchain in this environment")
+            monkeypatch.setenv("REPRO_LOWER_CACHE", str(tmp_path / "lower-cache"))
+            toolchain._reset_for_tests()
+            assert lower.attach_adam(Adam([Parameter(np.zeros(3, np.float32))]))
+
+        r = np.random.default_rng(3)
+
+        def norm(*grads):
+            ps = []
+            for g in grads:
+                ps.append(Parameter(np.zeros_like(g)))
+                ps[-1].grad = g
+            return grad_norm(ps)
+
+        def randn(n):
+            return r.standard_normal(n).astype(np.float32)
+
+        big = np.finfo(np.float32).max
+        try:
+            with arena.use_arena() if rung != "allocating" else contextlib.nullcontext():
+                for size in (1, 7, 64, 1000):
+                    for g in (randn(size), np.full(size, big), np.full(size, -big)):
+                        assert np.isfinite(norm(randn(5), g.astype(np.float32), randn(9)))
+                    for where in (0, size // 2, size - 1):
+                        for bad in (np.nan, np.inf, -np.inf):
+                            g = randn(size)
+                            g[where] = bad
+                            assert not np.isfinite(norm(randn(5), g, randn(9))), (
+                                size, where, bad,
+                            )
+        finally:
+            toolchain._reset_for_tests()

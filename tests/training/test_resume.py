@@ -1,12 +1,13 @@
 """Resume equivalence: N + checkpoint + resume + N == 2N straight.
 
 The fault-tolerance story rests on checkpoints being *perfect* restore
-points: model, Adam moments, grad-scaler state, data order, and RNG
-streams must all round-trip bit-exactly, or a recovered run silently
+points: model, Adam moments, data order, and RNG streams must all
+round-trip bit-exactly, or a recovered run silently
 trains a different model.  These tests assert bit-identity, not
 tolerance.
 """
 
+import json
 import os
 
 import numpy as np
@@ -30,8 +31,7 @@ from repro.resilience import (
 from repro.training import Adam, Trainer, TrainerConfig, WarmupCosineLR
 
 
-def _setup(max_steps, use_scaler=False, moe=False, trainer_seed=11,
-           fault_injector=None):
+def _setup(max_steps, moe=False, trainer_seed=11, fault_injector=None):
     pile = SyntheticPile(PileConfig(vocab_size=64, num_domains=3, branching=4), seed=1)
     ds = LMDataset(pile.token_stream(10_000, 32), seq_len=16)
     train, val = ds.split(0.1)
@@ -48,7 +48,6 @@ def _setup(max_steps, use_scaler=False, moe=False, trainer_seed=11,
         max_steps=max_steps,
         eval_every=0,
         log_every=1,
-        use_grad_scaler=use_scaler,
     )
     # Identical model init + a private trainer RNG: the straight and the
     # resumed runs see identical parameter and data-order streams.
@@ -68,20 +67,19 @@ def _losses(history):
     return {r.step: r.loss for r in history.records}
 
 
-@pytest.mark.parametrize("use_scaler", [False, True], ids=["fp32", "scaler"])
 class TestResumeEquivalence:
-    def test_bit_exact_resume(self, tmp_path, use_scaler):
+    def test_bit_exact_resume(self, tmp_path):
         n, total = 3, 6
-        straight = _setup(total, use_scaler)
+        straight = _setup(total)
         straight.train()
 
-        first = _setup(total, use_scaler)
+        first = _setup(total)
         first.config.max_steps = n
         first.train()
         path = str(tmp_path / "mid")
         first.save(path, step=n)
 
-        resumed = _setup(total, use_scaler)
+        resumed = _setup(total)
         resumed.fit(resume=path)
 
         # Per-step losses of the second half are bit-identical.
@@ -99,15 +97,10 @@ class TestResumeEquivalence:
             np.testing.assert_array_equal(a, b)
         for a, b in zip(straight.optimizer._v, resumed.optimizer._v):
             np.testing.assert_array_equal(a, b)
-        if use_scaler:
-            assert (
-                resumed.grad_scaler.state_dict()
-                == straight.grad_scaler.state_dict()
-            )
         # RNG streams ended in the same place: next draws match.
         assert straight.rng.random() == resumed.rng.random()
 
-    def test_resume_across_epoch_boundary(self, tmp_path, use_scaler):
+    def test_resume_across_epoch_boundary(self, tmp_path):
         """The epoch shuffle order/position round-trips mid-epoch.
 
         The dataset is small enough (14 batches per epoch, 20 drawn)
@@ -130,7 +123,6 @@ class TestResumeEquivalence:
                 max_steps=steps,
                 eval_every=0,
                 log_every=1,
-                use_grad_scaler=use_scaler,
             )
             return Trainer(
                 model,
@@ -219,18 +211,80 @@ class TestFitCheckpointing:
         with pytest.raises(CheckpointError):
             tr.fit(resume=mgr)
 
-    def test_scaler_config_mismatch_rejected(self, tmp_path):
-        tr = _setup(2, use_scaler=False)
-        tr.train()
-        path = str(tmp_path / "fp32")
-        tr.save(path, step=2)
-        other = _setup(2, use_scaler=True)
-        with pytest.raises(CheckpointError, match="grad-scaler"):
-            other.fit(resume=path)
-
     def test_plain_checkpoint_cannot_resume_bit_exactly(self, tmp_path):
         tr = _setup(2)
         path = str(tmp_path / "plain")
         save_checkpoint(path, tr.model, tr.optimizer, step=1)
         with pytest.raises(CheckpointError, match="trainer state"):
             tr.fit(resume=path)
+
+
+def _rewrite_trainer_state(path, edit):
+    """Apply ``edit`` to a saved checkpoint's trainer state in place."""
+    mpath = os.path.join(path, MANIFEST_NAME)
+    with open(mpath) as fh:
+        manifest = json.load(fh)
+    edit(manifest["extra"]["trainer_state"])
+    with open(mpath, "w") as fh:
+        json.dump(manifest, fh)
+
+
+def _written_with_the_scaler(state):
+    """What a trainer with the (since removed) fp16 loss scaler wrote."""
+    state["use_grad_scaler"] = True
+    state["scaler"] = {"scale": 16384.0, "clean_steps": 2, "num_overflows": 0}
+
+
+class TestRestoreValidation:
+    @pytest.mark.parametrize(
+        "reason, match",
+        [
+            pytest.param("no-trainer-state", "trainer state", id="no-trainer-state"),
+            pytest.param("rng-type", "RNG", id="rng-type"),
+            pytest.param("scaler", "loss scaler", id="scaler"),
+        ],
+    )
+    def test_rejection_leaves_model_and_optimizer_untouched(
+        self, tmp_path, reason, match
+    ):
+        trained = _setup(2)
+        trained.train()
+        path = str(tmp_path / "ckpt")
+        if reason == "no-trainer-state":
+            save_checkpoint(path, trained.model, trained.optimizer, step=2)
+        else:
+            trained.save(path, step=2)
+            edit = {
+                "rng-type": lambda st: st["rng"].update(bit_generator="MT19937"),
+                "scaler": _written_with_the_scaler,
+            }[reason]
+            _rewrite_trainer_state(path, edit)
+
+        fresh = _setup(2)
+        opt = fresh.optimizer
+        state = lambda: [p.data for p in opt.params] + opt._m + opt._v
+        before = [a.copy() for a in state()]
+        with pytest.raises(CheckpointError, match=match):
+            fresh.restore(path)
+        assert opt.t == 0
+        for a, b in zip(before, state()):
+            np.testing.assert_array_equal(a, b)
+
+    def test_checkpoint_written_with_the_scaler_off_resumes(self, tmp_path):
+        """Trainer state from before the scaler's removal — with
+        ``use_grad_scaler: false`` and ``scaler: null`` — resumes
+        bit-exactly."""
+        straight = _setup(4)
+        straight.train()
+        first = _setup(4)
+        first.config.max_steps = 2
+        first.train()
+        path = str(tmp_path / "mid")
+        first.save(path, step=2)
+        _rewrite_trainer_state(
+            path, lambda st: st.update(use_grad_scaler=False, scaler=None)
+        )
+        resumed = _setup(4)
+        resumed.fit(resume=path)
+        for a, b in zip(straight.optimizer.params, resumed.optimizer.params):
+            np.testing.assert_array_equal(a.data, b.data)
