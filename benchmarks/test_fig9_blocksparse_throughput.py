@@ -14,6 +14,7 @@ from repro.gpu.blocksparse import block_sparse_op_time, moe_layer_problems
 from repro.gpu.device import A100_SXM4_80GB as A100
 from repro.gpu.matmul import batched_matmul_time
 from repro.gpu.tiling import MEGABLOCKS_TILE
+from repro.observability import registry
 from repro.sparse import Topology, dds, dispatch_mode, dsd, sdd, stats
 from repro.sparse.matrix import BlockSparseMatrix
 from repro.sparse.topology import INDEX_DTYPE
@@ -76,13 +77,14 @@ def test_fig9_wallclock_numpy_kernels(benchmark):
 
     stats.reset()
     result = benchmark(lambda: sdd(x, w, topo))
-    snap = stats.snapshot()["ops"].get("sdd", {})
+    grouped = registry().counter("sparse/sdd/grouped").value
+    blocked = registry().counter("sparse/sdd/blocked").value
     print(
         f"\nsdd dispatch on block-diagonal MoE shape: "
-        f"{snap.get('grouped', 0)} grouped / {snap.get('blocked', 0)} per-block calls"
+        f"{grouped} grouped / {blocked} per-block calls"
     )
     # The dMoE topology must be served by the grouped-GEMM fast path.
-    assert snap.get("grouped", 0) >= 1 and snap.get("blocked", 0) == 0
+    assert grouped >= 1 and blocked == 0
     # Correctness spot check against per-expert dense matmuls.
     xe = x.reshape(E, tokens, hidden)
     we = w.reshape(hidden, E, ffn).transpose(1, 0, 2)
@@ -143,7 +145,12 @@ def test_fig9_wallclock_grouped_vs_blocked(benchmark):
             run("blocked")
         with t_grouped:
             run("grouped")
-    snap = stats.snapshot()
+    reg = registry()
+    calls = {
+        op: (reg.counter(f"sparse/{op}/grouped").value,
+             reg.counter(f"sparse/{op}/blocked").value)
+        for op in ("sdd", "dsd", "ds^td", "dds")
+    }
 
     benchmark.pedantic(lambda: run("grouped"), rounds=1, iterations=1)
     speedup = t_blocked.mean / t_grouped.mean
@@ -155,10 +162,10 @@ def test_fig9_wallclock_grouped_vs_blocked(benchmark):
         f"six-op suite: per-block {t_blocked.mean * 1e3:8.2f} ms   "
         f"grouped {t_grouped.mean * 1e3:8.2f} ms   speedup {speedup:.2f}x"
     )
-    print(stats.summary())
     # Every op must have taken both paths exactly `iters` times.
-    for op, counts in snap["ops"].items():
-        assert counts["grouped"] == counts["blocked"], op
+    for op, (grouped, blocked) in calls.items():
+        print(f"{op:6} {grouped:4d} grouped / {blocked:4d} per-block calls")
+        assert grouped == blocked and grouped % iters == 0, op
     # The fast path must actually be faster on the MoE shapes (generous
     # margin: CPU wall-clock under CI noise).
     assert speedup > 1.0

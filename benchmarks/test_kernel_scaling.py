@@ -100,6 +100,7 @@ class TestTopologyConstruction:
         from repro.core import make_topology
         from repro.core.topology_builder import clear_topology_cache
         from repro.moe import make_padded_plan
+        from repro.observability import registry
         from repro.sparse import stats
 
         rng = np.random.default_rng(0)
@@ -110,9 +111,10 @@ class TestTopologyConstruction:
 
         topo = benchmark(lambda: make_topology(plan, 2048))
         topo.validate()
-        snap = stats.snapshot()["cache"]
-        assert snap["misses"] == 1 and snap["hits"] >= 1
-        print(f"\ntopology cache: {snap['hits']} hits / {snap['misses']} miss")
+        hits = registry().counter("sparse/topology_cache/hits").value
+        misses = registry().counter("sparse/topology_cache/misses").value
+        assert misses == 1 and hits >= 1
+        print(f"\ntopology cache: {hits} hits / {misses} miss")
 
     def test_make_topology_cold(self, benchmark):
         """§5.2: even uncached, metadata construction must be cheap (it

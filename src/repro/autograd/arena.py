@@ -69,6 +69,8 @@ MIN_BUCKET = 2048
 #: Default cap on total pooled bytes (free + live).
 DEFAULT_CAPACITY_BYTES = 512 * 1024 * 1024
 
+_RESHAPE_COPY_BYTES = stats.RESHAPE_COPY_BYTES
+
 
 class BufferArena:
     """A pool of flat NumPy arrays with per-step generation reclaim.
@@ -618,7 +620,7 @@ def reshaped(a: np.ndarray, shape) -> np.ndarray:
     Returns a view whenever NumPy would (same object semantics); when the
     reshape needs a copy — e.g. merging heads after a transpose — the
     C-order copy lands in a pooled buffer instead of a fresh allocation
-    and is counted in ``stats.reshape_copy_bytes``.  Bit-identical either
+    and is counted in ``autograd/reshape_copy_bytes``.  Bit-identical either
     way.
 
     Whether a view exists is decided from shape and strides alone:
@@ -641,5 +643,5 @@ def reshaped(a: np.ndarray, shape) -> np.ndarray:
         shape = tuple(a.size // rest if s == -1 else s for s in shape)
     buf = _ARENA.acquire(shape, a.dtype)
     np.copyto(buf.reshape(a.shape), a)
-    stats.reshape_copy_bytes += buf.nbytes
+    _RESHAPE_COPY_BYTES.value += buf.nbytes
     return buf

@@ -24,6 +24,8 @@ import numpy as np
 
 from repro.autograd import arena, stats
 
+_TAPE_NODES = stats.TAPE_NODES
+
 # Bound lazily on first apply() to avoid an import cycle with tensor.py.
 _Tensor = None
 _is_grad_enabled = None
@@ -128,7 +130,7 @@ class Function:
             out = Tensor(out_data, requires_grad=requires_grad)
         if requires_grad:
             out._node = Node(cls, ctx, args)
-            stats.record_node()
+            _TAPE_NODES.value += 1
         if _CAPTURE is not None:
             # Record every op (grad or not): non-grad outputs can still be
             # data-dependent inputs of later recorded calls.

@@ -194,8 +194,10 @@ void repro_grouped_dsd_f32(const float *restrict values,
 }
 """
 
-_GROUPED = _SS.PATH_GROUPED
 _record = _SS.record_product
+_SDD, _DSD, _DDS, _DSTD = (
+    _SS.Product(op, _SS.PATH_GROUPED) for op in ("sdd", "dsd", "dds", "ds^td")
+)
 
 
 def _stage_for(dplan, bs):
@@ -230,7 +232,7 @@ def _sdd_forward(b):
             vals.ctypes.data, gt.ctypes.data, lt.ctypes.data,
             gt.shape[0], k, bs, sbuf.ctypes.data)
         arena.release(stage)
-        _record("sdd", _GROUPED, topo, k)
+        _record(_SDD, topo, k)
         return (x, w, topo), vals
 
     return run
@@ -253,7 +255,7 @@ def _dsd_forward(b):
             gt.ctypes.data, lt.ctypes.data, gt.shape[0], 0, bs,
             sbuf.ctypes.data)
         arena.release(stage)
-        _record("dsd", _GROUPED, topo, n)
+        _record(_DSD, topo, n)
         return (v, w, topo), out
 
     return run
@@ -277,14 +279,14 @@ def _sdd_backward(b):
         cdsd(grad.ctypes.data, w.ctypes.data, w.shape[-1], 1,
              dx.ctypes.data, k, gt.ctypes.data, lt.ctypes.data,
              G, 0, bs, sbuf.ctypes.data)
-        _record("dsd", _GROUPED, topo, k)
+        _record(_DSD, topo, k)
         # DD^TS: dW = X^T @ dH into group column bands, in w's form.
         dw = _D.band_output(dplan, bs, w.shape, F4, 1)
         cdds(x.ctypes.data, k, 1, grad.ctypes.data,
              dw.ctypes.data, k, w.shape[-1], gt.ctypes.data,
              lt.ctypes.data, G, 0, bs, sbuf.ctypes.data)
         arena.release(stage)
-        _record("dds", _GROUPED, topo, k)
+        _record(_DDS, topo, k)
         return dx, dw
 
     return run
@@ -307,14 +309,14 @@ def _dsd_backward(b):
         csdd(grad.ctypes.data, n, 0, w.ctypes.data, w.shape[1], 1,
              dh.ctypes.data, gt.ctypes.data, lt.ctypes.data, G, n,
              bs, sbuf.ctypes.data)
-        _record("sdd", _GROUPED, topo, n)
+        _record(_SDD, topo, n)
         # DS^TD: dW = H^T @ dY into group column-range rows.
         dw = _D.band_output(dplan, bs, (topo.shape[1], n), F4, 0)
         cdsd(h_values.ctypes.data, grad.ctypes.data, n, 0,
              dw.ctypes.data, n, gt.ctypes.data, lt.ctypes.data, G, 1,
              bs, sbuf.ctypes.data)
         arena.release(stage)
-        _record("ds^td", _GROUPED, topo, n)
+        _record(_DSTD, topo, n)
         return dh, dw
 
     return run

@@ -1,10 +1,23 @@
-"""Counters for the autograd engine's steady-state machinery.
+"""Counts of the autograd engine's steady-state machinery, kept in the
+metrics registry.
 
-Mirrors :mod:`repro.sparse.stats`: plain integer increments, always on,
-read by benchmarks and surfaced through ``Trainer`` metrics.  Tracks how
-many tape nodes each step records, how many fused-op calls replaced
-multi-node compositions, and (via :mod:`repro.autograd.arena`) how well
-the buffer pool is reusing memory.
+Read by benchmarks and surfaced through ``Trainer`` metrics.  The counts
+are registry counters (:func:`repro.observability.registry`):
+
+- ``autograd/tape_nodes`` — tape nodes recorded (``Function.apply``);
+- ``autograd/fused/<op>`` — calls of each fused op;
+- ``autograd/reshape_copy_bytes``, ``autograd/leaf_copy_bytes`` — bytes
+  moved by the two copying branches a weight-sized array can take inside
+  a step: ``arena.reshaped`` when no view exists, and the first gradient
+  to reach a leaf when the leaf cannot adopt the array
+  (``tensor._accumulate_leaf``).  Incremented only there, so a step's
+  totals repeat exactly and a test can gate on them.
+
+The writers hold the handles below.  ``stats.tape_nodes``,
+``stats.reshape_copy_bytes`` and ``stats.leaf_copy_bytes`` read them;
+:func:`reset` zeroes this module's counters and no others.  The buffer
+pool's hits and misses are state of the arena itself
+(``get_arena().stats()``).
 
 Typical use::
 
@@ -12,13 +25,14 @@ Typical use::
 
     stats.reset()
     run_step()
-    snap = stats.snapshot()
-    print(snap["tape_nodes"], snap["nodes_fused"], snap["arena"]["hit_rate"])
+    print(stats.tape_nodes, stats.nodes_fused())
 """
 
 from __future__ import annotations
 
 from typing import Dict
+
+from repro.observability.metrics import registry
 
 #: Tape nodes each fused op replaces relative to the unfused composition.
 #: ``nodes_fused`` counts the *savings* (replaced - 1 recorded node).
@@ -34,76 +48,38 @@ FUSION_SAVINGS: Dict[str, int] = {
                              # -> 1 node
 }
 
-tape_nodes = 0
-fused_calls: Dict[str, int] = {}
-#: Bytes moved by the two copying branches a weight-sized array can
-#: take inside a step: ``arena.reshaped`` when no view exists, and the
-#: first gradient to reach a leaf when the leaf cannot adopt the array
-#: (``tensor._accumulate_leaf``).  Incremented only there, so a step's
-#: totals repeat exactly and a test can gate on them.
-reshape_copy_bytes = 0
-leaf_copy_bytes = 0
+_REG = registry()
+TAPE_NODES = _REG.counter("autograd/tape_nodes")
+RESHAPE_COPY_BYTES = _REG.counter("autograd/reshape_copy_bytes")
+LEAF_COPY_BYTES = _REG.counter("autograd/leaf_copy_bytes")
+_FUSED = {op: _REG.counter(f"autograd/fused/{op}") for op in FUSION_SAVINGS}
+_READS = {
+    "tape_nodes": TAPE_NODES,
+    "reshape_copy_bytes": RESHAPE_COPY_BYTES,
+    "leaf_copy_bytes": LEAF_COPY_BYTES,
+}
 
 
-def record_node() -> None:
-    """Count one tape node (called by ``Function.apply``)."""
-    global tape_nodes
-    tape_nodes += 1
+def __getattr__(name: str) -> int:
+    """``stats.tape_nodes`` and friends: the current registry values."""
+    try:
+        return _READS[name].value
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
 
 
 def record_fused(op: str) -> None:
     """Count one fused-op invocation."""
-    fused_calls[op] = fused_calls.get(op, 0) + 1
+    _FUSED[op].value += 1
 
 
 def nodes_fused() -> int:
     """Total tape nodes *eliminated* by fusion since the last reset."""
-    return sum(FUSION_SAVINGS.get(op, 0) * n for op, n in fused_calls.items())
+    return sum(FUSION_SAVINGS[op] * c.value for op, c in _FUSED.items())
 
 
 def reset() -> None:
-    """Zero every counter (start of a benchmark region or training step)."""
-    global tape_nodes, reshape_copy_bytes, leaf_copy_bytes
-    tape_nodes = 0
-    reshape_copy_bytes = 0
-    leaf_copy_bytes = 0
-    fused_calls.clear()
-
-
-def snapshot() -> dict:
-    """A deep copy of all counters, including the arena's — mutating the
-    snapshot never touches the live counters."""
-    import copy
-
-    from repro.autograd.arena import get_arena
-
-    return {
-        "tape_nodes": tape_nodes,
-        "fused_calls": dict(fused_calls),
-        "nodes_fused": nodes_fused(),
-        "reshape_copy_bytes": reshape_copy_bytes,
-        "leaf_copy_bytes": leaf_copy_bytes,
-        "arena": copy.deepcopy(get_arena().stats()),
-    }
-
-
-def summary() -> str:
-    """Human-readable counter table for benchmark output."""
-    snap = snapshot()
-    lines = [
-        f"tape nodes recorded : {snap['tape_nodes']}",
-        f"tape nodes fused    : {snap['nodes_fused']}",
-        f"copied by reshape   : {snap['reshape_copy_bytes']} B",
-        f"copied into leaves  : {snap['leaf_copy_bytes']} B",
-    ]
-    for op in sorted(snap["fused_calls"]):
-        lines.append(f"  {op:22} x{snap['fused_calls'][op]}")
-    a = snap["arena"]
-    lines.append(
-        f"arena: {'on' if a['enabled'] else 'off'}, "
-        f"{a['hits']} hits / {a['misses']} misses "
-        f"({a['hit_rate'] * 100:.1f}%), "
-        f"{a['pooled_bytes'] / 1e6:.1f} MB pooled, "
-        f"{a['evictions']} evictions"
-    )
-    return "\n".join(lines)
+    """Zero this module's counters (start of a benchmark region or
+    training step); every other registry counter keeps its value."""
+    for c in (*_READS.values(), *_FUSED.values()):
+        c.value = 0

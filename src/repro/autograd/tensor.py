@@ -17,6 +17,7 @@ from repro.autograd.function import Node
 
 _GRAD_ENABLED = True
 _ndarray = np.ndarray
+_LEAF_COPY_BYTES = stats.LEAF_COPY_BYTES
 
 
 class _WalkBuffers:
@@ -111,7 +112,7 @@ def _accumulate_leaf(
             return
         buf = arena.empty(g.shape, t.data.dtype)
         np.copyto(buf, g, casting="unsafe")
-        stats.leaf_copy_bytes += buf.nbytes
+        _LEAF_COPY_BYTES.value += buf.nbytes
         t.grad = buf
     elif cur.shape == g.shape and cur.dtype == np.result_type(cur.dtype, g.dtype):
         np.add(cur, g, out=cur)

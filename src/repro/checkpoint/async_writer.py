@@ -22,9 +22,8 @@ Robustness properties:
   ``ckpt/backpressure_wait_time``) instead of accumulating unbounded
   staging memory.
 - **Failure surfacing** — a failed write increments
-  ``ckpt/async_write_failures`` in the metrics registry and the
-  resilience counter ``ckpt_write_failures``, stores the exception on
-  :attr:`last_error`, and logs it; the run keeps training (a checkpoint
+  ``ckpt/async_write_failures`` in the metrics registry, stores the
+  exception on :attr:`last_error`, and logs it; the run keeps training (a checkpoint
   that failed to write is strictly better than a crashed job), and the
   torn directory it may leave behind is skipped by ``load_latest``.
 - **Fault injection** — ``submit(fault_hook=...)`` threads the chaos
@@ -47,7 +46,6 @@ from typing import Any, Callable, Optional
 
 from repro.checkpoint.common import CheckpointError, CheckpointState, logger
 from repro.checkpoint.sharded import write_state
-from repro.resilience import counters as resilience_counters
 
 
 def _registry():
@@ -154,7 +152,6 @@ class AsyncCheckpointWriter:
             self.last_error = exc
             self.last_error_path = job.path
             reg.counter("ckpt/async_write_failures").inc()
-            resilience_counters.increment("ckpt_write_failures")
             logger.warning(
                 "async checkpoint write to %s failed: %s", job.path, exc
             )

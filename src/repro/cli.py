@@ -58,6 +58,7 @@ import sys
 
 import numpy as np
 
+from repro.autograd import get_arena
 from repro.data import LMDataset, PileConfig, SyntheticPile
 from repro.models import SYSTEMS, build_model, scaled_config
 from repro.observability import (
@@ -639,7 +640,9 @@ def main(argv=None) -> int:
     else:
         history = run()
     if run_log is not None:
-        run_log.close(final={"metrics": registry().snapshot()})
+        run_log.close(
+            final={"metrics": registry().snapshot(), "arena": get_arena().stats()}
+        )
         logger.info("run log written to %s", args.run_log)
     final = history.final_val_loss()
     logger.info("done: final val loss %.4f", final if final is not None else float("nan"))

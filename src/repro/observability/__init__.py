@@ -7,9 +7,9 @@ The three entry points (see ``docs/observability.md``):
   MoE routing/permutation/topology, sparse kernel variants, collectives).
   :func:`span` is the hook the instrumented code calls; with no tracer
   installed it is a single ``is None`` check returning a shared no-op.
-- **Metrics** — :func:`registry` unifies counters/gauges/histograms and
-  re-exports the legacy ``sparse.stats`` / ``autograd.stats`` /
-  ``resilience.counters`` namespaces as snapshot sources.
+- **Metrics** — :func:`registry` holds every counter, gauge and
+  histogram of the run, the ``sparse.stats`` / ``autograd.stats`` /
+  ``resilience.counters`` counts included (one flat namespace).
 - **Exporters** — :func:`save_chrome_trace` (``chrome://tracing`` /
   Perfetto), :func:`step_table` (terminal report, also behind
   ``python -m repro.cli trace``), and :class:`JsonlRunLog` /

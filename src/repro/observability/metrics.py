@@ -1,12 +1,12 @@
 """Unified metrics registry: counters, gauges, histograms, one snapshot.
 
-Before this module the repo's telemetry lived in three disconnected
-counter namespaces — :mod:`repro.sparse.stats` (kernel dispatch paths,
-FLOPs, topology-cache), :mod:`repro.autograd.stats` (tape nodes, fusion,
-arena), and :mod:`repro.resilience.counters` (recovery events).  They
-keep working unchanged (cheap always-on dict increments), but the
-registry *absorbs* them as snapshot sources so one call returns
-everything a run recorded::
+The registry is the one place a count is stored.  The kernel library
+(:mod:`repro.sparse.stats`), the autograd engine
+(:mod:`repro.autograd.stats`) and the recovery paths
+(:mod:`repro.resilience.counters`) write their counts here under one
+flat namespace (``sparse/sdd/grouped``, ``autograd/tape_nodes``,
+``router_fallback``, ...; the table is in ``docs/observability.md``), so
+one call returns everything a run recorded::
 
     from repro.observability import registry
 
@@ -15,19 +15,18 @@ everything a run recorded::
     reg.histogram("step_time").observe(0.012)
     snap = reg.snapshot()
     snap["counters"]["tokens"]            # 4096
+    snap["counters"]["sparse/sdd/grouped"]
     snap["histograms"]["step_time"]["p95"]
-    snap["sources"]["sparse"]["ops"]      # re-exported sparse.stats
-    snap["sources"]["resilience"]         # re-exported recovery counters
 
-``snapshot()`` deep-copies everything it returns; mutating a snapshot
-never touches live counters.  ``reset()`` zeroes the registry's own
-instruments and every registered source in one call.
+Hot paths resolve their :class:`Counter` once and keep the handle.
+``reset()`` zeroes every instrument *in place*, so such a handle keeps
+counting into the registry after it; ``snapshot()`` returns plain
+values, so mutating a snapshot never touches a live instrument.
 """
 
 from __future__ import annotations
 
-import copy
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -62,25 +61,30 @@ class Histogram:
 
     Values are kept verbatim (runs here are thousands of steps, not
     billions of requests — exactness beats a sketch) up to ``max_samples``,
-    after which uniform decimation keeps memory bounded.
+    after which uniform decimation keeps memory bounded.  ``count`` and
+    ``sum`` are exact running totals either way; only the percentiles,
+    ``min`` and ``max`` come from the kept samples.
     """
 
-    __slots__ = ("values", "max_samples")
+    __slots__ = ("values", "max_samples", "count", "sum")
 
     def __init__(self, max_samples: int = 65536) -> None:
-        self.values: List[float] = []
         self.max_samples = max_samples
+        self.clear()
+
+    def clear(self) -> None:
+        self.values: List[float] = []
+        self.count = 0
+        self.sum = 0.0
 
     def observe(self, value: float) -> None:
-        self.values.append(float(value))
+        value = float(value)
+        self.values.append(value)
+        self.count += 1
+        self.sum += value
         if len(self.values) > self.max_samples:
-            # Keep every other sample; counts stay approximate past the
-            # cap but percentiles remain representative.
+            # Keep every other sample; percentiles stay representative.
             self.values = self.values[::2]
-
-    @property
-    def count(self) -> int:
-        return len(self.values)
 
     def percentile(self, q: float) -> float:
         """Value at percentile ``q`` in [0, 100]; 0.0 when empty."""
@@ -98,9 +102,9 @@ class Histogram:
         arr = np.asarray(self.values, dtype=np.float64)
         p50, p95, p99 = np.percentile(arr, [50.0, 95.0, 99.0])
         return {
-            "count": int(arr.size),
-            "sum": float(arr.sum()),
-            "mean": float(arr.mean()),
+            "count": self.count,
+            "sum": self.sum,
+            "mean": self.sum / self.count,
             "min": float(arr.min()),
             "max": float(arr.max()),
             "p50": float(p50),
@@ -110,16 +114,12 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named counters/gauges/histograms plus external snapshot sources."""
+    """Named counters, gauges and histograms."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        # name -> (snapshot_fn, reset_fn or None)
-        self._sources: Dict[
-            str, Tuple[Callable[[], dict], Optional[Callable[[], None]]]
-        ] = {}
 
     # -- instruments ----------------------------------------------------
     def counter(self, name: str) -> Counter:
@@ -140,44 +140,26 @@ class MetricsRegistry:
             inst = self._histograms[name] = Histogram()
         return inst
 
-    # -- external sources -------------------------------------------------
-    def register_source(
-        self,
-        name: str,
-        snapshot_fn: Callable[[], dict],
-        reset_fn: Optional[Callable[[], None]] = None,
-    ) -> None:
-        """Absorb an existing counter module behind the registry API.
-
-        ``snapshot_fn`` must return a plain dict; ``reset_fn`` (optional)
-        participates in :meth:`reset`.  Registering the same name again
-        replaces the source (idempotent setup).
-        """
-        self._sources[name] = (snapshot_fn, reset_fn)
-
     # -- aggregate views --------------------------------------------------
     def snapshot(self) -> dict:
-        """Deep copy of every instrument and every source."""
-        sources = {}
-        for name, (snapshot_fn, _) in self._sources.items():
-            sources[name] = copy.deepcopy(snapshot_fn())
+        """Plain values of every instrument."""
         return {
             "counters": {k: c.value for k, c in self._counters.items()},
             "gauges": {k: g.value for k, g in self._gauges.items()},
             "histograms": {
                 k: h.summary() for k, h in self._histograms.items()
             },
-            "sources": sources,
         }
 
     def reset(self) -> None:
-        """Zero own instruments and reset every source that supports it."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-        for _, reset_fn in self._sources.values():
-            if reset_fn is not None:
-                reset_fn()
+        """Zero every instrument in place: a handle taken before the reset
+        keeps counting into the registry after it."""
+        for c in self._counters.values():
+            c.value = 0
+        for g in self._gauges.values():
+            g.value = 0.0
+        for h in self._histograms.values():
+            h.clear()
 
     def summary(self) -> str:
         """Human-readable multi-section table of the current snapshot."""
@@ -204,58 +186,12 @@ class MetricsRegistry:
                     f"  {k:<20} {s['count']:6d} {s['mean']:10.4g} "
                     f"{s['p50']:10.4g} {s['p95']:10.4g} {s['p99']:10.4g}"
                 )
-        for name in sorted(snap["sources"]):
-            lines.append(f"source {name}: {snap['sources'][name]}")
         return "\n".join(lines) if lines else "no metrics recorded"
 
 
-# ----------------------------------------------------------------------
-# Process-global registry, pre-wired to the three legacy stat modules.
-# Imports happen inside the source functions so loading observability
-# never drags in (or cyclically imports) the sparse/autograd packages.
-# ----------------------------------------------------------------------
-def _sparse_source() -> dict:
-    from repro.sparse import stats
-
-    return stats.snapshot()
-
-
-def _sparse_reset() -> None:
-    from repro.sparse import stats
-
-    stats.reset()
-
-
-def _autograd_source() -> dict:
-    from repro.autograd import stats
-
-    return stats.snapshot()
-
-
-def _autograd_reset() -> None:
-    from repro.autograd import stats
-
-    stats.reset()
-
-
-def _resilience_source() -> dict:
-    from repro.resilience import counters
-
-    return counters.snapshot()
-
-
-def _resilience_reset() -> None:
-    from repro.resilience import counters
-
-    counters.reset()
-
-
 _REGISTRY = MetricsRegistry()
-_REGISTRY.register_source("sparse", _sparse_source, _sparse_reset)
-_REGISTRY.register_source("autograd", _autograd_source, _autograd_reset)
-_REGISTRY.register_source("resilience", _resilience_source, _resilience_reset)
 
 
 def registry() -> MetricsRegistry:
-    """The process-global registry (sources pre-registered)."""
+    """The process-global registry."""
     return _REGISTRY

@@ -1,52 +1,34 @@
-"""Named robustness counters (`repro.sparse.stats` style).
+"""Named robustness counters, kept in the metrics registry.
 
 Every recovery path in the fault-tolerance layer increments a counter
 when it fires — router fallbacks, skipped steps, rewinds, collective
 retries — so tests and operators can assert that a recovery mechanism
-actually ran instead of inferring it from silence.  Counters are plain
-dict increments and always on.
+actually ran instead of inferring it from silence.  Each name is a
+registry counter as is (``router_fallback``, ``collective_retries``,
+...), next to every other count of the run.
 
 Typical use::
 
+    from repro.observability import registry
     from repro.resilience import counters
 
-    counters.reset()
+    registry().reset()
     run_training()
     assert counters.get("router_fallback") == 0
-    print(counters.summary())
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from repro.observability.metrics import registry
 
-_counts: Dict[str, int] = {}
+_REG = registry()
 
 
 def increment(name: str, by: int = 1) -> int:
     """Add ``by`` to counter ``name`` (created at zero); returns the new value."""
-    _counts[name] = _counts.get(name, 0) + int(by)
-    return _counts[name]
+    return _REG.counter(name).inc(int(by))
 
 
 def get(name: str) -> int:
     """Current value of ``name`` (0 if never incremented)."""
-    return _counts.get(name, 0)
-
-
-def reset() -> None:
-    """Zero every counter (start of a run or test)."""
-    _counts.clear()
-
-
-def snapshot() -> Dict[str, int]:
-    """A copy of all counters."""
-    return dict(_counts)
-
-
-def summary() -> str:
-    """Human-readable counter table."""
-    if not _counts:
-        return "no resilience events recorded"
-    width = max(len(k) for k in _counts)
-    return "\n".join(f"{k:<{width}}  {_counts[k]}" for k in sorted(_counts))
+    return _REG.counter(name).value

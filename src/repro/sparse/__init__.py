@@ -12,8 +12,8 @@ Public surface:
   the general per-block path with segment-reduction accumulation.
 - :func:`sdd_mm` / :func:`dsd_mm` — autograd-wrapped kernels used by the
   dMoE layer.
-- :mod:`repro.sparse.stats` — per-op invocation/FLOP counters and
-  topology-cache hit rates for benchmark reporting.
+- :mod:`repro.sparse.stats` — per-op call/FLOP/row counts (registry
+  counters ``sparse/*``) and the rates benchmarks report from them.
 """
 
 from repro.sparse import dispatch, stats

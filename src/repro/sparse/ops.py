@@ -61,6 +61,16 @@ _SPAN_GROUPED = {"dispatch": stats.PATH_GROUPED}
 _SPAN_BLOCKED = {"dispatch": stats.PATH_BLOCKED}
 
 
+def _products(op: str) -> tuple:
+    """``op``'s ``(grouped, blocked)`` counter handles."""
+    return stats.Product(op, stats.PATH_GROUPED), stats.Product(op, stats.PATH_BLOCKED)
+
+
+_SDD = _products("sdd")
+_DSD, _DSTD = _products("dsd"), _products("ds^td")
+_DDS, _DDST = _products("dds"), _products("dds^t")
+
+
 # ----------------------------------------------------------------------
 # Block-view helpers.  All return *views* (no copies) over the dense
 # operand, shaped so a fancy-index gather + batched matmul implements the
@@ -227,14 +237,14 @@ def sdd(
             a_eff = a.T if trans_a else a
             b_eff = b.T if trans_b else b
             values = dispatch.grouped_sdd(a_eff, b_eff, topology, plan, out_dtype)
-        stats.record_product("sdd", stats.PATH_GROUPED, topology, k_a)
+        stats.record_product(_SDD[0], topology, k_a)
         return BlockSparseMatrix(topology, values)
 
     with span("sdd", _SPAN_BLOCKED):
         a_blocks = _row_block_view(a, bs, trans_a)[topology.row_indices]
         b_blocks = _take(_col_block_view(b, bs, trans_b), topology.column_indices)
         values = np.matmul(a_blocks, b_blocks).astype(out_dtype, copy=False)
-    stats.record_product("sdd", stats.PATH_BLOCKED, topology, k_a)
+    stats.record_product(_SDD[1], topology, k_a)
     return BlockSparseMatrix(topology, values)
 
 
@@ -276,7 +286,7 @@ def dsd(
             f"inner dimensions disagree: sparse gives {k_eff}, dense gives {k_b}"
         )
     out_dtype = _out_dtype(s.values, b, dtype)
-    op_name = "ds^td" if trans_s else "dsd"
+    op_name, counts = ("ds^td", _DSTD) if trans_s else ("dsd", _DSD)
 
     plan = dispatch.analyze(topo)
     if dispatch.use_grouped(plan, needs_disjoint_cols=trans_s):
@@ -285,7 +295,7 @@ def dsd(
             out = dispatch.grouped_dsd(
                 s.values, b_eff, topo, plan, trans_s, out_dtype
             )
-        stats.record_product(op_name, stats.PATH_GROUPED, topo, n_eff)
+        stats.record_product(counts[0], topo, n_eff)
         return out
 
     with span(op_name, _SPAN_BLOCKED):
@@ -301,7 +311,7 @@ def dsd(
                 stripe_ids = topo.column_indices
             prod = np.matmul(block_values, _take(stripes, stripe_ids))
             _segment_reduce(prod, segment_meta(topo, trans_s), out)
-    stats.record_product(op_name, stats.PATH_BLOCKED, topo, n_eff)
+    stats.record_product(counts[1], topo, n_eff)
     return out.reshape(m_eff, n_eff)
 
 
@@ -346,7 +356,7 @@ def dds(
             f"whole blocks of {bs} per band"
         )
     out_dtype = _out_dtype(a, s.values, dtype)
-    op_name = "dds^t" if trans_s else "dds"
+    op_name, counts = ("dds^t", _DDST) if trans_s else ("dds", _DDS)
 
     plan = dispatch.analyze(topo)
     if dispatch.use_grouped(plan, needs_disjoint_cols=not trans_s):
@@ -355,7 +365,7 @@ def dds(
             out = dispatch.grouped_dds(
                 a_eff, s.values, topo, plan, trans_s, out_dtype, bands
             )
-        stats.record_product(op_name, stats.PATH_GROUPED, topo, m_eff)
+        stats.record_product(counts[0], topo, m_eff)
         return out
 
     with span(op_name, _SPAN_BLOCKED):
@@ -384,7 +394,7 @@ def dds(
                 out.transpose(0, 2, 1, 3)[nonempty // per, nonempty % per] = (
                     np.add.reduceat(prod, starts, axis=0)
                 )
-    stats.record_product(op_name, stats.PATH_BLOCKED, topo, m_eff)
+    stats.record_product(counts[1], topo, m_eff)
     if bands is not None:
         return out.reshape(bands, m_eff, n_eff // bands)
     return out.reshape(m_eff, n_eff)

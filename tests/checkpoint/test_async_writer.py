@@ -26,7 +26,6 @@ from repro.checkpoint import (
 )
 from repro.nn import Linear, Sequential
 from repro.observability.metrics import registry
-from repro.resilience import counters
 
 
 def _state(seed=0):
@@ -126,7 +125,6 @@ class TestFailureSurfacing:
     def test_failed_write_is_surfaced_not_fatal(self, tmp_path):
         reg = registry()
         fail_before = reg.counter("ckpt/async_write_failures").value
-        res_before = counters.get("ckpt_write_failures")
 
         def bomb(key):
             raise RuntimeError("injected mid-shard death")
@@ -141,7 +139,7 @@ class TestFailureSurfacing:
                 w.check()
             assert w.last_error is None  # check() clears
         assert reg.counter("ckpt/async_write_failures").value == fail_before + 1
-        assert counters.get("ckpt_write_failures") == res_before + 1
+        assert "ckpt_write_failures" not in reg.snapshot()["counters"]  # one name
         # The torn artifact is on disk and manifest-less.
         assert os.path.isdir(path)
         assert not os.path.exists(os.path.join(path, "manifest.json"))

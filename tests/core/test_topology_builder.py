@@ -9,6 +9,7 @@ from repro.core.topology_builder import (
     topology_cache_len,
 )
 from repro.moe import make_padded_plan
+from repro.observability import registry
 from repro.sparse import dispatch, stats
 
 
@@ -55,7 +56,8 @@ class TestTopologyCache:
         assert topo_a.memo is topo_b.memo
         assert dispatch.analyze(topo_a) is dispatch.analyze(topo_b)
         np.testing.assert_array_equal(topo_a.live_rows, [5, 1])
-        snap = stats.snapshot()["cache"]
+        snap = {e: registry().counter(f"sparse/topology_cache/{e}").value
+                for e in ("hits", "misses", "evictions")}
         assert snap == {"hits": 1, "misses": 1, "evictions": 0}
         assert stats.cache_hit_rate() == 0.5
 
@@ -76,7 +78,7 @@ class TestTopologyCache:
         for i in range(TOPOLOGY_CACHE_SIZE + 3):
             cached_block_diagonal_topology(np.array([1 + i]), 1, 2)
         assert topology_cache_len() == TOPOLOGY_CACHE_SIZE
-        assert stats.snapshot()["cache"]["evictions"] == 3
+        assert registry().counter("sparse/topology_cache/evictions").value == 3
 
     def test_cached_topology_is_valid_and_plan_warmed(self):
         topo = cached_block_diagonal_topology(np.array([2, 0, 3]), 2, 4)

@@ -9,6 +9,7 @@ from repro.core import dMoE
 from repro.distributed import DeviceMesh, ExpertParallelDMoE
 from repro.moe.router import Router, RoutingResult
 from repro.nn.module import Module
+from repro.observability import registry
 from repro.resilience import counters
 
 
@@ -95,7 +96,7 @@ class TestLayerRouter:
         router.proj.weight.data[0, 0] = np.nan
         _, ep = self._layer(router)
         xs = [rng.standard_normal((5, 16)) for _ in range(4)]
-        counters.reset()
+        registry().reset()
         res = ep.forward(xs)
         assert counters.get("router_fallback") == 4
         assert all(np.isfinite(o).all() for o in res.outputs_per_rank)

@@ -12,6 +12,7 @@ import pytest
 
 from repro.data import LMDataset, PileConfig, SyntheticPile
 from repro.nn import TransformerLM
+from repro.observability import registry
 from repro.resilience import counters
 from repro.resilience.faults import (
     NAN_GRAD,
@@ -60,7 +61,7 @@ def _trainer(injector=None):
 
 class TestChaosSmoke:
     def test_seeded_chaos_run_recovers_and_converges(self):
-        counters.reset()
+        registry().reset()
         # Baseline: identical seeds, no faults.
         clean = _trainer()
         clean_hist = clean.train()
@@ -102,7 +103,7 @@ class TestChaosSmoke:
     def test_permanent_collective_failure_is_skipped_not_fatal(self):
         """A failure outlasting the retry budget degrades to a skipped
         step instead of killing the run."""
-        counters.reset()
+        registry().reset()
         schedule = FaultSchedule(
             [FaultEvent(RANK_FAILURE, step=2, op="all_reduce", count=10)]
         )

@@ -80,5 +80,6 @@ def test_steady_cc_step_copies_no_weight_sized_array(tmp_path, monkeypatch):
     assert 0 < reshape_bytes < w1.data.nbytes  # attention's head merges only
     assert leaf_bytes == unpooled < w1.data.nbytes
     assert registry().counter("lower_segment_fallbacks").value == fallbacks
-    snap = registry().snapshot()["sources"]["autograd"]
-    assert (snap["reshape_copy_bytes"], snap["leaf_copy_bytes"]) == counts[0][:2]
+    counts_now = registry().snapshot()["counters"]
+    assert (counts_now["autograd/reshape_copy_bytes"],
+            counts_now["autograd/leaf_copy_bytes"]) == counts[0][:2]

@@ -150,9 +150,10 @@ class TestRouterFallback:
         return r
 
     def test_fallback_routes_uniformly(self, rng):
+        from repro.observability import registry
         from repro.resilience import counters
 
-        counters.reset()
+        registry().reset()
         r = self._poisoned()
         x = Tensor(rng.standard_normal((8, 8)).astype(np.float32))
         res = r(x)
@@ -176,18 +177,20 @@ class TestRouterFallback:
         assert not res.expert_weights.requires_grad
 
     def test_healthy_router_does_not_fall_back(self, rng):
+        from repro.observability import registry
         from repro.resilience import counters
 
-        counters.reset()
+        registry().reset()
         r = Router(hidden_size=8, num_experts=4, rng=0)
         r(Tensor(rng.standard_normal((6, 8)).astype(np.float32)))
         assert counters.get("router_fallback") == 0
 
     def test_dmoe_forward_stays_finite_with_poisoned_router(self, rng):
         from repro.core import dMoE
+        from repro.observability import registry
         from repro.resilience import counters
 
-        counters.reset()
+        registry().reset()
         layer = dMoE(16, 32, num_experts=4, block_size=8, rng=0)
         layer.router.proj.weight.data[:] = np.inf
         x = Tensor(rng.standard_normal((12, 16)).astype(np.float32))

@@ -8,6 +8,7 @@ from repro.distributed.collectives import (
     all_to_all,
     get_fault_hook,
 )
+from repro.observability import registry
 from repro.resilience import counters
 from repro.resilience.faults import (
     CORRUPT_PAYLOAD,
@@ -28,9 +29,9 @@ from repro.resilience.faults import (
 
 @pytest.fixture(autouse=True)
 def _fresh_counters():
-    counters.reset()
+    registry().reset()
     yield
-    counters.reset()
+    registry().reset()
 
 
 class TestFaultSchedule:

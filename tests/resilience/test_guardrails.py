@@ -6,6 +6,7 @@ import pytest
 from repro.autograd import lower
 from repro.data import LMDataset, PileConfig, SyntheticPile
 from repro.nn import TransformerLM
+from repro.observability import registry
 from repro.resilience import counters
 from repro.resilience.faults import (
     INF_GRAD,
@@ -28,9 +29,9 @@ from repro.training import Adam, Trainer, TrainerConfig
 
 @pytest.fixture(autouse=True)
 def _fresh_counters():
-    counters.reset()
+    registry().reset()
     yield
-    counters.reset()
+    registry().reset()
 
 
 class TestCounters:
@@ -38,13 +39,13 @@ class TestCounters:
         assert counters.get("x") == 0
         assert counters.increment("x") == 1
         assert counters.increment("x", by=2) == 3
-        assert counters.snapshot() == {"x": 3}
-        counters.reset()
+        assert registry().counter("x").value == 3  # the registry holds the count
+        registry().reset()
         assert counters.get("x") == 0
 
     def test_summary_lists_counts(self):
         counters.increment("router_fallback")
-        assert "router_fallback" in counters.summary()
+        assert "router_fallback" in registry().summary()
 
 
 class TestLossSpikeDetector:

@@ -31,7 +31,7 @@ def test_zero_tape_nodes_during_generate(system):
 
     stats.reset()
     engine.generate(prompts, 6, temperature=0.8, top_k=5, rng=1)
-    assert stats.snapshot()["tape_nodes"] == 0
+    assert stats.tape_nodes == 0
 
 
 def test_zero_tape_nodes_during_scheduler_run():
@@ -50,7 +50,7 @@ def test_zero_tape_nodes_during_scheduler_run():
     results = sched.run(reqs)
     sched.close()
     assert len(results) == 4
-    assert stats.snapshot()["tape_nodes"] == 0
+    assert stats.tape_nodes == 0
 
 
 def test_training_still_records_tape_nodes():
@@ -61,7 +61,7 @@ def test_training_still_records_tape_nodes():
     model.train()
     stats.reset()
     out = model.forward(np.array([[1, 2, 3]]))
-    assert stats.snapshot()["tape_nodes"] > 0
+    assert stats.tape_nodes > 0
     model.eval()
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.observability import registry
 from repro.sparse import (
     BlockSparseMatrix,
     Topology,
@@ -316,21 +317,22 @@ class TestStats:
             h = sdd(a, b, topo)
         with dispatch_mode("blocked"):
             dsd(h, rng.standard_normal((n, 3)))
-        snap = stats.snapshot()
-        assert snap["ops"]["sdd"]["grouped"] == 1
-        assert snap["ops"]["dsd"]["blocked"] == 1
-        assert snap["flops"]["sdd"] == 2 * topo.nnz * 5
-        assert snap["flops"]["dsd"] == 2 * topo.nnz * 3
+        reg = registry()
+        assert reg.counter("sparse/sdd/grouped").value == 1
+        assert reg.counter("sparse/dsd/blocked").value == 1
+        assert reg.counter("sparse/sdd/flops").value == 2 * topo.nnz * 5
+        assert reg.counter("sparse/dsd/flops").value == 2 * topo.nnz * 3
         assert stats.grouped_fraction("sdd") == 1.0
         assert stats.grouped_fraction() == 0.5
-        assert "sdd" in stats.summary()
+        assert "sparse/sdd/grouped" in reg.summary()
 
     def test_reset_zeroes_everything(self, rng):
-        stats.record_op("sdd", stats.PATH_GROUPED, 100)
+        registry().counter("not_sparse").inc()
+        stats.record_product(stats.Product("sdd", stats.PATH_BLOCKED), _block_diag([2]), 100)
         stats.record_cache("hits")
         stats.reset()
-        snap = stats.snapshot()
-        assert snap["ops"] == {} and snap["flops"] == {}
-        assert snap["cache"] == {"hits": 0, "misses": 0, "evictions": 0}
+        counts = registry().snapshot()["counters"]
+        assert not any(v for k, v in counts.items() if k.startswith("sparse/"))
+        assert counts["not_sparse"] >= 1  # other modules' counts are kept
         assert stats.total_flops() == 0
         assert stats.cache_hit_rate() == 0.0

@@ -843,15 +843,15 @@ class TestMakeTopologyCarriesLiveRows:
             dsd(h, w.T)
         with dispatch_mode("blocked"):
             sdd(x, w, topo)
-        snap = stats.snapshot()
-        assert snap["rows"]["sdd"] == {"live": 6 + 12, "padded": 12 + 12}
-        assert snap["rows"]["dsd"] == {"live": 6, "padded": 12}
-        # The FLOP figure stays the nominal padded one on every path.
-        assert snap["flops"]["sdd"] == 2 * (2 * topo.nnz * 3)
-        assert stats.live_row_fraction() == (18 + 6) / (24 + 12)
-        assert "rows_live" in stats.summary() and "padding skipped" in stats.summary()
         from repro.observability import registry
 
-        assert registry().snapshot()["sources"]["sparse"]["rows"] == snap["rows"]
+        counts = registry().snapshot()["counters"]
+        assert counts["sparse/sdd/rows_live"] == 6 + 12
+        assert counts["sparse/sdd/rows_padded"] == 12 + 12
+        assert (counts["sparse/dsd/rows_live"], counts["sparse/dsd/rows_padded"]) == (6, 12)
+        # The FLOP figure stays the nominal padded one on every path.
+        assert counts["sparse/sdd/flops"] == 2 * (2 * topo.nnz * 3)
+        assert stats.rows_total() == (18 + 6, 24 + 12)
+        assert stats.live_row_fraction() == (18 + 6) / (24 + 12)
         stats.reset()
-        assert stats.snapshot()["rows"] == {} and stats.live_row_fraction() == 1.0
+        assert stats.rows_total() == (0, 0) and stats.live_row_fraction() == 1.0
