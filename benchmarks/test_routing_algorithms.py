@@ -1,8 +1,8 @@
 """Extension bench (paper §7) — routing algorithms x dMoE.
 
 The paper argues improved routing *complements* dropless computation.
-This bench runs the alternative routers (learned top-1, BASE linear
-assignment, Sinkhorn, hash) through the same dMoE layer and reports:
+This bench routes one batch with the learned top-1 router, BASE linear
+assignment, Sinkhorn and a static token-id hash, and reports:
 
 - the balance each achieves (dynamic capacity factor a padding system
   would need);
@@ -17,7 +17,7 @@ from repro.autograd import Tensor
 from repro.core import dMoE
 from repro.gpu.blocksparse import grouped_matmul_time, moe_layer_problems
 from repro.gpu.device import A100_SXM4_80GB as A100
-from repro.moe import BaseLayerRouter, HashRouter, Router, SinkhornRouter
+from repro.moe import BaseLayerRouter, Router, SinkhornRouter, hash_assign
 from repro.moe.capacity import min_capacity_factor
 from repro.utils.rng import seed_all
 
@@ -41,7 +41,7 @@ def _route_all():
     for name, router in routers.items():
         res = router(x)
         results[name] = res.expert_indices
-    results["hash"] = HashRouter(EXPERTS, seed=0).assign(token_ids)[:, None]
+    results["hash"] = hash_assign(token_ids, EXPERTS, seed=0)[:, None]
     return results
 
 
@@ -78,7 +78,7 @@ def test_routing_balance_comparison(benchmark):
 
 
 def test_all_routers_drive_dmoe(benchmark):
-    """Every routing algorithm composes with the dropless layer."""
+    """Every router layer composes with the dropless layer."""
 
     def run():
         seed_all(0)

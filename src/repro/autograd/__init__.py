@@ -66,7 +66,6 @@ from repro.autograd.ops_nn import (
     sigmoid,
     softmax,
 )
-from repro.autograd.ops_conv import conv1d
 from repro.autograd.ops_loss import cross_entropy, mse_loss
 from repro.autograd.ops_fused import (
     attention_core,
@@ -148,7 +147,6 @@ __all__ = [
     "gather_rows",
     "scatter_rows",
     "ACTIVATIONS",
-    "conv1d",
     "cross_entropy",
     "mse_loss",
     "check_gradients",

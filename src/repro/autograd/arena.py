@@ -58,7 +58,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.autograd import stats
-from repro.observability.tracing import get_tracer
 
 #: Smallest pooled buffer, in elements.  Below this, malloc beats the
 #: pool: a small allocation costs well under a microsecond while an
@@ -173,11 +172,6 @@ class BufferArena:
         rec = _SCRIPT_REC
         if rec is not None:
             rec.entries.append([dt, shape, view, base, vc, b])
-        # Tracing hook: a counter bump when a tracer is installed, one
-        # is-None check otherwise (acquire runs ~1000x per step).
-        tracer = get_tracer()
-        if tracer is not None:
-            tracer.count("arena/acquire")
         return view
 
     def release(self, view: np.ndarray) -> bool:
@@ -201,9 +195,6 @@ class BufferArena:
         self._live_bytes -= entry[1].nbytes
         self._stash(entry)
         self.released += 1
-        tracer = get_tracer()
-        if tracer is not None:
-            tracer.count("arena/release")
         return True
 
     def acquire_detached(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
@@ -473,10 +464,6 @@ def deactivate_script() -> Optional[BufferScript]:
     global _SCRIPT
     script, _SCRIPT = _SCRIPT, None
     return script
-
-
-def script_active() -> bool:
-    return _SCRIPT is not None
 
 
 class WalkMark:

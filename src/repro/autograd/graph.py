@@ -83,7 +83,6 @@ __all__ = [
     "CaptureSession",
     "GraphInvalidated",
     "StepGraph",
-    "active_session",
     "host",
 ]
 
@@ -160,10 +159,6 @@ def _host_equal(a, b) -> bool:
 # Capture
 # ----------------------------------------------------------------------
 _ACTIVE: Optional["CaptureSession"] = None
-
-
-def active_session() -> Optional["CaptureSession"]:
-    return _ACTIVE
 
 
 def host(fn: Callable, *args: Any, guard: bool = False):

@@ -1,10 +1,10 @@
 """Rotating checkpoint directory: keep-last-N plus best-by-metric.
 
 Checkpoints are sharded directories named ``<prefix>-<step:08d>/``.
-``load_latest`` falls back past anything broken, whichever way it is
-broken: a torn shard directory (no manifest), or a checkpoint whose
-manifest is intact but whose referenced shard is missing or fails its
-CRC.
+``load_latest`` and ``Trainer.fit(resume=manager)`` fall back past
+anything broken, whichever way it is broken: a torn shard directory (no
+manifest), or a checkpoint whose manifest is intact but whose referenced
+shard is missing or fails its CRC.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -28,6 +28,8 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover
     from repro.nn.module import Module
     from repro.training.optim import Optimizer
+
+T = TypeVar("T")
 
 
 class CheckpointManager:
@@ -158,29 +160,22 @@ class CheckpointManager:
         """``{"step": ..., "metric": ...}`` of the best checkpoint, if any."""
         return dict(self._best) if self._best else None
 
-    def latest_path(self) -> Optional[str]:
-        if not self._steps:
-            return None
-        return self.path_for(self._steps[-1])
-
-    def load_latest(
-        self,
-        model: Module,
-        optimizer: Optional[Optimizer] = None,
-        mesh: Optional[Any] = None,
-    ) -> Dict[str, Any]:
-        """Restore the newest *valid* checkpoint.
+    def load_newest(self, load: Callable[[str], T]) -> Tuple[str, T]:
+        """``(path, load(path))`` for the newest checkpoint that loads.
 
         Anything broken is skipped (with a warning) in favour of the
         next-newest — a torn shard directory, or a manifest whose
         referenced shard is missing or corrupt.  That is the reason
-        rotation keeps more than one.
+        rotation keeps more than one.  Every other error propagates.
+        ``load`` must validate before it changes any state, as
+        :func:`load_checkpoint` and ``Trainer.restore`` do, so a skipped
+        checkpoint leaves nothing half-loaded.
         """
         errors = []
         for step in reversed(self._steps):
             path = self.path_for(step)
             try:
-                return load_checkpoint(path, model, optimizer, mesh=mesh)
+                return path, load(path)
             except (CheckpointCorruptError, FileNotFoundError) as exc:
                 logger.warning("skipping %s: %s", path, exc)
                 errors.append(f"{path}: {exc}")
@@ -190,3 +185,15 @@ class CheckpointManager:
             if errors
             else f"no checkpoints in {self.directory!r}"
         )
+
+    def load_latest(
+        self,
+        model: Module,
+        optimizer: Optional[Optimizer] = None,
+        mesh: Optional[Any] = None,
+    ) -> Dict[str, Any]:
+        """Restore the newest *valid* checkpoint (:meth:`load_newest`)."""
+        _, meta = self.load_newest(
+            lambda path: load_checkpoint(path, model, optimizer, mesh=mesh)
+        )
+        return meta

@@ -219,15 +219,6 @@ class ProcessGroup(abc.ABC):
 
 
 @dataclass
-class RankOutcome:
-    """What one rank produced: its return value and local stats."""
-
-    rank: int
-    value: Any
-    wait_s: float = 0.0
-
-
-@dataclass
 class DistributedRunResult:
     """Outcome of :func:`run_distributed` across the whole world."""
 

@@ -96,11 +96,11 @@ class ExpertParallelDMoE:
     Routing is per rank: each rank calls the layer's own router on its
     own tokens, so a *per-token* router (the learned top-k
     :class:`~repro.moe.router.Router`, with or without weight
-    normalisation; a hash router) reproduces the single-process layer on
-    the concatenated batch.  Routers that assign across the whole batch
-    — :mod:`repro.moe.routing_alt`'s BASE, Sinkhorn and expert-choice —
-    see one rank's tokens at a time and are a different function under
-    expert parallelism by construction.  The same holds for the
+    normalisation) reproduces the single-process layer on the
+    concatenated batch.  Routers that assign across the whole batch —
+    :mod:`repro.moe.routing_alt`'s BASE and Sinkhorn — see one rank's
+    tokens at a time and are a different function under expert
+    parallelism by construction.  The same holds for the
     non-finite-logits fallback, which spreads tokens round-robin over
     *local* token indices: outputs stay finite and every copy is
     delivered, but equality with the single-process layer is not

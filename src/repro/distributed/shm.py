@@ -149,16 +149,6 @@ def decode_array(header: Dict[str, Any]) -> np.ndarray:
     return out
 
 
-def encode_arrays(
-    arrays: List[np.ndarray], session: str, threshold: int = INLINE_THRESHOLD
-) -> List[Dict[str, Any]]:
-    return [encode_array(a, session, threshold) for a in arrays]
-
-
-def decode_arrays(headers: List[Dict[str, Any]]) -> List[np.ndarray]:
-    return [decode_array(h) for h in headers]
-
-
 def _unlink(name: str) -> bool:
     """Unlink segment ``name`` through a fresh attach, whose registration
     ``unlink()`` balances (module docstring); False when already gone."""

@@ -25,23 +25,13 @@ from repro.moe.permute import (
     padded_scatter,
     round_up_counts,
 )
-from repro.moe.conv_moe import ConvExpertWeights, ConvMoELayer
 from repro.moe.experts import ExpertWeights
 from repro.moe.inference import moe_inference_forward
 from repro.moe.moe_layer import DynamicCapacityMoELayer, MoELayer
-from repro.moe.analysis import (
-    BalanceTimeline,
-    balance_timeline,
-    dominant_domain_per_expert,
-    expert_domain_counts,
-    mutual_information,
-    specialization_score,
-)
 from repro.moe.routing_alt import (
     BaseLayerRouter,
-    ExpertChoiceRouter,
-    HashRouter,
     SinkhornRouter,
+    hash_assign,
     sinkhorn,
 )
 
@@ -67,19 +57,10 @@ __all__ = [
     "round_up_counts",
     "moe_inference_forward",
     "ExpertWeights",
-    "ConvExpertWeights",
-    "ConvMoELayer",
     "MoELayer",
     "DynamicCapacityMoELayer",
     "BaseLayerRouter",
     "SinkhornRouter",
-    "HashRouter",
-    "ExpertChoiceRouter",
+    "hash_assign",
     "sinkhorn",
-    "expert_domain_counts",
-    "mutual_information",
-    "specialization_score",
-    "dominant_domain_per_expert",
-    "BalanceTimeline",
-    "balance_timeline",
 ]

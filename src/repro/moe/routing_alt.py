@@ -10,19 +10,16 @@ implementations let the two be combined and compared:
   Sinkhorn-normalize the score matrix toward a balanced transport plan,
   then route greedily; balance is approximate, so it is typically paired
   with a capacity factor.
-- :class:`HashRouter` — static hash-based assignment (Roller et al.,
-  2021): no learned routing at all.
-- :class:`ExpertChoiceRouter` — expert-choice routing (Zhou et al.,
-  2022): each *expert* selects its top-``capacity`` tokens, guaranteeing
-  balance but allowing a token to be chosen by several or zero experts.
+- :func:`hash_assign` — static hash-based assignment (Roller et al.,
+  2021): no learned routing at all.  It maps token ids, not hidden
+  states, to experts, so it is an assignment function, not a router.
 
-All return the same :class:`~repro.moe.router.RoutingResult` contract as
-the learned top-k router, so any of them can drive the dMoE layer.
+The two router layers return the same
+:class:`~repro.moe.router.RoutingResult` contract as the learned top-k
+router, so either can drive the dMoE layer.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -167,92 +164,19 @@ class SinkhornRouter(Module):
         )
 
 
-class HashRouter(Module):
+def hash_assign(token_ids: np.ndarray, num_experts: int, seed: int = 0) -> np.ndarray:
     """Static hash routing (Roller et al. 2021): expert = hash(token id).
 
-    Needs the raw token ids, so it consumes ``(features, token_ids)``;
-    assignment weights are constant 1 (nothing to learn).  Balance
-    depends on the token distribution — skewed unigrams give skewed
-    loads, which is exactly the behaviour Clark et al. observed
-    underperforming learned routing.
+    Returns one expert id per token id (``int64``, flattened).  Nothing is
+    learned, and it reads raw token ids rather than hidden states, so it
+    is not a router layer; the §7 bench compares its balance with the
+    learned routers'.  Balance depends on the token distribution —
+    skewed unigrams give skewed loads, which is exactly the behaviour
+    Clark et al. observed underperforming learned routing.
     """
-
-    def __init__(self, num_experts: int, seed: int = 0) -> None:
-        super().__init__()
-        self.num_experts = num_experts
-        self.top_k = 1
-        self.seed = seed
-        # A fixed random permutation-based hash: reproducible, well mixed.
-        self._mult = 0x9E3779B97F4A7C15 ^ (seed * 0xBF58476D1CE4E5B9)
-
-    def assign(self, token_ids: np.ndarray) -> np.ndarray:
-        ids = np.asarray(token_ids, dtype=np.uint64).reshape(-1)
-        mixed = ids * np.uint64(self._mult % 2**64)
-        mixed ^= mixed >> np.uint64(31)
-        return (mixed % np.uint64(self.num_experts)).astype(np.int64)
-
-    def forward(self, x: Tensor, token_ids: np.ndarray) -> RoutingResult:
-        if x.ndim != 2:
-            raise ValueError(f"router expects (tokens, hidden), got {x.shape}")
-        indices = self.assign(token_ids)[:, None]
-        num_tokens = x.shape[0]
-        if len(indices) != num_tokens:
-            raise ValueError("token_ids must align with the token batch")
-        weights = Tensor(np.ones((num_tokens, 1), dtype=x.dtype))
-        scores = Tensor(
-            np.full((num_tokens, self.num_experts), 1.0 / self.num_experts, dtype=x.dtype)
-        )
-        return RoutingResult(
-            expert_indices=indices,
-            expert_weights=weights,
-            scores=scores,
-            load_balancing_loss=None,
-            z_loss=None,
-        )
-
-
-class ExpertChoiceRouter(Module):
-    """Expert-choice routing (Zhou et al. 2022): experts pick tokens.
-
-    Each expert selects its top ``capacity = tokens * factor /
-    num_experts`` scoring tokens.  Perfectly balanced by construction,
-    but a token can be selected zero times (dropped) or several times —
-    the residual token-dropping the paper notes this method retains.
-
-    The result uses a variable top-k encoding: ``expert_indices`` has one
-    row per (token, selection) pair padded to the max selections.
-    """
-
-    def __init__(
-        self,
-        hidden_size: int,
-        num_experts: int,
-        capacity_factor: float = 1.0,
-        init_std: float = 0.02,
-        rng: RngLike = None,
-    ) -> None:
-        super().__init__()
-        self.hidden_size = hidden_size
-        self.num_experts = num_experts
-        self.capacity_factor = capacity_factor
-        self.proj = Linear(
-            hidden_size, num_experts, bias=False, init_std=init_std, rng=rng
-        )
-
-    def select(self, x: Tensor):
-        """Returns ``(chosen (num_experts, capacity) token ids, scores)``."""
-        if x.ndim != 2:
-            raise ValueError(f"router expects (tokens, hidden), got {x.shape}")
-        num_tokens = x.shape[0]
-        scores = softmax(self.proj(x), axis=-1)
-        capacity = max(
-            int(num_tokens * self.capacity_factor / self.num_experts), 1
-        )
-        # Expert e takes its top-capacity tokens by score column e.
-        order = np.argsort(-scores.data, axis=0, kind="stable")
-        chosen = order[:capacity].T.astype(np.int64)  # (experts, capacity)
-        return chosen, scores
-
-    def coverage(self, chosen: np.ndarray, num_tokens: int) -> np.ndarray:
-        """Selections per token: 0 means dropped, >1 means duplicated."""
-        return np.bincount(chosen.reshape(-1), minlength=num_tokens)
+    # A fixed random multiplicative hash: reproducible, well mixed.
+    mult = (0x9E3779B97F4A7C15 ^ (seed * 0xBF58476D1CE4E5B9)) % 2**64
+    ids = np.asarray(token_ids, dtype=np.uint64).reshape(-1)
+    mixed = ids * np.uint64(mult)
+    mixed ^= mixed >> np.uint64(31)
+    return (mixed % np.uint64(num_experts)).astype(np.int64)

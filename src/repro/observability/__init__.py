@@ -37,11 +37,9 @@ from repro.observability.metrics import (
 from repro.observability.tracing import (
     Span,
     Tracer,
-    count,
     get_tracer,
     set_tracer,
     span,
-    trace_enabled,
     tracing,
 )
 
@@ -54,7 +52,6 @@ __all__ = [
     "Span",
     "Tracer",
     "chrome_trace",
-    "count",
     "format_step_table",
     "get_tracer",
     "phase_rows",
@@ -64,7 +61,6 @@ __all__ = [
     "span",
     "step_rows_from_trace",
     "step_table",
-    "trace_enabled",
     "tracing",
     "validate_chrome_trace",
     "write_jsonl",

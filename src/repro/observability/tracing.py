@@ -108,7 +108,7 @@ class _SpanContext:
 
 
 class Tracer:
-    """Collects spans, per-event counters, and counter-track samples.
+    """Collects spans and counter-track samples.
 
     Spans are appended to :attr:`spans` in *close* order, so a parent
     always follows its children — exporters and breakdown queries rely
@@ -121,9 +121,6 @@ class Tracer:
         self.epoch: float = clock()
         self.spans: List[Span] = []
         self._stack: List[Span] = []
-        #: event counts bumped by :meth:`count` (arena acquire/release,
-        #: kernel invocations) — cheap dict increments, no timestamps.
-        self.event_counts: Dict[str, int] = {}
         #: timestamped counter-track samples for Chrome "C" events.
         self.counter_samples: List[Tuple[float, str, float]] = []
 
@@ -149,11 +146,6 @@ class Tracer:
         self._stack.pop()
         span.end = self.clock()
         self.spans.append(span)
-
-    def count(self, name: str, by: int = 1) -> None:
-        """Bump a per-trace event counter (no timestamp, no allocation)."""
-        counts = self.event_counts
-        counts[name] = counts.get(name, 0) + by
 
     def sample(self, name: str, value: float) -> None:
         """Record one timestamped counter sample (Chrome ``C`` event)."""
@@ -208,7 +200,6 @@ class Tracer:
                 f"cannot reset tracer with {len(self._stack)} open span(s)"
             )
         self.spans.clear()
-        self.event_counts.clear()
         self.counter_samples.clear()
         self.epoch = self.clock()
 
@@ -231,10 +222,6 @@ def get_tracer() -> Optional[Tracer]:
     return _TRACER
 
 
-def trace_enabled() -> bool:
-    return _TRACER is not None
-
-
 def span(name: str, args: Optional[dict] = None):
     """Record a span on the installed tracer; no-op when none is.
 
@@ -245,13 +232,6 @@ def span(name: str, args: Optional[dict] = None):
     if tracer is None:
         return _NULL_SPAN
     return tracer.span(name, args)
-
-
-def count(name: str, by: int = 1) -> None:
-    """Bump an event counter on the installed tracer; no-op when none."""
-    tracer = _TRACER
-    if tracer is not None:
-        tracer.count(name, by)
 
 
 @contextmanager

@@ -35,7 +35,6 @@ from repro.sparse.attention_ops import (
     sparse_causal_softmax,
 )
 from repro.sparse import ablation
-from repro.sparse import linalg
 
 __all__ = [
     "Topology",
@@ -56,7 +55,6 @@ __all__ = [
     "element_mask",
     "random_block_sparse",
     "ablation",
-    "linalg",
     "dispatch",
     "stats",
     "DispatchPlan",

@@ -15,7 +15,6 @@ from repro.training.metrics import (
     time_to_loss,
 )
 from repro.training.trainer import RoutingStats, Trainer, TrainerConfig
-from repro.training.eval import bits_per_token, evaluate_lm, perplexity
 
 __all__ = [
     "Adam",
@@ -34,7 +33,4 @@ __all__ = [
     "Trainer",
     "TrainerConfig",
     "RoutingStats",
-    "evaluate_lm",
-    "perplexity",
-    "bits_per_token",
 ]

@@ -888,15 +888,10 @@ class Trainer:
         start = 0
         if resume is not None:
             if isinstance(resume, CheckpointManager):
-                path = resume.latest_path()
-                if path is None:
-                    raise CheckpointError(
-                        f"no checkpoints to resume in {resume.directory!r}"
-                    )
+                path, start = resume.load_newest(self.restore)
                 if checkpoint_manager is None:
                     checkpoint_manager = resume
             else:
-                path = resume
-            start = self.restore(path)
+                path, start = resume, self.restore(resume)
             logger.info("resumed from %s at step %d", path, start)
         return self._run(start, callback, checkpoint_manager, checkpoint_every)

@@ -31,6 +31,7 @@ from repro.checkpoint import (
 from repro.distributed import DeviceMesh
 from repro.nn import Linear, Sequential
 from repro.training import Adam
+from tests.conftest import flip_byte
 
 
 def _model():
@@ -142,11 +143,7 @@ class TestTornAndCorrupt:
         write_state(path, _state())
         reader = ShardReader(path)
         victim = reader.entries("model/w")[0]["file"]
-        with open(os.path.join(path, victim), "r+b") as fh:
-            fh.seek(-1, os.SEEK_END)
-            byte = fh.read(1)
-            fh.seek(-1, os.SEEK_END)
-            fh.write(bytes([byte[0] ^ 0xFF]))
+        flip_byte(os.path.join(path, victim), from_end=1)
         with pytest.raises(CheckpointCorruptError, match="checksum"):
             ShardReader(path)["model/w"]
 

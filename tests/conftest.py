@@ -81,3 +81,14 @@ def shard_file(ckpt_dir: str, index: int = 0) -> str:
 
     entry = ShardReader(ckpt_dir).manifest["shards"][index]
     return os.path.join(ckpt_dir, entry["file"])
+
+
+def flip_byte(path: str, from_end: int = 5) -> None:
+    """Invert one byte ``from_end`` bytes before the end of ``path`` —
+    inside a shard's array payload, past its ``.npy`` header, so the
+    shard still parses and only the manifest CRC can tell."""
+    with open(path, "r+b") as fh:
+        fh.seek(-from_end, os.SEEK_END)
+        byte = fh.read(1)[0]
+        fh.seek(-from_end, os.SEEK_END)
+        fh.write(bytes([byte ^ 0xFF]))

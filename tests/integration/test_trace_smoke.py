@@ -126,7 +126,7 @@ class TestDisabledIsOff:
         # a fresh tracer installed *after* it must stay empty.
         assert get_tracer() is None
         t = Tracer()
-        assert t.spans == [] and t.event_counts == {}
+        assert t.spans == [] and t.counter_samples == []
 
     def test_untraced_records_still_have_step_time(self, runs):
         plain_hist, *_ = runs

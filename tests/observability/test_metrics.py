@@ -83,7 +83,7 @@ class TestRegistry:
         assert reg.counter("c").value == 1
         assert reg.histogram("h").summary()["count"] == 1
 
-    def test_source_snapshot_mutation_isolated(self):
+    def test_snapshot_edit_leaves_live_handle(self):
         reg = MetricsRegistry()
         handle = reg.counter("sparse/sdd/grouped")
         handle.inc(2)
@@ -143,7 +143,7 @@ class TestGlobalRegistry:
         assert sp_stats.total_flops() == ag_stats.nodes_fused() == 0
         assert res_counters.get("router_fallback") == 0
 
-    def test_legacy_namespaces_re_exported(self):
+    def test_module_counts_use_flat_names(self):
         """The three modules' counts are registry counters under flat names."""
         registry().reset()
         record_product(Product("sdd", sp_stats.PATH_BLOCKED), _topo(), width=3)
@@ -156,7 +156,7 @@ class TestGlobalRegistry:
         assert counts["router_fallback"] == 1
         registry().reset()
 
-    def test_reset_propagates_to_sources(self):
+    def test_registry_reset_zeroes_module_reads(self):
         """``registry().reset()`` zeroes every module read."""
         record_product(Product("dsd", sp_stats.PATH_BLOCKED), _topo(), width=2)
         ag_stats.TAPE_NODES.inc()
@@ -236,10 +236,10 @@ class TestGlobalRegistry:
         assert hints["op"] == typing.Optional[str]
 
 
-class TestLegacySnapshotsDeepCopy:
+class TestSnapshotEditsMoveNoModuleRead:
     """A snapshot is a copy: editing it moves no count a module reads."""
 
-    def test_sparse_snapshot_mutation_isolated(self):
+    def test_sparse_reads_unmoved(self):
         sp_stats.reset()
         record_product(Product("sdd", sp_stats.PATH_GROUPED), _topo(), width=3)
         snap = registry().snapshot()
@@ -252,7 +252,7 @@ class TestLegacySnapshotsDeepCopy:
         assert sp_stats.cache_hit_rate() == 0.0
         sp_stats.reset()
 
-    def test_autograd_snapshot_mutation_isolated(self):
+    def test_autograd_reads_unmoved(self):
         ag_stats.reset()
         ag_stats.record_fused("bias_gelu")
         snap = registry().snapshot()

@@ -6,7 +6,6 @@ import pytest
 
 from repro.observability.tracing import (
     Tracer,
-    count,
     get_tracer,
     set_tracer,
     span,
@@ -102,11 +101,9 @@ class TestSpans:
         t = Tracer()
         with t.span("a"):
             pass
-        t.count("x")
         t.sample("g", 1.0)
         t.reset()
-        assert t.spans == [] and t.event_counts == {}
-        assert t.counter_samples == []
+        assert t.spans == [] and t.counter_samples == []
 
 
 class TestGlobalHook:
@@ -115,7 +112,6 @@ class TestGlobalHook:
         with span("step"):
             with span("forward"):
                 pass
-        count("arena/acquire")
         # Nothing was installed, so nothing can have recorded anything.
         assert get_tracer() is None
 
@@ -124,9 +120,7 @@ class TestGlobalHook:
             with span("step"):
                 with span("forward"):
                     pass
-            count("arena/acquire")
         assert [s.path for s in t.spans] == ["step/forward", "step"]
-        assert t.event_counts == {"arena/acquire": 1}
         assert get_tracer() is None  # restored on exit
 
     def test_tracing_restores_previous_tracer(self):

@@ -29,6 +29,7 @@ from repro.resilience import (
     FaultSchedule,
 )
 from repro.training import Adam, Trainer, TrainerConfig, WarmupCosineLR
+from tests.conftest import flip_byte, shard_file
 
 
 def _setup(max_steps, moe=False, trainer_seed=11, fault_injector=None):
@@ -204,6 +205,24 @@ class TestFitCheckpointing:
         assert restarted.steps == [2, 4]
         fresh = _setup(4)
         assert restarted.load_latest(fresh.model, fresh.optimizer)["step"] == 2
+
+    def test_fit_resume_falls_back_past_corrupt_newest(self, tmp_path):
+        """One flipped byte in the newest checkpoint's shard: ``fit``
+        resumes from the older one, bit-identical to the straight run."""
+        mgr = CheckpointManager(str(tmp_path / "ckpts"))
+        straight = _setup(4)
+        straight.fit(checkpoint_manager=mgr, checkpoint_every=2)
+        assert mgr.steps == [2, 4]
+        flip_byte(shard_file(mgr.path_for(4)))
+
+        resumed = _setup(4)
+        resumed.fit(resume=mgr)
+        got, want = _losses(resumed.history), _losses(straight.history)
+        assert [r.step for r in resumed.history.records][:2] == [2, 3]
+        for step in (2, 3):
+            assert got[step] == want[step], f"loss diverged at step {step}"
+        for a, b in zip(straight.model.parameters(), resumed.model.parameters()):
+            np.testing.assert_array_equal(a.data, b.data)
 
     def test_resume_from_empty_manager_raises(self, tmp_path):
         mgr = CheckpointManager(str(tmp_path / "none"))
