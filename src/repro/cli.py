@@ -319,8 +319,13 @@ def generate_main(argv=None) -> int:
         new, dt, new / dt if dt > 0 else float("inf"),
         "uncached" if args.uncached else "kv-cached",
     )
-    flops = registry().counter("serve_gemm_flops").value
-    logger.info("serving GEMMs: %s of wall", work_summary(flops, dt))
+    reg = registry()
+    summary = work_summary(
+        reg.counter("serve_gemm_flops").value, reg.counter("serve_attn_flops").value,
+        dt, "wall",
+    )
+    for line in summary.splitlines():
+        logger.info("serving kernels: %s", line)
     return 0
 
 

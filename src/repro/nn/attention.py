@@ -13,7 +13,7 @@ from repro.autograd.ops_fused import attention_core, fusion_enabled, masked_soft
 from repro.autograd.tensor import Tensor, is_inference
 from repro.nn.layers import Dropout, Linear
 from repro.nn.module import Module
-from repro.serving.kernels import attention_row, attention_window
+from repro.serving.kernels import attention_rows
 from repro.utils.rng import RngLike
 
 _NEG_INF = -1e9
@@ -110,30 +110,27 @@ class CausalSelfAttention(Module):
     def _scale(self) -> float:
         return float(1.0 / np.sqrt(self.head_dim))
 
-    def _split_qkv(self, qkv: np.ndarray):
-        """``(B, S, 3H)`` → contiguous ``(B, heads, S, d)`` q, k, v."""
-        batch, seq, _ = qkv.shape
-        qkv5 = qkv.reshape(batch, seq, 3, self.num_heads, self.head_dim)
-        q = np.ascontiguousarray(qkv5[:, :, 0].transpose(0, 2, 1, 3))
-        k = np.ascontiguousarray(qkv5[:, :, 1].transpose(0, 2, 1, 3))
-        v = np.ascontiguousarray(qkv5[:, :, 2].transpose(0, 2, 1, 3))
-        return q, k, v
-
     def _inference_window(self, x: Tensor, kv_sink, slots) -> Tensor:
         """Full-window inference forward (prefill / uncached reference).
 
-        Runs the per-(sequence, position) row kernel so position ``t``
-        issues exactly the BLAS calls a cached decode step at cache
-        length ``t`` issues — that shared computation is the whole
-        bit-identity argument.  When ``kv_sink`` (a ``LayerKV``) is
-        given, the freshly projected K/V rows are written into the cache
-        so subsequent ``forward_step`` calls can extend this window.
+        Every (sequence, position) pair is one query row of a single
+        :func:`attention_rows` call, with length ``t + 1`` — the row a
+        cached decode step at cache length ``t`` computes, through the
+        same code: that shared computation is the whole bit-identity
+        argument.  When ``kv_sink`` (a ``LayerKV``) is given, the freshly
+        projected K/V rows are written into the cache so subsequent
+        ``forward_step`` calls can extend this window.
         """
-        q, k, v = self._split_qkv(self.qkv(x).data)
+        batch, seq, _ = x.shape
+        qkv = self.qkv(x).data.reshape(batch, seq, 3, self.num_heads, self.head_dim)
+        q = np.ascontiguousarray(qkv[:, :, 0]).reshape(batch * seq, self.num_heads, -1)
+        k = np.ascontiguousarray(qkv[:, :, 1].transpose(0, 2, 3, 1))  # keys transposed
+        v = np.ascontiguousarray(qkv[:, :, 2].transpose(0, 2, 1, 3))
         if kv_sink is not None:
             kv_sink.write_prefill(k, v, slots)
-        ctx = attention_window(q, k, v, self._scale())
-        return self.proj(Tensor(ctx))
+        rows = np.arange(batch * seq)
+        ctx = attention_rows(q, k, v, rows // seq, rows % seq + 1, self._scale())
+        return self.proj(Tensor(ctx.reshape(batch, seq, self.hidden_size)))
 
     def forward_step(self, x: Tensor, layer_kv, positions, slots) -> Tensor:
         """One-token decode: append K/V to the cache, attend over it.
@@ -145,18 +142,12 @@ class CausalSelfAttention(Module):
         rows of its own slot only, so logits are independent of which
         other sequences share the decode batch.
         """
-        xd = x.data
-        batch = xd.shape[0]
+        batch = x.shape[0]
         qkv = self.qkv(x).data.reshape(batch, 3, self.num_heads, self.head_dim)
         K, V = layer_kv.k, layer_kv.v
-        scale = self._scale()
-        ctx = np.empty((batch, 1, self.hidden_size), dtype=xd.dtype)
-        for j in range(batch):
-            b = int(slots[j])
-            L = int(positions[j])
-            K[b, :, L] = qkv[j, 1]
-            V[b, :, L] = qkv[j, 2]
-            ctx[j, 0] = attention_row(
-                qkv[j, 0], K[b, :, : L + 1], V[b, :, : L + 1], scale
-            ).reshape(self.hidden_size)
-        return self.proj(Tensor(ctx))
+        K[slots, ..., positions] = qkv[:, 1]
+        V[slots, :, positions] = qkv[:, 2]
+        ctx = attention_rows(
+            np.ascontiguousarray(qkv[:, 0]), K, V, slots, positions + 1, self._scale()
+        )
+        return self.proj(Tensor(ctx.reshape(batch, 1, self.hidden_size)))

@@ -1,4 +1,4 @@
-"""Bitwise shape-stable inference kernels.
+"""Bitwise shape-stable inference kernels: the GEMMs and attention.
 
 The serving path promises logits from KV-cached single-token decode that
 are *bit-identical* to an uncached full-window forward.  That promise is
@@ -33,24 +33,44 @@ honour it:
   over ``i`` and ``j`` only; a column's ``k`` chain is never reordered
   or reassociated, so the bits are einsum's.
 
+Attention states its order the same way.  :func:`attention_rows` takes
+every query row of a layer — all ``(sequence, position)`` rows of a
+prefill, or the active slots of a decode step — and per row ``r`` and
+head, over keys ``j < lengths[r]`` only::
+
+    s_j = chain_k(q[k] * K[j, k]) * scale      (the chain above)
+    x_j = s_j - max_j s_j
+    e   = np.exp(x)                            (one contiguous buffer)
+    p_j = e_j / chain_j(e_j)
+    ctx = chain_j(p_j * V[j])                  (every chain from +0.0)
+
+Two C calls run the steps around ``np.exp``, which both implementations
+share; :func:`_attention_rows_ref` reproduces the rest bit for bit in
+NumPy.  Keys are stored transposed (``(slots, heads, d, cap)``) so both
+products stream contiguous rows.  Prefill and decode send the same rows
+through the same code, so cached equals uncached and no row depends on
+the rows beside it.
+
 The native family is bound lazily on the first eligible call and must
-pass a bitwise self-check against einsum before it serves anything; a
-missing toolchain, a failed compile or a failed check leaves every entry
-point on einsum (``serve_native_fallbacks`` counts those calls).  A
-single call also declines to einsum when an operand is not C-contiguous
-float32, is empty, or has ``N == 1`` (einsum then reduces over ``k`` with
-SIMD partial sums — a different order, kept as is).  NaN *payloads* are
-outside the contract: which NaN survives ``NaN + NaN`` depends on
-operand order, which a compiler may swap.
+pass a bitwise self-check against the references before it serves
+anything; a missing toolchain, a failed compile or a failed check leaves
+every entry point on them (``serve_native_fallbacks`` counts those
+calls).  A single call also declines to the reference when an operand is
+not C-contiguous float32 or is empty, or when a GEMM has ``N == 1``
+(einsum then reduces over ``k`` with SIMD partial sums — a different
+order, kept as is).  NaN *payloads* are outside the contract: which NaN
+survives ``NaN + NaN`` depends on operand order, which a compiler may
+swap.
 
 Left alone on purpose: :func:`stable_matmul_tb` (tied LM head — einsum's
 ``ij,kj`` order is a SIMD partial-sum reduction, row-stable but not this
-chain) and the attention kernels, whose bits are pinned to ``np.matmul``
-at a fixed shape and layout.
+chain).
 
 Every GEMM through this module adds to the registry counters
-``serve_gemm_calls`` / ``serve_gemm_flops`` (and ``serve_native_calls``
-when the C kernel ran).
+``serve_gemm_calls`` / ``serve_gemm_flops``, every attention call to
+``serve_attn_calls`` / ``serve_attn_flops`` (``4 * heads * d`` per key a
+row reads), and either kind to ``serve_native_calls`` when the C kernel
+ran.
 
 Plain NumPy on plain arrays: no Tensor, no tape.  ``repro.nn`` imports
 this module, so beyond the metrics registry and the toolchain it imports
@@ -172,11 +192,30 @@ _WIDEN = {
 }
 
 
+# Lanes [0, n) of one vector, any n (<= 0: none): loads read nothing
+# past them (and zero-fill), stores write nothing past them.
+_MASKED = {
+    16: "\n".join((
+        "typedef unsigned short vmask;",
+        "#define MASK(n) ((vmask)((n) >= VL ? 0xFFFF : (n) <= 0 ? 0 : (1u << (n)) - 1))",
+        "#define LOADM(p, m) ((vf)__builtin_ia32_loadups512_mask((p), (v16sf){0}, (m)))",
+        "#define STOREM(p, v, m) __builtin_ia32_storeups512_mask((p), (v16sf)(v), (m))",
+    )),
+    8: "\n".join((
+        "typedef v8si vmask;",
+        "#define MASK(n) ((vmask)((v8si){0, 1, 2, 3, 4, 5, 6, 7} < (int)MIN(MAX(n, 0), VL)))",
+        "#define LOADM(p, m) ((vf)__builtin_ia32_maskloadps256((const v8sf *)(p), (m)))",
+        "#define STOREM(p, v, m) __builtin_ia32_maskstoreps256((v8sf *)(p), (m), (v8sf)(v))",
+    )),
+}
+
+
 def _render_isa(vl: int, nv: int) -> str:
     parts = [
         f"#define VL {vl}  /* lanes of the working vector */",
         f"#define NV {nv}   /* vectors across a register tile */",
         f"typedef f32x{vl} vf;",
+        f"typedef i32x{vl} vi;",
         "#if defined(__GNUC__) && !defined(__clang__)",
         f"#define WIDEN(p) {_WIDEN[vl]}",
         "#else",
@@ -184,6 +223,7 @@ def _render_isa(vl: int, nv: int) -> str:
         "#endif",
         "#define LOAD_float(p) (*(const vf *)(p))",
         "#define LOAD_i8(p) __builtin_convertvector(WIDEN(p), vf)",
+        _MASKED[vl],
         _render_tile(vl, nv),
     ]
     parts += [_render_stream(wt, m, vl) for wt in ("float", "i8") for m in (1, 4)]
@@ -208,7 +248,11 @@ VEC(float, f32x16, 64, 4); VEC(float, f32x8, 32, 4); VEC(float, f32x4, 16, 4);
 VEC(i8, i8x16, 16, 1);     VEC(i8, i8x8, 8, 1);
 VEC(int, i32x16, 64, 4);   VEC(int, i32x8, 32, 4);
 typedef char qi16 __attribute__((vector_size(16)));
+typedef float v16sf __attribute__((vector_size(64)));  /* the builtins' own */
+typedef float v8sf __attribute__((vector_size(32)));
+typedef int v8si __attribute__((vector_size(32)));
 #define MIN(a, b) ((a) < (b) ? (a) : (b))
+#define MAX(a, b) ((a) > (b) ? (a) : (b))
 #define NOINLINE static __attribute__((noinline))
 
 #define STRIP (VL * NV)    /* columns of a register tile */
@@ -350,6 +394,157 @@ i64 NAME(const float *x, const i64 *offs, const WT *w, const float *scale,  \
 
 GROUPED(repro_serve_grouped, float)
 GROUPED(repro_serve_grouped_i8, i8)
+
+/* Causal attention, one query row per (sequence, position).  Row r reads
+   slot idx[r]'s first lens[r] keys and nothing past them; per head, the
+   two calls around np.exp compute, in this order:
+     scores:  s_j = chain_k(q[k] * kt[k][j]) * scale   (the GEMM chain)
+              x_j = s_j - max_j s_j       packed (row, head, j) into x
+     context: den = chain_j(e_j),  p_j = e_j / den,
+              out[dd] = chain_j(p_j * v[j][dd])
+   where e = np.exp(x) and every chain starts at +0.0f.  Keys are stored
+   transposed (kt: head_dim x cap per slot and head), so both products
+   are a row times a matrix, lanes over its columns.  The heads of a row
+   share every length, so they go four at a time: independent chains
+   side by side hide the add latency a lone chain waits on.  Each entry
+   returns the floats of x walked, or -1 (nothing written) when a slot
+   index leaves [0, B) or a length leaves [1, cap]. */
+#define HG 4  /* heads side by side */
+
+/* o_g[c] = chain_k(x_g[k] * w_g[k * ldw + c]) for c < n and g < live, one
+   vector of columns at a time: four chains in flight, one per head.  Only
+   a last partial vector is masked (neither read nor written past n);
+   heads past live repeat the last one and are not stored. */
+#define CHAIN_HEADS(LOAD)                                                   \
+    for (i64 k = 0; k < K; k++, w0 += ldw, w1 += ldw, w2 += ldw, w3 += ldw) { \
+        a0 = a0 + x0[k] * LOAD(w0); a1 = a1 + x1[k] * LOAD(w1);             \
+        a2 = a2 + x2[k] * LOAD(w2); a3 = a3 + x3[k] * LOAD(w3);             \
+    }
+NOINLINE void chain_heads(const float *const *x, const float *const *w,
+                          float *const *o, i64 live, i64 K, i64 ldw, i64 n)
+{
+    const float *x0 = x[0], *x1 = x[1], *x2 = x[2], *x3 = x[3];
+    for (i64 c = 0; c < n; c += VL) {
+        const vmask m = MASK(n - c);
+        const float *w0 = w[0] + c, *w1 = w[1] + c, *w2 = w[2] + c, *w3 = w[3] + c;
+        vf a0 = {0.0f}, a1 = {0.0f}, a2 = {0.0f}, a3 = {0.0f};
+        if (n - c >= VL) {
+            CHAIN_HEADS(LOAD_float)
+        } else {
+#define LOAD_tail(p) LOADM(p, m)
+            CHAIN_HEADS(LOAD_tail)
+#undef LOAD_tail
+        }
+        STOREM(o[0] + c, a0, m);
+        if (live > 1) STOREM(o[1] + c, a1, m);
+        if (live > 2) STOREM(o[2] + c, a2, m);
+        if (live > 3) STOREM(o[3] + c, a3, m);
+    }
+}
+
+/* max_j s_j over n >= 1 floats, NaN if any is NaN (as np.max).  Which of
+   +0.0 / -0.0 wins is unspecified, and nothing downstream can tell:
+   s - (+0.0) == s - (-0.0) but for zeros, and exp(+-0.0) == 1. */
+static float max_nan(const float *s, i64 n)
+{
+    float m = s[0];
+    i64 j = 0;
+    if (n >= VL) {
+        vf mv = LOAD_float(s);
+        vi nan = mv != mv;
+        for (j = VL; j + VL <= n; j += VL) {
+            const vf sv = LOAD_float(s + j);
+            const vi gt = sv > mv;
+            mv = (vf)(((vi)sv & gt) | ((vi)mv & ~gt));
+            nan = nan | (sv != sv);
+        }
+        for (int l = 0; l < VL; l++)
+            if (nan[l]) return __builtin_nanf("");
+        m = mv[0];
+        for (int l = 1; l < VL; l++)
+            if (mv[l] > m) m = mv[l];
+    }
+    for (; j < n; j++)
+        if (s[j] > m || s[j] != s[j]) m = s[j];
+    return m;
+}
+
+/* s[j] = s[j] OP a for j < n, a vector at a time. */
+#define EACH(s, n, OP, a)                                 \
+    for (i64 j_ = 0; j_ < (n); j_ += VL) {                \
+        const vmask mk_ = MASK((n) - j_);                 \
+        STOREM((s) + j_, LOADM((s) + j_, mk_) OP (a), mk_); \
+    }
+
+static int attn_rows_ok(const i64 *idx, const i64 *lens, i64 R, i64 B, i64 cap)
+{
+    for (i64 r = 0; r < R; r++)
+        if (idx[r] < 0 || idx[r] >= B || lens[r] < 1 || lens[r] > cap)
+            return 0;
+    return 1;
+}
+
+i64 repro_attn_scores(const float *q, const float *kt, const i64 *idx,
+                      const i64 *lens, float *x, i64 R, i64 H, i64 D,
+                      i64 B, i64 cap, float scale)
+{
+    if (!attn_rows_ok(idx, lens, R, B, cap)) return -1;
+    float *s = x;
+    for (i64 r = 0; r < R; r++) {
+        const i64 n = lens[r];
+        for (i64 h0 = 0; h0 < H; h0 += HG) {
+            const i64 live = MIN(HG, H - h0);
+            const float *xs[HG], *ws[HG];
+            float *os[HG];
+            for (i64 g = 0; g < HG; g++) {
+                const i64 h = h0 + MIN(g, live - 1);
+                xs[g] = q + (r * H + h) * D;
+                ws[g] = kt + (idx[r] * H + h) * D * cap;
+                os[g] = s + g * n;
+            }
+            chain_heads(xs, ws, os, live, D, cap, n);
+            for (i64 g = 0; g < live; g++, s += n) {
+                EACH(s, n, *, scale)
+                const float m = max_nan(s, n);
+                EACH(s, n, -, m)
+            }
+        }
+    }
+    return s - x;
+}
+
+i64 repro_attn_context(float *e, const float *v, const i64 *idx,
+                       const i64 *lens, float *out, i64 R, i64 H, i64 D,
+                       i64 B, i64 cap)
+{
+    if (!attn_rows_ok(idx, lens, R, B, cap)) return -1;
+    float *p = e;
+    for (i64 r = 0; r < R; r++) {
+        const i64 n = lens[r];
+        for (i64 h0 = 0; h0 < H; h0 += HG) {
+            const i64 live = MIN(HG, H - h0);
+            const float *ws[HG];
+            float *ps[HG], *os[HG];
+            for (i64 g = 0; g < HG; g++) {
+                const i64 h = h0 + MIN(g, live - 1);
+                ps[g] = p + (h - h0) * n;
+                ws[g] = v + (idx[r] * H + h) * cap * D;
+                os[g] = out + (r * H + h) * D;
+            }
+            float d0 = 0.0f, d1 = 0.0f, d2 = 0.0f, d3 = 0.0f;
+            for (i64 j = 0; j < n; j++) {
+                d0 = d0 + ps[0][j]; d1 = d1 + ps[1][j];
+                d2 = d2 + ps[2][j]; d3 = d3 + ps[3][j];
+            }
+            const float den[HG] = {d0, d1, d2, d3};
+            for (i64 g = 0; g < live; g++)
+                EACH(ps[g], n, /, den[g])
+            chain_heads((const float *const *)ps, ws, os, live, n, D, D);
+            p += live * n;
+        }
+    }
+    return p - e;
+}
 """
 
 C_SOURCE = _C_TEMPLATE.replace("@ISA_512@", _render_isa(16, 4)).replace(
@@ -366,8 +561,9 @@ _I64 = np.dtype(np.int64)
 
 _REG = registry()
 
-# None = not bound yet; False = unavailable (every call runs on einsum and
-# counts as a fallback); else the ``(gemm, grouped, grouped_i8)`` functions.
+# None = not bound yet; False = unavailable (every call runs on the NumPy
+# reference and counts as a fallback); else the ``(gemm, grouped,
+# grouped_i8, attn_scores, attn_context)`` functions.
 _native: object = None
 
 
@@ -381,39 +577,47 @@ def _addr(a: np.ndarray) -> int:
         return a.ctypes.data
 
 
-def _count(flops: int, native: bool) -> None:
+def _count(flops: int, native: bool, kind: str = "gemm") -> None:
     counter = _REG.counter
-    counter("serve_gemm_calls").value += 1
-    counter("serve_gemm_flops").value += flops
+    counter(f"serve_{kind}_calls").value += 1
+    counter(f"serve_{kind}_flops").value += flops
     if native:
         counter("serve_native_calls").value += 1
     elif _native is False:
         counter("serve_native_fallbacks").value += 1
 
 
-def work_summary(flops: int, seconds: float) -> str:
-    """One line for a serving report: the process's GEMM calls by rung,
-    then ``flops`` (the caller's share of ``serve_gemm_flops``) as a rate
-    over the ``seconds`` they were spent in."""
+def work_summary(gemm_flops: int, attn_flops: int, seconds: float, wall: str) -> str:
+    """Three lines for a serving report: the process's kernel calls by
+    rung (GEMM and attention calls alike), then the GEMM and the attention
+    FLOPs given (the caller's shares of ``serve_gemm_flops`` /
+    ``serve_attn_flops``), each as a rate over the ``seconds`` of ``wall``
+    they were spent in."""
     value = lambda name: _REG.counter(name).value  # noqa: E731
+
+    def rate(flops: int) -> str:
+        gflop = flops / 1e9
+        achieved = gflop / seconds if seconds > 0 else 0.0
+        return f"{gflop:.3f}  achieved={achieved:.2f} GFLOP/s of {wall}"
+
     return (
-        f"gemm_calls={value('serve_gemm_calls')}  "
-        f"native={value('serve_native_calls')}  "
-        f"fallbacks={value('serve_native_fallbacks')}  "
-        f"gemm_gflop={flops / 1e9:.3f}  "
-        f"achieved={flops / 1e9 / seconds if seconds > 0 else 0.0:.2f} GFLOP/s"
+        f"kernel calls: native={value('serve_native_calls')}  "
+        f"fallbacks={value('serve_native_fallbacks')}\n"
+        f"gemm_calls={value('serve_gemm_calls')}  gemm_gflop={rate(gemm_flops)}\n"
+        f"attn_calls={value('serve_attn_calls')}  attn_gflop={rate(attn_flops)}"
     )
 
 
 # ----------------------------------------------------------------------
 # Binding: compile (or load from the cache), then prove the bits
 # ----------------------------------------------------------------------
-def _self_check(gemm, grouped, grouped_i8) -> bool:
-    """The raw C functions vs einsum, bitwise, on a few shapes that cover
-    every path: one streamed row, streamed rows with spares, register
-    tiles off a panel walked in two k-chunks with a short last tile and
-    streamed edge columns, both epilogues, int8 conversion, skipped
-    groups."""
+def _self_check(gemm, grouped, grouped_i8, attn_scores, attn_context) -> bool:
+    """The raw C functions vs their references, bitwise, on a few shapes
+    that cover every path: one streamed row, streamed rows with spares,
+    register tiles off a panel walked in two k-chunks with a short last
+    tile and streamed edge columns, both epilogues, int8 conversion,
+    skipped groups; attention rows of length 1 to the cache's capacity,
+    out of slot order, with NaN past every row's length."""
     rng = np.random.default_rng(0)
 
     def f32(*shape):
@@ -445,29 +649,55 @@ def _self_check(gemm, grouped, grouped_i8) -> bool:
                 want[lo:hi] = y + b[g]
         if rows != 11 or not same(got, want):
             return False
-    return True
+    q, k, v = f32(4, 2, 19), f32(3, 2, 19, 37), f32(3, 2, 37, 19)
+    kv_index = np.array([2, 0, 2, 1], dtype=np.int64)
+    lengths = np.array([1, 37, 20, 5], dtype=np.int64)
+    for slot in range(3):  # NaN past the longest row of each slot
+        longest = lengths[kv_index == slot].max()
+        k[slot, ..., longest:] = np.nan
+        v[slot, :, longest:] = np.nan
+    got = _attention_native(
+        attn_scores, attn_context, q, k, v, kv_index, lengths, int(lengths.sum()), 0.3
+    )
+    return same(got, _attention_rows_ref(q, k, v, kv_index, lengths, 0.3))
 
 
-def _bind():
-    """Compile/load the C family and self-check it; pins ``_native``."""
-    global _native
+def _load():
+    """Compile (or load from the cache) and declare the C family: its
+    ``(gemm, grouped, grouped_i8, attn_scores, attn_context)`` functions,
+    unchecked, or ``None`` without a toolchain."""
     lib = toolchain.compile_and_load(C_SOURCE, tag=_TAG)
     if lib is None:
-        # The toolchain has logged its one warning (now or earlier).
-        _native = False
-        return _native
+        return None
     ptr, i64 = ctypes.c_void_p, ctypes.c_longlong
     lib.repro_serve_gemm.argtypes = [ptr] * 4 + [i64] * 3
     lib.repro_serve_gemm.restype = None
     for fn in (lib.repro_serve_grouped, lib.repro_serve_grouped_i8):
         fn.argtypes = [ptr] * 6 + [i64] * 4
         fn.restype = i64
-    _native = (lib.repro_serve_gemm, lib.repro_serve_grouped, lib.repro_serve_grouped_i8)
-    if not _self_check(*_native):
+    lib.repro_attn_scores.argtypes = [ptr] * 5 + [i64] * 5 + [ctypes.c_float]
+    lib.repro_attn_context.argtypes = [ptr] * 5 + [i64] * 5
+    lib.repro_attn_scores.restype = lib.repro_attn_context.restype = i64
+    return (
+        lib.repro_serve_gemm, lib.repro_serve_grouped, lib.repro_serve_grouped_i8,
+        lib.repro_attn_scores, lib.repro_attn_context,
+    )
+
+
+def _bind():
+    """Load the C family and self-check it; pins ``_native``."""
+    global _native
+    fns = _load()
+    if fns is None:
+        # The toolchain has logged its one warning (now or earlier).
+        _native = False
+    elif _self_check(*fns):
+        _native = fns
+    else:
         _native = False
         logger.warning(
-            "serving GEMM kernels failed their bitwise self-check against "
-            "einsum; serving stays on the einsum reference"
+            "serving kernels failed their bitwise self-check against their "
+            "NumPy references; serving stays on the references"
         )
     return _native
 
@@ -595,50 +825,117 @@ def stable_grouped_into(
 
 
 # ----------------------------------------------------------------------
-# Attention rows (bits pinned to np.matmul at a fixed shape and layout)
+# Attention rows: every query row of a layer in two calls around np.exp
 # ----------------------------------------------------------------------
-def attention_row(
-    q_hd: np.ndarray, k_hld: np.ndarray, v_hld: np.ndarray, scale: float
+def _bad_rows(kv_index: np.ndarray, lengths: np.ndarray, slots: int, cap: int):
+    return ValueError(
+        f"attention rows need 0 <= kv_index < {slots} and 1 <= lengths <= {cap}; "
+        f"got kv_index in [{kv_index.min()}, {kv_index.max()}], "
+        f"lengths in [{lengths.min()}, {lengths.max()}]"
+    )
+
+
+def _attention_native(
+    scores, context, q, k, v, kv_index, lengths, total: int, scale: float
 ) -> np.ndarray:
-    """Causal attention for one query row against ``L`` cached positions.
-
-    ``q_hd`` is ``(heads, d)``; ``k_hld``/``v_hld`` are ``(heads, L, d)``.
-    Returns the ``(heads, d)`` context.  Every operand is made contiguous
-    so the BLAS calls have a fixed layout for a fixed ``L`` — that, plus
-    the per-row last-axis softmax, is what makes the result depend only
-    on (query row, cached keys) and not on how many other rows are being
-    decoded alongside.
-    """
-    q = np.ascontiguousarray(q_hd)[:, None, :]
-    kt = np.ascontiguousarray(np.swapaxes(k_hld, 1, 2))
-    s = np.matmul(q, kt)
-    s *= scale
-    m = s.max(axis=-1, keepdims=True)
-    np.subtract(s, m, out=s)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
-    ctx = np.matmul(s, np.ascontiguousarray(v_hld))
-    return ctx[:, 0]
+    """The C pair on checked operands; ``total`` is ``lengths.sum()``
+    (see :func:`attention_rows`)."""
+    rows, heads, d = q.shape
+    slots, cap = k.shape[0], k.shape[3]
+    x = np.empty(heads * total, dtype=np.float32)
+    args = (_addr(kv_index), _addr(lengths))
+    if scores(_addr(q), _addr(k), *args, _addr(x), rows, heads, d, slots, cap, scale) < 0:
+        raise _bad_rows(kv_index, lengths, slots, cap)
+    np.exp(x, out=x)
+    out = np.empty((rows, heads * d), dtype=np.float32)
+    context(_addr(x), _addr(v), *args, _addr(out), rows, heads, d, slots, cap)
+    return out
 
 
-def attention_window(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float
+def _attention_rows_ref(q, k, v, kv_index, lengths, scale) -> np.ndarray:
+    """The contract in NumPy, chain for chain.  Rows are padded to the
+    longest length: padded keys are zeroed before any arithmetic, score
+    ``-inf``, stay out of the buffer ``np.exp`` sees, and add exact zeros
+    to the two chains after it (a chain from +0.0 never holds -0.0)."""
+    rows, heads, d = q.shape
+    slots, cap = k.shape[0], k.shape[3]
+    if not (
+        (kv_index >= 0).all() and (kv_index < slots).all()
+        and (lengths >= 1).all() and (lengths <= cap).all()
+    ):
+        raise _bad_rows(kv_index, lengths, slots, cap)
+    span = int(lengths.max()) if rows else 0
+    live = np.arange(span) < lengths[:, None]
+    kt = np.where(live[:, None, None], k[kv_index, ..., :span], 0)  # (R, H, d, span)
+    vv = np.where(live[:, None, :, None], v[kv_index, :, :span], 0)  # (R, H, span, d)
+    s = np.zeros((rows, heads, span), dtype=q.dtype)
+    for c in range(d):
+        s = s + q[:, :, c, None] * kt[:, :, c]
+    s = s * q.dtype.type(scale)
+    keep = np.broadcast_to(live[:, None], s.shape)
+    s = np.where(keep, s, -np.inf)
+    e = np.zeros_like(s)
+    e[keep] = np.exp((s - s.max(axis=-1, keepdims=True))[keep])  # packed (row, head, j)
+    den = np.zeros((rows, heads, 1), dtype=q.dtype)
+    for j in range(span):
+        den = den + e[:, :, j : j + 1]
+    p = e / den
+    ctx = np.zeros((rows, heads, d), dtype=q.dtype)
+    for j in range(span):
+        ctx = ctx + p[:, :, j, None] * vv[:, :, j]
+    return ctx.reshape(rows, heads * d)
+
+
+def attention_rows(
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    kv_index: np.ndarray,
+    lengths: np.ndarray,
+    scale: float,
 ) -> np.ndarray:
-    """Causal attention over a full window via per-(b, t) row kernels.
+    """Causal attention for a batch of query rows, each against its own
+    slot's first ``lengths[r]`` keys; returns ``(rows, heads * d)``.
 
-    ``q``/``k``/``v`` are ``(B, heads, S, d)``.  Returns ``(B, S, H)``
-    with heads merged.  Deliberately loops over every (sequence, query
-    position) pair so position ``t`` issues *exactly* the BLAS calls a
-    cached decode step at length ``t`` issues — this is the uncached
-    reference the bit-identity guarantee is stated against.  It only
-    runs at prefill and in equivalence tests; the hot decode loop is
-    :func:`attention_row` against the KV cache.
+    ``q`` is ``(rows, heads, d)``; ``k`` holds keys transposed,
+    ``(slots, heads, d, cap)`` (``k[b, h, :, j]`` is key ``j``); ``v`` is
+    ``(slots, heads, cap, d)``; row ``r`` reads slot ``kv_index[r]``.  A
+    prefill passes all ``(sequence, position)`` rows with
+    ``lengths = t + 1``, a decode step its active slots with
+    ``lengths = positions + 1``: the same rows through the same code, so
+    cached equals uncached and no row depends on its neighbours.
+
+    Per row and head (every chain from +0.0, ascending, each multiply and
+    add rounded): ``s_j = chain_k(q[k] * K[j, k]) * scale``;
+    ``x_j = s_j - max_j s_j``; ``e = np.exp(x)`` over one contiguous
+    buffer; ``p_j = e_j / chain_j(e_j)``; ``ctx = chain_j(p_j * V[j])``.
+    Keys at or past ``lengths[r]`` are never read.  Raises ``ValueError``
+    unless ``0 <= kv_index < slots`` and ``1 <= lengths <= cap``.
     """
-    B, nh, S, d = q.shape
-    H = nh * d
-    ctx = np.empty((B, S, H), dtype=q.dtype)
-    for b in range(B):
-        qb, kb, vb = q[b], k[b], v[b]
-        for t in range(S):
-            ctx[b, t] = attention_row(qb[:, t], kb[:, : t + 1], vb[:, : t + 1], scale).reshape(H)
-    return ctx
+    rows, heads, d = q.shape
+    slots, cap = k.shape[0], k.shape[3]
+    kv_index = np.ascontiguousarray(kv_index, dtype=_I64)
+    lengths = np.ascontiguousarray(lengths, dtype=_I64)
+    total = int(lengths.sum())
+    fns = _native if _native is not None else _bind()
+    if (
+        fns
+        and q.size
+        and q.dtype is _F32
+        and k.dtype is _F32
+        and v.dtype is _F32
+        and k.shape == (slots, heads, d, cap)
+        and v.shape == (slots, heads, cap, d)
+        and kv_index.shape == lengths.shape == (rows,)
+        and q.flags.c_contiguous
+        and k.flags.c_contiguous
+        and v.flags.c_contiguous
+        and rows <= total <= rows * cap  # else some length is out of range
+    ):
+        out = _attention_native(fns[3], fns[4], q, k, v, kv_index, lengths, total, scale)
+        native = True
+    else:
+        out = _attention_rows_ref(q, k, v, kv_index, lengths, scale)
+        native = False
+    _count(4 * heads * d * total, native, "attn")
+    return out

@@ -1,9 +1,12 @@
 """Per-layer K/V caches for incremental decode, backed by the buffer arena.
 
-Layout: one ``(batch_slots, heads, max_seq_len, head_dim)`` K and V
-array per Transformer layer, pre-grown to ``max_seq_len`` at
-construction so the decode loop never reallocates — appending a token is
-one in-place row write per layer (``K[slot, :, length] = k_new``).
+Layout, per Transformer layer: V is ``(batch_slots, heads, max_seq_len,
+head_dim)`` and K is stored transposed, ``(batch_slots, heads, head_dim,
+max_seq_len)``, so a query's scores and its context both stream over
+contiguous rows (:func:`repro.serving.kernels.attention_rows`).  Both are
+pre-grown to ``max_seq_len`` at construction so the decode loop never
+reallocates — appending a step's tokens is one indexed write per array
+(``K[slots, ..., lengths] = k_new``).
 
 The arrays come from the PR 3 arena's *detached* pool
 (:meth:`BufferArena.acquire_detached`): pooled and bucket-recycled like
@@ -33,7 +36,8 @@ from repro.autograd.arena import get_arena
 
 
 class LayerKV:
-    """K/V arrays for one layer: ``(slots, heads, max_seq_len, head_dim)``."""
+    """K/V arrays for one layer: K ``(slots, heads, head_dim, max_seq_len)``
+    (keys transposed), V ``(slots, heads, max_seq_len, head_dim)``."""
 
     __slots__ = ("k", "v")
 
@@ -44,15 +48,13 @@ class LayerKV:
     def write_prefill(
         self, k: np.ndarray, v: np.ndarray, slots: Optional[Sequence[int]] = None
     ) -> None:
-        """Write a full prefill window ``(B, heads, S, d)`` at positions 0..S."""
-        seq = k.shape[2]
-        if slots is None:
-            self.k[:, :, :seq] = k
-            self.v[:, :, :seq] = v
-        else:
-            for j, b in enumerate(slots):
-                self.k[b, :, :seq] = k[j]
-                self.v[b, :, :seq] = v[j]
+        """Write a full prefill window at positions 0..S of ``slots`` (all
+        slots, in order, by default): ``k`` is ``(B, heads, d, S)``, ``v``
+        ``(B, heads, S, d)``."""
+        seq = v.shape[2]
+        at = slice(None) if slots is None else np.asarray(slots)
+        self.k[at, ..., :seq] = k
+        self.v[at, :, :seq] = v
 
 
 class KVCache:
@@ -77,11 +79,12 @@ class KVCache:
         self.max_seq_len = max_seq_len
         self.lengths = np.zeros(batch_slots, dtype=np.int64)
         pool = get_arena()
-        shape = (batch_slots, num_heads, max_seq_len, head_dim)
+        k_shape = (batch_slots, num_heads, head_dim, max_seq_len)
+        v_shape = (batch_slots, num_heads, max_seq_len, head_dim)
         self.layers: List[LayerKV] = [
             LayerKV(
-                pool.acquire_detached(shape, dtype),
-                pool.acquire_detached(shape, dtype),
+                pool.acquire_detached(k_shape, dtype),
+                pool.acquire_detached(v_shape, dtype),
             )
             for _ in range(num_layers)
         ]

@@ -13,24 +13,28 @@ the rest of the package.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 
-def sample_tokens(
+def sample_rows(
     logits: np.ndarray,
     temperature: float,
     top_k: Optional[int],
-    gen: np.random.Generator,
+    gens: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """Draw one token id per row of ``(B, vocab)`` next-token logits.
+    """Draw one token id per row of ``(B, vocab)`` next-token logits, row
+    ``i`` from ``gens[i]``.
 
     ``temperature <= 0`` means greedy argmax (no RNG consumed).  With
-    ``top_k`` set, all but the ``top_k`` highest logits are masked per
-    row before the softmax.  Sampling draws exactly one ``gen.choice``
-    per row, in row order — the per-row RNG contract every caller relies
-    on for seeded determinism.
+    ``top_k`` set, all but the ``top_k`` highest logits of a row are
+    masked before the softmax.  Each row then takes one uniform from its
+    generator and returns the index ``gens[i].choice(vocab, p=probs[i])``
+    would (the inverse CDF: ``cumsum`` scaled by its last entry,
+    ``searchsorted(side="right")``), with every row's softmax and sums
+    taken in one call.  Every step is elementwise or reduces one row, so
+    a row's token does not depend on the rows beside it.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if temperature <= 0:
@@ -42,7 +46,24 @@ def sample_tokens(
     logits = logits - logits.max(axis=-1, keepdims=True)
     probs = np.exp(logits)
     probs /= probs.sum(axis=-1, keepdims=True)
-    out = np.empty(logits.shape[0], dtype=np.int64)
-    for i in range(logits.shape[0]):
-        out[i] = gen.choice(logits.shape[-1], p=probs[i])
-    return out
+    cdf = np.cumsum(probs, axis=-1)
+    total = cdf[:, -1:]
+    if not np.isfinite(total).all():
+        raise ValueError("next-token probabilities are not finite")
+    cdf /= total
+    return np.array(
+        [row.searchsorted(gen.random(), side="right") for row, gen in zip(cdf, gens)],
+        dtype=np.int64,
+    )
+
+
+def sample_tokens(
+    logits: np.ndarray,
+    temperature: float,
+    top_k: Optional[int],
+    gen: np.random.Generator,
+) -> np.ndarray:
+    """:func:`sample_rows` with every row drawing from ``gen``, in row
+    order — the per-row RNG contract every caller relies on for seeded
+    determinism."""
+    return sample_rows(logits, temperature, top_k, [gen] * len(logits))

@@ -27,9 +27,10 @@ Telemetry flows through the PR 4 registry and tracer:
   ``serving/step_ms`` (whole scheduler step);
 - counters ``serving/requests``, ``serving/tokens_generated``,
   ``serving/prefill_tokens``, and the kernels' own ``serve_gemm_calls`` /
-  ``serve_gemm_flops`` / ``serve_native_calls`` /
-  ``serve_native_fallbacks`` (printed by :meth:`latency_table` with the
-  achieved GFLOP/s);
+  ``serve_gemm_flops`` / ``serve_attn_calls`` / ``serve_attn_flops`` /
+  ``serve_native_calls`` / ``serve_native_fallbacks`` (printed by
+  :meth:`latency_table`, GEMM and attention each with its achieved
+  GFLOP/s);
 - gauge ``serving/active_sequences``;
 - spans ``serve/step`` / ``serve/prefill`` / ``serve/decode``.
 """
@@ -47,7 +48,7 @@ from repro.observability.metrics import registry
 from repro.observability.tracing import span
 from repro.serving.engine import InferenceEngine
 from repro.serving.kernels import work_summary
-from repro.serving.sampling import sample_tokens
+from repro.serving.sampling import sample_rows
 from repro.utils.rng import get_rng
 
 
@@ -113,6 +114,24 @@ class _Sequence:
         return min(len(self.ids), max_seq_len)
 
 
+def _sample(seqs: List[_Sequence]) -> List[int]:
+    """One next token per sequence, each from its own RNG stream, in one
+    :func:`sample_rows` call per distinct (temperature, top_k): a
+    sequence samples exactly what it would alone."""
+    groups: Dict[tuple, List[int]] = {}
+    for i, seq in enumerate(seqs):
+        groups.setdefault((seq.request.temperature, seq.request.top_k), []).append(i)
+    tokens = [0] * len(seqs)
+    for (temperature, top_k), rows in groups.items():
+        picked = sample_rows(
+            np.stack([seqs[i].logits for i in rows]), temperature, top_k,
+            [seqs[i].rng for i in rows],
+        )
+        for i, tok in zip(rows, picked.tolist()):
+            tokens[i] = tok
+    return tokens
+
+
 class ContinuousBatchingScheduler:
     """Iteration-level scheduler: admit, decode one step, evict, repeat.
 
@@ -145,9 +164,10 @@ class ContinuousBatchingScheduler:
         self.free_slots: List[int] = list(range(max_batch_size))[::-1]
         self.peak_concurrency = 0
         #: Wall clock of this scheduler's working steps and the serving-GEMM
-        #: FLOPs spent inside them (their quotient is the achieved rate).
+        #: and attention FLOPs spent inside them (each quotient is a rate).
         self.step_seconds = 0.0
         self.step_gemm_flops = 0
+        self.step_attn_flops = 0
         self._next_id = 0
         self._reg = registry()
 
@@ -210,7 +230,8 @@ class ContinuousBatchingScheduler:
         Returns the requests that finished during this step.
         """
         t0 = time.perf_counter()
-        flops0 = self._reg.counter("serve_gemm_flops").value
+        gemm0 = self._reg.counter("serve_gemm_flops").value
+        attn0 = self._reg.counter("serve_attn_flops").value
         finished: List[GenerationResult] = []
         with span("serve/step"):
             self._admit(t0)
@@ -218,14 +239,11 @@ class ContinuousBatchingScheduler:
                 return finished
 
             # Sample the next token of every active sequence from the
-            # logits computed last step (or at prefill).  Per-sequence
-            # RNG streams keep sampling independent of batch makeup.
+            # logits computed last step (or at prefill).
             now = time.perf_counter()
-            for seq in list(self.active.values()):
+            seqs = list(self.active.values())
+            for seq, tok in zip(seqs, _sample(seqs)):
                 req = seq.request
-                tok = sample_tokens(
-                    seq.logits[None, :], req.temperature, req.top_k, seq.rng
-                )[0]
                 seq.ids[seq.n] = tok
                 seq.n += 1
                 if seq.first_token_t is None:
@@ -271,7 +289,8 @@ class ContinuousBatchingScheduler:
         dt = time.perf_counter() - t0
         self._reg.histogram("serving/step_ms").observe(dt * 1e3)
         self.step_seconds += dt
-        self.step_gemm_flops += self._reg.counter("serve_gemm_flops").value - flops0
+        self.step_gemm_flops += self._reg.counter("serve_gemm_flops").value - gemm0
+        self.step_attn_flops += self._reg.counter("serve_attn_flops").value - attn0
         return finished
 
     def _finish(self, seq: _Sequence) -> GenerationResult:
@@ -309,10 +328,10 @@ class ContinuousBatchingScheduler:
             f"prefill_tokens={counters.counter('serving/prefill_tokens').value}  "
             f"peak_concurrency={self.peak_concurrency}"
         )
-        # The GEMM work: process totals by rung, then this scheduler's own
-        # steps as a rate.
-        rows.append(
-            "  " + work_summary(self.step_gemm_flops, self.step_seconds)
-            + " of step wall"
+        # The kernel work: process totals by rung, then this scheduler's
+        # own steps as rates, GEMM and attention apart.
+        summary = work_summary(
+            self.step_gemm_flops, self.step_attn_flops, self.step_seconds, "step wall"
         )
+        rows.extend("  " + line for line in summary.splitlines())
         return "\n".join(rows)

@@ -1,16 +1,21 @@
-"""The generated-C serving GEMMs against their einsum reference, bit for bit.
+"""The generated-C serving kernels against their NumPy references, bit
+for bit.
 
-Differential: every entry point over a grid of awkward shapes and over
-hypothesis-drawn ones, special values, non-owning inputs.  Property: row
-``t`` of a batched call equals the single-row call (row-stability), the
-grouped entry equals the per-group loop, the int8 entry equals the
-``astype -> einsum -> *= -> +=`` sequence.  Failure paths: every way the
-C family can be unavailable lands on einsum with one warning, counted,
-and identical tokens.
+Differential: every GEMM entry point over a grid of awkward shapes and
+over hypothesis-drawn ones, special values, non-owning inputs; the
+attention pair over drawn heads, head sizes and ragged lengths.
+Property: row ``t`` of a batched call equals the single-row call
+(row-stability), the grouped entry equals the per-group loop, the int8
+entry equals the ``astype -> einsum -> *= -> +=`` sequence, an attention
+row is the same alone, in a prefill and in any decode batch, and keys
+past its length change no bit.  Failure paths: every way the C family can
+be unavailable lands on the references with one warning, counted, and
+identical tokens.
 """
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import os
 import subprocess
@@ -164,12 +169,18 @@ def test_every_gemm_is_counted(native_rung):
     calls, flops, native = (
         count("serve_gemm_calls"), count("serve_gemm_flops"), count("serve_native_calls")
     )
+    attn_calls, attn_flops = count("serve_attn_calls"), count("serve_attn_flops")
     kernels.stable_linear(x, w)                   # native
     kernels.stable_matmul_tb(x, f32(rng, 9, 16))  # einsum by design
     kernels.stable_linear(x, f32(rng, 16, 1))     # N == 1 declines
+    # Attention: 4 * heads * d FLOPs per key a row reads, native.
+    q, k, v, idx, lens = attention_case(rng, 2, 8, 6, [0, 1], [6, 3], 2)
+    kernels.attention_rows(q, k, v, idx, lens, 0.5)
     assert count("serve_gemm_calls") - calls == 3
     assert count("serve_gemm_flops") - flops == 2 * 5 * 16 * (32 + 9 + 1)
-    assert count("serve_native_calls") - native == 1
+    assert count("serve_attn_calls") - attn_calls == 1
+    assert count("serve_attn_flops") - attn_flops == 4 * 2 * 8 * (6 + 3)
+    assert count("serve_native_calls") - native == 2
     assert count("serve_native_fallbacks") == 0 or kernels._native
 
 
@@ -255,6 +266,146 @@ def test_grouped_entry_declines_what_it_cannot_prove(native_rung, monkeypatch):
     # int32 / list offsets are converted, not declined.
     assert kernels.stable_grouped_into(out, x, offs.astype(np.int32), w, b)
     assert bits_equal(out, grouped_on_reference(monkeypatch, x, list(offs), w, b, stable=True))
+
+
+# ----------------------------------------------------------------------
+# Attention rows: native = reference, and a row is a row wherever it runs
+# ----------------------------------------------------------------------
+def attention_case(rng, heads, d, cap, kv_index, lengths, slots, stale=None):
+    """Operands of one ``attention_rows`` call.  Keys and values past the
+    longest row reading a slot hold ``stale`` (random when ``None``)."""
+    q = f32(rng, len(lengths), heads, d)
+    k, v = f32(rng, slots, heads, d, cap), f32(rng, slots, heads, cap, d)
+    for b in range(slots if stale is not None else 0):
+        longest = max((L for L, s in zip(lengths, kv_index) if s == b), default=0)
+        k[b, ..., longest:] = stale
+        v[b, :, longest:] = stale
+    return q, k, v, np.array(kv_index, np.int64), np.array(lengths, np.int64)
+
+
+def attention_on(rung: str, *args) -> np.ndarray:
+    """``attention_rows`` through the C pair as compiled (no self-check in
+    the way) or through the NumPy reference."""
+    if rung == "reference":
+        return kernels._attention_rows_ref(*args)
+    fns = kernels._load()
+    if fns is None:
+        pytest.skip("serving C kernels unavailable (no toolchain)")
+    lengths = args[4]
+    return kernels._attention_native(fns[3], fns[4], *args[:5], int(lengths.sum()), args[5])
+
+
+RUNGS = ("native", "reference")
+
+
+@st.composite
+def attention_shapes(draw):
+    cap = draw(st.integers(1, 70))
+    lengths = draw(st.permutations([1, cap] + draw(st.lists(st.integers(1, cap), max_size=5))))
+    slots = draw(st.integers(1, 3))
+    rows = len(lengths)
+    kv_index = draw(st.lists(st.integers(0, slots - 1), min_size=rows, max_size=rows))
+    return (
+        draw(st.sampled_from((1, 2, 4))), draw(st.sampled_from((1, 3, 16, 64))),
+        cap, kv_index, lengths, slots,
+    )
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(shape=attention_shapes(), seed=st.integers(0, 2**16))
+def test_attention_native_matches_reference(shape, seed):
+    """Heads {1, 2, 4} x d {1, 3, 16, 64}, ragged lengths from 1 to the
+    capacity, rows out of slot order: the C pair is the reference's bits."""
+    heads, d, cap, kv_index, lengths, slots = shape
+    args = attention_case(np.random.default_rng(seed), *shape) + (0.37,)
+    want = attention_on("reference", *args)
+    assert want.shape == (len(lengths), heads * d)
+    assert bits_equal(attention_on("native", *args), want)
+
+
+@pytest.mark.parametrize("rung", RUNGS)
+def test_attention_row_is_the_same_alone_in_a_prefill_and_in_any_decode_batch(rung):
+    """Row (slot 2, position t) computed alone, as row t of its sequence's
+    prefill, and in decode batches that put it at every offset of the
+    buffer ``np.exp`` sees, next to rows of other slots and lengths."""
+    rng = np.random.default_rng(5)
+    heads, d, cap, slots, seq = 4, 16, 24, 4, 20
+    q, k, v, _, _ = attention_case(rng, heads, d, cap, [0] * seq, [1] * seq, slots)
+    scale = 0.25
+    prefill = attention_on(
+        rung, q, k, v, np.full(seq, 2, np.int64), np.arange(1, seq + 1), scale
+    )
+    for t in range(seq):
+        alone = attention_on(rung, q[t : t + 1], k, v, np.array([2]), np.array([t + 1]), scale)
+        assert bits_equal(alone[0], prefill[t])
+        others = rng.integers(0, slots, size=3)
+        others[others == 2] = 0
+        lens = rng.integers(1, cap + 1, size=3)
+        for at in range(4):
+            rows = np.insert(rng.integers(0, seq, size=3), at, t)
+            batch = attention_on(
+                rung, np.ascontiguousarray(q[rows]), k, v,
+                np.insert(others, at, 2), np.insert(lens, at, t + 1), scale,
+            )
+            assert bits_equal(batch[at], prefill[t]), (t, at)
+
+
+@pytest.mark.parametrize("rung", RUNGS)
+@pytest.mark.parametrize("stale", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_keys_and_values_past_a_rows_length_change_no_bit(rung, stale):
+    shape = (2, 16, 40, [1, 0, 2, 1, 1], [1, 17, 40, 5, 17], 3)
+    clean = attention_case(np.random.default_rng(6), *shape)
+    dirty = attention_case(np.random.default_rng(6), *shape, stale=stale)
+    assert np.isnan(dirty[1]).any() or np.isinf(dirty[1]).any()
+    want = attention_on(rung, *clean, 0.125)
+    assert np.isfinite(want).all()
+    assert bits_equal(attention_on(rung, *dirty, 0.125), want)
+
+
+def test_attention_declines_what_the_c_pair_cannot_take(native_rung):
+    """Strided, transposed-in-memory and float64 operands run on the
+    reference, and get its bits; bad lengths or slots raise on both rungs."""
+    rng = np.random.default_rng(7)
+    q, k, v, idx, lens = attention_case(rng, 2, 16, 12, [0, 1, 1], [3, 12, 7], 2)
+    want = kernels._attention_rows_ref(q, k, v, idx, lens, 0.5)
+    before = count("serve_native_calls")
+    assert bits_equal(kernels.attention_rows(q, k, v, idx, lens, 0.5), want)
+    assert count("serve_native_calls") - before == 1
+    wide = np.zeros((3, 2, 32), np.float32)
+    wide[..., ::2] = q
+    for args in (
+        (wide[..., ::2], k, v),
+        (q, np.asfortranarray(k), v),
+        (q, k, v[:, :, :, None, :].repeat(2, axis=3)[:, :, :, 0]),
+    ):
+        before = count("serve_native_calls")
+        assert bits_equal(kernels.attention_rows(*args, idx, lens, 0.5), want)
+        assert count("serve_native_calls") == before
+    q64, k64, v64 = (a.astype(np.float64) for a in (q, k, v))
+    got = kernels.attention_rows(q64, k64, v64, idx, lens, 0.5)
+    assert got.dtype == np.float64 and count("serve_native_calls") == before
+    assert np.array_equal(got, kernels._attention_rows_ref(q64, k64, v64, idx, lens, 0.5))
+    bad = (([0, 2, 1], lens), ([0, -1, 1], lens), (idx, [3, 13, 7]), (idx, [0, 12, 7]))
+    for bad_idx, bad_lens in bad:
+        for rung in RUNGS:
+            with pytest.raises(ValueError, match="attention rows"):
+                attention_on(rung, q, k, v, np.array(bad_idx), np.array(bad_lens), 0.5)
+
+
+def test_self_check_covers_attention(native_rung):
+    """The bind-time check holds the attention pair to the reference: one
+    ulp off in one context element fails it."""
+    fns = kernels._load()
+    assert kernels._self_check(*fns)
+    context = fns[4]
+
+    def one_ulp_off(e, v, idx, lens, out, *sizes):
+        context(e, v, idx, lens, out, *sizes)
+        first = ctypes.cast(out, ctypes.POINTER(ctypes.c_float))
+        first[0] = np.nextafter(np.float32(first[0]), np.float32(np.inf))
+        return 0
+
+    assert not kernels._self_check(*fns[:4], one_ulp_off)
 
 
 # ----------------------------------------------------------------------
@@ -361,6 +512,7 @@ def test_losing_the_c_family_lands_on_einsum(
     rebind_kernels()
     native_before = count("serve_native_calls")
     fallbacks_before = count("serve_native_fallbacks")
+    gemm_before, attn_before = count("serve_gemm_calls"), count("serve_attn_calls")
     try:
         with caplog.at_level(logging.WARNING):
             got_tokens, got_logits = _serve(model)
@@ -368,7 +520,12 @@ def test_losing_the_c_family_lands_on_einsum(
         warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
         assert len(warnings) == 1, [r.getMessage() for r in warnings]
         assert count("serve_native_calls") == native_before
-        assert count("serve_native_fallbacks") > fallbacks_before
+        # Every call, prefill and decode attention included, fell back.
+        attn_calls = count("serve_attn_calls") - attn_before
+        assert attn_calls > 0
+        assert count("serve_native_fallbacks") - fallbacks_before == (
+            count("serve_gemm_calls") - gemm_before + attn_calls
+        )
         assert np.array_equal(got_logits, want_logits)
         assert len(got_tokens) == len(want_tokens) == 8
         for got, want in zip(got_tokens, want_tokens):

@@ -19,7 +19,7 @@ def test_for_model_shapes_and_dtype():
     cache = KVCache.for_model(model, batch_slots=3)
     assert len(cache.layers) == LAYERS
     for layer in cache.layers:
-        assert layer.k.shape == (3, HEADS, MAX_SEQ, HEAD_DIM)
+        assert layer.k.shape == (3, HEADS, HEAD_DIM, MAX_SEQ)  # keys transposed
         assert layer.v.shape == (3, HEADS, MAX_SEQ, HEAD_DIM)
         assert layer.k.dtype == np.float32
     assert cache.max_seq_len == MAX_SEQ
@@ -32,7 +32,8 @@ def test_for_model_shapes_and_dtype():
 def test_for_model_max_seq_len_override():
     model = make_model("dense")
     cache = KVCache.for_model(model, batch_slots=1, max_seq_len=8)
-    assert cache.layers[0].k.shape == (1, HEADS, 8, HEAD_DIM)
+    assert cache.layers[0].k.shape == (1, HEADS, HEAD_DIM, 8)
+    assert cache.layers[0].v.shape == (1, HEADS, 8, HEAD_DIM)
     assert cache.remaining(0) == 8
     cache.release()
 
@@ -94,11 +95,11 @@ def test_cache_survives_arena_generation_reclaim():
     logits = engine.prefill(prompts, cache)
     # Compare only the written prefix: rows past the prefill length are
     # uninitialized pool memory (may hold NaN, which breaks array_equal).
-    k_snapshot = cache.layers[0].k[:, :, :5].copy()
+    k_snapshot = cache.layers[0].k[..., :5].copy()
 
     get_arena().next_generation()
 
-    assert np.array_equal(cache.layers[0].k[:, :, :5], k_snapshot)
+    assert np.array_equal(cache.layers[0].k[..., :5], k_snapshot)
     step = engine.decode_step(prompts[:, -1], cache)
     assert step.shape == (4, VOCAB)
     assert np.isfinite(step).all()
@@ -125,8 +126,9 @@ def test_prefill_slots_writes_only_targeted_rows():
     engine.prefill(other, cache, slots=[1])
     # Only the written prefix: rows past the prefill length are
     # uninitialized pool memory (may hold NaN, which breaks array_equal).
-    assert np.array_equal(cache.layers[0].k[0, :, :4], k_before[0, :, :4])
-    assert np.array_equal(cache.layers[0].k[2, :, :4], k_before[2, :, :4])
-    assert not np.array_equal(cache.layers[0].k[1, :, :4], k_before[1, :, :4])
+    k = cache.layers[0].k
+    assert np.array_equal(k[0, ..., :4], k_before[0, ..., :4])
+    assert np.array_equal(k[2, ..., :4], k_before[2, ..., :4])
+    assert not np.array_equal(k[1, ..., :4], k_before[1, ..., :4])
     assert list(cache.lengths) == [4, 4, 4]
     cache.release()

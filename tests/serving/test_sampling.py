@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.serving.sampling import sample_tokens
+from repro.serving.sampling import sample_rows, sample_tokens
 
 
 def _logits(rows: int = 4, vocab: int = 23, seed: int = 0) -> np.ndarray:
@@ -75,3 +75,35 @@ def test_bounds():
     logits = _logits(rows=8, vocab=13)
     out = sample_tokens(logits, 1.3, None, np.random.default_rng(3))
     assert out.min() >= 0 and out.max() < 13
+
+
+def choice_per_row(logits, temperature, top_k, gen):
+    """The sampler as a per-row ``Generator.choice`` loop (the reference
+    ``sample_rows`` must reproduce)."""
+    logits = np.asarray(logits, dtype=np.float64) / temperature
+    if top_k is not None and top_k < logits.shape[-1]:
+        kth = np.partition(logits, -top_k, axis=-1)[:, [-top_k]]
+        logits = np.where(logits < kth, -np.inf, logits)
+    probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return [gen.choice(logits.shape[-1], p=row) for row in probs]
+
+
+@pytest.mark.parametrize("temperature, top_k", [(0.8, None), (1.0, 3), (1.7, 96)])
+def test_rows_draw_what_choice_draws_from_their_own_streams(temperature, top_k):
+    """Row i of one batched call is ``gens[i].choice(vocab, p=row)``, and
+    each stream ends where ``choice`` leaves it."""
+    logits = _logits(rows=6, vocab=97, seed=4) * 3
+    got = sample_rows(logits, temperature, top_k, [np.random.default_rng(s) for s in range(6)])
+    for s in range(6):
+        ours, numpys = np.random.default_rng(s), np.random.default_rng(s)
+        sample_rows(logits[s : s + 1], temperature, top_k, [ours])
+        assert got[s] == choice_per_row(logits[s : s + 1], temperature, top_k, numpys)[0]
+        assert ours.random() == numpys.random()
+
+
+def test_non_finite_probabilities_raise():
+    logits = _logits(rows=2)
+    logits[1, 3] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        sample_rows(logits, 1.0, None, [np.random.default_rng(0)] * 2)

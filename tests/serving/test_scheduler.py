@@ -196,11 +196,13 @@ def test_metrics_populated():
 
 
 def test_gemm_work_is_counted_and_printed():
-    """Every step's serving-GEMM FLOPs land in the registry and on the
-    scheduler; the table prints them by rung with the achieved rate."""
+    """Every step's serving-GEMM and attention FLOPs land in the registry
+    and on the scheduler; the table prints the calls by rung and each kind
+    of work on its own line with its achieved rate."""
     reg = registry()
     flops_before = reg.counter("serve_gemm_flops").value
     calls_before = reg.counter("serve_gemm_calls").value
+    attn_before = reg.counter("serve_attn_flops").value
     engine = InferenceEngine(make_model("dmoe"))
     sched = ContinuousBatchingScheduler(engine, max_batch_size=2)
     sched.run(_mixed_requests(3, seed=21))
@@ -209,10 +211,16 @@ def test_gemm_work_is_counted_and_printed():
 
     spent = reg.counter("serve_gemm_flops").value - flops_before
     assert spent > 0 and sched.step_gemm_flops == spent
+    attn = reg.counter("serve_attn_flops").value - attn_before
+    assert attn > 0 and sched.step_attn_flops == attn
     assert sched.step_seconds > 0
     calls = reg.counter("serve_gemm_calls").value - calls_before
     native = reg.counter("serve_native_calls").value
     fallbacks = reg.counter("serve_native_fallbacks").value
     assert calls > 0 and (native > 0 or fallbacks > 0)
-    for field in ("gemm_calls=", "native=", "fallbacks=", "GFLOP/s of step wall"):
+    for field in ("native=", "fallbacks="):
         assert field in table
+    lines = table.splitlines()
+    for kind in ("gemm", "attn"):
+        line = next(l for l in lines if f"{kind}_calls=" in l)
+        assert f"{kind}_gflop=" in line and line.endswith("GFLOP/s of step wall")

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""The two drift-free readings of a training step: its bits and its Python.
+"""The drift-free readings of a step: its bits and its Python.
 
-Both are exact — no wall clock — so they compare across commits and
+All are exact — no wall clock — so they compare across commits and
 machines (opcode counts across one interpreter version):
 
 ``--hash``
@@ -15,12 +15,19 @@ machines (opcode counts across one interpreter version):
     the functions that executed most of them.  This is the Python a step
     still runs between its native kernels.
 
-The trainer is ``bench/workloads.build_trainer`` (imported, never
-modified), single process (``dp_world=0``), so a probe reads the same
-model, data and learning rate the benchmark times.
+``--opcodes --serve``
+    The same count for serving: one prefill at the workload's middle
+    prompt length, then one decode step over all its slots (each holding
+    such a prompt), after one untraced round of both.
+
+The trainer is ``bench/workloads.build_trainer`` and the served model
+``bench/workloads.build_model`` (imported, never modified), single
+process (``dp_world=0``), so a probe reads the same model, data and
+learning rate the benchmark times.
 
     PYTHONPATH=src python tools/step_probe.py --hash
     PYTHONPATH=src python tools/step_probe.py --opcodes --workload small_decode --top 12
+    PYTHONPATH=src python tools/step_probe.py --opcodes --serve
 """
 
 from __future__ import annotations
@@ -114,6 +121,38 @@ def step_opcodes(
     return out
 
 
+def serve_opcodes(name: str) -> List[Tuple[str, int, Counter]]:
+    """``(what, opcodes, per_function)`` of one prefill at the middle
+    prompt length and of one decode step over every slot, on the
+    workload's served model (its expert format included)."""
+    from repro.serving.engine import InferenceEngine
+
+    w = _workloads()
+    wl = w.WORKLOADS[name]
+    engine = InferenceEngine(w.build_model(wl), quantize_experts=wl.quantize)
+    prompt = sum(wl.prompt_len) // 2
+    ids = np.random.default_rng(SEED).integers(0, w.VOCAB, size=(wl.slots, prompt))
+    cache = engine.new_cache(wl.slots)
+
+    def prefill(slot: int) -> None:
+        cache.reset([slot])
+        engine.prefill(ids[slot : slot + 1], cache, slots=[slot])
+
+    def decode() -> None:
+        cache.lengths[:] = prompt
+        engine.decode_step(ids[:, -1], cache)
+
+    try:
+        for slot in range(wl.slots):
+            prefill(slot)
+        decode()  # warm-up round
+        out = [(f"prefill({prompt})", *count_opcodes(lambda: prefill(0)))]
+        out.append((f"decode({wl.slots} slots)", *count_opcodes(decode)))
+    finally:
+        cache.release()
+    return out
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     mode = ap.add_mutually_exclusive_group(required=True)
@@ -123,12 +162,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--workload", action="append", choices=SHAPES,
         help="workload shape (repeatable; default: all three)",
     )
+    ap.add_argument(
+        "--serve", action="store_true",
+        help="--opcodes: count a serving prefill and decode step, not a train step",
+    )
     ap.add_argument("--backend", default="cc", choices=("eager", "replay", "cc"))
     ap.add_argument("--steps", type=int, default=3, help="--opcodes: steps counted")
     ap.add_argument("--top", type=int, default=0, help="--opcodes: functions listed per step")
     args = ap.parse_args(argv)
+    if args.serve and not args.opcodes:
+        ap.error("--serve goes with --opcodes")
 
     for name in args.workload or SHAPES:
+        if args.serve:
+            for what, total, per_function in serve_opcodes(name):
+                print(f"{name} serve {what}: {total} opcodes")
+                for function, n in per_function.most_common(args.top):
+                    print(f"    {n:8d} {100.0 * n / total:5.1f}%  {function}")
+            continue
         trainer = build_trainer(name, args.backend)
         if args.hash:
             print(f"{name} {args.backend} {trajectory_hash(trainer)}")
