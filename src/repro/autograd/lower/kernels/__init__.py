@@ -7,8 +7,12 @@ prelude, so an entry's source may call what an earlier entry defines
 (``getitem`` after ``scatter``, the grouped GEMMs after ``mm``'s BLAS
 bridge) and the rendered unit, hence its cache key, is deterministic.
 
+``PRELUDE`` is that unit: the shared helpers, then every entry's source
+in table order.  It is the only C the lowering compiles, once per
+process (:func:`repro.autograd.lower.runtime.load_prelude`).
+
 Adding a kernel is adding an entry to one family module (or a module to
-the tuple below): the segmenter, the runtime, the renderer, ``bind``,
+the tuple below): the segmenter, the runtime, the prelude, ``bind``,
 ``repro.cli lower report`` and the conformance test pick it up here.
 """
 
@@ -19,23 +23,29 @@ import importlib
 from typing import Dict, Optional, Tuple
 
 from repro.autograd.lower.kernels import (
-    attention, gelu, gemm, grouped, layernorm, optim, router, rows,
-    shortcuts, views,
+    attention, elementwise, gelu, gemm, grouped, layernorm, optim, router,
+    rows, views,
 )
-from repro.autograd.lower.kernels.base import Kernel
+from repro.autograd.lower.kernels.base import HEADER, SHARED, Kernel
 
-__all__ = ["TABLE", "Kernel", "backward_entry", "forward_entry", "replaced"]
+__all__ = [
+    "PRELUDE", "TABLE", "Kernel", "backward_entry", "forward_entry", "replaced",
+]
 
 TABLE: Tuple[Kernel, ...] = sum(
     (
         m.KERNELS
         for m in (
             rows, layernorm, gelu, attention, gemm, grouped, router, views,
-            shortcuts, optim,
+            elementwise, optim,
         )
     ),
     (),
 )
+
+#: The prelude: every entry's C, in table order, behind the shared helpers.
+PRELUDE = HEADER + SHARED + "".join(e.source for e in TABLE)
+
 
 def replaced(entry: Kernel):
     """The op class or host callable ``entry`` stands in for."""

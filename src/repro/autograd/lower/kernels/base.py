@@ -4,8 +4,8 @@ A :class:`Kernel` entry states, side by side, everything the lowering
 knows about one native unit: the op it replaces, its C source and the
 ctypes signatures of the symbols that source exports, the operand
 :class:`Contract`, the builders of its forward runner and backward
-closure, and a fuzz domain.  The segmenter, the runtime, the C
-renderer, ``bind``, ``lower report`` and the conformance test all read
+closure, and a fuzz domain.  The segmenter, the runtime, the prelude,
+``bind``, ``lower report`` and the conformance test all read
 the table of entries (:mod:`repro.autograd.lower.kernels`); none of
 them knows a kernel by name.
 
@@ -46,7 +46,7 @@ I64 = np.dtype(np.int64)
 #: the output does not exist yet when a call is guarded).
 OUT = -1
 
-#: Opens every translation unit (the prelude and each graph's segments).
+#: Opens the prelude.
 HEADER = r"""
 #include <math.h>
 #include <string.h>

@@ -1,49 +1,45 @@
 """Execution layer for lowered step graphs.
 
 :func:`attach` analyzes a sealed :class:`StepGraph`, loads the process's
-prelude library, compiles the graph's own fused segments, and installs
-a :class:`LoweredPlan` on the graph.  The plan owns:
+prelude library, and installs a :class:`LoweredPlan` on the graph.  It
+compiles nothing of its own: every native unit is a kernel-table entry,
+and the prelude holds them all.  The plan owns:
 
 - a flat list of *items* — closures that replace the replay
-  interpreter's record loop.  Fused segments call into the graph's
-  segment unit through persistent ctypes argument buffers; kernel units
-  run the forward runner their kernel-table entry builds; host runs
-  execute the interpreter's own loop over their records.
+  interpreter's record loop.  Kernel units run the forward runner their
+  kernel-table entry builds; host runs execute the interpreter's own
+  loop over their records.
 - the backward swaps: selected ``_bwd_plan`` entries are replaced in
   place with closures of identical ``(ctx, grad) -> tuple`` semantics
   (``detach`` restores the originals).
 
 Every native call sits behind a guard built from the entry's operand
-contract (or, for a fused segment, from the layouts baked at capture),
-identity-cached so steady-state replays pay one ``is`` check per pinned
-operand.  A forward guard miss runs the original NumPy records for just
-that unit and bumps ``lower_segment_fallbacks``; a backward one runs the
-op's own ``backward`` — lowering never changes semantics, only
-dispatch.  The wrappers here (``_OP_ITEM`` / ``_HOST_ITEM`` forward,
-:func:`make_backward`) are the only place that happens.
+contract, identity-cached so steady-state replays pay one ``is`` check
+per pinned operand.  A forward guard miss runs the original NumPy
+record for just that unit and bumps ``lower_segment_fallbacks``; a
+backward one runs the op's own ``backward`` — lowering never changes
+semantics, only dispatch.  The wrappers here (``_OP_ITEM`` /
+``_HOST_ITEM`` forward, :func:`make_backward`) are the only place that
+happens.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-from typing import Any, Callable, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.autograd import arena
 from repro.autograd.function import Context
 from repro.autograd.graph import (
     _CONST, _INPUT, _LEAF, _REC, GraphInvalidated, _host_equal, _OpRecord,
 )
-from repro.autograd.lower import csrc, kernels, toolchain
-from repro.autograd.lower.kernels.base import I64, Build, matches
-from repro.autograd.lower.segmenter import Analysis, FusedSeg, PyUnit, analyze
+from repro.autograd.lower import kernels, toolchain
+from repro.autograd.lower.kernels.base import I64, Build
+from repro.autograd.lower.segmenter import Analysis, PyUnit, analyze
 
 __all__ = ["LoweredPlan", "attach", "bind", "load_prelude"]
-
-_ndarray = np.ndarray
-_c_void_p = ctypes.c_void_p
 
 
 def bind(lib) -> None:
@@ -67,29 +63,11 @@ def load_prelude() -> Optional[ctypes.CDLL]:
     """The prelude library — one per process: compiled (or served from
     the cache) and bound on first use, the same object afterwards.
     ``None`` when the toolchain is unavailable or the compile failed."""
-    lib = toolchain.compile_and_load(csrc.PRELUDE, tag="prelude")
+    lib = toolchain.compile_and_load(kernels.PRELUDE, tag="prelude")
     # ``bind`` leaves its mark on the library: a symbol with argtypes.
     if lib is not None and lib.repro_set_blas.argtypes is None:
         bind(lib)
     return lib
-
-
-def _resolver(graph, spec) -> Callable:
-    tag = spec[0]
-    if tag == _REC:
-        i = spec[1]
-        return lambda values, inputs: values[i][1]
-    if tag == _LEAF:
-        t = spec[1]
-        return lambda values, inputs: t.data
-    if tag == _CONST:
-        c = spec[1]
-        return lambda values, inputs: c
-    if tag == _INPUT:
-        name = spec[1]
-        return lambda values, inputs: inputs[name]
-    resolve = graph._resolve
-    return lambda values, inputs: resolve(spec, values, inputs)
 
 
 def make_backward(entry, build: Build, orig: Callable) -> Callable:
@@ -143,17 +121,13 @@ def item(values, inputs):
 class LoweredPlan:
     """A compiled execution schedule swapped into ``StepGraph.replay``."""
 
-    def __init__(self, graph, lib, segments, analysis: Analysis):
+    def __init__(self, graph, lib, analysis: Analysis):
         self._graph = graph
         self._lib = lib
-        self._segments = segments
         self._nrec = len(graph.records)
         self.records_total = analysis.total
         self.records_lowered = len(analysis.lowered)
         self.records_native = len(analysis.native)
-        self.num_segments = sum(
-            1 for u in analysis.units if isinstance(u, FusedSeg)
-        )
         from repro.observability.metrics import registry
 
         self._fallback_counter = registry().counter("lower_segment_fallbacks")
@@ -161,14 +135,12 @@ class LoweredPlan:
         # replays are single-threaded so one block serves every unit.
         self._iscr = np.empty(256, I64)
 
-        self._items: List[Callable] = []
-        for unit in analysis.units:
-            if isinstance(unit, PyUnit):
-                self._items.append(self._records_item(unit.indices))
-            elif isinstance(unit, FusedSeg):
-                self._items.append(self._fused_item(unit))
-            else:
-                self._items.append(self._kernel_item(unit))
+        self._items: List[Callable] = [
+            self._records_item(unit.indices)
+            if isinstance(unit, PyUnit)
+            else self._kernel_item(unit)
+            for unit in analysis.units
+        ]
 
         self._swaps: List[tuple] = []
         self._install_backward(analysis)
@@ -198,151 +170,6 @@ class LoweredPlan:
     def _records_item(self, indices) -> Callable:
         """Run a subset of records through the replay interpreter."""
         return functools.partial(self._graph._run_records, tuple(indices))
-
-    # -- fused elementwise segments --------------------------------------
-    def _fused_item(self, seg: FusedSeg) -> Callable:
-        """Runner for one fused segment, whatever its loop shape.
-
-        Each ext operand relates to the live shape in one of three ways
-        (``seg.ekinds``): *baked* — the captured layout is compiled in,
-        so the operand must match it exactly; *full* — contiguous, of
-        the one live shape every full operand shares per call; *row* —
-        contiguous, that shape with a trailing 1.  For full/row segments
-        the baked shape is only a hint: the element (``flat``) or row
-        (``flat2``, last-axis width baked) count feeds the C loop
-        through a persistent ``i64`` slot, which keeps the
-        routing-dependent expert-segment chains native when the padded
-        row count drifts between micro batches.  Operands are
-        identity-cached; shapes are re-related only when one changed."""
-        cfn = getattr(self._segments, seg.name)
-        cfn.argtypes = [ctypes.POINTER(_c_void_p)]
-        cfn.restype = None
-
-        graph = self._graph
-        ne = len(seg.ext)
-        stores = [s for s in seg.steps if s.materialize]
-        nstores = len(stores)
-        kinds = seg.ekinds
-        dynamic = seg.flat or seg.flat2
-        argv = (_c_void_p * (ne + nstores + dynamic))()
-        ext_res = [_resolver(graph, spec) for spec, _desc, _st in seg.ext]
-        cache: List[Any] = [None] * ne
-        ocache: List[Any] = [None] * nstores
-        shape = seg.shape
-        dstr = seg.dtype
-        dtype = np.dtype(dstr)
-        nd = len(shape)
-        fallback = self._records_item(seg.indices)
-        fb_counter = self._fallback_counter
-        # The baked last-axis extent an operand keeps (flat2 only).
-        width = int(shape[-1]) if seg.flat2 else 1
-        last = [
-            None if not seg.flat2 else width if how == "full" else 1
-            for how in kinds
-        ]
-        if dynamic:
-            anchor = kinds.index("full")
-            nbuf = np.full(1, -1, I64)
-            argv[ne + nstores] = nbuf.ctypes.data
-
-        # What each operand is checked against when its identity changes.
-        baked = [
-            seg.ext[k][1] if kinds[k] == "baked" else None for k in range(ne)
-        ]
-
-        def decline(values, inputs):
-            for j in range(ne):
-                cache[j] = None
-            fb_counter.inc()
-            fallback(values, inputs)
-
-        # Per-step Context recipes.  A saved shape is ``()`` for a
-        # literal, the baked operand shape for a baked ext, and per call
-        # the live shape (or its trailing-1 row shape) otherwise.
-        def shape_code(ref):
-            tag, payload = ref
-            if tag == "lit":
-                return 0
-            if tag == "ext":
-                if kinds[payload] == "baked":
-                    return seg.ext[payload][1][1]
-                if kinds[payload] == "row":
-                    return 2
-            return 1
-
-        recipes = []
-        store_slot = {s.index: t for t, s in enumerate(stores)}
-        for s in seg.steps:
-            if s.ctx_saves == "arrays":
-                recipes.append((s.index, s.ctx_saves, s.lhs, s.rhs))
-            elif s.ctx_saves == "dropres":
-                # saved = (mask, y shape, residual shape); lhs is residual
-                recipes.append(
-                    (s.index, s.ctx_saves, shape_code(s.rhs), shape_code(s.lhs))
-                )
-            else:
-                recipes.append(
-                    (s.index, s.ctx_saves, shape_code(s.lhs), shape_code(s.rhs))
-                )
-
-        def run(values, inputs):
-            dirty = False
-            for k in range(ne):
-                a = ext_res[k](values, inputs)
-                if a is not cache[k]:
-                    if not (
-                        matches(a, baked[k])
-                        if baked[k] is not None
-                        else type(a) is _ndarray
-                        and a.dtype.str == dstr
-                        and a.ndim == nd
-                        and (last[k] is None or a.shape[-1] == last[k])
-                        and a.flags.c_contiguous
-                    ):
-                        return decline(values, inputs)
-                    argv[k] = a.ctypes.data
-                    cache[k] = a
-                    dirty = True
-            if dynamic:
-                live = cache[anchor].shape
-                row = live[:-1] + (1,)
-                if dirty:
-                    for k in range(ne):
-                        if cache[k].shape != (live if kinds[k] == "full" else row):
-                            return decline(values, inputs)
-                    nbuf[0] = cache[anchor].size // width
-            else:
-                live, row = shape, None
-            bufs = []
-            for t in range(nstores):
-                buf = arena.empty(live, dtype)
-                if buf is not ocache[t]:
-                    argv[ne + t] = buf.ctypes.data
-                    ocache[t] = buf
-                bufs.append(buf)
-            cfn(argv)
-
-            def operand(ref):
-                tag, payload = ref
-                if tag == "ext":
-                    return cache[payload]
-                if tag == "tmp":
-                    return bufs[store_slot[payload]]
-                return payload  # literal scalar
-
-            shapes = ((), live, row)
-            for ridx, saves, pa, pb in recipes:
-                ctx = Context()
-                if saves == "arrays":
-                    ctx.saved = (operand(pa), operand(pb))
-                else:
-                    sa = pa if pa.__class__ is tuple else shapes[pa]
-                    sb = pb if pb.__class__ is tuple else shapes[pb]
-                    ctx.saved = (sa, sb) if saves == "shapes2" else (None, sa, sb)
-                t = store_slot.get(ridx)
-                values[ridx] = (ctx, bufs[t] if t is not None else None)
-
-        return run
 
     # -- kernel units ----------------------------------------------------
     def _kernel_item(self, unit) -> Callable:
@@ -406,30 +233,23 @@ class LoweredPlan:
 # ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
-def attach(graph, strict: bool = False) -> Optional[LoweredPlan]:
+def attach(graph) -> Optional[LoweredPlan]:
     """Lower ``graph`` to native code and install the plan on it.
 
     Returns the installed :class:`LoweredPlan`, or ``None`` when the
-    toolchain is unavailable or compilation failed — in which case the
-    graph keeps replaying on the pure-NumPy path and
-    ``lower_toolchain_fallbacks`` is bumped.  With ``strict=True``
-    a would-be-fusable record with an unpinnable dynamic argument
-    raises :class:`LoweringError` instead of silently staying host.
+    prelude is unavailable (no toolchain, or its one compile failed) —
+    in which case the graph keeps replaying on the pure-NumPy path and
+    ``lower_toolchain_fallbacks`` is bumped.
     """
     from repro.observability.metrics import registry
 
     reg = registry()
-    analysis = analyze(graph, strict)
-    lib = load_prelude() if toolchain.cc_available() else None
-    # A graph with no fused segment has no unit of its own to compile.
-    source = csrc.render_unit(analysis)
-    segments = None
-    if lib is not None and source:
-        segments = toolchain.compile_and_load(source, tag="graph2")
-    if lib is None or (source and segments is None):
+    analysis = analyze(graph)
+    lib = load_prelude()
+    if lib is None:
         reg.counter("lower_toolchain_fallbacks").inc()
         return None
-    plan = LoweredPlan(graph, lib, segments, analysis)
+    plan = LoweredPlan(graph, lib, analysis)
     graph.attach_lowered(plan)
     reg.counter("graph_lowered").inc()
     return plan

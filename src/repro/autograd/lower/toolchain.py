@@ -1,15 +1,16 @@
 """C toolchain detection, the on-disk compile cache, and library loading.
 
-The lowering pass renders one translation unit per captured graph and
-hands it here.  Compilation is keyed by a content hash of the rendered
-source plus the compiler's version line, the flags and the host CPU's
-feature list (``-march=native`` compiles for it), so repeat runs with
-the same graph signature on the same kind of host load the cached
-``.so`` straight from
-``~/.cache/repro/lower/`` (override with ``REPRO_LOWER_CACHE``) without
-invoking ``cc`` at all.
+Every translation unit is named by its caller: the lowering's one unit
+is the kernel table's prelude (``"prelude"``, compiled once per
+process, whatever graphs are captured), the serving package's is its
+GEMM and attention kernels (``"serve"``).  Compilation is keyed by a
+content hash of the source plus the compiler's version line, the flags
+and the host CPU's feature list (``-march=native`` compiles for it), so
+a repeat run on the same kind of host loads the cached ``.so`` straight
+from ``~/.cache/repro/lower/`` (override with ``REPRO_LOWER_CACHE``)
+without invoking ``cc`` at all.
 
-Other packages' translation units (the serving GEMMs) can be
+Other packages' translation units (the serving kernels) can be
 registered with :func:`prebuild`; they are compiled right after this
 process's *first* real compile instead of at their first use.  A spawned
 compiler is charged the parent's resident set at spawn time (``vfork``
@@ -162,12 +163,13 @@ def prebuild(tag: str, render: Callable[[], str]) -> None:
     _prebuild[tag] = render
 
 
-def compile_and_load(source: str, tag: str = "graph") -> Optional[ctypes.CDLL]:
-    """Compile ``source`` (or serve it from the cache); ``None`` on failure.
+def compile_and_load(source: str, tag: str) -> Optional[ctypes.CDLL]:
+    """Compile ``source`` as unit ``tag`` (or serve it from the cache);
+    ``None`` on failure.
 
     The artifact key is ``sha256(cc version || host ISA || cflags ||
-    source)``: any change to the rendered segments, the compiler, the
-    CPU ``-march=native`` resolves to, or the flags produces a fresh
+    source)``: any change to the source, the compiler, the CPU
+    ``-march=native`` resolves to, or the flags produces a fresh
     ``.so``.  Both the ``.c`` and the ``.so`` are left in the
     cache directory for inspection.  A failed compile marks the whole
     toolchain broken (one warning) so subsequent graphs skip straight to
@@ -217,7 +219,7 @@ def compile_and_load(source: str, tag: str = "graph") -> Optional[ctypes.CDLL]:
         if proc.returncode != 0:
             detail = (proc.stderr or proc.stdout or "").strip().splitlines()
             mark_broken(
-                "cc failed on rendered segment: "
+                f"cc failed on the {tag} unit: "
                 + (detail[-1] if detail else f"exit {proc.returncode}")
             )
             return None

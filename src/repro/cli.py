@@ -42,7 +42,7 @@ TTFT / per-token latency percentile table.
 
 The ``lower report`` subcommand trains a few steps with
 ``backend="cc"`` and prints the native-lowering breakdown — which
-replay records run as generated C (fused segments, grouped-GEMM,
+replay records run as kernel-table C (elementwise, grouped-GEMM,
 router kernels), which stay on the host interpreter, and the fallback
 counters (see ``docs/codegen.md``):
 
@@ -467,10 +467,9 @@ def lower_main(argv=None) -> int:
     if graph is None:
         print("error: no step graph was captured", file=sys.stderr)
         return 1
-    analysis = lower.analyze(graph, False)
+    analysis = lower.analyze(graph)
     plan = graph._lowered
 
-    fused_units = fused_records = 0
     kern_kinds: Counter = Counter()
     kern_native = {}
     host_fns: Counter = Counter()
@@ -479,9 +478,6 @@ def lower_main(argv=None) -> int:
         if kind is not None:
             kern_kinds[kind] += 1
             kern_native[kind] = unit.native
-        elif hasattr(unit, "ctype"):  # FusedSeg
-            fused_units += 1
-            fused_records += len(unit.indices)
         else:  # PyUnit: host-interpreter remainder
             for idx in unit.indices:
                 host_fns[graph.records[idx].fn.__name__] += 1
@@ -493,8 +489,6 @@ def lower_main(argv=None) -> int:
         "records_lowered": len(analysis.lowered),
         "records_native": len(analysis.native),
         "coverage": coverage,
-        "fused_segments": fused_units,
-        "fused_records": fused_records,
         "kernel_units": dict(sorted(kern_kinds.items())),
         "kernel_native": dict(sorted(kern_native.items())),
         "backward_swaps": dict(
@@ -521,7 +515,6 @@ def lower_main(argv=None) -> int:
         f"{coverage:.1%}), {report['records_native']} native (in C, "
         f"{report['records_native'] / total:.1%})"
     )
-    print(f"  fused elementwise: {fused_units} segments, {fused_records} records")
     print("  kernel units:")
     for kind, n in sorted(kern_kinds.items()):
         where = "native" if kern_native[kind] else "python closure"

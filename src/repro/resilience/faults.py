@@ -143,10 +143,14 @@ class FaultEvent:
         step: trainer step the event is armed for (``None`` = any step).
         op: collective op name filter (``"*"`` = any) — ignored for
             gradient faults.
-        rank: rank filter (``None`` = any rank).  Only consulted by the
-            real multi-process backend, where each worker matches its
-            own rank before dying / corrupting its payload; the
-            in-process simulation sees all ranks at once and ignores it.
+        rank: rank filter (``None`` = any rank; an unranked collective
+            fault fires once, on rank 0).  Every process-group backend
+            honours it — ``run_distributed(..., backend="sim")`` and
+            ``"mp"`` alike, where each rank matches its own rank before
+            dying / corrupting its payload / sleeping.  Only the
+            :func:`inject_faults` hook
+            (:meth:`FaultInjector.run_collective`), which sees all ranks
+            of an in-process collective at once, ignores it.
         count: how many times the event fires before it is exhausted.
             A ``RANK_FAILURE`` with ``count=2`` under a retry policy
             fails the first two attempts and succeeds on the third —

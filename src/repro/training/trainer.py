@@ -539,7 +539,8 @@ class Trainer:
         if self.config.backend == "cc":
             # Lower the fresh capture to native code.  Declines cleanly
             # (counter + one warning) without a toolchain; recaptures
-            # after invalidation re-lower and hit the on-disk cache.
+            # after invalidation re-lower onto the loaded prelude and
+            # compile nothing.
             from repro.autograd import lower
 
             lower.attach(self.step_graph)

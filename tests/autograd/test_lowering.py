@@ -4,9 +4,8 @@ The generated-C path (``repro.autograd.lower``) must be bit-identical
 to NumPy replay, so these tests compare each prelude kernel against the
 exact ufunc sequence it replaces — float equality, never approx — plus
 structural units: the per-record layout descriptors graphs are lowered
-from, strict-mode :class:`LoweringError` on unpinnable dynamic
-arguments, graph-level attach bit-identity, the content-addressed
-compile cache, and the ``REPRO_NO_CC`` kill switch.
+from, graph-level attach bit-identity, the content-addressed compile
+cache, and the ``REPRO_NO_CC`` kill switch.
 """
 
 import glob
@@ -18,8 +17,7 @@ import pytest
 
 from repro.autograd import CaptureSession, Tensor, arena
 from repro.autograd import lower
-from repro.autograd.lower import csrc, runtime, toolchain
-from repro.autograd.lower.segmenter import LoweringError
+from repro.autograd.lower import kernels, runtime, toolchain
 from repro.observability import registry
 from repro.training import Adam
 from repro.training.optim import clip_grad_norm
@@ -41,7 +39,7 @@ needs_cc = pytest.mark.skipif(
 
 
 def _lib():
-    lib = toolchain.compile_and_load(csrc.PRELUDE, tag="prelude")
+    lib = toolchain.compile_and_load(kernels.PRELUDE, tag="prelude")
     assert lib is not None
     runtime.bind(lib)
     return lib
@@ -127,6 +125,41 @@ class TestKernelFuzz:
             )
             ref = _gelu_bwd(g, a.copy(), t.copy())
             np.testing.assert_array_equal(out, ref)
+
+    def test_elementwise_matches_numpy_in_every_layout(self):
+        """``repro_ew_*_f32`` vs the NumPy ufunc over each admitted layout,
+        0-d included, with the values an IEEE operation treats specially
+        mixed in.  Bit for bit, except that a NaN only has to meet a NaN
+        (see ``_assert_same_adam_state``)."""
+        from repro.autograd.lower.kernels.elementwise import _layout
+
+        lib = _lib()
+        rng = np.random.default_rng(15)
+        specials = np.float32([0.0, -0.0, 1e-40, -1e-42, 3e38, -3e38, np.inf, -np.inf])
+        ufuncs = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide}
+
+        def draw(shape):
+            x = rng.standard_normal(shape)
+            hit = rng.random(shape) < 0.3
+            return np.where(hit, rng.choice(specials, shape), x).astype(np.float32)
+
+        def bits(x):
+            return np.where(np.isnan(x), np.uint32(0x7FC00000), x.view(np.uint32))
+
+        for sa, sb in [
+            ((), ()), ((37,), (37,)), ((5, 1), (5, 1)),
+            ((6, 9), (6, 1)), ((6, 1), (6, 9)),
+            ((3, 4, 5), (1, 4, 5)), ((1, 4, 5), (3, 4, 5)),
+        ]:
+            a, b = draw(sa), draw(sb)
+            shape, rows, w, ra, rb = _layout(a, b)
+            with np.errstate(all="ignore"):
+                calls = [(name, (a, b), fn(a, b)) for name, fn in ufuncs.items()]
+                calls.append(("dropres", (a, b), np.add(b, a)))  # residual + y
+            for name, (x, y), ref in calls:
+                got = np.empty(shape, np.float32)
+                getattr(lib, f"repro_ew_{name}_f32")(*_ptrs(x, y, got), rows, w, ra, rb)
+                np.testing.assert_array_equal(bits(got), bits(ref), err_msg=name)
 
     def test_sum_lead_matches_numpy_for_multirow_heads(self):
         lib = _lib()
@@ -582,29 +615,14 @@ class TestGemmMoeKernelFuzz:
 # ----------------------------------------------------------------------
 # Structural units.
 # ----------------------------------------------------------------------
-def _capture_tiny(extra_input=None):
-    """A minimal captured graph: x*w + (b or dynamic scalar)."""
+def _capture_tiny():
+    """A minimal captured graph: sum(x*w)."""
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal((4, 8)).astype(np.float32), requires_grad=True)
     w = Tensor(rng.standard_normal((4, 8)).astype(np.float32), requires_grad=True)
-    inputs = {"inp": x.data}
-    if extra_input is not None:
-        inputs["s"] = extra_input
-    sess = CaptureSession(("tiny",), inputs).begin()
+    sess = CaptureSession(("tiny",), {"inp": x.data}).begin()
     try:
-        y = x * w
-        if extra_input is not None:
-            # Feed the registered NumPy scalar to _Add *unwrapped* — the
-            # shape a host-produced dynamic scalar takes when it skips
-            # the as_tensor coercion: a dynamic operand with no layout
-            # descriptor to bake.  no_grad keeps it off the tape (the
-            # record list still gets it; capture records non-grad ops).
-            from repro.autograd import no_grad
-            from repro.autograd.ops_basic import _Add
-
-            with no_grad():
-                _Add.apply(y, extra_input)
-        loss = y.sum()
+        loss = (x * w).sum()
         loss.backward(retain_graph=True)
     except BaseException:
         sess.abort()
@@ -632,17 +650,6 @@ class TestDescriptors:
                 saw_array_desc = True
         assert saw_array_desc
 
-    def test_strict_raises_naming_the_record(self):
-        # A NumPy-scalar *input* is a dynamic position with no layout
-        # descriptor (descriptors cover ndarrays only): nothing to bake,
-        # so strict mode must name the record instead of guessing.
-        graph = _capture_tiny(extra_input=np.float32(2.5))
-        with pytest.raises(LoweringError, match=r"record \d+ \(_Add\)"):
-            lower.analyze(graph, True)
-        # Non-strict: the record quietly stays on the host interpreter.
-        analysis = lower.analyze(graph, False)
-        assert analysis.total == graph.num_records
-
 
 @needs_cc
 class TestGraphAttach:
@@ -664,15 +671,15 @@ class TestGraphAttach:
 
     def test_compile_cache_hits_on_identical_source(self):
         reg = registry()
-        lib1 = toolchain.compile_and_load(csrc.PRELUDE, tag="prelude")
+        lib1 = toolchain.compile_and_load(kernels.PRELUDE, tag="prelude")
         assert lib1 is not None
         before = reg.counter("lower_cache_hits").value
         # Same process: served from the in-memory table.
-        assert toolchain.compile_and_load(csrc.PRELUDE, tag="prelude") is lib1
+        assert toolchain.compile_and_load(kernels.PRELUDE, tag="prelude") is lib1
         assert reg.counter("lower_cache_hits").value == before + 1
         # "New process": drop the in-memory table, keep the disk cache.
         toolchain._reset_for_tests()
-        lib2 = toolchain.compile_and_load(csrc.PRELUDE, tag="prelude")
+        lib2 = toolchain.compile_and_load(kernels.PRELUDE, tag="prelude")
         assert lib2 is not None
         assert reg.counter("lower_cache_hits").value == before + 2
 
@@ -741,7 +748,7 @@ class TestNoToolchain:
         monkeypatch.setenv("REPRO_NO_CC", "1")
         toolchain._reset_for_tests()
         assert not lower.cc_available()
-        assert toolchain.compile_and_load(csrc.PRELUDE, tag="prelude") is None
+        assert toolchain.compile_and_load(kernels.PRELUDE, tag="prelude") is None
         graph = _capture_tiny()
         reg = registry()
         before = reg.counter("lower_toolchain_fallbacks").value

@@ -359,6 +359,28 @@ class TestRealFaults:
         assert res.values[1][1] is False
         assert res.values[0] == [False, False]
 
+    def test_sim_honours_the_rank_filter_like_mp(self):
+        """``FaultEvent.rank`` is matched by every process group, the
+        threaded ``sim`` one included: rank 0's payload is corrupted,
+        rank 1's is not, exactly as under ``mp``."""
+
+        def fn(group):
+            recv = group.all_to_all(
+                [np.ones(8) for _ in range(group.world)]
+            )
+            return [bool(np.isnan(p).any()) for p in recv]
+
+        seen = {
+            backend: run_distributed(
+                fn,
+                2,
+                backend=backend,
+                faults=[FaultEvent(CORRUPT_PAYLOAD, op="all_to_all", rank=0)],
+            ).values
+            for backend in ("sim", "mp")
+        }
+        assert seen["sim"] == seen["mp"] == [[False, False], [True, False]]
+
     def test_delay_is_real_and_exposed_as_wait(self):
         """A delayed rank makes its *peer* block — the stall lands in
         the peer's wait_s, the exposed-communication metric."""

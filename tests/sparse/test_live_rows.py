@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.autograd import Tensor, arena, gelu, lower
 from repro.autograd.function import Context
-from repro.autograd.lower import blas, csrc, kernels, runtime, toolchain
+from repro.autograd.lower import blas, kernels, runtime, toolchain
 from repro.autograd.lower.kernels.base import Build, Rel
 from repro.core import make_topology
 from repro.moe.permute import make_padded_plan
@@ -261,7 +261,7 @@ def lib(tmp_path_factory):
     mp.setenv("REPRO_LOWER_CACHE", str(tmp_path_factory.mktemp("lower-cache")))
     toolchain._reset_for_tests()
     try:
-        compiled = toolchain.compile_and_load(csrc.PRELUDE, tag="prelude")
+        compiled = toolchain.compile_and_load(kernels.PRELUDE, tag="prelude")
         assert compiled is not None
         runtime.bind(compiled)
         yield compiled
