@@ -10,10 +10,8 @@ from repro.distributed.mesh import DeviceMesh
 from repro.distributed.collectives import (
     CommLog,
     CommRecord,
-    all_gather,
     all_reduce,
     all_to_all,
-    broadcast,
     log_all_to_all,
 )
 from repro.distributed.backend import (
@@ -41,8 +39,6 @@ __all__ = [
     "WorkerFailure",
     "all_reduce",
     "all_to_all",
-    "all_gather",
-    "broadcast",
     "log_all_to_all",
     "run_distributed",
     "ExpertParallelDMoE",

@@ -8,8 +8,8 @@ lets callers overlap communication with independent local work.  Two
 backends implement it:
 
 - ``"sim"`` (:mod:`repro.distributed.sim_backend`): rank-threads
-  rendezvous in process and the reduction runs through the existing
-  simulated collectives — the bit-exact reference, zero OS dependencies.
+  rendezvous in process and the reduction runs through the reference
+  collectives — the bit-exact reference, zero OS dependencies.
 - ``"mp"`` (:mod:`repro.distributed.mp_backend`): real forked worker
   processes, a full pipe mesh for headers, and shared-memory segments
   for payloads (:mod:`repro.distributed.shm`).  Faults are *real*: a
@@ -19,7 +19,9 @@ backends implement it:
 Both backends use the identical reduction formula
 (:meth:`ProcessGroup._reduce_sum`: ``(p0 + p1) + p2 ...`` in rank
 order), so for the same SPMD function they produce bit-identical
-results (tested).
+results (tested).  A collective fault fires in one place on either:
+:meth:`FaultSite._maybe_fault`, run by the group entering the
+collective; a transport supplies only what "a rank dies" means.
 
 Entry point::
 
@@ -37,6 +39,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.resilience import counters
 from repro.resilience.faults import (
     COLLECTIVE_KINDS,
     CORRUPT_PAYLOAD,
@@ -88,28 +91,27 @@ class PendingAllToAll(abc.ABC):
         ...
 
 
-class ProcessGroup(abc.ABC):
-    """Per-rank SPMD handle over one communicator.
+class FaultSite(abc.ABC):
+    """Where a collective fault fires: whatever runs the collective.
 
-    All tensor-moving methods take this rank's contribution and return
-    this rank's share of the result; ``wait_s`` accumulates the time
-    this rank spent *blocked* waiting for remote data (the exposed,
-    non-overlapped communication cost the benchmark gates on).
+    Every :class:`ProcessGroup` rank is one, and so is each of the
+    trainer's echo groups (:func:`open_echo_group`), which stands for
+    every rank of its world (``rank`` is ``None``).  The schedule is
+    handed in as an argument — ``run_distributed(..., faults=...)``, or
+    the trainer's injector — never read from a process global.
     """
 
-    rank: int
-    world: int
-    wait_s: float = 0.0
-    #: Faults delivered into this rank's collectives, the logical step
+    rank: Optional[int] = None
+    #: Faults delivered into this site's collectives, the logical step
     #: they are matched against, and what serialises access to the
     #: schedule (rank-threads share one; forked ranks each own a copy).
     _schedule: Optional[FaultSchedule] = None
     _step: Optional[int] = None
     _fault_lock: Any = contextlib.nullcontext()
 
-    # -- faults --------------------------------------------------------
     def _maybe_fault(self, op: str, outgoing: Sequence[np.ndarray] = ()) -> list:
-        """Fire any fault armed for this rank on ``op``.
+        """Fire any fault armed here for ``op``: match, consume, count
+        ``injected_<kind>``, then die / corrupt / sleep.
 
         Returns ``outgoing`` — with one NaN planted when a
         ``corrupt_payload`` fired.  An event that finds nothing to
@@ -123,13 +125,14 @@ class ProcessGroup(abc.ABC):
             event = self._schedule.match(
                 COLLECTIVE_KINDS, step=self._step, op=op, rank=self.rank
             )
-            if event is None or (event.rank is None and self.rank != 0):
+            if event is None or (event.rank is None and self.rank not in (0, None)):
                 return outgoing  # unranked events fire once, on rank 0
             if event.kind == CORRUPT_PAYLOAD and not self._corrupt(outgoing):
                 return outgoing
             self._schedule.consume(event)
+            counters.increment(f"injected_{event.kind}")
         if event.kind == RANK_FAILURE:
-            self._die(op)
+            self._die(op, event.rank)
         elif event.kind == DELAY:
             time.sleep(event.delay_s)
         return outgoing
@@ -137,14 +140,34 @@ class ProcessGroup(abc.ABC):
     @staticmethod
     def _corrupt(arrays: list) -> bool:
         """Replace the first non-empty float array of ``arrays`` with a
-        copy holding one NaN (the in-process injector's convention);
-        False when there is none."""
+        copy holding one NaN; False when there is none."""
         for i, a in enumerate(arrays):
             if a.size and np.issubdtype(a.dtype, np.floating):
                 arrays[i] = a = a.copy()
                 a.reshape(-1)[0] = np.nan
                 return True
         return False
+
+    @abc.abstractmethod
+    def _die(self, op: str, rank: Optional[int]) -> None:
+        """Rank ``rank`` (the event's; ``None`` when it named none) fails
+        in ``op``, as the transport knows failure."""
+
+
+class ProcessGroup(FaultSite):
+    """Per-rank SPMD handle over one communicator.
+
+    All tensor-moving methods take this rank's contribution and return
+    this rank's share of the result; ``wait_s`` accumulates the time
+    this rank spent *blocked* waiting for remote data (the exposed,
+    non-overlapped communication cost the benchmark gates on).  A fault
+    can only name this rank, which never returns from the collective it
+    was entering (``_die``).
+    """
+
+    rank: int
+    world: int
+    wait_s: float = 0.0
 
     def _faulted_sends(self, send: Sequence[np.ndarray]) -> List[np.ndarray]:
         """An all-to-all's fault step.  Corruption only ever hits a
@@ -156,11 +179,6 @@ class ProcessGroup(abc.ABC):
         for dst, arr in zip(ring, hit):
             send[dst] = arr
         return send
-
-    @abc.abstractmethod
-    def _die(self, op: str) -> None:
-        """This rank fails, as the transport knows failure: the rank
-        never returns from the collective it was entering."""
 
     # -- collectives ---------------------------------------------------
     @abc.abstractmethod
@@ -250,32 +268,43 @@ def bucket_cuts(arrays: Sequence[np.ndarray]) -> List[int]:
     return [0, *np.cumsum([a.size for a in arrays]).tolist()]
 
 
-def open_echo_group(world: int, backend: str = "sim", op_timeout_s: float = 10.0):
+def open_echo_group(
+    world: int,
+    backend: str = "sim",
+    op_timeout_s: float = 10.0,
+    schedule: Optional[FaultSchedule] = None,
+):
     """Open the long-lived data-parallel seam of a single-process trainer.
 
     The caller is rank 0 of ``world`` ranks that all hold its gradient.
-    ``group.all_reduce(arrays, scale, log)`` is the step's one exchange:
-    ``arrays`` (one dtype) are this rank's gradients, the bucket that
-    crosses the transport is ``[a * scale for a in arrays]`` laid end to
-    end, and each array is overwritten **in place** with its slice of
-    the total over ``world`` ranks — after every peer has answered, so a
-    :class:`~repro.resilience.faults.CollectiveFault` leaves every
-    array as it was.  ``group.heal()`` repairs the group after such a
-    fault and ``group.close()`` ends it.  ``"sim"`` reduces the bucket
-    through the in-process reference collective; ``"mp"`` moves it
-    through ``world - 1`` persistent forked peers over shared-memory
-    windows mapped once (and adds ``kill_rank``, a real SIGKILL).  Same
-    reduction formula, same rank order, same single ``CommLog`` record:
-    bit-identical.
+    ``group.all_reduce(arrays, scale, log, step)`` is the step's one
+    exchange: ``arrays`` (one dtype) are this rank's gradients, the
+    bucket that crosses the transport is ``[a * scale for a in arrays]``
+    laid end to end, and each array is overwritten **in place** with its
+    slice of the total over ``world`` ranks — after every peer has
+    answered, so a :class:`~repro.resilience.faults.CollectiveFault`
+    leaves every array as it was.  ``group.heal()`` repairs the group
+    after such a fault and ``group.close()`` ends it.  ``"sim"`` reduces
+    the bucket through the in-process reference collective; ``"mp"``
+    moves it through ``world - 1`` persistent forked peers over
+    shared-memory windows mapped once (and adds ``kill_rank``, a real
+    SIGKILL).  Same reduction formula, same rank order, same single
+    ``CommLog`` record: bit-identical.
+
+    ``schedule`` delivers collective faults into the exchange, matched
+    against ``step``.  The group stands for every rank, so an event of
+    any rank fires here; a ``rank_failure`` kills the peer it names —
+    peer 1 when it names none, a ``ValueError`` when it names rank 0
+    (the caller) or a rank outside the world.
     """
     if backend == "sim":
         from repro.distributed.sim_backend import SimEchoGroup
 
-        return SimEchoGroup(world)
+        return SimEchoGroup(world, schedule)
     if backend == "mp":
         from repro.distributed.mp_backend import MpEchoGroup
 
-        return MpEchoGroup(world, op_timeout_s)
+        return MpEchoGroup(world, op_timeout_s, schedule)
     raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
 
 

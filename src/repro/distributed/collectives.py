@@ -1,10 +1,14 @@
-"""Simulated collectives with communication-volume accounting.
+"""Reference collectives with communication-volume accounting.
 
 The paper trains on 8 GPUs with data parallelism plus 8-way expert model
-parallelism (§6.1).  This module simulates the collective operations in
-process (numpy in, numpy out) while logging the exact bytes each rank
-sends, so the cost model's communication terms can be validated against
-the volumes the real algorithms would move.
+parallelism (§6.1).  :func:`all_reduce` and :func:`all_to_all` compute
+those collectives in process (numpy in, numpy out) while logging the
+exact bytes each rank sends, so the cost model's communication terms can
+be validated against the volumes the real algorithms would move.  They
+are pure functions: the ``"sim"`` rendezvous computes through them and
+the tests compare both transports against them, while faults and tracer
+spans belong to the process group that runs a collective
+(:mod:`repro.distributed.backend`).
 """
 
 from __future__ import annotations
@@ -15,46 +19,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.distributed.backend import ProcessGroup
-from repro.observability.tracing import get_tracer
-
-# ----------------------------------------------------------------------
-# Fault-injection hook (see repro.resilience.faults).
-#
-# When installed, every collective routes its computation through
-# ``hook.run_collective(op, world, payloads, compute)``: the hook may
-# raise ``CollectiveFault`` (simulating a dead rank / network failure),
-# substitute corrupted payloads, or account simulated latency, and its
-# retry policy may re-invoke ``compute``.  With no hook installed the
-# collectives behave exactly as before — the hook costs one ``is None``
-# check per call.
-# ----------------------------------------------------------------------
-_FAULT_HOOK = None
-
-
-def set_fault_hook(hook) -> None:
-    """Install (or clear, with ``None``) the process-wide fault hook."""
-    global _FAULT_HOOK
-    _FAULT_HOOK = hook
-
-
-def get_fault_hook():
-    return _FAULT_HOOK
-
-
-def _execute(op: str, world: int, payloads, compute):
-    # Tracing spans wrap the whole collective, fault-injected retries
-    # included, so the trace charges stragglers where they happen.  The
-    # tracer check precedes any args construction: the disabled path
-    # allocates nothing.
-    tracer = get_tracer()
-    if tracer is None:
-        if _FAULT_HOOK is None:
-            return compute(payloads)
-        return _FAULT_HOOK.run_collective(op, world, payloads, compute)
-    with tracer.span(op, {"world": world}):
-        if _FAULT_HOOK is None:
-            return compute(payloads)
-        return _FAULT_HOOK.run_collective(op, world, payloads, compute)
 
 
 @dataclass
@@ -137,16 +101,9 @@ def all_reduce(
     Ring algorithm traffic: each rank sends ``2*(w-1)/w`` of its buffer.
     """
     world = len(shards)
-
-    def compute(payloads):
-        total = ProcessGroup._reduce_sum(payloads)
-        return [total.copy() for _ in range(world)]
-
-    out = _execute("all_reduce", world, list(shards), compute)
-    if log is not None and world > 1:
-        per_rank = 2.0 * (world - 1) / world * shards[0].nbytes
-        log.log("all_reduce", world, per_rank)
-    return out
+    total = ProcessGroup._reduce_sum(shards)
+    log_all_reduce(shards[0].nbytes, world, log)
+    return [total.copy() for _ in range(world)]
 
 
 def log_all_reduce(nbytes: int, world: int, log: Optional[CommLog]) -> None:
@@ -198,62 +155,9 @@ def all_to_all(
         if len(row) != world:
             raise ValueError("all_to_all requires a square buffer grid")
 
-    def compute(payloads):
-        return [
-            [np.array(payloads[src][dst], copy=True) for src in range(world)]
-            for dst in range(world)
-        ]
-
-    received = _execute("all_to_all", world, buffers, compute)
     log_all_to_all(buffers, log)
-    return received
+    return [
+        [np.array(buffers[src][dst], copy=True) for src in range(world)]
+        for dst in range(world)
+    ]
 
-
-def all_gather(
-    shards: Sequence[np.ndarray], log: Optional[CommLog] = None
-) -> List[np.ndarray]:
-    """Every rank receives the concatenation of all shards (axis 0)."""
-    world = len(shards)
-
-    def compute(payloads):
-        full = np.concatenate([np.asarray(s) for s in payloads], axis=0)
-        return [full.copy() for _ in range(world)]
-
-    out = _execute("all_gather", world, list(shards), compute)
-    if log is not None and world > 1:
-        log.log("all_gather", world, float((world - 1) * shards[0].nbytes))
-    return out
-
-
-def broadcast(
-    value: np.ndarray,
-    world: int,
-    root: int = 0,
-    log: Optional[CommLog] = None,
-) -> List[np.ndarray]:
-    """Every rank receives a copy of ``root``'s array.
-
-    Tree-broadcast traffic model: the root's buffer crosses the network
-    ``world - 1`` times in total, ``log2``-depth pipelined, so the
-    charged per-rank volume is the mean over ranks (the root sends the
-    most; leaves send nothing).
-    """
-    if world < 1:
-        raise ValueError(f"world must be >= 1, got {world}")
-    if not 0 <= root < world:
-        raise ValueError(f"root {root} out of range for world {world}")
-
-    def compute(payloads):
-        src = np.asarray(payloads[0])
-        return [np.array(src, copy=True) for _ in range(world)]
-
-    out = _execute("broadcast", world, [np.asarray(value)], compute)
-    if log is not None and world > 1:
-        total = float((world - 1) * np.asarray(value).nbytes)
-        log.log(
-            "broadcast",
-            world,
-            total / world,
-            max_bytes_sent=float(np.asarray(value).nbytes),
-        )
-    return out

@@ -111,8 +111,8 @@ class ExpertParallelDMoE:
         mesh: device mesh supplying the expert-parallel world size.
         retry_policy: when given, every token-bearing all-to-all is
             validated on receipt — a payload containing NaN/Inf (a
-            corrupted exchange, e.g. injected by
-            :class:`repro.resilience.FaultInjector`) is treated as a
+            corrupted exchange, e.g. a ``corrupt_payload`` event passed
+            as ``run_distributed(..., faults=[...])``) is treated as a
             transient fault and the exchange is re-issued under the
             policy's bounded retry/backoff.  Retrying is a *collective*
             decision: the ranks agree through one tiny ``all_reduce``
@@ -215,7 +215,7 @@ class ExpertParallelDMoE:
                 raise CollectiveFault("all_to_all", None, k)
             return received
 
-        return self.retry_policy.run(attempt, "all_to_all")
+        return self.retry_policy.run(attempt)
 
     def _exchange(self, group: ProcessGroup, send, res) -> List[np.ndarray]:
         return self._receive(group, send, self._post(group, send, res), res)

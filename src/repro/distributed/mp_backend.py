@@ -41,12 +41,14 @@ import numpy as np
 from repro.distributed import shm
 from repro.distributed.backend import (
     DistributedRunResult,
+    FaultSite,
     PendingAllToAll,
     ProcessGroup,
     WorkerFailure,
     bucket_cuts,
 )
 from repro.distributed.collectives import log_all_reduce
+from repro.observability.tracing import span
 from repro.resilience.faults import CollectiveFault, FaultEvent, FaultSchedule
 
 _POLL_GRANULARITY_S = 0.002
@@ -152,7 +154,7 @@ class MpProcessGroup(ProcessGroup):
     def _recv_from(self, src: int, op: str) -> np.ndarray:
         return shm.decode_array(self._recv_header(src, op))
 
-    def _die(self, op: str) -> None:
+    def _die(self, op: str, rank: Optional[int]) -> None:
         os.kill(os.getpid(), signal.SIGKILL)  # a real dead rank
 
     # -- collectives ---------------------------------------------------
@@ -167,8 +169,7 @@ class MpProcessGroup(ProcessGroup):
         return self.isend_all_to_all(send).wait()
 
     def all_gather(self, arr: np.ndarray) -> List[np.ndarray]:
-        self._maybe_fault("all_gather")
-        arr = np.asarray(arr)
+        (arr,) = self._maybe_fault("all_gather", [np.asarray(arr)])
         for k in range(1, self.world):
             self._post((self.rank + k) % self.world, arr, "all_gather")
         parts: List[Optional[np.ndarray]] = [None] * self.world
@@ -179,8 +180,7 @@ class MpProcessGroup(ProcessGroup):
         return parts  # type: ignore[return-value]
 
     def all_reduce(self, arr: np.ndarray) -> np.ndarray:
-        self._maybe_fault("all_reduce")
-        arr = np.asarray(arr)
+        (arr,) = self._maybe_fault("all_reduce", [np.asarray(arr)])
         ring = [(self.rank + k) % self.world for k in range(1, self.world)]
         if ring:
             self.window.reserve(arr.nbytes)
@@ -205,8 +205,7 @@ class MpProcessGroup(ProcessGroup):
         return total
 
     def broadcast(self, arr: np.ndarray, root: int = 0) -> np.ndarray:
-        self._maybe_fault("broadcast")
-        arr = np.asarray(arr)
+        (arr,) = self._maybe_fault("broadcast", [np.asarray(arr)])
         if self.rank == root:
             for dst in range(self.world):
                 if dst != root:
@@ -253,7 +252,7 @@ def _echo_worker(conn, session: str, rank: int) -> None:
     os._exit(0)
 
 
-class MpEchoGroup:
+class MpEchoGroup(FaultSite):
     """``world - 1`` persistent forked peers for the per-step all-reduce.
 
     Unlike :func:`run_mp` (which forks per invocation), these workers
@@ -266,16 +265,23 @@ class MpEchoGroup:
     with no segment created, attached or unlinked in a steady-state
     step.
 
-    Chaos seams are real: :meth:`kill_rank` SIGKILLs a worker, the next
-    exchange times out into :class:`CollectiveFault` (the trainer's
-    skip-step path), and :meth:`heal` respawns the dead so training
-    continues.
+    Chaos seams are real: :meth:`kill_rank` (and a scheduled
+    ``rank_failure``) SIGKILLs a worker, the next exchange fails into
+    :class:`CollectiveFault` (the trainer's skip-step path), and
+    :meth:`heal` respawns the dead so training continues.
     """
 
-    def __init__(self, world: int, op_timeout_s: float = 10.0) -> None:
+    def __init__(
+        self,
+        world: int,
+        op_timeout_s: float = 10.0,
+        schedule: Optional[FaultSchedule] = None,
+    ) -> None:
         if world < 2:
             raise ValueError(f"MpEchoGroup needs world >= 2, got {world}")
         self.world = world
+        self._schedule = schedule
+        self._span_args = {"world": world}
         self.session = shm.session_name()
         self._ctx = _fork_context()
         self._conns: List[Optional[Any]] = [None] * world  # rank 0 = local
@@ -318,6 +324,9 @@ class MpEchoGroup:
             proc.kill()
             proc.join(timeout=5.0)
 
+    def _die(self, op: str, rank: Optional[int]) -> None:
+        self.kill_rank(1 if rank is None else rank)
+
     def heal(self) -> List[int]:
         """Respawn every dead worker; returns the ranks respawned."""
         healed = []
@@ -339,7 +348,11 @@ class MpEchoGroup:
         return healed
 
     def all_reduce(
-        self, arrays: Sequence[np.ndarray], scale: float = 1.0, log=None
+        self,
+        arrays: Sequence[np.ndarray],
+        scale: float = 1.0,
+        log=None,
+        step: Optional[int] = None,
     ) -> None:
         """Overwrite each of ``arrays`` with its slice of the total over
         ``world`` ranks of the bucket ``[a * scale for a in arrays]`` —
@@ -354,26 +367,28 @@ class MpEchoGroup:
         if not arrays:
             return
         cuts, dtype = bucket_cuts(arrays), arrays[0].dtype
-        spans = list(zip(arrays, cuts, cuts[1:]))
         nbytes = cuts[-1] * dtype.itemsize
         link, op = self._link, "all_reduce"
-        link.window.reserve(nbytes)
-        flats = [link.window.view(dtype, cuts[-1])]
-        for a, lo, hi in spans:
-            np.multiply(a, float(scale), out=flats[0][lo:hi].reshape(a.shape))
-        self._seq += 1
-        for rank in range(1, self.world):
-            link._send_header(rank, (self._seq, link.window.name, nbytes), op)
-            # A reply to an exchange that was abandoned on a timeout
-            # may still arrive; it answers nothing.
-            seq, name = link._recv_header(rank, op)
-            while seq != self._seq:
+        with span(op, self._span_args):
+            self._step = link._step = step
+            sent = self._maybe_fault(op, arrays)
+            link.window.reserve(nbytes)
+            flats = [link.window.view(dtype, cuts[-1])]
+            for a, lo, hi in zip(sent, cuts, cuts[1:]):
+                np.multiply(a, float(scale), out=flats[0][lo:hi].reshape(a.shape))
+            self._seq += 1
+            for rank in range(1, self.world):
+                link._send_header(rank, (self._seq, link.window.name, nbytes), op)
+                # A reply to an exchange that was abandoned on a timeout
+                # may still arrive; it answers nothing.
                 seq, name = link._recv_header(rank, op)
-            flats.append(link.peers.view(rank, name, dtype, cuts[-1]))
-        for a, lo, hi in spans:
-            ProcessGroup._reduce_sum(
-                [flat[lo:hi].reshape(a.shape) for flat in flats], out=a
-            )
+                while seq != self._seq:
+                    seq, name = link._recv_header(rank, op)
+                flats.append(link.peers.view(rank, name, dtype, cuts[-1]))
+            for a, lo, hi in zip(arrays, cuts, cuts[1:]):
+                ProcessGroup._reduce_sum(
+                    [flat[lo:hi].reshape(a.shape) for flat in flats], out=a
+                )
         log_all_reduce(sum(a.nbytes for a in arrays), self.world, log)
 
     def close(self) -> None:

@@ -2,12 +2,12 @@
 
 A :class:`Tracer` records *spans* — named, nested wall-clock intervals —
 from the hooks threaded through the trainer, the MoE layers, the sparse
-kernel dispatch, and the simulated collectives.  Span paths compose by
-nesting: a ``span("sdd")`` opened while ``step → forward → moe`` are on
-the stack records the path ``step/forward/moe/sdd``, so one trace
-answers both "how long was the step" and "which kernel inside which
-layer ate it" — the per-phase breakdown the paper's evaluation (Figs
-7–9, §6) is built on.
+kernel dispatch, and the trainer's data-parallel gradient exchange
+(either transport).  Span paths compose by nesting: a ``span("sdd")``
+opened while ``step → forward → moe`` are on the stack records the path
+``step/forward/moe/sdd``, so one trace answers both "how long was the
+step" and "which kernel inside which layer ate it" — the per-phase
+breakdown the paper's evaluation (Figs 7–9, §6) is built on.
 
 Zero overhead when disabled
 ---------------------------

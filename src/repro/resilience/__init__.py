@@ -24,7 +24,6 @@ from repro.resilience.faults import (
     FaultSchedule,
     RetryExhaustedError,
     RetryPolicy,
-    inject_faults,
 )
 from repro.resilience.guardrails import (
     BAD_VERDICTS,
@@ -54,7 +53,6 @@ __all__ = [
     "FaultInjector",
     "RetryExhaustedError",
     "RetryPolicy",
-    "inject_faults",
     "BAD_VERDICTS",
     "GuardrailConfig",
     "LossSpikeDetector",

@@ -10,14 +10,19 @@ reproducible:
   schedule;
 - :class:`RetryPolicy` governs recovery: bounded retries with
   exponential backoff and a simulated-time budget;
-- :class:`FaultInjector` delivers the scheduled faults into
-  :mod:`repro.distributed.collectives` (via :func:`inject_faults`) and
-  into gradients inside :class:`repro.training.trainer.Trainer`.
+- :class:`FaultInjector` carries one trainer's schedule: it corrupts
+  gradients and tears checkpoint writes itself, and hands its schedule
+  to the trainer's data-parallel group for the collective kinds.
 
-Collectives raise :class:`CollectiveFault` when a simulated rank fails;
-the injector's retry policy re-runs the collective, and the schedule
-decides whether the failure is transient (recovers within the retry
-budget) or permanent (propagates to the trainer, which skips the step).
+A collective fault fires in exactly one place: the process group that
+runs the collective (``FaultSite._maybe_fault`` in
+:mod:`repro.distributed.backend`), which is handed its schedule as an
+argument — ``run_distributed(..., faults=[...])`` for SPMD ranks, the
+injector for the trainer's group.  A failed collective raises
+:class:`CollectiveFault`; the trainer re-runs its gradient sync under
+the injector's retry policy, and the schedule decides whether the
+failure is transient (recovers within the retry budget) or permanent
+(propagates to the trainer, which skips the step).
 
 Example::
 
@@ -26,14 +31,11 @@ Example::
         FaultEvent(step=5, kind=RANK_FAILURE, op="all_reduce"),
     ])
     injector = FaultInjector(schedule, policy=RetryPolicy(max_retries=3))
-    with inject_faults(injector):
-        trainer = Trainer(..., fault_injector=injector)
-        trainer.train()
+    Trainer(..., fault_injector=injector).train()
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence
 
@@ -44,9 +46,9 @@ from repro.resilience import counters
 # Fault kinds -----------------------------------------------------------
 NAN_GRAD = "nan_grad"  # overwrite one gradient entry with NaN
 INF_GRAD = "inf_grad"  # overwrite one gradient entry with +inf
-RANK_FAILURE = "rank_failure"  # collective raises CollectiveFault
+RANK_FAILURE = "rank_failure"  # a rank dies inside a collective
 CORRUPT_PAYLOAD = "corrupt_payload"  # collective payload gets a NaN
-DELAY = "delay"  # collective completes after simulated latency
+DELAY = "delay"  # collective completes after a real sleep
 TORN_WRITE = "torn_write"  # checkpoint write killed mid-shard
 
 GRADIENT_KINDS = frozenset({NAN_GRAD, INF_GRAD})
@@ -144,20 +146,18 @@ class FaultEvent:
         op: collective op name filter (``"*"`` = any) — ignored for
             gradient faults.
         rank: rank filter (``None`` = any rank; an unranked collective
-            fault fires once, on rank 0).  Every process-group backend
-            honours it — ``run_distributed(..., backend="sim")`` and
-            ``"mp"`` alike, where each rank matches its own rank before
-            dying / corrupting its payload / sleeping.  Only the
-            :func:`inject_faults` hook
-            (:meth:`FaultInjector.run_collective`), which sees all ranks
-            of an in-process collective at once, ignores it.
+            fault fires once, on rank 0).  Every process group honours
+            it — ``run_distributed(..., backend="sim")`` and ``"mp"``
+            alike, where each rank matches its own rank before dying /
+            corrupting its payload / sleeping.  In the trainer's group
+            rank 0 is the trainer itself: a ``RANK_FAILURE`` there names
+            a peer ``1..dp_world-1``, or no rank (peer 1).
         count: how many times the event fires before it is exhausted.
             A ``RANK_FAILURE`` with ``count=2`` under a retry policy
             fails the first two attempts and succeeds on the third —
             i.e. ``count`` controls whether a failure is transient
             (``count <= max_retries``) or permanent.
-        delay_s: simulated latency for ``DELAY`` events (the
-            multi-process backend really sleeps).
+        delay_s: how long a ``DELAY`` event sleeps.
     """
 
     kind: str
@@ -206,33 +206,6 @@ class FaultSchedule:
 
     def __init__(self, events: Sequence[FaultEvent] = ()) -> None:
         self.events: List[FaultEvent] = list(events)
-
-    @classmethod
-    def random(
-        cls,
-        seed: int,
-        max_steps: int,
-        nan_grad_rate: float = 0.0,
-        rank_failure_rate: float = 0.0,
-        corrupt_rate: float = 0.0,
-        ops: Sequence[str] = ("all_reduce", "all_to_all"),
-        failure_count: int = 1,
-    ) -> "FaultSchedule":
-        """Sample a schedule from per-step fault rates (seeded)."""
-        rng = np.random.default_rng(seed)
-        events: List[FaultEvent] = []
-        for step in range(max_steps):
-            if nan_grad_rate and rng.random() < nan_grad_rate:
-                events.append(FaultEvent(NAN_GRAD, step=step))
-            if rank_failure_rate and rng.random() < rank_failure_rate:
-                op = ops[int(rng.integers(len(ops)))]
-                events.append(
-                    FaultEvent(RANK_FAILURE, step=step, op=op, count=failure_count)
-                )
-            if corrupt_rate and rng.random() < corrupt_rate:
-                op = ops[int(rng.integers(len(ops)))]
-                events.append(FaultEvent(CORRUPT_PAYLOAD, step=step, op=op))
-        return cls(events)
 
     def match(
         self,
@@ -283,7 +256,7 @@ class RetryPolicy:
     gave_up: int = field(default=0, compare=False)
     simulated_wait_s: float = field(default=0.0, compare=False)
 
-    def run(self, fn: Callable[[int], object], op: str = "*"):
+    def run(self, fn: Callable[[int], object]):
         attempt = 0
         waited = 0.0
         while True:
@@ -315,38 +288,14 @@ class RetryPolicy:
                 counters.increment("collective_retries")
 
 
-def _corrupt_payloads(payloads):
-    """Copy ``payloads`` (possibly nested lists of arrays) with one NaN
-    planted in the first non-empty float array found; ``None`` when
-    there is none to plant it in."""
-    planted = [False]
-
-    def walk(obj):
-        if isinstance(obj, np.ndarray):
-            if (
-                not planted[0]
-                and obj.size
-                and np.issubdtype(obj.dtype, np.floating)
-            ):
-                out = obj.astype(obj.dtype, copy=True)
-                out.reshape(-1)[0] = np.nan
-                planted[0] = True
-                return out
-            return obj
-        if isinstance(obj, (list, tuple)):
-            return [walk(o) for o in obj]
-        return obj
-
-    corrupted = walk(payloads)
-    return corrupted if planted[0] else None
-
-
 class FaultInjector:
-    """Delivers scheduled faults into collectives and gradients.
+    """One trainer's fault schedule and retry policy.
 
-    Install into the collectives layer with :func:`inject_faults`; pass
-    to :class:`repro.training.trainer.Trainer` (``fault_injector=``) so
-    gradient faults fire and ``current_step`` tracks the training step.
+    Pass to :class:`repro.training.trainer.Trainer` (``fault_injector=``):
+    gradient and checkpoint faults fire here, ``current_step`` tracks the
+    training step, and the trainer hands ``schedule`` to its
+    data-parallel group, where the collective faults fire, and re-runs
+    a failed gradient sync under ``policy``.
     """
 
     def __init__(
@@ -357,38 +306,6 @@ class FaultInjector:
         self.schedule = schedule
         self.policy = policy
         self.current_step: Optional[int] = None
-        self.collective_calls = 0
-        self.simulated_delay_s = 0.0
-
-    # -- collectives hook (called by repro.distributed.collectives) ----
-    def run_collective(self, op: str, world: int, payloads, compute):
-        """Run one collective under the fault schedule + retry policy."""
-        self.collective_calls += 1
-
-        def attempt(k: int):
-            event = self.schedule.match(
-                COLLECTIVE_KINDS, step=self.current_step, op=op
-            )
-            data = payloads
-            if event is not None and event.kind == CORRUPT_PAYLOAD:
-                data = _corrupt_payloads(payloads)
-                if data is None:
-                    # Nothing to corrupt (e.g. an exchange of integer
-                    # ids): the event stays armed for a payload that
-                    # has a float in it.
-                    data, event = payloads, None
-            if event is not None:
-                self.schedule.consume(event)
-                counters.increment(f"injected_{event.kind}")
-                if event.kind == RANK_FAILURE:
-                    raise CollectiveFault(op, self.current_step, k)
-                if event.kind == DELAY:
-                    self.simulated_delay_s += event.delay_s
-            return compute(data)
-
-        if self.policy is not None:
-            return self.policy.run(attempt, op)
-        return attempt(0)
 
     # -- checkpoint hook (called by the ShardWriter per shard) ---------
     def checkpoint_fault(self, key: str) -> None:
@@ -426,15 +343,3 @@ class FaultInjector:
                 return True
         return False
 
-
-@contextlib.contextmanager
-def inject_faults(injector: FaultInjector):
-    """Install ``injector`` as the collectives fault hook for a scope."""
-    from repro.distributed import collectives
-
-    previous = collectives.get_fault_hook()
-    collectives.set_fault_hook(injector)
-    try:
-        yield injector
-    finally:
-        collectives.set_fault_hook(previous)

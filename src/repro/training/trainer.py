@@ -43,7 +43,7 @@ from repro.data.dataset import LMDataset
 from repro.moe.capacity import min_capacity_factor
 from repro.nn.transformer import TransformerLM
 from repro.resilience import guardrails as gr
-from repro.resilience.faults import RANK_FAILURE, CollectiveFault, FaultInjector
+from repro.resilience.faults import CollectiveFault, FaultInjector
 from repro.resilience.guardrails import GuardrailConfig, NumericGuard
 from repro.checkpoint import (
     AsyncCheckpointWriter,
@@ -112,11 +112,11 @@ class TrainerConfig:
             the workers are forked at the top of the first step).
             Both reduce with the identical
             rank-ordered formula, so training trajectories are
-            bit-identical across backends; under ``"mp"`` the fault
-            seams are *real* — a scheduled ``rank_failure`` SIGKILLs a
-            worker, the exchange times out into the existing
-            skip-step path, and the group heals (respawns) for the
-            next step (see ``docs/distributed.md``).
+            bit-identical across backends, and so is every injected
+            collective fault: a ``rank_failure`` kills a peer (under
+            ``"mp"`` a real SIGKILL), the step is skipped or the sync
+            retried, and the group heals (respawns) before the next
+            attempt (see ``docs/distributed.md``).
         steady_state: run the step under
             :func:`repro.autograd.steady_state` — the buffer arena
             recycles every fixed-shape activation/gradient array across
@@ -347,8 +347,10 @@ class Trainer:
         if self._echo_group is None:
             from repro.distributed.backend import open_echo_group
 
+            injector = self.fault_injector
             self._echo_group = open_echo_group(
-                self.config.dp_world, self.config.dist_backend, op_timeout_s=5.0
+                self.config.dp_world, self.config.dist_backend, op_timeout_s=5.0,
+                schedule=injector.schedule if injector else None,
             )
         return self._echo_group
 
@@ -365,29 +367,28 @@ class Trainer:
         reference, ``"mp"`` through persistent forked workers and
         shared-memory windows mapped once — same rank-ordered
         reduction, so the two are bit-identical, but kills and timeouts
-        are real under ``"mp"``.
+        are real under ``"mp"``.  The injector's collective faults fire
+        inside the group's exchange; its retry policy, when set, re-runs
+        the exchange on a healed group.
         """
-        cfg = self.config
+        cfg, injector = self.config, self.fault_injector
         group = self._dist_group()
-        # Under "mp" a scheduled rank failure is a *real* kill: the
-        # worker is SIGKILLed and the exchange below discovers it by
-        # timeout.  ("sim" leaves the event to the inject_faults hook
-        # inside the reference collective.)
-        if cfg.dist_backend == "mp" and self.fault_injector is not None:
-            event = self.fault_injector.schedule.match(
-                {RANK_FAILURE},
-                step=self.fault_injector.current_step,
-                op="all_reduce",
-            )
-            if event is not None:
-                self.fault_injector.schedule.consume(event)
-                group.kill_rank(event.rank or 1)
         grads = [p.grad for p in self.optimizer.params if p.grad is not None]
+        step = injector.current_step if injector else None
+
+        def attempt(k: int) -> None:
+            if k:
+                group.heal()
+            group.all_reduce(grads, 1.0 / cfg.dp_world, self.comm_log, step)
+
         try:
-            group.all_reduce(grads, 1.0 / cfg.dp_world, self.comm_log)
+            if injector is None or injector.policy is None:
+                attempt(0)
+            else:
+                injector.policy.run(attempt)
         except CollectiveFault:
             # Respawn dead workers before the step is skipped so the
-            # next step finds a healthy group (PR 2 recovery contract).
+            # next step finds a healthy group.
             group.heal()
             raise
 

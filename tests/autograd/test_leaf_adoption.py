@@ -20,7 +20,6 @@ from repro.resilience.faults import (
     FaultEvent,
     FaultInjector,
     FaultSchedule,
-    inject_faults,
 )
 from repro.resilience.guardrails import GuardrailConfig
 
@@ -205,8 +204,7 @@ def test_accumulation_and_a_rewind_match_the_copying_walk(backend):
             guardrails=GuardrailConfig(max_consecutive_bad=2, snapshot_every=1),
             max_steps=6, eval_every=3,
         )
-        with inject_faults(tr.fault_injector):
-            hist = tr.train()
+        hist = tr.train()
         assert tr.skipped_steps == 2 and tr.guard.rewinds >= 1
         return tr, hist
 

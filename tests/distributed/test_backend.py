@@ -13,6 +13,7 @@ import operator
 import os
 import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from repro.resilience.faults import (
     RANK_FAILURE,
     CollectiveFault,
     FaultEvent,
+    FaultSchedule,
     RetryPolicy,
 )
 from tests.distributed.test_expert_parallel_backward import (
@@ -64,6 +66,21 @@ def _collective_suite(group):
     return out
 
 
+def _collective_suite_expected(rank, world):
+    """What :func:`_collective_suite` returns on ``rank``, in closed form."""
+    base = [
+        np.arange(6, dtype=np.float64).reshape(2, 3) * (r + 1) for r in range(world)
+    ]
+    return {
+        "all_reduce": functools.reduce(operator.add, base),  # rank order
+        "all_gather": [b + 0.5 for b in base],
+        "all_to_all": [b + 10.0 * rank for b in base],  # listed by source
+        "self_payload": (base[rank] + 10.0 * rank) * 2.0,
+        "isend_all_to_all": [(b + 10.0 * rank) * 2.0 for b in base],
+        "broadcast": base[world - 1] * 3.0,  # the root's array
+    }
+
+
 def _assert_values_equal(a, b, msg=""):
     if isinstance(a, dict):
         assert a.keys() == b.keys()
@@ -86,6 +103,17 @@ class TestCollectiveBitIdentity:
         for rank in range(world):
             _assert_values_equal(
                 sim.values[rank], mp_.values[rank], f"rank {rank}"
+            )
+
+    @pytest.mark.parametrize("backend", ["sim", "mp"])
+    @pytest.mark.parametrize("world", WORLDS)
+    def test_values_in_closed_form(self, world, backend):
+        res = run_distributed(_collective_suite, world, backend=backend)
+        for rank in range(world):
+            _assert_values_equal(
+                res.values[rank],
+                _collective_suite_expected(rank, world),
+                f"rank {rank}",
             )
 
     @pytest.mark.parametrize("world", WORLDS)
@@ -381,7 +409,8 @@ class TestRealFaults:
         }
         assert seen["sim"] == seen["mp"] == [[False, False], [True, False]]
 
-    def test_delay_is_real_and_exposed_as_wait(self):
+    @pytest.mark.parametrize("backend", ["sim", "mp"])
+    def test_delay_is_real_and_exposed_as_wait(self, backend):
         """A delayed rank makes its *peer* block — the stall lands in
         the peer's wait_s, the exposed-communication metric."""
 
@@ -391,7 +420,7 @@ class TestRealFaults:
         res = run_distributed(
             fn,
             2,
-            backend="mp",
+            backend=backend,
             faults=[
                 FaultEvent(DELAY, op="all_reduce", rank=1, delay_s=0.3)
             ],
@@ -434,9 +463,12 @@ class TestExpertParallelRetryOverProcesses:
     def _corrupt(self, **kw):
         return [FaultEvent(CORRUPT_PAYLOAD, op="all_to_all", **kw)]
 
-    def test_corrupted_exchange_is_retried_by_every_rank(self):
-        clean = self._run(RetryPolicy(max_retries=3), None)
-        faulty = self._run(RetryPolicy(max_retries=3), self._corrupt(rank=0))
+    @pytest.mark.parametrize("backend", ["sim", "mp"])
+    def test_corrupted_exchange_is_retried_by_every_rank(self, backend):
+        clean = self._run(RetryPolicy(max_retries=3), None, backend)
+        faulty = self._run(
+            RetryPolicy(max_retries=3), self._corrupt(rank=0), backend
+        )
         for c, f in zip(clean, faulty):
             # Same bits, and the same log: volume is per logical
             # exchange, not per transport attempt.
@@ -446,8 +478,9 @@ class TestExpertParallelRetryOverProcesses:
         assert [f.corrupt_detected for f in faulty] == [0, 1]
         assert [f.retries for f in faulty] == [1, 1]
 
-    def test_without_a_policy_the_nan_comes_through(self):
-        faulty = self._run(None, self._corrupt(rank=0))
+    @pytest.mark.parametrize("backend", ["sim", "mp"])
+    def test_without_a_policy_the_nan_comes_through(self, backend):
+        faulty = self._run(None, self._corrupt(rank=0), backend)
         assert not np.isfinite(
             np.concatenate([f.output.reshape(-1) for f in faulty])
         ).all()
@@ -647,6 +680,39 @@ class TestEchoGroup:
         finally:
             group.close()
         assert shm.leaked_segments(group.session) == []
+
+    @pytest.mark.parametrize("backend", ["sim", "mp"])
+    def test_scheduled_faults_fire_in_the_exchange(self, backend):
+        """The group runs every rank's fault step: a rank failure kills
+        the peer it names (unranked: peer 1) and leaves the arrays
+        unreduced (over processes, heal() respawns that peer); a
+        corruption reaches the reduced bucket as one NaN; a delay really
+        sleeps."""
+        sched = FaultSchedule(
+            [
+                FaultEvent(RANK_FAILURE, step=0),
+                FaultEvent(RANK_FAILURE, step=1, rank=2),
+                FaultEvent(CORRUPT_PAYLOAD, step=2),
+                FaultEvent(DELAY, step=3, delay_s=0.2),
+            ]
+        )
+        group = open_echo_group(4, backend, op_timeout_s=2.0, schedule=sched)
+        try:
+            for step, healed in [(0, [1]), (1, [2])]:
+                arr = np.ones(4)
+                with pytest.raises(CollectiveFault, match=f"step={step}"):
+                    group.all_reduce([arr], step=step)
+                np.testing.assert_array_equal(arr, np.ones(4))
+                assert group.heal() == (healed if backend == "mp" else [])
+            arr = np.ones(4)
+            group.all_reduce([arr], step=2)
+            assert np.isnan(arr).sum() == 1
+            t0 = time.perf_counter()
+            group.all_reduce([arr], step=3)
+            assert time.perf_counter() - t0 >= 0.2
+            assert sched.pending == 0
+        finally:
+            group.close()
 
     def test_world_and_peer_rank_validated(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.distributed import CommLog, all_gather, all_reduce, all_to_all
+from repro.distributed import CommLog, all_reduce, all_to_all
 
 
 class TestAllReduce:
@@ -81,14 +81,6 @@ class TestAllToAll:
         out = all_to_all(buffers)
         out[0][0][...] = 5
         assert buffers[0][0][0] == 0
-
-
-class TestAllGather:
-    def test_concatenates(self, rng):
-        shards = [rng.standard_normal((2, 3)) for _ in range(3)]
-        out = all_gather(shards)
-        np.testing.assert_allclose(out[0], np.concatenate(shards))
-        np.testing.assert_allclose(out[2], out[0])
 
 
 class TestCommLog:

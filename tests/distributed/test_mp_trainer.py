@@ -22,12 +22,16 @@ from repro.core import dMoE
 from repro.data import LMDataset, PileConfig, SyntheticPile
 from repro.distributed import DeviceMesh, shm
 from repro.nn import TransformerLM
+from repro.observability import registry, tracing
+from repro.resilience import counters
 from repro.resilience.faults import (
+    CORRUPT_PAYLOAD,
+    DELAY,
     RANK_FAILURE,
     FaultEvent,
     FaultInjector,
     FaultSchedule,
-    inject_faults,
+    RetryPolicy,
 )
 from repro.resilience.guardrails import GuardrailConfig
 from repro.training import Adam, Trainer, TrainerConfig
@@ -108,15 +112,13 @@ class TestTrainerBackends:
             [FaultEvent(RANK_FAILURE, step=2, op="all_reduce")]
         )
         sim_t = _trainer("sim", FaultInjector(sim_sched))
-        with inject_faults(sim_t.fault_injector):
-            sim_t.train()
+        sim_t.train()
 
         mp_sched = FaultSchedule(
             [FaultEvent(RANK_FAILURE, step=2, op="all_reduce")]
         )
         mp_t = _trainer("mp", FaultInjector(mp_sched))
-        with inject_faults(mp_t.fault_injector):
-            mp_t.train()
+        mp_t.train()
 
         assert sim_sched.pending == 0, "sim fault never fired"
         assert mp_sched.pending == 0, "mp kill never fired"
@@ -146,13 +148,11 @@ class TestTrainerBackends:
             return _trainer("mp", FaultInjector(sched), max_steps, mesh)
 
         straight = chaos_trainer(total, DeviceMesh(4, 4))
-        with inject_faults(straight.fault_injector):
-            straight.train()
+        straight.train()
 
         first = chaos_trainer(total, DeviceMesh(4, 4))
         first.config.max_steps = cut
-        with inject_faults(first.fault_injector):
-            first.train()
+        first.train()
         path = str(tmp_path / "chaos-ckpt")
         first.save(path, step=cut)
 
@@ -167,6 +167,83 @@ class TestTrainerBackends:
         _assert_params_equal(straight.model, resumed.model)
         for a, b in zip(straight.optimizer._m, resumed.optimizer._m):
             np.testing.assert_array_equal(a, b)
+
+
+def _assert_same_run(a, b):
+    """Losses, parameters, both Adam moments and skips, bit for bit."""
+    assert _losses(a.history) == _losses(b.history)
+    _assert_params_equal(a.model, b.model)
+    for name in ("_m", "_v"):
+        for x, y in zip(getattr(a.optimizer, name), getattr(b.optimizer, name)):
+            np.testing.assert_array_equal(x, y, strict=True)
+    assert a.skipped_steps == b.skipped_steps
+
+
+FAULT_STEP, DELAY_S = 2, 0.2
+
+
+class TestOneFaultSeam:
+    """``Trainer(fault_injector=...)`` alone delivers every collective
+    fault kind into the gradient sync, and each fails the step the same
+    way over threads and over processes."""
+
+    def _run(self, dist_backend, event, policy):
+        registry().reset()
+        sched = FaultSchedule([event])
+        t = _trainer(dist_backend, FaultInjector(sched, policy))
+        with tracing() as tracer:
+            t.train()
+        assert sched.pending == 0, f"{event.kind} never fired on {dist_backend}"
+        sync = [s for s in tracer.spans if s.path == "step/grad_sync"]
+        assert len(sync) == 4
+        assert any(s.path == "step/grad_sync/all_reduce" for s in tracer.spans)
+        return t, counters.get("collective_retries"), sync
+
+    @pytest.mark.parametrize("retry", [False, True], ids=["no_policy", "policy"])
+    @pytest.mark.parametrize(
+        "kind,rank",
+        [
+            (RANK_FAILURE, None),
+            (CORRUPT_PAYLOAD, None),
+            (DELAY, None),
+            (RANK_FAILURE, 1),
+        ],
+        ids=["rank_failure", "corrupt_payload", "delay", "rank_failure_1"],
+    )
+    def test_same_outcome_on_sim_and_mp(self, kind, rank, retry):
+        runs = {}
+        for dist_backend in ("sim", "mp"):
+            event = FaultEvent(
+                kind, step=FAULT_STEP, op="all_reduce", rank=rank, delay_s=DELAY_S
+            )
+            policy = RetryPolicy(max_retries=3) if retry else None
+            runs[dist_backend] = self._run(dist_backend, event, policy)
+        (sim, sim_retries, _), (mp_, mp_retries, _) = runs.values()
+        _assert_same_run(sim, mp_)
+        assert sim_retries == mp_retries
+        if kind == RANK_FAILURE:
+            assert (sim.skipped_steps, sim_retries) == ((0, 1) if retry else (1, 0))
+        elif kind == CORRUPT_PAYLOAD:
+            # The NaN reaches the reduced bucket; the norm skips the step.
+            assert (sim.skipped_steps, sim_retries) == (1, 0)
+        else:
+            assert (sim.skipped_steps, sim_retries) == (0, 0)
+            for _, _, sync in runs.values():
+                assert sync[FAULT_STEP].end - sync[FAULT_STEP].start >= DELAY_S
+
+    @pytest.mark.parametrize("dist_backend", ["sim", "mp"])
+    @pytest.mark.parametrize("rank", [0, 2])
+    def test_rank_failure_names_a_peer(self, dist_backend, rank):
+        """Rank 0 of the trainer's group is the trainer itself: a rank
+        failure naming it — or a rank outside the world — is refused,
+        never redirected to another peer."""
+        event = FaultEvent(RANK_FAILURE, step=0, op="all_reduce", rank=rank)
+        t = _trainer(dist_backend, FaultInjector(FaultSchedule([event])))
+        try:
+            with pytest.raises(ValueError, match="peer ranks 1..1"):
+                t.train_step(0)
+        finally:
+            t.close_dist()
 
 
 @pytest.fixture

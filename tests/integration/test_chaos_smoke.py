@@ -21,7 +21,6 @@ from repro.resilience.faults import (
     FaultInjector,
     FaultSchedule,
     RetryPolicy,
-    inject_faults,
 )
 from repro.resilience.guardrails import GuardrailConfig
 from repro.training import Adam, Trainer, TrainerConfig
@@ -78,8 +77,7 @@ class TestChaosSmoke:
         policy = RetryPolicy(max_retries=3)
         injector = FaultInjector(schedule, policy=policy)
         chaos = _trainer(injector)
-        with inject_faults(injector):
-            chaos_hist = chaos.train()
+        chaos_hist = chaos.train()
         chaos_final = chaos_hist.records[-1].loss
 
         # Both faults fired and both recovery paths ran.
@@ -109,8 +107,7 @@ class TestChaosSmoke:
         )
         injector = FaultInjector(schedule, policy=RetryPolicy(max_retries=2))
         tr = _trainer(injector)
-        with inject_faults(injector):
-            hist = tr.train()
+        hist = tr.train()
         assert counters.get("guardrail_collective_fault") >= 1
         assert np.isfinite(hist.records[-1].loss)
         for p in tr.model.parameters():

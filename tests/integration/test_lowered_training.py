@@ -24,7 +24,6 @@ from repro.resilience.faults import (
     FaultEvent,
     FaultInjector,
     FaultSchedule,
-    inject_faults,
 )
 from repro.resilience.guardrails import GuardrailConfig
 
@@ -213,8 +212,7 @@ class TestLoweredResilience:
                 max_steps=6,
                 eval_every=3,
             )
-            with inject_faults(tr.fault_injector):
-                hist = tr.train()
+            hist = tr.train()
             assert tr.skipped_steps == 2
             assert tr.guard.rewinds >= 1
             return tr, hist

@@ -24,7 +24,6 @@ from repro.resilience.faults import (
     FaultEvent,
     FaultInjector,
     FaultSchedule,
-    inject_faults,
 )
 from repro.resilience.guardrails import GuardrailConfig
 from repro.training import Adam, Trainer, TrainerConfig
@@ -134,8 +133,7 @@ class TestSteadyStateEquivalence:
         injector = FaultInjector(schedule)
         guard = GuardrailConfig(max_consecutive_bad=2, snapshot_every=1)
         tr = _trainer(True, injector=injector, guardrails=guard)
-        with inject_faults(injector):
-            hist = tr.train()
+        hist = tr.train()
         assert tr.skipped_steps == 2
         assert tr.guard.rewinds >= 1
         assert np.isfinite(hist.records[-1].loss)

@@ -1,13 +1,10 @@
-"""Fault-injection harness: schedules, retry policy, collective hooks."""
+"""Fault-injection harness: schedules, retry policy, and collective
+faults delivered into the process group that runs the collective."""
 
 import numpy as np
 import pytest
 
-from repro.distributed.collectives import (
-    all_reduce,
-    all_to_all,
-    get_fault_hook,
-)
+from repro.distributed import WorkerFailure, run_distributed
 from repro.observability import registry
 from repro.resilience import counters
 from repro.resilience.faults import (
@@ -23,7 +20,6 @@ from repro.resilience.faults import (
     FaultSchedule,
     RetryExhaustedError,
     RetryPolicy,
-    inject_faults,
 )
 
 
@@ -59,17 +55,6 @@ class TestFaultSchedule:
     def test_wildcard_step_matches_any(self):
         sched = FaultSchedule([FaultEvent(NAN_GRAD)])
         assert sched.match({NAN_GRAD}, step=17) is not None
-
-    def test_random_schedule_is_deterministic(self):
-        a = FaultSchedule.random(7, 50, nan_grad_rate=0.2, rank_failure_rate=0.1)
-        b = FaultSchedule.random(7, 50, nan_grad_rate=0.2, rank_failure_rate=0.1)
-        assert [(e.kind, e.step, e.op) for e in a.events] == [
-            (e.kind, e.step, e.op) for e in b.events
-        ]
-        c = FaultSchedule.random(8, 50, nan_grad_rate=0.2, rank_failure_rate=0.1)
-        assert [(e.kind, e.step) for e in a.events] != [
-            (e.kind, e.step) for e in c.events
-        ]
 
 
 class TestRetryPolicy:
@@ -182,73 +167,110 @@ class TestRetryPolicy:
             policy.run(dead)
 
 
+def _sim(fn, faults, world=2):
+    return run_distributed(fn, world, backend="sim", faults=faults)
+
+
 class TestCollectiveInjection:
     def test_rank_failure_raises_without_policy(self):
-        injector = FaultInjector(
-            FaultSchedule([FaultEvent(RANK_FAILURE, op="all_reduce")])
-        )
-        shards = [np.ones(4), np.ones(4)]
-        with inject_faults(injector):
-            with pytest.raises(CollectiveFault):
-                all_reduce(shards)
-        # Hook uninstalled on exit; collective works again.
-        assert get_fault_hook() is None
-        out = all_reduce(shards)
-        np.testing.assert_array_equal(out[0], 2 * np.ones(4))
+        def fn(group):
+            return group.all_reduce(np.ones(4))
+
+        with pytest.raises(WorkerFailure, match="CollectiveFault"):
+            _sim(fn, [FaultEvent(RANK_FAILURE, op="all_reduce")])
+        assert counters.get("injected_rank_failure") == 1
+        # The schedule belonged to that run; the next one is clean.
+        for out in _sim(fn, None).values:
+            np.testing.assert_array_equal(out, 2 * np.ones(4))
 
     def test_transient_failure_recovered_by_policy(self):
-        policy = RetryPolicy(max_retries=3)
-        injector = FaultInjector(
-            FaultSchedule([FaultEvent(RANK_FAILURE, op="all_reduce", count=2)]),
-            policy=policy,
-        )
-        shards = [np.full(4, 1.5), np.full(4, 2.5)]
-        with inject_faults(injector):
-            out = all_reduce(shards)
-        np.testing.assert_array_equal(out[0], np.full(4, 4.0))
-        assert policy.retries == 2
-        assert counters.get("collective_retries") == 2
+        """A rank retries the way the expert-parallel body does: every
+        rank agrees through a tiny integer all_reduce that a payload
+        came back bad, and all re-issue."""
+
+        def fn(group):
+            policy = RetryPolicy(max_retries=3)
+
+            def attempt(k):
+                total = group.all_reduce(np.full(4, 1.5 + group.rank))
+                if group.all_reduce(np.array([int(np.isnan(total).any())]))[0]:
+                    raise CollectiveFault("all_reduce", None, k)
+                return total
+
+            return policy.run(attempt), policy.retries
+
+        res = _sim(fn, [FaultEvent(CORRUPT_PAYLOAD, op="all_reduce", count=2)])
+        for total, retries in res.values:
+            np.testing.assert_array_equal(total, np.full(4, 4.0))
+            assert retries == 2
+        assert counters.get("collective_retries") == 4  # two per rank
+        assert counters.get("injected_corrupt_payload") == 2
 
     def test_corrupt_payload_plants_nan_in_copy(self):
-        injector = FaultInjector(
-            FaultSchedule([FaultEvent(CORRUPT_PAYLOAD, op="all_to_all")])
+        def fn(group):
+            send = [np.ones((2, 3)) for _ in range(group.world)]
+            received = group.all_to_all(send)
+            return received, all(np.isfinite(a).all() for a in send)
+
+        res = _sim(fn, [FaultEvent(CORRUPT_PAYLOAD, op="all_to_all")])
+        flat = np.concatenate(
+            [a.reshape(-1) for received, _ in res.values for a in received]
         )
-        buffers = [
-            [np.ones((2, 3)), np.ones((2, 3))],
-            [np.ones((2, 3)), np.ones((2, 3))],
-        ]
-        with inject_faults(injector):
-            received = all_to_all(buffers)
-        flat = np.concatenate([a.reshape(-1) for row in received for a in row])
         assert np.isnan(flat).sum() == 1
         # Caller buffers were never mutated.
-        for row in buffers:
-            for arr in row:
-                assert np.isfinite(arr).all()
+        assert all(untouched for _, untouched in res.values)
 
     def test_corrupt_payload_with_no_float_stays_armed(self):
         """An exchange of integer ids has nothing to plant a NaN in: the
         event must wait for a payload that does, not be spent."""
-        injector = FaultInjector(
-            FaultSchedule([FaultEvent(CORRUPT_PAYLOAD, op="all_to_all")])
-        )
-        with inject_faults(injector):
-            ids = all_to_all([[np.arange(3)] * 2] * 2)
-            assert injector.schedule.pending == 1
-            tokens = all_to_all([[np.ones(3)] * 2] * 2)
-        assert injector.schedule.pending == 0
-        assert all((a == np.arange(3)).all() for row in ids for a in row)
-        assert np.isnan(np.concatenate([a for row in tokens for a in row])).sum() == 1
+        event = FaultEvent(CORRUPT_PAYLOAD, op="all_to_all")
+
+        def fn(group):
+            ids = group.all_to_all([np.arange(3)] * 2)
+            armed = event.fired == 0
+            group.barrier()  # every rank has read `armed`
+            return ids, armed, group.all_to_all([np.ones(3)] * 2)
+
+        res = _sim(fn, [event])
+        assert event.fired == 1
+        assert all(armed for _, armed, _ in res.values)
+        assert all((a == np.arange(3)).all() for ids, _, _ in res.values for a in ids)
+        tokens = np.concatenate([a for _, _, t in res.values for a in t])
+        assert np.isnan(tokens).sum() == 1
         assert counters.get("injected_corrupt_payload") == 1
 
     def test_delay_accrues_simulated_latency(self):
-        injector = FaultInjector(
-            FaultSchedule([FaultEvent(DELAY, op="all_reduce", delay_s=0.25)])
-        )
-        with inject_faults(injector):
-            out = all_reduce([np.ones(2), np.ones(2)])
-        np.testing.assert_array_equal(out[0], 2 * np.ones(2))
-        assert injector.simulated_delay_s == pytest.approx(0.25)
+        """A delayed rank-thread really sleeps; its peer waits for it."""
+
+        def fn(group):
+            return group.all_reduce(np.ones(2))
+
+        res = _sim(fn, [FaultEvent(DELAY, op="all_reduce", rank=1, delay_s=0.25)])
+        for out in res.values:
+            np.testing.assert_array_equal(out, 2 * np.ones(2))
+        assert res.wait_s_per_rank[0] >= 0.2
+        assert counters.get("injected_delay") == 1
+
+    def test_peer_of_a_dead_rank_names_the_collective_and_step(self):
+        """Every rank's failure names the collective and step it died
+        in — the rank that failed and the peer whose barrier broke."""
+
+        def fn(group):
+            return group.all_reduce(np.ones(2))
+
+        with pytest.raises(WorkerFailure) as ei:
+            run_distributed(
+                fn,
+                2,
+                backend="sim",
+                faults=[FaultEvent(RANK_FAILURE, op="all_reduce", step=3)],
+                step=3,
+            )
+        assert ei.value.failed_ranks == [0, 1]
+        per_rank = str(ei.value).split(": ", 1)[1].split("; ")
+        assert len(per_rank) == 2
+        for detail in per_rank:
+            assert "fault in collective 'all_reduce' (step=3" in detail
 
 
 class TestGradientInjection:
@@ -272,7 +294,6 @@ class TestGradientInjection:
 class TestExpertParallelRecovery:
     def _setup(self):
         from repro.core import dMoE
-        from repro.distributed.expert_parallel import ExpertParallelDMoE
         from repro.distributed.mesh import DeviceMesh
 
         layer = dMoE(16, 32, num_experts=4, block_size=8, rng=0)
@@ -283,6 +304,10 @@ class TestExpertParallelRecovery:
         ]
         return layer, mesh, x
 
+    @staticmethod
+    def _forward(ep, x, faults):
+        return _sim(lambda g: ep.forward_rank(g, x[g.rank]), faults).values
+
     def test_corrupted_exchange_is_retried_to_clean_result(self):
         from repro.distributed.expert_parallel import ExpertParallelDMoE
 
@@ -291,13 +316,11 @@ class TestExpertParallelRecovery:
 
         policy = RetryPolicy(max_retries=3)
         ep = ExpertParallelDMoE(layer, mesh, retry_policy=policy)
-        injector = FaultInjector(
-            FaultSchedule([FaultEvent(CORRUPT_PAYLOAD, op="all_to_all")])
+        recovered = self._forward(
+            ep, x, [FaultEvent(CORRUPT_PAYLOAD, op="all_to_all")]
         )
-        with inject_faults(injector):
-            recovered = ep.forward(x)
-        for a, b in zip(clean.outputs_per_rank, recovered.outputs_per_rank):
-            np.testing.assert_array_equal(a, b)
+        for a, b in zip(clean.outputs_per_rank, recovered):
+            np.testing.assert_array_equal(a, b.output)
         assert counters.get("ep_corrupt_payload_detected") >= 1
         assert policy.retries >= 1
 
@@ -307,29 +330,20 @@ class TestExpertParallelRecovery:
         from repro.distributed.expert_parallel import ExpertParallelDMoE
 
         layer, mesh, x = self._setup()
-        clean = ExpertParallelDMoE(
-            layer, mesh, retry_policy=RetryPolicy(max_retries=3)
-        ).forward(x)
+        clean = self._forward(
+            ExpertParallelDMoE(layer, mesh, retry_policy=RetryPolicy(max_retries=3)),
+            x,
+            None,
+        )
 
         policy = RetryPolicy(max_retries=3)
         ep = ExpertParallelDMoE(layer, mesh, retry_policy=policy)
-        injector = FaultInjector(
-            FaultSchedule(
-                [FaultEvent(CORRUPT_PAYLOAD, op="all_to_all", count=2)]
-            )
+        faulty = self._forward(
+            ep, x, [FaultEvent(CORRUPT_PAYLOAD, op="all_to_all", count=2)]
         )
-        with inject_faults(injector):
-            faulty = ep.forward(x)
         assert policy.retries >= 1  # retries actually happened
-
-        clean_log, faulty_log = clean.comm_log, faulty.comm_log
-        assert faulty_log.counts() == clean_log.counts()
-        assert faulty_log.total_bytes_per_rank(
-            "all_to_all"
-        ) == clean_log.total_bytes_per_rank("all_to_all")
-        assert [r.bytes_by_rank for r in faulty_log.records] == [
-            r.bytes_by_rank for r in clean_log.records
-        ]
+        for c, f in zip(clean, faulty):
+            assert f.comm_log.records == c.comm_log.records
 
     def test_unvalidated_path_lets_corruption_through(self):
         """Without a retry policy the legacy fast path is unchanged —
@@ -338,12 +352,8 @@ class TestExpertParallelRecovery:
 
         layer, mesh, x = self._setup()
         ep = ExpertParallelDMoE(layer, mesh)
-        injector = FaultInjector(
-            FaultSchedule([FaultEvent(CORRUPT_PAYLOAD, op="all_to_all")])
+        result = self._forward(
+            ep, x, [FaultEvent(CORRUPT_PAYLOAD, op="all_to_all")]
         )
-        with inject_faults(injector):
-            result = ep.forward(x)
-        flat = np.concatenate(
-            [o.reshape(-1) for o in result.outputs_per_rank]
-        )
+        flat = np.concatenate([r.output.reshape(-1) for r in result])
         assert not np.isfinite(flat).all()
