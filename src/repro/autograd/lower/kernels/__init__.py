@@ -5,11 +5,13 @@ One module per family; each exports ``KERNELS``, a tuple of
 concatenates them in a fixed order — the order their C appears in the
 prelude, so an entry's source may call what an earlier entry defines
 (``getitem`` after ``scatter``, the grouped GEMMs after ``mm``'s BLAS
-bridge) and the rendered unit, hence its cache key, is deterministic.
+bridge, serving's entries after the GEMM that opens their family) and
+the rendered unit, hence its cache key, is deterministic.
 
 ``PRELUDE`` is that unit: the shared helpers, then every entry's source
-in table order.  It is the only C the lowering compiles, once per
-process (:func:`repro.autograd.lower.runtime.load_prelude`).
+in table order.  It is the only C this package compiles — training's
+kernels and serving's alike — once per process
+(:func:`repro.autograd.lower.runtime.load_prelude`).
 
 Adding a kernel is adding an entry to one family module (or a module to
 the tuple below): the segmenter, the runtime, the prelude, ``bind``,
@@ -24,7 +26,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.autograd.lower.kernels import (
     attention, elementwise, gelu, gemm, grouped, layernorm, optim, router,
-    rows, views,
+    rows, serve, views,
 )
 from repro.autograd.lower.kernels.base import HEADER, SHARED, Kernel
 
@@ -37,7 +39,7 @@ TABLE: Tuple[Kernel, ...] = sum(
         m.KERNELS
         for m in (
             rows, layernorm, gelu, attention, gemm, grouped, router, views,
-            elementwise, optim,
+            elementwise, optim, serve,
         )
     ),
     (),

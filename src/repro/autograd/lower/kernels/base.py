@@ -4,10 +4,12 @@ A :class:`Kernel` entry states, side by side, everything the lowering
 knows about one native unit: the op it replaces, its C source and the
 ctypes signatures of the symbols that source exports, the operand
 :class:`Contract`, the builders of its forward runner and backward
-closure, and a fuzz domain.  The segmenter, the runtime, the prelude,
-``bind``, ``lower report`` and the conformance test all read
-the table of entries (:mod:`repro.autograd.lower.kernels`); none of
-them knows a kernel by name.
+closure, and a fuzz domain — and, for a direct entry (run by host
+callers outside any graph), its check draws and declared row
+stability.  The segmenter, the runtime, the prelude, ``bind``,
+``lower report`` and the conformance test all read the table of
+entries (:mod:`repro.autograd.lower.kernels`); none of them knows a
+kernel by name.
 
 A contract is an ordered tuple of clauses over an operand tuple.  The
 same clause is evaluated against the capture-time layout descriptors
@@ -363,12 +365,33 @@ class Build:
 _PROTOTYPE = re.compile(r"^(void|double|i64) (repro_\w+)\(([^)]*)\)", re.M)
 
 
-_SCALARS = {"i64": ctypes.c_longlong, "double": ctypes.c_double, "void": None}
+_SCALARS = {
+    "i64": ctypes.c_longlong, "double": ctypes.c_double, "float": ctypes.c_float,
+    "void": None,
+}
 
 
-def _ctype(decl: str):
-    """ctypes type of a C parameter (or return) declaration."""
-    return ctypes.c_void_p if "*" in decl else _SCALARS[decl.split()[0]]
+def _ctype(symbol: str, decl: str):
+    """ctypes type of one parameter (or the return) of ``symbol``."""
+    if "*" in decl:
+        return ctypes.c_void_p
+    ctype = decl.split()[0]
+    if ctype not in _SCALARS:
+        raise TypeError(f"{symbol}: no ctypes type for the C type {ctype!r}")
+    return _SCALARS[ctype]
+
+
+_ADDRESSOF, _FROM_BUFFER = ctypes.addressof, ctypes.c_char.from_buffer
+
+
+def addr(a: np.ndarray) -> int:
+    """Data pointer of a C-contiguous, non-empty array.  The buffer
+    export costs a third of ``a.ctypes.data``, which is most of a
+    hidden-64 GEMM; only a read-only array needs the slow spelling."""
+    try:
+        return _ADDRESSOF(_FROM_BUFFER(a))
+    except TypeError:
+        return a.ctypes.data
 
 
 @dataclasses.dataclass(eq=False)
@@ -402,12 +425,23 @@ class Kernel:
     bwd_name: Optional[str] = None
     #: ``fuzz(rng)`` draws conforming ``forward`` arguments.
     fuzz: Optional[Callable] = None
+    #: A direct entry — one host callers run on plain arrays, outside any
+    #: graph (:func:`repro.autograd.lower.runtime.direct`) — declares
+    #: ``checks(rng)``: the fixed draws its runner must match its
+    #: reference on, bit for bit, before it serves a call.  They open its
+    #: fuzz domain in the conformance test.
+    checks: Optional[Callable] = None
+    #: Row stability, declared: ``rows(args, pick)`` is the same call over
+    #: the rows ``pick`` alone, each reading what it read in ``args``; row
+    #: ``i`` of its output must be bit-equal to row ``pick[i]`` of the
+    #: full call's, whatever else shares the call.
+    rows: Optional[Callable] = None
 
     def __post_init__(self):
         self.bwd_contract = self.bwd_contract or self.contract
         self.bwd_name = self.bwd_name or self.name
         self.symbols = {
-            name: ([_ctype(p) for p in params.split(",")], _ctype(ret))
+            name: ([_ctype(name, p) for p in params.split(",")], _ctype(name, ret))
             for ret, name, params in _PROTOTYPE.findall(self.source)
         }
 

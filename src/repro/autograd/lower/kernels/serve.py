@@ -1,0 +1,751 @@
+"""Row-stable serving products: the GEMMs and attention rows.
+
+Four direct entries, run on plain arrays by :mod:`repro.serving.kernels`
+(through :func:`repro.autograd.lower.runtime.direct`) and compared with
+the NumPy references that module keeps: ``serve_gemm`` (fp32, bias
+epilogue), ``serve_grouped`` (every expert group of one product in one
+call), ``serve_grouped_i8`` (int8 weights converted in-register, scale
+and bias epilogue) and ``attn_rows`` (the scores/context pair around
+``np.exp``).  The contract every one of them honours — the accumulation
+order per output element, and why a row's result cannot depend on the
+rows beside it — is stated in :mod:`repro.serving.kernels`.
+
+Their C is one run of the prelude, last in table order, in the order of
+the entries below: the GEMM's source opens it (types, the per-ISA tile
+and stream kernels, the two GEMM loops), the attention pair's closes
+it.  ``#pragma GCC push_options`` / ``pop_options`` keep its
+``optimize("O1")`` to its own functions: everything hot here is explicit
+vector code, and the rest of the prelude keeps ``-O3``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.autograd.lower.kernels.base import (
+    F4, I64, Arr, Contract, Kernel, Live, Rel, addr, f32, ndarray,
+)
+
+
+# ----------------------------------------------------------------------
+# The C source: two rendered kernels per ISA inside a fixed template
+# ----------------------------------------------------------------------
+def _render_tile(vl: int, nv: int) -> str:
+    """C for the register tile of the many-row path: 4 rows x ``nv``
+    vectors of accumulators, every one a named variable (nothing left for
+    the optimizer to unroll or scalar-replace).  ``first``/``last`` let
+    the caller walk ``K`` in chunks: partial sums are reloaded from ``o``
+    and the epilogue runs once, after the final ``k`` — the chain per
+    element is unchanged."""
+    rows, vecs = range(4), range(nv)
+    accs = [(r, v) for r in rows for v in vecs]
+    lines = [
+        "static inline __attribute__((always_inline)) void tile(",
+        "    const float *x, i64 ldx, i64 m, i64 kc, const float *w,",
+        "    float *o, i64 ldo, int first, int last,",
+        "    const float *scale, const float *bias)",
+        "{",
+        "    /* m <= 4 live rows; the rest repeat row m-1 and are not stored */",
+        "    const i64 r1 = m > 1, r2 = m > 2 ? 2 : m - 1, r3 = m - 1;",
+        "    const float *x0 = x, *x1 = x + r1 * ldx, *x2 = x + r2 * ldx,"
+        " *x3 = x + r3 * ldx;",
+        "    float *o0 = o, *o1 = o + r1 * ldo, *o2 = o + r2 * ldo,"
+        " *o3 = o + r3 * ldo;",
+        "    vf " + ", ".join(f"a{r}{v}" for r, v in accs) + ";",
+        "    if (first) {",
+        "        " + " ".join(f"a{r}{v} = (vf){{0.0f}};" for r, v in accs),
+        "    } else {",
+        "        " + " ".join(f"a{r}{v} = *(const vf *)(o{r} + {v} * VL);" for r, v in accs),
+        "    }",
+        "    for (i64 k = 0; k < kc; k++, w += NV * VL) {",
+        "        const float " + ", ".join(f"s{r} = x{r}[k]" for r in rows) + ";",
+    ]
+    for v in vecs:
+        lines.append(f"        const vf w{v} = *(const vf *)(w + {v} * VL);")
+        lines.append("        " + " ".join(f"a{r}{v} = a{r}{v} + s{r} * w{v};" for r in rows))
+    lines.append("    }")
+    for operand, op in (("scale", "*"), ("bias", "+")):
+        lines.append(f"    if (last && {operand}) {{")
+        for v in vecs:
+            lines.append(f"        const vf e{v} = *(const vf *)({operand} + {v} * VL);")
+            lines.append("        " + " ".join(f"a{r}{v} = a{r}{v} {op} e{v};" for r in rows))
+        lines.append("    }")
+    for r in rows:
+        stores = " ".join(f"*(vf *)(o{r} + {v} * VL) = a{r}{v};" for v in vecs)
+        lines.append(f"    if (m > {r}) {{ {stores} }}")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def _render_stream(wtype: str, m: int, vl: int) -> str:
+    """C for the few-row path: ``m`` rows of accumulators held in memory
+    (``o``, row stride ``ACC_LD``) while ``w`` streams past once, row by
+    row — for every ``k``, every column gets its one multiply and add.
+    Columns go ``vl`` lanes at a time, then (fp32) by halved vectors,
+    then one by one, so any width is covered."""
+    rows = range(m)
+    lines = [
+        f"static void stream{m}_{wtype}(const float *const *x, i64 K,",
+        f"    const {wtype} *w, i64 ldw, float *o, i64 n)",
+        "{",
+        "    const float " + ", ".join(f"*x{r} = x[{r}]" for r in rows) + ";",
+        "    float " + ", ".join(f"*o{r} = o + {r} * ACC_LD" for r in rows) + ";",
+        "    for (i64 k = 0; k < K; k++, w += ldw) {",
+        "        const float " + ", ".join(f"s{r} = x{r}[k]" for r in rows) + ";",
+        "        i64 j = 0;",
+    ]
+    lanes = vl
+    while lanes >= (4 if wtype == "float" else vl):
+        if lanes == vl:
+            lines.append(f"        for (; j + {vl} <= n; j += {vl}) {{")
+            lines.append(f"            const vf wv = LOAD_{wtype}(w + j);")
+        else:
+            lines.append(f"        if (j + {lanes} <= n) {{")
+            lines.append(f"            const f32x{lanes} wv = *(const f32x{lanes} *)(w + j);")
+        for r in rows:
+            at = f"(f32x{lanes} *)(o{r} + j)"
+            lines.append(f"            *{at} = *{at} + s{r} * wv;")
+        if lanes != vl:
+            lines.append(f"            j += {lanes};")
+        lines.append("        }")
+        lanes //= 2
+    lines.append("        for (; j < n; j++) {")
+    lines.append("            const float wj = (float)w[j];")
+    for r in rows:
+        lines.append(f"            o{r}[j] = o{r}[j] + s{r} * wj;")
+    lines += ["        }", "    }", "}"]
+    return "\n".join(lines)
+
+
+# int8 -> int32 -> fp32, both exact.  GCC (through 12 at least) turns the
+# generic vector conversion into one scalar sign-extension per lane, so it
+# is handed the instruction by name; anything else gets the generic form.
+_WIDEN = {
+    16: "(i32x16)__builtin_ia32_pmovsxbd512_mask("
+        "(qi16)*(const i8x16 *)(p), (i32x16){0}, (unsigned short)-1)",
+    8: "({ qi16 q_ = {0}; __builtin_memcpy(&q_, (p), 8);"
+       " (i32x8)__builtin_ia32_pmovsxbd256(q_); })",
+}
+
+
+# Lanes [0, n) of one vector, any n (<= 0: none): loads read nothing
+# past them (and zero-fill), stores write nothing past them.
+_MASKED = {
+    16: "\n".join((
+        "typedef unsigned short vmask;",
+        "#define MASK(n) ((vmask)((n) >= VL ? 0xFFFF : (n) <= 0 ? 0 : (1u << (n)) - 1))",
+        "#define LOADM(p, m) ((vf)__builtin_ia32_loadups512_mask((p), (v16sf){0}, (m)))",
+        "#define STOREM(p, v, m) __builtin_ia32_storeups512_mask((p), (v16sf)(v), (m))",
+    )),
+    8: "\n".join((
+        "typedef v8si vmask;",
+        "#define MASK(n) ((vmask)((v8si){0, 1, 2, 3, 4, 5, 6, 7} < (int)MIN(MAX(n, 0), VL)))",
+        "#define LOADM(p, m) ((vf)__builtin_ia32_maskloadps256((const v8sf *)(p), (m)))",
+        "#define STOREM(p, v, m) __builtin_ia32_maskstoreps256((v8sf *)(p), (m), (v8sf)(v))",
+    )),
+}
+
+
+def _render_isa(vl: int, nv: int) -> str:
+    parts = [
+        f"#define VL {vl}  /* lanes of the working vector */",
+        f"#define NV {nv}   /* vectors across a register tile */",
+        f"typedef f32x{vl} vf;",
+        f"typedef i32x{vl} vi;",
+        "#if defined(__GNUC__) && !defined(__clang__)",
+        f"#define WIDEN(p) {_WIDEN[vl]}",
+        "#else",
+        f"#define WIDEN(p) __builtin_convertvector(*(const i8x{vl} *)(p), i32x{vl})",
+        "#endif",
+        "#define LOAD_float(p) (*(const vf *)(p))",
+        "#define LOAD_i8(p) __builtin_convertvector(WIDEN(p), vf)",
+        _MASKED[vl],
+        _render_tile(vl, nv),
+    ]
+    parts += [_render_stream(wt, m, vl) for wt in ("float", "i8") for m in (1, 4)]
+    return "\n".join(parts)
+
+
+_GEMM_TEMPLATE = r"""
+/* Row-stable serving GEMMs.  Per output element, exactly:
+     acc = +0.0f;  for k ascending: acc = acc + x[i,k] * w[k,j];
+   then (optionally) acc * scale[j], then (optionally) acc + bias[j].
+   Built with -ffp-contract=off: no multiply-add is ever fused.  Vector
+   lanes and register tiles run over i and j only; everything hot is
+   explicit vector code, so -O1 is enough and keeps the compile short. */
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC push_options
+#pragma GCC optimize("O1")
+#endif
+typedef long long i64;
+typedef signed char i8;
+#define VEC(T, NAME, BYTES, ALIGN) \
+    typedef T NAME __attribute__((vector_size(BYTES), aligned(ALIGN), may_alias))
+VEC(float, f32x16, 64, 4); VEC(float, f32x8, 32, 4); VEC(float, f32x4, 16, 4);
+VEC(i8, i8x16, 16, 1);     VEC(i8, i8x8, 8, 1);
+VEC(int, i32x16, 64, 4);   VEC(int, i32x8, 32, 4);
+typedef char qi16 __attribute__((vector_size(16)));
+typedef float v16sf __attribute__((vector_size(64)));  /* the builtins' own */
+typedef float v8sf __attribute__((vector_size(32)));
+typedef int v8si __attribute__((vector_size(32)));
+#define MIN(a, b) ((a) < (b) ? (a) : (b))
+#define MAX(a, b) ((a) > (b) ? (a) : (b))
+#define NOINLINE static __attribute__((noinline))
+
+#define STRIP (VL * NV)    /* columns of a register tile */
+#define PANEL (32 * 1024)  /* floats in the packed panel: 128 KB of stack */
+#define NB (32 * STRIP)    /* columns per panel (>= 16 k-rows fit) and per
+                              streamed block (4 rows of them stay in L1) */
+#define ACC_LD (NB + VL)   /* row stride of the streamed accumulators: never
+                              4 KB apart, or loads of one row would falsely
+                              alias stores of another */
+#define PANEL_M 8          /* rows from which whole strips go through tiles */
+
+#ifdef __AVX512F__  /* tile: 4 rows x 4 x 16 lanes, 16 of 32 zmm accumulate */
+@ISA_512@
+#else               /* tile: 4 rows x 2 x 8 lanes, 8 of 16 ymm accumulate */
+@ISA_256@
+#endif
+
+/* All M rows of one strip over kc k-rows of a packed (STRIP-wide) panel. */
+NOINLINE void strip_rows(
+    const float *x, i64 ldx, i64 M, i64 kc, const float *w,
+    float *o, i64 ldo, int first, int last, const float *s, const float *b)
+{
+    for (i64 i = 0; i < M; i += 4)
+        tile(x + i * ldx, ldx, MIN(4, M - i), kc, w,
+             o + i * ldo, ldo, first, last, s, b);
+}
+
+/* acc row -> out row: * scale, + bias (each optional, each rounded). */
+NOINLINE void finish_row(const float *a, float *o, i64 n,
+                         const float *scale, const float *bias)
+{
+    i64 j = 0;
+    for (; j + VL <= n; j += VL) {
+        vf v = *(const vf *)(a + j);
+        if (scale) v = v * *(const vf *)(scale + j);
+        if (bias) v = v + *(const vf *)(bias + j);
+        *(vf *)(o + j) = v;
+    }
+    for (; j < n; j++) {
+        float v = a[j];
+        if (scale) v = v * scale[j];
+        if (bias) v = v + bias[j];
+        o[j] = v;
+    }
+}
+
+/* Two ways through x @ w, one accumulation order.
+
+   Few rows (and the columns right of the last whole strip, for any row
+   count): rows go four at a time through stream<m>, accumulating in acc
+   while w streams past once, sequentially -- at one to four rows the
+   product is bound by reading w, and reading it in memory order is what
+   a matrix that has fallen out of cache needs.
+
+   Many rows: w is still read row by row, a panel of kc rows at a time,
+   laid out strip by strip (int8 converts here, exactly, in registers:
+   this panel is the only fp32 form the weights ever take); each strip
+   then runs its register tiles off the panel.  Partial sums wait in the
+   output between panels, which changes no bit. */
+#define GEMM(NAME, WT)                                                      \
+NOINLINE void NAME(const float *x, const WT *w, const float *scale,         \
+                   const float *bias, float *out, i64 M, i64 K, i64 N)      \
+{                                                                           \
+    float panel[PANEL] __attribute__((aligned(64)));                        \
+    float acc[4 * ACC_LD] __attribute__((aligned(64)));                     \
+    const i64 tiled = M >= PANEL_M ? N - N % STRIP : 0;                     \
+    for (i64 jb = 0; jb < tiled; jb += NB) {                                \
+        const i64 ns = MIN(NB, tiled - jb) / STRIP;                         \
+        const i64 kcmax = PANEL / (ns * STRIP);                             \
+        for (i64 k0 = 0; k0 < K; k0 += kcmax) {                             \
+            const i64 kc = MIN(kcmax, K - k0);                              \
+            for (i64 k = 0; k < kc; k++)                                    \
+                for (i64 s = 0; s < ns; s++)                                \
+                    for (int v = 0; v < NV; v++)                            \
+                        *(vf *)(panel + (s * kc + k) * STRIP + v * VL) =    \
+                            LOAD_##WT(w + (k0 + k) * N + jb                 \
+                                          + s * STRIP + v * VL);            \
+            for (i64 s = 0; s < ns; s++) {                                  \
+                const i64 j = jb + s * STRIP;                               \
+                strip_rows(x + k0, K, M, kc, panel + s * kc * STRIP,        \
+                           out + j, N, k0 == 0, k0 + kc == K,               \
+                           scale ? scale + j : 0, bias ? bias + j : 0);     \
+            }                                                               \
+        }                                                                   \
+    }                                                                       \
+    for (i64 jb = tiled; jb < N; jb += NB) {                                \
+        const i64 n = MIN(NB, N - jb);                                      \
+        for (i64 i = 0; i < M; i += 4) {                                    \
+            /* two and three rows ride the four-row kernel: the spare       \
+               rows repeat the last one and are never copied out */         \
+            const i64 m = MIN(4, M - i), live = m == 1 ? 1 : 4;             \
+            const float *xs[4];                                             \
+            for (i64 r = 0; r < live; r++) {                                \
+                xs[r] = x + (i + MIN(r, m - 1)) * K;                        \
+                for (i64 j = 0; j < n; j += VL) /* rows have VL of slack */ \
+                    *(vf *)(acc + r * ACC_LD + j) = (vf){0.0f};             \
+            }                                                               \
+            if (m == 1)                                                     \
+                stream1_##WT(xs, K, w + jb, N, acc, n);                     \
+            else                                                            \
+                stream4_##WT(xs, K, w + jb, N, acc, n);                     \
+            for (i64 r = 0; r < m; r++)                                     \
+                finish_row(acc + r * ACC_LD, out + (i + r) * N + jb, n,     \
+                           scale ? scale + jb : 0, bias ? bias + jb : 0);   \
+        }                                                                   \
+    }                                                                       \
+}
+
+GEMM(gemm_float, float)
+GEMM(gemm_i8, i8)
+
+/* y = x @ w (+ bias): stable_linear / stable_matmul. */
+void repro_serve_gemm(const float *x, const float *w, const float *bias,
+                      float *out, i64 M, i64 K, i64 N)
+{
+    gemm_float(x, w, 0, bias, out, M, K, N);
+}
+"""
+
+_GEMM_C = _GEMM_TEMPLATE.replace("@ISA_512@", _render_isa(16, 4)).replace(
+    "@ISA_256@", _render_isa(8, 2)
+)
+
+_GROUPED_C = r"""
+/* Every expert group of one product in one call.  offs is the (G+1,)
+   row prefix sum over x's T rows; empty groups are skipped.  Returns the
+   rows computed, or -1 (nothing written) if a group leaves [0, T]. */
+#define GROUPED(NAME, WT)                                                   \
+i64 NAME(const float *x, const i64 *offs, const WT *w, const float *scale,  \
+         const float *bias, float *out, i64 T, i64 G, i64 K, i64 N)         \
+{                                                                           \
+    i64 rows = 0;                                                           \
+    for (i64 g = 0; g < G; g++)                                             \
+        if (offs[g] < offs[g + 1] && (offs[g] < 0 || offs[g + 1] > T))      \
+            return -1;                                                      \
+    for (i64 g = 0; g < G; g++) {                                           \
+        const i64 s = offs[g], m = offs[g + 1] - s;                         \
+        if (m <= 0) continue;                                               \
+        gemm_##WT(x + s * K, w + g * K * N, scale ? scale + g * N : 0,      \
+                  bias ? bias + g * N : 0, out + s * N, m, K, N);           \
+        rows += m;                                                          \
+    }                                                                       \
+    return rows;                                                            \
+}
+
+i64 repro_serve_grouped(const float *x, const i64 *offs, const float *w,
+                        const float *scale, const float *bias, float *out,
+                        i64 T, i64 G, i64 K, i64 N);
+GROUPED(repro_serve_grouped, float)
+"""
+
+_GROUPED_I8_C = r"""
+i64 repro_serve_grouped_i8(const float *x, const i64 *offs, const i8 *w,
+                           const float *scale, const float *bias, float *out,
+                           i64 T, i64 G, i64 K, i64 N);
+GROUPED(repro_serve_grouped_i8, i8)
+"""
+
+_ATTN_C = r"""
+/* Causal attention, one query row per (sequence, position).  Row r reads
+   slot idx[r]'s first lens[r] keys and nothing past them; per head, the
+   two calls around np.exp compute, in this order:
+     scores:  s_j = chain_k(q[k] * kt[k][j]) * scale   (the GEMM chain)
+              x_j = s_j - max_j s_j       packed (row, head, j) into x
+     context: den = chain_j(e_j),  p_j = e_j / den,
+              out[dd] = chain_j(p_j * v[j][dd])
+   where e = np.exp(x) and every chain starts at +0.0f.  Keys are stored
+   transposed (kt: head_dim x cap per slot and head), so both products
+   are a row times a matrix, lanes over its columns.  The heads of a row
+   share every length, so they go four at a time: independent chains
+   side by side hide the add latency a lone chain waits on.  Each entry
+   returns the floats of x walked, or -1 (nothing written) when a slot
+   index leaves [0, B) or a length leaves [1, cap]. */
+#define HG 4  /* heads side by side */
+
+/* o_g[c] = chain_k(x_g[k] * w_g[k * ldw + c]) for c < n and g < live, one
+   vector of columns at a time: four chains in flight, one per head.  Only
+   a last partial vector is masked (neither read nor written past n);
+   heads past live repeat the last one and are not stored. */
+#define CHAIN_HEADS(LOAD)                                                   \
+    for (i64 k = 0; k < K; k++, w0 += ldw, w1 += ldw, w2 += ldw, w3 += ldw) { \
+        a0 = a0 + x0[k] * LOAD(w0); a1 = a1 + x1[k] * LOAD(w1);             \
+        a2 = a2 + x2[k] * LOAD(w2); a3 = a3 + x3[k] * LOAD(w3);             \
+    }
+NOINLINE void chain_heads(const float *const *x, const float *const *w,
+                          float *const *o, i64 live, i64 K, i64 ldw, i64 n)
+{
+    const float *x0 = x[0], *x1 = x[1], *x2 = x[2], *x3 = x[3];
+    for (i64 c = 0; c < n; c += VL) {
+        const vmask m = MASK(n - c);
+        const float *w0 = w[0] + c, *w1 = w[1] + c, *w2 = w[2] + c, *w3 = w[3] + c;
+        vf a0 = {0.0f}, a1 = {0.0f}, a2 = {0.0f}, a3 = {0.0f};
+        if (n - c >= VL) {
+            CHAIN_HEADS(LOAD_float)
+        } else {
+#define LOAD_tail(p) LOADM(p, m)
+            CHAIN_HEADS(LOAD_tail)
+#undef LOAD_tail
+        }
+        STOREM(o[0] + c, a0, m);
+        if (live > 1) STOREM(o[1] + c, a1, m);
+        if (live > 2) STOREM(o[2] + c, a2, m);
+        if (live > 3) STOREM(o[3] + c, a3, m);
+    }
+}
+
+/* max_j s_j over n >= 1 floats, NaN if any is NaN (as np.max).  Which of
+   +0.0 / -0.0 wins is unspecified, and nothing downstream can tell:
+   s - (+0.0) == s - (-0.0) but for zeros, and exp(+-0.0) == 1. */
+static float max_nan(const float *s, i64 n)
+{
+    float m = s[0];
+    i64 j = 0;
+    if (n >= VL) {
+        vf mv = LOAD_float(s);
+        vi nan = mv != mv;
+        for (j = VL; j + VL <= n; j += VL) {
+            const vf sv = LOAD_float(s + j);
+            const vi gt = sv > mv;
+            mv = (vf)(((vi)sv & gt) | ((vi)mv & ~gt));
+            nan = nan | (sv != sv);
+        }
+        for (int l = 0; l < VL; l++)
+            if (nan[l]) return __builtin_nanf("");
+        m = mv[0];
+        for (int l = 1; l < VL; l++)
+            if (mv[l] > m) m = mv[l];
+    }
+    for (; j < n; j++)
+        if (s[j] > m || s[j] != s[j]) m = s[j];
+    return m;
+}
+
+/* s[j] = s[j] OP a for j < n, a vector at a time. */
+#define EACH(s, n, OP, a)                                 \
+    for (i64 j_ = 0; j_ < (n); j_ += VL) {                \
+        const vmask mk_ = MASK((n) - j_);                 \
+        STOREM((s) + j_, LOADM((s) + j_, mk_) OP (a), mk_); \
+    }
+
+static int attn_rows_ok(const i64 *idx, const i64 *lens, i64 R, i64 B, i64 cap)
+{
+    for (i64 r = 0; r < R; r++)
+        if (idx[r] < 0 || idx[r] >= B || lens[r] < 1 || lens[r] > cap)
+            return 0;
+    return 1;
+}
+
+i64 repro_attn_scores(const float *q, const float *kt, const i64 *idx,
+                      const i64 *lens, float *x, i64 R, i64 H, i64 D,
+                      i64 B, i64 cap, float scale)
+{
+    if (!attn_rows_ok(idx, lens, R, B, cap)) return -1;
+    float *s = x;
+    for (i64 r = 0; r < R; r++) {
+        const i64 n = lens[r];
+        for (i64 h0 = 0; h0 < H; h0 += HG) {
+            const i64 live = MIN(HG, H - h0);
+            const float *xs[HG], *ws[HG];
+            float *os[HG];
+            for (i64 g = 0; g < HG; g++) {
+                const i64 h = h0 + MIN(g, live - 1);
+                xs[g] = q + (r * H + h) * D;
+                ws[g] = kt + (idx[r] * H + h) * D * cap;
+                os[g] = s + g * n;
+            }
+            chain_heads(xs, ws, os, live, D, cap, n);
+            for (i64 g = 0; g < live; g++, s += n) {
+                EACH(s, n, *, scale)
+                const float m = max_nan(s, n);
+                EACH(s, n, -, m)
+            }
+        }
+    }
+    return s - x;
+}
+
+i64 repro_attn_context(float *e, const float *v, const i64 *idx,
+                       const i64 *lens, float *out, i64 R, i64 H, i64 D,
+                       i64 B, i64 cap)
+{
+    if (!attn_rows_ok(idx, lens, R, B, cap)) return -1;
+    float *p = e;
+    for (i64 r = 0; r < R; r++) {
+        const i64 n = lens[r];
+        for (i64 h0 = 0; h0 < H; h0 += HG) {
+            const i64 live = MIN(HG, H - h0);
+            const float *ws[HG];
+            float *ps[HG], *os[HG];
+            for (i64 g = 0; g < HG; g++) {
+                const i64 h = h0 + MIN(g, live - 1);
+                ps[g] = p + (h - h0) * n;
+                ws[g] = v + (idx[r] * H + h) * cap * D;
+                os[g] = out + (r * H + h) * D;
+            }
+            float d0 = 0.0f, d1 = 0.0f, d2 = 0.0f, d3 = 0.0f;
+            for (i64 j = 0; j < n; j++) {
+                d0 = d0 + ps[0][j]; d1 = d1 + ps[1][j];
+                d2 = d2 + ps[2][j]; d3 = d3 + ps[3][j];
+            }
+            const float den[HG] = {d0, d1, d2, d3};
+            for (i64 g = 0; g < live; g++)
+                EACH(ps[g], n, /, den[g])
+            chain_heads((const float *const *)ps, ws, os, live, n, D, D);
+            p += live * n;
+        }
+    }
+    return p - e;
+}
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC pop_options
+#endif
+"""
+
+
+# ----------------------------------------------------------------------
+# Runners: ``(out,)``, or ``None`` when the C finds an index out of range
+# (the reference then decides, and raises where it must)
+# ----------------------------------------------------------------------
+def _gemm_forward(b):
+    cfn = b.lib.repro_serve_gemm
+
+    def run(x, w, bias):
+        k, n = w.shape
+        out = np.empty(x.shape[:-1] + (n,), F4)
+        cfn(addr(x), addr(w), None if bias is None else addr(bias), addr(out),
+            x.size // k, k, n)
+        return (out,)
+
+    return run
+
+
+def _grouped_forward(symbol):
+    def build(b):
+        cfn = getattr(b.lib, symbol)
+
+        def run(x, offsets, w, bias, scale=None):
+            g, k, n = w.shape
+            t = x.shape[0]
+            out = np.empty((t, n), F4)
+            if cfn(
+                addr(x), addr(offsets), addr(w),
+                None if scale is None else addr(scale),
+                None if bias is None else addr(bias), addr(out), t, g, k, n,
+            ) < 0:
+                return None
+            return (out,)
+
+        return run
+
+    return build
+
+
+def _attention_forward(b):
+    scores, context = b.lib.repro_attn_scores, b.lib.repro_attn_context
+
+    def run(q, k, v, kv_index, lengths, scale):
+        rows, heads, d = q.shape
+        slots, cap = k.shape[0], k.shape[3]
+        total = int(lengths.sum())
+        if not rows <= total <= rows * cap:  # some length is out of range
+            return None
+        x = np.empty(heads * total, F4)
+        ix, ln = addr(kv_index), addr(lengths)
+        if scores(addr(q), addr(k), ix, ln, addr(x), rows, heads, d, slots, cap, scale) < 0:
+            return None
+        np.exp(x, out=x)
+        out = np.empty((rows, heads * d), F4)
+        context(addr(x), addr(v), ix, ln, addr(out), rows, heads, d, slots, cap)
+        return (out,)
+
+    return run
+
+
+# ----------------------------------------------------------------------
+# Contracts: what the C takes; anything else runs the reference
+# ----------------------------------------------------------------------
+# One clause per entry beyond the layouts, written out flat: each clause
+# is a call on every serving product, and a decode step makes dozens.
+_GEMM_CONTRACT = Contract(
+    Arr(0),
+    Arr(1, rank=2),
+    # N == 1 is einsum's own business: it then reduces over k with SIMD
+    # partial sums, a different order, kept as is.
+    Rel("x's width is w's height, N > 1, x not empty, bias absent or a "
+        "contiguous float32 (N,)",
+        lambda x, w, b: x.shape[-1] == w.shape[0] and w.shape[1] > 1 and x.size and (
+            b is None or type(b) is ndarray and b.dtype is F4
+            and b.shape == w.shape[1:] and b.flags.c_contiguous)),
+)
+
+
+def _grouped_contract(wdtype, *extra):
+    return Contract(
+        Arr(0, rank=2),
+        Arr(1, I64, rank=1),
+        Arr(2, wdtype, rank=3),
+        *extra,
+        Live("x's width is w's, N > 1, nothing empty, a contiguous float32 "
+             "bias (and scale) per group, G + 1 offsets from x's first row "
+             "to its last",
+             lambda x, o, w, b, s=None: x.shape[1] == w.shape[1] and w.shape[2] > 1
+             and x.size and w.size and o.shape[0] == w.shape[0] + 1 and (
+                 b is None or type(b) is ndarray and b.dtype is F4
+                 and b.shape == w.shape[::2] and b.flags.c_contiguous
+             ) and (s is None or s.shape == w.shape[::2])
+             and o[0] == 0 and o[-1] == x.shape[0]),
+    )
+
+
+_ATTN_CONTRACT = Contract(
+    Arr(0, rank=3),
+    Arr(1, rank=4),
+    Arr(2, rank=4),
+    Arr(3, I64, rank=1),
+    Arr(4, I64, rank=1),
+    Rel("k, v, kv_index and lengths fit q's rows and heads, q not empty",
+        lambda q, k, v, i, n, s: k.shape[1:3] == q.shape[1:] and v.shape[0] == k.shape[0]
+        and v.shape[1:] == (q.shape[1], k.shape[3], q.shape[2])
+        and i.shape == n.shape == q.shape[:1] and q.size),
+)
+
+
+# ----------------------------------------------------------------------
+# Check draws (the shapes that reach every path), fuzz domains, rows
+# ----------------------------------------------------------------------
+def _gemm_args(rng, m, k, n, lead=False):
+    x = f32(rng, m, k)
+    return x.reshape(m, 1, k) if lead else x, f32(rng, k, n), f32(rng, n)
+
+
+def _gemm_checks(rng):
+    """One streamed row; streamed rows with spares; register tiles off a
+    panel walked in two k-chunks, a short last tile, streamed edge
+    columns."""
+    return [_gemm_args(rng, m, k, n) for m, k, n in ((1, 7, 3), (3, 40, 128), (9, 300, 160))]
+
+
+def _gemm_fuzz(rng):
+    m, k, n = (int(rng.integers(lo, hi)) for lo, hi in ((1, 41), (1, 301), (2, 301)))
+    return _gemm_args(rng, m, k, n, lead=rng.random() < 0.3)
+
+
+def _gemm_rows(args, pick):
+    x, w, b = args
+    return x.reshape(-1, x.shape[-1])[pick], w, b
+
+
+def _grouped_args(rng, sizes, k, n, int8):
+    g, t = len(sizes), int(sum(sizes))
+    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+    x, b = f32(rng, t, k), f32(rng, g, n)
+    if not int8:
+        return x, offsets, f32(rng, g, k, n), b
+    q = rng.integers(-127, 128, size=(g, k, n)).astype(np.int8)
+    return x, offsets, q, b, (rng.random((g, n)) + 0.5).astype(np.float32)
+
+
+def _grouped_checks(int8):
+    """Both epilogues (and int8 conversion) over skipped groups, a
+    tiled group and streamed ones."""
+    return lambda rng: [_grouped_args(rng, [0, 9, 1, 1], 24, 70, int8)]
+
+
+def _grouped_fuzz(int8):
+    def fuzz(rng):
+        sizes = rng.integers(0, 13, size=int(rng.integers(1, 9)))
+        sizes[int(rng.integers(len(sizes)))] += 1
+        k, n = int(rng.integers(1, 97)), int(rng.integers(2, 201))
+        return _grouped_args(rng, sizes, k, n, int8)
+
+    return fuzz
+
+
+def _grouped_rows(args, pick):
+    """Each picked row keeps its group: a run of rows from one group is
+    one group of the new call."""
+    x, offsets, w, *per_group = args
+    pick = np.asarray(pick)
+    group = np.searchsorted(offsets, pick, side="right") - 1
+    first = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
+    runs = group[first]
+    return (
+        x[pick], np.append(first, len(pick)).astype(np.int64), w[runs],
+        *(None if a is None else a[runs] for a in per_group),
+    )
+
+
+def _attention_args(rng, heads, d, cap, kv_index, lengths, slots, scale=0.37):
+    """Keys and values past the longest row reading a slot are NaN: the
+    kernels must never read them."""
+    q, k, v = f32(rng, len(lengths), heads, d), f32(rng, slots, heads, d, cap), f32(
+        rng, slots, heads, cap, d
+    )
+    kv_index, lengths = np.array(kv_index, np.int64), np.array(lengths, np.int64)
+    for slot in range(slots):
+        longest = lengths[kv_index == slot].max(initial=0)
+        k[slot, ..., longest:] = np.nan
+        v[slot, :, longest:] = np.nan
+    return q, k, v, kv_index, lengths, scale
+
+
+def _attention_checks(rng):
+    """Rows of length 1 up to the cache's capacity, out of slot order."""
+    return [_attention_args(rng, 2, 19, 37, [2, 0, 2, 1], [1, 37, 20, 5], 3, 0.3)]
+
+
+def _attention_fuzz(rng):
+    cap, slots = int(rng.integers(1, 71)), int(rng.integers(1, 4))
+    lengths = rng.permutation([1, cap, *rng.integers(1, cap + 1, size=int(rng.integers(0, 6)))])
+    return _attention_args(
+        rng, int(rng.choice([1, 2, 4])), int(rng.choice([1, 3, 16, 64])), cap,
+        rng.integers(0, slots, size=len(lengths)), lengths, slots,
+    )
+
+
+def _attention_rows(args, pick):
+    q, k, v, kv_index, lengths, scale = args
+    return q[pick], k, v, kv_index[pick], lengths[pick], scale
+
+
+GEMM = Kernel(
+    "serve_gemm", "repro.serving.kernels._linear_ref",
+    source=_GEMM_C,
+    contract=_GEMM_CONTRACT,
+    forward=_gemm_forward,
+    fuzz=_gemm_fuzz,
+    checks=_gemm_checks,
+    rows=_gemm_rows,
+)
+GROUPED = Kernel(
+    "serve_grouped", "repro.serving.kernels._grouped_ref",
+    source=_GROUPED_C,
+    contract=_grouped_contract(F4),
+    forward=_grouped_forward("repro_serve_grouped"),
+    fuzz=_grouped_fuzz(False),
+    checks=_grouped_checks(False),
+    rows=_grouped_rows,
+)
+GROUPED_I8 = Kernel(
+    "serve_grouped_i8", "repro.serving.kernels._grouped_i8_ref",
+    source=_GROUPED_I8_C,
+    contract=_grouped_contract(np.dtype(np.int8), Arr(4)),
+    forward=_grouped_forward("repro_serve_grouped_i8"),
+    fuzz=_grouped_fuzz(True),
+    checks=_grouped_checks(True),
+    rows=_grouped_rows,
+)
+ATTENTION = Kernel(
+    "attn_rows", "repro.serving.kernels._attention_rows_ref",
+    source=_ATTN_C,
+    contract=_ATTN_CONTRACT,
+    forward=_attention_forward,
+    fuzz=_attention_fuzz,
+    checks=_attention_checks,
+    rows=_attention_rows,
+)
+
+KERNELS = (GEMM, GROUPED, GROUPED_I8, ATTENTION)

@@ -19,15 +19,16 @@ per pinned operand.  A forward guard miss runs the original NumPy
 record for just that unit and bumps ``lower_segment_fallbacks``; a
 backward one runs the op's own ``backward`` — lowering never changes
 semantics, only dispatch.  The wrappers here (``_OP_ITEM`` /
-``_HOST_ITEM`` forward, :func:`make_backward`) are the only place that
-happens.
+``_HOST_ITEM`` forward, :func:`make_backward`, and :func:`direct` for
+host callers outside any graph) are the only place that happens.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-from typing import Callable, List, Optional
+import logging
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -36,10 +37,13 @@ from repro.autograd.graph import (
     _CONST, _INPUT, _LEAF, _REC, GraphInvalidated, _host_equal, _OpRecord,
 )
 from repro.autograd.lower import kernels, toolchain
-from repro.autograd.lower.kernels.base import I64, Build
+from repro.autograd.lower.kernels.base import I64, Build, Kernel
 from repro.autograd.lower.segmenter import Analysis, PyUnit, analyze
+from repro.observability.metrics import registry
 
-__all__ = ["LoweredPlan", "attach", "bind", "load_prelude"]
+__all__ = ["LoweredPlan", "attach", "bind", "direct", "load_prelude"]
+
+logger = logging.getLogger(__name__)
 
 
 def bind(lib) -> None:
@@ -128,8 +132,6 @@ class LoweredPlan:
         self.records_total = analysis.total
         self.records_lowered = len(analysis.lowered)
         self.records_native = len(analysis.native)
-        from repro.observability.metrics import registry
-
         self._fallback_counter = registry().counter("lower_segment_fallbacks")
         # Shared int64 scratch for the scatter kernels, grown on demand;
         # replays are single-threaded so one block serves every unit.
@@ -231,6 +233,76 @@ class LoweredPlan:
 
 
 # ----------------------------------------------------------------------
+# The direct-call face: an entry on plain arrays, outside any graph
+# ----------------------------------------------------------------------
+#: ``entry -> (guarded runner, reference)``, bound on the entry's first
+#: direct call.
+_direct: Dict[Kernel, tuple] = {}
+_DIRECT_CALLS = registry().counter("lower_direct_calls")
+
+
+def direct(entry: Kernel) -> Callable:
+    """``entry`` as a plain function of its operands, for host callers
+    outside any graph: the runner's result (``lower_direct_calls``
+    counts it), or the reference's when the contract's guard misses or
+    the runner declines — those operands are planned to run there, so
+    nothing counts a fallback.  The first call binds the entry
+    (:func:`_bind_direct`)."""
+
+    def call(*ops):
+        guarded, reference = _direct.get(entry) or _bind_direct(entry)
+        res = guarded(*ops)
+        if res:
+            _DIRECT_CALLS.value += 1
+            return res[0]
+        return reference(*ops)
+
+    return call
+
+
+def _bind_direct(entry: Kernel) -> tuple:
+    """Build ``entry``'s runner on the process's one prelude and hold it
+    to the reference, bit for bit, on the entry's check draws.  With no
+    prelude (the toolchain has warned) or after a mismatch (one warning
+    here), the entry is pinned to its reference and every call counts
+    ``lower_toolchain_fallbacks`` / ``lower_segment_fallbacks``."""
+    reference = kernels.replaced(entry)
+    lib = load_prelude()
+    if lib is None:
+        guarded = _unavailable(registry().counter("lower_toolchain_fallbacks"))
+    else:
+        run = entry.forward(Build(None, lib, functools.partial(np.empty, dtype=I64)))
+        if _passes_check(entry, run, reference):
+            guarded = entry.contract.guard(run)
+        else:
+            logger.warning(
+                "kernel %s failed its bitwise check against %s; its calls "
+                "stay on the reference", entry.name, reference.__name__,
+            )
+            guarded = _unavailable(registry().counter("lower_segment_fallbacks"))
+    _direct[entry] = guarded, reference
+    return _direct[entry]
+
+
+def _unavailable(counter) -> Callable:
+    def run(*ops):
+        counter.value += 1
+
+    return run
+
+
+def _passes_check(entry: Kernel, run: Callable, reference: Callable) -> bool:
+    for args in entry.checks(np.random.default_rng(0)):
+        got, want = run(*args), reference(*args)
+        if not (
+            got and got[0].dtype == want.dtype and got[0].shape == want.shape
+            and got[0].tobytes() == want.tobytes()
+        ):
+            return False
+    return True
+
+
+# ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
 def attach(graph) -> Optional[LoweredPlan]:
@@ -241,8 +313,6 @@ def attach(graph) -> Optional[LoweredPlan]:
     in which case the graph keeps replaying on the pure-NumPy path and
     ``lower_toolchain_fallbacks`` is bumped.
     """
-    from repro.observability.metrics import registry
-
     reg = registry()
     analysis = analyze(graph)
     lib = load_prelude()

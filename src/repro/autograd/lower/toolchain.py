@@ -1,24 +1,13 @@
 """C toolchain detection, the on-disk compile cache, and library loading.
 
-Every translation unit is named by its caller: the lowering's one unit
-is the kernel table's prelude (``"prelude"``, compiled once per
-process, whatever graphs are captured), the serving package's is its
-GEMM and attention kernels (``"serve"``).  Compilation is keyed by a
-content hash of the source plus the compiler's version line, the flags
-and the host CPU's feature list (``-march=native`` compiles for it), so
-a repeat run on the same kind of host loads the cached ``.so`` straight
-from ``~/.cache/repro/lower/`` (override with ``REPRO_LOWER_CACHE``)
-without invoking ``cc`` at all.
-
-Other packages' translation units (the serving kernels) can be
-registered with :func:`prebuild`; they are compiled right after this
-process's *first* real compile instead of at their first use.  A spawned
-compiler is charged the parent's resident set at spawn time (``vfork``
-shares the address space, and ``getrusage(RUSAGE_CHILDREN)`` remembers
-the largest child), so a train-then-serve process that first asked for
-the serving kernels after training had grown it would report a higher
-peak RSS for the same work; built early, the artifact is simply there —
-in memory and on disk — when it is asked for.
+A translation unit is named by its caller's tag; the process compiles
+one, the kernel table's prelude (``"prelude"``: training's kernels and
+serving's alike, whatever graphs are captured).  Compilation is keyed
+by a content hash of the source plus the compiler's version line, the
+flags and the host CPU's feature list (``-march=native`` compiles for
+it), so a repeat run on the same kind of host loads the cached ``.so``
+straight from ``~/.cache/repro/lower/`` (override with
+``REPRO_LOWER_CACHE``) without invoking ``cc`` at all.
 
 Toolchain state is probed once per process.  A missing or broken ``cc``
 — or ``REPRO_NO_CC=1`` — logs exactly one warning and pins the probe to
@@ -37,7 +26,7 @@ import shutil
 import subprocess
 import tempfile
 import time
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 logger = logging.getLogger(__name__)
 
@@ -74,8 +63,6 @@ CACHE_VERSION = "2"
 _probe: Optional[object] = None
 _warned = False
 _libs: Dict[str, ctypes.CDLL] = {}
-# tag -> source renderer, compiled once behind the first real compile.
-_prebuild: Dict[str, Callable[[], str]] = {}
 
 
 def _warn_once(reason: str) -> None:
@@ -157,12 +144,6 @@ def cache_dir() -> str:
     return d
 
 
-def prebuild(tag: str, render: Callable[[], str]) -> None:
-    """Ask for ``render()`` to be compiled (as ``tag``) behind this
-    process's first real compile; see the module docstring for why."""
-    _prebuild[tag] = render
-
-
 def compile_and_load(source: str, tag: str) -> Optional[ctypes.CDLL]:
     """Compile ``source`` as unit ``tag`` (or serve it from the cache);
     ``None`` on failure.
@@ -238,9 +219,6 @@ def compile_and_load(source: str, tag: str) -> Optional[ctypes.CDLL]:
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     registry().counter("lower_compile_ms").inc(max(1, int(elapsed_ms)))
     _libs[key] = lib
-    while _prebuild:
-        unit_tag, render = _prebuild.popitem()
-        compile_and_load(render(), unit_tag)
     return lib
 
 

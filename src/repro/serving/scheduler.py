@@ -26,9 +26,9 @@ Telemetry flows through the PR 4 registry and tracer:
   ``serving/token_latency_ms`` (per generated token), and
   ``serving/step_ms`` (whole scheduler step);
 - counters ``serving/requests``, ``serving/tokens_generated``,
-  ``serving/prefill_tokens``, and the kernels' own ``serve_gemm_calls`` /
-  ``serve_gemm_flops`` / ``serve_attn_calls`` / ``serve_attn_flops`` /
-  ``serve_native_calls`` / ``serve_native_fallbacks`` (printed by
+  ``serving/prefill_tokens``, the kernels' own ``serve_gemm_calls`` /
+  ``serve_gemm_flops`` / ``serve_attn_calls`` / ``serve_attn_flops`` and
+  the kernel table's ``lower_direct_calls`` and fallbacks (printed by
   :meth:`latency_table`, GEMM and attention each with its achieved
   GFLOP/s);
 - gauge ``serving/active_sequences``;

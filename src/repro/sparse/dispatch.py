@@ -727,39 +727,15 @@ def grouped_rows_gemm(
     GEMM: the product runs on the integer values and each output channel
     is scaled afterwards.
 
-    ``stable=True`` computes every group with the bitwise row-stable
-    kernels of :mod:`repro.serving.kernels`, which is what lets
-    single-token decode batches reproduce full-window expert outputs
-    bit for bit regardless of per-step tokens-per-expert skew: all
-    groups in one native call when that family is bound and the operands
-    qualify, else the loop below over the same kernels' reference — the
-    only grouped-rows loop there is.  The loop casts an int8 group to
-    fp32 before its product (one ``(in, out)`` copy per occupied group
-    per call); the native call converts in-register instead.
+    Every group is computed by the bitwise row-stable kernels of
+    :mod:`repro.serving.kernels` (``stable`` is accepted and always
+    holds), which is what lets single-token decode batches reproduce
+    full-window expert outputs bit for bit regardless of per-step
+    tokens-per-expert skew: all groups in one native call when the
+    kernel table's grouped entry takes the operands, else that entry's
+    reference — a per-group loop that casts an int8 group to fp32
+    before its product (the native call converts in-register instead).
     """
-    out = np.empty(
-        (x.shape[0], stacked_w.shape[-1]),
-        dtype=np.result_type(x.dtype, stacked_w.dtype),
-    )
-    from repro.serving.kernels import stable_grouped_into, stable_matmul
+    from repro.serving.kernels import stable_grouped
 
-    stable = stable or scale is not None
-    if stable and stable_grouped_into(
-        out, x, group_offsets, stacked_w, stacked_b, scale
-    ):
-        return out
-    offs = [int(o) for o in group_offsets]
-    for s, e, g in zip(offs[:-1], offs[1:], range(stacked_w.shape[0])):
-        if s >= e:
-            # An expert that received no tokens contributes no GEMM.
-            continue
-        xg, wg = x[s:e], stacked_w[g]
-        if scale is not None:
-            y = stable_matmul(xg, wg.astype(np.float32))
-            y *= scale[g]
-        else:
-            y = stable_matmul(xg, wg) if stable else xg @ wg
-        if stacked_b is not None:
-            y += stacked_b[g]
-        out[s:e] = y
-    return out
+    return stable_grouped(x, group_offsets, stacked_w, stacked_b, scale)

@@ -18,7 +18,12 @@ entry's own fuzz domain:
 The violating operands are derived from the contract itself — a wrong
 dtype, a strided view, an extra axis for a layout clause; the first
 shape or index mutation that makes a relation false — so a new entry is
-covered on arrival.  The registry test keeps the table, the compiled
+covered on arrival.  A direct entry (one host callers run on plain
+arrays, :func:`repro.autograd.lower.runtime.direct`) is driven that way
+too, from its check draws on: the reference's bits or outcome, and no
+fallback counted for either.  An entry that declares row stability is
+held to it: a row alone, in its full call and at every offset of other
+batches, same bits.  The registry test keeps the table, the compiled
 prelude and the docs catalog in step.
 """
 
@@ -35,7 +40,7 @@ from repro.autograd import CaptureSession, Tensor, lower
 from repro.autograd.function import Context, Function
 from repro.autograd.graph import host as graph_host
 from repro.autograd.lower import kernels, runtime, toolchain
-from repro.autograd.lower.kernels.base import OUT, Arr, Rel
+from repro.autograd.lower.kernels.base import OUT, Arr, Build, Rel
 from repro.observability import registry
 from repro.sparse import dispatch
 from repro.training import Adam
@@ -48,6 +53,8 @@ pytestmark = pytest.mark.skipif(
 
 UNITS = [e for e in kernels.TABLE if e.forward or e.backward]
 RIDERS = [e for e in kernels.TABLE if not (e.forward or e.backward)]
+DIRECT = [e for e in kernels.TABLE if e.checks]
+ROW_STABLE = [e for e in kernels.TABLE if e.rows]
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -56,9 +63,11 @@ def _one_cache_for_the_module(tmp_path_factory):
     mp = pytest.MonkeyPatch()
     mp.setenv("REPRO_LOWER_CACHE", str(tmp_path_factory.mktemp("lower-cache")))
     toolchain._reset_for_tests()
+    runtime._direct.clear()
     yield
     mp.undo()
     toolchain._reset_for_tests()
+    runtime._direct.clear()
     optim_mod._CLIP_CC = None
 
 
@@ -358,6 +367,84 @@ def test_planned_blocked_dispatch_declines_uncounted():
 
 
 # ----------------------------------------------------------------------
+# Direct entries: the face host callers use outside any graph
+# ----------------------------------------------------------------------
+def _counted() -> tuple:
+    return tuple(
+        registry().counter(n).value
+        for n in ("lower_segment_fallbacks", "lower_toolchain_fallbacks")
+    )
+
+
+def _direct_draws(entry, rng) -> list:
+    """The entry's check draws, then three from its fuzz domain."""
+    return list(entry.checks(rng)) + [entry.fuzz(rng) for _ in range(3)]
+
+
+@pytest.mark.parametrize("entry", DIRECT, ids=lambda e: e.name)
+def test_direct_call_conforms_and_every_clause_declines_uncounted(entry):
+    """(a) Conforming operands: the reference's bits, from C
+    (``lower_direct_calls`` moves), no fallback counted; (b) each
+    clause's violation: the reference's outcome, no C, nothing counted —
+    a host caller's operand outside the contract is a planned path."""
+    call, reference = runtime.direct(entry), kernels.replaced(entry)
+    rng = np.random.default_rng(sum(map(ord, entry.name)))
+    draws = _direct_draws(entry, rng)
+    native = registry().counter("lower_direct_calls")
+    for args in draws:
+        before, ran = _counted(), native.value
+        _assert_same(call(*args), reference(*args), f"{entry.name} direct")
+        assert native.value == ran + 1, "a conforming call did not run C"
+        assert _counted() == before, "a conforming call counted a fallback"
+    for label, bad, env in _violations(entry.contract, draws[0]):
+        what = f"{entry.name} direct, {label}"
+        with env() if env else contextlib.nullcontext():
+            want = _outcome(reference, *bad)
+            before, ran = _counted(), native.value
+            got = _outcome(call, *bad)
+        _assert_same_outcome(got, want, what)
+        assert native.value == ran and _counted() == before, what
+
+
+@pytest.mark.parametrize("entry", DIRECT, ids=lambda e: e.name)
+def test_bind_check_holds_the_runner_to_its_reference(entry):
+    """The check a direct entry passes before it serves: its runner as
+    built passes it, and one ulp off in one output element fails it."""
+    run = entry.forward(Build(None, runtime.load_prelude(), None))
+    reference = kernels.replaced(entry)
+    assert runtime._passes_check(entry, run, reference)
+
+    def one_ulp_off(*args):
+        (out,) = run(*args)
+        out.flat[0] = np.nextafter(out.flat[0], np.float32(np.inf))
+        return (out,)
+
+    assert not runtime._passes_check(entry, one_ulp_off, reference)
+
+
+@pytest.mark.parametrize("entry", ROW_STABLE, ids=lambda e: e.name)
+def test_a_row_is_the_same_alone_and_at_every_offset_of_any_batch(entry):
+    """Declared row stability, on the C and on the reference: each row's
+    output in the full call equals its output alone and at every offset
+    of a batch with other rows of the draw."""
+    rng = np.random.default_rng(sum(map(ord, entry.name)) + 1)
+    draws = _direct_draws(entry, rng)
+    for fn in (runtime.direct(entry), kernels.replaced(entry)):
+        for args in draws:
+            full = fn(*args)
+            full = full.reshape(-1, full.shape[-1])
+            n = len(full)
+            others = rng.integers(0, n, size=min(n, 9))
+            for t in rng.choice(n, size=min(n, 4), replace=False):
+                alone = fn(*entry.rows(args, [t]))
+                _assert_same(alone.reshape(1, -1)[0], full[t], f"{entry.name} row {t} alone")
+                for at in range(len(others) + 1):
+                    pick = np.insert(others, at, t)
+                    batch = fn(*entry.rows(args, pick)).reshape(len(pick), -1)
+                    _assert_same(batch[at], full[t], f"{entry.name} row {t} at {at}")
+
+
+# ----------------------------------------------------------------------
 # Optimizer riders
 # ----------------------------------------------------------------------
 def _optimizers(tensors):
@@ -459,11 +546,11 @@ def test_registry_is_consistent():
         ).stdout
         exported = set(re.findall(r"\b(repro_\w+)$", listing, re.M))
         assert exported == set(owners)
-    assert len(owners) == 36
+    assert len(owners) == 41
 
     forward = [e.name for e in kernels.TABLE if e.forward]
     backward = [e.bwd_name for e in kernels.TABLE if e.backward]
-    assert len(forward) == len(set(forward)) == 23
+    assert len(forward) == len(set(forward)) == 27
     assert len(backward) == len(set(backward)) == 15
     names = [e.name for e in kernels.TABLE]
     assert len(names) == len(set(names))

@@ -262,19 +262,20 @@ class TestLoweredResilience:
 @needs_cc
 class TestOnePreludePerProcess:
     def test_cold_cache_compiles_the_prelude_once(self):
-        """The kernel table's C is the lowering's one translation unit: a
-        cold ``cc`` trainer runs ``cc`` for the prelude (for
-        ``attach_adam`` or the first ``attach``, whichever comes first)
-        and for what other packages registered to build behind it (the
-        serving unit) — never for a graph.  A recapture compiles nothing
-        and lowers onto the same prelude object, and a second trainer
-        compiles and binds nothing."""
+        """The kernel table's C is the process's one translation unit: a
+        cold train-then-serve process runs ``cc`` once, for the prelude
+        (for ``attach_adam`` or the first ``attach``, whichever comes
+        first) — never for a graph, never for serving, whose entries bind
+        on the same library.  A recapture compiles nothing and lowers
+        onto the same prelude object, and a second trainer compiles and
+        binds nothing."""
         import glob
         import os
         import subprocess
         from unittest import mock
 
         from repro.autograd.lower import kernels
+        from repro.autograd.lower.kernels import serve
 
         reg = registry()
 
@@ -284,23 +285,30 @@ class TestOnePreludePerProcess:
                 for k in ("lower_cache_hits", "lower_compile_ms", "graph_lowered")
             }
 
-        prebuilt = {render() for render in toolchain._prebuild.values()}
+        def compiled():
+            return [
+                open(next(a for a in c.args[0] if a.endswith(".c"))).read()
+                for c in spawned.call_args_list
+                if "--version" not in c.args[0]
+            ]
+
+        runtime._direct.clear()
         with mock.patch.object(
             toolchain.subprocess, "run", wraps=subprocess.run
         ) as spawned:
             first = _trainer("cc", steady=True)
             losses = [first.train_step(s) for s in range(2)]
             after_first = counters()
-            compiled = [
-                open(next(a for a in c.args[0] if a.endswith(".c"))).read()
-                for c in spawned.call_args_list
-                if "--version" not in c.args[0]
-            ]
-            assert compiled.count(kernels.PRELUDE) == 1
-            assert set(compiled) <= {kernels.PRELUDE} | prebuilt
+            # Serving binds every entry of its family on that library.
+            native = reg.counter("lower_direct_calls").value
+            rng = np.random.default_rng(0)
+            for entry in serve.KERNELS:
+                runtime.direct(entry)(*entry.fuzz(rng))
+            assert reg.counter("lower_direct_calls").value == native + len(serve.KERNELS)
+            assert compiled() == [kernels.PRELUDE]
             cache = toolchain.cache_dir()
             assert len(glob.glob(os.path.join(cache, "prelude-*.so"))) == 1
-            assert len(glob.glob(os.path.join(cache, "*.so"))) == len(compiled)
+            assert len(glob.glob(os.path.join(cache, "*.so"))) == 1
 
             # A guardrail skip or a restore drops the graph; the
             # recapture lowers onto the library already loaded.

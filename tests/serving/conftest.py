@@ -4,11 +4,12 @@ Small models with a *small* ``max_seq_len`` so sliding-window behavior
 is exercised in a handful of decode steps (the factory-built models use
 the scaled Table-1 sequence lengths, which are too long for that).
 
-The serving GEMMs have two rungs — the generated-C family and the einsum
-reference it must equal bit for bit (:mod:`repro.serving.kernels`).
-``native_rung`` skips a test when the C family cannot bind here;
-``einsum_rung`` takes it away through the real switch (``REPRO_NO_CC=1``)
-so the test runs on the fallback exactly as a toolchain-less host would.
+The serving GEMMs have two rungs — the kernel table's serving entries,
+in the one prelude, and the einsum reference they must equal bit for bit
+(:mod:`repro.serving.kernels`).  ``native_rung`` skips a test when the
+prelude cannot load here; ``einsum_rung`` takes it away through the real
+switch (``REPRO_NO_CC=1``) so the test runs on the fallback exactly as a
+toolchain-less host would.
 """
 
 from __future__ import annotations
@@ -61,21 +62,21 @@ def make_model(system: str, top_k: int = 1, rng: int = 0) -> TransformerLM:
 
 
 def rebind_kernels() -> None:
-    """Forget the toolchain verdict and the kernel binding; the next
-    serving GEMM probes and binds again under the current environment."""
-    from repro.autograd.lower import toolchain
-    from repro.serving import kernels
+    """Forget the toolchain verdict and every direct entry's binding; the
+    next serving call probes, loads the prelude and binds again under the
+    current environment."""
+    from repro.autograd.lower import runtime, toolchain
 
     toolchain._reset_for_tests()
-    kernels._reset_for_tests()
+    runtime._direct.clear()
 
 
 @pytest.fixture
 def native_rung():
-    from repro.serving import kernels
+    from repro.autograd.lower import runtime
 
-    if not (kernels._native or kernels._bind()):
-        pytest.skip("serving C kernels unavailable (no toolchain)")
+    if runtime.load_prelude() is None:
+        pytest.skip("the prelude is unavailable (no toolchain)")
 
 
 @pytest.fixture

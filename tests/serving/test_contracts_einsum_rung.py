@@ -16,7 +16,8 @@ from tests.serving.test_scheduler import *  # noqa: F401,F403
 
 @pytest.fixture(autouse=True)
 def _on_einsum_rung(einsum_rung):
-    from repro.serving import kernels
+    from repro.observability import registry
 
+    native = registry().counter("lower_direct_calls").value
     yield
-    assert not kernels._native  # never bound, or bound to "unavailable"
+    assert registry().counter("lower_direct_calls").value == native  # no C ran

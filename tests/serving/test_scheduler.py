@@ -215,8 +215,11 @@ def test_gemm_work_is_counted_and_printed():
     assert attn > 0 and sched.step_attn_flops == attn
     assert sched.step_seconds > 0
     calls = reg.counter("serve_gemm_calls").value - calls_before
-    native = reg.counter("serve_native_calls").value
-    fallbacks = reg.counter("serve_native_fallbacks").value
+    native = reg.counter("lower_direct_calls").value
+    fallbacks = (
+        reg.counter("lower_toolchain_fallbacks").value
+        + reg.counter("lower_segment_fallbacks").value
+    )
     assert calls > 0 and (native > 0 or fallbacks > 0)
     for field in ("native=", "fallbacks="):
         assert field in table
