@@ -6,14 +6,12 @@ Transformer models are built on, so the paper's forward/backward dataflow
 (Figure 6 and §5.1) is exercised with real gradients.
 """
 
-from contextlib import contextmanager
-
 from repro.autograd import arena, stats
 from repro.autograd.arena import (
     get_arena,
     is_arena_enabled,
     set_arena_enabled,
-    use_arena,
+    steady_state,
 )
 from repro.autograd.tensor import (
     Tensor,
@@ -69,36 +67,16 @@ from repro.autograd.ops_nn import (
 from repro.autograd.ops_loss import cross_entropy, mse_loss
 from repro.autograd.ops_fused import (
     attention_core,
-    bias_dropout_residual,
     bias_gelu,
-    fused_ops,
-    fusion_enabled,
+    dropout_residual,
     linear_bias,
     masked_softmax,
-    set_fusion_enabled,
     softmax_cross_entropy,
 )
 from repro.autograd.grad_check import check_gradients, numerical_grad
 from repro.autograd import graph
 from repro.autograd.graph import CaptureSession, GraphInvalidated, StepGraph
 from repro.autograd import lower
-
-
-@contextmanager
-def steady_state():
-    """The steady step's scope: buffer arena and fused ops on; yields
-    the arena.
-
-    Both are off outside it, so the unfused, allocating reference path
-    stays the baseline the steady step is bit-compared against.
-    """
-    prev_arena = set_arena_enabled(True)
-    prev_fused = set_fusion_enabled(True)
-    try:
-        yield get_arena()
-    finally:
-        set_fusion_enabled(prev_fused)
-        set_arena_enabled(prev_arena)
 
 
 __all__ = [
@@ -156,16 +134,12 @@ __all__ = [
     "get_arena",
     "is_arena_enabled",
     "set_arena_enabled",
-    "use_arena",
     "attention_core",
     "bias_gelu",
-    "bias_dropout_residual",
+    "dropout_residual",
     "linear_bias",
     "masked_softmax",
     "softmax_cross_entropy",
-    "fusion_enabled",
-    "set_fusion_enabled",
-    "fused_ops",
     "steady_state",
     "graph",
     "CaptureSession",

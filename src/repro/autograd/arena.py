@@ -43,11 +43,10 @@ arena on vs. off and asserts bit-identical trajectories to guard this
 invariant.
 
 The arena is **off by default**; enable with :func:`set_arena_enabled`,
-or per-block with :func:`use_arena` /
-:func:`repro.autograd.steady_state`.  When disabled, the helper
-functions (:func:`empty`, :func:`zeros`, :func:`binary_buf`, ...)
-degrade to plain NumPy allocations or ``None`` so hot-path call sites
-need no branching of their own.
+or per-block with :func:`steady_state` (``repro.autograd.steady_state``).
+When disabled, the helper functions (:func:`empty`, :func:`zeros`,
+:func:`binary_buf`, ...) degrade to plain NumPy allocations or ``None``
+so hot-path call sites need no branching of their own.
 """
 
 from __future__ import annotations
@@ -530,9 +529,14 @@ def set_arena_enabled(enabled: bool) -> bool:
 
 
 @contextlib.contextmanager
-def use_arena(enabled: bool = True):
-    """Enable (or disable) the arena inside the block."""
-    prev = set_arena_enabled(enabled)
+def steady_state():
+    """The steady step's scope: the arena is on inside it; yields the
+    arena.
+
+    It is off outside, so the allocating step stays the reference the
+    steady step is bit-compared against.
+    """
+    prev = set_arena_enabled(True)
     try:
         yield _ARENA
     finally:

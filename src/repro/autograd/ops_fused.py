@@ -1,55 +1,28 @@
-"""Fused elementwise Functions: one tape node where the reference path
-records three to five.
+"""Fused elementwise Functions: one tape node where the composition
+they replace records two to thirteen.
 
-Each fused op mirrors the *exact* IEEE operation sequence of the unfused
-composition it replaces, so enabling fusion is bit-identical — the
-tier-1 equivalence smoke trains a dMoE with fusion on vs. off and
-asserts equal losses and parameters to the last ulp.  The wins are
-fewer Python-level tape nodes, no wasted gradient work (e.g. the full
-``grad * scores`` product the unfused ``mul``-by-scalar backward computes
-for a constant scale), and arena-pooled temporaries.
+Each fused op mirrors the *exact* IEEE operation sequence of that
+composition, so its forward and backward are bit-identical to it — the
+op-level contracts in ``tests/autograd/test_fused_ops.py`` hold the
+composition as the oracle and check both, with the buffer arena on and
+off, over a generated domain of shapes.  The wins are fewer
+Python-level tape nodes, no wasted gradient work (e.g. the full
+``grad * scores`` product a ``mul``-by-scalar backward computes for a
+constant scale), and arena-pooled temporaries.
 
-Selected via :func:`set_fusion_enabled` / :func:`fused_ops` (off at
-import); the unfused composition stays as the always-available
-reference path in ``repro.nn`` / ``repro.moe`` / ``repro.core``.
+Fusion is not a choice: ``repro.nn`` / ``repro.moe`` / ``repro.core``
+call these ops wherever one exists, and keep a composition only where
+none does (a non-GELU activation, a ``Linear`` without bias).
 """
 
 from __future__ import annotations
-
-import contextlib
-from typing import Optional
 
 import numpy as np
 
 from repro.autograd import arena, stats
 from repro.autograd.function import Function, unbroadcast
-from repro.autograd.ops_nn import _GELU_C
+from repro.autograd.ops_nn import _GELU_C, _dropout_mask
 from repro.autograd.tensor import Tensor, as_tensor
-from repro.utils.rng import get_rng
-
-_FUSED = False
-
-
-def fusion_enabled() -> bool:
-    return _FUSED
-
-
-def set_fusion_enabled(enabled: bool) -> bool:
-    """Flip the global fusion switch; returns the previous value."""
-    global _FUSED
-    prev = _FUSED
-    _FUSED = bool(enabled)
-    return prev
-
-
-@contextlib.contextmanager
-def fused_ops(enabled: bool = True):
-    """Enable (or disable) fused dispatch inside the block."""
-    prev = set_fusion_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_fusion_enabled(prev)
 
 
 def _chainable(*arrays) -> bool:
@@ -138,8 +111,8 @@ class _BiasGelu(Function):
 
 def bias_gelu(x, bias) -> Tensor:
     """Fused ``gelu(x + bias)`` (bit-identical to the composition)."""
-    stats.record_fused("bias_gelu")
-    return _BiasGelu.apply(as_tensor(x), as_tensor(bias))
+    out = _BiasGelu.apply(as_tensor(x), as_tensor(bias))
+    return stats.record_fused("bias_gelu", out, replaced=2)
 
 
 # ----------------------------------------------------------------------
@@ -185,18 +158,13 @@ class _LinearBias(Function):
 
 def linear_bias(x, w, b) -> Tensor:
     """Fused affine map (bit-identical to ``x @ w + b``)."""
-    stats.record_fused("linear_bias")
-    return _LinearBias.apply(as_tensor(x), as_tensor(w), as_tensor(b))
+    out = _LinearBias.apply(as_tensor(x), as_tensor(w), as_tensor(b))
+    return stats.record_fused("linear_bias", out, replaced=2)
 
 
 # ----------------------------------------------------------------------
-# Dropout + residual (with optional preceding bias add)
+# Dropout + residual
 # ----------------------------------------------------------------------
-def _dropout_mask(shape, dtype, p, rng):
-    keep = 1.0 - p
-    return (get_rng(rng).random(shape) < keep).astype(dtype) / keep
-
-
 class _DropoutResidual(Function):
     """``residual + dropout(y)`` — the transformer-block skip connection."""
 
@@ -220,69 +188,26 @@ class _DropoutResidual(Function):
     @staticmethod
     def backward(ctx, grad):
         mask, sy, sr = ctx.saved
-        if mask is None:
-            gy = grad
-        elif _chainable(grad, mask):
-            gy = arena.empty(grad.shape, grad.dtype)
-            np.multiply(grad, mask, out=gy)
-        else:
-            gy = grad * mask
-        return unbroadcast(gy, sy), unbroadcast(grad, sr)
-
-
-class _BiasDropoutResidual(Function):
-    """``residual + dropout(y + bias)`` in a single node."""
-
-    @staticmethod
-    def forward(ctx, y, bias, residual, p, training, rng):
-        if _chainable(y, bias):
-            s = arena.empty(np.broadcast_shapes(y.shape, bias.shape), y.dtype)
-            np.add(y, bias, out=s)
-        else:
-            s = y + bias
-        mask = None
-        d = s
-        if training and p > 0.0:
-            mask = _dropout_mask(s.shape, s.dtype, p, rng)
-            if _chainable(s, mask):
-                d = np.multiply(s, mask, out=s)  # s is dead past here
+        # Reduce a broadcast ``y``'s gradient before masking it, as the
+        # add node then the dropout node of the composition do.
+        gy = unbroadcast(grad, sy)
+        if mask is not None:
+            if _chainable(gy, mask):
+                gy = np.multiply(gy, mask, out=arena.empty(gy.shape, gy.dtype))
             else:
-                d = s * mask
-        ctx.save_for_backward(mask, y.shape, bias.shape, residual.shape)
-        if _chainable(residual, d):
-            out = arena.empty(np.broadcast_shapes(residual.shape, d.shape), d.dtype)
-            return np.add(residual, d, out=out)
-        return residual + d
-
-    @staticmethod
-    def backward(ctx, grad):
-        mask, sy, sb, sr = ctx.saved
-        if mask is None:
-            g = grad
-        elif _chainable(grad, mask):
-            g = arena.empty(grad.shape, grad.dtype)
-            np.multiply(grad, mask, out=g)
-        else:
-            g = grad * mask
-        return unbroadcast(g, sy), unbroadcast(g, sb), unbroadcast(grad, sr)
+                gy = gy * mask
+        return gy, unbroadcast(grad, sr)
 
 
-def bias_dropout_residual(
-    y, bias, residual, p: float, training: bool = True, rng=None
-) -> Tensor:
-    """Fused ``residual + dropout(y + bias)``; ``bias=None`` skips the add.
-
-    Bit-identical to ``residual + dropout(y + bias)`` built from the
-    reference ops, including the dropout RNG draw.
-    """
-    stats.record_fused("bias_dropout_residual")
-    if bias is None:
-        return _DropoutResidual.apply(
-            as_tensor(y), as_tensor(residual), float(p), bool(training), rng
-        )
-    return _BiasDropoutResidual.apply(
-        as_tensor(y), as_tensor(bias), as_tensor(residual), float(p), bool(training), rng
+def dropout_residual(y, residual, p: float, training: bool = True, rng=None) -> Tensor:
+    """Fused ``residual + dropout(y)``, bit-identical to the composition
+    built from the reference ops, including the dropout RNG draw."""
+    live = training and p > 0.0
+    out = _DropoutResidual.apply(
+        as_tensor(y), as_tensor(residual), float(p), bool(training), rng
     )
+    # dropout records no node when it is the identity.
+    return stats.record_fused("dropout_residual", out, replaced=2 if live else 1)
 
 
 # ----------------------------------------------------------------------
@@ -327,7 +252,7 @@ class _MaskedSoftmax(Function):
     """``softmax(where(mask, scores * scale, -1e9))`` in one node.
 
     Beyond the node-count savings, this skips the two wasted full-size
-    products the reference path computes for gradients of the constant
+    products the composition computes for gradients of the constant
     scale and mask-fill tensors.
     """
 
@@ -349,9 +274,9 @@ def masked_softmax(scores, mask, scale: float) -> Tensor:
     keep).  ``scale`` is coerced to float32 exactly as ``Tensor(float)``
     would, so the fused product matches the reference ``mul`` node.
     """
-    stats.record_fused("masked_softmax")
     mask_data = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
-    return _MaskedSoftmax.apply(as_tensor(scores), mask_data, np.float32(scale))
+    out = _MaskedSoftmax.apply(as_tensor(scores), mask_data, np.float32(scale))
+    return stats.record_fused("masked_softmax", out, replaced=3)
 
 
 # ----------------------------------------------------------------------
@@ -375,14 +300,15 @@ class _AttentionCore(Function):
     """The whole scaled-dot-product block between the QKV projection and
     the output projection, as a single tape node.
 
-    Replaces ten reference nodes per attention call — reshape, transpose,
-    three slice views, key transpose, two matmuls, masked softmax, and
-    the head-merge reshape — with one.  Forward and backward replay the
-    exact ufunc sequence those nodes would run (same matmuls,
-    ``_MaskedSoftmax``'s own two kernels, the same zero-initialised slot
-    accumulation for the q/k/v gradients), so the result is bit-identical to the
-    composition.  Only valid when attention dropout is inactive; callers
-    gate on that.
+    Replaces thirteen nodes per attention call — reshape, transpose,
+    three slice views, key transpose, two matmuls, the scale / mask-fill
+    / softmax trio, and the head-merge transpose and reshape — with one.
+    Forward and backward replay the exact ufunc sequence those nodes
+    would run (same matmuls, ``_MaskedSoftmax``'s own two kernels, the
+    same zero-initialised slot accumulation for the q/k/v gradients), so
+    the result is bit-identical to the composition.  Only valid when
+    attention dropout is inactive; ``CausalSelfAttention`` takes
+    :func:`masked_softmax` otherwise.
     """
 
     @staticmethod
@@ -457,14 +383,14 @@ class _AttentionCore(Function):
 def attention_core(qkv, mask, scale: float, num_heads: int, head_dim: int) -> Tensor:
     """Fused causal-attention core: ``qkv`` of shape (B, S, 3·H) in,
     merged context of shape (B, S, H) out.  Bit-identical to the
-    unfused reshape/split/matmul/softmax/merge composition; only valid
-    when attention dropout is inactive.
+    reshape/split/matmul/softmax/merge composition; only valid when
+    attention dropout is inactive.
     """
-    stats.record_fused("attention_core")
     mask_data = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
-    return _AttentionCore.apply(
+    out = _AttentionCore.apply(
         as_tensor(qkv), mask_data, np.float32(scale), int(num_heads), int(head_dim)
     )
+    return stats.record_fused("attention_core", out, replaced=13)
 
 
 # ----------------------------------------------------------------------
@@ -519,8 +445,9 @@ class _FusedSoftmaxCrossEntropy(Function):
 
 def softmax_cross_entropy(logits, targets, ignore_index: int = -100) -> Tensor:
     """Fused mean cross-entropy (bit-identical to ``cross_entropy``)."""
-    stats.record_fused("softmax_cross_entropy")
     tgt = targets.data if isinstance(targets, Tensor) else np.asarray(targets)
-    return _FusedSoftmaxCrossEntropy.apply(
+    out = _FusedSoftmaxCrossEntropy.apply(
         as_tensor(logits), tgt, ignore_index=ignore_index
     )
+    # One node either way: the win is the in-place backward.
+    return stats.record_fused("softmax_cross_entropy", out, replaced=1)

@@ -223,11 +223,16 @@ def layer_norm(x, weight, bias, eps: float = 1e-5) -> Tensor:
 # ----------------------------------------------------------------------
 # Dropout
 # ----------------------------------------------------------------------
+def _dropout_mask(shape, dtype, p, rng):
+    """The inverted-dropout mask: 0 or ``1 / (1 - p)`` per element."""
+    keep = 1.0 - p
+    return (get_rng(rng).random(shape) < keep).astype(dtype) / keep
+
+
 class _Dropout(Function):
     @staticmethod
     def forward(ctx, a, p, rng):
-        keep = 1.0 - p
-        mask = (get_rng(rng).random(a.shape) < keep).astype(a.dtype) / keep
+        mask = _dropout_mask(a.shape, a.dtype, p, rng)
         ctx.save_for_backward(mask)
         return a * mask
 

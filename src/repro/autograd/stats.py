@@ -6,6 +6,9 @@ are registry counters (:func:`repro.observability.registry`):
 
 - ``autograd/tape_nodes`` — tape nodes recorded (``Function.apply``);
 - ``autograd/fused/<op>`` — calls of each fused op;
+- ``autograd/nodes_fused`` — tape nodes those calls saved: a call that
+  records its node saves the nodes its composition would have recorded,
+  less one (``repro.autograd.ops_fused`` states that count per call);
 - ``autograd/reshape_copy_bytes``, ``autograd/leaf_copy_bytes`` — bytes
   moved by the two copying branches a weight-sized array can take inside
   a step: ``arena.reshaped`` when no view exists, and the first gradient
@@ -30,29 +33,27 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.observability.metrics import registry
-
-#: Tape nodes each fused op replaces relative to the unfused composition.
-#: ``nodes_fused`` counts the *savings* (replaced - 1 recorded node).
-FUSION_SAVINGS: Dict[str, int] = {
-    "bias_gelu": 2,          # add + gelu -> 1 node (saves 1) plus unbroadcast work
-    "sparse_bias_gelu": 1,   # sparse_bias_add + gelu -> 1 node
-    "bias_dropout_residual": 2,  # add + dropout + add -> 1 node
-    "masked_softmax": 2,     # mul + where + softmax -> 1 node
-    "softmax_cross_entropy": 0,  # 1 node either way; fused backward is in-place
-    "linear_bias": 1,        # matmul + broadcast add -> 1 node
-    "attention_core": 12,    # reshape/transpose/3 slices/key transpose/2
-                             # matmuls/mul/where/softmax/transpose/reshape
-                             # -> 1 node
-}
 
 _REG = registry()
 TAPE_NODES = _REG.counter("autograd/tape_nodes")
 RESHAPE_COPY_BYTES = _REG.counter("autograd/reshape_copy_bytes")
 LEAF_COPY_BYTES = _REG.counter("autograd/leaf_copy_bytes")
-_FUSED = {op: _REG.counter(f"autograd/fused/{op}") for op in FUSION_SAVINGS}
+NODES_FUSED = _REG.counter("autograd/nodes_fused")
+#: Call counts of the fused ops (``repro.autograd.ops_fused`` and
+#: ``repro.sparse.autograd_ops.sparse_bias_gelu``).
+_FUSED = {
+    op: _REG.counter(f"autograd/fused/{op}")
+    for op in (
+        "bias_gelu",
+        "sparse_bias_gelu",
+        "dropout_residual",
+        "masked_softmax",
+        "softmax_cross_entropy",
+        "linear_bias",
+        "attention_core",
+    )
+}
 _READS = {
     "tape_nodes": TAPE_NODES,
     "reshape_copy_bytes": RESHAPE_COPY_BYTES,
@@ -68,18 +69,27 @@ def __getattr__(name: str) -> int:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
 
 
-def record_fused(op: str) -> None:
-    """Count one fused-op invocation."""
+def record_fused(op: str, out, replaced: int):
+    """Count one call of fused op ``op`` and return its output ``out``.
+
+    ``replaced`` is the number of tape nodes the composition the op
+    stands for records on this call, with every differentiable input on
+    the tape.  The call saves ``replaced - 1`` of them when ``out``'s
+    node is recorded, and none under ``no_grad`` (neither side records).
+    """
     _FUSED[op].value += 1
+    if out.requires_grad:
+        NODES_FUSED.value += replaced - 1
+    return out
 
 
 def nodes_fused() -> int:
     """Total tape nodes *eliminated* by fusion since the last reset."""
-    return sum(FUSION_SAVINGS[op] * c.value for op, c in _FUSED.items())
+    return NODES_FUSED.value
 
 
 def reset() -> None:
     """Zero this module's counters (start of a benchmark region or
     training step); every other registry counter keeps its value."""
-    for c in (*_READS.values(), *_FUSED.values()):
+    for c in (*_READS.values(), NODES_FUSED, *_FUSED.values()):
         c.value = 0

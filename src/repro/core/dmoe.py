@@ -25,7 +25,6 @@ import dataclasses
 
 from repro.autograd import ACTIVATIONS, getitem
 from repro.autograd.graph import host as graph_host
-from repro.autograd.ops_fused import fusion_enabled
 from repro.autograd.tensor import Tensor, is_inference
 from repro.core.topology_builder import expert_of_padded_row, make_topology
 from repro.moe.experts import ExpertWeights
@@ -73,7 +72,7 @@ def expert_mlp(
     each padded row of ``xp``.
     """
     h = sdd_mm(xp, w1, topology)
-    if fusion_enabled() and activation == "gelu":
+    if activation == "gelu":
         # Fused column-bias + GELU over the sparse values: one tape node
         # for the bias add and the activation.
         h = sparse_bias_gelu(h, b1, topology)

@@ -18,7 +18,7 @@ import dataclasses
 
 from repro.autograd import ACTIVATIONS
 from repro.autograd.graph import host as graph_host
-from repro.autograd.ops_fused import bias_gelu, fusion_enabled
+from repro.autograd.ops_fused import bias_gelu
 from repro.autograd.tensor import Tensor, is_inference
 from repro.moe.capacity import expert_capacity
 from repro.moe.experts import ExpertWeights
@@ -129,7 +129,7 @@ class MoELayer(Module):
     def _compute_experts(self, dispatched: Tensor) -> Tensor:
         """Batched-matmul expert MLP over (num_experts, capacity, hidden)."""
         e = self.experts
-        if fusion_enabled() and self.activation == "gelu":
+        if self.activation == "gelu":
             h = bias_gelu(
                 dispatched @ e.w1,
                 e.b1.reshape((self.num_experts, 1, e.ffn_hidden_size)),

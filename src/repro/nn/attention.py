@@ -8,15 +8,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd import softmax, where
-from repro.autograd.ops_fused import attention_core, fusion_enabled, masked_softmax
+from repro.autograd.ops_fused import attention_core, masked_softmax
 from repro.autograd.tensor import Tensor, is_inference
 from repro.nn.layers import Dropout, Linear
 from repro.nn.module import Module
 from repro.serving.kernels import attention_rows
 from repro.utils.rng import RngLike
-
-_NEG_INF = -1e9
 
 #: Causal masks keyed by sequence length.  The mask is identical for every
 #: call at a given ``seq``, so rebuilding the ``np.tril`` each forward is
@@ -69,9 +66,7 @@ class CausalSelfAttention(Module):
             return self._inference_window(x, kv_sink, slots)
         batch, seq, hidden = x.shape
         qkv = self.qkv(x)  # (B, S, 3H)
-        if fusion_enabled() and (
-            self.attn_dropout.p <= 0.0 or not self.attn_dropout.training
-        ):
+        if self.attn_dropout.p <= 0.0 or not self.attn_dropout.training:
             # Fused attention core: one tape node for split / scores /
             # masked softmax / context / head merge (dropout inactive, so
             # nothing sits between the fused stages).
@@ -87,17 +82,10 @@ class CausalSelfAttention(Module):
         qkv = qkv.transpose((2, 0, 3, 1, 4))  # (3, B, heads, S, head_dim)
         q, k, v = qkv[0], qkv[1], qkv[2]
 
-        mask = _causal_mask(seq)
-        if fusion_enabled():
-            # Fused scale + mask-fill + softmax: one tape node, and no
-            # backward work spent on the constant scale/fill operands.
-            probs = masked_softmax(
-                q @ k.transpose((0, 1, 3, 2)), mask, 1.0 / np.sqrt(self.head_dim)
-            )
-        else:
-            scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(self.head_dim))
-            scores = where(mask, scores, Tensor(np.float32(_NEG_INF)))
-            probs = softmax(scores, axis=-1)
+        # Fused scale + mask-fill + softmax: one tape node, and no
+        # backward work spent on the constant scale/fill operands.
+        scores = q @ k.transpose((0, 1, 3, 2))
+        probs = masked_softmax(scores, _causal_mask(seq), 1.0 / np.sqrt(self.head_dim))
         probs = self.attn_dropout(probs)
 
         ctx = probs @ v  # (B, heads, S, head_dim)

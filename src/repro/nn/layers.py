@@ -9,7 +9,7 @@ import numpy as np
 from repro.autograd import dropout as dropout_op
 from repro.autograd import embedding as embedding_op
 from repro.autograd import layer_norm as layer_norm_op
-from repro.autograd.ops_fused import fusion_enabled, linear_bias
+from repro.autograd.ops_fused import linear_bias
 from repro.autograd.tensor import Tensor, is_inference
 from repro.serving.kernels import stable_linear
 from repro.nn import init
@@ -46,12 +46,9 @@ class Linear(Module):
                     None if self.bias is None else self.bias.data,
                 )
             )
-        if self.bias is not None and fusion_enabled():
-            return linear_bias(x, self.weight, self.bias)
-        out = x @ self.weight
         if self.bias is not None:
-            out = out + self.bias
-        return out
+            return linear_bias(x, self.weight, self.bias)
+        return x @ self.weight
 
     def __repr__(self) -> str:
         return f"Linear(in={self.in_features}, out={self.out_features})"

@@ -9,8 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd import ACTIVATIONS
-from repro.autograd.ops_fused import bias_gelu, fusion_enabled
-from repro.autograd.tensor import Tensor
+from repro.autograd.ops_fused import bias_gelu
+from repro.autograd.tensor import Tensor, is_inference
 from repro.nn.layers import Linear
 from repro.nn.module import Module
 from repro.utils.rng import RngLike
@@ -42,12 +42,14 @@ class MLP(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         if (
-            fusion_enabled()
+            not is_inference()
             and self.activation == "gelu"
             and self.fc1.bias is not None
         ):
             # Fused bias + GELU: one tape node instead of the matmul-bias
-            # add plus the activation's intermediate chain.
+            # add plus the activation's intermediate chain.  Serving
+            # keeps ``fc1`` whole: its row-stable GEMM is what makes a
+            # token's logits independent of the batch around it.
             h = bias_gelu(x @ self.fc1.weight, self.fc1.bias)
             return self.fc2(h)
         act = ACTIVATIONS[self.activation]

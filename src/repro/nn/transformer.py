@@ -19,12 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.autograd import cross_entropy
-from repro.autograd.ops_fused import (
-    bias_dropout_residual,
-    fusion_enabled,
-    softmax_cross_entropy,
-)
+from repro.autograd.ops_fused import dropout_residual, softmax_cross_entropy
 from repro.autograd.tensor import Tensor, is_inference
 from repro.nn.attention import CausalSelfAttention
 from repro.nn.layers import Dropout, Embedding, LayerNorm
@@ -71,45 +66,38 @@ class TransformerBlock(Module):
         self.ffn = ffn
         self.dropout = Dropout(dropout_p, rng=rng)
 
+    def _residual(self, x: Tensor, branch: Tensor) -> Tensor:
+        """``x + dropout(branch)``; one fused tape node outside serving
+        (the block-level residual has no bias — bias fusion lives inside
+        the Linear/MLP layers)."""
+        if is_inference():
+            return x + self.dropout(branch)
+        d = self.dropout
+        return dropout_residual(branch, x, d.p, d.training, d.rng)
+
     def forward(self, x: Tensor, layer_kv=None, slots=None):
-        fused = fusion_enabled() and not is_inference()
         if layer_kv is None:
             # Plain call: alternative attention modules (e.g. the
             # block-sparse sliding-window variant) take no cache kwargs.
             attn_out = self.attn(self.ln1(x))
         else:
             attn_out = self.attn(self.ln1(x), kv_sink=layer_kv, slots=slots)
-        if fused:
-            # Fused dropout + residual add: one tape node per branch (the
-            # block-level residual has no bias — bias fusion lives inside
-            # the Linear/MLP layers).
-            x = bias_dropout_residual(
-                attn_out, None, x, self.dropout.p, self.dropout.training,
-                self.dropout.rng,
-            )
-        else:
-            x = x + self.dropout(attn_out)
+        x = self._residual(x, attn_out)
         ffn_out = self.ffn(self.ln2(x))
         aux = None
         if isinstance(ffn_out, tuple):
             ffn_out, aux = ffn_out
-        if fused:
-            x = bias_dropout_residual(
-                ffn_out, None, x, self.dropout.p, self.dropout.training,
-                self.dropout.rng,
-            )
-        else:
-            x = x + self.dropout(ffn_out)
-        return x, aux
+        return self._residual(x, ffn_out), aux
 
     def forward_step(self, x: Tensor, layer_kv, positions, slots) -> Tensor:
         """One-token decode through this block against a KV cache.
 
-        Same composition as the unfused ``forward`` (residual adds around
-        attention and FFN); only the attention swaps in the cached step
-        kernel.  Runs under :func:`~repro.autograd.inference_mode`, so
-        the FFN (dense or MoE) takes its own inference branch and any
-        auxiliary loss it would report is dropped.
+        Same composition as ``forward`` under inference (the residual
+        adds around attention and FFN); only the attention swaps in the
+        cached step kernel.  Runs under
+        :func:`~repro.autograd.inference_mode`, so the FFN (dense or MoE)
+        takes its own inference branch and any auxiliary loss it would
+        report is dropped.
         """
         attn_out = self.attn.forward_step(self.ln1(x), layer_kv, positions, slots)
         x = x + self.dropout(attn_out)
@@ -353,12 +341,7 @@ class TransformerLM(Module):
         be None for dense models.
         """
         out = self.forward(ids)
-        if fusion_enabled():
-            lm = softmax_cross_entropy(
-                out.logits, targets, ignore_index=ignore_index
-            )
-        else:
-            lm = cross_entropy(out.logits, targets, ignore_index=ignore_index)
+        lm = softmax_cross_entropy(out.logits, targets, ignore_index=ignore_index)
         if out.aux_loss is not None:
             return lm + out.aux_loss, lm, out.aux_loss
         return lm, lm, None

@@ -149,8 +149,8 @@ class _SparseBiasGelu(Function):
 
 def sparse_bias_gelu(values: Tensor, bias: Tensor, topology: Topology) -> Tensor:
     """Fused differentiable column-bias add + GELU on sparse values."""
-    stats.record_fused("sparse_bias_gelu")
-    return _SparseBiasGelu.apply(as_tensor(values), as_tensor(bias), topology)
+    out = _SparseBiasGelu.apply(as_tensor(values), as_tensor(bias), topology)
+    return stats.record_fused("sparse_bias_gelu", out, replaced=2)
 
 
 class _DdsMM(Function):

@@ -120,12 +120,10 @@ class TrainerConfig:
         steady_state: run the step under
             :func:`repro.autograd.steady_state` — the buffer arena
             recycles every fixed-shape activation/gradient array across
-            steps and the fused elementwise ops collapse
-            bias/activation/dropout/residual chains into single tape
-            nodes (see ``docs/performance.md``).  A choice only for
-            ``backend="eager"``: off is the allocating, unfused
-            reference every other configuration must match bit for bit,
-            on is the eager steady step.  The compiled rungs are always
+            steps (see ``docs/performance.md``).  The fused ops run
+            either way.  A choice only for ``backend="eager"``: off is
+            the allocating reference every other configuration must
+            match bit for bit, on is the eager steady step.  The compiled rungs are always
             steady — ``"replay"`` and ``"cc"`` set it, whatever was
             passed — because that is what a graph is captured from and
             the only configuration they are measured on.

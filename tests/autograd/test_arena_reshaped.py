@@ -43,7 +43,7 @@ def reshapes(draw):
 def test_result_and_sharing_are_numpys(case):
     a, shape = case
     want = a.reshape(shape)
-    with arena.use_arena():
+    with arena.steady_state():
         stats.reset()
         got = arena.reshaped(a, shape)
         copied = stats.reshape_copy_bytes
@@ -59,7 +59,7 @@ def test_result_and_sharing_are_numpys(case):
 
 def test_integer_shape_and_an_impossible_shape():
     a = np.arange(12, dtype=np.float32).reshape(3, 4).T
-    with arena.use_arena():
+    with arena.steady_state():
         np.testing.assert_array_equal(arena.reshaped(a, 12), a.reshape(12))
         for bad in ((5, 3), (-1, 5)):
             try:
@@ -74,7 +74,7 @@ def test_a_copying_reshape_allocates_nothing_beside_its_pooled_buffer():
     """4 MB through a transpose: one pooled buffer (warm: reused), no
     scratch copy — the probe must not touch data."""
     a = np.zeros((32, 256, 128), np.float32).transpose(1, 0, 2)  # 4 MB
-    with arena.use_arena():
+    with arena.steady_state():
         pool = arena.get_arena()
         arena.reshaped(a, (256, 32 * 128))  # warm the bucket
         pool.next_generation()

@@ -190,7 +190,7 @@ class TestKernelFuzz:
             ref_opt = Adam(build(), lr=1e-2, weight_decay=wd)
             cc_opt = Adam(build(), lr=1e-2, weight_decay=wd)
             assert lower.attach_adam(cc_opt)
-            with arena.use_arena():
+            with arena.steady_state():
                 for _ in range(3):
                     ref_opt.step()
                     cc_opt.step()
@@ -270,7 +270,7 @@ class TestKernelFuzz:
                 with np.errstate(all="ignore"):
                     # arena off: the allocating path
                     opts["reference"].step(grad_scale=scale)
-                    with arena.use_arena():
+                    with arena.steady_state():
                         opts["mirror"].step(grad_scale=scale)
                         opts["native"].step(grad_scale=scale)
                         for p in opts["prescaled"].params:
@@ -297,7 +297,7 @@ class TestKernelFuzz:
             return ps
 
         ref = build()
-        with arena.use_arena():
+        with arena.steady_state():
             assert optim_mod._CLIP_CC is None
             ref_norm = clip_grad_norm(ref, 1.0)
 

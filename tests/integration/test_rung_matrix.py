@@ -10,6 +10,11 @@ over steps that span the end of warm-up.  The type a learning rate
 arrives in must not matter either, and neither may the layer: the
 variable-width dMoE and the Sinkhorn / BASE routers, whose assignment
 or dispatch is host work, train the eager bits on the compiled rungs.
+
+The eager reference and the eager steady step differ in the buffer
+arena only: both run the fused ops.  Each fused op's bitwise contract
+with the composition it replaces is stated once, op by op, in
+``tests/autograd/test_fused_ops.py``.
 """
 
 import json

@@ -1,9 +1,9 @@
 """Tier-1 equivalence smoke for the zero-allocation steady-state step.
 
-The buffer arena and fused elementwise ops are pure performance features:
-a small dMoE trained for N steps with ``steady_state=True`` must produce
-**bit-identical** losses and parameters to the reference run with the
-flag off.  A second test drives the guardrail rewind path (NaN-gradient
+The buffer arena is a pure performance feature: a small dMoE trained for
+N steps with ``steady_state=True`` must produce **bit-identical** losses
+and parameters to the reference run with the flag off.  Both runs take
+the fused ops, so they differ in the arena alone.  A second test drives the guardrail rewind path (NaN-gradient
 fault, snapshot restore) with the arena enabled, since rewind touches
 pooled gradient buffers.  "Zero-allocation" itself is held as a
 ``tracemalloc`` ratio on the Fig-7 Small shape — bytes, not a clock;
@@ -123,7 +123,8 @@ class TestSteadyStateEquivalence:
         assert last.arena_hit_rate > 0.5
         ref = _trainer(False).train()
         ref_last = [r for r in ref.records if r.tape_nodes is not None][-1]
-        assert last.tape_nodes < ref_last.tape_nodes  # shorter tape
+        # Both runs take the fused ops: the arena changes no tape node.
+        assert last.tape_nodes == ref_last.tape_nodes
 
     def test_rewind_roundtrip_with_arena(self):
         """Guardrail skip + snapshot rewind must work on pooled buffers."""

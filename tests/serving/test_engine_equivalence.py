@@ -13,7 +13,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.autograd import ACTIVATIONS
 from repro.autograd.tensor import inference_mode
+from repro.nn import MLP, layers
 from repro.serving.engine import InferenceEngine
 from repro.serving.kv_cache import KVCache
 
@@ -197,3 +199,39 @@ def test_untied_head_inference_path(prompts):
     ids = np.concatenate([prompts, tok[:, None]], axis=1)
     assert np.array_equal(step, uncached_logits(untied, ids))
     cache.release()
+
+
+def test_dense_serving_runs_every_block_linear_row_stable(prompts, monkeypatch):
+    """The fused bias + GELU is a training op: under inference_mode a
+    dense FFN's ``fc1`` takes the row-stable GEMM like the block's other
+    Linears, so prefill and decode logits are those of the serving
+    composition ``fc2(gelu(fc1(x)))``."""
+    model = make_model("dense")
+    engine = InferenceEngine(model)
+    calls = []
+    row_stable = layers.stable_linear
+
+    def counted(x, weight, bias=None):
+        calls.append(id(weight))
+        return row_stable(x, weight, bias)
+
+    monkeypatch.setattr(layers, "stable_linear", counted)
+
+    def prefill_then_decode():
+        cache = engine.new_cache(prompts.shape[0])
+        logits = [engine.prefill(prompts, cache)]
+        logits.append(engine.decode_step(prompts[:, -1], cache))
+        cache.release()
+        return logits
+
+    got = prefill_then_decode()
+    for block in model.blocks:
+        for linear in (block.attn.qkv, block.attn.proj, block.ffn.fc1, block.ffn.fc2):
+            assert calls.count(id(linear.weight.data)) == 2  # prefill, decode
+
+    monkeypatch.setattr(
+        MLP, "forward",
+        lambda self, x: self.fc2(ACTIVATIONS[self.activation](self.fc1(x))),
+    )
+    for g, want in zip(got, prefill_then_decode()):
+        assert np.array_equal(g, want)

@@ -181,7 +181,7 @@ class TestClipScaleFoldedIntoTheStep:
             assert lower.attach_adam(separate) and lower.attach_adam(folded)
         steady = rung in ("mirror", "native")
         try:
-            with arena.use_arena() if steady else contextlib.nullcontext():
+            with arena.steady_state() if steady else contextlib.nullcontext():
                 for _ in range(3):
                     before = [None if p.grad is None else p.grad.copy() for p in folded.params]
                     norm = clip_grad_norm(separate.params, max_norm)
@@ -240,7 +240,7 @@ class TestGradNormFiniteness:
 
         big = np.finfo(np.float32).max
         try:
-            with arena.use_arena() if rung != "allocating" else contextlib.nullcontext():
+            with arena.steady_state() if rung != "allocating" else contextlib.nullcontext():
                 for size in (1, 7, 64, 1000):
                     for g in (randn(size), np.full(size, big), np.full(size, -big)):
                         assert np.isfinite(norm(randn(5), g.astype(np.float32), randn(9)))
