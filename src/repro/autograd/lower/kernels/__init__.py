@@ -2,20 +2,25 @@
 
 One module per family; each exports ``KERNELS``, a tuple of
 :class:`~repro.autograd.lower.kernels.base.Kernel` entries.  ``TABLE``
-concatenates them in a fixed order — the order their C appears in the
-prelude, so an entry's source may call what an earlier entry defines
-(``getitem`` after ``scatter``, the grouped GEMMs after ``mm``'s BLAS
-bridge, serving's entries after the GEMM that opens their family) and
-the rendered unit, hence its cache key, is deterministic.
+concatenates them in a fixed order (``FAMILIES``): :func:`forward_entry`
+picks the first entry in that order whose contract admits a record.
 
-``PRELUDE`` is that unit: the shared helpers, then every entry's source
-in table order.  It is the only C this package compiles — training's
-kernels and serving's alike — once per process
-(:func:`repro.autograd.lower.runtime.load_prelude`).
+``PRELUDE`` is the C of the table, the only C this package compiles —
+training's kernels and serving's alike — once per process, as one
+library (:func:`repro.autograd.lower.runtime.load_prelude`).  It is a
+tuple of translation units, one per group of ``PARTITION``, which the
+toolchain compiles concurrently and links once.  Each unit is the
+shared helpers, then the sources of its families' entries in table
+order.  The ordering rule applies within a unit: an entry's source may
+call what an earlier entry *of its unit* defines (``getitem`` after
+``scatter``, the grouped GEMMs after ``mm``'s BLAS bridge, serving's
+entries after the GEMM that opens their family) — never what another
+unit does.  The rendered units, hence the cache key, are deterministic.
 
 Adding a kernel is adding an entry to one family module (or a module to
-the tuple below): the segmenter, the runtime, the prelude, ``bind``,
-``repro.cli lower report`` and the conformance test pick it up here.
+``FAMILIES`` and to one group of ``PARTITION``): the segmenter, the
+runtime, the prelude, ``bind``, ``repro.cli lower report`` and the
+conformance test pick it up here.
 """
 
 from __future__ import annotations
@@ -31,22 +36,40 @@ from repro.autograd.lower.kernels import (
 from repro.autograd.lower.kernels.base import HEADER, SHARED, Kernel
 
 __all__ = [
-    "PRELUDE", "TABLE", "Kernel", "backward_entry", "forward_entry", "replaced",
+    "FAMILIES", "PARTITION", "PRELUDE", "TABLE", "Kernel", "backward_entry",
+    "forward_entry", "replaced",
 ]
 
-TABLE: Tuple[Kernel, ...] = sum(
-    (
-        m.KERNELS
-        for m in (
-            rows, layernorm, gelu, attention, gemm, grouped, router, views,
-            elementwise, optim, serve,
-        )
-    ),
-    (),
+#: The family modules, in table order.
+FAMILIES = (
+    rows, layernorm, gelu, attention, gemm, grouped, router, views,
+    elementwise, optim, serve,
 )
 
-#: The prelude: every entry's C, in table order, behind the shared helpers.
-PRELUDE = HEADER + SHARED + "".join(e.source for e in TABLE)
+TABLE: Tuple[Kernel, ...] = sum((m.KERNELS for m in FAMILIES), ())
+
+#: The families each translation unit holds.  Two units, balanced by
+#: each family's cold ``cc -c`` seconds alone (layernorm 0.38, attention
+#: 0.37, serve 0.36, elementwise 0.31, gemm + grouped 0.28, gelu 0.27,
+#: optim 0.25, rows 0.19, router 0.09 on a 2-vCPU x86-64 host): one unit
+#: per CPU there, since every further unit pays ≈ 0.05 s of ``cc``
+#: start-up and headers.  ``gemm`` and ``grouped`` share a unit because
+#: the grouped GEMMs call the BLAS bridge, a ``static`` pointer that
+#: ``repro_set_blas`` fills; serving's ``#pragma GCC push_options``
+#: opens and closes inside its own unit.
+PARTITION = (
+    (rows, layernorm, gelu, gemm, grouped, router),
+    (attention, views, elementwise, optim, serve),
+)
+
+#: The prelude: one unit per group of ``PARTITION``, each the shared
+#: helpers and then its families' entries' C, in table order.
+PRELUDE: Tuple[str, ...] = tuple(
+    HEADER + SHARED + "".join(
+        e.source for m in FAMILIES if m in group for e in m.KERNELS
+    )
+    for group in PARTITION
+)
 
 
 def replaced(entry: Kernel):

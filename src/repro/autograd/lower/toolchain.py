@@ -1,13 +1,15 @@
 """C toolchain detection, the on-disk compile cache, and library loading.
 
-A translation unit is named by its caller's tag; the process compiles
-one, the kernel table's prelude (``"prelude"``: training's kernels and
-serving's alike, whatever graphs are captured).  Compilation is keyed
-by a content hash of the source plus the compiler's version line, the
-flags and the host CPU's feature list (``-march=native`` compiles for
-it), so a repeat run on the same kind of host loads the cached ``.so``
-straight from ``~/.cache/repro/lower/`` (override with
-``REPRO_LOWER_CACHE``) without invoking ``cc`` at all.
+A library is named by its caller's tag and built from a fixed tuple of
+translation units; the process builds one, the kernel table's prelude
+(``"prelude"``: training's kernels and serving's alike, whatever graphs
+are captured).  The units compile concurrently — one ``cc -c`` each, at
+most one per CPU the process may run on — and link once into one
+``.so``.  The build is keyed by a content hash of the units plus the
+compiler's version line, the flags and the host CPU's feature list
+(``-march=native`` compiles for it), so a repeat run on the same kind
+of host loads the cached ``.so`` straight from ``~/.cache/repro/lower/``
+(override with ``REPRO_LOWER_CACHE``) without invoking ``cc`` at all.
 
 Toolchain state is probed once per process.  A missing or broken ``cc``
 — or ``REPRO_NO_CC=1`` — logs exactly one warning and pins the probe to
@@ -23,14 +25,15 @@ import logging
 import os
 import platform
 import shutil
+import struct
 import subprocess
 import tempfile
 import time
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 logger = logging.getLogger(__name__)
 
-#: Flags are part of the cache key.  ``-ffp-contract=off`` is
+#: Compile flags, part of the cache key.  ``-ffp-contract=off`` is
 #: load-bearing for bit-identity (no FMA contraction of the rendered
 #: ``a*b+c`` chains) and stays in force under ``-O3 -march=native``:
 #: GCC auto-vectorization never *reassociates* floating-point (that
@@ -47,7 +50,6 @@ CFLAGS = (
     "-O3",
     "-march=native",
     "-fPIC",
-    "-shared",
     "-ffp-contract=off",
     "-fno-math-errno",
 )
@@ -57,6 +59,9 @@ CFLAGS = (
 #: kernels now expect ``repro_set_blas`` to be called after load, so a
 #: stale ``.so`` from a pre-BLAS-bridge cache must never be served.
 CACHE_VERSION = "2"
+
+#: Seconds one build — every unit's ``cc -c`` and the link — may take.
+BUILD_TIMEOUT_S = 300.0
 
 # None = not probed yet; False = unavailable;
 # (cc_path, version, host_isa) = usable.
@@ -144,17 +149,107 @@ def cache_dir() -> str:
     return d
 
 
-def compile_and_load(source: str, tag: str) -> Optional[ctypes.CDLL]:
-    """Compile ``source`` as unit ``tag`` (or serve it from the cache);
-    ``None`` on failure.
+def _truncated(path: str) -> bool:
+    """Whether the ELF file at ``path`` ends before its section-header
+    table, which a linker writes last.  ``dlopen`` maps a cut-off
+    library and faults (``SIGBUS``) on the missing pages instead of
+    failing, so one must be caught before it is loaded.  A file that is
+    not ELF is left to ``dlopen`` to refuse."""
+    with open(path, "rb") as f:
+        data = f.read()
+    if data[:4] != b"\x7fELF":
+        return False
+    order = "<" if data[5:6] == b"\x01" else ">"
+    head = order + ("16x24xQ10xHH" if data[4:5] == b"\x02" else "16x16xI10xHH")
+    if len(data) < struct.calcsize(head):
+        return True
+    shoff, shentsize, shnum = struct.unpack_from(head, data)
+    return shoff + shnum * shentsize > len(data)
+
+
+class _BuildFailed(Exception):
+    """A ``cc`` job failed or the build ran out of time."""
+
+
+def _jobs() -> int:
+    """How many ``cc`` jobs run at once: the CPUs this process may use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _diagnosis(path: str) -> str:
+    """A job's last line of output that names an error (its last line,
+    if none does): the message, not the caret under its source line."""
+    with open(path, errors="replace") as f:
+        lines = [line.strip() for line in f if line.strip()]
+    errors = [line for line in lines if "error" in line]
+    return (errors or lines or [""])[-1]
+
+
+def _run(cmds: Sequence[List[str]], names: Sequence[str], work: str,
+         deadline: float) -> List[float]:
+    """Run ``cmds``, at most :func:`_jobs` at a time, and return each
+    one's wall seconds.  Plain ``Popen`` and polling, no threads: a
+    trainer forks workers later, and a live thread at fork is a hazard.
+    The first failure, or the ``deadline`` (``time.monotonic``), raises
+    :class:`_BuildFailed` naming the job and its error; either way
+    every job still running is killed and reaped first."""
+    pending = list(enumerate(cmds))
+    running: Dict[subprocess.Popen, Tuple[int, float]] = {}
+    seconds = [0.0] * len(cmds)
+    jobs = _jobs()
+    try:
+        while pending or running:
+            while pending and len(running) < jobs:
+                i, cmd = pending.pop(0)
+                with open(os.path.join(work, f"{i}.log"), "wb") as log:
+                    proc = subprocess.Popen(
+                        cmd, stdout=log, stderr=subprocess.STDOUT
+                    )
+                running[proc] = (i, time.perf_counter())
+            time.sleep(0.002)
+            for proc in [p for p in running if p.poll() is not None]:
+                i, t0 = running.pop(proc)
+                seconds[i] = time.perf_counter() - t0
+                if proc.returncode:
+                    detail = _diagnosis(os.path.join(work, f"{i}.log"))
+                    raise _BuildFailed(
+                        f"cc failed on {names[i]}: "
+                        + (detail or f"exit {proc.returncode}")
+                    )
+            if running and time.monotonic() > deadline:
+                first = min(i for i, _ in running.values())
+                raise _BuildFailed(
+                    f"cc timed out on {names[first]} after {BUILD_TIMEOUT_S:g} s"
+                )
+    finally:
+        for proc in running:
+            proc.kill()
+        for proc in running:
+            proc.wait()
+    return seconds
+
+
+def compile_and_load(units: Tuple[str, ...], tag: str) -> Optional[ctypes.CDLL]:
+    """Build the library ``tag`` from the translation ``units`` (or
+    serve it from the cache); ``None`` on failure.
 
     The artifact key is ``sha256(cc version || host ISA || cflags ||
-    source)``: any change to the source, the compiler, the CPU
+    units, in order)``: any change to a unit, the compiler, the CPU
     ``-march=native`` resolves to, or the flags produces a fresh
-    ``.so``.  Both the ``.c`` and the ``.so`` are left in the
-    cache directory for inspection.  A failed compile marks the whole
-    toolchain broken (one warning) so subsequent graphs skip straight to
-    the NumPy replay without retrying ``cc`` per capture.
+    ``.so``.  Each unit is compiled to an object by its own ``cc -c``,
+    concurrently, in a per-process temporary directory (two cold
+    processes may build one key at once); the objects are linked once
+    and the ``.so`` is renamed into the cache, so the directory only
+    ever holds whole libraries.  The ``.c``/``.o`` intermediates are
+    removed, built or not.  A failed or timed-out job kills the others
+    and marks the whole toolchain broken (one warning), so subsequent
+    graphs skip straight to the NumPy replay without retrying ``cc``.
+
+    The registry gets the build's wall time (``lower_compile_ms``) and
+    each unit's ``cc`` time (``lower_unit_cc_ms``, one sample a unit).
     """
     tc = toolchain()
     if tc is None:
@@ -163,7 +258,7 @@ def compile_and_load(source: str, tag: str) -> Optional[ctypes.CDLL]:
     from repro.observability.metrics import registry
 
     key = hashlib.sha256(
-        "\x00".join((CACHE_VERSION, version, isa) + CFLAGS + (source,)).encode()
+        "\x00".join((CACHE_VERSION, version, isa) + CFLAGS + tuple(units)).encode()
     ).hexdigest()[:24]
     lib = _libs.get(key)
     if lib is not None:
@@ -174,7 +269,7 @@ def compile_and_load(source: str, tag: str) -> Optional[ctypes.CDLL]:
     so_path = os.path.join(d, f"{tag}-{key}.so")
     if os.path.exists(so_path):
         try:
-            lib = ctypes.CDLL(so_path)
+            lib = None if _truncated(so_path) else ctypes.CDLL(so_path)
         except OSError:
             lib = None  # stale/corrupt artifact: fall through and rebuild
         if lib is not None:
@@ -183,41 +278,35 @@ def compile_and_load(source: str, tag: str) -> Optional[ctypes.CDLL]:
             return lib
 
     t0 = time.perf_counter()
-    tmp = None
+    deadline = time.monotonic() + BUILD_TIMEOUT_S
     try:
         os.makedirs(d, exist_ok=True)
-        c_path = os.path.join(d, f"{tag}-{key}.c")
-        with open(c_path, "w") as f:
-            f.write(source)
-        fd, tmp = tempfile.mkstemp(dir=d, suffix=".so")
-        os.close(fd)
-        proc = subprocess.run(
-            [cc, *CFLAGS, c_path, "-o", tmp, "-lm"],
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        if proc.returncode != 0:
-            detail = (proc.stderr or proc.stdout or "").strip().splitlines()
-            mark_broken(
-                f"cc failed on the {tag} unit: "
-                + (detail[-1] if detail else f"exit {proc.returncode}")
-            )
-            return None
-        os.replace(tmp, so_path)
-        tmp = None
+        with tempfile.TemporaryDirectory(prefix=f".{tag}-", dir=d) as work:
+            objs, cmds = [], []
+            for i, unit in enumerate(units):
+                c_path = os.path.join(work, f"{tag}-{i}.c")
+                with open(c_path, "w") as f:
+                    f.write(unit)
+                objs.append(os.path.join(work, f"{tag}-{i}.o"))
+                cmds.append([cc, *CFLAGS, "-c", c_path, "-o", objs[-1]])
+            names = [f"the {tag} unit {i}" for i in range(len(units))]
+            unit_s = _run(cmds, names, work, deadline)
+            tmp = os.path.join(work, f"{tag}.so")
+            _run([[cc, "-shared", *objs, "-o", tmp, "-lm"]],
+                 [f"the {tag} link"], work, deadline)
+            os.replace(tmp, so_path)
         lib = ctypes.CDLL(so_path)
+    except _BuildFailed as exc:
+        mark_broken(str(exc))
+        return None
     except (OSError, subprocess.SubprocessError) as exc:
         mark_broken(f"compile cache unusable: {exc}")
         return None
-    finally:
-        if tmp is not None:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+    reg = registry()
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    registry().counter("lower_compile_ms").inc(max(1, int(elapsed_ms)))
+    reg.counter("lower_compile_ms").inc(max(1, int(elapsed_ms)))
+    for s in unit_s:
+        reg.histogram("lower_unit_cc_ms").observe(s * 1000.0)
     _libs[key] = lib
     return lib
 

@@ -415,6 +415,12 @@ def build_lower_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _unit_builds(unit_ms) -> str:
+    """``N units, slowest X ms`` over per-unit ``cc`` times (none when
+    the library came from the cache)."""
+    return f"{len(unit_ms)} units, slowest {max(unit_ms, default=0.0):.0f} ms"
+
+
 def lower_main(argv=None) -> int:
     """``python -m repro.cli lower report``: native-lowering breakdown."""
     from collections import Counter
@@ -447,21 +453,24 @@ def lower_main(argv=None) -> int:
         log_every=0,
         backend="cc",
     )
-    trainer = Trainer(
-        model, train, config=cfg,
-        optimizer=Adam(model.parameters(), lr=3e-3), rng=args.seed + 2,
-    )
     reg = registry()
     counter_names = (
         "graph_lowered", "lower_compile_ms", "lower_cache_hits",
         "lower_segment_fallbacks", "lower_toolchain_fallbacks",
     )
     before = {k: reg.counter(k).value for k in counter_names}
+    units_before = reg.histogram("lower_unit_cc_ms").count
+    # The trainer builds the prelude (for its native Adam step).
+    trainer = Trainer(
+        model, train, config=cfg,
+        optimizer=Adam(model.parameters(), lr=3e-3), rng=args.seed + 2,
+    )
     copies = []  # per step: bytes the two copying branches moved
     for step in range(args.steps):
         trainer.train_step(step)
         copies.append((ag_stats.reshape_copy_bytes, ag_stats.leaf_copy_bytes))
     counts = {k: reg.counter(k).value - before[k] for k in counter_names}
+    unit_ms = reg.histogram("lower_unit_cc_ms").values[units_before:]
 
     graph = trainer.step_graph
     if graph is None:
@@ -497,6 +506,7 @@ def lower_main(argv=None) -> int:
         "host_records": dict(sorted(host_fns.items())),
         "reshape_copy_bytes": [c[0] for c in copies],
         "leaf_copy_bytes": [c[1] for c in copies],
+        "unit_cc_ms": [round(v) for v in unit_ms],
         **counts,
     }
     if args.json:
@@ -532,7 +542,7 @@ def lower_main(argv=None) -> int:
         "  counters: "
         f"{counts['graph_lowered']} graphs lowered, "
         f"{counts['lower_compile_ms']}ms compiling "
-        f"({counts['lower_cache_hits']} cache hits), "
+        f"({_unit_builds(unit_ms)}, {counts['lower_cache_hits']} cache hits), "
         f"{counts['lower_segment_fallbacks']} segment fallbacks, "
         f"{counts['lower_toolchain_fallbacks']} toolchain fallbacks"
     )
@@ -656,10 +666,11 @@ def main(argv=None) -> int:
     if args.backend == "cc":
         reg = registry()
         logger.info(
-            "lowering: %d graphs lowered (%d ms compiling, %d cache hits), "
+            "lowering: %d graphs lowered (%d ms compiling: %s, %d cache hits), "
             "%d segment fallbacks, %d toolchain fallbacks",
             reg.counter("graph_lowered").value,
             reg.counter("lower_compile_ms").value,
+            _unit_builds(reg.histogram("lower_unit_cc_ms").values),
             reg.counter("lower_cache_hits").value,
             reg.counter("lower_segment_fallbacks").value,
             reg.counter("lower_toolchain_fallbacks").value,

@@ -22,7 +22,6 @@ router, so either can drive the dMoE layer.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.autograd import getitem, softmax
 from repro.autograd.graph import host as graph_host
@@ -42,6 +41,10 @@ def _balanced_assignment(scores: np.ndarray, num_experts: int) -> np.ndarray:
     num_tokens = scores.shape[0]
     slots = ceil_div(num_tokens, num_experts) * num_experts
     slot_expert = np.arange(slots) % num_experts
+    # Imported here: SciPy costs ``import repro`` ≈ 0.5 s and 40 MB, and
+    # only this router needs it.
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(-scores[:, slot_expert])
     return slot_expert[cols][np.argsort(rows)][:, None].astype(np.int64)
 

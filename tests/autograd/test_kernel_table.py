@@ -556,3 +556,29 @@ def test_registry_is_consistent():
     assert len(names) == len(set(names))
     # The docs catalog is the table's own listing.
     assert _catalog_rows() == [_catalog_row(e) for e in kernels.TABLE]
+
+
+def test_every_family_is_built_in_exactly_one_unit():
+    """Every module of the package that declares ``KERNELS`` is a family
+    of the table and sits in exactly one group of ``PARTITION``, so a
+    new family cannot be left out of the build; each entry's C is in
+    exactly one unit of the prelude; and the grouped GEMMs share a unit
+    with the ``static`` BLAS bridge they call."""
+    import importlib
+    import pkgutil
+
+    declared = {
+        importlib.import_module(f"{kernels.__name__}.{info.name}")
+        for info in pkgutil.iter_modules(kernels.__path__)
+    }
+    declared = {m for m in declared if hasattr(m, "KERNELS")}
+    assert declared == set(kernels.FAMILIES)
+    placed = [m.__name__ for group in kernels.PARTITION for m in group]
+    assert sorted(placed) == sorted(m.__name__ for m in kernels.FAMILIES)
+    assert len(kernels.PRELUDE) == len(kernels.PARTITION)
+    for entry in kernels.TABLE:
+        if entry.source:
+            found = sum(unit.count(entry.source) for unit in kernels.PRELUDE)
+            assert found == 1, entry.name
+    (unit,) = [g for g in kernels.PARTITION if kernels.gemm in g]
+    assert kernels.grouped in unit

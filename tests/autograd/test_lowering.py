@@ -5,12 +5,17 @@ to NumPy replay, so these tests compare each prelude kernel against the
 exact ufunc sequence it replaces — float equality, never approx — plus
 structural units: the per-record layout descriptors graphs are lowered
 from, graph-level attach bit-identity, the content-addressed compile
-cache, and the ``REPRO_NO_CC`` kill switch.
+cache, the ``REPRO_NO_CC`` kill switch, and the build's failure paths.
 """
 
 import glob
+import logging
+import multiprocessing
 import os
+import signal
 import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -695,7 +700,7 @@ class TestGraphAttach:
             toolchain._reset_for_tests()  # a new process on that host
             hits = reg.counter("lower_cache_hits").value
             ms = reg.counter("lower_compile_ms").value
-            lib = toolchain.compile_and_load(source, tag="probe")
+            lib = toolchain.compile_and_load((source,), tag="probe")
             assert lib is not None and lib.repro_probe() == 7
             paths = set(glob.glob(os.path.join(toolchain.cache_dir(), "probe-*.so")))
             return (
@@ -755,3 +760,163 @@ class TestNoToolchain:
         assert lower.attach(graph) is None
         assert graph._lowered is None
         assert reg.counter("lower_toolchain_fallbacks").value == before + 1
+
+
+# ----------------------------------------------------------------------
+# The build's failure paths: each warns once and lands on replay.
+# ----------------------------------------------------------------------
+def _leftovers():
+    """Every path under the cache directory, relative to it."""
+    d = toolchain.cache_dir()
+    return sorted(
+        os.path.relpath(os.path.join(root, name), d)
+        for root, dirs, files in os.walk(d)
+        for name in dirs + files
+    )
+
+
+def _warnings(caplog):
+    return [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+def _assert_declines_to_replay():
+    """The next ``attach`` declines and counts a toolchain fallback."""
+    reg = registry()
+    before = reg.counter("lower_toolchain_fallbacks").value
+    assert lower.attach(_capture_tiny()) is None
+    assert reg.counter("lower_toolchain_fallbacks").value == before + 1
+
+
+def _assert_runs(lib):
+    """A kernel of each unit computes its reference's bits: ``gather``
+    called by hand, and serving's GEMM through its bind check."""
+    from repro.autograd.lower.kernels import serve
+
+    x = np.arange(12, dtype=np.float32).reshape(4, 3)
+    ids = np.array([2, -1, 0], np.int64)
+    out = np.empty((3, 3), np.float32)
+    lib.repro_gather_rows_f32(*_ptrs(x, ids, out), 3, 3)
+    np.testing.assert_array_equal(out, [x[2], np.zeros(3), x[0]])
+    runtime._direct.clear()
+    try:
+        calls = registry().counter("lower_direct_calls").value
+        entry = serve.KERNELS[0]
+        runtime.direct(entry)(*entry.fuzz(np.random.default_rng(0)))
+        assert registry().counter("lower_direct_calls").value == calls + 1
+    finally:
+        runtime._direct.clear()
+
+
+def _cold_load_after(barrier):
+    """A forked process's first prelude load, started on ``barrier``."""
+    toolchain._reset_for_tests()
+    barrier.wait()
+    lib = runtime.load_prelude()
+    assert lib is not None
+    _assert_runs(lib)
+
+
+@needs_cc
+class TestBuildFailures:
+    def test_one_failing_unit_leaves_nothing_and_lands_on_replay(
+        self, monkeypatch, caplog
+    ):
+        from tests.integration.test_step_graph import (
+            _assert_same, _fingerprint, _trainer,
+        )
+
+        units = kernels.PRELUDE
+        monkeypatch.setattr(
+            kernels, "PRELUDE", units[:-1] + (units[-1] + "\n#error broken\n",)
+        )
+        replay = _trainer("replay", steady=True)
+        ref = _fingerprint(replay, replay.train())
+        with caplog.at_level(logging.WARNING):
+            lowered = _trainer("cc", steady=True)
+            got = _fingerprint(lowered, lowered.train())
+        _assert_same(ref, got)
+        assert lowered.step_graph._lowered is None
+        (warning,) = _warnings(caplog)
+        assert f"unit {len(units) - 1}" in warning and "#error" in warning
+        assert _leftovers() == []  # no .so, and no unit's .c or .o
+        _assert_declines_to_replay()
+
+    def test_truncated_library_is_rebuilt(self):
+        # Built by another process: this one must not have it mapped.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        subprocess.run(
+            [sys.executable, "-c",
+             "from repro.autograd.lower import runtime; "
+             "assert runtime.load_prelude() is not None"],
+            env=env, check=True, timeout=300,
+        )
+        (so,) = glob.glob(os.path.join(toolchain.cache_dir(), "prelude-*.so"))
+        with open(so, "r+b") as f:
+            f.truncate(os.path.getsize(so) // 2)
+        reg = registry()
+        hits = reg.counter("lower_cache_hits").value
+        ms = reg.counter("lower_compile_ms").value
+        built = reg.histogram("lower_unit_cc_ms").count
+        lib = runtime.load_prelude()
+        assert lib is not None
+        assert reg.counter("lower_cache_hits").value == hits
+        assert reg.counter("lower_compile_ms").value > ms
+        assert reg.histogram("lower_unit_cc_ms").count == built + len(kernels.PRELUDE)
+        assert _leftovers() == [os.path.basename(so)]
+        _assert_runs(lib)
+
+    def test_unwritable_cache_dir_lands_on_replay(self, tmp_path, monkeypatch, caplog):
+        in_the_way = tmp_path / "a-file"
+        in_the_way.write_text("")
+        monkeypatch.setenv("REPRO_LOWER_CACHE", str(in_the_way / "lower"))
+        with caplog.at_level(logging.WARNING):
+            assert runtime.load_prelude() is None
+            _assert_declines_to_replay()
+        (warning,) = _warnings(caplog)
+        assert "compile cache unusable" in warning
+
+    def test_two_processes_cold_build_one_key_at_once(self):
+        ctx = multiprocessing.get_context("fork")
+        barrier = ctx.Barrier(2)
+        procs = [ctx.Process(target=_cold_load_after, args=(barrier,)) for _ in range(2)]
+        for p in procs:
+            p.start()
+        for p in procs:
+            p.join(300)
+        assert [p.exitcode for p in procs] == [0, 0]
+        (so,) = _leftovers()
+        assert so.startswith("prelude-") and so.endswith(".so")
+
+    def test_a_hung_cc_is_killed_and_reaped(self, tmp_path, monkeypatch, caplog):
+        fake = tmp_path / "cc"
+        fake.write_text(
+            "#!/bin/sh\n"
+            'if [ "$1" = --version ]; then echo "fake cc 1.0"; exit 0; fi\n'
+            "exec sleep 60\n"
+        )
+        fake.chmod(0o755)
+        monkeypatch.setenv("CC", str(fake))
+        monkeypatch.setattr(toolchain, "BUILD_TIMEOUT_S", 0.5)
+        toolchain._reset_for_tests()
+        popen, jobs = subprocess.Popen, []
+
+        def spawn(cmd, *args, **kwargs):
+            proc = popen(cmd, *args, **kwargs)
+            jobs.append(proc)
+            return proc
+
+        monkeypatch.setattr(subprocess, "Popen", spawn)
+        t0 = time.monotonic()
+        with caplog.at_level(logging.WARNING):
+            assert runtime.load_prelude() is None
+        assert time.monotonic() - t0 < 30
+        units = [p for p in jobs if "-c" in p.args]
+        assert len(units) == min(len(kernels.PRELUDE), toolchain._jobs())
+        for proc in units:  # killed, and reaped: no child is left
+            assert proc.returncode == -signal.SIGKILL
+            with pytest.raises(ProcessLookupError):
+                os.kill(proc.pid, 0)
+        (warning,) = _warnings(caplog)
+        assert "timed out" in warning
+        assert _leftovers() == []
+        _assert_declines_to_replay()

@@ -262,13 +262,13 @@ class TestLoweredResilience:
 @needs_cc
 class TestOnePreludePerProcess:
     def test_cold_cache_compiles_the_prelude_once(self):
-        """The kernel table's C is the process's one translation unit: a
-        cold train-then-serve process runs ``cc`` once, for the prelude
-        (for ``attach_adam`` or the first ``attach``, whichever comes
-        first) — never for a graph, never for serving, whose entries bind
-        on the same library.  A recapture compiles nothing and lowers
-        onto the same prelude object, and a second trainer compiles and
-        binds nothing."""
+        """The kernel table's C is the process's one library: a cold
+        train-then-serve process compiles each prelude unit exactly once
+        and links once (for ``attach_adam`` or the first ``attach``,
+        whichever comes first) — never for a graph, never for serving,
+        whose entries bind on the same library.  A recapture compiles
+        nothing and lowers onto the same prelude object, and a second
+        trainer compiles and binds nothing."""
         import glob
         import os
         import subprocess
@@ -285,16 +285,20 @@ class TestOnePreludePerProcess:
                 for k in ("lower_cache_hits", "lower_compile_ms", "graph_lowered")
             }
 
-        def compiled():
-            return [
-                open(next(a for a in c.args[0] if a.endswith(".c"))).read()
-                for c in spawned.call_args_list
-                if "--version" not in c.args[0]
-            ]
+        popen = subprocess.Popen
+        units, links = [], []
+
+        def spawn(cmd, *args, **kwargs):
+            if "-c" in cmd:  # the unit's text, read before cc runs
+                with open(cmd[cmd.index("-c") + 1]) as f:
+                    units.append(f.read())
+            elif "-shared" in cmd:
+                links.append(cmd)
+            return popen(cmd, *args, **kwargs)
 
         runtime._direct.clear()
         with mock.patch.object(
-            toolchain.subprocess, "run", wraps=subprocess.run
+            toolchain.subprocess, "Popen", side_effect=spawn
         ) as spawned:
             first = _trainer("cc", steady=True)
             losses = [first.train_step(s) for s in range(2)]
@@ -305,7 +309,11 @@ class TestOnePreludePerProcess:
             for entry in serve.KERNELS:
                 runtime.direct(entry)(*entry.fuzz(rng))
             assert reg.counter("lower_direct_calls").value == native + len(serve.KERNELS)
-            assert compiled() == [kernels.PRELUDE]
+            assert sorted(units) == sorted(kernels.PRELUDE)  # each unit once
+            assert len(links) == 1
+            for entry in kernels.TABLE:
+                if entry.source:  # once, in exactly one unit
+                    assert sum(u.count(entry.source) for u in units) == 1, entry.name
             cache = toolchain.cache_dir()
             assert len(glob.glob(os.path.join(cache, "prelude-*.so"))) == 1
             assert len(glob.glob(os.path.join(cache, "*.so"))) == 1

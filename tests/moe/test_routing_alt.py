@@ -113,3 +113,26 @@ class TestHashRouter:
     def test_roughly_uniform_over_many_ids(self):
         counts = np.bincount(hash_assign(np.arange(80_000), 8), minlength=8)
         assert counts.min() > 0.8 * counts.mean()
+
+
+def test_importing_the_library_loads_no_scipy():
+    """SciPy is imported by the one router that calls it, on its first
+    assignment: a fresh interpreter that imports the training and
+    serving entry points has no ``scipy`` module loaded."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[2] / "src"
+    code = (
+        "import sys\n"
+        "import repro, repro.training, repro.serving.engine, repro.serving.scheduler\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"

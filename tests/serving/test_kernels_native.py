@@ -447,18 +447,29 @@ def _missing_cc(monkeypatch):
     monkeypatch.setenv("CC", "no-such-compiler-on-this-path")
 
 
+def _edit_unit(monkeypatch, holding, edit):
+    """Swap the one prelude unit whose C contains ``holding`` for
+    ``edit(unit)``; the other units compile as they are."""
+    units = table.PRELUDE
+    (i,) = [i for i, unit in enumerate(units) if holding in unit]
+    assert units[i].count(holding) == 1
+    monkeypatch.setattr(
+        table, "PRELUDE", units[:i] + (edit(units[i]),) + units[i + 1:]
+    )
+
+
 def _compile_failure(monkeypatch):
-    monkeypatch.setattr(table, "PRELUDE", table.PRELUDE + "\n#error broken\n")
+    """Serving's unit stops compiling."""
+    _edit_unit(monkeypatch, serve.KERNELS[0].source,
+               lambda unit: unit + "\n#error broken\n")
 
 
 def _self_check_mismatch(monkeypatch):
     """A prelude whose attention context is off in one head's
     denominator: only ``attn_rows`` fails its bind check."""
     honest = "d0 = d0 + ps[0][j];"
-    assert table.PRELUDE.count(honest) == 1
-    monkeypatch.setattr(
-        table, "PRELUDE", table.PRELUDE.replace(honest, "d0 = d0 + ps[0][j] * 1.5f;")
-    )
+    _edit_unit(monkeypatch, honest, lambda unit: unit.replace(
+        honest, "d0 = d0 + ps[0][j] * 1.5f;"))
 
 
 @pytest.fixture(scope="module")
