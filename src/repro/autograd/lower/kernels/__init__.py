@@ -33,11 +33,12 @@ from repro.autograd.lower.kernels import (
     attention, elementwise, gelu, gemm, grouped, layernorm, optim, router,
     rows, serve, views,
 )
+from repro.autograd.function import Context, Function
 from repro.autograd.lower.kernels.base import HEADER, SHARED, Kernel
 
 __all__ = [
     "FAMILIES", "PARTITION", "PRELUDE", "TABLE", "Kernel", "backward_entry",
-    "forward_entry", "replaced",
+    "forward_entry", "reference", "replaced",
 ]
 
 #: The family modules, in table order.
@@ -49,14 +50,16 @@ FAMILIES = (
 TABLE: Tuple[Kernel, ...] = sum((m.KERNELS for m in FAMILIES), ())
 
 #: The families each translation unit holds.  Two units, balanced by
-#: each family's cold ``cc -c`` seconds alone (layernorm 0.38, attention
-#: 0.37, serve 0.36, elementwise 0.31, gemm + grouped 0.28, gelu 0.27,
-#: optim 0.25, rows 0.19, router 0.09 on a 2-vCPU x86-64 host): one unit
-#: per CPU there, since every further unit pays ≈ 0.05 s of ``cc``
-#: start-up and headers.  ``gemm`` and ``grouped`` share a unit because
-#: the grouped GEMMs call the BLAS bridge, a ``static`` pointer that
-#: ``repro_set_blas`` fills; serving's ``#pragma GCC push_options``
-#: opens and closes inside its own unit.
+#: each family's cold ``cc -c`` seconds alone (serve 0.56 with the MoE
+#: and sampling entries, layernorm 0.38, attention 0.37, elementwise
+#: 0.31, gemm + grouped 0.28, gelu 0.27, optim 0.25, rows 0.19, router
+#: 0.09 on a 2-vCPU x86-64 host): one unit per CPU there, since every
+#: further unit pays ≈ 0.05 s of ``cc`` start-up and headers.  The
+#: second unit is the longer by about a tenth of a second; moving any
+#: family across would make the first one longer still.  ``gemm`` and
+#: ``grouped`` share a unit because the grouped GEMMs call the BLAS
+#: bridge, a ``static`` pointer that ``repro_set_blas`` fills; serving's
+#: ``#pragma GCC push_options`` opens and closes inside its own unit.
 PARTITION = (
     (rows, layernorm, gelu, gemm, grouped, router),
     (attention, views, elementwise, optim, serve),
@@ -78,6 +81,16 @@ def replaced(entry: Kernel):
     if isinstance(target, str):
         module, _, name = target.rpartition(".")
         target = getattr(importlib.import_module(module), name)
+    return target
+
+
+def reference(entry: Kernel):
+    """``entry``'s reference on plain operands, the face a direct call
+    is held to and falls back on: the host callable it replaces, or the
+    replaced op's NumPy ``forward`` (on a context nothing reads)."""
+    target = replaced(entry)
+    if isinstance(target, type) and issubclass(target, Function):
+        return lambda *ops: target.forward(Context(), *ops)
     return target
 
 

@@ -2,7 +2,11 @@
 
 The C pair mirrors the steady-state ufunc sequence of ``_LayerNorm``
 op for op, including the NEP 50 scalar casts (``(float)H``, ``eps``) and
-the lead-axis sums as sequential row adds.
+the lead-axis sums as sequential row adds.  The forward has two faces:
+a captured ``_LayerNorm`` record, and a direct one that
+:func:`repro.serving.kernels.layer_norm` calls on plain arrays for
+``LayerNorm`` under ``inference_mode`` (its reference is the op's NumPy
+``forward``, and each row reads only itself).
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import numpy as np
 from repro.autograd import arena
 from repro.autograd import ops_nn as _N
 from repro.autograd.lower.kernels.base import (
-    F4, Arr, Const, Contract, Kernel, Rel, f32, rows_width,
+    F4, Arr, Const, Contract, Kernel, Rel, addr, f32, rows_width,
 )
 
 _LN_C = r"""
@@ -84,21 +88,38 @@ void repro_ln_bwd_f32(const float *restrict g, const float *restrict xhat,
 
 
 def _ln_forward(b):
-    shape = b.shape(0)
-    R, H = rows_width(shape)
-    eps = float(b.const(3, "eps", 1e-5))
-    inv_shape = shape[:-1] + (1,)
+    """Both faces read the shapes off the call.  A captured record saves
+    ``(xhat, inv, w)``; a direct caller (``LayerNorm`` under
+    ``inference_mode``) gets the output alone, and ``xhat``, ``inv`` and
+    the row of squares share one scratch array."""
     cfn = b.lib.repro_ln_fwd_f32
-    sq = np.empty(H, F4)  # one row of squares; replays are single-threaded
+    if b.rec is None:
+
+        def direct(x, w, bias, eps=1e-5):
+            n, h = x.size, x.shape[-1]
+            r = n // h
+            out = np.empty(x.shape, F4)
+            scratch = np.empty(n + r + h, F4)
+            xhat = addr(scratch)
+            inv = xhat + 4 * n
+            cfn(addr(x), addr(w), addr(bias), addr(out), xhat, inv, r, h, eps,
+                inv + 4 * r)
+            return (out,)
+
+        return direct
+    eps = float(b.const(3, "eps", 1e-5))
 
     def run(x, w, bias, *_eps):
+        shape = x.shape
+        h = shape[-1]
         out = arena.empty(shape, F4)
         xhat = arena.empty(shape, F4)
-        inv = np.empty(inv_shape, F4)
+        inv = np.empty(shape[:-1] + (1,), F4)
+        sq = np.empty(h, F4)
         cfn(
             x.ctypes.data, w.ctypes.data, bias.ctypes.data,
             out.ctypes.data, xhat.ctypes.data, inv.ctypes.data,
-            R, H, eps, sq.ctypes.data,
+            x.size // h, h, eps, sq.ctypes.data,
         )
         return (xhat, inv, w), out
 
@@ -133,27 +154,42 @@ def _ln_saved_descs(rec):
     return x_d, x_d, ("<f4", inv_shape, None), w_d
 
 
-KERNELS = (
-    Kernel(
-        "ln", _N._LayerNorm,
-        source=_LN_C,
-        contract=Contract(
-            Arr(0, pin=True),
-            Arr(1, rank=1, pin=True),
-            Arr(2, rank=1, pin=True),
-            Const(3, optional=True),
-            Rel("rows of a matrix", lambda x, w, b, *_: x.ndim >= 2),
-            Rel("one scale and shift per column", lambda x, w, b, *_: (
-                w.shape[0] == b.shape[0] == x.shape[-1]
-            )),
-        ),
-        forward=_ln_forward,
-        bwd_guard=Contract(
-            Arr(0, shape=True), Arr(1, shape=True),
-            Arr(2, shape=True), Arr(3, shape=True),
-        ),
-        bwd_descs=_ln_saved_descs,
-        backward=_ln_backward,
-        fuzz=lambda rng: (f32(rng, 3, 5, 16), f32(rng, 16), f32(rng, 16)),
+def _ln_checks(rng):
+    """One decode row; rows wider than 128 (the pairwise sum splits);
+    a non-default ``eps``."""
+    return [
+        (f32(rng, 1, 64), f32(rng, 64), f32(rng, 64), 1e-5),
+        (f32(rng, 2, 3, 300), f32(rng, 300), f32(rng, 300), 1e-6),
+    ]
+
+
+def _ln_rows(args, pick):
+    x, *rest = args
+    return (x.reshape(-1, x.shape[-1])[pick], *rest)
+
+
+LN = Kernel(
+    "ln", _N._LayerNorm,
+    source=_LN_C,
+    contract=Contract(
+        Arr(0),
+        Arr(1, rank=1),
+        Arr(2, rank=1),
+        Const(3, optional=True),
+        Rel("rows of a non-empty matrix, one scale and shift per column",
+            lambda x, w, b, *_: x.ndim >= 2 and x.size and (
+                w.shape[0] == b.shape[0] == x.shape[-1])),
     ),
+    forward=_ln_forward,
+    bwd_guard=Contract(
+        Arr(0, shape=True), Arr(1, shape=True),
+        Arr(2, shape=True), Arr(3, shape=True),
+    ),
+    bwd_descs=_ln_saved_descs,
+    backward=_ln_backward,
+    fuzz=lambda rng: (f32(rng, 3, 5, 16), f32(rng, 16), f32(rng, 16)),
+    checks=_ln_checks,
+    rows=_ln_rows,
 )
+
+KERNELS = (LN,)

@@ -1,19 +1,26 @@
-"""Row-stable serving products: the GEMMs and attention rows.
+"""Row-stable serving: the GEMMs, attention rows, the MoE layer, sampling.
 
-Four direct entries, run on plain arrays by :mod:`repro.serving.kernels`
-(through :func:`repro.autograd.lower.runtime.direct`) and compared with
-the NumPy references that module keeps: ``serve_gemm`` (fp32, bias
-epilogue), ``serve_grouped`` (every expert group of one product in one
-call), ``serve_grouped_i8`` (int8 weights converted in-register, scale
-and bias epilogue) and ``attn_rows`` (the scores/context pair around
-``np.exp``).  The contract every one of them honours — the accumulation
-order per output element, and why a row's result cannot depend on the
-rows beside it — is stated in :mod:`repro.serving.kernels`.
+Six direct entries, run on plain arrays (through
+:func:`repro.autograd.lower.runtime.direct`) and compared with the NumPy
+references their callers keep: ``serve_gemm`` (fp32, bias epilogue),
+``serve_grouped`` (every expert group of one product in one call),
+``serve_grouped_i8`` (int8 weights converted in-register, scale and bias
+epilogue) and ``attn_rows`` (the scores/context pair around ``np.exp``)
+from :mod:`repro.serving.kernels`, whose docstring states the contract
+they honour — the accumulation order per output element, and why a
+row's result cannot depend on the rows beside it; ``serve_moe`` (a
+served MoE layer: router GEMM, softmax, top-k, grouping, both expert
+GEMMs, GELU and combine in three calls around ``np.exp`` and
+``np.tanh``; reference :func:`repro.moe.inference.moe_forward_ref`) and
+``serve_sample`` (the scheduler's token sampling in three calls around
+``np.exp`` and the draws; reference
+:func:`repro.serving.sampling.sample_rows`).  The two composite entries
+run the products of the first three, so their rows are as stable.
 
 Their C is one run of the prelude, last in table order, in the order of
 the entries below: the GEMM's source opens it (types, the per-ISA tile
-and stream kernels, the two GEMM loops), the attention pair's closes
-it.  ``#pragma GCC push_options`` / ``pop_options`` keep its
+and stream kernels, the two GEMM loops), the sampler's closes it.
+``#pragma GCC push_options`` / ``pop_options`` keep its
 ``optimize("O1")`` to its own functions: everything hot here is explicit
 vector code, and the rest of the prelude keeps ``-O3``.
 """
@@ -25,6 +32,13 @@ import numpy as np
 from repro.autograd.lower.kernels.base import (
     F4, I64, Arr, Contract, Kernel, Live, Rel, addr, f32, ndarray,
 )
+from repro.autograd.ops_nn import _GELU_C
+from repro.observability.metrics import registry
+
+I8, F8 = np.dtype(np.int8), np.dtype(np.float64)
+_K044, _C = 0.044715, float(_GELU_C)  # GELU's two constants, cast in C as NumPy casts them
+# The MoE runner counts its three GEMMs as repro.serving.kernels counts one.
+_GEMM_CALLS, _GEMM_FLOPS = (registry().counter(f"serve_gemm_{w}") for w in ("calls", "flops"))
 
 
 # ----------------------------------------------------------------------
@@ -499,6 +513,282 @@ i64 repro_attn_context(float *e, const float *v, const i64 *idx,
     }
     return p - e;
 }
+"""
+
+_MOE_C = r"""
+/* The serving MoE layer, for a plain top-k Router and GELU experts, in
+   three calls around np.exp and np.tanh: x is T rows of width H, there
+   are E experts of width F and C = T * k routed copies.  Scratch, the
+   caller's: ints = order (C) | offs (E + 1) | next (E), and
+   fs = inner (C * F) | a (C * F) | g (C * H).  Each step is the
+   reference's (repro.moe.inference.moe_forward_ref), in its order:
+
+   repro_moe_route: logits = x @ wr (the serve_gemm chain) into p; 0,
+     with nothing more done, if a logit is not finite; else each row
+     minus its max (>=: np.maximum keeps the last of equals).
+   repro_moe_up, after p = exp(p): p = p / pw32(row); the top k of each
+     row, best first, ties to the lower id (a stable argsort of -p), and
+     their weights (each over their pairwise sum with normalize); the
+     copies grouped by expert, ascending copy id within one (a stable
+     argsort, as make_padded_plan); their rows of x gathered into g;
+     a = g @ w1 + b1 per expert (w1 int8 with s1: * s1 first), the
+     serve_grouped loop; inner = C * (a + K * (a * a * a)).
+   repro_moe_down, after inner = tanh(inner): a = (0.5 * a) * (1 + t);
+     g = a @ w2 + b2 per expert; each copy's row times its weight, then
+     stored in its token's row (top-1), or added to it in grouped order
+     from +0.0 (top-k, as np.add.at). */
+
+/* max_j r[j] over n >= 1 finite floats, the last of equals. */
+static float row_max(const float *r, i64 n)
+{
+    float m = r[0];
+    for (i64 j = 1; j < n; j++)
+        if (r[j] >= m) m = r[j];
+    return m;
+}
+
+i64 repro_moe_route(const float *x, const float *wr, float *p,
+                    i64 T, i64 H, i64 E)
+{
+    gemm_float(x, wr, 0, 0, p, T, H, E);
+    for (i64 i = 0; i < T * E; i++)
+        if (!isfinite(p[i])) return 0;
+    for (i64 t = 0; t < T; t++) {
+        float *r = p + t * E;
+        const float m = row_max(r, E);
+        for (i64 j = 0; j < E; j++) r[j] = r[j] - m;
+    }
+    return 1;
+}
+
+/* One expert product over the grouped rows: x (C, K) -> o (C, N). */
+static void moe_experts(const float *x, const i64 *offs, const void *w,
+                        const float *scale, const float *bias, float *o,
+                        i64 E, i64 K, i64 N)
+{
+    for (i64 e = 0; e < E; e++) {
+        const i64 s = offs[e], m = offs[e + 1] - s;
+        if (m <= 0) continue;
+        if (scale)
+            gemm_i8(x + s * K, (const i8 *)w + e * K * N, scale + e * N,
+                    bias + e * N, o + s * N, m, K, N);
+        else
+            gemm_float(x + s * K, (const float *)w + e * K * N, 0,
+                       bias + e * N, o + s * N, m, K, N);
+    }
+}
+
+void repro_moe_up(float *p, i64 *idx, float *wt, i64 *ints,
+                  const float *x, const void *w1, const float *s1,
+                  const float *b1, float *fs, i64 T, i64 H, i64 E, i64 F,
+                  i64 k, i64 normalize, double k044_, double c_)
+{
+    const float K044 = (float)k044_, CG = (float)c_;
+    const i64 C = T * k;
+    i64 *order = ints, *offs = ints + C, *next = offs + E + 1;
+    float *inner = fs, *a = fs + C * F, *g = a + C * F;
+    for (i64 t = 0; t < T; t++) {
+        float *r = p + t * E, *w = wt + t * k;
+        i64 *it = idx + t * k;
+        const float den = pw32(r, E);
+        for (i64 j = 0; j < E; j++) r[j] = r[j] / den;
+        for (i64 i = 0; i < k; i++) {
+            i64 best = -1;
+            for (i64 j = 0; j < E; j++) {
+                int taken = 0;
+                for (i64 u = 0; u < i; u++) taken |= it[u] == j;
+                if (!taken && (best < 0 || r[j] > r[best])) best = j;
+            }
+            it[i] = best;
+            w[i] = r[best];
+        }
+        if (normalize) {
+            const float sum = pw32(w, k);
+            for (i64 i = 0; i < k; i++) w[i] = w[i] / sum;
+        }
+    }
+    for (i64 e = 0; e <= E; e++) offs[e] = 0;
+    for (i64 c = 0; c < C; c++) offs[idx[c] + 1]++;
+    for (i64 e = 0; e < E; e++) {
+        offs[e + 1] += offs[e];
+        next[e] = offs[e];
+    }
+    for (i64 c = 0; c < C; c++) order[next[idx[c]]++] = c;
+    for (i64 i = 0; i < C; i++)
+        memcpy(g + i * H, x + order[i] / k * H, (size_t)H * sizeof(float));
+    moe_experts(g, offs, w1, s1, b1, a, E, H, F);
+    i64 i = 0;
+    for (; i + VL <= C * F; i += VL) {
+        const vf v = LOAD_float(a + i);
+        vf u = v * v;
+        u = u * v;
+        u = K044 * u;
+        u = v + u;
+        *(vf *)(inner + i) = CG * u;
+    }
+    for (; i < C * F; i++) {
+        const float v = a[i];
+        float u = v * v;
+        u = u * v;
+        u = K044 * u;
+        u = v + u;
+        inner[i] = CG * u;
+    }
+}
+
+void repro_moe_down(float *fs, const void *w2, const float *s2,
+                    const float *b2, const i64 *ints, const float *wt,
+                    float *out, i64 T, i64 H, i64 E, i64 F, i64 k)
+{
+    const i64 C = T * k;
+    const i64 *order = ints, *offs = ints + C;
+    const float *t = fs;
+    float *a = fs + C * F, *g = a + C * F;
+    i64 i = 0;
+    for (; i + VL <= C * F; i += VL) {
+        const vf h = 0.5f * LOAD_float(a + i);
+        *(vf *)(a + i) = h * (1.0f + LOAD_float(t + i));
+    }
+    for (; i < C * F; i++) a[i] = (0.5f * a[i]) * (1.0f + t[i]);
+    moe_experts(a, offs, w2, s2, b2, g, E, F, H);
+    if (k > 1) memset(out, 0, (size_t)(T * H) * sizeof(float));
+    for (i64 r = 0; r < C; r++) {
+        const i64 c = order[r];
+        const float w = wt[c], *y = g + r * H;
+        float *o = out + c / k * H;
+        if (k == 1)
+            for (i64 j = 0; j < H; j++) o[j] = y[j] * w;
+        else
+            for (i64 j = 0; j < H; j++) o[j] = o[j] + y[j] * w;
+    }
+}
+"""
+
+_SAMPLE_C = r"""
+/* Token sampling (repro.serving.sampling.sample_rows, temperature > 0,
+   no top-k cut) in three calls around np.exp and the uniform draws, in
+   its order, per row of x (B rows of V float32 logits), in float64:
+   repro_sample_shift: b = x / temperature (x / 1 is x), minus the row
+     max; 0 if a value is NaN or +inf (the reference then raises).
+   repro_sample_cdf, after b = exp(b): b = b / pw64(b); b = cumsum(b)
+     (sequential; four rows' chains side by side); 0 if a row's total
+     is not finite; else b = b / total.
+   repro_sample_pick, after one uniform u per row: the first j with
+     b[j] > u, or V (searchsorted side="right" on a sorted row).
+   Vector lanes run over j for the elementwise steps only. */
+#ifdef __AVX512F__
+VEC(double, vd, 64, 8); typedef long long vdl __attribute__((vector_size(64)));
+typedef f32x8 vfd;  /* the floats of one vd */
+#else
+VEC(double, vd, 32, 8); typedef long long vdl __attribute__((vector_size(32)));
+typedef f32x4 vfd;
+#endif
+#define VLD ((i64)(sizeof(vd) / sizeof(double)))
+
+/* NumPy's pairwise summation over n contiguous doubles. */
+static double pw64(const double *a, i64 n)
+{
+    if (n < 8) {
+        double r = 0.0;
+        for (i64 i = 0; i < n; i++) r += a[i];
+        return r;
+    }
+    if (n <= 128) {
+        double r0 = a[0], r1 = a[1], r2 = a[2], r3 = a[3];
+        double r4 = a[4], r5 = a[5], r6 = a[6], r7 = a[7];
+        i64 i = 8;
+        for (; i < n - (n % 8); i += 8) {
+            r0 += a[i]; r1 += a[i + 1]; r2 += a[i + 2]; r3 += a[i + 3];
+            r4 += a[i + 4]; r5 += a[i + 5]; r6 += a[i + 6]; r7 += a[i + 7];
+        }
+        double r = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));
+        for (; i < n; i++) r += a[i];
+        return r;
+    }
+    i64 n2 = n / 2;
+    n2 -= n2 % 8;
+    return pw64(a, n2) + pw64(a + n2, n - n2);
+}
+
+/* p[j] = p[j] / d for j < n. */
+static void divide_row(double *p, i64 n, double d)
+{
+    i64 j = 0;
+    for (; j + VLD <= n; j += VLD) *(vd *)(p + j) = *(const vd *)(p + j) / d;
+    for (; j < n; j++) p[j] = p[j] / d;
+}
+
+i64 repro_sample_shift(const float *x, double *b, i64 B, i64 V,
+                       double temperature)
+{
+    const int scaled = temperature != 1.0;
+    for (i64 r = 0; r < B; r++) {
+        const float *xr = x + r * V;
+        double *br = b + r * V;
+        vd mv = (vd){0} - INFINITY;
+        vdl bad = {0};
+        i64 j = 0;
+        for (; j + VLD <= V; j += VLD) {
+            vd v = __builtin_convertvector(*(const vfd *)(xr + j), vd);
+            if (scaled) v = v / temperature;
+            *(vd *)(br + j) = v;
+            const vdl gt = v > mv;
+            mv = (vd)(((vdl)v & gt) | ((vdl)mv & ~gt));
+            bad |= (v != v) | (v == INFINITY);
+        }
+        double m = -INFINITY;
+        for (i64 l = 0; l < VLD; l++) {
+            if (bad[l]) return 0;
+            if (mv[l] > m) m = mv[l];
+        }
+        for (; j < V; j++) {
+            const double v = scaled ? (double)xr[j] / temperature : (double)xr[j];
+            if (v != v || v == INFINITY) return 0;
+            br[j] = v;
+            if (v > m) m = v;
+        }
+        for (j = 0; j + VLD <= V; j += VLD) *(vd *)(br + j) = *(const vd *)(br + j) - m;
+        for (; j < V; j++) br[j] = br[j] - m;
+    }
+    return 1;
+}
+
+i64 repro_sample_cdf(double *b, i64 B, i64 V)
+{
+    for (i64 r = 0; r < B; r++) divide_row(b + r * V, V, pw64(b + r * V, V));
+    i64 r = 0;
+    for (; r + 4 <= B; r += 4) {
+        double *p0 = b + r * V, *p1 = p0 + V, *p2 = p1 + V, *p3 = p2 + V;
+        double c0 = p0[0], c1 = p1[0], c2 = p2[0], c3 = p3[0];
+        for (i64 j = 1; j < V; j++) {
+            c0 = c0 + p0[j]; c1 = c1 + p1[j]; c2 = c2 + p2[j]; c3 = c3 + p3[j];
+            p0[j] = c0; p1[j] = c1; p2[j] = c2; p3[j] = c3;
+        }
+    }
+    for (; r < B; r++) {
+        double *p = b + r * V, c = p[0];
+        for (i64 j = 1; j < V; j++) p[j] = c = c + p[j];
+    }
+    for (r = 0; r < B; r++)
+        if (!isfinite(b[r * V + V - 1])) return 0;
+    for (r = 0; r < B; r++) divide_row(b + r * V, V, b[r * V + V - 1]);
+    return 1;
+}
+
+void repro_sample_pick(const double *b, const double *u, i64 *out, i64 B,
+                       i64 V)
+{
+    for (i64 r = 0; r < B; r++) {
+        const double *br = b + r * V;
+        i64 lo = 0, hi = V;
+        while (lo < hi) {
+            const i64 mid = lo + (hi - lo) / 2;
+            if (br[mid] <= u[r]) lo = mid + 1;
+            else hi = mid;
+        }
+        out[r] = lo;
+    }
+}
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC pop_options
 #endif
@@ -559,6 +849,112 @@ def _attention_forward(b):
         np.exp(x, out=x)
         out = np.empty((rows, heads * d), F4)
         context(addr(x), addr(v), ix, ln, addr(out), rows, heads, d, slots, cap)
+        return (out,)
+
+    return run
+
+
+def _moe_key(layer, router, h):
+    """What a layer's bound tables depend on: the ids of its table
+    arrays and of its (frozen) int8 tables — the binding holds them, so
+    no id is reused while it lives — ``top_k`` and the width of ``x``."""
+    ex = layer.experts
+    return (
+        id(router.proj.weight.data), id(ex.w1.data), id(ex.b1.data),
+        id(ex.w2.data), id(ex.b2.data), id(getattr(layer, "_quantized", None)),
+        router.top_k, h,
+    )
+
+
+def _moe_bind(layer, router, h):
+    """``(key, tables, *their pointers, E, F)`` when the C takes the
+    layer's tables ``(wr, w1, s1, b1, w2, s2, b2)`` — contiguous float32
+    (``w1`` and ``w2`` int8 with their scales once quantized), more than
+    one expert, every GEMM wider than one column (the serve_gemm
+    contract) and ``1 <= top_k <= E`` — else ``None``."""
+    q, ex = getattr(layer, "_quantized", None), layer.experts
+    wr = router.proj.weight.data
+    if q is None:
+        wdt, tables = F4, (wr, ex.w1.data, None, ex.b1.data, ex.w2.data, None, ex.b2.data)
+    else:
+        wdt, tables = I8, (wr, q.q1, q.s1, q.b1, q.q2, q.s2, q.b2)
+    e, f = wr.shape[-1], tables[1].shape[-1]
+    want = zip(tables, (F4, wdt, F4, F4, wdt, F4, F4),
+               ((h, e), (e, h, f), (e, f), (e, f), (e, f, h), (e, h), (e, h)))
+    for a, dtype, shape in want:
+        if a is not None and not (
+            type(a) is ndarray and a.dtype is dtype and a.shape == shape
+            and a.flags.c_contiguous
+        ):
+            return None
+    if min(e, f, h) < 2 or not 1 <= router.top_k <= e:
+        return None
+    pointers = tuple(None if a is None else addr(a) for a in tables)
+    return (_moe_key(layer, router, h), tables, *pointers, e, f)
+
+
+def _moe_forward(b):
+    from repro.autograd.tensor import Tensor
+    from repro.moe.router import Router, RoutingResult
+
+    route, up, down = b.lib.repro_moe_route, b.lib.repro_moe_up, b.lib.repro_moe_down
+
+    def run(layer, x):
+        router = layer.router
+        if type(router) is not Router or layer.activation != "gelu":
+            return False
+        t, h = x.shape
+        # The tables are checked, and their pointers taken, once per
+        # layer and set of arrays: the binding rides on the layer.
+        bound = layer.__dict__.get("_serve_moe")
+        if bound is None or bound[0] != _moe_key(layer, router, h):
+            bound = layer._serve_moe = _moe_bind(layer, router, h)
+            if bound is None:
+                return False
+        _, _, pr, p1, ps1, pb1, p2, ps2, pb2, e, f = bound
+        k = router.top_k
+        c = t * k
+        px = addr(x)
+        p = np.empty((t, e), F4)
+        pp = addr(p)
+        if not route(px, pr, pp, t, h, e):
+            return False  # a non-finite logit: the reference's uniform routing
+        np.exp(p, out=p)
+        idx, wt = np.empty((t, k), I64), np.empty((t, k), F4)
+        ints, fs = np.empty(c + 2 * e + 1, I64), np.empty(c * (2 * f + h), F4)
+        pw, pi, pf = addr(wt), addr(ints), addr(fs)
+        up(pp, addr(idx), pw, pi, px, p1, ps1, pb1, pf, t, h, e, f, k,
+           router.normalize_weights and k > 1, _K044, _C)
+        inner = fs[: c * f]
+        np.tanh(inner, out=inner)
+        out = np.empty((t, h), F4)
+        down(pf, p2, ps2, pb2, pi, pw, addr(out), t, h, e, f, k)
+        # (Module.__setattr__ registers parameters and modules only.)
+        layer.__dict__["last_routing"] = RoutingResult(idx, Tensor(wt), Tensor(p), None, None)
+        _GEMM_CALLS.value += 3
+        _GEMM_FLOPS.value += 2 * t * h * (e + 2 * k * f)
+        return (out,)
+
+    return run
+
+
+def _sample_forward(b):
+    shift, cdf, pick = b.lib.repro_sample_shift, b.lib.repro_sample_cdf, b.lib.repro_sample_pick
+
+    def run(logits, temperature, top_k, gens):
+        rows, v = logits.shape
+        if temperature <= 0 or top_k is not None and top_k < v:
+            return False  # greedy, or a top-k cut: the reference's
+        buf = np.empty((rows, v), F8)
+        pb = addr(buf)
+        if not shift(addr(logits), pb, rows, v, float(temperature)):
+            return False
+        np.exp(buf, out=buf)
+        if not cdf(pb, rows, v):
+            return False  # a non-finite row: the reference raises
+        u = np.array([g.random() for g in gens])
+        out = np.empty(rows, I64)
+        pick(pb, addr(u), addr(out), rows, v)
         return (out,)
 
     return run
@@ -711,6 +1107,103 @@ def _attention_rows(args, pick):
     return q[pick], k, v, kv_index[pick], lengths[pick], scale
 
 
+def _moe_layer(rng, t, h, f, e, k, kind="moe", int8=False, normalize=False,
+               router_scale=1.0):
+    """A served MoE layer of ``kind`` (``moe``: ``MoELayer``, ``dmoe``:
+    ``dMoE``) with random tables, and ``t`` random token rows for it."""
+    from repro.core import dMoE
+    from repro.moe.moe_layer import MoELayer
+    from repro.serving.quantize import attach_quantized_experts
+
+    seed = int(rng.integers(1 << 30))
+    if kind == "dmoe":
+        layer = dMoE(h, f, e, top_k=k, block_size=f, rng=seed)
+    else:
+        layer = MoELayer(h, f, e, top_k=k, rng=seed)
+    layer.router.normalize_weights = normalize
+    layer.router.proj.weight.data[...] = f32(rng, h, e) * np.float32(router_scale)
+    ex = layer.experts
+    for w, scale in ((ex.w1, h**-0.5), (ex.b1, 0.1), (ex.w2, f**-0.5), (ex.b2, 0.1)):
+        w.data[...] = f32(rng, *w.data.shape) * np.float32(scale)
+    if int8:
+        attach_quantized_experts(layer)
+    return layer, f32(rng, t, h)
+
+
+def _moe_checks(rng):
+    """Top-1 over one token (a ``dMoE``); top-2, renormalized, with
+    empty experts; every token tied on one expert pair (a zero router);
+    int8 tables over rows enough for the GEMM's register tiles."""
+    zero, zx = _moe_layer(rng, 5, 16, 24, 4, 2)
+    zero.router.proj.weight.data[...] = 0
+    return [
+        _moe_layer(rng, 1, 32, 48, 8, 1, kind="dmoe"),
+        _moe_layer(rng, 3, 19, 33, 8, 2, normalize=True),
+        (zero, zx),
+        _moe_layer(rng, 40, 24, 70, 3, 1, int8=True, router_scale=0.1),
+    ]
+
+
+def _moe_fuzz(rng):
+    e = int(rng.integers(2, 10))
+    return _moe_layer(
+        rng, int(rng.integers(1, 24)), int(rng.integers(2, 40)), int(rng.integers(2, 80)),
+        e, int(rng.integers(1, min(e, 3) + 1)), kind=("moe", "dmoe")[int(rng.integers(2))],
+        int8=rng.random() < 0.3, normalize=rng.random() < 0.5,
+        router_scale=float(rng.choice([0.0, 0.1, 1.0, 10.0])),
+    )
+
+
+def _moe_rows(args, pick):
+    layer, x = args
+    return layer, x[pick]
+
+
+class _Uniform:
+    """A generator stand-in for the sampling draws whose ``random()``
+    always returns one value: a check or a fuzz draw runs the entry and
+    its reference on the same operands, so a draw may not depend on
+    which ran first."""
+
+    __slots__ = ("u",)
+
+    def __init__(self, u: float) -> None:
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+def _sample_args(rng, rows, v, temperature=1.0, top_k=None, scale=3.0, neg_inf=0):
+    x = f32(rng, rows, v) * np.float32(scale)
+    x.flat[rng.choice(x.size, size=neg_inf, replace=False)] = -np.inf
+    return x, temperature, top_k, [_Uniform(float(u)) for u in rng.random(rows)]
+
+
+def _sample_checks(rng):
+    """A decode step's rows over a 512-token vocabulary; one row of
+    three; rows wider than 128 (the pairwise sum splits) with -inf
+    logits, a top-k that cuts nothing, and most probabilities flushed
+    to zero (flat stretches of the cdf); a draw of exactly 0."""
+    x, t, k, gens = _sample_args(rng, 3, 300, 1.3, 300, scale=60.0, neg_inf=40)
+    gens[0] = _Uniform(0.0)
+    return [_sample_args(rng, 4, 512), _sample_args(rng, 1, 3, 0.7), (x, t, k, gens)]
+
+
+def _sample_fuzz(rng):
+    v = int(rng.integers(1, 700))
+    return _sample_args(
+        rng, int(rng.integers(1, 9)), v, float(rng.choice([0.3, 1.0, 2.5])),
+        None if rng.random() < 0.7 else int(rng.integers(v, v + 3)),
+        scale=float(rng.choice([0.1, 3.0, 40.0])), neg_inf=int(rng.integers(0, v // 2 + 1)),
+    )
+
+
+def _sample_rows(args, pick):
+    x, t, k, gens = args
+    return x[pick], t, k, [gens[i] for i in pick]
+
+
 GEMM = Kernel(
     "serve_gemm", "repro.serving.kernels._linear_ref",
     source=_GEMM_C,
@@ -748,4 +1241,31 @@ ATTENTION = Kernel(
     rows=_attention_rows,
 )
 
-KERNELS = (GEMM, GROUPED, GROUPED_I8, ATTENTION)
+MOE = Kernel(
+    "serve_moe", "repro.moe.inference.moe_forward_ref",
+    source=_MOE_C,
+    contract=Contract(
+        Arr(1, rank=2),
+        Live("x not empty", lambda layer, x: x.size),
+    ),
+    forward=_moe_forward,
+    fuzz=_moe_fuzz,
+    checks=_moe_checks,
+    rows=_moe_rows,
+)
+
+SAMPLE = Kernel(
+    "serve_sample", "repro.serving.sampling.sample_rows",
+    source=_SAMPLE_C,
+    contract=Contract(
+        Arr(0, rank=2),
+        Live("rows not empty, one generator per row",
+             lambda x, t, k, g: x.size and len(g) == x.shape[0]),
+    ),
+    forward=_sample_forward,
+    fuzz=_sample_fuzz,
+    checks=_sample_checks,
+    rows=_sample_rows,
+)
+
+KERNELS = (GEMM, GROUPED, GROUPED_I8, ATTENTION, MOE, SAMPLE)

@@ -266,7 +266,7 @@ def _bind_direct(entry: Kernel) -> tuple:
     prelude (the toolchain has warned) or after a mismatch (one warning
     here), the entry is pinned to its reference and every call counts
     ``lower_toolchain_fallbacks`` / ``lower_segment_fallbacks``."""
-    reference = kernels.replaced(entry)
+    reference = kernels.reference(entry)
     lib = load_prelude()
     if lib is None:
         guarded = _unavailable(registry().counter("lower_toolchain_fallbacks"))
@@ -277,7 +277,8 @@ def _bind_direct(entry: Kernel) -> tuple:
         else:
             logger.warning(
                 "kernel %s failed its bitwise check against %s; its calls "
-                "stay on the reference", entry.name, reference.__name__,
+                "stay on the reference", entry.name,
+                kernels.replaced(entry).__name__,
             )
             guarded = _unavailable(registry().counter("lower_segment_fallbacks"))
     _direct[entry] = guarded, reference

@@ -17,7 +17,11 @@ skips, in order:
 Instead the dispatch is ScatterMoE-style and padding-free: a
 ``PaddedPlan`` at block size 1 (exact expert grouping, zero padding
 rows) feeds :func:`repro.sparse.dispatch.grouped_rows_gemm`, and the
-outputs are scattered back weighted by router confidence.
+outputs are scattered back weighted by router confidence.  That is
+:func:`moe_forward_ref`, the NumPy form.  A layer with the plain
+``Router`` and GELU experts runs the same steps, bit for bit, as the
+kernel table's ``serve_moe`` entry: three C calls around one ``np.exp``
+and one ``np.tanh`` (:mod:`repro.autograd.lower.kernels.serve`).
 
 Two semantic notes:
 
@@ -41,10 +45,14 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.autograd import ACTIVATIONS
-from repro.autograd.tensor import Tensor
+from repro.autograd.lower import runtime
+from repro.autograd.lower.kernels import serve
+from repro.autograd.tensor import Tensor, inference_mode
 from repro.moe.permute import make_padded_plan
 from repro.observability.tracing import span
 from repro.sparse.dispatch import grouped_rows_gemm
+
+_native = runtime.direct(serve.MOE)
 
 
 def moe_inference_forward(layer, x: Tensor) -> Tuple[Tensor, Optional[Tensor]]:
@@ -52,15 +60,25 @@ def moe_inference_forward(layer, x: Tensor) -> Tuple[Tensor, Optional[Tensor]]:
 
     ``layer`` duck-types the MoE interface: ``router``, ``experts``,
     ``num_experts``, ``activation``, and optionally ``_quantized`` (set
-    by :func:`repro.serving.quantize.attach_quantized_experts`).
+    by :func:`repro.serving.quantize.attach_quantized_experts`).  One
+    call of the kernel table's ``serve_moe`` entry: three C calls around
+    one ``np.exp`` and one ``np.tanh`` for a plain ``Router`` and GELU
+    experts, else (or on a non-finite logit) :func:`moe_forward_ref`.
     """
-    orig_shape = x.shape
-    if x.ndim == 3:
-        x = x.reshape((orig_shape[0] * orig_shape[1], orig_shape[2]))
-
+    data = x.data
+    rows = data.reshape(-1, data.shape[-1]) if data.ndim == 3 else data
     with span("moe_infer"):
+        out = _native(layer, rows)
+    return Tensor(out.reshape(data.shape) if data.ndim == 3 else out), None
+
+
+def moe_forward_ref(layer, x: np.ndarray) -> np.ndarray:
+    """The serving MoE layer over ``(tokens, hidden)`` rows in NumPy:
+    ``serve_moe``'s reference, and the path of every layer it does not
+    take.  Sets ``layer.last_routing``."""
+    with inference_mode():
         with span("route"):
-            routing = layer.router(x)
+            routing = layer.router(Tensor(x))
         with span("dispatch"):
             plan = make_padded_plan(
                 routing.expert_indices, layer.num_experts, block_size=1
@@ -68,7 +86,7 @@ def moe_inference_forward(layer, x: Tensor) -> Tuple[Tensor, Optional[Tensor]]:
             # (E+1,) int64 row prefix sum: the form the grouped kernel reads.
             offsets = np.zeros(layer.num_experts + 1, dtype=np.int64)
             np.cumsum(plan.tokens_per_expert, out=offsets[1:])
-            xg = x.data[plan.gather_indices]
+            xg = x[plan.gather_indices]
         with span("experts"):
             quant = getattr(layer, "_quantized", None)
             act = ACTIVATIONS[layer.activation]
@@ -88,7 +106,7 @@ def moe_inference_forward(layer, x: Tensor) -> Tuple[Tensor, Optional[Tensor]]:
         with span("combine"):
             weights = routing.expert_weights.data.reshape(-1)
             yg = yg * weights[plan.copy_indices][:, None]
-            out = np.zeros_like(x.data)
+            out = np.zeros_like(x)
             if plan.top_k == 1:
                 out[plan.gather_indices] = yg
             else:
@@ -97,7 +115,5 @@ def moe_inference_forward(layer, x: Tensor) -> Tuple[Tensor, Optional[Tensor]]:
                 # not depend on the rest of the batch, so the sum is
                 # batch-composition independent.
                 np.add.at(out, plan.gather_indices, yg)
-
     layer.last_routing = routing
-    out_t = Tensor(out if len(orig_shape) == 2 else out.reshape(orig_shape))
-    return out_t, None
+    return out

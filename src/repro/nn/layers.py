@@ -11,7 +11,7 @@ from repro.autograd import embedding as embedding_op
 from repro.autograd import layer_norm as layer_norm_op
 from repro.autograd.ops_fused import linear_bias
 from repro.autograd.tensor import Tensor, is_inference
-from repro.serving.kernels import stable_linear
+from repro.serving.kernels import layer_norm, stable_linear
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 from repro.utils.rng import RngLike
@@ -88,6 +88,9 @@ class LayerNorm(Module):
         self.bias = Parameter(init.zeros(normalized_shape))
 
     def forward(self, x: Tensor) -> Tensor:
+        if is_inference():
+            # Serving path: one native call, no tape.
+            return Tensor(layer_norm(x.data, self.weight.data, self.bias.data, self.eps))
         return layer_norm_op(x, self.weight, self.bias, eps=self.eps)
 
 

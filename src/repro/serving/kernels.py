@@ -53,7 +53,10 @@ Each entry point is a thin caller of one direct table entry
 ``serve_grouped``, ``serve_grouped_i8``, ``attn_rows`` — which replaces,
 and is tested against, its reference here (:func:`_linear_ref`,
 :func:`_grouped_ref`, :func:`_grouped_i8_ref`,
-:func:`_attention_rows_ref`).  An entry binds on its first call and
+:func:`_attention_rows_ref`).  Two more are the entries themselves:
+:data:`layer_norm` (``ln``'s direct face, reference
+``_LayerNorm.forward``) and :data:`sample_rows` (``serve_sample``,
+reference :func:`repro.serving.sampling.sample_rows`).  An entry binds on its first call and
 must match its reference bit for bit on its check draws before it
 serves anything; a missing toolchain, a failed compile or a failed
 check pins it to the reference, and every such call counts in the
@@ -85,7 +88,7 @@ from typing import Optional
 import numpy as np
 
 from repro.autograd.lower import runtime
-from repro.autograd.lower.kernels import serve
+from repro.autograd.lower.kernels import layernorm, serve
 from repro.observability.metrics import registry
 
 _I64 = np.dtype(np.int64)
@@ -102,6 +105,15 @@ _gemm = runtime.direct(serve.GEMM)
 _grouped = runtime.direct(serve.GROUPED)
 _grouped_i8 = runtime.direct(serve.GROUPED_I8)
 _attention = runtime.direct(serve.ATTENTION)
+#: ``layer_norm(x, weight, bias, eps=1e-5)``: ``LayerNorm`` over the last
+#: axis in one native call, the bits of ``_LayerNorm.forward`` (each row
+#: from itself alone).
+layer_norm = runtime.direct(layernorm.LN)
+#: ``sample_rows(logits, temperature, top_k, gens)``:
+#: :func:`repro.serving.sampling.sample_rows` — the same tokens and the
+#: same draws — in three native calls around ``np.exp`` for float32
+#: ``(rows, vocab)`` logits at ``temperature > 0`` without a top-k cut.
+sample_rows = runtime.direct(serve.SAMPLE)
 
 
 def work_summary(gemm_flops: int, attn_flops: int, seconds: float, wall: str) -> str:
@@ -253,20 +265,6 @@ def stable_grouped(
     return _grouped_i8(x, offsets, stacked_w, stacked_b, scale)
 
 
-def stable_grouped_into(
-    out: np.ndarray,
-    x: np.ndarray,
-    offsets: np.ndarray,
-    stacked_w: np.ndarray,
-    stacked_b: Optional[np.ndarray] = None,
-    scale: Optional[np.ndarray] = None,
-) -> bool:
-    """:func:`stable_grouped` written into ``out``.  Always ``True``: a
-    product the C does not take runs its reference, with the same bits."""
-    out[...] = stable_grouped(x, offsets, stacked_w, stacked_b, scale)
-    return True
-
-
 def attention_rows(
     q: np.ndarray,
     k: np.ndarray,
@@ -299,3 +297,4 @@ def attention_rows(
     _ATTN_CALLS.value += 1
     _ATTN_FLOPS.value += 4 * q.shape[1] * q.shape[2] * int(lengths.sum())
     return out
+

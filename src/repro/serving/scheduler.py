@@ -47,8 +47,7 @@ import numpy as np
 from repro.observability.metrics import registry
 from repro.observability.tracing import span
 from repro.serving.engine import InferenceEngine
-from repro.serving.kernels import work_summary
-from repro.serving.sampling import sample_rows
+from repro.serving.kernels import sample_rows, work_summary
 from repro.utils.rng import get_rng
 
 
@@ -118,13 +117,18 @@ def _sample(seqs: List[_Sequence]) -> List[int]:
     """One next token per sequence, each from its own RNG stream, in one
     :func:`sample_rows` call per distinct (temperature, top_k): a
     sequence samples exactly what it would alone."""
+    keys = [(seq.request.temperature, seq.request.top_k) for seq in seqs]
+    if keys.count(keys[0]) == len(keys):  # one group: the usual step
+        return sample_rows(
+            np.array([seq.logits for seq in seqs]), *keys[0], [seq.rng for seq in seqs]
+        ).tolist()
     groups: Dict[tuple, List[int]] = {}
-    for i, seq in enumerate(seqs):
-        groups.setdefault((seq.request.temperature, seq.request.top_k), []).append(i)
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
     tokens = [0] * len(seqs)
     for (temperature, top_k), rows in groups.items():
         picked = sample_rows(
-            np.stack([seqs[i].logits for i in rows]), temperature, top_k,
+            np.array([seqs[i].logits for i in rows]), temperature, top_k,
             [seqs[i].rng for i in rows],
         )
         for i, tok in zip(rows, picked.tolist()):
@@ -169,7 +173,18 @@ class ContinuousBatchingScheduler:
         self.step_gemm_flops = 0
         self.step_attn_flops = 0
         self._next_id = 0
-        self._reg = registry()
+        self._reg = reg = registry()
+        # Handles, taken once: a step looks nothing up by name
+        # (``MetricsRegistry.reset`` zeroes instruments in place).
+        self._requests = reg.counter("serving/requests")
+        self._tokens_generated = reg.counter("serving/tokens_generated")
+        self._prefill_tokens = reg.counter("serving/prefill_tokens")
+        self._gemm_flops = reg.counter("serve_gemm_flops")
+        self._attn_flops = reg.counter("serve_attn_flops")
+        self._active_sequences = reg.gauge("serving/active_sequences")
+        self._ttft = reg.histogram("serving/ttft_ms")
+        self._token_latency = reg.histogram("serving/token_latency_ms")
+        self._step_ms = reg.histogram("serving/step_ms")
 
     # -- lifecycle -------------------------------------------------------
     def submit(self, request: Request) -> int:
@@ -182,7 +197,7 @@ class ContinuousBatchingScheduler:
             raise ValueError("empty prompt")
         if request.max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
-        self._reg.counter("serving/requests").inc()
+        self._requests.value += 1
         self.queue.append(request)
         return request.request_id
 
@@ -211,7 +226,7 @@ class ContinuousBatchingScheduler:
             self.active[slot] = seq
             budget_used += peak
         self.peak_concurrency = max(self.peak_concurrency, len(self.active))
-        self._reg.gauge("serving/active_sequences").set(len(self.active))
+        self._active_sequences.set(len(self.active))
 
     def _prefill(self, seq: _Sequence) -> None:
         """Solo prefill of ``seq``'s current window into its slot."""
@@ -221,7 +236,7 @@ class ContinuousBatchingScheduler:
             seq.logits = self.engine.prefill(
                 seq.ids[None, lo:hi], self.cache, slots=[seq.slot]
             )[0]
-        self._reg.counter("serving/prefill_tokens").inc(hi - lo)
+        self._prefill_tokens.value += hi - lo
 
     # -- stepping --------------------------------------------------------
     def step(self) -> List[GenerationResult]:
@@ -230,67 +245,69 @@ class ContinuousBatchingScheduler:
         Returns the requests that finished during this step.
         """
         t0 = time.perf_counter()
-        gemm0 = self._reg.counter("serve_gemm_flops").value
-        attn0 = self._reg.counter("serve_attn_flops").value
+        gemm0, attn0 = self._gemm_flops.value, self._attn_flops.value
         finished: List[GenerationResult] = []
+        active = self.active
         with span("serve/step"):
-            self._admit(t0)
-            if not self.active:
+            if self.queue:
+                self._admit(t0)
+            if not active:
                 return finished
 
             # Sample the next token of every active sequence from the
             # logits computed last step (or at prefill).
             now = time.perf_counter()
-            seqs = list(self.active.values())
+            seqs = list(active.values())
+            latency = self._token_latency
             for seq, tok in zip(seqs, _sample(seqs)):
-                req = seq.request
                 seq.ids[seq.n] = tok
                 seq.n += 1
                 if seq.first_token_t is None:
                     seq.first_token_t = now
-                    self._reg.histogram("serving/ttft_ms").observe(
-                        (now - seq.submit_t) * 1e3
-                    )
-                self._reg.histogram("serving/token_latency_ms").observe(
-                    (now - seq.last_token_t) * 1e3
-                )
+                    self._ttft.observe((now - seq.submit_t) * 1e3)
+                latency.observe((now - seq.last_token_t) * 1e3)
                 seq.last_token_t = now
-                self._reg.counter("serving/tokens_generated").inc()
-                if req.eos_token_id is not None and tok == req.eos_token_id:
+                eos = seq.request.eos_token_id
+                if eos is not None and tok == eos:
                     seq.done_reason = "eos"
                 elif seq.n == len(seq.ids):
                     seq.done_reason = "length"
+            self._tokens_generated.value += len(seqs)
 
             # Evict finished sequences before computing further logits.
-            for slot, seq in list(self.active.items()):
+            for seq in seqs:
                 if seq.done_reason is not None:
                     finished.append(self._finish(seq))
-                    del self.active[slot]
-                    self.free_slots.append(slot)
-            self._reg.gauge("serving/active_sequences").set(len(self.active))
+                    del active[seq.slot]
+                    self.free_slots.append(seq.slot)
+            self._active_sequences.set(len(active))
 
             # Advance the survivors: sequences at the window edge take a
             # solo re-prefill (sliding-window eviction); the rest share
             # one batched decode step.
             batch: List[_Sequence] = []
-            for seq in self.active.values():
+            ids: List[int] = []
+            slots: List[int] = []
+            for seq in active.values():
                 if (seq.n - 1) - seq.window_start >= self.max_seq_len:
                     seq.window_start = seq.n - self.max_seq_len
                     self._prefill(seq)
                 else:
                     batch.append(seq)
+                    ids.append(seq.ids[seq.n - 1])
+                    slots.append(seq.slot)
             if batch:
-                ids_t = np.array([s.ids[s.n - 1] for s in batch], dtype=np.int64)
-                slots = [s.slot for s in batch]
                 with span("serve/decode"):
-                    logits = self.engine.decode_step(ids_t, self.cache, slots=slots)
-                for j, seq in enumerate(batch):
-                    seq.logits = logits[j]
+                    logits = self.engine.decode_step(
+                        np.array(ids, dtype=np.int64), self.cache, slots=slots
+                    )
+                for seq, row in zip(batch, logits):
+                    seq.logits = row
         dt = time.perf_counter() - t0
-        self._reg.histogram("serving/step_ms").observe(dt * 1e3)
+        self._step_ms.observe(dt * 1e3)
         self.step_seconds += dt
-        self.step_gemm_flops += self._reg.counter("serve_gemm_flops").value - gemm0
-        self.step_attn_flops += self._reg.counter("serve_attn_flops").value - attn0
+        self.step_gemm_flops += self._gemm_flops.value - gemm0
+        self.step_attn_flops += self._attn_flops.value - attn0
         return finished
 
     def _finish(self, seq: _Sequence) -> GenerationResult:

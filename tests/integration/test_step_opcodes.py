@@ -10,16 +10,19 @@ lowering removes on top (NumPy's per-ufunc dispatch inside fused units)
 must stay removed.
 """
 
+import contextlib
 import importlib.util
 import os
 
+import numpy as np
 import pytest
 
 from repro.autograd import lower
-from repro.autograd.lower import toolchain
+from repro.autograd.lower import kernels, runtime, toolchain
 from repro.core import dMoE
 from repro.data import LMDataset, PileConfig, SyntheticPile
 from repro.nn import TransformerLM
+from repro.serving.engine import InferenceEngine
 from repro.training import Adam, Trainer, TrainerConfig
 
 _PROBE = os.path.join(
@@ -38,6 +41,11 @@ _spec.loader.exec_module(step_probe)
 #: three PRs with nothing to notice it).
 REPLAY_CEILING = 0.71
 CC_CEILING = 0.62
+#: A 4-slot decode step of the same model, served: the kernel table's
+#: direct entries native over the same step with each pinned to its
+#: reference measured 0.497 (CPython 3.11: 6 944 / 13 964 opcodes); the
+#: ceiling sits 8 % above.
+DECODE_CEILING = 0.54
 
 
 @pytest.fixture(autouse=True)
@@ -63,6 +71,42 @@ def _step_opcodes(backend):
     return [total for _, total, _ in step_probe.step_opcodes(trainer, steps=3)]
 
 
+def _model():
+    ffn = lambda i: dMoE(32, 64, num_experts=8, block_size=16, rng=i)
+    return TransformerLM(64, 32, 2, 4, 32, ffn_factory=ffn, dropout_p=0.0, rng=0)
+
+
+@contextlib.contextmanager
+def _pinned_to_references():
+    """Every direct entry bound to a runner that declines: each call
+    runs its reference, as with no prelude, but counts nothing."""
+    decline = lambda *ops: False  # noqa: E731
+    runtime._direct.update(
+        {e: (decline, kernels.reference(e)) for e in kernels.TABLE if e.checks}
+    )
+    try:
+        yield
+    finally:
+        runtime._direct.clear()
+
+
+def _decode_opcodes() -> int:
+    engine = InferenceEngine(_model())
+    cache = engine.new_cache(4)
+    ids = np.random.default_rng(1).integers(0, 64, size=(4, 9))
+    try:
+        engine.prefill(ids[:, :8], cache)
+
+        def decode():
+            cache.lengths[:] = 8
+            engine.decode_step(ids[:, 8], cache)
+
+        decode()  # warm: binds every entry
+        return step_probe.count_opcodes(decode)[0]
+    finally:
+        cache.release()
+
+
 def test_counting_is_exact():
     """The same work counts the same — what makes this a gate."""
     work = lambda: sum(i * i for i in range(100))
@@ -80,3 +124,14 @@ def test_compiled_steps_run_less_python_than_eager():
         pytest.skip("no C toolchain in this environment: cc column not counted")
     for e, c in zip(eager, _step_opcodes("cc")):
         assert c <= CC_CEILING * e, (c, e, c / e)
+
+
+def test_native_decode_runs_less_python_than_its_references():
+    """Serving's share: the entries that take a decode step's MoE layers,
+    LayerNorms, GEMMs and attention off the interpreter stay taken off."""
+    if not lower.cc_available():
+        pytest.skip("no C toolchain in this environment")
+    native = _decode_opcodes()
+    with _pinned_to_references():
+        pinned = _decode_opcodes()
+    assert native <= DECODE_CEILING * pinned, (native, pinned, native / pinned)

@@ -107,3 +107,60 @@ def test_non_finite_probabilities_raise():
     logits[1, 3] = np.nan
     with pytest.raises(ValueError, match="not finite"):
         sample_rows(logits, 1.0, None, [np.random.default_rng(0)] * 2)
+
+
+# ----------------------------------------------------------------------
+# The native sampler (the kernel table's ``serve_sample``)
+# ----------------------------------------------------------------------
+def _native():
+    from repro.autograd.lower import runtime
+
+    if runtime.load_prelude() is None:
+        pytest.skip("the prelude is unavailable (no toolchain)")
+    from repro.serving import kernels
+
+    return kernels.sample_rows
+
+
+def _gens(seed: int, rows: int):
+    return [np.random.default_rng([seed, r]) for r in range(rows)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_native_sampler_draws_the_references_tokens_from_the_same_streams(seed):
+    """The same token per row and the same generator state after, over
+    drawn vocabularies, temperatures, logit scales (flat and
+    near-one-hot distributions), -inf logits and top-k that cuts nothing."""
+    native = _native()
+    rng = np.random.default_rng(seed)
+    rows, vocab = int(rng.integers(1, 9)), int(rng.integers(1, 1100))
+    logits = (rng.standard_normal((rows, vocab)) * rng.choice([0.05, 2.0, 80.0])).astype(np.float32)
+    if vocab > 1:
+        logits[rng.integers(0, rows), rng.integers(0, vocab)] = -np.inf
+    temperature = float(rng.choice([0.25, 1.0, 3.0]))
+    top_k = None if seed % 3 else vocab
+    ours, theirs = _gens(seed, rows), _gens(seed, rows)
+    got = native(logits, temperature, top_k, ours)
+    want = sample_rows(logits, temperature, top_k, theirs)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert [g.random() for g in ours] == [g.random() for g in theirs]
+
+
+def test_native_sampler_leaves_greedy_top_k_cuts_and_failures_to_the_reference():
+    native = _native()
+    logits = _logits(rows=3, vocab=40)
+    for temperature, top_k in ((0.0, None), (1.0, 5)):
+        ours, theirs = _gens(1, 3), _gens(1, 3)
+        assert np.array_equal(
+            native(logits, temperature, top_k, ours),
+            sample_rows(logits, temperature, top_k, theirs),
+        )
+        assert [g.random() for g in ours] == [g.random() for g in theirs]
+    for bad in (np.nan, np.inf):
+        poisoned = logits.copy()
+        poisoned[1, 3] = bad
+        gens = _gens(2, 3)
+        with pytest.raises(ValueError, match="not finite"), np.errstate(invalid="ignore"):
+            native(poisoned, 1.0, None, gens)
+        # Nothing was drawn before the failure.
+        assert [g.random() for g in gens] == [g.random() for g in _gens(2, 3)]

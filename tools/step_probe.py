@@ -9,6 +9,11 @@ machines (opcode counts across one interpreter version):
     every parameter and both Adam moments — per ``bench/`` workload
     shape.  Equal on two commits means no training bit moved.
 
+``--hash --serve``
+    sha256 of the logits of each workload's served model (int8 experts
+    for ``dp2_int8``): one prefill per slot, then eight decode steps
+    over every slot.  Equal on two commits means no serving bit moved.
+
 ``--opcodes``
     Interpreter opcodes executed by one ``train_step`` (``sys.settrace``
     with ``f_trace_opcodes``), after three untraced warm-up steps, with
@@ -18,7 +23,9 @@ machines (opcode counts across one interpreter version):
 ``--opcodes --serve``
     The same count for serving: one prefill at the workload's middle
     prompt length, then one decode step over all its slots (each holding
-    such a prompt), after one untraced round of both.
+    such a prompt), after one untraced round of both.  Each line also
+    gives the ``lower_direct_calls`` it made: its crossings into the
+    kernel table's C.
 
 The trainer is ``bench/workloads.build_trainer`` and the served model
 ``bench/workloads.build_model`` (imported, never modified), single
@@ -28,6 +35,7 @@ learning rate the benchmark times.
     PYTHONPATH=src python tools/step_probe.py --hash
     PYTHONPATH=src python tools/step_probe.py --opcodes --workload small_decode --top 12
     PYTHONPATH=src python tools/step_probe.py --opcodes --serve
+    PYTHONPATH=src python tools/step_probe.py --hash --serve
 """
 
 from __future__ import annotations
@@ -44,7 +52,10 @@ import numpy as np
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: ``dp2_int8`` trains ``ref_prefill``'s model; single-process it is the same run.
 SHAPES = ("ref_prefill", "small_decode", "skew_queue")
+#: ... but serves it with int8 experts.
+SERVED = SHAPES + ("dp2_int8",)
 HASH_STEPS = 30
+SERVE_HASH_STEPS = 8
 WARMUP_STEPS = 3
 SEED = 1
 
@@ -121,36 +132,75 @@ def step_opcodes(
     return out
 
 
-def serve_opcodes(name: str) -> List[Tuple[str, int, Counter]]:
-    """``(what, opcodes, per_function)`` of one prefill at the middle
-    prompt length and of one decode step over every slot, on the
-    workload's served model (its expert format included)."""
-    from repro.serving.engine import InferenceEngine
+class _Served:
+    """A workload's served model (its expert format included), a KV
+    cache over its slots, and fixed token ids: a prompt of its middle
+    length per slot, then one column per decode step."""
 
-    w = _workloads()
-    wl = w.WORKLOADS[name]
-    engine = InferenceEngine(w.build_model(wl), quantize_experts=wl.quantize)
-    prompt = sum(wl.prompt_len) // 2
-    ids = np.random.default_rng(SEED).integers(0, w.VOCAB, size=(wl.slots, prompt))
-    cache = engine.new_cache(wl.slots)
+    def __init__(self, name: str, decode_steps: int = 1) -> None:
+        from repro.serving.engine import InferenceEngine
 
-    def prefill(slot: int) -> None:
-        cache.reset([slot])
-        engine.prefill(ids[slot : slot + 1], cache, slots=[slot])
+        w = _workloads()
+        wl = w.WORKLOADS[name]
+        self.slots = wl.slots
+        self.engine = InferenceEngine(w.build_model(wl), quantize_experts=wl.quantize)
+        self.prompt = sum(wl.prompt_len) // 2
+        self.ids = np.random.default_rng(SEED).integers(
+            0, w.VOCAB, size=(wl.slots, self.prompt + decode_steps)
+        )
+        self.cache = self.engine.new_cache(wl.slots)
 
-    def decode() -> None:
-        cache.lengths[:] = prompt
-        engine.decode_step(ids[:, -1], cache)
+    def prefill(self, slot: int) -> np.ndarray:
+        self.cache.reset([slot])
+        return self.engine.prefill(
+            self.ids[slot : slot + 1, : self.prompt], self.cache, slots=[slot]
+        )
+
+    def decode(self, step: int = 0) -> np.ndarray:
+        """Decode step ``step`` over every slot, each slot holding the
+        prompt and the ``step`` tokens before it."""
+        self.cache.lengths[:] = self.prompt + step
+        return self.engine.decode_step(self.ids[:, self.prompt + step], self.cache)
+
+
+def serve_opcodes(name: str) -> List[Tuple[str, int, int, Counter]]:
+    """``(what, opcodes, direct calls, per_function)`` of one prefill at
+    the middle prompt length and of one decode step over every slot."""
+    from repro.observability import registry
+
+    served = _Served(name)
+    crossings = registry().counter("lower_direct_calls")
+
+    def counted(what: str, fn: Callable[[], object]):
+        before = crossings.value
+        total, per_function = count_opcodes(fn)
+        return what, total, crossings.value - before, per_function
 
     try:
-        for slot in range(wl.slots):
-            prefill(slot)
-        decode()  # warm-up round
-        out = [(f"prefill({prompt})", *count_opcodes(lambda: prefill(0)))]
-        out.append((f"decode({wl.slots} slots)", *count_opcodes(decode)))
+        for slot in range(served.slots):
+            served.prefill(slot)
+        served.decode()  # warm-up round
+        return [
+            counted(f"prefill({served.prompt})", lambda: served.prefill(0)),
+            counted(f"decode({served.slots} slots)", served.decode),
+        ]
     finally:
-        cache.release()
-    return out
+        served.cache.release()
+
+
+def serve_hash(name: str, steps: int = SERVE_HASH_STEPS) -> str:
+    """sha256 over every slot's prefill logits, then ``steps`` decode
+    steps' logits over every slot."""
+    served = _Served(name, steps)
+    h = hashlib.sha256()
+    try:
+        for slot in range(served.slots):
+            h.update(served.prefill(slot).tobytes())
+        for step in range(steps):
+            h.update(served.decode(step).tobytes())
+    finally:
+        served.cache.release()
+    return h.hexdigest()
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -159,24 +209,26 @@ def main(argv: Optional[List[str]] = None) -> int:
     mode.add_argument("--hash", action="store_true", help="trajectory sha256 per workload")
     mode.add_argument("--opcodes", action="store_true", help="interpreter opcodes per step")
     ap.add_argument(
-        "--workload", action="append", choices=SHAPES,
-        help="workload shape (repeatable; default: all three)",
+        "--workload", action="append", choices=SERVED,
+        help="workload shape (repeatable; default: the three training shapes, "
+        "or with --serve all four workloads)",
     )
     ap.add_argument(
         "--serve", action="store_true",
-        help="--opcodes: count a serving prefill and decode step, not a train step",
+        help="read the served model (a prefill and decode steps), not a train step",
     )
     ap.add_argument("--backend", default="cc", choices=("eager", "replay", "cc"))
     ap.add_argument("--steps", type=int, default=3, help="--opcodes: steps counted")
     ap.add_argument("--top", type=int, default=0, help="--opcodes: functions listed per step")
     args = ap.parse_args(argv)
-    if args.serve and not args.opcodes:
-        ap.error("--serve goes with --opcodes")
 
-    for name in args.workload or SHAPES:
+    for name in args.workload or (SERVED if args.serve else SHAPES):
+        if args.serve and args.hash:
+            print(f"{name} serve {serve_hash(name)}")
+            continue
         if args.serve:
-            for what, total, per_function in serve_opcodes(name):
-                print(f"{name} serve {what}: {total} opcodes")
+            for what, total, crossings, per_function in serve_opcodes(name):
+                print(f"{name} serve {what}: {total} opcodes, {crossings} lower_direct_calls")
                 for function, n in per_function.most_common(args.top):
                     print(f"    {n:8d} {100.0 * n / total:5.1f}%  {function}")
             continue
