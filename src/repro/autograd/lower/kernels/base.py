@@ -168,7 +168,8 @@ class Arr:
     them) and C-contiguity.  Live only: ``shape`` keeps the captured
     shape, and ``pin`` demands the captured layout itself — dtype, shape
     and strides, identity-cached so a steady replay pays one ``is`` per
-    operand."""
+    operand.  A direct call has no capture: there a pinned operand's
+    layout is checked as an unpinned one's, and relations live."""
 
     def __init__(self, k, dtype=F4, rank=None, contig=True, shape=False, pin=False):
         self.k = k
@@ -302,14 +303,15 @@ class Contract:
         clause by clause on every call (``run`` itself when no clause
         has anything to check live)."""
         arrays = [c for c in self.clauses if type(c) is Arr and c.k != OUT]
+        captured = descs is not None
         # Relations among pinned layouts were settled at capture.
-        settled = bool(arrays) and all(c.pin for c in arrays)
+        settled = captured and bool(arrays) and all(c.pin for c in arrays)
         env = {"ndarray": ndarray, "matches": matches, "run": run}
         lines = []
         for j, c in enumerate(self.clauses):
             if c in arrays:
                 lines.append(f"a = ops[{c.k}]")
-                if c.pin:
+                if c.pin and captured:
                     env[f"desc{j}"], env[f"seen{j}"] = descs[c.k], [None]
                     lines += [
                         f"if a is not seen{j}[0]:",

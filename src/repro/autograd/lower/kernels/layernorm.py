@@ -88,10 +88,10 @@ void repro_ln_bwd_f32(const float *restrict g, const float *restrict xhat,
 
 
 def _ln_forward(b):
-    """Both faces read the shapes off the call.  A captured record saves
-    ``(xhat, inv, w)``; a direct caller (``LayerNorm`` under
-    ``inference_mode``) gets the output alone, and ``xhat``, ``inv`` and
-    the row of squares share one scratch array."""
+    """A captured record saves ``(xhat, inv, w)`` at its pinned shapes.
+    A direct caller (``LayerNorm`` under ``inference_mode``) gets the
+    output alone, shapes read per call, and ``xhat``, ``inv`` and the
+    row of squares share one scratch array."""
     cfn = b.lib.repro_ln_fwd_f32
     if b.rec is None:
 
@@ -107,19 +107,20 @@ def _ln_forward(b):
             return (out,)
 
         return direct
+    shape = b.shape(0)
+    R, H = rows_width(shape)
     eps = float(b.const(3, "eps", 1e-5))
+    inv_shape = shape[:-1] + (1,)
+    sq = np.empty(H, F4)  # one row of squares; replays are single-threaded
 
     def run(x, w, bias, *_eps):
-        shape = x.shape
-        h = shape[-1]
         out = arena.empty(shape, F4)
         xhat = arena.empty(shape, F4)
-        inv = np.empty(shape[:-1] + (1,), F4)
-        sq = np.empty(h, F4)
+        inv = np.empty(inv_shape, F4)
         cfn(
             x.ctypes.data, w.ctypes.data, bias.ctypes.data,
             out.ctypes.data, xhat.ctypes.data, inv.ctypes.data,
-            x.size // h, h, eps, sq.ctypes.data,
+            R, H, eps, sq.ctypes.data,
         )
         return (xhat, inv, w), out
 
@@ -172,9 +173,9 @@ LN = Kernel(
     "ln", _N._LayerNorm,
     source=_LN_C,
     contract=Contract(
-        Arr(0),
-        Arr(1, rank=1),
-        Arr(2, rank=1),
+        Arr(0, pin=True),
+        Arr(1, rank=1, pin=True),
+        Arr(2, rank=1, pin=True),
         Const(3, optional=True),
         Rel("rows of a non-empty matrix, one scale and shift per column",
             lambda x, w, b, *_: x.ndim >= 2 and x.size and (

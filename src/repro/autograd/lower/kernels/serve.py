@@ -27,6 +27,8 @@ vector code, and the rest of the prelude keeps ``-O3``.
 
 from __future__ import annotations
 
+from operator import is_
+
 import numpy as np
 
 from repro.autograd.lower.kernels.base import (
@@ -854,31 +856,24 @@ def _attention_forward(b):
     return run
 
 
-def _moe_key(layer, router, h):
-    """What a layer's bound tables depend on: the ids of its table
-    arrays and of its (frozen) int8 tables — the binding holds them, so
-    no id is reused while it lives — ``top_k`` and the width of ``x``."""
-    ex = layer.experts
-    return (
-        id(router.proj.weight.data), id(ex.w1.data), id(ex.b1.data),
-        id(ex.w2.data), id(ex.b2.data), id(getattr(layer, "_quantized", None)),
-        router.top_k, h,
-    )
-
-
-def _moe_bind(layer, router, h):
-    """``(key, tables, *their pointers, E, F)`` when the C takes the
-    layer's tables ``(wr, w1, s1, b1, w2, s2, b2)`` — contiguous float32
-    (``w1`` and ``w2`` int8 with their scales once quantized), more than
-    one expert, every GEMM wider than one column (the serve_gemm
-    contract) and ``1 <= top_k <= E`` — else ``None``."""
+def _moe_tables(layer, router):
+    """The layer's tables ``(wr, w1, s1, b1, w2, s2, b2)`` as the C reads
+    them (``s1``/``s2`` are ``None`` until quantized) and their weight
+    dtype."""
     q, ex = getattr(layer, "_quantized", None), layer.experts
     wr = router.proj.weight.data
     if q is None:
-        wdt, tables = F4, (wr, ex.w1.data, None, ex.b1.data, ex.w2.data, None, ex.b2.data)
-    else:
-        wdt, tables = I8, (wr, q.q1, q.s1, q.b1, q.q2, q.s2, q.b2)
-    e, f = wr.shape[-1], tables[1].shape[-1]
+        return F4, (wr, ex.w1.data, None, ex.b1.data, ex.w2.data, None, ex.b2.data)
+    return I8, (wr, q.q1, q.s1, q.b1, q.q2, q.s2, q.b2)
+
+
+def _moe_bind(wdt, tables, top_k, h):
+    """``(tables, top_k, h, *their pointers, E, F)`` when the C takes the
+    tables — contiguous float32 (``w1`` and ``w2`` int8 with their scales
+    once quantized), more than one expert, every GEMM wider than one
+    column (the serve_gemm contract) and ``1 <= top_k <= E`` — else
+    ``None``."""
+    e, f = tables[0].shape[-1], tables[1].shape[-1]
     want = zip(tables, (F4, wdt, F4, F4, wdt, F4, F4),
                ((h, e), (e, h, f), (e, f), (e, f), (e, f, h), (e, h), (e, h)))
     for a, dtype, shape in want:
@@ -887,10 +882,10 @@ def _moe_bind(layer, router, h):
             and a.flags.c_contiguous
         ):
             return None
-    if min(e, f, h) < 2 or not 1 <= router.top_k <= e:
+    if min(e, f, h) < 2 or not 1 <= top_k <= e:
         return None
     pointers = tuple(None if a is None else addr(a) for a in tables)
-    return (_moe_key(layer, router, h), tables, *pointers, e, f)
+    return (tables, top_k, h, *pointers, e, f)
 
 
 def _moe_forward(b):
@@ -904,15 +899,20 @@ def _moe_forward(b):
         if type(router) is not Router or layer.activation != "gelu":
             return False
         t, h = x.shape
+        k = router.top_k
         # The tables are checked, and their pointers taken, once per
-        # layer and set of arrays: the binding rides on the layer.
+        # layer and set of arrays: the binding rides on the layer and
+        # holds the arrays it checked, so "the same objects" is an
+        # identity test no later array can pass by reusing an address.
+        wdt, tables = _moe_tables(layer, router)
         bound = layer.__dict__.get("_serve_moe")
-        if bound is None or bound[0] != _moe_key(layer, router, h):
-            bound = layer._serve_moe = _moe_bind(layer, router, h)
+        if bound is None or not (
+            bound[1] == k and bound[2] == h and all(map(is_, bound[0], tables))
+        ):
+            bound = layer._serve_moe = _moe_bind(wdt, tables, k, h)
             if bound is None:
                 return False
-        _, _, pr, p1, ps1, pb1, p2, ps2, pb2, e, f = bound
-        k = router.top_k
+        _, _, _, pr, p1, ps1, pb1, p2, ps2, pb2, e, f = bound
         c = t * k
         px = addr(x)
         p = np.empty((t, e), F4)

@@ -302,10 +302,7 @@ class Tensor:
         dtype=None,
         name: Optional[str] = None,
     ) -> None:
-        self.data: np.ndarray = (
-            data if type(data) is np.ndarray and dtype is None
-            else _coerce_data(data, dtype)
-        )
+        self.data: np.ndarray = _coerce_data(data, dtype)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad: bool = bool(requires_grad)
         self._node: Optional[Node] = None

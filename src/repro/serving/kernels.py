@@ -297,4 +297,3 @@ def attention_rows(
     _ATTN_CALLS.value += 1
     _ATTN_FLOPS.value += 4 * q.shape[1] * q.shape[2] * int(lengths.sum())
     return out
-

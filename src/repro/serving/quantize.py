@@ -56,14 +56,13 @@ def dequantize_int8(q: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return q.astype(np.float32) * np.expand_dims(scale, axis=-2)
 
 
-@dataclass(frozen=True)
+@dataclass
 class QuantizedExpertFFN:
     """Int8 expert FFN tables consumed by the inference dispatch.
 
     ``q1``/``q2`` are the int8 weights ``(E, H, F)`` / ``(E, F, H)``;
     ``s1``/``s2`` the fp32 per-output-channel scales ``(E, F)`` /
     ``(E, H)``.  Biases are fp32 references to the live parameters.
-    Frozen: the native MoE entry knows a table set by its identity.
     """
 
     q1: np.ndarray

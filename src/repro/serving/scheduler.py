@@ -117,14 +117,9 @@ def _sample(seqs: List[_Sequence]) -> List[int]:
     """One next token per sequence, each from its own RNG stream, in one
     :func:`sample_rows` call per distinct (temperature, top_k): a
     sequence samples exactly what it would alone."""
-    keys = [(seq.request.temperature, seq.request.top_k) for seq in seqs]
-    if keys.count(keys[0]) == len(keys):  # one group: the usual step
-        return sample_rows(
-            np.array([seq.logits for seq in seqs]), *keys[0], [seq.rng for seq in seqs]
-        ).tolist()
     groups: Dict[tuple, List[int]] = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
+    for i, seq in enumerate(seqs):
+        groups.setdefault((seq.request.temperature, seq.request.top_k), []).append(i)
     tokens = [0] * len(seqs)
     for (temperature, top_k), rows in groups.items():
         picked = sample_rows(

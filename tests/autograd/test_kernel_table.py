@@ -248,9 +248,11 @@ def _mutations(a):
 _ENVIRONMENTS = (lambda: dispatch.dispatch_mode("blocked"),)
 
 
-def _violations(contract, ops):
+def _violations(contract, ops, captured=True):
     """``(label, operands, environment)`` per live clause of
-    ``contract`` (three per array layout: dtype, rank, contiguity)."""
+    ``contract`` (three per array layout: dtype, rank, contiguity).  A
+    direct call (``captured=False``) has no captured layout for ``pin``
+    or ``shape`` to demand."""
     ops = tuple(ops)
 
     def swap(k, value):
@@ -259,11 +261,11 @@ def _violations(contract, ops):
     for c in contract.clauses:
         if type(c) is Arr and c.k != OUT:
             a = ops[c.k]
-            exact = c.pin or c.shape
+            exact = captured and (c.pin or c.shape)
             yield f"{c.name}: dtype", swap(c.k, _wrong_dtype(c, a)), None
             if c.rank is not None or exact:
                 yield f"{c.name}: rank", swap(c.k, _other_rank(a, c.rank)), None
-            if c.contig or c.pin:
+            if c.contig or (captured and c.pin):
                 yield f"{c.name}: contiguity", swap(c.k, _strided(a)), None
         elif isinstance(c, Rel):
             yield _trip(c, ops, swap)
@@ -407,7 +409,7 @@ def test_direct_call_conforms_and_every_clause_declines_uncounted(entry):
         _assert_same_outcome(_outcome(call, *args), want, f"{entry.name} direct")
         assert native.value == ran + 1, "a conforming call did not run C"
         assert _counted() == before, "a conforming call counted a fallback"
-    for label, bad, env in _violations(entry.contract, draws[0]):
+    for label, bad, env in _violations(entry.contract, draws[0], captured=False):
         what = f"{entry.name} direct, {label}"
         with env() if env else contextlib.nullcontext():
             want, inner = reference_outcome(*bad)

@@ -43,8 +43,8 @@ REPLAY_CEILING = 0.71
 CC_CEILING = 0.62
 #: A 4-slot decode step of the same model, served: the kernel table's
 #: direct entries native over the same step with each pinned to its
-#: reference measured 0.497 (CPython 3.11: 6 944 / 13 964 opcodes); the
-#: ceiling sits 8 % above.
+#: reference measured 0.505 (CPython 3.11: 7 225 / 14 293 opcodes); the
+#: ceiling sits 7 % above.
 DECODE_CEILING = 0.54
 
 

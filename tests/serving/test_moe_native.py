@@ -123,8 +123,8 @@ def test_layers_outside_the_contract_run_the_reference_uncounted(variant):
 
 
 def test_changed_tables_are_checked_again():
-    """The checked tables ride on the layer, keyed by the arrays'
-    identities: quantizing, dropping the int8 tables, a new weight array
+    """The checked tables ride on the layer with the arrays they were
+    checked on: quantizing, dropping the int8 tables, a new weight array
     or a new top-k all re-check before the C reads anything."""
     rng = np.random.default_rng(9)
     layer, x = serve._moe_layer(rng, 7, 16, 24, 4, 1)
@@ -145,6 +145,22 @@ def test_changed_tables_are_checked_again():
     got = call(layer, x)
     assert count("lower_direct_calls") - before == 2 * inner
     assert _bits(got) == _bits(want)
+
+
+def test_requantized_tables_are_read_fresh():
+    """Detaching, an in-place weight update and attaching again give the
+    layer new int8 tables — new arrays even where a freed table object's
+    address comes back — and the C reads them, not the first ones."""
+    rng = np.random.default_rng(10)
+    layer, x = serve._moe_layer(rng, 6, 16, 24, 4, 2)
+    attach_quantized_experts(layer)
+    _assert_same_layer_output(layer, x)
+    first = call(layer, x)
+    detach_quantized_experts(layer)
+    layer.experts.w1.data *= 3.0
+    attach_quantized_experts(layer)
+    _assert_same_layer_output(layer, x)
+    assert _bits(call(layer, x)) != _bits(first)
 
 
 @pytest.mark.parametrize("kind", ["dmoe", "moe", "tutel-dmoe"])
