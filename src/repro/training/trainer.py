@@ -1,63 +1,54 @@
-"""Training loop with gradient accumulation, guardrails, and resume.
+"""The training loop around :func:`repro.training.step.run_step`.
 
 Mirrors the Megatron-LM recipe the paper uses (§3): Adam, gradient
 clipping at 1.0, warmup + decay schedule, a global batch split into micro
 batches with gradient accumulation, and periodic validation.  MoE models
-additionally log routing balance statistics (dynamic capacity factor,
-drop fraction) that feed the performance model.
-
-On top of the recipe sits the fault-tolerance layer (``docs/robustness.md``):
-
-- **non-finite skip** — the step's one read of every gradient, the
-  global norm the clip needs, also decides the skip: a non-finite norm
-  means some gradient element is NaN or ±inf, and the update is skipped
-  (with or without guardrails) instead of poisoning Adam;
-- **numeric guardrails** (:class:`repro.resilience.NumericGuard`) — a
-  NaN/Inf loss sentinel and a rolling-median loss-spike detector; bad
-  steps skip the update, and after K consecutive bad steps the trainer
-  rewinds to its last known-good in-memory snapshot;
-- **fault injection** (:class:`repro.resilience.FaultInjector`) — seeded
-  schedules corrupt gradients and fail collectives so every recovery path
-  above is exercised by tests, not trusted on faith;
-- **validated resume** — :meth:`Trainer.save` / :meth:`Trainer.fit`
-  round-trip model, optimizer, data-order, and RNG state bit-exactly
-  through the checksummed checkpoint format.
+additionally log routing balance statistics (dynamic capacity factor)
+that feed the performance model.  The step itself — micro batches,
+non-finite skip, gradient sync, clip and update, on one of four rungs —
+is :mod:`repro.training.step`; :class:`Trainer` keeps the loop: data
+order, guardrail bookkeeping and skip-and-rewind
+(:class:`repro.resilience.NumericGuard`), routing stats, telemetry,
+the data-parallel group, and checkpoints whose resume round-trips model,
+optimizer, data order and RNG state bit-exactly (``docs/robustness.md``).
 """
 
 from __future__ import annotations
 
-import contextlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.autograd import no_grad, steady_state
+from repro.autograd import get_arena, no_grad
 from repro.autograd import stats as ag_stats
-from repro.autograd.graph import CaptureSession, GraphInvalidated, StepGraph
+from repro.autograd.graph import StepGraph
 from repro.observability.metrics import registry
 from repro.observability.tracing import get_tracer, span
-from repro.autograd.tensor import Tensor
 from repro.data.dataset import LMDataset
 from repro.moe.capacity import min_capacity_factor
 from repro.nn.transformer import TransformerLM
 from repro.resilience import guardrails as gr
-from repro.resilience.faults import CollectiveFault, FaultInjector
-from repro.resilience.guardrails import GuardrailConfig, NumericGuard
+from repro.resilience.faults import FaultInjector
+from repro.resilience.guardrails import NumericGuard
 from repro.checkpoint import (
     AsyncCheckpointWriter,
     CheckpointError,
     CheckpointManager,
     CheckpointState,
     ShardReader,
+    apply_state,
     build_state,
     load_checkpoint,
     write_state,
 )
+from repro.training.config import TrainerConfig
 from repro.training.lr_schedule import ConstantLR, LRSchedule
 from repro.training.metrics import History, TrainingRecord
-from repro.training.optim import Adam, Optimizer, clip_scale, grad_norm
+from repro.training.optim import Adam, Optimizer
+from repro.training.step import StepState, run_step, sync_gradients
 from repro.utils.logging import get_logger
 from repro.utils.rng import (
     RngLike,
@@ -78,130 +69,13 @@ class RoutingStats:
     mean_dynamic_capacity_factor: float
 
 
-@dataclass
-class TrainerConfig:
-    """Knobs for :class:`Trainer`.
-
-    Attributes:
-        global_batch: sequences per optimizer step.
-        micro_batch: sequences per forward/backward (gradient
-            accumulation runs ``global_batch / micro_batch`` times).
-        max_steps: optimizer steps to run.
-        grad_clip: global-norm clip (1.0 per Shoeybi et al., 2019).
-        eval_every / eval_batches: validation cadence and size.
-        log_every: training-loss logging cadence.
-        guardrails: numeric-guardrail thresholds; ``None`` disables the
-            loss sentinel / spike detector / rewind path entirely.  A
-            step whose gradients are not finite is skipped either way:
-            its global norm, which the clip reads anyway, is not finite.
-        dp_world: when > 1, the step's gradients, scaled by
-            ``1 / dp_world``, go through one data-parallel ``all_reduce``
-            per step (one bucket holding every gradient, reduced back
-            into the ``p.grad`` arrays in place), exposing the step to
-            injected collective faults and comm accounting.
-            Must be a power of two: every rank holds the same gradient
-            here, and only then is scaling by ``1/world`` and summing
-            ``world`` copies exact in floating point — any other world
-            would silently perturb the trajectory, so it is rejected.
-        dist_backend: transport for the data-parallel all-reduce —
-            ``"sim"`` (default) keeps the in-process reference
-            collective; ``"mp"`` moves the bucket through
-            ``dp_world - 1`` persistent forked echo workers over
-            shared-memory windows that stay mapped for the group's
-            lifetime (``repro.distributed.backend.open_echo_group``;
-            the workers are forked at the top of the first step).
-            Both reduce with the identical
-            rank-ordered formula, so training trajectories are
-            bit-identical across backends, and so is every injected
-            collective fault: a ``rank_failure`` kills a peer (under
-            ``"mp"`` a real SIGKILL), the step is skipped or the sync
-            retried, and the group heals (respawns) before the next
-            attempt (see ``docs/distributed.md``).
-        steady_state: run the step under
-            :func:`repro.autograd.steady_state` — the buffer arena
-            recycles every fixed-shape activation/gradient array across
-            steps (see ``docs/performance.md``).  The fused ops run
-            either way.  A choice only for ``backend="eager"``: off is
-            the allocating reference every other configuration must
-            match bit for bit, on is the eager steady step.  The compiled rungs are always
-            steady — ``"replay"`` and ``"cc"`` set it, whatever was
-            passed — because that is what a graph is captured from and
-            the only configuration they are measured on.
-        backend: step execution backend — with ``steady_state`` the
-            only selector of how a micro batch runs, four
-            configurations in all.  ``"eager"`` (default) traverses the
-            modules and builds the tape every time.  ``"replay"``
-            captures step graphs — the first micro batch is executed
-            eagerly under a :class:`repro.autograd.graph.CaptureSession`
-            and every signature-matching micro batch after it replays
-            the compiled schedule with no module traversal or tape
-            construction (``tape_nodes`` stays 0 on replayed steps);
-            signature changes, guarded host divergences, guardrail
-            skips/rewinds, and checkpoint restores fall back to eager
-            and recapture transparently (see ``docs/performance.md``).
-            ``"cc"`` is replay plus native-code lowering: each captured
-            graph is compiled to C via ``repro.autograd.lower`` and the
-            fused Adam/clip kernels are installed (see
-            ``docs/codegen.md``).  Every backend is bit-identical; a
-            missing C toolchain (or ``REPRO_NO_CC=1``) degrades
-            ``"cc"`` to ``"replay"`` with a single warning.
-        async_checkpoint: write periodic checkpoints through the
-            background :class:`repro.checkpoint.AsyncCheckpointWriter`:
-            the step boundary pays only a snapshot memcpy, and the
-            serialize+fsync runs on a worker thread.  Byte-identical to
-            synchronous checkpoints (see ``docs/robustness.md``).
-        ckpt_queue_size: bounded async-writer queue depth (pending
-            snapshots before :meth:`submit` applies backpressure).
-    """
-
-    global_batch: int = 32
-    micro_batch: int = 8
-    max_steps: int = 100
-    grad_clip: float = 1.0
-    eval_every: int = 20
-    eval_batches: int = 4
-    log_every: int = 10
-    guardrails: Optional[GuardrailConfig] = None
-    dp_world: int = 0
-    dist_backend: str = "sim"
-    steady_state: bool = False
-    backend: str = "eager"
-    async_checkpoint: bool = False
-    ckpt_queue_size: int = 2
-
-    def __post_init__(self) -> None:
-        if self.global_batch % self.micro_batch:
-            raise ValueError(
-                f"global_batch={self.global_batch} must be divisible by "
-                f"micro_batch={self.micro_batch}"
-            )
-        if self.dp_world < 0 or self.dp_world & (self.dp_world - 1):
-            raise ValueError(
-                f"dp_world must be 0 or a power of two, got {self.dp_world}: "
-                "the replicated-gradient all-reduce is exact only for "
-                "power-of-two worlds; any other would silently perturb "
-                "the training trajectory"
-            )
-        if self.dist_backend not in ("sim", "mp"):
-            raise ValueError(
-                f"unknown dist_backend {self.dist_backend!r}: "
-                "expected 'sim' or 'mp'"
-            )
-        if self.backend not in ("eager", "replay", "cc"):
-            raise ValueError(
-                f"unknown backend {self.backend!r}: "
-                "expected 'eager', 'replay', or 'cc'"
-            )
-        if self.backend != "eager":
-            self.steady_state = True
-
-    @property
-    def accumulation_steps(self) -> int:
-        return self.global_batch // self.micro_batch
-
-
 class Trainer:
-    """Drives one model over one dataset; records a :class:`History`."""
+    """Drives one model over one dataset; records a :class:`History`.
+
+    The loop lives here — data order, guardrail bookkeeping and rewind,
+    routing stats, telemetry, checkpoints, the data-parallel group;
+    each step is :func:`repro.training.step.run_step` on ``self.state``.
+    """
 
     def __init__(
         self,
@@ -215,17 +89,26 @@ class Trainer:
         fault_injector: Optional[FaultInjector] = None,
         mesh: Optional[Any] = None,
     ) -> None:
+        if config is None:
+            config = TrainerConfig()
+        if len(train_data) < config.micro_batch:
+            raise ValueError(
+                f"the training set holds {len(train_data)} sequences, fewer "
+                f"than one micro batch of micro_batch={config.micro_batch}"
+            )
         self.model = model
         self.train_data = train_data
         self.val_data = val_data
-        if config is None:
-            config = TrainerConfig()
         self.config = config
         self.optimizer = optimizer or Adam(model.parameters(), lr=6e-4)
         self.schedule = schedule or ConstantLR(self.optimizer.lr)
         self.rng = get_rng(rng)
         self.history = History()
         self.routing_stats: List[RoutingStats] = []
+        #: The layers routing stats are read from, found once.
+        self._moe_layers = [
+            m for m in model.modules() if getattr(m, "num_experts", None) is not None
+        ]
         self._epoch_order: Optional[np.ndarray] = None
         self._epoch_pos = 0
         self.skipped_steps = 0
@@ -233,16 +116,20 @@ class Trainer:
             NumericGuard(config.guardrails) if config.guardrails else None
         )
         self.fault_injector = fault_injector
+        #: Chaos seam: the injector's TORN_WRITE hook, when armed.
+        self._ckpt_fault_hook = getattr(fault_injector, "checkpoint_fault", None)
+        #: What each step runs on; it owns the captured graph.
+        self.state = StepState(
+            model, self.optimizer, self.schedule, config, self.guard, fault_injector
+        )
         #: Device mesh recorded into checkpoints; drives elastic resume
         #: (expert-weight resharding) when the saved mesh differs.
         self.mesh = mesh
         #: Lazily created background writer (``async_checkpoint=True``).
         self.ckpt_writer: Optional[AsyncCheckpointWriter] = None
-        self._snapshot = None
+        #: Last known-good checkpoint state the rewind restores.
+        self._snapshot: Optional[CheckpointState] = None
         self._good_since_snapshot = 0
-        #: Compiled step graph (replay/cc backends), or None before the
-        #: first capture / after an invalidation.
-        self.step_graph: Optional[StepGraph] = None
         #: Wall-clock seconds of the most recent train_step (always
         #: measured) and its per-phase breakdown (tracer-only).
         self.last_step_time: Optional[float] = None
@@ -254,21 +141,16 @@ class Trainer:
 
         self.comm_log = CommLog() if config.dp_world > 1 else None
         #: The data-parallel group this process is rank 0 of (opened at
-        #: the top of the first step, closed by close_dist / end of _run).
+        #: the top of the first step, closed by close_dist / end of fit).
         self._echo_group = None
-        #: What every step and evaluation runs inside — the one read of
-        #: ``config.steady_state``.  Entering it yields the buffer arena,
-        #: or ``None`` on the reference rung.
-        self._scope = steady_state if config.steady_state else contextlib.nullcontext
         #: Arena hit rate when the most recent train_step ended (``None``
         #: on the reference rung).
         self.last_arena_hit_rate: Optional[float] = None
-        if config.backend == "cc" and isinstance(self.optimizer, Adam):
-            # Fused native optimizer step + grad-norm clip (bit-identical
-            # mirrors; no-ops without a C toolchain).
-            from repro.autograd import lower
 
-            lower.attach_adam(self.optimizer)
+    @property
+    def step_graph(self) -> Optional[StepGraph]:
+        """The state's compiled step graph (read-only)."""
+        return self.state.graph
 
     # ------------------------------------------------------------------
     def _next_batch(self, batch_size: int):
@@ -292,14 +174,13 @@ class Trainer:
 
     def _collect_routing_stats(self, step: int) -> None:
         factors = []
-        for module in self.model.modules():
+        for module in self._moe_layers:
             routing = getattr(module, "last_routing", None)
-            num_experts = getattr(module, "num_experts", None)
-            if routing is None or num_experts is None:
+            if routing is None:
                 continue
             factors.append(
                 min_capacity_factor(
-                    routing.expert_indices, num_experts, routing.expert_indices.shape[1]
+                    routing.expert_indices, module.num_experts, routing.expert_indices.shape[1]
                 )
             )
         if factors:
@@ -311,32 +192,10 @@ class Trainer:
                 )
             )
 
-    # ------------------------------------------------------------------
-    # Known-good snapshots (skip-and-rewind substrate).
-    # ------------------------------------------------------------------
     def _capture_snapshot(self) -> None:
-        snap = {"params": [p.data.copy() for p in self.optimizer.params]}
-        if isinstance(self.optimizer, Adam):
-            snap["adam"] = (
-                self.optimizer.t,
-                [m.copy() for m in self.optimizer._m],
-                [v.copy() for v in self.optimizer._v],
-            )
-        self._snapshot = snap
+        """Keep a known-good checkpoint state for the rewind."""
+        self._snapshot = build_state(self.model, self.optimizer, copy=True)
         self._good_since_snapshot = 0
-
-    def _restore_snapshot(self) -> None:
-        snap = self._snapshot
-        for p, saved in zip(self.optimizer.params, snap["params"]):
-            p.data[...] = saved
-            p.grad = None
-        if "adam" in snap:
-            t, ms, vs = snap["adam"]
-            self.optimizer.t = t
-            for m, saved in zip(self.optimizer._m, ms):
-                m[...] = saved
-            for v, saved in zip(self.optimizer._v, vs):
-                v[...] = saved
 
     # ------------------------------------------------------------------
     def _dist_group(self):
@@ -353,42 +212,8 @@ class Trainer:
         return self._echo_group
 
     def _sync_gradients(self) -> None:
-        """Data-parallel gradient all-reduce: an exact identity, since
-        ``dp_world`` is a power of two, that exercises the real
-        collective — once per step, over one bucket of every gradient.
-
-        This process is rank 0 of a group whose peers hold the same
-        gradients: the bucket that crosses the transport is each
-        ``p.grad`` scaled by ``1 / dp_world``, and the total is written
-        back into the same ``p.grad`` arrays in place (a fault leaves
-        them all untouched).  ``"sim"`` reduces through the in-process
-        reference, ``"mp"`` through persistent forked workers and
-        shared-memory windows mapped once — same rank-ordered
-        reduction, so the two are bit-identical, but kills and timeouts
-        are real under ``"mp"``.  The injector's collective faults fire
-        inside the group's exchange; its retry policy, when set, re-runs
-        the exchange on a healed group.
-        """
-        cfg, injector = self.config, self.fault_injector
-        group = self._dist_group()
-        grads = [p.grad for p in self.optimizer.params if p.grad is not None]
-        step = injector.current_step if injector else None
-
-        def attempt(k: int) -> None:
-            if k:
-                group.heal()
-            group.all_reduce(grads, 1.0 / cfg.dp_world, self.comm_log, step)
-
-        try:
-            if injector is None or injector.policy is None:
-                attempt(0)
-            else:
-                injector.policy.run(attempt)
-        except CollectiveFault:
-            # Respawn dead workers before the step is skipped so the
-            # next step finds a healthy group.
-            group.heal()
-            raise
+        """The step's gradient sync over this trainer's group."""
+        sync_gradients(self.state, self._dist_group(), self.comm_log)
 
     def close_dist(self) -> None:
         """Close the data-parallel group (under "mp": its forked workers)."""
@@ -396,24 +221,16 @@ class Trainer:
             self._echo_group.close()
             self._echo_group = None
 
-    def _drop_gradients(self) -> None:
-        for p in self.optimizer.params:
-            p.grad = None
-
     # ------------------------------------------------------------------
     def evaluate(self) -> Optional[float]:
         """Mean validation LM loss over ``eval_batches`` fixed batches."""
         if self.val_data is None:
             return None
-        # Eval reuses pooled buffers too; they stay live until the next
-        # train step retires the generation.
-        with self._scope(), span("eval"):
-            return self._evaluate_batches()
-
-    def _evaluate_batches(self) -> Optional[float]:
         self.model.eval()
         losses = []
-        with no_grad():
+        # Eval reuses pooled buffers too; they stay live until the next
+        # train step retires the generation.
+        with self.state.scope(), span("eval"), no_grad():
             for i, batch in enumerate(
                 self.val_data.iter_batches(
                     self.config.micro_batch, shuffle=False, drop_last=False
@@ -428,18 +245,25 @@ class Trainer:
 
     def train_step(self, step: int) -> float:
         """One optimizer step (with gradient accumulation and guardrails)."""
-        ag_stats.reset()
+        cfg = self.config
         t0 = time.perf_counter()
-        with span("step", {"step": step}), self._scope() as pool:
-            if pool is not None:
-                # Everything the previous step allocated from the arena
-                # (activations, tape intermediates, leaf gradients) is
-                # dead once zero_grad runs below, so retire the whole
-                # generation back to the free pool first.
-                with span("arena_retire"):
-                    pool.next_generation()
-            loss = self._train_step_impl(step)
-            self.last_arena_hit_rate = pool.hit_rate() if pool is not None else None
+        with span("step", {"step": step}):
+            sync = None
+            if cfg.dp_world > 1:
+                # Fork the "mp" peers before the step grows the heap: a
+                # worker's memory high-water mark starts at what it
+                # inherits.
+                self._dist_group()
+                sync = self._sync_gradients
+            # The step draws its micro batches from here one at a time.
+            batches = iter(partial(self._next_batch, cfg.micro_batch), None)
+            loss, self.last_grad_norm, verdict = run_step(
+                self.state, batches, step, sync
+            )
+            self._keep_books(step, loss, verdict)
+            with span("routing"):
+                self._collect_routing_stats(step)
+        self.last_arena_hit_rate = get_arena().hit_rate() if cfg.steady_state else None
         self.last_step_time = time.perf_counter() - t0
         tracer = get_tracer()
         if tracer is not None:
@@ -459,202 +283,39 @@ class Trainer:
             self.last_phase_times = None
         return loss
 
-    # ------------------------------------------------------------------
-    # Micro-batch execution: eager, captured, or replayed.
-    # ------------------------------------------------------------------
-    def _forward_backward(self, batch, retain_graph: bool = False):
-        """One forward/backward on ``batch`` through the modules — every
-        eager micro batch, and the source of every capture.  Returns
-        ``(lm, scaled)``: the LM loss tensor and the walk's root."""
-        with span("forward"):
-            loss, lm, _ = self.model.loss(batch.inputs, batch.targets)
-            # Scale so accumulated gradients average over micro batches.
-            scaled = loss * (1.0 / self.config.accumulation_steps)
-        with span("backward"):
-            scaled.backward(retain_graph=retain_graph)
-        return lm, scaled
-
-    def _graph_signature(self, batch) -> tuple:
-        """Replay validity key: anything the compiled schedule froze that
-        is not re-derived per replay.  Shapes/dtypes pin the buffer and
-        broadcast metadata, and the training flag pins dropout presence.
-        The topology cache key is deliberately *not* part of it: topology
-        and permutation plans rebuild as host records each replay, so
-        tokens-per-expert wobble replays fine.
-        """
-        return (
-            batch.inputs.shape,
-            str(batch.inputs.dtype),
-            batch.targets.shape,
-            str(batch.targets.dtype),
-            bool(self.model.training),
-        )
-
-    def invalidate_graph(self) -> None:
-        """Discard the compiled step graph; the next micro batch runs
-        eagerly and recaptures.  Called on guardrail skips/rewinds and
-        checkpoint restores — cheap insurance that replay never runs
-        against state transitions the schedule did not see."""
-        self.step_graph = None
-
-    def _micro_batch_captured(self, batch, slot: int = 0) -> float:
-        sig = self._graph_signature(batch)
-        g = self.step_graph
-        if g is not None:
-            if g.signature == sig:
-                try:
-                    with span("replay"):
-                        return g.replay(
-                            {"inputs": batch.inputs, "targets": batch.targets},
-                            slot=slot,
-                        )
-                except GraphInvalidated as exc:
-                    # RNG streams were restored by replay(); the eager
-                    # recapture below consumes the identical draws.
-                    logger.info("step graph invalidated (%s); recapturing", exc)
-            else:
-                logger.info(
-                    "step graph signature changed %s -> %s; recapturing",
-                    g.signature,
-                    sig,
-                )
-            registry().counter("graph_fallbacks").inc()
-            self.step_graph = None
-        return self._capture_micro_batch(batch, sig)
-
-    def _capture_micro_batch(self, batch, sig: tuple) -> float:
-        """Eager micro batch recorded into a fresh :class:`StepGraph`."""
-        session = CaptureSession(
-            sig, {"inputs": batch.inputs, "targets": batch.targets}
-        ).begin()
-        try:
-            # retain_graph: finalize() compiles the backward schedule
-            # from the still-intact tape right after this walk.
-            lm, scaled = self._forward_backward(batch, retain_graph=True)
-        except BaseException:
-            session.abort()
-            raise
-        self.step_graph = session.finalize(lm, scaled)
-        if self.config.backend == "cc":
-            # Lower the fresh capture to native code.  Declines cleanly
-            # (counter + one warning) without a toolchain; recaptures
-            # after invalidation re-lower onto the loaded prelude and
-            # compile nothing.
-            from repro.autograd import lower
-
-            lower.attach(self.step_graph)
-        return float(lm.data)
-
-    def _train_step_impl(self, step: int) -> float:
-        cfg = self.config
-        if self.fault_injector is not None:
-            self.fault_injector.current_step = step
-        if cfg.dp_world > 1:
-            # Fork the "mp" peers before the step grows the heap: a
-            # worker's memory high-water mark starts at what it inherits.
-            self._dist_group()
-        with span("zero_grad"):
-            self.optimizer.zero_grad()
-        total = 0.0
-        for acc_i in range(cfg.accumulation_steps):
-            with span("data"):
-                batch = self._next_batch(cfg.micro_batch)
-            if cfg.backend != "eager":
-                # Slot 0 (first micro batch: leaf-grad buffers are
-                # acquired) and slot 1 (accumulation micro batches:
-                # grads accumulate in place) have different static
-                # buffer plans.
-                total += self._micro_batch_captured(batch, 1 if acc_i else 0)
-            else:
-                lm, _ = self._forward_backward(batch)
-                total += float(lm.data)
-        mean_loss = total / cfg.accumulation_steps
-
-        if self.fault_injector is not None:
-            self.fault_injector.corrupt_gradients(step, self.optimizer.params)
-
-        verdict = gr.OK
-        if self.guard is not None and not np.isfinite(mean_loss):
-            verdict = gr.NONFINITE_LOSS
-        if verdict == gr.OK and cfg.dp_world > 1:
-            with span("grad_sync"):
-                try:
-                    self._sync_gradients()
-                except CollectiveFault as exc:
-                    logger.warning("step %d: unrecovered %s", step, exc)
-                    verdict = gr.COLLECTIVE_FAULT
+    def _keep_books(self, step: int, loss: float, verdict: str) -> None:
+        """Guardrail bookkeeping after a step: count a good step and
+        snapshot on cadence, or count a skip and rewind when due."""
+        guard = self.guard
         if verdict == gr.OK:
-            with span("clip"):
-                # One read of every gradient decides both the skip and
-                # the clip: an fp64 sum of squares of finite fp32 values
-                # cannot overflow, and NaN / ±inf propagate through it,
-                # so the norm is finite exactly when every element is.
-                # The clip scale rides into the optimizer's own sweep
-                # instead of a pass of its own (docs/training.md).
-                norm = grad_norm(self.optimizer.params)
-            if not np.isfinite(norm):
-                verdict = gr.NONFINITE_GRAD
-            elif self.guard is not None and self.guard.spike_detector.is_spike(
-                mean_loss
-            ):
-                verdict = gr.LOSS_SPIKE
-
-        self.last_grad_norm = None
-        if verdict == gr.OK:
-            scale = clip_scale(norm, cfg.grad_clip)
-            self.last_grad_norm = norm
-            reg = registry()
-            reg.gauge("training/grad_norm").set(norm)
-            reg.gauge("training/clip_scale").set(scale)
-            with span("optimizer"):
-                self.optimizer.step(lr=self.schedule(step), grad_scale=scale)
-            if self.guard is not None:
-                self.guard.record_good(mean_loss)
+            if guard is not None:
+                guard.record_good(loss)
                 self._good_since_snapshot += 1
                 if (
-                    self.guard.config.rewind
-                    and self._good_since_snapshot >= self.guard.config.snapshot_every
+                    guard.config.rewind
+                    and self._good_since_snapshot >= guard.config.snapshot_every
                 ):
                     # Only a rewind ever reads a snapshot.
                     with span("snapshot"):
                         self._capture_snapshot()
-        else:
-            self.skipped_steps += 1
-            self._drop_gradients()
-            # A skipped step (and a potential rewind below) transitions
-            # optimizer state outside the captured schedule's
-            # assumptions — drop the graph and recapture next step.
-            self.invalidate_graph()
-            if self.guard is None:
-                logger.warning("step %d skipped (%s)", step, verdict)
-            else:
-                rewind_due = self.guard.record_bad(verdict)
-                logger.warning(
-                    "step %d skipped (%s), bad streak %d",
-                    step,
-                    verdict,
-                    self.guard.bad_streak,
-                )
-                if rewind_due and self._snapshot is not None:
-                    logger.warning(
-                        "step %d: rewinding to last known-good state", step
-                    )
-                    with span("snapshot"):
-                        self._restore_snapshot()
-                    self.guard.record_rewind()
-        with span("routing"):
-            self._collect_routing_stats(step)
-        return mean_loss
+            return
+        self.skipped_steps += 1
+        if guard is None:
+            logger.warning("step %d skipped (%s)", step, verdict)
+            return
+        rewind_due = guard.record_bad(verdict)
+        logger.warning(
+            "step %d skipped (%s), bad streak %d", step, verdict, guard.bad_streak
+        )
+        if rewind_due and self._snapshot is not None:
+            logger.warning("step %d: rewinding to last known-good state", step)
+            with span("snapshot"):
+                apply_state(self._snapshot, self.model, self.optimizer)
+            guard.record_rewind()
 
     # ------------------------------------------------------------------
     # Checkpoint round-trip (see docs/robustness.md).
     # ------------------------------------------------------------------
-    def _ckpt_fault_hook(self):
-        """Chaos seam: the injector's TORN_WRITE hook, when armed."""
-        if self.fault_injector is None:
-            return None
-        return self.fault_injector.checkpoint_fault
-
     def _build_save_state(
         self,
         step: int = 0,
@@ -713,7 +374,7 @@ class Trainer:
         checkpoint directory to create.
         """
         state = self._build_save_state(step=step, val_loss=val_loss, extra=extra)
-        write_state(path, state, fault_hook=self._ckpt_fault_hook())
+        write_state(path, state, fault_hook=self._ckpt_fault_hook)
 
     def restore(self, path: str) -> int:
         """Restore a :meth:`save` checkpoint; returns the next step index.
@@ -760,17 +421,37 @@ class Trainer:
         # Leaf slots re-read parameter arrays (in-place checkpoint loads
         # included), but a restore is a wholesale state transition —
         # recapture rather than reason about it.
-        self.invalidate_graph()
+        self.state.invalidate_graph()
         return int(meta["step"])
 
     # ------------------------------------------------------------------
-    def _run(
+    def train(self, callback: Optional[Callable[[TrainingRecord], None]] = None) -> History:
+        """Run ``max_steps`` optimizer steps; returns the history."""
+        return self.fit(callback=callback)
+
+    def fit(
         self,
-        start_step: int,
+        resume: Union[None, str, CheckpointManager] = None,
         callback: Optional[Callable[[TrainingRecord], None]] = None,
         checkpoint_manager: Optional[CheckpointManager] = None,
         checkpoint_every: int = 0,
     ) -> History:
+        """Train, optionally resuming from a checkpoint.
+
+        ``resume`` may be a checkpoint path or a
+        :class:`CheckpointManager` (its newest valid checkpoint is
+        used).  ``checkpoint_manager`` + ``checkpoint_every`` write a
+        rotating checkpoint every N completed steps.
+        """
+        start_step = 0
+        if resume is not None:
+            if isinstance(resume, CheckpointManager):
+                path, start_step = resume.load_newest(self.restore)
+                if checkpoint_manager is None:
+                    checkpoint_manager = resume
+            else:
+                path, start_step = resume, self.restore(resume)
+            logger.info("resumed from %s at step %d", path, start_step)
         cfg = self.config
         tokens_per_step = cfg.global_batch * self.train_data.seq_len
         if (
@@ -830,7 +511,7 @@ class Trainer:
                             step=done,
                             metric=val,
                             manager=checkpoint_manager,
-                            fault_hook=self._ckpt_fault_hook(),
+                            fault_hook=self._ckpt_fault_hook,
                         )
                 else:
                     with span("ckpt_write", {"step": done}):
@@ -866,32 +547,3 @@ class Trainer:
         # lazily respawns them).
         self.close_dist()
         return self.history
-
-    def train(self, callback: Optional[Callable[[TrainingRecord], None]] = None) -> History:
-        """Run ``max_steps`` optimizer steps; returns the history."""
-        return self._run(0, callback)
-
-    def fit(
-        self,
-        resume: Union[None, str, CheckpointManager] = None,
-        callback: Optional[Callable[[TrainingRecord], None]] = None,
-        checkpoint_manager: Optional[CheckpointManager] = None,
-        checkpoint_every: int = 0,
-    ) -> History:
-        """Train, optionally resuming from a checkpoint.
-
-        ``resume`` may be a checkpoint path or a
-        :class:`CheckpointManager` (its newest valid checkpoint is
-        used).  ``checkpoint_manager`` + ``checkpoint_every`` write a
-        rotating checkpoint every N completed steps.
-        """
-        start = 0
-        if resume is not None:
-            if isinstance(resume, CheckpointManager):
-                path, start = resume.load_newest(self.restore)
-                if checkpoint_manager is None:
-                    checkpoint_manager = resume
-            else:
-                path, start = resume, self.restore(resume)
-            logger.info("resumed from %s at step %d", path, start)
-        return self._run(start, callback, checkpoint_manager, checkpoint_every)

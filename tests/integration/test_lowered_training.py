@@ -2,13 +2,13 @@
 
 ``TrainerConfig(backend="cc")`` compiles each captured step graph to
 generated C (``repro.autograd.lower``) and installs the fused Adam and
-grad-clip kernels.  Lowering is a pure dispatch optimization, so every
-test here asserts **bit-identity** against the eager run — losses by
-float equality, parameters and optimizer moments by ``array_equal`` —
-against the eager reference and the eager steady step, through
-guardrail rewinds, and across a checkpoint/resume round trip.  The no-toolchain
-path (``REPRO_NO_CC=1``) must degrade to plain replay with exactly one
-warning and the fallback counter ticked.
+grad-clip kernels.  Lowering is a pure dispatch optimization: its
+bit-identity with the eager run — plain, through guardrail rewinds and
+across a checkpoint resume — is stated once, over every rung, in
+``test_rung_matrix.py``.  The tests here hold its coverage, extreme
+routings, the one prelude a process builds, and its degradations: the
+no-toolchain path (``REPRO_NO_CC=1``) must degrade to plain replay with
+exactly one warning and the fallback counter ticked.
 """
 
 import numpy as np
@@ -19,13 +19,6 @@ from repro.autograd.graph import host as graph_host
 from repro.autograd.lower import runtime, toolchain
 from repro.moe.router import Router, RoutingResult
 from repro.observability import registry
-from repro.resilience.faults import (
-    NAN_GRAD,
-    FaultEvent,
-    FaultInjector,
-    FaultSchedule,
-)
-from repro.resilience.guardrails import GuardrailConfig
 
 from tests.integration.test_steady_state import fig7_small_trainer
 from tests.integration.test_step_graph import (
@@ -47,25 +40,6 @@ def _lower_cache(tmp_path, monkeypatch):
 needs_cc = pytest.mark.skipif(
     not lower.cc_available(), reason="no C toolchain in this environment"
 )
-
-
-@needs_cc
-@pytest.mark.parametrize("steady", [False, True], ids=["eager-alloc", "steady"])
-class TestLoweredBitIdentity:
-    def test_matches_eager_run(self, steady):
-        eager = _trainer("eager", steady=steady)
-        ref = _fingerprint(eager, eager.train())
-
-        reg = registry()
-        before = reg.counter("lower_segment_fallbacks").value
-        lowered = _trainer("cc", steady=steady)
-        got = _fingerprint(lowered, lowered.train())
-
-        _assert_same(ref, got)
-        assert lowered.step_graph is not None
-        assert lowered.step_graph._lowered is not None
-        # Guards held: this workload's live shapes never left the plan.
-        assert reg.counter("lower_segment_fallbacks").value == before
 
 
 @needs_cc
@@ -192,74 +166,6 @@ class TestExtremeRoutings:
 
 
 @needs_cc
-class TestLoweredResilience:
-    def test_guardrail_rewind_stays_bit_identical(self):
-        """NaN-grad skips + snapshot rewind with lowering on must
-        converge to the exact same state as the eager guardrail run
-        (rewind drops the graph; the recapture re-lowers onto the loaded
-        prelude)."""
-
-        def run(backend):
-            schedule = FaultSchedule(
-                [FaultEvent(NAN_GRAD, step=2), FaultEvent(NAN_GRAD, step=3)]
-            )
-            guard = GuardrailConfig(max_consecutive_bad=2, snapshot_every=1)
-            tr = _trainer(
-                backend,
-                steady=True,
-                injector=FaultInjector(schedule),
-                guardrails=guard,
-                max_steps=6,
-                eval_every=3,
-            )
-            hist = tr.train()
-            assert tr.skipped_steps == 2
-            assert tr.guard.rewinds >= 1
-            return tr, hist
-
-        eager_tr, eager_hist = run("eager")
-        cc_tr, cc_hist = run("cc")
-        _assert_same(
-            _fingerprint(eager_tr, eager_hist), _fingerprint(cc_tr, cc_hist)
-        )
-        for p in cc_tr.model.parameters():
-            assert np.isfinite(p.data).all()
-
-    def test_checkpoint_roundtrip_mid_run(self, tmp_path):
-        """save() mid-run + resume with backend="cc" reproduces the
-        uninterrupted lowered run — and the eager run — bit for bit."""
-        n, total = 2, 4
-
-        def make(backend):
-            return _trainer(
-                backend, dropout_p=0.0, max_steps=total, eval_every=0
-            )
-
-        eager = make("eager")
-        eager.train()
-        straight = make("cc")
-        straight.train()
-
-        first = make("cc")
-        first.config.max_steps = n
-        first.train()
-        assert first.step_graph is not None
-        path = str(tmp_path / "mid")
-        first.save(path, step=n)
-
-        resumed = make("cc")
-        resumed.fit(resume=path)
-
-        want = {r.step: r.loss for r in straight.history.records}
-        got = {r.step: r.loss for r in resumed.history.records}
-        for step in range(n, total):
-            assert got[step] == want[step], f"loss diverged at step {step}"
-        for ref in (straight, eager):
-            for a, b in zip(ref.model.parameters(), resumed.model.parameters()):
-                np.testing.assert_array_equal(a.data, b.data)
-
-
-@needs_cc
 class TestOnePreludePerProcess:
     def test_cold_cache_compiles_the_prelude_once(self):
         """The kernel table's C is the process's one library: a cold
@@ -325,7 +231,7 @@ class TestOnePreludePerProcess:
             # recapture lowers onto the library already loaded.
             lib = first.step_graph._lowered._lib
             spawned.reset_mock()
-            first.invalidate_graph()
+            first.state.invalidate_graph()
             first.train_step(2)
             assert not spawned.call_args_list
             assert first.step_graph._lowered._lib is lib

@@ -3,13 +3,23 @@
 ``TrainerConfig`` accepts six ``(backend, steady_state)`` pairs and they
 are four configurations — the eager reference, the eager steady step,
 ``replay`` and ``cc`` (always steady).  Every one of them must train the
-same bits as the reference: losses, gradient norms, parameters and both
-Adam moments, under each learning-rate schedule the repo ships (the
-cosine one returns through ``np.cos``), with the clip biting and not,
-over steps that span the end of warm-up.  The type a learning rate
-arrives in must not matter either, and neither may the layer: the
-variable-width dMoE and the Sinkhorn / BASE routers, whose assignment
-or dispatch is host work, train the eager bits on the compiled rungs.
+same bits as the reference: losses, gradient norms, validation losses
+taken between steps, parameters and both Adam moments, under each
+learning-rate schedule the repo ships (the cosine one returns through
+``np.cos``), with the clip biting and not, over steps that span the end
+of warm-up.  They must also recover alike: a guardrail-style rewind
+after two skipped steps, and a resume mid-replay from a checkpoint into
+fresh state.  The type a learning rate arrives in must not matter
+either, and neither may the layer: the variable-width dMoE and the
+Sinkhorn / BASE routers, whose assignment or dispatch is host work,
+train the eager bits on the compiled rungs.
+
+Everything here drives :func:`repro.training.step.run_step` on a
+:class:`~repro.training.step.StepState` directly; no ``Trainer`` is
+built for a bit-identity check.  The last test is a stateful property:
+random interleavings of steps, reshaped micro batches, injected
+non-finite gradients and checkpoint restores keep a compiled state on
+the eager reference's bits.
 
 The eager reference and the eager steady step differ in the buffer
 arena only: both run the fused ops.  Each fused op's bitwise contract
@@ -21,16 +31,33 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
-from repro.autograd import lower
+from repro.autograd import get_arena, lower, no_grad
 from repro.autograd.lower import toolchain
+from repro.checkpoint import apply_state, build_state, load_checkpoint, write_state
 from repro.cli import main
 from repro.core import VariableSizedDMoE, dMoE
 from repro.data import LMDataset, PileConfig, SyntheticPile
 from repro.moe import BaseLayerRouter, SinkhornRouter
 from repro.nn import TransformerLM
 from repro.observability import registry
-from repro.training import Adam, Trainer, TrainerConfig, optim
+from repro.resilience import guardrails as gr
+from repro.resilience.faults import (
+    INF_GRAD,
+    NAN_GRAD,
+    FaultEvent,
+    FaultInjector,
+    FaultSchedule,
+)
+from repro.training import Adam, TrainerConfig, optim
 from repro.training.lr_schedule import (
     ConstantLR,
     LRSchedule,
@@ -38,10 +65,12 @@ from repro.training.lr_schedule import (
     WarmupLinearLR,
 )
 from repro.training.optim import clip_scale
+from repro.training.step import StepState, run_step
 
 STEPS = 8
 WARMUP = 3
 LR = 1e-3
+MICRO = 4
 
 needs_cc = pytest.mark.skipif(
     not lower.cc_available(), reason="no C toolchain in this environment"
@@ -98,37 +127,100 @@ LAYERS = {
     ),
 }
 
+_PILE = SyntheticPile(PileConfig(vocab_size=64, num_domains=3, branching=4), seed=1)
+_TRAIN, _VAL = LMDataset(_PILE.token_stream(6_000, 32), seq_len=16).split(0.1)
+#: One data order for every rung: micro batch ``i`` holds these rows.
+_ORDER = np.random.default_rng(9).permutation(len(_TRAIN))
 
-def _trainer(backend, steady, schedule, grad_clip, lr=LR, ffn=_dmoe):
-    pile = SyntheticPile(PileConfig(vocab_size=64, num_domains=3, branching=4), seed=1)
-    train = LMDataset(pile.token_stream(6_000, 32), seq_len=16)
-    model = TransformerLM(64, 16, 2, 2, 16, ffn_factory=ffn, dropout_p=0.1, rng=0)
+
+def _micro_batch(i, rows=MICRO):
+    return _TRAIN.batch(_ORDER[(i * MICRO) % len(_ORDER):][:rows])
+
+
+def _batches(step, rows=MICRO):
+    """Step ``step``'s two micro batches."""
+    return iter([_micro_batch(2 * step, rows), _micro_batch(2 * step + 1, rows)])
+
+
+def _state(backend, steady, schedule, grad_clip, lr=LR, ffn=_dmoe, dropout_p=0.1):
+    model = TransformerLM(64, 16, 2, 2, 16, ffn_factory=ffn, dropout_p=dropout_p, rng=0)
     config = TrainerConfig(
-        global_batch=8, micro_batch=4, max_steps=STEPS, eval_every=0,
-        log_every=1, grad_clip=grad_clip, steady_state=steady, backend=backend,
+        global_batch=2 * MICRO, micro_batch=MICRO, grad_clip=grad_clip,
+        steady_state=steady, backend=backend,
     )
-    return Trainer(
-        model, train, config=config, optimizer=Adam(model.parameters(), lr=lr),
-        schedule=schedule, rng=9,
-    )
+    return StepState(model, Adam(model.parameters(), lr=lr), schedule, config)
 
 
-def _run(trainer):
-    """Everything a rung must reproduce, plus the per-step records."""
-    records = trainer.train().records[:STEPS]
-    opt = trainer.optimizer
-    bits = (
-        [r.loss for r in records],
-        [r.grad_norm for r in records],
-        [a.copy() for a in [p.data for p in opt.params] + opt._m + opt._v],
+def _evaluate(state):
+    """The validation loss a trainer would log: eval mode, no tape, in
+    the step's scope (its buffers live until the next step retires them)."""
+    state.model.eval()
+    with state.scope(), no_grad():
+        _, lm, _ = state.model.loss(_VAL.inputs[:MICRO], _VAL.targets[:MICRO])
+    state.model.train()
+    return float(lm.data)
+
+
+def _bits(state, losses, norms, vals=()):
+    opt = state.optimizer
+    arrays = [a.copy() for a in [p.data for p in opt.params] + opt._m + opt._v]
+    return losses, norms, list(vals), opt.t, arrays
+
+
+def _train(state, steps=range(STEPS)):
+    """Run ``steps``, evaluating after every other one."""
+    losses, norms, vals = [], [], []
+    for step in steps:
+        loss, norm, verdict = run_step(state, _batches(step), step)
+        assert verdict == gr.OK
+        losses.append(loss)
+        norms.append(norm)
+        if step % 2:
+            vals.append(_evaluate(state))
+    return _bits(state, losses, norms, vals)
+
+
+def _rewind(make, path):
+    """NaN gradients at steps 3 and 4: both skip, and the second rewinds
+    to the checkpoint state taken after the last good step (step 2)."""
+    state = make()
+    state.faults = FaultInjector(
+        FaultSchedule([FaultEvent(NAN_GRAD, step=3), FaultEvent(NAN_GRAD, step=4)])
     )
-    return bits, records
+    losses, norms, verdicts = [], [], []
+    snapshot, bad = build_state(state.model, state.optimizer, copy=True), 0
+    for step in range(STEPS):
+        loss, norm, verdict = run_step(state, _batches(step), step)
+        losses.append(loss)
+        norms.append(norm)
+        verdicts.append(verdict)
+        if verdict == gr.OK:
+            snapshot, bad = build_state(state.model, state.optimizer, copy=True), 0
+        else:
+            assert state.graph is None  # a skip drops the graph
+            bad += 1
+            if bad == 2:
+                apply_state(snapshot, state.model, state.optimizer)
+    assert verdicts == [gr.OK] * 3 + [gr.NONFINITE_GRAD] * 2 + [gr.OK] * 3
+    return _bits(state, losses, norms)
+
+
+def _resume(make, path):
+    """Half the steps, a checkpoint written to disk, and the other half
+    on fresh state loaded from it (dropout off: per-module dropout
+    streams are not checkpointed)."""
+    first, half = make(), STEPS // 2
+    head = _train(first, range(half))
+    write_state(path, build_state(first.model, first.optimizer, step=half))
+    resumed = make()
+    load_checkpoint(path, resumed.model, resumed.optimizer)
+    tail = _train(resumed, range(half, STEPS))
+    return (head[0] + tail[0], head[1] + tail[1], head[2] + tail[2], *tail[3:])
 
 
 def _assert_same_bits(got, ref):
-    assert got[0] == ref[0]  # float equality: bitwise, not approx
-    assert got[1] == ref[1]
-    for a, b in zip(got[2], ref[2]):
+    assert got[:4] == ref[:4]  # float equality: bitwise, not approx
+    for a, b in zip(got[4], ref[4]):
         np.testing.assert_array_equal(a, b)
 
 
@@ -139,27 +231,69 @@ def _reference(schedule, clip):
     """The eager reference's bits for one (schedule, clip), run once."""
     key = (schedule, clip)
     if key not in _REFERENCE:
-        bits, _ = _run(_trainer("eager", False, SCHEDULES[schedule](), CLIPS[clip]))
+        bits = _train(_state("eager", False, SCHEDULES[schedule](), CLIPS[clip]))
         biting = [clip_scale(norm, CLIPS[clip]) != 1.0 for norm in bits[1]]
         assert all(biting) if clip == "clip-active" else not any(biting)
         _REFERENCE[key] = bits
     return _REFERENCE[key]
 
 
+def _counters():
+    reg = registry()
+    names = ["graph_captures", "graph_replays", "graph_fallbacks", "lower_segment_fallbacks"]
+    return {k: reg.counter(k).value for k in names}
+
+
 @pytest.mark.parametrize("clip", CLIPS)
 @pytest.mark.parametrize("schedule", SCHEDULES)
 @pytest.mark.parametrize("backend, steady", RUNGS)
 def test_every_rung_trains_the_reference_bits(backend, steady, schedule, clip):
-    trainer = _trainer(backend, steady, SCHEDULES[schedule](), CLIPS[clip])
-    bits, records = _run(trainer)
-    _assert_same_bits(bits, _reference(schedule, clip))
+    state = _state(backend, steady, SCHEDULES[schedule](), CLIPS[clip])
+    arena, before = get_arena(), _counters()
+    served = arena.hits + arena.misses
+    _assert_same_bits(_train(state), _reference(schedule, clip))
+    counts = {k: v - before[k] for k, v in _counters().items()}
     # The compiled rungs are steady whatever was passed.
     is_steady = steady or backend != "eager"
-    assert trainer.config.steady_state is is_steady
-    assert all((r.arena_hit_rate is not None) is is_steady for r in records)
+    assert state.config.steady_state is is_steady
+    assert (arena.hits + arena.misses > served) is is_steady
+    if backend == "eager":
+        assert state.graph is None and counts["graph_captures"] == 0
+    else:
+        # One capture (the first micro batch), replays for the rest —
+        # evaluations between steps included — and no guard tripped.
+        assert counts == {
+            "graph_captures": 1, "graph_replays": 2 * STEPS - 1,
+            "graph_fallbacks": 0, "lower_segment_fallbacks": 0,
+        }
     if backend == "cc":
-        assert trainer.step_graph._lowered is not None
-        assert trainer.optimizer._cc_multi is not None
+        assert state.graph._lowered is not None
+        assert state.optimizer._cc_multi is not None
+
+
+SCENARIOS = {"rewind": _rewind, "resume": _resume}
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("backend, steady", RUNGS)
+def test_every_rung_recovers_to_the_reference_bits(backend, steady, scenario, tmp_path):
+    """A skip-and-rewind and a resume mid-replay land every rung on the
+    eager reference's bits (a skip or a fresh state recaptures)."""
+    dropout_p = 0.0 if scenario == "resume" else 0.1
+
+    def maker(backend, steady):
+        schedule, clip = SCHEDULES["cosine"], CLIPS["clip-active"]
+        return lambda: _state(backend, steady, schedule(), clip, dropout_p=dropout_p)
+
+    run = SCENARIOS[scenario]
+    key = ("scenario", scenario)
+    if key not in _REFERENCE:
+        _REFERENCE[key] = run(maker("eager", False), str(tmp_path / "reference"))
+        if scenario == "resume":  # straight = resumed
+            _assert_same_bits(_REFERENCE[key], _train(maker("eager", False)()))
+    bits = run(maker(backend, steady), str(tmp_path / "ckpt"))
+    _assert_same_bits(bits, _REFERENCE[key])
+    assert all(np.isfinite(a).all() for a in bits[4])
 
 
 @pytest.mark.parametrize("layer", LAYERS)
@@ -167,17 +301,17 @@ def test_every_rung_trains_each_layer_alike(layer):
     """One capture per run and no fallback: every micro batch after the
     first is a replay, and it trains the eager bits only if the layer's
     assignment, plan and topology were rebuilt from its own routing."""
-    make = lambda backend: _trainer(
+    make = lambda backend: _state(
         backend, False, ConstantLR(LR), CLIPS["clip-active"], ffn=LAYERS[layer]
     )
-    ref, _ = _run(make("eager"))
-    reg = registry()
+    ref = _train(make("eager"))
     for backend in ["replay"] + (["cc"] if lower.cc_available() else []):
-        before = {k: reg.counter(f"graph_{k}").value for k in ("captures", "replays", "fallbacks")}
-        bits, _ = _run(make(backend))
-        _assert_same_bits(bits, ref)
-        counts = {k: reg.counter(f"graph_{k}").value - v for k, v in before.items()}
-        assert counts == {"captures": 1, "replays": 2 * STEPS - 1, "fallbacks": 0}, backend
+        before = _counters()
+        _assert_same_bits(_train(make(backend)), ref)
+        counts = {k: v - before[k] for k, v in _counters().items()}
+        assert counts["graph_captures"] == 1, backend
+        assert counts["graph_replays"] == 2 * STEPS - 1, backend
+        assert counts["graph_fallbacks"] == 0, backend
 
 
 class _Typed(LRSchedule):
@@ -204,7 +338,7 @@ def test_the_type_of_the_learning_rate_does_not_choose_the_arithmetic(backend, s
     ref = _reference("constant", "clip-active")
     for scalar in (float, np.float64, np.float32):
         lr = scalar(LR)
-        bits, _ = _run(_trainer(backend, steady, _Typed(lr), CLIPS["clip-active"], lr=lr))
+        bits = _train(_state(backend, steady, _Typed(lr), CLIPS["clip-active"], lr=lr))
         _assert_same_bits(bits, ref)
 
 
@@ -231,3 +365,79 @@ def test_cli_cc_run_is_the_steady_step(tmp_path):
     ]
     assert len(steps) == 4
     assert all(rec["arena_hit_rate"] is not None for rec in steps)
+
+
+class CompiledStepMachine(RuleBasedStateMachine):
+    """Two step states from one seed — the eager reference and the
+    compiled rung (``cc``, or ``replay`` without a toolchain) — take the
+    same rules and must hold the same bits after every one."""
+
+    @initialize()
+    def build(self):
+        compiled = "cc" if lower.cc_available() else "replay"
+        self.states = [
+            _state(backend, False, ConstantLR(LR), CLIPS["clip-active"])
+            for backend in ("eager", compiled)
+        ]
+        self.step = 0
+        self.results = [None, None]
+        self.snapshots = [self._snapshot()]
+
+    def _snapshot(self):
+        return [build_state(s.model, s.optimizer, copy=True) for s in self.states]
+
+    def _step(self, rows=MICRO, fault=None):
+        for i, state in enumerate(self.states):
+            if fault is not None:
+                state.faults = FaultInjector(
+                    FaultSchedule([FaultEvent(fault, step=self.step)])
+                )
+            self.results[i] = run_step(state, _batches(self.step, rows), self.step)
+            state.faults = None
+        self.step += 1
+        return self.results[0][2]
+
+    @rule()
+    def step_normally(self):
+        assert self._step() == gr.OK
+        self.snapshots.append(self._snapshot())
+
+    @rule(rows=st.sampled_from([1, 2, 3]))
+    def step_on_another_shape(self, rows):
+        """A micro batch of another shape: the graph's signature fails,
+        and the compiled state recaptures (and again on the next step)."""
+        assert self._step(rows) == gr.OK
+        assert self.states[1].graph.signature[0] == (rows, 16)
+
+    @rule(kind=st.sampled_from([NAN_GRAD, INF_GRAD]))
+    def step_with_a_nonfinite_gradient(self, kind):
+        """The fault lands after backward: the step skips, and drops its
+        gradients and its graph."""
+        assert self._step(fault=kind) == gr.NONFINITE_GRAD
+        assert self.results[0][1] is None
+        for state in self.states:
+            assert state.graph is None
+            assert all(p.grad is None for p in state.optimizer.params)
+
+    @rule(data=st.data())
+    def apply_an_earlier_checkpoint_state(self, data):
+        snap = data.draw(st.sampled_from(self.snapshots))
+        for saved, state in zip(snap, self.states):
+            apply_state(saved, state.model, state.optimizer)
+
+    @invariant()
+    def the_compiled_state_holds_the_reference_bits(self):
+        assert self.results[0] == self.results[1]  # bitwise float equality
+        eager, compiled = self.states
+        assert eager.optimizer.t == compiled.optimizer.t
+        for a, b in zip(eager.optimizer.params, compiled.optimizer.params):
+            np.testing.assert_array_equal(a.data, b.data)
+        for name in ("_m", "_v"):
+            for a, b in zip(getattr(eager.optimizer, name), getattr(compiled.optimizer, name)):
+                np.testing.assert_array_equal(a, b)
+
+
+CompiledStepMachine.TestCase.settings = settings(
+    max_examples=10, stateful_step_count=8, deadline=None, derandomize=True
+)
+test_the_compiled_step_holds_the_reference_bits = CompiledStepMachine.TestCase

@@ -50,6 +50,18 @@ class TestTrainerConfig:
         with pytest.raises(ValueError, match="unknown backend"):
             TrainerConfig(backend=None)
 
+    def test_rejects_a_training_set_smaller_than_a_micro_batch(self):
+        """Six sequences cannot fill a micro batch of eight: every draw
+        would reshuffle and hand the step all six rows, while the
+        records counted eight per micro batch."""
+        pile = SyntheticPile(PileConfig(vocab_size=64, num_domains=3, branching=4), seed=1)
+        tiny = LMDataset(pile.token_stream(6 * 16 + 1, 32), seq_len=16)
+        assert len(tiny) == 6
+        model = TransformerLM(64, 16, 2, 2, 16, rng=0)
+        cfg = TrainerConfig(global_batch=8, micro_batch=8)
+        with pytest.raises(ValueError, match=r"\b6\b.*micro_batch=8"):
+            Trainer(model, tiny, config=cfg)
+
     def test_default_config_is_not_shared_between_trainers(self):
         model, train, val, _ = _tiny_setup()
         a = Trainer(model, train, val)
