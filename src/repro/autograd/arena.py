@@ -44,9 +44,13 @@ invariant.
 
 The arena is **off by default**; enable with :func:`set_arena_enabled`,
 or per-block with :func:`steady_state` (``repro.autograd.steady_state``).
-When disabled, the helper functions (:func:`empty`, :func:`zeros`,
-:func:`binary_buf`, ...) degrade to plain NumPy allocations or ``None``
-so hot-path call sites need no branching of their own.
+The switch decides where a buffer comes from, never which code runs:
+when it is off, :func:`empty` and :func:`zeros` return plain NumPy
+arrays, the ``out=`` helpers (:func:`out_buf`, :func:`binary_buf`,
+:func:`matmul_buf`) return ``None`` — a ufunc given ``out=None``
+allocates exactly what its operator form would — and :func:`release`
+is a no-op.  Call sites pass the helpers' results straight on and
+never branch on them.
 """
 
 from __future__ import annotations
@@ -331,6 +335,15 @@ class BufferScript:
     (distinct per position, so two live small buffers can never share
     memory); serving it again is safe under the arena's fully-overwrite
     contract that every call site already obeys.
+
+    The invariant all of this rests on: **a replay's acquire sequence
+    is a function of its records.**  Serving by position is sound only
+    while request ``i`` of every replay plays the role request ``i``
+    played when the plan was recorded; the checks above see dtype and
+    count, not role, so a same-dtype request from another code path
+    would be served a recorded base that may still be live.  Nothing
+    that routing moves may therefore choose which code acquires — the
+    sparse dispatch path included (``repro.sparse.dispatch.use_grouped``).
     """
 
     __slots__ = ("entries", "cursor", "dead")

@@ -48,10 +48,6 @@ class Context:
         """Stash arrays (or any values) needed by ``backward``."""
         self.saved = items
 
-    @property
-    def saved_arrays(self) -> Tuple[Any, ...]:
-        return self.saved
-
 
 def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape``, inverting NumPy broadcasting."""
@@ -62,17 +58,12 @@ def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     extra = grad.ndim - len(shape)
     if extra > 0:
         axes = tuple(range(extra))
-        out = arena.out_buf(grad.shape[extra:], grad.dtype)
-        grad = grad.sum(axis=axes, out=out) if out is not None else grad.sum(axis=axes)
+        grad = grad.sum(axis=axes, out=arena.out_buf(grad.shape[extra:], grad.dtype))
     # Sum over axes that were broadcast from size 1.
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
     if axes:
         kept = tuple(1 if i in axes else s for i, s in enumerate(grad.shape))
-        out = arena.out_buf(kept, grad.dtype)
-        if out is not None:
-            grad = grad.sum(axis=axes, keepdims=True, out=out)
-        else:
-            grad = grad.sum(axis=axes, keepdims=True)
+        grad = grad.sum(axis=axes, keepdims=True, out=arena.out_buf(kept, grad.dtype))
     if grad.shape == shape:
         return grad
     return grad.reshape(shape)

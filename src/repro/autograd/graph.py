@@ -70,7 +70,7 @@ too.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -445,10 +445,6 @@ class StepGraph:
     @property
     def num_records(self) -> int:
         return len(self.records)
-
-    @property
-    def num_ops(self) -> int:
-        return sum(1 for r in self.records if type(r) is _OpRecord)
 
     def replay(self, inputs: Dict[str, np.ndarray], slot: int = 0) -> float:
         """Execute the schedule; returns ``float(lm)`` with gradients

@@ -465,8 +465,7 @@ def ids_within(ix, n) -> bool:
 
 def matmul_into(a, b) -> np.ndarray:
     """``a @ b`` into an arena buffer when the arena has one."""
-    out = arena.matmul_buf(a, b)
-    return a @ b if out is None else np.matmul(a, b, out=out)
+    return np.matmul(a, b, out=arena.matmul_buf(a, b))
 
 
 def rows_width(shape) -> Tuple[int, int]:

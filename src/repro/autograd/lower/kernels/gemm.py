@@ -132,9 +132,7 @@ def _gemm_forward(b):
     cfn = b.lib.repro_linbias_f32 if has_bias else b.lib.repro_mm_f32
 
     def run(x, w, bias=None):
-        out = arena.matmul_buf(x, w)
-        if out is None:
-            out = np.empty(out_shape, F4)
+        out = arena.empty(out_shape, F4)
         if has_bias:
             cfn(x.ctypes.data, w.ctypes.data, bias.ctypes.data,
                 out.ctypes.data, batch, m, k, n, trans, ld)
@@ -151,9 +149,7 @@ def _linbias_backward(b):
 
     def run(grad, x, w, sb):
         h = sb[0]
-        gb = arena.out_buf((h,), F4)
-        if gb is None:
-            gb = np.empty(h, F4)
+        gb = arena.empty((h,), F4)
         cfn(grad.ctypes.data, gb.ctypes.data, grad.size // h, h)
         gx = matmul_into(grad, w.swapaxes(-1, -2))
         gw = matmul_into(x.swapaxes(-1, -2), grad)

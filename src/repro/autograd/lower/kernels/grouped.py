@@ -200,13 +200,6 @@ _SDD, _DSD, _DDS, _DSTD = (
 )
 
 
-def _stage_for(dplan, bs):
-    """One group's dense rectangle: ``(arena buffer or None, buffer)``."""
-    size = dplan.max_group_blocks * bs * bs
-    buf = arena.out_buf((size,), F4)
-    return buf, (buf if buf is not None else np.empty(size, F4))
-
-
 def _rows_output(dplan, bs, shape):
     """An output whose row bands the groups write: zero-filled only
     when some row band belongs to no group."""
@@ -220,17 +213,17 @@ def _sdd_forward(b):
 
     def run(x, w, topo):
         dplan = _D.analyze(topo)
-        if not _D.use_grouped(dplan, False):
+        if not _D.use_grouped(topo, dplan, False):
             return False
         bs = topo.block_size
         gt = _D.group_table(topo)
         lt = _D.live_layout(topo).table
         k = x.shape[1]
         vals = arena.empty((topo.nnz_blocks, bs, bs), F4)
-        stage, sbuf = _stage_for(dplan, bs)
+        stage = _D.stage_buf(dplan, bs, F4)
         cfn(x.ctypes.data, k, 0, w.ctypes.data, w.shape[-1], 0,
             vals.ctypes.data, gt.ctypes.data, lt.ctypes.data,
-            gt.shape[0], k, bs, sbuf.ctypes.data)
+            gt.shape[0], k, bs, stage.ctypes.data)
         arena.release(stage)
         _record(_SDD, topo, k)
         return (x, w, topo), vals
@@ -243,17 +236,17 @@ def _dsd_forward(b):
 
     def run(v, w, topo):
         dplan = _D.analyze(topo)
-        if not _D.use_grouped(dplan, False):
+        if not _D.use_grouped(topo, dplan, False):
             return False
         bs = topo.block_size
         gt = _D.group_table(topo)
         lt = _D.live_layout(topo).table
         n = w.shape[1]
         out = _rows_output(dplan, bs, (topo.shape[0], n))
-        stage, sbuf = _stage_for(dplan, bs)
+        stage = _D.stage_buf(dplan, bs, F4)
         cfn(v.ctypes.data, w.ctypes.data, n, 0, out.ctypes.data, n,
             gt.ctypes.data, lt.ctypes.data, gt.shape[0], 0, bs,
-            sbuf.ctypes.data)
+            stage.ctypes.data)
         arena.release(stage)
         _record(_DSD, topo, n)
         return (v, w, topo), out
@@ -273,18 +266,18 @@ def _sdd_backward(b):
         lt = _D.live_layout(topo).table
         G = gt.shape[0]
         k = x.shape[1]
-        stage, sbuf = _stage_for(dplan, bs)
+        stage = _D.stage_buf(dplan, bs, F4)
         # DSD^T: dX = dH @ W^T over group row slices.
         dx = _rows_output(dplan, bs, (rows_s, k))
         cdsd(grad.ctypes.data, w.ctypes.data, w.shape[-1], 1,
              dx.ctypes.data, k, gt.ctypes.data, lt.ctypes.data,
-             G, 0, bs, sbuf.ctypes.data)
+             G, 0, bs, stage.ctypes.data)
         _record(_DSD, topo, k)
         # DD^TS: dW = X^T @ dH into group column bands, in w's form.
         dw = _D.band_output(dplan, bs, w.shape, F4, 1)
         cdds(x.ctypes.data, k, 1, grad.ctypes.data,
              dw.ctypes.data, k, w.shape[-1], gt.ctypes.data,
-             lt.ctypes.data, G, 0, bs, sbuf.ctypes.data)
+             lt.ctypes.data, G, 0, bs, stage.ctypes.data)
         arena.release(stage)
         _record(_DDS, topo, k)
         return dx, dw
@@ -303,18 +296,18 @@ def _dsd_backward(b):
         lt = _D.live_layout(topo).table
         G = gt.shape[0]
         n = grad.shape[1]
-        stage, sbuf = _stage_for(dplan, bs)
+        stage = _D.stage_buf(dplan, bs, F4)
         # SDD^T: dH = dY @ W^T sampled at H's topology.
         dh = arena.empty((topo.nnz_blocks, bs, bs), F4)
         csdd(grad.ctypes.data, n, 0, w.ctypes.data, w.shape[1], 1,
              dh.ctypes.data, gt.ctypes.data, lt.ctypes.data, G, n,
-             bs, sbuf.ctypes.data)
+             bs, stage.ctypes.data)
         _record(_SDD, topo, n)
         # DS^TD: dW = H^T @ dY into group column-range rows.
         dw = _D.band_output(dplan, bs, (topo.shape[1], n), F4, 0)
         cdsd(h_values.ctypes.data, grad.ctypes.data, n, 0,
              dw.ctypes.data, n, gt.ctypes.data, lt.ctypes.data, G, 1,
-             bs, sbuf.ctypes.data)
+             bs, stage.ctypes.data)
         arena.release(stage)
         _record(_DSTD, topo, n)
         return dh, dw
@@ -332,13 +325,13 @@ def blocks_of(v, topo, min_bs: int = 2) -> bool:
 
 def _both_grouped(topo) -> bool:
     dplan = _D.analyze(topo)
-    return _D.use_grouped(dplan, False) and _D.use_grouped(dplan, True)
+    return _D.use_grouped(topo, dplan, False) and _D.use_grouped(topo, dplan, True)
 
 
 def fuzz_topology(rng, bs=4):
-    """A block-diagonal topology the dispatch heuristic runs grouped
-    (>= 4 blocks per group), with live rows: ragged, one-token and
-    no-token experts, and sometimes one with no blocks at all."""
+    """A block-diagonal topology with live rows (so dispatch runs it
+    grouped): ragged, one-token and no-token experts, and sometimes one
+    with no blocks at all."""
     from repro.sparse import Topology
 
     rows = rng.integers(2, 5, size=3)

@@ -169,9 +169,7 @@ def _take_forward(symbol):
             ids64 = ids.astype(np.int64, copy=False)
             h = x.shape[1]
             out_shape = ids64.shape + (h,)
-            out = arena.out_buf(out_shape, F4)
-            if out is None:
-                out = np.empty(out_shape, F4)
+            out = arena.empty(out_shape, F4)
             cfn(x.ctypes.data, ids64.ctypes.data, out.ctypes.data, ids64.size, h)
             return (x.shape, ids64), out
 

@@ -30,7 +30,7 @@ def attach_adam(opt) -> bool:
 
     Returns ``False`` (leaving the optimizer untouched) when the
     toolchain is unavailable or the prelude fails to compile; the
-    NumPy steady-state path keeps running in that case.
+    NumPy in-place update keeps running in that case.
     """
     from repro.autograd.lower import runtime, toolchain
 

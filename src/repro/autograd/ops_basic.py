@@ -32,8 +32,7 @@ class _Add(Function):
     @staticmethod
     def forward(ctx, a, b):
         ctx.save_for_backward(a.shape, b.shape)
-        out = arena.binary_buf(a, b)
-        return a + b if out is None else np.add(a, b, out=out)
+        return np.add(a, b, out=arena.binary_buf(a, b))
 
     @staticmethod
     def backward(ctx, grad):
@@ -45,14 +44,12 @@ class _Sub(Function):
     @staticmethod
     def forward(ctx, a, b):
         ctx.save_for_backward(a.shape, b.shape)
-        out = arena.binary_buf(a, b)
-        return a - b if out is None else np.subtract(a, b, out=out)
+        return np.subtract(a, b, out=arena.binary_buf(a, b))
 
     @staticmethod
     def backward(ctx, grad):
         sa, sb = ctx.saved
-        buf = arena.out_buf(grad.shape, grad.dtype)
-        ng = -grad if buf is None else np.negative(grad, out=buf)
+        ng = np.negative(grad, out=arena.out_buf(grad.shape, grad.dtype))
         return unbroadcast(grad, sa), _unbroadcast_release(ng, sb)
 
 
@@ -60,16 +57,13 @@ class _Mul(Function):
     @staticmethod
     def forward(ctx, a, b):
         ctx.save_for_backward(a, b)
-        out = arena.binary_buf(a, b)
-        return a * b if out is None else np.multiply(a, b, out=out)
+        return np.multiply(a, b, out=arena.binary_buf(a, b))
 
     @staticmethod
     def backward(ctx, grad):
         a, b = ctx.saved
-        oa = arena.binary_buf(grad, b)
-        ga_full = grad * b if oa is None else np.multiply(grad, b, out=oa)
-        ob = arena.binary_buf(grad, a)
-        gb_full = grad * a if ob is None else np.multiply(grad, a, out=ob)
+        ga_full = np.multiply(grad, b, out=arena.binary_buf(grad, b))
+        gb_full = np.multiply(grad, a, out=arena.binary_buf(grad, a))
         return (
             _unbroadcast_release(ga_full, a.shape),
             _unbroadcast_release(gb_full, b.shape),
@@ -80,11 +74,9 @@ class _Div(Function):
     @staticmethod
     def forward(ctx, a, b):
         ctx.save_for_backward(a, b)
-        out = arena.binary_buf(a, b)
-        if out is not None and np.issubdtype(out.dtype, np.floating):
-            return np.divide(a, b, out=out)
-        arena.release(out)
-        return a / b
+        if a.dtype.kind in "biu" and b.dtype.kind in "biu":
+            return a / b  # promotes past both operands' dtype
+        return np.divide(a, b, out=arena.binary_buf(a, b))
 
     @staticmethod
     def backward(ctx, grad):
@@ -266,11 +258,9 @@ class _Sum(Function):
         shape, axis, keepdims = ctx.saved
         if axis is not None and not keepdims:
             grad = np.expand_dims(grad, axis)
-        buf = arena.out_buf(shape, grad.dtype)
-        if buf is not None:
-            np.copyto(buf, grad)
-            return (buf,)
-        return (np.broadcast_to(grad, shape).copy(),)
+        buf = arena.empty(shape, grad.dtype)
+        np.copyto(buf, grad)
+        return (buf,)
 
 
 class _Mean(Function):
@@ -287,11 +277,9 @@ class _Mean(Function):
         if axis is not None and not keepdims:
             grad = np.expand_dims(grad, axis)
         expanded = np.broadcast_to(grad, shape)
-        buf = arena.out_buf(shape, grad.dtype)
-        if buf is not None and np.issubdtype(grad.dtype, np.floating):
-            return (np.divide(expanded, count, out=buf),)
-        arena.release(buf)
-        return (expanded / count,)
+        if grad.dtype.kind in "biu":
+            return (expanded / count,)  # promotes past grad's dtype
+        return (np.divide(expanded, count, out=arena.out_buf(shape, grad.dtype)),)
 
 
 class _Max(Function):
@@ -480,18 +468,15 @@ class _MatMul(Function):
     @staticmethod
     def forward(ctx, a, b):
         ctx.save_for_backward(a, b)
-        out = arena.matmul_buf(a, b)
-        return a @ b if out is None else np.matmul(a, b, out=out)
+        return np.matmul(a, b, out=arena.matmul_buf(a, b))
 
     @staticmethod
     def backward(ctx, grad):
         a, b = ctx.saved
         bt = b.swapaxes(-1, -2)
-        out = arena.matmul_buf(grad, bt)
-        ga = grad @ bt if out is None else np.matmul(grad, bt, out=out)
+        ga = np.matmul(grad, bt, out=arena.matmul_buf(grad, bt))
         at = a.swapaxes(-1, -2)
-        out = arena.matmul_buf(at, grad)
-        gb = at @ grad if out is None else np.matmul(at, grad, out=out)
+        gb = np.matmul(at, grad, out=arena.matmul_buf(at, grad))
         # Handle broadcasting over batch dims.
         if ga.shape != a.shape:
             ga = _unbroadcast_release(ga, a.shape)

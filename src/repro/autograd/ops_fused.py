@@ -131,10 +131,7 @@ class _LinearBias(Function):
     @staticmethod
     def forward(ctx, x, w, b):
         ctx.save_for_backward(x, w, b.shape)
-        out = arena.matmul_buf(x, w)
-        if out is None:
-            return x @ w + b
-        np.matmul(x, w, out=out)
+        out = np.matmul(x, w, out=arena.matmul_buf(x, w))
         return np.add(out, b, out=out)
 
     @staticmethod
@@ -144,11 +141,9 @@ class _LinearBias(Function):
         x, w, sb = ctx.saved
         gb = unbroadcast(grad, sb)
         wt = w.swapaxes(-1, -2)
-        out = arena.matmul_buf(grad, wt)
-        gx = grad @ wt if out is None else np.matmul(grad, wt, out=out)
+        gx = np.matmul(grad, wt, out=arena.matmul_buf(grad, wt))
         xt = x.swapaxes(-1, -2)
-        out = arena.matmul_buf(xt, grad)
-        gw = xt @ grad if out is None else np.matmul(xt, grad, out=out)
+        gw = np.matmul(xt, grad, out=arena.matmul_buf(xt, grad))
         if gx.shape != x.shape:
             gx = _unbroadcast_release(gx, x.shape)
         if gw.shape != w.shape:
@@ -319,12 +314,10 @@ class _AttentionCore(Function):
         )
         q, k, v = qkv5[0], qkv5[1], qkv5[2]
         kt = k.transpose(0, 1, 3, 2)
-        out = arena.matmul_buf(q, kt)
-        scores = q @ kt if out is None else np.matmul(q, kt, out=out)
+        scores = np.matmul(q, kt, out=arena.matmul_buf(q, kt))
         probs = _masked_softmax_fwd(scores, mask, scale)
         arena.release(scores)
-        out = arena.matmul_buf(probs, v)
-        ctx4 = probs @ v if out is None else np.matmul(probs, v, out=out)
+        ctx4 = np.matmul(probs, v, out=arena.matmul_buf(probs, v))
         merged = arena.reshaped(
             ctx4.transpose(0, 2, 1, 3), (batch, seq, num_heads * head_dim)
         )
@@ -346,19 +339,15 @@ class _AttentionCore(Function):
         )
         # probs @ v backward — operand shapes match, so no unbroadcast.
         bt = v.swapaxes(-1, -2)
-        out = arena.matmul_buf(g_ctx, bt)
-        g_probs = g_ctx @ bt if out is None else np.matmul(g_ctx, bt, out=out)
+        g_probs = np.matmul(g_ctx, bt, out=arena.matmul_buf(g_ctx, bt))
         at = probs.swapaxes(-1, -2)
-        out = arena.matmul_buf(at, g_ctx)
-        g_v = at @ g_ctx if out is None else np.matmul(at, g_ctx, out=out)
+        g_v = np.matmul(at, g_ctx, out=arena.matmul_buf(at, g_ctx))
         g_scores = _masked_softmax_bwd(g_probs, probs, mask, scale)
         arena.release(g_probs)
         # q @ k^T backward; the key-transpose perm is self-inverse.
-        out = arena.matmul_buf(g_scores, k)
-        g_q = g_scores @ k if out is None else np.matmul(g_scores, k, out=out)
+        g_q = np.matmul(g_scores, k, out=arena.matmul_buf(g_scores, k))
         at = q.swapaxes(-1, -2)
-        out = arena.matmul_buf(at, g_scores)
-        g_kt = at @ g_scores if out is None else np.matmul(at, g_scores, out=out)
+        g_kt = np.matmul(at, g_scores, out=arena.matmul_buf(at, g_scores))
         arena.release(g_scores)
         g_k = g_kt.transpose(0, 1, 3, 2)
         # Slice gradients occupy disjoint slots of the stacked buffer, so

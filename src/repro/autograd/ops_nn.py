@@ -262,11 +262,9 @@ class _Embedding(Function):
         # freezing a converted copy (repro.autograd.graph).
         ids = ids.astype(np.int64, copy=False)
         ctx.save_for_backward(weight.shape, ids)
-        out = arena.out_buf(ids.shape + (weight.shape[1],), weight.dtype)
-        if out is None:
-            return weight[ids]
-        weight.take(ids, axis=0, out=out)
-        return out
+        return weight.take(
+            ids, axis=0, out=arena.out_buf(ids.shape + (weight.shape[1],), weight.dtype)
+        )
 
     @staticmethod
     def backward(ctx, grad):
@@ -298,11 +296,10 @@ class _GatherRows(Function):
         # index array (see _Embedding.forward).
         indices = indices.astype(np.int64, copy=False)
         ctx.save_for_backward(x.shape, indices)
-        out = arena.out_buf((len(indices),) + x.shape[1:], x.dtype)
-        if out is not None:
-            x.take(indices.clip(0), axis=0, out=out)
-        else:
-            out = x[indices.clip(0)]
+        out = x.take(
+            indices.clip(0), axis=0,
+            out=arena.out_buf((len(indices),) + x.shape[1:], x.dtype),
+        )
         out[indices < 0] = 0.0
         return out
 

@@ -24,13 +24,15 @@ class _WalkBuffers:
     """Arena bookkeeping of one backward walk: which gradient arrays it
     may recycle, and which a leaf may keep.
 
-    With the arena on, interior gradients go back to the pool the moment
-    they are dead, so the walk recycles cache-hot memory (like malloc
-    does for the reference path).  One buffer can back several pending
-    gradients — backward functions return views (``_Reshape``) or the
-    very same array for several inputs (``_Add`` with equal shapes) — so
-    each stored gradient bumps a count on its *root* array and the
-    buffer is released when the last of them is consumed.
+    Interior gradients go back to the pool the moment they are dead, so
+    a steady walk recycles cache-hot memory (like malloc does for the
+    reference walk, whose arrays the pool does not own: there every
+    release is a no-op and every leaf copies).  One buffer can back
+    several pending gradients — backward functions return views
+    (``_Reshape``) or the very same array for several inputs (``_Add``
+    with equal shapes) — so each stored gradient bumps a count on its
+    *root* array and the buffer is released when the last of them is
+    consumed.
 
     The same count says when an array is the walk's alone: held by one
     pending gradient, and acquired from the pool during this walk
@@ -47,12 +49,6 @@ class _WalkBuffers:
         self.pool = arena.get_arena()
         self.refs: dict = {}
         self.mark = arena.WalkMark()
-
-    @classmethod
-    def begin(cls) -> Optional["_WalkBuffers"]:
-        """The bookkeeping of a walk starting now; ``None`` with the
-        arena off (nothing to recycle, and every leaf copies)."""
-        return cls() if arena.is_arena_enabled() else None
 
     def track(self, a: np.ndarray) -> None:
         bid = id(_root(a))
@@ -84,26 +80,23 @@ def _root(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _accumulate_leaf(
-    t: "Tensor", g: np.ndarray, walk: Optional[_WalkBuffers] = None
-) -> None:
+def _accumulate_leaf(t: "Tensor", g: np.ndarray, walk: _WalkBuffers) -> None:
     """Deliver gradient ``g`` to leaf ``t``; the one rule of the eager
     and the replayed walk.
 
     The first contribution becomes ``t.grad``: ``g`` itself when it
     already is what a copy would produce (the leaf's dtype, C-contiguous,
     writeable) and ``walk`` can prove it exclusive; a copy otherwise
-    (casting to the leaf dtype, as ``astype(copy=True)`` did — always,
-    with the arena off).  Later contributions behave like ``t.grad + g``
-    — in place when the dtypes allow, including the promotion that falls
-    back to a fresh allocation when a higher-precision gradient arrives.
+    (casting to the leaf dtype, as ``astype(copy=True)`` did).  Later
+    contributions behave like ``t.grad + g`` — in place when the dtypes
+    allow, including the promotion that falls back to a fresh allocation
+    when a higher-precision gradient arrives.
     ``g`` is retired to ``walk`` unless it was adopted.
     """
     cur = t.grad
     if cur is None:
         if (
-            walk is not None
-            and g.dtype == t.data.dtype
+            g.dtype == t.data.dtype
             and g.flags.c_contiguous
             and g.flags.writeable
             and walk.adopt(g)
@@ -118,8 +111,7 @@ def _accumulate_leaf(
         np.add(cur, g, out=cur)
     else:
         t.grad = cur + g
-    if walk is not None:
-        walk.retire(g)
+    walk.retire(g)
 
 
 def walk_entries(order: List["Tensor"], ref_of: Callable[["Tensor"], int]) -> List[tuple]:
@@ -167,10 +159,9 @@ def run_walk(entries: List[tuple], num_slots: int, seed: np.ndarray, values) -> 
     # them would corrupt sibling gradients.
     owned = bytearray(num_slots)
 
-    walk = _WalkBuffers.begin()
+    walk = _WalkBuffers()
     grads[0] = seed
-    if walk is not None:
-        walk.track(seed)
+    walk.track(seed)
 
     for kind, slot, ref, bwd_fn, targets in entries:
         g = grads[slot]
@@ -197,27 +188,23 @@ def run_walk(entries: List[tuple], num_slots: int, seed: np.ndarray, values) -> 
             if cur is None:
                 grads[tslot] = ig
                 owned[tslot] = 0
-                if walk is not None:
-                    walk.track(ig)
+                walk.track(ig)
             elif cur.shape == ig.shape and cur.dtype == ig.dtype:
                 buf = cur if owned[tslot] else arena.empty(cur.shape, cur.dtype)
                 np.add(cur, ig, out=buf)
                 if buf is not cur:
                     grads[tslot] = buf
                     owned[tslot] = 1
-                    if walk is not None:
-                        walk.track(buf)
-                        walk.retire(cur)
+                    walk.track(buf)
+                    walk.retire(cur)
             else:
                 # Mismatched shapes/dtypes: let NumPy promote.
                 new = cur + ig
                 grads[tslot] = new
                 owned[tslot] = 1
-                if walk is not None:
-                    walk.track(new)
-                    walk.retire(cur)
-        if walk is not None:
-            walk.retire(g)
+                walk.track(new)
+                walk.retire(cur)
+        walk.retire(g)
 
 
 def is_grad_enabled() -> bool:

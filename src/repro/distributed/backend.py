@@ -247,14 +247,6 @@ class DistributedRunResult:
     elapsed_s: float = 0.0
     extras: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def max_wait_s(self) -> float:
-        return max(self.wait_s_per_rank) if self.wait_s_per_rank else 0.0
-
-    @property
-    def total_wait_s(self) -> float:
-        return float(sum(self.wait_s_per_rank))
-
 
 def bucket_cuts(arrays: Sequence[np.ndarray]) -> List[int]:
     """Element offsets of ``arrays`` laid end to end as one bucket

@@ -50,10 +50,6 @@ class DeviceSpec:
         return self.fp16_tflops * 1e12
 
     @property
-    def fp32_flops(self) -> float:
-        return self.fp32_tflops * 1e12
-
-    @property
     def hbm_bytes_per_s(self) -> float:
         return self.hbm_bandwidth_gbs * 1e9
 

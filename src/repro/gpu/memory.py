@@ -68,10 +68,6 @@ class MemoryBreakdown:
     def total_bytes(self) -> float:
         return self.weights_bytes + self.activation_bytes + self.logit_bytes
 
-    @property
-    def total_gib(self) -> float:
-        return self.total_bytes / 1024**3
-
 
 def dense_weight_bytes(config: TransformerConfig) -> float:
     """Training-state bytes for a data-parallel dense model (replicated)."""

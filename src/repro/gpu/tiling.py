@@ -37,10 +37,6 @@ class TileConfig:
         return f"{self.m}x{self.n}"
 
     @property
-    def output_elements(self) -> int:
-        return self.m * self.n
-
-    @property
     def arithmetic_intensity(self) -> float:
         """FLOPs per fp16 byte moved for this tile's operand traffic.
 

@@ -98,10 +98,10 @@ from repro.sparse.topology import Topology
 #: (grouped still requires a valid plan — invalid structure falls back).
 _MODE = "auto"
 
-#: In ``auto`` mode the grouped path fires only when groups average at
-#: least this many blocks; finer groupings (e.g. shifting attention
-#: bands) degrade into a Python loop of tiny matmuls and the batched
-#: per-block path wins.
+#: In ``auto`` mode the grouped path fires on a topology without live
+#: rows only when its groups average at least this many blocks; finer
+#: groupings (e.g. shifting attention bands) degrade into a Python loop
+#: of tiny matmuls and the batched per-block path wins.
 MIN_BLOCKS_PER_GROUP = 4
 
 _PLAN_KEY = "dispatch_plan"
@@ -457,15 +457,27 @@ def with_live_rows(topo: Topology, live_rows) -> Topology:
     return view
 
 
-def use_grouped(plan: DispatchPlan | None, needs_disjoint_cols: bool) -> bool:
-    """Dispatch decision for one kernel call."""
+def use_grouped(
+    topo: Topology, plan: DispatchPlan | None, needs_disjoint_cols: bool
+) -> bool:
+    """Dispatch decision for one kernel call on ``topo`` (``plan`` is
+    ``analyze(topo)``).
+
+    Nothing routing moves may decide it: a replayed step serves its
+    buffers from the plan its first replay recorded, and the two paths
+    acquire different buffers.  So a dMoE's topology — it knows its
+    live rows (``make_topology``) and, being block-diagonal, always has
+    a plan — always takes the grouped path, however few blocks its
+    experts' groups hold this step; ``MIN_BLOCKS_PER_GROUP`` weighs
+    only topologies without live rows (attention masks, hand-built
+    layouts), whose groups are fixed by their shape."""
     if plan is None:
         return False
     if needs_disjoint_cols and not plan.cols_disjoint:
         return False
     if _MODE == "blocked":
         return False
-    if _MODE == "grouped":
+    if _MODE == "grouped" or topo.live_rows is not None:
         return True
     return plan.mean_blocks_per_group >= MIN_BLOCKS_PER_GROUP
 
@@ -515,30 +527,24 @@ def bands_fit(topo: Topology, width: int) -> bool:
     return fit
 
 
-def _stage_buf(plan: DispatchPlan, bs: int, dtype) -> Optional[np.ndarray]:
-    """One flat arena buffer sized for the largest group of ``plan``.
+def stage_buf(plan: DispatchPlan, bs: int, dtype) -> np.ndarray:
+    """One flat buffer sized for the largest group of ``plan``.
 
-    The grouped executors slice per-group views out of it instead of
-    acquiring a buffer per group (~8 groups × 3 kernels × every sparse
-    matmul adds up); ``None`` when the arena is off."""
-    return arena.out_buf((plan.max_group_blocks * bs * bs,), dtype)
+    The grouped executors — these and the generated-C runners — slice
+    per-group views out of it instead of acquiring a buffer per group
+    (~8 groups × 3 kernels × every sparse matmul adds up), and release
+    it when the call ends."""
+    return arena.empty((plan.max_group_blocks * bs * bs,), dtype)
 
 
 def _group_values(
-    values: np.ndarray,
-    v0: int,
-    c: int,
-    rows: int,
-    stage: Optional[np.ndarray],
+    values: np.ndarray, v0: int, c: int, rows: int, stage: np.ndarray
 ) -> np.ndarray:
     """The first ``rows`` rows of one group as a dense ``(rows, c*bs)``
-    matrix (one copy of those rows only), staged into ``stage`` when the
-    arena provided one."""
+    matrix, staged into ``stage`` (one copy of those rows only)."""
     bs = values.shape[-1]
     br = -(-rows // bs)
     blocks = values[v0 : v0 + br * c].reshape(br, c, bs, bs).swapaxes(1, 2)
-    if stage is None:
-        return blocks.reshape(br * bs, c * bs)[:rows]
     buf = stage[: br * bs * c * bs].reshape(br, bs, c, bs)
     full, rem = divmod(rows, bs)
     np.copyto(buf[:full], blocks[:full])
@@ -592,7 +598,7 @@ def grouped_sdd(
     # writes its live rows from the product and its pad rows as zeros,
     # so every element is assigned exactly once — no zero-init needed.
     values = arena.empty((topo.nnz_blocks, bs, bs), out_dtype)
-    stage = _stage_buf(plan, bs, np.result_type(a_eff, b_eff))
+    stage = stage_buf(plan, bs, np.result_type(a_eff, b_eff))
     for (rlo, _, clo, chi, r, c, v0), (lv, m) in zip(
         plan.element_groups(bs), layout.rows
     ):
@@ -600,10 +606,7 @@ def grouped_sdd(
             continue
         a_g = a_eff[rlo : rlo + m]
         b_g = band(b_eff, clo, chi, 1)
-        if stage is None:
-            prod = np.matmul(a_g, b_g)
-        else:
-            prod = np.matmul(a_g, b_g, out=stage[: m * c * bs].reshape(m, c * bs))
+        prod = np.matmul(a_g, b_g, out=stage[: m * c * bs].reshape(m, c * bs))
         block = values[v0 : v0 + r * c].reshape(r, c, bs, bs)
         full, rem = divmod(lv, bs)
         block[:full] = prod[: full * bs].reshape(full, bs, c, bs).swapaxes(1, 2)
@@ -638,7 +641,7 @@ def grouped_dsd(
         out = arena.empty(shape, out_dtype)
     else:
         out = arena.zeros(shape, out_dtype)
-    stage = _stage_buf(plan, bs, values.dtype)
+    stage = stage_buf(plan, bs, values.dtype)
     for (rlo, rhi, clo, chi, _, c, v0), (lv, m) in zip(
         plan.element_groups(bs), layout.rows
     ):
@@ -682,7 +685,7 @@ def grouped_dds(
         out = arena.empty(shape, out_dtype)
     else:
         out = arena.zeros(shape, out_dtype)
-    stage = _stage_buf(plan, bs, values.dtype)
+    stage = stage_buf(plan, bs, values.dtype)
     for (rlo, rhi, clo, chi, _, c, v0), (lv, m) in zip(
         plan.element_groups(bs), layout.rows
     ):

@@ -232,7 +232,7 @@ def sdd(
     out_dtype = _out_dtype(a, b, dtype)
 
     plan = dispatch.analyze(topology)
-    if dispatch.use_grouped(plan, needs_disjoint_cols=False):
+    if dispatch.use_grouped(topology, plan, needs_disjoint_cols=False):
         with span("sdd", _SPAN_GROUPED):
             a_eff = a.T if trans_a else a
             b_eff = b.T if trans_b else b
@@ -289,7 +289,7 @@ def dsd(
     op_name, counts = ("ds^td", _DSTD) if trans_s else ("dsd", _DSD)
 
     plan = dispatch.analyze(topo)
-    if dispatch.use_grouped(plan, needs_disjoint_cols=trans_s):
+    if dispatch.use_grouped(topo, plan, needs_disjoint_cols=trans_s):
         with span(op_name, _SPAN_GROUPED):
             b_eff = b.swapaxes(-1, -2) if trans_b else b
             out = dispatch.grouped_dsd(
@@ -359,7 +359,7 @@ def dds(
     op_name, counts = ("dds^t", _DDST) if trans_s else ("dds", _DDS)
 
     plan = dispatch.analyze(topo)
-    if dispatch.use_grouped(plan, needs_disjoint_cols=not trans_s):
+    if dispatch.use_grouped(topo, plan, needs_disjoint_cols=not trans_s):
         with span(op_name, _SPAN_GROUPED):
             a_eff = a.T if trans_a else a
             out = dispatch.grouped_dds(

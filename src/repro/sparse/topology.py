@@ -209,11 +209,6 @@ class Topology:
         total = self.block_rows * self.block_cols
         return self.nnz_blocks / total if total else 0.0
 
-    @property
-    def transpose_row_indices(self) -> np.ndarray:
-        """Block-column indices of the transposed matrix (derived view)."""
-        return self.row_indices[self.transpose_block_offsets]
-
     def to_block_mask(self) -> np.ndarray:
         """Dense boolean grid of nonzero blocks."""
         mask = np.zeros((self.block_rows, self.block_cols), dtype=bool)

@@ -1,14 +1,15 @@
 """Optimizers and gradient utilities (Adam as in Megatron-LM defaults).
 
-When the buffer arena is enabled (the trainer's steady-state mode), the
-``step`` implementations run fully in place: every ufunc in the update
-is threaded through ``out=`` into either the moment buffers or two
-lazily-sized fp32 scratch arrays, so a steady-state optimizer step
-performs **zero** new array allocations.  Each in-place chain mirrors
-the allocating reference expression operation for operation (same
+For fp32 parameters the ``step`` implementations run fully in place on
+every rung: every ufunc in the update is threaded through ``out=`` into
+either the moment buffers or two lazily-sized fp32 scratch arrays, so an
+optimizer step performs **zero** new array allocations.  Each in-place
+chain mirrors the allocating expression operation for operation (same
 ufuncs, same order, same dtypes), so parameter trajectories are
-bit-identical to the reference formulation — which remains the default
-path when the arena is off.
+bit-identical to it; the allocating expression itself runs only for
+other dtypes.  The buffer arena's switch chooses only whether the
+native C step (installed by ``repro.autograd.lower.attach_adam``) may
+take the update.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from repro.autograd import arena
 from repro.nn.module import Parameter
 
 
-#: Persistent fp64 scratch for ``clip_grad_norm`` (steady-state path):
-#: parameter sizes are fixed, so one flat buffer sized to the largest
+#: Persistent fp64 scratch for ``grad_norm``: parameter sizes are fixed, so one flat buffer sized to the largest
 #: gradient serves every parameter every step.
 _CLIP_SCRATCH: Optional[np.ndarray] = None
 
@@ -42,8 +42,7 @@ def grad_norm(params: Iterable[Parameter]) -> float:
     params = [p for p in params if p.grad is not None]
     if not params:
         return 0.0
-    steady = arena.is_arena_enabled()
-    native = _CLIP_CC if steady else None
+    native = _CLIP_CC if arena.is_arena_enabled() else None
     sq = native.sumsq(params) if native is not None else None
     if sq is None:
         sq = 0.0
@@ -53,13 +52,10 @@ def grad_norm(params: Iterable[Parameter]) -> float:
             # inputs are widened *before* squaring, matching the
             # astype-then-square reference bit for bit while staging
             # through a reused buffer.
-            if steady:
-                n = p.grad.size
-                if _CLIP_SCRATCH is None or _CLIP_SCRATCH.size < n:
-                    _CLIP_SCRATCH = np.empty(n, dtype=np.float64)
-                buf = _CLIP_SCRATCH[:n].reshape(p.grad.shape)
-            else:
-                buf = np.empty(p.grad.shape, dtype=np.float64)
+            n = p.grad.size
+            if _CLIP_SCRATCH is None or _CLIP_SCRATCH.size < n:
+                _CLIP_SCRATCH = np.empty(n, dtype=np.float64)
+            buf = _CLIP_SCRATCH[:n].reshape(p.grad.shape)
             np.multiply(p.grad, p.grad, out=buf, dtype=np.float64)
             sq += float(buf.sum())
     return float(np.sqrt(sq))
@@ -156,10 +152,6 @@ class SGD(Optimizer):
 
     def step(self, lr: Optional[float] = None, grad_scale: float = 1.0) -> None:
         lr = float(self.lr if lr is None else lr)
-        # Hoisted out of the loop: the arena switch cannot change
-        # mid-step, and the per-parameter global lookup shows up once
-        # the rest of the step is allocation-free.
-        steady = arena.is_arena_enabled()
         for p, v in zip(self.params, self._velocity):
             if p.grad is None:
                 continue
@@ -170,19 +162,21 @@ class SGD(Optimizer):
                 update = v
             else:
                 update = g
-            if (
-                steady
-                and update.dtype == np.float32
-                and p.data.dtype == np.float32
-            ):
-                # ``(lr * update).astype(f32)`` without the temporary:
-                # lr is a weak Python scalar, so the product is already
-                # fp32 and the astype was a plain copy.
-                s1, _ = self._scratch(p.data.shape)
-                np.multiply(lr, update, out=s1)
-                p.data -= s1
+            if update.dtype == np.float32 and p.data.dtype == np.float32:
+                self._in_place(p, update, lr)
             else:
-                p.data -= (lr * update).astype(p.data.dtype)
+                self._allocating(p, update, lr)
+
+    def _allocating(self, p: Parameter, update: np.ndarray, lr: float) -> None:
+        p.data -= (lr * update).astype(p.data.dtype)
+
+    def _in_place(self, p: Parameter, update: np.ndarray, lr: float) -> None:
+        """``_allocating`` on fp32 without the temporary: lr is a weak
+        Python scalar, so the product is already fp32 and the astype
+        was a plain copy."""
+        s1, _ = self._scratch(p.data.shape)
+        np.multiply(lr, update, out=s1)
+        p.data -= s1
 
 
 class Adam(Optimizer):
@@ -196,8 +190,8 @@ class Adam(Optimizer):
     """
 
     #: Whole-model native step (one C call for every parameter),
-    #: installed by repro.autograd.lower.attach_adam; replaces the
-    #: in-place ufunc mirror below bit for bit.  Takes (lr, bc1, bc2,
+    #: installed by repro.autograd.lower.attach_adam; replaces
+    #: ``_in_place`` bit for bit.  Takes (lr, bc1, bc2,
     #: grad_scale) and returns True when it handled the full update;
     #: False declines (a non-contiguous or non-fp32 gradient) and the
     #: per-parameter loop below runs.
@@ -225,10 +219,8 @@ class Adam(Optimizer):
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        # Hoisted out of the loop (see SGD.step).
-        steady = arena.is_arena_enabled()
         if (
-            steady
+            arena.is_arena_enabled()
             and self._cc_multi is not None
             and self._cc_multi(lr, bc1, bc2, grad_scale)
         ):
@@ -236,52 +228,51 @@ class Adam(Optimizer):
         for p, m, v in zip(self.params, self._m, self._v):
             if p.grad is None:
                 continue
-            if (
-                not steady
-                or p.grad.dtype != np.float32
-                or p.data.dtype != np.float32
-            ):
-                # Reference (allocating) path: non-fp32 parameters, and
-                # every parameter when the steady-state step is off.  The
-                # in-place mirror below is bit-identical, so the arena
-                # switch only changes where the arithmetic is staged.
-                g = p.grad if grad_scale == 1.0 else p.grad * grad_scale
-                g = g.astype(np.float32)
-                m *= self.beta1
-                m += (1.0 - self.beta1) * g
-                v *= self.beta2
-                v += (1.0 - self.beta2) * g * g
-                update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-                if self.weight_decay > 0:
-                    update = update + self.weight_decay * p.data
-                p.data -= (lr * update).astype(p.data.dtype)
-                continue
-            # In-place mirror of the expression above: same ufuncs in the
-            # same left-to-right order, staged through two fp32 scratch
-            # arrays (g is read-only, so the astype copy is dropped).
-            g = p.grad
-            s1, s2 = self._scratch(p.data.shape)
-            if grad_scale != 1.0:
-                # s2 is free until the second-moment root below, after
-                # the last read of g.
-                g = np.multiply(g, grad_scale, out=s2)
-            np.multiply(m, self.beta1, out=m)
-            np.multiply(1.0 - self.beta1, g, out=s1)
-            np.add(m, s1, out=m)
-            np.multiply(v, self.beta2, out=v)
-            np.multiply(1.0 - self.beta2, g, out=s1)
-            np.multiply(s1, g, out=s1)
-            np.add(v, s1, out=v)
-            np.divide(m, bc1, out=s1)
-            np.divide(v, bc2, out=s2)
-            np.sqrt(s2, out=s2)
-            np.add(s2, self.eps, out=s2)
-            np.divide(s1, s2, out=s1)
-            if self.weight_decay > 0:
-                np.multiply(self.weight_decay, p.data, out=s2)
-                np.add(s1, s2, out=s1)
-            np.multiply(lr, s1, out=s1)
-            p.data -= s1
+            if p.grad.dtype == np.float32 and p.data.dtype == np.float32:
+                self._in_place(p, m, v, lr, bc1, bc2, grad_scale)
+            else:
+                self._allocating(p, m, v, lr, bc1, bc2, grad_scale)
+
+    def _allocating(self, p, m, v, lr, bc1, bc2, grad_scale) -> None:
+        """The update as one expression per moment: non-fp32 parameters."""
+        g = p.grad if grad_scale == 1.0 else p.grad * grad_scale
+        g = g.astype(np.float32)
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        if self.weight_decay > 0:
+            update = update + self.weight_decay * p.data
+        p.data -= (lr * update).astype(p.data.dtype)
+
+    def _in_place(self, p, m, v, lr, bc1, bc2, grad_scale) -> None:
+        """``_allocating`` on fp32: the same ufuncs in the same
+        left-to-right order, staged through two fp32 scratch arrays (g
+        is read-only, so the astype copy is dropped)."""
+        g = p.grad
+        s1, s2 = self._scratch(p.data.shape)
+        if grad_scale != 1.0:
+            # s2 is free until the second-moment root below, after the
+            # last read of g.
+            g = np.multiply(g, grad_scale, out=s2)
+        np.multiply(m, self.beta1, out=m)
+        np.multiply(1.0 - self.beta1, g, out=s1)
+        np.add(m, s1, out=m)
+        np.multiply(v, self.beta2, out=v)
+        np.multiply(1.0 - self.beta2, g, out=s1)
+        np.multiply(s1, g, out=s1)
+        np.add(v, s1, out=v)
+        np.divide(m, bc1, out=s1)
+        np.divide(v, bc2, out=s2)
+        np.sqrt(s2, out=s2)
+        np.add(s2, self.eps, out=s2)
+        np.divide(s1, s2, out=s1)
+        if self.weight_decay > 0:
+            np.multiply(self.weight_decay, p.data, out=s2)
+            np.add(s1, s2, out=s1)
+        np.multiply(lr, s1, out=s1)
+        p.data -= s1
 
     def state_size_bytes(self) -> int:
         """Optimizer state footprint (two fp32 moments per parameter)."""

@@ -16,12 +16,13 @@ telemetry, checkpoints and the data-parallel group.
 ``config.steady_state`` select them, and nothing else does:
 
 - ``"eager"``, not steady (the default): the reference.  Every micro
-  batch traverses the modules and builds its tape; every array is
-  allocated.  Every other configuration must match it bit for bit.
-- ``"eager"``, steady: the step runs under
+  batch traverses the modules and builds its tape; every array comes
+  from NumPy.  Every other configuration must match it bit for bit.
+- ``"eager"``, steady: the same code under
   :func:`repro.autograd.steady_state`, so the buffer arena recycles every
   fixed-shape activation and gradient array across steps
-  (``docs/performance.md``).  This is what a graph is captured from.
+  (``docs/performance.md``); only where memory comes from differs.  This
+  is what a graph is captured from.
 - ``"replay"``: the first micro batch of each signature (shapes,
   dtypes, the training flag) runs eagerly under a
   :class:`~repro.autograd.graph.CaptureSession`; every matching micro

@@ -92,3 +92,24 @@ def flip_byte(path: str, from_end: int = 5) -> None:
         byte = fh.read(1)[0]
         fh.seek(-from_end, os.SEEK_END)
         fh.write(bytes([byte ^ 0xFF]))
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--slow", action="store_true", help="also run the tests marked slow"
+    )
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: minutes of exact readings; skipped unless --slow"
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--slow"):
+        return
+    skip = pytest.mark.skip(reason="slow: run with --slow")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)

@@ -21,10 +21,14 @@ random interleavings of steps, reshaped micro batches, injected
 non-finite gradients and checkpoint restores keep a compiled state on
 the eager reference's bits.
 
-The eager reference and the eager steady step differ in the buffer
-arena only: both run the fused ops.  Each fused op's bitwise contract
-with the composition it replaces is stated once, op by op, in
-``tests/autograd/test_fused_ops.py``.
+The eager reference and the eager steady step run one body per op —
+the fused ops, the in-place optimizer update, the backward walk with its
+buffer bookkeeping — and differ only in where a buffer comes from (the
+arena's switch).  So comparing them checks one thing: the arena's
+"fully overwrite" contract.  Each fused op's bitwise contract with the
+composition it replaces is stated once, op by op, in
+``tests/autograd/test_fused_ops.py``, and the in-place optimizer
+update's with its allocating formula in ``tests/training/test_optim.py``.
 """
 
 import json
@@ -116,7 +120,11 @@ def _dmoe(i):
 
 
 #: Layers whose dispatch or routing is host work the compiled rungs must
-#: redo from every replay's live routing.
+#: redo from every replay's live routing.  The two narrow layers hold
+#: two column blocks per expert, so their mean blocks per group moves
+#: with routing across ``MIN_BLOCKS_PER_GROUP``: they hold only while
+#: the sparse dispatch path is a function of the topology alone, never
+#: of where the tokens went (a replay serves its buffers by position).
 LAYERS = {
     "variable-dmoe": lambda i: VariableSizedDMoE(16, [8, 16, 24, 32], block_size=8, rng=i),
     "sinkhorn": lambda i: dMoE(
@@ -125,6 +133,8 @@ LAYERS = {
     "base-layer": lambda i: dMoE(
         16, 32, num_experts=4, block_size=8, rng=i, router=BaseLayerRouter(16, 4, rng=20 + i)
     ),
+    "narrow-5-experts": lambda i: dMoE(16, 16, num_experts=5, block_size=8, rng=i),
+    "narrow-6-experts": lambda i: dMoE(16, 16, num_experts=6, block_size=8, rng=i),
 }
 
 _PILE = SyntheticPile(PileConfig(vocab_size=64, num_domains=3, branching=4), seed=1)

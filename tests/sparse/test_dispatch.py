@@ -124,9 +124,9 @@ class TestModeControl:
         topo = _block_diag([1, 1, 1], [1, 1, 1])
         plan = dispatch.analyze(topo)
         assert plan.mean_blocks_per_group == 1.0
-        assert not dispatch.use_grouped(plan, needs_disjoint_cols=False)
+        assert not dispatch.use_grouped(topo, plan, needs_disjoint_cols=False)
         with dispatch_mode("grouped"):
-            assert dispatch.use_grouped(plan, needs_disjoint_cols=False)
+            assert dispatch.use_grouped(topo, plan, needs_disjoint_cols=False)
 
 
 # ----------------------------------------------------------------------

@@ -554,7 +554,8 @@ def test_cc_step_with_empty_experts_fills_no_weight_gradient(tmp_path, monkeypat
         moes = [m for m in cc.model.modules() if getattr(m, "last_plan", None)]
         assert any((m.last_plan.tokens_per_expert == 0).any() for m in moes)
         assert all(
-            dispatch.use_grouped(dispatch.analyze(m.last_topology), True) for m in moes
+            dispatch.use_grouped(t, dispatch.analyze(t), True)
+            for t in (m.last_topology for m in moes)
         )
         assert filled == []
         assert cc_losses == [eager.train_step(s) for s in range(6)]
@@ -644,7 +645,7 @@ def test_banded_weights_give_the_flat_operands_bits(lib, case):
         for got, want in zip(banded, flat[:2] + (_banded(flat[2], experts),)):
             _assert_same_bits(got, want)
         _assert_pad_is_plus_zero(flat[2], ~written, 1)
-        if mode == "blocked" or not dispatch.use_grouped(dispatch.analyze(topo), True):
+        if mode == "blocked" or not dispatch.use_grouped(topo, dispatch.analyze(topo), True):
             continue
         with dispatch_mode(mode), nan_buffers():
             for operand in (w_flat, w):

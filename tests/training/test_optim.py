@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.autograd import Tensor
 from repro.nn import Parameter
@@ -132,7 +134,15 @@ class TestClipScaleFoldedIntoTheStep:
     """``clip_grad_norm`` then ``step()`` (three sweeps over the
     gradients) and ``grad_norm`` -> ``clip_scale`` -> ``step(grad_scale=)``
     (two) are one update, bit for bit — and the fold leaves ``p.grad``
-    unclipped."""
+    unclipped.
+
+    The rungs: ``allocating`` is the reference step (arena off: its
+    buffers come from NumPy, not the pool), ``mirror`` the steady step
+    (arena on), ``native`` the steady step with the C update and clip
+    attached.  On fp32 all three run the in-place update; ``float64``
+    (arena off) is the rung that runs the allocating formula, whose fp32
+    contract with the in-place one is
+    ``TestInPlaceUpdateIsTheAllocatingFormula``."""
 
     @staticmethod
     def _build(make, dtype=np.float32):
@@ -200,6 +210,44 @@ class TestClipScaleFoldedIntoTheStep:
             toolchain._reset_for_tests()
         state = lambda o: (o._m + o._v) if isinstance(o, Adam) else o._velocity
         for a, b in zip(state(separate), state(folded)):
+            assert a.tobytes() == b.tobytes()
+
+
+class TestInPlaceUpdateIsTheAllocatingFormula:
+    """Every rung — the eager reference included — takes an optimizer's
+    ``_in_place`` update on fp32 parameters; ``_allocating``, the update
+    as one expression per moment, runs only on other dtypes (the
+    ``float64`` rung above).  Their fp32 contract is stated here once:
+    every moment and parameter bit-equal, with the clip scale folded in
+    or not, and whichever type the learning rate arrives in."""
+
+    SHAPES = [(700,), (31, 9), (4,), (1,)]
+
+    @given(
+        name=st.sampled_from(sorted(TestClipScaleFoldedIntoTheStep.OPTIMIZERS)),
+        seed=st.integers(0, 2**16),
+        grad_scale=st.one_of(st.just(1.0), st.floats(1e-3, 2.0)),
+        lr=st.floats(1e-5, 0.5),
+        lr_type=st.sampled_from([float, np.float64]),
+    )
+    def test_bit_equal(self, name, seed, grad_scale, lr, lr_type):
+        r = np.random.default_rng(seed)
+        make = TestClipScaleFoldedIntoTheStep.OPTIMIZERS[name]
+        data = [r.standard_normal(s).astype(np.float32) for s in self.SHAPES]
+        in_place = make([Parameter(d.copy()) for d in data])
+        allocating = make([Parameter(d.copy()) for d in data])
+        allocating._in_place = allocating._allocating  # the formula, on fp32
+        for _ in range(3):
+            for s, p, q in zip(self.SHAPES, in_place.params, allocating.params):
+                p.grad = (r.standard_normal(s) * 5).astype(np.float32)
+                q.grad = p.grad.copy()
+            in_place.step(lr=lr_type(lr), grad_scale=grad_scale)
+            allocating.step(lr=lr_type(lr), grad_scale=grad_scale)
+            for p, q in zip(in_place.params, allocating.params):
+                assert p.data.dtype == np.float32
+                assert p.data.tobytes() == q.data.tobytes()
+        state = lambda o: (o._m + o._v) if isinstance(o, Adam) else o._velocity
+        for a, b in zip(state(in_place), state(allocating)):
             assert a.tobytes() == b.tobytes()
 
 

@@ -27,6 +27,17 @@ machines (opcode counts across one interpreter version):
     gives the ``lower_direct_calls`` it made: its crossings into the
     kernel table's C.
 
+``--record PR``
+    Every reading above — ``--hash`` on ``eager`` and ``cc``, ``--hash
+    --serve``, ``--opcodes`` on ``eager`` and ``cc`` at steps 3-5,
+    ``--opcodes --serve`` — plus the ``src/`` and ``tests/`` line counts,
+    as one row of the committed ledger ``BENCH_probe.json``, keyed by the
+    PR number, the parent commit (``HEAD``: record on the uncommitted
+    change) and the Python version.  A row with the same key is
+    replaced; any other is appended.  ``tests/utils/test_probe_ledger.py``
+    holds the tree to the newest row, so a change that moves a reading
+    records a row.
+
 The trainer is ``bench/workloads.build_trainer`` and the served model
 ``bench/workloads.build_model`` (imported, never modified), single
 process (``dp_world=0``), so a probe reads the same model, data and
@@ -36,13 +47,16 @@ learning rate the benchmark times.
     PYTHONPATH=src python tools/step_probe.py --opcodes --workload small_decode --top 12
     PYTHONPATH=src python tools/step_probe.py --opcodes --serve
     PYTHONPATH=src python tools/step_probe.py --hash --serve
+    PYTHONPATH=src python tools/step_probe.py --record N
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
+import subprocess
 import sys
 from collections import Counter
 from typing import Callable, List, Optional, Tuple
@@ -58,6 +72,8 @@ HASH_STEPS = 30
 SERVE_HASH_STEPS = 8
 WARMUP_STEPS = 3
 SEED = 1
+LEDGER = os.path.join(REPO, "BENCH_probe.json")
+PYTHON = "%d.%d" % sys.version_info[:2]
 
 
 def _workloads():
@@ -203,11 +219,92 @@ def serve_hash(name: str, steps: int = SERVE_HASH_STEPS) -> str:
     return h.hexdigest()
 
 
+def python_lines(top: str) -> int:
+    """Lines of every ``.py`` file under ``REPO/top``."""
+    n = 0
+    for root, _dirs, files in os.walk(os.path.join(REPO, top)):
+        for f in files:
+            if f.endswith(".py"):
+                with open(os.path.join(root, f), "rb") as fh:
+                    n += fh.read().count(b"\n")
+    return n
+
+
+def readings(*args: str) -> List[List[str]]:
+    """This script's output lines for ``args``, split into words, from a
+    fresh process: a reading must not depend on what ran before it in
+    the same interpreter (``attach_adam`` installs the native clip
+    module-wide, caches warm up)."""
+    out = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), *args],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    return [line.split() for line in out.splitlines() if not line.startswith(" ")]
+
+
+def read_hashes(*args: str) -> dict:
+    """``--hash [--serve | --backend B]`` as ``{workload: sha256}``."""
+    return {w[0]: w[2] for w in readings("--hash", *args)}
+
+
+def read_opcodes(*args: str) -> dict:
+    """``--opcodes [--backend B]`` as ``{shape: [opcodes per step]}``."""
+    out: dict = {}
+    for w in readings("--opcodes", *args):  # name backend step 3: N opcodes
+        out.setdefault(w[0], []).append(int(w[4]))
+    return out
+
+
+def read_serve_opcodes(*args: str) -> dict:
+    """``--opcodes --serve`` as ``{workload: {"prefill"|"decode":
+    {"opcodes": N, "lower_direct_calls": K}}}``."""
+    out: dict = {}
+    for w in readings("--opcodes", "--serve", *args):
+        # name serve decode(4 slots): N opcodes, K lower_direct_calls
+        out.setdefault(w[0], {})[w[2].split("(")[0]] = {
+            "opcodes": int(w[-4]), "lower_direct_calls": int(w[-2]),
+        }
+    return out
+
+
+def ledger_row(pr: int) -> dict:
+    """Every exact reading of the tree, as one row of ``LEDGER``."""
+    parent = subprocess.run(
+        ["git", "rev-parse", "HEAD"], cwd=REPO, capture_output=True, text=True, check=True
+    ).stdout.strip()
+    rungs = ("eager", "cc")
+    return {
+        "pr": pr, "parent": parent, "python": PYTHON, "source": "step_probe --record",
+        "hash": {b: read_hashes("--backend", b) for b in rungs},
+        "serve_hash": read_hashes("--serve"),
+        "opcodes": {b: read_opcodes("--backend", b) for b in rungs},
+        "serve_opcodes": read_serve_opcodes(),
+        "lines": {"src": python_lines("src"), "tests": python_lines("tests")},
+    }
+
+
+def record(row: dict) -> None:
+    """Append ``row`` to ``LEDGER``, replacing a row with its key."""
+    rows = []
+    if os.path.exists(LEDGER):
+        with open(LEDGER) as f:
+            rows = json.load(f)
+    key = lambda r: (r["pr"], r["parent"], r["python"])  # noqa: E731
+    rows = [r for r in rows if key(r) != key(row)] + [row]
+    with open(LEDGER, "w") as f:
+        json.dump(rows, f, indent=1)
+        f.write("\n")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     mode = ap.add_mutually_exclusive_group(required=True)
     mode.add_argument("--hash", action="store_true", help="trajectory sha256 per workload")
     mode.add_argument("--opcodes", action="store_true", help="interpreter opcodes per step")
+    mode.add_argument(
+        "--record", type=int, metavar="PR",
+        help="take every reading and record it in BENCH_probe.json as PR's row",
+    )
     ap.add_argument(
         "--workload", action="append", choices=SERVED,
         help="workload shape (repeatable; default: the three training shapes, "
@@ -222,6 +319,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("--top", type=int, default=0, help="--opcodes: functions listed per step")
     args = ap.parse_args(argv)
 
+    if args.record is not None:
+        row = ledger_row(args.record)
+        record(row)
+        print(json.dumps(row, indent=1))
+        return 0
     for name in args.workload or (SERVED if args.serve else SHAPES):
         if args.serve and args.hash:
             print(f"{name} serve {serve_hash(name)}")
