@@ -123,7 +123,13 @@ class _LinearBias(Function):
 
     Forward adds the bias into the matmul output buffer (``m + b`` with
     ``out=m`` is the same ufunc call the reference composition makes,
-    just without a second allocation).  Backward mirrors
+    just without a second allocation) when ``b`` has the product's dtype
+    and shape-matches its trailing dimensions; any other bias — one that
+    promotes the dtype, or broadcasts with ones — takes the allocating
+    ``m + b``, which is the composition itself.  ``b`` must broadcast
+    into the product's shape: a bias that would widen it is refused, as
+    backward reduces the gradient to the bias only after the matmuls.
+    Backward mirrors
     ``_MatMul.backward`` + ``_Add.backward`` exactly: same matmuls, same
     ``unbroadcast`` reductions, one tape node instead of two.
     """
@@ -132,7 +138,12 @@ class _LinearBias(Function):
     def forward(ctx, x, w, b):
         ctx.save_for_backward(x, w, b.shape)
         out = np.matmul(x, w, out=arena.matmul_buf(x, w))
-        return np.add(out, b, out=out)
+        if b.dtype == out.dtype and b.shape == out.shape[out.ndim - b.ndim:]:
+            return np.add(out, b, out=out)
+        y = out + b
+        if y.shape != out.shape:
+            raise ValueError(f"linear_bias: bias {b.shape} widens x @ w's {out.shape}")
+        return y
 
     @staticmethod
     def backward(ctx, grad):

@@ -14,6 +14,7 @@ take the update.
 
 from __future__ import annotations
 
+import threading
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -22,9 +23,12 @@ from repro.autograd import arena
 from repro.nn.module import Parameter
 
 
-#: Persistent fp64 scratch for ``grad_norm``: parameter sizes are fixed, so one flat buffer sized to the largest
-#: gradient serves every parameter every step.
-_CLIP_SCRATCH: Optional[np.ndarray] = None
+#: Persistent fp64 scratch for ``grad_norm``, one per thread: parameter
+#: sizes are fixed, so one flat buffer sized to the largest gradient
+#: serves every parameter every step.  Per thread because the "sim"
+#: backend runs every rank as a thread, and all of them take the norm
+#: after the same all-reduce.
+_CLIP_SCRATCH = threading.local()
 
 #: Native clip passes, installed by repro.autograd.lower.attach_adam:
 #: ``sumsq(params)`` returns the fp64 sum of squares over the (all
@@ -38,7 +42,6 @@ _CLIP_CC = None
 
 def grad_norm(params: Iterable[Parameter]) -> float:
     """Global L2 norm of the gradients: one read of every ``p.grad``."""
-    global _CLIP_SCRATCH
     params = [p for p in params if p.grad is not None]
     if not params:
         return 0.0
@@ -53,9 +56,10 @@ def grad_norm(params: Iterable[Parameter]) -> float:
             # astype-then-square reference bit for bit while staging
             # through a reused buffer.
             n = p.grad.size
-            if _CLIP_SCRATCH is None or _CLIP_SCRATCH.size < n:
-                _CLIP_SCRATCH = np.empty(n, dtype=np.float64)
-            buf = _CLIP_SCRATCH[:n].reshape(p.grad.shape)
+            buf = getattr(_CLIP_SCRATCH, "buf", None)
+            if buf is None or buf.size < n:
+                buf = _CLIP_SCRATCH.buf = np.empty(n, dtype=np.float64)
+            buf = buf[:n].reshape(p.grad.shape)
             np.multiply(p.grad, p.grad, out=buf, dtype=np.float64)
             sq += float(buf.sum())
     return float(np.sqrt(sq))

@@ -240,6 +240,20 @@ class TestBitwiseEquivalence:
         b = _normal(r, bshape(lead + (n,)), dtype)
         _assert_contract(linear_bias, lambda x, w, b: x @ w + b, [x, w, b], seed)
 
+    def test_linear_bias_with_a_promoting_bias(self):
+        """A float64 bias on a float32 product, which the in-place add
+        would round back to float32, still gets ``x @ w + b``'s bits."""
+        r = np.random.default_rng(0)
+        x, w = _normal(r, (5, 6), np.float32), _normal(r, (6, 4), np.float32)
+        b = _normal(r, (4,), np.float64)
+        _assert_contract(linear_bias, lambda x, w, b: x @ w + b, [x, w, b], 0)
+
+    def test_linear_bias_refuses_a_bias_that_widens_the_product(self):
+        r = np.random.default_rng(0)
+        x, w = _normal(r, (5, 6), np.float32), _normal(r, (6, 4), np.float32)
+        with pytest.raises(ValueError, match="widens"):
+            linear_bias(Tensor(x), Tensor(w), Tensor(_normal(r, (3, 1, 4), np.float32)))
+
     @given(
         blocks=st.tuples(st.integers(0, 4), st.integers(1, 4)),
         block_size=st.sampled_from([1, 2, 4]),

@@ -146,3 +146,33 @@ def test_window_grows_between_steps(world):
             assert s_losses == m_losses
             for s, m in zip(s_params, m_params):
                 np.testing.assert_array_equal(s, m, strict=True)
+
+
+def test_clipped_ranks_agree_at_a_size_numpy_threads():
+    """``grad_norm`` on every "sim" rank at once, right after the same
+    all-reduce barrier, over gradients large enough (3 072 elements) that
+    NumPy drops the GIL inside its loops: each rank's norm is still its
+    own, so the replicas stay bitwise "mp"'s, whose ranks share nothing."""
+    x, y = _batch(16)
+    world, shard = 4, 4
+
+    def loss_fn(model, rank):
+        rows = slice(rank * shard, (rank + 1) * shard)
+        return cross_entropy(model(Tensor(x[rows])), y[rows])
+
+    def fn(group):
+        model = Sequential(Linear(6, 512, rng=0), Linear(512, 4, rng=1))
+        opt = Adam(model.parameters(), lr=1e-2)
+        losses = [
+            data_parallel_step(group, model, opt, loss_fn, grad_clip=1e-3)
+            for _ in range(4)
+        ]
+        return losses, [p.data.copy() for p in model.parameters()]
+
+    sim = run_distributed(fn, world, backend="sim").values
+    mp_ = run_distributed(fn, world, backend="mp").values
+    for (s_losses, s_params), (m_losses, m_params) in zip(sim, mp_):
+        assert s_losses == m_losses
+        for s, m, first in zip(s_params, m_params, mp_[0][1]):
+            np.testing.assert_array_equal(s, m, strict=True)
+            np.testing.assert_array_equal(s, first, strict=True)

@@ -3,7 +3,7 @@
 ``tools/step_probe.py --record PR`` writes one row of every drift-free
 reading of a tree: training and serving hashes, interpreter opcodes per
 step and per served step, C crossings and line counts, keyed by PR,
-parent commit and Python version.  Rows tagged ``"source":
+parent commit and Python and NumPy versions.  Rows tagged ``"source":
 "CHANGES.md"`` were back-filled from the readings those entries quote
 (``null`` where none was quoted).
 
@@ -11,7 +11,8 @@ These tests read the file and never write it.  The newest row's serving
 hashes, and its ``small_decode`` ``cc`` step and decode opcodes, must
 equal what the tree reads now, so a change that moves one of them
 records a row (and its CHANGES.md entry says so).  Opcode counts belong
-to one interpreter version: on another, those fields are not compared.
+to one Python and NumPy version, and to ``cc`` running native (NumPy's
+vendored BLAS found): anywhere else, those fields are not compared.
 The 30-step training hashes run only with ``--slow``.  Every reading is
 taken in a fresh process, as ``--record`` takes it.
 """
@@ -24,6 +25,7 @@ import re
 import pytest
 
 from repro.autograd import lower
+from repro.autograd.lower import blas
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 _spec = importlib.util.spec_from_file_location(
@@ -36,12 +38,13 @@ with open(step_probe.LEDGER) as _f:
     ROWS = json.load(_f)
 NEWEST = ROWS[-1]
 
-needs_this_python = pytest.mark.skipif(
-    NEWEST["python"] != step_probe.PYTHON,
-    reason=f"opcodes recorded on Python {NEWEST['python']}, not {step_probe.PYTHON}",
+needs_this_interpreter = pytest.mark.skipif(
+    (NEWEST["python"], NEWEST["numpy"]) != (step_probe.PYTHON, step_probe.NUMPY),
+    reason=f"opcodes recorded on Python {NEWEST['python']} and NumPy {NEWEST['numpy']}",
 )
-needs_cc = pytest.mark.skipif(
-    not lower.cc_available(), reason="no C toolchain in this environment"
+needs_native_cc = pytest.mark.skipif(
+    not (lower.cc_available() and blas.available()),
+    reason="cc would not run native here (no C toolchain or no NumPy BLAS symbol)",
 )
 
 
@@ -56,7 +59,7 @@ def _probe_env(tmp_path_factory):
 
 
 def test_rows_are_keyed_and_the_newest_was_recorded():
-    fields = {"pr", "parent", "python", "source", "hash", "serve_hash", "opcodes",
+    fields = {"pr", "parent", "python", "numpy", "source", "hash", "serve_hash", "opcodes",
               "serve_opcodes", "lines"}
     prs = [row["pr"] for row in ROWS]
     assert prs == sorted(prs)
@@ -74,8 +77,8 @@ def test_newest_row_holds_the_trees_serving_bits():
     assert step_probe.read_hashes("--serve") == NEWEST["serve_hash"]
 
 
-@needs_this_python
-@needs_cc
+@needs_this_interpreter
+@needs_native_cc
 def test_newest_row_holds_the_trees_small_decode_opcodes():
     shape = ["--workload", "small_decode"]
     assert step_probe.read_opcodes(*shape) == {

@@ -2,7 +2,7 @@
 """The drift-free readings of a step: its bits and its Python.
 
 All are exact — no wall clock — so they compare across commits and
-machines (opcode counts across one interpreter version):
+machines (opcode counts across one Python and NumPy version):
 
 ``--hash``
     sha256 of a 30-step, seed-1 trajectory — every step's loss, then
@@ -33,7 +33,7 @@ machines (opcode counts across one interpreter version):
     ``--opcodes --serve`` — plus the ``src/`` and ``tests/`` line counts,
     as one row of the committed ledger ``BENCH_probe.json``, keyed by the
     PR number, the parent commit (``HEAD``: record on the uncommitted
-    change) and the Python version.  A row with the same key is
+    change) and the Python and NumPy versions.  A row with the same key is
     replaced; any other is appended.  ``tests/utils/test_probe_ledger.py``
     holds the tree to the newest row, so a change that moves a reading
     records a row.
@@ -74,6 +74,7 @@ WARMUP_STEPS = 3
 SEED = 1
 LEDGER = os.path.join(REPO, "BENCH_probe.json")
 PYTHON = "%d.%d" % sys.version_info[:2]
+NUMPY = np.__version__
 
 
 def _workloads():
@@ -274,7 +275,8 @@ def ledger_row(pr: int) -> dict:
     ).stdout.strip()
     rungs = ("eager", "cc")
     return {
-        "pr": pr, "parent": parent, "python": PYTHON, "source": "step_probe --record",
+        "pr": pr, "parent": parent, "python": PYTHON, "numpy": NUMPY,
+        "source": "step_probe --record",
         "hash": {b: read_hashes("--backend", b) for b in rungs},
         "serve_hash": read_hashes("--serve"),
         "opcodes": {b: read_opcodes("--backend", b) for b in rungs},
@@ -289,7 +291,7 @@ def record(row: dict) -> None:
     if os.path.exists(LEDGER):
         with open(LEDGER) as f:
             rows = json.load(f)
-    key = lambda r: (r["pr"], r["parent"], r["python"])  # noqa: E731
+    key = lambda r: (r["pr"], r["parent"], r["python"], r["numpy"])  # noqa: E731
     rows = [r for r in rows if key(r) != key(row)] + [row]
     with open(LEDGER, "w") as f:
         json.dump(rows, f, indent=1)
