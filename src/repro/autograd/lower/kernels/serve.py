@@ -12,7 +12,7 @@ row's result cannot depend on the rows beside it; ``serve_moe`` (a
 served MoE layer: router GEMM, softmax, top-k, grouping, both expert
 GEMMs, GELU and combine in three calls around ``np.exp`` and
 ``np.tanh``; reference :func:`repro.moe.inference.moe_forward_ref`) and
-``serve_sample`` (the scheduler's token sampling in three calls around
+``serve_sample`` (the scheduler's token sampling in two calls around
 ``np.exp`` and the draws; reference
 :func:`repro.serving.sampling.sample_rows`).  The two composite entries
 run the products of the first three, so their rows are as stable.
@@ -27,7 +27,7 @@ vector code, and the rest of the prelude keeps ``-O3``.
 
 from __future__ import annotations
 
-from operator import is_
+import ctypes
 
 import numpy as np
 
@@ -668,15 +668,17 @@ void repro_moe_down(float *fs, const void *w2, const float *s2,
 
 _SAMPLE_C = r"""
 /* Token sampling (repro.serving.sampling.sample_rows, temperature > 0,
-   no top-k cut) in three calls around np.exp and the uniform draws, in
-   its order, per row of x (B rows of V float32 logits), in float64:
+   no top-k cut) in two calls around np.exp, in its order, per row of x
+   (B rows of V float32 logits), in float64:
    repro_sample_shift: b = x / temperature (x / 1 is x), minus the row
-     max; 0 if a value is NaN or +inf (the reference then raises).
-   repro_sample_cdf, after b = exp(b): b = b / pw64(b); b = cumsum(b)
-     (sequential; four rows' chains side by side); 0 if a row's total
-     is not finite; else b = b / total.
-   repro_sample_pick, after one uniform u per row: the first j with
-     b[j] > u, or V (searchsorted side="right" on a sorted row).
+     max; 0 if a value is NaN or +inf, or every value is -inf (the
+     reference then raises: its total is not finite, and otherwise it
+     always is).
+   repro_sample_pick, after b = exp(b) and with one uniform u per row:
+     b = b / pw64(b); b = cumsum(b) (sequential; four rows' chains side
+     by side); then the first j with b[j] / total > u, or V
+     (searchsorted side="right" on the sorted row b / total, each
+     quotient taken where the bisection reads it).
    Vector lanes run over j for the elementwise steps only. */
 #ifdef __AVX512F__
 VEC(double, vd, 64, 8); typedef long long vdl __attribute__((vector_size(64)));
@@ -749,13 +751,14 @@ i64 repro_sample_shift(const float *x, double *b, i64 B, i64 V,
             br[j] = v;
             if (v > m) m = v;
         }
+        if (m == -INFINITY) return 0;
         for (j = 0; j + VLD <= V; j += VLD) *(vd *)(br + j) = *(const vd *)(br + j) - m;
         for (; j < V; j++) br[j] = br[j] - m;
     }
     return 1;
 }
 
-i64 repro_sample_cdf(double *b, i64 B, i64 V)
+void repro_sample_pick(double *b, const double *u, i64 *out, i64 B, i64 V)
 {
     for (i64 r = 0; r < B; r++) divide_row(b + r * V, V, pw64(b + r * V, V));
     i64 r = 0;
@@ -771,21 +774,13 @@ i64 repro_sample_cdf(double *b, i64 B, i64 V)
         double *p = b + r * V, c = p[0];
         for (i64 j = 1; j < V; j++) p[j] = c = c + p[j];
     }
-    for (r = 0; r < B; r++)
-        if (!isfinite(b[r * V + V - 1])) return 0;
-    for (r = 0; r < B; r++) divide_row(b + r * V, V, b[r * V + V - 1]);
-    return 1;
-}
-
-void repro_sample_pick(const double *b, const double *u, i64 *out, i64 B,
-                       i64 V)
-{
-    for (i64 r = 0; r < B; r++) {
-        const double *br = b + r * V;
+    for (r = 0; r < B; r++) {
+        const double *br = b + r * V, total = br[V - 1];
+        /* cdf[j] = b[j] / total, divided where the bisection reads it. */
         i64 lo = 0, hi = V;
         while (lo < hi) {
             const i64 mid = lo + (hi - lo) / 2;
-            if (br[mid] <= u[r]) lo = mid + 1;
+            if (br[mid] / total <= u[r]) lo = mid + 1;
             else hi = mid;
         }
         out[r] = lo;
@@ -868,11 +863,11 @@ def _moe_tables(layer, router):
 
 
 def _moe_bind(wdt, tables, top_k, h):
-    """``(tables, top_k, h, *their pointers, E, F)`` when the C takes the
-    tables — contiguous float32 (``w1`` and ``w2`` int8 with their scales
-    once quantized), more than one expert, every GEMM wider than one
-    column (the serve_gemm contract) and ``1 <= top_k <= E`` — else
-    ``None``."""
+    """The tables' pointers ``(wr, w1, s1, b1, w2, s2, b2)`` and
+    ``(E, F)`` when the C takes them — contiguous float32 (``w1`` and
+    ``w2`` int8 with their scales once quantized), more than one expert,
+    every GEMM wider than one column (the serve_gemm contract) and
+    ``1 <= top_k <= E`` — else ``None``."""
     e, f = tables[0].shape[-1], tables[1].shape[-1]
     want = zip(tables, (F4, wdt, F4, F4, wdt, F4, F4),
                ((h, e), (e, h, f), (e, f), (e, f), (e, f, h), (e, h), (e, h)))
@@ -884,78 +879,107 @@ def _moe_bind(wdt, tables, top_k, h):
             return None
     if min(e, f, h) < 2 or not 1 <= top_k <= e:
         return None
-    pointers = tuple(None if a is None else addr(a) for a in tables)
-    return (tables, top_k, h, *pointers, e, f)
+    return tuple(None if a is None else addr(a) for a in tables), e, f
 
 
-def _moe_forward(b):
+def moe_layer_step(lib, layer, x, out):
+    """``serve_moe`` bound once to ``layer`` and the rows ``x`` and
+    ``out`` (contiguous float32 ``(T, H)``): ``step()`` runs the layer
+    into ``out``, sets ``layer.last_routing`` and returns ``True``, or
+    returns ``False`` having written nothing (a non-finite logit: the
+    reference's uniform routing).  ``None`` when the C does not take the
+    layer: not the plain ``Router`` with GELU experts, or tables outside
+    :func:`_moe_bind`'s terms.  A step reads the tables bound here, so a
+    caller that keeps ``step`` binds again when a table changes."""
     from repro.autograd.tensor import Tensor
     from repro.moe.router import Router, RoutingResult
 
-    route, up, down = b.lib.repro_moe_route, b.lib.repro_moe_up, b.lib.repro_moe_down
+    router = layer.router
+    if type(router) is not Router or layer.activation != "gelu":
+        return None
+    t, h = x.shape
+    k = router.top_k
+    bound = _moe_bind(*_moe_tables(layer, router), k, h)
+    if bound is None:
+        return None
+    (pr, p1, ps1, pb1, p2, ps2, pb2), e, f = bound
+    c = t * k
+    p, idx, wt = np.empty((t, e), F4), np.empty((t, k), I64), np.empty((t, k), F4)
+    ints, fs = np.empty(c + 2 * e + 1, I64), np.empty(c * (2 * f + h), F4)
+    inner = fs[: c * f]
+    px, pp, pw, pi, pf = addr(x), addr(p), addr(wt), addr(ints), addr(fs)
+    route, up, down = lib.repro_moe_route, lib.repro_moe_up, lib.repro_moe_down
+    route_args = (px, pr, pp, t, h, e)
+    up_args = (pp, addr(idx), pw, pi, px, p1, ps1, pb1, pf, t, h, e, f, k,
+               router.normalize_weights and k > 1, _K044, _C)
+    down_args = (pf, p2, ps2, pb2, pi, pw, addr(out), t, h, e, f, k)
+    flops = 2 * t * h * (e + 2 * k * f)
+    exp, tanh, __dict__ = np.exp, np.tanh, layer.__dict__
 
-    def run(layer, x):
-        router = layer.router
-        if type(router) is not Router or layer.activation != "gelu":
+    def step():
+        if not route(*route_args):
             return False
-        t, h = x.shape
-        k = router.top_k
-        # The tables are checked, and their pointers taken, once per
-        # layer and set of arrays: the binding rides on the layer and
-        # holds the arrays it checked, so "the same objects" is an
-        # identity test no later array can pass by reusing an address.
-        wdt, tables = _moe_tables(layer, router)
-        bound = layer.__dict__.get("_serve_moe")
-        if bound is None or not (
-            bound[1] == k and bound[2] == h and all(map(is_, bound[0], tables))
-        ):
-            bound = layer._serve_moe = _moe_bind(wdt, tables, k, h)
-            if bound is None:
-                return False
-        _, _, _, pr, p1, ps1, pb1, p2, ps2, pb2, e, f = bound
-        c = t * k
-        px = addr(x)
-        p = np.empty((t, e), F4)
-        pp = addr(p)
-        if not route(px, pr, pp, t, h, e):
-            return False  # a non-finite logit: the reference's uniform routing
-        np.exp(p, out=p)
-        idx, wt = np.empty((t, k), I64), np.empty((t, k), F4)
-        ints, fs = np.empty(c + 2 * e + 1, I64), np.empty(c * (2 * f + h), F4)
-        pw, pi, pf = addr(wt), addr(ints), addr(fs)
-        up(pp, addr(idx), pw, pi, px, p1, ps1, pb1, pf, t, h, e, f, k,
-           router.normalize_weights and k > 1, _K044, _C)
-        inner = fs[: c * f]
-        np.tanh(inner, out=inner)
-        out = np.empty((t, h), F4)
-        down(pf, p2, ps2, pb2, pi, pw, addr(out), t, h, e, f, k)
-        # (Module.__setattr__ registers parameters and modules only.)
-        layer.__dict__["last_routing"] = RoutingResult(idx, Tensor(wt), Tensor(p), None, None)
+        exp(p, p)
+        up(*up_args)
+        tanh(inner, inner)
+        down(*down_args)
+        # Copies: a later step reuses the buffers.  (Module.__setattr__
+        # registers parameters and modules only.)
+        __dict__["last_routing"] = RoutingResult(
+            idx.copy(), Tensor(wt.copy()), Tensor(p.copy()), None, None
+        )
         _GEMM_CALLS.value += 3
-        _GEMM_FLOPS.value += 2 * t * h * (e + 2 * k * f)
-        return (out,)
+        _GEMM_FLOPS.value += flops
+        return True
+
+    step.buffers = ints, fs  # the C holds their addresses: they live as long
+    return step
+
+
+def _moe_forward(b):
+    def run(layer, x):
+        out = np.empty(x.shape, F4)
+        step = moe_layer_step(b.lib, layer, x, out)
+        return step is not None and step() and (out,)
 
     return run
 
 
-def _sample_forward(b):
-    shift, cdf, pick = b.lib.repro_sample_shift, b.lib.repro_sample_cdf, b.lib.repro_sample_pick
+def sample_step(lib, rows, v, temperature, gens):
+    """``serve_sample`` bound once to ``rows`` rows of ``v`` float32
+    logits at ``temperature > 0`` without a top-k cut, drawing from
+    ``gens``: ``step(logits)`` draws one token per row into an int64
+    array it reuses and returns it, or returns ``False``, having drawn
+    nothing, where the reference decides — a non-finite row (the
+    reference raises)."""
+    shift, pick = lib.repro_sample_shift, lib.repro_sample_pick
+    # The uniforms go into a ctypes array one by one: in a step that runs
+    # cold after a decode, cheaper than a NumPy slice assignment from a
+    # list (≈ 0.1 µs against ≈ 3 µs for four rows).
+    buf, u, out = np.empty((rows, v), F8), (ctypes.c_double * rows)(), np.empty(rows, I64)
+    pb, pu, po = addr(buf), ctypes.addressof(u), addr(out)
+    exp, t, draws = np.exp, float(temperature), tuple(enumerate(g.random for g in gens))
 
+    def step(logits):
+        if not shift(addr(logits), pb, rows, v, t):
+            return False
+        exp(buf, buf)
+        for r, draw in draws:
+            u[r] = draw()
+        pick(pb, pu, po, rows, v)
+        return out
+
+    step.buffers = buf, u  # the C holds their addresses: they live as long
+    return step
+
+
+def _sample_forward(b):
     def run(logits, temperature, top_k, gens):
         rows, v = logits.shape
         if temperature <= 0 or top_k is not None and top_k < v:
             return False  # greedy, or a top-k cut: the reference's
-        buf = np.empty((rows, v), F8)
-        pb = addr(buf)
-        if not shift(addr(logits), pb, rows, v, float(temperature)):
-            return False
-        np.exp(buf, out=buf)
-        if not cdf(pb, rows, v):
-            return False  # a non-finite row: the reference raises
-        u = np.array([g.random() for g in gens])
-        out = np.empty(rows, I64)
-        pick(pb, addr(u), addr(out), rows, v)
-        return (out,)
+        out = sample_step(b.lib, rows, v, temperature, gens)(logits)
+        return out is not False and (out,)
 
     return run
 

@@ -20,7 +20,10 @@ record for just that unit and bumps ``lower_segment_fallbacks``; a
 backward one runs the op's own ``backward`` — lowering never changes
 semantics, only dispatch.  The wrappers here (``_OP_ITEM`` /
 ``_HOST_ITEM`` forward, :func:`make_backward`, and :func:`direct` for
-host callers outside any graph) are the only place that happens.
+host callers outside any graph) are the only place that happens —
+except for a caller that binds its operands once and asks
+:func:`native` once, instead of guarding every call (the serving decode
+plan, :mod:`repro.serving.plan`).
 """
 
 from __future__ import annotations
@@ -41,7 +44,10 @@ from repro.autograd.lower.kernels.base import I64, Build, Kernel
 from repro.autograd.lower.segmenter import Analysis, PyUnit, analyze
 from repro.observability.metrics import registry
 
-__all__ = ["LoweredPlan", "attach", "bind", "direct", "load_prelude"]
+__all__ = [
+    "LoweredPlan", "attach", "bind", "binding", "current_binding", "direct",
+    "load_prelude", "native",
+]
 
 logger = logging.getLogger(__name__)
 
@@ -235,8 +241,9 @@ class LoweredPlan:
 # ----------------------------------------------------------------------
 # The direct-call face: an entry on plain arrays, outside any graph
 # ----------------------------------------------------------------------
-#: ``entry -> (guarded runner, reference)``, bound on the entry's first
-#: direct call.
+#: ``entry -> (guarded runner, reference, library)``, bound on the
+#: entry's first direct call; the library is ``None`` when the entry is
+#: pinned to its reference.
 _direct: Dict[Kernel, tuple] = {}
 _DIRECT_CALLS = registry().counter("lower_direct_calls")
 
@@ -250,7 +257,7 @@ def direct(entry: Kernel) -> Callable:
     (:func:`_bind_direct`)."""
 
     def call(*ops):
-        guarded, reference = _direct.get(entry) or _bind_direct(entry)
+        guarded, reference, _ = _direct.get(entry) or _bind_direct(entry)
         res = guarded(*ops)
         if res:
             _DIRECT_CALLS.value += 1
@@ -258,6 +265,36 @@ def direct(entry: Kernel) -> Callable:
         return reference(*ops)
 
     return call
+
+
+def binding(entry: Kernel) -> tuple:
+    """``entry``'s direct binding ``(guarded runner, reference, library)``,
+    bound on first use like a first direct call (counting nothing).  A
+    caller that keeps what it bound checks it still is the entry's
+    (:data:`current_binding`): a rebind replaces the object."""
+    return _direct.get(entry) or _bind_direct(entry)
+
+
+#: ``current_binding(entry)``: the entry's binding now, ``None`` before
+#: its first call.
+current_binding = _direct.get
+
+
+def native(entry: Kernel, *ops):
+    """The prelude library ``entry`` runs ``ops`` on, or ``None`` when
+    the entry is pinned to its reference or its contract does not admit
+    ``ops``.  For a caller that binds operands once and then calls the
+    C itself: these are the clauses :func:`direct` checks on every call,
+    checked here once."""
+    lib = binding(entry)[2]
+    return lib if lib is not None and _admits(entry)(*ops) else None
+
+
+@functools.lru_cache(maxsize=None)
+def _admits(entry: Kernel) -> Callable:
+    """``entry``'s contract as a predicate on its operands: its guard
+    around a runner that only says yes."""
+    return entry.contract.guard(lambda *ops: True)
 
 
 def _bind_direct(entry: Kernel) -> tuple:
@@ -281,7 +318,8 @@ def _bind_direct(entry: Kernel) -> tuple:
                 kernels.replaced(entry).__name__,
             )
             guarded = _unavailable(registry().counter("lower_segment_fallbacks"))
-    _direct[entry] = guarded, reference
+            lib = None
+    _direct[entry] = guarded, reference, lib
     return _direct[entry]
 
 

@@ -106,8 +106,8 @@ class CausalSelfAttention(Module):
         cached decode step at cache length ``t`` computes, through the
         same code: that shared computation is the whole bit-identity
         argument.  When ``kv_sink`` (a ``LayerKV``) is given, the freshly
-        projected K/V rows are written into the cache so subsequent
-        ``forward_step`` calls can extend this window.
+        projected K/V rows are written into the cache so that decode
+        steps (:mod:`repro.serving.plan`) can extend this window.
         """
         batch, seq, _ = x.shape
         qkv = self.qkv(x).data.reshape(batch, seq, 3, self.num_heads, self.head_dim)
@@ -119,23 +119,3 @@ class CausalSelfAttention(Module):
         rows = np.arange(batch * seq)
         ctx = attention_rows(q, k, v, rows // seq, rows % seq + 1, self._scale())
         return self.proj(Tensor(ctx.reshape(batch, seq, self.hidden_size)))
-
-    def forward_step(self, x: Tensor, layer_kv, positions, slots) -> Tensor:
-        """One-token decode: append K/V to the cache, attend over it.
-
-        ``x`` is ``(B, 1, H)`` hidden states for the newest token of each
-        active sequence; ``positions[j]`` is the cache length of slot
-        ``slots[j]`` before this step.  K/V rows are appended in place at
-        ``positions[j]`` and the query attends over the ``L+1`` cached
-        rows of its own slot only, so logits are independent of which
-        other sequences share the decode batch.
-        """
-        batch = x.shape[0]
-        qkv = self.qkv(x).data.reshape(batch, 3, self.num_heads, self.head_dim)
-        K, V = layer_kv.k, layer_kv.v
-        K[slots, ..., positions] = qkv[:, 1]
-        V[slots, :, positions] = qkv[:, 2]
-        ctx = attention_rows(
-            np.ascontiguousarray(qkv[:, 0]), K, V, slots, positions + 1, self._scale()
-        )
-        return self.proj(Tensor(ctx.reshape(batch, 1, self.hidden_size)))

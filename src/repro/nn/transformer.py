@@ -89,23 +89,6 @@ class TransformerBlock(Module):
             ffn_out, aux = ffn_out
         return self._residual(x, ffn_out), aux
 
-    def forward_step(self, x: Tensor, layer_kv, positions, slots) -> Tensor:
-        """One-token decode through this block against a KV cache.
-
-        Same composition as ``forward`` under inference (the residual
-        adds around attention and FFN); only the attention swaps in the
-        cached step kernel.  Runs under
-        :func:`~repro.autograd.inference_mode`, so the FFN (dense or MoE)
-        takes its own inference branch and any auxiliary loss it would
-        report is dropped.
-        """
-        attn_out = self.attn.forward_step(self.ln1(x), layer_kv, positions, slots)
-        x = x + self.dropout(attn_out)
-        ffn_out = self.ffn(self.ln2(x))
-        if isinstance(ffn_out, tuple):
-            ffn_out = ffn_out[0]
-        return x + self.dropout(ffn_out)
-
 
 class TransformerLM(Module):
     """Decoder-only language model with swappable FFN layers.
@@ -191,6 +174,11 @@ class TransformerLM(Module):
         _, seq = ids_arr.shape
         if seq > self.max_seq_len:
             raise ValueError(f"sequence length {seq} exceeds max {self.max_seq_len}")
+        if cache is not None and seq > cache.max_seq_len:
+            raise ValueError(
+                f"KV cache full: a {seq}-token window does not fit its "
+                f"max_seq_len ({cache.max_seq_len}); slide the window first"
+            )
         positions = np.arange(seq)[None, :]
         x = self.tok_emb(ids_arr) + self.pos_emb(positions)
         x = self.dropout(x)
@@ -242,30 +230,20 @@ class TransformerLM(Module):
         inference_mode — and independent of which other sequences share
         the batch, which is what lets the scheduler admit and evict
         mid-flight without perturbing anyone's sampling.
+
+        The step runs the cache's :class:`~repro.serving.plan.DecodePlan`
+        for this row count: the blocks' calls bound once, replayed per
+        token.  Raises ``ValueError`` ("KV cache full") when a sequence
+        is at ``min(max_seq_len, cache.max_seq_len)``.
         """
-        from repro.autograd.tensor import inference_mode
+        from repro.serving.plan import decode
 
         if not is_inference():
+            from repro.autograd.tensor import inference_mode
+
             with inference_mode():
-                return self.forward_step(ids_t, cache, slots)
-        ids_arr = np.asarray(ids_t, dtype=np.int64).reshape(-1)
-        idx = (
-            np.arange(len(cache.lengths)) if slots is None else np.asarray(slots)
-        )
-        positions = cache.lengths[idx]
-        if positions.max() >= self.max_seq_len:
-            raise ValueError(
-                "KV cache full: a sequence is at max_seq_len "
-                f"({self.max_seq_len}); slide the window (re-prefill) first"
-            )
-        x_np = self.tok_emb.weight.data[ids_arr] + self.pos_emb.weight.data[positions]
-        x = Tensor(np.ascontiguousarray(x_np[:, None, :]))
-        for i, block in enumerate(self.blocks):
-            x = block.forward_step(x, cache.layers[i], positions, idx)
-        x = self.ln_f(x)
-        logits = self._head(x)
-        cache.lengths[idx] = positions + 1
-        return logits.data[:, 0, :]
+                return decode(self, ids_t, cache, slots)
+        return decode(self, ids_t, cache, slots)
 
     def generate(
         self,

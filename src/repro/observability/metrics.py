@@ -26,6 +26,8 @@ values, so mutating a snapshot never touches a live instrument.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
 from typing import Dict, List
 
 import numpy as np
@@ -85,6 +87,18 @@ class Histogram:
         if len(self.values) > self.max_samples:
             # Keep every other sample; percentiles stay representative.
             self.values = self.values[::2]
+
+    def observe_all(self, values: List[float]) -> None:
+        """:meth:`observe` each of ``values`` (Python floats), in order, in
+        one call: the same samples, ``count`` and ``sum``."""
+        kept = self.values
+        if len(kept) + len(values) > self.max_samples:
+            for value in values:
+                self.observe(value)
+            return
+        kept += values
+        self.count += len(values)
+        self.sum = reduce(add, values, self.sum)
 
     def percentile(self, q: float) -> float:
         """Value at percentile ``q`` in [0, 100]; 0.0 when empty."""

@@ -91,7 +91,7 @@ from repro.autograd.lower import runtime
 from repro.autograd.lower.kernels import layernorm, serve
 from repro.observability.metrics import registry
 
-_I64 = np.dtype(np.int64)
+_I64, _F4 = np.dtype(np.int64), np.dtype(np.float32)
 
 _REG = registry()
 # Resolved once: a serving call bumps handles and looks nothing up.
@@ -111,9 +111,45 @@ _attention = runtime.direct(serve.ATTENTION)
 layer_norm = runtime.direct(layernorm.LN)
 #: ``sample_rows(logits, temperature, top_k, gens)``:
 #: :func:`repro.serving.sampling.sample_rows` — the same tokens and the
-#: same draws — in three native calls around ``np.exp`` for float32
+#: same draws — in two native calls around ``np.exp`` for float32
 #: ``(rows, vocab)`` logits at ``temperature > 0`` without a top-k cut.
 sample_rows = runtime.direct(serve.SAMPLE)
+_DIRECT_CALLS = _REG.counter("lower_direct_calls")
+
+
+def bound_sample_rows(gens, vocab: int, temperature: float, top_k):
+    """:data:`sample_rows` bound to one batch — its generators ``gens``,
+    ``vocab``-wide logits and one sampling setting — for a caller that
+    samples that batch every step (the scheduler): ``sampler(logits)``
+    draws the same tokens from the same streams as ``sample_rows(logits,
+    temperature, top_k, gens)``, with ``serve_sample``'s buffers and
+    pointers bound once.  The ids come back in an array the next call
+    reuses.  Each call checks the entry's contract on its logits (a
+    decode hands over a new array every step); a call the bound C does
+    not take, or one after the entry was bound again, is
+    :data:`sample_rows`'."""
+    held = runtime.binding(serve.SAMPLE)
+    lib, rows = held[2], len(gens)
+    step = None
+    if lib is not None and temperature > 0 and (top_k is None or top_k >= vocab):
+        step = serve.sample_step(lib, rows, vocab, temperature, gens)
+    current, shape, strides = runtime.current_binding, (rows, vocab), (4 * vocab, 4)
+
+    def sampler(logits):
+        # The entry's contract at this batch's shape: C-contiguous
+        # float32 (rows, vocab), one generator per row.
+        if (
+            step is not None and type(logits) is np.ndarray and logits.dtype is _F4
+            and logits.shape == shape and logits.strides == strides
+            and current(serve.SAMPLE) is held
+        ):
+            out = step(logits)
+            if out is not False:
+                _DIRECT_CALLS.value += 1
+                return out
+        return sample_rows(logits, temperature, top_k, gens)
+
+    return sampler
 
 
 def work_summary(gemm_flops: int, attn_flops: int, seconds: float, wall: str) -> str:

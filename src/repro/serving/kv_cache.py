@@ -61,9 +61,10 @@ class KVCache:
     """KV storage plus per-slot lengths for a batch of decode slots.
 
     ``lengths[b]`` is the number of cached positions for slot ``b``; the
-    model's ``forward`` (prefill) and ``forward_step`` maintain it.  Use
-    as a context manager, or call :meth:`release`, to return the buffers
-    to the arena pool.
+    model's ``forward`` (prefill) and ``forward_step`` maintain it.
+    ``plans`` holds the decode plans bound to this cache, one per row
+    count (:mod:`repro.serving.plan`).  Use as a context manager, or call
+    :meth:`release`, to return the buffers to the arena pool.
     """
 
     def __init__(
@@ -78,6 +79,7 @@ class KVCache:
         self.batch_slots = batch_slots
         self.max_seq_len = max_seq_len
         self.lengths = np.zeros(batch_slots, dtype=np.int64)
+        self.plans: dict = {}
         pool = get_arena()
         k_shape = (batch_slots, num_heads, head_dim, max_seq_len)
         v_shape = (batch_slots, num_heads, max_seq_len, head_dim)
@@ -123,7 +125,9 @@ class KVCache:
         return sum(l.k.nbytes + l.v.nbytes for l in self.layers)
 
     def release(self) -> None:
-        """Surrender the K/V buffers back to the arena pool."""
+        """Surrender the K/V buffers back to the arena pool, and drop the
+        decode plans that point into them."""
+        self.plans.clear()
         pool = get_arena()
         for layer in self.layers:
             pool.surrender(layer.k)

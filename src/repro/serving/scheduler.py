@@ -47,7 +47,7 @@ import numpy as np
 from repro.observability.metrics import registry
 from repro.observability.tracing import span
 from repro.serving.engine import InferenceEngine
-from repro.serving.kernels import sample_rows, work_summary
+from repro.serving.kernels import bound_sample_rows, sample_rows, work_summary
 from repro.utils.rng import get_rng
 
 
@@ -81,18 +81,18 @@ class GenerationResult:
 
 
 class _Sequence:
-    """In-flight decode state for one admitted request."""
+    """Decode state for one request: built when it is submitted (its
+    token buffer and RNG), given a slot when it is admitted."""
 
     __slots__ = (
         "request", "slot", "ids", "n", "window_start", "logits", "rng",
-        "submit_t", "first_token_t", "last_token_t", "done_reason",
+        "submit_t", "first_token_t", "last_token_t", "done_reason", "eos",
+        "turn",
     )
 
-    def __init__(
-        self, request: Request, slot: int, submit_t: float, max_seq_len: int
-    ) -> None:
+    def __init__(self, request: Request, max_seq_len: int) -> None:
         self.request = request
-        self.slot = slot
+        self.slot = -1
         prompt = np.asarray(request.prompt, dtype=np.int64).reshape(-1)
         self.ids = np.empty(len(prompt) + request.max_new_tokens, dtype=np.int64)
         self.ids[: len(prompt)] = prompt
@@ -100,10 +100,16 @@ class _Sequence:
         self.window_start = max(0, len(prompt) - max_seq_len)
         self.logits: Optional[np.ndarray] = None
         self.rng = get_rng(request.seed)
-        self.submit_t = submit_t
+        self.submit_t = self.last_token_t = 0.0  # set on admission
         self.first_token_t: Optional[float] = None
-        self.last_token_t = submit_t
         self.done_reason: Optional[str] = None
+        self.eos = request.eos_token_id
+        self.set_turn(max_seq_len)
+
+    def set_turn(self, max_seq_len: int) -> None:
+        """Set ``turn``: the length at which this sequence leaves plain
+        decoding — its budget spent, or its window at the edge."""
+        self.turn = min(len(self.ids), self.window_start + max_seq_len + 1)
 
     @property
     def prompt_len(self) -> int:
@@ -158,9 +164,22 @@ class ContinuousBatchingScheduler:
             else max_batch_size * self.max_seq_len
         )
         self.cache = engine.new_cache(max_batch_size)
-        self.queue: Deque[Request] = deque()
+        self.queue: Deque[_Sequence] = deque()
         self.active: Dict[int, _Sequence] = {}  # slot -> sequence
         self.free_slots: List[int] = list(range(max_batch_size))[::-1]
+        # The decode batch — ``active`` in order — with its slots, RNGs
+        # and (when every sequence shares it) its sampling setting,
+        # re-formed on admission and eviction only; ``_logits`` is the
+        # last decode's output while its rows are the batch's, in order
+        # (otherwise each sequence holds its own row).
+        self._batch: List[_Sequence] = []
+        self._slots = np.zeros(0, dtype=np.int64)
+        self._gens: List[np.random.Generator] = []
+        self._setting: Optional[tuple] = None
+        self._logits: Optional[np.ndarray] = None
+        self._sampler = None  # bound_sample_rows over the batch, on first use
+        self._fresh: List[_Sequence] = []  # admitted, first token not sampled
+        self._last_token_t = 0.0  # when the batch last got its tokens
         self.peak_concurrency = 0
         #: Wall clock of this scheduler's working steps and the serving-GEMM
         #: and attention FLOPs spent inside them (each quotient is a rate).
@@ -193,7 +212,9 @@ class ContinuousBatchingScheduler:
         if request.max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
         self._requests.value += 1
-        self.queue.append(request)
+        # Set up here, off the step that admits it: that step holds up
+        # every sequence in flight.
+        self.queue.append(_Sequence(request, self.max_seq_len))
         return request.request_id
 
     def close(self) -> None:
@@ -207,21 +228,42 @@ class ContinuousBatchingScheduler:
     # -- admission -------------------------------------------------------
     def _admit(self, now: float) -> None:
         budget_used = self.committed_tokens
+        admitted = False
         while self.queue and self.free_slots:
-            req = self.queue[0]
-            peak = min(
-                len(req.prompt) + req.max_new_tokens, self.max_seq_len
-            )
+            seq = self.queue[0]
+            peak = seq.peak_tokens(self.max_seq_len)
             if self.active and budget_used + peak > self.token_budget:
                 break  # token budget full; wait for evictions
+            if not admitted:
+                self._hand_out_logits()
+                admitted = True
             self.queue.popleft()
-            slot = self.free_slots.pop()
-            seq = _Sequence(req, slot, now, self.max_seq_len)
+            seq.slot = self.free_slots.pop()
+            seq.submit_t = seq.last_token_t = now
             self._prefill(seq)
-            self.active[slot] = seq
+            self.active[seq.slot] = seq
+            self._fresh.append(seq)
             budget_used += peak
+        if admitted:
+            self._rebatch()
         self.peak_concurrency = max(self.peak_concurrency, len(self.active))
         self._active_sequences.set(len(self.active))
+
+    def _rebatch(self) -> None:
+        """Re-form the decode batch from ``active`` (admission, eviction)."""
+        batch = self._batch = list(self.active.values())
+        self._slots = np.array([seq.slot for seq in batch], dtype=np.int64)
+        self._gens = [seq.rng for seq in batch]
+        settings = {(seq.request.temperature, seq.request.top_k) for seq in batch}
+        self._setting = settings.pop() if len(settings) == 1 else None
+        self._sampler = None
+
+    def _hand_out_logits(self) -> None:
+        """Give each sequence its row of the last decode's logits."""
+        if self._logits is not None:
+            for seq, row in zip(self._batch, self._logits):
+                seq.logits = row
+            self._logits = None
 
     def _prefill(self, seq: _Sequence) -> None:
         """Solo prefill of ``seq``'s current window into its slot."""
@@ -242,68 +284,110 @@ class ContinuousBatchingScheduler:
         t0 = time.perf_counter()
         gemm0, attn0 = self._gemm_flops.value, self._attn_flops.value
         finished: List[GenerationResult] = []
-        active = self.active
         with span("serve/step"):
-            if self.queue:
+            if self.queue and self.free_slots:
                 self._admit(t0)
-            if not active:
+            batch = self._batch
+            if not batch:
                 return finished
 
             # Sample the next token of every active sequence from the
-            # logits computed last step (or at prefill).
+            # logits computed last step (or at prefill): straight from
+            # the decode's output when it is the batch's, in one call
+            # when the batch shares its sampling setting.
             now = time.perf_counter()
-            seqs = list(active.values())
-            latency = self._token_latency
-            for seq, tok in zip(seqs, _sample(seqs)):
-                seq.ids[seq.n] = tok
-                seq.n += 1
-                if seq.first_token_t is None:
-                    seq.first_token_t = now
-                    self._ttft.observe((now - seq.submit_t) * 1e3)
-                latency.observe((now - seq.last_token_t) * 1e3)
-                seq.last_token_t = now
-                eos = seq.request.eos_token_id
-                if eos is not None and tok == eos:
-                    seq.done_reason = "eos"
-                elif seq.n == len(seq.ids):
-                    seq.done_reason = "length"
-            self._tokens_generated.value += len(seqs)
-
-            # Evict finished sequences before computing further logits.
-            for seq in seqs:
-                if seq.done_reason is not None:
-                    finished.append(self._finish(seq))
-                    del active[seq.slot]
-                    self.free_slots.append(seq.slot)
-            self._active_sequences.set(len(active))
-
-            # Advance the survivors: sequences at the window edge take a
-            # solo re-prefill (sliding-window eviction); the rest share
-            # one batched decode step.
-            batch: List[_Sequence] = []
-            ids: List[int] = []
-            slots: List[int] = []
-            for seq in active.values():
-                if (seq.n - 1) - seq.window_start >= self.max_seq_len:
-                    seq.window_start = seq.n - self.max_seq_len
-                    self._prefill(seq)
-                else:
-                    batch.append(seq)
-                    ids.append(seq.ids[seq.n - 1])
-                    slots.append(seq.slot)
-            if batch:
-                with span("serve/decode"):
-                    logits = self.engine.decode_step(
-                        np.array(ids, dtype=np.int64), self.cache, slots=slots
+            if self._setting is not None:
+                logits = self._logits
+                if logits is None:
+                    logits = np.array([seq.logits for seq in batch])
+                if self._sampler is None:
+                    self._sampler = bound_sample_rows(
+                        self._gens, logits.shape[1], *self._setting
                     )
-                for seq, row in zip(batch, logits):
-                    seq.logits = row
+                picked = self._sampler(logits)
+                tokens = picked.tolist()
+            else:
+                self._hand_out_logits()
+                tokens = _sample(batch)
+                picked = np.array(tokens, dtype=np.int64)
+            # Every sequence gets a token every step: one admitted this
+            # step waited since its submission (its first token), every
+            # other one since the last step.  The fresh come last.
+            fresh = self._fresh
+            waited = [(now - self._last_token_t) * 1e3] * (len(batch) - len(fresh))
+            for seq in fresh:
+                seq.first_token_t = now
+                waited.append((now - seq.submit_t) * 1e3)
+                self._ttft.observe(waited[-1])
+            fresh.clear()
+            self._token_latency.observe_all(waited)
+            self._last_token_t = now
+            turn = False
+            for seq, tok in zip(batch, tokens):
+                n = seq.n
+                seq.ids[n] = tok
+                seq.n = n = n + 1
+                if tok == seq.eos or n == seq.turn:
+                    turn = True
+            self._tokens_generated.value += len(batch)
+
+            if not turn:
+                # Every sequence decodes, in batch order: its logits are
+                # the next step's batch logits.
+                with span("serve/decode"):
+                    self._logits = self.engine.decode_step(
+                        picked, self.cache, slots=self._slots
+                    )
+            else:
+                self._advance(finished, now)
         dt = time.perf_counter() - t0
         self._step_ms.observe(dt * 1e3)
         self.step_seconds += dt
         self.step_gemm_flops += self._gemm_flops.value - gemm0
         self.step_attn_flops += self._attn_flops.value - attn0
         return finished
+
+    def _advance(self, finished: List[GenerationResult], now: float) -> None:
+        """Evict finished sequences (their last token came ``now``), then
+        advance the survivors: sequences at the window edge take a solo
+        re-prefill (sliding-window eviction); the rest share one batched
+        decode."""
+        self._logits = None
+        active = self.active
+        for seq in self._batch:
+            if seq.eos is not None and seq.ids[seq.n - 1] == seq.eos:
+                seq.done_reason = "eos"
+            elif seq.n == len(seq.ids):
+                seq.done_reason = "length"
+            else:
+                continue
+            seq.last_token_t = now
+            finished.append(self._finish(seq))
+            del active[seq.slot]
+            self.free_slots.append(seq.slot)
+        if finished:
+            self._rebatch()
+            self._active_sequences.set(len(active))
+        decode: List[_Sequence] = []
+        for seq in self._batch:
+            if (seq.n - 1) - seq.window_start >= self.max_seq_len:
+                seq.window_start = seq.n - self.max_seq_len
+                seq.set_turn(self.max_seq_len)
+                self._prefill(seq)
+            else:
+                decode.append(seq)
+        if not decode:
+            return
+        with span("serve/decode"):
+            logits = self.engine.decode_step(
+                np.array([seq.ids[seq.n - 1] for seq in decode], dtype=np.int64),
+                self.cache, slots=np.array([seq.slot for seq in decode], dtype=np.int64),
+            )
+        if len(decode) == len(self._batch):
+            self._logits = logits
+        else:
+            for seq, row in zip(decode, logits):
+                seq.logits = row
 
     def _finish(self, seq: _Sequence) -> GenerationResult:
         return GenerationResult(

@@ -561,7 +561,7 @@ def test_registry_is_consistent():
         ).stdout
         exported = set(re.findall(r"\b(repro_\w+)$", listing, re.M))
         assert exported == set(owners)
-    assert len(owners) == 47
+    assert len(owners) == 46
 
     forward = [e.name for e in kernels.TABLE if e.forward]
     backward = [e.bwd_name for e in kernels.TABLE if e.backward]

@@ -41,11 +41,11 @@ _spec.loader.exec_module(step_probe)
 #: three PRs with nothing to notice it).
 REPLAY_CEILING = 0.71
 CC_CEILING = 0.62
-#: A 4-slot decode step of the same model, served: the kernel table's
-#: direct entries native over the same step with each pinned to its
-#: reference measured 0.505 (CPython 3.11: 7 225 / 14 293 opcodes); the
-#: ceiling sits 7 % above.
-DECODE_CEILING = 0.54
+#: A 4-slot decode step of the same model, served: its decode plan bound
+#: to the kernel table's C over the same plan built with every entry
+#: pinned to its reference measured 0.101 (CPython 3.11: 1 291 / 12 777
+#: opcodes); the ceiling sits 7 % above.
+DECODE_CEILING = 0.108
 
 
 @pytest.fixture(autouse=True)
@@ -78,11 +78,12 @@ def _model():
 
 @contextlib.contextmanager
 def _pinned_to_references():
-    """Every direct entry bound to a runner that declines: each call
-    runs its reference, as with no prelude, but counts nothing."""
+    """Every direct entry bound to a runner that declines and to no
+    library: each call runs its reference, as with no prelude, but counts
+    nothing, and a decode plan built meanwhile binds none of the C."""
     decline = lambda *ops: False  # noqa: E731
     runtime._direct.update(
-        {e: (decline, kernels.reference(e)) for e in kernels.TABLE if e.checks}
+        {e: (decline, kernels.reference(e), None) for e in kernels.TABLE if e.checks}
     )
     try:
         yield

@@ -269,3 +269,19 @@ class TestSnapshotEditsMoveNoModuleRead:
         assert ag_stats.nodes_fused() == 1
         assert get_arena().stats()["hits"] >= 0
         ag_stats.reset()
+
+
+def test_observe_all_is_observe_in_turn():
+    """One call for a batch keeps the samples, count and sum that one
+    ``observe`` per value keeps — across the decimation boundary too."""
+    rng = np.random.default_rng(0)
+    for start in (0, 10, 13, 15):
+        one, batch = Histogram(max_samples=16), Histogram(max_samples=16)
+        for v in rng.random(start).tolist():
+            one.observe(v)
+            batch.observe(v)
+        values = rng.random(4).tolist()
+        for v in values:
+            one.observe(v)
+        batch.observe_all(values)
+        assert (one.values, one.count, one.sum) == (batch.values, batch.count, batch.sum)

@@ -156,11 +156,43 @@ def test_native_sampler_leaves_greedy_top_k_cuts_and_failures_to_the_reference()
             sample_rows(logits, temperature, top_k, theirs),
         )
         assert [g.random() for g in ours] == [g.random() for g in theirs]
-    for bad in (np.nan, np.inf):
+    for bad in (np.nan, np.inf, "row of -inf"):
         poisoned = logits.copy()
-        poisoned[1, 3] = bad
+        if bad == "row of -inf":
+            poisoned[1] = -np.inf
+        else:
+            poisoned[1, 3] = bad
         gens = _gens(2, 3)
         with pytest.raises(ValueError, match="not finite"), np.errstate(invalid="ignore"):
             native(poisoned, 1.0, None, gens)
         # Nothing was drawn before the failure.
         assert [g.random() for g in gens] == [g.random() for g in _gens(2, 3)]
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_a_bound_sampler_draws_the_references_tokens_step_after_step(seed, shared):
+    """``bound_sample_rows`` — the scheduler's sampler, bound once per
+    batch — samples what ``sample_rows`` samples, step after step, and
+    leaves every generator where the reference leaves it.  Shared
+    generators (one stream for every row) keep their row order; logits
+    outside the bound shape or dtype go through ``sample_rows``."""
+    _native()
+    from repro.serving.kernels import bound_sample_rows
+
+    rng = np.random.default_rng(seed)
+    rows, vocab = int(rng.integers(1, 6)), int(rng.integers(2, 700))
+    if shared:
+        ours, theirs = [np.random.default_rng(seed)] * rows, [np.random.default_rng(seed)] * rows
+    else:
+        ours, theirs = _gens(seed, rows), _gens(seed, rows)
+    temperature = float(rng.choice([0.5, 1.0, 2.0]))
+    sampler = bound_sample_rows(ours, vocab, temperature, None)
+    for step in range(4):
+        logits = (rng.standard_normal((rows, vocab)) * 3.0).astype(np.float32)
+        if step == 3:
+            logits = logits.astype(np.float64)  # outside the bound contract
+        got = sampler(logits).copy()
+        want = sample_rows(logits, temperature, None, theirs)
+        assert np.array_equal(got, want), step
+    assert [g.random() for g in ours] == [g.random() for g in theirs]

@@ -63,6 +63,27 @@ def test_results_match_solo_generate(system):
         assert res.finish_reason == "length"
 
 
+def test_results_match_solo_generate_through_the_bound_sampler():
+    """Requests that share ``temperature > 0`` without a top-k cut: the
+    scheduler samples its batch straight from the decode's output, each
+    sequence drawing from its own generator — and every request still
+    emits what it emits alone."""
+    engine = InferenceEngine(make_model("dmoe", top_k=2))
+    reqs = [
+        Request(prompt=np.arange(2 + i) % VOCAB, max_new_tokens=MAX_SEQ + i,
+                temperature=1.0, seed=500 + i)
+        for i in range(5)
+    ]
+    sched = ContinuousBatchingScheduler(engine, max_batch_size=3)
+    results = sched.run(reqs)
+    sched.close()
+    for res, req in zip(results, reqs):
+        solo = engine.generate(
+            req.prompt[None, :], req.max_new_tokens, temperature=1.0, rng=req.seed
+        )[0]
+        assert np.array_equal(res.tokens, solo), res.request_id
+
+
 def test_mid_flight_admission():
     """Requests submitted after stepping join without disturbing others."""
     model = make_model("dense")

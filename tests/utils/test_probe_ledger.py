@@ -71,6 +71,18 @@ def test_rows_are_keyed_and_the_newest_was_recorded():
     assert set(NEWEST["serve_hash"]) == set(step_probe.SERVED)
     for rung in ("eager", "cc"):
         assert set(NEWEST["hash"][rung]) == set(NEWEST["opcodes"][rung]) == set(step_probe.SHAPES)
+    # The fields a recorded row gained after the ledger's first rows.
+    assert set(NEWEST["opcodes"]) == {"eager", "replay", "cc"}
+    assert set(NEWEST["opcodes"]["replay"]) == set(step_probe.SHAPES)
+    assert set(NEWEST["lowering"]) == set(step_probe.SHAPES)
+    for shape in step_probe.SHAPES:
+        counts = NEWEST["lowering"][shape]
+        assert 0 < counts["native"] <= counts["lowered"] <= counts["total"], shape
+    assert NEWEST["tier1_ids"] > 0
+
+
+def test_newest_row_holds_the_trees_kernel_table():
+    assert step_probe.kernel_table() == NEWEST["kernel_table"]
 
 
 def test_newest_row_holds_the_trees_serving_bits():

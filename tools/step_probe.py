@@ -27,16 +27,23 @@ machines (opcode counts across one Python and NumPy version):
     gives the ``lower_direct_calls`` it made: its crossings into the
     kernel table's C.
 
+``--lowering``
+    Per training shape, the ``cc`` step graph's replay records after
+    three steps: how many run native (in C), how many are lowered (off
+    the interpreter) and how many there are — ``lower report``'s two
+    coverages on the bench's own model.
+
 ``--record PR``
     Every reading above — ``--hash`` on ``eager`` and ``cc``, ``--hash
-    --serve``, ``--opcodes`` on ``eager`` and ``cc`` at steps 3-5,
-    ``--opcodes --serve`` — plus the ``src/`` and ``tests/`` line counts,
-    as one row of the committed ledger ``BENCH_probe.json``, keyed by the
-    PR number, the parent commit (``HEAD``: record on the uncommitted
-    change) and the Python and NumPy versions.  A row with the same key is
-    replaced; any other is appended.  ``tests/utils/test_probe_ledger.py``
-    holds the tree to the newest row, so a change that moves a reading
-    records a row.
+    --serve``, ``--opcodes`` on ``eager``, ``replay`` and ``cc`` at steps
+    3-5, ``--opcodes --serve``, ``--lowering`` — plus the kernel table's
+    entry and C symbol counts, the tier-1 test ids and the ``src/`` and
+    ``tests/`` line counts, as one row of the committed ledger
+    ``BENCH_probe.json``, keyed by the PR number, the parent commit
+    (``HEAD``: record on the uncommitted change) and the Python and NumPy
+    versions.  A row with the same key is replaced; any other is
+    appended.  ``tests/utils/test_probe_ledger.py`` holds the tree to the
+    newest row, so a change that moves a reading records a row.
 
 The trainer is ``bench/workloads.build_trainer`` and the served model
 ``bench/workloads.build_model`` (imported, never modified), single
@@ -47,6 +54,7 @@ learning rate the benchmark times.
     PYTHONPATH=src python tools/step_probe.py --opcodes --workload small_decode --top 12
     PYTHONPATH=src python tools/step_probe.py --opcodes --serve
     PYTHONPATH=src python tools/step_probe.py --hash --serve
+    PYTHONPATH=src python tools/step_probe.py --lowering
     PYTHONPATH=src python tools/step_probe.py --record N
 """
 
@@ -220,6 +228,37 @@ def serve_hash(name: str, steps: int = SERVE_HASH_STEPS) -> str:
     return h.hexdigest()
 
 
+def lowering(trainer, steps: int = WARMUP_STEPS) -> Tuple[int, int, int]:
+    """``(native, lowered, total)`` replay records of ``trainer``'s ``cc``
+    step graph after ``steps`` steps."""
+    from repro.autograd import lower
+
+    for step in range(steps):
+        trainer.train_step(step)
+    analysis = lower.analyze(trainer.step_graph)
+    return len(analysis.native), len(analysis.lowered), analysis.total
+
+
+def kernel_table() -> dict:
+    """The kernel table's entries and the C functions they export."""
+    from repro.autograd.lower import kernels
+
+    return {
+        "entries": len(kernels.TABLE),
+        "symbols": sum(len(entry.symbols) for entry in kernels.TABLE),
+    }
+
+
+def tier1_ids() -> int:
+    """Test ids tier-1 collects (``pytest tests``)."""
+    out = subprocess.run(  # the repository's ``addopts`` (``-q``) print one id a line
+        [sys.executable, "-m", "pytest", "--collect-only", "-p", "no:cacheprovider",
+         os.path.join(REPO, "tests")],
+        capture_output=True, text=True, check=True, cwd=REPO,
+    ).stdout
+    return sum("::" in line for line in out.splitlines())
+
+
 def python_lines(top: str) -> int:
     """Lines of every ``.py`` file under ``REPO/top``."""
     n = 0
@@ -256,6 +295,14 @@ def read_opcodes(*args: str) -> dict:
     return out
 
 
+def read_lowering() -> dict:
+    """``--lowering`` as ``{shape: {"native": N, "lowered": L, "total": T}}``."""
+    return {
+        w[0]: {"native": int(w[2]), "lowered": int(w[3]), "total": int(w[4])}
+        for w in readings("--lowering")  # name lowering N L T
+    }
+
+
 def read_serve_opcodes(*args: str) -> dict:
     """``--opcodes --serve`` as ``{workload: {"prefill"|"decode":
     {"opcodes": N, "lower_direct_calls": K}}}``."""
@@ -279,8 +326,11 @@ def ledger_row(pr: int) -> dict:
         "source": "step_probe --record",
         "hash": {b: read_hashes("--backend", b) for b in rungs},
         "serve_hash": read_hashes("--serve"),
-        "opcodes": {b: read_opcodes("--backend", b) for b in rungs},
+        "opcodes": {b: read_opcodes("--backend", b) for b in ("eager", "replay", "cc")},
         "serve_opcodes": read_serve_opcodes(),
+        "lowering": read_lowering(),
+        "kernel_table": kernel_table(),
+        "tier1_ids": tier1_ids(),
         "lines": {"src": python_lines("src"), "tests": python_lines("tests")},
     }
 
@@ -303,6 +353,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     mode = ap.add_mutually_exclusive_group(required=True)
     mode.add_argument("--hash", action="store_true", help="trajectory sha256 per workload")
     mode.add_argument("--opcodes", action="store_true", help="interpreter opcodes per step")
+    mode.add_argument(
+        "--lowering", action="store_true",
+        help="native / lowered / total replay records of the cc step graph",
+    )
     mode.add_argument(
         "--record", type=int, metavar="PR",
         help="take every reading and record it in BENCH_probe.json as PR's row",
@@ -335,6 +389,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"{name} serve {what}: {total} opcodes, {crossings} lower_direct_calls")
                 for function, n in per_function.most_common(args.top):
                     print(f"    {n:8d} {100.0 * n / total:5.1f}%  {function}")
+            continue
+        if args.lowering:
+            native, lowered, total = lowering(build_trainer(name, "cc"))
+            print(f"{name} lowering {native} {lowered} {total}")
             continue
         trainer = build_trainer(name, args.backend)
         if args.hash:
