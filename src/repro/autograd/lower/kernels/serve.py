@@ -1,21 +1,20 @@
 """Row-stable serving: the GEMMs, attention rows, the MoE layer, sampling.
 
-Six direct entries, run on plain arrays (through
-:func:`repro.autograd.lower.runtime.direct`) and compared with the NumPy
-references their callers keep: ``serve_gemm`` (fp32, bias epilogue),
-``serve_grouped`` (every expert group of one product in one call),
-``serve_grouped_i8`` (int8 weights converted in-register, scale and bias
-epilogue) and ``attn_rows`` (the scores/context pair around ``np.exp``)
-from :mod:`repro.serving.kernels`, whose docstring states the contract
-they honour — the accumulation order per output element, and why a
-row's result cannot depend on the rows beside it; ``serve_moe`` (a
-served MoE layer: router GEMM, softmax, top-k, grouping, both expert
-GEMMs, GELU and combine in three calls around ``np.exp`` and
-``np.tanh``; reference :func:`repro.moe.inference.moe_forward_ref`) and
-``serve_sample`` (the scheduler's token sampling in two calls around
-``np.exp`` and the draws; reference
-:func:`repro.serving.sampling.sample_rows`).  The two composite entries
-run the products of the first three, so their rows are as stable.
+Four direct entries, run on plain arrays (through
+:func:`repro.autograd.lower.runtime.direct` or a binding held by the
+caller) and compared with the NumPy
+references their callers keep: ``serve_gemm`` (fp32, bias epilogue) and
+``attn_rows`` (the scores/context pair around ``np.exp``) from
+:mod:`repro.serving.kernels`, whose docstring states the contract they
+honour — the accumulation order per output element, and why a row's
+result cannot depend on the rows beside it; ``serve_moe`` (a served MoE
+layer: router GEMM, softmax, top-k, grouping, both expert GEMMs — fp32,
+or int8 converted in registers with a scale and bias epilogue — GELU and
+combine in three calls around ``np.exp`` and ``np.tanh``; reference
+:func:`repro.moe.inference.moe_forward_ref`) and ``serve_sample`` (the
+scheduler's token sampling in two calls around ``np.exp`` and the draws;
+reference :func:`repro.serving.sampling.sample_rows`).  The MoE layer's
+products run the GEMM's loops, so its rows are as stable.
 
 Their C is one run of the prelude, last in table order, in the order of
 the entries below: the GEMM's source opens it (types, the per-ISA tile
@@ -317,7 +316,7 @@ NOINLINE void NAME(const float *x, const WT *w, const float *scale,         \
 GEMM(gemm_float, float)
 GEMM(gemm_i8, i8)
 
-/* y = x @ w (+ bias): stable_linear / stable_matmul. */
+/* y = x @ w (+ bias): stable_linear. */
 void repro_serve_gemm(const float *x, const float *w, const float *bias,
                       float *out, i64 M, i64 K, i64 N)
 {
@@ -328,41 +327,6 @@ void repro_serve_gemm(const float *x, const float *w, const float *bias,
 _GEMM_C = _GEMM_TEMPLATE.replace("@ISA_512@", _render_isa(16, 4)).replace(
     "@ISA_256@", _render_isa(8, 2)
 )
-
-_GROUPED_C = r"""
-/* Every expert group of one product in one call.  offs is the (G+1,)
-   row prefix sum over x's T rows; empty groups are skipped.  Returns the
-   rows computed, or -1 (nothing written) if a group leaves [0, T]. */
-#define GROUPED(NAME, WT)                                                   \
-i64 NAME(const float *x, const i64 *offs, const WT *w, const float *scale,  \
-         const float *bias, float *out, i64 T, i64 G, i64 K, i64 N)         \
-{                                                                           \
-    i64 rows = 0;                                                           \
-    for (i64 g = 0; g < G; g++)                                             \
-        if (offs[g] < offs[g + 1] && (offs[g] < 0 || offs[g + 1] > T))      \
-            return -1;                                                      \
-    for (i64 g = 0; g < G; g++) {                                           \
-        const i64 s = offs[g], m = offs[g + 1] - s;                         \
-        if (m <= 0) continue;                                               \
-        gemm_##WT(x + s * K, w + g * K * N, scale ? scale + g * N : 0,      \
-                  bias ? bias + g * N : 0, out + s * N, m, K, N);           \
-        rows += m;                                                          \
-    }                                                                       \
-    return rows;                                                            \
-}
-
-i64 repro_serve_grouped(const float *x, const i64 *offs, const float *w,
-                        const float *scale, const float *bias, float *out,
-                        i64 T, i64 G, i64 K, i64 N);
-GROUPED(repro_serve_grouped, float)
-"""
-
-_GROUPED_I8_C = r"""
-i64 repro_serve_grouped_i8(const float *x, const i64 *offs, const i8 *w,
-                           const float *scale, const float *bias, float *out,
-                           i64 T, i64 G, i64 K, i64 N);
-GROUPED(repro_serve_grouped_i8, i8)
-"""
 
 _ATTN_C = r"""
 /* Causal attention, one query row per (sequence, position).  Row r reads
@@ -533,8 +497,8 @@ _MOE_C = r"""
      their weights (each over their pairwise sum with normalize); the
      copies grouped by expert, ascending copy id within one (a stable
      argsort, as make_padded_plan); their rows of x gathered into g;
-     a = g @ w1 + b1 per expert (w1 int8 with s1: * s1 first), the
-     serve_grouped loop; inner = C * (a + K * (a * a * a)).
+     a = g @ w1 + b1 per occupied expert (w1 int8 with s1: * s1 first);
+     inner = C * (a + K * (a * a * a)).
    repro_moe_down, after inner = tanh(inner): a = (0.5 * a) * (1 + t);
      g = a @ w2 + b2 per expert; each copy's row times its weight, then
      stored in its token's row (top-1), or added to it in grouped order
@@ -809,27 +773,6 @@ def _gemm_forward(b):
     return run
 
 
-def _grouped_forward(symbol):
-    def build(b):
-        cfn = getattr(b.lib, symbol)
-
-        def run(x, offsets, w, bias, scale=None):
-            g, k, n = w.shape
-            t = x.shape[0]
-            out = np.empty((t, n), F4)
-            if cfn(
-                addr(x), addr(offsets), addr(w),
-                None if scale is None else addr(scale),
-                None if bias is None else addr(bias), addr(out), t, g, k, n,
-            ) < 0:
-                return None
-            return (out,)
-
-        return run
-
-    return build
-
-
 def _attention_forward(b):
     scores, context = b.lib.repro_attn_scores, b.lib.repro_attn_context
 
@@ -1002,24 +945,6 @@ _GEMM_CONTRACT = Contract(
 )
 
 
-def _grouped_contract(wdtype, *extra):
-    return Contract(
-        Arr(0, rank=2),
-        Arr(1, I64, rank=1),
-        Arr(2, wdtype, rank=3),
-        *extra,
-        Live("x's width is w's, N > 1, nothing empty, a contiguous float32 "
-             "bias (and scale) per group, G + 1 offsets from x's first row "
-             "to its last",
-             lambda x, o, w, b, s=None: x.shape[1] == w.shape[1] and w.shape[2] > 1
-             and x.size and w.size and o.shape[0] == w.shape[0] + 1 and (
-                 b is None or type(b) is ndarray and b.dtype is F4
-                 and b.shape == w.shape[::2] and b.flags.c_contiguous
-             ) and (s is None or s.shape == w.shape[::2])
-             and o[0] == 0 and o[-1] == x.shape[0]),
-    )
-
-
 _ATTN_CONTRACT = Contract(
     Arr(0, rank=3),
     Arr(1, rank=4),
@@ -1056,46 +981,6 @@ def _gemm_fuzz(rng):
 def _gemm_rows(args, pick):
     x, w, b = args
     return x.reshape(-1, x.shape[-1])[pick], w, b
-
-
-def _grouped_args(rng, sizes, k, n, int8):
-    g, t = len(sizes), int(sum(sizes))
-    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-    x, b = f32(rng, t, k), f32(rng, g, n)
-    if not int8:
-        return x, offsets, f32(rng, g, k, n), b
-    q = rng.integers(-127, 128, size=(g, k, n)).astype(np.int8)
-    return x, offsets, q, b, (rng.random((g, n)) + 0.5).astype(np.float32)
-
-
-def _grouped_checks(int8):
-    """Both epilogues (and int8 conversion) over skipped groups, a
-    tiled group and streamed ones."""
-    return lambda rng: [_grouped_args(rng, [0, 9, 1, 1], 24, 70, int8)]
-
-
-def _grouped_fuzz(int8):
-    def fuzz(rng):
-        sizes = rng.integers(0, 13, size=int(rng.integers(1, 9)))
-        sizes[int(rng.integers(len(sizes)))] += 1
-        k, n = int(rng.integers(1, 97)), int(rng.integers(2, 201))
-        return _grouped_args(rng, sizes, k, n, int8)
-
-    return fuzz
-
-
-def _grouped_rows(args, pick):
-    """Each picked row keeps its group: a run of rows from one group is
-    one group of the new call."""
-    x, offsets, w, *per_group = args
-    pick = np.asarray(pick)
-    group = np.searchsorted(offsets, pick, side="right") - 1
-    first = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
-    runs = group[first]
-    return (
-        x[pick], np.append(first, len(pick)).astype(np.int64), w[runs],
-        *(None if a is None else a[runs] for a in per_group),
-    )
 
 
 def _attention_args(rng, heads, d, cap, kv_index, lengths, slots, scale=0.37):
@@ -1237,24 +1122,6 @@ GEMM = Kernel(
     checks=_gemm_checks,
     rows=_gemm_rows,
 )
-GROUPED = Kernel(
-    "serve_grouped", "repro.serving.kernels._grouped_ref",
-    source=_GROUPED_C,
-    contract=_grouped_contract(F4),
-    forward=_grouped_forward("repro_serve_grouped"),
-    fuzz=_grouped_fuzz(False),
-    checks=_grouped_checks(False),
-    rows=_grouped_rows,
-)
-GROUPED_I8 = Kernel(
-    "serve_grouped_i8", "repro.serving.kernels._grouped_i8_ref",
-    source=_GROUPED_I8_C,
-    contract=_grouped_contract(np.dtype(np.int8), Arr(4)),
-    forward=_grouped_forward("repro_serve_grouped_i8"),
-    fuzz=_grouped_fuzz(True),
-    checks=_grouped_checks(True),
-    rows=_grouped_rows,
-)
 ATTENTION = Kernel(
     "attn_rows", "repro.serving.kernels._attention_rows_ref",
     source=_ATTN_C,
@@ -1292,4 +1159,4 @@ SAMPLE = Kernel(
     rows=_sample_rows,
 )
 
-KERNELS = (GEMM, GROUPED, GROUPED_I8, ATTENTION, MOE, SAMPLE)
+KERNELS = (GEMM, ATTENTION, MOE, SAMPLE)

@@ -16,12 +16,15 @@ skips, in order:
 
 Instead the dispatch is ScatterMoE-style and padding-free: a
 ``PaddedPlan`` at block size 1 (exact expert grouping, zero padding
-rows) feeds :func:`repro.sparse.dispatch.grouped_rows_gemm`, and the
-outputs are scattered back weighted by router confidence.  That is
-:func:`moe_forward_ref`, the NumPy form.  A layer with the plain
-``Router`` and GELU experts runs the same steps, bit for bit, as the
-kernel table's ``serve_moe`` entry: three C calls around one ``np.exp``
-and one ``np.tanh`` (:mod:`repro.autograd.lower.kernels.serve`).
+rows), one product per occupied expert, and the outputs scattered back
+weighted by router confidence.  A layer with the plain ``Router`` and
+GELU experts runs it as the kernel table's ``serve_moe`` entry: three C
+calls around one ``np.exp`` and one ``np.tanh``
+(:mod:`repro.autograd.lower.kernels.serve`).  Its reference,
+:func:`moe_forward_ref`, is the same steps in NumPy, the expert products
+through :func:`repro.sparse.dispatch.grouped_rows_gemm` (one einsum per
+group, fp32 and int8 tables alike); it is also the path of every layer
+the entry does not take.
 
 Two semantic notes:
 
@@ -30,12 +33,12 @@ Two semantic notes:
   sequence's logits depend on decode-batch composition — unacceptable
   for continuous batching (and bad for quality).  At inference every
   routed token-copy is computed, for every variant.
-- **Bit-stability.** All GEMMs run through the row-stable kernels of
-  :mod:`repro.serving.kernels` (each expert product is one grouped call
-  over every occupied expert, fp32 or int8), and top-k copies are combined in a fixed per-token
-  expert-grouped order, so a token's output is bitwise independent of
-  the other tokens in the batch — the KV-cached decode bit-identity
-  rests on this.
+- **Bit-stability.** Every GEMM runs the row-stable accumulation order
+  of :mod:`repro.serving.kernels` (each expert product per occupied
+  expert, fp32 or int8), and top-k copies are combined in a fixed
+  per-token expert-grouped order, so a token's output is bitwise
+  independent of the other tokens in the batch — the KV-cached decode
+  bit-identity rests on this.
 """
 
 from __future__ import annotations
@@ -83,26 +86,20 @@ def moe_forward_ref(layer, x: np.ndarray) -> np.ndarray:
             plan = make_padded_plan(
                 routing.expert_indices, layer.num_experts, block_size=1
             )
-            # (E+1,) int64 row prefix sum: the form the grouped kernel reads.
+            # (E+1,) int64 row prefix sum over the grouped rows.
             offsets = np.zeros(layer.num_experts + 1, dtype=np.int64)
             np.cumsum(plan.tokens_per_expert, out=offsets[1:])
             xg = x[plan.gather_indices]
         with span("experts"):
-            quant = getattr(layer, "_quantized", None)
-            act = ACTIVATIONS[layer.activation]
-            e = layer.experts
-            if quant is not None:
-                h = quant.apply_ffn1(xg, offsets)
-                h = act(Tensor(h)).data
-                yg = quant.apply_ffn2(h, offsets)
+            q, e = getattr(layer, "_quantized", None), layer.experts
+            if q is None:
+                w1, b1, s1 = e.w1.data, e.b1.data, None
+                w2, b2, s2 = e.w2.data, e.b2.data, None
             else:
-                h = grouped_rows_gemm(
-                    xg, offsets, e.w1.data, e.b1.data, stable=True
-                )
-                h = act(Tensor(h)).data
-                yg = grouped_rows_gemm(
-                    h, offsets, e.w2.data, e.b2.data, stable=True
-                )
+                w1, b1, s1, w2, b2, s2 = q.q1, q.b1, q.s1, q.q2, q.b2, q.s2
+            h = grouped_rows_gemm(xg, offsets, w1, b1, scale=s1)
+            h = ACTIVATIONS[layer.activation](Tensor(h)).data
+            yg = grouped_rows_gemm(h, offsets, w2, b2, scale=s2)
         with span("combine"):
             weights = routing.expert_weights.data.reshape(-1)
             yg = yg * weights[plan.copy_indices][:, None]

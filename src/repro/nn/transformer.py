@@ -163,7 +163,9 @@ class TransformerLM(Module):
         :class:`~repro.serving.kv_cache.KVCache` is given (requires
         inference_mode), each block writes its freshly projected K/V rows
         into the cache — positions are absolute from 0, so the targeted
-        slots must be reset first — and the cache lengths are set to the
+        slots must be reset first, one distinct slot per sequence (all of
+        them, in order, by default; ``ValueError`` before any write
+        otherwise) — and the cache lengths are set to the
         window length so ``forward_step`` can extend it.  A prefill only
         ever samples from the last position, so with a cache the final
         norm and the LM head run on that position alone and ``logits`` is
@@ -171,14 +173,16 @@ class TransformerLM(Module):
         row ``-1`` of the full-window logits at 1/S of the head FLOPs.
         """
         ids_arr = ids.data if isinstance(ids, Tensor) else np.asarray(ids)
-        _, seq = ids_arr.shape
+        batch, seq = ids_arr.shape
         if seq > self.max_seq_len:
             raise ValueError(f"sequence length {seq} exceeds max {self.max_seq_len}")
-        if cache is not None and seq > cache.max_seq_len:
-            raise ValueError(
-                f"KV cache full: a {seq}-token window does not fit its "
-                f"max_seq_len ({cache.max_seq_len}); slide the window first"
-            )
+        if cache is not None:
+            if seq > cache.max_seq_len:
+                raise ValueError(
+                    f"KV cache full: a {seq}-token window does not fit its "
+                    f"max_seq_len ({cache.max_seq_len}); slide the window first"
+                )
+            slots = cache.check_slots(slots, batch, "prefill", "sequences")
         positions = np.arange(seq)[None, :]
         x = self.tok_emb(ids_arr) + self.pos_emb(positions)
         x = self.dropout(x)
@@ -198,10 +202,7 @@ class TransformerLM(Module):
         x = self.ln_f(x)
         logits = self._head(x)
         if cache is not None:
-            if slots is None:
-                cache.lengths[:] = seq
-            else:
-                cache.lengths[np.asarray(slots)] = seq
+            cache.lengths[slice(None) if slots is None else slots] = seq
         return TransformerOutput(logits=logits, aux_loss=aux_total)
 
     def _head(self, x: Tensor) -> Tensor:

@@ -43,7 +43,6 @@ _LAZY = {
     "quantize_int8": "repro.serving.quantize",
     "sample_tokens": "repro.serving.sampling",
     "stable_linear": "repro.serving.kernels",
-    "stable_matmul": "repro.serving.kernels",
 }
 
 __all__ = sorted(_LAZY)
@@ -64,7 +63,7 @@ def __dir__():
 
 if TYPE_CHECKING:  # pragma: no cover - typing aid only
     from repro.serving.engine import InferenceEngine
-    from repro.serving.kernels import stable_linear, stable_matmul
+    from repro.serving.kernels import stable_linear
     from repro.serving.kv_cache import KVCache, LayerKV
     from repro.serving.quantize import (
         QuantizedExpertFFN,

@@ -50,23 +50,27 @@ the rows beside it.
 
 Each entry point is a thin caller of one direct table entry
 (:func:`repro.autograd.lower.runtime.direct`) — ``serve_gemm``,
-``serve_grouped``, ``serve_grouped_i8``, ``attn_rows`` — which replaces,
-and is tested against, its reference here (:func:`_linear_ref`,
-:func:`_grouped_ref`, :func:`_grouped_i8_ref`,
-:func:`_attention_rows_ref`).  Two more are the entries themselves:
-:data:`layer_norm` (``ln``'s direct face, reference
-``_LayerNorm.forward``) and :data:`sample_rows` (``serve_sample``,
-reference :func:`repro.serving.sampling.sample_rows`).  An entry binds on its first call and
-must match its reference bit for bit on its check draws before it
-serves anything; a missing toolchain, a failed compile or a failed
-check pins it to the reference, and every such call counts in the
-table's ``lower_toolchain_fallbacks`` / ``lower_segment_fallbacks``.  A
-call the entry's contract does not admit runs the reference by plan and
-counts nothing: an operand not C-contiguous float32 (int8 expert weights
-excepted) or empty, or a GEMM with ``N == 1`` (einsum then reduces over
-``k`` with SIMD partial sums — a different order, kept as is).  NaN
-*payloads* are outside the contract: which NaN survives ``NaN + NaN``
-depends on operand order, which a compiler may swap.
+``attn_rows`` — which replaces, and is tested against, its reference
+here (:func:`_linear_ref`, :func:`_attention_rows_ref`).  Two more are
+the entries themselves: :data:`layer_norm` (``ln``'s direct face,
+reference ``_LayerNorm.forward``) and :func:`bound_sample_rows`
+(``serve_sample`` bound to one batch, reference
+:func:`repro.serving.sampling.sample_rows`).  An entry binds on its
+first call and must match its reference bit for bit on its check draws
+before it serves anything; a missing toolchain, a failed compile or a
+failed check pins it to the reference, and every such call through a
+direct face counts in the table's ``lower_toolchain_fallbacks`` /
+``lower_segment_fallbacks``.  A call the entry's contract does not admit
+runs the reference by plan and counts nothing: an operand not
+C-contiguous float32 or empty, or a GEMM with ``N == 1`` (einsum then
+reduces over ``k`` with SIMD partial sums — a different order, kept as
+is).  NaN *payloads* are outside the contract: which NaN survives
+``NaN + NaN`` depends on operand order, which a compiler may swap.
+
+The expert products of a served MoE layer are not here: ``serve_moe``
+(:mod:`repro.moe.inference`) runs a whole layer in C, and its NumPy
+reference runs them through
+:func:`repro.sparse.dispatch.grouped_rows_gemm`, one einsum per group.
 
 Left alone on purpose: :func:`stable_matmul_tb` (tied LM head — einsum's
 ``ij,kj`` order is a SIMD partial-sum reduction, row-stable but not this
@@ -90,6 +94,7 @@ import numpy as np
 from repro.autograd.lower import runtime
 from repro.autograd.lower.kernels import layernorm, serve
 from repro.observability.metrics import registry
+from repro.serving import sampling
 
 _I64, _F4 = np.dtype(np.int64), np.dtype(np.float32)
 
@@ -102,32 +107,26 @@ _GEMM_CALLS, _GEMM_FLOPS, _ATTN_CALLS, _ATTN_FLOPS = (
 )
 
 _gemm = runtime.direct(serve.GEMM)
-_grouped = runtime.direct(serve.GROUPED)
-_grouped_i8 = runtime.direct(serve.GROUPED_I8)
 _attention = runtime.direct(serve.ATTENTION)
 #: ``layer_norm(x, weight, bias, eps=1e-5)``: ``LayerNorm`` over the last
 #: axis in one native call, the bits of ``_LayerNorm.forward`` (each row
 #: from itself alone).
 layer_norm = runtime.direct(layernorm.LN)
-#: ``sample_rows(logits, temperature, top_k, gens)``:
-#: :func:`repro.serving.sampling.sample_rows` — the same tokens and the
-#: same draws — in two native calls around ``np.exp`` for float32
-#: ``(rows, vocab)`` logits at ``temperature > 0`` without a top-k cut.
-sample_rows = runtime.direct(serve.SAMPLE)
 _DIRECT_CALLS = _REG.counter("lower_direct_calls")
 
 
 def bound_sample_rows(gens, vocab: int, temperature: float, top_k):
-    """:data:`sample_rows` bound to one batch — its generators ``gens``,
+    """``serve_sample`` bound to one batch — its generators ``gens``,
     ``vocab``-wide logits and one sampling setting — for a caller that
     samples that batch every step (the scheduler): ``sampler(logits)``
-    draws the same tokens from the same streams as ``sample_rows(logits,
-    temperature, top_k, gens)``, with ``serve_sample``'s buffers and
-    pointers bound once.  The ids come back in an array the next call
-    reuses.  Each call checks the entry's contract on its logits (a
-    decode hands over a new array every step); a call the bound C does
-    not take, or one after the entry was bound again, is
-    :data:`sample_rows`'."""
+    draws the same tokens from the same streams as the reference,
+    :func:`repro.serving.sampling.sample_rows` ``(logits, temperature,
+    top_k, gens)``, with the entry's buffers and pointers bound once.
+    The ids come back in an array the next call reuses.  Each call checks
+    the entry's contract on its logits (a decode hands over a new array
+    every step); a call the bound C does not take — greedy or a top-k
+    cut, logits of another shape or dtype, a non-finite row — or one
+    after the entry was pinned or bound again, is the reference's."""
     held = runtime.binding(serve.SAMPLE)
     lib, rows = held[2], len(gens)
     step = None
@@ -147,7 +146,7 @@ def bound_sample_rows(gens, vocab: int, temperature: float, top_k):
             if out is not False:
                 _DIRECT_CALLS.value += 1
                 return out
-        return sample_rows(logits, temperature, top_k, gens)
+        return sampling.sample_rows(logits, temperature, top_k, gens)
 
     return sampler
 
@@ -182,31 +181,6 @@ def _linear_ref(x, weight, bias=None):
     if bias is not None:
         y += bias
     return y.reshape(lead + (weight.shape[-1],))
-
-
-def _grouped_ref(x, offsets, stacked_w, stacked_b=None, scale=None):
-    """One :func:`_linear_ref` per occupied row group; with ``scale`` the
-    int8 group is cast to float32 first, and ``* scale[g]`` precedes
-    ``+ b[g]``.  Rows no group covers are zero."""
-    out = np.zeros(
-        (x.shape[0], stacked_w.shape[-1]), np.result_type(x.dtype, stacked_w.dtype)
-    )
-    offs = [int(o) for o in offsets]
-    for s, e, g in zip(offs[:-1], offs[1:], range(stacked_w.shape[0])):
-        if s < e:
-            w = stacked_w[g] if scale is None else stacked_w[g].astype(np.float32)
-            y = _linear_ref(x[s:e], w)
-            if scale is not None:
-                y *= scale[g]
-            if stacked_b is not None:
-                y += stacked_b[g]
-            out[s:e] = y
-    return out
-
-
-def _grouped_i8_ref(x, offsets, stacked_w, stacked_b, scale):
-    """The int8 form: ``astype -> einsum -> *= scale -> += bias`` per group."""
-    return _grouped_ref(x, offsets, stacked_w, stacked_b, scale)
 
 
 def _bad_rows(kv_index: np.ndarray, lengths: np.ndarray, slots: int, cap: int):
@@ -264,11 +238,6 @@ def stable_linear(
     return _gemm(x, weight, bias)
 
 
-def stable_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for 2-D operands, bitwise independent of ``a``'s row count."""
-    return stable_linear(a, b)
-
-
 def stable_matmul_tb(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b.T`` for 2-D operands, row-stable (used by the tied LM head).
 
@@ -277,28 +246,6 @@ def stable_matmul_tb(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     _GEMM_CALLS.value += 1
     _GEMM_FLOPS.value += 2 * a.size * b.shape[0]
     return np.einsum("ij,kj->ik", a, b)
-
-
-def stable_grouped(
-    x: np.ndarray,
-    offsets: np.ndarray,
-    stacked_w: np.ndarray,
-    stacked_b: Optional[np.ndarray] = None,
-    scale: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """All row groups of one expert product in one native call:
-    ``out[s_g:e_g] = x[s_g:e_g] @ w[g] (* scale[g]) (+ b[g])``.
-
-    ``offsets`` is the ``(G + 1,)`` row prefix sum (any integer dtype or
-    a list); ``stacked_w`` is float32, or int8 with float32
-    per-output-channel ``scale`` — converted in-register, so no fp32 copy
-    of the weights exists."""
-    offsets = np.ascontiguousarray(offsets, dtype=_I64)
-    _GEMM_CALLS.value += 1
-    _GEMM_FLOPS.value += 2 * x.size * stacked_w.shape[-1]
-    if scale is None:
-        return _grouped(x, offsets, stacked_w, stacked_b)
-    return _grouped_i8(x, offsets, stacked_w, stacked_b, scale)
 
 
 def attention_rows(

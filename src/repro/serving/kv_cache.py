@@ -106,6 +106,29 @@ class KVCache:
             dtype=model.tok_emb.weight.data.dtype,
         )
 
+    def check_slots(self, slots, rows: int, call: str, noun: str) -> Optional[np.ndarray]:
+        """The slots of a ``call`` (``"decode"`` or ``"prefill"``) over
+        ``rows`` rows (``noun``), checked before anything is written:
+        ``None`` covers every slot, in order, and then needs one row per
+        slot; otherwise one distinct integer slot in ``[0, batch_slots)``
+        per row, returned as an integer array.  Raises ``ValueError``."""
+        n = self.batch_slots
+        if slots is None:
+            if rows != n:
+                raise ValueError(f"{rows} {noun} for {n} cache slots: name the slots")
+            return None
+        at = np.asarray(slots)
+        if at.ndim != 1 or at.dtype.kind not in "iu":
+            raise ValueError(f"{call} slots must be integers, one per row; got {slots!r}")
+        names = at.tolist()
+        if len(names) != rows:
+            raise ValueError(f"{len(names)} {call} slots for {rows} {noun}")
+        if names and (min(names) < 0 or max(names) >= n):
+            raise ValueError(f"{call} slots must lie in [0, {n}); got {names}")
+        if len(set(names)) != rows:
+            raise ValueError(f"{call} slots must be distinct; got {names}")
+        return at
+
     def reset(self, slots: Optional[Sequence[int]] = None) -> None:
         """Clear slots for reuse (admission or sliding-window re-prefill).
 

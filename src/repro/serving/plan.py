@@ -30,9 +30,10 @@ walks one flat tuple of prebound calls.
   bound to ``serve_moe`` keeps its router, settings and ``_quantized``
   tables, a LayerNorm its ``eps``; the cache still holds its K/V layers
   (:meth:`KVCache.release` drops them); every entry keeps its binding.
-  A stale plan is rebuilt.  Then the data guards: one slot per token id,
-  slots in ``[0, batch_slots)``, positions below
-  ``min(model.max_seq_len, cache.max_seq_len)``, all before any write.
+  A stale plan is rebuilt.  Then the data guards: one distinct integer
+  slot per token id, in ``[0, batch_slots)`` (:meth:`KVCache.check_slots`),
+  and positions below ``min(model.max_seq_len, cache.max_seq_len)``, all
+  before any write.
 - *A runner that declines mid-step* (``repro_moe_route`` on a non-finite
   logit) runs that layer's reference into the same buffer, counting
   nothing, as the direct face does.
@@ -77,12 +78,7 @@ def decode(model, ids, cache, slots=None) -> np.ndarray:
     ``TransformerLM.forward_step``."""
     ids = np.asarray(ids, dtype=np.int64).reshape(-1)
     rows = len(ids)
-    if slots is None and rows != cache.batch_slots:
-        raise ValueError(
-            f"{rows} token ids for {cache.batch_slots} cache slots: name the slots"
-        )
-    if slots is not None and len(slots) != rows:
-        raise ValueError(f"{len(slots)} decode slots for {rows} token ids")
+    slots = cache.check_slots(slots, rows, "decode", "token ids")
     plan = cache.plans.get(rows)
     if plan is None or plan.model is not model or not plan.current():
         plan = cache.plans[rows] = DecodePlan(model, cache, rows)
@@ -120,8 +116,8 @@ class DecodePlan:
         emb = self._hold(model, "tok_emb", "weight", "data")
         pos_emb = self._hold(model, "pos_emb", "weight", "data")
         dt = emb.dtype
-        nslots, cap = cache.batch_slots, cache.max_seq_len
-        self._nslots, self._heads = nslots, heads
+        cap = cache.max_seq_len
+        self._heads = heads
         #: Positions must stay below both the cache's rows and the model's.
         self._cap = min(model.max_seq_len, cap)
         self._lengths = cache.lengths
@@ -283,14 +279,11 @@ class DecodePlan:
         ) and all(map(is_, map(runtime.current_binding, self._entries), self._bindings))
 
     def run(self, ids: np.ndarray, slots) -> np.ndarray:
-        """One step: ``(rows, vocab)`` logits, a fresh array."""
+        """One step over checked ``slots`` (``None``: every slot):
+        ``(rows, vocab)`` logits, a fresh array."""
         sl, pos, lens = self._slots, self._pos, self._lens
         self._ids[:] = ids
         sl[:] = self._every if slots is None else slots
-        if sl.min() < 0 or sl.max() >= self._nslots:
-            raise ValueError(
-                f"decode slots must lie in [0, {self._nslots}); got {sl.tolist()}"
-            )
         np.take(self._lengths, sl, out=pos)
         if pos.max() >= self._cap:
             raise ValueError(

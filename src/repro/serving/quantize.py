@@ -7,13 +7,15 @@ attention, and embeddings stay fp32):
     scale[f] = max_i |w[i, f]| / 127
     q[i, f]  = clip(round(w[i, f] / scale[f]), -127, 127)   (int8)
 
-Dequantization happens on the GEMM: ``y = (x @ q) * scale + b`` through
-:func:`repro.sparse.dispatch.grouped_rows_gemm` — the same grouped entry
-the fp32 experts use.  Its native kernel reads the int8 matrix and
-converts in-register, so no fp32 copy of the weights exists at any
-point; its einsum fallback casts one expert's ``(in, out)`` matrix to
-fp32 per occupied group per call (transient, never state) and produces
-the same bits.  Enabled either via ``MoEConfig(quantize_experts="int8")`` +
+Dequantization happens on the GEMM: ``y = (x @ q) * scale + b``.  The
+kernel table's ``serve_moe`` entry runs a whole served MoE layer in C
+and reads the int8 matrices as they are, converting in registers, so no
+fp32 copy of the weights exists at any point; its NumPy reference
+(:func:`repro.moe.inference.moe_forward_ref`, through
+:func:`repro.sparse.dispatch.grouped_rows_gemm`) casts one expert's
+``(in, out)`` matrix to fp32 per occupied group per call (transient,
+never state) and produces the same bits.  Enabled either via
+``MoEConfig(quantize_experts="int8")`` +
 ``InferenceEngine(..., quantize_experts="int8")`` or by calling
 :func:`attach_quantized_experts` directly; only the inference dispatch
 (:mod:`repro.moe.inference`) consults the attached tables, so training
@@ -32,7 +34,6 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.moe.experts import ExpertWeights
-from repro.sparse.dispatch import grouped_rows_gemm
 
 
 def quantize_int8(w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -77,18 +78,6 @@ class QuantizedExpertFFN:
         q1, s1 = quantize_int8(experts.w1.data)
         q2, s2 = quantize_int8(experts.w2.data)
         return cls(q1=q1, s1=s1, b1=experts.b1.data, q2=q2, s2=s2, b2=experts.b2.data)
-
-    def apply_ffn1(self, x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """Dequantize-on-GEMM first FFN layer over expert-grouped rows."""
-        return grouped_rows_gemm(
-            x, offsets, self.q1, self.b1, stable=True, scale=self.s1
-        )
-
-    def apply_ffn2(self, h: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """Dequantize-on-GEMM second FFN layer over expert-grouped rows."""
-        return grouped_rows_gemm(
-            h, offsets, self.q2, self.b2, stable=True, scale=self.s2
-        )
 
     @property
     def weight_bytes(self) -> int:

@@ -47,7 +47,7 @@ import numpy as np
 from repro.observability.metrics import registry
 from repro.observability.tracing import span
 from repro.serving.engine import InferenceEngine
-from repro.serving.kernels import bound_sample_rows, sample_rows, work_summary
+from repro.serving.kernels import bound_sample_rows, work_summary
 from repro.utils.rng import get_rng
 
 
@@ -119,24 +119,6 @@ class _Sequence:
         return min(len(self.ids), max_seq_len)
 
 
-def _sample(seqs: List[_Sequence]) -> List[int]:
-    """One next token per sequence, each from its own RNG stream, in one
-    :func:`sample_rows` call per distinct (temperature, top_k): a
-    sequence samples exactly what it would alone."""
-    groups: Dict[tuple, List[int]] = {}
-    for i, seq in enumerate(seqs):
-        groups.setdefault((seq.request.temperature, seq.request.top_k), []).append(i)
-    tokens = [0] * len(seqs)
-    for (temperature, top_k), rows in groups.items():
-        picked = sample_rows(
-            np.array([seqs[i].logits for i in rows]), temperature, top_k,
-            [seqs[i].rng for i in rows],
-        )
-        for i, tok in zip(rows, picked.tolist()):
-            tokens[i] = tok
-    return tokens
-
-
 class ContinuousBatchingScheduler:
     """Iteration-level scheduler: admit, decode one step, evict, repeat.
 
@@ -167,17 +149,14 @@ class ContinuousBatchingScheduler:
         self.queue: Deque[_Sequence] = deque()
         self.active: Dict[int, _Sequence] = {}  # slot -> sequence
         self.free_slots: List[int] = list(range(max_batch_size))[::-1]
-        # The decode batch — ``active`` in order — with its slots, RNGs
-        # and (when every sequence shares it) its sampling setting,
-        # re-formed on admission and eviction only; ``_logits`` is the
-        # last decode's output while its rows are the batch's, in order
-        # (otherwise each sequence holds its own row).
+        # The decode batch — ``active`` in order — with its slots and
+        # samplers, re-formed on admission and eviction only; ``_logits``
+        # is the last decode's output while its rows are the batch's, in
+        # order (otherwise each sequence holds its own row).
         self._batch: List[_Sequence] = []
         self._slots = np.zeros(0, dtype=np.int64)
-        self._gens: List[np.random.Generator] = []
-        self._setting: Optional[tuple] = None
+        self._samplers: List[tuple] = []
         self._logits: Optional[np.ndarray] = None
-        self._sampler = None  # bound_sample_rows over the batch, on first use
         self._fresh: List[_Sequence] = []  # admitted, first token not sampled
         self._last_token_t = 0.0  # when the batch last got its tokens
         self.peak_concurrency = 0
@@ -250,13 +229,22 @@ class ContinuousBatchingScheduler:
         self._active_sequences.set(len(self.active))
 
     def _rebatch(self) -> None:
-        """Re-form the decode batch from ``active`` (admission, eviction)."""
+        """Re-form the decode batch from ``active`` (admission, eviction),
+        with one ``(rows, sampler)`` per distinct ``(temperature, top_k)``
+        in order of first appearance: the batch rows of that setting, in
+        batch order, and :func:`bound_sample_rows` over their generators.
+        A step samples in this order, so sequences sharing a generator
+        draw from it in this order."""
         batch = self._batch = list(self.active.values())
         self._slots = np.array([seq.slot for seq in batch], dtype=np.int64)
-        self._gens = [seq.rng for seq in batch]
-        settings = {(seq.request.temperature, seq.request.top_k) for seq in batch}
-        self._setting = settings.pop() if len(settings) == 1 else None
-        self._sampler = None
+        groups: Dict[tuple, List[int]] = {}
+        for i, seq in enumerate(batch):
+            groups.setdefault((seq.request.temperature, seq.request.top_k), []).append(i)
+        vocab = self.engine.model.vocab_size
+        self._samplers = [
+            (rows, bound_sample_rows([batch[i].rng for i in rows], vocab, *setting))
+            for setting, rows in groups.items()
+        ]
 
     def _hand_out_logits(self) -> None:
         """Give each sequence its row of the last decode's logits."""
@@ -293,23 +281,20 @@ class ContinuousBatchingScheduler:
 
             # Sample the next token of every active sequence from the
             # logits computed last step (or at prefill): straight from
-            # the decode's output when it is the batch's, in one call
-            # when the batch shares its sampling setting.
+            # the decode's output when it is the batch's and one setting
+            # covers the batch, else each setting's rows gathered.
             now = time.perf_counter()
-            if self._setting is not None:
-                logits = self._logits
-                if logits is None:
-                    logits = np.array([seq.logits for seq in batch])
-                if self._sampler is None:
-                    self._sampler = bound_sample_rows(
-                        self._gens, logits.shape[1], *self._setting
-                    )
-                picked = self._sampler(logits)
-                tokens = picked.tolist()
+            logits = self._logits
+            if logits is None:
+                logits = np.array([seq.logits for seq in batch])
+            samplers = self._samplers
+            if len(samplers) == 1:
+                picked = samplers[0][1](logits)
             else:
-                self._hand_out_logits()
-                tokens = _sample(batch)
-                picked = np.array(tokens, dtype=np.int64)
+                picked = np.empty(len(batch), dtype=np.int64)
+                for rows, sampler in samplers:
+                    picked[rows] = sampler(logits[rows])
+            tokens = picked.tolist()
             # Every sequence gets a token every step: one admitted this
             # step waited since its submission (its first token), every
             # other one since the last step.  The fresh come last.

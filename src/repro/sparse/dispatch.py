@@ -92,7 +92,10 @@ from typing import Optional
 import numpy as np
 
 from repro.autograd import arena
+from repro.observability.metrics import registry
 from repro.sparse.topology import Topology
+
+_GEMM_CALLS, _GEMM_FLOPS = (registry().counter(f"serve_gemm_{w}") for w in ("calls", "flops"))
 
 #: ``auto`` picks per topology; ``grouped`` / ``blocked`` force a path
 #: (grouped still requires a valid plan — invalid structure falls back).
@@ -724,21 +727,33 @@ def grouped_rows_gemm(
     ``PaddedPlan`` at block size 1 — no padding rows at all), so each
     expert's product is a plain row-slice GEMM with no block topology,
     no gather copies, and no scatter-add.  ``group_offsets`` is the
-    ``(num_groups + 1,)`` prefix sum of group sizes; ``stacked_w`` is
-    ``(num_groups, in, out)``.  With ``scale`` (``(num_groups, out)``,
-    implies ``stable``) ``stacked_w`` is int8 and is dequantized on the
-    GEMM: the product runs on the integer values and each output channel
-    is scaled afterwards.
+    ``(num_groups + 1,)`` prefix sum of group sizes (any integers);
+    ``stacked_w`` is ``(num_groups, in, out)``.  With ``scale``
+    (``(num_groups, out)``) ``stacked_w`` is int8 and is dequantized on
+    the GEMM: the product runs on the integer values and each output
+    channel is scaled afterwards.  Rows no group covers are zero.
 
-    Every group is computed by the bitwise row-stable kernels of
-    :mod:`repro.serving.kernels` (``stable`` is accepted and always
-    holds), which is what lets single-token decode batches reproduce
-    full-window expert outputs bit for bit regardless of per-step
-    tokens-per-expert skew: all groups in one native call when the
-    kernel table's grouped entry takes the operands, else that entry's
-    reference — a per-group loop that casts an int8 group to fp32
-    before its product (the native call converts in-register instead).
+    Each occupied group is ``astype(float32)`` (int8 only), then
+    ``np.einsum("ij,jk->ik")`` — the row-stable order of
+    :mod:`repro.serving.kernels` — then ``*= scale[g]``, then
+    ``+= b[g]``: the expert products of the served MoE layer's NumPy
+    reference (:func:`repro.moe.inference.moe_forward_ref`).  ``stable``
+    is ignored (every call is row-stable).  A call counts once in
+    ``serve_gemm_calls`` and its FLOPs in ``serve_gemm_flops``.
     """
-    from repro.serving.kernels import stable_grouped
-
-    return stable_grouped(x, group_offsets, stacked_w, stacked_b, scale)
+    out = np.zeros(
+        (x.shape[0], stacked_w.shape[-1]), np.result_type(x.dtype, stacked_w.dtype)
+    )
+    offs = [int(o) for o in group_offsets]
+    for s, e, g in zip(offs[:-1], offs[1:], range(stacked_w.shape[0])):
+        if s < e:
+            w = stacked_w[g] if scale is None else stacked_w[g].astype(np.float32)
+            y = np.einsum("ij,jk->ik", x[s:e], w)
+            if scale is not None:
+                y *= scale[g]
+            if stacked_b is not None:
+                y += stacked_b[g]
+            out[s:e] = y
+    _GEMM_CALLS.value += 1
+    _GEMM_FLOPS.value += 2 * x.size * stacked_w.shape[-1]
+    return out

@@ -561,11 +561,11 @@ def test_registry_is_consistent():
         ).stdout
         exported = set(re.findall(r"\b(repro_\w+)$", listing, re.M))
         assert exported == set(owners)
-    assert len(owners) == 46
+    assert len(owners) == 44
 
     forward = [e.name for e in kernels.TABLE if e.forward]
     backward = [e.bwd_name for e in kernels.TABLE if e.backward]
-    assert len(forward) == len(set(forward)) == 29
+    assert len(forward) == len(set(forward)) == 27
     assert len(backward) == len(set(backward)) == 15
     names = [e.name for e in kernels.TABLE]
     assert len(names) == len(set(names))

@@ -235,9 +235,9 @@ def test_a_router_that_declines_mid_plan_runs_the_layers_reference(native_rung):
         got = engine.decode_step(np.array([5, 7]), cache)
         assert cache.plans[2] is plan
         # serve_moe counted nothing for the declining layer; its
-        # reference's router and two expert products are direct calls
-        # of their own.
-        assert count("lower_direct_calls") - calls == 6 * len(model.blocks) + 1 + 2
+        # reference's router GEMM is a direct call of its own (its
+        # expert products are NumPy's).
+        assert count("lower_direct_calls") - calls == 6 * len(model.blocks) + 1
         assert fallbacks() == missed
         with pinned_to_references():
             want = engine.decode_step(np.array([5, 7]), reference)
@@ -263,10 +263,14 @@ def test_a_plan_built_with_every_entry_pinned_runs_the_references(native_rung):
         assert np.array_equal(a, b)
 
 
+def _kv(cache) -> list:
+    return [layer.k.tobytes() + layer.v.tobytes() for layer in cache.layers]
+
+
 def test_a_step_names_its_slots_unless_it_covers_every_one():
     engine = InferenceEngine(make_model("dense"))
     cache, _, _ = _decoded(engine, np.zeros((3, 2), np.int64), 1, np.random.default_rng(1))
-    lengths = cache.lengths.copy()
+    lengths, kv = cache.lengths.copy(), _kv(cache)
     with pytest.raises(ValueError, match="name the slots"):
         engine.decode_step(np.array([1, 2]), cache)
     for slots in ([0, 3], [-1, 1]):
@@ -275,7 +279,34 @@ def test_a_step_names_its_slots_unless_it_covers_every_one():
     for slots in ([2], [0, 1, 2]):
         with pytest.raises(ValueError, match="decode slots for 2 token ids"):
             engine.decode_step(np.array([1, 2]), cache, slots=slots)
+    # One distinct integer slot per row: two rows into one slot, a
+    # fractional slot.
+    with pytest.raises(ValueError, match="slots must be distinct"):
+        engine.decode_step(np.array([3, 5]), cache, slots=[1, 1])
+    with pytest.raises(ValueError, match="slots must be integers"):
+        engine.decode_step(np.array([3]), cache, slots=[1.7])
     assert np.array_equal(cache.lengths, lengths)
+    assert _kv(cache) == kv
+    cache.release()
+
+
+def test_a_prefill_names_one_distinct_slot_per_sequence_before_any_write():
+    engine = InferenceEngine(make_model("dense"))
+    cache = engine.new_cache(3)
+    engine.prefill(np.ones((3, 4), np.int64), cache)
+    lengths, kv = cache.lengths.copy(), _kv(cache)
+    one, two = np.full((1, 2), 7, np.int64), np.full((2, 2), 9, np.int64)
+    for ids, slots, match in (
+        (one, [0, 2], "2 prefill slots for 1 sequences"),
+        (two, [1, 1], "slots must be distinct"),
+        (one, [1.0], "slots must be integers"),
+        (one, [3], "slots must lie in"),
+        (two, None, "name the slots"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            engine.prefill(ids, cache, slots=slots)
+    assert np.array_equal(cache.lengths, lengths)
+    assert _kv(cache) == kv
     cache.release()
 
 

@@ -5,10 +5,10 @@ Differential: every GEMM entry point over a grid of awkward shapes and
 over hypothesis-drawn ones, special values, non-owning inputs; the
 attention pair over drawn heads, head sizes and ragged lengths.
 Property: row ``t`` of a batched call equals the single-row call
-(row-stability), the grouped entry equals the per-group loop, the int8
-entry equals the ``astype -> einsum -> *= -> +=`` sequence, an attention
-row is the same alone, in a prefill and in any decode batch, and keys
-past its length change no bit.  Failure paths: every way to lose the
+(row-stability), the MoE reference's grouped product
+(``grouped_rows_gemm``) is the per-group ``astype -> einsum -> *= -> +=``
+sequence, an attention row is the same alone, in a prefill and in any
+decode batch, and keys past its length change no bit.  Failure paths: every way to lose the
 prelude lands on the references with one warning, counted, and identical
 tokens; a clean train-then-serve run counts no fallback at all.
 """
@@ -94,7 +94,7 @@ def test_linear_matches_einsum_on_the_grid(native_rung, m, k):
             took_native = count("lower_direct_calls") - native_before
             assert took_native == (1 if n > 1 else 0), (m, k, n)
             assert bits_equal(got, kernels._linear_ref(x, w, bias)), (m, k, n)
-        assert bits_equal(kernels.stable_matmul(x, w), np.einsum("ij,jk->ik", x, w))
+        assert bits_equal(kernels.stable_linear(x, w), np.einsum("ij,jk->ik", x, w))
 
 
 @settings(derandomize=True)
@@ -184,7 +184,7 @@ def test_every_gemm_is_counted(native_rung):
 
 
 # ----------------------------------------------------------------------
-# The grouped entry (fp32 and int8)
+# The MoE reference's expert products (fp32 and int8), in NumPy
 # ----------------------------------------------------------------------
 GROUPINGS = {
     "empty-groups": [0, 3, 0, 0, 9, 1, 0],
@@ -194,24 +194,37 @@ GROUPINGS = {
 }
 
 
+def per_group(x, offsets, w, b, scale):
+    """Each occupied group's ``astype -> einsum -> *= scale -> += bias``;
+    rows of no group stay zero."""
+    out = np.zeros((x.shape[0], w.shape[-1]), np.float32)
+    for g in range(w.shape[0]):
+        lo, hi = int(offsets[g]), int(offsets[g + 1])
+        if lo < hi:
+            y = np.einsum("ij,jk->ik", x[lo:hi], w[g].astype(np.float32))
+            if scale is not None:
+                y *= scale[g]
+            if b is not None:
+                y += b[g]
+            out[lo:hi] = y
+    return out
+
+
 @pytest.mark.parametrize("int8", [False, True], ids=["fp32", "int8"])
 @pytest.mark.parametrize("sizes", GROUPINGS.values(), ids=GROUPINGS.keys())
-def test_grouped_entry_equals_the_per_group_loop(native_rung, sizes, int8):
+def test_grouped_entry_equals_the_per_group_loop(sizes, int8):
+    """The edge groupings — empty groups, a last group with no rows,
+    every row in one group — with and without a bias: the per-group
+    loop's bits, one serving-GEMM count per call, and no C."""
     rng = np.random.default_rng(sum(sizes))
     for k, n in ((24, 70), (64, 128), (5, 3)):
         x, offs, w, b, scale = grouped_case(rng, sizes, k, n, int8)
-        calls, native = count("serve_gemm_calls"), count("lower_direct_calls")
-        got = grouped_rows_gemm(x, offs, w, b, stable=True, scale=scale)
-        # One native call for the whole product, however many groups.
-        assert count("serve_gemm_calls") - calls == 1
-        assert count("lower_direct_calls") - native == 1
-        assert bits_equal(got, kernels._grouped_ref(x, offs, w, b, scale))
-        # ... and without a bias (fp32 only: int8 tables always carry one).
-        if not int8:
-            assert bits_equal(
-                grouped_rows_gemm(x, offs, w, None, stable=True),
-                kernels._grouped_ref(x, offs, w),
-            )
+        for bias in (b, None):
+            calls, native = count("serve_gemm_calls"), count("lower_direct_calls")
+            got = grouped_rows_gemm(x, offs, w, bias, stable=True, scale=scale)
+            assert count("serve_gemm_calls") - calls == 1
+            assert count("lower_direct_calls") == native
+            assert bits_equal(got, per_group(x, offs, w, bias, scale))
 
 
 @settings(derandomize=True)
@@ -221,51 +234,30 @@ def test_grouped_entry_equals_the_per_group_loop(native_rung, sizes, int8):
     seed=st.integers(0, 2**16),
 )
 def test_grouped_entry_matches_einsum_per_group(sizes, k, n, int8, seed):
-    """Drawn group sizes: each group is its own row-stable product."""
+    """Drawn group sizes: each group is its own row-stable product —
+    ``astype -> einsum -> *= scale -> += bias``."""
     rng = np.random.default_rng(seed)
     x, offs, w, b, scale = grouped_case(rng, sizes, k, n, int8)
     got = grouped_rows_gemm(x, offs, w, b, stable=True, scale=scale)
-    for g, size in enumerate(sizes):
-        lo, hi = int(offs[g]), int(offs[g + 1])
-        if size:
-            y = np.einsum("ij,jk->ik", x[lo:hi], w[g].astype(np.float32))
-            if scale is not None:
-                y *= scale[g]
-            y += b[g]
-            assert bits_equal(got[lo:hi], y)
+    assert bits_equal(got, per_group(x, offs, w, b, scale))
 
 
-def test_int8_entry_equals_the_astype_sequence(native_rung):
-    """``astype -> einsum -> *= scale -> += bias``, without the copy."""
+def test_int8_entry_equals_the_astype_sequence():
+    """``astype -> einsum -> *= scale -> += bias`` over int8 tables, and
+    one call's serving-GEMM count and FLOPs, running no C."""
     rng = np.random.default_rng(3)
-    for rows in (1, 4, 21):  # streamed rows, tiled rows with a ragged tail
+    for rows in (1, 4, 21):
         x, offs, q, b, s = grouped_case(rng, [rows], 96, 130, int8=True)
         y = np.einsum("ij,jk->ik", x, q[0].astype(np.float32))
         y *= s[0]
         y += b[0]
-        assert bits_equal(kernels.stable_grouped(x, offs, q, b, s), y)
-
-
-def test_grouped_entry_declines_what_it_cannot_prove(native_rung):
-    """Offsets past x's rows or of the wrong length, a float64 weight, a
-    strided x: no C runs, and the result is the per-group reference's."""
-    rng = np.random.default_rng(4)
-    x, offs, w, b, _ = grouped_case(rng, [2, 3], 8, 16)
-    past = offs.copy()
-    past[-1] = 9  # a group reaching past x's rows
-    for args in (
-        (x, past, w, b), (x, offs[:-1], w, b), (x, offs, w.astype(np.float64), b),
-        (x[:, ::-1], offs, w, b),
-    ):
-        native = count("lower_direct_calls")
-        out = kernels.stable_grouped(*args)
+        calls, flops, native = (
+            count("serve_gemm_calls"), count("serve_gemm_flops"), count("lower_direct_calls")
+        )
+        assert bits_equal(grouped_rows_gemm(x, offs, q, b, scale=s), y)
+        assert count("serve_gemm_calls") - calls == 1
+        assert count("serve_gemm_flops") - flops == 2 * rows * 96 * 130
         assert count("lower_direct_calls") == native
-        assert np.array_equal(out, kernels._grouped_ref(*args))
-    # int32 / list offsets are converted, not declined.
-    native = count("lower_direct_calls")
-    out = kernels.stable_grouped(x, offs.astype(np.int32), w, b)
-    assert count("lower_direct_calls") == native + 1
-    assert bits_equal(out, kernels._grouped_ref(x, list(offs), w, b))
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.observability.metrics import registry
 from repro.serving.sampling import sample_rows, sample_tokens
 
 
@@ -113,13 +114,21 @@ def test_non_finite_probabilities_raise():
 # The native sampler (the kernel table's ``serve_sample``)
 # ----------------------------------------------------------------------
 def _native():
+    """``serve_sample`` as the scheduler calls it: a sampler bound to the
+    call's rows, setting and generators, called once."""
     from repro.autograd.lower import runtime
 
     if runtime.load_prelude() is None:
         pytest.skip("the prelude is unavailable (no toolchain)")
-    from repro.serving import kernels
+    from repro.serving.kernels import bound_sample_rows
 
-    return kernels.sample_rows
+    return lambda logits, temperature, top_k, gens: bound_sample_rows(
+        gens, logits.shape[1], temperature, top_k
+    )(logits)
+
+
+def _direct_calls() -> int:
+    return registry().counter("lower_direct_calls").value
 
 
 def _gens(seed: int, rows: int):
@@ -140,7 +149,9 @@ def test_native_sampler_draws_the_references_tokens_from_the_same_streams(seed):
     temperature = float(rng.choice([0.25, 1.0, 3.0]))
     top_k = None if seed % 3 else vocab
     ours, theirs = _gens(seed, rows), _gens(seed, rows)
+    before = _direct_calls()
     got = native(logits, temperature, top_k, ours)
+    assert _direct_calls() == before + 1  # the C drew them
     want = sample_rows(logits, temperature, top_k, theirs)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert [g.random() for g in ours] == [g.random() for g in theirs]

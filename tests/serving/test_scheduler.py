@@ -7,6 +7,7 @@ import pytest
 
 from repro.observability.metrics import registry
 from repro.serving.engine import InferenceEngine
+from repro.serving.sampling import sample_rows
 from repro.serving.scheduler import ContinuousBatchingScheduler, GenerationResult, Request
 
 from tests.serving.conftest import MAX_SEQ, VOCAB, make_model
@@ -107,6 +108,47 @@ def test_mid_flight_admission():
         late.prompt[None, :], 5, temperature=0.5, top_k=3, rng=99
     )[0]
     assert np.array_equal(late_res.tokens, solo)
+
+
+def _shared_stream_tokens(engine, prompts, settings, new, seed, order):
+    """Each prompt decoded alone, one generator seeded ``seed`` drawn by
+    the sequences in ``order`` at every step: what a scheduler sharing
+    that generator across the batch must serve."""
+    gen = np.random.default_rng(seed)
+    caches = [engine.new_cache(1) for _ in prompts]
+    logits = [engine.prefill(p[None], c)[0] for p, c in zip(prompts, caches)]
+    tokens = [list(p) for p in prompts]
+    for step in range(new):
+        for i in order:
+            temperature, top_k = settings[i]
+            tokens[i].append(int(sample_rows(logits[i][None], temperature, top_k, [gen])[0]))
+        if step < new - 1:
+            logits = [
+                engine.decode_step(np.array([t[-1]]), c)[0] for t, c in zip(tokens, caches)
+            ]
+    for c in caches:
+        c.release()
+    return tokens
+
+
+def test_a_shared_generator_draws_each_setting_in_first_appearance_order():
+    """Three requests share one ``Generator``; the first and the third
+    share a sampling setting, the second has its own.  Every step draws
+    the first setting's rows in batch order, then the second's — the
+    first, the third, the second — not the batch order."""
+    engine = InferenceEngine(make_model("dense"))
+    prompts = np.random.default_rng(5).integers(0, VOCAB, (3, 4))
+    settings = [(0.8, 7), (1.3, None), (0.8, 7)]
+    shared = np.random.default_rng(77)
+    sched = ContinuousBatchingScheduler(engine, max_batch_size=3)
+    results = sched.run([
+        Request(prompt=p, max_new_tokens=5, temperature=t, top_k=k, seed=shared)
+        for p, (t, k) in zip(prompts, settings)
+    ])
+    sched.close()
+    want = _shared_stream_tokens(engine, prompts, settings, 5, 77, order=(0, 2, 1))
+    assert [r.tokens.tolist() for r in results] == want
+    assert want != _shared_stream_tokens(engine, prompts, settings, 5, 77, order=(0, 1, 2))
 
 
 def test_eos_finish_reason_and_early_eviction():
