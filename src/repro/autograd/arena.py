@@ -48,9 +48,10 @@ The switch decides where a buffer comes from, never which code runs:
 when it is off, :func:`empty` and :func:`zeros` return plain NumPy
 arrays, the ``out=`` helpers (:func:`out_buf`, :func:`binary_buf`,
 :func:`matmul_buf`) return ``None`` — a ufunc given ``out=None``
-allocates exactly what its operator form would — and :func:`release`
-is a no-op.  Call sites pass the helpers' results straight on and
-never branch on them.
+allocates exactly what its operator form would — :func:`release`
+is a no-op, and no buffer plan is recorded or served.  Call sites pass
+the helpers' results straight on and never branch on them; this module
+is the only reader of the switch.
 """
 
 from __future__ import annotations
@@ -199,43 +200,6 @@ class BufferArena:
         self._stash(entry)
         self.released += 1
         return True
-
-    def acquire_detached(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        """A pooled buffer *outside* generation tracking.
-
-        Long-lived state — the serving KV caches — must survive
-        :meth:`next_generation`, which retires every buffer in the live
-        table.  A detached acquire is an :meth:`acquire` (so it reuses
-        pooled memory) taken straight back out of ``_live``, so per-step
-        reclaim cannot take it back.  Return it explicitly
-        with :meth:`surrender` when the owner is done.
-
-        Contents are uninitialized; the caller must overwrite them.
-        """
-        view = self.acquire(shape, dtype)
-        # A below-floor array is a plain malloc and never entered _live.
-        entry = self._live.pop(id(view.base), None)
-        if entry is not None:
-            self._live_bytes -= entry[1].nbytes
-        return view
-
-    def surrender(self, view: np.ndarray) -> None:
-        """Return a buffer from :meth:`acquire_detached` to the pool.
-
-        Below-floor buffers (plain mallocs) just drop to the GC.  The
-        view cache is rebuilt fresh: the detached holder may have carved
-        arbitrary views that are now dead.
-        """
-        base = view
-        while base.base is not None:
-            base = base.base
-        n = base.size
-        if n < MIN_BUCKET:
-            return
-        b = 1 << (n - 1).bit_length()
-        if b != n:  # not a pooled flat base we handed out; let GC take it
-            return
-        self._stash(((b, base.dtype.num), base, {}, 0))
 
     def owns(self, view: np.ndarray) -> bool:
         """True if ``view`` is backed by a currently-live arena buffer."""
@@ -418,9 +382,12 @@ _SCRIPT: Optional[BufferScript] = None
 _SCRIPT_REC: Optional[BufferScript] = None
 
 
-def begin_script_recording() -> BufferScript:
-    """Start recording every ``acquire`` into a fresh buffer plan."""
+def begin_script_recording() -> Optional[BufferScript]:
+    """Start recording every ``acquire`` into a fresh buffer plan;
+    ``None`` (nothing to record) while the arena is off."""
     global _SCRIPT_REC
+    if not _ENABLED:
+        return None
     if _SCRIPT_REC is not None or _SCRIPT is not None:
         raise RuntimeError("a buffer script is already recording or active")
     _SCRIPT_REC = BufferScript()
@@ -461,14 +428,17 @@ def end_script_recording(discard: bool = False) -> Optional[BufferScript]:
     return script
 
 
-def activate_script(script: BufferScript) -> None:
+def activate_script(script: BufferScript) -> bool:
     """Serve subsequent acquires from ``script`` (until deactivated or
-    the plan diverges)."""
+    the plan diverges); ``False`` (not activated) while the arena is off."""
     global _SCRIPT
+    if not _ENABLED:
+        return False
     if _SCRIPT_REC is not None:
         raise RuntimeError("cannot activate a buffer script while recording")
     script.cursor = 0
     _SCRIPT = script
+    return True
 
 
 def deactivate_script() -> Optional[BufferScript]:

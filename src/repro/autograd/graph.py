@@ -465,13 +465,10 @@ class StepGraph:
 
         g_state = get_global_state()
         states = [(g, g.bit_generator.state) for g in self.gens]
-        script = rec = None
-        if arena.is_arena_enabled():
-            script = self._scripts.get(slot)
-            if script is not None:
-                arena.activate_script(script)
-            else:
-                rec = arena.begin_script_recording()
+        # With the arena off, neither a plan is served nor one recorded.
+        script, rec = self._scripts.get(slot), None
+        if script is None or not arena.activate_script(script):
+            script, rec = None, arena.begin_script_recording()
         try:
             if self._lowered is not None:
                 values = self._lowered.run_forward(inputs)

@@ -1,8 +1,8 @@
-"""Optimizer riders: the fused Adam step and the global grad-norm clip.
+"""Optimizer riders: the fused Adam step and the global grad norm.
 
-Not graph units — :func:`repro.autograd.lower.attach_adam` installs
-them on an optimizer — but declared like any other entry, so their C
-is rendered, bound and catalogued through the same table.
+Not graph units — :func:`repro.autograd.lower.attach_adam` binds them
+to one optimizer — but declared like any other entry, so their C is
+rendered, bound and catalogued through the same table.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ static double pw64sq(const float *a, i64 n)
     return pw64sq(a, n2) + pw64sq(a + n2, n - n2);
 }
 
-/* Global grad-norm accumulator for clip_grad_norm: per-gradient
- * partials added in parameter order, exactly like the Python loop's
+/* Global grad-norm accumulator for grad_norm: per-gradient partials
+ * added in parameter order, exactly like the Python loop's
  * ``sq += float(buf.sum())``. */
 double repro_clip_sumsq_f32(void **gs, const i64 *restrict sizes, i64 k)
 {
@@ -119,20 +119,6 @@ double repro_clip_sumsq_f32(void **gs, const i64 *restrict sizes, i64 k)
     for (i64 t = 0; t < k; t++)
         sq += pw64sq((const float *)gs[t], sizes[t]);
     return sq;
-}
-
-/* In-place ``g *= scale`` over every gradient (scale rounds to f32
- * once, like the NEP 50 scalar cast in the ufunc loop): the standalone
- * clip_grad_norm's pass; a training step folds it into repro_adam_f32. */
-void repro_scale_multi_f32(void **gs, const i64 *restrict sizes, i64 k,
-                           double scale_)
-{
-    const float s = (float)scale_;
-    for (i64 t = 0; t < k; t++) {
-        float *g = (float *)gs[t];
-        i64 n = sizes[t];
-        for (i64 i = 0; i < n; i++) g[i] *= s;
-    }
 }
 """
 
@@ -149,7 +135,7 @@ KERNELS = (
         fuzz=_fuzz_tensors,
     ),
     Kernel(
-        "clip", "repro.training.optim.clip_grad_norm",
+        "clip", "repro.training.optim.grad_norm",
         source=_CLIP_C,
         fuzz=_fuzz_tensors,
     ),

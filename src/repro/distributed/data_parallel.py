@@ -19,7 +19,7 @@ import numpy as np
 from repro.distributed.backend import ProcessGroup, bucket_cuts
 from repro.distributed.collectives import CommLog, log_all_reduce
 from repro.nn.module import Module
-from repro.training.optim import Optimizer, clip_scale, grad_norm
+from repro.training.optim import Optimizer, clip_scale
 
 
 def data_parallel_step(
@@ -55,6 +55,6 @@ def data_parallel_step(
         p.grad = mean[lo:hi].reshape(g.shape).astype(p.data.dtype, copy=False)
     scale = 1.0
     if grad_clip > 0:
-        scale = clip_scale(grad_norm(optimizer.params), grad_clip)
+        scale = clip_scale(optimizer.grad_norm(), grad_clip)
     optimizer.step(grad_scale=scale)
     return float(loss.data)

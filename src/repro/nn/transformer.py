@@ -165,12 +165,13 @@ class TransformerLM(Module):
         into the cache — positions are absolute from 0, so the targeted
         slots must be reset first, one distinct slot per sequence (all of
         them, in order, by default; ``ValueError`` before any write
-        otherwise) — and the cache lengths are set to the
-        window length so ``forward_step`` can extend it.  A prefill only
-        ever samples from the last position, so with a cache the final
-        norm and the LM head run on that position alone and ``logits`` is
-        ``(B, 1, vocab)``: row-stable kernels make it bit-identical to
-        row ``-1`` of the full-window logits at 1/S of the head FLOPs.
+        otherwise) — and the cache lengths are set to the window length
+        so :func:`repro.serving.plan.decode` can extend it.  A prefill
+        only ever samples from the last position, so with a cache the
+        final norm and the LM head run on that position alone and
+        ``logits`` is ``(B, 1, vocab)``: row-stable kernels make it
+        bit-identical to row ``-1`` of the full-window logits at 1/S of
+        the head FLOPs.
         """
         ids_arr = ids.data if isinstance(ids, Tensor) else np.asarray(ids)
         batch, seq = ids_arr.shape
@@ -217,34 +218,6 @@ class TransformerLM(Module):
         if self.tie_embeddings:
             return x @ self.tok_emb.weight.transpose()
         return self.lm_head(x)
-
-    def forward_step(self, ids_t, cache, slots=None) -> np.ndarray:
-        """Single-token KV-cached decode; returns ``(B, vocab)`` logits.
-
-        ``ids_t`` holds the newest token id of each active sequence;
-        ``slots`` (default: all cache slots, in order) maps row ``j`` to
-        its cache slot.  Row ``j`` is embedded at absolute position
-        ``cache.lengths[slots[j]]``, each block appends its K/V in place
-        and attends over that slot's cached rows, and the cache lengths
-        advance by one.  Logits are bit-identical to row ``j``'s last
-        position under ``forward`` over the same window inside
-        inference_mode — and independent of which other sequences share
-        the batch, which is what lets the scheduler admit and evict
-        mid-flight without perturbing anyone's sampling.
-
-        The step runs the cache's :class:`~repro.serving.plan.DecodePlan`
-        for this row count: the blocks' calls bound once, replayed per
-        token.  Raises ``ValueError`` ("KV cache full") when a sequence
-        is at ``min(max_seq_len, cache.max_seq_len)``.
-        """
-        from repro.serving.plan import decode
-
-        if not is_inference():
-            from repro.autograd.tensor import inference_mode
-
-            with inference_mode():
-                return decode(self, ids_t, cache, slots)
-        return decode(self, ids_t, cache, slots)
 
     def generate(
         self,

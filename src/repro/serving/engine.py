@@ -1,8 +1,7 @@
 """The inference engine: prefill + KV-cached decode over a TransformerLM.
 
-Wraps a model (duck-typed: ``forward(ids, cache, slots)``,
-``forward_step``, ``max_seq_len``, ``blocks``) with the serving
-primitives the scheduler composes:
+Wraps a ``TransformerLM`` with the serving primitives the scheduler
+composes:
 
 - :meth:`InferenceEngine.prefill` — full-window forward inside
   ``inference_mode`` that writes K/V into the cache and returns the
@@ -30,6 +29,7 @@ import numpy as np
 
 from repro.autograd.tensor import inference_mode
 from repro.serving.kv_cache import KVCache
+from repro.serving.plan import decode
 from repro.serving.quantize import attach_quantized_experts
 from repro.serving.sampling import sample_tokens
 from repro.utils.rng import RngLike, get_rng
@@ -74,9 +74,10 @@ class InferenceEngine:
             return out.logits.data[:, -1, :]
 
     def decode_step(self, ids_t, cache: KVCache, slots=None) -> np.ndarray:
-        """Append one token per active slot; returns ``(B, vocab)`` logits."""
+        """Append one token per active slot; returns ``(B, vocab)`` logits
+        (:func:`repro.serving.plan.decode`)."""
         with inference_mode():
-            return self.model.forward_step(ids_t, cache, slots=slots)
+            return decode(self.model, ids_t, cache, slots)
 
     # ------------------------------------------------------------------
     def generate(

@@ -1,4 +1,4 @@
-"""Per-layer K/V caches for incremental decode, backed by the buffer arena.
+"""Per-layer K/V caches for incremental decode.
 
 Layout, per Transformer layer: V is ``(batch_slots, heads, max_seq_len,
 head_dim)`` and K is stored transposed, ``(batch_slots, heads, head_dim,
@@ -8,13 +8,11 @@ pre-grown to ``max_seq_len`` at construction so the decode loop never
 reallocates — appending a step's tokens is one indexed write per array
 (``K[slots, ..., lengths] = k_new``).
 
-The arrays come from the PR 3 arena's *detached* pool
-(:meth:`BufferArena.acquire_detached`): pooled and bucket-recycled like
-step buffers, but outside generation tracking, because a KV cache must
-survive the per-step ``next_generation()`` reclaim that retires every
-tracked buffer.  :meth:`KVCache.release` surrenders the arrays back to
-the pool, so serving many requests in sequence reuses the same memory
-(zero arena growth after warmup — asserted by the tape-hygiene test).
+A cache owns its arrays: they are allocated with NumPy, outside the
+buffer arena, so no per-step ``next_generation()`` reclaim can take them
+back, and :meth:`KVCache.release` simply drops them.  A scheduler holds
+one cache for its whole run, so there is no memory to recycle between
+caches.
 
 Sliding-window eviction: the model uses *learned absolute* position
 embeddings, so evicting the oldest row cannot be a memmove — the
@@ -31,8 +29,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 import numpy as np
-
-from repro.autograd.arena import get_arena
 
 
 class LayerKV:
@@ -61,10 +57,10 @@ class KVCache:
     """KV storage plus per-slot lengths for a batch of decode slots.
 
     ``lengths[b]`` is the number of cached positions for slot ``b``; the
-    model's ``forward`` (prefill) and ``forward_step`` maintain it.
-    ``plans`` holds the decode plans bound to this cache, one per row
-    count (:mod:`repro.serving.plan`).  Use as a context manager, or call
-    :meth:`release`, to return the buffers to the arena pool.
+    model's ``forward`` (prefill) and :func:`repro.serving.plan.decode`
+    maintain it.  ``plans`` holds the decode plans bound to this cache,
+    one per row count (:mod:`repro.serving.plan`).  Use as a context
+    manager, or call :meth:`release`, to drop the buffers and plans.
     """
 
     def __init__(
@@ -80,14 +76,10 @@ class KVCache:
         self.max_seq_len = max_seq_len
         self.lengths = np.zeros(batch_slots, dtype=np.int64)
         self.plans: dict = {}
-        pool = get_arena()
         k_shape = (batch_slots, num_heads, head_dim, max_seq_len)
         v_shape = (batch_slots, num_heads, max_seq_len, head_dim)
         self.layers: List[LayerKV] = [
-            LayerKV(
-                pool.acquire_detached(k_shape, dtype),
-                pool.acquire_detached(v_shape, dtype),
-            )
+            LayerKV(np.empty(k_shape, dtype), np.empty(v_shape, dtype))
             for _ in range(num_layers)
         ]
 
@@ -148,13 +140,8 @@ class KVCache:
         return sum(l.k.nbytes + l.v.nbytes for l in self.layers)
 
     def release(self) -> None:
-        """Surrender the K/V buffers back to the arena pool, and drop the
-        decode plans that point into them."""
+        """Drop the K/V buffers and the decode plans that point into them."""
         self.plans.clear()
-        pool = get_arena()
-        for layer in self.layers:
-            pool.surrender(layer.k)
-            pool.surrender(layer.v)
         self.layers = []
         self.lengths[:] = 0
 

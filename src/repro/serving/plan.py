@@ -73,9 +73,25 @@ _DIRECT, _GEMM_CALLS, _GEMM_FLOPS, _ATTN_CALLS, _ATTN_FLOPS = (
 
 
 def decode(model, ids, cache, slots=None) -> np.ndarray:
-    """One KV-cached decode step of ``model`` through the cache's plan
-    for this row count, built (or rebuilt) when missing or stale; see
-    ``TransformerLM.forward_step``."""
+    """Single-token KV-cached decode of ``model`` (inside
+    ``inference_mode``); returns ``(B, vocab)`` logits.
+
+    ``ids`` holds the newest token id of each active sequence; ``slots``
+    (default: all cache slots, in order) maps row ``j`` to its cache
+    slot, one distinct slot per row.  Row ``j`` is embedded at absolute
+    position ``cache.lengths[slots[j]]``, each block appends its K/V in
+    place and attends over that slot's cached rows, and the cache
+    lengths advance by one.  Logits are bit-identical to row ``j``'s last
+    position under ``model.forward`` over the same window inside
+    inference_mode — and independent of which other sequences share the
+    batch, which is what lets the scheduler admit and evict mid-flight
+    without perturbing anyone's sampling.
+
+    The step runs the cache's :class:`DecodePlan` for this row count,
+    built (or rebuilt) when missing or stale: the blocks' calls bound
+    once, replayed per token.  Raises ``ValueError`` ("KV cache full")
+    when a sequence is at ``min(max_seq_len, cache.max_seq_len)``.
+    """
     ids = np.asarray(ids, dtype=np.int64).reshape(-1)
     rows = len(ids)
     slots = cache.check_slots(slots, rows, "decode", "token ids")

@@ -4,7 +4,8 @@ Orca/vLLM-style iteration-level scheduling on the NumPy substrate: the
 decode batch is re-formed *every step*.  Queued requests are admitted
 into free cache slots mid-flight (one solo prefill each, so in-flight
 sequences never recompute), every active sequence advances by one token
-per step through a single batched ``forward_step``, and finished
+per step through a single batched decode step
+(:func:`repro.serving.plan.decode`), and finished
 sequences are evicted immediately — their slot and KV rows are reusable
 on the very next step.
 

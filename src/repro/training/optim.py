@@ -7,9 +7,9 @@ optimizer step performs **zero** new array allocations.  Each in-place
 chain mirrors the allocating expression operation for operation (same
 ufuncs, same order, same dtypes), so parameter trajectories are
 bit-identical to it; the allocating expression itself runs only for
-other dtypes.  The buffer arena's switch chooses only whether the
-native C step (installed by ``repro.autograd.lower.attach_adam``) may
-take the update.
+other dtypes.  An optimizer runs native C only where
+``repro.autograd.lower.attach_adam`` bound it (:attr:`Optimizer.native`):
+its step and its gradient norm, never another optimizer's.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd import arena
 from repro.nn.module import Parameter
 
 
@@ -30,38 +29,28 @@ from repro.nn.module import Parameter
 #: after the same all-reduce.
 _CLIP_SCRATCH = threading.local()
 
-#: Native clip passes, installed by repro.autograd.lower.attach_adam:
-#: ``sumsq(params)`` returns the fp64 sum of squares over the (all
-#: non-None) gradients and ``scale(params, s)`` multiplies them in
-#: place; either returns None to decline (non-f32 or non-contiguous
-#: gradients), in which case the NumPy loops below run.  Bit-identical:
-#: C replicates the widening square and NumPy's pairwise f64 summation,
-#: so installing it never changes trajectories.
-_CLIP_CC = None
-
 
 def grad_norm(params: Iterable[Parameter]) -> float:
-    """Global L2 norm of the gradients: one read of every ``p.grad``."""
-    params = [p for p in params if p.grad is not None]
-    if not params:
-        return 0.0
-    native = _CLIP_CC if arena.is_arena_enabled() else None
-    sq = native.sumsq(params) if native is not None else None
-    if sq is None:
-        sq = 0.0
-        for p in params:
-            # Same arithmetic as ``(grad.astype(f64) ** 2).sum()``: the
-            # ``dtype=float64`` selects the double-precision loop, so
-            # inputs are widened *before* squaring, matching the
-            # astype-then-square reference bit for bit while staging
-            # through a reused buffer.
-            n = p.grad.size
-            buf = getattr(_CLIP_SCRATCH, "buf", None)
-            if buf is None or buf.size < n:
-                buf = _CLIP_SCRATCH.buf = np.empty(n, dtype=np.float64)
-            buf = buf[:n].reshape(p.grad.shape)
-            np.multiply(p.grad, p.grad, out=buf, dtype=np.float64)
-            sq += float(buf.sum())
+    """Global L2 norm of the gradients: one read of every ``p.grad``.
+
+    NumPy only: the reference a bound native norm
+    (:meth:`Optimizer.grad_norm`) is held to, bit for bit."""
+    sq = 0.0
+    for p in params:
+        if p.grad is None:
+            continue
+        # Same arithmetic as ``(grad.astype(f64) ** 2).sum()``: the
+        # ``dtype=float64`` selects the double-precision loop, so
+        # inputs are widened *before* squaring, matching the
+        # astype-then-square reference bit for bit while staging
+        # through a reused buffer.
+        n = p.grad.size
+        buf = getattr(_CLIP_SCRATCH, "buf", None)
+        if buf is None or buf.size < n:
+            buf = _CLIP_SCRATCH.buf = np.empty(n, dtype=np.float64)
+        buf = buf[:n].reshape(p.grad.shape)
+        np.multiply(p.grad, p.grad, out=buf, dtype=np.float64)
+        sq += float(buf.sum())
     return float(np.sqrt(sq))
 
 
@@ -86,15 +75,21 @@ def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:
     norm = grad_norm(params)
     scale = clip_scale(norm, max_norm)
     if scale != 1.0:
-        native = _CLIP_CC if arena.is_arena_enabled() else None
-        if native is None or not native.scale(params, scale):
-            for p in params:
-                p.grad *= scale
+        for p in params:
+            p.grad *= scale
     return norm
 
 
 class Optimizer:
     """Base optimizer over a fixed parameter list."""
+
+    #: The native step bound to this optimizer by
+    #: ``repro.autograd.lower.attach_adam``, or None (NumPy).  ``step(lr,
+    #: bc1, bc2, grad_scale)`` takes the whole update and ``sumsq()``
+    #: returns the gradients' fp64 sum of squares; each declines (False /
+    #: None: a non-f32 or non-contiguous array) to the NumPy code, which
+    #: it matches bit for bit.
+    native = None
 
     def __init__(self, params: Iterable[Parameter]) -> None:
         self.params: List[Parameter] = list(params)
@@ -104,6 +99,12 @@ class Optimizer:
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
+
+    def grad_norm(self) -> float:
+        """:func:`grad_norm` of this optimizer's gradients, from the
+        bound native sum of squares when there is one."""
+        sq = None if self.native is None else self.native.sumsq()
+        return grad_norm(self.params) if sq is None else float(np.sqrt(sq))
 
     def step(self, lr: Optional[float] = None, grad_scale: float = 1.0) -> None:
         """Apply one update from ``p.grad * grad_scale``.
@@ -193,14 +194,6 @@ class Adam(Optimizer):
         weight_decay: decoupled (AdamW-style) weight decay.
     """
 
-    #: Whole-model native step (one C call for every parameter),
-    #: installed by repro.autograd.lower.attach_adam; replaces
-    #: ``_in_place`` bit for bit.  Takes (lr, bc1, bc2,
-    #: grad_scale) and returns True when it handled the full update;
-    #: False declines (a non-contiguous or non-fp32 gradient) and the
-    #: per-parameter loop below runs.
-    _cc_multi = None
-
     def __init__(
         self,
         params,
@@ -223,11 +216,7 @@ class Adam(Optimizer):
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        if (
-            arena.is_arena_enabled()
-            and self._cc_multi is not None
-            and self._cc_multi(lr, bc1, bc2, grad_scale)
-        ):
+        if self.native is not None and self.native.step(lr, bc1, bc2, grad_scale):
             return
         for p, m, v in zip(self.params, self._m, self._v):
             if p.grad is None:

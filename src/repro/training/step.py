@@ -32,7 +32,7 @@ telemetry, checkpoints and the data-parallel group.
   graph, and the next micro batch recaptures.
 - ``"cc"``: replay with each captured graph lowered to C
   (``repro.autograd.lower``, ``docs/codegen.md``) and the fused native
-  Adam and clip installed.  Without a C toolchain (or with
+  Adam and grad norm bound to the state's optimizer.  Without a C toolchain (or with
   ``REPRO_NO_CC=1``) it degrades to ``"replay"`` with one warning.
 
 ``"replay"`` and ``"cc"`` are always steady (``TrainerConfig`` sets it):
@@ -60,7 +60,7 @@ from repro.resilience.faults import CollectiveFault, FaultInjector
 from repro.resilience.guardrails import NumericGuard
 from repro.training.config import TrainerConfig
 from repro.training.lr_schedule import LRSchedule
-from repro.training.optim import Adam, Optimizer, clip_scale, grad_norm
+from repro.training.optim import Adam, Optimizer, clip_scale
 from repro.utils.logging import get_logger
 
 logger = get_logger("training")
@@ -91,8 +91,9 @@ class StepState:
             steady_state if self.config.steady_state else contextlib.nullcontext
         )
         if self.config.backend == "cc" and isinstance(self.optimizer, Adam):
-            # Fused native optimizer step + grad-norm clip (bit-identical
-            # mirrors; no-ops without a C toolchain).
+            # Fused native optimizer step + grad norm, bound to this
+            # state's optimizer alone (bit-identical mirrors; no-ops
+            # without a C toolchain).
             from repro.autograd import lower
 
             lower.attach_adam(self.optimizer)
@@ -172,7 +173,7 @@ def run_step(
                 # so the norm is finite exactly when every element is.
                 # The clip scale rides into the optimizer's own sweep
                 # instead of a pass of its own (docs/training.md).
-                norm = grad_norm(optimizer.params)
+                norm = optimizer.grad_norm()
             if not np.isfinite(norm):
                 verdict = gr.NONFINITE_GRAD
             elif guard is not None and guard.spike_detector.is_spike(mean_loss):

@@ -26,7 +26,6 @@ from repro.autograd.lower import kernels, runtime, toolchain
 from repro.observability import registry
 from repro.training import Adam
 from repro.training.optim import clip_grad_norm
-from repro.training import optim as optim_mod
 
 
 @pytest.fixture(autouse=True)
@@ -35,7 +34,6 @@ def _isolated_toolchain(tmp_path, monkeypatch):
     toolchain._reset_for_tests()
     yield
     toolchain._reset_for_tests()
-    optim_mod._CLIP_CC = None
 
 
 needs_cc = pytest.mark.skipif(
@@ -265,7 +263,7 @@ class TestKernelFuzz:
             opts = {name: build() for name in names}
             assert lower.attach_adam(opts["native"])
             assert registry().gauge("optim_bytes_per_step").value == 28 * sum(sizes)
-            assert opts["mirror"]._cc_multi is None
+            assert opts["mirror"].native is None
             feed = np.random.default_rng(17)
             for _ in range(20):  # enough steps for bc1/bc2 to move
                 for k, n in enumerate(sizes):
@@ -301,20 +299,15 @@ class TestKernelFuzz:
                 ps.append(p)
             return ps
 
-        ref = build()
+        ref, cc = build(), build()
+        ref_norm = clip_grad_norm(ref, 1.0)  # NumPy, the arena off
+        opt = Adam(cc)
+        assert lower.attach_adam(opt)
+        assert opt.native.sumsq() is not None  # the C ran: no decline
         with arena.steady_state():
-            assert optim_mod._CLIP_CC is None
-            ref_norm = clip_grad_norm(ref, 1.0)
-
-            cc = build()
-            opt = Adam(cc)  # attach installs the clip hook
-            assert lower.attach_adam(opt)
-            assert optim_mod._CLIP_CC is not None
-            cc_norm = clip_grad_norm(cc, 1.0)
-
+            cc_norm = opt.grad_norm()
         assert cc_norm == ref_norm  # float equality: bitwise
-        for a, b in zip(ref, cc):
-            np.testing.assert_array_equal(a.grad, b.grad)
+        assert Adam(build()).native is None  # bound to ``opt`` alone
 
 
 # ----------------------------------------------------------------------

@@ -45,7 +45,7 @@ from hypothesis.stateful import (
 )
 
 from repro.autograd import get_arena, lower, no_grad
-from repro.autograd.lower import toolchain
+from repro.autograd.lower import runtime, toolchain
 from repro.checkpoint import apply_state, build_state, load_checkpoint, write_state
 from repro.cli import main
 from repro.core import VariableSizedDMoE, dMoE
@@ -61,7 +61,7 @@ from repro.resilience.faults import (
     FaultInjector,
     FaultSchedule,
 )
-from repro.training import Adam, TrainerConfig, optim
+from repro.training import Adam, TrainerConfig
 from repro.training.lr_schedule import (
     ConstantLR,
     LRSchedule,
@@ -104,15 +104,6 @@ def _one_cache_for_the_module(tmp_path_factory):
     yield
     mp.undo()
     toolchain._reset_for_tests()
-
-
-@pytest.fixture(autouse=True)
-def _native_clip_only_where_attached():
-    """``attach_adam`` installs the native clip module-wide; a rung that
-    did not attach it must run NumPy's."""
-    optim._CLIP_CC = None
-    yield
-    optim._CLIP_CC = None
 
 
 def _dmoe(i):
@@ -278,7 +269,7 @@ def test_every_rung_trains_the_reference_bits(backend, steady, schedule, clip):
         }
     if backend == "cc":
         assert state.graph._lowered is not None
-        assert state.optimizer._cc_multi is not None
+        assert state.optimizer.native is not None
 
 
 SCENARIOS = {"rewind": _rewind, "resume": _resume}
@@ -357,6 +348,33 @@ def test_schedules_return_python_floats():
         schedule = make()
         assert all(type(schedule(step)) is float for step in range(STEPS + 1))
     assert type(ConstantLR(np.float32(LR)).lr) is float
+
+
+@needs_cc
+def test_the_native_optimizer_serves_only_the_state_that_bound_it(monkeypatch):
+    """``attach_adam`` binds the C Adam step and gradient norm to one
+    optimizer: an eager steady state built after a ``cc`` one, in the
+    same process, makes no native optimizer call, and both train the
+    same bits."""
+    lib = runtime.load_prelude()
+    calls = {"repro_adam_multi_f32": 0, "repro_clip_sumsq_f32": 0}
+    for name in calls:
+
+        def counted(*args, fn=getattr(lib, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(lib, name, counted)
+    schedule, clip = SCHEDULES["constant"], CLIPS["clip-active"]
+    states = {backend: _state(backend, True, schedule(), clip) for backend in ("cc", "eager")}
+    runs, made = {}, {}
+    for backend, state in states.items():
+        before = dict(calls)
+        runs[backend] = _train(state, range(2))
+        made[backend] = {k: v - before[k] for k, v in calls.items()}
+    assert made["cc"] == {"repro_adam_multi_f32": 2, "repro_clip_sumsq_f32": 2}
+    assert made["eager"] == {"repro_adam_multi_f32": 0, "repro_clip_sumsq_f32": 0}
+    _assert_same_bits(runs["eager"], runs["cc"])
 
 
 @needs_cc

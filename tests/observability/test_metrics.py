@@ -18,7 +18,7 @@ from repro.observability.metrics import (
 from repro.resilience import counters as res_counters
 from repro.sparse import stats as sp_stats
 from repro.sparse.stats import Product, record_product
-from repro.training import Adam, Trainer, TrainerConfig, optim
+from repro.training import Adam, Trainer, TrainerConfig
 
 
 class TestInstruments:
@@ -217,7 +217,6 @@ class TestGlobalRegistry:
                     assert counts["autograd/tape_nodes"] > 0  # the captured step tapes
         finally:
             toolchain._reset_for_tests()
-            optim._CLIP_CC = None
         assert registry().counter("graph_replays").value >= 1
 
         # The trainer's per-step reset zeroes the autograd counts only.

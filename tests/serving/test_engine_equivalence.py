@@ -1,11 +1,11 @@
 """Bit-identity of KV-cached decode vs the uncached full-window forward.
 
-The tentpole guarantee: for every step, the logits `forward_step`
-produces from the cache are *bitwise equal* (``np.array_equal`` on fp32)
-to the last-position logits of a full uncached ``forward`` over the same
-window inside ``inference_mode`` — across dense and every MoE variant,
-top-1 and top-2 routing, batch composition changes, and sliding-window
-eviction.
+The tentpole guarantee: for every step, the logits a decode step
+(`repro.serving.plan.decode`) produces from the cache are *bitwise
+equal* (``np.array_equal`` on fp32) to the last-position logits of a
+full uncached ``forward`` over the same window inside
+``inference_mode`` — across dense and every MoE variant, top-1 and
+top-2 routing, batch composition changes, and sliding-window eviction.
 """
 
 from __future__ import annotations

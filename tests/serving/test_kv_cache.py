@@ -1,11 +1,11 @@
-"""KVCache sizing, length bookkeeping, and arena-pool recycling."""
+"""KVCache sizing, length bookkeeping, and buffers the cache owns."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.autograd.arena import MIN_BUCKET, get_arena
+from repro.autograd.arena import get_arena
 from repro.serving.engine import InferenceEngine
 from repro.serving.kv_cache import KVCache
 
@@ -55,46 +55,16 @@ def test_lengths_maintained_by_prefill_and_step():
     cache.release()
 
 
-def test_release_returns_buffers_to_pool():
-    """Released K/V buffers are reused byte-for-byte by the next cache."""
-    model = make_model("dense")
-    # 4 slots * HEADS * MAX_SEQ * HEAD_DIM == 2048 elements == MIN_BUCKET,
-    # so these buffers go through the detached pool (not plain malloc).
-    slots = MIN_BUCKET // (HEADS * MAX_SEQ * HEAD_DIM)
-    arena = get_arena()
-
-    first = KVCache.for_model(model, batch_slots=slots)
-    bases = set()
-    for layer in first.layers:
-        for arr in (layer.k, layer.v):
-            base = arr
-            while base.base is not None:
-                base = base.base
-            bases.add(id(base))
-    assert len(bases) == LAYERS * 2
-    first.release()
-
-    misses_before = arena.misses
-    second = KVCache.for_model(model, batch_slots=slots)
-    assert arena.misses == misses_before  # all hits: no new allocations
-    for layer in second.layers:
-        for arr in (layer.k, layer.v):
-            base = arr
-            while base.base is not None:
-                base = base.base
-            assert id(base) in bases
-    second.release()
-
-
 def test_cache_survives_arena_generation_reclaim():
-    """Detached KV buffers outlive ``next_generation`` (per-step reclaim)."""
+    """A cache's own K/V arrays outlive ``next_generation`` (the arena's
+    per-step reclaim): they never came from the arena."""
     model = make_model("dense")
     engine = InferenceEngine(model)
     cache = engine.new_cache(4)
     prompts = np.random.default_rng(1).integers(0, VOCAB, size=(4, 5))
     logits = engine.prefill(prompts, cache)
     # Compare only the written prefix: rows past the prefill length are
-    # uninitialized pool memory (may hold NaN, which breaks array_equal).
+    # uninitialized memory (may hold NaN, which breaks array_equal).
     k_snapshot = cache.layers[0].k[..., :5].copy()
 
     get_arena().next_generation()
@@ -125,7 +95,7 @@ def test_prefill_slots_writes_only_targeted_rows():
     cache.reset([1])
     engine.prefill(other, cache, slots=[1])
     # Only the written prefix: rows past the prefill length are
-    # uninitialized pool memory (may hold NaN, which breaks array_equal).
+    # uninitialized memory (may hold NaN, which breaks array_equal).
     k = cache.layers[0].k
     assert np.array_equal(k[0, ..., :4], k_before[0, ..., :4])
     assert np.array_equal(k[2, ..., :4], k_before[2, ..., :4])

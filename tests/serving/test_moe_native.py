@@ -30,6 +30,7 @@ from repro.serving.quantize import attach_quantized_experts, detach_quantized_ex
 
 native = serve.MOE
 call = runtime.direct(native)
+pytestmark = pytest.mark.usefixtures("native_rung")
 
 
 def count(name: str) -> int:
@@ -56,12 +57,15 @@ def _assert_same_layer_output(layer, x):
     assert _bits(routing.scores.data) == _bits(ref.scores.data)
 
 
-@pytest.fixture(autouse=True)
-def _bound(native_rung):
-    """Bound before anything is counted: the bind check runs the
-    reference, and with it the serving GEMMs."""
-    if native not in runtime._direct:
-        runtime._bind_direct(native)
+def test_binding_counts_nothing():
+    """The bind check runs the entry and its reference (and with it the
+    serving GEMMs) on its draws; that is no work anyone asked for, so it
+    leaves the counters as it found them."""
+    runtime._direct.clear()
+    names = ("serve_gemm_calls", "serve_gemm_flops", "lower_direct_calls")
+    before = {name: count(name) for name in names}
+    assert runtime.binding(native)[2] is not None  # bound to C: the check passed
+    assert {name: count(name) for name in names} == before
 
 
 def test_drawn_layers_match_the_reference_bit_for_bit():

@@ -1,13 +1,14 @@
-"""Serving allocates no autograd state and no new arena memory at steady state.
+"""Serving allocates no autograd state and no arena memory.
 
 Two invariants the inference fast path exists to provide:
 
 1. **Zero tape nodes** — ``inference_mode`` runs entirely outside the
    autograd tape, so decode steps record nothing (no graph to free, no
    per-token garbage proportional to model depth).
-2. **Zero arena growth after warmup** — the first generation allocates
-   KV buffers through the detached pool; every later generation reuses
-   them (``misses`` stays flat, ``pooled_bytes`` stays flat).
+2. **Zero arena growth** — a KV cache owns its buffers (plain NumPy
+   arrays, dropped on release) and the decode plan holds the rest, so
+   later generations leave the buffer arena as the first one left it
+   (``misses`` stays flat, ``pooled_bytes`` stays flat).
 """
 
 from __future__ import annotations
@@ -66,13 +67,13 @@ def test_training_still_records_tape_nodes():
 
 
 def test_zero_arena_growth_after_warmup():
-    """Second and later generates reuse the warmup generation's buffers."""
+    """Second and later generates add nothing to the arena."""
     model = make_model("dense")
     engine = InferenceEngine(model)
     arena = get_arena()
     prompts = np.random.default_rng(3).integers(0, VOCAB, size=(4, 5))
 
-    engine.generate(prompts, 4, temperature=0.0)  # warmup: allocates KV
+    engine.generate(prompts, 4, temperature=0.0)  # warmup
     misses = arena.misses
     pooled = arena.pooled_bytes
     for _ in range(3):
@@ -82,7 +83,7 @@ def test_zero_arena_growth_after_warmup():
 
 
 def test_zero_arena_growth_across_scheduler_batches():
-    """Serving many requests in sequence reuses one cache's memory."""
+    """Serving many requests in sequence adds nothing to the arena."""
     engine = InferenceEngine(make_model("dense"))
     arena = get_arena()
     gen = np.random.default_rng(4)

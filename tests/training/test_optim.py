@@ -132,14 +132,15 @@ class TestAdam:
 
 class TestClipScaleFoldedIntoTheStep:
     """``clip_grad_norm`` then ``step()`` (three sweeps over the
-    gradients) and ``grad_norm`` -> ``clip_scale`` -> ``step(grad_scale=)``
-    (two) are one update, bit for bit — and the fold leaves ``p.grad``
-    unclipped.
+    gradients) and ``optimizer.grad_norm()`` -> ``clip_scale`` ->
+    ``step(grad_scale=)`` (two) are one update, bit for bit — and the
+    fold leaves ``p.grad`` unclipped.
 
     The rungs: ``allocating`` is the reference step (arena off: its
     buffers come from NumPy, not the pool), ``mirror`` the steady step
-    (arena on), ``native`` the steady step with the C update and clip
-    attached.  On fp32 all three run the in-place update; ``float64``
+    (arena on), ``native`` the steady step with the C update and grad
+    norm bound to both optimizers (the standalone ``clip_grad_norm`` is
+    NumPy on every rung).  On fp32 all three run the in-place update; ``float64``
     (arena off) is the rung that runs the allocating formula, whose fp32
     contract with the in-place one is
     ``TestInPlaceUpdateIsTheAllocatingFormula``."""
@@ -177,8 +178,7 @@ class TestClipScaleFoldedIntoTheStep:
 
         from repro.autograd import arena, lower
         from repro.autograd.lower import toolchain
-        from repro.training import optim
-        from repro.training.optim import clip_scale, grad_norm
+        from repro.training.optim import clip_scale
 
         dtype = np.float64 if rung == "float64" else np.float32
         make = self.OPTIMIZERS[name]
@@ -196,7 +196,7 @@ class TestClipScaleFoldedIntoTheStep:
                     before = [None if p.grad is None else p.grad.copy() for p in folded.params]
                     norm = clip_grad_norm(separate.params, max_norm)
                     separate.step()
-                    assert grad_norm(folded.params) == norm
+                    assert folded.grad_norm() == norm
                     scale = clip_scale(norm, max_norm)
                     assert (scale != 1.0) == (max_norm == 1.0)
                     folded.step(grad_scale=scale)
@@ -206,7 +206,6 @@ class TestClipScaleFoldedIntoTheStep:
                             assert q.grad.tobytes() == g.tobytes()
                             p.grad[...] = g
         finally:
-            optim._CLIP_CC = None
             toolchain._reset_for_tests()
         state = lambda o: (o._m + o._v) if isinstance(o, Adam) else o._velocity
         for a, b in zip(state(separate), state(folded)):
@@ -255,7 +254,8 @@ class TestGradNormFiniteness:
     """The trainer skips a step on a non-finite ``grad_norm`` instead of
     sweeping the gradients for NaN/Inf, so the norm must be non-finite
     exactly when some gradient element is NaN, +inf or -inf — on every
-    path the clip can take."""
+    path the clip can take: NumPy's, and the C sum of squares an
+    optimizer bound by ``attach_adam`` takes."""
 
     @pytest.mark.parametrize("rung", ["allocating", "mirror", "native"])
     def test_nonfinite_exactly_when_an_element_is(self, rung, tmp_path, monkeypatch):
@@ -263,16 +263,13 @@ class TestGradNormFiniteness:
 
         from repro.autograd import arena, lower
         from repro.autograd.lower import toolchain
-        from repro.training import optim
         from repro.training.optim import grad_norm
 
-        monkeypatch.setattr(optim, "_CLIP_CC", None)
         if rung == "native":
             if not lower.cc_available():
                 pytest.skip("no C toolchain in this environment")
             monkeypatch.setenv("REPRO_LOWER_CACHE", str(tmp_path / "lower-cache"))
             toolchain._reset_for_tests()
-            assert lower.attach_adam(Adam([Parameter(np.zeros(3, np.float32))]))
 
         r = np.random.default_rng(3)
 
@@ -281,7 +278,12 @@ class TestGradNormFiniteness:
             for g in grads:
                 ps.append(Parameter(np.zeros_like(g)))
                 ps[-1].grad = g
-            return grad_norm(ps)
+            if rung != "native":
+                return grad_norm(ps)
+            opt = Adam(ps)
+            assert lower.attach_adam(opt)
+            assert opt.native.sumsq() is not None  # the C runs: no decline
+            return opt.grad_norm()
 
         def randn(n):
             return r.standard_normal(n).astype(np.float32)

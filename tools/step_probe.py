@@ -273,8 +273,7 @@ def python_lines(top: str) -> int:
 def readings(*args: str) -> List[List[str]]:
     """This script's output lines for ``args``, split into words, from a
     fresh process: a reading must not depend on what ran before it in
-    the same interpreter (``attach_adam`` installs the native clip
-    module-wide, caches warm up)."""
+    the same interpreter (compile and topology caches warm up)."""
     out = subprocess.run(
         [sys.executable, os.path.abspath(__file__), *args],
         capture_output=True, text=True, check=True,
