@@ -638,12 +638,22 @@ _SAMPLE_C = r"""
      max; 0 if a value is NaN or +inf, or every value is -inf (the
      reference then raises: its total is not finite, and otherwise it
      always is).
-   repro_sample_pick, after b = exp(b) and with one uniform u per row:
-     b = b / pw64(b); b = cumsum(b) (sequential; four rows' chains side
-     by side); then the first j with b[j] / total > u, or V
+   repro_sample_pick, after b = exp(b) and with one uniform u per row —
+     drawn here, in row order, from a row's NumPy bit generator (its
+     next_double: what Generator.random() returns), or else already in
+     u: b = b / pw64(b); b = cumsum(b) (sequential; four rows' chains
+     side by side); then the first j with b[j] / total > u, or V
      (searchsorted side="right" on the sorted row b / total, each
      quotient taken where the bisection reads it).
    Vector lanes run over j for the elementwise steps only. */
+
+/* numpy/random/bitgen.h's bitgen_t: a bit generator's state and draws. */
+typedef struct {
+    void *state;
+    void *next_uint64, *next_uint32;
+    double (*next_double)(void *state);
+    void *next_raw;
+} repro_bitgen;
 #ifdef __AVX512F__
 VEC(double, vd, 64, 8); typedef long long vdl __attribute__((vector_size(64)));
 typedef f32x8 vfd;  /* the floats of one vd */
@@ -722,8 +732,11 @@ i64 repro_sample_shift(const float *x, double *b, i64 B, i64 V,
     return 1;
 }
 
-void repro_sample_pick(double *b, const double *u, i64 *out, i64 B, i64 V)
+void repro_sample_pick(double *b, repro_bitgen *const *gens, double *u,
+                       i64 *out, i64 B, i64 V)
 {
+    for (i64 r = 0; r < B; r++)
+        if (gens[r]) u[r] = gens[r]->next_double(gens[r]->state);
     for (i64 r = 0; r < B; r++) divide_row(b + r * V, V, pw64(b + r * V, V));
     i64 r = 0;
     for (; r + 4 <= B; r += 4) {
@@ -826,66 +839,82 @@ def _moe_bind(wdt, tables, top_k, h):
 
 
 def moe_layer_step(lib, layer, x, out):
-    """``serve_moe`` bound once to ``layer`` and the rows ``x`` and
-    ``out`` (contiguous float32 ``(T, H)``): ``step()`` runs the layer
-    into ``out``, sets ``layer.last_routing`` and returns ``True``, or
-    returns ``False`` having written nothing (a non-finite logit: the
-    reference's uniform routing).  ``None`` when the C does not take the
-    layer: not the plain ``Router`` with GELU experts, or tables outside
-    :func:`_moe_bind`'s terms.  A step reads the tables bound here, so a
-    caller that keeps ``step`` binds again when a table changes."""
+    """``serve_moe`` bound once to ``layer`` and the row buffers ``x`` and
+    ``out`` (contiguous float32 ``(R, H)``): ``rows(t)`` is the step over
+    their first ``t <= R`` rows — it derives the calls' arguments and
+    allocates nothing.  ``step()`` runs the layer into ``out[:t]``, sets
+    ``layer.last_routing`` and returns ``True``, or returns ``False``
+    having written nothing (a non-finite logit: the reference's uniform
+    routing).  ``None`` when the C does not take the layer: not the plain
+    ``Router`` with GELU experts, or tables outside :func:`_moe_bind`'s
+    terms.  A step reads the tables bound here, so a caller that keeps
+    ``rows`` binds again when a table changes."""
     from repro.autograd.tensor import Tensor
     from repro.moe.router import Router, RoutingResult
 
     router = layer.router
     if type(router) is not Router or layer.activation != "gelu":
         return None
-    t, h = x.shape
+    r, h = x.shape
     k = router.top_k
     bound = _moe_bind(*_moe_tables(layer, router), k, h)
     if bound is None:
         return None
     (pr, p1, ps1, pb1, p2, ps2, pb2), e, f = bound
-    c = t * k
-    p, idx, wt = np.empty((t, e), F4), np.empty((t, k), I64), np.empty((t, k), F4)
-    ints, fs = np.empty(c + 2 * e + 1, I64), np.empty(c * (2 * f + h), F4)
-    inner = fs[: c * f]
+    # Sized for all R rows; ``t`` rows use each buffer's prefix (the C
+    # lays its scratch out from ``t``).
+    p, idx, wt = np.empty((r, e), F4), np.empty((r, k), I64), np.empty((r, k), F4)
+    ints, fs = np.empty(r * k + 2 * e + 1, I64), np.empty(r * k * (2 * f + h), F4)
     px, pp, pw, pi, pf = addr(x), addr(p), addr(wt), addr(ints), addr(fs)
+    pidx, pout = addr(idx), addr(out)
     route, up, down = lib.repro_moe_route, lib.repro_moe_up, lib.repro_moe_down
-    route_args = (px, pr, pp, t, h, e)
-    up_args = (pp, addr(idx), pw, pi, px, p1, ps1, pb1, pf, t, h, e, f, k,
-               router.normalize_weights and k > 1, _K044, _C)
-    down_args = (pf, p2, ps2, pb2, pi, pw, addr(out), t, h, e, f, k)
-    flops = 2 * t * h * (e + 2 * k * f)
+    normalize = router.normalize_weights and k > 1
     exp, tanh, __dict__ = np.exp, np.tanh, layer.__dict__
 
-    def step():
-        if not route(*route_args):
-            return False
-        exp(p, p)
-        up(*up_args)
-        tanh(inner, inner)
-        down(*down_args)
-        # Copies: a later step reuses the buffers.  (Module.__setattr__
-        # registers parameters and modules only.)
-        __dict__["last_routing"] = RoutingResult(
-            idx.copy(), Tensor(wt.copy()), Tensor(p.copy()), None, None
-        )
-        _GEMM_CALLS.value += 3
-        _GEMM_FLOPS.value += flops
-        return True
+    def rows(t):
+        c = t * k
+        pt, it, wtt, inner = p[:t], idx[:t], wt[:t], fs[: c * f]
+        route_args = (px, pr, pp, t, h, e)
+        up_args = (pp, pidx, pw, pi, px, p1, ps1, pb1, pf, t, h, e, f, k,
+                   normalize, _K044, _C)
+        down_args = (pf, p2, ps2, pb2, pi, pw, pout, t, h, e, f, k)
+        flops = 2 * t * h * (e + 2 * k * f)
 
-    step.buffers = ints, fs  # the C holds their addresses: they live as long
-    return step
+        def step():
+            if not route(*route_args):
+                return False
+            exp(pt, pt)
+            up(*up_args)
+            tanh(inner, inner)
+            down(*down_args)
+            # Copies: a later step reuses the buffers.  (Module.__setattr__
+            # registers parameters and modules only.)
+            __dict__["last_routing"] = RoutingResult(
+                it.copy(), Tensor(wtt.copy()), Tensor(pt.copy()), None, None
+            )
+            _GEMM_CALLS.value += 3
+            _GEMM_FLOPS.value += flops
+            return True
+
+        return step
+
+    rows.buffers = p, idx, wt, ints, fs  # the C holds their addresses: they live as long
+    return rows
 
 
 def _moe_forward(b):
     def run(layer, x):
         out = np.empty(x.shape, F4)
-        step = moe_layer_step(b.lib, layer, x, out)
-        return step is not None and step() and (out,)
+        rows = moe_layer_step(b.lib, layer, x, out)
+        return rows is not None and rows(len(x))() and (out,)
 
     return run
+
+
+#: The ``bitgen_t *`` a NumPy bit generator's capsule holds.
+_BITGEN = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
 
 
 def sample_step(lib, rows, v, temperature, gens):
@@ -894,14 +923,29 @@ def sample_step(lib, rows, v, temperature, gens):
     ``gens``: ``step(logits)`` draws one token per row into an int64
     array it reuses and returns it, or returns ``False``, having drawn
     nothing, where the reference decides — a non-finite row (the
-    reference raises)."""
+    reference raises).  ``step.bind(gens)`` draws from other generators
+    on the same buffers.  A NumPy ``Generator``'s draw is its bit
+    generator's ``next_double``, called from the C; any other generator's
+    ``random()`` is called here, in row order."""
     shift, pick = lib.repro_sample_shift, lib.repro_sample_pick
-    # The uniforms go into a ctypes array one by one: in a step that runs
-    # cold after a decode, cheaper than a NumPy slice assignment from a
-    # list (≈ 0.1 µs against ≈ 3 µs for four rows).
-    buf, u, out = np.empty((rows, v), F8), (ctypes.c_double * rows)(), np.empty(rows, I64)
-    pb, pu, po = addr(buf), ctypes.addressof(u), addr(out)
-    exp, t, draws = np.exp, float(temperature), tuple(enumerate(g.random for g in gens))
+    buf, out = np.empty((rows, v), F8), np.empty(rows, I64)
+    u, bitgens = (ctypes.c_double * rows)(), (ctypes.c_void_p * rows)()
+    pb, pg, pu, po = addr(buf), ctypes.addressof(bitgens), ctypes.addressof(u), addr(out)
+    exp, t, draws, held = np.exp, float(temperature), (), {}
+
+    def bind(gens):
+        # ``held`` keeps each bound generator, and so its bit generator,
+        # alive; one still bound keeps its pointer.
+        nonlocal draws, held
+        own, seen = [], {}
+        for r, g in enumerate(gens):
+            if type(g) is np.random.Generator:
+                p = held.get(g) or _BITGEN(g.bit_generator.capsule, b"BitGenerator")
+                bitgens[r] = seen[g] = p
+            else:
+                bitgens[r] = None
+                own.append((r, g.random))
+        draws, held = tuple(own), seen
 
     def step(logits):
         if not shift(addr(logits), pb, rows, v, t):
@@ -909,10 +953,12 @@ def sample_step(lib, rows, v, temperature, gens):
         exp(buf, buf)
         for r, draw in draws:
             u[r] = draw()
-        pick(pb, pu, po, rows, v)
+        pick(pb, pg, pu, po, rows, v)
         return out
 
-    step.buffers = buf, u  # the C holds their addresses: they live as long
+    bind(gens)
+    step.bind = bind
+    step.buffers = buf, u, bitgens  # the C holds their addresses: they live as long
     return step
 
 

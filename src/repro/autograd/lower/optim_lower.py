@@ -19,11 +19,13 @@ three.
 from __future__ import annotations
 
 import ctypes
-from operator import is_
+from operator import attrgetter, is_
 
 import numpy as np
 
 __all__ = ["attach_adam"]
+
+_DATA, _GRAD = attrgetter("data"), attrgetter("grad")
 
 
 def attach_adam(opt) -> bool:
@@ -58,30 +60,51 @@ class _BoundAdam:
     identity (steady-state leaf grads are accumulated in place, so
     rebuilds are rare)."""
 
-    __slots__ = ("opt", "adam", "sumsq_fn", "key", "argv", "keep")
+    __slots__ = ("opt", "adam", "sumsq_fn", "held", "argv", "keep")
 
     def __init__(self, opt, lib) -> None:
         self.opt = opt
         self.adam = lib.repro_adam_multi_f32
         self.sumsq_fn = lib.repro_clip_sumsq_f32
-        self.key = self.argv = self.keep = None
+        self.held = self.argv = self.keep = None
+
+    def _current(self) -> bool:
+        """The parameter list, each parameter's ``data`` and ``grad`` and
+        each ``m`` and ``v`` are the arrays the table was built over —
+        compared in C (``map(is_)``), with no list built per step."""
+        held, opt = self.held, self.opt
+        if held is None:
+            return False
+        params, data, grads, ms, vs = held
+        return (
+            len(opt.params) == len(params) == len(opt._m) == len(opt._v)
+            and all(map(is_, opt.params, params))
+            and all(map(is_, map(_DATA, params), data))
+            and all(map(is_, map(_GRAD, params), grads))
+            and all(map(is_, opt._m, ms))
+            and all(map(is_, opt._v, vs))
+        )
 
     def _table(self):
         """The table's C arguments ``(ps, ms, vs, gs, sizes, count)``,
         or ``None`` to decline (a non-f32 or non-contiguous array)."""
-        opt = self.opt
-        # In the C call's order: data, m, v, grad.
-        key = [a for p, m, v in zip(opt.params, opt._m, opt._v) for a in (p.data, m, v, p.grad)]
-        if self.key is not None and len(key) == len(self.key) and all(map(is_, key, self.key)):
+        if self._current():
             return self.argv
-        rows = [row for row in zip(*[iter(key)] * 4) if row[3] is not None]
+        opt = self.opt
+        params = list(opt.params)
+        self.held = held = (
+            params, [p.data for p in params], [p.grad for p in params],
+            list(opt._m), list(opt._v),
+        )
+        # In the C call's order: data, m, v, grad.
+        rows = [row for row in zip(held[1], held[3], held[4], held[2]) if row[3] is not None]
         if not all(a.dtype == np.float32 and a.flags.c_contiguous for row in rows for a in row):
-            self.key = None
+            self.held = None
             return None
         n = len(rows)
         tables = [(ctypes.c_void_p * n)(*(row[i].ctypes.data for row in rows)) for i in range(4)]
         sizes = np.array([row[0].size for row in rows], np.int64)
-        self.key, self.keep = key, (tables, sizes)
+        self.keep = (tables, sizes)
         self.argv = (*map(ctypes.addressof, tables), sizes.ctypes.data, n)
         return self.argv
 

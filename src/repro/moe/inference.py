@@ -49,13 +49,20 @@ import numpy as np
 
 from repro.autograd import ACTIVATIONS
 from repro.autograd.lower import runtime
+from repro.autograd.lower import kernels
 from repro.autograd.lower.kernels import serve
 from repro.autograd.tensor import Tensor, inference_mode
 from repro.moe.permute import make_padded_plan
+from repro.moe.router import Router
+from repro.observability.metrics import registry
 from repro.observability.tracing import span
 from repro.sparse.dispatch import grouped_rows_gemm
 
 _native = runtime.direct(serve.MOE)
+_gemm_ref = kernels.reference(serve.GEMM)
+_GEMM_CALLS, _GEMM_FLOPS = (
+    registry().counter(name) for name in ("serve_gemm_calls", "serve_gemm_flops")
+)
 
 
 def moe_inference_forward(layer, x: Tensor) -> Tuple[Tensor, Optional[Tensor]]:
@@ -79,9 +86,19 @@ def moe_forward_ref(layer, x: np.ndarray) -> np.ndarray:
     """The serving MoE layer over ``(tokens, hidden)`` rows in NumPy:
     ``serve_moe``'s reference, and the path of every layer it does not
     take.  Sets ``layer.last_routing``."""
+    router = layer.router
     with inference_mode():
         with span("route"):
-            routing = layer.router(Tensor(x))
+            if type(router) is Router:
+                # The router's GEMM through the serve_gemm entry's NumPy
+                # reference: the reference crosses into no C.
+                with np.errstate(invalid="ignore", over="ignore"):
+                    logits = _gemm_ref(x, router.proj.weight.data, None)
+                _GEMM_CALLS.value += 1
+                _GEMM_FLOPS.value += 2 * logits.size * x.shape[-1]
+                routing = router.route(Tensor(logits))
+            else:
+                routing = router(Tensor(x))
         with span("dispatch"):
             plan = make_padded_plan(
                 routing.expert_indices, layer.num_experts, block_size=1

@@ -169,10 +169,15 @@ class Router(Module):
         # the projection is allowed to produce NaN/Inf without warning.
         with np.errstate(invalid="ignore", over="ignore"):
             logits = self.proj(x)
+        return self.route(logits)
+
+    def route(self, logits: Tensor) -> RoutingResult:
+        """Everything after the projection: softmax, top-k and weights
+        of ``(num_tokens, num_experts)`` router logits."""
         # Guarded host check: a captured graph freezes this branch, so a
         # replay whose logits flip finiteness invalidates and recaptures.
         if not graph_host(_logits_finite, logits.data, guard=True):
-            return self._uniform_fallback(x.shape[0], x.data.dtype)
+            return self._uniform_fallback(logits.shape[0], logits.data.dtype)
         scores = softmax(logits, axis=-1)
 
         indices = graph_host(top_k_indices, scores.data, self.top_k)

@@ -61,9 +61,9 @@ class CausalSelfAttention(Module):
         self.proj = Linear(hidden_size, hidden_size, init_std=out_std, rng=rng)
         self.attn_dropout = Dropout(dropout_p, rng=rng)
 
-    def forward(self, x: Tensor, kv_sink=None, slots=None) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         if is_inference():
-            return self._inference_window(x, kv_sink, slots)
+            return self._inference_window(x)
         batch, seq, hidden = x.shape
         qkv = self.qkv(x)  # (B, S, 3H)
         if self.attn_dropout.p <= 0.0 or not self.attn_dropout.training:
@@ -93,29 +93,26 @@ class CausalSelfAttention(Module):
         return self.proj(ctx)
 
     # ------------------------------------------------------------------
-    # Serving path (inference_mode): shape-stable kernels + KV cache
+    # Serving reference (inference_mode): the shape-stable kernels
     # ------------------------------------------------------------------
     def _scale(self) -> float:
         return float(1.0 / np.sqrt(self.head_dim))
 
-    def _inference_window(self, x: Tensor, kv_sink, slots) -> Tensor:
-        """Full-window inference forward (prefill / uncached reference).
+    def _inference_window(self, x: Tensor) -> Tensor:
+        """Full-window inference forward: the uncached reference.
 
         Every (sequence, position) pair is one query row of a single
         :func:`attention_rows` call, with length ``t + 1`` — the row a
-        cached decode step at cache length ``t`` computes, through the
-        same code: that shared computation is the whole bit-identity
-        argument.  When ``kv_sink`` (a ``LayerKV``) is given, the freshly
-        projected K/V rows are written into the cache so that decode
-        steps (:mod:`repro.serving.plan`) can extend this window.
+        serving step (:mod:`repro.serving.plan`) computes for a token at
+        position ``t``, through the same code, from the keys and values
+        its cache holds: that shared computation is the whole
+        bit-identity argument.
         """
         batch, seq, _ = x.shape
         qkv = self.qkv(x).data.reshape(batch, seq, 3, self.num_heads, self.head_dim)
         q = np.ascontiguousarray(qkv[:, :, 0]).reshape(batch * seq, self.num_heads, -1)
         k = np.ascontiguousarray(qkv[:, :, 1].transpose(0, 2, 3, 1))  # keys transposed
         v = np.ascontiguousarray(qkv[:, :, 2].transpose(0, 2, 1, 3))
-        if kv_sink is not None:
-            kv_sink.write_prefill(k, v, slots)
         rows = np.arange(batch * seq)
         ctx = attention_rows(q, k, v, rows // seq, rows % seq + 1, self._scale())
         return self.proj(Tensor(ctx.reshape(batch, seq, self.hidden_size)))

@@ -75,14 +75,8 @@ class TransformerBlock(Module):
         d = self.dropout
         return dropout_residual(branch, x, d.p, d.training, d.rng)
 
-    def forward(self, x: Tensor, layer_kv=None, slots=None):
-        if layer_kv is None:
-            # Plain call: alternative attention modules (e.g. the
-            # block-sparse sliding-window variant) take no cache kwargs.
-            attn_out = self.attn(self.ln1(x))
-        else:
-            attn_out = self.attn(self.ln1(x), kv_sink=layer_kv, slots=slots)
-        x = self._residual(x, attn_out)
+    def forward(self, x: Tensor):
+        x = self._residual(x, self.attn(self.ln1(x)))
         ffn_out = self.ffn(self.ln2(x))
         aux = None
         if isinstance(ffn_out, tuple):
@@ -156,54 +150,29 @@ class TransformerLM(Module):
 
             self.lm_head = Linear(hidden_size, vocab_size, bias=False, rng=rng)
 
-    def forward(self, ids, cache=None, slots=None) -> TransformerOutput:
+    def forward(self, ids) -> TransformerOutput:
         """Full-window forward; training path unless inside inference_mode.
 
-        ``cache``/``slots`` are the serving prefill hooks: when a
-        :class:`~repro.serving.kv_cache.KVCache` is given (requires
-        inference_mode), each block writes its freshly projected K/V rows
-        into the cache — positions are absolute from 0, so the targeted
-        slots must be reset first, one distinct slot per sequence (all of
-        them, in order, by default; ``ValueError`` before any write
-        otherwise) — and the cache lengths are set to the window length
-        so :func:`repro.serving.plan.decode` can extend it.  A prefill
-        only ever samples from the last position, so with a cache the
-        final norm and the LM head run on that position alone and
-        ``logits`` is ``(B, 1, vocab)``: row-stable kernels make it
-        bit-identical to row ``-1`` of the full-window logits at 1/S of
-        the head FLOPs.
+        Under inference_mode it is the uncached reference the serving plan
+        (:mod:`repro.serving.plan`) is held to, bit for bit: every
+        position's logits, through the row-stable serving kernels.
         """
         ids_arr = ids.data if isinstance(ids, Tensor) else np.asarray(ids)
         batch, seq = ids_arr.shape
         if seq > self.max_seq_len:
             raise ValueError(f"sequence length {seq} exceeds max {self.max_seq_len}")
-        if cache is not None:
-            if seq > cache.max_seq_len:
-                raise ValueError(
-                    f"KV cache full: a {seq}-token window does not fit its "
-                    f"max_seq_len ({cache.max_seq_len}); slide the window first"
-                )
-            slots = cache.check_slots(slots, batch, "prefill", "sequences")
         positions = np.arange(seq)[None, :]
         x = self.tok_emb(ids_arr) + self.pos_emb(positions)
         x = self.dropout(x)
 
         aux_total: Optional[Tensor] = None
-        for i, block in enumerate(self.blocks):
-            x, aux = block(
-                x,
-                cache.layers[i] if cache is not None else None,
-                slots,
-            )
+        for block in self.blocks:
+            x, aux = block(x)
             if aux is not None:
                 aux_total = aux if aux_total is None else aux_total + aux
 
-        if cache is not None:
-            x = Tensor(np.ascontiguousarray(x.data[:, -1:, :]))
         x = self.ln_f(x)
         logits = self._head(x)
-        if cache is not None:
-            cache.lengths[slice(None) if slots is None else slots] = seq
         return TransformerOutput(logits=logits, aux_loss=aux_total)
 
     def _head(self, x: Tensor) -> Tensor:

@@ -11,8 +11,9 @@ The serving stack (see ``docs/serving.md``):
   PR 3 buffer arena (detached from per-step generation reclaim).
 - :mod:`repro.serving.engine` — :class:`InferenceEngine`: prefill /
   single-token decode / cached ``generate`` over any ``TransformerLM``.
-- :mod:`repro.serving.plan` — the decode plan a step replays: the
-  model's calls bound once per cache and row count.
+- :mod:`repro.serving.plan` — the serving plan every prefill and decode
+  step replays: the model's calls bound once per cache, for every row
+  count.
 - :mod:`repro.serving.scheduler` — continuous batching: admit queued
   prompts into the in-flight decode batch, evict finished sequences,
   token-budget admission, TTFT / per-token latency through the PR 4

@@ -3,15 +3,18 @@
 Wraps a ``TransformerLM`` with the serving primitives the scheduler
 composes:
 
-- :meth:`InferenceEngine.prefill` — full-window forward inside
-  ``inference_mode`` that writes K/V into the cache and returns the
-  last-position logits;
+- :meth:`InferenceEngine.prefill` — encodes whole windows into the
+  cache and returns their last-position logits;
 - :meth:`InferenceEngine.decode_step` — one cached token per active
   slot, O(window) per token instead of the O(window²) full re-forward;
 - :meth:`InferenceEngine.generate` — drop-in replacement for
   ``TransformerLM.generate``: same sampling math, same RNG consumption,
   same sliding-window semantics, so with equal seeds it emits the exact
   same tokens — just without re-running the whole window every step.
+
+Prefill and decode are both steps of the cache's one serving plan
+(:mod:`repro.serving.plan`), bound once and held bit for bit to the
+uncached ``model.forward`` under ``inference_mode``.
 
 Sliding window: once a sequence reaches ``max_seq_len`` the engine
 resets the slot and re-prefills the retained window (absolute learned
@@ -29,7 +32,7 @@ import numpy as np
 
 from repro.autograd.tensor import inference_mode
 from repro.serving.kv_cache import KVCache
-from repro.serving.plan import decode
+from repro.serving.plan import decode, prefill
 from repro.serving.quantize import attach_quantized_experts
 from repro.serving.sampling import sample_tokens
 from repro.utils.rng import RngLike, get_rng
@@ -64,14 +67,12 @@ class InferenceEngine:
         return KVCache.for_model(self.model, batch_slots, max_seq_len)
 
     def prefill(self, ids, cache: KVCache, slots=None) -> np.ndarray:
-        """Encode full windows into the cache; returns ``(B, vocab)`` logits
-        for the last position of each row (the only position the model
-        runs its head on when given a cache).  Targeted slots must be
-        reset."""
-        ids = np.asarray(ids, dtype=np.int64)
+        """Encode ``(B, S)`` windows into the cache; returns ``(B, vocab)``
+        logits for the last position of each row, the only one the head
+        runs on (:func:`repro.serving.plan.prefill`).  Targeted slots must
+        be reset."""
         with inference_mode():
-            out = self.model.forward(ids, cache=cache, slots=slots)
-            return out.logits.data[:, -1, :]
+            return prefill(self.model, ids, cache, slots)
 
     def decode_step(self, ids_t, cache: KVCache, slots=None) -> np.ndarray:
         """Append one token per active slot; returns ``(B, vocab)`` logits

@@ -126,7 +126,11 @@ def bound_sample_rows(gens, vocab: int, temperature: float, top_k):
     the entry's contract on its logits (a decode hands over a new array
     every step); a call the bound C does not take — greedy or a top-k
     cut, logits of another shape or dtype, a non-finite row — or one
-    after the entry was pinned or bound again, is the reference's."""
+    after the entry was pinned or bound again, is the reference's.
+
+    ``sampler.bind(gens)`` moves the sampler to another batch of as many
+    rows, on the same buffers; it returns ``False``, and moves nothing,
+    once the entry was pinned or bound again (build a new sampler)."""
     held = runtime.binding(serve.SAMPLE)
     lib, rows = held[2], len(gens)
     step = None
@@ -148,6 +152,16 @@ def bound_sample_rows(gens, vocab: int, temperature: float, top_k):
                 return out
         return sampling.sample_rows(logits, temperature, top_k, gens)
 
+    def bind(new) -> bool:
+        nonlocal gens
+        if current(serve.SAMPLE) is not held or len(new) != rows:
+            return False
+        gens = new
+        if step is not None:
+            step.bind(new)
+        return True
+
+    sampler.bind = bind
     return sampler
 
 

@@ -4,9 +4,11 @@ Layout, per Transformer layer: V is ``(batch_slots, heads, max_seq_len,
 head_dim)`` and K is stored transposed, ``(batch_slots, heads, head_dim,
 max_seq_len)``, so a query's scores and its context both stream over
 contiguous rows (:func:`repro.serving.kernels.attention_rows`).  Both are
-pre-grown to ``max_seq_len`` at construction so the decode loop never
-reallocates — appending a step's tokens is one indexed write per array
-(``K[slots, ..., lengths] = k_new``).
+pre-grown to ``max_seq_len`` at construction so serving never
+reallocates — a step's rows, a prefill's window or a decode step's
+tokens, go in with one indexed write per array (``K[slots, ...,
+positions] = k_new``, one slot and one position per row; see
+:mod:`repro.serving.plan`).
 
 A cache owns its arrays: they are allocated with NumPy, outside the
 buffer arena, so no per-step ``next_generation()`` reclaim can take them
@@ -41,26 +43,15 @@ class LayerKV:
         self.k = k
         self.v = v
 
-    def write_prefill(
-        self, k: np.ndarray, v: np.ndarray, slots: Optional[Sequence[int]] = None
-    ) -> None:
-        """Write a full prefill window at positions 0..S of ``slots`` (all
-        slots, in order, by default): ``k`` is ``(B, heads, d, S)``, ``v``
-        ``(B, heads, S, d)``."""
-        seq = v.shape[2]
-        at = slice(None) if slots is None else np.asarray(slots)
-        self.k[at, ..., :seq] = k
-        self.v[at, :, :seq] = v
-
 
 class KVCache:
     """KV storage plus per-slot lengths for a batch of decode slots.
 
     ``lengths[b]`` is the number of cached positions for slot ``b``; the
-    model's ``forward`` (prefill) and :func:`repro.serving.plan.decode`
-    maintain it.  ``plans`` holds the decode plans bound to this cache,
-    one per row count (:mod:`repro.serving.plan`).  Use as a context
-    manager, or call :meth:`release`, to drop the buffers and plans.
+    serving plan's prefill and decode steps maintain it.  ``plan`` is the
+    :class:`~repro.serving.plan.ServingPlan` bound to this cache, one for
+    every row count.  Use as a context manager, or call :meth:`release`,
+    to drop the buffers and the plan.
     """
 
     def __init__(
@@ -75,7 +66,7 @@ class KVCache:
         self.batch_slots = batch_slots
         self.max_seq_len = max_seq_len
         self.lengths = np.zeros(batch_slots, dtype=np.int64)
-        self.plans: dict = {}
+        self.plan = None
         k_shape = (batch_slots, num_heads, head_dim, max_seq_len)
         v_shape = (batch_slots, num_heads, max_seq_len, head_dim)
         self.layers: List[LayerKV] = [
@@ -140,8 +131,8 @@ class KVCache:
         return sum(l.k.nbytes + l.v.nbytes for l in self.layers)
 
     def release(self) -> None:
-        """Drop the K/V buffers and the decode plans that point into them."""
-        self.plans.clear()
+        """Drop the K/V buffers and the plan that points into them."""
+        self.plan = None
         self.layers = []
         self.lengths[:] = 0
 

@@ -1,19 +1,30 @@
-"""The decode plan: a KV-cached decode step bound once per row count.
+"""The serving plan: every KV-cached step of a cache, bound once.
 
-A decode step of a ``TransformerLM`` makes the same calls on every token
-— per block a LayerNorm, the QKV GEMM, the K/V append, attention, the
-output GEMM, a residual add, a LayerNorm, the FFN and a residual add;
-then the final LayerNorm and the head — and only the token ids,
-positions and slots change.  :class:`DecodePlan` walks the model's
-modules once, for one cache and one row count, and holds every buffer of
-the step, each C call of the kernel table's direct entries (``ln``,
-``serve_gemm``, ``attn_rows``, ``serve_moe``) with its pointers
+A serving step of a ``TransformerLM`` — a prefill of ``B`` sequences of
+``S`` tokens, or a decode step, which is the same with ``S = 1`` — makes
+the same calls whatever its rows: per block a LayerNorm, the QKV GEMM,
+the K/V write at each row's (slot, position), attention over each row's
+slot up to its position, the output GEMM, a residual add, a LayerNorm,
+the FFN and a residual add; then the final LayerNorm and the head, on
+each sequence's last row only.  The dMoE is dropless, so no row's result
+depends on the rows beside it, and only the step's inputs change: the
+token ids, one slot and one position per row, and the rows that get the
+head.
+
+:class:`ServingPlan` walks the model's modules once per cache and holds
+every buffer of a step, sized for the cache's largest window (every slot
+at ``min(model.max_seq_len, cache.max_seq_len)`` rows), each C call of
+the kernel table's direct entries (``ln``, ``serve_gemm``, ``attn_rows``,
+``serve_moe``) with its contract checked and its tables' pointers
 converted once, and the NumPy calls between them (embedding gathers,
 ``np.exp`` over attention's ``heads * sum(lengths)`` scores, residual
-adds, K/V appends, the tied head's ``einsum``) — each the call the
-modules make, on the same operands, so the plan moves no bit.  A step
-writes the ids, slots and positions into the plan's input arrays and
-walks one flat tuple of prebound calls.
+adds, K/V writes, the tied head's ``einsum``) — each the call the
+modules make, on the same operands, so the plan moves no bit.  A row
+count the plan has not stepped derives its *view* — one flat tuple of
+prebound calls over the buffers' first rows, with that count in the C
+calls' arguments and ``serve_moe``'s ``t`` — checking no contract and
+allocating no buffer.  A step writes its inputs into the view's rows and
+walks the tuple.
 
 - *Bound once*: each entry's contract, on the operands the plan holds
   (:func:`repro.autograd.lower.runtime.native`).  An entry pinned to its
@@ -22,31 +33,34 @@ walks one flat tuple of prebound calls.
   block FFN with no direct-entry decomposition (a dense ``MLP``, an MoE
   layer without the plain ``Router`` or GELU experts) is one item, its
   own inference ``forward``.  Building counts nothing.
-- *Checked every step* (:meth:`DecodePlan.current`): every attribute the
-  plan read on its way from the model to a table is still the object it
-  read — the module links (``model.blocks``, ``block.attn`` / ``ln1`` /
-  ``ln2`` / ``ffn``, ``attn.qkv``, ``linear.weight``, ``router.proj``,
+- *Checked every step* (:meth:`ServingPlan.current`): every attribute
+  the plan read on its way from the model to a table is still the object
+  it read — the module links (``model.blocks``, ``block.attn`` / ``ln1``
+  / ``ln2`` / ``ffn``, ``attn.qkv``, ``linear.weight``, ``router.proj``,
   ``ffn.experts``, …) and each table's ``data`` alike; an MoE layer
   bound to ``serve_moe`` keeps its router, settings and ``_quantized``
   tables, a LayerNorm its ``eps``; the cache still holds its K/V layers
   (:meth:`KVCache.release` drops them); every entry keeps its binding.
   A stale plan is rebuilt.  Then the data guards: one distinct integer
-  slot per token id, in ``[0, batch_slots)`` (:meth:`KVCache.check_slots`),
-  and positions below ``min(model.max_seq_len, cache.max_seq_len)``, all
-  before any write.
+  slot per sequence (:meth:`KVCache.check_slots`), and positions below
+  ``min(model.max_seq_len, cache.max_seq_len)``, all before any write.
 - *A runner that declines mid-step* (``repro_moe_route`` on a non-finite
   logit) runs that layer's reference into the same buffer, counting
   nothing, as the direct face does.
 
-The buffers hold the embedding table's dtype, and a fallback result of
-another dtype raises ``TypeError`` rather than cast.  A step returns
-fresh logits, and leaves each MoE layer's ``last_routing`` in arrays no
-later step writes.  Dropout is the identity: decode serves an eval-mode
-model.
+Positions are absolute: a prefill writes its rows at each slot's length
+onward, so a slot is reset (:meth:`KVCache.reset`) before its window is
+encoded from position 0.  The buffers hold the embedding table's dtype,
+and a fallback result of another dtype raises ``TypeError`` rather than
+cast.  A step returns fresh logits, and leaves each MoE layer's
+``last_routing`` in arrays no later step writes.  Dropout is the
+identity: serving runs an eval-mode model.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from functools import partial
 from itertools import repeat
 from operator import is_
 
@@ -72,6 +86,40 @@ _DIRECT, _GEMM_CALLS, _GEMM_FLOPS, _ATTN_CALLS, _ATTN_FLOPS = (
 )
 
 
+def _plan(model, cache) -> "ServingPlan":
+    """The cache's plan for ``model``, built (or rebuilt) when missing or
+    stale."""
+    plan = cache.plan
+    if plan is None or plan.model is not model or not plan.current():
+        plan = cache.plan = ServingPlan(model, cache)
+    return plan
+
+
+def prefill(model, ids, cache, slots=None) -> np.ndarray:
+    """Encode ``(B, S)`` token windows into the cache (inside
+    ``inference_mode``); returns ``(B, vocab)`` logits of each window's
+    last position.
+
+    ``slots`` (default: all cache slots, in order) names one distinct
+    slot per sequence; sequence ``b``'s tokens take positions
+    ``[length, length + S)`` of its slot, so a window encoded from the
+    start needs its slot reset first.  Logits are bit-identical to the
+    last position of ``model.forward`` over the slot's whole window
+    inside inference_mode.  Raises ``ValueError`` ("KV cache full") when
+    a window would pass ``min(max_seq_len, cache.max_seq_len)``.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    batch, seq = ids.shape
+    slots = cache.check_slots(slots, batch, "prefill", "sequences")
+    plan = _plan(model, cache)
+    at = np.arange(batch) if slots is None else slots
+    pos = cache.lengths[at][:, None] + np.arange(seq)
+    return plan.run(
+        ids.reshape(-1), np.repeat(at, seq), pos.reshape(-1),
+        np.arange(seq - 1, batch * seq, seq),
+    )
+
+
 def decode(model, ids, cache, slots=None) -> np.ndarray:
     """Single-token KV-cached decode of ``model`` (inside
     ``inference_mode``); returns ``(B, vocab)`` logits.
@@ -79,38 +127,48 @@ def decode(model, ids, cache, slots=None) -> np.ndarray:
     ``ids`` holds the newest token id of each active sequence; ``slots``
     (default: all cache slots, in order) maps row ``j`` to its cache
     slot, one distinct slot per row.  Row ``j`` is embedded at absolute
-    position ``cache.lengths[slots[j]]``, each block appends its K/V in
+    position ``cache.lengths[slots[j]]``, each block writes its K/V in
     place and attends over that slot's cached rows, and the cache
     lengths advance by one.  Logits are bit-identical to row ``j``'s last
     position under ``model.forward`` over the same window inside
     inference_mode — and independent of which other sequences share the
     batch, which is what lets the scheduler admit and evict mid-flight
-    without perturbing anyone's sampling.
-
-    The step runs the cache's :class:`DecodePlan` for this row count,
-    built (or rebuilt) when missing or stale: the blocks' calls bound
-    once, replayed per token.  Raises ``ValueError`` ("KV cache full")
-    when a sequence is at ``min(max_seq_len, cache.max_seq_len)``.
+    without perturbing anyone's sampling.  Raises ``ValueError`` ("KV
+    cache full") when a sequence is at ``min(max_seq_len,
+    cache.max_seq_len)``.
     """
     ids = np.asarray(ids, dtype=np.int64).reshape(-1)
-    rows = len(ids)
-    slots = cache.check_slots(slots, rows, "decode", "token ids")
-    plan = cache.plans.get(rows)
-    if plan is None or plan.model is not model or not plan.current():
-        plan = cache.plans[rows] = DecodePlan(model, cache, rows)
-    return plan.run(ids, slots)
+    slots = cache.check_slots(slots, len(ids), "decode", "token ids")
+    return _plan(model, cache).run(ids, slots)
 
 
 def _face(face, out, *ops):
     """A fallback item: an entry's direct face on the plan's operands,
     its result copied into the plan's buffer."""
-    return lambda: np.copyto(out, face(*ops).reshape(out.shape), casting="no")
+    return P(lambda: np.copyto(out, face(*ops).reshape(out.shape), casting="no"))
 
 
-class DecodePlan:
-    """``model``'s decode step over ``rows`` slots of ``cache``, bound."""
+#: Items are ``functools.partial`` objects, walked by C (``map`` drained
+#: into a zero-length deque): a step runs no Python per item.
+P, _CALL, _drain = partial, partial.__call__, deque(maxlen=0).extend
+#: Where attention's ``np.exp`` runs: a step's scores differ in length.
+_EXP = None
 
-    def __init__(self, model, cache, rows: int) -> None:
+
+class _View:
+    """A plan's step over ``n`` rows: the input rows it writes, the calls
+    it walks — split where attention's ``np.exp`` runs — and the head."""
+
+    __slots__ = ("ids", "slots", "pos", "lens", "every", "head", "segments",
+                 "tail", "logits", "gemm_flops")
+
+
+class ServingPlan:
+    """``model``'s serving step over ``cache``, bound at the cache's
+    capacity.  ``buffers`` lists every array a step writes besides its
+    inputs: allocated here, for every row count alike."""
+
+    def __init__(self, model, cache) -> None:
         self.model = model
         self._owners: list = [cache, cache]
         self._names: list = ["layers", "lengths"]
@@ -124,82 +182,75 @@ class DecodePlan:
                 if not cache.layers else
                 f"the KV cache has {len(cache.layers)} layers, the model {len(blocks)}"
             )
-        if rows < 1:
-            raise ValueError("a decode step needs at least one row")
 
         attn0 = blocks[0].attn
         heads, d, hidden = attn0.num_heads, attn0.head_dim, model.hidden_size
         emb = self._hold(model, "tok_emb", "weight", "data")
         pos_emb = self._hold(model, "pos_emb", "weight", "data")
         dt = emb.dtype
-        cap = cache.max_seq_len
-        self._heads = heads
+        slots = cache.batch_slots
         #: Positions must stay below both the cache's rows and the model's.
-        self._cap = min(model.max_seq_len, cap)
+        cap = self._cap = min(model.max_seq_len, cache.max_seq_len)
+        rows = slots * cap  # the largest window: every slot full
+        self._heads = heads
         self._lengths = cache.lengths
+        self._views: dict = {}
 
         # Inputs, written per step.
-        ids, sl, pos, lens = (np.zeros(rows, np.int64) for _ in range(4))
-        self._ids, self._slots, self._pos, self._lens = ids, sl, pos, lens
-        self._every = np.arange(rows)
+        self._ids, self._slots, self._pos, self._lens = (
+            np.zeros(rows, np.int64) for _ in range(4)
+        )
+        self._head_rows = np.zeros(slots, np.int64)
+        self._every = np.arange(slots)
         # The step's buffers, shared by every block in turn.
         x, h, a = (np.empty((rows, 1, hidden), dt) for _ in range(3))
-        x2, h2, a2 = (b.reshape(rows, hidden) for b in (x, h, a))
         qkv = np.empty((rows, 1, 3 * hidden), dt)
-        qkv4 = qkv.reshape(rows, 3, heads, d)
         q = np.empty((rows, heads, d), dt)
         ctx = np.empty((rows, hidden), dt)
         self._ln_scratch = np.empty(rows * hidden + rows + hidden, np.float32)
-        self._scores = np.empty(heads * rows * cap, np.float32)
-        #: ``np.exp``'s operands: the scores' first ``heads * sum(lengths)``.
-        self._exp = [self._scores, self._scores]
-        # The C calls hold these buffers' addresses: they live with the plan.
-        self._buffers = (x, h, a, qkv, q, ctx)
+        # Every slot's rows at once read at most cap * (cap + 1) / 2 keys.
+        self._scores = np.empty(heads * slots * cap * (cap + 1) // 2, np.float32)
+        # The C calls hold these buffers' addresses: they live with the
+        # plan (each bound MoE layer adds its own).
+        self.buffers = [x, h, a, qkv, q, ctx, self._ln_scratch, self._scores]
+        self._x, self._h, self._a = x, h, a
 
-        calls = [
-            (np.take, (emb, ids, 0, x2)),
-            (np.take, (pos_emb, pos, 0, a2)),
-            (np.add, (x2, a2, x2)),
-        ]
         self._native = 0  # C crossings a step makes outside the MoE items
-        gemm_flops = 0
-        for block, layer_kv in zip(blocks, cache.layers):
+        items = [self._embed(emb, pos_emb, x, a)]
+        for block, kv in zip(blocks, cache.layers):
             attn = self._hold(block, "attn")
             if type(attn) is not CausalSelfAttention:
                 raise TypeError(
-                    f"KV-cached decode needs CausalSelfAttention blocks, not {type(attn).__name__}"
+                    f"KV-cached serving needs CausalSelfAttention blocks, not {type(attn).__name__}"
                 )
-            k_cache, v_cache = layer_kv.k, layer_kv.v
-            calls.append(self._layer_norm(self._hold(block, "ln1"), x, h))
-            calls.append(self._linear(self._hold(attn, "qkv"), h, qkv))
-            calls += [
-                (k_cache.__setitem__, ((sl, Ellipsis, pos), qkv4[:, 1])),
-                (v_cache.__setitem__, ((sl, slice(None), pos), qkv4[:, 2])),
-                (np.copyto, (q, qkv4[:, 0])),
-            ]
-            calls += self._attention(q, k_cache, v_cache, ctx, attn._scale())
-            calls.append(self._linear(self._hold(attn, "proj"), ctx, a))
-            calls.append((np.add, (x, a, x)))
-            calls.append(self._layer_norm(self._hold(block, "ln2"), x, h))
-            calls.append(self._ffn(self._hold(block, "ffn"), h, a, h2, a2))
-            calls.append((np.add, (x, a, x)))
-            gemm_flops += 2 * rows * hidden * 4 * hidden  # qkv (3H) + proj (H)
-        calls.append(self._layer_norm(self._hold(model, "ln_f"), x, h))
-        self._calls = tuple(calls)
+            items.append(self._layer_norm(self._hold(block, "ln1"), x, h))
+            items.append(self._linear(self._hold(attn, "qkv"), h, qkv))
+            items.append(self._kv_write(kv, qkv.reshape(rows, 3, heads, d), q))
+            items.append(self._attention(q, kv.k, kv.v, ctx, attn._scale()))
+            items.append(self._linear(self._hold(attn, "proj"), ctx, a))
+            items.append(_add(x, a))
+            items.append(self._layer_norm(self._hold(block, "ln2"), x, h))
+            items.append(self._ffn(self._hold(block, "ffn"), h, a))
+            items.append(_add(x, a))
+        self._items = items
+        self._ln_f = self._layer_norm(self._hold(model, "ln_f"), x, h)
 
         if self._hold(model, "tie_embeddings"):
-            self._head, self._head_args = np.einsum, ("ij,kj->ik", h2, emb)
+            self._head = lambda rows: P(np.einsum, "ij,kj->ik", rows, emb)
             vocab = emb.shape[0]
         else:
             head = self._hold(model, "lm_head", "weight", "data")
-            self._head, self._head_args = kernels._gemm, (h2, head, None)
+            self._head = lambda rows: P(kernels._gemm, rows, head, None)
             vocab = head.shape[1]
         self._gemm_calls = 2 * len(blocks) + 1
-        self._gemm_flops = gemm_flops + 2 * rows * hidden * vocab
+        self._row_flops = len(blocks) * 2 * hidden * 4 * hidden  # qkv (3H) + proj (H)
+        self._head_flops = 2 * hidden * vocab
         self._attn_calls = len(blocks)
         self._attn_flops_per_key = len(blocks) * 4 * heads * d
 
     # -- binding ---------------------------------------------------------
+    # Each item is ``bind(n)``: the calls of a step over the buffers'
+    # first ``n`` rows.
     def _hold(self, owner, *names):
         """``owner.<names[0]>.<names[1]>…``, every link of the chain held:
         a step checks each attribute is still the object read here."""
@@ -218,20 +269,38 @@ class DecodePlan:
         self._bindings.append(runtime.binding(entry))
         return lib
 
+    def _embed(self, emb, pos_emb, x, a):
+        ids, pos = self._ids, self._pos
+        x2, a2 = x[:, 0], a[:, 0]
+
+        def bind(n):
+            xn, an = x2[:n], a2[:n]
+            return [
+                P(np.take, emb, ids[:n], 0, xn),
+                P(np.take, pos_emb, pos[:n], 0, an),
+                P(np.add, xn, an, xn),
+            ]
+
+        return bind
+
     def _layer_norm(self, ln, x, out):
+        """``bind(n, x, out)``: the LayerNorm of ``x``'s first ``n`` rows
+        into ``out``'s (by default the buffers it was bound on)."""
         w, b = self._hold(ln, "weight", "data"), self._hold(ln, "bias", "data")
         eps = self._hold(ln, "eps")
         lib = self._lib(layernorm.LN, x, w, b, eps)
         if lib is None:
-            return _face(kernels.layer_norm, out, x, w, b, eps), ()
+            face = kernels.layer_norm
+            return lambda n, x=x, out=out: [_face(face, out[:n], x[:n], w, b, eps)]
         self._native += 1
-        rows, width = x.size // x.shape[-1], x.shape[-1]
+        fn, width, pw, pb = lib.repro_ln_fwd_f32, x.shape[-1], addr(w), addr(b)
         xhat = addr(self._ln_scratch)
-        inv = xhat + 4 * x.size
-        return lib.repro_ln_fwd_f32, (
-            addr(x), addr(w), addr(b), addr(out), xhat, inv, rows, width,
-            eps, inv + 4 * rows,
-        )
+
+        def bind(n, x=x, out=out):
+            inv = xhat + 4 * n * width
+            return [P(fn, addr(x), pw, pb, addr(out), xhat, inv, n, width, eps, inv + 4 * n)]
+
+        return bind
 
     def _linear(self, linear, x, out):
         w = self._hold(linear, "weight", "data")
@@ -239,33 +308,52 @@ class DecodePlan:
         b = None if bias is None else self._hold(bias, "data")
         lib = self._lib(serve.GEMM, x, w, b)
         if lib is None:
-            return _face(kernels._gemm, out, x, w, b), ()
+            return lambda n: [_face(kernels._gemm, out[:n], x[:n], w, b)]
         self._native += 1
-        k, n = w.shape
-        return lib.repro_serve_gemm, (
-            addr(x), addr(w), None if b is None else addr(b), addr(out), x.size // k, k, n,
-        )
+        k, m = w.shape
+        bound = P(lib.repro_serve_gemm, addr(x), addr(w), None if b is None else addr(b), addr(out))
+        return lambda n: [P(bound, n, k, m)]
+
+    def _kv_write(self, kv, qkv4, q):
+        """Each row's K and V into its slot at its position; its query
+        into ``q``."""
+        sl, pos = self._slots, self._pos
+
+        def bind(n):
+            at, now = sl[:n], pos[:n]
+            return [
+                P(kv.k.__setitem__, (at, Ellipsis, now), qkv4[:n, 1]),
+                P(kv.v.__setitem__, (at, slice(None), now), qkv4[:n, 2]),
+                P(np.copyto, q[:n], qkv4[:n, 0]),
+            ]
+
+        return bind
 
     def _attention(self, q, k, v, ctx, scale):
         sl, lens = self._slots, self._lens
         lib = self._lib(serve.ATTENTION, q, k, v, sl, lens, scale)
         if lib is None:
-            return [(_face(kernels._attention, ctx, q, k, v, sl, lens, scale), ())]
+            face = kernels._attention
+            return lambda n: [_face(face, ctx[:n], q[:n], k, v, sl[:n], lens[:n], scale)]
         self._native += 1
-        rows, heads, d = q.shape
+        heads, d = q.shape[1:]
         ps, pi, pn = addr(self._scores), addr(sl), addr(lens)
-        shape = (rows, heads, d, k.shape[0], k.shape[3])
-        return [
-            (lib.repro_attn_scores, (addr(q), addr(k), pi, pn, ps, *shape, scale)),
-            (np.exp, self._exp),
-            (lib.repro_attn_context, (ps, addr(v), pi, pn, addr(ctx), *shape)),
-        ]
+        scores = P(lib.repro_attn_scores, addr(q), addr(k), pi, pn, ps)
+        context = P(lib.repro_attn_context, ps, addr(v), pi, pn, addr(ctx))
+        cache = (k.shape[0], k.shape[3])
 
-    def _ffn(self, ffn, h, out, h2, out2):
+        def bind(n):
+            shape = (n, heads, d, *cache)
+            return [P(scores, *shape, scale), _EXP, P(context, *shape)]
+
+        return bind
+
+    def _ffn(self, ffn, h, out):
+        h2, out2 = h[:, 0], out[:, 0]
         if isinstance(ffn, (dMoE, MoELayer)):
             lib = self._lib(serve.MOE, ffn, h2)
-            step = None if lib is None else serve.moe_layer_step(lib, ffn, h2, out2)
-            if step is not None:
+            steps = None if lib is None else serve.moe_layer_step(lib, ffn, h2, out2)
+            if steps is not None:
                 # What the bound step read: its router and settings, its
                 # tables — the int8 ones while they are attached.
                 router = self._hold(ffn, "router")
@@ -279,13 +367,41 @@ class DecodePlan:
                 quantized = self._hold(ffn, "_quantized")
                 for name in ("q1", "s1", "b1", "q2", "s2", "b2") if quantized else ():
                     self._hold(quantized, name)
-                return _moe_item(step, ffn, h2, out2), ()
+                self.buffers += steps.buffers
+                return lambda n: [P(_moe_item, steps(n), ffn, h2[:n], out2[:n])]
 
-        def generic():
-            y = ffn(Tensor(h))
-            np.copyto(out, (y[0] if isinstance(y, tuple) else y).data, casting="no")
+        return lambda n: [P(_generic, ffn, h[:n], out[:n])]
 
-        return generic, ()
+    def _view(self, n: int, b: int) -> _View:
+        """The step over ``n`` rows, ``b`` of them head rows (``0``:
+        every row gets the head)."""
+        view = _View()
+        view.ids, view.slots, view.pos, view.lens = (
+            a[:n] for a in (self._ids, self._slots, self._pos, self._lens)
+        )
+        view.every = self._every[:n] if n <= len(self._every) else None
+        calls = [call for item in self._items for call in item(n)]
+        x, h, a = self._x, self._h, self._a
+        if b:
+            # Only each sequence's last row reaches the head: gather them.
+            view.head = self._head_rows[:b]
+            calls.append(P(np.take, x[:n, 0], view.head, 0, h[:b, 0]))
+            calls += self._ln_f(b, h, a)
+            view.logits = self._head(a[:b, 0])
+        else:
+            view.head = None
+            calls += self._ln_f(n)
+            view.logits = self._head(h[:n, 0])
+        view.segments, segment = [], []
+        for call in calls:
+            if call is _EXP:
+                view.segments.append(tuple(segment))
+                segment = []
+            else:
+                segment.append(call)
+        view.tail = tuple(segment)
+        view.gemm_flops = self._row_flops * n + self._head_flops * (b or n)
+        return view
 
     # -- stepping --------------------------------------------------------
     def current(self) -> bool:
@@ -294,41 +410,76 @@ class DecodePlan:
             map(is_, map(getattr, self._owners, self._names, repeat(None)), self._values)
         ) and all(map(is_, map(runtime.current_binding, self._entries), self._bindings))
 
-    def run(self, ids: np.ndarray, slots) -> np.ndarray:
-        """One step over checked ``slots`` (``None``: every slot):
-        ``(rows, vocab)`` logits, a fresh array."""
-        sl, pos, lens = self._slots, self._pos, self._lens
-        self._ids[:] = ids
-        sl[:] = self._every if slots is None else slots
-        np.take(self._lengths, sl, out=pos)
-        if pos.max() >= self._cap:
-            raise ValueError(
-                "KV cache full: a sequence is at max_seq_len "
-                f"({self._cap}); slide the window (re-prefill) first"
-            )
-        np.add(pos, 1, out=lens)
+    def run(self, ids: np.ndarray, slots, pos=None, head=None) -> np.ndarray:
+        """One step over ``n = len(ids)`` rows: ``(rows, vocab)`` logits of
+        the head rows, a fresh array.
+
+        ``slots`` is each row's checked slot (``None``: every slot, in
+        order, one row each); ``pos`` each row's position (``None``: its
+        slot's length); ``head`` the rows that get the head, each
+        sequence's last (``None``: every row).  Each head row's slot
+        ends the step at that row's position + 1."""
+        n = len(ids)
+        if n < 1:
+            raise ValueError("a serving step needs at least one row")
+        if pos is not None and pos.max() >= self._cap:
+            raise self._full()
+        key = n if head is None else (n, len(head))
+        view = self._views.get(key)
+        if view is None:
+            view = self._views[key] = self._view(n, 0 if head is None else len(head))
+        sl, at, lens = view.slots, view.pos, view.lens
+        sl[:] = view.every if slots is None else slots
+        if pos is None:
+            np.take(self._lengths, sl, out=at)
+            if at.max() >= self._cap:
+                raise self._full()
+        else:
+            at[:] = pos
+        if head is not None:
+            view.head[:] = head
+        view.ids[:] = ids
+        np.add(at, 1, out=lens)
         total = int(lens.sum())
-        self._exp[0] = self._exp[1] = self._scores[: self._heads * total]
-        for fn, args in self._calls:
-            fn(*args)
-        logits = self._head(*self._head_args)
-        self._lengths[sl] = lens
+        scores = self._scores[: self._heads * total]
+        for segment in view.segments:
+            _drain(map(_CALL, segment))
+            np.exp(scores, scores)
+        _drain(map(_CALL, view.tail))
+        logits = view.logits()
+        if head is None:
+            self._lengths[sl] = lens
+        else:
+            self._lengths[sl[head]] = lens[head]
         _DIRECT.value += self._native
         _GEMM_CALLS.value += self._gemm_calls
-        _GEMM_FLOPS.value += self._gemm_flops
+        _GEMM_FLOPS.value += view.gemm_flops
         _ATTN_CALLS.value += self._attn_calls
         _ATTN_FLOPS.value += self._attn_flops_per_key * total
         return logits
+
+    def _full(self) -> ValueError:
+        return ValueError(
+            "KV cache full: a sequence is at max_seq_len "
+            f"({self._cap}); slide the window (re-prefill) first"
+        )
+
+
+def _add(x, a):
+    return lambda n: [P(np.add, x[:n], a[:n], x[:n])]
+
+
+def _generic(ffn, h, out):
+    """A block FFN with no direct-entry decomposition: its own inference
+    ``forward``."""
+    y = ffn(Tensor(h))
+    np.copyto(out, (y[0] if isinstance(y, tuple) else y).data, casting="no")
 
 
 def _moe_item(step, layer, x, out):
     """``serve_moe`` bound to the plan's rows; a decline runs the
     layer's reference into the same buffer."""
-
-    def run():
-        if step():
-            _DIRECT.value += 1
-        else:
-            np.copyto(out, moe_forward_ref(layer, x), casting="no")
-
-    return run
+    if step():
+        _DIRECT.value += 1
+    else:
+        np.copyto(out, moe_forward_ref(layer, x), casting="no")

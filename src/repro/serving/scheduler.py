@@ -88,7 +88,7 @@ class _Sequence:
     __slots__ = (
         "request", "slot", "ids", "n", "window_start", "logits", "rng",
         "submit_t", "first_token_t", "last_token_t", "done_reason", "eos",
-        "turn",
+        "turn", "peak", "setting",
     )
 
     def __init__(self, request: Request, max_seq_len: int) -> None:
@@ -106,6 +106,10 @@ class _Sequence:
         self.done_reason: Optional[str] = None
         self.eos = request.eos_token_id
         self.set_turn(max_seq_len)
+        #: The window it peaks at (the token budget's unit) and its
+        #: sampling setting.
+        self.peak = min(len(self.ids), max_seq_len)
+        self.setting = (request.temperature, request.top_k)
 
     def set_turn(self, max_seq_len: int) -> None:
         """Set ``turn``: the length at which this sequence leaves plain
@@ -115,9 +119,6 @@ class _Sequence:
     @property
     def prompt_len(self) -> int:
         return len(self.ids) - self.request.max_new_tokens
-
-    def peak_tokens(self, max_seq_len: int) -> int:
-        return min(len(self.ids), max_seq_len)
 
 
 class ContinuousBatchingScheduler:
@@ -153,10 +154,25 @@ class ContinuousBatchingScheduler:
         # The decode batch — ``active`` in order — with its slots and
         # samplers, re-formed on admission and eviction only; ``_logits``
         # is the last decode's output while its rows are the batch's, in
-        # order (otherwise each sequence holds its own row).
+        # order (otherwise each sequence holds its own row).  ``_sampler``
+        # is the one sampler when one setting covers the batch; ``_bound``
+        # keeps a sampler per setting and row count, moved to each batch
+        # of that shape.  ``_plain`` counts the steps left before a
+        # sequence of the batch reaches its turn.
         self._batch: List[_Sequence] = []
         self._slots = np.zeros(0, dtype=np.int64)
         self._samplers: List[tuple] = []
+        self._sampler = None
+        self._bound: Dict[tuple, object] = {}
+        self._eos = False  # some sequence of the batch has an eos token
+        self._plain = 0
+        self._committed = 0  # the active sequences' summed peak windows
+        # The batch's tokens of the plain steps since the batch last
+        # changed, a column per step (row ``i``: batch row ``i``), moved
+        # into the sequences' ``ids`` before anything reads them
+        # (:meth:`_flush`).  A turn comes within ``max_seq_len + 1`` steps.
+        self._tokens = np.empty((max_batch_size, self.max_seq_len + 1), np.int64)
+        self._column = 0
         self._logits: Optional[np.ndarray] = None
         self._fresh: List[_Sequence] = []  # admitted, first token not sampled
         self._last_token_t = 0.0  # when the batch last got its tokens
@@ -203,18 +219,18 @@ class ContinuousBatchingScheduler:
 
     @property
     def committed_tokens(self) -> int:
-        return sum(s.peak_tokens(self.max_seq_len) for s in self.active.values())
+        """The summed peak windows of the active sequences."""
+        return self._committed
 
     # -- admission -------------------------------------------------------
     def _admit(self, now: float) -> None:
-        budget_used = self.committed_tokens
         admitted = False
         while self.queue and self.free_slots:
             seq = self.queue[0]
-            peak = seq.peak_tokens(self.max_seq_len)
-            if self.active and budget_used + peak > self.token_budget:
+            if self.active and self._committed + seq.peak > self.token_budget:
                 break  # token budget full; wait for evictions
             if not admitted:
+                self._flush()
                 self._hand_out_logits()
                 admitted = True
             self.queue.popleft()
@@ -223,7 +239,7 @@ class ContinuousBatchingScheduler:
             self._prefill(seq)
             self.active[seq.slot] = seq
             self._fresh.append(seq)
-            budget_used += peak
+            self._committed += seq.peak
         if admitted:
             self._rebatch()
         self.peak_concurrency = max(self.peak_concurrency, len(self.active))
@@ -233,19 +249,36 @@ class ContinuousBatchingScheduler:
         """Re-form the decode batch from ``active`` (admission, eviction),
         with one ``(rows, sampler)`` per distinct ``(temperature, top_k)``
         in order of first appearance: the batch rows of that setting, in
-        batch order, and :func:`bound_sample_rows` over their generators.
-        A step samples in this order, so sequences sharing a generator
-        draw from it in this order."""
+        batch order, and :func:`bound_sample_rows` over their generators
+        (an earlier batch's sampler of that setting and row count, moved
+        to these).  A step samples in this order, so sequences sharing a
+        generator draw from it in this order."""
         batch = self._batch = list(self.active.values())
-        self._slots = np.array([seq.slot for seq in batch], dtype=np.int64)
+        self._slots = np.fromiter(self.active, np.int64, len(batch))
         groups: Dict[tuple, List[int]] = {}
         for i, seq in enumerate(batch):
-            groups.setdefault((seq.request.temperature, seq.request.top_k), []).append(i)
+            groups.setdefault(seq.setting, []).append(i)
         vocab = self.engine.model.vocab_size
-        self._samplers = [
-            (rows, bound_sample_rows([batch[i].rng for i in rows], vocab, *setting))
-            for setting, rows in groups.items()
-        ]
+        bound, self._samplers = self._bound, []
+        for setting, rows in groups.items():
+            gens = [batch[i].rng for i in rows]
+            sampler = bound.get((setting, len(rows)))
+            if sampler is None or not sampler.bind(gens):
+                sampler = bound[setting, len(rows)] = bound_sample_rows(gens, vocab, *setting)
+            self._samplers.append((rows, sampler))
+        self._sampler = self._samplers[0][1] if len(self._samplers) == 1 else None
+        self._eos = any([seq.eos is not None for seq in batch])
+        self._plain = min([seq.turn - seq.n for seq in batch], default=0)
+
+    def _flush(self) -> None:
+        """Append the batch's tokens held in ``_tokens`` to its sequences."""
+        k = self._column
+        if k:
+            for seq, row in zip(self._batch, self._tokens):
+                n = seq.n
+                seq.ids[n : n + k] = row[:k]
+                seq.n = n + k
+            self._column = 0
 
     def _hand_out_logits(self) -> None:
         """Give each sequence its row of the last decode's logits."""
@@ -288,36 +321,32 @@ class ContinuousBatchingScheduler:
             logits = self._logits
             if logits is None:
                 logits = np.array([seq.logits for seq in batch])
-            samplers = self._samplers
-            if len(samplers) == 1:
-                picked = samplers[0][1](logits)
+            sampler = self._sampler
+            if sampler is not None:
+                picked = sampler(logits)
             else:
                 picked = np.empty(len(batch), dtype=np.int64)
-                for rows, sampler in samplers:
+                for rows, sampler in self._samplers:
                     picked[rows] = sampler(logits[rows])
-            tokens = picked.tolist()
             # Every sequence gets a token every step: one admitted this
             # step waited since its submission (its first token), every
             # other one since the last step.  The fresh come last.
             fresh = self._fresh
             waited = [(now - self._last_token_t) * 1e3] * (len(batch) - len(fresh))
-            for seq in fresh:
-                seq.first_token_t = now
-                waited.append((now - seq.submit_t) * 1e3)
-                self._ttft.observe(waited[-1])
-            fresh.clear()
+            if fresh:
+                for seq in fresh:
+                    seq.first_token_t = now
+                    waited.append((now - seq.submit_t) * 1e3)
+                    self._ttft.observe(waited[-1])
+                fresh.clear()
             self._token_latency.observe_all(waited)
             self._last_token_t = now
-            turn = False
-            for seq, tok in zip(batch, tokens):
-                n = seq.n
-                seq.ids[n] = tok
-                seq.n = n = n + 1
-                if tok == seq.eos or n == seq.turn:
-                    turn = True
+            self._tokens[: len(batch), self._column] = picked
+            self._column += 1
             self._tokens_generated.value += len(batch)
+            self._plain -= 1
 
-            if not turn:
+            if self._plain > 0 and not (self._eos and self._eos_hit(batch, picked)):
                 # Every sequence decodes, in batch order: its logits are
                 # the next step's batch logits.
                 with span("serve/decode"):
@@ -325,7 +354,7 @@ class ContinuousBatchingScheduler:
                         picked, self.cache, slots=self._slots
                     )
             else:
-                self._advance(finished, now)
+                self._advance(finished, now, picked)
         dt = time.perf_counter() - t0
         self._step_ms.observe(dt * 1e3)
         self.step_seconds += dt
@@ -333,46 +362,58 @@ class ContinuousBatchingScheduler:
         self.step_attn_flops += self._attn_flops.value - attn0
         return finished
 
-    def _advance(self, finished: List[GenerationResult], now: float) -> None:
-        """Evict finished sequences (their last token came ``now``), then
-        advance the survivors: sequences at the window edge take a solo
-        re-prefill (sliding-window eviction); the rest share one batched
-        decode."""
+    @staticmethod
+    def _eos_hit(batch, picked) -> bool:
+        return any(tok == seq.eos for seq, tok in zip(batch, picked.tolist()))
+
+    def _advance(self, finished: List[GenerationResult], now: float, picked) -> None:
+        """Evict finished sequences (their last token, ``picked``, came
+        ``now``), then advance the survivors: sequences at the window edge
+        take a solo re-prefill (sliding-window eviction); the rest share
+        one batched decode of their last tokens."""
         self._logits = None
+        self._flush()
         active = self.active
-        for seq in self._batch:
+        gone = []
+        for i, seq in enumerate(self._batch):
             if seq.eos is not None and seq.ids[seq.n - 1] == seq.eos:
                 seq.done_reason = "eos"
             elif seq.n == len(seq.ids):
                 seq.done_reason = "length"
             else:
                 continue
+            gone.append(i)
             seq.last_token_t = now
             finished.append(self._finish(seq))
             del active[seq.slot]
             self.free_slots.append(seq.slot)
-        if finished:
+            self._committed -= seq.peak
+        if gone:
             self._rebatch()
             self._active_sequences.set(len(active))
-        decode: List[_Sequence] = []
-        for seq in self._batch:
-            if (seq.n - 1) - seq.window_start >= self.max_seq_len:
-                seq.window_start = seq.n - self.max_seq_len
-                seq.set_turn(self.max_seq_len)
-                self._prefill(seq)
-            else:
-                decode.append(seq)
-        if not decode:
+            picked = np.delete(picked, gone)
+        batch, slots = self._batch, self._slots
+        edge = [
+            i for i, seq in enumerate(batch)
+            if (seq.n - 1) - seq.window_start >= self.max_seq_len
+        ]
+        for i in edge:
+            seq = batch[i]
+            seq.window_start = seq.n - self.max_seq_len
+            seq.set_turn(self.max_seq_len)
+            self._prefill(seq)
+        self._plain = min([seq.turn - seq.n for seq in batch], default=0)
+        if len(edge) == len(batch):
             return
+        if edge:
+            picked, slots = np.delete(picked, edge), np.delete(slots, edge)
         with span("serve/decode"):
-            logits = self.engine.decode_step(
-                np.array([seq.ids[seq.n - 1] for seq in decode], dtype=np.int64),
-                self.cache, slots=np.array([seq.slot for seq in decode], dtype=np.int64),
-            )
-        if len(decode) == len(self._batch):
+            logits = self.engine.decode_step(picked, self.cache, slots=slots)
+        if not edge:
             self._logits = logits
         else:
-            for seq, row in zip(decode, logits):
+            decoded = [seq for i, seq in enumerate(batch) if i not in edge]
+            for seq, row in zip(decoded, logits):
                 seq.logits = row
 
     def _finish(self, seq: _Sequence) -> GenerationResult:

@@ -199,6 +199,44 @@ class TestKernelFuzz:
                     cc_opt.step()
             _assert_same_adam_state(ref_opt, cc_opt)
 
+    @pytest.mark.parametrize("swap", ["data", "grad", "m", "v"])
+    def test_a_swapped_array_rebinds_the_pointer_table(self, swap):
+        """The bound table is checked by identity, array by array: a new
+        ``p.data``, ``p.grad``, ``m`` or ``v`` object (same values, new
+        memory) makes the next step bind it, so the C step updates the
+        live arrays and its results stay NumPy's."""
+
+        def build():
+            from repro.nn.module import Parameter
+
+            r = np.random.default_rng(9)
+            ps = []
+            for shape in [(40, 8), (8,), (3, 5)]:
+                p = Parameter(r.standard_normal(shape).astype(np.float32))
+                p.grad = r.standard_normal(shape).astype(np.float32)
+                ps.append(p)
+            return Adam(ps, lr=1e-2)
+
+        ref_opt, cc_opt = build(), build()
+        assert lower.attach_adam(cc_opt)
+        with arena.steady_state():
+            for step in range(3):
+                if step == 1:
+                    for opt in (ref_opt, cc_opt):
+                        p = opt.params[1]
+                        if swap in ("data", "grad"):
+                            setattr(p, swap, getattr(p, swap).copy())
+                        else:
+                            moments = opt._m if swap == "m" else opt._v
+                            moments[1] = moments[1].copy()
+                    argv = cc_opt.native.argv
+                ref_opt.step()
+                cc_opt.step()
+                if step == 1:
+                    assert cc_opt.native.argv is not argv  # bound again
+        _assert_same_adam_state(ref_opt, cc_opt)
+        assert cc_opt.params[1].grad is cc_opt.native.held[2][1]
+
     @pytest.mark.parametrize("wd", [0.0, 0.01])
     def test_adam_multi_matches_numpy_at_the_vector_edges(self, wd):
         """The vectorised loop against both NumPy formulations where a

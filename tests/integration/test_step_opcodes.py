@@ -41,11 +41,11 @@ _spec.loader.exec_module(step_probe)
 #: three PRs with nothing to notice it).
 REPLAY_CEILING = 0.71
 CC_CEILING = 0.62
-#: A 4-slot decode step of the same model, served: its decode plan bound
+#: A 4-slot decode step of the same model, served: its serving plan bound
 #: to the kernel table's C over the same plan built with every entry
-#: pinned to its reference measured 0.101 (CPython 3.11: 1 291 / 12 777
+#: pinned to its reference measured 0.086 (CPython 3.11: 1 014 / 11 844
 #: opcodes); the ceiling sits 7 % above.
-DECODE_CEILING = 0.108
+DECODE_CEILING = 0.092
 
 
 @pytest.fixture(autouse=True)
@@ -80,7 +80,7 @@ def _model():
 def _pinned_to_references():
     """Every direct entry bound to a runner that declines and to no
     library: each call runs its reference, as with no prelude, but counts
-    nothing, and a decode plan built meanwhile binds none of the C."""
+    nothing, and a serving plan built meanwhile binds none of the C."""
     decline = lambda *ops: False  # noqa: E731
     runtime._direct.update(
         {e: (decline, kernels.reference(e), None) for e in kernels.TABLE if e.checks}

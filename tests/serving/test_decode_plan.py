@@ -1,12 +1,13 @@
-"""The decode plan and its cache (``repro.serving.plan``).
+"""The serving plan and its cache (``repro.serving.plan``).
 
-A decode step replays the plan its cache holds for the step's row count:
-the model's calls, bound once.  Whatever happens to the cache and the
-model between steps — slots admitted, decoded in any subset and order,
-evicted or slid; int8 tables attached; a parameter's array swapped; a
-parameter or a module replaced by another object; the cache released and
-a new one opened — every decoded row must be the
-uncached ``model.forward``'s last-position logits, bit for bit.  A
+A prefill or a decode step replays the one plan its cache holds: the
+model's calls, bound once, over the step's rows.  Whatever happens to the
+cache and the model between steps — slots admitted, prefilled at any
+length, decoded in any subset and order, evicted or slid; int8 tables
+attached; a parameter's array swapped; a parameter or a module replaced
+by another object; the cache released and a new one opened — every
+prefilled and decoded row must be the uncached ``model.forward``'s
+last-position logits, bit for bit.  A
 hypothesis state machine drives those operations; the fixed cases beside
 it cover a runner declining mid-plan, a plan built from the references,
 a released cache and the routing a step leaves on its MoE layers.
@@ -101,6 +102,16 @@ class PlanCacheMachine(RuleBasedStateMachine):
         slot = data.draw(st.sampled_from(sorted(set(range(SLOTS)) - set(self.windows))))
         self._prefill(slot, data.draw(_WINDOW))
 
+    @rule(data=st.data())
+    def prefill_any_length(self, data):
+        """Reset a slot and encode a window of any length the cache
+        holds: every length is a view of the one plan."""
+        slot = data.draw(st.integers(0, SLOTS - 1))
+        length = data.draw(st.integers(1, MAX_SEQ))
+        self._prefill(slot, data.draw(st.lists(
+            st.integers(0, VOCAB - 1), min_size=length, max_size=length
+        )))
+
     @precondition(lambda self: any(len(w) < MAX_SEQ for w in self.windows.values()))
     @rule(data=st.data())
     def decode(self, data):
@@ -115,7 +126,7 @@ class PlanCacheMachine(RuleBasedStateMachine):
         for row, slot, token in zip(logits, slots, tokens):
             self.windows[slot].append(token)
             assert np.array_equal(row, uncached(self.model, self.windows[slot]))
-        assert set(self.cache.plans) <= set(range(1, SLOTS + 1))
+        assert self.cache.plan.model is self.model
 
     @precondition(lambda self: self.windows)
     @rule(data=st.data())
@@ -164,9 +175,9 @@ class PlanCacheMachine(RuleBasedStateMachine):
 
     @rule()
     def release_and_open_another_cache(self):
-        plans = list(self.cache.plans.values())
+        plan = self.cache.plan
         self.cache.release()
-        assert not self.cache.plans and not any(p.current() for p in plans)
+        assert self.cache.plan is None and (plan is None or not plan.current())
         with pytest.raises(ValueError, match="released"):
             self.engine.decode_step(np.zeros(1, np.int64), self.cache, slots=[0])
         self.cache = self.engine.new_cache(SLOTS)
@@ -226,18 +237,17 @@ def test_a_router_that_declines_mid_plan_runs_the_layers_reference(native_rung):
     with pinned_to_references():
         reference = _decoded(engine, prompts, 1, np.random.default_rng(4))[0]
     cache = _decoded(engine, prompts, 1, np.random.default_rng(4))[0]
-    plan = cache.plans[2]
+    plan = cache.plan
     weight = model.blocks[1].ffn.router.proj.weight.data
     weight[...] = 0.0
     weight[0, 0] = np.nan
     missed, calls = fallbacks(), count("lower_direct_calls")
     with np.errstate(invalid="ignore"):
         got = engine.decode_step(np.array([5, 7]), cache)
-        assert cache.plans[2] is plan
-        # serve_moe counted nothing for the declining layer; its
-        # reference's router GEMM is a direct call of its own (its
-        # expert products are NumPy's).
-        assert count("lower_direct_calls") - calls == 6 * len(model.blocks) + 1
+        assert cache.plan is plan
+        # serve_moe counted nothing for the declining layer, and its
+        # reference runs in NumPy alone.
+        assert count("lower_direct_calls") - calls == 6 * len(model.blocks)
         assert fallbacks() == missed
         with pinned_to_references():
             want = engine.decode_step(np.array([5, 7]), reference)
@@ -251,12 +261,12 @@ def test_a_plan_built_with_every_entry_pinned_runs_the_references(native_rung):
     engine = InferenceEngine(model)
     prompts = np.random.default_rng(5).integers(0, VOCAB, (3, 6))
     native_cache, _, native = _decoded(engine, prompts, 3, np.random.default_rng(6))
-    assert native_cache.plans[3]._native > 0
+    assert native_cache.plan._native > 0
     native_cache.release()
     with pinned_to_references():
         calls = count("lower_direct_calls")
         cache, _, pinned = _decoded(engine, prompts, 3, np.random.default_rng(6))
-        assert cache.plans[3]._native == 0
+        assert cache.plan._native == 0
         assert count("lower_direct_calls") == calls
         cache.release()
     for a, b in zip(native, pinned):
@@ -310,13 +320,37 @@ def test_a_prefill_names_one_distinct_slot_per_sequence_before_any_write():
     cache.release()
 
 
+def test_one_plan_serves_every_prompt_length_on_the_same_buffers():
+    """Prompts of every length the cache holds, one after another into
+    one slot: the first binds the plan at the cache's capacity; every
+    later length only derives its calls, on the same buffers."""
+    model = make_model("dmoe", top_k=2)
+    engine = InferenceEngine(model)
+    cache = engine.new_cache(SLOTS)
+    tokens = np.random.default_rng(12).integers(0, VOCAB, MAX_SEQ)
+    plan = held = None
+    for length in range(1, MAX_SEQ + 1):
+        cache.reset([1])
+        got = engine.prefill(tokens[None, :length], cache, slots=[1])[0]
+        assert np.array_equal(got, uncached(model, tokens[:length]))
+        if plan is None:
+            plan = cache.plan
+            held = [(b, b.nbytes) for b in plan.buffers]
+        assert cache.plan is plan
+        assert len(plan.buffers) == len(held)
+        assert sum(b.nbytes for b in plan.buffers) == sum(n for _, n in held)
+        assert all(b is was for b, (was, _) in zip(plan.buffers, held))
+    assert cache.lengths[1] == MAX_SEQ
+    cache.release()
+
+
 def test_a_released_cache_never_replays_its_plan():
     model = make_model("dense")
     engine = InferenceEngine(model)
     cache, _, _ = _decoded(engine, np.zeros((2, 3), np.int64), 1, np.random.default_rng(7))
-    plan = cache.plans[2]
+    plan = cache.plan
     cache.release()
-    assert not cache.plans and not plan.current()
+    assert cache.plan is None and not plan.current()
     with pytest.raises(ValueError, match="released"):
         engine.decode_step(np.array([1, 2]), cache)
 

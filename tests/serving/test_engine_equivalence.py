@@ -205,9 +205,9 @@ def test_dense_serving_runs_every_block_linear_row_stable(prompts, monkeypatch):
     """The fused bias + GELU is a training op: under inference_mode a
     dense FFN's ``fc1`` takes the row-stable GEMM like the block's other
     Linears, so prefill and decode logits are those of the serving
-    composition ``fc2(gelu(fc1(x)))``.  Decode runs the dense ``MLP`` as
-    one plan item, its own forward; the attention GEMMs are the plan's
-    ``serve_gemm`` calls, bound once (:mod:`repro.serving.plan`)."""
+    composition ``fc2(gelu(fc1(x)))``.  Prefill and decode run the dense
+    ``MLP`` as one plan item, its own forward; the attention GEMMs are the
+    plan's ``serve_gemm`` calls, bound once (:mod:`repro.serving.plan`)."""
     model = make_model("dense")
     engine = InferenceEngine(model)
     calls = []
@@ -225,7 +225,7 @@ def test_dense_serving_runs_every_block_linear_row_stable(prompts, monkeypatch):
         cache = engine.new_cache(prompts.shape[0])
         logits = [engine.prefill(prompts, cache)]
         logits.append(engine.decode_step(prompts[:, -1], cache))
-        plans.extend(cache.plans.values())
+        plans.append(cache.plan)
         cache.release()
         return logits
 
@@ -233,8 +233,9 @@ def test_dense_serving_runs_every_block_linear_row_stable(prompts, monkeypatch):
     (plan,) = plans
     for block in model.blocks:
         for linear in (block.attn.qkv, block.attn.proj):
-            assert calls.count(id(linear.weight.data)) == 1  # prefill
-            # ... and the decode plan's serve_gemm call on the same table.
+            # Prefill and decode alike: the plan's serve_gemm call on the
+            # same table, never the module's.
+            assert calls.count(id(linear.weight.data)) == 0
             assert any(v is linear.weight.data for v in plan._values)
         for linear in (block.ffn.fc1, block.ffn.fc2):
             assert calls.count(id(linear.weight.data)) == 2  # prefill, decode

@@ -64,6 +64,39 @@ def test_results_match_solo_generate(system):
         assert res.finish_reason == "length"
 
 
+def test_requests_admitted_in_one_step_keep_their_own_prefill_logits():
+    """Two requests admitted by one step: each solo prefill hands back
+    fresh logits, so the first sequence's row survives the second's
+    prefill — and both emit what they emit alone."""
+    engine = InferenceEngine(make_model("dmoe"))
+    reqs = [
+        Request(prompt=(np.arange(3 + 2 * i) * 7) % VOCAB, max_new_tokens=5,
+                temperature=1.0, seed=70 + i)
+        for i in range(2)
+    ]
+    prefills = []
+
+    def prefill(*args, **kwargs):
+        logits = InferenceEngine.prefill(engine, *args, **kwargs)
+        prefills.append((logits, logits.copy()))
+        return logits
+
+    engine.prefill = prefill
+    sched = ContinuousBatchingScheduler(engine, max_batch_size=2)
+    for req in reqs:
+        sched.submit(req)
+    assert sched.step() == [] and len(prefills) == 2  # both admitted in one step
+    assert prefills[0][0] is not prefills[1][0]
+    for logits, kept in prefills:
+        assert np.array_equal(logits, kept)
+    results = sched.run()
+    sched.close()
+    assert [r.request_id for r in results] == [0, 1]
+    for res, req in zip(results, reqs):
+        solo = engine.generate(req.prompt[None, :], 5, temperature=1.0, rng=req.seed)[0]
+        assert np.array_equal(res.tokens, solo)
+
+
 def test_results_match_solo_generate_through_the_bound_sampler():
     """Requests that share ``temperature > 0`` without a top-k cut: the
     scheduler samples its batch straight from the decode's output, each

@@ -6,7 +6,7 @@ Two invariants the inference fast path exists to provide:
    autograd tape, so decode steps record nothing (no graph to free, no
    per-token garbage proportional to model depth).
 2. **Zero arena growth** — a KV cache owns its buffers (plain NumPy
-   arrays, dropped on release) and the decode plan holds the rest, so
+   arrays, dropped on release) and the serving plan holds the rest, so
    later generations leave the buffer arena as the first one left it
    (``misses`` stays flat, ``pooled_bytes`` stays flat).
 """
