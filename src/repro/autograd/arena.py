@@ -57,6 +57,8 @@ is the only reader of the switch.
 from __future__ import annotations
 
 import contextlib
+from math import prod as _prod
+from operator import itemgetter
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -73,6 +75,9 @@ MIN_BUCKET = 2048
 DEFAULT_CAPACITY_BYTES = 512 * 1024 * 1024
 
 _RESHAPE_COPY_BYTES = stats.RESHAPE_COPY_BYTES
+
+#: A buffer-script entry's base array.
+_BASE = itemgetter(3)
 
 
 class BufferArena:
@@ -145,10 +150,7 @@ class BufferArena:
         dt = dtype if isinstance(dtype, np.dtype) else np.dtype(dtype)
         if type(shape) is not tuple:
             shape = (shape,) if type(shape) is int else tuple(shape)
-        n = 1
-        for s in shape:
-            n *= s
-        n = int(n)
+        n = int(_prod(shape))
         if n < MIN_BUCKET:
             self.skipped += 1
             arr = np.empty(shape, dtype=dt)
@@ -319,12 +321,12 @@ class BufferScript:
 
     def _serve(self, shape, dtype) -> Optional[np.ndarray]:
         i = self.cursor
-        entries = self.entries
-        if i >= len(entries):
+        try:
+            e = self.entries[i]
+        except IndexError:
             self.dead = True
             deactivate_script()
             return None
-        e = entries[i]
         # Fast path: same shape tuple, same dtype object (builtin NumPy
         # dtypes are singletons, so identity almost always hits).
         if shape == e[1] and (dtype is e[0] or dtype == e[0]):
@@ -345,10 +347,7 @@ class BufferScript:
         if shape == e[1]:
             self.cursor += 1
             return e[2]
-        n = 1
-        for s in shape:
-            n *= s
-        n = int(n)
+        n = int(_prod(shape))
         base = e[3]
         if base is not None and n <= base.size:
             # Shape wobble within the owned base: new view, same memory.
@@ -482,7 +481,7 @@ class WalkMark:
             return False
         if script.cursor > self._seen:
             self._born.update(
-                id(e[3]) for e in script.entries[self._seen : script.cursor]
+                map(id, map(_BASE, script.entries[self._seen : script.cursor]))
             )
             self._seen = script.cursor
         return id(base) in self._born
@@ -533,6 +532,13 @@ def steady_state():
 def empty(shape, dtype) -> np.ndarray:
     """Uninitialized array: pooled when the arena is on, fresh otherwise."""
     if _ENABLED:
+        # The scripted fast path of ``acquire``, one call shallower: most
+        # of a replay's requests come through here.
+        script = _SCRIPT
+        if script is not None:
+            view = script._serve(shape, dtype)
+            if view is not None:
+                return view
         return _ARENA.acquire(shape, dtype)
     return np.empty(shape, dtype=dtype)
 
@@ -547,8 +553,9 @@ def zeros(shape, dtype) -> np.ndarray:
 
 
 def release(view: Optional[np.ndarray]) -> None:
-    """Early-return a buffer (no-op for non-arena arrays / when off)."""
-    if _ENABLED and view is not None:
+    """Early-return a buffer (no-op for non-arena arrays / when off, and
+    under a scripted replay, where every buffer is the script's)."""
+    if _ENABLED and _SCRIPT is None and view is not None:
         _ARENA.release(view)
 
 

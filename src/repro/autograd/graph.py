@@ -374,6 +374,7 @@ class StepGraph:
         "_bwd_plan",
         "_scripts",
         "_lowered",
+        "_inputs",
     )
 
     def __init__(self, signature, records, bwd, num_slots, root_idx, lm_idx, gens):
@@ -393,9 +394,14 @@ class StepGraph:
         #: Native lowering plan (repro.autograd.lower), or None for the
         #: pure-NumPy replay path.
         self._lowered = None
+        #: The graph's own input buffers (``name -> array``): a replay
+        #: copies its inputs in, so every replay's records read the same
+        #: arrays — what a lowered unit's bindings hold.
+        self._inputs: Dict[str, np.ndarray] = {}
         self._plan = [self._compile_record(r) for r in records]
         #: The backward walk's entries (``tensor.walk_entries``; ``ref`` is
-        #: the record index).  A lowered plan swaps some for native ones.
+        #: the record index).  A lowered plan walks a copy with some
+        #: swapped for native ones.
         self._bwd_plan = bwd
 
     @staticmethod
@@ -435,7 +441,8 @@ class StepGraph:
         self._scripts.clear()
 
     def detach_lowered(self) -> None:
-        """Remove the lowered plan and restore the NumPy backward entries."""
+        """Remove the lowered plan: replays run the NumPy records and
+        backward entries again."""
         plan = self._lowered
         if plan is not None:
             self._lowered = None
@@ -463,6 +470,7 @@ class StepGraph:
         """
         from repro.utils.rng import get_global_state, set_global_state
 
+        inputs = self._own(inputs)
         g_state = get_global_state()
         states = [(g, g.bit_generator.state) for g in self.gens]
         # With the arena off, neither a plan is served nor one recorded.
@@ -471,10 +479,10 @@ class StepGraph:
             script, rec = None, arena.begin_script_recording()
         try:
             if self._lowered is not None:
-                values = self._lowered.run_forward(inputs)
+                values = self._lowered.run_forward(inputs, slot)
             else:
                 values = self._forward(inputs)
-            self._backward(values)
+            self._backward(values, slot)
         except BaseException as exc:
             if rec is not None:
                 arena.end_script_recording(discard=True)
@@ -501,6 +509,18 @@ class StepGraph:
 
         registry().counter("graph_replays").inc()
         return float(values[self.lm_idx][1])
+
+    def _own(self, inputs: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        """``inputs`` copied into the graph's buffers — the serving plan
+        takes its ids the same way.  A buffer is made (again) when an
+        input's shape or dtype is not the one it holds."""
+        owned = self._inputs
+        for name, a in inputs.items():
+            mine = owned.get(name)
+            if mine is None or mine.shape != a.shape or mine.dtype != a.dtype:
+                mine = owned[name] = np.empty_like(a)
+            np.copyto(mine, a)
+        return owned
 
     # -- forward ---------------------------------------------------------
     def _resolve(self, s, values, inputs):
@@ -569,8 +589,11 @@ class StepGraph:
                 values[i] = (None, res)
 
     # -- backward --------------------------------------------------------
-    def _backward(self, values) -> None:
+    def _backward(self, values, slot: int = 0) -> None:
         """:func:`repro.autograd.tensor.run_walk` — :meth:`Tensor.backward`'s
-        own loop — over the entries compiled at capture, seeded with ones."""
+        own loop — over the entries compiled at capture (or the lowered
+        plan's copy of them for ``slot``), seeded with ones."""
         seed = np.ones_like(values[self.root_idx][1])
-        run_walk(self._bwd_plan, self.num_slots, seed, values)
+        lowered = self._lowered
+        bwd = self._bwd_plan if lowered is None else lowered.bwd_plan(slot)
+        run_walk(bwd, self.num_slots, seed, values)

@@ -135,30 +135,41 @@ def _attn_forward(b):
     scale = float(b.rec.specs[2][1])
     cfn1 = b.lib.repro_attn_fwd1_f32
     cfn2 = b.lib.repro_attn_fwd2_f32
+    # qkv is pinned and the head split frozen: the saved dims are one
+    # object, which the backward's guard holds like its arrays.
+    batch, seq, _ = b.shape(0)
+    nh, hd = b.rec.specs[3][1], b.rec.specs[4][1]
+    dims = (batch, seq, nh, hd)
+    rows = batch * nh * seq
+    scores_shape, ctx_shape = (batch, nh, seq, seq), (batch, nh, seq, hd)
+    ptr = b.operands.args
+    held, at, hold = b.holds(2)
 
-    def run(qkv, mask, scale_obj, nh, hd):
-        batch, seq, _ = qkv.shape
+    def run(qkv, mask, scale_obj, *_heads):
         qkv5 = qkv.reshape(batch, seq, 3, nh, hd).transpose(2, 0, 3, 1, 4)
         q, k, v = qkv5[0], qkv5[1], qkv5[2]
-        scores = matmul_into(q, k.transpose(0, 1, 3, 2))
-        probs = arena.empty(scores.shape, F4)
-        cfn1(scores.ctypes.data, mask.ctypes.data, probs.ctypes.data,
-             batch * nh * seq, seq, scale)
+        scores = matmul_into(q, k.transpose(0, 1, 3, 2), scores_shape)
+        probs = arena.empty(scores_shape, F4)
+        pp = at[1] if probs is held[1] else hold(1, probs)
+        cfn1(at[0] if scores is held[0] else hold(0, scores), ptr[1], pp,
+             rows, seq, scale)
         np.exp(probs, out=probs)
-        cfn2(probs.ctypes.data, batch * nh * seq, seq)
+        cfn2(pp, rows, seq)
         arena.release(scores)
-        ctx4 = matmul_into(probs, v)
+        ctx4 = matmul_into(probs, v, ctx_shape)
         merged = arena.reshaped(
             ctx4.transpose(0, 2, 1, 3), (batch, seq, nh * hd)
         )
         _release_unless_aliased(ctx4, merged)
-        return (qkv, probs, mask, scale_obj, (batch, seq, nh, hd)), merged
+        return (qkv, probs, mask, scale_obj, dims), merged
 
     return run
 
 
 def _attn_backward(b):
     cfn = b.lib.repro_attn_bwd_f32
+    ptr = b.operands.args
+    held, at, hold = b.holds(2)
 
     def run(grad, qkv, probs, mask, scale, dims):
         batch, seq, num_heads, head_dim = dims
@@ -170,16 +181,21 @@ def _attn_backward(b):
             arena.reshaped(grad, (batch, seq, num_heads, head_dim)),
             (0, 2, 1, 3),
         )
-        g_probs = matmul_into(g_ctx, v.swapaxes(-1, -2))
-        g_v = matmul_into(probs.swapaxes(-1, -2), g_ctx)
+        scores_shape = (batch, num_heads, seq, seq)
+        ctx_shape = (batch, num_heads, seq, head_dim)
+        g_probs = matmul_into(g_ctx, v.swapaxes(-1, -2), scores_shape)
+        g_v = matmul_into(probs.swapaxes(-1, -2), g_ctx, ctx_shape)
         if not g_probs.flags.c_contiguous:
             return None
-        g_scores = arena.empty(g_probs.shape, F4)
-        cfn(g_probs.ctypes.data, probs.ctypes.data, mask.ctypes.data,
-            g_scores.ctypes.data, batch * num_heads * seq, seq, float(scale))
+        g_scores = arena.empty(scores_shape, F4)
+        cfn(at[0] if g_probs is held[0] else hold(0, g_probs), ptr[2], ptr[3],
+            at[1] if g_scores is held[1] else hold(1, g_scores),
+            batch * num_heads * seq, seq, float(scale))
         arena.release(g_probs)
-        g_q = matmul_into(g_scores, k)
-        g_kt = matmul_into(q.swapaxes(-1, -2), g_scores)
+        g_q = matmul_into(g_scores, k, ctx_shape)
+        g_kt = matmul_into(
+            q.swapaxes(-1, -2), g_scores, (batch, num_heads, head_dim, seq)
+        )
         arena.release(g_scores)
         g_k = g_kt.transpose(0, 1, 3, 2)
         g5 = arena.empty((3, batch, num_heads, seq, head_dim), grad.dtype)
@@ -206,12 +222,15 @@ def _softmax_forward(b):
     axis = b.const(1, "axis", -1)
     cfn1 = b.lib.repro_softmax_fwd1_f32
     cfn2 = b.lib.repro_attn_fwd2_f32  # pairwise row sum + divide in place
+    ptr = b.operands.args
+    held, at, hold = b.holds(1)
 
     def run(x, *_axis):
         buf = arena.empty(shape, F4)
-        cfn1(x.ctypes.data, buf.ctypes.data, rows, n)
+        pb = at[0] if buf is held[0] else hold(0, buf)
+        cfn1(ptr[0], pb, rows, n)
         np.exp(buf, out=buf)
-        cfn2(buf.ctypes.data, rows, n)
+        cfn2(pb, rows, n)
         return (buf, axis), buf
 
     return run
@@ -219,11 +238,14 @@ def _softmax_forward(b):
 
 def _softmax_backward(b):
     cfn = b.lib.repro_softmax_bwd_f32
+    ptr = b.operands.args
+    held, at, hold = b.holds(1)
 
     def run(g, out, axis):
         n = out.shape[-1]
         buf = arena.empty(g.shape, F4)
-        cfn(g.ctypes.data, out.ctypes.data, buf.ctypes.data, g.size // n, n)
+        cfn(ptr[0], ptr[1], at[0] if buf is held[0] else hold(0, buf),
+            g.size // n, n)
         return (buf,)
 
     return run

@@ -32,7 +32,9 @@ from __future__ import annotations
 
 import ctypes
 import dataclasses
+import functools
 import re
+from operator import is_ as _is
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -167,9 +169,10 @@ class Arr:
     of accepted ``dtype.kind`` letters), ``rank`` (an int or a tuple of
     them) and C-contiguity.  Live only: ``shape`` keeps the captured
     shape, and ``pin`` demands the captured layout itself — dtype, shape
-    and strides, identity-cached so a steady replay pays one ``is`` per
-    operand.  A direct call has no capture: there a pinned operand's
-    layout is checked as an unpinned one's, and relations live."""
+    and strides.  A graph unit's guard checks a layout only on an operand
+    it does not hold (:meth:`Contract.guard`).  A direct call has no
+    capture: there a pinned operand's layout is checked as an unpinned
+    one's, and relations live."""
 
     def __init__(self, k, dtype=F4, rank=None, contig=True, shape=False, pin=False):
         self.k = k
@@ -291,11 +294,23 @@ class Contract:
             )
         return all(c.capture(rec, views) for c in self.clauses)
 
-    def guard(self, run: Callable, descs=None) -> Callable:
+    def guard(self, run: Callable, descs=None, binding=None) -> Callable:
         """``run`` behind the live guard: ``call(*operands)`` returns
         ``run``'s result, or ``None`` when a clause fails.  ``descs``
         are the captured descriptors ``pin``/``shape`` clauses compare
         with.
+
+        With a ``binding`` (a graph unit's :class:`Binding`, shared with
+        its runner) the guard holds what it admitted: a call whose
+        operands are all the objects the last admitted call held skips
+        the layout and relation clauses — identity implies layout — and
+        a call with a fresh operand runs them and, when they hold,
+        rebinds: each array operand's data pointer is re-read into
+        ``binding.args[k]`` only where its object changed.  ``Live``
+        clauses read data, not layout, and run on every call.  A unit's
+        operand count is fixed (its record's arguments; its backward's
+        gradient and saved tuple), so one ``map(is_)`` over the held
+        tuple is the whole identity check.
 
         Several hundred guards run per step, so the clauses are
         compiled into one flat function — each layout clause's source
@@ -307,17 +322,12 @@ class Contract:
         # Relations among pinned layouts were settled at capture.
         settled = captured and bool(arrays) and all(c.pin for c in arrays)
         env = {"ndarray": ndarray, "matches": matches, "run": run}
-        lines = []
+        layouts, relations, live = [], [], []
         for j, c in enumerate(self.clauses):
             if c in arrays:
-                lines.append(f"a = ops[{c.k}]")
                 if c.pin and captured:
-                    env[f"desc{j}"], env[f"seen{j}"] = descs[c.k], [None]
-                    lines += [
-                        f"if a is not seen{j}[0]:",
-                        f"    if not matches(a, desc{j}): return None",
-                        f"    seen{j}[0] = a",
-                    ]
+                    env[f"desc{j}"] = descs[c.k]
+                    layouts.append((c.k, f"matches(a, desc{j})"))
                     continue
                 env[f"dtype{j}"], env[f"rank{j}"] = c.dtype, c.rank
                 test = "type(a) is ndarray and " + c.source.replace(
@@ -326,15 +336,55 @@ class Contract:
                 if c.shape:
                     env[f"shape{j}"] = descs[c.k][1]
                     test += f" and a.shape == shape{j}"
-                lines.append(f"if not ({test}): return None")
+                layouts.append((c.k, test))
             elif type(c) is Live or (type(c) is Rel and not settled):
                 env[f"holds{j}"] = c.fn
-                lines.append(f"if not holds{j}(*ops): return None")
+                (live if type(c) is Live else relations).append(
+                    f"if not holds{j}(*ops): return None"
+                )
+        if binding is None or not (layouts or relations):
+            checks = [
+                line for k, test in layouts
+                for line in (f"a = ops[{k}]", f"if not ({test}): return None")
+            ] + relations
+        else:
+            # Bound: a layout clause runs only on an operand that is not
+            # the held one, relations when any operand is not, and the
+            # pointers are committed once every clause has held.
+            if binding.held:
+                raise ValueError("a runner's binding serves one guard")
+            ks = sorted({k for k, _ in layouts})
+            width = ks[-1] + 1 if ks else 1
+            # Nothing is ever ``_UNBOUND``: the first call binds.
+            binding.held = (_UNBOUND,) * width
+            binding.args.extend([0] * (width - len(binding.args)))
+            env.update(bound=binding, is_=_is, addr=addr)
+            rebind = ["held = bound.held"]
+            for k, test in layouts:
+                rebind += [
+                    f"a = ops[{k}]",
+                    f"if a is not held[{k}] and not ({test}): return None",
+                ]
+            rebind += relations + ["at = bound.args"]
+            for k in ks:
+                rebind += [f"a = ops[{k}]", f"if a is not held[{k}]: at[{k}] = addr(a)"]
+            checks = ["if not all(map(is_, ops, bound.held)):"] + [
+                f"    {line}" for line in rebind + ["bound.held = ops"]
+            ]
+        lines = checks + live
         if not lines:
             return run
         body = "".join(f"    {line}\n" for line in lines)
-        exec(f"def call(*ops):\n{body}    return run(*ops)\n", env)
+        exec(compiled(f"def call(*ops):\n{body}    return run(*ops)\n"), env)
         return env["call"]
+
+
+@functools.lru_cache(maxsize=4096)
+def compiled(source: str):
+    """``source`` compiled once: a plan binds each unit once per
+    accumulation slot, and units of one kind generate the same source,
+    so most bindings exec a code object already made."""
+    return compile(source, "<string>", "exec")
 
 
 # ----------------------------------------------------------------------
@@ -344,15 +394,25 @@ class Build:
     """What a runner builder may read: the record it replaces (``None``
     when a backward closure is built outside a graph), the bound prelude
     library, the plan's grow-on-demand int64 scratch, and — backward
-    only — the gradient slots of the record's inputs (< 0: unwanted)."""
+    only — the gradient slots of the record's inputs (< 0: unwanted).
 
-    __slots__ = ("rec", "lib", "iscratch", "targets")
+    ``operands`` is the unit's :class:`~repro.autograd.lower.runtime.Binding`,
+    which its guard fills (:meth:`Contract.guard`): while the runner
+    runs, ``operands.args[k]`` is the data pointer of operand ``k``, for
+    every operand an ``Arr`` clause of the guard lays out.  A direct
+    call's guard holds nothing, so a direct runner reads its pointers
+    itself (:func:`addr`)."""
+
+    __slots__ = ("rec", "lib", "iscratch", "targets", "operands")
 
     def __init__(self, rec, lib, iscratch, targets=()):
+        from repro.autograd.lower.runtime import Binding
+
         self.rec = rec
         self.lib = lib
         self.iscratch = iscratch
         self.targets = targets
+        self.operands = Binding((), [])
 
     def const(self, k: int, keyword: str, default):
         return frozen(self.rec, k, keyword, default)
@@ -361,6 +421,22 @@ class Build:
         """Captured shape of operand ``k`` (``OUT`` for the output)."""
         descs = self.rec.descs
         return (descs[0] if k == OUT else descs[1][k])[1]
+
+    @staticmethod
+    def holds(n: int):
+        """``(held, args, hold)`` of a new binding of ``n`` positions for
+        the arrays a runner acquires itself (its arena outputs, its
+        scratch): the arena's buffer script serves the same view object
+        on every replay while its shape holds, so the runner reads
+        position ``k``'s pointer as ``args[k] if a is held[k] else
+        hold(k, a)``."""
+        from repro.autograd.lower.runtime import Binding
+
+        bound = Binding([None] * n, [0] * n)
+        return bound.held, bound.args, bound.hold
+
+
+_UNBOUND = object()
 
 
 #: An exported definition: a non-``static`` function at column 0.
@@ -387,12 +463,13 @@ _ADDRESSOF, _FROM_BUFFER = ctypes.addressof, ctypes.c_char.from_buffer
 
 
 def addr(a: np.ndarray) -> int:
-    """Data pointer of a C-contiguous, non-empty array.  The buffer
+    """Data pointer of any array — ``a.ctypes.data``.  The buffer
     export costs a third of ``a.ctypes.data``, which is most of a
-    hidden-64 GEMM; only a read-only array needs the slow spelling."""
+    hidden-64 GEMM; only an array it refuses (read-only, not
+    C-contiguous, empty) needs the slow spelling."""
     try:
         return _ADDRESSOF(_FROM_BUFFER(a))
-    except TypeError:
+    except (TypeError, ValueError):
         return a.ctypes.data
 
 
@@ -454,18 +531,26 @@ class Kernel:
         return bool(self.source)
 
 
+#: ``ix.max()`` / ``ix.min()`` over every axis, without the Python
+#: wrapper the methods go through: these run in ``Live`` clauses, on
+#: every call.
+_MAX, _MIN = np.maximum.reduce, np.minimum.reduce
+
+
 def ids_below(ix, n) -> bool:
     """No index reaches ``n`` (negative ids are a kernel's own business)."""
-    return ix.size == 0 or int(ix.max()) < n
+    return ix.size == 0 or int(_MAX(ix, None)) < n
 
 
 def ids_within(ix, n) -> bool:
-    return ix.size == 0 or (int(ix.min()) >= 0 and int(ix.max()) < n)
+    return ix.size == 0 or (int(_MIN(ix, None)) >= 0 and int(_MAX(ix, None)) < n)
 
 
-def matmul_into(a, b) -> np.ndarray:
-    """``a @ b`` into an arena buffer when the arena has one."""
-    return np.matmul(a, b, out=arena.matmul_buf(a, b))
+def matmul_into(a, b, shape) -> np.ndarray:
+    """``a @ b`` of float32 operands into an arena buffer of the
+    product's ``shape``, which the runner knows: what ``arena.matmul_buf``
+    would derive with two ``np.broadcast_shapes`` per call."""
+    return np.matmul(a, b, out=arena.empty(shape, F4))
 
 
 def rows_width(shape) -> Tuple[int, int]:

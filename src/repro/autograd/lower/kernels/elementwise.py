@@ -110,12 +110,21 @@ def _forward(symbol, saves):
 
     def build(b):
         cfn = getattr(b.lib, symbol)
+        operands = b.operands
+        ptr = operands.args
+        # Position 1 holds the operand tuple the guard last bound, and
+        # the layout and saved tuple read off it: both are functions of
+        # the operands' layouts, so they hold while the operands do.
+        held, at, hold = b.holds(2)
 
         def run(x, y, *_):
-            shape, rows, w, rx, ry = _layout(x, y)
+            if operands.held is not held[1]:
+                held[1], at[1] = operands.held, (_layout(x, y), saves(x, y))
+            (shape, rows, w, rx, ry), saved = at[1]
             out = arena.empty(shape, F4)
-            cfn(x.ctypes.data, y.ctypes.data, out.ctypes.data, rows, w, rx, ry)
-            return saves(x, y), out
+            po = at[0] if out is held[0] else hold(0, out)
+            cfn(ptr[0], ptr[1], po, rows, w, rx, ry)
+            return saved, out
 
         return run
 
@@ -173,16 +182,18 @@ def _mul_backward(b):
     targets = b.targets
     want_a = len(targets) > 0 and targets[0] >= 0
     want_b = len(targets) > 1 and targets[1] >= 0
+    ptr = b.operands.args
+    held, at, hold = b.holds(2)
 
     def run(g, a, b_):
-        ga = arena.empty(g.shape, F4) if want_a else None
-        gb = arena.empty(g.shape, F4) if want_b else None
-        cfn(
-            g.ctypes.data, a.ctypes.data, b_.ctypes.data,
-            ga.ctypes.data if ga is not None else None,
-            gb.ctypes.data if gb is not None else None,
-            g.size,
-        )
+        ga = pa = gb = pb = None
+        if want_a:
+            ga = arena.empty(g.shape, F4)
+            pa = at[0] if ga is held[0] else hold(0, ga)
+        if want_b:
+            gb = arena.empty(g.shape, F4)
+            pb = at[1] if gb is held[1] else hold(1, gb)
+        cfn(ptr[0], ptr[1], ptr[2], pa, pb, g.size)
         return (ga, gb)
 
     return run

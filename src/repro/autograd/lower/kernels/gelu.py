@@ -17,7 +17,7 @@ from repro.autograd import arena
 from repro.autograd import ops_fused as _F
 from repro.autograd.function import unbroadcast
 from repro.autograd.lower.kernels.base import (
-    F4, I64, OUT, Arr, Contract, Kernel, Live, Rel, f32,
+    F4, I64, OUT, Arr, Contract, Kernel, Live, Rel, addr, f32,
 )
 from repro.autograd.lower.kernels.grouped import blocks_of, fuzz_topology
 from repro.autograd.ops_nn import _GELU_C
@@ -224,21 +224,22 @@ def _sbgelu_forward(b):
 
     cfn1 = b.lib.repro_sbgelu_fwd1_f32
     cfn2 = b.lib.repro_gelu_posttanh_f32
+    ptr = b.operands.args
+    held, at, hold = b.holds(3)
 
     def run(v, bias, topo):
         nnz, bs = v.shape[0], topo.block_size
         colidx = np.ascontiguousarray(topo.column_indices, I64)
-        rl = live_layout(topo).block_rows
+        prl = addr(live_layout(topo).block_rows)
         a = arena.empty(v.shape, F4)
         t = arena.empty(v.shape, F4)
-        cfn1(v.ctypes.data, bias.ctypes.data, colidx.ctypes.data,
-             rl.ctypes.data, a.ctypes.data, t.ctypes.data, nnz, bs,
-             _K044, _C)
+        pa = at[0] if a is held[0] else hold(0, a)
+        pt = at[1] if t is held[1] else hold(1, t)
+        cfn1(ptr[0], ptr[1], addr(colidx), prl, pa, pt, nnz, bs, _K044, _C)
         # pad rows of t hold +0.0 and tanh(+0.0) = +0.0
         np.tanh(t, out=t)
         out = arena.empty(v.shape, F4)
-        cfn2(a.ctypes.data, t.ctypes.data, out.ctypes.data,
-             rl.ctypes.data, nnz, bs)
+        cfn2(pa, pt, at[2] if out is held[2] else hold(2, out), prl, nnz, bs)
         return (a, t, topo), out
 
     return run
@@ -250,39 +251,43 @@ def _sbgelu_backward(b):
 
     ccol = b.lib.repro_gelu_bwd_colsum_f32
     cseg = b.lib.repro_segsum_tr_f32
+    ptr = b.operands.args
+    held, at, hold = b.holds(3)
 
     def run(grad, a, t, topo):
         nnz, bs = grad.shape[0], topo.block_size
-        rl = live_layout(topo).block_rows
         g = arena.empty(grad.shape, F4)
         colsum = arena.empty((nnz, bs), F4)
-        ccol(grad.ctypes.data, a.ctypes.data, t.ctypes.data,
-             g.ctypes.data, colsum.ctypes.data, rl.ctypes.data,
-             nnz, bs, _K3, _C)
+        pc = at[1] if colsum is held[1] else hold(1, colsum)
+        ccol(ptr[0], ptr[1], ptr[2], at[0] if g is held[0] else hold(0, g),
+             pc, addr(live_layout(topo).block_rows), nnz, bs, _K3, _C)
         # The tail of _segment_reduce_bias_grad with the per-block
         # column sums already computed: the transpose-order
         # ``np.add.reduceat`` as a native segment loop (first element +
         # pairwise rest per segment — reduceat's exact reduction shape).
-        gbias = arena.zeros((topo.block_cols, bs), grad.dtype)
+        # The bias gradient is acquired flat, the shape it is delivered
+        # in: the arena's own view object, the same on every replay.
+        gbias = arena.zeros((topo.block_cols * bs,), grad.dtype)
         nonempty, starts = segment_meta(topo, transpose=True)
         if len(nonempty):
             tbo, ne, st = tr_segments(topo, nonempty, starts)
-            cseg(colsum.ctypes.data, tbo.ctypes.data,
-                 ne.ctypes.data, st.ctypes.data,
-                 gbias.ctypes.data, len(ne), bs)
+            cseg(pc, addr(tbo), addr(ne), addr(st),
+                 at[2] if gbias is held[2] else hold(2, gbias), len(ne), bs)
         arena.release(colsum)
-        return g, gbias.reshape(-1)
+        return g, gbias
 
     return run
 
 
 def _biasgelu_backward(b):
     cfn = b.lib.repro_gelu_bwd_f32
+    ptr = b.operands.args
+    held, at, hold = b.holds(1)
 
     def run(grad, a, t, sx, sb):
         g = arena.empty(grad.shape, F4)
-        cfn(grad.ctypes.data, a.ctypes.data, t.ctypes.data,
-            g.ctypes.data, grad.size, _K3, _C)
+        cfn(ptr[0], ptr[1], ptr[2], at[0] if g is held[0] else hold(0, g),
+            grad.size, _K3, _C)
         return unbroadcast(g, sx), unbroadcast(g, sb)
 
     return run

@@ -129,16 +129,20 @@ def _gemm_forward(b):
     n = w_d.shape[1]
     out_shape = b.shape(OUT)
     has_bias = len(b.rec.specs) == 3
+    # The pinned bias shape, saved as one object: the backward's guard
+    # then holds it like its arrays.
+    bias_shape = b.shape(2) if has_bias else None
     cfn = b.lib.repro_linbias_f32 if has_bias else b.lib.repro_mm_f32
+    ptr = b.operands.args
+    held, at, hold = b.holds(1)
 
     def run(x, w, bias=None):
         out = arena.empty(out_shape, F4)
+        po = at[0] if out is held[0] else hold(0, out)
         if has_bias:
-            cfn(x.ctypes.data, w.ctypes.data, bias.ctypes.data,
-                out.ctypes.data, batch, m, k, n, trans, ld)
-            return (x, w, bias.shape), out
-        cfn(x.ctypes.data, w.ctypes.data, out.ctypes.data,
-            batch, m, k, n, trans, ld)
+            cfn(ptr[0], ptr[1], ptr[2], po, batch, m, k, n, trans, ld)
+            return (x, w, bias_shape), out
+        cfn(ptr[0], ptr[1], po, batch, m, k, n, trans, ld)
         return (x, w), out
 
     return run
@@ -146,13 +150,16 @@ def _gemm_forward(b):
 
 def _linbias_backward(b):
     cfn = b.lib.repro_sum_lead_f32
+    ptr = b.operands.args
+    held, at, hold = b.holds(1)
 
     def run(grad, x, w, sb):
         h = sb[0]
         gb = arena.empty((h,), F4)
-        cfn(grad.ctypes.data, gb.ctypes.data, grad.size // h, h)
-        gx = matmul_into(grad, w.swapaxes(-1, -2))
-        gw = matmul_into(x.swapaxes(-1, -2), grad)
+        cfn(ptr[0], at[0] if gb is held[0] else hold(0, gb), grad.size // h, h)
+        xs = x.shape
+        gx = matmul_into(grad, w.swapaxes(-1, -2), grad.shape[:-1] + w.shape[:1])
+        gw = matmul_into(x.swapaxes(-1, -2), grad, xs[:-2] + (xs[-1], h))
         if gx.shape != x.shape:
             gx = _unbroadcast_release(gx, x.shape)
         if gw.shape != w.shape:

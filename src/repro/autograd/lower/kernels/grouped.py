@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.autograd import arena
 from repro.autograd.lower.kernels.base import (
-    BLAS, F4, Arr, Contract, Kernel, Live, Rel, f32,
+    BLAS, F4, Arr, Contract, Kernel, Live, Rel, addr, f32,
 )
 from repro.sparse import autograd_ops as _S
 from repro.sparse import dispatch as _D
@@ -210,6 +210,8 @@ def _rows_output(dplan, bs, shape):
 
 def _sdd_forward(b):
     cfn = b.lib.repro_grouped_sdd_f32
+    ptr = b.operands.args
+    held, at, hold = b.holds(2)
 
     def run(x, w, topo):
         dplan = _D.analyze(topo)
@@ -221,9 +223,9 @@ def _sdd_forward(b):
         k = x.shape[1]
         vals = arena.empty((topo.nnz_blocks, bs, bs), F4)
         stage = _D.stage_buf(dplan, bs, F4)
-        cfn(x.ctypes.data, k, 0, w.ctypes.data, w.shape[-1], 0,
-            vals.ctypes.data, gt.ctypes.data, lt.ctypes.data,
-            gt.shape[0], k, bs, stage.ctypes.data)
+        cfn(ptr[0], k, 0, ptr[1], w.shape[-1], 0,
+            at[0] if vals is held[0] else hold(0, vals), addr(gt), addr(lt),
+            gt.shape[0], k, bs, at[1] if stage is held[1] else hold(1, stage))
         arena.release(stage)
         _record(_SDD, topo, k)
         return (x, w, topo), vals
@@ -233,6 +235,8 @@ def _sdd_forward(b):
 
 def _dsd_forward(b):
     cfn = b.lib.repro_grouped_dsd_f32
+    ptr = b.operands.args
+    held, at, hold = b.holds(2)
 
     def run(v, w, topo):
         dplan = _D.analyze(topo)
@@ -244,9 +248,9 @@ def _dsd_forward(b):
         n = w.shape[1]
         out = _rows_output(dplan, bs, (topo.shape[0], n))
         stage = _D.stage_buf(dplan, bs, F4)
-        cfn(v.ctypes.data, w.ctypes.data, n, 0, out.ctypes.data, n,
-            gt.ctypes.data, lt.ctypes.data, gt.shape[0], 0, bs,
-            stage.ctypes.data)
+        cfn(ptr[0], ptr[1], n, 0, at[0] if out is held[0] else hold(0, out), n,
+            addr(gt), addr(lt), gt.shape[0], 0, bs,
+            at[1] if stage is held[1] else hold(1, stage))
         arena.release(stage)
         _record(_DSD, topo, n)
         return (v, w, topo), out
@@ -257,6 +261,8 @@ def _dsd_forward(b):
 def _sdd_backward(b):
     cdsd = b.lib.repro_grouped_dsd_f32
     cdds = b.lib.repro_grouped_dds_f32
+    ptr = b.operands.args
+    held, at, hold = b.holds(3)
 
     def run(grad, x, w, topo):
         dplan = _D.analyze(topo)
@@ -264,20 +270,22 @@ def _sdd_backward(b):
         rows_s = topo.shape[0]
         gt = _D.group_table(topo)
         lt = _D.live_layout(topo).table
+        pgt, plt = addr(gt), addr(lt)
         G = gt.shape[0]
         k = x.shape[1]
         stage = _D.stage_buf(dplan, bs, F4)
+        ps = at[0] if stage is held[0] else hold(0, stage)
         # DSD^T: dX = dH @ W^T over group row slices.
         dx = _rows_output(dplan, bs, (rows_s, k))
-        cdsd(grad.ctypes.data, w.ctypes.data, w.shape[-1], 1,
-             dx.ctypes.data, k, gt.ctypes.data, lt.ctypes.data,
-             G, 0, bs, stage.ctypes.data)
+        cdsd(ptr[0], ptr[2], w.shape[-1], 1,
+             at[1] if dx is held[1] else hold(1, dx), k, pgt, plt,
+             G, 0, bs, ps)
         _record(_DSD, topo, k)
         # DD^TS: dW = X^T @ dH into group column bands, in w's form.
         dw = _D.band_output(dplan, bs, w.shape, F4, 1)
-        cdds(x.ctypes.data, k, 1, grad.ctypes.data,
-             dw.ctypes.data, k, w.shape[-1], gt.ctypes.data,
-             lt.ctypes.data, G, 0, bs, stage.ctypes.data)
+        cdds(ptr[1], k, 1, ptr[0],
+             at[2] if dw is held[2] else hold(2, dw), k, w.shape[-1], pgt,
+             plt, G, 0, bs, ps)
         arena.release(stage)
         _record(_DDS, topo, k)
         return dx, dw
@@ -288,26 +296,30 @@ def _sdd_backward(b):
 def _dsd_backward(b):
     csdd = b.lib.repro_grouped_sdd_f32
     cdsd = b.lib.repro_grouped_dsd_f32
+    ptr = b.operands.args
+    held, at, hold = b.holds(3)
 
     def run(grad, h_values, w, topo):
         dplan = _D.analyze(topo)
         bs = topo.block_size
         gt = _D.group_table(topo)
         lt = _D.live_layout(topo).table
+        pgt, plt = addr(gt), addr(lt)
         G = gt.shape[0]
         n = grad.shape[1]
         stage = _D.stage_buf(dplan, bs, F4)
+        ps = at[0] if stage is held[0] else hold(0, stage)
         # SDD^T: dH = dY @ W^T sampled at H's topology.
         dh = arena.empty((topo.nnz_blocks, bs, bs), F4)
-        csdd(grad.ctypes.data, n, 0, w.ctypes.data, w.shape[1], 1,
-             dh.ctypes.data, gt.ctypes.data, lt.ctypes.data, G, n,
-             bs, stage.ctypes.data)
+        csdd(ptr[0], n, 0, ptr[2], w.shape[1], 1,
+             at[1] if dh is held[1] else hold(1, dh), pgt, plt, G, n,
+             bs, ps)
         _record(_SDD, topo, n)
         # DS^TD: dW = H^T @ dY into group column-range rows.
         dw = _D.band_output(dplan, bs, (topo.shape[1], n), F4, 0)
-        cdsd(h_values.ctypes.data, grad.ctypes.data, n, 0,
-             dw.ctypes.data, n, gt.ctypes.data, lt.ctypes.data, G, 1,
-             bs, stage.ctypes.data)
+        cdsd(ptr[1], ptr[0], n, 0,
+             at[2] if dw is held[2] else hold(2, dw), n, pgt, plt, G, 1,
+             bs, ps)
         arena.release(stage)
         _record(_DSTD, topo, n)
         return dh, dw

@@ -111,16 +111,21 @@ def _ln_forward(b):
     R, H = rows_width(shape)
     eps = float(b.const(3, "eps", 1e-5))
     inv_shape = shape[:-1] + (1,)
-    sq = np.empty(H, F4)  # one row of squares; replays are single-threaded
+    ptr = b.operands.args
+    held, at, hold = b.holds(4)
+    # One row of squares; replays are single-threaded.
+    psq = hold(3, np.empty(H, F4))
 
     def run(x, w, bias, *_eps):
         out = arena.empty(shape, F4)
         xhat = arena.empty(shape, F4)
-        inv = np.empty(inv_shape, F4)
+        inv = arena.empty(inv_shape, F4)
         cfn(
-            x.ctypes.data, w.ctypes.data, bias.ctypes.data,
-            out.ctypes.data, xhat.ctypes.data, inv.ctypes.data,
-            R, H, eps, sq.ctypes.data,
+            ptr[0], ptr[1], ptr[2],
+            at[0] if out is held[0] else hold(0, out),
+            at[1] if xhat is held[1] else hold(1, xhat),
+            at[2] if inv is held[2] else hold(2, inv),
+            R, H, eps, psq,
         )
         return (xhat, inv, w), out
 
@@ -131,16 +136,20 @@ def _ln_backward(b):
     shape = b.shape(0)
     R, H = rows_width(shape)
     cfn = b.lib.repro_ln_bwd_f32
-    tmp, pr = np.empty(H, F4), np.empty(H, F4)
+    ptr = b.operands.args
+    held, at, hold = b.holds(5)
+    ptmp, ppr = hold(3, np.empty(H, F4)), hold(4, np.empty(H, F4))
 
     def run(g, xhat, inv, w):
         gx = arena.empty(shape, F4)
-        gw = np.empty(H, F4)
-        gb = np.empty(H, F4)
+        gw = arena.empty((H,), F4)
+        gb = arena.empty((H,), F4)
         cfn(
-            g.ctypes.data, xhat.ctypes.data, inv.ctypes.data,
-            w.ctypes.data, gx.ctypes.data, gw.ctypes.data,
-            gb.ctypes.data, R, H, tmp.ctypes.data, pr.ctypes.data,
+            ptr[0], ptr[1], ptr[2], ptr[3],
+            at[0] if gx is held[0] else hold(0, gx),
+            at[1] if gw is held[1] else hold(1, gw),
+            at[2] if gb is held[2] else hold(2, gb),
+            R, H, ptmp, ppr,
         )
         return gx, gw, gb
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.autograd import arena
 from repro.autograd.lower.kernels.base import (
-    F4, I64, Arr, Const, Contract, Kernel, Live, Rel, f32, i64, ids_within,
+    F4, I64, Arr, Const, Contract, Kernel, Live, Rel, addr, f32, i64, ids_within,
 )
 
 _TOPK1_C = r"""
@@ -65,10 +66,11 @@ i64 repro_allfinite_f32(const float *restrict x, i64 n)
 
 def _topk1_forward(b):
     cfn = b.lib.repro_topk1_i64
+    ptr = b.operands.args
 
     def run(s, k):
         out = np.empty((s.shape[0], 1), I64)
-        cfn(s.ctypes.data, out.ctypes.data, s.shape[0], s.shape[1])
+        cfn(ptr[0], addr(out), s.shape[0], s.shape[1])
         return (out,)
 
     return run
@@ -77,13 +79,14 @@ def _topk1_forward(b):
 def _lbfrac_forward(b):
     cfn = b.lib.repro_lbfrac_f32
     iscratch = b.iscratch
+    held, at, hold = b.holds(2)
 
     def run(idx, e):
         flat = np.ascontiguousarray(idx.reshape(-1), I64)
-        out = np.empty(e, F4)
+        out = arena.empty((e,), F4)
         counts = iscratch(e)
-        cfn(flat.ctypes.data, out.ctypes.data, flat.size, e,
-            counts.ctypes.data)
+        cfn(addr(flat), at[1] if out is held[1] else hold(1, out), flat.size, e,
+            at[0] if counts is held[0] else hold(0, counts))
         return (out,)
 
     return run
@@ -91,9 +94,10 @@ def _lbfrac_forward(b):
 
 def _finite_forward(b):
     cfn = b.lib.repro_allfinite_f32
+    ptr = b.operands.args
 
     def run(x):
-        return (bool(cfn(x.ctypes.data, x.size)),)
+        return (bool(cfn(ptr[0], x.size)),)
 
     return run
 

@@ -17,8 +17,9 @@ import numpy as np
 from repro.autograd import arena
 from repro.autograd import ops_basic as _B
 from repro.autograd import ops_nn as _N
+from repro.autograd.graph import _CONST
 from repro.autograd.lower.kernels.base import (
-    F4, I64, Arr, Capture, Const, Contract, Kernel, Live, Rel, f32, i64,
+    F4, I64, Arr, Capture, Const, Contract, Kernel, Live, Rel, addr, f32, i64,
     ids_below, ids_within, ndarray,
 )
 
@@ -132,14 +133,17 @@ void repro_getitem_flat_f32(float *restrict out, const i64 *restrict i0,
 def _scatter_forward(b):
     cfn = b.lib.repro_zero_scat_add_f32
     iscratch = b.iscratch
+    ptr = b.operands.args
+    held, at, hold = b.holds(2)
 
     def run(x, ids, num_rows):
         ids64 = ids.astype(np.int64, copy=False)
         n, h = x.shape
         out = arena.empty((num_rows, h), F4)
         scr = iscratch(num_rows + 1 + n)
-        cfn(out.ctypes.data, ids64.ctypes.data, x.ctypes.data,
-            n, h, num_rows, scr.ctypes.data)
+        cfn(at[0] if out is held[0] else hold(0, out),
+            ptr[1] if ids64 is ids else addr(ids64), ptr[0],
+            n, h, num_rows, at[1] if scr is held[1] else hold(1, scr))
         return (ids64, x.shape), out
 
     return run
@@ -147,10 +151,12 @@ def _scatter_forward(b):
 
 def _scatter_backward(b):
     cfn = b.lib.repro_gather_assign_f32
+    ptr = b.operands.args
+    held, at, hold = b.holds(1)
 
     def run(g, ids, shape):
         gx = arena.empty(tuple(shape), F4)
-        cfn(g.ctypes.data, ids.ctypes.data, gx.ctypes.data,
+        cfn(ptr[0], ptr[1], at[0] if gx is held[0] else hold(0, gx),
             ids.size, shape[1])
         return (gx,)
 
@@ -164,13 +170,15 @@ def _take_forward(symbol):
 
     def build(b):
         cfn = getattr(b.lib, symbol)
+        ptr = b.operands.args
+        held, at, hold = b.holds(1)
 
         def run(x, ids):
             ids64 = ids.astype(np.int64, copy=False)
             h = x.shape[1]
-            out_shape = ids64.shape + (h,)
-            out = arena.empty(out_shape, F4)
-            cfn(x.ctypes.data, ids64.ctypes.data, out.ctypes.data, ids64.size, h)
+            out = arena.empty(ids64.shape + (h,), F4)
+            cfn(ptr[0], ptr[1] if ids64 is ids else addr(ids64),
+                at[0] if out is held[0] else hold(0, out), ids64.size, h)
             return (x.shape, ids64), out
 
         return run
@@ -183,26 +191,48 @@ def _rows_backward(b):
     rows into the saved ``shape``."""
     cfn = b.lib.repro_zero_scat_add_f32
     iscratch = b.iscratch
+    ptr = b.operands.args
+    held, at, hold = b.holds(2)
 
     def run(g, shape, ids):
         n = ids.size
         gx = arena.empty(shape, F4)
         scr = iscratch(shape[0] + 1 + n)
-        cfn(gx.ctypes.data, ids.ctypes.data, g.ctypes.data,
-            n, shape[1], shape[0], scr.ctypes.data)
+        cfn(at[0] if gx is held[0] else hold(0, gx), ptr[2], ptr[0],
+            n, shape[1], shape[0], at[1] if scr is held[1] else hold(1, scr))
         return (gx,)
 
     return run
 
 
 # -- getitem -----------------------------------------------------------
+#: Index types of a basic (viewing) index.
+_BASIC = (slice, int, type(Ellipsis))
+
+
 def _getitem_forward(b):
     # A Python closure: the forward is a view or a fancy take either
     # way; the win is the C scatter in backward.
     def run(a, index):
         return (a.shape, index), a[index]
 
-    return run
+    spec = b.rec.specs[1]
+    index = spec[1] if spec[0] == _CONST else None
+    if not all(type(i) in _BASIC for i in (index if type(index) is tuple else (index,))):
+        return run
+    # A frozen basic index (slices, integers) views its operand: the view
+    # is held against the operand, like the view ops' (views.py).
+    held, at, _ = b.holds(1)
+
+    def view(a, index):
+        if a is not held[0]:
+            res = run(a, index)
+            if type(res[1]) is not ndarray:  # a scalar copy: nothing to hold
+                return res
+            held[0], at[0] = a, res
+        return at[0]
+
+    return view
 
 
 def _is_pair(shape, index) -> bool:
@@ -241,23 +271,26 @@ def _getitem_backward(b):
     flat_fn = b.lib.repro_getitem_flat_f32
     scat_fn = b.lib.repro_zero_scat_add_f32
     iscratch = b.iscratch
+    ptr = b.operands.args
+    held, at, hold = b.holds(2)
 
     def run(g, shape, index):
         out = arena.empty(shape, F4)
+        po = at[0] if out is held[0] else hold(0, out)
         if type(index) is tuple:
             i0 = np.ascontiguousarray(index[0], np.int64)
             i1 = np.ascontiguousarray(index[1], np.int64)
             n = i0.size
             nout = shape[0] * shape[1]
             scr = iscratch(n + nout + 1 + n)
-            flat_fn(out.ctypes.data, i0.ctypes.data, i1.ctypes.data,
-                    g.ctypes.data, n, shape[1], nout, scr.ctypes.data)
+            flat_fn(po, addr(i0), addr(i1), ptr[0], n, shape[1], nout,
+                    at[1] if scr is held[1] else hold(1, scr))
         else:
             rows = np.ascontiguousarray(index, np.int64)
             n = rows.size
             scr = iscratch(shape[0] + 1 + n)
-            scat_fn(out.ctypes.data, rows.ctypes.data, g.ctypes.data,
-                    n, shape[1], shape[0], scr.ctypes.data)
+            scat_fn(po, addr(rows), ptr[0], n, shape[1], shape[0],
+                    at[1] if scr is held[1] else hold(1, scr))
         return (out,)
 
     return run

@@ -19,9 +19,12 @@ three.
 from __future__ import annotations
 
 import ctypes
-from operator import attrgetter, is_
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
+
+from repro.autograd.lower.kernels.base import addr
 
 __all__ = ["attach_adam"]
 
@@ -56,57 +59,55 @@ def attach_adam(opt) -> bool:
 class _BoundAdam:
     """One pointer table over ``opt``'s parameters that have a gradient
     (data, grad, ``m``, ``v``), shared by the Adam step and the sum of
-    squares.  It is rebuilt only when one of those arrays changes
-    identity (steady-state leaf grads are accumulated in place, so
-    rebuilds are rare)."""
+    squares: a :class:`~repro.autograd.lower.runtime.Binding` holding
+    the parameter list, each parameter's ``data`` and ``grad`` and each
+    ``m`` and ``v``, whose ``args`` are the table's C arguments.  It is
+    rebuilt only when one of those arrays changes identity — rare:
+    steady-state leaf gradients are the arena's same buffers, accumulated
+    in place."""
 
-    __slots__ = ("opt", "adam", "sumsq_fn", "held", "argv", "keep")
+    __slots__ = ("opt", "adam", "sumsq_fn", "table", "keep")
 
     def __init__(self, opt, lib) -> None:
+        from repro.autograd.lower.runtime import Binding
+
         self.opt = opt
         self.adam = lib.repro_adam_multi_f32
         self.sumsq_fn = lib.repro_clip_sumsq_f32
-        self.held = self.argv = self.keep = None
+        self.table = Binding()
+        self.keep = None
 
-    def _current(self) -> bool:
-        """The parameter list, each parameter's ``data`` and ``grad`` and
-        each ``m`` and ``v`` are the arrays the table was built over —
-        compared in C (``map(is_)``), with no list built per step."""
-        held, opt = self.held, self.opt
-        if held is None:
-            return False
-        params, data, grads, ms, vs = held
-        return (
-            len(opt.params) == len(params) == len(opt._m) == len(opt._v)
-            and all(map(is_, opt.params, params))
-            and all(map(is_, map(_DATA, params), data))
-            and all(map(is_, map(_GRAD, params), grads))
-            and all(map(is_, opt._m, ms))
-            and all(map(is_, opt._v, vs))
-        )
+    def _live(self):
+        """The objects the table is built over, in held order — compared
+        in C (``map(is_)``), with no list built per step."""
+        opt = self.opt
+        params = opt.params
+        return chain(params, map(_DATA, params), map(_GRAD, params), opt._m, opt._v)
 
     def _table(self):
         """The table's C arguments ``(ps, ms, vs, gs, sizes, count)``,
         or ``None`` to decline (a non-f32 or non-contiguous array)."""
-        if self._current():
-            return self.argv
-        opt = self.opt
-        params = list(opt.params)
-        self.held = held = (
-            params, [p.data for p in params], [p.grad for p in params],
-            list(opt._m), list(opt._v),
-        )
+        opt, table = self.opt, self.table
+        n = len(opt.params)
+        if (
+            5 * n == len(table.held) and len(opt._m) == len(opt._v) == n
+            and table.current(self._live())
+        ):
+            return table.args
+        held = list(self._live())
+        data, grads, ms, vs = (held[i * n:(i + 1) * n] for i in range(1, 5))
         # In the C call's order: data, m, v, grad.
-        rows = [row for row in zip(held[1], held[3], held[4], held[2]) if row[3] is not None]
+        rows = [row for row in zip(data, ms, vs, grads) if row[3] is not None]
         if not all(a.dtype == np.float32 and a.flags.c_contiguous for row in rows for a in row):
-            self.held = None
+            table.held = ()
             return None
-        n = len(rows)
-        tables = [(ctypes.c_void_p * n)(*(row[i].ctypes.data for row in rows)) for i in range(4)]
+        k = len(rows)
+        tables = [(ctypes.c_void_p * k)(*(addr(row[i]) for row in rows)) for i in range(4)]
         sizes = np.array([row[0].size for row in rows], np.int64)
         self.keep = (tables, sizes)
-        self.argv = (*map(ctypes.addressof, tables), sizes.ctypes.data, n)
-        return self.argv
+        table.held = held
+        table.args = (*map(ctypes.addressof, tables), addr(sizes), k)
+        return table.args
 
     def step(self, lr, bc1, bc2, grad_scale) -> bool:
         """The whole update in one C call; ``False`` declines."""

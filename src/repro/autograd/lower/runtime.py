@@ -9,21 +9,27 @@ and the prelude holds them all.  The plan owns:
   interpreter's record loop.  Kernel units run the forward runner their
   kernel-table entry builds; host runs execute the interpreter's own
   loop over their records.
-- the backward swaps: selected ``_bwd_plan`` entries are replaced in
-  place with closures of identical ``(ctx, grad) -> tuple`` semantics
-  (``detach`` restores the originals).
+- the backward swaps: a copy of the graph's walk with selected entries
+  replaced by closures of identical ``(ctx, grad) -> tuple`` semantics
+  (the graph's own walk is never modified).
+
+Both are built per accumulation slot, on the slot's first replay, so
+each unit's bindings see one buffer script.
 
 Every native call sits behind a guard built from the entry's operand
-contract, identity-cached so steady-state replays pay one ``is`` check
-per pinned operand.  A forward guard miss runs the original NumPy
-record for just that unit and bumps ``lower_segment_fallbacks``; a
-backward one runs the op's own ``backward`` — lowering never changes
-semantics, only dispatch.  The wrappers here (``_OP_ITEM`` /
-``_HOST_ITEM`` forward, :func:`make_backward`, and :func:`direct` for
-host callers outside any graph) are the only place that happens —
-except for a caller that binds its operands once and asks
-:func:`native` once, instead of guarding every call (the serving decode
-plan, :mod:`repro.serving.plan`).
+contract and bound to the unit's :class:`Binding`: a call whose
+operands are all the objects the last admitted call held skips the
+layout and relation clauses, and reads each array operand's data
+pointer from the binding (``docs/codegen.md``, "Calling convention").
+A guard miss — a clause fails — runs the original NumPy record for just
+that unit and bumps ``lower_segment_fallbacks``; a backward one runs
+the op's own ``backward`` — lowering never changes semantics, only
+dispatch.  A fresh operand that conforms only rebinds: nothing counts.
+The wrappers here (``_OP_ITEM`` / ``_HOST_ITEM`` forward,
+:func:`make_backward`, and :func:`direct` for host callers outside any
+graph) are the only place that happens — except for a caller that binds
+its operands once and asks :func:`native` once, instead of guarding
+every call (the serving plan, :mod:`repro.serving.plan`).
 """
 
 from __future__ import annotations
@@ -31,25 +37,65 @@ from __future__ import annotations
 import ctypes
 import functools
 import logging
+from operator import is_
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.autograd.function import Context
 from repro.autograd.graph import (
-    _CONST, _INPUT, _LEAF, _REC, GraphInvalidated, _host_equal, _OpRecord,
+    _CONST, _DYN, _INPUT, _LEAF, _REC, GraphInvalidated, _host_equal, _OpRecord,
 )
 from repro.autograd.lower import kernels, toolchain
-from repro.autograd.lower.kernels.base import I64, Build, Kernel
+from repro.autograd.lower.kernels.base import I64, Build, Kernel, addr, compiled
 from repro.autograd.lower.segmenter import Analysis, PyUnit, analyze
 from repro.observability.metrics import registry
 
 __all__ = [
-    "LoweredPlan", "attach", "bind", "binding", "current_binding", "direct",
-    "load_prelude", "native",
+    "Binding", "LoweredPlan", "attach", "bind", "binding", "current_binding",
+    "direct", "load_prelude", "make_backward", "make_forward", "native",
 ]
 
 logger = logging.getLogger(__name__)
+
+
+class Binding:
+    """Objects a native call reads, held by identity, and the arguments
+    built from them — the one way this package binds a C call once and
+    replays it.
+
+    ``held`` is a sequence of objects; ``args`` is what its owner built
+    from them (data pointers, a pointer table, a prebuilt argument
+    tuple), valid exactly while :meth:`current` — each live object is the
+    held one, compared in C (one ``map(is_)``, no list built).  Holding
+    the object and not only its address is what makes the address safe
+    to reuse: a held array cannot be freed, so no other array can take
+    its memory while it is held.  And identity implies layout: nothing
+    in this package assigns an array's ``shape`` or ``strides`` in place,
+    so a held array has the layout it was bound with.
+
+    Three owners use it: a lowered unit's guard and runner (its operands,
+    and the arrays the runner acquires — :meth:`hold`), the native Adam
+    step's pointer table, and the serving plan's module links."""
+
+    __slots__ = ("held", "args")
+
+    def __init__(self, held=(), args=None):
+        self.held = held
+        self.args = args
+
+    def current(self, live) -> bool:
+        """Every object of ``live`` is the held one at its position (the
+        caller keeps the counts equal)."""
+        return all(map(is_, live, self.held))
+
+    def hold(self, k: int, a) -> int:
+        """Hold array ``a`` at position ``k``; returns its data pointer,
+        now ``args[k]``.  A runner reads ``args[k]`` while ``a is
+        held[k]`` and calls this otherwise."""
+        self.held[k] = a
+        p = self.args[k] = addr(a)
+        return p
 
 
 def bind(lib) -> None:
@@ -80,12 +126,19 @@ def load_prelude() -> Optional[ctypes.CDLL]:
     return lib
 
 
+def make_forward(entry, build: Build, descs=None) -> Callable:
+    """``entry``'s forward runner behind its guard, the two sharing the
+    build's operand binding (``descs``: the record's captured argument
+    layouts, which ``pin``/``shape`` clauses compare with)."""
+    return entry.contract.guard(entry.forward(build), descs, build.operands)
+
+
 def make_backward(entry, build: Build, orig: Callable) -> Callable:
     """The closure that replaces ``orig`` (an op's ``backward``) with
     ``entry``'s: guard the live ``(grad, *ctx.saved)``, run, and fall
     back to ``orig`` when either declines."""
     descs = entry.bwd_descs(build.rec) if entry.bwd_descs else None
-    call = entry.bwd_guard.guard(entry.backward(build), descs)
+    call = entry.bwd_guard.guard(entry.backward(build), descs, build.operands)
 
     def backward(ctx, grad):
         grads = call(grad, *ctx.saved)
@@ -128,12 +181,43 @@ def item(values, inputs):
 """
 
 
+def _expression(spec, env: dict, name: str) -> str:
+    """The source of what ``StepGraph._resolve`` evaluates for ``spec``
+    (a leaf or a constant bound in ``env`` under ``name``), unrolled:
+    a dynamic value's path becomes its attribute and index chain."""
+    tag = spec[0]
+    if tag == _REC:
+        return f"values[{spec[1]}][1]"
+    if tag == _INPUT:
+        return f"inputs[{spec[1]!r}]"
+    if tag == _LEAF:
+        env[name] = spec[1]
+        return f"{name}.data"
+    if tag == _CONST:
+        env[name] = spec[1]
+        return name
+    if tag == _DYN:
+        expr = f"values[{spec[1]}][1]"
+        for kind, key in spec[2]:
+            expr += f".{key}" if kind == "a" else f"[{key!r}]"
+        return expr
+    parts = (_expression(s, env, f"{name}_{j}") for j, s in enumerate(spec[1]))
+    return "(" + "".join(f"{p}, " for p in parts) + ")"
+
+
 class LoweredPlan:
-    """A compiled execution schedule swapped into ``StepGraph.replay``."""
+    """A compiled execution schedule swapped into ``StepGraph.replay``.
+
+    Its units are bound per accumulation slot: each slot replays its own
+    buffer script, so a unit's operands and outputs are the same objects
+    from one replay of a slot to the next — not from one slot to the
+    other.  A slot's items and backward walk are built on its first
+    replay (:meth:`bound`), each unit with its own bindings."""
 
     def __init__(self, graph, lib, analysis: Analysis):
         self._graph = graph
         self._lib = lib
+        self._analysis = analysis
         self._nrec = len(graph.records)
         self.records_total = analysis.total
         self.records_lowered = len(analysis.lowered)
@@ -142,29 +226,38 @@ class LoweredPlan:
         # Shared int64 scratch for the scatter kernels, grown on demand;
         # replays are single-threaded so one block serves every unit.
         self._iscr = np.empty(256, I64)
+        #: slot -> (forward items, backward walk entries).
+        self._slots: Dict[int, tuple] = {}
 
-        self._items: List[Callable] = [
-            self._records_item(unit.indices)
-            if isinstance(unit, PyUnit)
-            else self._kernel_item(unit)
-            for unit in analysis.units
-        ]
-
-        self._swaps: List[tuple] = []
-        self._install_backward(analysis)
+    def bound(self, slot: int) -> tuple:
+        """``slot``'s ``(items, backward walk entries)``, built on first
+        use: the graph's walk with the selected entries swapped for
+        native closures of identical ``(ctx, grad) -> tuple`` semantics."""
+        plan = self._slots.get(slot)
+        if plan is None:
+            items = [
+                self._records_item(unit.indices)
+                if isinstance(unit, PyUnit)
+                else self._kernel_item(unit)
+                for unit in self._analysis.units
+            ]
+            plan = self._slots[slot] = (items, self._backward_plan())
+        return plan
 
     # -- forward ---------------------------------------------------------
-    def run_forward(self, inputs) -> list:
+    def run_forward(self, inputs, slot: int = 0) -> list:
         values: List[Optional[tuple]] = [None] * self._nrec
-        for item in self._items:
+        for item in self.bound(slot)[0]:
             item(values, inputs)
         return values
 
+    def bwd_plan(self, slot: int = 0) -> list:
+        """The backward walk entries :func:`run_walk` runs for ``slot``."""
+        return self.bound(slot)[1]
+
     def detach(self) -> None:
-        bwd_plan = self._graph._bwd_plan
-        for pos, entry in self._swaps:
-            bwd_plan[pos] = entry
-        self._swaps = []
+        """Drop every slot's bindings (and with them what they hold)."""
+        self._slots.clear()
 
     @property
     def coverage(self) -> float:
@@ -188,30 +281,14 @@ class LoweredPlan:
         graph, i = self._graph, unit.index
         rec = graph.records[i]
         descs = getattr(rec, "descs", None)
-        run = unit.entry.forward(Build(rec, self._lib, self._iscratch))
+        build = Build(rec, self._lib, self._iscratch)
         env = {
-            "call": unit.entry.contract.guard(run, descs[1] if descs else None),
+            "call": make_forward(unit.entry, build, descs[1] if descs else None),
             "count": self._fallback_counter.inc,
             "fallback": self._records_item((i,)),
-            "resolve": graph._resolve,
             "Context": Context,
         }
-        args = []
-        for k, spec in enumerate(rec.specs):
-            tag = spec[0]
-            if tag == _REC:
-                args.append(f"values[{spec[1]}][1]")
-            elif tag == _INPUT:
-                args.append(f"inputs[{spec[1]!r}]")
-            elif tag == _LEAF:
-                env[f"leaf{k}"] = spec[1]
-                args.append(f"leaf{k}.data")
-            elif tag == _CONST:
-                env[f"const{k}"] = spec[1]
-                args.append(f"const{k}")
-            else:
-                env[f"spec{k}"] = spec
-                args.append(f"resolve(spec{k}, values, inputs)")
+        args = [_expression(spec, env, f"arg{k}") for k, spec in enumerate(rec.specs)]
         source = _OP_ITEM
         if type(rec) is not _OpRecord:
             source = _HOST_ITEM
@@ -219,23 +296,24 @@ class LoweredPlan:
                 guard=rec.guard, expected=rec.expected, name=rec.fn.__name__,
                 host_equal=_host_equal, GraphInvalidated=GraphInvalidated,
             )
-        exec(source.format(i=i, args=", ".join(args)), env)
+        exec(compiled(source.format(i=i, args=", ".join(args))), env)
         return env["item"]
 
     # -- backward swaps --------------------------------------------------
-    def _install_backward(self, analysis: Analysis) -> None:
+    def _backward_plan(self) -> list:
         graph = self._graph
-        bwd_plan = graph._bwd_plan
+        swaps = self._analysis.bwd
+        bwd_plan = list(graph._bwd_plan)
         for pos, entry in enumerate(bwd_plan):
             kind, slot, ref, orig, targets = entry
-            swap = analysis.bwd.get(ref) if kind == 0 else None
+            swap = swaps.get(ref) if kind == 0 else None
             if swap is None:
                 continue
             build = Build(graph.records[ref], self._lib, self._iscratch, targets)
-            self._swaps.append((pos, entry))
             bwd_plan[pos] = (
                 kind, slot, ref, make_backward(swap[1], build, orig), targets
             )
+        return bwd_plan
 
 
 # ----------------------------------------------------------------------

@@ -61,8 +61,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from itertools import repeat
-from operator import is_
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -242,6 +241,9 @@ class ServingPlan:
             head = self._hold(model, "lm_head", "weight", "data")
             self._head = lambda rows: P(kernels._gemm, rows, head, None)
             vocab = head.shape[1]
+        # What :meth:`current` compares, in its order: each link read on
+        # the way to a table, then each entry's binding.
+        self._held = runtime.Binding(self._values + self._bindings)
         self._gemm_calls = 2 * len(blocks) + 1
         self._row_flops = len(blocks) * 2 * hidden * 4 * hidden  # qkv (3H) + proj (H)
         self._head_flops = 2 * hidden * vocab
@@ -406,9 +408,10 @@ class ServingPlan:
     # -- stepping --------------------------------------------------------
     def current(self) -> bool:
         """Every held array, table and binding is still the live one."""
-        return all(
-            map(is_, map(getattr, self._owners, self._names, repeat(None)), self._values)
-        ) and all(map(is_, map(runtime.current_binding, self._entries), self._bindings))
+        return self._held.current(chain(
+            map(getattr, self._owners, self._names, repeat(None)),
+            map(runtime.current_binding, self._entries),
+        ))
 
     def run(self, ids: np.ndarray, slots, pos=None, head=None) -> np.ndarray:
         """One step over ``n = len(ids)`` rows: ``(rows, vocab)`` logits of

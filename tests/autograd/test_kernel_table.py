@@ -40,7 +40,7 @@ from repro.autograd import CaptureSession, Tensor, lower
 from repro.autograd.function import Context, Function
 from repro.autograd.graph import host as graph_host
 from repro.autograd.lower import kernels, runtime, toolchain
-from repro.autograd.lower.kernels.base import OUT, Arr, Build, Rel
+from repro.autograd.lower.kernels.base import OUT, Arr, Build, Rel, addr
 from repro.observability import registry
 from repro.sparse import dispatch
 from repro.training import Adam
@@ -189,7 +189,7 @@ class Lowered:
         return None, self.fn(*args)
 
     def backward(self, ctx, grad):
-        return self.graph._bwd_plan[self.bwd_pos][3](ctx, grad)
+        return self.plan.bwd_plan()[self.bwd_pos][3](ctx, grad)
 
 
 # ----------------------------------------------------------------------
@@ -346,6 +346,59 @@ def test_unit_conforms_and_every_clause_declines(entry):
                     got = _outcome(low.backward, bad_ctx, bad[0])
                 _assert_same_outcome(got, want, what)
                 assert low.orig_calls == calls + 1, what
+
+
+# ----------------------------------------------------------------------
+# Bindings: a unit holds its operands; a fresh one rebinds, uncounted
+# ----------------------------------------------------------------------
+def _fresh(a, rng):
+    """New values in a new float array of ``a``'s layout (a transposed
+    operand stays transposed); anything else as it is."""
+    if not (isinstance(a, np.ndarray) and a.dtype.kind == "f"):
+        return a
+    b = np.empty_like(a)
+    b[...] = rng.standard_normal(a.shape)
+    assert b.strides == a.strides
+    return b
+
+
+@pytest.mark.parametrize("name", ["mm", "linbias", "ew_add", "ln", "softmax"])
+def test_a_fresh_conforming_operand_rebinds_and_counts_nothing(name):
+    """A unit's guard holds the operands of its last admitted call.  New
+    arrays of the admitted layout — what a re-recorded buffer script or a
+    swapped parameter delivers — run the clauses and rebind: the C reads
+    the new memory and no fallback is counted.  A non-conforming operand
+    still declines and counts one, and the held operands then run again
+    without a count."""
+    entry = next(e for e in kernels.TABLE if e.name == name)
+    rng = np.random.default_rng(3)
+    args = entry.fuzz(rng)
+    low = Lowered(entry, args)
+    before = _fallbacks()
+    for draw in (args, tuple(_fresh(a, rng) for a in args), args):
+        _, out = low.forward(draw)
+        _assert_same(out, low.reference(draw)[1], f"{name} forward")
+    assert _fallbacks() == before, "a conforming rebind counted a fallback"
+    bad = (args[0].astype(np.float64),) + tuple(args[1:])
+    _, out = low.forward(bad)
+    _assert_same(out, low.reference(bad)[1], f"{name} declined")
+    assert _fallbacks() == before + 1
+    _, out = low.forward(args)
+    _assert_same(out, low.reference(args)[1], f"{name} held again")
+    assert _fallbacks() == before + 1
+
+
+def test_addr_is_the_data_pointer_of_any_array():
+    """``addr`` is ``a.ctypes.data`` for every array, including the ones
+    the buffer export refuses (empty, not C-contiguous, read-only)."""
+    a = np.arange(24, dtype=np.float32).reshape(4, 6)
+    read_only = a.copy()
+    read_only.flags.writeable = False
+    for x in (
+        a, a[2], a[1:, 2:], a.T, a[:, ::2], read_only,
+        np.empty(0, np.float32), np.empty((3, 0), np.int64), a[:0],
+    ):
+        assert addr(x) == x.ctypes.data, (x.shape, x.strides)
 
 
 def test_planned_blocked_dispatch_declines_uncounted():
@@ -553,7 +606,7 @@ def test_registry_is_consistent():
     forward = [e.name for e in kernels.TABLE if e.forward]
     backward = [e.bwd_name for e in kernels.TABLE if e.backward]
     assert len(forward) == len(set(forward)) == 27
-    assert len(backward) == len(set(backward)) == 15
+    assert len(backward) == len(set(backward)) == 16
     names = [e.name for e in kernels.TABLE]
     assert len(names) == len(set(names))
     # The docs catalog is the table's own listing.

@@ -229,13 +229,43 @@ class TestKernelFuzz:
                         else:
                             moments = opt._m if swap == "m" else opt._v
                             moments[1] = moments[1].copy()
-                    argv = cc_opt.native.argv
+                    argv = cc_opt.native.table.args
                 ref_opt.step()
                 cc_opt.step()
                 if step == 1:
-                    assert cc_opt.native.argv is not argv  # bound again
+                    assert cc_opt.native.table.args is not argv  # bound again
         _assert_same_adam_state(ref_opt, cc_opt)
-        assert cc_opt.params[1].grad is cc_opt.native.held[2][1]
+        # Held in order: the parameters, then each one's data, grad, m, v.
+        n = len(cc_opt.params)
+        assert cc_opt.params[1].grad is cc_opt.native.table.held[2 * n + 1]
+
+    def test_a_trained_state_builds_its_pointer_table_once(self):
+        """Steady leaf gradients are the arena's same arrays every step —
+        those that reach a parameter through a reshape included (the
+        dMoE's flat expert tables) — so after the capture step the table
+        is built once and every later step's check hits."""
+        from repro.core import dMoE
+        from repro.data import LMDataset, PileConfig, SyntheticPile
+        from repro.nn import TransformerLM
+        from repro.training import Trainer, TrainerConfig
+
+        pile = SyntheticPile(PileConfig(vocab_size=64, num_domains=3, branching=4), seed=1)
+        train = LMDataset(pile.token_stream(6_000, 32), seq_len=16)
+        ffn = lambda i: dMoE(16, 32, num_experts=4, block_size=8, rng=i)  # noqa: E731
+        model = TransformerLM(64, 16, 2, 2, 16, ffn_factory=ffn, dropout_p=0.0, rng=0)
+        config = TrainerConfig(
+            global_batch=8, micro_batch=4, max_steps=10**9, eval_every=0,
+            log_every=0, backend="cc",
+        )
+        trainer = Trainer(
+            model, train, config=config, optimizer=Adam(model.parameters(), lr=1e-3), rng=9,
+        )
+        trainer.train_step(0)  # the capture step: eager gradients
+        tables = []
+        for step in range(1, 11):
+            trainer.train_step(step)
+            tables.append(trainer.optimizer.native.table.args)
+        assert all(t is tables[0] for t in tables)
 
     @pytest.mark.parametrize("wd", [0.0, 0.01])
     def test_adam_multi_matches_numpy_at_the_vector_edges(self, wd):

@@ -453,6 +453,61 @@ class CompiledStepMachine(RuleBasedStateMachine):
         for saved, state in zip(snap, self.states):
             apply_state(saved, state.model, state.optimizer)
 
+    # -- what a bound replay holds, moved under it ------------------------
+    # Each rule below changes an object a lowered unit (or the native Adam
+    # table) holds — a buffer, a script, a parameter array, the plan — and
+    # then steps: the units holding the old object must rebind, counting
+    # no fallback, and the replay must keep the eager bits.
+    def _step_ok(self, steps=1):
+        fallbacks = registry().counter("lower_segment_fallbacks")
+        before = fallbacks.value
+        for _ in range(steps):
+            assert self._step() == gr.OK
+        assert fallbacks.value == before
+        self.snapshots.append(self._snapshot())
+
+    @rule()
+    def reclaim_the_arena(self):
+        """Every pooled buffer dropped: the next pool request — a script
+        recording, an unscripted step — gets new memory."""
+        get_arena().clear()
+        self._step_ok()
+
+    @rule(how=st.sampled_from(["dead", "outgrown"]))
+    def force_a_buffer_script_rerecord(self, how):
+        """A dead script is dropped after its replay and recorded afresh on
+        the next, from new pool buffers; an entry whose base is outgrown
+        grows a new base and serves a new view where the old one was."""
+        graph = self.states[1].graph
+        for script in (graph._scripts.values() if graph is not None else ()):
+            if how == "dead":
+                script.dead = True
+                continue
+            for e in script.entries:
+                if e[3] is not None:
+                    # Too small for any request, and a shape none asks for.
+                    e[1], e[3], e[4] = (), e[3][:1], {}
+        self._step_ok(2)
+
+    @rule(data=st.data())
+    def swap_a_parameter_array(self, data):
+        """``Parameter.data`` replaced by a copy: same values, new memory."""
+        k = data.draw(st.integers(0, len(self.states[0].optimizer.params) - 1))
+        for state in self.states:
+            p = state.optimizer.params[k]
+            p.data = p.data.copy()
+        self._step_ok()
+
+    @rule()
+    def drop_and_reattach_the_lowered_plan(self):
+        """The graph's lowered plan detached and a new one attached: every
+        unit is bound again from nothing."""
+        graph = self.states[1].graph
+        if graph is not None and graph._lowered is not None:
+            graph.detach_lowered()
+            assert lower.attach(graph) is not None
+        self._step_ok()
+
     @invariant()
     def the_compiled_state_holds_the_reference_bits(self):
         assert self.results[0] == self.results[1]  # bitwise float equality

@@ -407,9 +407,8 @@ def weight_grad_runners(lib):
     def fell_back(*_):
         raise AssertionError("the native runner fell back to the host op")
 
-    build = Build(None, lib, None)
     return tuple(
-        runtime.make_backward(entry, build, fell_back)
+        runtime.make_backward(entry, Build(None, lib, None), fell_back)
         for entry in kernels.TABLE
         if entry.backward and kernels.replaced(entry) in (_SddMM, _DsdMM)
     )
@@ -623,14 +622,13 @@ def test_banded_weights_give_the_flat_operands_bits(lib, case):
     dh = [s.values for s in _values_pair(topo, pad, rng, np.float32)]
     w_flat = rng.standard_normal((k, n)).astype(np.float32)
     w = _banded(w_flat, experts)
-    build = Build(None, lib, None)
     entry = next(e for e in kernels.TABLE if kernels.replaced(e) is _SddMM)
-    native_fwd = entry.contract.guard(entry.forward(build))
+    native_fwd = runtime.make_forward(entry, Build(None, lib, None))
 
     def fell_back(*_):
         raise AssertionError("the native runner fell back to the host op")
 
-    native_bwd = runtime.make_backward(entry, build, fell_back)
+    native_bwd = runtime.make_backward(entry, Build(None, lib, None), fell_back)
     written = np.zeros(n, bool)
     for _, _, clo, chi, *_ in dispatch.analyze(topo).element_groups(topo.block_size):
         written[clo:chi] = True
@@ -678,7 +676,7 @@ def test_a_group_across_two_bands_is_refused(lib, rng):
         "weights fit, every group inside one band"
     ]
     assert all(c.fn(x, good, topo) for c in clauses)
-    native_fwd = entry.contract.guard(entry.forward(Build(None, lib, None)))
+    native_fwd = runtime.make_forward(entry, Build(None, lib, None))
     assert native_fwd(x, bad, topo) is None and native_fwd(x, good, topo)
 
     with dispatch_mode("grouped"):
