@@ -3,10 +3,10 @@
 The C pair mirrors the steady-state ufunc sequence of ``_LayerNorm``
 op for op, including the NEP 50 scalar casts (``(float)H``, ``eps``) and
 the lead-axis sums as sequential row adds.  The forward has two faces:
-a captured ``_LayerNorm`` record, and a direct one that
-:func:`repro.serving.kernels.layer_norm` calls on plain arrays for
-``LayerNorm`` under ``inference_mode`` (its reference is the op's NumPy
-``forward``, and each row reads only itself).
+a captured ``_LayerNorm`` record, and a direct one on plain arrays,
+which the serving plan (:mod:`repro.serving.plan`) binds for every
+LayerNorm it serves (its reference is the op's NumPy ``forward``, and
+each row reads only itself).
 """
 
 from __future__ import annotations
@@ -89,8 +89,8 @@ void repro_ln_bwd_f32(const float *restrict g, const float *restrict xhat,
 
 def _ln_forward(b):
     """A captured record saves ``(xhat, inv, w)`` at its pinned shapes.
-    A direct caller (``LayerNorm`` under ``inference_mode``) gets the
-    output alone, shapes read per call, and ``xhat``, ``inv`` and the
+    A direct caller (the serving plan's face,
+    :data:`repro.serving.kernels.layer_norm`) gets the output alone, shapes read per call, and ``xhat``, ``inv`` and the
     row of squares share one scratch array."""
     cfn = b.lib.repro_ln_fwd_f32
     if b.rec is None:

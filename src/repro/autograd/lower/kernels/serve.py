@@ -13,7 +13,7 @@ or int8 converted in registers with a scale and bias epilogue — GELU and
 combine in three calls around ``np.exp`` and ``np.tanh``; reference
 :func:`repro.moe.inference.moe_forward_ref`) and ``serve_sample`` (the
 scheduler's token sampling in two calls around ``np.exp`` and the draws;
-reference :func:`repro.serving.sampling.sample_rows`).  The MoE layer's
+reference :func:`repro.utils.sampling.sample_rows`).  The MoE layer's
 products run the GEMM's loops, so its rows are as stable.
 
 Their C is one run of the prelude, last in table order, in the order of
@@ -38,7 +38,7 @@ from repro.observability.metrics import registry
 
 I8, F8 = np.dtype(np.int8), np.dtype(np.float64)
 _K044, _C = 0.044715, float(_GELU_C)  # GELU's two constants, cast in C as NumPy casts them
-# The MoE runner counts its three GEMMs as repro.serving.kernels counts one.
+# The MoE runner counts its three GEMMs as the serving plan counts one.
 _GEMM_CALLS, _GEMM_FLOPS = (registry().counter(f"serve_gemm_{w}") for w in ("calls", "flops"))
 
 
@@ -316,7 +316,7 @@ NOINLINE void NAME(const float *x, const WT *w, const float *scale,         \
 GEMM(gemm_float, float)
 GEMM(gemm_i8, i8)
 
-/* y = x @ w (+ bias): stable_linear. */
+/* y = x @ w (+ bias): serve_gemm (repro.serving.kernels._linear_ref). */
 void repro_serve_gemm(const float *x, const float *w, const float *bias,
                       float *out, i64 M, i64 K, i64 N)
 {
@@ -631,7 +631,7 @@ void repro_moe_down(float *fs, const void *w2, const float *s2,
 """
 
 _SAMPLE_C = r"""
-/* Token sampling (repro.serving.sampling.sample_rows, temperature > 0,
+/* Token sampling (repro.utils.sampling.sample_rows, temperature > 0,
    no top-k cut) in two calls around np.exp, in its order, per row of x
    (B rows of V float32 logits), in float64:
    repro_sample_shift: b = x / temperature (x / 1 is x), minus the row
@@ -1192,7 +1192,7 @@ MOE = Kernel(
 )
 
 SAMPLE = Kernel(
-    "serve_sample", "repro.serving.sampling.sample_rows",
+    "serve_sample", "repro.utils.sampling.sample_rows",
     source=_SAMPLE_C,
     contract=Contract(
         Arr(0, rank=2),

@@ -233,17 +233,16 @@ def is_inference() -> bool:
 
 @contextlib.contextmanager
 def inference_mode():
-    """Serving-mode scope: ``no_grad`` plus shape-stable kernels.
+    """Serving-mode scope: ``no_grad`` plus the MoE layers' dropless
+    dispatch.
 
-    Inside this block the model forwards take the inference seams: no
-    tape nodes are recorded, MoE layers skip auxiliary-loss accumulation
-    and dispatch through the padding-free serving path, and every matmul
-    that mixes token rows routes through the bitwise shape-stable
-    kernels of :mod:`repro.serving.kernels`.  The latter is what makes
-    KV-cached incremental decode produce logits *bit-identical* to the
-    uncached full-window forward: NumPy's BLAS-backed ``matmul`` rounds
-    differently for different row counts, so both the cached and the
-    uncached inference paths must share per-row-stable computations.
+    Inside this block no tape nodes are recorded, and an MoE layer
+    (``dMoE``, ``MoELayer``) called as a module skips auxiliary-loss
+    accumulation and runs the padding-free serving path
+    (:func:`repro.moe.inference.moe_inference_forward`) — the path
+    ``bench/layers.py`` times as ``moe.inference_fwd_*``.  Nothing else
+    reads the flag: the KV-cached steps of :mod:`repro.serving.plan` run
+    inside it but call no module.
 
     Training numerics are untouched — the flag defaults off and nothing
     outside this context reads it.

@@ -9,10 +9,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd.ops_fused import attention_core, masked_softmax
-from repro.autograd.tensor import Tensor, is_inference
+from repro.autograd.tensor import Tensor
 from repro.nn.layers import Dropout, Linear
 from repro.nn.module import Module
-from repro.serving.kernels import attention_rows
 from repro.utils.rng import RngLike
 
 #: Causal masks keyed by sequence length.  The mask is identical for every
@@ -62,8 +61,6 @@ class CausalSelfAttention(Module):
         self.attn_dropout = Dropout(dropout_p, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        if is_inference():
-            return self._inference_window(x)
         batch, seq, hidden = x.shape
         qkv = self.qkv(x)  # (B, S, 3H)
         if self.attn_dropout.p <= 0.0 or not self.attn_dropout.training:
@@ -91,28 +88,3 @@ class CausalSelfAttention(Module):
         ctx = probs @ v  # (B, heads, S, head_dim)
         ctx = ctx.transpose((0, 2, 1, 3)).reshape((batch, seq, hidden))
         return self.proj(ctx)
-
-    # ------------------------------------------------------------------
-    # Serving reference (inference_mode): the shape-stable kernels
-    # ------------------------------------------------------------------
-    def _scale(self) -> float:
-        return float(1.0 / np.sqrt(self.head_dim))
-
-    def _inference_window(self, x: Tensor) -> Tensor:
-        """Full-window inference forward: the uncached reference.
-
-        Every (sequence, position) pair is one query row of a single
-        :func:`attention_rows` call, with length ``t + 1`` — the row a
-        serving step (:mod:`repro.serving.plan`) computes for a token at
-        position ``t``, through the same code, from the keys and values
-        its cache holds: that shared computation is the whole
-        bit-identity argument.
-        """
-        batch, seq, _ = x.shape
-        qkv = self.qkv(x).data.reshape(batch, seq, 3, self.num_heads, self.head_dim)
-        q = np.ascontiguousarray(qkv[:, :, 0]).reshape(batch * seq, self.num_heads, -1)
-        k = np.ascontiguousarray(qkv[:, :, 1].transpose(0, 2, 3, 1))  # keys transposed
-        v = np.ascontiguousarray(qkv[:, :, 2].transpose(0, 2, 1, 3))
-        rows = np.arange(batch * seq)
-        ctx = attention_rows(q, k, v, rows // seq, rows % seq + 1, self._scale())
-        return self.proj(Tensor(ctx.reshape(batch, seq, self.hidden_size)))

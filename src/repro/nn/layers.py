@@ -10,8 +10,7 @@ from repro.autograd import dropout as dropout_op
 from repro.autograd import embedding as embedding_op
 from repro.autograd import layer_norm as layer_norm_op
 from repro.autograd.ops_fused import linear_bias
-from repro.autograd.tensor import Tensor, is_inference
-from repro.serving.kernels import layer_norm, stable_linear
+from repro.autograd.tensor import Tensor
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 from repro.utils.rng import RngLike
@@ -35,17 +34,6 @@ class Linear(Module):
         self.bias = Parameter(init.zeros(out_features)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        if is_inference():
-            # Serving path: row-stable GEMM (no tape, and bitwise
-            # independent of how many token rows are in the batch — the
-            # KV-cached decode bit-identity guarantee rests on this).
-            return Tensor(
-                stable_linear(
-                    x.data,
-                    self.weight.data,
-                    None if self.bias is None else self.bias.data,
-                )
-            )
         if self.bias is not None:
             return linear_bias(x, self.weight, self.bias)
         return x @ self.weight
@@ -88,9 +76,6 @@ class LayerNorm(Module):
         self.bias = Parameter(init.zeros(normalized_shape))
 
     def forward(self, x: Tensor) -> Tensor:
-        if is_inference():
-            # Serving path: one native call, no tape.
-            return Tensor(layer_norm(x.data, self.weight.data, self.bias.data, self.eps))
         return layer_norm_op(x, self.weight, self.bias, eps=self.eps)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.autograd import ACTIVATIONS
 from repro.autograd.ops_fused import bias_gelu
-from repro.autograd.tensor import Tensor, is_inference
+from repro.autograd.tensor import Tensor
 from repro.nn.layers import Linear
 from repro.nn.module import Module
 from repro.utils.rng import RngLike
@@ -41,15 +41,9 @@ class MLP(Module):
         self.fc2 = Linear(ffn_hidden_size, hidden_size, init_std=out_std, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        if (
-            not is_inference()
-            and self.activation == "gelu"
-            and self.fc1.bias is not None
-        ):
+        if self.activation == "gelu" and self.fc1.bias is not None:
             # Fused bias + GELU: one tape node instead of the matmul-bias
-            # add plus the activation's intermediate chain.  Serving
-            # keeps ``fc1`` whole: its row-stable GEMM is what makes a
-            # token's logits independent of the batch around it.
+            # add plus the activation's intermediate chain.
             h = bias_gelu(x @ self.fc1.weight, self.fc1.bias)
             return self.fc2(h)
         act = ACTIVATIONS[self.activation]

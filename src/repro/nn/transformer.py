@@ -20,12 +20,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.autograd.ops_fused import dropout_residual, softmax_cross_entropy
-from repro.autograd.tensor import Tensor, is_inference
+from repro.autograd.tensor import Tensor
 from repro.nn.attention import CausalSelfAttention
 from repro.nn.layers import Dropout, Embedding, LayerNorm
 from repro.nn.mlp import MLP
 from repro.nn.module import Module, ModuleList
 from repro.utils.rng import RngLike, get_rng
+from repro.utils.sampling import sample_tokens
 
 FFNFactory = Callable[[int], Module]
 """Maps a layer index to the FFN module for that block."""
@@ -67,11 +68,9 @@ class TransformerBlock(Module):
         self.dropout = Dropout(dropout_p, rng=rng)
 
     def _residual(self, x: Tensor, branch: Tensor) -> Tensor:
-        """``x + dropout(branch)``; one fused tape node outside serving
-        (the block-level residual has no bias — bias fusion lives inside
-        the Linear/MLP layers)."""
-        if is_inference():
-            return x + self.dropout(branch)
+        """``x + dropout(branch)`` as one fused tape node (the block-level
+        residual has no bias — bias fusion lives inside the Linear/MLP
+        layers)."""
         d = self.dropout
         return dropout_residual(branch, x, d.p, d.training, d.rng)
 
@@ -151,12 +150,10 @@ class TransformerLM(Module):
             self.lm_head = Linear(hidden_size, vocab_size, bias=False, rng=rng)
 
     def forward(self, ids) -> TransformerOutput:
-        """Full-window forward; training path unless inside inference_mode.
-
-        Under inference_mode it is the uncached reference the serving plan
-        (:mod:`repro.serving.plan`) is held to, bit for bit: every
-        position's logits, through the row-stable serving kernels.
-        """
+        """Full-window forward: every position's logits, and the summed
+        auxiliary loss.  This is the training model; a KV-cached serving
+        step runs the cache's plan (:mod:`repro.serving.plan`), which
+        calls none of these modules."""
         ids_arr = ids.data if isinstance(ids, Tensor) else np.asarray(ids)
         batch, seq = ids_arr.shape
         if seq > self.max_seq_len:
@@ -172,21 +169,11 @@ class TransformerLM(Module):
                 aux_total = aux if aux_total is None else aux_total + aux
 
         x = self.ln_f(x)
-        logits = self._head(x)
-        return TransformerOutput(logits=logits, aux_loss=aux_total)
-
-    def _head(self, x: Tensor) -> Tensor:
-        """LM head; routed through the row-stable kernel when serving."""
-        if is_inference() and self.tie_embeddings:
-            from repro.serving.kernels import stable_matmul_tb
-
-            xd = x.data
-            w = self.tok_emb.weight.data
-            logits = stable_matmul_tb(xd.reshape(-1, xd.shape[-1]), w)
-            return Tensor(logits.reshape(xd.shape[:-1] + (w.shape[0],)))
         if self.tie_embeddings:
-            return x @ self.tok_emb.weight.transpose()
-        return self.lm_head(x)
+            logits = x @ self.tok_emb.weight.transpose()
+        else:
+            logits = self.lm_head(x)
+        return TransformerOutput(logits=logits, aux_loss=aux_total)
 
     def generate(
         self,
@@ -221,7 +208,6 @@ class TransformerLM(Module):
         ``eos_token_id`` first.
         """
         from repro.autograd import no_grad
-        from repro.serving.sampling import sample_tokens
 
         gen = get_rng(rng)
         ids_in = np.asarray(prompt, dtype=np.int64)

@@ -2,11 +2,12 @@
 
 The serving stack (see ``docs/serving.md``):
 
-- :mod:`repro.serving.kernels` — bitwise *shape-stable* matmul/attention
-  kernels.  NumPy's BLAS-backed ``matmul`` rounds differently for
-  different row counts, so KV-cached single-token decode could never be
-  bit-identical to a full-window forward through the training kernels;
-  every inference-mode matmul routes through these instead.
+- :mod:`repro.serving.kernels` — the row-stable GEMM and attention
+  references (einsum's accumulation order, which the kernel table's
+  serving entries run in C) and the direct faces the plan falls back on.
+  NumPy's BLAS-backed ``matmul`` rounds differently for different row
+  counts, so KV-cached decode could never be bit-identical to a
+  full-window forward through the training kernels.
 - :mod:`repro.serving.kv_cache` — per-layer K/V caches backed by the
   PR 3 buffer arena (detached from per-step generation reclaim).
 - :mod:`repro.serving.engine` — :class:`InferenceEngine`: prefill /
@@ -20,13 +21,11 @@ The serving stack (see ``docs/serving.md``):
   metrics registry.
 - :mod:`repro.serving.quantize` — per-output-channel symmetric int8
   expert weights (4x weight-byte reduction), dequantize-on-GEMM.
-- :mod:`repro.serving.sampling` — greedy / temperature / top-k token
-  sampling shared with ``TransformerLM.generate``.
+- :mod:`repro.utils.sampling` — greedy / temperature / top-k token
+  sampling, shared with ``TransformerLM.generate``.
 
-This ``__init__`` is import-light on purpose: ``repro.nn`` imports the
-numpy-only ``sampling``/``kernels`` modules, so executing the heavy
-engine/scheduler imports here would create a cycle.  Attribute access
-loads them lazily (PEP 562).
+This ``__init__`` is import-light: attribute access loads the engine,
+scheduler and quantizer modules lazily (PEP 562).
 """
 
 from typing import TYPE_CHECKING
@@ -42,8 +41,7 @@ _LAZY = {
     "attach_quantized_experts": "repro.serving.quantize",
     "detach_quantized_experts": "repro.serving.quantize",
     "quantize_int8": "repro.serving.quantize",
-    "sample_tokens": "repro.serving.sampling",
-    "stable_linear": "repro.serving.kernels",
+    "sample_tokens": "repro.utils.sampling",
 }
 
 __all__ = sorted(_LAZY)
@@ -64,7 +62,6 @@ def __dir__():
 
 if TYPE_CHECKING:  # pragma: no cover - typing aid only
     from repro.serving.engine import InferenceEngine
-    from repro.serving.kernels import stable_linear
     from repro.serving.kv_cache import KVCache, LayerKV
     from repro.serving.quantize import (
         QuantizedExpertFFN,
@@ -72,7 +69,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing aid only
         detach_quantized_experts,
         quantize_int8,
     )
-    from repro.serving.sampling import sample_tokens
+    from repro.utils.sampling import sample_tokens
     from repro.serving.scheduler import (
         ContinuousBatchingScheduler,
         GenerationResult,

@@ -34,7 +34,7 @@ from repro.autograd.tensor import inference_mode
 from repro.serving.kv_cache import KVCache
 from repro.serving.plan import decode, prefill
 from repro.serving.quantize import attach_quantized_experts
-from repro.serving.sampling import sample_tokens
+from repro.utils.sampling import sample_tokens
 from repro.utils.rng import RngLike, get_rng
 
 
@@ -95,7 +95,7 @@ class InferenceEngine:
         Token-for-token equivalent to ``TransformerLM.generate`` under
         the same seed (bit-identical logits via the shared inference
         kernels, identical per-row RNG consumption via the shared
-        :func:`~repro.serving.sampling.sample_tokens`).
+        :func:`~repro.utils.sampling.sample_tokens`).
         """
         gen = get_rng(rng)
         ids_in = np.asarray(prompt, dtype=np.int64)

@@ -1,4 +1,4 @@
-"""Bitwise shape-stable inference kernels: the GEMMs and attention.
+"""Bitwise shape-stable serving kernels: the references and direct faces.
 
 The serving path promises logits from KV-cached single-token decode that
 are *bit-identical* to an uncached full-window forward.  That promise is
@@ -30,10 +30,10 @@ honour it:
   and ``j`` only; a column's ``k`` chain is never reordered or
   reassociated, so the bits are einsum's.
 
-Attention states its order the same way.  :func:`attention_rows` takes
-every query row of a layer — all ``(sequence, position)`` rows of a
-prefill, or the active slots of a decode step — and per row ``r`` and
-head, over keys ``j < lengths[r]`` only::
+Attention states its order the same way.  The serving plan sends every
+query row of a layer — all ``(sequence, position)`` rows of a prefill,
+or the active slots of a decode step — through one ``attn_rows`` call;
+per row ``r`` and head, over keys ``j < lengths[r]`` only::
 
     s_j = chain_k(q[k] * K[j, k]) * scale      (the chain above)
     x_j = s_j - max_j s_j
@@ -48,63 +48,52 @@ products stream contiguous rows.  Prefill and decode send the same rows
 through the same code, so cached equals uncached and no row depends on
 the rows beside it.
 
-Each entry point is a thin caller of one direct table entry
-(:func:`repro.autograd.lower.runtime.direct`) — ``serve_gemm``,
-``attn_rows`` — which replaces, and is tested against, its reference
-here (:func:`_linear_ref`, :func:`_attention_rows_ref`).  Two more are
-the entries themselves: :data:`layer_norm` (``ln``'s direct face,
-reference ``_LayerNorm.forward``) and :func:`bound_sample_rows`
-(``serve_sample`` bound to one batch, reference
-:func:`repro.serving.sampling.sample_rows`).  An entry binds on its
-first call and must match its reference bit for bit on its check draws
-before it serves anything; a missing toolchain, a failed compile or a
-failed check pins it to the reference, and every such call through a
-direct face counts in the table's ``lower_toolchain_fallbacks`` /
-``lower_segment_fallbacks``.  A call the entry's contract does not admit
-runs the reference by plan and counts nothing: an operand not
-C-contiguous float32 or empty, or a GEMM with ``N == 1`` (einsum then
-reduces over ``k`` with SIMD partial sums — a different order, kept as
-is).  NaN *payloads* are outside the contract: which NaN survives
-``NaN + NaN`` depends on operand order, which a compiler may swap.
+This module holds the references — :func:`_linear_ref`,
+:func:`_attention_rows_ref` — which the entries ``serve_gemm`` and
+``attn_rows`` replace and are tested against, and the direct faces
+(:func:`repro.autograd.lower.runtime.direct`) the serving plan
+(:mod:`repro.serving.plan`) calls where it binds no C: ``_gemm``,
+``_attention`` and :data:`layer_norm` (``ln``'s face, reference
+``_LayerNorm.forward``).  :func:`bound_sample_rows` is ``serve_sample``
+bound to one batch (reference :func:`repro.utils.sampling.sample_rows`).
+An entry binds on its first call and must match its reference bit for
+bit on its check draws before it serves anything; a missing toolchain, a
+failed compile or a failed check pins it to the reference, and every
+call through a direct face then counts in the table's
+``lower_toolchain_fallbacks`` / ``lower_segment_fallbacks``.  A call the
+entry's contract does not admit runs the reference by plan and counts
+nothing: an operand not C-contiguous float32 or empty, or a GEMM with
+``N == 1`` (einsum then reduces over ``k`` with SIMD partial sums — a
+different order, kept as is).  NaN *payloads* are outside the contract:
+which NaN survives ``NaN + NaN`` depends on operand order, which a
+compiler may swap.
 
 The expert products of a served MoE layer are not here: ``serve_moe``
 (:mod:`repro.moe.inference`) runs a whole layer in C, and its NumPy
 reference runs them through
 :func:`repro.sparse.dispatch.grouped_rows_gemm`, one einsum per group.
+The tied LM head stays on einsum's ``ij,kj`` order — a SIMD partial-sum
+reduction, row-stable but not this chain.
 
-Left alone on purpose: :func:`stable_matmul_tb` (tied LM head — einsum's
-``ij,kj`` order is a SIMD partial-sum reduction, row-stable but not this
-chain).
-
-Every GEMM through this module adds to the registry counters
-``serve_gemm_calls`` / ``serve_gemm_flops``, every attention call to
-``serve_attn_calls`` / ``serve_attn_flops`` (``4 * heads * d`` per key a
-row reads); the table counts the calls that ran C
-(``lower_direct_calls``).
+The plan counts its GEMMs in the registry's ``serve_gemm_calls`` /
+``serve_gemm_flops`` and its attention in ``serve_attn_calls`` /
+``serve_attn_flops`` (``4 * heads * d`` per key a row reads); the table
+counts the calls that ran C (``lower_direct_calls``).
 
 Plain NumPy on plain arrays: no Tensor, no tape.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.autograd.lower import runtime
 from repro.autograd.lower.kernels import layernorm, serve
 from repro.observability.metrics import registry
-from repro.serving import sampling
+from repro.utils import sampling
 
-_I64, _F4 = np.dtype(np.int64), np.dtype(np.float32)
-
+_F4 = np.dtype(np.float32)
 _REG = registry()
-# Resolved once: a serving call bumps handles and looks nothing up.
-_GEMM_CALLS, _GEMM_FLOPS, _ATTN_CALLS, _ATTN_FLOPS = (
-    _REG.counter(f"serve_{kind}_{what}")
-    for kind in ("gemm", "attn")
-    for what in ("calls", "flops")
-)
 
 _gemm = runtime.direct(serve.GEMM)
 _attention = runtime.direct(serve.ATTENTION)
@@ -120,7 +109,7 @@ def bound_sample_rows(gens, vocab: int, temperature: float, top_k):
     ``vocab``-wide logits and one sampling setting — for a caller that
     samples that batch every step (the scheduler): ``sampler(logits)``
     draws the same tokens from the same streams as the reference,
-    :func:`repro.serving.sampling.sample_rows` ``(logits, temperature,
+    :func:`repro.utils.sampling.sample_rows` ``(logits, temperature,
     top_k, gens)``, with the entry's buffers and pointers bound once.
     The ids come back in an array the next call reuses.  Each call checks
     the entry's contract on its logits (a decode hands over a new array
@@ -181,8 +170,8 @@ def work_summary(gemm_flops: int, attn_flops: int, seconds: float, wall: str) ->
     fallbacks = value("lower_toolchain_fallbacks") + value("lower_segment_fallbacks")
     return (
         f"kernel calls: native={value('lower_direct_calls')}  fallbacks={fallbacks}\n"
-        f"gemm_calls={_GEMM_CALLS.value}  gemm_gflop={rate(gemm_flops)}\n"
-        f"attn_calls={_ATTN_CALLS.value}  attn_gflop={rate(attn_flops)}"
+        f"gemm_calls={value('serve_gemm_calls')}  gemm_gflop={rate(gemm_flops)}\n"
+        f"attn_calls={value('serve_attn_calls')}  attn_gflop={rate(attn_flops)}"
     )
 
 
@@ -237,60 +226,3 @@ def _attention_rows_ref(q, k, v, kv_index, lengths, scale) -> np.ndarray:
     for j in range(span):
         ctx = ctx + p[:, :, j, None] * vv[:, :, j]
     return ctx.reshape(rows, heads * d)
-
-
-# ----------------------------------------------------------------------
-# Entry points
-# ----------------------------------------------------------------------
-def stable_linear(
-    x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Row-stable ``x @ weight + bias`` over arbitrary leading dimensions
-    (one native call: GEMM with the bias add as its epilogue)."""
-    _GEMM_CALLS.value += 1
-    _GEMM_FLOPS.value += 2 * x.size * weight.shape[-1]
-    return _gemm(x, weight, bias)
-
-
-def stable_matmul_tb(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b.T`` for 2-D operands, row-stable (used by the tied LM head).
-
-    Stays on einsum: its ``ij,kj`` order sums SIMD partial sums over the
-    contiguous ``j``, which is not the strict chain the C family runs."""
-    _GEMM_CALLS.value += 1
-    _GEMM_FLOPS.value += 2 * a.size * b.shape[0]
-    return np.einsum("ij,kj->ik", a, b)
-
-
-def attention_rows(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    kv_index: np.ndarray,
-    lengths: np.ndarray,
-    scale: float,
-) -> np.ndarray:
-    """Causal attention for a batch of query rows, each against its own
-    slot's first ``lengths[r]`` keys; returns ``(rows, heads * d)``.
-
-    ``q`` is ``(rows, heads, d)``; ``k`` holds keys transposed,
-    ``(slots, heads, d, cap)`` (``k[b, h, :, j]`` is key ``j``); ``v`` is
-    ``(slots, heads, cap, d)``; row ``r`` reads slot ``kv_index[r]``.  A
-    prefill passes all ``(sequence, position)`` rows with
-    ``lengths = t + 1``, a decode step its active slots with
-    ``lengths = positions + 1``: the same rows through the same code, so
-    cached equals uncached and no row depends on its neighbours.
-
-    Per row and head (every chain from +0.0, ascending, each multiply and
-    add rounded): ``s_j = chain_k(q[k] * K[j, k]) * scale``;
-    ``x_j = s_j - max_j s_j``; ``e = np.exp(x)`` over one contiguous
-    buffer; ``p_j = e_j / chain_j(e_j)``; ``ctx = chain_j(p_j * V[j])``.
-    Keys at or past ``lengths[r]`` are never read.  Raises ``ValueError``
-    unless ``0 <= kv_index < slots`` and ``1 <= lengths <= cap``.
-    """
-    kv_index = np.ascontiguousarray(kv_index, dtype=_I64)
-    lengths = np.ascontiguousarray(lengths, dtype=_I64)
-    out = _attention(q, k, v, kv_index, lengths, scale)
-    _ATTN_CALLS.value += 1
-    _ATTN_FLOPS.value += 4 * q.shape[1] * q.shape[2] * int(lengths.sum())
-    return out

@@ -3,7 +3,8 @@
 Layout, per Transformer layer: V is ``(batch_slots, heads, max_seq_len,
 head_dim)`` and K is stored transposed, ``(batch_slots, heads, head_dim,
 max_seq_len)``, so a query's scores and its context both stream over
-contiguous rows (:func:`repro.serving.kernels.attention_rows`).  Both are
+contiguous rows (the ``attn_rows`` entry, reference
+:func:`repro.serving.kernels._attention_rows_ref`).  Both are
 pre-grown to ``max_seq_len`` at construction so serving never
 reallocates — a step's rows, a prefill's window or a decode step's
 tokens, go in with one indexed write per array (``K[slots, ...,

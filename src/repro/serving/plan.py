@@ -5,7 +5,8 @@ A serving step of a ``TransformerLM`` — a prefill of ``B`` sequences of
 the same calls whatever its rows: per block a LayerNorm, the QKV GEMM,
 the K/V write at each row's (slot, position), attention over each row's
 slot up to its position, the output GEMM, a residual add, a LayerNorm,
-the FFN and a residual add; then the final LayerNorm and the head, on
+the FFN (a dense ``MLP``'s two GEMMs around its activation, or an MoE
+layer) and a residual add; then the final LayerNorm and the head, on
 each sequence's last row only.  The dMoE is dropless, so no row's result
 depends on the rows beside it, and only the step's inputs change: the
 token ids, one slot and one position per row, and the rows that get the
@@ -18,8 +19,10 @@ the kernel table's direct entries (``ln``, ``serve_gemm``, ``attn_rows``,
 ``serve_moe``) with its contract checked and its tables' pointers
 converted once, and the NumPy calls between them (embedding gathers,
 ``np.exp`` over attention's ``heads * sum(lengths)`` scores, residual
-adds, K/V writes, the tied head's ``einsum``) — each the call the
-modules make, on the same operands, so the plan moves no bit.  A row
+adds, K/V writes, a dense FFN's activation, the tied head's ``einsum``).
+Each call is, bit for bit, the reference it stands for: a step calls no
+module, and its rows equal a full-window forward built from the
+entries' references alone.  A row
 count the plan has not stepped derives its *view* — one flat tuple of
 prebound calls over the buffers' first rows, with that count in the C
 calls' arguments and ``serve_moe``'s ``t`` — checking no contract and
@@ -29,15 +32,17 @@ walks the tuple.
 - *Bound once*: each entry's contract, on the operands the plan holds
   (:func:`repro.autograd.lower.runtime.native`).  An entry pinned to its
   reference, or an operand outside its contract, makes that item the
-  entry's direct face on the same buffers, copied into the plan's; a
-  block FFN with no direct-entry decomposition (a dense ``MLP``, an MoE
-  layer without the plain ``Router`` or GELU experts) is one item, its
-  own inference ``forward``.  Building counts nothing.
+  entry's direct face on the same buffers, copied into the plan's — for
+  an MoE layer ``serve_moe`` does not take (another router, non-GELU
+  experts), ``serve_moe``'s face, which runs its reference.  A block
+  FFN that is neither a dense ``MLP`` nor an MoE layer raises
+  ``TypeError``.  Building counts nothing.
 - *Checked every step* (:meth:`ServingPlan.current`): every attribute
   the plan read on its way from the model to a table is still the object
   it read — the module links (``model.blocks``, ``block.attn`` / ``ln1``
   / ``ln2`` / ``ffn``, ``attn.qkv``, ``linear.weight``, ``router.proj``,
-  ``ffn.experts``, …) and each table's ``data`` alike; an MoE layer
+  ``ffn.experts``, ``mlp.activation``, …) and each table's ``data``
+  alike; an MoE layer
   bound to ``serve_moe`` keeps its router, settings and ``_quantized``
   tables, a LayerNorm its ``eps``; the cache still holds its K/V layers
   (:meth:`KVCache.release` drops them); every entry keeps its binding.
@@ -65,6 +70,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
+from repro.autograd import ACTIVATIONS
 from repro.autograd.lower import runtime
 from repro.autograd.lower.kernels import layernorm, serve
 from repro.autograd.lower.kernels.base import addr
@@ -73,6 +79,7 @@ from repro.core.dmoe import dMoE
 from repro.moe.inference import moe_forward_ref
 from repro.moe.moe_layer import MoELayer
 from repro.nn.attention import CausalSelfAttention
+from repro.nn.mlp import MLP
 from repro.observability.metrics import registry
 from repro.serving import kernels
 
@@ -103,8 +110,8 @@ def prefill(model, ids, cache, slots=None) -> np.ndarray:
     slot per sequence; sequence ``b``'s tokens take positions
     ``[length, length + S)`` of its slot, so a window encoded from the
     start needs its slot reset first.  Logits are bit-identical to the
-    last position of ``model.forward`` over the slot's whole window
-    inside inference_mode.  Raises ``ValueError`` ("KV cache full") when
+    last position of the uncached full-window forward over the slot's
+    whole window.  Raises ``ValueError`` ("KV cache full") when
     a window would pass ``min(max_seq_len, cache.max_seq_len)``.
     """
     ids = np.asarray(ids, dtype=np.int64)
@@ -128,9 +135,9 @@ def decode(model, ids, cache, slots=None) -> np.ndarray:
     slot, one distinct slot per row.  Row ``j`` is embedded at absolute
     position ``cache.lengths[slots[j]]``, each block writes its K/V in
     place and attends over that slot's cached rows, and the cache
-    lengths advance by one.  Logits are bit-identical to row ``j``'s last
-    position under ``model.forward`` over the same window inside
-    inference_mode — and independent of which other sequences share the
+    lengths advance by one.  Logits are bit-identical to the last
+    position of the uncached full-window forward over row ``j``'s window
+    — and independent of which other sequences share the
     batch, which is what lets the scheduler admit and evict mid-flight
     without perturbing anyone's sampling.  Raises ``ValueError`` ("KV
     cache full") when a sequence is at ``min(max_seq_len,
@@ -139,6 +146,9 @@ def decode(model, ids, cache, slots=None) -> np.ndarray:
     ids = np.asarray(ids, dtype=np.int64).reshape(-1)
     slots = cache.check_slots(slots, len(ids), "decode", "token ids")
     return _plan(model, cache).run(ids, slots)
+
+
+_moe = runtime.direct(serve.MOE)
 
 
 def _face(face, out, *ops):
@@ -215,6 +225,11 @@ class ServingPlan:
         self._x, self._h, self._a = x, h, a
 
         self._native = 0  # C crossings a step makes outside the MoE items
+        # Counted per step: qkv (3H) and proj (H) per block, the head (a
+        # dense FFN adds its two).
+        self._gemm_calls = 2 * len(blocks) + 1
+        self._row_flops = len(blocks) * 2 * hidden * 4 * hidden
+        scale = float(1.0 / np.sqrt(d))
         items = [self._embed(emb, pos_emb, x, a)]
         for block, kv in zip(blocks, cache.layers):
             attn = self._hold(block, "attn")
@@ -225,7 +240,7 @@ class ServingPlan:
             items.append(self._layer_norm(self._hold(block, "ln1"), x, h))
             items.append(self._linear(self._hold(attn, "qkv"), h, qkv))
             items.append(self._kv_write(kv, qkv.reshape(rows, 3, heads, d), q))
-            items.append(self._attention(q, kv.k, kv.v, ctx, attn._scale()))
+            items.append(self._attention(q, kv.k, kv.v, ctx, scale))
             items.append(self._linear(self._hold(attn, "proj"), ctx, a))
             items.append(_add(x, a))
             items.append(self._layer_norm(self._hold(block, "ln2"), x, h))
@@ -244,8 +259,6 @@ class ServingPlan:
         # What :meth:`current` compares, in its order: each link read on
         # the way to a table, then each entry's binding.
         self._held = runtime.Binding(self._values + self._bindings)
-        self._gemm_calls = 2 * len(blocks) + 1
-        self._row_flops = len(blocks) * 2 * hidden * 4 * hidden  # qkv (3H) + proj (H)
         self._head_flops = 2 * hidden * vocab
         self._attn_calls = len(blocks)
         self._attn_flops_per_key = len(blocks) * 4 * heads * d
@@ -352,27 +365,41 @@ class ServingPlan:
 
     def _ffn(self, ffn, h, out):
         h2, out2 = h[:, 0], out[:, 0]
-        if isinstance(ffn, (dMoE, MoELayer)):
-            lib = self._lib(serve.MOE, ffn, h2)
-            steps = None if lib is None else serve.moe_layer_step(lib, ffn, h2, out2)
-            if steps is not None:
-                # What the bound step read: its router and settings, its
-                # tables — the int8 ones while they are attached.
-                router = self._hold(ffn, "router")
-                for owner, name in ((ffn, "activation"), (router, "top_k"),
-                                    (router, "normalize_weights")):
-                    self._hold(owner, name)
-                self._hold(router, "proj", "weight", "data")
-                experts = self._hold(ffn, "experts")
-                for name in ("w1", "b1", "w2", "b2"):
-                    self._hold(experts, name, "data")
-                quantized = self._hold(ffn, "_quantized")
-                for name in ("q1", "s1", "b1", "q2", "s2", "b2") if quantized else ():
-                    self._hold(quantized, name)
-                self.buffers += steps.buffers
-                return lambda n: [P(_moe_item, steps(n), ffn, h2[:n], out2[:n])]
+        if type(ffn) is MLP:
+            return self._mlp(ffn, h, out)
+        if not isinstance(ffn, (dMoE, MoELayer)):
+            raise TypeError(f"KV-cached serving has no plan for a {type(ffn).__name__} FFN")
+        lib = self._lib(serve.MOE, ffn, h2)
+        steps = None if lib is None else serve.moe_layer_step(lib, ffn, h2, out2)
+        if steps is None:
+            return lambda n: [_face(_moe, out2[:n], ffn, h2[:n])]
+        # What the bound step read: its router and settings, its tables —
+        # the int8 ones while they are attached.
+        router = self._hold(ffn, "router")
+        for owner, name in ((ffn, "activation"), (router, "top_k"),
+                            (router, "normalize_weights")):
+            self._hold(owner, name)
+        self._hold(router, "proj", "weight", "data")
+        experts = self._hold(ffn, "experts")
+        for name in ("w1", "b1", "w2", "b2"):
+            self._hold(experts, name, "data")
+        quantized = self._hold(ffn, "_quantized")
+        for name in ("q1", "s1", "b1", "q2", "s2", "b2") if quantized else ():
+            self._hold(quantized, name)
+        self.buffers += steps.buffers
+        return lambda n: [P(_moe_item, steps(n), ffn, h2[:n], out2[:n])]
 
-        return lambda n: [P(_generic, ffn, h[:n], out[:n])]
+    def _mlp(self, mlp, h, out):
+        """``fc2(act(fc1(h)))``: two ``serve_gemm`` items around the
+        activation, over a buffer of ``ffn_hidden`` columns."""
+        f = np.empty(h.shape[:2] + (mlp.ffn_hidden_size,), h.dtype)
+        self.buffers.append(f)
+        fc1 = self._linear(self._hold(mlp, "fc1"), h, f)
+        act = ACTIVATIONS[self._hold(mlp, "activation")]
+        fc2 = self._linear(self._hold(mlp, "fc2"), f, out)
+        self._gemm_calls += 2
+        self._row_flops += 4 * h.shape[-1] * f.shape[-1]
+        return lambda n: fc1(n) + [P(_activate, act, f[:n])] + fc2(n)
 
     def _view(self, n: int, b: int) -> _View:
         """The step over ``n`` rows, ``b`` of them head rows (``0``:
@@ -472,11 +499,9 @@ def _add(x, a):
     return lambda n: [P(np.add, x[:n], a[:n], x[:n])]
 
 
-def _generic(ffn, h, out):
-    """A block FFN with no direct-entry decomposition: its own inference
-    ``forward``."""
-    y = ffn(Tensor(h))
-    np.copyto(out, (y[0] if isinstance(y, tuple) else y).data, casting="no")
+def _activate(act, h):
+    """A dense FFN's activation, in place."""
+    np.copyto(h, act(Tensor(h)).data, casting="no")
 
 
 def _moe_item(step, layer, x, out):

@@ -236,7 +236,7 @@ def _build_plan(topo: Topology) -> DispatchPlan | None:
     if topo.nnz_blocks == 0:
         return None
     offsets = topo.row_offsets.astype(np.int64)
-    counts = np.diff(offsets)
+    counts = offsets[1:] - offsets[:-1]
     nonempty = counts > 0
     ne_rows = np.flatnonzero(nonempty)
 
@@ -253,9 +253,9 @@ def _build_plan(topo: Topology) -> DispatchPlan | None:
     # are not adjacent (an empty row intervenes) or their ranges differ.
     if len(ne_rows) > 1:
         breaks = (
-            (np.diff(ne_rows) != 1)
-            | (np.diff(first) != 0)
-            | (np.diff(ne_counts) != 0)
+            (ne_rows[1:] - ne_rows[:-1] != 1)
+            | (first[1:] != first[:-1])
+            | (ne_counts[1:] != ne_counts[:-1])
         )
         starts = np.concatenate([[0], np.flatnonzero(breaks) + 1])
         ends = np.concatenate([starts[1:], [len(ne_rows)]])

@@ -173,7 +173,7 @@ def segment_meta(topo: Topology, transpose: bool):
     meta = topo.memo.get(key)
     if meta is None:
         offsets = topo.transpose_row_offsets if transpose else topo.row_offsets
-        nonempty = np.flatnonzero(np.diff(offsets) > 0)
+        nonempty = np.flatnonzero(offsets[1:] > offsets[:-1])
         starts = offsets[nonempty].astype(np.intp)
         meta = topo.memo[key] = (nonempty, starts)
     return meta

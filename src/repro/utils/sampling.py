@@ -7,8 +7,8 @@ continuous-batching scheduler all call this with identical RNG
 consumption per row, so cached and uncached generation agree token for
 token under the same seed.
 
-NumPy-only leaf module — ``repro.nn`` imports it, so it must not import
-the rest of the package.
+NumPy-only leaf module: ``repro.nn`` and ``repro.serving`` both import
+it, so it imports nothing of the package.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ cache and the model between steps — slots admitted, prefilled at any
 length, decoded in any subset and order, evicted or slid; int8 tables
 attached; a parameter's array swapped; a parameter or a module replaced
 by another object; the cache released and a new one opened — every
-prefilled and decoded row must be the uncached ``model.forward``'s
-last-position logits, bit for bit.  A
+prefilled and decoded row must be the last-position logits of the
+uncached full-window forward (:func:`tests.serving.oracle.forward_ref`),
+bit for bit.  A
 hypothesis state machine drives those operations; the fixed cases beside
 it cover a runner declining mid-plan, a plan built from the references,
 a released cache and the routing a step leaves on its MoE layers.
@@ -24,22 +25,21 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
 
 from repro.autograd.lower import kernels, runtime
-from repro.autograd.tensor import inference_mode
 from repro.nn import Linear, Parameter
 from repro.observability import registry
 from repro.serving.engine import InferenceEngine
 from repro.serving.quantize import attach_quantized_experts, detach_quantized_experts
 
 from tests.serving.conftest import MAX_SEQ, VOCAB, make_model
+from tests.serving.oracle import forward_ref
 
 SLOTS = 3
 _WINDOW = st.lists(st.integers(0, VOCAB - 1), min_size=1, max_size=6)
 
 
 def uncached(model, window) -> np.ndarray:
-    """Last-position logits of the full-window inference forward."""
-    with inference_mode():
-        return model.forward(np.asarray([window])).logits.data[0, -1]
+    """Last-position logits of the uncached full-window forward."""
+    return forward_ref(model, [window])[0, -1]
 
 
 def count(name: str) -> int:
@@ -367,8 +367,7 @@ def test_last_routing_is_the_uncached_forwards_and_outlives_the_next_step():
         for r in routed
     ]
     seq = len(windows[0])
-    with inference_mode():
-        model.forward(np.asarray(windows))
+    forward_ref(model, windows)
     for layer, (idx, wt, scores) in zip(layers, kept):
         last = layer.last_routing  # the uncached forward's: every position
         rows = np.arange(len(windows)) * seq + seq - 1

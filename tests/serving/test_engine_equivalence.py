@@ -2,10 +2,11 @@
 
 The tentpole guarantee: for every step, the logits a decode step
 (`repro.serving.plan.decode`) produces from the cache are *bitwise
-equal* (``np.array_equal`` on fp32) to the last-position logits of a
-full uncached ``forward`` over the same window inside
-``inference_mode`` — across dense and every MoE variant, top-1 and
-top-2 routing, batch composition changes, and sliding-window eviction.
+equal* (``np.array_equal`` on fp32) to the last-position logits of the
+uncached full-window forward over the same window — the straight-line
+NumPy oracle of :mod:`tests.serving.oracle` — across dense and every MoE
+variant, top-1 and top-2 routing, batch composition changes, and
+sliding-window eviction.  A served step calls no module.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.autograd import ACTIVATIONS
-from repro.autograd.tensor import inference_mode
-from repro.nn import MLP, layers
+from repro.core import VariableSizedDMoE, dMoE
+from repro.nn import Module, TransformerLM
+from repro.observability import registry
 from repro.serving.engine import InferenceEngine
-from repro.serving.kv_cache import KVCache
 
-from tests.serving.conftest import MAX_SEQ, VOCAB, make_model
+from tests.serving.conftest import FFN, HEADS, HIDDEN, LAYERS, MAX_SEQ, VOCAB, make_model
+from tests.serving.oracle import forward_flops, forward_ref
 
 SYSTEMS = [
     ("dense", 1),
@@ -31,10 +32,17 @@ SYSTEMS = [
 
 
 def uncached_logits(model, ids: np.ndarray) -> np.ndarray:
-    """Last-position logits of the full-window inference forward."""
-    window = ids[:, -model.max_seq_len :]
-    with inference_mode():
-        return model.forward(window).logits.data[:, -1, :]
+    """Last-position logits of the uncached full-window forward."""
+    return forward_ref(model, ids[:, -model.max_seq_len :])[:, -1, :]
+
+
+def untied_model(ffn_factory=None) -> TransformerLM:
+    model = TransformerLM(
+        vocab_size=VOCAB, hidden_size=HIDDEN, num_layers=LAYERS, num_heads=HEADS,
+        max_seq_len=MAX_SEQ, ffn_factory=ffn_factory, tie_embeddings=False, rng=1,
+    )
+    model.eval()
+    return model
 
 
 @pytest.mark.parametrize("system,top_k", SYSTEMS)
@@ -87,14 +95,11 @@ def test_generate_matches_uncached_greedy(prompts):
 def test_cached_decode_spends_a_tenth_of_the_uncached_gemm_flops():
     """What the KV cache is for, as a count: 40 greedy tokens after a
     96-token prompt at batch 4 cost the uncached path one full-window
-    forward per token and the cached path one prefill plus one row per
-    token — same tokens, at most a tenth of the ``serve_gemm_flops``
-    (it reads 38x; ``bench/`` times the same decode as
-    ``serving.decode_step_ms_b4``)."""
-    from repro.core import dMoE
-    from repro.nn import TransformerLM
-    from repro.observability import registry
-
+    forward per token (its FLOPs from the model's shape) and the cached
+    path one prefill plus one row per token — at most a tenth of the
+    ``serve_gemm_flops`` (it reads 38x; ``bench/`` times the same decode
+    as ``serving.decode_step_ms_b4``).  Every token is the argmax of the
+    oracle's logits at the position before it."""
     model = TransformerLM(
         vocab_size=256, hidden_size=64, num_layers=2, num_heads=4, max_seq_len=160,
         ffn_factory=lambda i: dMoE(64, 256, 8, block_size=8, rng=7), rng=0,
@@ -102,18 +107,14 @@ def test_cached_decode_spends_a_tenth_of_the_uncached_gemm_flops():
     model.eval()
     prompts = np.random.default_rng(3).integers(0, 256, size=(4, 96))
     flops = registry().counter("serve_gemm_flops")
-
-    def counted(generate):
-        before = flops.value
-        return generate(prompts, 40, temperature=0.0), flops.value - before
-
-    # inference_mode: the full-window forwards go through the same
-    # counted, row-stable kernels as the engine's.
-    with inference_mode():
-        ref, uncached = counted(model.generate)
-    got, cached = counted(InferenceEngine(model).generate)
-    assert np.array_equal(ref, got)
+    before = flops.value
+    got = InferenceEngine(model).generate(prompts, 40, temperature=0.0)
+    cached = flops.value - before
+    batch, seq = prompts.shape
+    uncached = sum(forward_flops(model, batch * (seq + i)) for i in range(40))
     assert cached > 0 and uncached / cached >= 10.0, (uncached, cached)
+    logits = forward_ref(model, got[:, :-1])[:, seq - 1 :]
+    assert np.array_equal(got[:, seq:], logits.argmax(axis=-1))
 
 
 def test_decode_batch_composition_independence():
@@ -178,18 +179,7 @@ def test_forward_step_raises_when_full():
 
 
 def test_untied_head_inference_path(prompts):
-    model = make_model("dense")
-    untied = make_model("dense")
-    # Rebuild with an untied head to cover the Linear head branch.
-    from tests.serving.conftest import HEADS, HIDDEN, LAYERS
-
-    from repro.nn import TransformerLM
-
-    untied = TransformerLM(
-        vocab_size=VOCAB, hidden_size=HIDDEN, num_layers=LAYERS,
-        num_heads=HEADS, max_seq_len=MAX_SEQ, tie_embeddings=False, rng=1,
-    )
-    untied.eval()
+    untied = untied_model()
     engine = InferenceEngine(untied)
     cache = engine.new_cache(prompts.shape[0])
     logits = engine.prefill(prompts, cache)
@@ -201,48 +191,64 @@ def test_untied_head_inference_path(prompts):
     cache.release()
 
 
-def test_dense_serving_runs_every_block_linear_row_stable(prompts, monkeypatch):
-    """The fused bias + GELU is a training op: under inference_mode a
-    dense FFN's ``fc1`` takes the row-stable GEMM like the block's other
-    Linears, so prefill and decode logits are those of the serving
-    composition ``fc2(gelu(fc1(x)))``.  Prefill and decode run the dense
-    ``MLP`` as one plan item, its own forward; the attention GEMMs are the
-    plan's ``serve_gemm`` calls, bound once (:mod:`repro.serving.plan`)."""
+def test_dense_serving_runs_every_block_linear_row_stable(prompts):
+    """A dense FFN is the plan's own: ``fc1`` and ``fc2`` are ``serve_gemm``
+    items on tables the plan holds, like the attention GEMMs, around the
+    activation the oracle applies — so prefill and decode logits are those
+    of ``fc2(act(fc1(x)))`` through the row-stable GEMM, not the training
+    model's fused bias + GELU."""
     model = make_model("dense")
     engine = InferenceEngine(model)
-    calls = []
-    row_stable = layers.stable_linear
-
-    def counted(x, weight, bias=None):
-        calls.append(id(weight))
-        return row_stable(x, weight, bias)
-
-    monkeypatch.setattr(layers, "stable_linear", counted)
-
-    plans = []
-
-    def prefill_then_decode():
-        cache = engine.new_cache(prompts.shape[0])
-        logits = [engine.prefill(prompts, cache)]
-        logits.append(engine.decode_step(prompts[:, -1], cache))
-        plans.append(cache.plan)
-        cache.release()
-        return logits
-
-    got = prefill_then_decode()
-    (plan,) = plans
+    cache = engine.new_cache(prompts.shape[0])
+    assert np.array_equal(engine.prefill(prompts, cache), uncached_logits(model, prompts))
+    ids = np.concatenate([prompts, prompts[:, :1]], axis=1)
+    assert np.array_equal(engine.decode_step(prompts[:, 0], cache), uncached_logits(model, ids))
     for block in model.blocks:
-        for linear in (block.attn.qkv, block.attn.proj):
-            # Prefill and decode alike: the plan's serve_gemm call on the
-            # same table, never the module's.
-            assert calls.count(id(linear.weight.data)) == 0
-            assert any(v is linear.weight.data for v in plan._values)
-        for linear in (block.ffn.fc1, block.ffn.fc2):
-            assert calls.count(id(linear.weight.data)) == 2  # prefill, decode
+        for linear in (block.attn.qkv, block.attn.proj, block.ffn.fc1, block.ffn.fc2):
+            assert any(v is linear.weight.data for v in cache.plan._values)
+    cache.release()
 
-    monkeypatch.setattr(
-        MLP, "forward",
-        lambda self, x: self.fc2(ACTIVATIONS[self.activation](self.fc1(x))),
+
+@pytest.mark.parametrize(
+    "system,top_k,variant",
+    [(system, top_k, None) for system, top_k in SYSTEMS]
+    + [("dmoe", 2, "int8"), ("dmoe", 2, "untied")],
+)
+def test_a_served_step_calls_no_module(system, top_k, variant, prompts, monkeypatch):
+    """Prefill and decode with ``Module.__call__`` refusing: the plan's
+    calls are the kernel table's and NumPy's, for every FFN it serves."""
+    if variant == "untied":
+        model = untied_model(lambda i: dMoE(HIDDEN, FFN, 4, top_k=top_k, block_size=8, rng=0))
+    else:
+        model = make_model(system, top_k=top_k)
+    engine = InferenceEngine(model, quantize_experts="int8" if variant == "int8" else None)
+    cache = engine.new_cache(prompts.shape[0])
+
+    def refuse(module, *args, **kwargs):
+        raise AssertionError(f"a served step called a {type(module).__name__}")
+
+    with monkeypatch.context() as m:
+        m.setattr(Module, "__call__", refuse)
+        first = engine.prefill(prompts, cache)
+        step = engine.decode_step(prompts[:, 0], cache)
+    cache.release()
+    assert np.array_equal(first, uncached_logits(model, prompts))
+    ids = np.concatenate([prompts, prompts[:, :1]], axis=1)
+    assert np.array_equal(step, uncached_logits(model, ids))
+
+
+def test_a_block_ffn_the_plan_cannot_serve_raises_at_build():
+    """The plan binds a dense ``MLP`` or an MoE layer; any other FFN is
+    refused when the plan is built, before a row is written."""
+    model = TransformerLM(
+        vocab_size=VOCAB, hidden_size=HIDDEN, num_layers=LAYERS, num_heads=HEADS,
+        max_seq_len=MAX_SEQ, rng=0,
+        ffn_factory=lambda i: VariableSizedDMoE(HIDDEN, [32, 64, 32, 64], block_size=8, rng=0),
     )
-    for g, want in zip(got, prefill_then_decode()):
-        assert np.array_equal(g, want)
+    model.eval()
+    engine = InferenceEngine(model)
+    cache = engine.new_cache(1)
+    with pytest.raises(TypeError, match="VariableSizedDMoE"):
+        engine.prefill(np.ones((1, 3), np.int64), cache)
+    assert not cache.lengths.any()
+    cache.release()

@@ -27,7 +27,6 @@ from repro.autograd.lower import kernels as table
 from repro.autograd.lower import runtime
 from repro.autograd.lower.kernels import serve
 from repro.autograd.lower.kernels.base import Build
-from repro.autograd.tensor import inference_mode
 from repro.observability.metrics import registry
 from repro.serving import kernels
 from repro.serving.engine import InferenceEngine
@@ -36,6 +35,7 @@ from repro.sparse.dispatch import grouped_rows_gemm
 
 from tests.integration.test_step_graph import _trainer
 from tests.serving.conftest import VOCAB, make_model, rebind_kernels
+from tests.serving.oracle import forward_flops, forward_ref
 from tests.serving.test_scheduler import _mixed_requests
 
 MS = (1, 3, 4, 5, 80)
@@ -90,11 +90,11 @@ def test_linear_matches_einsum_on_the_grid(native_rung, m, k):
         x, w, b = f32(rng, m, k), f32(rng, k, n), f32(rng, n)
         for bias in (None, b):
             native_before = count("lower_direct_calls")
-            got = kernels.stable_linear(x, w, bias)
+            got = kernels._gemm(x, w, bias)
             took_native = count("lower_direct_calls") - native_before
             assert took_native == (1 if n > 1 else 0), (m, k, n)
             assert bits_equal(got, kernels._linear_ref(x, w, bias)), (m, k, n)
-        assert bits_equal(kernels.stable_linear(x, w), np.einsum("ij,jk->ik", x, w))
+        assert bits_equal(kernels._gemm(x, w, None), np.einsum("ij,jk->ik", x, w))
 
 
 @settings(derandomize=True)
@@ -108,11 +108,11 @@ def test_linear_matches_einsum_and_is_row_stable(m, k, n, lead, seed):
     rng = np.random.default_rng(seed)
     x, w, b = f32(rng, m, k), f32(rng, k, n), f32(rng, n)
     xin = x.reshape(m, 1, k) if lead else x
-    y = kernels.stable_linear(xin, w, b)
+    y = kernels._gemm(xin, w, b)
     assert y.shape == xin.shape[:-1] + (n,)
     assert bits_equal(y.reshape(m, n), kernels._linear_ref(x, w, b))
     t = seed % m
-    assert bits_equal(kernels.stable_linear(x[t : t + 1], w, b), y.reshape(m, n)[t : t + 1])
+    assert bits_equal(kernels._gemm(x[t : t + 1], w, b), y.reshape(m, n)[t : t + 1])
 
 
 def test_special_values(native_rung):
@@ -129,9 +129,9 @@ def test_special_values(native_rung):
     for bias in (None, np.zeros(83, np.float32), f32(rng, 83)):
         with np.errstate(invalid="ignore"):
             want = kernels._linear_ref(x, w, bias)
-        got = kernels.stable_linear(x, w, bias)
+        got = kernels._gemm(x, w, bias)
         assert bits_equal(got, want)
-    assert np.signbit(kernels.stable_linear(x, w)[1]).sum() == 0  # +0 + -0
+    assert np.signbit(kernels._gemm(x, w, None)[1]).sum() == 0  # +0 + -0
 
 
 def test_non_owning_and_declined_inputs(native_rung):
@@ -141,11 +141,11 @@ def test_non_owning_and_declined_inputs(native_rung):
     # Row slices and a slice of a stack are contiguous views: native.
     x, w = big[2:9], stack[1]
     assert not x.flags.owndata and not w.flags.owndata
-    assert bits_equal(kernels.stable_linear(x, w, b), kernels._linear_ref(x, w, b))
+    assert bits_equal(kernels._gemm(x, w, b), kernels._linear_ref(x, w, b))
     # A read-only weight still runs natively (slower pointer path).
     frozen = w.copy()
     frozen.flags.writeable = False
-    assert bits_equal(kernels.stable_linear(x, frozen, b), kernels._linear_ref(x, w, b))
+    assert bits_equal(kernels._gemm(x, frozen, b), kernels._linear_ref(x, w, b))
     assert count("lower_direct_calls") - before == 2
     # Strided, transposed and float64 operands decline to einsum.
     for xd, wd in (
@@ -154,33 +154,38 @@ def test_non_owning_and_declined_inputs(native_rung):
         (x.astype(np.float64), w.astype(np.float64)),
     ):
         before = count("lower_direct_calls")
-        got = kernels.stable_linear(xd, wd, b.astype(wd.dtype))
+        got = kernels._gemm(xd, wd, b.astype(wd.dtype))
         assert count("lower_direct_calls") == before
         assert np.array_equal(got, kernels._linear_ref(xd, wd, b.astype(wd.dtype)))
     # Empty batches are einsum's business too.
-    assert kernels.stable_linear(big[:0], stack[0], b).shape == (0, 70)
+    assert kernels._gemm(big[:0], stack[0], b).shape == (0, 70)
 
 
 def test_every_gemm_is_counted(native_rung):
-    rng = np.random.default_rng(2)
-    x, w = f32(rng, 5, 16), f32(rng, 16, 32)
-    calls, flops, native, missed = (
-        count("serve_gemm_calls"), count("serve_gemm_flops"),
-        count("lower_direct_calls"), fallbacks(),
-    )
-    attn_calls, attn_flops = count("serve_attn_calls"), count("serve_attn_flops")
-    kernels.stable_linear(x, w)                   # native
-    kernels.stable_matmul_tb(x, f32(rng, 9, 16))  # einsum by design
-    kernels.stable_linear(x, f32(rng, 16, 1))     # N == 1 declines
-    # Attention: 4 * heads * d FLOPs per key a row reads, native.
-    q, k, v, idx, lens = attention_case(rng, 2, 8, 6, [0, 1], [6, 3], 2)
-    kernels.attention_rows(q, k, v, idx, lens, 0.5)
-    assert count("serve_gemm_calls") - calls == 3
-    assert count("serve_gemm_flops") - flops == 2 * 5 * 16 * (32 + 9 + 1)
-    assert count("serve_attn_calls") - attn_calls == 1
-    assert count("serve_attn_flops") - attn_flops == 4 * 2 * 8 * (6 + 3)
-    assert count("lower_direct_calls") - native == 2
-    assert fallbacks() == missed  # planned declines count nothing
+    """A dense prefill's counters, from the model's shape: per block the
+    qkv, proj, fc1 and fc2 GEMMs, then the head on each sequence's last
+    row; one attention call per block at ``4 * heads * d`` FLOPs per key a
+    row reads; the C calls — two LayerNorms, four GEMMs and attention per
+    block, then ``ln_f`` (the tied head is einsum by design); no fallback."""
+    model = make_model("dense")
+    engine = InferenceEngine(model)
+    ids = np.random.default_rng(2).integers(0, VOCAB, (2, 5))
+    cache = engine.new_cache(2)
+    engine.prefill(ids[:, :1], cache)  # builds the plan
+    names = ("serve_gemm_calls", "serve_gemm_flops", "serve_attn_calls",
+             "serve_attn_flops", "lower_direct_calls")
+    before, missed = [count(name) for name in names], fallbacks()
+    engine.prefill(ids[:, 1:], cache)  # positions 1 .. 4 of both slots
+    spent = [count(name) - was for name, was in zip(names, before)]
+    cache.release()
+    layers, attn, rows = len(model.blocks), model.blocks[0].attn, 8
+    unheaded = (rows - 2) * 2 * model.hidden_size * VOCAB
+    keys = 2 * (2 + 3 + 4 + 5)
+    assert spent == [
+        4 * layers + 1, forward_flops(model, rows) - unheaded,
+        layers, layers * 4 * attn.num_heads * attn.head_dim * keys, 7 * layers + 1,
+    ]
+    assert fallbacks() == missed
 
 
 # ----------------------------------------------------------------------
@@ -264,7 +269,7 @@ def test_int8_entry_equals_the_astype_sequence():
 # Attention rows: native = reference, and a row is a row wherever it runs
 # ----------------------------------------------------------------------
 def attention_case(rng, heads, d, cap, kv_index, lengths, slots, stale=None):
-    """Operands of one ``attention_rows`` call.  Keys and values past the
+    """Operands of one ``attn_rows`` call.  Keys and values past the
     longest row reading a slot hold ``stale`` (random when ``None``)."""
     q = f32(rng, len(lengths), heads, d)
     k, v = f32(rng, slots, heads, d, cap), f32(rng, slots, heads, cap, d)
@@ -276,7 +281,7 @@ def attention_case(rng, heads, d, cap, kv_index, lengths, slots, stale=None):
 
 
 def attention_on(rung: str, *args):
-    """``attention_rows`` through the C pair as compiled (no bind check in
+    """``attn_rows`` through the C pair as compiled (no bind check in
     the way; ``None`` when the C declines) or through the NumPy
     reference."""
     if rung == "reference":
@@ -363,7 +368,7 @@ def test_attention_declines_what_the_c_pair_cannot_take(native_rung):
     q, k, v, idx, lens = attention_case(rng, 2, 16, 12, [0, 1, 1], [3, 12, 7], 2)
     want = kernels._attention_rows_ref(q, k, v, idx, lens, 0.5)
     before = count("lower_direct_calls")
-    assert bits_equal(kernels.attention_rows(q, k, v, idx, lens, 0.5), want)
+    assert bits_equal(kernels._attention(q, k, v, idx, lens, 0.5), want)
     assert count("lower_direct_calls") - before == 1
     wide = np.zeros((3, 2, 32), np.float32)
     wide[..., ::2] = q
@@ -373,17 +378,17 @@ def test_attention_declines_what_the_c_pair_cannot_take(native_rung):
         (q, k, v[:, :, :, None, :].repeat(2, axis=3)[:, :, :, 0]),
     ):
         before = count("lower_direct_calls")
-        assert bits_equal(kernels.attention_rows(*args, idx, lens, 0.5), want)
+        assert bits_equal(kernels._attention(*args, idx, lens, 0.5), want)
         assert count("lower_direct_calls") == before
     q64, k64, v64 = (a.astype(np.float64) for a in (q, k, v))
-    got = kernels.attention_rows(q64, k64, v64, idx, lens, 0.5)
+    got = kernels._attention(q64, k64, v64, idx, lens, 0.5)
     assert got.dtype == np.float64 and count("lower_direct_calls") == before
     assert np.array_equal(got, kernels._attention_rows_ref(q64, k64, v64, idx, lens, 0.5))
     bad = (([0, 2, 1], lens), ([0, -1, 1], lens), (idx, [3, 13, 7]), (idx, [0, 12, 7]))
     for bad_idx, bad_lens in bad:
         args = (q, k, v, np.array(bad_idx), np.array(bad_lens), 0.5)
         assert attention_on("native", *args) is None
-        for attend in (kernels._attention_rows_ref, kernels.attention_rows):
+        for attend in (kernels._attention_rows_ref, kernels._attention):
             with pytest.raises(ValueError, match="attention rows"):
                 attend(*args)
 
@@ -393,23 +398,19 @@ def test_attention_declines_what_the_c_pair_cannot_take(native_rung):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("system", ["dense", "dmoe"])
 def test_prefill_head_runs_on_the_last_position_only(system, prompts):
+    """The uncached forward's FLOPs, from the model's shape, less the
+    head on every row but each sequence's last: what a prefill counts."""
     model = make_model(system)
     engine = InferenceEngine(model)
-    with inference_mode():
-        full = model.forward(prompts).logits.data  # (B, S, vocab)
-    before = count("serve_gemm_flops")
-    with inference_mode():
-        model.forward(prompts)
-    full_flops = count("serve_gemm_flops") - before
     cache = engine.new_cache(prompts.shape[0])
     before = count("serve_gemm_flops")
     last = engine.prefill(prompts, cache)
     prefill_flops = count("serve_gemm_flops") - before
     cache.release()
-    assert np.array_equal(last, full[:, -1, :])
+    assert np.array_equal(last, forward_ref(model, prompts)[:, -1, :])
     batch, seq = prompts.shape
     head_flops = 2 * batch * model.hidden_size * VOCAB
-    assert full_flops - prefill_flops == (seq - 1) * head_flops
+    assert forward_flops(model, batch * seq) - prefill_flops == (seq - 1) * head_flops
 
 
 # ----------------------------------------------------------------------

@@ -118,10 +118,9 @@ def test_layers_outside_the_contract_run_the_reference_uncounted(variant):
     before = count("lower_direct_calls")
     fallbacks = count("lower_segment_fallbacks") + count("lower_toolchain_fallbacks")
     got = call(layer, x)
-    inner = count("lower_direct_calls") - before
     # The plain Router's GEMM is the entry's NumPy reference; another
-    # router runs its own forward, whose Linear takes serve_gemm.
-    assert inner == (0 if variant == "relu" else 1)
+    # router runs its own (training) forward: neither crosses into C.
+    assert count("lower_direct_calls") == before
     assert count("lower_segment_fallbacks") + count("lower_toolchain_fallbacks") == fallbacks
     assert _bits(got) == _bits(want)
     assert layer.last_routing.expert_indices.shape == (5, 1)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.autograd.tensor import inference_mode
 from repro.configs.moe import MoEConfig
 from repro.serving.engine import InferenceEngine
 from repro.serving.quantize import (
@@ -17,6 +16,7 @@ from repro.serving.quantize import (
 )
 
 from tests.serving.conftest import MAX_SEQ, VOCAB, make_model
+from tests.serving.oracle import forward_ref
 
 
 def test_quantize_roundtrip_error_bound():
@@ -73,30 +73,25 @@ def test_attach_is_idempotent():
 def test_int8_engine_runs_and_detach_restores_fp32(system):
     model = make_model(system)
     prompts = np.random.default_rng(6).integers(0, VOCAB, size=(2, 5))
-    with inference_mode():
-        ref = model.forward(prompts).logits.data.copy()
+    ref = forward_ref(model, prompts)
 
     engine = InferenceEngine(model, quantize_experts="int8")
     assert engine.quant_report is not None
     assert engine.quant_report["layers"] == 2
-    with inference_mode():
-        quant = model.forward(prompts).logits.data.copy()
+    quant = forward_ref(model, prompts)
     assert np.isfinite(quant).all()
     # Quantization really changed the math, but not by much.
     assert not np.array_equal(quant, ref)
     assert np.abs(quant - ref).max() < 0.1
 
     detach_quantized_experts(model)
-    with inference_mode():
-        restored = model.forward(prompts).logits.data
+    restored = forward_ref(model, prompts)
     assert np.array_equal(restored, ref)  # fp32 weights were never touched
 
 
 def _perplexity(model, ids) -> float:
-    """Mean next-token perplexity under the inference kernels (f64 NLL)."""
-    with inference_mode():
-        logits = model.forward(ids).logits.data
-    logits = logits[:, :-1, :].astype(np.float64)
+    """Mean next-token perplexity of the uncached serving forward (f64 NLL)."""
+    logits = forward_ref(model, ids)[:, :-1, :].astype(np.float64)
     logits -= logits.max(axis=-1, keepdims=True)
     logz = np.log(np.exp(logits).sum(axis=-1))
     tok = np.take_along_axis(logits, ids[:, 1:, None], axis=-1)[..., 0]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.observability.metrics import registry
-from repro.serving.sampling import sample_rows, sample_tokens
+from repro.utils.sampling import sample_rows, sample_tokens
 
 
 def _logits(rows: int = 4, vocab: int = 23, seed: int = 0) -> np.ndarray:

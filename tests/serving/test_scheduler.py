@@ -7,7 +7,7 @@ import pytest
 
 from repro.observability.metrics import registry
 from repro.serving.engine import InferenceEngine
-from repro.serving.sampling import sample_rows
+from repro.utils.sampling import sample_rows
 from repro.serving.scheduler import ContinuousBatchingScheduler, GenerationResult, Request
 
 from tests.serving.conftest import MAX_SEQ, VOCAB, make_model
