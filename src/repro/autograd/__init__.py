@@ -7,12 +7,7 @@ Transformer models are built on, so the paper's forward/backward dataflow
 """
 
 from repro.autograd import arena, stats
-from repro.autograd.arena import (
-    get_arena,
-    is_arena_enabled,
-    set_arena_enabled,
-    steady_state,
-)
+from repro.autograd.arena import get_arena, steady_state
 from repro.autograd.tensor import (
     Tensor,
     as_tensor,
@@ -132,8 +127,6 @@ __all__ = [
     "arena",
     "stats",
     "get_arena",
-    "is_arena_enabled",
-    "set_arena_enabled",
     "attention_core",
     "bias_gelu",
     "dropout_residual",

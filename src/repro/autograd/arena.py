@@ -32,7 +32,7 @@ Design:
   the :class:`~repro.training.trainer.Trainer`) retires whatever is
   still live — step-scoped activations and anything the release
   analysis could not prove dead.
-- A global byte cap bounds pool growth; past the cap, retiring buffers
+- A byte cap bounds each pool's growth; past the cap, retiring buffers
   are dropped to the GC instead of pooled.
 
 Arena buffers contain stale data from the previous step, so every
@@ -42,16 +42,17 @@ call site MUST fully overwrite the buffer (``out=`` ufuncs, ``fill``,
 arena on vs. off and asserts bit-identical trajectories to guard this
 invariant.
 
-The arena is **off by default**; enable with :func:`set_arena_enabled`,
-or per-block with :func:`steady_state` (``repro.autograd.steady_state``).
-The switch decides where a buffer comes from, never which code runs:
-when it is off, :func:`empty` and :func:`zeros` return plain NumPy
+Each thread has its own pool, and its requests go to it only inside
+:func:`steady_state`, which sets the ``arena`` field of the thread's
+execution record (``repro.autograd.execution``).  The field decides
+where a buffer comes from, never which code runs: when it is ``None``,
+:func:`empty` and :func:`zeros` return plain NumPy
 arrays, the ``out=`` helpers (:func:`out_buf`, :func:`binary_buf`,
 :func:`matmul_buf`) return ``None`` — a ufunc given ``out=None``
 allocates exactly what its operator form would — :func:`release`
 is a no-op, and no buffer plan is recorded or served.  Call sites pass
 the helpers' results straight on and never branch on them; this module
-is the only reader of the switch.
+is the only reader of the field.
 """
 
 from __future__ import annotations
@@ -59,11 +60,12 @@ from __future__ import annotations
 import contextlib
 from math import prod as _prod
 from operator import itemgetter
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.autograd import stats
+from repro.autograd.execution import current, mine
 
 #: Smallest pooled buffer, in elements.  Below this, malloc beats the
 #: pool: a small allocation costs well under a microsecond while an
@@ -136,28 +138,13 @@ class BufferArena:
         Contents are uninitialized (stale from a previous step); the
         caller must fully overwrite them.
         """
-        # Static-buffer-plan fast path (graph replay): the recorded
-        # schedule re-requests the same sequence of buffers every step,
-        # so a cursor over the recorded plan replaces the whole pool
-        # dance below.  One global load + is-None test when inactive.
-        script = _SCRIPT
-        if script is not None:
-            view = script._serve(shape, dtype)
-            if view is not None:
-                return view
-            # Plan diverged: _serve deactivated the script; fall through
-            # to the real pool for the rest of the step.
         dt = dtype if isinstance(dtype, np.dtype) else np.dtype(dtype)
         if type(shape) is not tuple:
             shape = (shape,) if type(shape) is int else tuple(shape)
         n = int(_prod(shape))
         if n < MIN_BUCKET:
             self.skipped += 1
-            arr = np.empty(shape, dtype=dt)
-            rec = _SCRIPT_REC
-            if rec is not None:
-                rec.entries.append([dt, shape, arr, None, None, None])
-            return arr
+            return np.empty(shape, dtype=dt)
         b = 1 << (n - 1).bit_length()
         key = (b, dt.num)
         stack = self._free.get(key)
@@ -175,9 +162,6 @@ class BufferArena:
             vc = {shape: view}
         self._live[id(base)] = (key, base, vc, self.hits + self.misses)
         self._live_bytes += base.nbytes
-        rec = _SCRIPT_REC
-        if rec is not None:
-            rec.entries.append([dt, shape, view, base, vc, b])
         return view
 
     def release(self, view: np.ndarray) -> bool:
@@ -186,12 +170,6 @@ class BufferArena:
         collapses view chains, so ``view.base`` is the flat base array).
         No-op (returns False) for arrays the arena does not own — callers
         may pass anything without checking provenance."""
-        if _SCRIPT is not None:
-            # Scripted replay: every buffer in flight is script-owned and
-            # already detached from the pool, so the release is a
-            # guaranteed no-op — skip the base walk and dict lookup
-            # (~400 calls per step).
-            return False
         base = view
         while base.base is not None:  # broadcast_to views nest one deeper
             base = base.base
@@ -251,7 +229,6 @@ class BufferArena:
 
     def stats(self) -> dict:
         return {
-            "enabled": is_arena_enabled(),
             "generation": self.generation,
             "hits": self.hits,
             "misses": self.misses,
@@ -272,13 +249,14 @@ class BufferScript:
 
     A compiled step graph executes the identical op schedule every
     replay, so it also issues the identical sequence of arena requests.
-    On its first replay the graph records that sequence — every
-    :meth:`BufferArena.acquire` appends ``[dtype, shape, view, base,
-    viewcache, bucket]`` — and the recorded bases are *detached* from
-    the pool (removed from the free stacks and the live table) so
-    nothing else can ever alias them.  Subsequent replays serve the plan
-    by cursor: the common case is one tuple compare and a list index in
-    place of the bucket/LIFO/view-cache machinery.
+    On its first replay the graph records that sequence — every request
+    the pool serves appends ``[dtype, shape, view, base, viewcache,
+    bucket]`` — and the recorded bases are *detached* from the pool
+    (removed from the free stacks and the live table) so nothing else
+    can ever alias them.  Subsequent replays serve the plan by cursor:
+    the script stands in for the pool as the thread's allocator, and the
+    common request is one tuple compare and a list index in place of the
+    bucket/LIFO/view-cache machinery.
 
     Divergence handling keeps the plan safe rather than clever:
 
@@ -312,21 +290,22 @@ class BufferScript:
     sparse dispatch path included (``repro.sparse.dispatch.use_grouped``).
     """
 
-    __slots__ = ("entries", "cursor", "dead")
+    __slots__ = ("entries", "cursor", "dead", "pool")
 
-    def __init__(self) -> None:
-        self.entries: list = []
+    def __init__(self, entries: list) -> None:
+        self.entries = entries
         self.cursor = 0
         self.dead = False
+        #: The serving thread's pool: a diverged step's requests go to it.
+        self.pool: Optional[BufferArena] = None
 
-    def _serve(self, shape, dtype) -> Optional[np.ndarray]:
+    def acquire(self, shape, dtype) -> np.ndarray:
+        """The plan's next buffer."""
         i = self.cursor
         try:
             e = self.entries[i]
         except IndexError:
-            self.dead = True
-            deactivate_script()
-            return None
+            return self._diverge(shape, dtype)
         # Fast path: same shape tuple, same dtype object (builtin NumPy
         # dtypes are singletons, so identity almost always hits).
         if shape == e[1] and (dtype is e[0] or dtype == e[0]):
@@ -334,16 +313,23 @@ class BufferScript:
             return e[2]
         return self._serve_slow(e, shape, dtype)
 
-    def _serve_slow(self, e, shape, dtype) -> Optional[np.ndarray]:
+    def release(self, view: np.ndarray) -> bool:
+        """A no-op (every buffer served is detached) until a divergence."""
+        return self.dead and self.pool.release(view)
+
+    def _diverge(self, shape, dtype) -> np.ndarray:
+        self.dead = True
+        current().arena = self.pool
+        return self.pool.acquire(shape, dtype)
+
+    def _serve_slow(self, e, shape, dtype) -> np.ndarray:
         dt = dtype if isinstance(dtype, np.dtype) else np.dtype(dtype)
         if type(shape) is not tuple:
             shape = (shape,) if type(shape) is int else tuple(shape)
         if dt != e[0]:
             # A dtype change at a fixed schedule position means the op
             # sequence itself changed — not wobble.  Bail out safely.
-            self.dead = True
-            deactivate_script()
-            return None
+            return self._diverge(shape, dt)
         if shape == e[1]:
             self.cursor += 1
             return e[2]
@@ -377,74 +363,75 @@ class BufferScript:
         return view
 
 
-_SCRIPT: Optional[BufferScript] = None
-_SCRIPT_REC: Optional[BufferScript] = None
+class _Recorder:
+    """The thread's allocator while a replay records its buffer plan:
+    the pool, with every request it serves appended to the plan."""
 
+    __slots__ = ("pool", "entries")
 
-def begin_script_recording() -> Optional[BufferScript]:
-    """Start recording every ``acquire`` into a fresh buffer plan;
-    ``None`` (nothing to record) while the arena is off."""
-    global _SCRIPT_REC
-    if not _ENABLED:
-        return None
-    if _SCRIPT_REC is not None or _SCRIPT is not None:
-        raise RuntimeError("a buffer script is already recording or active")
-    _SCRIPT_REC = BufferScript()
-    return _SCRIPT_REC
+    def __init__(self, pool: BufferArena) -> None:
+        self.pool = pool
+        self.entries: list = []
 
+    def acquire(self, shape, dtype) -> np.ndarray:
+        view = self.pool.acquire(shape, dtype)
+        base = view.base
+        if base is None:  # below the floor: a private small array
+            self.entries.append([view.dtype, view.shape, view, None, None, None])
+        else:
+            vc = self.pool._live[id(base)][2]
+            self.entries.append([view.dtype, view.shape, view, base, vc, base.size])
+        return view
 
-def end_script_recording(discard: bool = False) -> Optional[BufferScript]:
-    """Stop recording; detach the recorded bases from the pool.
+    def release(self, view: np.ndarray) -> bool:
+        return self.pool.release(view)
 
-    Detaching (dropping the bases from the live table and free stacks)
-    makes the plan self-contained: the pool can never serve one of its
-    buffers to an unrelated caller, which is what makes cursor-order
-    replay alias-free.  With ``discard=True`` nothing is detached and
-    the partial plan is thrown away (exception paths).
-    """
-    global _SCRIPT_REC
-    script, _SCRIPT_REC = _SCRIPT_REC, None
-    if script is None or discard:
-        return None
-    ids = {id(e[3]) for e in script.entries if e[3] is not None}
-    if ids:
-        pool = _ARENA
+    def finish(self) -> Optional[BufferScript]:
+        """The recorded plan, its bases dropped from the pool's live table
+        and free stacks: the pool can never serve one of them to another
+        caller, which is what makes cursor-order replay alias-free."""
+        if not self.entries:
+            return None
+        pool = self.pool
+        ids = {id(e[3]) for e in self.entries if e[3] is not None}
         for bid in ids:
             entry = pool._live.pop(bid, None)
             if entry is not None:
                 pool._live_bytes -= entry[1].nbytes
-        for key in list(pool._free):
-            stack = pool._free[key]
-            kept = [bv for bv in stack if id(bv[0]) not in ids]
-            if len(kept) != len(stack):
-                for b, _vc in stack:
-                    if id(b) in ids:
-                        pool._free_bytes -= b.nbytes
-                if kept:
-                    pool._free[key] = kept
-                else:
-                    del pool._free[key]
-    return script
+        for stack in pool._free.values():
+            gone = [b.nbytes for b, _vc in stack if id(b) in ids]
+            if gone:
+                pool._free_bytes -= sum(gone)
+                stack[:] = [bv for bv in stack if id(bv[0]) not in ids]
+        return BufferScript(self.entries)
 
 
-def activate_script(script: BufferScript) -> bool:
-    """Serve subsequent acquires from ``script`` (until deactivated or
-    the plan diverges); ``False`` (not activated) while the arena is off."""
-    global _SCRIPT
-    if not _ENABLED:
-        return False
-    if _SCRIPT_REC is not None:
-        raise RuntimeError("cannot activate a buffer script while recording")
-    script.cursor = 0
-    _SCRIPT = script
-    return True
+def run_on_plan(script: Optional[BufferScript], run: Callable) -> Tuple:
+    """``run()`` — one replay — with the calling thread's requests served
+    by ``script``, or recorded into a fresh plan when it is ``None``.
 
-
-def deactivate_script() -> Optional[BufferScript]:
-    """Stop serving from the active script; returns it (or ``None``)."""
-    global _SCRIPT
-    script, _SCRIPT = _SCRIPT, None
-    return script
+    Returns ``run()``'s result and the plan for the next replay: the new
+    one, or ``script`` unless the request sequence drifted (a bucket
+    change, a count mismatch); outside ``steady_state()`` nothing is
+    served or recorded.  An exception discards the plan.
+    """
+    ex = current()
+    pool = ex.arena
+    if pool is None:
+        return run(), script
+    if pool is not ex.pool:
+        raise RuntimeError("a buffer plan is already recording or serving")
+    alloc = _Recorder(pool) if script is None else script
+    if script is not None:
+        script.cursor, script.pool = 0, pool
+    ex.arena = alloc
+    try:
+        result = run()
+    finally:
+        ex.arena = pool
+    if script is None:
+        return result, alloc.finish()
+    return result, None if script.dead or script.cursor != len(script.entries) else script
 
 
 class WalkMark:
@@ -462,18 +449,20 @@ class WalkMark:
     alike and issue the same acquire sequence).
     """
 
-    __slots__ = ("_serial", "_script", "_seen", "_born")
+    __slots__ = ("_pool", "_serial", "_script", "_seen", "_born")
 
-    def __init__(self) -> None:
-        self._serial = _ARENA.hits + _ARENA.misses
-        self._script = _SCRIPT
-        self._seen = _SCRIPT.cursor if _SCRIPT is not None else 0
+    def __init__(self, pool: BufferArena) -> None:
+        alloc = current().arena
+        self._pool = pool
+        self._serial = pool.hits + pool.misses
+        self._script = alloc if type(alloc) is BufferScript else None
+        self._seen = alloc.cursor if self._script is not None else 0
         self._born: set = set()
 
     def born_since(self, base: np.ndarray) -> bool:
         """``base`` (a root array: ``base.base is None``) is a pooled
         buffer handed out after the mark."""
-        entry = _ARENA._live.get(id(base))
+        entry = self._pool._live.get(id(base))
         if entry is not None:
             return entry[3] > self._serial
         script = self._script
@@ -487,83 +476,70 @@ class WalkMark:
         return id(base) in self._born
 
 
-# ----------------------------------------------------------------------
-# Module-level singleton + enable switch
-# ----------------------------------------------------------------------
-_ARENA = BufferArena()
-_ENABLED = False
-
-
 def get_arena() -> BufferArena:
-    return _ARENA
-
-
-def is_arena_enabled() -> bool:
-    return _ENABLED
-
-
-def set_arena_enabled(enabled: bool) -> bool:
-    """Flip the global switch; returns the previous value."""
-    global _ENABLED
-    prev = _ENABLED
-    _ENABLED = bool(enabled)
-    return prev
+    """The calling thread's buffer pool, made on first use."""
+    ex = mine()
+    if ex.pool is None:
+        ex.pool = BufferArena()
+    return ex.pool
 
 
 @contextlib.contextmanager
 def steady_state():
-    """The steady step's scope: the arena is on inside it; yields the
-    arena.
+    """The steady step's scope: the calling thread's requests go to its
+    pool inside it; yields the pool.
 
-    It is off outside, so the allocating step stays the reference the
-    steady step is bit-compared against.
+    Outside it they allocate, so the allocating step stays the reference
+    the steady step is bit-compared against.
     """
-    prev = set_arena_enabled(True)
+    pool = get_arena()
+    ex = current()
+    prev = ex.arena
+    ex.arena = prev or pool  # a replay's plan inside stays in charge
     try:
-        yield _ARENA
+        yield pool
     finally:
-        set_arena_enabled(prev)
+        ex.arena = prev
 
 
 # ----------------------------------------------------------------------
-# Hot-path helpers.  All degrade gracefully when the arena is disabled
-# so call sites stay branch-free.
+# Hot-path helpers: one read of the thread's allocator each, and plain
+# NumPy when it has none, so call sites stay branch-free.
 # ----------------------------------------------------------------------
 def empty(shape, dtype) -> np.ndarray:
-    """Uninitialized array: pooled when the arena is on, fresh otherwise."""
-    if _ENABLED:
-        # The scripted fast path of ``acquire``, one call shallower: most
-        # of a replay's requests come through here.
-        script = _SCRIPT
-        if script is not None:
-            view = script._serve(shape, dtype)
-            if view is not None:
-                return view
-        return _ARENA.acquire(shape, dtype)
-    return np.empty(shape, dtype=dtype)
+    """Uninitialized array: pooled in a steady scope, fresh otherwise."""
+    alloc = current().arena
+    if alloc is None:
+        return np.empty(shape, dtype=dtype)
+    return alloc.acquire(shape, dtype)
 
 
 def zeros(shape, dtype) -> np.ndarray:
-    """Zeroed array: pooled when the arena is on, fresh otherwise."""
-    if _ENABLED:
-        buf = _ARENA.acquire(shape, dtype)
-        buf.fill(0)
-        return buf
-    return np.zeros(shape, dtype=dtype)
+    """Zeroed array: pooled in a steady scope, fresh otherwise."""
+    alloc = current().arena
+    if alloc is None:
+        return np.zeros(shape, dtype=dtype)
+    buf = alloc.acquire(shape, dtype)
+    buf.fill(0)
+    return buf
 
 
 def release(view: Optional[np.ndarray]) -> None:
-    """Early-return a buffer (no-op for non-arena arrays / when off, and
-    under a scripted replay, where every buffer is the script's)."""
-    if _ENABLED and _SCRIPT is None and view is not None:
-        _ARENA.release(view)
+    """Early-return a buffer (no-op for non-arena arrays, outside a
+    steady scope, and under a scripted replay, where every buffer is the
+    script's)."""
+    alloc = current().arena
+    if alloc is not None and view is not None:
+        alloc.release(view)
 
 
 def out_buf(shape, dtype) -> Optional[np.ndarray]:
-    """An ``out=`` target, or ``None`` (→ let NumPy allocate) when off."""
-    if _ENABLED:
-        return _ARENA.acquire(shape, dtype)
-    return None
+    """An ``out=`` target, or ``None`` (→ let NumPy allocate) outside a
+    steady scope."""
+    alloc = current().arena
+    if alloc is None:
+        return None
+    return alloc.acquire(shape, dtype)
 
 
 def binary_buf(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
@@ -575,16 +551,18 @@ def binary_buf(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
     ``result_type`` (both pure-Python and measurable at ~500 calls per
     step).
     """
-    if not _ENABLED:
+    alloc = current().arena
+    if alloc is None:
         return None
     shape = a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape)
     dt = a.dtype if a.dtype == b.dtype else np.result_type(a, b)
-    return _ARENA.acquire(shape, dt)
+    return alloc.acquire(shape, dt)
 
 
 def matmul_buf(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
     """``out=`` target for ``a @ b`` (2-D or stacked 3-D operands)."""
-    if not _ENABLED or a.ndim < 2 or b.ndim < 2:
+    alloc = current().arena
+    if alloc is None or a.ndim < 2 or b.ndim < 2:
         return None
     if a.ndim == 2 and b.ndim == 2:
         shape: Tuple[int, ...] = (a.shape[0], b.shape[1])
@@ -592,7 +570,7 @@ def matmul_buf(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
         lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
         shape = lead + (a.shape[-2], b.shape[-1])
     dt = a.dtype if a.dtype == b.dtype else np.result_type(a, b)
-    return _ARENA.acquire(shape, dt)
+    return alloc.acquire(shape, dt)
 
 
 def reshaped(a: np.ndarray, shape) -> np.ndarray:
@@ -609,7 +587,8 @@ def reshaped(a: np.ndarray, shape) -> np.ndarray:
     Assigning ``view.shape`` is *not* such a probe — it performs the
     whole copying reshape into a fresh allocation and only then raises.
     """
-    if not _ENABLED:
+    alloc = current().arena
+    if alloc is None:
         return a.reshape(shape)
     try:
         return a.reshape(shape, copy=False)
@@ -622,7 +601,7 @@ def reshaped(a: np.ndarray, shape) -> np.ndarray:
             if s != -1:
                 rest *= s
         shape = tuple(a.size // rest if s == -1 else s for s in shape)
-    buf = _ARENA.acquire(shape, a.dtype)
+    buf = alloc.acquire(shape, a.dtype)
     np.copyto(buf.reshape(a.shape), a)
     _RESHAPE_COPY_BYTES.value += buf.nbytes
     return buf

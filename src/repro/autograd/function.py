@@ -23,17 +23,12 @@ from typing import Any, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.autograd import arena, stats
+from repro.autograd.execution import current
 
 _TAPE_NODES = stats.TAPE_NODES
 
 # Bound lazily on first apply() to avoid an import cycle with tensor.py.
 _Tensor = None
-_is_grad_enabled = None
-
-# Active CaptureSession (repro.autograd.graph) or None.  Checked with a
-# single global load + is-None test per apply() so the eager path pays
-# nothing measurable when capture is off.
-_CAPTURE = None
 
 
 class Context:
@@ -87,13 +82,13 @@ class Function:
 
     @classmethod
     def apply(cls, *args: Any, **kwargs: Any):
-        global _Tensor, _is_grad_enabled
+        global _Tensor
         if _Tensor is None:
-            from repro.autograd.tensor import Tensor, is_grad_enabled
+            from repro.autograd.tensor import Tensor
 
             _Tensor = Tensor
-            _is_grad_enabled = is_grad_enabled
         Tensor = _Tensor
+        ex = current()
 
         raw_args = []
         requires_grad = False
@@ -104,7 +99,7 @@ class Function:
                     requires_grad = True
             else:
                 raw_args.append(a)
-        requires_grad = requires_grad and _is_grad_enabled()
+        requires_grad = requires_grad and ex.grad
 
         ctx = Context()
         out_data = cls.forward(ctx, *raw_args, **kwargs)
@@ -122,10 +117,11 @@ class Function:
         if requires_grad:
             out._node = Node(cls, ctx, args)
             _TAPE_NODES.value += 1
-        if _CAPTURE is not None:
+        capture = ex.capture
+        if capture is not None:
             # Record every op (grad or not): non-grad outputs can still be
             # data-dependent inputs of later recorded calls.
-            _CAPTURE.record_op(cls, args, kwargs, out)
+            capture.record_op(cls, args, kwargs, out)
         return out
 
 

@@ -75,7 +75,7 @@ from typing import Any, Callable, Dict, List, Optional
 import numpy as np
 
 from repro.autograd import arena
-from repro.autograd import function as _function
+from repro.autograd.execution import current, mine
 from repro.autograd.function import Context
 from repro.autograd.tensor import Tensor, _coerce_data, run_walk, walk_entries
 
@@ -158,14 +158,11 @@ def _host_equal(a, b) -> bool:
 # ----------------------------------------------------------------------
 # Capture
 # ----------------------------------------------------------------------
-_ACTIVE: Optional["CaptureSession"] = None
-
-
 def host(fn: Callable, *args: Any, guard: bool = False):
     """Run (and, under capture, record) a data-dependent host computation.
 
-    Outside a capture this is ``fn(*args)`` — one global load and an
-    is-None test of overhead on the eager path.  Under capture the call
+    Outside a capture this is ``fn(*args)`` — one read of the thread's
+    record and an is-None test on the eager path.  Under capture the call
     is recorded for re-execution at replay; its result objects (arrays,
     plans, topologies, tuples of them) register as dynamic values so
     later recorded calls resolve them per step.  With ``guard=True`` the
@@ -173,7 +170,7 @@ def host(fn: Callable, *args: Any, guard: bool = False):
     :class:`GraphInvalidated` (use for values that select control flow
     or size frozen constants).
     """
-    s = _ACTIVE
+    s = current().capture
     if s is None:
         return fn(*args)
     return s.record_host(fn, args, guard)
@@ -183,8 +180,8 @@ class CaptureSession:
     """Records one eager micro batch into a :class:`StepGraph`.
 
     Use :meth:`begin` / :meth:`finalize` (or ``abort``) around the eager
-    execution; :meth:`Function.apply` feeds op records through the hook
-    installed by ``begin``.
+    execution; :meth:`Function.apply` feeds it the ops of the thread
+    that called ``begin``, and no other thread's.
     """
 
     def __init__(self, signature: tuple, inputs: Dict[str, np.ndarray]):
@@ -206,17 +203,16 @@ class CaptureSession:
 
     # -- lifecycle -------------------------------------------------------
     def begin(self) -> "CaptureSession":
-        global _ACTIVE
-        if _ACTIVE is not None:
+        ex = mine()
+        if ex.capture is not None:
             raise RuntimeError("a CaptureSession is already active")
-        _ACTIVE = self
-        _function._CAPTURE = self
+        ex.capture = self
         return self
 
     def abort(self) -> None:
-        global _ACTIVE
-        _ACTIVE = None
-        _function._CAPTURE = None
+        ex = current()
+        if ex.capture is self:
+            ex.capture = None
 
     # -- recording -------------------------------------------------------
     def _note_generator(self, v) -> None:
@@ -473,37 +469,26 @@ class StepGraph:
         inputs = self._own(inputs)
         g_state = get_global_state()
         states = [(g, g.bit_generator.state) for g in self.gens]
-        # With the arena off, neither a plan is served nor one recorded.
-        script, rec = self._scripts.get(slot), None
-        if script is None or not arena.activate_script(script):
-            script, rec = None, arena.begin_script_recording()
-        try:
+
+        def run() -> list:
             if self._lowered is not None:
                 values = self._lowered.run_forward(inputs, slot)
             else:
                 values = self._forward(inputs)
             self._backward(values, slot)
-        except BaseException as exc:
-            if rec is not None:
-                arena.end_script_recording(discard=True)
-            elif script is not None:
-                arena.deactivate_script()
-                self._scripts.pop(slot, None)
-            if isinstance(exc, GraphInvalidated):
-                set_global_state(g_state)
-                for g, s in states:
-                    g.bit_generator.state = s
+            return values
+
+        # Popped: a replay that raises leaves no plan behind.
+        script = self._scripts.pop(slot, None)
+        try:
+            values, script = arena.run_on_plan(script, run)
+        except GraphInvalidated:
+            set_global_state(g_state)
+            for g, s in states:
+                g.bit_generator.state = s
             raise
-        if rec is not None:
-            recorded = arena.end_script_recording()
-            if recorded is not None and recorded.entries:
-                self._scripts[slot] = recorded
-        elif script is not None:
-            arena.deactivate_script()
-            if script.dead or script.cursor != len(script.entries):
-                # The request sequence drifted (bucket change or count
-                # mismatch); drop the plan and re-record next replay.
-                self._scripts.pop(slot, None)
+        if script is not None:
+            self._scripts[slot] = script
         self.replays += 1
         from repro.observability.metrics import registry
 

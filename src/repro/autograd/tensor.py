@@ -13,9 +13,9 @@ from typing import Callable, Iterable, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.autograd import arena, stats
+from repro.autograd.execution import current, mine
 from repro.autograd.function import Node
 
-_GRAD_ENABLED = True
 _ndarray = np.ndarray
 _LEAF_COPY_BYTES = stats.LEAF_COPY_BYTES
 
@@ -43,12 +43,14 @@ class _WalkBuffers:
     until the arena's next generation like any leaf-gradient buffer.
     """
 
-    __slots__ = ("pool", "refs", "mark")
+    __slots__ = ("release", "refs", "mark")
 
     def __init__(self) -> None:
-        self.pool = arena.get_arena()
+        pool = arena.get_arena()
+        # On the reference the pool, which owns none of the walk's arrays.
+        self.release = (current().arena or pool).release
         self.refs: dict = {}
-        self.mark = arena.WalkMark()
+        self.mark = arena.WalkMark(pool)
 
     def track(self, a: np.ndarray) -> None:
         bid = id(_root(a))
@@ -61,7 +63,7 @@ class _WalkBuffers:
             self.refs[bid] = n
         else:
             self.refs.pop(bid, None)
-            self.pool.release(a)
+            self.release(a)
 
     def adopt(self, a: np.ndarray) -> bool:
         """Give ``a`` up to a leaf if it is the walk's alone."""
@@ -208,27 +210,24 @@ def run_walk(entries: List[tuple], num_slots: int, seed: np.ndarray, values) -> 
 
 
 def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED
+    return current().grad
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable tape recording inside the block (evaluation / inference)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable the calling thread's tape recording inside the block."""
+    ex = mine()
+    prev = ex.grad
+    ex.grad = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
-
-
-_INFERENCE = False
+        ex.grad = prev
 
 
 def is_inference() -> bool:
     """True inside an :func:`inference_mode` block (the serving path)."""
-    return _INFERENCE
+    return current().inference
 
 
 @contextlib.contextmanager
@@ -244,18 +243,16 @@ def inference_mode():
     reads the flag: the KV-cached steps of :mod:`repro.serving.plan` run
     inside it but call no module.
 
-    Training numerics are untouched — the flag defaults off and nothing
-    outside this context reads it.
+    Training numerics are untouched — the flag defaults off, is the
+    calling thread's alone, and nothing outside this context reads it.
     """
-    global _GRAD_ENABLED, _INFERENCE
-    prev_grad, prev_inf = _GRAD_ENABLED, _INFERENCE
-    _GRAD_ENABLED = False
-    _INFERENCE = True
+    ex = mine()
+    prev = ex.grad, ex.inference
+    ex.grad, ex.inference = False, True
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev_grad
-        _INFERENCE = prev_inf
+        ex.grad, ex.inference = prev
 
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]

@@ -248,8 +248,8 @@ class ExpertParallelDMoE:
         Everything tapes onto rank-private leaf tensors (the rank's
         tokens, the tokens it received, views of its expert shard) —
         ranks of the ``"sim"`` backend are threads and must share no
-        tape.  Forward-only is the same body over non-grad tensors, not
-        ``no_grad()``: that flag is process-global.
+        tape.  Forward-only is the same body over non-grad tensors, so
+        both directions run one code path.
         """
         if group.world != self.mesh.expert_parallel:
             raise ValueError(

@@ -8,8 +8,8 @@ The serving stack (see ``docs/serving.md``):
   NumPy's BLAS-backed ``matmul`` rounds differently for different row
   counts, so KV-cached decode could never be bit-identical to a
   full-window forward through the training kernels.
-- :mod:`repro.serving.kv_cache` — per-layer K/V caches backed by the
-  PR 3 buffer arena (detached from per-step generation reclaim).
+- :mod:`repro.serving.kv_cache` — per-layer K/V caches in NumPy
+  buffers the cache owns, outside the training step's buffer arena.
 - :mod:`repro.serving.engine` — :class:`InferenceEngine`: prefill /
   single-token decode / cached ``generate`` over any ``TransformerLM``.
 - :mod:`repro.serving.plan` — the serving plan every prefill and decode

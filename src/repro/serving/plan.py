@@ -78,6 +78,7 @@ from repro.autograd.tensor import Tensor
 from repro.core.dmoe import dMoE
 from repro.moe.inference import moe_forward_ref
 from repro.moe.moe_layer import MoELayer
+from repro.moe.router import Router
 from repro.nn.attention import CausalSelfAttention
 from repro.nn.mlp import MLP
 from repro.observability.metrics import registry
@@ -369,6 +370,8 @@ class ServingPlan:
             return self._mlp(ffn, h, out)
         if not isinstance(ffn, (dMoE, MoELayer)):
             raise TypeError(f"KV-cached serving has no plan for a {type(ffn).__name__} FFN")
+        if type(ffn.router) is not Router:  # any other routes as a module
+            raise TypeError(f"KV-cached serving has no plan for a {type(ffn.router).__name__}")
         lib = self._lib(serve.MOE, ffn, h2)
         steps = None if lib is None else serve.moe_layer_step(lib, ffn, h2, out2)
         if steps is None:

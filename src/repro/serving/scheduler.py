@@ -214,7 +214,7 @@ class ContinuousBatchingScheduler:
         return request.request_id
 
     def close(self) -> None:
-        """Release the KV cache back to the arena pool."""
+        """Release the KV cache: drop its K/V buffers and its plan."""
         self.cache.release()
 
     @property

@@ -14,27 +14,21 @@ its step and its gradient norm, never another optimizer's.
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.autograd.execution import mine
 from repro.nn.module import Parameter
-
-
-#: Persistent fp64 scratch for ``grad_norm``, one per thread: parameter
-#: sizes are fixed, so one flat buffer sized to the largest gradient
-#: serves every parameter every step.  Per thread because the "sim"
-#: backend runs every rank as a thread, and all of them take the norm
-#: after the same all-reduce.
-_CLIP_SCRATCH = threading.local()
 
 
 def grad_norm(params: Iterable[Parameter]) -> float:
     """Global L2 norm of the gradients: one read of every ``p.grad``.
 
     NumPy only: the reference a bound native norm
-    (:meth:`Optimizer.grad_norm`) is held to, bit for bit."""
+    (:meth:`Optimizer.grad_norm`) is held to, bit for bit.  One fp64
+    scratch per thread, sized to the largest gradient, serves them all."""
+    ex = mine()
     sq = 0.0
     for p in params:
         if p.grad is None:
@@ -45,9 +39,9 @@ def grad_norm(params: Iterable[Parameter]) -> float:
         # astype-then-square reference bit for bit while staging
         # through a reused buffer.
         n = p.grad.size
-        buf = getattr(_CLIP_SCRATCH, "buf", None)
+        buf = ex.norm_scratch
         if buf is None or buf.size < n:
-            buf = _CLIP_SCRATCH.buf = np.empty(n, dtype=np.float64)
+            buf = ex.norm_scratch = np.empty(n, dtype=np.float64)
         buf = buf[:n].reshape(p.grad.shape)
         np.multiply(p.grad, p.grad, out=buf, dtype=np.float64)
         sq += float(buf.sum())

@@ -13,7 +13,8 @@ data order, guardrail bookkeeping (snapshots and rewind), routing stats,
 telemetry, checkpoints and the data-parallel group.
 
 **Four ways to run a step.**  ``config.backend`` and
-``config.steady_state`` select them, and nothing else does:
+``config.steady_state`` select them, and nothing else does — not even
+another thread's scope (:mod:`repro.autograd.execution`):
 
 - ``"eager"``, not steady (the default): the reference.  Every micro
   batch traverses the modules and builds its tape; every array comes

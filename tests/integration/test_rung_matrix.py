@@ -12,7 +12,8 @@ after two skipped steps, and a resume mid-replay from a checkpoint into
 fresh state.  The type a learning rate arrives in must not matter
 either, and neither may the layer: the variable-width dMoE and the
 Sinkhorn / BASE routers, whose assignment or dispatch is host work,
-train the eager bits on the compiled rungs.
+train the eager bits on the compiled rungs.  And a rung runs alike on a
+``sim`` rank, a thread, as on an ``mp`` rank, a process.
 
 Everything here drives :func:`repro.training.step.run_step` on a
 :class:`~repro.training.step.StepState` directly; no ``Trainer`` is
@@ -50,6 +51,8 @@ from repro.checkpoint import apply_state, build_state, load_checkpoint, write_st
 from repro.cli import main
 from repro.core import VariableSizedDMoE, dMoE
 from repro.data import LMDataset, PileConfig, SyntheticPile
+from repro.distributed import run_distributed
+from repro.distributed.backend import bucket_cuts
 from repro.moe import BaseLayerRouter, SinkhornRouter
 from repro.nn import TransformerLM
 from repro.observability import registry
@@ -69,7 +72,7 @@ from repro.training.lr_schedule import (
     WarmupLinearLR,
 )
 from repro.training.optim import clip_scale
-from repro.training.step import StepState, run_step
+from repro.training.step import StepState, run_step, sync_gradients
 
 STEPS = 8
 WARMUP = 3
@@ -143,11 +146,13 @@ def _batches(step, rows=MICRO):
     return iter([_micro_batch(2 * step, rows), _micro_batch(2 * step + 1, rows)])
 
 
-def _state(backend, steady, schedule, grad_clip, lr=LR, ffn=_dmoe, dropout_p=0.1):
+def _state(
+    backend, steady, schedule, grad_clip, lr=LR, ffn=_dmoe, dropout_p=0.1, dp_world=0
+):
     model = TransformerLM(64, 16, 2, 2, 16, ffn_factory=ffn, dropout_p=dropout_p, rng=0)
     config = TrainerConfig(
         global_batch=2 * MICRO, micro_batch=MICRO, grad_clip=grad_clip,
-        steady_state=steady, backend=backend,
+        steady_state=steady, backend=backend, dp_world=dp_world,
     )
     return StepState(model, Adam(model.parameters(), lr=lr), schedule, config)
 
@@ -313,6 +318,70 @@ def test_every_rung_trains_each_layer_alike(layer):
         assert counts["graph_captures"] == 1, backend
         assert counts["graph_replays"] == 2 * STEPS - 1, backend
         assert counts["graph_fallbacks"] == 0, backend
+
+
+class _RankGroup:
+    """``sync_gradients``' group on one rank of ``run_distributed``: the
+    scaled gradients go out as one bucket, and the ranks' total comes back
+    into them in place."""
+
+    def __init__(self, group):
+        self.group = group
+
+    def all_reduce(self, arrays, scale, log, step):
+        cuts = bucket_cuts(arrays)
+        total = self.group.all_reduce(np.concatenate([a.reshape(-1) * scale for a in arrays]))
+        for a, lo, hi in zip(arrays, cuts, cuts[1:]):
+            a[...] = total[lo:hi].reshape(a.shape)
+
+    def heal(self):  # after a peer failed: nothing to respawn in process
+        return []
+
+
+def _data_parallel_rank(backend, steps=3):
+    """A rank body: its own steady state, stepped on its own shard of
+    every step with the gradients summed over the ranks."""
+
+    def fn(group):
+        state = _state(
+            backend, True, ConstantLR(LR), CLIPS["clip-active"], dp_world=group.world
+        )
+        ranks = _RankGroup(group)
+        losses, norms = [], []
+        for step in range(steps):
+            loss, norm, verdict = run_step(
+                state, _batches(group.world * step + group.rank), step,
+                sync=lambda: sync_gradients(state, ranks),
+            )
+            assert verdict == gr.OK
+            losses.append(loss)
+            norms.append(norm)
+        return _bits(state, losses, norms)
+
+    return fn
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [
+        pytest.param("eager", id="eager-steady"),
+        pytest.param("replay", id="replay"),
+        pytest.param("cc", id="cc", marks=needs_cc),
+    ],
+)
+def test_sim_ranks_train_the_bits_of_mp_ranks(backend):
+    """Two ranks, each stepping its own state through ``run_step``: on
+    ``sim`` they are threads of this process, each with its own pool,
+    buffer plans and capture, and train what forked ``mp`` ranks train."""
+    fn = _data_parallel_rank(backend)
+    sim = run_distributed(fn, 2, backend="sim").values
+    mp_ = run_distributed(fn, 2, backend="mp").values
+    for s, m in zip(sim, mp_):
+        _assert_same_bits(s, m)
+    # One averaged gradient: the replicas stay equal.
+    assert sim[0][1] == sim[1][1] and sim[0][0] != sim[1][0]
+    for a, b in zip(sim[0][4], sim[1][4]):
+        np.testing.assert_array_equal(a, b)
 
 
 class _Typed(LRSchedule):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import VariableSizedDMoE, dMoE
+from repro.moe import BaseLayerRouter, SinkhornRouter
 from repro.nn import Module, TransformerLM
 from repro.observability import registry
 from repro.serving.engine import InferenceEngine
@@ -238,17 +239,30 @@ def test_a_served_step_calls_no_module(system, top_k, variant, prompts, monkeypa
 
 
 def test_a_block_ffn_the_plan_cannot_serve_raises_at_build():
-    """The plan binds a dense ``MLP`` or an MoE layer; any other FFN is
-    refused when the plan is built, before a row is written."""
-    model = TransformerLM(
-        vocab_size=VOCAB, hidden_size=HIDDEN, num_layers=LAYERS, num_heads=HEADS,
-        max_seq_len=MAX_SEQ, rng=0,
-        ffn_factory=lambda i: VariableSizedDMoE(HIDDEN, [32, 64, 32, 64], block_size=8, rng=0),
-    )
-    model.eval()
-    engine = InferenceEngine(model)
-    cache = engine.new_cache(1)
-    with pytest.raises(TypeError, match="VariableSizedDMoE"):
-        engine.prefill(np.ones((1, 3), np.int64), cache)
-    assert not cache.lengths.any()
-    cache.release()
+    """The plan binds a dense ``MLP`` or an MoE layer with the plain
+    ``Router``; any other FFN, and any router that routes by calling
+    itself as a module, is refused when the plan is built, before a row
+    is written."""
+    refused = {
+        "VariableSizedDMoE": lambda i: VariableSizedDMoE(
+            HIDDEN, [32, 64, 32, 64], block_size=8, rng=0
+        ),
+        "SinkhornRouter": lambda i: dMoE(
+            HIDDEN, FFN, 4, block_size=8, rng=i, router=SinkhornRouter(HIDDEN, 4, rng=20 + i)
+        ),
+        "BaseLayerRouter": lambda i: dMoE(
+            HIDDEN, FFN, 4, block_size=8, rng=i, router=BaseLayerRouter(HIDDEN, 4, rng=20 + i)
+        ),
+    }
+    for name, ffn in refused.items():
+        model = TransformerLM(
+            vocab_size=VOCAB, hidden_size=HIDDEN, num_layers=LAYERS, num_heads=HEADS,
+            max_seq_len=MAX_SEQ, rng=0, ffn_factory=ffn,
+        )
+        model.eval()
+        engine = InferenceEngine(model)
+        cache = engine.new_cache(1)
+        with pytest.raises(TypeError, match=name):
+            engine.prefill(np.ones((1, 3), np.int64), cache)
+        assert not cache.lengths.any()
+        cache.release()
