@@ -240,8 +240,8 @@ def inference_mode():
     accumulation and runs the padding-free serving path
     (:func:`repro.moe.inference.moe_inference_forward`) — the path
     ``bench/layers.py`` times as ``moe.inference_fwd_*``.  Nothing else
-    reads the flag: the KV-cached steps of :mod:`repro.serving.plan` run
-    inside it but call no module.
+    reads the flag: the KV-cached steps of :mod:`repro.serving.plan` call
+    no module and run outside it (their MoE reference enters it itself).
 
     Training numerics are untouched — the flag defaults off, is the
     calling thread's alone, and nothing outside this context reads it.

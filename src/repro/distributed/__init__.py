@@ -26,7 +26,6 @@ from repro.distributed.expert_parallel import (
     ExpertParallelDMoE,
     ExpertParallelResult,
 )
-from repro.distributed.data_parallel import data_parallel_step
 
 __all__ = [
     "BACKENDS",
@@ -43,5 +42,4 @@ __all__ = [
     "run_distributed",
     "ExpertParallelDMoE",
     "ExpertParallelResult",
-    "data_parallel_step",
 ]

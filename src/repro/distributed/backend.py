@@ -39,6 +39,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.observability.tracing import span
 from repro.resilience import counters
 from repro.resilience.faults import (
     COLLECTIVE_KINDS,
@@ -92,7 +93,8 @@ class PendingAllToAll(abc.ABC):
 
 
 class FaultSite(abc.ABC):
-    """Where a collective fault fires: whatever runs the collective.
+    """Whatever runs a collective: where its faults fire, and the one
+    bucketed gradient exchange (:meth:`all_reduce_bucket`).
 
     Every :class:`ProcessGroup` rank is one, and so is each of the
     trainer's echo groups (:func:`open_echo_group`), which stands for
@@ -102,6 +104,7 @@ class FaultSite(abc.ABC):
     """
 
     rank: Optional[int] = None
+    world: int
     #: Faults delivered into this site's collectives, the logical step
     #: they are matched against, and what serialises access to the
     #: schedule (rank-threads share one; forked ranks each own a copy).
@@ -152,6 +155,47 @@ class FaultSite(abc.ABC):
     def _die(self, op: str, rank: Optional[int]) -> None:
         """Rank ``rank`` (the event's; ``None`` when it named none) fails
         in ``op``, as the transport knows failure."""
+
+    def all_reduce_bucket(
+        self,
+        arrays: Sequence[np.ndarray],
+        scale: float = 1.0,
+        log=None,
+        step: Optional[int] = None,
+    ) -> None:
+        """The step's one gradient exchange, in place.
+
+        ``arrays`` (one dtype) are this rank's gradients; the bucket that
+        crosses the transport is ``[a * scale for a in arrays]`` laid end
+        to end, reduced by the group's single-array ``all_reduce`` (which
+        takes the fault step), and each array is overwritten with its
+        slice of the total only once the total has arrived — so a
+        :class:`~repro.resilience.faults.CollectiveFault` leaves every
+        array as it was.  One ring all-reduce of the bucket is charged to
+        ``log``; ``step``, when given, is what faults are matched against.
+        """
+        from repro.distributed.collectives import log_all_reduce
+
+        if not arrays:
+            return
+        cuts = bucket_cuts(arrays)
+        with span("all_reduce", {"world": self.world}):
+            if step is not None:
+                self._step = step
+            bucket = np.empty(cuts[-1], arrays[0].dtype)
+            for a, lo, hi in zip(arrays, cuts, cuts[1:]):
+                np.multiply(a, float(scale), out=bucket[lo:hi].reshape(a.shape))
+            total = self.all_reduce(bucket)
+            for a, lo, hi in zip(arrays, cuts, cuts[1:]):
+                a[...] = total[lo:hi].reshape(a.shape)
+        log_all_reduce(bucket.nbytes, self.world, log)
+
+    def heal(self) -> List[int]:
+        """Repair the group after a fault; returns the ranks respawned."""
+        return []
+
+    def close(self) -> None:
+        """End the group."""
 
 
 class ProcessGroup(FaultSite):
@@ -269,19 +313,14 @@ def open_echo_group(
     """Open the long-lived data-parallel seam of a single-process trainer.
 
     The caller is rank 0 of ``world`` ranks that all hold its gradient.
-    ``group.all_reduce(arrays, scale, log, step)`` is the step's one
-    exchange: ``arrays`` (one dtype) are this rank's gradients, the
-    bucket that crosses the transport is ``[a * scale for a in arrays]``
-    laid end to end, and each array is overwritten **in place** with its
-    slice of the total over ``world`` ranks — after every peer has
-    answered, so a :class:`~repro.resilience.faults.CollectiveFault`
-    leaves every array as it was.  ``group.heal()`` repairs the group
-    after such a fault and ``group.close()`` ends it.  ``"sim"`` reduces
-    the bucket through the in-process reference collective; ``"mp"``
-    moves it through ``world - 1`` persistent forked peers over
-    shared-memory windows mapped once (and adds ``kill_rank``, a real
-    SIGKILL).  Same reduction formula, same rank order, same single
-    ``CommLog`` record: bit-identical.
+    ``group.all_reduce_bucket(arrays, scale, log, step)`` is the step's
+    one exchange (:meth:`FaultSite.all_reduce_bucket`, the face of every
+    group); ``group.heal()`` repairs the group after a fault and
+    ``group.close()`` ends it.  ``"sim"`` reduces the bucket through the
+    in-process reference collective; ``"mp"`` moves it through ``world -
+    1`` persistent forked peers over shared-memory windows mapped once
+    (and adds ``kill_rank``, a real SIGKILL).  Same reduction formula,
+    same rank order, same single ``CommLog`` record: bit-identical.
 
     ``schedule`` delivers collective faults into the exchange, matched
     against ``step``.  The group stands for every rank, so an event of

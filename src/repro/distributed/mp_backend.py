@@ -347,7 +347,7 @@ class MpEchoGroup(FaultSite):
                 healed.append(rank)
         return healed
 
-    def all_reduce(
+    def all_reduce_bucket(
         self,
         arrays: Sequence[np.ndarray],
         scale: float = 1.0,

@@ -32,9 +32,7 @@ from repro.distributed.backend import (
     PendingAllToAll,
     ProcessGroup,
     WorkerFailure,
-    bucket_cuts,
 )
-from repro.observability.tracing import span
 from repro.resilience.faults import CollectiveFault, FaultEvent, FaultSchedule
 
 
@@ -164,7 +162,6 @@ class SimEchoGroup(FaultSite):
     def __init__(self, world: int, schedule: Optional[FaultSchedule] = None) -> None:
         self.world = world
         self._schedule = schedule
-        self._span_args = {"world": world}
 
     def _die(self, op: str, rank: Optional[int]) -> None:
         peer = 1 if rank is None else rank
@@ -172,31 +169,9 @@ class SimEchoGroup(FaultSite):
             raise ValueError(f"can only kill peer ranks 1..{self.world - 1}")
         raise CollectiveFault(op, self._step, 0, detail=f"rank {peer} failed")
 
-    def all_reduce(
-        self,
-        arrays: Sequence[np.ndarray],
-        scale: float = 1.0,
-        log=None,
-        step: Optional[int] = None,
-    ) -> None:
-        if not arrays:
-            return
-        cuts = bucket_cuts(arrays)
-        with span("all_reduce", self._span_args):
-            self._step = step
-            sent = self._maybe_fault("all_reduce", arrays)
-            bucket = np.empty(cuts[-1], arrays[0].dtype)
-            for a, lo, hi in zip(sent, cuts, cuts[1:]):
-                np.multiply(a, float(scale), out=bucket[lo:hi].reshape(a.shape))
-            total = collectives.all_reduce([bucket] * self.world, log)[0]
-            for a, lo, hi in zip(arrays, cuts, cuts[1:]):
-                a[...] = total[lo:hi].reshape(a.shape)
-
-    def heal(self) -> List[int]:
-        return []
-
-    def close(self) -> None:
-        pass
+    def all_reduce(self, arr: np.ndarray) -> np.ndarray:
+        (arr,) = self._maybe_fault("all_reduce", [np.asarray(arr)])
+        return collectives.all_reduce([arr] * self.world)[0]
 
 
 def run_sim(

@@ -14,7 +14,9 @@ composes:
 
 Prefill and decode are both steps of the cache's one serving plan
 (:mod:`repro.serving.plan`), bound once and held bit for bit to the
-uncached ``model.forward`` under ``inference_mode``.
+uncached full-window forward (the tests' oracle is a straight-line NumPy
+forward, ``tests/serving/oracle.py``).  A step calls no module, so it
+needs no ``inference_mode`` scope around it.
 
 Sliding window: once a sequence reaches ``max_seq_len`` the engine
 resets the slot and re-prefills the retained window (absolute learned
@@ -30,7 +32,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.autograd.tensor import inference_mode
 from repro.serving.kv_cache import KVCache
 from repro.serving.plan import decode, prefill
 from repro.serving.quantize import attach_quantized_experts
@@ -71,14 +72,12 @@ class InferenceEngine:
         logits for the last position of each row, the only one the head
         runs on (:func:`repro.serving.plan.prefill`).  Targeted slots must
         be reset."""
-        with inference_mode():
-            return prefill(self.model, ids, cache, slots)
+        return prefill(self.model, ids, cache, slots)
 
     def decode_step(self, ids_t, cache: KVCache, slots=None) -> np.ndarray:
         """Append one token per active slot; returns ``(B, vocab)`` logits
         (:func:`repro.serving.plan.decode`)."""
-        with inference_mode():
-            return decode(self.model, ids_t, cache, slots)
+        return decode(self.model, ids_t, cache, slots)
 
     # ------------------------------------------------------------------
     def generate(

@@ -103,9 +103,8 @@ def _plan(model, cache) -> "ServingPlan":
 
 
 def prefill(model, ids, cache, slots=None) -> np.ndarray:
-    """Encode ``(B, S)`` token windows into the cache (inside
-    ``inference_mode``); returns ``(B, vocab)`` logits of each window's
-    last position.
+    """Encode ``(B, S)`` token windows into the cache; returns
+    ``(B, vocab)`` logits of each window's last position.
 
     ``slots`` (default: all cache slots, in order) names one distinct
     slot per sequence; sequence ``b``'s tokens take positions
@@ -128,8 +127,8 @@ def prefill(model, ids, cache, slots=None) -> np.ndarray:
 
 
 def decode(model, ids, cache, slots=None) -> np.ndarray:
-    """Single-token KV-cached decode of ``model`` (inside
-    ``inference_mode``); returns ``(B, vocab)`` logits.
+    """Single-token KV-cached decode of ``model``; returns ``(B, vocab)``
+    logits.
 
     ``ids`` holds the newest token id of each active sequence; ``slots``
     (default: all cache slots, in order) maps row ``j`` to its cache

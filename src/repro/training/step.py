@@ -285,22 +285,25 @@ def _capture_micro_batch(state: StepState, batch, sig: tuple) -> float:
 # Gradients: the data-parallel sync, and the drop a skipped step takes.
 # ----------------------------------------------------------------------
 def sync_gradients(state: StepState, group, log=None) -> None:
-    """Data-parallel gradient all-reduce: an exact identity, since
-    ``dp_world`` is a power of two, that exercises the real
-    collective — once per step, over one bucket of every gradient.
+    """Data-parallel gradient all-reduce: the mean over ``group``'s
+    ranks, once per step, over one bucket of every gradient.
 
-    This process is rank 0 of ``group``, whose peers hold the same
-    gradients: the bucket that crosses the transport is each
-    ``p.grad`` scaled by ``1 / dp_world``, and the total is written
-    back into the same ``p.grad`` arrays in place (a fault leaves
-    them all untouched).  ``"sim"`` reduces through the in-process
-    reference, ``"mp"`` through persistent forked workers and
-    shared-memory windows mapped once — same rank-ordered
-    reduction, so the two are bit-identical, but kills and timeouts
-    are real under ``"mp"``.  The injector's collective faults fire
-    inside the group's exchange; its retry policy, when set, re-runs
-    the exchange on a healed group.  ``log`` (a ``CommLog``) records
-    the exchange.
+    ``group`` is any group — a ``run_distributed`` rank, or the trainer's
+    echo group (:func:`repro.distributed.backend.open_echo_group`) — and
+    the exchange is its ``all_reduce_bucket``: each ``p.grad`` scaled by
+    ``1 / group.world`` crosses the transport, and the total is written
+    back into the same ``p.grad`` arrays in place (a fault leaves them
+    all untouched).  The echo group's peers hold this process's own
+    gradients, so there alone the exchange is an exact identity — since
+    ``dp_world`` is a power of two — that exercises the real collective;
+    ranks hold their own shards' gradients and end with their average
+    (every rank must leave gradients on the same parameters: the bucket
+    is laid out from those present).  ``"sim"`` and ``"mp"`` reduce in
+    the same rank order, so the two are bit-identical, but kills and
+    timeouts are real under ``"mp"``.  The injector's collective faults
+    fire inside the group's exchange; its retry policy, when set,
+    re-runs the exchange on a healed group.  ``log`` (a ``CommLog``)
+    records the exchange.
     """
     injector = state.faults
     grads = [p.grad for p in state.optimizer.params if p.grad is not None]
@@ -309,7 +312,7 @@ def sync_gradients(state: StepState, group, log=None) -> None:
     def attempt(k: int) -> None:
         if k:
             group.heal()
-        group.all_reduce(grads, 1.0 / state.config.dp_world, log, step)
+        group.all_reduce_bucket(grads, 1.0 / group.world, log, step)
 
     try:
         if injector is None or injector.policy is None:

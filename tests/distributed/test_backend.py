@@ -576,7 +576,7 @@ class TestEchoGroup:
             log, ref_log = CommLog(), CommLog()
             ref = all_reduce([arr] * 4, ref_log)[0]
             got = arr.copy()
-            group.all_reduce([got], log=log)
+            group.all_reduce_bucket([got], log=log)
             np.testing.assert_array_equal(got, ref, strict=True)
             assert log.records == ref_log.records
         finally:
@@ -596,7 +596,7 @@ class TestEchoGroup:
         group = open_echo_group(world, backend)
         try:
             before = [(id(a), a.ctypes.data) for a in arrays]
-            group.all_reduce(arrays, scale, log)
+            group.all_reduce_bucket(arrays, scale, log)
             assert [(id(a), a.ctypes.data) for a in arrays] == before
             for got, ref in zip(arrays, refs):
                 np.testing.assert_array_equal(got, ref, strict=True)
@@ -608,10 +608,10 @@ class TestEchoGroup:
                 _mixed_bucket(dtype, 1) + _mixed_bucket(dtype, 2),
             ):
                 refs = [all_reduce([a] * world)[0] for a in arrays]
-                group.all_reduce(arrays)
+                group.all_reduce_bucket(arrays)
                 for got, ref in zip(arrays, refs):
                     np.testing.assert_array_equal(got, ref, strict=True)
-            group.all_reduce([])  # a step without gradients: no exchange
+            group.all_reduce_bucket([])  # a step without gradients: no exchange
             assert log.counts() == {"all_reduce": 1}
         finally:
             group.close()
@@ -621,7 +621,7 @@ class TestEchoGroup:
         group = open_echo_group(2, backend)
         try:
             with pytest.raises(ValueError, match="one dtype"):
-                group.all_reduce([np.ones(2, np.float32), np.ones(2, np.float64)])
+                group.all_reduce_bucket([np.ones(2, np.float32), np.ones(2, np.float64)])
         finally:
             group.close()
 
@@ -632,11 +632,11 @@ class TestEchoGroup:
             assert group.alive == [True, False, True]
             arr = np.ones(4)
             with pytest.raises(CollectiveFault):
-                group.all_reduce([arr])
+                group.all_reduce_bucket([arr])
             np.testing.assert_array_equal(arr, np.ones(4))  # left unreduced
             assert group.heal() == [1]
             assert group.alive == [True, True, True]
-            group.all_reduce([arr])
+            group.all_reduce_bucket([arr])
             np.testing.assert_array_equal(arr, 3.0 * np.ones(4))
         finally:
             group.close()
@@ -654,7 +654,7 @@ class TestEchoGroup:
             warm = _mixed_bucket()
             expected = [all_reduce([a] * world)[0] for a in warm]
             if when != "before":
-                group.all_reduce([a.copy() for a in warm])
+                group.all_reduce_bucket([a.copy() for a in warm])
             if when == "mid_exchange":
                 # Stop rank 1 so the request finds it alive but silent,
                 # then kill it while rank 0 is waiting on the reply.
@@ -664,7 +664,7 @@ class TestEchoGroup:
                 group.kill_rank(1)
             arrays = [a.copy() for a in warm]
             with pytest.raises(CollectiveFault):
-                group.all_reduce(arrays)
+                group.all_reduce_bucket(arrays)
             for got, sent in zip(arrays, warm):
                 np.testing.assert_array_equal(got, sent, strict=True)
             live = {
@@ -674,7 +674,7 @@ class TestEchoGroup:
             }
             assert group.heal() == [1]
             assert live <= set(shm.leaked_segments(group.session))
-            group.all_reduce(arrays)
+            group.all_reduce_bucket(arrays)
             for got, ref in zip(arrays, expected):
                 np.testing.assert_array_equal(got, ref, strict=True)
         finally:
@@ -701,14 +701,14 @@ class TestEchoGroup:
             for step, healed in [(0, [1]), (1, [2])]:
                 arr = np.ones(4)
                 with pytest.raises(CollectiveFault, match=f"step={step}"):
-                    group.all_reduce([arr], step=step)
+                    group.all_reduce_bucket([arr], step=step)
                 np.testing.assert_array_equal(arr, np.ones(4))
                 assert group.heal() == (healed if backend == "mp" else [])
             arr = np.ones(4)
-            group.all_reduce([arr], step=2)
+            group.all_reduce_bucket([arr], step=2)
             assert np.isnan(arr).sum() == 1
             t0 = time.perf_counter()
-            group.all_reduce([arr], step=3)
+            group.all_reduce_bucket([arr], step=3)
             assert time.perf_counter() - t0 >= 0.2
             assert sched.pending == 0
         finally:
@@ -732,7 +732,7 @@ class TestEchoGroup:
             group = open_echo_group(4, backend)
             try:
                 totals[backend] = arr.copy()
-                group.all_reduce([totals[backend]])
+                group.all_reduce_bucket([totals[backend]])
                 assert group.heal() == []
             finally:
                 group.close()

@@ -1,106 +1,147 @@
-"""Data parallelism over a real ProcessGroup: ranks stay synchronized,
-the two transports agree bit for bit, and the trajectory matches
-single-process large-batch training to a stated tolerance."""
+"""Data parallelism is ``run_step`` + ``sync_gradients`` on every rank of a
+real ProcessGroup: ranks stay synchronized, the two transports agree bit
+for bit, and the trajectory matches one process that runs the same shards
+as accumulation micro batches, to a stated tolerance."""
 
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, cross_entropy
-from repro.distributed import CommLog, data_parallel_step, run_distributed
-from repro.nn import Linear, Sequential
-from repro.training import Adam, clip_grad_norm
+from repro.core import dMoE
+from repro.data import LMDataset, PileConfig, SyntheticPile
+from repro.distributed import CommLog, run_distributed
+from repro.nn import TransformerLM
+from repro.resilience import guardrails as gr
+from repro.training import Adam, TrainerConfig
+from repro.training.lr_schedule import ConstantLR
+from repro.training.optim import clip_scale
+from repro.training.step import StepState, run_step, sync_gradients
 
-#: Data parallel vs one big batch.  Exact is not promised: a rank
-#: averages its shard and the all-reduce averages the ranks, where the
-#: big batch sums every row in one reduction — same value, another
-#: summation order, in float32.  Measured over the matrix below: ≤ 2e-7.
+#: Data parallel vs one process accumulating the same shards.  Exact is
+#: not promised: a rank's shard gradient is scaled by ``1 / world`` and
+#: the ranks' buckets are summed, where accumulation scales each micro
+#: batch's loss and adds the gradients up during backward — same value,
+#: another rounding order, in float32.  Measured over the matrix below:
+#: 0 at worlds 2 and 4 (scaling by a power of two is exact), ≤ 2e-6 at 3.
 LARGE_BATCH_ATOL = 2e-5
+LR = 1e-3
+#: Below every step's gradient norm (1.1–2.5), so the clip is active.
+CLIP = 0.05
+
+_PILE = SyntheticPile(PileConfig(vocab_size=64, num_domains=3, branching=4), seed=1)
+_DATA = LMDataset(_PILE.token_stream(4_000, 32), seq_len=16)
 
 
-def _model(seed=0):
-    return Sequential(Linear(6, 12, rng=seed), Linear(12, 4, rng=seed + 1))
+def _state(rows, ffn=32, grad_clip=0.0, accumulation=1):
+    """A two-layer dMoE LM stepping ``rows``-row micro batches,
+    ``accumulation`` of them per step (dropout off: the ranks draw none)."""
+    model = TransformerLM(
+        64, 16, 2, 2, 16, dropout_p=0.0, rng=0,
+        ffn_factory=lambda i: dMoE(16, ffn, num_experts=4, block_size=8, rng=i),
+    )
+    config = TrainerConfig(
+        global_batch=rows * accumulation, micro_batch=rows, grad_clip=grad_clip
+    )
+    return StepState(model, Adam(model.parameters(), lr=LR), ConstantLR(LR), config)
 
 
-def _batch(n=12, seed=42):
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((n, 6)).astype(np.float32), rng.integers(0, 4, n)
+def _shards(step, world, n):
+    """Step ``step``'s global batch of ``n`` rows, as ``world`` shards."""
+    shard = n // world
+    return [
+        _DATA.batch(np.arange(step * n + r * shard, step * n + (r + 1) * shard))
+        for r in range(world)
+    ]
+
+
+def _rank_steps(state, group, steps, n, log=None):
+    """``steps`` steps of this rank's shard, gradients averaged over the
+    group; returns the losses and pre-clip gradient norms."""
+    losses, norms = [], []
+    for step in range(steps):
+        loss, norm, verdict = run_step(
+            state, iter([_shards(step, group.world, n)[group.rank]]), step,
+            sync=lambda: sync_gradients(state, group, log),
+        )
+        assert verdict == gr.OK
+        losses.append(loss)
+        norms.append(norm)
+    return losses, norms
+
+
+def _params(state):
+    return [p.data.copy() for p in state.optimizer.params]
 
 
 def run_data_parallel(world, backend, steps=5, grad_clip=0.0, n=12):
-    """``steps`` data-parallel steps over equal shards of one global
-    batch.  One ``(parameters, losses, CommLog)`` per rank — returned,
-    because a forked rank's mutations never reach the parent."""
-    x, y = _batch(n)
-    shard = n // world
-
-    def loss_fn(model, rank):
-        rows = slice(rank * shard, (rank + 1) * shard)
-        return cross_entropy(model(Tensor(x[rows])), y[rows])
+    """``steps`` data-parallel steps over equal shards of each step's
+    global batch of ``n`` rows.  One ``(parameters, losses, CommLog)`` per
+    rank — returned, because a forked rank's mutations never reach the
+    parent."""
 
     def fn(group):
-        model, log = _model(), CommLog()
-        opt = Adam(model.parameters(), lr=1e-2)
-        losses = [
-            data_parallel_step(group, model, opt, loss_fn, grad_clip, log)
-            for _ in range(steps)
-        ]
-        return [p.data.copy() for p in model.parameters()], losses, log
+        state, log = _state(n // world, grad_clip=grad_clip), CommLog()
+        losses, _ = _rank_steps(state, group, steps, n, log)
+        return _params(state), losses, log
 
     return run_distributed(fn, world, backend=backend).values
 
 
-def _single_process(steps=5, grad_clip=0.0, n=12):
-    x, y = _batch(n)
-    model = _model()
-    opt = Adam(model.parameters(), lr=1e-2)
-    for _ in range(steps):
-        opt.zero_grad()
-        cross_entropy(model(Tensor(x)), y).backward()
-        if grad_clip > 0:
-            clip_grad_norm(opt.params, grad_clip)
-        opt.step()
-    return [p.data for p in model.parameters()]
+def _single_process(world, steps=5, grad_clip=0.0, n=12):
+    """One process stepping the same shards as ``world`` accumulation
+    micro batches; returns its parameters and gradient norms."""
+    state = _state(n // world, grad_clip=grad_clip, accumulation=world)
+    norms = []
+    for step in range(steps):
+        _, norm, verdict = run_step(state, iter(_shards(step, world, n)), step)
+        assert verdict == gr.OK
+        norms.append(norm)
+    return _params(state), norms
 
 
 class TestTraining:
     def test_replicas_stay_bit_identical(self):
         ranks = run_data_parallel(4, "sim")
+        assert ranks[0][1] != ranks[1][1]  # each rank trained its own shard
         for params, _, _ in ranks[1:]:
             for a, b in zip(ranks[0][0], params):
                 np.testing.assert_array_equal(a, b, strict=True)
 
     def test_matches_single_process_large_batch(self):
-        """DP over shards == single process on the full batch (the
+        """DP over shards == one process accumulating them (the
         linearity of gradient averaging)."""
         params, _, _ = run_data_parallel(4, "sim", steps=4)[0]
-        for p_single, p_dp in zip(_single_process(steps=4), params):
+        reference, _ = _single_process(4, steps=4)
+        for p_single, p_dp in zip(reference, params):
             np.testing.assert_allclose(p_single, p_dp, atol=LARGE_BATCH_ATOL)
 
     def test_comm_volume_logged(self):
         _, _, log = run_data_parallel(2, "sim", steps=1)[0]
         # One all_reduce per step: every gradient in one bucket.
         assert log.counts() == {"all_reduce": 1}
-        nbytes = sum(p.data.nbytes for p in _model().parameters())
+        nbytes = sum(p.data.nbytes for p in _state(6).optimizer.params)
         assert log.total_bytes_per_rank() == nbytes  # ring volume at world 2
 
     def test_grad_clip_applied(self):
-        before = [p.data.copy() for p in _model().parameters()]
-        after, _, _ = run_data_parallel(2, "sim", steps=1, grad_clip=1e-6)[0]
-        # Clipped to near-zero norm, the update is tiny but nonzero.
-        deltas = [np.abs(b - a).max() for b, a in zip(before, after)]
-        assert 0 < max(deltas) < 1e-2
+        """Gradients clipped to a near-zero norm meet Adam's ``eps``: the
+        update is smaller than the unclipped one, but not zero."""
+        before = _params(_state(6))
+        clipped, _, _ = run_data_parallel(2, "sim", steps=1, grad_clip=1e-6)[0]
+        free, _, _ = run_data_parallel(2, "sim", steps=1)[0]
+        delta = lambda after: max(np.abs(b - a).max() for b, a in zip(before, after))
+        assert 0 < delta(clipped) < delta(free)
 
 
-#: Below the first step's gradient norm (0.13), so the clip is active.
-@pytest.mark.parametrize("grad_clip", [0.0, 0.05], ids=["noclip", "clip"])
+@pytest.mark.parametrize("grad_clip", [0.0, CLIP], ids=["noclip", "clip"])
 @pytest.mark.parametrize("world", [2, 3, 4])
 def test_contract_on_both_transports(world, grad_clip):
-    """ROADMAP item 3's contract at the size a per-rank step can reach:
-    non-power-of-two worlds included, on "sim" and "mp"."""
+    """ROADMAP item 3's contract on ``run_step``: non-power-of-two
+    worlds included, on "sim" and "mp"."""
     sim = run_data_parallel(world, "sim", grad_clip=grad_clip)
     mp_ = run_data_parallel(world, "mp", grad_clip=grad_clip)
-    reference = _single_process(grad_clip=grad_clip)
-    sizes = [p.data.nbytes for p in _model().parameters()]
+    reference, norms = _single_process(world, grad_clip=grad_clip)
+    biting = [clip_scale(norm, grad_clip) != 1.0 for norm in norms]
+    assert all(biting) if grad_clip else not any(biting)
+    sizes = [p.data.nbytes for p in _state(12 // world).optimizer.params]
     for (s_params, s_losses, s_log), (m_params, m_losses, m_log) in zip(sim, mp_):
         assert s_losses == m_losses
         assert s_log.records == m_log.records
@@ -118,25 +159,16 @@ def test_contract_on_both_transports(world, grad_clip):
 
 @pytest.mark.parametrize("world", [2, 3])
 def test_window_grows_between_steps(world):
-    """The same group first steps a small model, then one whose bucket
+    """The same group first steps a small state, then one whose bucket
     does not fit the window the first left behind: the window moves to a
     larger segment mid-run and "mp" stays bitwise "sim"."""
-    x, y = _batch(12)
-    shard = 12 // world
-
-    def loss_fn(model, rank):
-        rows = slice(rank * shard, (rank + 1) * shard)
-        return cross_entropy(model(Tensor(x[rows])), y[rows])
 
     def fn(group):
         out = []
-        for hidden in (12, 4096):  # 0.5 KB, then 160 KB of gradients
-            model = Sequential(Linear(6, hidden, rng=0), Linear(hidden, 4, rng=1))
-            opt = Adam(model.parameters(), lr=1e-2)
-            losses = [
-                data_parallel_step(group, model, opt, loss_fn) for _ in range(2)
-            ]
-            out.append((losses, [p.data.copy() for p in model.parameters()]))
+        for ffn in (32, 2048):  # 49 KB, then 2.2 MB of gradients
+            state = _state(12 // world, ffn=ffn)
+            losses, _ = _rank_steps(state, group, 2, 12)
+            out.append((losses, _params(state)))
         return out
 
     sim = run_distributed(fn, world, backend="sim").values
@@ -150,29 +182,22 @@ def test_window_grows_between_steps(world):
 
 def test_clipped_ranks_agree_at_a_size_numpy_threads():
     """``grad_norm`` on every "sim" rank at once, right after the same
-    all-reduce barrier, over gradients large enough (3 072 elements) that
-    NumPy drops the GIL inside its loops: each rank's norm is still its
-    own, so the replicas stay bitwise "mp"'s, whose ranks share nothing."""
-    x, y = _batch(16)
-    world, shard = 4, 4
-
-    def loss_fn(model, rank):
-        rows = slice(rank * shard, (rank + 1) * shard)
-        return cross_entropy(model(Tensor(x[rows])), y[rows])
+    all-reduce barrier, over gradients large enough (32 768 elements an
+    expert weight) that NumPy drops the GIL inside its loops: each rank's
+    norm is still its own, so the replicas stay bitwise "mp"'s, whose
+    ranks share nothing."""
+    world, n = 4, 16
 
     def fn(group):
-        model = Sequential(Linear(6, 512, rng=0), Linear(512, 4, rng=1))
-        opt = Adam(model.parameters(), lr=1e-2)
-        losses = [
-            data_parallel_step(group, model, opt, loss_fn, grad_clip=1e-3)
-            for _ in range(4)
-        ]
-        return losses, [p.data.copy() for p in model.parameters()]
+        state = _state(n // world, ffn=512, grad_clip=1e-3)
+        losses, norms = _rank_steps(state, group, 4, n)
+        return losses, norms, _params(state)
 
     sim = run_distributed(fn, world, backend="sim").values
     mp_ = run_distributed(fn, world, backend="mp").values
-    for (s_losses, s_params), (m_losses, m_params) in zip(sim, mp_):
+    for (s_losses, s_norms, s_params), (m_losses, m_norms, m_params) in zip(sim, mp_):
         assert s_losses == m_losses
-        for s, m, first in zip(s_params, m_params, mp_[0][1]):
+        assert s_norms == m_norms == mp_[0][1]
+        for s, m, first in zip(s_params, m_params, mp_[0][2]):
             np.testing.assert_array_equal(s, m, strict=True)
             np.testing.assert_array_equal(s, first, strict=True)

@@ -52,7 +52,6 @@ from repro.cli import main
 from repro.core import VariableSizedDMoE, dMoE
 from repro.data import LMDataset, PileConfig, SyntheticPile
 from repro.distributed import run_distributed
-from repro.distributed.backend import bucket_cuts
 from repro.moe import BaseLayerRouter, SinkhornRouter
 from repro.nn import TransformerLM
 from repro.observability import registry
@@ -146,13 +145,11 @@ def _batches(step, rows=MICRO):
     return iter([_micro_batch(2 * step, rows), _micro_batch(2 * step + 1, rows)])
 
 
-def _state(
-    backend, steady, schedule, grad_clip, lr=LR, ffn=_dmoe, dropout_p=0.1, dp_world=0
-):
+def _state(backend, steady, schedule, grad_clip, lr=LR, ffn=_dmoe, dropout_p=0.1):
     model = TransformerLM(64, 16, 2, 2, 16, ffn_factory=ffn, dropout_p=dropout_p, rng=0)
     config = TrainerConfig(
         global_batch=2 * MICRO, micro_batch=MICRO, grad_clip=grad_clip,
-        steady_state=steady, backend=backend, dp_world=dp_world,
+        steady_state=steady, backend=backend,
     )
     return StepState(model, Adam(model.parameters(), lr=lr), schedule, config)
 
@@ -320,38 +317,17 @@ def test_every_rung_trains_each_layer_alike(layer):
         assert counts["graph_fallbacks"] == 0, backend
 
 
-class _RankGroup:
-    """``sync_gradients``' group on one rank of ``run_distributed``: the
-    scaled gradients go out as one bucket, and the ranks' total comes back
-    into them in place."""
-
-    def __init__(self, group):
-        self.group = group
-
-    def all_reduce(self, arrays, scale, log, step):
-        cuts = bucket_cuts(arrays)
-        total = self.group.all_reduce(np.concatenate([a.reshape(-1) * scale for a in arrays]))
-        for a, lo, hi in zip(arrays, cuts, cuts[1:]):
-            a[...] = total[lo:hi].reshape(a.shape)
-
-    def heal(self):  # after a peer failed: nothing to respawn in process
-        return []
-
-
 def _data_parallel_rank(backend, steps=3):
     """A rank body: its own steady state, stepped on its own shard of
-    every step with the gradients summed over the ranks."""
+    every step with the gradients averaged over the ranks."""
 
     def fn(group):
-        state = _state(
-            backend, True, ConstantLR(LR), CLIPS["clip-active"], dp_world=group.world
-        )
-        ranks = _RankGroup(group)
+        state = _state(backend, True, ConstantLR(LR), CLIPS["clip-active"])
         losses, norms = [], []
         for step in range(steps):
             loss, norm, verdict = run_step(
                 state, _batches(group.world * step + group.rank), step,
-                sync=lambda: sync_gradients(state, ranks),
+                sync=lambda: sync_gradients(state, group),
             )
             assert verdict == gr.OK
             losses.append(loss)
