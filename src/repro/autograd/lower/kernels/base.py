@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.autograd import arena
 from repro.autograd.graph import _CONST, _OpRecord
+from repro.observability.metrics import registry
 
 ndarray = np.ndarray
 F4 = np.dtype(np.float32)
@@ -304,8 +305,9 @@ class Contract:
         its runner) the guard holds what it admitted: a call whose
         operands are all the objects the last admitted call held skips
         the layout and relation clauses — identity implies layout — and
-        a call with a fresh operand runs them and, when they hold,
-        rebinds: each array operand's data pointer is re-read into
+        a call with a fresh operand (``lower_binds`` counts it) runs
+        them and, when they hold, rebinds: each array operand's data
+        pointer is re-read into
         ``binding.args[k]`` only where its object changed.  ``Live``
         clauses read data, not layout, and run on every call.  A unit's
         operand count is fixed (its record's arguments; its backward's
@@ -358,8 +360,8 @@ class Contract:
             # Nothing is ever ``_UNBOUND``: the first call binds.
             binding.held = (_UNBOUND,) * width
             binding.args.extend([0] * (width - len(binding.args)))
-            env.update(bound=binding, is_=_is, addr=addr)
-            rebind = ["held = bound.held"]
+            env.update(bound=binding, is_=_is, addr=addr, binds=_BINDS)
+            rebind = ["binds.value += 1", "held = bound.held"]
             for k, test in layouts:
                 rebind += [
                     f"a = ops[{k}]",
@@ -437,6 +439,11 @@ class Build:
 
 
 _UNBOUND = object()
+
+#: Every (re)bind of a graph unit's guard — its first call's included:
+#: a replay whose operands are the objects the last one held counts
+#: nothing here.
+_BINDS = registry().counter("lower_binds")
 
 
 #: An exported definition: a non-``static`` function at column 0.
@@ -529,6 +536,21 @@ class Kernel:
         """Whether the unit executes generated C (a Python-closure unit
         is lowered — off the interpreter — but not native)."""
         return bool(self.source)
+
+
+def keeper() -> Callable:
+    """``keep(shape)``: the tuple ``keep`` returned last when ``shape``
+    equals it, else ``shape``.  A runner saves ``keep(x.shape)`` — an
+    array's ``shape`` is a new tuple on every read — so a backward unit
+    bound to the saved tuple holds it again on the next replay."""
+    last = [()]
+
+    def keep(shape):
+        if shape != last[0]:
+            last[0] = shape
+        return last[0]
+
+    return keep
 
 
 #: ``ix.max()`` / ``ix.min()`` over every axis, without the Python

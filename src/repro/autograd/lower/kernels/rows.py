@@ -12,6 +12,8 @@ segment reduces as ``first + pairwise(rest)`` (the single-row case must
 
 from __future__ import annotations
 
+from operator import is_
+
 import numpy as np
 
 from repro.autograd import arena
@@ -20,7 +22,7 @@ from repro.autograd import ops_nn as _N
 from repro.autograd.graph import _CONST
 from repro.autograd.lower.kernels.base import (
     F4, I64, Arr, Capture, Const, Contract, Kernel, Live, Rel, addr, f32, i64,
-    ids_below, ids_within, ndarray,
+    ids_below, ids_within, keeper, ndarray,
 )
 
 _SCATTER_C = r"""
@@ -135,6 +137,7 @@ def _scatter_forward(b):
     iscratch = b.iscratch
     ptr = b.operands.args
     held, at, hold = b.holds(2)
+    keep = keeper()
 
     def run(x, ids, num_rows):
         ids64 = ids.astype(np.int64, copy=False)
@@ -144,7 +147,7 @@ def _scatter_forward(b):
         cfn(at[0] if out is held[0] else hold(0, out),
             ptr[1] if ids64 is ids else addr(ids64), ptr[0],
             n, h, num_rows, at[1] if scr is held[1] else hold(1, scr))
-        return (ids64, x.shape), out
+        return (ids64, keep(x.shape)), out
 
     return run
 
@@ -172,6 +175,7 @@ def _take_forward(symbol):
         cfn = getattr(b.lib, symbol)
         ptr = b.operands.args
         held, at, hold = b.holds(1)
+        keep = keeper()
 
         def run(x, ids):
             ids64 = ids.astype(np.int64, copy=False)
@@ -179,7 +183,7 @@ def _take_forward(symbol):
             out = arena.empty(ids64.shape + (h,), F4)
             cfn(ptr[0], ptr[1] if ids64 is ids else addr(ids64),
                 at[0] if out is held[0] else hold(0, out), ids64.size, h)
-            return (x.shape, ids64), out
+            return (keep(x.shape), ids64), out
 
         return run
 
@@ -212,9 +216,35 @@ _BASIC = (slice, int, type(Ellipsis))
 
 def _getitem_forward(b):
     # A Python closure: the forward is a view or a fancy take either
-    # way; the win is the C scatter in backward.
+    # way; the win is the C scatter in backward.  A row take — a
+    # routing-dependent one, ``b2[row_expert]`` — and the router's
+    # ``scores[rows, ids]`` selection land in arena buffers, and the
+    # pair is saved as the tuple saved last while its arrays are the
+    # same: what a replay's units hold stays the same objects from one
+    # replay to the next.  Any other index stays ``a[index]`` — a basic
+    # one a view, which ``view`` below holds against its operand.
+    keep = keeper()
+    pair = [()]
+
     def run(a, index):
-        return (a.shape, index), a[index]
+        if (
+            type(index) is ndarray and index.ndim == 1 and a.ndim == 2
+            and index.dtype.kind in "iu" and ids_within(index, a.shape[0])
+        ):
+            # In range: ``take`` writes ``out`` directly (its
+            # bounds-checking mode would stage a copy first).
+            out = arena.empty((index.size, a.shape[1]), a.dtype)
+            np.take(a, index, axis=0, out=out, mode="wrap")
+        else:
+            out = a[index]
+            if _is_pair(a.shape, index):
+                taken, out = out, arena.empty(out.shape, out.dtype)
+                np.copyto(out, taken)
+                last = pair[0]
+                if len(index) == len(last) and all(map(is_, index, last)):
+                    index = last
+                pair[0] = index
+        return (keep(a.shape), index), out
 
     spec = b.rec.specs[1]
     index = spec[1] if spec[0] == _CONST else None

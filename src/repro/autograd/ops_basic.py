@@ -246,12 +246,29 @@ def _normalize_axis(axis, ndim) -> Optional[Tuple[int, ...]]:
     return tuple(a % ndim for a in axis)
 
 
+def _reduce_out(a, axis, keepdims) -> Optional[np.ndarray]:
+    """``out=`` target of a float reduction of ``a`` (``None`` outside a
+    steady scope): a replayed step reads the same result array every
+    time, so the units downstream stay bound to it."""
+    if a.dtype.kind != "f":
+        return None
+    if axis is None:
+        shape = (1,) * a.ndim if keepdims else ()
+    else:
+        shape = tuple(
+            1 if i in axis else n
+            for i, n in enumerate(a.shape)
+            if keepdims or i not in axis
+        )
+    return arena.out_buf(shape, a.dtype)
+
+
 class _Sum(Function):
     @staticmethod
     def forward(ctx, a, axis=None, keepdims=False):
         axis = _normalize_axis(axis, a.ndim)
         ctx.save_for_backward(a.shape, axis, keepdims)
-        return a.sum(axis=axis, keepdims=keepdims)
+        return a.sum(axis=axis, keepdims=keepdims, out=_reduce_out(a, axis, keepdims))
 
     @staticmethod
     def backward(ctx, grad):
@@ -269,7 +286,7 @@ class _Mean(Function):
         axis = _normalize_axis(axis, a.ndim)
         count = a.size if axis is None else int(np.prod([a.shape[i] for i in axis]))
         ctx.save_for_backward(a.shape, axis, keepdims, count)
-        return a.mean(axis=axis, keepdims=keepdims)
+        return a.mean(axis=axis, keepdims=keepdims, out=_reduce_out(a, axis, keepdims))
 
     @staticmethod
     def backward(ctx, grad):

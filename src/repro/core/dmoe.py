@@ -21,8 +21,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-import dataclasses
-
 from repro.autograd import ACTIVATIONS, getitem
 from repro.autograd.graph import host as graph_host
 from repro.autograd.tensor import Tensor, is_inference
@@ -91,22 +89,31 @@ def _build_dispatch(mod: "dMoE", expert_indices: np.ndarray):
     This is a :func:`repro.autograd.graph.host` computation: a captured
     graph re-executes it each replay, so a shifted tokens-per-expert
     distribution flows into fresh permutation indices and a fresh
-    (cache-memoized) topology without invalidating the graph.  It also
-    refreshes the module's ``last_*`` introspection state, which replays
-    would otherwise leave stale (module ``forward`` bodies do not run).
+    topology without invalidating the graph.  On the compiled rung the
+    kernel table's ``dispatch`` entry replaces it — one C call writing
+    every array into buffers bound at capacity — and this NumPy build
+    is that entry's reference.
     """
     plan = make_padded_plan(expert_indices, mod.num_experts, mod.block_size)
     topology = make_topology(plan, mod.ffn_hidden_size)
     row_expert = expert_of_padded_row(plan)
+    remember_dispatch(mod, plan, topology, expert_indices)
+    return plan, topology, row_expert
+
+
+def remember_dispatch(mod, plan, topology, expert_indices) -> None:
+    """Refresh the module's ``last_*`` introspection state, which replays
+    would otherwise leave stale (module ``forward`` bodies do not run).
+    ``last_routing`` is updated in place, not copied: see :class:`dMoE`
+    for how long its arrays hold."""
     mod.last_plan = plan
     mod.last_topology = topology
     lr = mod.last_routing
-    if lr is not None and lr.expert_indices is not expert_indices:
-        # Replay path: keep the routing-stats view of expert assignment
-        # current.  (Tensor fields of the stale result are not refreshed;
-        # nothing reads them after the step.)
-        mod.last_routing = dataclasses.replace(lr, expert_indices=expert_indices)
-    return plan, topology, row_expert
+    if lr is not None:
+        # On a replay it is the captured result: keep its routing-stats
+        # view of expert assignment current.  (Its Tensor fields are not
+        # refreshed; nothing reads them after the step.)
+        lr.expert_indices = expert_indices
 
 
 class dMoE(Module):
@@ -120,6 +127,13 @@ class dMoE(Module):
         block_size: sparse block side (128 in the paper; smaller values
             keep tests fast and are numerically identical).
         activation: expert nonlinearity.
+
+    After each training step ``last_plan``, ``last_topology`` and
+    ``last_routing`` describe its last micro batch.  On the compiled
+    rung their arrays are the dispatch unit's capacity buffers and the
+    router's arena buffers, and ``last_routing`` is the captured result
+    refreshed in place: they are valid until the layer's next step,
+    which rewrites them.  Copy what must outlive it.
     """
 
     def __init__(
@@ -190,15 +204,14 @@ class dMoE(Module):
             with span("route"):
                 routing = self.router(x)
 
-            # (2) Create the sparse matrix topology (Figure 3C).  The
-            # builder memoizes by tokens-per-expert layout, so repeated
-            # routing distributions reuse metadata and the grouped-GEMM
-            # dispatch plan.
+            # (2) Create the sparse matrix topology (Figure 3C), the
+            # permutation plan and the padded-row expert map.  Eager
+            # builds them in NumPy; the compiled rung in one C call.
+            self.last_routing = routing
             with span("topology"):
                 plan, topology, row_expert = graph_host(
                     _build_dispatch, self, routing.expert_indices
                 )
-            self.last_routing = routing
 
             # (3) Permute the tokens to group by expert (padded to blocks).
             with span("permute"):

@@ -8,12 +8,16 @@ and amortized across all six matrix products of the layer's forward and
 backward passes.
 
 Topologies are memoized in a small LRU cache keyed by the block-group
-layout (``blocks_per_expert`` x column widths x block size).  Routing
-distributions repeat constantly during training — identical
-block-count vectors yield byte-identical metadata — so steady state
-skips metadata construction (and the dispatch-plan analysis, which is
-warmed here) entirely.  Hit rates are reported through
-:mod:`repro.sparse.stats`.
+layout (``blocks_per_expert`` x column widths x block size): identical
+block-count vectors yield byte-identical metadata, so a hit skips the
+construction and the dispatch-plan analysis warmed here.  Layouts
+rarely repeat in training, though: over the bench's training phases
+the cache hits 0.3 % of builds on ``small_decode``, none on
+``skew_queue`` and 20 % on ``ref_prefill``.  This is the eager rung's
+builder — and the reference of the kernel table's ``dispatch`` entry,
+which plans the compiled rung's dispatch in one C call without this
+cache (:mod:`repro.autograd.lower.kernels.router`).  Hit rates are
+reported through :mod:`repro.sparse.stats`.
 
 What ``make_topology`` returns is a per-call *view* of the cached entry
 that also carries the plan's tokens per non-empty expert as

@@ -133,12 +133,12 @@ class VariableSizedDMoE(Module):
             x = x.reshape((orig_shape[0] * orig_shape[1], orig_shape[2]))
 
         routing = self.router(x)
+        self.last_routing = routing
         # A host record, as in dMoE: a captured graph rebuilds the plan
         # and topology from each replay's routing.
         plan, topology, row_expert = graph_host(
             _build_dispatch, self, routing.expert_indices
         )
-        self.last_routing = routing
 
         xp = padded_gather(x, plan)
         e = self.experts

@@ -199,7 +199,7 @@ def run_sim(
 
     t0 = time.perf_counter()
     threads = [
-        threading.Thread(target=body, args=(r,), daemon=True)
+        threading.Thread(target=body, args=(r,), name=f"rank{r}", daemon=True)
         for r in range(world)
     ]
     for t in threads:

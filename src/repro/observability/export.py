@@ -53,9 +53,20 @@ def chrome_trace(tracer: Tracer, process_name: str = "repro") -> dict:
             "args": {"name": "train"},
         },
     ]
+    # One track per thread that traced, in order of first close; the
+    # first is "train" (a single-threaded trace has only that one).
+    tids: Dict[str, int] = {}
     for span in tracer.spans:
         if span.end is None:  # open span: not exportable
             continue
+        tid = tids.get(span.thread)
+        if tid is None:
+            tid = tids[span.thread] = len(tids)
+            if tid:
+                events.append({
+                    "name": "thread_name", "ph": PHASE_METADATA, "pid": 0,
+                    "tid": tid, "args": {"name": span.thread},
+                })
         args: Dict[str, object] = {"path": span.path}
         if span.args:
             args.update(span.args)
@@ -67,7 +78,7 @@ def chrome_trace(tracer: Tracer, process_name: str = "repro") -> dict:
                 "ts": _micros(tracer, span.start),
                 "dur": (span.end - span.start) * 1e6,
                 "pid": 0,
-                "tid": 0,
+                "tid": tid,
                 "args": args,
             }
         )

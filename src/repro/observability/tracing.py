@@ -26,6 +26,12 @@ Typical use::
     save_chrome_trace("trace.json", tracer)      # chrome://tracing
     print(tracer and step_table(tracer))         # plain-text breakdown
 
+Each thread nests its own spans: a tracer keeps one open-span stack
+per thread and one shared list of closed spans, each tagged with the
+name of the thread that opened it — so the threads of a ``sim``
+process group (named ``rank0``, ``rank1``, …) trace side by side, and
+a single-threaded trace is what it always was.
+
 Tracing reads :func:`time.perf_counter` only — it never touches RNG
 state or tensor data, so traced and untraced runs are bit-identical
 (asserted by ``tests/integration/test_trace_smoke.py``).
@@ -33,6 +39,7 @@ state or tensor data, so traced and untraced runs are bit-identical
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
@@ -44,10 +51,11 @@ class Span:
     ``path`` is the slash-joined chain of enclosing span names
     (``step/forward/moe/sdd``); ``depth`` its nesting level; ``start`` /
     ``end`` are :func:`time.perf_counter` readings; ``args`` optional
-    structured payload (exported into the Chrome trace's ``args``).
+    structured payload (exported into the Chrome trace's ``args``);
+    ``thread`` the name of the thread that opened it.
     """
 
-    __slots__ = ("name", "path", "depth", "start", "end", "args")
+    __slots__ = ("name", "path", "depth", "start", "end", "args", "thread")
 
     def __init__(
         self,
@@ -56,6 +64,7 @@ class Span:
         depth: int,
         start: float,
         args: Optional[dict] = None,
+        thread: str = "",
     ) -> None:
         self.name = name
         self.path = path
@@ -63,6 +72,7 @@ class Span:
         self.start = start
         self.end: Optional[float] = None
         self.args = args
+        self.thread = thread
 
     @property
     def duration(self) -> float:
@@ -112,15 +122,16 @@ class Tracer:
 
     Spans are appended to :attr:`spans` in *close* order, so a parent
     always follows its children — exporters and breakdown queries rely
-    on this.  The open-span stack enforces strict nesting; unbalanced
-    exits raise immediately rather than corrupting the trace.
+    on this.  Each thread's open-span stack enforces strict nesting
+    within that thread; unbalanced exits raise immediately rather than
+    corrupting the trace.
     """
 
     def __init__(self, clock=time.perf_counter) -> None:
         self.clock = clock
         self.epoch: float = clock()
         self.spans: List[Span] = []
-        self._stack: List[Span] = []
+        self._local = threading.local()
         #: timestamped counter-track samples for Chrome "C" events.
         self.counter_samples: List[Tuple[float, str, float]] = []
 
@@ -129,21 +140,33 @@ class Tracer:
         """Context manager recording one nested span."""
         return _SpanContext(self, name, args)
 
+    @property
+    def _stack(self) -> List[Span]:
+        """The calling thread's open spans, innermost last."""
+        try:
+            return self._local.stack
+        except AttributeError:
+            self._local.thread = threading.current_thread().name
+            stack = self._local.stack = []
+            return stack
+
     def open(self, name: str, args: Optional[dict] = None) -> Span:
-        parent = self._stack[-1] if self._stack else None
+        stack = self._stack
+        parent = stack[-1] if stack else None
         path = f"{parent.path}/{name}" if parent is not None else name
-        span = Span(name, path, len(self._stack), self.clock(), args)
-        self._stack.append(span)
+        span = Span(name, path, len(stack), self.clock(), args, self._local.thread)
+        stack.append(span)
         return span
 
     def close(self, span: Span) -> None:
-        if not self._stack or self._stack[-1] is not span:
+        stack = self._stack
+        if not stack or stack[-1] is not span:
             raise RuntimeError(
                 f"unbalanced span exit: closing {span.path!r} but the "
                 f"innermost open span is "
-                f"{self._stack[-1].path if self._stack else None!r}"
+                f"{stack[-1].path if stack else None!r}"
             )
-        self._stack.pop()
+        stack.pop()
         span.end = self.clock()
         self.spans.append(span)
 
@@ -168,12 +191,14 @@ class Tracer:
         ]
 
     def children(self, parent: Span) -> List[Span]:
-        """Direct children of a closed span, in close order."""
+        """Direct children of a closed span, in close order (on the
+        parent's thread)."""
         prefix = parent.path + "/"
         return [
             s
             for s in self.spans
             if s.depth == parent.depth + 1
+            and s.thread == parent.thread
             and s.path.startswith(prefix)
             and s.start >= parent.start
             and s.end is not None
@@ -194,7 +219,7 @@ class Tracer:
 
     def reset(self) -> None:
         """Drop all recorded data (open spans survive — don't reset
-        mid-step)."""
+        mid-step on the calling thread)."""
         if self._stack:
             raise RuntimeError(
                 f"cannot reset tracer with {len(self._stack)} open span(s)"

@@ -358,7 +358,7 @@ class LiveLayout:
         bs = topo.block_size
         self.block_size = bs
         self.nnz_blocks = topo.nnz_blocks
-        self._groups = plan.groups if plan is not None else ()
+        self._plan = plan
         padded = [g[1] * bs for g in self._groups]
         live = topo.live_rows
         if live is None:
@@ -379,6 +379,34 @@ class LiveLayout:
         #: Rows that hold data / rows of the padded layout, over all groups.
         self.rows_live = sum(counts)
         self.rows_padded = sum(padded)
+
+    @classmethod
+    def of_tables(
+        cls, bs: int, plan: DispatchPlan, table: np.ndarray,
+        block_rows: np.ndarray, rows_live: int, rows_padded: int,
+    ) -> "LiveLayout":
+        """The layout of a topology whose tables were built elsewhere —
+        the native dispatch planner (``kernels/router.py``) writes
+        ``table`` and ``block_rows`` in the forms above; ``rows`` and
+        the regions are derived from them only if a NumPy executor asks."""
+        self = cls.__new__(cls)
+        self.block_size = bs
+        self.nnz_blocks = len(block_rows)
+        self._plan = plan
+        self.has_padding = rows_live != rows_padded
+        self.rows_live = rows_live
+        self.rows_padded = rows_padded
+        self.__dict__.update(table=table, block_rows=block_rows)
+        return self
+
+    @property
+    def _groups(self) -> tuple:
+        return self._plan.groups if self._plan is not None else ()
+
+    @cached_property
+    def rows(self) -> tuple:
+        """Per group ``(live rows, GEMM rows)`` as plain ints."""
+        return tuple(map(tuple, self.table.tolist()))
 
     @cached_property
     def table(self) -> np.ndarray:

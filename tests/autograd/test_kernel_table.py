@@ -28,6 +28,7 @@ prelude and the docs catalog in step.
 """
 
 import contextlib
+import dataclasses
 import os
 import re
 import shutil
@@ -41,8 +42,9 @@ from repro.autograd.function import Context, Function
 from repro.autograd.graph import host as graph_host
 from repro.autograd.lower import kernels, runtime, toolchain
 from repro.autograd.lower.kernels.base import OUT, Arr, Build, Rel, addr
+from repro.moe.permute import PaddedPlan
 from repro.observability import registry
-from repro.sparse import dispatch
+from repro.sparse import Topology, dispatch
 from repro.training import Adam
 from repro.training.optim import grad_norm
 
@@ -92,8 +94,15 @@ def _assert_same(got, want, what):
             and np.asarray(got).itemsize == np.asarray(want).itemsize
         )
         assert same_kind and (got is want or got == want), what
+    elif isinstance(want, (PaddedPlan, Topology)):
+        # built by a host record's runner: every field, array by array
+        # (a topology's memo is derived from its arrays)
+        assert type(got) is type(want), what
+        for f in dataclasses.fields(want):
+            if f.name != "memo":
+                _assert_same(getattr(got, f.name), getattr(want, f.name), f"{what}.{f.name}")
     else:
-        assert got is want, what  # a topology, an rng: passed through
+        assert got is want, what  # an rng, a module: passed through
 
 
 def _outcome(fn, *args):
@@ -116,7 +125,7 @@ def _assert_same_outcome(got, want, what):
 # One captured, lowered call of the op an entry replaces
 # ----------------------------------------------------------------------
 def _is_input(a) -> bool:
-    return isinstance(a, np.ndarray) or hasattr(a, "block_size")
+    return isinstance(a, (np.ndarray, Topology))
 
 
 class Lowered:
@@ -388,6 +397,21 @@ def test_a_fresh_conforming_operand_rebinds_and_counts_nothing(name):
     assert _fallbacks() == before + 1
 
 
+def test_a_frozen_basic_index_replays_a_live_view_of_the_same_operand():
+    """``x[:, 1:3]`` replayed on the same operand object — a parameter
+    Adam updates in place, an arena buffer served again — reads the
+    operand's current values: the unit holds a view, never a copy."""
+    entry = next(e for e in kernels.TABLE if e.name == "getitem_const")
+    x = np.arange(24, dtype=np.float32).reshape(4, 6)
+    args = (x, (slice(None), slice(1, 3)))
+    low = Lowered(entry, args)
+    for fill in (7.0, -2.5):
+        x[...] = fill * np.arange(24, dtype=np.float32).reshape(4, 6)
+        _, out = low.forward(args)
+        assert np.shares_memory(out, x)
+        np.testing.assert_array_equal(out, x[:, 1:3])
+
+
 def test_addr_is_the_data_pointer_of_any_array():
     """``addr`` is ``a.ctypes.data`` for every array, including the ones
     the buffer export refuses (empty, not C-contiguous, read-only)."""
@@ -601,11 +625,11 @@ def test_registry_is_consistent():
         ).stdout
         exported = set(re.findall(r"\b(repro_\w+)$", listing, re.M))
         assert exported == set(owners)
-    assert len(owners) == 43
+    assert len(owners) == 44
 
     forward = [e.name for e in kernels.TABLE if e.forward]
     backward = [e.bwd_name for e in kernels.TABLE if e.backward]
-    assert len(forward) == len(set(forward)) == 27
+    assert len(forward) == len(set(forward)) == 28
     assert len(backward) == len(set(backward)) == 16
     names = [e.name for e in kernels.TABLE]
     assert len(names) == len(set(names))

@@ -134,7 +134,7 @@ class TestTraining:
 @pytest.mark.parametrize("grad_clip", [0.0, CLIP], ids=["noclip", "clip"])
 @pytest.mark.parametrize("world", [2, 3, 4])
 def test_contract_on_both_transports(world, grad_clip):
-    """ROADMAP item 3's contract on ``run_step``: non-power-of-two
+    """ROADMAP item 4's contract on ``run_step``: non-power-of-two
     worlds included, on "sim" and "mp"."""
     sim = run_data_parallel(world, "sim", grad_clip=grad_clip)
     mp_ = run_data_parallel(world, "mp", grad_clip=grad_clip)

@@ -33,14 +33,14 @@ step_probe = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(step_probe)
 
 #: Measured on this model (CPython 3.11, steps 3-5 after three warm-up
-#: steps): replay / eager 0.65-0.66, cc / eager 0.443-0.446 since each
-#: native unit binds its operands once per accumulation slot (0.57-0.58
-#: when every call built its pointers); the bench shapes read 0.71-0.72
-#: for replay (``step_probe.py --opcodes``).  The ceilings sit 8 % above
-#: the measured ratio: wide enough for another interpreter's opcode
-#: granularity, and a change that adds a tenth to a compiled step's
-#: Python trips them (the count had drifted +5 % over three PRs with
-#: nothing to notice it).
+#: steps): replay / eager 0.65-0.66, cc / eager 0.414-0.416 since the
+#: dMoE dispatch plan is one native call (0.443-0.446 when it was built
+#: in NumPy, 0.57-0.58 when every call built its pointers); the bench
+#: shapes read 0.71-0.72 for replay (``step_probe.py --opcodes``).  The
+#: ceilings sat 8 % above the measured ratio when set: wide enough for
+#: another interpreter's opcode granularity, and a change that adds a
+#: tenth to a compiled step's Python trips them (the count had drifted
+#: +5 % over three PRs with nothing to notice it).
 REPLAY_CEILING = 0.71
 CC_CEILING = 0.48
 #: A 4-slot decode step of the same model, served: its serving plan bound

@@ -1,7 +1,10 @@
 """The tracing core: nesting, paths, breakdowns, zero-overhead disabled."""
 
+import threading
+import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.observability.tracing import (
@@ -153,3 +156,53 @@ class TestGlobalHook:
 
     def test_disabled_span_returns_shared_singleton(self):
         assert span("a") is span("b")
+
+
+class TestThreads:
+    """A tracer shared by threads nests each thread's spans on its own
+    stack: ``sim`` ranks are threads, and the collective holds every
+    rank inside its span at once."""
+
+    def test_traced_sim_ranks_exchange_a_bucket(self):
+        from repro.distributed import run_distributed
+
+        def body(group):
+            # Rank 0 opens its spans first and closes them first: on one
+            # shared stack each of its exits finds rank 1's span innermost.
+            arr = np.full(3, group.rank + 1.0, np.float32)
+            if group.rank:
+                time.sleep(0.05)
+            with span("step"):
+                group.all_reduce_bucket([arr])
+                if group.rank:
+                    time.sleep(0.05)
+            return arr
+
+        with tracing() as t:
+            res = run_distributed(body, 2, backend="sim")
+        for got in res.values:
+            np.testing.assert_array_equal(got, np.full(3, 3.0, np.float32))
+        for rank in (0, 1):
+            mine = [s for s in t.spans if s.thread == f"rank{rank}"]
+            assert [s.path for s in mine] == ["step/all_reduce", "step"]
+            root = mine[-1]
+            assert [c.path for c in t.children(root)] == ["step/all_reduce"]
+
+    def test_each_thread_exports_its_own_track(self):
+        from repro.observability.export import chrome_trace
+
+        t = Tracer()
+        with t.span("main"):
+            pass
+        thread = threading.Thread(target=self._two_spans, args=(t,), name="w")
+        thread.start()
+        thread.join()
+        events = [e for e in chrome_trace(t)["traceEvents"] if e["ph"] == "X"]
+        tracks = {e["name"]: e["tid"] for e in events}
+        assert tracks == {"main": 0, "inner": 1, "outer": 1}
+
+    @staticmethod
+    def _two_spans(t):
+        with t.span("outer"):
+            with t.span("inner"):
+                pass
