@@ -23,8 +23,8 @@ from repro.distributed.backend import (
     run_distributed,
 )
 from repro.distributed.expert_parallel import (
+    ExpertParallelCaptureError,
     ExpertParallelDMoE,
-    ExpertParallelResult,
 )
 
 __all__ = [
@@ -40,6 +40,6 @@ __all__ = [
     "all_to_all",
     "log_all_to_all",
     "run_distributed",
+    "ExpertParallelCaptureError",
     "ExpertParallelDMoE",
-    "ExpertParallelResult",
 ]

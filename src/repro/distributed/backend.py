@@ -362,9 +362,10 @@ def run_distributed(
         timeout_s: whole-run deadline enforced by the supervisor; on
             expiry surviving workers are killed, shared memory is
             swept, and :class:`WorkerFailure` is raised.
-        op_timeout_s: per-recv deadline inside ``"mp"`` collectives —
-            how long a rank waits on a silent peer before declaring a
-            collective fault (real dead-rank detection).
+        op_timeout_s: how long a rank waits on a silent peer inside
+            one collective before declaring a collective fault — a
+            per-recv deadline under ``"mp"`` (real dead-rank detection),
+            the rendezvous barrier's timeout under ``"sim"``.
         faults: optional sequence of
             :class:`repro.resilience.faults.FaultEvent` delivered into
             the workers.  Under ``"mp"`` these are *real*: a matching
@@ -381,7 +382,9 @@ def run_distributed(
     if backend == "sim":
         from repro.distributed.sim_backend import run_sim
 
-        return run_sim(fn, world, faults=faults, step=step)
+        return run_sim(
+            fn, world, faults=faults, step=step, op_timeout_s=op_timeout_s
+        )
     if backend == "mp":
         from repro.distributed.mp_backend import run_mp
 

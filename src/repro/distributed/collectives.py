@@ -119,12 +119,14 @@ def log_all_to_all(
 ) -> None:
     """Record one logical all-to-all's volume into ``log``.
 
-    Factored out of :func:`all_to_all` so retry wrappers (e.g.
-    ``ExpertParallelDMoE._exchange``) can account each *logical*
-    exchange exactly once, however many transport attempts it took.
-    Stores true mean per-rank bytes plus the per-source breakdown and
-    the straggler's (max-sender) volume — skewed token routing no
-    longer inflates the per-rank number.
+    ``buffers[src][dst]`` is the whole grid, every rank's sends, as
+    :func:`all_to_all` takes it; a rank that sees only its own sends
+    logs its off-diagonal bytes itself, once per logical exchange
+    however many transport attempts it took (as
+    :class:`~repro.distributed.expert_parallel.ExpertParallelDMoE`
+    does).  Stores true mean per-rank bytes plus the per-source
+    breakdown and the straggler's (max-sender) volume — skewed token
+    routing does not inflate the per-rank number.
     """
     world = len(buffers)
     if log is None or world <= 1:

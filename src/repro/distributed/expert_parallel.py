@@ -1,85 +1,78 @@
-"""Expert-parallel dMoE, written once from one rank's point of view.
+"""Expert-parallel dMoE: one rank's layer, recorded on one tape.
 
 Distributed MoE training shards experts across GPUs and moves *tokens* to
 their experts through all-to-alls (Lepikhin et al., 2020; §5 of the
-paper).  One rank of that dataflow, over a :class:`ProcessGroup`:
+paper).  :class:`ExpertParallelDMoE` is one rank of that dataflow over a
+:class:`ProcessGroup`, built once per rank from the single-process
+:class:`~repro.core.dMoE` it shards.  Its forward:
 
-1. route the rank's own tokens with the layer's (replicated) router;
-2. bucket token copies by destination rank and exchange them — the
-   (tiny) expert ids first, then the tokens, posted asynchronously
-   while the rank builds its padded plan and block topology from the ids
-   (the comm/compute overlap of §5);
-3. run Figure 6's expert MLP (:func:`repro.core.dmoe.expert_mlp`, the
-   same function the single-process layer calls) over the rank's expert
-   shard and the tokens it received;
-4. return the results to their source ranks (all-to-all #2) and combine
-   them with the router weights.
+1. routes the rank's own tokens with its copy of the layer's router;
+2. gathers the routed token copies in destination-rank order;
+3. exchanges the (tiny) expert ids, untaped;
+4. posts the token exchange;
+5. builds the padded plan and block topology from the ids while the
+   tokens are in flight (the comm/compute overlap of §5);
+6. runs Figure 6's expert MLP (:func:`repro.core.dmoe.expert_mlp`, the
+   function the single-process layer calls) over the rank's expert
+   shard, and un-pads the result;
+7. returns the results to their source ranks;
+8. weights them by the router and scatters them to token order.
 
-With an upstream gradient the same body continues into the backward
-pass: output gradients route through two more all-to-alls (four per
-layer in total, exactly what the cost model charges), the block-sparse
-backward products run on each rank's shard, and expert weight gradients
-stay rank-local (never all-reduced, per expert parallelism).  Routing is
-treated as fixed during backward (the router projection trains through
-the single-process path).
+The two token exchanges are :class:`_AllToAll` tape nodes whose backward
+is the reverse exchange over the same cuts, so ``out.backward(grad)`` is
+the rank's whole backward: four all-to-alls per layer (what the cost
+model charges), router and input gradients as in the single-process
+layer, and expert gradients in the rank's own shard (never all-reduced,
+per expert parallelism).
 
-The body runs unchanged on rank-threads (``"sim"``) and forked ranks
-(``"mp"``), bit-identically; "in process" means
-``run_distributed(..., backend="sim")``, which is all
-:meth:`ExpertParallelDMoE.forward` / :meth:`~ExpertParallelDMoE
-.forward_backward` do.  The result matches the single-process
-:class:`repro.core.dMoE` on the concatenated batch to 1e-9 (tested), and
-the :class:`CommLog` captures the exact all-to-all volumes the cost
-model charges.
+The layer runs unchanged on rank-threads (``"sim"``) and forked ranks
+(``"mp"``), bit-identically, and matches the single-process dMoE on the
+concatenated batch to 1e-9 — output, input, router and expert gradients
+(tested).  Each rank's :class:`CommLog` holds the exact all-to-all
+volumes the cost model charges.
+
+It runs on the eager rungs only.  A captured graph would freeze the
+routing-dependent cuts, and a rank recapturing mid-replay would pair its
+exchanges with the wrong ones of its peers; built or called under a
+capture session the layer raises :class:`ExpertParallelCaptureError`
+before it routes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+import copy
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.autograd import gather_rows, scatter_rows
+from repro.autograd.execution import current
+from repro.autograd.function import Function
 from repro.autograd.tensor import Tensor
 from repro.core.dmoe import dMoE, expert_mlp
 from repro.core.topology_builder import expert_of_padded_row, make_topology
-from repro.distributed.backend import ProcessGroup, run_distributed
+from repro.distributed.backend import PendingAllToAll, ProcessGroup
 from repro.distributed.collectives import CommLog
 from repro.distributed.mesh import DeviceMesh
 from repro.moe.permute import make_padded_plan, padded_gather
+from repro.nn.module import Module, Parameter
+from repro.observability.tracing import span
 from repro.resilience import counters as res_counters
 from repro.resilience.faults import CollectiveFault, RetryPolicy
 
 
-@dataclass
-class ExpertParallelResult:
-    """Outputs of an expert-parallel forward across the whole mesh."""
-
-    outputs_per_rank: List[np.ndarray]
-    tokens_received_per_rank: List[int]
-    comm_log: CommLog
+class ExpertParallelCaptureError(RuntimeError):
+    """An expert-parallel layer met a capture session (the ``replay`` and
+    ``cc`` rungs), which it cannot yet run under."""
 
 
-@dataclass
-class ExpertParallelRankResult:
-    """What one rank produced — everything a caller may want from a
-    forked rank has to come back through this value.
-
-    ``comm_log`` holds this rank's true off-diagonal bytes, one record
-    per logical all-to-all.  ``input_grad`` / ``expert_grads`` (the
-    ``w1/b1/w2/b2`` gradients of the rank's *shard*) are set by the
-    backward pass only.  ``corrupt_detected`` counts non-finite payloads
-    this rank received, ``retries`` the exchanges it re-issued.
-    """
-
-    output: Optional[np.ndarray] = None
-    tokens_received: int = 0
-    comm_log: CommLog = field(default_factory=CommLog)
-    input_grad: Optional[np.ndarray] = None
-    expert_grads: Optional[Dict[str, np.ndarray]] = None
-    corrupt_detected: int = 0
-    retries: int = 0
+def _refuse_capture() -> None:
+    if current().capture is not None:
+        raise ExpertParallelCaptureError(
+            "ExpertParallelDMoE runs on the eager rungs only: its exchange "
+            "cuts depend on routing, which a captured graph would freeze "
+            "rank by rank"
+        )
 
 
 def _payloads_finite(received: Sequence[np.ndarray]) -> bool:
@@ -90,124 +83,57 @@ def _payloads_finite(received: Sequence[np.ndarray]) -> bool:
     )
 
 
-class ExpertParallelDMoE:
-    """Runs a :class:`dMoE` with its experts sharded over a mesh.
+class _AllToAll(Function):
+    """An all-to-all on the tape: the rows of ``x``, cut at ``cuts`` into
+    one piece per destination rank, arrive concatenated by source rank.
 
-    Routing is per rank: each rank calls the layer's own router on its
-    own tokens, so a *per-token* router (the learned top-k
-    :class:`~repro.moe.router.Router`, with or without weight
-    normalisation) reproduces the single-process layer on the
-    concatenated batch.  Routers that assign across the whole batch —
-    :mod:`repro.moe.routing_alt`'s BASE and Sinkhorn — see one rank's
-    tokens at a time and are a different function under expert
-    parallelism by construction.  The same holds for the
-    non-finite-logits fallback, which spreads tokens round-robin over
-    *local* token indices: outputs stay finite and every copy is
-    delivered, but equality with the single-process layer is not
-    promised there.
+    ``forward(x, ep, cuts, pending)`` completes ``pending``, the exchange
+    :meth:`post` already put in flight over ``ep``'s group, or posts it
+    itself when ``pending`` is ``None``.  Backward sends the gradient's
+    pieces back over the same cuts.  Each direction is one logical
+    exchange: one ``all_to_all`` span, one record in ``ep.comm_log``,
+    and ``ep``'s receipt validation and retry (:meth:`complete`).
 
-    Args:
-        layer: the single-process dMoE whose experts are sharded.
-        mesh: device mesh supplying the expert-parallel world size.
-        retry_policy: when given, every token-bearing all-to-all is
-            validated on receipt — a payload containing NaN/Inf (a
-            corrupted exchange, e.g. a ``corrupt_payload`` event passed
-            as ``run_distributed(..., faults=[...])``) is treated as a
-            transient fault and the exchange is re-issued under the
-            policy's bounded retry/backoff.  Retrying is a *collective*
-            decision: the ranks agree through one tiny ``all_reduce``
-            whether anyone received a bad payload, and all re-issue or
-            none.  ``None`` (default) keeps the unvalidated fast path.
-            The policy's own counters are a convenience of the
-            in-process drivers only (rank-threads share the object and
-            bump it unsynchronised; a forked rank bumps a copy): read
-            :class:`ExpertParallelRankResult` for exact per-rank counts.
+    The reverse exchange is unconditional: an empty gradient — a rank
+    with no tokens, or one that received none — still enters it, so no
+    peer waits on a rank that skipped.  (The walk skips a node whose
+    gradient is ``None``; every op between an exchange and the layer's
+    output hands back an array, empty or not.)
     """
 
-    def __init__(
-        self,
-        layer: dMoE,
-        mesh: DeviceMesh,
-        retry_policy: Optional[RetryPolicy] = None,
-    ) -> None:
-        if layer.num_experts % mesh.expert_parallel:
-            raise ValueError(
-                f"{layer.num_experts} experts not divisible over "
-                f"{mesh.expert_parallel} expert-parallel ranks"
-            )
-        self.layer = layer
-        self.mesh = mesh
-        self.local_experts = layer.num_experts // mesh.expert_parallel
-        self.retry_policy = retry_policy
-
-    # ------------------------------------------------------------------
-    # Stages of one rank's dataflow.
-    # ------------------------------------------------------------------
-    def _route_and_bucket(self, x: np.ndarray):
-        """Route one rank's tokens with the layer's own router and group
-        the routed copies by destination rank.
-
-        Returns ``(rows, cuts, local_ids, weights)``, one entry per
-        routed copy, grouped by destination (arrival order within a
-        group): the copy's source token row, its expert id on the
-        destination's shard and its router weight.  ``np.split(a, cuts)``
-        breaks any array in that order into one piece per destination.
-        Indices and weights are constants (fixed-routing semantics).
-        """
-        routing = self.layer.router(Tensor(x))
-        top_k = routing.expert_indices.shape[1]
-        experts = routing.expert_indices.reshape(-1)
-        dest = experts // self.local_experts
-        order = np.argsort(dest, kind="stable")
-        cuts = np.cumsum(np.bincount(dest, minlength=self.mesh.expert_parallel))
-        return (
-            order // top_k,
-            cuts[:-1],
-            (experts % self.local_experts)[order].astype(np.int64),
-            routing.expert_weights.data.reshape(-1)[order],
-        )
-
-    def _build_local_plan(self, local_expert_ids: np.ndarray):
-        """Padded plan + block topology for one rank's received tokens.
-
-        Pure host-side metadata construction — it needs only the (tiny)
-        expert-id assignments, not the token payloads, which is exactly
-        what lets the rank body run it *while* the token all-to-all is
-        still in flight.
-        """
-        plan = make_padded_plan(
-            local_expert_ids[:, None], self.local_experts, self.layer.block_size
-        )
-        topology = make_topology(plan, self.layer.ffn_hidden_size)
-        return plan, topology
-
-    def _post(self, group: ProcessGroup, send, res: ExpertParallelRankResult):
-        """Post one logical all-to-all.  Its volume — this rank's true
-        off-diagonal bytes, no mean over a world it cannot see — is
-        accounted here, once, however many transport attempts
-        :meth:`_receive` ends up making."""
+    @staticmethod
+    def post(ep: "ExpertParallelDMoE", send: List[np.ndarray]) -> PendingAllToAll:
+        """Put one logical all-to-all in flight.  Its volume — this
+        rank's true off-diagonal bytes, no mean over a world it cannot
+        see — is logged here, once, however many transport attempts
+        :meth:`complete` ends up making."""
+        group = ep.group
         if group.world > 1:
             mine = float(
                 sum(s.nbytes for dst, s in enumerate(send) if dst != group.rank)
             )
-            res.comm_log.log("all_to_all", group.world, mine, max_bytes_sent=mine)
+            ep.comm_log.log("all_to_all", group.world, mine, max_bytes_sent=mine)
         return group.isend_all_to_all(send)
 
-    def _receive(self, group: ProcessGroup, send, pending, res):
-        """Complete a posted all-to-all, validating receipt and
-        re-issuing it under the retry policy (when configured)."""
+    @staticmethod
+    def complete(
+        ep: "ExpertParallelDMoE", send: List[np.ndarray], pending: PendingAllToAll
+    ) -> List[np.ndarray]:
+        """Wait for a posted all-to-all, validating receipt and
+        re-issuing it under ``ep``'s retry policy (when configured)."""
         received = pending.wait()
-        if self.retry_policy is None:
+        if ep.retry_policy is None:
             return received
+        group = ep.group
 
         def attempt(k: int):
             nonlocal received
             if k:
-                res.retries += 1
+                ep.retries += 1
                 received = group.all_to_all(send)
             bad = not _payloads_finite(received)
             if bad:
-                res.corrupt_detected += 1
+                ep.corrupt_detected += 1
                 res_counters.increment("ep_corrupt_payload_detected")
             # One rank's bad payload is everyone's retry: re-issuing is
             # itself a collective, so all ranks must take the same branch.
@@ -215,166 +141,170 @@ class ExpertParallelDMoE:
                 raise CollectiveFault("all_to_all", None, k)
             return received
 
-        return self.retry_policy.run(attempt)
+        return ep.retry_policy.run(attempt)
 
-    def _exchange(self, group: ProcessGroup, send, res) -> List[np.ndarray]:
-        return self._receive(group, send, self._post(group, send, res), res)
+    @staticmethod
+    def forward(ctx, x, ep, cuts, pending):
+        send = np.split(x, cuts)
+        with span("all_to_all", {"world": ep.group.world}):
+            if pending is None:
+                pending = _AllToAll.post(ep, send)
+            received = _AllToAll.complete(ep, send, pending)
+        ctx.save_for_backward(ep, np.cumsum([len(r) for r in received])[:-1])
+        return np.concatenate(received)
 
-    # ------------------------------------------------------------------
-    # The rank body.
-    # ------------------------------------------------------------------
-    def forward_rank(
-        self, group: ProcessGroup, x_local: np.ndarray
-    ) -> ExpertParallelRankResult:
-        """One rank's distributed forward over a live ProcessGroup."""
-        return self._rank_step(group, x_local, None)
+    @staticmethod
+    def backward(ctx, grad):
+        ep, recv_cuts = ctx.saved
+        send = np.split(grad, recv_cuts)
+        with span("all_to_all", {"world": ep.group.world}):
+            back = _AllToAll.complete(ep, send, _AllToAll.post(ep, send))
+        return (np.concatenate(back),)
 
-    def forward_backward_rank(
-        self, group: ProcessGroup, x_local: np.ndarray, grad_local: np.ndarray
-    ) -> ExpertParallelRankResult:
-        """One rank's distributed forward + backward (fixed routing):
-        four all-to-alls in total (token dispatch, result return,
-        output-gradient dispatch, input-gradient return)."""
-        return self._rank_step(group, x_local, grad_local)
 
-    def _rank_step(
+class ExpertParallelDMoE(Module):
+    """One rank's share of a :class:`dMoE` whose experts are sharded
+    over ``group``.
+
+    Built once per rank — inside the rank's ``run_distributed`` function
+    — from the single-process ``layer``.  The rank owns a copy of the
+    layer's router and the parameters of its contiguous block of experts
+    (:meth:`DeviceMesh.expert_slice`, which refuses an expert count the
+    group's world does not divide).  Both are the rank's own: ``"sim"``
+    ranks are threads, and a shared parameter's ``.grad`` is not
+    thread-safe.  Called like the dMoE, it returns ``(output,
+    aux_loss)``, so it drops into a :class:`~repro.nn.TransformerLM` as
+    an FFN.
+
+    Routing is per rank: each rank routes its own tokens, so a
+    *per-token* router (the learned top-k
+    :class:`~repro.moe.router.Router`, with or without weight
+    normalisation) reproduces the single-process layer on the
+    concatenated batch.  Routers that assign across the whole batch —
+    :mod:`repro.moe.routing_alt`'s BASE and Sinkhorn — see one rank's
+    tokens at a time and are a different function under expert
+    parallelism by construction, and so are the auxiliary losses, which
+    reduce over the rank's tokens.  The same holds for the
+    non-finite-logits fallback, which spreads tokens round-robin over
+    *local* token indices: outputs stay finite and every copy is
+    delivered, but equality with the single-process layer is not
+    promised there.
+
+    Args:
+        layer: the single-process dMoE whose experts are sharded.
+        group: this rank's process group; its world is the
+            expert-parallel world.
+        retry_policy: when given, every token exchange (forward and
+            backward) is validated on receipt — a payload containing
+            NaN/Inf (a corrupted exchange, e.g. a ``corrupt_payload``
+            event passed as ``run_distributed(..., faults=[...])``) is
+            treated as a transient fault and the exchange is re-issued
+            under the policy's bounded retry/backoff.  Retrying is a
+            *collective* decision: the ranks agree through one tiny
+            ``all_reduce`` whether anyone received a bad payload, and
+            all re-issue or none.  ``None`` (default) keeps the
+            unvalidated fast path.
+
+    Per-rank readings live on the module: ``comm_log`` holds this rank's
+    true off-diagonal bytes, one record per logical token exchange;
+    ``tokens_received`` is the number of token copies the last forward
+    computed on this shard; ``corrupt_detected`` counts non-finite
+    payloads this rank received and ``retries`` the exchanges it
+    re-issued.
+    """
+
+    def __init__(
         self,
+        layer: dMoE,
         group: ProcessGroup,
-        x_local: np.ndarray,
-        grad_local: Optional[np.ndarray],
-    ) -> ExpertParallelRankResult:
-        """Forward, then backward when ``grad_local`` is given.
-
-        Everything tapes onto rank-private leaf tensors (the rank's
-        tokens, the tokens it received, views of its expert shard) —
-        ranks of the ``"sim"`` backend are threads and must share no
-        tape.  Forward-only is the same body over non-grad tensors, so
-        both directions run one code path.
-        """
-        if group.world != self.mesh.expert_parallel:
-            raise ValueError(
-                f"group world {group.world} != mesh expert_parallel "
-                f"{self.mesh.expert_parallel}"
-            )
-        layer, local = self.layer, self.local_experts
-        h, f = layer.hidden_size, layer.ffn_hidden_size
-        train = grad_local is not None
-        res = ExpertParallelRankResult()
-
-        # (1) Route and bucket; the dispatch gather is taped.
-        x = Tensor(np.asarray(x_local), requires_grad=train)
-        rows, cuts, local_ids, weights = self._route_and_bucket(x.data)
-        sent = gather_rows(x, rows)
-
-        # (2) Expert ids first — a few hundred int64s whose arrival
-        # unlocks all the host-side planning — then the tokens, in
-        # flight while the plan and topology are built.
-        recv_ids = group.all_to_all(np.split(local_ids, cuts))
-        recv_cuts = np.cumsum([len(ids) for ids in recv_ids])[:-1]
-        send_tokens = np.split(sent.data, cuts)
-        pending = self._post(group, send_tokens, res)
-        plan, topology = self._build_local_plan(np.concatenate(recv_ids))
-        recv_tokens = self._receive(group, send_tokens, pending, res)
-
-        # (3) Figure 6's expert MLP over this rank's shard.
-        tokens = Tensor(np.concatenate(recv_tokens), requires_grad=train)
-        res.tokens_received = len(tokens)
-        shard = slice(group.rank * local, (group.rank + 1) * local)
+        retry_policy: Optional[RetryPolicy] = None,
+    ) -> None:
+        _refuse_capture()
+        super().__init__()
+        mine = DeviceMesh(group.world, group.world).expert_slice(
+            group.rank, layer.num_experts
+        )
+        self.group = group
+        self.retry_policy = retry_policy
+        self.local_experts = len(mine)
+        self.hidden_size = layer.hidden_size
+        self.ffn_hidden_size = layer.ffn_hidden_size
+        self.block_size = layer.block_size
+        self.activation = layer.activation
+        self.router = copy.deepcopy(layer.router)
         e = layer.experts
-        w1, b1, w2, b2 = (
-            Tensor(p.data[shard], requires_grad=train)
+        self.w1, self.b1, self.w2, self.b2 = (
+            Parameter(p.data[mine.start : mine.stop].copy())
             for p in (e.w1, e.b1, e.w2, e.b2)
         )
+        self.comm_log = CommLog()
+        self.tokens_received = 0
+        self.corrupt_detected = 0
+        self.retries = 0
+        self.train(layer.training)
+
+    def _bucket(self, expert_indices: np.ndarray):
+        """Group the routed copies by destination rank.
+
+        Returns ``(order, cuts, local_ids)``: the flat ``(token, k)``
+        copy index of each copy in destination order (arrival order
+        within a destination), where ``np.split`` breaks that order into
+        one piece per destination, and each copy's expert id on its
+        destination's shard.
+        """
+        experts = expert_indices.reshape(-1)
+        dest = experts // self.local_experts
+        order = np.argsort(dest, kind="stable")
+        cuts = np.cumsum(np.bincount(dest, minlength=self.group.world))[:-1]
+        return order, cuts, (experts % self.local_experts)[order].astype(np.int64)
+
+    def forward(self, x: Tensor):
+        """Apply the rank's share of the layer; returns ``(output,
+        aux_loss)``.  ``x`` may be ``(tokens, hidden)`` or ``(batch,
+        seq, hidden)``."""
+        _refuse_capture()
+        shape = x.shape
+        if x.ndim == 3:
+            x = x.reshape((shape[0] * shape[1], shape[2]))
+        local, f = self.local_experts, self.ffn_hidden_size
+
+        # (1)-(2) Route, then gather the copies in destination order.
+        routing = self.router(x)
+        order, cuts, local_ids = self._bucket(routing.expert_indices)
+        rows = order // routing.expert_indices.shape[1]
+        sent = gather_rows(x, rows)
+
+        # (3) Expert ids first — a few hundred int64s whose arrival
+        # unlocks all the host-side planning — (4) then the tokens, (5)
+        # in flight while the plan and topology are built.
+        recv_ids = self.group.all_to_all(np.split(local_ids, cuts))
+        pending = _AllToAll.post(self, np.split(sent.data, cuts))
+        plan = make_padded_plan(
+            np.concatenate(recv_ids)[:, None], local, self.block_size
+        )
+        topology = make_topology(plan, f)
+        tokens = _AllToAll.apply(sent, self, cuts, pending)
+        self.tokens_received = len(tokens)
+
+        # (6) Figure 6's expert MLP over this rank's shard, un-padded
+        # back to arrival order (the router weights apply at the source).
         y = expert_mlp(
             padded_gather(tokens, plan),
-            w1,
-            b1.reshape((local * f,)),
-            w2.reshape((local * f, h)),
-            b2,
+            self.w1,
+            self.b1.reshape((local * f,)),
+            self.w2.reshape((local * f, self.hidden_size)),
+            self.b2,
             topology,
             expert_of_padded_row(plan),
-            layer.activation,
+            self.activation,
         )
-        # Un-pad back to arrival order (weights apply at the source).
         y = scatter_rows(y, plan.gather_indices, len(tokens))
 
-        # (4) Return exchange, then the weighted combine at the source.
-        back = self._exchange(group, np.split(y.data, recv_cuts), res)
-        returned = Tensor(np.concatenate(back), requires_grad=train)
-        out = scatter_rows(returned * Tensor(weights[:, None]), rows, len(x))
-        res.output = out.data
-        if not train:
-            return res
-
-        # Backward: combine -> grad all-to-all -> local experts -> grad
-        # all-to-all -> dispatch gather.  The collectives live outside
-        # the tape; gradients hop between the taped stages by hand.
-        out.backward(grad_local)
-        dy = self._exchange(group, np.split(returned.grad, cuts), res)
-        y.backward(np.concatenate(dy))
-        dx = self._exchange(group, np.split(tokens.grad, recv_cuts), res)
-        sent.backward(np.concatenate(dx))
-        res.input_grad = x.grad
-        res.expert_grads = {
-            "w1": w1.grad, "b1": b1.grad, "w2": w2.grad, "b2": b2.grad
-        }
-        return res
-
-    # ------------------------------------------------------------------
-    # In-process drivers: every rank of the mesh as a "sim" rank-thread.
-    # ------------------------------------------------------------------
-    def _run_ranks(self, x_per_rank, grad_per_rank=None):
-        world = self.mesh.expert_parallel
-        if len(x_per_rank) != world:
-            raise ValueError(
-                f"expected {world} per-rank inputs, got {len(x_per_rank)}"
-            )
-        grads = grad_per_rank if grad_per_rank is not None else [None] * world
-        ranks = run_distributed(
-            lambda g: self._rank_step(g, x_per_rank[g.rank], grads[g.rank]),
-            world,
-            backend="sim",
-        ).values
-        # One record per logical exchange: mean per-rank bytes, the
-        # per-source breakdown and the straggler's volume.
-        log = CommLog()
-        for records in zip(*(r.comm_log.records for r in ranks)):
-            by_rank = [rec.bytes_sent_per_rank for rec in records]
-            log.log(
-                "all_to_all",
-                world,
-                float(np.mean(by_rank)),
-                bytes_by_rank=by_rank,
-                max_bytes_sent=float(max(by_rank)),
-            )
-        result = ExpertParallelResult(
-            outputs_per_rank=[r.output for r in ranks],
-            tokens_received_per_rank=[r.tokens_received for r in ranks],
-            comm_log=log,
-        )
-        return result, ranks
-
-    def forward(self, x_per_rank: Sequence[np.ndarray]) -> ExpertParallelResult:
-        """Run the distributed forward over per-rank token batches."""
-        return self._run_ranks(x_per_rank)[0]
-
-    def forward_backward(
-        self,
-        x_per_rank: Sequence[np.ndarray],
-        grad_per_rank: Sequence[np.ndarray],
-    ):
-        """Distributed forward + backward with fixed routing.
-
-        Each rank's shard gradients accumulate into ``self.layer.experts``
-        parameters.  Returns ``(ExpertParallelResult,
-        input_grads_per_rank)``; input gradients exclude the router-score
-        path (routing is fixed).
-        """
-        result, ranks = self._run_ranks(x_per_rank, grad_per_rank)
-        local = self.local_experts
-        for name, p in self.layer.experts.named_parameters():
-            if p.grad is None:
-                p.grad = np.zeros_like(p.data)
-            for r, rank in enumerate(ranks):
-                p.grad[r * local : (r + 1) * local] += rank.expert_grads[name]
-        return result, [rank.input_grad for rank in ranks]
+        # (7) Return exchange, (8) then the weighted combine.
+        recv_cuts = np.cumsum([len(ids) for ids in recv_ids])[:-1]
+        back = _AllToAll.apply(y, self, recv_cuts, None)
+        weights = gather_rows(routing.expert_weights.reshape((-1, 1)), order)
+        out = scatter_rows(back * weights, rows, len(x))
+        if len(shape) == 3:
+            out = out.reshape(shape)
+        return out, routing.aux_loss

@@ -39,12 +39,12 @@ from repro.resilience.faults import CollectiveFault, FaultEvent, FaultSchedule
 class _Rendezvous:
     """Shared slots + barrier; the barrier action computes in one thread."""
 
-    def __init__(self, world: int) -> None:
+    def __init__(self, world: int, timeout_s: Optional[float] = None) -> None:
         self.world = world
         self.slots: List[Any] = [None] * world
         self.out: List[Any] = [None] * world
         self._compute: Optional[Callable[[List[Any]], List[Any]]] = None
-        self.barrier = threading.Barrier(world, action=self._run)
+        self.barrier = threading.Barrier(world, action=self._run, timeout=timeout_s)
         self.fault_lock = threading.Lock()
 
     def _run(self) -> None:
@@ -64,7 +64,8 @@ class _Rendezvous:
             self.barrier.wait()
         except threading.BrokenBarrierError:
             raise CollectiveFault(
-                op, group._step, 0, detail="peer rank failed (barrier broken)"
+                op, group._step, 0,
+                detail="peer rank failed or never arrived (barrier broken)",
             ) from None
         finally:
             group.wait_s += time.perf_counter() - t0
@@ -179,9 +180,12 @@ def run_sim(
     world: int,
     faults: Optional[Sequence[FaultEvent]] = None,
     step: Optional[int] = None,
+    op_timeout_s: Optional[float] = None,
 ) -> DistributedRunResult:
-    """Run ``fn`` on ``world`` rank-threads over one rendezvous."""
-    rendezvous = _Rendezvous(world)
+    """Run ``fn`` on ``world`` rank-threads over one rendezvous.  A rank
+    that waits longer than ``op_timeout_s`` in one collective breaks it
+    for every rank, as a silent peer does under ``"mp"``."""
+    rendezvous = _Rendezvous(world, op_timeout_s)
     schedule = FaultSchedule(list(faults)) if faults else None
     groups = [
         SimProcessGroup(r, world, rendezvous, schedule, step)

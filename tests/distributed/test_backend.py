@@ -14,6 +14,7 @@ import os
 import signal
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,10 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.autograd import Tensor
-from repro.core import dMoE
 from repro.distributed import (
     CommLog,
-    DeviceMesh,
     ExpertParallelDMoE,
     WorkerFailure,
     all_reduce,
@@ -33,6 +32,7 @@ from repro.distributed import (
 from repro.distributed import shm
 from repro.distributed.backend import ProcessGroup, open_echo_group
 from repro.distributed.mp_backend import MpEchoGroup
+from repro.moe.permute import make_padded_plan
 from repro.resilience.faults import (
     CORRUPT_PAYLOAD,
     DELAY,
@@ -42,8 +42,11 @@ from repro.resilience.faults import (
     FaultSchedule,
     RetryPolicy,
 )
-from tests.distributed.test_expert_parallel_backward import (
-    _fixed_routing_reference,
+from tests.distributed.ep_ranks import (
+    assert_matches_single_process,
+    assert_ranks_equal,
+    ep_rank,
+    make_layer,
 )
 
 WORLDS = [2, 4]
@@ -148,16 +151,6 @@ class TestCollectiveBitIdentity:
         assert shm.leaked_segments(res.extras["session"]) == []
 
 
-def _make_ep(world, top_k=1, experts=12, retry_policy=None):
-    layer = dMoE(
-        16, 32, experts, top_k=top_k, block_size=4, rng=0,
-        load_balance_coef=0.0,
-    )
-    layer.eval()
-    mesh = DeviceMesh(world=world, expert_parallel=world)
-    return layer, ExpertParallelDMoE(layer, mesh, retry_policy=retry_policy)
-
-
 #: Rows per rank, by world size.  "one_expert" zeroes the router, so
 #: every token ties onto the lowest expert ids and every shard but the
 #: first receives nothing.
@@ -170,29 +163,24 @@ EP_BATCHES = {
 
 
 def _ep_case(world, top_k, batches, seed=3):
-    layer, ep = _make_ep(world, top_k)
+    layer = make_layer(experts=12, top_k=top_k)
     if batches == "one_expert":
         layer.router.proj.weight.data[...] = 0.0
     rng = np.random.default_rng(seed)
     sizes = EP_BATCHES[batches](world)
     xs = [rng.standard_normal((n, 16)) for n in sizes]
     gs = [rng.standard_normal((n, 16)) for n in sizes]
-    return layer, ep, xs, gs
+    return layer, xs, gs
 
 
-def _assert_rank_results_equal(a, b):
-    """Two ExpertParallelRankResults, bit for bit."""
-    np.testing.assert_array_equal(a.output, b.output, strict=True)
-    assert a.tokens_received == b.tokens_received
-    assert a.comm_log.records == b.comm_log.records
-    assert (a.input_grad is None) == (b.input_grad is None)
-    if a.input_grad is not None:
-        np.testing.assert_array_equal(a.input_grad, b.input_grad, strict=True)
-        assert a.expert_grads.keys() == b.expert_grads.keys()
-        for k in a.expert_grads:
-            np.testing.assert_array_equal(
-                a.expert_grads[k], b.expert_grads[k], err_msg=k, strict=True
-            )
+def _both_backends(fn, world, **kw):
+    """``fn``'s rank values on ``"sim"`` and on ``"mp"``, asserted equal
+    bit for bit, rank by rank; returns the ``"mp"`` ones."""
+    sim = run_distributed(fn, world, backend="sim", **kw).values
+    mp_ = run_distributed(fn, world, backend="mp", **kw).values
+    for s, m in zip(sim, mp_):
+        assert_ranks_equal(s, m)
+    return mp_
 
 
 def _ep_matrix(test):
@@ -207,107 +195,89 @@ def _ep_matrix(test):
 
 
 class TestExpertParallelBitIdentity:
-    """The expert-parallel conformance matrix: one rank body, two
-    transports, the in-process drivers and the layer it shards."""
+    """The expert-parallel conformance matrix: one layer, two transports,
+    and the single-process layer it shards."""
 
     @_ep_matrix
-    def test_forward_rank_across_backends_and_reference(
-        self, world, top_k, batches
-    ):
-        """mp == sim == in-process forward, bitwise; and all three match
-        the single-process dMoE to float tolerance."""
-        layer, ep, xs, _ = _ep_case(world, top_k, batches)
-
-        def fn(group):
-            return ep.forward_rank(group, xs[group.rank])
-
-        sim = run_distributed(fn, world, backend="sim").values
-        mp_ = run_distributed(fn, world, backend="mp").values
-        ref = ep.forward(xs)
-        for r in range(world):
-            _assert_rank_results_equal(sim[r], mp_[r])
-            np.testing.assert_array_equal(
-                mp_[r].output, ref.outputs_per_rank[r], strict=True
-            )
-            assert mp_[r].input_grad is None
-            assert mp_[r].comm_log.counts() == (
+    def test_forward_across_backends_and_reference(self, world, top_k, batches):
+        """mp == sim, bitwise; both match the single-process dMoE to
+        float tolerance."""
+        layer, xs, _ = _ep_case(world, top_k, batches)
+        ranks = _both_backends(ep_rank(layer, xs), world)
+        for r in ranks:
+            assert r["comm_log"].counts() == (
                 {"all_to_all": 2} if world > 1 else {}
             )
-        received = [v.tokens_received for v in mp_]
-        assert received == ref.tokens_received_per_rank
+        received = [r["tokens_received"] for r in ranks]
         assert sum(received) == sum(len(x) for x in xs) * top_k
         if batches == "one_expert":
             assert received[1:] == [0] * (world - 1)
 
-        single, _ = layer(Tensor(np.concatenate(xs), dtype=np.float64))
+        single, _ = layer(Tensor(np.concatenate(xs)))
         np.testing.assert_allclose(
-            np.concatenate([v.output for v in mp_]), single.data, atol=1e-9
+            np.concatenate([r["output"] for r in ranks]), single.data, atol=1e-9
         )
 
     @_ep_matrix
-    def test_forward_backward_rank_across_backends(self, world, top_k, batches):
-        """Forward output, input gradient, and the per-rank expert shard
-        gradients are bit-identical between the two backends, and match
-        the fixed-routing single-process reference."""
-        layer, ep, xs, gs = _ep_case(world, top_k, batches, seed=7)
-
-        def fn(group):
-            return ep.forward_backward_rank(
-                group, xs[group.rank], gs[group.rank]
-            )
-
-        sim = run_distributed(fn, world, backend="sim").values
-        mp_ = run_distributed(fn, world, backend="mp").values
-        for r in range(world):
-            _assert_rank_results_equal(sim[r], mp_[r])
-            assert mp_[r].comm_log.counts() == (
+    def test_forward_backward_across_backends_and_reference(self, world, top_k, batches):
+        """Output, input, router and shard gradients and the comm logs are
+        bit-identical between the two backends, and match the
+        single-process layer's own autograd: outputs and input gradients
+        concatenate, router gradients sum, shard gradients concatenate."""
+        layer, xs, gs = _ep_case(world, top_k, batches, seed=7)
+        ranks = _both_backends(ep_rank(layer, xs, gs), world)
+        for r in ranks:
+            assert r["comm_log"].counts() == (
                 {"all_to_all": 4} if world > 1 else {}
             )
+        assert_matches_single_process(layer, xs, gs, ranks)
 
-        ref_out, ref_dx, ref_grads = _fixed_routing_reference(
-            layer, np.concatenate(xs), np.concatenate(gs)
+    @pytest.mark.parametrize("batches", ["empty_rank", "one_expert"])
+    def test_every_rank_enters_every_reverse_exchange(self, batches):
+        """A rank with no tokens, and ranks that receive none, still take
+        part in both backward exchanges.  Under a short deadline a rank
+        that skipped one fails the run (a broken barrier on ``"sim"``, a
+        silent peer on ``"mp"``) instead of hanging it."""
+        layer, xs, gs = _ep_case(3, 2, batches)
+        ranks = _both_backends(
+            ep_rank(layer, xs, gs), 3, timeout_s=30.0, op_timeout_s=5.0
         )
-        np.testing.assert_allclose(
-            np.concatenate([v.output for v in mp_]), ref_out, atol=1e-9
-        )
-        np.testing.assert_allclose(
-            np.concatenate([v.input_grad for v in mp_]), ref_dx, atol=1e-9
-        )
-        for name, ref in ref_grads.items():
-            # Shard gradients concatenate, in rank order, to the full
-            # parameter's: expert weights are never all-reduced.
-            got = np.concatenate([v.expert_grads[name] for v in mp_])
-            np.testing.assert_allclose(got, ref, atol=1e-9, err_msg=name)
+        for r in ranks:
+            assert r["comm_log"].counts() == {"all_to_all": 4}
 
     def test_plan_built_in_flight_receives_what_exchange_then_plan_does(self):
         """§5's dispatch written both ways over two forked ranks: the
-        schedule the rank body runs — post the token sends, build the
-        local plan from the already-arrived ids, then wait — against
-        the serialized one it replaced (exchange, then plan).  Same
-        plan, and the very tokens the peers bucketed for this rank; what
-        the overlap hides is a wall clock, that it moves no byte is held
+        schedule the layer runs — post the token sends, build the local
+        plan from the already-arrived ids, then wait — against the
+        serialized one it replaced (exchange, then plan).  Same plan,
+        and the very tokens the peers bucketed for this rank; what the
+        overlap hides is a wall clock, that it moves no byte is held
         here."""
         world = 2
-        _, ep = _make_ep(world, top_k=2)
+        layer = make_layer(experts=12, top_k=2)
         rng = np.random.default_rng(12)
         xs = [rng.standard_normal((128, 16)) for _ in range(world)]
 
-        def buckets(x):
-            rows, cuts, local_ids, _ = ep._route_and_bucket(x)
+        def buckets(ep, x):
+            order, cuts, local_ids = ep._bucket(ep.router(Tensor(x)).expert_indices)
             # One piece per destination, each > shm.INLINE_THRESHOLD.
-            return np.split(x[rows], cuts), np.split(local_ids, cuts)
+            return np.split(x[order // 2], cuts), np.split(local_ids, cuts)
+
+        def plan(ep, ids):
+            return make_padded_plan(ids[:, None], ep.local_experts, ep.block_size)
 
         def fn(group):
-            send, send_ids = buckets(xs[group.rank])
+            ep = ExpertParallelDMoE(layer, group)
+            send, send_ids = buckets(ep, xs[group.rank])
             ids = np.concatenate(group.all_to_all(send_ids))
             pending = group.isend_all_to_all(send)
-            plan, _ = ep._build_local_plan(ids)
-            overlapped = pending.wait(), plan.gather_indices
+            gather = plan(ep, ids).gather_indices
+            overlapped = pending.wait(), gather
             tokens = group.all_to_all(send)
-            plan, _ = ep._build_local_plan(ids)
-            return overlapped, (tokens, plan.gather_indices)
+            return overlapped, (tokens, plan(ep, ids).gather_indices)
 
-        sent = [buckets(x)[0] for x in xs]
+        ep = ExpertParallelDMoE(layer, SimpleNamespace(rank=0, world=world))
+        sent = [buckets(ep, x)[0] for x in xs]
         values = run_distributed(fn, world, backend="mp").values
         for rank, (overlapped, serial) in enumerate(values):
             _assert_values_equal(overlapped, serial, f"rank {rank}")
@@ -315,35 +285,30 @@ class TestExpertParallelBitIdentity:
                 overlapped[0], [sent[src][rank] for src in range(world)]
             )
 
-    def test_forward_backward_rank_matches_in_process(self):
-        """The in-process driver is the same rank body on "sim": outputs
-        and input gradients equal the forked ranks', and the shard
-        gradients land in the layer's parameters."""
+    def test_gradients_land_on_each_ranks_own_parameters(self):
+        """A rank's router and shard are its own copies, on forked ranks
+        and on rank-threads alike: backward fills their ``.grad`` and
+        leaves the layer the ranks were built from untouched."""
         world = 2
-        layer, ep, xs, gs = _ep_case(world, 1, "even", seed=11)
+        layer, xs, gs = _ep_case(world, 1, "even", seed=11)
 
         def fn(group):
-            return ep.forward_backward_rank(
-                group, xs[group.rank], gs[group.rank]
+            ep = ExpertParallelDMoE(layer, group)
+            out, _ = ep(Tensor(xs[group.rank], requires_grad=True))
+            out.backward(gs[group.rank])
+            graded = [n for n, p in ep.named_parameters() if p.grad is not None]
+            shared = any(
+                np.shares_memory(p.data, q.data)
+                for p in ep.parameters()
+                for q in layer.parameters()
             )
+            return graded, shared
 
-        mp_ = run_distributed(fn, world, backend="mp").values
-        layer.zero_grad()
-        result, input_grads = ep.forward_backward(xs, gs)
-        assert result.comm_log.counts() == {"all_to_all": 4}
-        for r in range(world):
-            np.testing.assert_array_equal(
-                mp_[r].output, result.outputs_per_rank[r], strict=True
-            )
-            np.testing.assert_array_equal(
-                mp_[r].input_grad, input_grads[r], strict=True
-            )
-        for name, p in layer.experts.named_parameters():
-            np.testing.assert_array_equal(
-                p.grad,
-                np.concatenate([v.expert_grads[name] for v in mp_]),
-                err_msg=name,
-            )
+        for backend in ("sim", "mp"):
+            for graded, shared in run_distributed(fn, world, backend=backend).values:
+                assert sorted(graded) == ["b1", "b2", "router.proj.weight", "w1", "w2"]
+                assert not shared
+        assert all(p.grad is None for p in layer.parameters())
 
 
 class TestRealFaults:
@@ -453,15 +418,25 @@ class TestExpertParallelRetryOverProcesses:
     process boundary, the ranks agree to re-issue, and everything the
     parent learns comes back through the ranks' return values."""
 
-    def _run(self, policy, faults, backend="mp"):
-        _, ep = _make_ep(2, retry_policy=policy)
+    def _run(self, policy, faults, backend="mp", before_backward=None):
+        layer = make_layer(experts=12)
         rng = np.random.default_rng(3)
         xs = [rng.standard_normal((6, 16)) for _ in range(2)]
-        fn = lambda g: ep.forward_backward_rank(g, xs[g.rank], xs[g.rank])
+        fn = ep_rank(layer, xs, xs, policy, before_backward)
         return run_distributed(fn, 2, backend=backend, faults=faults).values
 
     def _corrupt(self, **kw):
         return [FaultEvent(CORRUPT_PAYLOAD, op="all_to_all", **kw)]
+
+    def _assert_retried_once(self, clean, faulty):
+        for c, f in zip(clean, faulty):
+            # Same bits, backward exchanges included, and the same log:
+            # volume is per logical exchange, not per transport attempt.
+            assert_ranks_equal(c, f, ignore=("corrupt_detected", "retries"))
+            assert (c["corrupt_detected"], c["retries"]) == (0, 0)
+        # Rank 1 received rank 0's NaN; both ranks re-issued, once.
+        assert [f["corrupt_detected"] for f in faulty] == [0, 1]
+        assert [f["retries"] for f in faulty] == [1, 1]
 
     @pytest.mark.parametrize("backend", ["sim", "mp"])
     def test_corrupted_exchange_is_retried_by_every_rank(self, backend):
@@ -469,31 +444,38 @@ class TestExpertParallelRetryOverProcesses:
         faulty = self._run(
             RetryPolicy(max_retries=3), self._corrupt(rank=0), backend
         )
-        for c, f in zip(clean, faulty):
-            # Same bits, and the same log: volume is per logical
-            # exchange, not per transport attempt.
-            _assert_rank_results_equal(c, f)
-            assert (c.corrupt_detected, c.retries) == (0, 0)
-        # Rank 1 received rank 0's NaN; both ranks re-issued, once.
-        assert [f.corrupt_detected for f in faulty] == [0, 1]
-        assert [f.retries for f in faulty] == [1, 1]
+        self._assert_retried_once(clean, faulty)
+
+    @pytest.mark.parametrize("backend", ["sim", "mp"])
+    def test_corrupted_backward_exchange_is_retried_by_every_rank(self, backend):
+        """The backward exchanges are validated and retried too: the
+        corruption is armed on rank 0's group only once its forward is
+        done, so the first exchange it can hit is the output gradients'."""
+
+        def arm(group):
+            if group.rank == 0:
+                group._schedule = FaultSchedule(self._corrupt(rank=0))
+
+        clean = self._run(RetryPolicy(max_retries=3), None, backend)
+        faulty = self._run(RetryPolicy(max_retries=3), None, backend, arm)
+        self._assert_retried_once(clean, faulty)
 
     @pytest.mark.parametrize("backend", ["sim", "mp"])
     def test_without_a_policy_the_nan_comes_through(self, backend):
         faulty = self._run(None, self._corrupt(rank=0), backend)
         assert not np.isfinite(
-            np.concatenate([f.output.reshape(-1) for f in faulty])
+            np.concatenate([f["output"].reshape(-1) for f in faulty])
         ).all()
-        assert [f.retries for f in faulty] == [0, 0]
+        assert [f["retries"] for f in faulty] == [0, 0]
 
     @pytest.mark.parametrize("backend", ["sim", "mp"])
     def test_event_with_nothing_to_corrupt_stays_armed(self, backend):
-        """The rank body exchanges int64 expert ids before any token:
-        an unranked event armed for all_to_all must not be spent on a
+        """The layer exchanges int64 expert ids before any token: an
+        unranked event armed for all_to_all must not be spent on a
         payload with no float in it."""
         faulty = self._run(RetryPolicy(max_retries=3), self._corrupt(), backend)
-        assert sum(f.corrupt_detected for f in faulty) == 1
-        assert [f.retries for f in faulty] == [1, 1]
+        assert sum(f["corrupt_detected"] for f in faulty) == 1
+        assert [f["retries"] for f in faulty] == [1, 1]
 
         def ids_only(group):
             ids = [np.arange(3) for _ in range(group.world)]

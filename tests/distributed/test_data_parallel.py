@@ -53,7 +53,7 @@ def _shards(step, world, n):
     ]
 
 
-def _rank_steps(state, group, steps, n, log=None):
+def _steps_on_rank(state, group, steps, n, log=None):
     """``steps`` steps of this rank's shard, gradients averaged over the
     group; returns the losses and pre-clip gradient norms."""
     losses, norms = [], []
@@ -80,7 +80,7 @@ def run_data_parallel(world, backend, steps=5, grad_clip=0.0, n=12):
 
     def fn(group):
         state, log = _state(n // world, grad_clip=grad_clip), CommLog()
-        losses, _ = _rank_steps(state, group, steps, n, log)
+        losses, _ = _steps_on_rank(state, group, steps, n, log)
         return _params(state), losses, log
 
     return run_distributed(fn, world, backend=backend).values
@@ -167,7 +167,7 @@ def test_window_grows_between_steps(world):
         out = []
         for ffn in (32, 2048):  # 49 KB, then 2.2 MB of gradients
             state = _state(12 // world, ffn=ffn)
-            losses, _ = _rank_steps(state, group, 2, 12)
+            losses, _ = _steps_on_rank(state, group, 2, 12)
             out.append((losses, _params(state)))
         return out
 
@@ -190,7 +190,7 @@ def test_clipped_ranks_agree_at_a_size_numpy_threads():
 
     def fn(group):
         state = _state(n // world, ffn=512, grad_clip=1e-3)
-        losses, norms = _rank_steps(state, group, 4, n)
+        losses, norms = _steps_on_rank(state, group, 4, n)
         return losses, norms, _params(state)
 
     sim = run_distributed(fn, world, backend="sim").values

@@ -1,55 +1,59 @@
-"""Simulated expert parallelism must compute exactly the single-process
-dMoE function and move the right number of bytes."""
+"""Expert parallelism must compute exactly the single-process dMoE
+function and move the right number of bytes."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor
+from repro.autograd import Tensor, lower
+from repro.autograd.graph import CaptureSession
 from repro.core import dMoE
-from repro.distributed import DeviceMesh, ExpertParallelDMoE
+from repro.data.dataset import Batch
+from repro.distributed import (
+    ExpertParallelCaptureError,
+    ExpertParallelDMoE,
+    WorkerFailure,
+    run_distributed,
+)
 from repro.moe.router import Router, RoutingResult
+from repro.nn import TransformerLM
 from repro.nn.module import Module
 from repro.observability import registry
 from repro.resilience import counters
+from repro.training import Adam, TrainerConfig
+from repro.training.lr_schedule import ConstantLR
+from repro.training.step import StepState, run_step
+from tests.distributed.ep_ranks import ep_rank, make_layer
 
 
-def _setup(world=4, experts=8, top_k=1, seed=0, hidden=16, ffn=32, bs=4):
-    layer = dMoE(
-        hidden, ffn, experts, top_k=top_k, block_size=bs, rng=seed,
-        load_balance_coef=0.0,
-    )
-    layer.eval()
-    mesh = DeviceMesh(world=world, expert_parallel=world)
-    return layer, ExpertParallelDMoE(layer, mesh)
+def _forward(layer, xs):
+    """Every rank's forward on ``"sim"``, as :func:`ep_rank` dicts."""
+    return run_distributed(ep_rank(layer, xs), len(xs), backend="sim").values
+
+
+def _assert_single_process(layer, xs, ranks):
+    ref, _ = layer(Tensor(np.concatenate(xs)))
+    got = np.concatenate([r["output"] for r in ranks])
+    np.testing.assert_allclose(got, ref.data, atol=1e-9)
 
 
 class TestEquivalence:
     @pytest.mark.parametrize("top_k", [1, 2])
     def test_matches_single_process(self, rng, top_k):
-        layer, ep = _setup(top_k=top_k)
+        layer = make_layer(experts=8, top_k=top_k)
         xs = [rng.standard_normal((10 + i, 16)) for i in range(4)]
-        res = ep.forward(xs)
-        ref, _ = layer(Tensor(np.concatenate(xs), dtype=np.float64))
-        got = np.concatenate(res.outputs_per_rank)
-        np.testing.assert_allclose(got, ref.data, atol=1e-9)
+        _assert_single_process(layer, xs, _forward(layer, xs))
 
     def test_uneven_rank_batches(self, rng):
-        layer, ep = _setup()
+        layer = make_layer(experts=8)
         xs = [rng.standard_normal((n, 16)) for n in (1, 20, 3, 7)]
-        res = ep.forward(xs)
-        ref, _ = layer(Tensor(np.concatenate(xs), dtype=np.float64))
-        np.testing.assert_allclose(
-            np.concatenate(res.outputs_per_rank), ref.data, atol=1e-9
-        )
+        _assert_single_process(layer, xs, _forward(layer, xs))
 
     def test_two_rank_mesh(self, rng):
-        layer, ep = _setup(world=2)
+        layer = make_layer(experts=8)
         xs = [rng.standard_normal((8, 16)) for _ in range(2)]
-        res = ep.forward(xs)
-        ref, _ = layer(Tensor(np.concatenate(xs), dtype=np.float64))
-        np.testing.assert_allclose(
-            np.concatenate(res.outputs_per_rank), ref.data, atol=1e-9
-        )
+        _assert_single_process(layer, xs, _forward(layer, xs))
 
 
 class _SignRouter(Module):
@@ -64,12 +68,7 @@ class _SignRouter(Module):
 
 
 class TestLayerRouter:
-    """EP asks the layer how it routes — it keeps no router of its own."""
-
-    def _layer(self, router):
-        layer = dMoE(16, 32, 8, top_k=2, block_size=4, rng=0, router=router)
-        layer.eval()
-        return layer, ExpertParallelDMoE(layer, DeviceMesh(4, 4))
+    """Each rank routes with a copy of the layer's own router."""
 
     @pytest.mark.parametrize(
         "router",
@@ -83,54 +82,103 @@ class TestLayerRouter:
         ids=["normalized_top2", "no_proj"],
     )
     def test_matches_the_layer_it_shards(self, rng, router):
-        layer, ep = self._layer(router())
+        layer = make_layer(experts=8, top_k=2, router=router())
         xs = [rng.standard_normal((7 + i, 16)) for i in range(4)]
-        res = ep.forward(xs)
-        ref, _ = layer(Tensor(np.concatenate(xs), dtype=np.float64))
-        np.testing.assert_allclose(
-            np.concatenate(res.outputs_per_rank), ref.data, atol=1e-9
-        )
+        _assert_single_process(layer, xs, _forward(layer, xs))
 
     def test_poisoned_router_falls_back_on_every_rank(self, rng):
         router = Router(16, 8, top_k=2, load_balance_coef=0.0, rng=5)
         router.proj.weight.data[0, 0] = np.nan
-        _, ep = self._layer(router)
+        layer = make_layer(experts=8, top_k=2, router=router)
         xs = [rng.standard_normal((5, 16)) for _ in range(4)]
         registry().reset()
-        res = ep.forward(xs)
+        ranks = _forward(layer, xs)
         assert counters.get("router_fallback") == 4
-        assert all(np.isfinite(o).all() for o in res.outputs_per_rank)
-        assert sum(res.tokens_received_per_rank) == 4 * 5 * 2
+        assert all(np.isfinite(r["output"]).all() for r in ranks)
+        assert sum(r["tokens_received"] for r in ranks) == 4 * 5 * 2
 
 
 class TestDataflow:
     def test_two_all_to_alls(self, rng):
-        layer, ep = _setup()
-        res = ep.forward([rng.standard_normal((8, 16)) for _ in range(4)])
-        assert res.comm_log.counts() == {"all_to_all": 2}
+        layer = make_layer(experts=8)
+        ranks = _forward(layer, [rng.standard_normal((8, 16)) for _ in range(4)])
+        for r in ranks:
+            assert r["comm_log"].counts() == {"all_to_all": 2}
 
     def test_token_conservation(self, rng):
         """Tokens received across ranks == routed copies."""
-        layer, ep = _setup(top_k=2)
+        layer = make_layer(experts=8, top_k=2)
         xs = [rng.standard_normal((9, 16)) for _ in range(4)]
-        res = ep.forward(xs)
-        assert sum(res.tokens_received_per_rank) == 4 * 9 * 2
+        assert sum(r["tokens_received"] for r in _forward(layer, xs)) == 4 * 9 * 2
 
     def test_comm_bytes_scale_with_tokens(self, rng):
-        layer, ep = _setup()
-        small = ep.forward([rng.standard_normal((4, 16)) for _ in range(4)])
-        large = ep.forward([rng.standard_normal((40, 16)) for _ in range(4)])
-        assert (
-            large.comm_log.total_bytes_per_rank()
-            > small.comm_log.total_bytes_per_rank()
-        )
+        layer = make_layer(experts=8)
 
-    def test_rejects_wrong_rank_count(self, rng):
-        layer, ep = _setup()
-        with pytest.raises(ValueError):
-            ep.forward([rng.standard_normal((4, 16))])
+        def volume(rows):
+            ranks = _forward(layer, [rng.standard_normal((rows, 16)) for _ in range(4)])
+            return sum(r["comm_log"].total_bytes_per_rank() for r in ranks)
+
+        assert volume(40) > volume(4)
+
+    def test_rejects_wrong_rank_count(self):
+        """A rank outside its group's world is refused when the layer is
+        built: the mesh's one rank check guards the shard it slices."""
+        with pytest.raises(ValueError, match="out of range"):
+            ExpertParallelDMoE(make_layer(experts=8), SimpleNamespace(rank=4, world=4))
 
     def test_rejects_indivisible_experts(self):
-        layer = dMoE(16, 32, 6, block_size=4, rng=0)
-        with pytest.raises(ValueError):
-            ExpertParallelDMoE(layer, DeviceMesh(world=4, expert_parallel=4))
+        with pytest.raises(ValueError, match="not divisible"):
+            ExpertParallelDMoE(make_layer(experts=6), SimpleNamespace(rank=0, world=4))
+
+
+class TestCaptureRefusal:
+    """The compiled rungs cannot run the layer yet (its exchange cuts
+    depend on routing): a capture meets a named error on every rank,
+    before any rank routes or enters a collective."""
+
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            "replay",
+            pytest.param(
+                "cc",
+                marks=pytest.mark.skipif(
+                    not lower.cc_available(), reason="no C toolchain"
+                ),
+            ),
+        ],
+    )
+    def test_the_first_capture_raises_on_every_rank(self, backend):
+        rng = np.random.default_rng(0)
+        ids = rng.integers(0, 64, size=(2, 9))
+        batch = Batch(ids[:, :-1], ids[:, 1:])
+
+        def fn(group):
+            model = TransformerLM(
+                64, 16, 2, 2, 16, rng=0,
+                ffn_factory=lambda i: ExpertParallelDMoE(
+                    dMoE(16, 32, num_experts=4, block_size=8, rng=i), group
+                ),
+            )
+            config = TrainerConfig(global_batch=4, micro_batch=2, backend=backend)
+            state = StepState(
+                model, Adam(model.parameters(), lr=1e-3), ConstantLR(1e-3), config
+            )
+            run_step(state, iter([batch, batch]), 0)
+
+        with pytest.raises(WorkerFailure) as failure:
+            run_distributed(fn, 2, backend="sim", op_timeout_s=5.0)
+        assert failure.value.failed_ranks == [0, 1]
+        # Each rank raised the named error itself; none was left waiting
+        # in a collective (that would read CollectiveFault).
+        message = str(failure.value)
+        assert message.count(ExpertParallelCaptureError.__name__) == 2
+        assert "CollectiveFault" not in message
+
+    def test_building_under_capture_is_refused(self):
+        session = CaptureSession((), {}).begin()
+        try:
+            with pytest.raises(ExpertParallelCaptureError):
+                ExpertParallelDMoE(make_layer(), SimpleNamespace(rank=0, world=1))
+        finally:
+            session.abort()

@@ -1,117 +1,82 @@
-"""Distributed backward: gradients through the all-to-all dataflow must
-match a fixed-routing single-process reference exactly."""
+"""Distributed backward: ``out.backward`` through the expert-parallel
+layer must give the single-process dMoE's own gradients — router
+included — through exactly four all-to-alls."""
 
 import numpy as np
 import pytest
 
-from repro.autograd import ACTIVATIONS, gather_rows, getitem, scatter_rows
-from repro.autograd.tensor import Tensor
-from repro.core import dMoE
-from repro.core.topology_builder import expert_of_padded_row, make_topology
-from repro.distributed import DeviceMesh, ExpertParallelDMoE
-from repro.moe.permute import make_padded_plan
-from repro.sparse.autograd_ops import dsd_mm, sdd_mm, sparse_bias_add
+from repro.distributed import run_distributed
+from repro.observability import tracing
+from tests.distributed.ep_ranks import (
+    assert_matches_single_process,
+    ep_rank,
+    make_layer,
+)
 
 
-def _setup(world=2, experts=4, top_k=1, hidden=16, ffn=32, bs=4, seed=0):
-    layer = dMoE(
-        hidden, ffn, experts, top_k=top_k, block_size=bs, rng=seed,
-        load_balance_coef=0.0,
-    )
-    layer.eval()
-    return layer, ExpertParallelDMoE(layer, DeviceMesh(world, world))
+def _case(rng, world, rows):
+    xs = [rng.standard_normal((rows + i, 16)) for i in range(world)]
+    gs = [rng.standard_normal((rows + i, 16)) for i in range(world)]
+    return xs, gs
 
 
-def _fixed_routing_reference(layer, x, dy):
-    """Single-process dMoE forward/backward with routing held constant.
-
-    Routing weights enter as plain constants, so the reference's input
-    gradient matches the EP implementation's fixed-routing semantics.
-    """
-    layer.zero_grad()
-    x_t = Tensor(x, requires_grad=True, dtype=np.float64)
-    logits = x @ layer.router.proj.weight.data
-    e_ = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    scores = e_ / e_.sum(axis=-1, keepdims=True)
-    from repro.moe.router import top_k_indices
-
-    indices = top_k_indices(scores, layer.top_k)
-    weights = scores[np.arange(len(scores))[:, None], indices]
-
-    plan = make_padded_plan(indices, layer.num_experts, layer.block_size)
-    topo = make_topology(plan, layer.ffn_hidden_size)
-    xp = gather_rows(x_t, plan.gather_indices)
-    e = layer.experts
-    h = sdd_mm(xp, e.w1_flat(), topo)
-    h = sparse_bias_add(h, e.b1_flat(), topo)
-    h = ACTIVATIONS[layer.activation](h)
-    y = dsd_mm(h, e.w2_flat(), topo)
-    y = y + getitem(e.b2, expert_of_padded_row(plan))
-    flat_w = Tensor(weights.reshape(-1, 1), dtype=np.float64)
-    permuted_w = gather_rows(flat_w, plan.copy_indices)
-    out = scatter_rows(y * permuted_w, plan.gather_indices, len(x))
-    out.backward(np.asarray(dy, dtype=np.float64))
-    grads = {n: p.grad.copy() for n, p in layer.experts.named_parameters()}
-    return out.data, x_t.grad.copy(), grads
+def _run(layer, xs, gs):
+    return run_distributed(ep_rank(layer, xs, gs), len(xs), backend="sim").values
 
 
 class TestExpertParallelBackward:
     @pytest.mark.parametrize("top_k", [1, 2])
-    def test_matches_fixed_routing_reference(self, rng, top_k):
-        layer, ep = _setup(top_k=top_k)
-        xs = [rng.standard_normal((9 + i, 16)) for i in range(2)]
-        dys = [rng.standard_normal((9 + i, 16)) for i in range(2)]
+    def test_matches_single_process_autograd(self, rng, top_k):
+        layer = make_layer(experts=4, top_k=top_k)
+        xs, gs = _case(rng, 2, 9)
+        assert_matches_single_process(layer, xs, gs, _run(layer, xs, gs))
 
-        layer.zero_grad()
-        result, input_grads = ep.forward_backward(xs, dys)
-        ep_grads = {n: p.grad.copy() for n, p in layer.experts.named_parameters()}
-
-        ref_out, ref_dx, ref_grads = _fixed_routing_reference(
-            layer, np.concatenate(xs), np.concatenate(dys)
-        )
-        np.testing.assert_allclose(
-            np.concatenate(result.outputs_per_rank), ref_out, atol=1e-9
-        )
-        np.testing.assert_allclose(
-            np.concatenate(input_grads), ref_dx, atol=1e-9
-        )
-        for name in ref_grads:
-            np.testing.assert_allclose(
-                ep_grads[name], ref_grads[name], atol=1e-9, err_msg=name
-            )
+    def test_the_router_trains(self, rng):
+        """The router's gradient is the single-process layer's, split
+        over the ranks' tokens: every rank holds a nonzero share."""
+        layer = make_layer(experts=4, top_k=2)
+        xs, gs = _case(rng, 2, 9)
+        for r in _run(layer, xs, gs):
+            assert np.abs(r["router_grads"]["proj.weight"]).max() > 0
 
     def test_four_all_to_alls(self, rng):
         """Forward dispatch+return plus backward dispatch+return —
         exactly what the cost model charges per layer."""
-        layer, ep = _setup()
-        xs = [rng.standard_normal((8, 16)) for _ in range(2)]
-        dys = [rng.standard_normal((8, 16)) for _ in range(2)]
-        result, _ = ep.forward_backward(xs, dys)
-        assert result.comm_log.counts()["all_to_all"] == 4
+        layer = make_layer(experts=4)
+        xs, gs = _case(rng, 2, 8)
+        for r in _run(layer, xs, gs):
+            assert r["comm_log"].counts() == {"all_to_all": 4}
 
     def test_four_rank_mesh(self, rng):
-        layer, ep = _setup(world=4, experts=8)
-        xs = [rng.standard_normal((6 + i, 16)) for i in range(4)]
-        dys = [rng.standard_normal((6 + i, 16)) for i in range(4)]
-        layer.zero_grad()
-        result, input_grads = ep.forward_backward(xs, dys)
-        ref_out, ref_dx, ref_grads = _fixed_routing_reference(
-            layer, np.concatenate(xs), np.concatenate(dys)
-        )
-        np.testing.assert_allclose(
-            np.concatenate(input_grads), ref_dx, atol=1e-9
-        )
+        layer = make_layer(experts=8)
+        xs, gs = _case(rng, 4, 6)
+        assert_matches_single_process(layer, xs, gs, _run(layer, xs, gs))
 
     def test_expert_grads_stay_rank_local(self, rng):
         """Experts untouched by any token this batch get zero gradient —
         there is no all-reduce over expert weights."""
-        layer, ep = _setup(world=2, experts=4)
+        layer = make_layer(experts=4)
         # Route everything to expert 0 (ties with zeroed router).
         layer.router.proj.weight.data[...] = 0.0
-        xs = [rng.standard_normal((8, 16)) for _ in range(2)]
-        dys = [rng.standard_normal((8, 16)) for _ in range(2)]
-        layer.zero_grad()
-        ep.forward_backward(xs, dys)
-        w1g = layer.experts.w1.grad
-        assert np.abs(w1g[0]).max() > 0
-        np.testing.assert_array_equal(w1g[1:], 0.0)
+        xs, gs = _case(rng, 2, 8)
+        first, second = (r["shard_grads"]["w1"] for r in _run(layer, xs, gs))
+        assert np.abs(first[0]).max() > 0
+        np.testing.assert_array_equal(first[1:], 0.0)
+        np.testing.assert_array_equal(second, 0.0)
+
+    def test_each_exchange_opens_one_span_per_rank(self, rng):
+        """A traced forward+backward: each rank thread opens exactly four
+        ``all_to_all`` spans, two in forward and two in backward, each
+        closed on the thread that opened it."""
+        layer = make_layer(experts=4)
+        xs, gs = _case(rng, 2, 8)
+        with tracing() as t:
+            _run(layer, xs, gs)
+        for rank in (0, 1):
+            mine = [
+                s for s in t.spans
+                if s.thread == f"rank{rank}" and s.name == "all_to_all"
+            ]
+            assert len(mine) == 4
+            assert all(s.end is not None and s.end >= s.start for s in mine)
+            assert all(s.args == {"world": 2} for s in mine)

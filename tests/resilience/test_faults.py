@@ -294,66 +294,54 @@ class TestGradientInjection:
 class TestExpertParallelRecovery:
     def _setup(self):
         from repro.core import dMoE
-        from repro.distributed.mesh import DeviceMesh
 
         layer = dMoE(16, 32, num_experts=4, block_size=8, rng=0)
-        mesh = DeviceMesh(expert_parallel=2)
         rng = np.random.default_rng(3)
         x = [
             rng.standard_normal((6, 16)).astype(np.float64) for _ in range(2)
         ]
-        return layer, mesh, x
+        return layer, x
 
     @staticmethod
-    def _forward(ep, x, faults):
-        return _sim(lambda g: ep.forward_rank(g, x[g.rank]), faults).values
+    def _forward(layer, x, faults, policy=None):
+        from tests.distributed.ep_ranks import ep_rank
+
+        return _sim(ep_rank(layer, x, retry_policy=policy), faults).values
 
     def test_corrupted_exchange_is_retried_to_clean_result(self):
-        from repro.distributed.expert_parallel import ExpertParallelDMoE
-
-        layer, mesh, x = self._setup()
-        clean = ExpertParallelDMoE(layer, mesh).forward(x)
+        layer, x = self._setup()
+        clean = self._forward(layer, x, None)
 
         policy = RetryPolicy(max_retries=3)
-        ep = ExpertParallelDMoE(layer, mesh, retry_policy=policy)
         recovered = self._forward(
-            ep, x, [FaultEvent(CORRUPT_PAYLOAD, op="all_to_all")]
+            layer, x, [FaultEvent(CORRUPT_PAYLOAD, op="all_to_all")], policy
         )
-        for a, b in zip(clean.outputs_per_rank, recovered):
-            np.testing.assert_array_equal(a, b.output)
+        for a, b in zip(clean, recovered):
+            np.testing.assert_array_equal(a["output"], b["output"])
         assert counters.get("ep_corrupt_payload_detected") >= 1
         assert policy.retries >= 1
 
     def test_retry_does_not_double_count_comm_volume(self):
         """Comm volume is per *logical* exchange: a retried all-to-all
         must log exactly the same records as a clean run."""
-        from repro.distributed.expert_parallel import ExpertParallelDMoE
-
-        layer, mesh, x = self._setup()
-        clean = self._forward(
-            ExpertParallelDMoE(layer, mesh, retry_policy=RetryPolicy(max_retries=3)),
-            x,
-            None,
-        )
+        layer, x = self._setup()
+        clean = self._forward(layer, x, None, RetryPolicy(max_retries=3))
 
         policy = RetryPolicy(max_retries=3)
-        ep = ExpertParallelDMoE(layer, mesh, retry_policy=policy)
         faulty = self._forward(
-            ep, x, [FaultEvent(CORRUPT_PAYLOAD, op="all_to_all", count=2)]
+            layer, x, [FaultEvent(CORRUPT_PAYLOAD, op="all_to_all", count=2)],
+            policy,
         )
         assert policy.retries >= 1  # retries actually happened
         for c, f in zip(clean, faulty):
-            assert f.comm_log.records == c.comm_log.records
+            assert f["comm_log"].records == c["comm_log"].records
 
     def test_unvalidated_path_lets_corruption_through(self):
         """Without a retry policy the legacy fast path is unchanged —
         corruption propagates (that is what the guardrails are for)."""
-        from repro.distributed.expert_parallel import ExpertParallelDMoE
-
-        layer, mesh, x = self._setup()
-        ep = ExpertParallelDMoE(layer, mesh)
+        layer, x = self._setup()
         result = self._forward(
-            ep, x, [FaultEvent(CORRUPT_PAYLOAD, op="all_to_all")]
+            layer, x, [FaultEvent(CORRUPT_PAYLOAD, op="all_to_all")]
         )
-        flat = np.concatenate([r.output.reshape(-1) for r in result])
+        flat = np.concatenate([r["output"].reshape(-1) for r in result])
         assert not np.isfinite(flat).all()
