@@ -32,14 +32,19 @@ in recorded order — RNG draws advance identically, and a shifted
 routing distribution flows through the schedule naturally because the
 sparse kernels are shape-polymorphic in their topology argument.
 
-A host record with ``guard=True`` compares its replayed result against
-the captured one and raises :class:`GraphInvalidated` on mismatch; this
-covers data-dependent *control flow* the schedule froze (the router's
-non-finite fallback branch, Tutel's dynamic capacity that sizes frozen
-reshape constants).  Replay snapshots every RNG stream the graph
-touches before running, and restores them when a guard trips, so the
-transparent eager fallback consumes exactly the draws a pure-eager step
-would have — fallbacks stay bit-identical.
+A host record's result reaches later records by identity: arrays,
+tuples and dataclass fields register as dynamic values, but a plain
+``int`` (or any other untracked scalar) passed on to a later record or
+a reshape is frozen at its captured value.  So everything routing
+decides — a capacity, a buffer extent — is computed *inside* the host
+record that consumes it, and extents a routing moves are written as
+``-1`` in reshapes.  A host record with ``guard`` set is for
+data-dependent *control flow* only (the router's non-finite fallback
+branch): it compares its replayed result against the captured one and
+raises :class:`GraphInvalidated` on mismatch.  Replay snapshots every
+RNG stream the graph touches before running, and restores them when a
+guard trips, so the transparent eager fallback consumes exactly the
+draws a pure-eager step would have — fallbacks stay bit-identical.
 
 Argument resolution
 ===================
@@ -165,10 +170,10 @@ def host(fn: Callable, *args: Any, guard: bool = False):
     record and an is-None test on the eager path.  Under capture the call
     is recorded for re-execution at replay; its result objects (arrays,
     plans, topologies, tuples of them) register as dynamic values so
-    later recorded calls resolve them per step.  With ``guard=True`` the
+    later recorded calls resolve them per step.  With ``guard`` set the
     replayed result must equal the captured one or the replay raises
-    :class:`GraphInvalidated` (use for values that select control flow
-    or size frozen constants).
+    :class:`GraphInvalidated` (use for values that select control flow;
+    a value that sizes something belongs inside the record that uses it).
     """
     s = current().capture
     if s is None:

@@ -319,10 +319,12 @@ def _dispatch_forward(b):
     return run
 
 
-def _uniform_dmoe(mod) -> bool:
-    """One ffn width for every expert, whole blocks of it."""
-    f, bs = getattr(mod, "ffn_hidden_size", None), getattr(mod, "block_size", 0)
-    return type(f) is int and type(bs) is int and bs >= 1 and f >= bs and f % bs == 0
+def _int_widths(mod) -> bool:
+    """Python-int width and block, at least one block wide: what the C
+    call takes and ``dMoE.__init__`` (which checks whole blocks) does not
+    check."""
+    f, bs = mod.ffn_hidden_size, mod.block_size
+    return type(f) is int and type(bs) is int and f >= bs >= 1
 
 
 def fuzz_dispatch(rng):
@@ -387,8 +389,7 @@ KERNELS = (
         "dispatch", "repro.core.dmoe._build_dispatch",
         source=_DISPATCH_C,
         contract=Contract(
-            # Variable-width experts keep the NumPy build.
-            Const(0, _uniform_dmoe),
+            Const(0, _int_widths),
             Arr(1, "iu", rank=2, contig=False),
             Live("ids within the experts",
                  lambda mod, idx: ids_within(idx, mod.num_experts)),

@@ -3,8 +3,9 @@
 Train any of the paper's configurations (scaled down by default) on the
 synthetic Pile, with checkpointing, resume, and optional tracing:
 
-    python -m repro.cli --model XS --system dmoe --scale 0.0625 --steps 200
-    python -m repro.cli --resume runs/dmoe-xs --steps 100
+    python -m repro.cli --model XS --system dmoe --scale 0.0625 --steps 100 \
+        --checkpoint runs/dmoe-xs
+    python -m repro.cli --resume runs/dmoe-xs --steps 200   # steps 100-199
     python -m repro.cli --steps 20 --trace runs/trace.json
 
 Systems follow §6: ``dense``, ``dmoe`` (MegaBlocks), ``tutel-dmoe``
@@ -71,7 +72,7 @@ from repro.observability import (
     tracing,
     validate_chrome_trace,
 )
-from repro.checkpoint import CheckpointManager, load_checkpoint, save_checkpoint
+from repro.checkpoint import CheckpointManager, load_checkpoint
 from repro.sparse import stats as sparse_stats
 from repro.training import Adam, Trainer, TrainerConfig, WarmupCosineLR
 from repro.utils.logging import get_logger
@@ -91,7 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-experts", type=int, default=None)
     p.add_argument("--capacity-factor", type=float, default=1.0)
     p.add_argument("--top-k", type=int, default=1)
-    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--steps", type=int, default=100,
+                   help="optimizer steps in the whole run: a --resume run "
+                        "continues from its checkpoint's step to this total")
     p.add_argument("--global-batch", type=int, default=16)
     p.add_argument("--micro-batch", type=int, default=8)
     p.add_argument("--lr", type=float, default=3e-3)
@@ -109,9 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "toolchain); replay and cc run the steady step: "
                         "buffer arena, fused ops, in-place optimizer")
     p.add_argument("--checkpoint", default=None, metavar="DIR",
-                   help="sharded checkpoint directory to write when done")
+                   help="sharded checkpoint directory to write when done "
+                        "(model, optimizer and trainer state)")
     p.add_argument("--resume", default=None, metavar="DIR",
-                   help="sharded checkpoint directory to restore first")
+                   help="checkpoint written by --checkpoint or --ckpt-dir to "
+                        "continue bit-exactly (schedule, data order, RNG)")
     p.add_argument("--ckpt-dir", default=None, metavar="DIR",
                    help="rotating checkpoint directory (CheckpointManager)")
     p.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
@@ -590,12 +595,6 @@ def main(argv=None) -> int:
     train, val = LMDataset(stream, seq_len=cfg.seq_len).split(0.05)
 
     optimizer = Adam(model.parameters(), lr=args.lr)
-    start_step = 0
-    if args.resume:
-        meta = load_checkpoint(args.resume, model, optimizer)
-        start_step = int(meta.get("step", 0))
-        logger.info("resumed %s at step %d", args.resume, start_step)
-
     tcfg = TrainerConfig(
         global_batch=args.global_batch,
         micro_batch=args.micro_batch,
@@ -629,6 +628,7 @@ def main(argv=None) -> int:
 
     def run():
         return trainer.fit(
+            resume=args.resume,
             callback=callback,
             checkpoint_manager=manager,
             checkpoint_every=args.checkpoint_every if manager else 0,
@@ -702,10 +702,9 @@ def main(argv=None) -> int:
         )
     if args.checkpoint:
         os.makedirs(os.path.dirname(args.checkpoint) or ".", exist_ok=True)
-        save_checkpoint(
-            args.checkpoint, model, optimizer,
-            step=start_step + args.steps,
-            extra={"val_loss": final, "system": args.system, "model": args.model},
+        trainer.save(
+            args.checkpoint, step=args.steps, val_loss=final,
+            extra={"system": args.system, "model": args.model},
         )
         logger.info("checkpoint written to %s", args.checkpoint)
     return 0

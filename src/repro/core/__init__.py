@@ -2,12 +2,9 @@
 
 from repro.core.dmoe import dMoE
 from repro.core.topology_builder import expert_of_padded_row, make_topology
-from repro.core.variable_dmoe import VariableExpertWeights, VariableSizedDMoE
 
 __all__ = [
     "dMoE",
     "make_topology",
     "expert_of_padded_row",
-    "VariableSizedDMoE",
-    "VariableExpertWeights",
 ]

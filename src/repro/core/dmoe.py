@@ -58,16 +58,14 @@ def expert_mlp(
 ) -> Tensor:
     """Figure 6's step 4: SDD -> bias + activation -> DSD -> + b2.
 
-    The one expert MLP in ``src/``: the dMoE, the variable-width dMoE
-    and each expert-parallel rank (over its shard) all compute here.
-    ``w1`` is read where it lives: expert-major ``(experts, hidden,
-    ffn)`` as ``ExpertWeights`` stores it (the sparse products index the
-    experts' bands themselves and return ``w1``'s gradient in the same
-    form), or flat ``(hidden, sum of ffn widths)`` when that is the
-    storage (variable-width experts).  The rest is flat — ``b1`` ``(sum
-    of ffn widths,)``, ``w2`` ``(sum of ffn widths, hidden)`` — ``b2`` is
-    ``(experts, hidden)`` and ``row_expert`` names the expert owning
-    each padded row of ``xp``.
+    The one expert MLP in ``src/``: the dMoE and each expert-parallel
+    rank (over its shard) both compute here.  ``w1`` is read where it
+    lives, expert-major ``(experts, hidden, ffn)`` as ``ExpertWeights``
+    stores it (the sparse products index the experts' bands themselves
+    and return ``w1``'s gradient in the same form).  The rest is flat —
+    ``b1`` ``(experts * ffn,)``, ``w2`` ``(experts * ffn, hidden)`` —
+    ``b2`` is ``(experts, hidden)`` and ``row_expert`` names the expert
+    owning each padded row of ``xp``.
     """
     h = sdd_mm(xp, w1, topology)
     if activation == "gelu":
@@ -84,8 +82,6 @@ def expert_mlp(
 def _build_dispatch(mod: "dMoE", expert_indices: np.ndarray):
     """Plan + topology + padded-row expert map for one routing outcome.
 
-    ``mod`` is a dMoE or a variable-width dMoE: ``ffn_hidden_size`` is
-    one width or one per expert, as :func:`make_topology` takes it.
     This is a :func:`repro.autograd.graph.host` computation: a captured
     graph re-executes it each replay, so a shifted tokens-per-expert
     distribution flows into fresh permutation indices and a fresh

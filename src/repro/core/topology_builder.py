@@ -8,7 +8,7 @@ and amortized across all six matrix products of the layer's forward and
 backward passes.
 
 Topologies are memoized in a small LRU cache keyed by the block-group
-layout (``blocks_per_expert`` x column widths x block size): identical
+layout (``blocks_per_expert`` x column width x block size): identical
 block-count vectors yield byte-identical metadata, so a hit skips the
 construction and the dispatch-plan analysis warmed here.  Layouts
 rarely repeat in training, though: over the bench's training phases
@@ -29,7 +29,6 @@ stays keyed on block counts, which is all the metadata depends on.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Sequence, Union
 
 import numpy as np
 
@@ -55,25 +54,15 @@ def topology_cache_len() -> int:
 
 
 def cached_block_diagonal_topology(
-    rows_per_block_group: np.ndarray,
-    cols_per_block_group: Union[int, Sequence[int], np.ndarray],
-    block_size: int,
+    rows_per_block_group: np.ndarray, cols_per_block_group: int, block_size: int
 ) -> Topology:
-    """LRU-cached :meth:`Topology.block_diagonal`.
-
-    ``cols_per_block_group`` may be a scalar (uniform experts — the dMoE
-    case) or a per-group array (variable-sized experts).  The returned
+    """LRU-cached :meth:`Topology.block_diagonal` with one column width
+    for every group (the dMoE's experts are uniform).  The returned
     Topology is shared between callers and must be treated as immutable
     (it already is: a frozen dataclass over index arrays nobody mutates).
     """
     rows_per = np.asarray(rows_per_block_group, dtype=np.int64)
-    if np.ndim(cols_per_block_group) == 0:
-        cols_per = np.full(len(rows_per), int(cols_per_block_group), np.int64)
-        cols_key: tuple = (int(cols_per_block_group),)
-    else:
-        cols_per = np.asarray(cols_per_block_group, dtype=np.int64)
-        cols_key = tuple(cols_per.tolist())
-    key = (int(block_size), cols_key, tuple(rows_per.tolist()))
+    key = (int(block_size), int(cols_per_block_group), tuple(rows_per.tolist()))
 
     topo = _cache.get(key)
     if topo is not None:
@@ -83,7 +72,9 @@ def cached_block_diagonal_topology(
 
     stats.record_cache("misses")
     with span("topology_build"):
-        topo = Topology.block_diagonal(rows_per, cols_per, block_size)
+        topo = Topology.block_diagonal(
+            rows_per, np.full(len(rows_per), cols_per_block_group, np.int64), block_size
+        )
         # Warm the grouped-GEMM dispatch plan and group table while we
         # are paying the construction cost anyway; every later kernel
         # call reads them from the memo.
@@ -95,26 +86,18 @@ def cached_block_diagonal_topology(
     return topo
 
 
-def make_topology(
-    plan: PaddedPlan,
-    ffn_hidden_size: Union[int, Sequence[int], np.ndarray],
-) -> Topology:
+def make_topology(plan: PaddedPlan, ffn_hidden_size: int) -> Topology:
     """Block-diagonal topology for the hidden activations of a dMoE layer.
 
-    The sparse matrix has shape ``(total_padded_tokens, sum of expert ffn
-    widths)``; the nonzero region of expert ``e`` is its padded token
-    rows crossed with its ffn column slice.  ``ffn_hidden_size`` is one
-    width for all experts or one per expert (variable-sized experts).
+    The sparse matrix has shape ``(total_padded_tokens, num_experts *
+    ffn_hidden_size)``; the nonzero region of expert ``e`` is its padded
+    token rows crossed with its ffn column slice.
 
     The result knows the live rows of each group (``plan``'s tokens per
     non-empty expert), so the kernels multiply no padding.
     """
     bs = plan.block_size
-    if np.ndim(ffn_hidden_size) == 0:
-        cols, ragged = divmod(int(ffn_hidden_size), bs)
-    else:
-        cols, ragged = np.divmod(np.asarray(ffn_hidden_size, dtype=np.int64), bs)
-        ragged = ragged.any()
+    cols, ragged = divmod(int(ffn_hidden_size), bs)
     if ragged:
         raise ValueError(
             f"ffn_hidden_size={ffn_hidden_size} must be a multiple of the "

@@ -359,9 +359,10 @@ def run_distributed(
             return value.
         world: number of ranks.
         backend: ``"sim"`` or ``"mp"``.
-        timeout_s: whole-run deadline enforced by the supervisor; on
-            expiry surviving workers are killed, shared memory is
-            swept, and :class:`WorkerFailure` is raised.
+        timeout_s: whole-run deadline; on expiry :class:`WorkerFailure`
+            (``"timeout"``) is raised.  Under ``"mp"`` the supervisor
+            kills the surviving workers and sweeps shared memory; under
+            ``"sim"`` the rank threads still running are abandoned.
         op_timeout_s: how long a rank waits on a silent peer inside
             one collective before declaring a collective fault — a
             per-recv deadline under ``"mp"`` (real dead-rank detection),
@@ -383,7 +384,8 @@ def run_distributed(
         from repro.distributed.sim_backend import run_sim
 
         return run_sim(
-            fn, world, faults=faults, step=step, op_timeout_s=op_timeout_s
+            fn, world, faults=faults, step=step, op_timeout_s=op_timeout_s,
+            timeout_s=timeout_s,
         )
     if backend == "mp":
         from repro.distributed.mp_backend import run_mp

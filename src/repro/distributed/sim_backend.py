@@ -181,10 +181,14 @@ def run_sim(
     faults: Optional[Sequence[FaultEvent]] = None,
     step: Optional[int] = None,
     op_timeout_s: Optional[float] = None,
+    timeout_s: float = 120.0,
 ) -> DistributedRunResult:
     """Run ``fn`` on ``world`` rank-threads over one rendezvous.  A rank
     that waits longer than ``op_timeout_s`` in one collective breaks it
-    for every rank, as a silent peer does under ``"mp"``."""
+    for every rank, as a silent peer does under ``"mp"``.  Ranks still
+    running ``timeout_s`` after the start fail the run as ``"timeout"``,
+    as ``"mp"``'s supervisor fails them; their daemon threads are
+    abandoned (a thread cannot be killed)."""
     rendezvous = _Rendezvous(world, op_timeout_s)
     schedule = FaultSchedule(list(faults)) if faults else None
     groups = [
@@ -208,9 +212,14 @@ def run_sim(
     ]
     for t in threads:
         t.start()
+    deadline = t0 + timeout_s
     for t in threads:
-        t.join()
+        t.join(max(deadline - time.perf_counter(), 0.0))
     elapsed = time.perf_counter() - t0
+    stuck = [r for r, t in enumerate(threads) if t.is_alive()]
+    if stuck:
+        rendezvous.barrier.abort()  # free any peer waiting on the stuck
+        raise WorkerFailure(stuck, "timeout", f"no result after {timeout_s}s")
 
     failed = [r for r, e in enumerate(errors) if e is not None]
     if failed:

@@ -28,7 +28,6 @@ from repro.moe.permute import (
     dropping_gather,
     dropping_scatter,
     make_dropping_plan,
-    plan_flats,
 )
 from repro.moe.router import Router, RoutingResult
 from repro.nn.module import Module
@@ -36,31 +35,27 @@ from repro.observability.tracing import span
 from repro.utils.rng import RngLike
 
 
-def _dropping_plan_host(mod: "MoELayer", expert_indices: np.ndarray, capacity: int):
-    """Dispatch-plan build as a :func:`repro.autograd.graph.host` record.
+def _dropping_plan_host(mod: "MoELayer", expert_indices: np.ndarray):
+    """Capacity + dispatch-plan build as one :func:`repro.autograd.graph.host`
+    record.
 
-    Returns the plan *and* its cached flat index views so a captured
-    graph registers the exact arrays ``dropping_gather`` / ``_scatter``
-    consume.  Also refreshes the module's ``last_*`` introspection state,
-    which replays would otherwise leave stale.
+    The capacity is computed here, not passed in: a host record's result
+    reaches later records by identity, so an ``int`` handed from one
+    record to another would be frozen at capture.  Everything routing
+    decides — the capacity, the plan and its flat index arrays — is this
+    record's result, re-derived on every replay.  Also refreshes the
+    module's ``last_*`` introspection state, which replays would
+    otherwise leave stale.
     """
+    capacity = mod._capacity(len(expert_indices), expert_indices)
     plan = make_dropping_plan(expert_indices, mod.num_experts, capacity)
-    flat_tokens, flat_copies = plan_flats(plan)
+    if mod.never_drops and plan.num_dropped:
+        raise AssertionError("dynamic capacity must never drop tokens")
     mod.last_plan = plan
     lr = mod.last_routing
     if lr is not None and lr.expert_indices is not expert_indices:
         mod.last_routing = dataclasses.replace(lr, expert_indices=expert_indices)
-    return plan, flat_tokens, flat_copies
-
-
-def _dynamic_capacity(mod: "DynamicCapacityMoELayer", expert_indices: np.ndarray):
-    """Tutel-style no-drop capacity — guarded under capture: the frozen
-    dispatch-buffer shapes are only valid while this value is stable, so
-    a shifted maximum invalidates the graph (transparent recapture)."""
-    counts = np.bincount(expert_indices.reshape(-1), minlength=mod.num_experts)
-    capacity = max(int(counts.max()), 1)
-    mod.last_dynamic_capacity = capacity
-    return capacity
+    return plan
 
 
 class MoELayer(Module):
@@ -154,20 +149,12 @@ class MoELayer(Module):
         orig_shape = x.shape
         if x.ndim == 3:
             x = x.reshape((orig_shape[0] * orig_shape[1], orig_shape[2]))
-        num_tokens = x.shape[0]
 
         with span("moe"):
             with span("route"):
                 routing = self.router(x)
-            capacity = self._capacity(num_tokens, routing.expert_indices)
             with span("permute"):
-                plan, _, _ = graph_host(
-                    _dropping_plan_host, self, routing.expert_indices, capacity
-                )
-                if self.never_drops and plan.num_dropped:
-                    raise AssertionError(
-                        "dynamic capacity must never drop tokens"
-                    )
+                plan = graph_host(_dropping_plan_host, self, routing.expert_indices)
                 self.last_routing = routing
                 dispatched = dropping_gather(x, plan)
             with span("experts"):
@@ -185,26 +172,26 @@ class MoELayer(Module):
 class DynamicCapacityMoELayer(MoELayer):
     """Tutel-style dMoE baseline: dynamic capacity factor (Hwang et al. 2022).
 
-    Before each forward pass the capacity is raised to the smallest value
-    that drops no tokens, so quality matches the dropless formulation but
-    every expert still computes (and stores activations for) the *maximum*
-    group size — the padding overhead MegaBlocks removes (paper §6.1).
+    Each forward pass sizes the capacity to the busiest expert's load, the
+    smallest value that drops no tokens, so quality matches the dropless
+    formulation but every expert still computes (and stores activations
+    for) the *maximum* group size — the padding overhead MegaBlocks
+    removes (paper §6.1).  The capacity is part of the dispatch plan's
+    host record, so a captured step replays under any routing: the buffer
+    grows and shrinks with the maximum, and nothing recaptures.
     """
 
     never_drops = True
 
     def __init__(
-        self,
-        hidden_size: int,
-        ffn_hidden_size: int,
-        num_experts: int,
-        capacity_factor: float = 1.0,
-        **kwargs,
+        self, hidden_size: int, ffn_hidden_size: int, num_experts: int, **kwargs
     ) -> None:
-        # ``capacity_factor`` is accepted (positionally too, as MoELayer
-        # takes it) and ignored: the capacity is read off each routing.
-        super().__init__(hidden_size, ffn_hidden_size, num_experts, 1.0, **kwargs)
-        self.last_dynamic_capacity: Optional[int] = None
+        # The capacity is read off each routing: a caller's capacity
+        # factor is refused (TypeError), not ignored.
+        super().__init__(
+            hidden_size, ffn_hidden_size, num_experts, capacity_factor=1.0, **kwargs
+        )
 
     def _capacity(self, num_tokens: int, expert_indices: np.ndarray) -> int:
-        return graph_host(_dynamic_capacity, self, expert_indices, guard=True)
+        counts = np.bincount(expert_indices.reshape(-1), minlength=self.num_experts)
+        return max(int(counts.max()), 1)

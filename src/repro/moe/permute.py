@@ -17,7 +17,6 @@ expert group, so results are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -142,6 +141,10 @@ class DroppingPlan:
         dispatch_copies: ``(num_experts, capacity)`` flat routed-copy id
             per slot, ``-1`` for padding.
         dropped_copies: flat copy ids that exceeded capacity.
+        flat_tokens / flat_copies: the two dispatch matrices flattened to
+            ``(num_experts * capacity,)``, the index arrays the gather and
+            the scatter read (fields, so graph capture resolves them per
+            step like every other plan array).
         tokens_per_expert: routed copies per expert *before* dropping.
         capacity / num_tokens / top_k: bookkeeping.
     """
@@ -149,6 +152,8 @@ class DroppingPlan:
     dispatch_tokens: np.ndarray
     dispatch_copies: np.ndarray
     dropped_copies: np.ndarray
+    flat_tokens: np.ndarray
+    flat_copies: np.ndarray
     tokens_per_expert: np.ndarray
     capacity: int
     num_tokens: int
@@ -168,13 +173,8 @@ def make_dropping_plan(
     expert_indices: np.ndarray,
     num_experts: int,
     capacity: int,
-    counts: Optional[np.ndarray] = None,
 ) -> DroppingPlan:
-    """Build the fixed-capacity dispatch plan (earliest tokens keep slots).
-
-    ``counts`` may pass in a precomputed per-expert assignment histogram
-    (callers that size the capacity from it already have one).
-    """
+    """Build the fixed-capacity dispatch plan (earliest tokens keep slots)."""
     idx = np.asarray(expert_indices)
     if idx.ndim == 1:
         idx = idx[:, None]
@@ -184,9 +184,7 @@ def make_dropping_plan(
     flat = idx.reshape(-1)
 
     order = flat.argsort(kind="stable")
-    if counts is None:
-        counts = np.bincount(flat, minlength=num_experts)
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = np.bincount(flat, minlength=num_experts).astype(np.int64)
     sorted_starts = np.concatenate([[0], counts.cumsum()])[:-1]
 
     dispatch_tokens = np.full((num_experts, capacity), -1, dtype=np.int64)
@@ -203,6 +201,8 @@ def make_dropping_plan(
         dispatch_tokens=dispatch_tokens,
         dispatch_copies=dispatch_copies,
         dropped_copies=np.asarray(dropped, dtype=np.int64),
+        flat_tokens=dispatch_tokens.reshape(-1),
+        flat_copies=dispatch_copies.reshape(-1),
         tokens_per_expert=counts,
         capacity=capacity,
         num_tokens=num_tokens,
@@ -210,30 +210,13 @@ def make_dropping_plan(
     )
 
 
-def plan_flats(plan: DroppingPlan):
-    """Flat views of the dispatch index matrices, cached on the plan.
-
-    ``reshape(-1)`` creates a fresh array object per call; caching keeps
-    one stable pair per plan so (a) repeated gathers/scatters skip the
-    view construction and (b) graph capture can resolve the flat indices
-    dynamically by object identity instead of freezing a copy.
-    """
-    flats = getattr(plan, "_flats", None)
-    if flats is None:
-        flats = (
-            plan.dispatch_tokens.reshape(-1),
-            plan.dispatch_copies.reshape(-1),
-        )
-        plan._flats = flats
-    return flats
-
-
 def dropping_gather(x: Tensor, plan: DroppingPlan) -> Tensor:
-    """Dispatch tokens into the ``(num_experts, capacity, hidden)`` buffer."""
-    flat_tokens, _ = plan_flats(plan)
-    flat = gather_rows(x, flat_tokens)
-    num_experts, capacity = plan.dispatch_tokens.shape
-    return flat.reshape((num_experts, capacity, x.shape[-1]))
+    """Dispatch tokens into the ``(num_experts, capacity, hidden)`` buffer.
+
+    The capacity extent is ``-1``: routing may move it, and a reshape
+    constant must not freeze it."""
+    flat = gather_rows(x, plan.flat_tokens)
+    return flat.reshape((len(plan.dispatch_tokens), -1, x.shape[-1]))
 
 
 def dropping_scatter(
@@ -244,10 +227,8 @@ def dropping_scatter(
     Dropped tokens receive zero output (the Transformer's residual carries
     their representation forward, per paper §2.2).
     """
-    num_experts, capacity = plan.dispatch_tokens.shape
-    flat_tokens, flat_copies = plan_flats(plan)
-    flat_y = y.reshape((num_experts * capacity, y.shape[-1]))
+    flat_y = y.reshape((-1, y.shape[-1]))
     flat_weights = expert_weights.reshape((plan.num_tokens * plan.top_k, 1))
-    slot_weights = gather_rows(flat_weights, flat_copies)
+    slot_weights = gather_rows(flat_weights, plan.flat_copies)
     weighted = flat_y * slot_weights
-    return scatter_rows(weighted, flat_tokens, plan.num_tokens)
+    return scatter_rows(weighted, plan.flat_tokens, plan.num_tokens)

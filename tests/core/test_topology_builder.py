@@ -67,13 +67,6 @@ class TestTopologyCache:
         assert a is not b
         assert topology_cache_len() == 2
 
-    def test_scalar_and_array_columns_share_entries(self):
-        a = cached_block_diagonal_topology(np.array([1, 2]), 3, 4)
-        b = cached_block_diagonal_topology(np.array([1, 2]), np.array([3, 3]), 4)
-        # Uniform widths hash differently as scalar vs per-group key, but
-        # both produce valid equal topologies.
-        assert a == b
-
     def test_lru_eviction(self):
         for i in range(TOPOLOGY_CACHE_SIZE + 3):
             cached_block_diagonal_topology(np.array([1 + i]), 1, 2)

@@ -330,6 +330,27 @@ class TestRealFaults:
             )
         assert 1 in ei.value.failed_ranks
 
+    def test_sim_fails_a_rank_stuck_past_the_run_deadline(self):
+        """A rank busy outside any collective past ``timeout_s`` fails
+        the run as ``"timeout"`` on ``sim``, as ``mp``'s supervisor fails
+        it, instead of holding the caller until it returns."""
+        done = threading.Event()
+
+        def fn(group):
+            if group.rank == 1:
+                end = time.perf_counter() + 2.0
+                while time.perf_counter() < end:  # bounded spin
+                    pass
+                done.set()
+            return group.rank
+
+        t0 = time.perf_counter()
+        with pytest.raises(WorkerFailure) as ei:
+            run_distributed(fn, 2, backend="sim", timeout_s=0.3)
+        assert time.perf_counter() - t0 < 1.5
+        assert ei.value.failed_ranks == [1] and ei.value.reason == "timeout"
+        assert done.wait(10.0)  # the abandoned rank ends before the test
+
     def test_corrupt_payload_reaches_the_peer(self):
         """Sender-side corruption plants a NaN the *receiver* observes —
         the bytes really crossed the process boundary."""

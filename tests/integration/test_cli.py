@@ -88,6 +88,34 @@ class TestMain:
         assert os.path.exists(ckpt)
         assert main(["--system", "dmoe", "--resume", ckpt] + self.COMMON) == 0
 
+    def test_a_resumed_run_ends_where_the_straight_run_ends(self, tmp_path):
+        """``--steps`` is the run's total: resuming the step-2 rotating
+        checkpoint of a 4-step run trains steps 2 and 3 — same schedule,
+        data order and RNG streams — and writes the straight run's bits."""
+        from repro.checkpoint import CheckpointError, ShardReader, save_checkpoint
+
+        common = ["--system", "dmoe", "--scale", "0.05", "--steps", "4"] + self.COMMON[4:]
+        straight, resumed, rotating = (str(tmp_path / n) for n in ("S", "R", "D"))
+        assert main(common + ["--ckpt-dir", rotating, "--checkpoint-every", "2",
+                              "--checkpoint", straight]) == 0
+        assert main(common + ["--resume", os.path.join(rotating, "ckpt-00000002"),
+                              "--checkpoint", resumed]) == 0
+        s, r = ShardReader(straight), ShardReader(resumed)
+        assert s.meta["step"] == r.meta["step"] == 4
+        assert sorted(s.keys()) == sorted(r.keys())
+        for key in s.keys():
+            assert np.array_equal(s[key], r[key]), key
+        assert main(["generate", "--checkpoint", resumed, "--scale", "0.05",
+                     "--vocab-size", "64", "--max-new-tokens", "4"]) == 0
+        # A checkpoint without trainer state cannot continue a run.
+        from repro.models import build_model
+
+        bare = str(tmp_path / "bare")
+        model = build_model("XS", system="dmoe", scale=0.05, vocab_size=64, rng=0)
+        save_checkpoint(bare, model, step=2)
+        with pytest.raises(CheckpointError, match="no trainer state"):
+            main(common + ["--resume", bare])
+
 
 class TestLowerReport:
     COMMON = [

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.core import VariableSizedDMoE, dMoE
+from repro.core import dMoE
 from repro.data import LMDataset, PileConfig, SyntheticPile
-from repro.moe import BaseLayerRouter, SinkhornRouter
+from repro.moe import BaseLayerRouter, DynamicCapacityMoELayer, SinkhornRouter
 from repro.nn import TransformerLM
 from repro.nn.sparse_attention import BlockSparseCausalSelfAttention
 from repro.training import Adam, Trainer, TrainerConfig
@@ -18,19 +18,19 @@ def _data():
     return LMDataset(pile.token_stream(10_000, 32), seq_len=16).split(0.1)
 
 
-class TestVariableExpertsInTransformer:
-    def test_lm_with_variable_experts_trains(self):
+class TestTutelInTransformer:
+    def test_lm_with_tutel_trains(self):
+        """The Tutel baseline composed with the captured step: its
+        capacity moves with routing and the trainer still learns."""
         seed_all(0)
         train, val = _data()
         model = TransformerLM(
             64, 16, 1, 2, 16,
-            ffn_factory=lambda i: VariableSizedDMoE(
-                16, [8, 16, 24, 32], block_size=8, rng=10 + i
-            ),
+            ffn_factory=lambda i: DynamicCapacityMoELayer(16, 32, 4, rng=10 + i),
             rng=0,
         )
         cfg = TrainerConfig(global_batch=8, micro_batch=4, max_steps=10,
-                            eval_every=0, log_every=5)
+                            eval_every=0, log_every=5, backend="replay")
         hist = Trainer(model, train, val, cfg,
                        optimizer=Adam(model.parameters(), lr=3e-3)).train()
         assert hist.records[-1].loss < hist.records[0].loss

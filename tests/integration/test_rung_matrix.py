@@ -10,10 +10,13 @@ learning-rate schedule the repo ships (the cosine one returns through
 of warm-up.  They must also recover alike: a guardrail-style rewind
 after two skipped steps, and a resume mid-replay from a checkpoint into
 fresh state.  The type a learning rate arrives in must not matter
-either, and neither may the layer: the variable-width dMoE and the
-Sinkhorn / BASE routers, whose assignment or dispatch is host work,
-train the eager bits on the compiled rungs.  And a rung runs alike on a
-``sim`` rank, a thread, as on an ``mp`` rank, a process.
+either, and neither may the layer: every single-process MoE layer —
+the dMoE top-1 and top-2, under the jitter, Sinkhorn and BASE routers,
+and the capacity-factor and Tutel dropping layers, whose capacity or
+drops move with routing — trains the eager bits on every rung, and the
+compiled rungs capture it once and replay every later micro batch.  And
+a rung runs alike on a ``sim`` rank, a thread, as on an ``mp`` rank, a
+process.
 
 Everything here drives :func:`repro.training.step.run_step` on a
 :class:`~repro.training.step.StepState` directly; no ``Trainer`` is
@@ -49,10 +52,16 @@ from repro.autograd import get_arena, lower, no_grad
 from repro.autograd.lower import runtime, toolchain
 from repro.checkpoint import apply_state, build_state, load_checkpoint, write_state
 from repro.cli import main
-from repro.core import VariableSizedDMoE, dMoE
+from repro.core import dMoE
 from repro.data import LMDataset, PileConfig, SyntheticPile
 from repro.distributed import run_distributed
-from repro.moe import BaseLayerRouter, SinkhornRouter
+from repro.moe import (
+    BaseLayerRouter,
+    DynamicCapacityMoELayer,
+    MoELayer,
+    Router,
+    SinkhornRouter,
+)
 from repro.nn import TransformerLM
 from repro.observability import registry
 from repro.resilience import guardrails as gr
@@ -118,8 +127,16 @@ def _dmoe(i):
 #: with routing across ``MIN_BLOCKS_PER_GROUP``: they hold only while
 #: the sparse dispatch path is a function of the topology alone, never
 #: of where the tokens went (a replay serves its buffers by position).
+#: The dropping layers' drops (capacity factor 1) and capacity (Tutel's,
+#: the busiest expert's load) move from micro batch to micro batch: they
+#: hold only while nothing routing decides is a constant of the graph.
 LAYERS = {
-    "variable-dmoe": lambda i: VariableSizedDMoE(16, [8, 16, 24, 32], block_size=8, rng=i),
+    "dmoe-top1": _dmoe,
+    "dmoe-top2": lambda i: dMoE(16, 32, num_experts=4, top_k=2, block_size=8, rng=i),
+    "jitter": lambda i: dMoE(
+        16, 32, num_experts=4, block_size=8, rng=i,
+        router=Router(16, 4, jitter_eps=0.1, rng=20 + i),
+    ),
     "sinkhorn": lambda i: dMoE(
         16, 32, num_experts=4, block_size=8, rng=i, router=SinkhornRouter(16, 4, rng=20 + i)
     ),
@@ -128,7 +145,12 @@ LAYERS = {
     ),
     "narrow-5-experts": lambda i: dMoE(16, 16, num_experts=5, block_size=8, rng=i),
     "narrow-6-experts": lambda i: dMoE(16, 16, num_experts=6, block_size=8, rng=i),
+    "moe-cf1-top1": lambda i: MoELayer(16, 32, 4, capacity_factor=1.0, rng=i),
+    "moe-cf1-top2": lambda i: MoELayer(16, 32, 4, capacity_factor=1.0, top_k=2, rng=i),
+    "tutel-dmoe": lambda i: DynamicCapacityMoELayer(16, 32, 4, rng=i),
 }
+#: Steps per layer run: enough micro batches for routing to move.
+LAYER_STEPS = 12
 
 _PILE = SyntheticPile(PileConfig(vocab_size=64, num_domains=3, branching=4), seed=1)
 _TRAIN, _VAL = LMDataset(_PILE.token_stream(6_000, 32), seq_len=16).split(0.1)
@@ -300,21 +322,38 @@ def test_every_rung_recovers_to_the_reference_bits(backend, steady, scenario, tm
 
 
 @pytest.mark.parametrize("layer", LAYERS)
-def test_every_rung_trains_each_layer_alike(layer):
-    """One capture per run and no fallback: every micro batch after the
-    first is a replay, and it trains the eager bits only if the layer's
-    assignment, plan and topology were rebuilt from its own routing."""
-    make = lambda backend: _state(
-        backend, False, ConstantLR(LR), CLIPS["clip-active"], ffn=LAYERS[layer]
+def test_every_rung_trains_each_layer_alike(layer, monkeypatch):
+    """eager = steady = replay = cc, and one capture per run with no
+    fallback: every micro batch after the first is a replay, and it
+    trains the eager bits only if the layer's assignment, plan, capacity
+    and topology were rebuilt from its own routing."""
+    capacities = []
+    dynamic = DynamicCapacityMoELayer._capacity
+
+    def spy(mod, num_tokens, expert_indices):
+        capacities.append(dynamic(mod, num_tokens, expert_indices))
+        return capacities[-1]
+
+    monkeypatch.setattr(DynamicCapacityMoELayer, "_capacity", spy)
+    make = lambda backend, steady: _state(
+        backend, steady, ConstantLR(LR), CLIPS["clip-active"], ffn=LAYERS[layer]
     )
-    ref = _train(make("eager"))
-    for backend in ["replay"] + (["cc"] if lower.cc_available() else []):
+    steps = range(LAYER_STEPS)
+    ref = _train(make("eager", False), steps)
+    rungs = [("eager", True), ("replay", False)]
+    for backend, steady in rungs + ([("cc", False)] if lower.cc_available() else []):
         before = _counters()
-        _assert_same_bits(_train(make(backend)), ref)
+        del capacities[:]
+        _assert_same_bits(_train(make(backend, steady), steps), ref)
         counts = {k: v - before[k] for k, v in _counters().items()}
-        assert counts["graph_captures"] == 1, backend
-        assert counts["graph_replays"] == 2 * STEPS - 1, backend
-        assert counts["graph_fallbacks"] == 0, backend
+        compiled = backend != "eager"
+        assert counts == {
+            "graph_captures": int(compiled),
+            "graph_replays": (2 * LAYER_STEPS - 1) * compiled,
+            "graph_fallbacks": 0, "lower_segment_fallbacks": 0,
+        }, backend
+        if layer == "tutel-dmoe":
+            assert len(set(capacities)) > 1, "the capacity never moved"
 
 
 def _data_parallel_rank(backend, steps=3):

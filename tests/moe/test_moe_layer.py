@@ -100,11 +100,13 @@ class TestDynamicCapacity:
             layer(x)
             assert layer.last_plan.num_dropped == 0
 
-    def test_capacity_factor_in_its_positional_slot_is_ignored(self, rng):
-        layer = DynamicCapacityMoELayer(8, 16, 4, 2.0, rng=0)
-        assert layer.capacity_factor == 1.0
-        layer(Tensor(rng.standard_normal((40, 8)).astype(np.float32)))
-        assert layer.last_plan.num_dropped == 0
+    def test_capacity_factor_is_refused(self):
+        """The capacity is read off each routing, so a capacity factor is
+        an error, positional or keyword, not a silently ignored value."""
+        with pytest.raises(TypeError):
+            DynamicCapacityMoELayer(8, 16, 4, 2.0, rng=0)
+        with pytest.raises(TypeError):
+            DynamicCapacityMoELayer(8, 16, 4, capacity_factor=2.0, rng=0)
 
     def test_capacity_tracks_max_load(self, rng):
         layer = DynamicCapacityMoELayer(
@@ -114,7 +116,7 @@ class TestDynamicCapacity:
         counts = np.bincount(
             layer.last_routing.expert_indices.reshape(-1), minlength=4
         )
-        assert layer.last_dynamic_capacity == counts.max()
+        assert layer.last_plan.capacity == counts.max()
 
     def test_matches_fixed_moe_at_matching_capacity(self, rng):
         dyn = DynamicCapacityMoELayer(

@@ -14,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import VariableSizedDMoE, dMoE
+from repro.core import dMoE
 from repro.moe import BaseLayerRouter, SinkhornRouter
-from repro.nn import Module, TransformerLM
+from repro.nn import Linear, Module, TransformerLM
 from repro.observability import registry
 from repro.serving.engine import InferenceEngine
 
@@ -244,9 +244,7 @@ def test_a_block_ffn_the_plan_cannot_serve_raises_at_build():
     itself as a module, is refused when the plan is built, before a row
     is written."""
     refused = {
-        "VariableSizedDMoE": lambda i: VariableSizedDMoE(
-            HIDDEN, [32, 64, 32, 64], block_size=8, rng=0
-        ),
+        "Linear": lambda i: Linear(HIDDEN, HIDDEN, rng=i),
         "SinkhornRouter": lambda i: dMoE(
             HIDDEN, FFN, 4, block_size=8, rng=i, router=SinkhornRouter(HIDDEN, 4, rng=20 + i)
         ),

@@ -821,15 +821,6 @@ class TestMakeTopologyCarriesLiveRows:
         layout = dispatch.live_layout(topo)
         assert layout.rows_live == 14 and layout.rows_padded == plan.total_padded
 
-    def test_per_expert_widths(self):
-        idx = np.array([0] * 3 + [1] * 4)[:, None]
-        plan = make_padded_plan(idx, 2, block_size=4)
-        topo = make_topology(plan, [8, 4])
-        assert topo.shape == (8, 12)
-        np.testing.assert_array_equal(topo.live_rows, [3, 4])
-        with pytest.raises(ValueError, match="multiple"):
-            make_topology(plan, [8, 6])
-
     def test_counters_report_skipped_padding(self, rng):
         idx = np.array([0] * 5 + [1] * 1)[:, None]
         plan = make_padded_plan(idx, 2, block_size=4)
