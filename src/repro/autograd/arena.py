@@ -50,17 +50,17 @@ where a buffer comes from, never which code runs: when it is ``None``,
 arrays, the ``out=`` helpers (:func:`out_buf`, :func:`binary_buf`,
 :func:`matmul_buf`) return ``None`` — a ufunc given ``out=None``
 allocates exactly what its operator form would — :func:`release`
-is a no-op, and no buffer plan is recorded or served.  Call sites pass
+is a no-op, and no memory plan is recorded or served.  Call sites pass
 the helpers' results straight on and never branch on them; this module
-is the only reader of the field.
+and the memory plan that stands in for the pool during a replay
+(:mod:`repro.autograd.memplan`) are the only readers of the field.
 """
 
 from __future__ import annotations
 
 import contextlib
 from math import prod as _prod
-from operator import itemgetter
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -77,9 +77,6 @@ MIN_BUCKET = 2048
 DEFAULT_CAPACITY_BYTES = 512 * 1024 * 1024
 
 _RESHAPE_COPY_BYTES = stats.RESHAPE_COPY_BYTES
-
-#: A buffer-script entry's base array.
-_BASE = itemgetter(3)
 
 
 class BufferArena:
@@ -105,6 +102,7 @@ class BufferArena:
         "evictions",
         "released",
         "skipped",
+        "unit",
     )
 
     def __init__(self, capacity_bytes: int = DEFAULT_CAPACITY_BYTES) -> None:
@@ -118,7 +116,7 @@ class BufferArena:
         self._free: Dict[Tuple[int, int], list] = {}
         # id(base) -> (key, base, viewcache, serial).  Holding the base
         # keeps its id stable while the buffer is live; serial is the
-        # pool's acquire count when it was handed out (see WalkMark).
+        # pool's acquire count when it was handed out (see WalkBuffers).
         self._live: Dict[int, tuple] = {}
         self._free_bytes = 0
         self._live_bytes = 0
@@ -128,15 +126,18 @@ class BufferArena:
         self.evictions = 0
         self.released = 0
         self.skipped = 0
+        #: Which unit of a replay runs (a memory plan's clock; unread here).
+        self.unit = None
 
     # ------------------------------------------------------------------
     # Core pool operations
     # ------------------------------------------------------------------
-    def acquire(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
+    def acquire(self, shape: Tuple[int, ...], dtype, rows=None) -> np.ndarray:
         """A writable array of ``shape``/``dtype`` backed by pooled memory.
 
         Contents are uninitialized (stale from a previous step); the
-        caller must fully overwrite them.
+        caller must fully overwrite them.  ``rows`` (see :func:`empty`)
+        is for a recording memory plan; the pool ignores it.
         """
         dt = dtype if isinstance(dtype, np.dtype) else np.dtype(dtype)
         if type(shape) is not tuple:
@@ -196,6 +197,23 @@ class BufferArena:
         self._live.clear()
         self.generation += 1
 
+    def retire(self, keep: Iterable[Optional[np.ndarray]]) -> None:
+        """Retire every live buffer but those backing an array of
+        ``keep`` (``None`` entries are skipped) — what a captured micro
+        batch leaves behind besides its leaf gradients, before the
+        graph's first replay asks for memory."""
+        kept = {id(root(a)) for a in keep if a is not None}
+        for bid in [bid for bid in self._live if bid not in kept]:
+            entry = self._live.pop(bid)
+            self._live_bytes -= entry[1].nbytes
+            self._stash(entry)
+
+    def trim(self) -> None:
+        """Drop every free buffer to the GC (live ones stay): a memory
+        plan has taken over what they served."""
+        self._free.clear()
+        self._free_bytes = 0
+
     def clear(self) -> None:
         """Drop all pooled memory (free and live) and reset counters."""
         self._free.clear()
@@ -204,6 +222,10 @@ class BufferArena:
         self._live_bytes = 0
         self.hits = self.misses = self.evictions = self.released = 0
         self.skipped = 0
+
+    def walk(self) -> "WalkBuffers":
+        """A backward walk's bookkeeping over this pool."""
+        return WalkBuffers(self)
 
     def _stash(self, entry: tuple) -> None:
         key, base, vc, _serial = entry
@@ -242,238 +264,83 @@ class BufferArena:
 
 
 # ----------------------------------------------------------------------
-# Static buffer plans (captured step-graph replay)
+# The backward walk's buffer bookkeeping
 # ----------------------------------------------------------------------
-class BufferScript:
-    """The static buffer plan of one replayed micro batch.
+class WalkBuffers:
+    """Pool bookkeeping of one backward walk: which gradient arrays it
+    may recycle, and which a leaf may keep.
 
-    A compiled step graph executes the identical op schedule every
-    replay, so it also issues the identical sequence of arena requests.
-    On its first replay the graph records that sequence — every request
-    the pool serves appends ``[dtype, shape, view, base, viewcache,
-    bucket]`` — and the recorded bases are *detached* from the pool
-    (removed from the free stacks and the live table) so nothing else
-    can ever alias them.  Subsequent replays serve the plan by cursor:
-    the script stands in for the pool as the thread's allocator, and the
-    common request is one tuple compare and a list index in place of the
-    bucket/LIFO/view-cache machinery.
+    Interior gradients go back to the pool the moment they are dead, so
+    a steady walk recycles cache-hot memory (like malloc does for the
+    reference walk, whose arrays the pool does not own: there every
+    release is a no-op and every leaf copies).  One buffer can back
+    several pending gradients — backward functions return views
+    (``_Reshape``) or the very same array for several inputs (``_Add``
+    with equal shapes) — so each stored gradient bumps a count on its
+    *root* array and the buffer is released when the last of them is
+    consumed.
 
-    Divergence handling keeps the plan safe rather than clever:
+    The same count says when an array is the walk's alone: held by one
+    pending gradient, and handed out by the pool during this walk (its
+    acquire serial in the live table is past the one taken here), so
+    neither a sibling gradient nor anything the forward saved can alias
+    it.  Such an array is *adopted* by the leaf it reaches instead of
+    being copied (``tensor._accumulate_leaf``); it is then never
+    released, and lives until the pool's next generation like any
+    leaf-gradient buffer.
 
-    - Same position, different shape that still fits the owned base
-      (tokens-per-expert wobble resizing a sparse buffer): a fresh view
-      of the same memory is served and the entry updated in place.
-    - Shape that outgrows the base (wobble crossing a bucket boundary):
-      the base grows monotonically, like a capacity vector — same
-      position, same role, so the liveness reasoning is unchanged.
-    - Different dtype, or more requests than entries — the op sequence
-      itself changed, not just sizes: the script deactivates itself
-      *for the rest of the step* and the real pool takes over.  The
-      served prefix followed the recorded order exactly, so its
-      liveness reasoning still holds, and the pool can never hand out a
-      script-owned base.  The owner re-records a fresh plan next replay.
-    - Fewer requests than entries (detected by the owner via
-      ``cursor != len(entries)``): the plan is dropped and re-recorded.
-
-    Entries below the pooling floor hold their own private small array
-    (distinct per position, so two live small buffers can never share
-    memory); serving it again is safe under the arena's fully-overwrite
-    contract that every call site already obeys.
-
-    The invariant all of this rests on: **a replay's acquire sequence
-    is a function of its records.**  Serving by position is sound only
-    while request ``i`` of every replay plays the role request ``i``
-    played when the plan was recorded; the checks above see dtype and
-    count, not role, so a same-dtype request from another code path
-    would be served a recorded base that may still be live.  Nothing
-    that routing moves may therefore choose which code acquires — the
-    sparse dispatch path included (``repro.sparse.dispatch.use_grouped``).
+    A replay served by a memory plan walks with the plan's own
+    bookkeeping instead (:class:`repro.autograd.memplan.Layout`): its
+    buffers are laid out by lifetime, so nothing is counted or released,
+    and a leaf adopts what the recording replay adopted.  ``unit`` is
+    where the walk says which entry runs; only a plan reads it.
     """
 
-    __slots__ = ("entries", "cursor", "dead", "pool")
+    __slots__ = ("release", "refs", "pool", "serial", "unit")
 
-    def __init__(self, entries: list) -> None:
-        self.entries = entries
-        self.cursor = 0
-        self.dead = False
-        #: The serving thread's pool: a diverged step's requests go to it.
-        self.pool: Optional[BufferArena] = None
-
-    def acquire(self, shape, dtype) -> np.ndarray:
-        """The plan's next buffer."""
-        i = self.cursor
-        try:
-            e = self.entries[i]
-        except IndexError:
-            return self._diverge(shape, dtype)
-        # Fast path: same shape tuple, same dtype object (builtin NumPy
-        # dtypes are singletons, so identity almost always hits).
-        if shape == e[1] and (dtype is e[0] or dtype == e[0]):
-            self.cursor = i + 1
-            return e[2]
-        return self._serve_slow(e, shape, dtype)
-
-    def release(self, view: np.ndarray) -> bool:
-        """A no-op (every buffer served is detached) until a divergence."""
-        return self.dead and self.pool.release(view)
-
-    def _diverge(self, shape, dtype) -> np.ndarray:
-        self.dead = True
-        current().arena = self.pool
-        return self.pool.acquire(shape, dtype)
-
-    def _serve_slow(self, e, shape, dtype) -> np.ndarray:
-        dt = dtype if isinstance(dtype, np.dtype) else np.dtype(dtype)
-        if type(shape) is not tuple:
-            shape = (shape,) if type(shape) is int else tuple(shape)
-        if dt != e[0]:
-            # A dtype change at a fixed schedule position means the op
-            # sequence itself changed — not wobble.  Bail out safely.
-            return self._diverge(shape, dt)
-        if shape == e[1]:
-            self.cursor += 1
-            return e[2]
-        n = int(_prod(shape))
-        base = e[3]
-        if base is not None and n <= base.size:
-            # Shape wobble within the owned base: new view, same memory.
-            vc = e[4]
-            view = vc.get(shape)
-            if view is None:
-                view = vc[shape] = base[:n].reshape(shape)
-        elif base is None and n < MIN_BUCKET:
-            # Below-floor entry: adopt the new small shape in place.
-            view = np.empty(shape, dtype=dt)
-        else:
-            # Outgrew the owned base (tokens-per-expert drift crossing a
-            # bucket boundary): grow it monotonically, like a capacity
-            # vector.  The old base is dropped; same position, same
-            # role, so the plan's liveness reasoning is unchanged.
-            b = 1 << (n - 1).bit_length()
-            if b < MIN_BUCKET:
-                b = MIN_BUCKET
-            base = np.empty(b, dtype=dt)
-            view = base[:n].reshape(shape)
-            e[3] = base
-            e[4] = {shape: view}
-            e[5] = b
-        e[1] = shape
-        e[2] = view
-        self.cursor += 1
-        return view
-
-
-class _Recorder:
-    """The thread's allocator while a replay records its buffer plan:
-    the pool, with every request it serves appended to the plan."""
-
-    __slots__ = ("pool", "entries")
-
-    def __init__(self, pool: BufferArena) -> None:
+    def __init__(self, pool: Optional["BufferArena"], release=None) -> None:
         self.pool = pool
-        self.entries: list = []
+        if release is None:
+            release = pool.release if pool is not None else _keep
+        self.release = release
+        self.refs: dict = {}
+        self.serial = pool.hits + pool.misses if pool is not None else 0
 
-    def acquire(self, shape, dtype) -> np.ndarray:
-        view = self.pool.acquire(shape, dtype)
-        base = view.base
-        if base is None:  # below the floor: a private small array
-            self.entries.append([view.dtype, view.shape, view, None, None, None])
+    def track(self, a: np.ndarray) -> None:
+        bid = id(root(a))
+        self.refs[bid] = self.refs.get(bid, 0) + 1
+
+    def retire(self, a: np.ndarray) -> None:
+        bid = id(root(a))
+        n = self.refs.get(bid, 0) - 1
+        if n > 0:
+            self.refs[bid] = n
         else:
-            vc = self.pool._live[id(base)][2]
-            self.entries.append([view.dtype, view.shape, view, base, vc, base.size])
-        return view
+            self.refs.pop(bid, None)
+            self.release(a)
 
-    def release(self, view: np.ndarray) -> bool:
-        return self.pool.release(view)
-
-    def finish(self) -> Optional[BufferScript]:
-        """The recorded plan, its bases dropped from the pool's live table
-        and free stacks: the pool can never serve one of them to another
-        caller, which is what makes cursor-order replay alias-free."""
-        if not self.entries:
-            return None
-        pool = self.pool
-        ids = {id(e[3]) for e in self.entries if e[3] is not None}
-        for bid in ids:
-            entry = pool._live.pop(bid, None)
-            if entry is not None:
-                pool._live_bytes -= entry[1].nbytes
-        for stack in pool._free.values():
-            gone = [b.nbytes for b, _vc in stack if id(b) in ids]
-            if gone:
-                pool._free_bytes -= sum(gone)
-                stack[:] = [bv for bv in stack if id(bv[0]) not in ids]
-        return BufferScript(self.entries)
-
-
-def run_on_plan(script: Optional[BufferScript], run: Callable) -> Tuple:
-    """``run()`` — one replay — with the calling thread's requests served
-    by ``script``, or recorded into a fresh plan when it is ``None``.
-
-    Returns ``run()``'s result and the plan for the next replay: the new
-    one, or ``script`` unless the request sequence drifted (a bucket
-    change, a count mismatch); outside ``steady_state()`` nothing is
-    served or recorded.  An exception discards the plan.
-    """
-    ex = current()
-    pool = ex.arena
-    if pool is None:
-        return run(), script
-    if pool is not ex.pool:
-        raise RuntimeError("a buffer plan is already recording or serving")
-    alloc = _Recorder(pool) if script is None else script
-    if script is not None:
-        script.cursor, script.pool = 0, pool
-    ex.arena = alloc
-    try:
-        result = run()
-    finally:
-        ex.arena = pool
-    if script is None:
-        return result, alloc.finish()
-    return result, None if script.dead or script.cursor != len(script.entries) else script
-
-
-class WalkMark:
-    """Taken when a backward walk starts: which pooled buffers were
-    acquired since?
-
-    A buffer acquired during the walk cannot be reached by anything
-    recorded before it — a saved activation, a graph constant, a
-    parameter — which is what lets a leaf *adopt* such a gradient array
-    instead of copying it (``tensor._accumulate_leaf``).  Pool-served
-    buffers carry their acquire serial in the live table; script-served
-    ones are detached from it, and the entries the script has served
-    since the mark name them (the same buffers every replay, so the
-    eager walk, the recording replay and the scripted replays answer
-    alike and issue the same acquire sequence).
-    """
-
-    __slots__ = ("_pool", "_serial", "_script", "_seen", "_born")
-
-    def __init__(self, pool: BufferArena) -> None:
-        alloc = current().arena
-        self._pool = pool
-        self._serial = pool.hits + pool.misses
-        self._script = alloc if type(alloc) is BufferScript else None
-        self._seen = alloc.cursor if self._script is not None else 0
-        self._born: set = set()
-
-    def born_since(self, base: np.ndarray) -> bool:
-        """``base`` (a root array: ``base.base is None``) is a pooled
-        buffer handed out after the mark."""
-        entry = self._pool._live.get(id(base))
-        if entry is not None:
-            return entry[3] > self._serial
-        script = self._script
-        if script is None:
+    def adopt(self, a: np.ndarray, leaf) -> bool:
+        """Give ``a`` up to ``leaf`` if it is the walk's alone."""
+        base = root(a)
+        if self.refs.get(id(base)) != 1 or self.pool is None:
             return False
-        if script.cursor > self._seen:
-            self._born.update(
-                map(id, map(_BASE, script.entries[self._seen : script.cursor]))
-            )
-            self._seen = script.cursor
-        return id(base) in self._born
+        entry = self.pool._live.get(id(base))
+        if entry is None or entry[3] <= self.serial:
+            return False
+        del self.refs[id(base)]
+        return True
+
+
+def _keep(view: np.ndarray) -> bool:
+    return False
+
+
+def root(a: np.ndarray) -> np.ndarray:
+    """The array that owns ``a``'s memory (``broadcast_to`` views nest
+    one deeper than NumPy's collapsed ``.base``)."""
+    while a.base is not None:
+        a = a.base
+    return a
 
 
 def get_arena() -> BufferArena:
@@ -495,7 +362,7 @@ def steady_state():
     pool = get_arena()
     ex = current()
     prev = ex.arena
-    ex.arena = prev or pool  # a replay's plan inside stays in charge
+    ex.arena = prev or pool  # a replay's memory plan inside stays in charge
     try:
         yield pool
     finally:
@@ -506,40 +373,49 @@ def steady_state():
 # Hot-path helpers: one read of the thread's allocator each, and plain
 # NumPy when it has none, so call sites stay branch-free.
 # ----------------------------------------------------------------------
-def empty(shape, dtype) -> np.ndarray:
-    """Uninitialized array: pooled in a steady scope, fresh otherwise."""
+def empty(shape, dtype, rows=None) -> np.ndarray:
+    """Uninitialized array: pooled in a steady scope, fresh otherwise.
+
+    ``rows`` names what the array's leading axis indexes when routing
+    may size it: an array whose leading axis it shares (the operand a
+    row-wise op maps), or the topology or dispatch plan it was sized
+    from.  A memory plan recording this replay reserves such an array
+    at the bound its dispatch declared
+    (:func:`repro.autograd.memplan.routed`), so routing never outgrows
+    it; any other array is planned at the size it was asked for."""
     alloc = current().arena
     if alloc is None:
         return np.empty(shape, dtype=dtype)
-    return alloc.acquire(shape, dtype)
+    return alloc.acquire(shape, dtype, rows)
 
 
-def zeros(shape, dtype) -> np.ndarray:
-    """Zeroed array: pooled in a steady scope, fresh otherwise."""
+def zeros(shape, dtype, rows=None) -> np.ndarray:
+    """Zeroed array: pooled in a steady scope, fresh otherwise
+    (``rows`` as for :func:`empty`)."""
     alloc = current().arena
     if alloc is None:
         return np.zeros(shape, dtype=dtype)
-    buf = alloc.acquire(shape, dtype)
+    buf = alloc.acquire(shape, dtype, rows)
     buf.fill(0)
     return buf
 
 
 def release(view: Optional[np.ndarray]) -> None:
     """Early-return a buffer (no-op for non-arena arrays, outside a
-    steady scope, and under a scripted replay, where every buffer is the
-    script's)."""
+    steady scope, and under a memory plan, where every buffer's
+    lifetime was laid out in advance)."""
     alloc = current().arena
     if alloc is not None and view is not None:
         alloc.release(view)
 
 
-def out_buf(shape, dtype) -> Optional[np.ndarray]:
+def out_buf(shape, dtype, rows=None) -> Optional[np.ndarray]:
     """An ``out=`` target, or ``None`` (→ let NumPy allocate) outside a
-    steady scope."""
+    steady scope (``rows`` as for :func:`empty`)."""
     alloc = current().arena
     if alloc is None:
         return None
-    return alloc.acquire(shape, dtype)
+    return alloc.acquire(shape, dtype, rows)
 
 
 def binary_buf(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
@@ -556,7 +432,7 @@ def binary_buf(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
         return None
     shape = a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape)
     dt = a.dtype if a.dtype == b.dtype else np.result_type(a, b)
-    return alloc.acquire(shape, dt)
+    return alloc.acquire(shape, dt, (a, b))
 
 
 def matmul_buf(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
@@ -570,7 +446,7 @@ def matmul_buf(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
         lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
         shape = lead + (a.shape[-2], b.shape[-1])
     dt = a.dtype if a.dtype == b.dtype else np.result_type(a, b)
-    return alloc.acquire(shape, dt)
+    return alloc.acquire(shape, dt, (a,))
 
 
 def reshaped(a: np.ndarray, shape) -> np.ndarray:
@@ -601,7 +477,7 @@ def reshaped(a: np.ndarray, shape) -> np.ndarray:
             if s != -1:
                 rest *= s
         shape = tuple(a.size // rest if s == -1 else s for s in shape)
-    buf = alloc.acquire(shape, a.dtype)
+    buf = alloc.acquire(shape, a.dtype, a)
     np.copyto(buf.reshape(a.shape), a)
     _RESHAPE_COPY_BYTES.value += buf.nbytes
     return buf

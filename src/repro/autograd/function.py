@@ -58,7 +58,9 @@ def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
     if axes:
         kept = tuple(1 if i in axes else s for i, s in enumerate(grad.shape))
-        grad = grad.sum(axis=axes, keepdims=True, out=arena.out_buf(kept, grad.dtype))
+        grad = grad.sum(
+            axis=axes, keepdims=True, out=arena.out_buf(kept, grad.dtype, (grad,))
+        )
     if grad.shape == shape:
         return grad
     return grad.reshape(shape)

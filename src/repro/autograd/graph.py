@@ -79,9 +79,9 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.autograd import arena
 from repro.autograd.execution import current, mine
 from repro.autograd.function import Context
+from repro.autograd.memplan import END, MemoryPlan
 from repro.autograd.tensor import Tensor, _coerce_data, run_walk, walk_entries
 
 __all__ = [
@@ -96,6 +96,15 @@ class GraphInvalidated(RuntimeError):
     """A replayed guard diverged from its captured value; the caller must
     discard the :class:`StepGraph`, fall back to eager, and recapture."""
 
+
+class _Unplanned:
+    """Where a replay outside ``steady_state()`` announces its units:
+    nothing reads them."""
+
+    __slots__ = ("unit",)
+
+
+_NO_PLAN = _Unplanned()
 
 # Argument-spec tags (plain ints: the replay resolver is the hot loop).
 _REC = 0      # (tag, record_index)                 -> values[record_index]
@@ -347,7 +356,12 @@ class CaptureSession:
             gens=self._gens,
         )
         # Drop capture-time activations: the schedule holds classes,
-        # specs, leaf refs, and constants — not the step's tensors.
+        # specs, leaf refs, and constants — not the step's tensors.  The
+        # tape is cut too, so a captured tensor a module keeps (a
+        # router's last result) holds its own array and no saved context.
+        for t in self._keepalive:
+            if type(t) is Tensor:
+                t._node = None
         self._keepalive = []
         self._tensor_ids = {}
         self._dyn = {}
@@ -373,7 +387,8 @@ class StepGraph:
         "replays",
         "_plan",
         "_bwd_plan",
-        "_scripts",
+        "memory",
+        "_readers",
         "_lowered",
         "_inputs",
     )
@@ -386,12 +401,15 @@ class StepGraph:
         self.lm_idx = lm_idx
         self.gens = gens
         self.replays = 0
-        # Static buffer plans, one per accumulation slot (the first
-        # micro batch of a step acquires the leaf-gradient buffers that
-        # later micro batches accumulate into in place, so their arena
-        # request sequences differ).  Recorded lazily on the first
-        # replay of each slot; see :class:`repro.autograd.arena.BufferScript`.
-        self._scripts: Dict[int, arena.BufferScript] = {}
+        #: The graph's memory plan (:mod:`repro.autograd.memplan`): one
+        #: layout per accumulation slot — the first micro batch of a step
+        #: makes the leaf-gradient buffers that later ones accumulate
+        #: into in place, so their request sequences differ — over one
+        #: activation region they share.  Each slot's layout is recorded
+        #: on its first replay.
+        self.memory = MemoryPlan()
+        #: record index -> the units that read its value or context.
+        self._readers: Optional[Dict[int, tuple]] = None
         #: Native lowering plan (repro.autograd.lower), or None for the
         #: pure-NumPy replay path.
         self._lowered = None
@@ -432,14 +450,14 @@ class StepGraph:
         """Install a :class:`repro.autograd.lower.LoweredPlan`.
 
         The lowered path issues its own arena request sequence (it skips
-        staging temporaries the C kernels fuse away), so any buffer
-        scripts recorded under the NumPy replay are dropped and re-record
-        on the next replay of each slot.
+        staging temporaries the C kernels fuse away), so any layouts
+        recorded under the NumPy replay are dropped and each slot
+        records again on its next replay.
         """
         if self._lowered is not None:
             self.detach_lowered()
         self._lowered = plan
-        self._scripts.clear()
+        self.memory.forget()
 
     def detach_lowered(self) -> None:
         """Remove the lowered plan: replays run the NumPy records and
@@ -448,7 +466,7 @@ class StepGraph:
         if plan is not None:
             self._lowered = None
             plan.detach()
-            self._scripts.clear()
+            self.memory.forget()
 
     @property
     def num_records(self) -> int:
@@ -458,12 +476,12 @@ class StepGraph:
         """Execute the schedule; returns ``float(lm)`` with gradients
         accumulated into the leaf parameters, bit-identical to eager.
 
-        ``slot`` selects the static buffer plan (0 for the first micro
-        batch of a step, 1 for accumulation micro batches): the first
-        replay of a slot records the plan, later replays serve the
-        pre-resolved buffers by cursor instead of running the arena's
-        pool machinery.  Buffer identity does not affect the arithmetic,
-        so scripted and pool-served replays are bit-identical.
+        ``slot`` selects the layout of the graph's memory plan (0 for the
+        first micro batch of a step, 1 for accumulation micro batches):
+        the first replay of a slot runs on the pool and records it,
+        later replays are served every buffer at its planned offset.
+        Buffer placement does not affect the arithmetic, so recorded,
+        planned and pool-served replays are bit-identical.
 
         Raises :class:`GraphInvalidated` when a guard diverges; every
         RNG stream the graph draws from is restored first, so the eager
@@ -483,22 +501,59 @@ class StepGraph:
             self._backward(values, slot)
             return values
 
-        # Popped: a replay that raises leaves no plan behind.
-        script = self._scripts.pop(slot, None)
         try:
-            values, script = arena.run_on_plan(script, run)
+            loss = self.memory.run(slot, run, self)
         except GraphInvalidated:
             set_global_state(g_state)
             for g, s in states:
                 g.bit_generator.state = s
             raise
-        if script is not None:
-            self._scripts[slot] = script
         self.replays += 1
         from repro.observability.metrics import registry
 
         registry().counter("graph_replays").inc()
+        return loss
+
+    def loss(self, values: list) -> float:
+        """A replay's result: ``float(lm)`` from its value table."""
         return float(values[self.lm_idx][1])
+
+    # -- what the memory plan reads --------------------------------------
+    def leaves(self) -> list:
+        """The tensors the backward walk delivers gradients to."""
+        return [ref for kind, _slot, ref, _fn, _targets in self._bwd_plan if kind]
+
+    def readers(self) -> Dict[int, tuple]:
+        """Record index -> the units that read its value or its context:
+        later records whose arguments name it, the walk entry (``~pos``)
+        that runs its backward, and ``END`` for the loss and the root."""
+        if self._readers is None:
+            readers: Dict[int, set] = {}
+
+            def note(spec, unit) -> None:
+                tag = spec[0]
+                if tag in (_REC, _DYN):
+                    readers.setdefault(spec[1], set()).add(unit)
+                elif tag == _TUPLE:
+                    for s in spec[1]:
+                        note(s, unit)
+
+            for j, rec in enumerate(self.records):
+                for spec in rec.specs:
+                    note(spec, j)
+            for pos, (kind, _slot, ref, _fn, _targets) in enumerate(self._bwd_plan):
+                if not kind:
+                    readers.setdefault(ref, set()).add(~pos)
+            for i in (self.lm_idx, self.root_idx):
+                readers.setdefault(i, set()).add(END)
+            self._readers = {i: tuple(u) for i, u in readers.items()}
+        return self._readers
+
+    def unhold(self, slot: int) -> None:
+        """Let go of what the lowered units of ``slot`` hold from the
+        last replay (it recorded a layout: those arrays are dead)."""
+        if self._lowered is not None:
+            self._lowered.unhold(slot)
 
     def _own(self, inputs: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
         """``inputs`` copied into the graph's buffers — the serving plan
@@ -543,7 +598,9 @@ class StepGraph:
         plan = self._plan
         resolve = self._resolve
         ndarray = np.ndarray
+        mark = current().arena or _NO_PLAN
         for i in indices:
+            mark.unit = i
             is_op, fn, kwargs, static, patches, rec = plan[i]
             if patches:
                 args = static.copy()

@@ -405,7 +405,7 @@ class Build:
     call's guard holds nothing, so a direct runner reads its pointers
     itself (:func:`addr`)."""
 
-    __slots__ = ("rec", "lib", "iscratch", "targets", "operands")
+    __slots__ = ("rec", "lib", "iscratch", "targets", "operands", "acquired", "scratch")
 
     def __init__(self, rec, lib, iscratch, targets=()):
         from repro.autograd.lower.runtime import Binding
@@ -415,6 +415,10 @@ class Build:
         self.iscratch = iscratch
         self.targets = targets
         self.operands = Binding((), [])
+        #: The bindings :meth:`holds` made for the runner.
+        self.acquired: list = []
+        #: Arrays :meth:`own` made: the runner's for as long as the unit's.
+        self.scratch: list = []
 
     def const(self, k: int, keyword: str, default):
         return frozen(self.rec, k, keyword, default)
@@ -424,18 +428,35 @@ class Build:
         descs = self.rec.descs
         return (descs[0] if k == OUT else descs[1][k])[1]
 
-    @staticmethod
-    def holds(n: int):
+    def holds(self, n: int):
         """``(held, args, hold)`` of a new binding of ``n`` positions for
         the arrays a runner acquires itself (its arena outputs, its
-        scratch): the arena's buffer script serves the same view object
+        scratch): the graph's memory plan serves the same view object
         on every replay while its shape holds, so the runner reads
         position ``k``'s pointer as ``args[k] if a is held[k] else
         hold(k, a)``."""
         from repro.autograd.lower.runtime import Binding
 
         bound = Binding([None] * n, [0] * n)
+        self.acquired.append(bound)
         return bound.held, bound.args, bound.hold
+
+    def own(self, shape, dtype) -> int:
+        """The data pointer of a fresh array the unit keeps for good
+        (scratch a runner reuses on every call)."""
+        a = np.empty(shape, dtype)
+        self.scratch.append(a)
+        return addr(a)
+
+    def unhold(self) -> None:
+        """Let go of every array the unit's bindings hold; its next call
+        binds afresh (counting no fallback)."""
+        ops = self.operands
+        if ops.held:
+            ops.held = (_UNBOUND,) * len(ops.held)
+        for bound in self.acquired:
+            bound.held[:] = [None] * len(bound.held)
+            bound.args[:] = [0] * len(bound.args)  # and what was made of them
 
 
 _UNBOUND = object()
@@ -572,7 +593,7 @@ def matmul_into(a, b, shape) -> np.ndarray:
     """``a @ b`` of float32 operands into an arena buffer of the
     product's ``shape``, which the runner knows: what ``arena.matmul_buf``
     would derive with two ``np.broadcast_shapes`` per call."""
-    return np.matmul(a, b, out=arena.empty(shape, F4))
+    return np.matmul(a, b, out=arena.empty(shape, F4, (a,)))
 
 
 def rows_width(shape) -> Tuple[int, int]:

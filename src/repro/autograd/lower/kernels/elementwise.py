@@ -121,7 +121,7 @@ def _forward(symbol, saves):
             if operands.held is not held[1]:
                 held[1], at[1] = operands.held, (_layout(x, y), saves(x, y))
             (shape, rows, w, rx, ry), saved = at[1]
-            out = arena.empty(shape, F4)
+            out = arena.empty(shape, F4, (x, y))
             po = at[0] if out is held[0] else hold(0, out)
             cfn(ptr[0], ptr[1], po, rows, w, rx, ry)
             return saved, out
@@ -188,10 +188,10 @@ def _mul_backward(b):
     def run(g, a, b_):
         ga = pa = gb = pb = None
         if want_a:
-            ga = arena.empty(g.shape, F4)
+            ga = arena.empty(g.shape, F4, g)
             pa = at[0] if ga is held[0] else hold(0, ga)
         if want_b:
-            gb = arena.empty(g.shape, F4)
+            gb = arena.empty(g.shape, F4, g)
             pb = at[1] if gb is held[1] else hold(1, gb)
         cfn(ptr[0], ptr[1], ptr[2], pa, pb, g.size)
         return (ga, gb)

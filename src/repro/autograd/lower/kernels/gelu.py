@@ -231,14 +231,14 @@ def _sbgelu_forward(b):
         nnz, bs = v.shape[0], topo.block_size
         colidx = np.ascontiguousarray(topo.column_indices, I64)
         prl = addr(live_layout(topo).block_rows)
-        a = arena.empty(v.shape, F4)
-        t = arena.empty(v.shape, F4)
+        a = arena.empty(v.shape, F4, v)
+        t = arena.empty(v.shape, F4, v)
         pa = at[0] if a is held[0] else hold(0, a)
         pt = at[1] if t is held[1] else hold(1, t)
         cfn1(ptr[0], ptr[1], addr(colidx), prl, pa, pt, nnz, bs, _K044, _C)
         # pad rows of t hold +0.0 and tanh(+0.0) = +0.0
         np.tanh(t, out=t)
-        out = arena.empty(v.shape, F4)
+        out = arena.empty(v.shape, F4, v)
         cfn2(pa, pt, at[2] if out is held[2] else hold(2, out), prl, nnz, bs)
         return (a, t, topo), out
 
@@ -256,8 +256,8 @@ def _sbgelu_backward(b):
 
     def run(grad, a, t, topo):
         nnz, bs = grad.shape[0], topo.block_size
-        g = arena.empty(grad.shape, F4)
-        colsum = arena.empty((nnz, bs), F4)
+        g = arena.empty(grad.shape, F4, grad)
+        colsum = arena.empty((nnz, bs), F4, grad)
         pc = at[1] if colsum is held[1] else hold(1, colsum)
         ccol(ptr[0], ptr[1], ptr[2], at[0] if g is held[0] else hold(0, g),
              pc, addr(live_layout(topo).block_rows), nnz, bs, _K3, _C)
@@ -285,7 +285,7 @@ def _biasgelu_backward(b):
     held, at, hold = b.holds(1)
 
     def run(grad, a, t, sx, sb):
-        g = arena.empty(grad.shape, F4)
+        g = arena.empty(grad.shape, F4, grad)
         cfn(ptr[0], ptr[1], ptr[2], at[0] if g is held[0] else hold(0, g),
             grad.size, _K3, _C)
         return unbroadcast(g, sx), unbroadcast(g, sb)

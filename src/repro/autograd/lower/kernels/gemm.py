@@ -137,7 +137,7 @@ def _gemm_forward(b):
     held, at, hold = b.holds(1)
 
     def run(x, w, bias=None):
-        out = arena.empty(out_shape, F4)
+        out = arena.empty(out_shape, F4, (x,))
         po = at[0] if out is held[0] else hold(0, out)
         if has_bias:
             cfn(ptr[0], ptr[1], ptr[2], po, batch, m, k, n, trans, ld)

@@ -200,12 +200,13 @@ _SDD, _DSD, _DDS, _DSTD = (
 )
 
 
-def _rows_output(dplan, bs, shape):
-    """An output whose row bands the groups write: zero-filled only
-    when some row band belongs to no group."""
+def _rows_output(topo, dplan, bs, shape):
+    """An output whose row bands the groups write (the rows of
+    ``topo``): zero-filled only when some row band belongs to no
+    group."""
     if dplan.rows_covered_blocks * bs == shape[0]:
-        return arena.empty(shape, F4)
-    return arena.zeros(shape, F4)
+        return arena.empty(shape, F4, topo)
+    return arena.zeros(shape, F4, topo)
 
 
 def _sdd_forward(b):
@@ -221,7 +222,7 @@ def _sdd_forward(b):
         gt = _D.group_table(topo)
         lt = _D.live_layout(topo).table
         k = x.shape[1]
-        vals = arena.empty((topo.nnz_blocks, bs, bs), F4)
+        vals = arena.empty((topo.nnz_blocks, bs, bs), F4, topo)
         stage = _D.stage_buf(dplan, bs, F4)
         cfn(ptr[0], k, 0, ptr[1], w.shape[-1], 0,
             at[0] if vals is held[0] else hold(0, vals), addr(gt), addr(lt),
@@ -246,7 +247,7 @@ def _dsd_forward(b):
         gt = _D.group_table(topo)
         lt = _D.live_layout(topo).table
         n = w.shape[1]
-        out = _rows_output(dplan, bs, (topo.shape[0], n))
+        out = _rows_output(topo, dplan, bs, (topo.shape[0], n))
         stage = _D.stage_buf(dplan, bs, F4)
         cfn(ptr[0], ptr[1], n, 0, at[0] if out is held[0] else hold(0, out), n,
             addr(gt), addr(lt), gt.shape[0], 0, bs,
@@ -276,7 +277,7 @@ def _sdd_backward(b):
         stage = _D.stage_buf(dplan, bs, F4)
         ps = at[0] if stage is held[0] else hold(0, stage)
         # DSD^T: dX = dH @ W^T over group row slices.
-        dx = _rows_output(dplan, bs, (rows_s, k))
+        dx = _rows_output(topo, dplan, bs, (rows_s, k))
         cdsd(ptr[0], ptr[2], w.shape[-1], 1,
              at[1] if dx is held[1] else hold(1, dx), k, pgt, plt,
              G, 0, bs, ps)
@@ -310,7 +311,7 @@ def _dsd_backward(b):
         stage = _D.stage_buf(dplan, bs, F4)
         ps = at[0] if stage is held[0] else hold(0, stage)
         # SDD^T: dH = dY @ W^T sampled at H's topology.
-        dh = arena.empty((topo.nnz_blocks, bs, bs), F4)
+        dh = arena.empty((topo.nnz_blocks, bs, bs), F4, topo)
         csdd(ptr[0], n, 0, ptr[2], w.shape[1], 1,
              at[1] if dh is held[1] else hold(1, dh), pgt, plt, G, n,
              bs, ps)

@@ -112,9 +112,9 @@ def _ln_forward(b):
     eps = float(b.const(3, "eps", 1e-5))
     inv_shape = shape[:-1] + (1,)
     ptr = b.operands.args
-    held, at, hold = b.holds(4)
+    held, at, hold = b.holds(3)
     # One row of squares; replays are single-threaded.
-    psq = hold(3, np.empty(H, F4))
+    psq = b.own(H, F4)
 
     def run(x, w, bias, *_eps):
         out = arena.empty(shape, F4)
@@ -137,8 +137,8 @@ def _ln_backward(b):
     R, H = rows_width(shape)
     cfn = b.lib.repro_ln_bwd_f32
     ptr = b.operands.args
-    held, at, hold = b.holds(5)
-    ptmp, ppr = hold(3, np.empty(H, F4)), hold(4, np.empty(H, F4))
+    held, at, hold = b.holds(3)
+    ptmp, ppr = b.own(H, F4), b.own(H, F4)
 
     def run(g, xhat, inv, w):
         gx = arena.empty(shape, F4)

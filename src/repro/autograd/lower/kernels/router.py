@@ -313,8 +313,9 @@ def _dispatch_forward(b):
             seg["gather"][:P], seg["copies"][:P], seg["counts"], seg["padded"],
             bs, T, k,
         )
-        remember_dispatch(mod, plan, topo, idx)
-        return ((plan, topo, seg["row_expert"][:P]),)
+        row_expert = seg["row_expert"][:P]
+        remember_dispatch(mod, plan, topo, row_expert, idx)
+        return ((plan, topo, row_expert),)
 
     return run
 

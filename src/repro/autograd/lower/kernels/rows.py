@@ -158,7 +158,7 @@ def _scatter_backward(b):
     held, at, hold = b.holds(1)
 
     def run(g, ids, shape):
-        gx = arena.empty(tuple(shape), F4)
+        gx = arena.empty(tuple(shape), F4, ids)
         cfn(ptr[0], ptr[1], at[0] if gx is held[0] else hold(0, gx),
             ids.size, shape[1])
         return (gx,)
@@ -180,7 +180,7 @@ def _take_forward(symbol):
         def run(x, ids):
             ids64 = ids.astype(np.int64, copy=False)
             h = x.shape[1]
-            out = arena.empty(ids64.shape + (h,), F4)
+            out = arena.empty(ids64.shape + (h,), F4, ids)
             cfn(ptr[0], ptr[1] if ids64 is ids else addr(ids64),
                 at[0] if out is held[0] else hold(0, out), ids64.size, h)
             return (keep(x.shape), ids64), out
@@ -233,7 +233,7 @@ def _getitem_forward(b):
         ):
             # In range: ``take`` writes ``out`` directly (its
             # bounds-checking mode would stage a copy first).
-            out = arena.empty((index.size, a.shape[1]), a.dtype)
+            out = arena.empty((index.size, a.shape[1]), a.dtype, index)
             np.take(a, index, axis=0, out=out, mode="wrap")
         else:
             out = a[index]

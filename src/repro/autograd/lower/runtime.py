@@ -14,7 +14,7 @@ and the prelude holds them all.  The plan owns:
   (the graph's own walk is never modified).
 
 Both are built per accumulation slot, on the slot's first replay, so
-each unit's bindings see one buffer script.
+each unit's bindings see one layout of the graph's memory plan.
 
 Every native call sits behind a guard built from the entry's operand
 contract and bound to the unit's :class:`Binding`: a call whose
@@ -42,9 +42,11 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from repro.autograd.execution import current
 from repro.autograd.function import Context
 from repro.autograd.graph import (
-    _CONST, _DYN, _INPUT, _LEAF, _REC, GraphInvalidated, _host_equal, _OpRecord,
+    _CONST, _DYN, _INPUT, _LEAF, _NO_PLAN, _REC, GraphInvalidated, _host_equal,
+    _OpRecord,
 )
 from repro.autograd.lower import kernels, toolchain
 from repro.autograd.lower.kernels.base import I64, Build, Kernel, addr, compiled
@@ -209,10 +211,11 @@ class LoweredPlan:
     """A compiled execution schedule swapped into ``StepGraph.replay``.
 
     Its units are bound per accumulation slot: each slot replays its own
-    buffer script, so a unit's operands and outputs are the same objects
-    from one replay of a slot to the next — not from one slot to the
-    other.  A slot's items and backward walk are built on its first
-    replay (:meth:`bound`), each unit with its own bindings."""
+    layout of the graph's memory plan, so a unit's operands and outputs
+    are the same objects from one replay of a slot to the next — not
+    from one slot to the other.  A slot's items and backward walk are
+    built on its first replay (:meth:`bound`), each unit with its own
+    bindings."""
 
     def __init__(self, graph, lib, analysis: Analysis):
         self._graph = graph
@@ -226,28 +229,41 @@ class LoweredPlan:
         # Shared int64 scratch for the scatter kernels, grown on demand;
         # replays are single-threaded so one block serves every unit.
         self._iscr = np.empty(256, I64)
-        #: slot -> (forward items, backward walk entries).
+        #: slot -> (forward (unit, item) pairs, backward walk entries,
+        #: every unit's Build).
         self._slots: Dict[int, tuple] = {}
 
     def bound(self, slot: int) -> tuple:
-        """``slot``'s ``(items, backward walk entries)``, built on first
-        use: the graph's walk with the selected entries swapped for
-        native closures of identical ``(ctx, grad) -> tuple`` semantics."""
+        """``slot``'s ``(items, backward walk entries, builds)``, built
+        on first use: the graph's walk with the selected entries swapped
+        for native closures of identical ``(ctx, grad) -> tuple``
+        semantics.  An item is ``(unit, item)``: the record index the
+        memory plan's clock reads while it runs."""
         plan = self._slots.get(slot)
         if plan is None:
+            builds: list = []
             items = [
-                self._records_item(unit.indices)
+                (unit.indices[0], self._records_item(unit.indices))
                 if isinstance(unit, PyUnit)
-                else self._kernel_item(unit)
+                else (unit.index, self._kernel_item(unit, builds))
                 for unit in self._analysis.units
             ]
-            plan = self._slots[slot] = (items, self._backward_plan())
+            plan = self._slots[slot] = (items, self._backward_plan(builds), builds)
         return plan
+
+    def unhold(self, slot: int) -> None:
+        """Let go of the arrays ``slot``'s units hold from its last
+        replay; each binds afresh on its next call."""
+        plan = self._slots.get(slot)
+        for build in plan[2] if plan is not None else ():
+            build.unhold()
 
     # -- forward ---------------------------------------------------------
     def run_forward(self, inputs, slot: int = 0) -> list:
         values: List[Optional[tuple]] = [None] * self._nrec
-        for item in self.bound(slot)[0]:
+        mark = current().arena or _NO_PLAN
+        for unit, item in self.bound(slot)[0]:
+            mark.unit = unit
             item(values, inputs)
         return values
 
@@ -273,7 +289,7 @@ class LoweredPlan:
         return functools.partial(self._graph._run_records, tuple(indices))
 
     # -- kernel units ----------------------------------------------------
-    def _kernel_item(self, unit) -> Callable:
+    def _kernel_item(self, unit, builds: list) -> Callable:
         """One record replaced by its entry's guarded forward runner:
         ``_OP_ITEM`` / ``_HOST_ITEM`` with the record's arguments
         unrolled, so the per-call path is one flat function over
@@ -282,6 +298,7 @@ class LoweredPlan:
         rec = graph.records[i]
         descs = getattr(rec, "descs", None)
         build = Build(rec, self._lib, self._iscratch)
+        builds.append(build)
         env = {
             "call": make_forward(unit.entry, build, descs[1] if descs else None),
             "count": self._fallback_counter.inc,
@@ -300,7 +317,7 @@ class LoweredPlan:
         return env["item"]
 
     # -- backward swaps --------------------------------------------------
-    def _backward_plan(self) -> list:
+    def _backward_plan(self, builds: list) -> list:
         graph = self._graph
         swaps = self._analysis.bwd
         bwd_plan = list(graph._bwd_plan)
@@ -310,6 +327,7 @@ class LoweredPlan:
             if swap is None:
                 continue
             build = Build(graph.records[ref], self._lib, self._iscratch, targets)
+            builds.append(build)
             bwd_plan[pos] = (
                 kind, slot, ref, make_backward(swap[1], build, orig), targets
             )

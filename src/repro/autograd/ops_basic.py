@@ -49,7 +49,7 @@ class _Sub(Function):
     @staticmethod
     def backward(ctx, grad):
         sa, sb = ctx.saved
-        ng = np.negative(grad, out=arena.out_buf(grad.shape, grad.dtype))
+        ng = np.negative(grad, out=arena.out_buf(grad.shape, grad.dtype, grad))
         return unbroadcast(grad, sa), _unbroadcast_release(ng, sb)
 
 

@@ -42,16 +42,16 @@ def _chainable(*arrays) -> bool:
 def _gelu_fwd(a: np.ndarray):
     """Returns ``(tanh_term, out)`` for GELU(a)."""
     if _chainable(a):
-        tmp = arena.empty(a.shape, a.dtype)
+        tmp = arena.empty(a.shape, a.dtype, a)
         np.multiply(a, a, out=tmp)
         np.multiply(tmp, a, out=tmp)
         np.multiply(0.044715, tmp, out=tmp)
         np.add(a, tmp, out=tmp)
         np.multiply(_GELU_C, tmp, out=tmp)
         t = np.tanh(tmp, out=tmp)
-        one_t = arena.empty(a.shape, a.dtype)
+        one_t = arena.empty(a.shape, a.dtype, a)
         np.add(1.0, t, out=one_t)
-        out = arena.empty(a.shape, a.dtype)
+        out = arena.empty(a.shape, a.dtype, a)
         np.multiply(0.5, a, out=out)
         np.multiply(out, one_t, out=out)
         arena.release(one_t)
@@ -64,15 +64,15 @@ def _gelu_fwd(a: np.ndarray):
 def _gelu_bwd(grad: np.ndarray, a: np.ndarray, t: np.ndarray) -> np.ndarray:
     """``grad * dGELU/da`` given the saved input ``a`` and tanh term ``t``."""
     if _chainable(grad, a, t):
-        d = arena.empty(a.shape, a.dtype)
+        d = arena.empty(a.shape, a.dtype, a)
         np.multiply(a, a, out=d)
         np.multiply(3 * 0.044715, d, out=d)
         np.add(1.0, d, out=d)
         np.multiply(_GELU_C, d, out=d)  # dinner
-        u = arena.empty(a.shape, a.dtype)
+        u = arena.empty(a.shape, a.dtype, a)
         np.multiply(t, t, out=u)
         np.subtract(1.0, u, out=u)  # 1 - t^2
-        v = arena.empty(a.shape, a.dtype)
+        v = arena.empty(a.shape, a.dtype, a)
         np.multiply(0.5, a, out=v)
         np.multiply(v, u, out=v)
         np.multiply(v, d, out=v)  # 0.5*a*(1-t^2)*dinner
@@ -94,7 +94,7 @@ class _BiasGelu(Function):
     @staticmethod
     def forward(ctx, x, bias):
         if _chainable(x, bias):
-            a = arena.empty(np.broadcast_shapes(x.shape, bias.shape), x.dtype)
+            a = arena.empty(np.broadcast_shapes(x.shape, bias.shape), x.dtype, (x, bias))
             np.add(x, bias, out=a)
         else:
             a = x + bias

@@ -298,7 +298,7 @@ class _GatherRows(Function):
         ctx.save_for_backward(x.shape, indices)
         out = x.take(
             indices.clip(0), axis=0,
-            out=arena.out_buf((len(indices),) + x.shape[1:], x.dtype),
+            out=arena.out_buf((len(indices),) + x.shape[1:], x.dtype, indices),
         )
         out[indices < 0] = 0.0
         return out
@@ -332,7 +332,7 @@ class _ScatterRows(Function):
     @staticmethod
     def backward(ctx, grad):
         indices, shape = ctx.saved
-        gx = arena.zeros(shape, grad.dtype)
+        gx = arena.zeros(shape, grad.dtype, indices)
         valid = indices >= 0
         gx[valid] = grad[indices[valid]]
         return (gx,)

@@ -20,75 +20,15 @@ _ndarray = np.ndarray
 _LEAF_COPY_BYTES = stats.LEAF_COPY_BYTES
 
 
-class _WalkBuffers:
-    """Arena bookkeeping of one backward walk: which gradient arrays it
-    may recycle, and which a leaf may keep.
-
-    Interior gradients go back to the pool the moment they are dead, so
-    a steady walk recycles cache-hot memory (like malloc does for the
-    reference walk, whose arrays the pool does not own: there every
-    release is a no-op and every leaf copies).  One buffer can back
-    several pending gradients — backward functions return views
-    (``_Reshape``) or the very same array for several inputs (``_Add``
-    with equal shapes) — so each stored gradient bumps a count on its
-    *root* array and the buffer is released when the last of them is
-    consumed.
-
-    The same count says when an array is the walk's alone: held by one
-    pending gradient, and acquired from the pool during this walk
-    (:class:`repro.autograd.arena.WalkMark`), so neither a sibling
-    gradient nor anything the forward saved can alias it.  Such an array
-    is *adopted* by the leaf it reaches instead of being copied
-    (:func:`_accumulate_leaf`); it is then never released, and lives
-    until the arena's next generation like any leaf-gradient buffer.
-    """
-
-    __slots__ = ("release", "refs", "mark")
-
-    def __init__(self) -> None:
-        pool = arena.get_arena()
-        # On the reference the pool, which owns none of the walk's arrays.
-        self.release = (current().arena or pool).release
-        self.refs: dict = {}
-        self.mark = arena.WalkMark(pool)
-
-    def track(self, a: np.ndarray) -> None:
-        bid = id(_root(a))
-        self.refs[bid] = self.refs.get(bid, 0) + 1
-
-    def retire(self, a: np.ndarray) -> None:
-        bid = id(_root(a))
-        n = self.refs.get(bid, 0) - 1
-        if n > 0:
-            self.refs[bid] = n
-        else:
-            self.refs.pop(bid, None)
-            self.release(a)
-
-    def adopt(self, a: np.ndarray) -> bool:
-        """Give ``a`` up to a leaf if it is the walk's alone."""
-        root = _root(a)
-        if self.refs.get(id(root)) != 1 or not self.mark.born_since(root):
-            return False
-        del self.refs[id(root)]
-        return True
-
-
-def _root(a: np.ndarray) -> np.ndarray:
-    """The array that owns ``a``'s memory (``broadcast_to`` views nest
-    one deeper than NumPy's collapsed ``.base``)."""
-    while a.base is not None:
-        a = a.base
-    return a
-
-
-def _accumulate_leaf(t: "Tensor", g: np.ndarray, walk: _WalkBuffers) -> None:
+def _accumulate_leaf(t: "Tensor", g: np.ndarray, walk) -> None:
     """Deliver gradient ``g`` to leaf ``t``; the one rule of the eager
     and the replayed walk.
 
     The first contribution becomes ``t.grad``: ``g`` itself when it
     already is what a copy would produce (the leaf's dtype, C-contiguous,
-    writeable) and ``walk`` can prove it exclusive; a copy otherwise
+    writeable) and ``walk`` (the allocator's walk bookkeeping,
+    :class:`repro.autograd.arena.WalkBuffers` on the pool) lets the leaf
+    adopt it; a copy otherwise
     (casting to the leaf dtype, as ``astype(copy=True)`` did).  Later
     contributions behave like ``t.grad + g`` — in place when the dtypes
     allow, including the promotion that falls back to a fresh allocation
@@ -101,7 +41,7 @@ def _accumulate_leaf(t: "Tensor", g: np.ndarray, walk: _WalkBuffers) -> None:
             g.dtype == t.data.dtype
             and g.flags.c_contiguous
             and g.flags.writeable
-            and walk.adopt(g)
+            and walk.adopt(g, t)
         ):
             t.grad = g
             return
@@ -161,11 +101,15 @@ def run_walk(entries: List[tuple], num_slots: int, seed: np.ndarray, values) -> 
     # them would corrupt sibling gradients.
     owned = bytearray(num_slots)
 
-    walk = _WalkBuffers()
+    # The allocator keeps the walk's books: the pool's refcounts, or a
+    # memory plan's recorded decisions; ``unit`` tells it which entry runs.
+    alloc = current().arena
+    walk = alloc.walk() if alloc is not None else arena.WalkBuffers(None)
     grads[0] = seed
     walk.track(seed)
 
-    for kind, slot, ref, bwd_fn, targets in entries:
+    for pos, (kind, slot, ref, bwd_fn, targets) in enumerate(entries):
+        walk.unit = ~pos
         g = grads[slot]
         if g is None:
             continue
@@ -192,7 +136,7 @@ def run_walk(entries: List[tuple], num_slots: int, seed: np.ndarray, values) -> 
                 owned[tslot] = 0
                 walk.track(ig)
             elif cur.shape == ig.shape and cur.dtype == ig.dtype:
-                buf = cur if owned[tslot] else arena.empty(cur.shape, cur.dtype)
+                buf = cur if owned[tslot] else arena.empty(cur.shape, cur.dtype, cur)
                 np.add(cur, ig, out=buf)
                 if buf is not cur:
                     grads[tslot] = buf

@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.autograd import ACTIVATIONS, getitem
+from repro.autograd import ACTIVATIONS, getitem, memplan
 from repro.autograd.graph import host as graph_host
 from repro.autograd.tensor import Tensor, is_inference
 from repro.core.topology_builder import expert_of_padded_row, make_topology
@@ -42,6 +42,7 @@ from repro.sparse.autograd_ops import (
     sparse_bias_add,
     sparse_bias_gelu,
 )
+from repro.sparse.dispatch import analyze
 from repro.sparse.topology import Topology
 from repro.utils.rng import RngLike
 
@@ -93,15 +94,37 @@ def _build_dispatch(mod: "dMoE", expert_indices: np.ndarray):
     plan = make_padded_plan(expert_indices, mod.num_experts, mod.block_size)
     topology = make_topology(plan, mod.ffn_hidden_size)
     row_expert = expert_of_padded_row(plan)
-    remember_dispatch(mod, plan, topology, expert_indices)
+    remember_dispatch(mod, plan, topology, row_expert, expert_indices)
     return plan, topology, row_expert
 
 
-def remember_dispatch(mod, plan, topology, expert_indices) -> None:
+def remember_dispatch(mod, plan, topology, row_expert, expert_indices) -> None:
     """Refresh the module's ``last_*`` introspection state, which replays
     would otherwise leave stale (module ``forward`` bodies do not run).
     ``last_routing`` is updated in place, not copied: see :class:`dMoE`
-    for how long its arrays hold."""
+    for how long its arrays hold.
+
+    Also declares the extents routing sizes to a memory plan recording
+    this micro batch (:func:`repro.autograd.memplan.routed`): ``T*k``
+    routed copies over ``E`` experts plan at most ``T*k + E*(bs - 1)``
+    padded rows — the rows of the plan's index arrays, of
+    ``row_expert`` and of what is sized from the topology — in whole
+    blocks of ``C`` block columns (the topology's nonzero blocks), and a
+    grouped product's staging (sized from its dispatch plan) never
+    exceeds one expert holding every copy."""
+    T, k = expert_indices.shape
+    bs, E = mod.block_size, mod.num_experts
+    C = mod.ffn_hidden_size // bs
+    rows = (T * k + E * (bs - 1)) // bs
+    P = topology.shape[0]
+    for routed_rows in (plan.gather_indices, plan.copy_indices, row_expert, topology):
+        memplan.routed(routed_rows, P, rows * bs)
+    memplan.routed(topology, topology.nnz_blocks, rows * C)
+    groups = analyze(topology)
+    if groups is not None:
+        memplan.routed(
+            groups, groups.max_group_blocks * bs * bs, -(-T * k // bs) * C * bs * bs
+        )
     mod.last_plan = plan
     mod.last_topology = topology
     lr = mod.last_routing
@@ -110,6 +133,7 @@ def remember_dispatch(mod, plan, topology, expert_indices) -> None:
         # view of expert assignment current.  (Its Tensor fields are not
         # refreshed; nothing reads them after the step.)
         lr.expert_indices = expert_indices
+        memplan.outlives(expert_indices)
 
 
 class dMoE(Module):

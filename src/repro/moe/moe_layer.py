@@ -16,7 +16,7 @@ import numpy as np
 
 import dataclasses
 
-from repro.autograd import ACTIVATIONS
+from repro.autograd import ACTIVATIONS, memplan
 from repro.autograd.graph import host as graph_host
 from repro.autograd.ops_fused import bias_gelu
 from repro.autograd.tensor import Tensor, is_inference
@@ -55,6 +55,7 @@ def _dropping_plan_host(mod: "MoELayer", expert_indices: np.ndarray):
     lr = mod.last_routing
     if lr is not None and lr.expert_indices is not expert_indices:
         mod.last_routing = dataclasses.replace(lr, expert_indices=expert_indices)
+    memplan.outlives(expert_indices)
     return plan
 
 

@@ -103,7 +103,7 @@ def _segment_reduce_bias_grad(grad: np.ndarray, topology: Topology) -> np.ndarra
     bs = topology.block_size
     layout = live_layout(topology)
     # (nnz, bs): sum over the live rows of each block.
-    gbias_blocks = arena.empty((topology.nnz_blocks, bs), grad.dtype)
+    gbias_blocks = arena.empty((topology.nnz_blocks, bs), grad.dtype, topology)
     for lo, hi, rows in layout.live_regions:
         np.sum(grad[lo:hi, :rows], axis=1, out=gbias_blocks[lo:hi])
     for lo, hi, rows in layout.pad_regions:
@@ -133,7 +133,7 @@ class _SparseBiasGelu(Function):
 
     @staticmethod
     def forward(ctx, values, bias, topology):
-        a = arena.empty(values.shape, np.result_type(values.dtype, bias.dtype))
+        a = arena.empty(values.shape, np.result_type(values.dtype, bias.dtype), values)
         add_bias_live(values, bias, topology, a)
         t, out = _gelu_fwd(a)
         ctx.save_for_backward(a, t, topology)

@@ -565,7 +565,7 @@ def stage_buf(plan: DispatchPlan, bs: int, dtype) -> np.ndarray:
     per-group views out of it instead of acquiring a buffer per group
     (~8 groups × 3 kernels × every sparse matmul adds up), and release
     it when the call ends."""
-    return arena.empty((plan.max_group_blocks * bs * bs,), dtype)
+    return arena.empty((plan.max_group_blocks * bs * bs,), dtype, plan)
 
 
 def _group_values(
@@ -628,7 +628,7 @@ def grouped_sdd(
     # Every nonzero block belongs to exactly one group and each group
     # writes its live rows from the product and its pad rows as zeros,
     # so every element is assigned exactly once — no zero-init needed.
-    values = arena.empty((topo.nnz_blocks, bs, bs), out_dtype)
+    values = arena.empty((topo.nnz_blocks, bs, bs), out_dtype, topo)
     stage = stage_buf(plan, bs, np.result_type(a_eff, b_eff))
     for (rlo, _, clo, chi, r, c, v0), (lv, m) in zip(
         plan.element_groups(bs), layout.rows
@@ -669,9 +669,9 @@ def grouped_dsd(
         # Full coverage means every output row is assigned exactly once
         # below (live rows by a GEMM, pad rows by the zero-fill), so an
         # up-front zero-fill would be pure memset overhead.
-        out = arena.empty(shape, out_dtype)
+        out = arena.empty(shape, out_dtype, topo)
     else:
-        out = arena.zeros(shape, out_dtype)
+        out = arena.zeros(shape, out_dtype, topo)
     stage = stage_buf(plan, bs, values.dtype)
     for (rlo, rhi, clo, chi, _, c, v0), (lv, m) in zip(
         plan.element_groups(bs), layout.rows
@@ -713,9 +713,9 @@ def grouped_dds(
         out = band_output(plan, bs, shape, out_dtype, 1)
     elif plan.rows_covered_blocks * bs == rows_s:
         # Same full-coverage shortcut as ``grouped_dsd``.
-        out = arena.empty(shape, out_dtype)
+        out = arena.empty(shape, out_dtype, a_eff)
     else:
-        out = arena.zeros(shape, out_dtype)
+        out = arena.zeros(shape, out_dtype, a_eff)
     stage = stage_buf(plan, bs, values.dtype)
     for (rlo, rhi, clo, chi, _, c, v0), (lv, m) in zip(
         plan.element_groups(bs), layout.rows

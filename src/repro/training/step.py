@@ -52,6 +52,7 @@ import numpy as np
 
 from repro.autograd import stats as ag_stats
 from repro.autograd import steady_state
+from repro.autograd.execution import current
 from repro.autograd.graph import CaptureSession, GraphInvalidated, StepGraph
 from repro.nn.transformer import TransformerLM
 from repro.observability.metrics import registry
@@ -128,9 +129,9 @@ def run_step(
     with state.scope() as pool:
         if pool is not None:
             # Everything the previous step allocated from the arena
-            # (activations, tape intermediates, leaf gradients) is
-            # dead once zero_grad runs below, so retire the whole
-            # generation back to the free pool first.
+            # (activations, tape intermediates, leaf gradients — the
+            # memory plan's gradient region among them) is dead once
+            # zero_grad runs below, so retire the whole generation first.
             with span("arena_retire"):
                 pool.next_generation()
         if faults is not None:
@@ -144,8 +145,8 @@ def run_step(
             if cfg.backend != "eager":
                 # Slot 0 (first micro batch: leaf-grad buffers are
                 # acquired) and slot 1 (accumulation micro batches:
-                # grads accumulate in place) have different static
-                # buffer plans.
+                # grads accumulate in place) ask for different buffers,
+                # so each has its own layout in the graph's memory plan.
                 total += micro_batch_captured(state, batch, 1 if acc_i else 0)
             else:
                 lm, _ = _forward_backward(state, batch)
@@ -270,6 +271,12 @@ def _capture_micro_batch(state: StepState, batch, sig: tuple) -> float:
         session.abort()
         raise
     state.graph = session.finalize(lm, scaled)
+    loss = float(lm.data)
+    pool = current().arena
+    if pool is not None:
+        # The capture's buffers are dead but for its leaf gradients:
+        # the first replay records its layout on their memory.
+        pool.retire([p.grad for p in state.optimizer.params])
     if state.config.backend == "cc":
         # Lower the fresh capture to native code.  Declines cleanly
         # (counter + one warning) without a toolchain; recaptures
@@ -278,7 +285,7 @@ def _capture_micro_batch(state: StepState, batch, sig: tuple) -> float:
         from repro.autograd import lower
 
         lower.attach(state.graph)
-    return float(lm.data)
+    return loss
 
 
 # ----------------------------------------------------------------------

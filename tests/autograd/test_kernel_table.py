@@ -374,7 +374,7 @@ def _fresh(a, rng):
 @pytest.mark.parametrize("name", ["mm", "linbias", "ew_add", "ln", "softmax"])
 def test_a_fresh_conforming_operand_rebinds_and_counts_nothing(name):
     """A unit's guard holds the operands of its last admitted call.  New
-    arrays of the admitted layout — what a re-recorded buffer script or a
+    arrays of the admitted layout — what a re-recorded memory plan or a
     swapped parameter delivers — run the clauses and rebind: the C reads
     the new memory and no fallback is counted.  A non-conforming operand
     still declines and counts one, and the held operands then run again

@@ -3,8 +3,8 @@ array is provably the walk's alone.
 
 Every case builds the same tape three ways: the copying walk (arena off:
 the allocating reference), the eager walk with the arena on, and a
-captured graph replayed twice (the replay that records the buffer script
-and one served from it).  ``p.grad`` must be bitwise the copying walk's
+captured graph replayed three times (the replay that records its memory
+plan and two served by it).  ``p.grad`` must be bitwise the copying walk's
 everywhere; ``stats.leaf_copy_bytes`` says which first contributions
 were copied after all; and scribbling over every buffer the walk gave
 back to the pool must leave every ``p.grad`` intact.
@@ -127,8 +127,9 @@ def test_adopted_only_where_exclusive(name):
         loss(leaves, np.random.default_rng(3)).backward()
         _assert_grads(leaves, want, copies)
 
-        # The replayed walk: capture, then the recording replay and a
-        # scripted one (same decisions, or the script would not survive).
+        # The replayed walk: capture, then the replay that records the
+        # memory plan and two served by it (same decisions, or the
+        # layout would not survive).
         leaves = _leaves(n)
         pool.next_generation()
         session = CaptureSession(("adoption", name), {}).begin()
@@ -146,8 +147,8 @@ def test_adopted_only_where_exclusive(name):
             stats.reset()
             graph.replay({})
             _assert_grads(leaves, want, copies)
-        script = graph._scripts[0]
-        assert not script.dead and script.cursor == len(script.entries)
+        layout = graph.memory.slots[0]
+        assert layout.valid and layout.cursor == len(layout.entries)
 
         # Accumulation: a second micro batch adds into the adopted
         # buffers in place (a wider gradient promotes instead, as ever).

@@ -240,9 +240,10 @@ class TestKernelFuzz:
         assert cc_opt.params[1].grad is cc_opt.native.table.held[2 * n + 1]
 
     def test_a_trained_state_builds_its_pointer_table_once(self):
-        """Steady leaf gradients are the arena's same arrays every step —
-        those that reach a parameter through a reshape included (the
-        dMoE's flat expert tables) — so after the capture step the table
+        """Steady leaf gradients are the memory plan's same arrays every
+        step — those that reach a parameter through a reshape included
+        (the dMoE's flat expert tables) — so once the plan serves (after
+        the capture step and the step that records the plan) the table
         is built once and every later step's check hits."""
         from repro.core import dMoE
         from repro.data import LMDataset, PileConfig, SyntheticPile
@@ -261,8 +262,9 @@ class TestKernelFuzz:
             model, train, config=config, optimizer=Adam(model.parameters(), lr=1e-3), rng=9,
         )
         trainer.train_step(0)  # the capture step: eager gradients
+        trainer.train_step(1)  # records the plan: gradients moved into it
         tables = []
-        for step in range(1, 11):
+        for step in range(2, 12):
             trainer.train_step(step)
             tables.append(trainer.optimizer.native.table.args)
         assert all(t is tables[0] for t in tables)

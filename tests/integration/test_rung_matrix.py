@@ -326,7 +326,9 @@ def test_every_rung_trains_each_layer_alike(layer, monkeypatch):
     """eager = steady = replay = cc, and one capture per run with no
     fallback: every micro batch after the first is a replay, and it
     trains the eager bits only if the layer's assignment, plan, capacity
-    and topology were rebuilt from its own routing."""
+    and topology were rebuilt from its own routing.  Only a capacity
+    that moves past what the memory plan laid out sends a replay off
+    the plan."""
     capacities = []
     dynamic = DynamicCapacityMoELayer._capacity
 
@@ -341,8 +343,9 @@ def test_every_rung_trains_each_layer_alike(layer, monkeypatch):
     steps = range(LAYER_STEPS)
     ref = _train(make("eager", False), steps)
     rungs = [("eager", True), ("replay", False)]
+    misses = registry().counter("memory_plan_misses")
     for backend, steady in rungs + ([("cc", False)] if lower.cc_available() else []):
-        before = _counters()
+        before, missed = _counters(), misses.value
         del capacities[:]
         _assert_same_bits(_train(make(backend, steady), steps), ref)
         counts = {k: v - before[k] for k, v in _counters().items()}
@@ -352,6 +355,15 @@ def test_every_rung_trains_each_layer_alike(layer, monkeypatch):
             "graph_replays": (2 * LAYER_STEPS - 1) * compiled,
             "graph_fallbacks": 0, "lower_segment_fallbacks": 0,
         }, backend
+        # Every buffer a dMoE's routing sizes is planned at its bound; the
+        # Tutel layer's moving capacity declares none, so it may outgrow
+        # its layout now and then, and those replays finish on the pool
+        # (the bits above) and record again, no more than one for each step.
+        missed = misses.value - missed
+        if compiled and layer == "tutel-dmoe":
+            assert missed <= LAYER_STEPS, (backend, missed)
+        else:
+            assert missed == 0, (backend, missed)
         if layer == "tutel-dmoe":
             assert len(set(capacities)) > 1, "the capacity never moved"
 
@@ -539,7 +551,7 @@ class CompiledStepMachine(RuleBasedStateMachine):
 
     # -- what a bound replay holds, moved under it ------------------------
     # Each rule below changes an object a lowered unit (or the native Adam
-    # table) holds — a buffer, a script, a parameter array, the plan — and
+    # table) holds — a buffer, a layout, a parameter array, the plan — and
     # then steps: the units holding the old object must rebind, counting
     # no fallback, and the replay must keep the eager bits.
     def _step_ok(self, steps=1):
@@ -552,25 +564,24 @@ class CompiledStepMachine(RuleBasedStateMachine):
 
     @rule()
     def reclaim_the_arena(self):
-        """Every pooled buffer dropped: the next pool request — a script
-        recording, an unscripted step — gets new memory."""
+        """Every pooled buffer dropped: the next pool request — a layout
+        recording, a replay off the plan — gets new memory."""
         get_arena().clear()
         self._step_ok()
 
-    @rule(how=st.sampled_from(["dead", "outgrown"]))
-    def force_a_buffer_script_rerecord(self, how):
-        """A dead script is dropped after its replay and recorded afresh on
-        the next, from new pool buffers; an entry whose base is outgrown
-        grows a new base and serves a new view where the old one was."""
+    @rule(how=st.sampled_from(["dropped", "shrunk"]))
+    def force_a_memory_plan_rebuild(self, how):
+        """A dropped layout is recorded afresh on the slot's next replay,
+        from new pool buffers; a layout whose entries are too small for
+        any request leaves the plan at its first request, finishes that
+        replay on the pool, and is recorded again on the next."""
         graph = self.states[1].graph
-        for script in (graph._scripts.values() if graph is not None else ()):
-            if how == "dead":
-                script.dead = True
-                continue
-            for e in script.entries:
-                if e[3] is not None:
-                    # Too small for any request, and a shape none asks for.
-                    e[1], e[3], e[4] = (), e[3][:1], {}
+        layouts = graph.memory.slots if graph is not None else {}
+        if how == "dropped":
+            layouts.clear()
+        for layout in layouts.values():
+            for e in layout.entries:
+                e[1], e[6] = (), 0  # a shape none asks for, in no bytes
         self._step_ok(2)
 
     @rule(data=st.data())

@@ -1,7 +1,7 @@
 """What a step runs on belongs to the thread that runs it.
 
 ``sim`` ranks are threads of one process, so a step's buffer pool,
-buffer script, capture session and grad and inference modes must be the
+memory plan, capture session and grad and inference modes must be the
 calling thread's alone.  In the first three tests thread A parks inside
 a scope (held open on an ``Event``) while the main thread steps a
 ``test_rung_matrix`` state; that state must train the bits it trains

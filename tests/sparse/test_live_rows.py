@@ -118,7 +118,8 @@ def _assert_same_bits(got, want):
 def nan_buffers():
     """Every uninitialized kernel buffer starts out as NaN."""
     return mock.patch.object(
-        arena, "empty", lambda shape, dtype: np.full(shape, np.nan, dtype=dtype)
+        arena, "empty",
+        lambda shape, dtype, rows=None: np.full(shape, np.nan, dtype=dtype),
     )
 
 

@@ -7,7 +7,8 @@ parent commit and Python and NumPy versions.  Rows tagged ``"source":
 "CHANGES.md"`` were back-filled from the readings those entries quote
 (``null`` where none was quoted).
 
-These tests read the file and never write it.  The newest row's serving
+These tests read the file and never write it (the memory plan's reading
+is parsed from canned lines).  The newest row's serving
 hashes, and its ``small_decode`` ``cc`` step and decode opcodes, must
 equal what the tree reads now, so a change that moves one of them
 records a row (and its CHANGES.md entry says so).  Opcode counts belong
@@ -79,6 +80,36 @@ def test_rows_are_keyed_and_the_newest_was_recorded():
         counts = NEWEST["lowering"][shape]
         assert 0 < counts["native"] <= counts["lowered"] <= counts["total"], shape
     assert NEWEST["tier1_ids"] > 0
+
+
+def test_memory_readings_parse_into_the_rows_schema(monkeypatch):
+    """``--memory``'s lines, canned (no probe runs), become a row's
+    ``"memory"`` field: per shape, each slot's planned bytes and
+    requests, and the bytes all slots touch."""
+    canned = [
+        "small_decode memory slot 0: 1000 act, 64 grad, 421 requests, 0 off plan",
+        "small_decode memory slot 1: 1024 act, 0 grad, 387 requests, 2 off plan",
+        "small_decode memory: 1088 touched",
+    ]
+    monkeypatch.setattr(
+        step_probe, "readings", lambda *args: [line.split() for line in canned]
+    )
+    assert step_probe.read_memory() == {
+        "small_decode": {
+            "slots": {
+                "0": {"act": 1000, "grad": 64, "requests": 421, "off_plan": 0},
+                "1": {"act": 1024, "grad": 0, "requests": 387, "off_plan": 2},
+            },
+            "touched": 1088,
+        }
+    }
+    memory = NEWEST.get("memory")
+    if memory is not None:  # rows recorded before the probe read the plan have none
+        assert set(memory) == set(step_probe.SHAPES)
+        for shape in memory.values():
+            assert shape["touched"] >= max(s["act"] for s in shape["slots"].values())
+            for slot in shape["slots"].values():
+                assert set(slot) == {"act", "grad", "requests", "off_plan"}
 
 
 def test_newest_row_holds_the_trees_kernel_table():

@@ -33,10 +33,18 @@ machines (opcode counts across one Python and NumPy version):
     the interpreter) and how many there are — ``lower report``'s two
     coverages on the bench's own model.
 
+``--memory``
+    Per training shape, the ``cc`` step graph's memory plan after six
+    steps: each accumulation slot's planned activation and gradient
+    bytes, the requests one replay makes and how many of them the last
+    replay served off the plan; then the distinct bytes every slot's
+    replays touch (the shared activation region and each slot's
+    gradient region).
+
 ``--record PR``
     Every reading above — ``--hash`` on ``eager`` and ``cc``, ``--hash
     --serve``, ``--opcodes`` on ``eager``, ``replay`` and ``cc`` at steps
-    3-5, ``--opcodes --serve``, ``--lowering`` — plus the kernel table's
+    3-5, ``--opcodes --serve``, ``--lowering``, ``--memory`` — plus the kernel table's
     entry and C symbol counts, the tier-1 test ids and the ``src/`` and
     ``tests/`` line counts, as one row of the committed ledger
     ``BENCH_probe.json``, keyed by the PR number, the parent commit
@@ -55,6 +63,7 @@ learning rate the benchmark times.
     PYTHONPATH=src python tools/step_probe.py --opcodes --serve
     PYTHONPATH=src python tools/step_probe.py --hash --serve
     PYTHONPATH=src python tools/step_probe.py --lowering
+    PYTHONPATH=src python tools/step_probe.py --memory
     PYTHONPATH=src python tools/step_probe.py --record N
 """
 
@@ -79,6 +88,8 @@ SERVED = SHAPES + ("dp2_int8",)
 HASH_STEPS = 30
 SERVE_HASH_STEPS = 8
 WARMUP_STEPS = 3
+#: Steps before ``--memory`` reads the plan: both slots recorded and served.
+MEMORY_STEPS = 6
 SEED = 1
 LEDGER = os.path.join(REPO, "BENCH_probe.json")
 PYTHON = "%d.%d" % sys.version_info[:2]
@@ -239,6 +250,22 @@ def lowering(trainer, steps: int = WARMUP_STEPS) -> Tuple[int, int, int]:
     return len(analysis.native), len(analysis.lowered), analysis.total
 
 
+def memory(trainer, steps: int = MEMORY_STEPS) -> Tuple[dict, int]:
+    """``({slot: (act, grad, requests, off_plan)}, touched bytes)`` of
+    ``trainer``'s ``cc`` step graph's memory plan after ``steps`` steps."""
+    for step in range(steps):
+        trainer.train_step(step)
+    plan = trainer.step_graph.memory
+    slots = {
+        slot: (layout.act_bytes, layout.grad_bytes, len(layout.entries), layout.off_plan)
+        for slot, layout in sorted(plan.slots.items())
+    }
+    touched = plan.act.size + sum(
+        layout.kept.size for layout in plan.slots.values() if layout.kept is not None
+    )
+    return slots, touched
+
+
 def kernel_table() -> dict:
     """The kernel table's entries and the C functions they export."""
     from repro.autograd.lower import kernels
@@ -302,6 +329,22 @@ def read_lowering() -> dict:
     }
 
 
+def read_memory(*args: str) -> dict:
+    """``--memory`` as ``{shape: {"slots": {slot: {"act", "grad",
+    "requests", "off_plan"}}, "touched": N}}`` (bytes and counts)."""
+    out: dict = {}
+    for w in readings("--memory", *args):
+        shape = out.setdefault(w[0], {"slots": {}})
+        if w[2] == "slot":  # name memory slot S: A act, G grad, R requests, O off plan
+            shape["slots"][w[3].rstrip(":")] = {
+                "act": int(w[4]), "grad": int(w[6]), "requests": int(w[8]),
+                "off_plan": int(w[10]),
+            }
+        else:  # name memory: T touched
+            shape["touched"] = int(w[2])
+    return out
+
+
 def read_serve_opcodes(*args: str) -> dict:
     """``--opcodes --serve`` as ``{workload: {"prefill"|"decode":
     {"opcodes": N, "lower_direct_calls": K}}}``."""
@@ -328,6 +371,7 @@ def ledger_row(pr: int) -> dict:
         "opcodes": {b: read_opcodes("--backend", b) for b in ("eager", "replay", "cc")},
         "serve_opcodes": read_serve_opcodes(),
         "lowering": read_lowering(),
+        "memory": read_memory(),
         "kernel_table": kernel_table(),
         "tier1_ids": tier1_ids(),
         "lines": {"src": python_lines("src"), "tests": python_lines("tests")},
@@ -355,6 +399,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     mode.add_argument(
         "--lowering", action="store_true",
         help="native / lowered / total replay records of the cc step graph",
+    )
+    mode.add_argument(
+        "--memory", action="store_true",
+        help="the cc step graph's memory plan: bytes and requests per slot",
     )
     mode.add_argument(
         "--record", type=int, metavar="PR",
@@ -392,6 +440,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.lowering:
             native, lowered, total = lowering(build_trainer(name, "cc"))
             print(f"{name} lowering {native} {lowered} {total}")
+            continue
+        if args.memory:
+            slots, touched = memory(build_trainer(name, "cc"))
+            for slot, (act, grad, requests, off_plan) in slots.items():
+                print(
+                    f"{name} memory slot {slot}: {act} act, {grad} grad, "
+                    f"{requests} requests, {off_plan} off plan"
+                )
+            print(f"{name} memory: {touched} touched")
             continue
         trainer = build_trainer(name, args.backend)
         if args.hash:
