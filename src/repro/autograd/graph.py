@@ -41,7 +41,9 @@ record that consumes it, and extents a routing moves are written as
 ``-1`` in reshapes.  A host record with ``guard`` set is for
 data-dependent *control flow* only (the router's non-finite fallback
 branch): it compares its replayed result against the captured one and
-raises :class:`GraphInvalidated` on mismatch.  Replay snapshots every
+raises :class:`GraphInvalidated` on mismatch; in a graph that exchanges
+with peers (:func:`exchanges_with`) the whole group decides, so either
+every rank recaptures or none does.  Replay snapshots every
 RNG stream the graph touches before running, and restores them when a
 guard trips, so the transparent eager fallback consumes exactly the
 draws a pure-eager step would have — fallbacks stay bit-identical.
@@ -88,6 +90,7 @@ __all__ = [
     "CaptureSession",
     "GraphInvalidated",
     "StepGraph",
+    "exchanges_with",
     "host",
 ]
 
@@ -169,9 +172,36 @@ def _host_equal(a, b) -> bool:
     return a == b
 
 
+def _agreeing(group) -> Callable:
+    """:func:`_host_equal` decided over ``group``: one tiny all-reduce of
+    the flag, so a guard that trips on any rank trips on every rank."""
+
+    def same(a, b) -> bool:
+        off = not _host_equal(a, b)
+        return not group.all_reduce(np.array([off], np.int64))[0]
+
+    return same
+
+
+def _tripped(name: str, expected, res) -> GraphInvalidated:
+    where = " on a peer" if _host_equal(res, expected) else ""
+    return GraphInvalidated(
+        f"guard {name} diverged from capture{where}: {expected!r} -> {res!r}"
+    )
+
+
 # ----------------------------------------------------------------------
 # Capture
 # ----------------------------------------------------------------------
+def exchanges_with(group) -> None:
+    """Declare that the micro batch being captured exchanges data with
+    ``group``'s ranks (an expert-parallel layer): its graph decides every
+    replayed guard over the group.  A no-op outside capture."""
+    s = current().capture
+    if s is not None:
+        s.group = group
+
+
 def host(fn: Callable, *args: Any, guard: bool = False):
     """Run (and, under capture, record) a data-dependent host computation.
 
@@ -211,6 +241,7 @@ class CaptureSession:
         # Strong refs keep every registered id stable for the session.
         self._keepalive: List[Any] = []
         self._gens: List[np.random.Generator] = []
+        self.group = None  # what the records exchange with (exchanges_with)
         for name, arr in inputs.items():
             self._dyn[id(arr)] = (_INPUT, name)
             self._keepalive.append(arr)
@@ -354,6 +385,7 @@ class CaptureSession:
             root_idx=root_idx,
             lm_idx=lm_idx,
             gens=self._gens,
+            group=self.group,
         )
         # Drop capture-time activations: the schedule holds classes,
         # specs, leaf refs, and constants — not the step's tensors.  The
@@ -384,6 +416,7 @@ class StepGraph:
         "root_idx",
         "lm_idx",
         "gens",
+        "same",
         "replays",
         "_plan",
         "_bwd_plan",
@@ -393,13 +426,19 @@ class StepGraph:
         "_inputs",
     )
 
-    def __init__(self, signature, records, bwd, num_slots, root_idx, lm_idx, gens):
+    def __init__(
+        self, signature, records, bwd, num_slots, root_idx, lm_idx, gens, group=None
+    ):
         self.signature = signature
         self.records = records
         self.num_slots = num_slots
         self.root_idx = root_idx
         self.lm_idx = lm_idx
         self.gens = gens
+        #: Whether a guarded host result holds its captured value: the
+        #: group's answer when the records exchange with peers (a rank
+        #: that recaptured alone would pair its exchanges wrongly).
+        self.same = _host_equal if group is None else _agreeing(group)
         self.replays = 0
         #: The graph's memory plan (:mod:`repro.autograd.memplan`): one
         #: layout per accumulation slot — the first micro batch of a step
@@ -597,6 +636,7 @@ class StepGraph:
         guard-miss fallbacks of a lowered plan."""
         plan = self._plan
         resolve = self._resolve
+        same = self.same
         ndarray = np.ndarray
         mark = current().arena or _NO_PLAN
         for i in indices:
@@ -628,11 +668,8 @@ class StepGraph:
                 values[i] = (ctx, out)
             else:
                 res = fn(*args)
-                if rec.guard and not _host_equal(res, rec.expected):
-                    raise GraphInvalidated(
-                        f"guard {fn.__name__} diverged from capture: "
-                        f"{rec.expected!r} -> {res!r}"
-                    )
+                if rec.guard and not same(res, rec.expected):
+                    raise _tripped(fn.__name__, rec.expected, res)
                 values[i] = (None, res)
 
     # -- backward --------------------------------------------------------

@@ -225,14 +225,14 @@ _I32_SEGMENTS = ("row_offsets", "column_indices", "row_indices", "tbo", "trow")
 
 
 class _Capacity:
-    """The two capacity buffers of one ``dispatch`` unit, for the
-    ``N = T*k`` routed copies of ``T`` tokens over ``E`` experts of
-    ``C`` block columns: a block-rounded expert holds at most ``bs - 1``
-    pad rows, so no step plans more than ``N + E*(bs - 1)`` padded rows.
-    A step's arrays are live prefixes of the segments."""
+    """The two capacity buffers of one ``dispatch`` unit, for at most
+    ``N`` routed copies (``remember_dispatch``'s ``n``) over ``E``
+    experts of ``C`` block columns: a block-rounded expert holds at most
+    ``bs - 1`` pad rows, so no step plans more than ``N + E*(bs - 1)``
+    padded rows.  A step's arrays are live prefixes of the segments."""
 
-    def __init__(self, T: int, k: int, E: int, bs: int, C: int):
-        rows = T * k + E * (bs - 1)
+    def __init__(self, N: int, E: int, bs: int, C: int):
+        rows = N + E * (bs - 1)
         blocks = rows // bs * C
         sizes = dict(
             hdr=8, counts=E, padded=E, gather=rows, copies=rows,
@@ -250,7 +250,7 @@ class _Capacity:
                 seg[n] = buf[at : at + sizes[n]]
                 at += sizes[n]
             seg[dtype.name] = buf
-        self.key = (T, k, E, bs, C)
+        self.key = (N, E, bs, C)
         self.offsets = np.array(offsets, I64)
         self.seg = seg
         self.ptrs = addr(seg["int64"]), addr(seg["int32"]), addr(self.offsets)
@@ -272,8 +272,9 @@ def _dispatch_forward(b):
             return False  # no copies, no groups: the NumPy build's case
         E, bs = mod.num_experts, mod.block_size
         C = mod.ffn_hidden_size // bs
-        if cap is None or cap.key != (T, k, E, bs, C):
-            cap = _Capacity(T, k, E, bs, C)
+        key = (max(idx.size, mod.max_copies), E, bs, C)
+        if cap is None or cap.key != key:
+            cap = _Capacity(*key)
         flat = idx if idx.dtype == I64 and idx.flags.c_contiguous else (
             np.ascontiguousarray(idx, I64)
         )

@@ -45,8 +45,7 @@ import numpy as np
 from repro.autograd.execution import current
 from repro.autograd.function import Context
 from repro.autograd.graph import (
-    _CONST, _DYN, _INPUT, _LEAF, _NO_PLAN, _REC, GraphInvalidated, _host_equal,
-    _OpRecord,
+    _CONST, _DYN, _INPUT, _LEAF, _NO_PLAN, _REC, _OpRecord, _tripped,
 )
 from repro.autograd.lower import kernels, toolchain
 from repro.autograd.lower.kernels.base import I64, Build, Kernel, addr, compiled
@@ -171,14 +170,13 @@ def item(values, inputs):
 _HOST_ITEM = """
 def item(values, inputs):
     res = call({args})
-    if res is None:
-        count()
+    if not res:
+        if res is None:
+            count()
         fallback(values, inputs)
         return
     if guard and not host_equal(res[0], expected):
-        raise GraphInvalidated(
-            f"guard {{name}} diverged from capture: {{expected!r}} -> {{res[0]!r}}"
-        )
+        raise _tripped(name, expected, res[0])
     values[{i}] = (None, res[0])
 """
 
@@ -311,7 +309,7 @@ class LoweredPlan:
             source = _HOST_ITEM
             env.update(
                 guard=rec.guard, expected=rec.expected, name=rec.fn.__name__,
-                host_equal=_host_equal, GraphInvalidated=GraphInvalidated,
+                host_equal=graph.same, _tripped=_tripped,
             )
         exec(compiled(source.format(i=i, args=", ".join(args))), env)
         return env["item"]

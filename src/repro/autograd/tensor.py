@@ -153,10 +153,6 @@ def run_walk(entries: List[tuple], num_slots: int, seed: np.ndarray, values) -> 
         walk.retire(g)
 
 
-def is_grad_enabled() -> bool:
-    return current().grad
-
-
 @contextlib.contextmanager
 def no_grad():
     """Disable the calling thread's tape recording inside the block."""
@@ -221,6 +217,11 @@ class Tensor:
     """N-dimensional array with reverse-mode automatic differentiation."""
 
     __slots__ = ("data", "grad", "requires_grad", "_node", "name")
+
+    #: The process group a parameter is one shard of (an expert-parallel
+    #: layer's experts sets it); ``None``: replicated, and data
+    #: parallelism averages its gradient.
+    shard_group = None
 
     def __init__(
         self,

@@ -127,9 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "(snapshot at the step boundary, serialize off-thread)")
     p.add_argument("--eval-every", type=int, default=None)
     p.add_argument("--dp-world", type=int, default=0, metavar="W",
-                   help="data-parallel world size: shard each global batch "
-                        "over W replicated ranks with an all-reduced "
-                        "gradient step (0 disables the distributed path)")
+                   help="data-parallel world size: the trainer runs the whole "
+                        "global batch and all-reduces its gradients over an "
+                        "echo group of W ranks that hold them (0 disables the "
+                        "distributed path)")
     p.add_argument("--dist-backend", default="sim", choices=["sim", "mp"],
                    help="collective transport for --dp-world: 'sim' reduces "
                         "in process, 'mp' routes through forked worker "

@@ -25,7 +25,6 @@ from repro.configs.moe import (
 )
 from repro.configs.flops import (
     moe_train_flops,
-    transformer_forward_flops,
     transformer_train_flops,
     transformer_train_gflops,
 )
@@ -52,6 +51,5 @@ __all__ = [
     "TRAIN_TOKENS",
     "transformer_train_flops",
     "transformer_train_gflops",
-    "transformer_forward_flops",
     "moe_train_flops",
 ]

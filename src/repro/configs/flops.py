@@ -33,11 +33,6 @@ def transformer_train_gflops(config: TransformerConfig, batch_size: int = 1) -> 
     return transformer_train_flops(config, batch_size) / 1e9
 
 
-def transformer_forward_flops(config: TransformerConfig, batch_size: int = 1) -> float:
-    """Forward-only FLOPs (one third of the training total)."""
-    return transformer_train_flops(config, batch_size) / 3.0
-
-
 def moe_train_flops(
     config: TransformerConfig,
     top_k: int = 1,

@@ -105,17 +105,17 @@ def remember_dispatch(mod, plan, topology, row_expert, expert_indices) -> None:
     for how long its arrays hold.
 
     Also declares the extents routing sizes to a memory plan recording
-    this micro batch (:func:`repro.autograd.memplan.routed`): ``T*k``
-    routed copies over ``E`` experts plan at most ``T*k + E*(bs - 1)``
-    padded rows — the rows of the plan's index arrays, of
-    ``row_expert`` and of what is sized from the topology — in whole
-    blocks of ``C`` block columns (the topology's nonzero blocks), and a
-    grouped product's staging (sized from its dispatch plan) never
-    exceeds one expert holding every copy."""
-    T, k = expert_indices.shape
+    this micro batch (:func:`repro.autograd.memplan.routed`): ``n``
+    routed copies — this micro batch's, or ``mod.max_copies`` when that
+    is more — over ``E`` experts plan at most ``n + E*(bs - 1)`` padded rows — the rows of the plan's index
+    arrays, of ``row_expert`` and of what is sized from the topology —
+    in whole blocks of ``C`` block columns (the topology's nonzero
+    blocks), and a grouped product's staging (sized from its dispatch
+    plan) never exceeds one expert holding every copy."""
+    n = max(expert_indices.size, mod.max_copies)
     bs, E = mod.block_size, mod.num_experts
     C = mod.ffn_hidden_size // bs
-    rows = (T * k + E * (bs - 1)) // bs
+    rows = (n + E * (bs - 1)) // bs
     P = topology.shape[0]
     for routed_rows in (plan.gather_indices, plan.copy_indices, row_expert, topology):
         memplan.routed(routed_rows, P, rows * bs)
@@ -123,7 +123,7 @@ def remember_dispatch(mod, plan, topology, row_expert, expert_indices) -> None:
     groups = analyze(topology)
     if groups is not None:
         memplan.routed(
-            groups, groups.max_group_blocks * bs * bs, -(-T * k // bs) * C * bs * bs
+            groups, groups.max_group_blocks * bs * bs, -(-n // bs) * C * bs * bs
         )
     mod.last_plan = plan
     mod.last_topology = topology
@@ -155,6 +155,10 @@ class dMoE(Module):
     refreshed in place: they are valid until the layer's next step,
     which rewrites them.  Copy what must outlive it.
     """
+
+    #: The most routed copies a dispatch plans for, when more than the
+    #: micro batch's own: an expert-parallel rank's arrivals.
+    max_copies = 0
 
     def __init__(
         self,

@@ -23,7 +23,6 @@ from repro.distributed.backend import (
     run_distributed,
 )
 from repro.distributed.expert_parallel import (
-    ExpertParallelCaptureError,
     ExpertParallelDMoE,
 )
 
@@ -40,6 +39,5 @@ __all__ = [
     "all_to_all",
     "log_all_to_all",
     "run_distributed",
-    "ExpertParallelCaptureError",
     "ExpertParallelDMoE",
 ]

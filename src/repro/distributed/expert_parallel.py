@@ -7,123 +7,83 @@ paper).  :class:`ExpertParallelDMoE` is one rank of that dataflow over a
 :class:`~repro.core.dMoE` it shards.  Its forward:
 
 1. routes the rank's own tokens with its copy of the layer's router;
-2. gathers the routed token copies in destination-rank order;
-3. exchanges the (tiny) expert ids, untaped;
-4. posts the token exchange;
-5. builds the padded plan and block topology from the ids while the
-   tokens are in flight (the comm/compute overlap of §5);
-6. runs Figure 6's expert MLP (:func:`repro.core.dmoe.expert_mlp`, the
-   function the single-process layer calls) over the rank's expert
-   shard, and un-pads the result;
-7. returns the results to their source ranks;
-8. weights them by the router and scatters them to token order.
+2. buckets the routed copies by destination rank and exchanges their
+   (tiny) expert ids;
+3. gathers the copies in destination order and posts the token exchange;
+4. builds the padded plan and topology from the received ids with the
+   dMoE's own dispatch build, while the tokens are in flight (§5's
+   comm/compute overlap), then waits;
+5. runs Figure 6's expert MLP (:func:`repro.core.dmoe.expert_mlp`) over
+   the rank's shard, and returns the results to their source ranks;
+6. weights them by the router and scatters them to token order.
 
-The two token exchanges are :class:`_AllToAll` tape nodes whose backward
-is the reverse exchange over the same cuts, so ``out.backward(grad)`` is
-the rank's whole backward: four all-to-alls per layer (what the cost
-model charges), router and input gradients as in the single-process
-layer, and expert gradients in the rank's own shard (never all-reduced,
-per expert parallelism).
+Steps 2–4 are host records (:func:`repro.autograd.graph.host`) that a
+captured graph re-runs, exchanges included, on every replay: a rank
+steps through :func:`~repro.training.step.run_step` on every rung, and
+``cc`` plans with the kernel table's native ``dispatch`` entry.  The
+dispatch is planned for every rank's copies (``max_copies``), the most
+that can arrive, so moving routing stays on the memory plan.  The graph
+decides each replayed guard over the group
+(:func:`~repro.autograd.graph.exchanges_with`): every rank recaptures a
+micro batch, or none does.
 
-The layer runs unchanged on rank-threads (``"sim"``) and forked ranks
-(``"mp"``), bit-identically, and matches the single-process dMoE on the
-concatenated batch to 1e-9 — output, input, router and expert gradients
-(tested).  Each rank's :class:`CommLog` holds the exact all-to-all
-volumes the cost model charges.
-
-It runs on the eager rungs only.  A captured graph would freeze the
-routing-dependent cuts, and a rank recapturing mid-replay would pair its
-exchanges with the wrong ones of its peers; built or called under a
-capture session the layer raises :class:`ExpertParallelCaptureError`
-before it routes.
+The two token exchanges are tape nodes whose backward is the reverse
+exchange, so ``out.backward(grad)`` is the rank's whole backward: four
+all-to-alls per layer (what the cost model charges), router and input
+gradients as in the single-process layer, and expert gradients in the
+rank's own shard, whose parameters carry ``shard_group``: the
+data-parallel sync leaves them out, and the clip's norm sums them over
+the group (:mod:`repro.training.step`).  ``"sim"`` and ``"mp"`` ranks
+are bit-identical, and match the single-process dMoE on the concatenated
+batch to 1e-9 (tested).
 """
 
 from __future__ import annotations
 
 import copy
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
-from repro.autograd import gather_rows, scatter_rows
-from repro.autograd.execution import current
+from repro.autograd import arena, gather_rows, scatter_rows
 from repro.autograd.function import Function
+from repro.autograd.graph import exchanges_with
+from repro.autograd.graph import host as graph_host
 from repro.autograd.tensor import Tensor
-from repro.core.dmoe import dMoE, expert_mlp
-from repro.core.topology_builder import expert_of_padded_row, make_topology
+from repro.core.dmoe import _build_dispatch, dMoE, expert_mlp
 from repro.distributed.backend import PendingAllToAll, ProcessGroup
 from repro.distributed.collectives import CommLog
 from repro.distributed.mesh import DeviceMesh
-from repro.moe.permute import make_padded_plan, padded_gather
 from repro.nn.module import Module, Parameter
 from repro.observability.tracing import span
 from repro.resilience import counters as res_counters
 from repro.resilience.faults import CollectiveFault, RetryPolicy
 
 
-class ExpertParallelCaptureError(RuntimeError):
-    """An expert-parallel layer met a capture session (the ``replay`` and
-    ``cc`` rungs), which it cannot yet run under."""
+# ----------------------------------------------------------------------
+# One logical all-to-all: post, then complete.
+# ----------------------------------------------------------------------
+def _post(ep: "ExpertParallelDMoE", send: List[np.ndarray]) -> PendingAllToAll:
+    """Put one logical all-to-all in flight.  Its volume — this rank's
+    true off-diagonal bytes, no mean over a world it cannot see — is
+    logged here, once, however many transport attempts :func:`_complete`
+    ends up making."""
+    group = ep.group
+    if group.world > 1:
+        mine = float(sum(s.nbytes for dst, s in enumerate(send) if dst != group.rank))
+        ep.comm_log.log("all_to_all", group.world, mine, max_bytes_sent=mine)
+    return group.isend_all_to_all(send)
 
 
-def _refuse_capture() -> None:
-    if current().capture is not None:
-        raise ExpertParallelCaptureError(
-            "ExpertParallelDMoE runs on the eager rungs only: its exchange "
-            "cuts depend on routing, which a captured graph would freeze "
-            "rank by rank"
-        )
-
-
-def _payloads_finite(received: Sequence[np.ndarray]) -> bool:
-    return all(
-        np.isfinite(a).all()
-        for a in received
-        if np.issubdtype(a.dtype, np.floating)
-    )
-
-
-class _AllToAll(Function):
-    """An all-to-all on the tape: the rows of ``x``, cut at ``cuts`` into
-    one piece per destination rank, arrive concatenated by source rank.
-
-    ``forward(x, ep, cuts, pending)`` completes ``pending``, the exchange
-    :meth:`post` already put in flight over ``ep``'s group, or posts it
-    itself when ``pending`` is ``None``.  Backward sends the gradient's
-    pieces back over the same cuts.  Each direction is one logical
-    exchange: one ``all_to_all`` span, one record in ``ep.comm_log``,
-    and ``ep``'s receipt validation and retry (:meth:`complete`).
-
-    The reverse exchange is unconditional: an empty gradient — a rank
-    with no tokens, or one that received none — still enters it, so no
-    peer waits on a rank that skipped.  (The walk skips a node whose
-    gradient is ``None``; every op between an exchange and the layer's
-    output hands back an array, empty or not.)
-    """
-
-    @staticmethod
-    def post(ep: "ExpertParallelDMoE", send: List[np.ndarray]) -> PendingAllToAll:
-        """Put one logical all-to-all in flight.  Its volume — this
-        rank's true off-diagonal bytes, no mean over a world it cannot
-        see — is logged here, once, however many transport attempts
-        :meth:`complete` ends up making."""
-        group = ep.group
-        if group.world > 1:
-            mine = float(
-                sum(s.nbytes for dst, s in enumerate(send) if dst != group.rank)
-            )
-            ep.comm_log.log("all_to_all", group.world, mine, max_bytes_sent=mine)
-        return group.isend_all_to_all(send)
-
-    @staticmethod
-    def complete(
-        ep: "ExpertParallelDMoE", send: List[np.ndarray], pending: PendingAllToAll
-    ) -> List[np.ndarray]:
-        """Wait for a posted all-to-all, validating receipt and
-        re-issuing it under ``ep``'s retry policy (when configured)."""
-        received = pending.wait()
-        if ep.retry_policy is None:
-            return received
+def _complete(
+    ep: "ExpertParallelDMoE", send: List[np.ndarray], pending: PendingAllToAll
+) -> np.ndarray:
+    """Wait for a posted all-to-all, validating receipt and re-issuing it
+    under ``ep``'s retry policy (when configured); returns the arrivals
+    concatenated by source rank."""
+    received = pending.wait()
+    if ep.retry_policy is not None:
         group = ep.group
 
         def attempt(k: int):
@@ -131,7 +91,9 @@ class _AllToAll(Function):
             if k:
                 ep.retries += 1
                 received = group.all_to_all(send)
-            bad = not _payloads_finite(received)
+            bad = not all(
+                np.isfinite(a).all() for a in received if a.dtype.kind == "f"
+            )
             if bad:
                 ep.corrupt_detected += 1
                 res_counters.increment("ep_corrupt_payload_detected")
@@ -139,27 +101,105 @@ class _AllToAll(Function):
             # itself a collective, so all ranks must take the same branch.
             if group.all_reduce(np.array([int(bad)]))[0]:
                 raise CollectiveFault("all_to_all", None, k)
-            return received
 
-        return ep.retry_policy.run(attempt)
+        ep.retry_policy.run(attempt)
+    return np.concatenate(received)
+
+
+def _exchange(ep: "ExpertParallelDMoE", send: List[np.ndarray]) -> np.ndarray:
+    """One logical exchange under one ``all_to_all`` span."""
+    with span("all_to_all", {"world": ep.group.world}):
+        return _complete(ep, send, _post(ep, send))
+
+
+# ----------------------------------------------------------------------
+# The routing-dependent host work: re-run by every replay.
+# ----------------------------------------------------------------------
+@dataclass
+class _Posted:
+    """The token exchange in flight."""
+
+    send: List[np.ndarray]
+    pending: PendingAllToAll
+
+
+def _route(ep: "ExpertParallelDMoE", expert_indices: np.ndarray) -> tuple:
+    """Bucket the routed copies by destination (their order and token
+    rows, cut by destination) and exchange their ids (``(n, 1)``, cut
+    by source).  Sets ``ep.max_copies`` from this micro batch's routing."""
+    ep.max_copies = ep.group.world * expert_indices.size
+    order, cuts, local_ids = ep._bucket(expert_indices)
+    recv = ep.group.all_to_all(np.split(local_ids, cuts))
+    ids = np.concatenate(recv)[:, None]
+    ep.tokens_received = len(ids)
+    recv_cuts = np.cumsum([len(r) for r in recv])[:-1]
+    return order, order // expert_indices.shape[1], cuts, ids, recv_cuts
+
+
+def _post_tokens(ep: "ExpertParallelDMoE", sent: np.ndarray, cuts) -> _Posted:
+    send = np.split(sent, cuts)
+    return _Posted(send, _post(ep, send))
+
+
+# ----------------------------------------------------------------------
+# The two token exchanges, on the tape.
+# ----------------------------------------------------------------------
+def _pad(rows: np.ndarray, plan) -> np.ndarray:
+    """Arrival-ordered rows in ``plan``'s padded expert order, pad rows
+    zero (``padded_gather``'s arithmetic)."""
+    idx = plan.gather_indices
+    out = rows.take(
+        idx.clip(0), axis=0,
+        out=arena.out_buf((len(idx),) + rows.shape[1:], rows.dtype, idx),
+    )
+    out[idx < 0] = 0.0
+    return out
+
+
+def _unpad(padded: np.ndarray, plan) -> np.ndarray:
+    """:func:`_pad` undone: the live rows back in arrival order."""
+    idx = plan.gather_indices
+    live = idx >= 0
+    out = np.empty((plan.num_tokens,) + padded.shape[1:], padded.dtype)
+    out[idx[live]] = padded[live]
+    return out
+
+
+# Each reverse exchange is unconditional: an empty gradient — a rank with
+# no tokens, or one that received none — still enters it, so no peer
+# waits on a rank that skipped.  (The walk skips a node whose gradient is
+# ``None``; every op between an exchange and the layer's output hands back
+# an array, empty or not.)
+class _Dispatch(Function):
+    """Tokens to their experts: ``sent``'s rows, posted by destination,
+    arrive by source and land in ``plan``'s padded expert order."""
 
     @staticmethod
-    def forward(ctx, x, ep, cuts, pending):
-        send = np.split(x, cuts)
+    def forward(ctx, sent, ep, posted, plan, recv_cuts):
         with span("all_to_all", {"world": ep.group.world}):
-            if pending is None:
-                pending = _AllToAll.post(ep, send)
-            received = _AllToAll.complete(ep, send, pending)
-        ctx.save_for_backward(ep, np.cumsum([len(r) for r in received])[:-1])
-        return np.concatenate(received)
+            tokens = _complete(ep, posted.send, posted.pending)
+        ctx.save_for_backward(ep, plan, recv_cuts)
+        return _pad(tokens, plan)
 
     @staticmethod
     def backward(ctx, grad):
-        ep, recv_cuts = ctx.saved
-        send = np.split(grad, recv_cuts)
-        with span("all_to_all", {"world": ep.group.world}):
-            back = _AllToAll.complete(ep, send, _AllToAll.post(ep, send))
-        return (np.concatenate(back),)
+        ep, plan, recv_cuts = ctx.saved
+        return (_exchange(ep, np.split(_unpad(grad, plan), recv_cuts)),)
+
+
+class _Combine(Function):
+    """The expert outputs home to their sources, where they arrive in
+    destination order."""
+
+    @staticmethod
+    def forward(ctx, y, ep, plan, recv_cuts, send_cuts):
+        ctx.save_for_backward(ep, plan, send_cuts)
+        return _exchange(ep, np.split(_unpad(y, plan), recv_cuts))
+
+    @staticmethod
+    def backward(ctx, grad):
+        ep, plan, send_cuts = ctx.saved
+        return (_pad(_exchange(ep, np.split(grad, send_cuts)), plan),)
 
 
 class ExpertParallelDMoE(Module):
@@ -207,10 +247,10 @@ class ExpertParallelDMoE(Module):
 
     Per-rank readings live on the module: ``comm_log`` holds this rank's
     true off-diagonal bytes, one record per logical token exchange;
-    ``tokens_received`` is the number of token copies the last forward
-    computed on this shard; ``corrupt_detected`` counts non-finite
+    ``tokens_received`` is the number of token copies the last micro
+    batch computed on this shard; ``corrupt_detected`` counts non-finite
     payloads this rank received and ``retries`` the exchanges it
-    re-issued.
+    re-issued; ``num_experts`` counts the shard's experts.
     """
 
     def __init__(
@@ -219,14 +259,13 @@ class ExpertParallelDMoE(Module):
         group: ProcessGroup,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
-        _refuse_capture()
         super().__init__()
         mine = DeviceMesh(group.world, group.world).expert_slice(
             group.rank, layer.num_experts
         )
         self.group = group
         self.retry_policy = retry_policy
-        self.local_experts = len(mine)
+        self.num_experts = len(mine)
         self.hidden_size = layer.hidden_size
         self.ffn_hidden_size = layer.ffn_hidden_size
         self.block_size = layer.block_size
@@ -237,6 +276,12 @@ class ExpertParallelDMoE(Module):
             Parameter(p.data[mine.start : mine.stop].copy())
             for p in (e.w1, e.b1, e.w2, e.b2)
         )
+        for p in (self.w1, self.b1, self.w2, self.b2):
+            p.shard_group = group
+        #: The most copies one micro batch can send here — every rank's
+        #: — which the dispatch plans for (set from the routed batch).
+        self.max_copies = 0
+        self.last_plan = self.last_topology = self.last_routing = None
         self.comm_log = CommLog()
         self.tokens_received = 0
         self.corrupt_detected = 0
@@ -253,56 +298,47 @@ class ExpertParallelDMoE(Module):
         destination's shard.
         """
         experts = expert_indices.reshape(-1)
-        dest = experts // self.local_experts
+        dest = experts // self.num_experts
         order = np.argsort(dest, kind="stable")
         cuts = np.cumsum(np.bincount(dest, minlength=self.group.world))[:-1]
-        return order, cuts, (experts % self.local_experts)[order].astype(np.int64)
+        return order, cuts, (experts % self.num_experts)[order].astype(np.int64)
 
     def forward(self, x: Tensor):
         """Apply the rank's share of the layer; returns ``(output,
         aux_loss)``.  ``x`` may be ``(tokens, hidden)`` or ``(batch,
         seq, hidden)``."""
-        _refuse_capture()
+        exchanges_with(self.group)
         shape = x.shape
         if x.ndim == 3:
             x = x.reshape((shape[0] * shape[1], shape[2]))
-        local, f = self.local_experts, self.ffn_hidden_size
+        local, f = self.num_experts, self.ffn_hidden_size
 
-        # (1)-(2) Route, then gather the copies in destination order.
+        # (1)-(2) Route; bucket the copies and exchange their ids.
         routing = self.router(x)
-        order, cuts, local_ids = self._bucket(routing.expert_indices)
-        rows = order // routing.expert_indices.shape[1]
-        sent = gather_rows(x, rows)
-
-        # (3) Expert ids first — a few hundred int64s whose arrival
-        # unlocks all the host-side planning — (4) then the tokens, (5)
-        # in flight while the plan and topology are built.
-        recv_ids = self.group.all_to_all(np.split(local_ids, cuts))
-        pending = _AllToAll.post(self, np.split(sent.data, cuts))
-        plan = make_padded_plan(
-            np.concatenate(recv_ids)[:, None], local, self.block_size
+        order, rows, send_cuts, ids, recv_cuts = graph_host(
+            _route, self, routing.expert_indices
         )
-        topology = make_topology(plan, f)
-        tokens = _AllToAll.apply(sent, self, cuts, pending)
-        self.tokens_received = len(tokens)
 
-        # (6) Figure 6's expert MLP over this rank's shard, un-padded
-        # back to arrival order (the router weights apply at the source).
+        # (3) Post the tokens, (4) plan while they are in flight, wait.
+        sent = gather_rows(x, rows)
+        posted = graph_host(_post_tokens, self, sent.data, send_cuts)
+        plan, topology, row_expert = graph_host(_build_dispatch, self, ids)
+        xp = _Dispatch.apply(sent, self, posted, plan, recv_cuts)
+
+        # (5) Figure 6's expert MLP over this rank's shard, then home.
         y = expert_mlp(
-            padded_gather(tokens, plan),
+            xp,
             self.w1,
             self.b1.reshape((local * f,)),
             self.w2.reshape((local * f, self.hidden_size)),
             self.b2,
             topology,
-            expert_of_padded_row(plan),
+            row_expert,
             self.activation,
         )
-        y = scatter_rows(y, plan.gather_indices, len(tokens))
+        back = _Combine.apply(y, self, plan, recv_cuts, send_cuts)
 
-        # (7) Return exchange, (8) then the weighted combine.
-        recv_cuts = np.cumsum([len(ids) for ids in recv_ids])[:-1]
-        back = _AllToAll.apply(y, self, recv_cuts, None)
+        # (6) The weighted combine (the router weights apply at the source).
         weights = gather_rows(routing.expert_weights.reshape((-1, 1)), order)
         out = scatter_rows(back * weights, rows, len(x))
         if len(shape) == 3:

@@ -71,25 +71,3 @@ def sparse_attention_time(
         context_problems * bh, device, MEGABLOCKS_TILE
     ).total_s
     return scores + soft + context
-
-
-def attention_crossover_window(
-    seq: int,
-    num_heads: int,
-    head_dim: int,
-    batch: int,
-    block_size: int = 128,
-    device: DeviceSpec = A100_SXM4_80GB,
-) -> int:
-    """Largest window (in blocks) at which sparse attention still beats
-    dense; ``seq // block_size`` means dense always wins (no crossover)."""
-    dense = dense_attention_time(seq, num_heads, head_dim, batch, device)
-    n_rows = seq // block_size
-    best = 0
-    for window in range(1, n_rows + 1):
-        sparse = sparse_attention_time(
-            seq, window, num_heads, head_dim, batch, block_size, device
-        )
-        if sparse < dense:
-            best = window
-    return best

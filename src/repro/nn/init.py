@@ -17,13 +17,6 @@ def scaled_normal(shape, std: float, num_layers: int, rng: RngLike = None) -> np
     return normal(shape, std / np.sqrt(2.0 * num_layers), rng)
 
 
-def xavier_uniform(shape, rng: RngLike = None) -> np.ndarray:
-    """Glorot uniform for 2-D weights."""
-    fan_in, fan_out = shape[0], shape[-1]
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return get_rng(rng).uniform(-limit, limit, size=shape).astype(np.float32)
-
-
 def zeros(shape) -> np.ndarray:
     return np.zeros(shape, dtype=np.float32)
 

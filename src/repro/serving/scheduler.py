@@ -217,11 +217,6 @@ class ContinuousBatchingScheduler:
         """Release the KV cache: drop its K/V buffers and its plan."""
         self.cache.release()
 
-    @property
-    def committed_tokens(self) -> int:
-        """The summed peak windows of the active sequences."""
-        return self._committed
-
     # -- admission -------------------------------------------------------
     def _admit(self, now: float) -> None:
         admitted = False

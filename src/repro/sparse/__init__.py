@@ -20,8 +20,8 @@ from repro.sparse import dispatch, stats
 from repro.sparse.dispatch import DispatchPlan, dispatch_mode
 from repro.sparse.topology import Topology, metadata_bytes
 from repro.sparse.matrix import BlockSparseMatrix
-from repro.sparse.ops import add_bias_columns, dds, dsd, map_values, sdd
-from repro.sparse.autograd_ops import dds_mm, dsd_mm, sdd_mm, sparse_bias_add
+from repro.sparse.ops import add_bias_columns, dds, dsd, sdd
+from repro.sparse.autograd_ops import dsd_mm, sdd_mm, sparse_bias_add
 from repro.sparse.reference import (
     dds_reference,
     dsd_reference,
@@ -43,11 +43,9 @@ __all__ = [
     "sdd",
     "dsd",
     "dds",
-    "map_values",
     "add_bias_columns",
     "sdd_mm",
     "dsd_mm",
-    "dds_mm",
     "sparse_bias_add",
     "sdd_reference",
     "dsd_reference",

@@ -151,26 +151,3 @@ def sparse_bias_gelu(values: Tensor, bias: Tensor, topology: Topology) -> Tensor
     """Fused differentiable column-bias add + GELU on sparse values."""
     out = _SparseBiasGelu.apply(as_tensor(values), as_tensor(bias), topology)
     return stats.record_fused("sparse_bias_gelu", out, replaced=2)
-
-
-class _DdsMM(Function):
-    """y = A @ S for dense A and block-sparse S (values Tensor)."""
-
-    @staticmethod
-    def forward(ctx, a, s_values, topology):
-        ctx.save_for_backward(a, s_values, topology)
-        return dds(a, BlockSparseMatrix(topology, s_values))
-
-    @staticmethod
-    def backward(ctx, grad_y):
-        a, s_values, topology = ctx.saved
-        # dA = dY @ S^T  (DDS^T, BCSR row iteration).
-        da = dds(grad_y, BlockSparseMatrix(topology, s_values), trans_s=True)
-        # dS = A^T @ dY sampled at S's topology (SDD with trans_a).
-        ds = sdd(a, grad_y, topology, trans_a=True).values
-        return da, ds
-
-
-def dds_mm(a: Tensor, s_values: Tensor, topology: Topology) -> Tensor:
-    """Differentiable DDS: dense ``a`` times a block-sparse matrix."""
-    return _DdsMM.apply(as_tensor(a), as_tensor(s_values), topology)

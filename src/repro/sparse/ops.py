@@ -403,11 +403,6 @@ def dds(
 # ----------------------------------------------------------------------
 # Elementwise helpers on sparse values (used between SDD and DSD).
 # ----------------------------------------------------------------------
-def map_values(s: BlockSparseMatrix, fn) -> BlockSparseMatrix:
-    """Apply an elementwise function to the nonzero values."""
-    return BlockSparseMatrix(s.topology, fn(s.values))
-
-
 def add_bias_live(
     values: np.ndarray, bias: np.ndarray, topo: Topology, out: np.ndarray
 ) -> np.ndarray:

@@ -10,7 +10,6 @@ from repro.training.lr_schedule import (
 from repro.training.metrics import (
     History,
     TrainingRecord,
-    loss_equivalent_speedup,
     pareto_frontier,
     time_to_loss,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "TrainingRecord",
     "time_to_loss",
     "pareto_frontier",
-    "loss_equivalent_speedup",
     "Trainer",
     "TrainerConfig",
     "RoutingStats",

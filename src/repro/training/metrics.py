@@ -135,25 +135,3 @@ def pareto_frontier(
             frontier.append((t, l))
             best_loss = l
     return frontier
-
-
-def loss_equivalent_speedup(
-    reference_curve: Tuple[Sequence[float], Sequence[float]],
-    target_curve: Tuple[Sequence[float], Sequence[float]],
-) -> Optional[float]:
-    """Speedup of ``target`` over ``reference`` at target's final loss.
-
-    Returns ``t_ref(loss*) / t_target(loss*)`` where ``loss*`` is the
-    lowest loss the target curve reaches; None when the reference never
-    gets there (the paper then extrapolates the Pareto frontier; we
-    report None and let callers decide).
-    """
-    t_times, t_losses = target_curve
-    if len(t_times) == 0:
-        return None
-    target_final = float(np.minimum.accumulate(np.asarray(t_losses))[-1])
-    t_target = time_to_loss(t_times, t_losses, target_final)
-    t_ref = time_to_loss(reference_curve[0], reference_curve[1], target_final)
-    if t_target is None or t_ref is None:
-        return None
-    return t_ref / t_target

@@ -27,9 +27,13 @@ def grad_norm(params: Iterable[Parameter]) -> float:
 
     NumPy only: the reference a bound native norm
     (:meth:`Optimizer.grad_norm`) is held to, bit for bit.  One fp64
-    scratch per thread, sized to the largest gradient, serves them all."""
+    scratch per thread, sized to the largest gradient, serves them all.
+    A shard's squares (``p.shard_group``) are summed over its group, so
+    every rank reads the norm of the whole model: the replicated part
+    once, plus every rank's shard."""
     ex = mine()
     sq = 0.0
+    shards: dict = {}
     for p in params:
         if p.grad is None:
             continue
@@ -44,7 +48,12 @@ def grad_norm(params: Iterable[Parameter]) -> float:
             buf = ex.norm_scratch = np.empty(n, dtype=np.float64)
         buf = buf[:n].reshape(p.grad.shape)
         np.multiply(p.grad, p.grad, out=buf, dtype=np.float64)
-        sq += float(buf.sum())
+        if p.shard_group is None:
+            sq += float(buf.sum())
+        else:
+            shards[p.shard_group] = shards.get(p.shard_group, 0.0) + float(buf.sum())
+    for group, part in shards.items():
+        sq += float(group.all_reduce(np.array([part]))[0])
     return float(np.sqrt(sq))
 
 
@@ -89,6 +98,7 @@ class Optimizer:
         self.params: List[Parameter] = list(params)
         if not self.params:
             raise ValueError("optimizer received no parameters")
+        self.sharded = any(p.shard_group is not None for p in self.params)
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -96,8 +106,9 @@ class Optimizer:
 
     def grad_norm(self) -> float:
         """:func:`grad_norm` of this optimizer's gradients, from the
-        bound native sum of squares when there is one."""
-        sq = None if self.native is None else self.native.sumsq()
+        bound native sum of squares when there is one (and no parameter
+        is a shard, whose squares the NumPy norm sums over its group)."""
+        sq = None if self.native is None or self.sharded else self.native.sumsq()
         return grad_norm(self.params) if sq is None else float(np.sqrt(sq))
 
     def step(self, lr: Optional[float] = None, grad_scale: float = 1.0) -> None:

@@ -10,7 +10,9 @@ optional guard and fault injector, and the captured graph), so anything
 that holds one — :class:`~repro.training.trainer.Trainer`, a test, a
 rank — runs the same step.  The loop around it stays with the caller:
 data order, guardrail bookkeeping (snapshots and rewind), routing stats,
-telemetry, checkpoints and the data-parallel group.
+telemetry, checkpoints and the data-parallel group.  A rank of a group
+(data- or expert-parallel) passes ``sync``; its skips are the group's,
+and its clip reads the group's global norm.
 
 **Four ways to run a step.**  ``config.backend`` and
 ``config.steady_state`` select them, and nothing else does — not even
@@ -119,8 +121,8 @@ def run_step(
     ``batches`` is an iterator the step draws its micro batches from,
     one at a time, so a caller's data order interleaves with the step
     exactly as it would inline.  ``sync`` is the data-parallel gradient
-    all-reduce (:func:`sync_gradients` bound to a group); a single
-    process passes none.  Returns ``(mean_loss, grad_norm, verdict)``:
+    all-reduce (:func:`sync_gradients` bound to a group), entered
+    whatever this rank's verdict; a single process passes none.  Returns ``(mean_loss, grad_norm, verdict)``:
     the pre-clip global norm is ``None`` when the step was skipped, and
     a skipped step leaves no gradients and no graph behind.
     """
@@ -156,30 +158,34 @@ def run_step(
         if faults is not None:
             faults.corrupt_gradients(step, optimizer.params)
 
-        guard = state.guard
-        verdict = gr.OK
-        if guard is not None and not np.isfinite(mean_loss):
-            verdict = gr.NONFINITE_LOSS
-        if verdict == gr.OK and sync is not None:
+        # The loss sentinel and spike detector read this rank's loss.
+        verdict = gr.OK if state.guard is None else state.guard.check_loss(mean_loss)
+        if sync is not None:
+            # A rank enters the exchange whatever its verdict: the skip is
+            # the group's.  A rank that would skip sends a NaN, so every
+            # rank's global norm below reads non-finite and all skip.
+            if verdict != gr.OK:
+                grads = (p.grad for p in optimizer.params if p.grad is not None)
+                next(grads).flat[0] = np.nan
             with span("grad_sync"):
                 try:
                     sync()
                 except CollectiveFault as exc:
                     logger.warning("step %d: unrecovered %s", step, exc)
                     verdict = gr.COLLECTIVE_FAULT
-        if verdict == gr.OK:
+        if verdict == gr.OK or (sync is not None and verdict != gr.COLLECTIVE_FAULT):
             with span("clip"):
                 # One read of every gradient decides both the skip and
                 # the clip: an fp64 sum of squares of finite fp32 values
                 # cannot overflow, and NaN / ±inf propagate through it,
                 # so the norm is finite exactly when every element is.
                 # The clip scale rides into the optimizer's own sweep
-                # instead of a pass of its own (docs/training.md).
+                # instead of a pass of its own (docs/training.md).  Every
+                # rank of a group takes it: expert shards sum theirs
+                # over the group.
                 norm = optimizer.grad_norm()
-            if not np.isfinite(norm):
+            if verdict == gr.OK and not np.isfinite(norm):
                 verdict = gr.NONFINITE_GRAD
-            elif guard is not None and guard.spike_detector.is_spike(mean_loss):
-                verdict = gr.LOSS_SPIKE
 
         if verdict == gr.OK:
             scale = clip_scale(norm, cfg.grad_clip)
@@ -293,7 +299,10 @@ def _capture_micro_batch(state: StepState, batch, sig: tuple) -> float:
 # ----------------------------------------------------------------------
 def sync_gradients(state: StepState, group, log=None) -> None:
     """Data-parallel gradient all-reduce: the mean over ``group``'s
-    ranks, once per step, over one bucket of every gradient.
+    ranks, once per step, over one bucket of every replicated gradient.
+    An expert shard's gradient (``p.shard_group``: each rank holds
+    different experts) stays off the exchange and is scaled to the same
+    mean in place.
 
     ``group`` is any group — a ``run_distributed`` rank, or the trainer's
     echo group (:func:`repro.distributed.backend.open_echo_group`) — and
@@ -303,17 +312,22 @@ def sync_gradients(state: StepState, group, log=None) -> None:
     all untouched).  The echo group's peers hold this process's own
     gradients, so there alone the exchange is an exact identity — since
     ``dp_world`` is a power of two — that exercises the real collective;
-    ranks hold their own shards' gradients and end with their average
-    (every rank must leave gradients on the same parameters: the bucket
-    is laid out from those present).  ``"sim"`` and ``"mp"`` reduce in
-    the same rank order, so the two are bit-identical, but kills and
-    timeouts are real under ``"mp"``.  The injector's collective faults
+    ranks hold their own shards' gradients and end with their average.
+    The bucket is laid out from every parameter, in the optimizer's
+    order: one a rank left no gradient (its router fell back) sends
+    zeros, so every rank's bucket lines up.  ``"sim"`` and ``"mp"``
+    reduce in the same rank order, so the two are bit-identical, but
+    kills and timeouts are real under ``"mp"``.  The injector's collective faults
     fire inside the group's exchange; its retry policy, when set,
     re-runs the exchange on a healed group.  ``log`` (a ``CommLog``)
     records the exchange.
     """
     injector = state.faults
-    grads = [p.grad for p in state.optimizer.params if p.grad is not None]
+    params = state.optimizer.params
+    for p in params:
+        if p.grad is None:
+            p.grad = np.zeros_like(p.data)
+    grads = [p.grad for p in params if p.shard_group is None]
     step = injector.current_step if injector else None
 
     def attempt(k: int) -> None:
@@ -331,6 +345,9 @@ def sync_gradients(state: StepState, group, log=None) -> None:
         # next step finds a healthy group.
         group.heal()
         raise
+    for p in params:
+        if p.shard_group is not None:
+            np.multiply(p.grad, 1.0 / group.world, out=p.grad)
 
 
 def _drop_gradients(state: StepState) -> None:

@@ -13,7 +13,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-_GLOBAL_SEED: int = 0
 _GLOBAL_RNG: np.random.Generator = np.random.default_rng(0)
 
 RngLike = Union[None, int, np.random.Generator]
@@ -21,14 +20,8 @@ RngLike = Union[None, int, np.random.Generator]
 
 def seed_all(seed: int) -> None:
     """Set the process-global seed used by :func:`get_rng` defaults."""
-    global _GLOBAL_SEED, _GLOBAL_RNG
-    _GLOBAL_SEED = int(seed)
+    global _GLOBAL_RNG
     _GLOBAL_RNG = np.random.default_rng(seed)
-
-
-def global_seed() -> int:
-    """Return the last seed passed to :func:`seed_all` (0 if never set)."""
-    return _GLOBAL_SEED
 
 
 def get_global_state() -> dict:

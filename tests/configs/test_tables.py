@@ -9,7 +9,6 @@ from repro.configs import (
     TABLE2_EXPECTED,
     TABLE3_MICRO_BATCH_SIZES,
     moe_train_flops,
-    transformer_forward_flops,
     transformer_train_flops,
     transformer_train_gflops,
 )
@@ -75,12 +74,6 @@ class TestTable2:
 
 
 class TestFlops:
-    def test_forward_is_third_of_training(self):
-        cfg = TABLE1["XS"]
-        assert transformer_forward_flops(cfg) == pytest.approx(
-            transformer_train_flops(cfg) / 3
-        )
-
     def test_batch_scaling_linear(self):
         cfg = TABLE1["Small"]
         assert transformer_train_flops(cfg, 8) == pytest.approx(

@@ -264,7 +264,7 @@ class TestExpertParallelBitIdentity:
             return np.split(x[order // 2], cuts), np.split(local_ids, cuts)
 
         def plan(ep, ids):
-            return make_padded_plan(ids[:, None], ep.local_experts, ep.block_size)
+            return make_padded_plan(ids[:, None], ep.num_experts, ep.block_size)
 
         def fn(group):
             ep = ExpertParallelDMoE(layer, group)

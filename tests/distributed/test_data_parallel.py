@@ -11,6 +11,7 @@ from repro.data import LMDataset, PileConfig, SyntheticPile
 from repro.distributed import CommLog, run_distributed
 from repro.nn import TransformerLM
 from repro.resilience import guardrails as gr
+from repro.resilience.guardrails import NumericGuard
 from repro.training import Adam, TrainerConfig
 from repro.training.lr_schedule import ConstantLR
 from repro.training.optim import clip_scale
@@ -201,3 +202,40 @@ def test_clipped_ranks_agree_at_a_size_numpy_threads():
         for s, m, first in zip(s_params, m_params, mp_[0][2]):
             np.testing.assert_array_equal(s, m, strict=True)
             np.testing.assert_array_equal(s, first, strict=True)
+
+
+@pytest.mark.parametrize("poisoned", ["ln_f", "tok_emb"])
+@pytest.mark.parametrize("backend", ["sim", "mp"])
+def test_a_rank_whose_loss_is_nonfinite_skips_with_its_group(backend, poisoned):
+    """Guardrails on, two ranks: rank 1's loss is NaN at step 1 (the
+    weight of its final layer norm, or of its token embeddings, is NaN
+    for that step alone; NaN embeddings also send its routers to their
+    fallback, which leaves no router gradient).  Its skip is the group's:
+    both ranks skip step 1 without waiting out a collective's deadline,
+    and both update at step 2 with equal replicas."""
+    op_timeout_s = 5.0
+
+    def fn(group):
+        state = _state(6)
+        state.guard = NumericGuard()
+        gain = getattr(state.model, poisoned).weight
+        verdicts = []
+        for step in range(3):
+            clean = gain.data
+            if (group.rank, step) == (1, 1):
+                gain.data = np.full_like(clean, np.nan)
+            _, _, verdict = run_step(
+                state, iter([_shards(step, group.world, 12)[group.rank]]), step,
+                sync=lambda: sync_gradients(state, group),
+            )
+            gain.data = clean
+            verdicts.append(verdict)
+        return verdicts, _params(state)
+
+    result = run_distributed(fn, 2, backend=backend, op_timeout_s=op_timeout_s)
+    assert result.elapsed_s < op_timeout_s
+    (v0, p0), (v1, p1) = result.values
+    assert v0 == [gr.OK, gr.NONFINITE_GRAD, gr.OK]
+    assert v1 == [gr.OK, gr.NONFINITE_LOSS, gr.OK]
+    for a, b in zip(p0, p1):
+        np.testing.assert_array_equal(a, b, strict=True)

@@ -6,24 +6,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, lower
-from repro.autograd.graph import CaptureSession
-from repro.core import dMoE
-from repro.data.dataset import Batch
-from repro.distributed import (
-    ExpertParallelCaptureError,
-    ExpertParallelDMoE,
-    WorkerFailure,
-    run_distributed,
-)
+from repro.autograd import Tensor
+from repro.distributed import ExpertParallelDMoE, run_distributed
 from repro.moe.router import Router, RoutingResult
-from repro.nn import TransformerLM
 from repro.nn.module import Module
 from repro.observability import registry
 from repro.resilience import counters
-from repro.training import Adam, TrainerConfig
-from repro.training.lr_schedule import ConstantLR
-from repro.training.step import StepState, run_step
 from tests.distributed.ep_ranks import ep_rank, make_layer
 
 
@@ -129,56 +117,3 @@ class TestDataflow:
     def test_rejects_indivisible_experts(self):
         with pytest.raises(ValueError, match="not divisible"):
             ExpertParallelDMoE(make_layer(experts=6), SimpleNamespace(rank=0, world=4))
-
-
-class TestCaptureRefusal:
-    """The compiled rungs cannot run the layer yet (its exchange cuts
-    depend on routing): a capture meets a named error on every rank,
-    before any rank routes or enters a collective."""
-
-    @pytest.mark.parametrize(
-        "backend",
-        [
-            "replay",
-            pytest.param(
-                "cc",
-                marks=pytest.mark.skipif(
-                    not lower.cc_available(), reason="no C toolchain"
-                ),
-            ),
-        ],
-    )
-    def test_the_first_capture_raises_on_every_rank(self, backend):
-        rng = np.random.default_rng(0)
-        ids = rng.integers(0, 64, size=(2, 9))
-        batch = Batch(ids[:, :-1], ids[:, 1:])
-
-        def fn(group):
-            model = TransformerLM(
-                64, 16, 2, 2, 16, rng=0,
-                ffn_factory=lambda i: ExpertParallelDMoE(
-                    dMoE(16, 32, num_experts=4, block_size=8, rng=i), group
-                ),
-            )
-            config = TrainerConfig(global_batch=4, micro_batch=2, backend=backend)
-            state = StepState(
-                model, Adam(model.parameters(), lr=1e-3), ConstantLR(1e-3), config
-            )
-            run_step(state, iter([batch, batch]), 0)
-
-        with pytest.raises(WorkerFailure) as failure:
-            run_distributed(fn, 2, backend="sim", op_timeout_s=5.0)
-        assert failure.value.failed_ranks == [0, 1]
-        # Each rank raised the named error itself; none was left waiting
-        # in a collective (that would read CollectiveFault).
-        message = str(failure.value)
-        assert message.count(ExpertParallelCaptureError.__name__) == 2
-        assert "CollectiveFault" not in message
-
-    def test_building_under_capture_is_refused(self):
-        session = CaptureSession((), {}).begin()
-        try:
-            with pytest.raises(ExpertParallelCaptureError):
-                ExpertParallelDMoE(make_layer(), SimpleNamespace(rank=0, world=1))
-        finally:
-            session.abort()

@@ -1,7 +1,6 @@
 import pytest
 
 from repro.gpu.sparse_attention_cost import (
-    attention_crossover_window,
     dense_attention_time,
     sparse_attention_time,
 )
@@ -41,14 +40,3 @@ class TestSparseAttentionTime:
         dense = dense_attention_time(seq, 16, 64, 4)
         sparse = sparse_attention_time(seq, 4, 16, 64, 4)
         assert sparse < dense / 4
-
-
-class TestCrossover:
-    def test_crossover_exists_for_long_sequences(self):
-        w = attention_crossover_window(8192, 16, 64, 8)
-        assert w >= 1  # some window beats dense
-
-    def test_crossover_window_grows_with_sequence(self):
-        w_short = attention_crossover_window(2048, 16, 64, 8)
-        w_long = attention_crossover_window(8192, 16, 64, 8)
-        assert w_long >= w_short

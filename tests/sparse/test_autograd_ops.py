@@ -8,8 +8,6 @@ from repro.autograd import Tensor, check_gradients, relu
 from repro.sparse import (
     BlockSparseMatrix,
     Topology,
-    dds,
-    dds_mm,
     dsd,
     dsd_mm,
     sdd,
@@ -59,21 +57,6 @@ class TestDsdMM:
         values = rng.standard_normal((topo.nnz_blocks, BS, BS))
         w = rng.standard_normal((topo.shape[1], 3))
         check_gradients(lambda v, b: dsd_mm(v, b, topo), [values, w])
-
-
-class TestDdsMM:
-    def test_forward_matches_kernel(self, rng):
-        topo = random_topology(rng, 4, 5, BS, 0.5)
-        a = rng.standard_normal((6, topo.shape[0]))
-        values = rng.standard_normal((topo.nnz_blocks, BS, BS))
-        out = dds_mm(Tensor(a, dtype=np.float64), Tensor(values, dtype=np.float64), topo)
-        np.testing.assert_allclose(out.data, dds(a, BlockSparseMatrix(topo, values)))
-
-    def test_gradients(self, rng):
-        topo = random_topology(rng, 3, 4, BS, 0.6)
-        a = rng.standard_normal((5, topo.shape[0]))
-        values = rng.standard_normal((topo.nnz_blocks, BS, BS))
-        check_gradients(lambda aa, vv: dds_mm(aa, vv, topo), [a, values])
 
 
 class TestSparseBiasAdd:

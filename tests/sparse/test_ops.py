@@ -12,7 +12,6 @@ from repro.sparse import (
     add_bias_columns,
     dds,
     dsd,
-    map_values,
     random_block_sparse,
     sdd,
 )
@@ -131,12 +130,6 @@ class TestDDS:
 
 
 class TestValueHelpers:
-    def test_map_values(self, rng):
-        topo = random_topology(rng, 3, 4, BS, 0.6)
-        s = random_block_sparse(topo, rng)
-        doubled = map_values(s, lambda v: 2 * v)
-        np.testing.assert_allclose(doubled.to_dense(), 2 * s.to_dense())
-
     def test_add_bias_columns(self, rng):
         topo = random_topology(rng, 3, 4, BS, 0.6)
         s = random_block_sparse(topo, rng)

@@ -4,7 +4,6 @@ import pytest
 from repro.training import (
     History,
     TrainingRecord,
-    loss_equivalent_speedup,
     pareto_frontier,
     time_to_loss,
 )
@@ -128,20 +127,3 @@ class TestParetoFrontier:
 
     def test_empty(self):
         assert pareto_frontier([]) == []
-
-
-class TestLossEquivalentSpeedup:
-    def test_2x_faster_curve(self):
-        ref = ([0, 10, 20, 40], [3.0, 2.5, 2.0, 1.5])
-        target = ([0, 5, 10, 20], [3.0, 2.5, 2.0, 1.5])
-        s = loss_equivalent_speedup(ref, target)
-        assert s == pytest.approx(2.0)
-
-    def test_none_when_reference_never_reaches(self):
-        ref = ([0, 10], [3.0, 2.5])
-        target = ([0, 10], [3.0, 1.0])
-        assert loss_equivalent_speedup(ref, target) is None
-
-    def test_identity_curve_speedup_one(self):
-        c = ([0, 10, 20], [3.0, 2.0, 1.0])
-        assert loss_equivalent_speedup(c, c) == pytest.approx(1.0)

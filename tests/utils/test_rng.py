@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import get_rng, global_seed, seed_all, spawn_rng
+from repro.utils.rng import get_rng, seed_all, spawn_rng
 
 
 class TestGetRng:
@@ -24,10 +24,6 @@ class TestGetRng:
     def test_invalid_type_raises(self):
         with pytest.raises(TypeError):
             get_rng("seed")
-
-    def test_global_seed_tracks(self):
-        seed_all(99)
-        assert global_seed() == 99
 
 
 class TestSpawnRng:
